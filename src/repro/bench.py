@@ -30,9 +30,10 @@ from .core.checker import RegularityChecker, find_new_old_inversions
 from .core.history import History, operation_digest
 from .exec.runner import default_workers, fallback_count
 from .faults.plan import FaultPlan, PartitionFault
+from .runtime.assembly import make_scheduler
 from .runtime.config import SystemConfig
 from .runtime.system import DynamicSystem
-from .sim.engine import CalendarScheduler, EventScheduler
+from .sim.engine import EventScheduler
 from .sim.errors import ReproError
 
 ARTIFACT_NAME = "BENCH_kernel.json"
@@ -67,23 +68,15 @@ def _noop() -> None:
     return None
 
 
-def scheduler_hot_loop(events: int = 200_000, queue: str = "heap") -> int:
+def scheduler_hot_loop(events: int = 200_000) -> int:
     """Deep-queue schedule-then-drain: the raw queue discipline's cost.
 
     Schedules ``events`` no-op events over ~1000 distinct instants
     (delivery-like fractional offsets), then drains the lot — so the
-    queue holds O(events) entries for most of the run, the regime where
-    the binary heap's O(log n) per operation separates from the
-    calendar's O(1) bucket append/sweep.  The heap/calendar pair feeds
-    ``derived.queue_speedup``: both legs timed in this run on this
-    machine, noise-immune in a way cross-machine wall times are not.
-    The bucket width matches what the assembly derives for δ = 5
-    (δ/25 = 0.2, at or below the delay model's minimum latency).
+    queue holds O(events) entries for most of the run, on the bucket
+    width every δ = 5 system gets.
     """
-    if queue == "calendar":
-        engine: EventScheduler = CalendarScheduler(bucket_width=0.2)
-    else:
-        engine = EventScheduler()
+    engine = make_scheduler(5.0)
     for i in range(events):
         engine.schedule(0.1 * (i % 997) + 0.5, _noop)
     return engine.run()
@@ -152,27 +145,6 @@ def churn_tick_large(ticks: float = 40.0, n: int = 1000) -> int:
     return system.churn.ticks_executed
 
 
-def churn_tick_calendar(ticks: float = 40.0, n: int = 1000) -> int:
-    """:func:`churn_tick_large` on the calendar queue.
-
-    Same seed, same population, same churn — only
-    ``SystemConfig(queue="calendar")`` differs, so the pair shows what
-    the array-backed scheduler buys (or costs) on a real protocol
-    workload, where queue depth is far below the hot-loop benchmark's.
-    The kernel-parity property suite pins both queues byte-identical,
-    and this workload's tick count must match the heap leg's.
-    """
-    system = DynamicSystem(
-        SystemConfig(
-            n=n, delta=5.0, protocol="sync", seed=1, trace=False,
-            queue="calendar",
-        )
-    )
-    system.attach_churn(rate=0.002)
-    system.run_until(ticks)
-    return system.churn.ticks_executed
-
-
 def mesoscale_million(n: int = 1_000_000) -> int:
     """One n = 10⁶ mesoscale cell (E18's sub-threshold drive).
 
@@ -195,30 +167,6 @@ def mesoscale_million(n: int = 1_000_000) -> int:
             "the mesoscale benchmark cell violated regularity"
         )
     return data["delivered"]
-
-
-def churn_ticks_legacy_dispatch(ticks: float = 300.0, n: int = 100) -> int:
-    """:func:`churn_ticks` with the wave-handler plane switched off.
-
-    Same seed, same population, same churn — but every delivery goes
-    through the per-event ``on_<type>`` dispatch instead of the batched
-    wave handlers.  The pair feeds ``derived.dispatch_speedup``: the
-    measured, same-machine cost of the dispatch plane itself, free of
-    cross-machine noise.
-    """
-    system = DynamicSystem(
-        SystemConfig(
-            n=n,
-            delta=5.0,
-            protocol="sync",
-            seed=1,
-            trace=False,
-            batch_dispatch=False,
-        )
-    )
-    system.attach_churn(rate=0.1)
-    system.run_until(ticks)
-    return system.churn.ticks_executed
 
 
 def keyed_store_fanout(
@@ -540,11 +488,8 @@ PROFILE_WORKLOADS: dict[str, Callable[[], Any]] = {
     "broadcast_fanout": lambda: broadcast_fanout(False),
     "broadcast_fanout_large": broadcast_fanout_large,
     "churn_ticks": churn_ticks,
-    "churn_ticks_legacy_dispatch": churn_ticks_legacy_dispatch,
     "churn_tick_large": churn_tick_large,
-    "churn_tick_calendar": churn_tick_calendar,
     "scheduler_hot_loop": scheduler_hot_loop,
-    "scheduler_hot_loop_calendar": lambda: scheduler_hot_loop(queue="calendar"),
     "mesoscale_million": mesoscale_million,
     "keyed_store_fanout": keyed_store_fanout,
     "cluster_fanout": cluster_fanout,
@@ -566,7 +511,7 @@ def profile_workload(
     The instrument behind every handler-plane claim: wall times say
     *whether* a change paid off, the frame table says *where* the time
     went — and whether the next optimisation target is the kernel, the
-    protocol handlers, or the heap itself.  Prints the workload's wall
+    protocol handlers, or the queue itself.  Prints the workload's wall
     time and result, then the ``top`` frames by ``sort`` order.
     """
     import cProfile
@@ -640,48 +585,14 @@ def run_kernel_benchmarks(
     churn_seconds, ticks = _time_best(churn_ticks, repeats)
     record("churn_tick_cost", churn_seconds, "ticks", ticks)
 
-    legacy_dispatch_seconds, ticks_legacy = _time_best(
-        churn_ticks_legacy_dispatch, repeats
-    )
-    record(
-        "churn_tick_legacy_dispatch", legacy_dispatch_seconds, "ticks", ticks_legacy
-    )
-    if ticks_legacy != ticks:
-        raise AssertionError(
-            "switching off the wave-handler plane changed the churn "
-            "workload's tick count — the dispatch planes diverged"
-        )
-
     seconds, delivered_large = _time_best(broadcast_fanout_large, repeats)
     record("broadcast_fanout_large", seconds, "delivered", delivered_large)
 
     seconds, ticks_large = _time_best(churn_tick_large, repeats)
     record("churn_tick_large", seconds, "ticks", ticks_large)
 
-    calendar_seconds, ticks_calendar = _time_best(churn_tick_calendar, repeats)
-    record("churn_tick_calendar", calendar_seconds, "ticks", ticks_calendar)
-    if ticks_calendar != ticks_large:
-        raise AssertionError(
-            "the calendar queue changed the kilonode churn workload's "
-            "tick count — the queue disciplines diverged"
-        )
-
-    hot_heap, hot_fired = _time_best(
-        lambda: scheduler_hot_loop(queue="heap"), repeats
-    )
-    record("scheduler_hot_loop", hot_heap, "events_fired", hot_fired)
-    hot_calendar, hot_fired_calendar = _time_best(
-        lambda: scheduler_hot_loop(queue="calendar"), repeats
-    )
-    record(
-        "scheduler_hot_loop_calendar", hot_calendar, "events_fired",
-        hot_fired_calendar,
-    )
-    if hot_fired_calendar != hot_fired:
-        raise AssertionError(
-            "the calendar queue fired a different event count on the "
-            "hot-loop workload — the queue disciplines diverged"
-        )
+    seconds, hot_fired = _time_best(scheduler_hot_loop, repeats)
+    record("scheduler_hot_loop", seconds, "events_fired", hot_fired)
 
     seconds, meso_delivered = _time_best(mesoscale_million, repeats)
     record("mesoscale_million", seconds, "delivered", meso_delivered)
@@ -796,17 +707,6 @@ def run_kernel_benchmarks(
             "trace_off_speedup": round(seconds_on / seconds_off, 3),
             "fault_gate_overhead": round(seconds_gated / seconds_off, 3),
             "checker_regularity_speedup": round(naive_reg / fast_reg, 3),
-            # the same churn workload with per-event on_<type> dispatch
-            # over the wave-handler plane — both legs timed in this run
-            # on this machine, so the ratio is noise-immune in a way the
-            # cross-machine wall-time comparison cannot be.
-            "dispatch_speedup": round(legacy_dispatch_seconds / churn_seconds, 3),
-            # the heap over the calendar on the deep-queue hot loop —
-            # both legs timed in this run on this machine, so the ratio
-            # isolates the queue discipline itself (the protocol-level
-            # churn_tick pair runs far shallower queues, where the two
-            # disciplines are within noise of each other).
-            "queue_speedup": round(hot_heap / hot_calendar, 3),
             "checker_atomicity_speedup": round(naive_atom / fast_atom, 3),
             # what serving 8 registers instead of 1 costs end to end on
             # the same churning population — joins are batched over

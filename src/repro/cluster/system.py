@@ -30,10 +30,9 @@ from ..churn.controller import ChurnController
 from ..core.checker import AtomicityReport, LivenessReport, SafetyReport
 from ..faults.injector import FaultInjector
 from ..faults.plan import FaultPlan
-from ..runtime.assembly import scope_pid
+from ..runtime.assembly import make_scheduler, scope_pid
 from ..runtime.system import DynamicSystem
 from ..sim.clock import Time
-from ..sim.engine import EventScheduler
 from ..sim.errors import ConfigError
 from ..sim.operations import OperationHandle
 from ..sim.rng import RngRegistry
@@ -55,7 +54,7 @@ class ClusterSystem:
 
     def __init__(self, config: ClusterConfig) -> None:
         self.config = config
-        self.engine = EventScheduler()
+        self.engine = make_scheduler(config.delta)
         #: Cluster-level RNG streams (workload shaping, key pickers) —
         #: disjoint from every shard's ``shard{i}``-derived streams.
         self.rng = RngRegistry(config.seed)

@@ -7,7 +7,7 @@ churn threshold
 
     c_max(n) = (1 − 1/n) / (3δ)
 
-stops mattering.  The batched-delivery kernel (one heap entry per
+stops mattering.  The batched-delivery kernel (one queue entry per
 distinct arrival instant instead of one ``Event`` + ``Message`` per
 recipient) made populations of 10³–10⁴ affordable, and the vectorized
 handler plane (wave dispatch, inline reply pushes) pushes the ceiling

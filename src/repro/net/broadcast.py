@@ -69,7 +69,6 @@ class BroadcastService:
         rng: RngRegistry,
         window: Time | None = None,
         entrant_policy: EntrantPolicy = "none",
-        batched: bool = True,
     ) -> None:
         self.engine = engine
         self.membership = membership
@@ -81,12 +80,6 @@ class BroadcastService:
         self._window = window
         self._entrant_policy = self._validate_policy(entrant_policy)
         self._in_flight: list[_InFlightBroadcast] = []
-        #: ``True`` rides the batched slab fan-out; ``False`` keeps the
-        #: legacy one-Message-one-Event-per-recipient loop.  Both paths
-        #: are byte-identical (the kernel-parity property suite and the
-        #: determinism digests pin it) — the switch exists so the parity
-        #: claim stays falsifiable.
-        self.batched = batched
         #: Mesoscale absorption hook.  When a
         #: :class:`~repro.runtime.mesoscale.AggregatePopulation` is
         #: installed here, every broadcast is *also* offered to it so
@@ -143,35 +136,12 @@ class BroadcastService:
         # entrant policy is active) the in-flight record; without a
         # policy no bookkeeping is materialized at all.
         recipients = self.membership.present_pids()
-        if self.batched:
-            # Vectorized fan-out: the network draws every recipient's
-            # delay itself, from this service's stream (``delays=None``
-            # — same draws, same order as ``sample_broadcast_many``),
-            # fusing the sampling into its scheduling loop — no
-            # per-recipient Message or Event at all.
-            self.network.deliver_fanout(
-                sender, recipients, None, payload, now, broadcast_id,
-                rng=self._rng,
-            )
-        else:
-            for dest in recipients:
-                delay = self.delay_model.sample_broadcast(
-                    sender, dest, payload, now, self._rng
-                )
-                if delay <= 0:
-                    raise NetworkError(
-                        f"delay model produced non-positive delay {delay!r}"
-                    )
-                self.network.deliver_scheduled(
-                    Message(
-                        sender=sender,
-                        dest=dest,
-                        payload=payload,
-                        sent_at=now,
-                        deliver_at=now + delay,
-                        broadcast_id=broadcast_id,
-                    )
-                )
+        # The network draws every recipient's delay itself, from this
+        # service's stream, fusing the sampling into its scheduling
+        # loop — no per-recipient Message or Event at all.
+        self.network.deliver_fanout(
+            sender, recipients, payload, now, broadcast_id, self._rng
+        )
         if self.aggregate is not None:
             self.aggregate.absorb_broadcast(sender, payload, now, broadcast_id)
         if self._window is not None and self._entrant_policy != "none":

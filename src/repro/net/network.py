@@ -24,20 +24,30 @@ injector installed the paths are unchanged.
 Delivery hot path
 -----------------
 
-Scheduled deliveries ride the scheduler's slab queue
-(:meth:`~repro.sim.engine.EventScheduler.schedule_slab`), not full
-``Event`` objects:
+Scheduled deliveries ride the scheduler's slab queue, not full
+``Event`` objects, and no per-recipient ``Message`` or label f-string
+exists on any of these paths:
 
-* a point-to-point send pushes one pooled :class:`_ScheduledMessage`
-  wrapping the prebuilt envelope;
-* a broadcast fan-out pushes one pooled :class:`_BroadcastBatch` per
-  *distinct arrival instant*, carrying the shared header (sender,
-  payload, broadcast id) once and a vector of destinations — no
-  per-recipient ``Message``, ``Event`` or label f-string exists at all.
-  Within-instant recipients deliver in recipient order and batches are
-  scheduled in first-occurrence order, which reproduces the historical
-  per-event ``(time, priority, sequence)`` order byte-for-byte (the
-  determinism digests pin this).
+* a fault-free broadcast under a continuous delay model pushes ONE
+  self-re-arming :class:`_FanoutSweep` walking its sorted arrival
+  vector; other fault-free fan-outs, point-to-point
+  :meth:`Network.send_payload` sends and the replies wave handlers
+  inline push one pooled :class:`_Unicast` per delivery;
+* under a fault plan a fan-out pushes one pooled
+  :class:`_BroadcastBatch` per *distinct arrival instant* (a
+  defer-partition parks several recipients on one), delivered in
+  recipient order;
+* an envelope send (:meth:`Network.send`) pushes one pooled
+  :class:`_ScheduledMessage` wrapping the prebuilt ``Message``.
+
+With tracing off and no injector installed (``Network._fast``) a
+delivery dispatches straight to the recipient's *wave handler* (see
+:class:`~repro.sim.process.SimProcess`); otherwise it takes
+:meth:`Network._fire_batch_checked` and the ``on_<type>`` handlers —
+the reference the waves are tested against.  Every path reproduces the
+one-``Message``-per-recipient ``(time, priority, sequence)`` order
+byte-for-byte (the determinism digests and
+``tests/properties/kernel_golden.json`` pin this).
 
 Slab entries are recycled through per-network free lists, so steady
 state churn storms allocate nothing per delivery.
@@ -67,7 +77,7 @@ _INF = float("inf")
 
 
 class _ScheduledMessage(SlabEntry):
-    """One heap slot for one prebuilt in-flight :class:`Message`."""
+    """One queue slot for one prebuilt in-flight :class:`Message`."""
 
     __slots__ = ("network", "message")
 
@@ -86,7 +96,7 @@ class _ScheduledMessage(SlabEntry):
 
 
 class _Unicast(SlabEntry):
-    """One heap slot for one envelope-free single-destination delivery.
+    """One queue slot for one envelope-free single-destination delivery.
 
     The scalar sibling of :class:`_BroadcastBatch`: point-to-point
     sends (:meth:`Network.send_payload`), the per-recipient pushes of a
@@ -111,7 +121,7 @@ class _Unicast(SlabEntry):
 
     def fire(self) -> None:
         network = self.network
-        if network._fast_waves:
+        if network._fast:
             sender = self.sender
             payload = self.payload
             process = network._present.get(self.dest)
@@ -123,30 +133,10 @@ class _Unicast(SlabEntry):
                 network.dropped_count += 1
                 return
             network.delivered_count += 1
-            wave = process._waves1.get(payload.__class__)
+            wave = process._waves.get(payload.__class__)
             if wave is not None:
                 wave(network, sender, payload, process)
                 return
-            handler = process._dispatch.get(payload.__class__)
-            if handler is None:
-                process.deliver_payload(sender, payload)
-                return
-            handler(process, sender, payload)
-            watchers = process._watchers
-            if watchers:
-                for watcher in list(watchers):
-                    watcher.poll()
-            return
-        if network._fast:
-            sender = self.sender
-            payload = self.payload
-            process = network._present.get(self.dest)
-            self.payload = None
-            network._unicast_pool.append(self)
-            if process is None:
-                network.dropped_count += 1
-                return
-            network.delivered_count += 1
             handler = process._dispatch.get(payload.__class__)
             if handler is None:
                 process.deliver_payload(sender, payload)
@@ -165,14 +155,14 @@ class _Unicast(SlabEntry):
 
 
 class _FanoutSweep(SlabEntry):
-    """One heap slot carrying an *entire* broadcast fan-out.
+    """One queue slot carrying an *entire* broadcast fan-out.
 
     The fan-out's arrivals are drawn up front (in recipient order, so
     the RNG stream is untouched), sorted by instant, and then swept:
-    the entry sits in the heap at the next arrival's instant, delivers
+    the entry sits in the queue at the next arrival's instant, delivers
     that one recipient when it fires, and re-pushes itself at the
     following instant.  Compared to one pooled entry per recipient this
-    keeps the heap ~two orders of magnitude smaller under broadcast
+    keeps the queue ~two orders of magnitude smaller under broadcast
     storms (one slot per in-flight broadcast, not one per in-flight
     delivery) and replaces the per-recipient entry setup with two list
     appends.
@@ -214,22 +204,19 @@ class _FanoutSweep(SlabEntry):
             # like pre-pushed per-recipient entries.
             self.index = index
             engine = network.engine
-            engine._push(
-                engine._queue,
-                (self.times[index], _DELIVERY, engine._sequence, self),
-            )
+            engine._push((self.times[index], _DELIVERY, engine._sequence, self))
             engine._sequence += 1
             last = False
         else:
             last = True
-        if network._fast_waves:
+        if network._fast:
             payload = self.payload
             process = network._present.get(dest)
             if process is None:
                 network.dropped_count += 1
             else:
                 network.delivered_count += 1
-                wave = process._waves1.get(payload.__class__)
+                wave = process._waves.get(payload.__class__)
                 if wave is not None:
                     wave(network, self.sender, payload, process)
                 else:
@@ -242,22 +229,6 @@ class _FanoutSweep(SlabEntry):
                         if watchers:
                             for watcher in list(watchers):
                                 watcher.poll()
-        elif network._fast:
-            payload = self.payload
-            process = network._present.get(dest)
-            if process is None:
-                network.dropped_count += 1
-            else:
-                network.delivered_count += 1
-                handler = process._dispatch.get(payload.__class__)
-                if handler is None:
-                    process.deliver_payload(self.sender, payload)
-                else:
-                    handler(process, self.sender, payload)
-                    watchers = process._watchers
-                    if watchers:
-                        for watcher in list(watchers):
-                            watcher.poll()
         else:
             network._fire_batch_checked(
                 self, self.sender, self.payload, (dest,), network.faults
@@ -270,101 +241,31 @@ class _FanoutSweep(SlabEntry):
 
 
 class _BroadcastBatch(SlabEntry):
-    """One heap slot for every recipient of one broadcast arriving at
+    """One queue slot for every recipient of one broadcast arriving at
     one instant: the shared header once, plus the destination vector.
 
-    Also carries envelope-free point-to-point sends
-    (:meth:`Network.send_payload`) as size-1 batches with
-    ``broadcast_id = None`` — the fire path only differs in the trace
-    kind (RECEIVE instead of DELIVER)."""
+    Only the fault gate builds these (:meth:`Network.deliver_fanout`
+    coalesces recipients a fault plan parks on one instant), and an
+    installed injector is permanent — so a batch always fires through
+    :meth:`Network._fire_batch_checked`."""
 
-    __slots__ = ("network", "sender", "payload", "sent_at", "broadcast_id",
-                 "dests", "size")
+    __slots__ = ("network", "sender", "payload", "broadcast_id", "dests", "size")
 
     def __init__(self, network: "Network") -> None:
         self.network = network
         self.sender = ""
         self.payload: Any = None
-        self.sent_at: Time = 0.0
         self.broadcast_id: int | None = None
         self.dests: list[str] = []
         self.size = 0
 
     def fire(self) -> None:
-        """Deliver the recipient vector, in recipient order.
-
-        Replicates the per-message delivery path per recipient — same
-        check order (fault drop, presence, crash, presence again), same
-        counters, same trace records — against the shared header
-        instead of a per-recipient envelope.
-        """
+        """Deliver the recipient vector, in recipient order."""
         network = self.network
-        sender = self.sender
-        payload = self.payload
         dests = self.dests
-        # ``_fast_waves`` folds the fault gate, the (construction-time
-        # constant) trace flag and the batch-dispatch flag into one
-        # attribute test.
-        if network._fast_waves:
-            # Batch-dispatch plane: resolve the batch's recipients once,
-            # then at most one wave call per batch.  Size-1 batches (the
-            # continuous-delay common case) are fully inlined here; the
-            # wave contract (handlers never depart processes) makes the
-            # single upfront presence probe equivalent to the legacy
-            # per-recipient re-probe.
-            payload_cls = payload.__class__
-            if len(dests) == 1:
-                process = network._present.get(dests[0])
-                if process is None:
-                    network.dropped_count += 1
-                else:
-                    network.delivered_count += 1
-                    wave = process._waves.get(payload_cls)
-                    if wave is not None:
-                        wave(network, sender, payload, (process,))
-                    else:
-                        handler = process._dispatch.get(payload_cls)
-                        if handler is None:
-                            process.deliver_payload(sender, payload)
-                        else:
-                            handler(process, sender, payload)
-                            watchers = process._watchers
-                            if watchers:
-                                for watcher in list(watchers):
-                                    watcher.poll()
-            else:
-                network._dispatch_batch(sender, payload, dests, payload_cls)
-        elif network._fast:
-            # The PR 8 per-recipient fast path (``batch_dispatch=False``):
-            # one dict probe per recipient, then straight into the
-            # handler.  Presence is re-read per recipient because an
-            # earlier delivery of this very batch may depart a process.
-            # The dispatch is ``deliver_payload`` inlined: a process
-            # held in ``membership._present`` is never DEPARTED
-            # (departure always pairs ``process.depart()`` with
-            # ``membership.leave``), so the mode guard is the presence
-            # probe itself; a cache miss falls back to the full method.
-            present = network._present
-            payload_cls = payload.__class__
-            for dest in dests:
-                process = present.get(dest)
-                if process is None:
-                    network.dropped_count += 1
-                    continue
-                network.delivered_count += 1
-                handler = process._dispatch.get(payload_cls)
-                if handler is None:
-                    process.deliver_payload(sender, payload)
-                    continue
-                handler(process, sender, payload)
-                watchers = process._watchers
-                if watchers:
-                    for watcher in list(watchers):
-                        watcher.poll()
-        else:
-            network._fire_batch_checked(
-                self, sender, payload, dests, network.faults
-            )
+        network._fire_batch_checked(
+            self, self.sender, self.payload, dests, network.faults
+        )
         # Recycle: drop the payload reference and the vector, keep the
         # object (and its list) on the free list.
         self.payload = None
@@ -382,7 +283,6 @@ class Network:
         delay_model: DelayModel,
         trace: TraceLog,
         rng: RngRegistry,
-        batch_dispatch: bool = True,
     ) -> None:
         self.engine = engine
         self.membership = membership
@@ -396,14 +296,11 @@ class Network:
         # Fault gate: ``None`` means the un-faulted fast path — no extra
         # work per message beyond this attribute test.
         self.faults: FaultInjector | None = None
-        # The delivery fast-path flag: no faults installed AND tracing
-        # off.  ``trace._enabled`` never changes after construction, so
-        # this only needs refreshing when a fault injector lands.
+        # The wave-plane flag: no faults installed AND tracing off, so
+        # the fire paths test a single attribute.  ``trace._enabled``
+        # never changes after construction, so this only needs
+        # refreshing when a fault injector lands.
         self._fast = not trace.enabled
-        # The batch-dispatch plane (wave handlers): folded with ``_fast``
-        # into one flag so the fire loop tests a single attribute.
-        self._batch_dispatch = batch_dispatch
-        self._fast_waves = self._fast and batch_dispatch
         # Hot-path aliases: the membership dicts are bound once (only
         # ever mutated in place) and the delay model is fixed, so the
         # per-delivery attribute chains collapse to one load each.
@@ -431,7 +328,6 @@ class Network:
             raise NetworkError("a fault injector is already installed")
         self.faults = injector
         self._fast = False
-        self._fast_waves = False
 
     @property
     def known_bound(self) -> Time | None:
@@ -474,7 +370,7 @@ class Network:
         )
         self.sent_count += 1
         # Fast path: with tracing off, sends build no trace kwargs —
-        # the per-message cost is just the Message and the heap push.
+        # the per-message cost is just the Message and the queue push.
         if self.trace.enabled:
             self.trace.record(
                 now,
@@ -553,9 +449,7 @@ class Network:
         engine = self.engine
         if not (engine._now <= deliver_at < _INF):
             engine._reject_instant(deliver_at)
-        engine._push(
-            engine._queue, (deliver_at, _DELIVERY, engine._sequence, entry)
-        )
+        engine._push((deliver_at, _DELIVERY, engine._sequence, entry))
         engine._sequence += 1
         engine._live += 1
 
@@ -612,8 +506,8 @@ class Network:
         return message
 
     def deliver_scheduled(self, message: Message) -> None:
-        """Schedule an externally-built message (entrant offers, and the
-        legacy per-recipient broadcast path kept for parity testing)."""
+        """Schedule an externally-built message (the broadcast service's
+        offers of in-flight broadcasts to entrants)."""
         if self.faults is not None:
             now = self.engine.now
             deliver_at, fault_reason = self.faults.on_transmit(
@@ -629,35 +523,32 @@ class Network:
         self._schedule_message(message)
 
     # ------------------------------------------------------------------
-    # Batched broadcast fan-out
+    # Broadcast fan-out
     # ------------------------------------------------------------------
 
     def deliver_fanout(
         self,
         sender: str,
         dests: list[str],
-        delays: list[Time] | None,
         payload: Any,
         now: Time,
         broadcast_id: int,
-        rng: Any = None,
+        rng: Any,
     ) -> None:
-        """Schedule one broadcast's whole fan-out, batched by instant.
+        """Schedule one broadcast's whole fan-out.
 
-        ``dests`` and ``delays`` are parallel, in recipient order — the
-        same order the legacy per-recipient loop sampled and scheduled
-        in, so the fault hooks see every delivery at the same point of
-        the RNG stream.  ``delays=None`` defers the sampling to this
-        method (``rng`` must then carry the caller's broadcast stream):
-        with declared uniform parameters the draw fuses into the
-        scheduling loop — same ``lo + span * random()`` per recipient,
-        in recipient order, bit-identical to
-        :meth:`~repro.net.delay.DelayModel.sample_broadcast_many` —
-        and no delay vector is materialized at all.  Recipients sharing
-        an arrival instant (e.g. a defer-partition parking several on
-        its ``end``) coalesce into one heap slot; batches are pushed in
-        first-occurrence order, which preserves the historical sequence
-        order exactly.
+        Delays are drawn here, from ``rng`` (the broadcast service's
+        stream), one per recipient in recipient order — so the fault
+        hooks see every delivery at the same point of the RNG stream as
+        a one-``Message``-per-recipient loop would.  With declared
+        uniform parameters the draw fuses into the scheduling loop —
+        same ``lo + span * random()`` per recipient, bit-identical to
+        :meth:`~repro.net.delay.DelayModel.sample_broadcast_many` — and
+        no delay vector is materialized at all.  Under a fault plan,
+        recipients sharing an arrival instant (e.g. a defer-partition
+        parking several on its ``end``) coalesce into one queue slot;
+        batches are pushed in first-occurrence order, which keeps the
+        per-recipient sequence order exactly.
         """
         faults = self.faults
         if faults is None:
@@ -665,15 +556,14 @@ class Network:
             if count == 0:
                 return
             engine = self.engine
-            queue = engine._queue
             push = engine._push
-            params = self._bcast_uniform if delays is None else None
+            params = self._bcast_uniform
             if params is not None and params[1] > 0.0:
                 # Fused sweep arm: draw every arrival inline (recipient
                 # order — the RNG stream is exactly
                 # ``sample_broadcast_many``'s, and ``now + (lo + span *
                 # r)`` keeps the delay a single float so the sum rounds
-                # exactly like the legacy two-step computation; the
+                # exactly like the two-step ``now + delay``; the
                 # model's constructor already validated ``0 < lo``, so
                 # the positivity check is subsumed), sort by
                 # ``(instant, recipient index)``, and push ONE sweep
@@ -705,7 +595,7 @@ class Network:
                 for instant, i in pairs:
                     append_time(instant)
                     append_dest(dests[i])
-                push(queue, (times[0], _DELIVERY, engine._sequence, sweep))
+                push((times[0], _DELIVERY, engine._sequence, sweep))
                 engine._sequence += 1
                 engine._live += count
                 return
@@ -714,13 +604,12 @@ class Network:
             # eventually-synchronous GST flush clamps every straggler
             # to exactly ``gst + delta``; a degenerate ``span == 0``
             # makes every draw equal), and tied deliveries must keep
-            # the historical consecutive-sequence interleaving — so
+            # their consecutive-sequence interleaving — so
             # each recipient gets its own pooled entry, pushed in
             # recipient order.
-            if delays is None:
-                delays = self.delay_model.sample_broadcast_many(
-                    sender, dests, payload, now, rng
-                )
+            delays = self.delay_model.sample_broadcast_many(
+                sender, dests, payload, now, rng
+            )
             unicast_pool = self._unicast_pool
             unicast_pop = unicast_pool.pop
             sequence = engine._sequence
@@ -737,15 +626,14 @@ class Network:
                 entry.payload = payload
                 entry.broadcast_id = broadcast_id
                 entry.dest = dest
-                push(queue, (deliver_at, _DELIVERY, sequence, entry))
+                push((deliver_at, _DELIVERY, sequence, entry))
                 sequence += 1
             engine._sequence = sequence
             engine._live += count
             return
-        if delays is None:
-            delays = self.delay_model.sample_broadcast_many(
-                sender, dests, payload, now, rng
-            )
+        delays = self.delay_model.sample_broadcast_many(
+            sender, dests, payload, now, rng
+        )
         groups: dict[Time, _BroadcastBatch] = {}
         payload_type = type(payload).__name__
         for dest, delay in zip(dests, delays):
@@ -764,7 +652,7 @@ class Network:
             batch = groups.get(deliver_at)
             if batch is None:
                 groups[deliver_at] = batch = self._take_batch(
-                    sender, payload, now, broadcast_id
+                    sender, payload, broadcast_id
                 )
             batch.dests.append(dest)
         for batch in groups.values():
@@ -772,69 +660,14 @@ class Network:
         self.engine.schedule_slab_many(groups, _DELIVERY)
 
     def _take_batch(
-        self, sender: str, payload: Any, sent_at: Time, broadcast_id: int
+        self, sender: str, payload: Any, broadcast_id: int
     ) -> _BroadcastBatch:
         pool = self._batch_pool
         batch = pool.pop() if pool else _BroadcastBatch(self)
         batch.sender = sender
         batch.payload = payload
-        batch.sent_at = sent_at
         batch.broadcast_id = broadcast_id
         return batch
-
-    def _dispatch_batch(
-        self,
-        sender: str,
-        payload: Any,
-        dests: list[str],
-        payload_cls: type,
-    ) -> None:
-        """Multi-recipient arm of the batch-dispatch plane.
-
-        Resolves the batch's present recipients once; a homogeneous
-        batch then costs one wave (or one ``deliver_batch``) call
-        total.  Mixed-class batches — possible only when differently-
-        typed process populations share one network — fall back to the
-        exact legacy per-recipient loop, which re-probes presence per
-        delivery.
-        """
-        present = self._present
-        procs: list = []
-        cls: type | None = None
-        homogeneous = True
-        for dest in dests:
-            process = present.get(dest)
-            if process is None:
-                continue
-            if cls is None:
-                cls = process.__class__
-            elif process.__class__ is not cls:
-                homogeneous = False
-            procs.append(process)
-        if homogeneous and cls is not None:
-            self.dropped_count += len(dests) - len(procs)
-            self.delivered_count += len(procs)
-            wave = procs[0]._waves.get(payload_cls)
-            if wave is not None:
-                wave(self, sender, payload, procs)
-            else:
-                cls.deliver_batch(self, sender, payload, procs)
-            return
-        for dest in dests:
-            process = present.get(dest)
-            if process is None:
-                self.dropped_count += 1
-                continue
-            self.delivered_count += 1
-            handler = process._dispatch.get(payload_cls)
-            if handler is None:
-                process.deliver_payload(sender, payload)
-                continue
-            handler(process, sender, payload)
-            watchers = process._watchers
-            if watchers:
-                for watcher in list(watchers):
-                    watcher.poll()
 
     def _fire_batch_checked(
         self,
@@ -893,7 +726,7 @@ class Network:
             self.membership.process(dest).deliver_payload(sender, payload)
 
     # ------------------------------------------------------------------
-    # Per-message delivery (point-to-point and the legacy parity path)
+    # Per-message delivery (envelope sends and entrant offers)
     # ------------------------------------------------------------------
 
     def _departed_drop(
@@ -955,13 +788,13 @@ class Network:
                 type=message.payload_type,
             )
         process = self.membership.process(message.dest)
-        if self._fast_waves:
+        if self._fast:
             # Envelope deliveries join the wave plane too: protocols
             # whose point-to-point traffic rides full ``Message``
             # envelopes (ES replies/acks, ABD's universe rounds) get
             # the same straight-line unicast bodies as slab deliveries.
             payload = message.payload
-            wave = process._waves1.get(payload.__class__)
+            wave = process._waves.get(payload.__class__)
             if wave is not None:
                 wave(self, message.sender, payload, process)
                 return

@@ -248,14 +248,13 @@ class AbdRegisterNode(RegisterNode):
             self._writebacks.phase(key).offer_ack(sender)
 
     # ------------------------------------------------------------------
-    # Wave handlers (the batch-dispatch plane)
+    # Wave handlers (the network's dispatch plane, tracing and faults off)
     # ------------------------------------------------------------------
-    # ABD's universe messages travel point-to-point, so the unicast and
-    # envelope fast paths are what call the ``_one`` variants; the
-    # batch bodies serve the ``deliver_batch`` plane.  Same sends in
-    # the same order as the handlers above; non-replica no-op arms skip
-    # the watcher poll (a no-op delivery cannot newly satisfy a
-    # ``WaitUntil`` condition).
+    # ABD's universe messages travel point-to-point, so the network's
+    # envelope path is what calls these.  Same sends in the same order
+    # as the handlers above; non-replica no-op arms skip the watcher
+    # poll (a no-op delivery cannot newly satisfy a ``WaitUntil``
+    # condition).
 
     wave_handlers = {
         AbdWrite: "_wave_abdwrite",
@@ -264,22 +263,7 @@ class AbdRegisterNode(RegisterNode):
     }
 
     @staticmethod
-    def _wave_abdwrite(network, sender, payload, procs) -> None:
-        key = payload.key
-        value = payload.value
-        sequence = payload.sequence
-        for node in procs:
-            if not node.is_replica:
-                continue
-            node.space.adopt(key, value, sequence)
-            node.ctx.network.send(node.pid, sender, AbdAck(sequence, key))
-            watchers = node._watchers
-            if watchers:
-                for watcher in list(watchers):
-                    watcher.poll()
-
-    @staticmethod
-    def _wave_abdwrite_one(network, sender, payload, node) -> None:
+    def _wave_abdwrite(network, sender, payload, node) -> None:
         if not node.is_replica:
             return
         key = payload.key
@@ -295,23 +279,7 @@ class AbdRegisterNode(RegisterNode):
                     watcher.poll()
 
     @staticmethod
-    def _wave_abdquery(network, sender, payload, procs) -> None:
-        request = payload.request
-        key = payload.key
-        for node in procs:
-            if not node.is_replica:
-                continue
-            value, sequence = node.space.snapshot(key)
-            node.ctx.network.send(
-                node.pid, sender, AbdQueryReply(request, value, sequence, key)
-            )
-            watchers = node._watchers
-            if watchers:
-                for watcher in list(watchers):
-                    watcher.poll()
-
-    @staticmethod
-    def _wave_abdquery_one(network, sender, payload, node) -> None:
+    def _wave_abdquery(network, sender, payload, node) -> None:
         if not node.is_replica:
             return
         key = payload.key
@@ -328,23 +296,7 @@ class AbdRegisterNode(RegisterNode):
                     watcher.poll()
 
     @staticmethod
-    def _wave_abdwriteback(network, sender, payload, procs) -> None:
-        request = payload.request
-        key = payload.key
-        value = payload.value
-        sequence = payload.sequence
-        for node in procs:
-            if not node.is_replica:
-                continue
-            node.space.adopt(key, value, sequence)
-            node.ctx.network.send(node.pid, sender, AbdWriteBackAck(request, key))
-            watchers = node._watchers
-            if watchers:
-                for watcher in list(watchers):
-                    watcher.poll()
-
-    @staticmethod
-    def _wave_abdwriteback_one(network, sender, payload, node) -> None:
+    def _wave_abdwriteback(network, sender, payload, node) -> None:
         if not node.is_replica:
             return
         key = payload.key

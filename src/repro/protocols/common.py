@@ -77,22 +77,6 @@ class QuorumPhase:
         """Record a bare acknowledgement (no payload, just the count)."""
         self._offers[sender] = ()
 
-    def record_many(
-        self, offers: Iterable[tuple[str, Iterable[Entry]]]
-    ) -> None:
-        """Vectorized :meth:`offer`: fold a whole batch of per-sender
-        replies into the round in one call.
-
-        The batch-dispatch plane's aggregated quorum accounting — a
-        wave handler that collected several same-round replies records
-        them with one frame instead of one ``offer`` call each.  Later
-        duplicates supersede earlier ones, exactly like repeated
-        :meth:`offer` calls.
-        """
-        _offers = self._offers
-        for sender, entries in offers:
-            _offers[sender] = tuple(entries)
-
     def record_bulk(self, count: int, entries: Iterable[Entry] = ()) -> None:
         """Fold ``count`` *anonymous* same-round replies into the phase.
 
@@ -207,13 +191,6 @@ class PhaseTracker:
         request = self._requests.get(key, 0) + 1
         self._requests[key] = request
         return request
-
-    def record_many(
-        self, key: Any, offers: Iterable[tuple[str, Iterable[Entry]]]
-    ) -> None:
-        """Vectorized recording into ``key``'s phase (see
-        :meth:`QuorumPhase.record_many`)."""
-        self.phase(key).record_many(offers)
 
     def reading_keys(self) -> list[Any]:
         """Keys whose phase is currently open, in deterministic order.

@@ -330,7 +330,7 @@ class EventuallySyncRegisterNode(RegisterNode):
             self._acks.phase(self.space.resolve(msg.key)).offer_ack(msg.sender)
 
     # ------------------------------------------------------------------
-    # Wave handlers (the batch-dispatch plane)
+    # Wave handlers (the network's dispatch plane, tracing and faults off)
     # ------------------------------------------------------------------
     # Same sends in the same order as the ``on_*`` handlers above (the
     # corpus seeds pin the digests), minus the per-delivery dispatch
@@ -345,28 +345,8 @@ class EventuallySyncRegisterNode(RegisterNode):
     }
 
     @staticmethod
-    def _wave_esinquiry(network, sender, payload, procs) -> None:
-        """Figure 4, lines 12-17, for a whole delivery batch."""
-        origin = payload.sender
-        read_sn = payload.read_sn
-        for node in procs:
-            if origin == node.pid:
-                continue  # own broadcast echo
-            if node.is_active:
-                node._send_reply(origin, read_sn, None)  # line 13
-                for key in node._reads.reading_keys():
-                    node._send_dl_prev(origin, key)  # line 14
-            else:
-                node._reply_to.add((origin, read_sn, None))  # line 15
-                node._send_dl_prev(origin, None)  # line 16
-            watchers = node._watchers
-            if watchers:
-                for watcher in list(watchers):
-                    watcher.poll()
-
-    @staticmethod
-    def _wave_esinquiry_one(network, sender, payload, node) -> None:
-        """Figure 4, lines 12-17, for one recipient."""
+    def _wave_esinquiry(network, sender, payload, node) -> None:
+        """Figure 4, lines 12-17."""
         origin = payload.sender
         if origin == node.pid:
             return  # own broadcast echo
@@ -386,26 +366,8 @@ class EventuallySyncRegisterNode(RegisterNode):
                     watcher.poll()
 
     @staticmethod
-    def _wave_esread(network, sender, payload, procs) -> None:
-        """Figure 5, lines 08-11, for a whole delivery batch."""
-        origin = payload.sender
-        read_sn = payload.read_sn
-        key = payload.key
-        for node in procs:
-            if origin == node.pid:
-                continue  # own broadcast echo
-            if node.is_active:
-                node._send_reply(origin, read_sn, key)  # line 09
-            else:
-                node._reply_to.add((origin, read_sn, key))  # line 10
-            watchers = node._watchers
-            if watchers:
-                for watcher in list(watchers):
-                    watcher.poll()
-
-    @staticmethod
-    def _wave_esread_one(network, sender, payload, node) -> None:
-        """Figure 5, lines 08-11, for one recipient."""
+    def _wave_esread(network, sender, payload, node) -> None:
+        """Figure 5, lines 08-11."""
         origin = payload.sender
         if origin == node.pid:
             return  # own broadcast echo
@@ -422,25 +384,8 @@ class EventuallySyncRegisterNode(RegisterNode):
                     watcher.poll()
 
     @staticmethod
-    def _wave_eswrite(network, sender, payload, procs) -> None:
-        """Figure 6, lines 06-08, for a whole delivery batch."""
-        origin = payload.sender
-        value = payload.value
-        sequence = payload.sequence
-        key = payload.key
-        for node in procs:
-            node.space.adopt(key, value, sequence)  # line 07
-            node.ctx.network.send(
-                node.pid, origin, EsAck(node.pid, sequence, key)
-            )
-            watchers = node._watchers
-            if watchers:
-                for watcher in list(watchers):
-                    watcher.poll()
-
-    @staticmethod
-    def _wave_eswrite_one(network, sender, payload, node) -> None:
-        """Figure 6, lines 06-08, for one recipient."""
+    def _wave_eswrite(network, sender, payload, node) -> None:
+        """Figure 6, lines 06-08."""
         sequence = payload.sequence
         key = payload.key
         node.space.adopt(key, payload.value, sequence)  # line 07

@@ -222,18 +222,18 @@ class SynchronousRegisterNode(RegisterNode):
 
         On the network's fast path with declared uniform parameters the
         whole flush is fused — the reply payload built once, one delay
-        draw and one pooled heap push per inquirer (the same inlined
-        send as ``_wave_inquiry_one``, amortized over the set).  Sends
+        draw and one pooled queue push per inquirer (the same inlined
+        send as ``_wave_inquiry``, amortized over the set).  Sends
         happen in sorted-inquirer order either way, so the RNG stream,
-        the counters and the scheduled instants match the legacy
-        per-call ``_send_reply`` loop exactly.  The inlined send skips
+        the counters and the scheduled instants match the per-call
+        ``_send_reply`` loop exactly.  The inlined send skips
         ``send_payload``'s gates legitimately: this node just became
         active (present by definition) and every inquirer's membership
         record exists forever.
         """
         network = self._network
         p2p = network._p2p_uniform
-        if not network._fast_waves or p2p is None:
+        if not network._fast or p2p is None:
             for j in sorted(self._reply_to):
                 self._send_reply(j)
             return
@@ -248,7 +248,6 @@ class SynchronousRegisterNode(RegisterNode):
         now = engine._now
         rng_random = network._rng.random
         pool = network._unicast_pool
-        queue = engine._queue
         push = engine._push
         seq = engine._sequence
         pid = self.pid
@@ -263,7 +262,7 @@ class SynchronousRegisterNode(RegisterNode):
             entry.payload = reply
             entry.broadcast_id = None
             entry.dest = dest
-            push(queue, (deliver_at, _DELIVERY, seq, entry))
+            push((deliver_at, _DELIVERY, seq, entry))
             seq += 1
             sent += 1
         engine._sequence = seq
@@ -313,17 +312,16 @@ class SynchronousRegisterNode(RegisterNode):
         self.space.adopt(msg.key, msg.value, msg.sequence)
 
     # ------------------------------------------------------------------
-    # Wave handlers (the batch-dispatch plane)
+    # Wave handlers (the network's dispatch plane, tracing and faults off)
     # ------------------------------------------------------------------
     #
-    # Each wave is the per-recipient handler body fused over one
-    # delivery batch — same sends, same RNG draws in the same order,
-    # same counters (the kernel-parity suite pins this against the
-    # per-recipient path).  ``_wave_inquiry`` additionally inlines the
-    # reply's ``send_payload``: an inquiry storm under churn spends
-    # most of its time in exactly that handler → send → sample → push
-    # chain, and fusing it into one frame is the handler-side half of
-    # the raw-speed kernel work.
+    # Each wave is its ``on_<type>`` handler as one straight-line frame —
+    # same sends, same RNG draws in the same order, same counters (the
+    # kernel-parity suite pins ``trace=True``, which runs the handlers,
+    # against ``trace=False``, which runs these).  ``_wave_inquiry``
+    # additionally inlines the reply's ``send_payload``: an inquiry
+    # storm under churn spends most of its time in exactly that handler
+    # → send → sample → push chain.
 
     wave_handlers = {
         Inquiry: "_wave_inquiry",
@@ -332,123 +330,17 @@ class SynchronousRegisterNode(RegisterNode):
     }
 
     @staticmethod
-    def _wave_inquiry(network, sender, payload, procs) -> None:
-        """Lines 13-16 of Figure 1, for a whole delivery batch.
+    def _wave_inquiry(network, sender, payload, node) -> None:
+        """Lines 13-16 of Figure 1, reply send fused.
 
-        Fuses ``on_inquiry`` with the reply's ``send_payload``.  The
-        inlined send skips the sender/destination gates legitimately:
-        the replying node was just resolved from the present table, and
-        the inquirer broadcast a moment ago so its membership record
-        exists forever.  Reply delays are drawn with the delay model's
-        declared uniform parameters (``lo + span * random()`` — the
-        bit-identical expansion of ``sample``) when available, and
-        through the exact ``sample`` call otherwise.  Engine and
-        network counters are accumulated locally and flushed in bulk —
-        and, defensively, before any watcher callback runs foreign
-        code that could schedule events of its own.
+        The inlined send skips ``send_payload``'s sender/destination
+        gates legitimately: the replying node was just resolved from the
+        present table, and the inquirer broadcast a moment ago so its
+        membership record exists forever.  The reply delay is drawn with
+        the delay model's declared uniform parameters (``lo + span *
+        random()`` — the bit-identical expansion of ``sample``) when
+        available, and through the exact ``sample`` call otherwise.
         """
-        inquirer = payload.sender
-        engine = network.engine
-        now = engine._now
-        rng = network._rng
-        rng_random = rng.random
-        pool = network._unicast_pool
-        queue = engine._queue
-        push = engine._push
-        seq = engine._sequence
-        sent = 0
-        p2p = network._p2p_uniform
-        active = ProcessMode.ACTIVE
-        for node in procs:
-            if inquirer == node.pid:
-                continue  # own broadcast echo (line 13 guard)
-            if node._mode is active:
-                reply = node._reply_cache
-                if reply is None or node._reply_version != node.space.version:
-                    value, sequence, entries = node.space.reply_parts()
-                    reply = Reply(node.pid, value, sequence, entries)
-                    node._reply_cache = reply
-                    node._reply_version = node.space.version
-                if p2p is not None:
-                    delay = p2p[0] + p2p[1] * rng_random()
-                else:
-                    delay = network._sample(node.pid, inquirer, reply, now, rng)
-                    if delay <= 0:
-                        raise NetworkError(
-                            f"delay model produced non-positive delay {delay!r}"
-                        )
-                deliver_at = now + delay
-                if not (deliver_at < _INF):
-                    engine._reject_instant(deliver_at)
-                entry = pool.pop() if pool else _Unicast(network)
-                entry.sender = node.pid
-                entry.payload = reply
-                entry.broadcast_id = None
-                entry.dest = inquirer
-                push(queue, (deliver_at, _DELIVERY, seq, entry))
-                seq += 1
-                sent += 1
-            else:  # line 15
-                node._reply_to.add(inquirer)
-            if node._watchers:
-                engine._sequence = seq
-                engine._live += sent
-                network.sent_count += sent
-                sent = 0
-                for watcher in list(node._watchers):
-                    watcher.poll()
-                seq = engine._sequence
-        engine._sequence = seq
-        engine._live += sent
-        network.sent_count += sent
-
-    @staticmethod
-    def _wave_reply(network, sender, payload, procs) -> None:
-        """Line 17 of Figure 1, for a whole delivery batch."""
-        origin = payload.sender
-        entries = payload.entries
-        if entries is None:
-            value = payload.value
-            sequence = payload.sequence
-            for node in procs:
-                # ``offer()`` inlined: the per-node single-entry tuple
-                # is built fresh either way, and storing it directly is
-                # ``record_many`` of one offer without the frame.
-                node._join_phase._offers[origin] = (
-                    (node.space.keys[0], value, sequence),
-                )
-                if node._watchers:
-                    for watcher in list(node._watchers):
-                        watcher.poll()
-            return
-        offers = ((origin, entries),)
-        for node in procs:
-            node._join_phase.record_many(offers)
-            if node._watchers:
-                for watcher in list(node._watchers):
-                    watcher.poll()
-
-    @staticmethod
-    def _wave_writemsg(network, sender, payload, procs) -> None:
-        """Lines 03-04 of Figure 2, for a whole delivery batch."""
-        key = payload.key
-        value = payload.value
-        sequence = payload.sequence
-        for node in procs:
-            node.space.adopt(key, value, sequence)
-            if node._watchers:
-                for watcher in list(node._watchers):
-                    watcher.poll()
-
-    # Single-recipient wave variants: continuous delay models land one
-    # delivery per heap slot, so the kernel's unicast fire path calls
-    # these straight-line bodies — the batch waves above minus the loop
-    # and bulk-counter machinery.  Same sends, same draws, same
-    # counters; the parity suite holds them to the handlers too.
-
-    @staticmethod
-    def _wave_inquiry_one(network, sender, payload, node) -> None:
-        """Lines 13-16 of Figure 1 for one recipient, reply send fused."""
         inquirer = payload.sender
         if inquirer == node.pid:
             return  # own broadcast echo (line 13 guard)
@@ -484,9 +376,7 @@ class SynchronousRegisterNode(RegisterNode):
             entry.payload = reply
             entry.broadcast_id = None
             entry.dest = inquirer
-            engine._push(
-                engine._queue, (deliver_at, _DELIVERY, engine._sequence, entry)
-            )
+            engine._push((deliver_at, _DELIVERY, engine._sequence, entry))
             engine._sequence += 1
             engine._live += 1
             network.sent_count += 1
@@ -505,8 +395,8 @@ class SynchronousRegisterNode(RegisterNode):
                     watcher.poll()
 
     @staticmethod
-    def _wave_reply_one(network, sender, payload, node) -> None:
-        """Line 17 of Figure 1 for one recipient.
+    def _wave_reply(network, sender, payload, node) -> None:
+        """Line 17 of Figure 1.
 
         ``offer()`` inlined; a multi-key reply's ``entries`` is already
         a tuple, so storing it directly is what ``offer`` would store.
@@ -524,8 +414,8 @@ class SynchronousRegisterNode(RegisterNode):
                     watcher.poll()
 
     @staticmethod
-    def _wave_writemsg_one(network, sender, payload, node) -> None:
-        """Lines 03-04 of Figure 2 for one recipient."""
+    def _wave_writemsg(network, sender, payload, node) -> None:
+        """Lines 03-04 of Figure 2."""
         node.space.adopt(payload.key, payload.value, payload.sequence)
         watchers = node._watchers
         if watchers:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from ..net.broadcast import BroadcastService
 from ..net.delay import DelayModel, SynchronousDelay
 from ..net.network import Network
-from ..sim.engine import CalendarScheduler, EventScheduler
+from ..sim.engine import EventScheduler
 from ..sim.errors import ConfigError
 from ..sim.membership import Membership
 from ..sim.rng import RngRegistry, derive_seed
@@ -66,21 +66,14 @@ def build_substrate(
     """
     owns_engine = engine is None
     if engine is None:
-        engine = make_scheduler(config)
+        engine = make_scheduler(config.delta)
     rng = RngRegistry(config.seed)
     trace = TraceLog(enabled=config.trace, capacity=config.trace_capacity)
     membership = Membership()
     delay_model = (
         config.delay if config.delay is not None else SynchronousDelay(config.delta)
     )
-    network = Network(
-        engine,
-        membership,
-        delay_model,
-        trace,
-        rng,
-        batch_dispatch=config.batch_dispatch,
-    )
+    network = Network(engine, membership, delay_model, trace, rng)
     broadcast = BroadcastService(
         engine,
         membership,
@@ -90,7 +83,6 @@ def build_substrate(
         rng,
         window=config.delta,
         entrant_policy=config.entrant_policy,
-        batched=config.batch_delivery,
     )
     return Substrate(
         engine=engine,
@@ -104,22 +96,18 @@ def build_substrate(
     )
 
 
-def make_scheduler(config: SystemConfig) -> EventScheduler:
-    """The event scheduler ``config.queue`` selects.
+def make_scheduler(delta: float) -> EventScheduler:
+    """The event scheduler for a system (or cluster) with delay bound δ.
 
-    ``"heap"`` is the historical :class:`EventScheduler` (byte-identical
-    to every committed digest); ``"calendar"`` is the array-backed
-    bucket queue, its bucket width keyed to the simulation's natural
-    tick — ``δ/25``, comfortably under the default delay model's
-    minimum message delay, so in-flight arrivals land in future buckets
-    (small sorted chunks) while only broadcast-sweep re-arms ride the
-    tiny overflow heap.  The divisor was picked empirically on the
-    ``churn_tick_large`` workload (see BENCH_kernel.json); width is a
-    speed knob only — ordering is exact at any width.
+    The bucket width is keyed to the simulation's natural tick —
+    ``δ/25``, comfortably under the default delay model's minimum
+    message delay, so in-flight arrivals land in future buckets (small
+    sorted chunks) while only broadcast-sweep re-arms ride the tiny
+    overflow heap.  The divisor was picked empirically on the
+    ``churn_tick_large`` workload; width only affects speed — ordering
+    is exact at any width.
     """
-    if config.queue == "calendar":
-        return CalendarScheduler(bucket_width=config.delta / 25.0)
-    return EventScheduler()
+    return EventScheduler(bucket_width=delta / 25.0)
 
 
 # ----------------------------------------------------------------------

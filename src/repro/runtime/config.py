@@ -73,27 +73,6 @@ class SystemConfig:
         construction.  ``None`` keeps the network's fault gate closed
         (the byte-identical fast path); an empty plan is installed but
         draws no randomness, so it perturbs nothing either.
-    batch_delivery:
-        Whether broadcast fan-out rides the batched slab queue (the
-        default) or the legacy one-Event-per-recipient path.  The two
-        are byte-identical — the kernel-parity property suite runs
-        every grid both ways; keep the default outside of that suite.
-    batch_dispatch:
-        Whether deliveries on the fast path dispatch through the batch
-        plane — one *wave handler* call per (payload, batch) with the
-        reply fan-out inlined — or through the legacy per-recipient
-        handler frames.  Byte-identical by the same contract (and the
-        same parity suite) as ``batch_delivery``; keep the default
-        outside of that suite.
-    queue:
-        The scheduler backing the event queue: ``"heap"`` (the
-        historical tuple heap, the default) or ``"calendar"`` (the
-        array-backed bucket queue of
-        :class:`~repro.sim.engine.CalendarScheduler`).  The two are
-        observably byte-identical — the kernel-parity suite drives the
-        full grid through both — so the choice is purely a speed knob
-        for large populations.  Ignored when a cluster injects a shared
-        engine.
     mode:
         ``"exact"`` (the default) simulates every process and message;
         ``"mesoscale"`` aggregates the bulk of the population
@@ -123,9 +102,6 @@ class SystemConfig:
     pid_prefix: str = "p"
     sample_period: Time = 1.0
     faults: FaultPlan | None = None
-    batch_delivery: bool = True
-    batch_dispatch: bool = True
-    queue: str = "heap"
     mode: str = "exact"
     tracers: int = 16
     extra: dict[str, Any] = field(default_factory=dict)
@@ -156,10 +132,6 @@ class SystemConfig:
         if self.sample_period <= 0:
             raise ConfigError(
                 f"sample_period must be positive, got {self.sample_period!r}"
-            )
-        if self.queue not in ("heap", "calendar"):
-            raise ConfigError(
-                f"unknown queue {self.queue!r}; choose 'heap' or 'calendar'"
             )
         if self.mode not in ("exact", "mesoscale"):
             raise ConfigError(

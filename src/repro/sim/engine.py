@@ -5,16 +5,21 @@ Design notes
 
 The engine is intentionally tiny and fully deterministic:
 
-* the event queue is a binary heap of plain ``(time, priority,
-  sequence, item)`` tuples — ``sequence`` is unique, so heap
-  comparisons resolve at C speed on the first three fields and never
-  touch the item.  An item is either a full :class:`Event` (cancellable
-  timers) or a :class:`~repro.sim.events.SlabEntry` (a never-cancelled
-  batch standing for a whole vector of deliveries);
+* queue entries are plain ``(time, priority, sequence, item)`` tuples —
+  ``sequence`` is unique, so comparisons resolve at C speed on the
+  first three fields and never touch the item.  An item is either a
+  full :class:`Event` (cancellable timers) or a
+  :class:`~repro.sim.events.SlabEntry` (a never-cancelled batch
+  standing for a whole vector of deliveries);
+* the queue is an array-backed *calendar*: instants quantize into
+  buckets one tick wide, each bucket a flat append-only list sorted
+  lazily (one C call) when the clock reaches its epoch.  A push is a
+  list append and a pop is an index increment; the total order is
+  exactly ``(time, priority, sequence)`` at any bucket width;
 * cancelling an event marks it dead in place (lazy deletion), which
   keeps cancellation O(1); when dead entries outnumber live ones the
-  heap is compacted in place, so cancel-heavy workloads (migration
-  retry storms) cannot grow the queue without bound;
+  queue is compacted in place, so cancel-heavy workloads (migration
+  retry storms) cannot grow it without bound;
 * the clock only ever moves when an entry is dequeued, so a handler
   always observes ``engine.now`` equal to its own firing time.
 
@@ -23,19 +28,9 @@ seeded RNG streams (:mod:`repro.sim.rng`); given the same configuration
 and seed, two runs produce byte-identical traces.  The whole test
 strategy of the library leans on this property.
 
-:class:`CalendarScheduler` is the array-backed alternative behind
-``SystemConfig(queue="calendar")``: instants quantize into buckets one
-tick wide, each bucket a flat append-only array of entry tuples sorted
-lazily when its epoch is reached.  Entries, sequence allocation and the
-``(time, priority, sequence)`` total order are identical to the heap,
-so the two schedulers are observably byte-identical — the kernel-parity
-suite drives both through the full protocol × churn × fault grid.  The
-win is mechanical: a push is a list append instead of an O(log n) sift
-and a pop is an index increment, with the per-bucket sort amortizing
-the ordering work into one C call.  Hot paths that inline their pushes
-(the network's delivery plane, the wave handlers) route through
-``engine._push``, which *is* :func:`heapq.heappush` on the heap
-scheduler — the default path stays exactly the historical machine code.
+Hot paths that inline their pushes (the network's delivery plane, the
+wave handlers) validate the instant, call :meth:`EventScheduler._push`
+and advance ``_sequence`` / ``_live`` themselves.
 """
 
 from __future__ import annotations
@@ -50,41 +45,70 @@ from .events import Event, Priority, SlabEntry
 
 _INF = float("inf")
 
-#: What the heap's item slot may hold.
+#: What a queue entry's item slot may hold.
 QueueItem = Union[Event, SlabEntry]
+QueueEntry = tuple[Time, int, int, QueueItem]
 
 
 class EventScheduler:
-    """A deterministic discrete-event scheduler.
+    """A deterministic discrete-event scheduler on a calendar queue.
 
     >>> engine = EventScheduler()
     >>> fired = []
     >>> _ = engine.schedule(5.0, fired.append, "late")
     >>> _ = engine.schedule(1.0, fired.append, "early")
     >>> engine.run()
+    2
     >>> fired
     ['early', 'late']
     >>> engine.now
     5.0
+
+    Entries land in per-epoch buckets — ``epoch = int(time /
+    bucket_width)``.  Three regions hold every pending entry:
+
+    * ``_buckets``: future epochs (``epoch > _cur_epoch``), unsorted;
+    * ``_cur[_pos:]``: the active epoch, sorted, consumed by index;
+    * ``_overflow``: a small heap for entries pushed *into* the active
+      epoch or earlier (``call_soon``, same-instant re-scheduling) —
+      anything whose order the already-sorted ``_cur`` cannot absorb.
+
+    Correctness leans on one invariant: every ``_overflow`` entry has
+    ``epoch <= _cur_epoch`` and every bucket entry ``epoch >
+    _cur_epoch``; since the epoch function is monotone in time, all
+    overflow entries strictly precede all bucket entries, so the global
+    minimum is always ``min(_cur[_pos], _overflow[0])`` — an exact
+    merge on the full tuple order.
+
+    ``bucket_width`` should sit at or below the delay model's minimum
+    message delay (the simulation's natural tick; the runtime derives
+    ``δ/25``): arrivals then always land in a *future* bucket and the
+    overflow heap stays empty on the hot path.  Width only affects
+    speed, never ordering.
     """
 
-    def __init__(self, start: Time = 0.0) -> None:
+    def __init__(self, start: Time = 0.0, bucket_width: float = 1.0) -> None:
         if start < 0:
             raise ClockError(f"cannot start the clock at {start!r}")
+        if not (0.0 < bucket_width < _INF):
+            raise SchedulerError(
+                f"bucket width must be positive and finite, got {bucket_width!r}"
+            )
         self._now: Time = float(start)
-        self._queue: list[tuple[Time, int, int, QueueItem]] = []
+        self._width = float(bucket_width)
+        self._winv = 1.0 / self._width
+        self._buckets: dict[int, list[QueueEntry]] = {}
+        self._bucket_slots = 0  # entries across every future bucket
+        self._epochs: list[int] = []  # heap of epochs with a bucket
+        self._cur: list[QueueEntry] = []
+        self._pos = 0
+        self._overflow: list[QueueEntry] = []
+        self._cur_epoch = -1
         self._sequence = 0
         self._running = False
         self._fired_count = 0
         self._live = 0  # non-cancelled logical events still in the queue
-        self._dead = 0  # cancelled entries still occupying heap slots
-        #: The enqueue primitive hot paths bind instead of a module-level
-        #: ``heappush``: called as ``engine._push(engine._queue, entry)``.
-        #: Here it IS ``heapq.heappush`` (same C call the inlined sites
-        #: historically made); :class:`CalendarScheduler` rebinds it to
-        #: its bucket append.  Callers still validate the instant and
-        #: advance ``_sequence`` / ``_live`` themselves.
-        self._push = heappush
+        self._dead = 0  # cancelled entries still occupying queue slots
 
     # ------------------------------------------------------------------
     # Introspection
@@ -100,7 +124,7 @@ class EventScheduler:
         """The number of live (non-cancelled) events still queued.
 
         O(1): the counter is maintained on schedule, cancel and fire
-        instead of scanning the heap.  A slab entry counts as its
+        instead of scanning the queue.  A slab entry counts as its
         ``size`` logical events, so batching never changes the number.
         """
         return self._live
@@ -114,8 +138,20 @@ class EventScheduler:
         """When the next live event fires, or ``None`` if the queue is
         empty.  The explorer uses this to tell a quiesced system (all
         operations resolved, nothing left to do) from a stalled one."""
-        entry = self._peek_live()
+        entry, _ = self._front()
         return entry[0] if entry is not None else None
+
+    def iter_pending(self) -> Iterator[QueueItem]:
+        """Yield live pending items in firing order (for diagnostics).
+
+        Slab entries appear as themselves — one item per batch, not one
+        per logical delivery."""
+        entries = list(self._overflow)
+        entries.extend(self._cur[self._pos :])
+        for bucket in self._buckets.values():
+            entries.extend(bucket)
+        entries.sort()
+        return (entry[3] for entry in entries if not entry[3].cancelled)
 
     def __len__(self) -> int:
         return self.pending_count
@@ -151,7 +187,7 @@ class EventScheduler:
         instant = float(instant)
         # One comparison chain rejects past instants AND the non-finite
         # ones: NaN fails the first comparison, +inf fails the second
-        # (both would otherwise corrupt heap ordering silently).
+        # (both would otherwise corrupt queue ordering silently).
         if not (self._now <= instant < _INF):
             self._reject_instant(instant)
         sequence = self._sequence
@@ -166,75 +202,42 @@ class EventScheduler:
         event._owner = self
         self._sequence = sequence + 1
         self._live += 1
-        heappush(self._queue, (instant, event.priority, sequence, event))
+        self._push((instant, event.priority, sequence, event))
         return event
 
     def schedule_slab(self, instant: Time, priority: int, entry: SlabEntry) -> None:
         """Schedule a never-cancelled slab entry (batched deliveries).
 
-        One heap slot stands for ``entry.size`` logical events; the
+        One queue slot stands for ``entry.size`` logical events; the
         entry's ``fire()`` performs them all.  See
         :class:`~repro.sim.events.SlabEntry` for the contract.
         """
         if not (self._now <= instant < _INF):
             self._reject_instant(instant)
-        heappush(self._queue, (instant, priority, self._sequence, entry))
+        self._push((instant, priority, self._sequence, entry))
         self._sequence += 1
         self._live += entry.size
 
     def schedule_slab_many(
         self, groups: dict[Time, SlabEntry], priority: int
     ) -> None:
-        """Bulk :meth:`schedule_slab`: one heap push per ``(instant,
-        entry)`` pair, in the dict's iteration order (a broadcast's
-        batches arrive in first-occurrence order, which fixes their
-        sequence numbers).  Entries must already carry their ``size``.
+        """Bulk :meth:`schedule_slab`: one push per ``(instant, entry)``
+        pair, in the dict's iteration order (a broadcast's batches
+        arrive in first-occurrence order, which fixes their sequence
+        numbers).  Entries must already carry their ``size``.
         """
-        queue = self._queue
+        push = self._push
         sequence = self._sequence
         now = self._now
         live = 0
         for instant, entry in groups.items():
             if not (now <= instant < _INF):
                 self._reject_instant(instant)
-            heappush(queue, (instant, priority, sequence, entry))
+            push((instant, priority, sequence, entry))
             sequence += 1
             live += entry.size
         self._sequence = sequence
         self._live += live
-
-    def _reject_instant(self, instant: Time) -> None:
-        if isfinite(instant):
-            raise SchedulerError(
-                f"cannot schedule at {instant!r}, the clock already reads "
-                f"{self._now!r}"
-            )
-        raise SchedulerError(
-            f"cannot schedule at non-finite instant {instant!r}"
-        )
-
-    def _note_cancelled(self) -> None:
-        """Called by :meth:`Event.cancel` for events still in the queue."""
-        self._live -= 1
-        self._dead += 1
-        # Compact when dead entries outnumber live heap slots, so lazy
-        # deletion stays O(1) amortized without unbounded queue growth
-        # under cancel-heavy workloads (e.g. migration retry storms).
-        if self._dead > len(self._queue) - self._dead:
-            self._compact()
-
-    def _compact(self) -> None:
-        queue = self._queue
-        survivors = []
-        for entry in queue:
-            if entry[3].cancelled:
-                entry[3]._consumed = True
-            else:
-                survivors.append(entry)
-        heapify(survivors)
-        # In-place so any local alias of the queue stays valid.
-        queue[:] = survivors
-        self._dead = 0
 
     def call_soon(
         self,
@@ -248,27 +251,151 @@ class EventScheduler:
             self._now, callback, *args, priority=priority, label=label
         )
 
+    def _reject_instant(self, instant: Time) -> None:
+        if isfinite(instant):
+            raise SchedulerError(
+                f"cannot schedule at {instant!r}, the clock already reads "
+                f"{self._now!r}"
+            )
+        raise SchedulerError(
+            f"cannot schedule at non-finite instant {instant!r}"
+        )
+
+    def _push(self, entry: QueueEntry) -> None:
+        """The enqueue primitive.  Callers validate the instant and
+        advance ``_sequence`` / ``_live`` themselves."""
+        epoch = int(entry[0] * self._winv)
+        if epoch <= self._cur_epoch:
+            heappush(self._overflow, entry)
+        else:
+            buckets = self._buckets
+            bucket = buckets.get(epoch)
+            if bucket is None:
+                buckets[epoch] = [entry]
+                heappush(self._epochs, epoch)
+            else:
+                bucket.append(entry)
+            self._bucket_slots += 1
+
+    # ------------------------------------------------------------------
+    # Lazy deletion / compaction
+    # ------------------------------------------------------------------
+
+    def _occupied_slots(self) -> int:
+        """Queue slots in use, live and dead alike.  O(1): the active
+        regions know their lengths and ``_bucket_slots`` is kept exact
+        by :meth:`_push`, :meth:`_advance_epoch` and :meth:`_compact`."""
+        return (
+            len(self._cur) - self._pos + len(self._overflow) + self._bucket_slots
+        )
+
+    def _note_cancelled(self) -> None:
+        """Called by :meth:`Event.cancel` for events still in the queue."""
+        self._live -= 1
+        self._dead += 1
+        # Compact when dead entries outnumber live slots, so lazy
+        # deletion stays O(1) amortized without unbounded queue growth
+        # under cancel-heavy workloads (e.g. migration retry storms).
+        if self._dead > self._occupied_slots() - self._dead:
+            self._compact()
+
+    def _compact(self) -> None:
+        # Every region is rewritten *in place* past any consumed prefix,
+        # so a draining frame's local aliases (and its synced ``_pos``)
+        # stay valid.
+        pos = self._pos
+        cur = self._cur
+        cur[pos:] = _drop_cancelled(cur[pos:])
+        overflow = self._overflow
+        overflow[:] = _drop_cancelled(overflow)
+        heapify(overflow)
+        buckets = self._buckets
+        slots = 0
+        for epoch in list(buckets):
+            bucket = buckets[epoch]
+            bucket[:] = _drop_cancelled(bucket)
+            if bucket:
+                slots += len(bucket)
+            else:
+                del buckets[epoch]
+        self._bucket_slots = slots
+        self._epochs[:] = list(buckets)
+        heapify(self._epochs)
+        self._dead = 0
+
+    # ------------------------------------------------------------------
+    # Front selection
+    # ------------------------------------------------------------------
+
+    def _advance_epoch(self) -> bool:
+        """Activate the next non-empty bucket; ``False`` when drained."""
+        epochs = self._epochs
+        buckets = self._buckets
+        while epochs:
+            epoch = heappop(epochs)
+            bucket = buckets.pop(epoch, None)
+            if bucket:
+                self._bucket_slots -= len(bucket)
+                bucket.sort()
+                self._cur = bucket
+                self._pos = 0
+                self._cur_epoch = epoch
+                return True
+        return False
+
+    def _front(self) -> tuple[QueueEntry | None, bool]:
+        """The next live entry and whether it sits in the overflow heap;
+        cancelled entries met on the way are discarded."""
+        overflow = self._overflow
+        while True:
+            cur = self._cur
+            pos = self._pos
+            if pos < len(cur):
+                entry = cur[pos]
+                from_overflow = bool(overflow) and overflow[0] < entry
+                if from_overflow:
+                    entry = overflow[0]
+            elif overflow:
+                entry = overflow[0]
+                from_overflow = True
+            elif self._advance_epoch():
+                continue
+            else:
+                return None, False
+            if not entry[3].cancelled:
+                return entry, from_overflow
+            # Cancelled events already left the live count (Event.cancel
+            # notifies the owner); mark them consumed for symmetry.
+            self._pop_front(from_overflow)
+            entry[3]._consumed = True
+            self._dead -= 1
+
+    def _pop_front(self, from_overflow: bool) -> None:
+        if from_overflow:
+            heappop(self._overflow)
+        else:
+            self._pos += 1
+
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
 
     def step(self) -> bool:
-        """Fire the single next heap entry.  Returns ``False`` if none
+        """Fire the single next queue entry.  Returns ``False`` if none
         remain.  A slab entry fires its whole delivery vector."""
-        entry = self._peek_live()
+        entry, from_overflow = self._front()
         if entry is None:
             return False
-        heappop(self._queue)
+        self._pop_front(from_overflow)
         self._now = entry[0]
         item = entry[3]
         if item.__class__ is Event:
             item._consumed = True
-            self._live -= 1
-            self._fired_count += 1
+            size = 1
         else:
             size = item.size
-            self._live -= size
-            self._fired_count += size
+        self._live -= size
+        self._fired_count += size
         item.fire()
         return True
 
@@ -300,330 +427,8 @@ class EventScheduler:
             raise SchedulerError("the scheduler is not reentrant")
         self._running = True
         fired = 0
-        queue = self._queue
         # Normalize both bounds to plain float comparisons so the loop
         # body carries no None tests (``entry[0] > inf`` is never true).
-        horizon = _INF if until is None else until
-        limit = _INF if max_events is None else max_events
-        # Loop-invariant bindings: the heap pop and the ``Event`` class
-        # are resolved once, not per fired item.
-        pop = heappop
-        event_cls = Event
-        try:
-            while fired < limit:
-                if not queue:
-                    break
-                entry = queue[0]
-                item = entry[3]
-                # Only full events can be cancelled (slab entries never
-                # are), so the class check guards the ``cancelled``
-                # load — slab items skip it entirely.
-                if item.__class__ is event_cls:
-                    if item.cancelled:
-                        pop(queue)
-                        item._consumed = True
-                        self._dead -= 1
-                        continue
-                    if entry[0] > horizon:
-                        break
-                    pop(queue)
-                    # Heap order plus schedule-time validation guarantee
-                    # monotonicity, so the clock is assigned directly.
-                    self._now = entry[0]
-                    item._consumed = True
-                    fired += 1
-                else:
-                    if entry[0] > horizon:
-                        break
-                    pop(queue)
-                    self._now = entry[0]
-                    fired += item.size
-                item.fire()
-        finally:
-            self._running = False
-            # The live/fired counters drain in bulk: nothing inside the
-            # loop reads them (handlers schedule, which only adds), and
-            # every introspection site samples between runs.
-            self._live -= fired
-            self._fired_count += fired
-        return fired
-
-    # ------------------------------------------------------------------
-    # Queue internals (lazy deletion of cancelled events)
-    # ------------------------------------------------------------------
-
-    def _peek_live(self) -> tuple[Time, int, int, QueueItem] | None:
-        queue = self._queue
-        while queue and queue[0][3].cancelled:
-            # Cancelled events already left the live count (Event.cancel
-            # notifies the owner); mark them consumed for symmetry.
-            heappop(queue)[3]._consumed = True
-            self._dead -= 1
-        return queue[0] if queue else None
-
-    def iter_pending(self) -> Iterator[QueueItem]:
-        """Yield live pending items in firing order (for diagnostics).
-
-        Slab entries appear as themselves — one item per batch, not one
-        per logical delivery."""
-        return (
-            entry[3] for entry in sorted(self._queue) if not entry[3].cancelled
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"EventScheduler(now={self._now!r}, pending={self.pending_count}, "
-            f"fired={self._fired_count})"
-        )
-
-
-class CalendarScheduler(EventScheduler):
-    """An array-backed calendar/bucket event queue.
-
-    Structure-of-arrays layout: entries are the same ``(time, priority,
-    sequence, item)`` tuples the heap uses, but instead of one global
-    heap they land in per-epoch buckets — ``epoch = int(time /
-    bucket_width)`` — as flat append-only lists.  A bucket is sorted
-    once (Timsort, one C call) when the clock reaches its epoch and is
-    then consumed by index.  Three regions hold every pending entry:
-
-    * ``_buckets``: future epochs (``epoch > _cur_epoch``), unsorted;
-    * ``_cur[_pos:]``: the active epoch, sorted, consumed by index;
-    * ``_overflow``: a small heap for entries pushed *into* the active
-      epoch or earlier (``call_soon``, same-instant re-scheduling) —
-      anything whose order the already-sorted ``_cur`` cannot absorb.
-
-    Correctness leans on one invariant: every ``_overflow`` entry has
-    ``epoch <= _cur_epoch`` and every bucket entry ``epoch >
-    _cur_epoch``; since the epoch function is monotone in time, all
-    overflow entries strictly precede all bucket entries, so the global
-    minimum is always ``min(_cur[_pos], _overflow[0])`` — an exact
-    merge on the full tuple order, byte-identical to the heap.
-
-    ``bucket_width`` should sit at or below the delay model's minimum
-    message delay (the simulation's natural tick): arrivals then always
-    land in a *future* bucket and the overflow heap stays empty on the
-    hot path.  Width only affects speed, never ordering.
-    """
-
-    def __init__(self, start: Time = 0.0, bucket_width: float = 1.0) -> None:
-        super().__init__(start)
-        if not (bucket_width > 0.0 and bucket_width < _INF):
-            raise SchedulerError(
-                f"bucket width must be positive and finite, got {bucket_width!r}"
-            )
-        self._width = float(bucket_width)
-        self._winv = 1.0 / self._width
-        self._buckets: dict[int, list[tuple[Time, int, int, QueueItem]]] = {}
-        self._epochs: list[int] = []  # heap of epochs with a bucket
-        self._cur: list[tuple[Time, int, int, QueueItem]] = []
-        self._pos = 0
-        self._overflow: list[tuple[Time, int, int, QueueItem]] = []
-        self._cur_epoch = -1
-        self._push = self._push_entry
-
-    # ------------------------------------------------------------------
-    # Enqueue
-    # ------------------------------------------------------------------
-
-    def _push_entry(
-        self, queue: list, entry: tuple[Time, int, int, QueueItem]
-    ) -> None:
-        """heappush-compatible enqueue (the ``queue`` operand is the
-        base class's heap list; the calendar ignores it)."""
-        epoch = int(entry[0] * self._winv)
-        if epoch <= self._cur_epoch:
-            heappush(self._overflow, entry)
-        else:
-            buckets = self._buckets
-            bucket = buckets.get(epoch)
-            if bucket is None:
-                buckets[epoch] = [entry]
-                heappush(self._epochs, epoch)
-            else:
-                bucket.append(entry)
-
-    def schedule_at(
-        self,
-        instant: Time,
-        callback: Callable[..., None],
-        *args: Any,
-        priority: int = Priority.TIMER,
-        label: str = "",
-    ) -> Event:
-        instant = float(instant)
-        if not (self._now <= instant < _INF):
-            self._reject_instant(instant)
-        sequence = self._sequence
-        event = Event(
-            time=instant,
-            priority=int(priority),
-            sequence=sequence,
-            callback=callback,
-            args=args,
-            label=label,
-        )
-        event._owner = self
-        self._sequence = sequence + 1
-        self._live += 1
-        self._push_entry(None, (instant, event.priority, sequence, event))
-        return event
-
-    def schedule_slab(self, instant: Time, priority: int, entry: SlabEntry) -> None:
-        if not (self._now <= instant < _INF):
-            self._reject_instant(instant)
-        self._push_entry(None, (instant, priority, self._sequence, entry))
-        self._sequence += 1
-        self._live += entry.size
-
-    def schedule_slab_many(
-        self, groups: dict[Time, SlabEntry], priority: int
-    ) -> None:
-        push = self._push_entry
-        sequence = self._sequence
-        now = self._now
-        live = 0
-        for instant, entry in groups.items():
-            if not (now <= instant < _INF):
-                self._reject_instant(instant)
-            push(None, (instant, priority, sequence, entry))
-            sequence += 1
-            live += entry.size
-        self._sequence = sequence
-        self._live += live
-
-    # ------------------------------------------------------------------
-    # Front selection
-    # ------------------------------------------------------------------
-
-    def _advance_epoch(self) -> bool:
-        """Activate the next non-empty bucket; ``False`` when drained."""
-        epochs = self._epochs
-        buckets = self._buckets
-        while epochs:
-            epoch = heappop(epochs)
-            bucket = buckets.pop(epoch, None)
-            if bucket:
-                bucket.sort()
-                self._cur = bucket
-                self._pos = 0
-                self._cur_epoch = epoch
-                return True
-        return False
-
-    def _front(self) -> tuple[tuple[Time, int, int, QueueItem] | None, bool]:
-        """The next entry and whether it sits in the overflow heap."""
-        while True:
-            cur = self._cur
-            pos = self._pos
-            overflow = self._overflow
-            if pos < len(cur):
-                entry = cur[pos]
-                if overflow and overflow[0] < entry:
-                    return overflow[0], True
-                return entry, False
-            if overflow:
-                return overflow[0], True
-            if not self._advance_epoch():
-                return None, False
-
-    def _consume_front(self, from_overflow: bool) -> None:
-        if from_overflow:
-            heappop(self._overflow)
-        else:
-            self._pos += 1
-
-    # ------------------------------------------------------------------
-    # Lazy deletion / compaction
-    # ------------------------------------------------------------------
-
-    def _note_cancelled(self) -> None:
-        # Occupancy is computed on demand (one len() per region plus one
-        # per future bucket) instead of maintained per push/consume: a
-        # cancel is orders of magnitude rarer than a push in every
-        # workload the profiles cover, so the hot paths carry no slot
-        # counter at all.
-        self._live -= 1
-        self._dead += 1
-        dead = self._dead
-        slots = (
-            len(self._cur)
-            - self._pos
-            + len(self._overflow)
-            + sum(map(len, self._buckets.values()))
-        )
-        if dead > slots - dead:
-            self._compact()
-
-    def _compact(self) -> None:
-        # Every region is rewritten *in place* past any consumed prefix,
-        # so a draining frame's local aliases (and its synced ``_pos``)
-        # stay valid — the same contract as the heap's ``queue[:] =``.
-        pos = self._pos
-        cur = self._cur
-        survivors = []
-        for entry in cur[pos:]:
-            if entry[3].cancelled:
-                entry[3]._consumed = True
-            else:
-                survivors.append(entry)
-        cur[pos:] = survivors
-        overflow = self._overflow
-        kept = []
-        for entry in overflow:
-            if entry[3].cancelled:
-                entry[3]._consumed = True
-            else:
-                kept.append(entry)
-        heapify(kept)
-        overflow[:] = kept
-        buckets = self._buckets
-        epochs = []
-        for epoch in list(buckets):
-            bucket = buckets[epoch]
-            alive = []
-            for entry in bucket:
-                if entry[3].cancelled:
-                    entry[3]._consumed = True
-                else:
-                    alive.append(entry)
-            if alive:
-                bucket[:] = alive
-                epochs.append(epoch)
-            else:
-                del buckets[epoch]
-        heapify(epochs)
-        self._epochs[:] = epochs
-        self._dead = 0
-
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
-
-    def step(self) -> bool:
-        entry = self._peek_live()
-        if entry is None:
-            return False
-        overflow = self._overflow
-        self._consume_front(bool(overflow) and overflow[0] is entry)
-        self._now = entry[0]
-        item = entry[3]
-        if item.__class__ is Event:
-            item._consumed = True
-            self._live -= 1
-            self._fired_count += 1
-        else:
-            size = item.size
-            self._live -= size
-            self._fired_count += size
-        item.fire()
-        return True
-
-    def _drain(self, until: Time | None, max_events: int | None) -> int:
-        if self._running:
-            raise SchedulerError("the scheduler is not reentrant")
-        self._running = True
-        fired = 0
         horizon = _INF if until is None else until
         limit = _INF if max_events is None else max_events
         pop = heappop
@@ -654,6 +459,9 @@ class CalendarScheduler(EventScheduler):
                         break
                     continue
                 item = entry[3]
+                # Only full events can be cancelled (slab entries never
+                # are), so the class check guards the ``cancelled``
+                # load — slab items skip it entirely.
                 if item.__class__ is event_cls:
                     if item.cancelled:
                         if from_overflow:
@@ -669,6 +477,8 @@ class CalendarScheduler(EventScheduler):
                         pop(overflow)
                     else:
                         self._pos = pos + 1
+                    # Queue order plus schedule-time validation guarantee
+                    # monotonicity, so the clock is assigned directly.
                     self._now = entry[0]
                     item._consumed = True
                     fired += 1
@@ -684,36 +494,27 @@ class CalendarScheduler(EventScheduler):
                 item.fire()
         finally:
             self._running = False
+            # The live/fired counters drain in bulk: nothing inside the
+            # loop reads them (handlers schedule, which only adds), and
+            # every introspection site samples between runs.
             self._live -= fired
             self._fired_count += fired
         return fired
 
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-
-    def _peek_live(self) -> tuple[Time, int, int, QueueItem] | None:
-        while True:
-            entry, from_overflow = self._front()
-            if entry is None:
-                return None
-            if entry[3].cancelled:
-                self._consume_front(from_overflow)
-                entry[3]._consumed = True
-                self._dead -= 1
-                continue
-            return entry
-
-    def iter_pending(self) -> Iterator[QueueItem]:
-        entries = list(self._overflow)
-        entries.extend(self._cur[self._pos :])
-        for bucket in self._buckets.values():
-            entries.extend(bucket)
-        entries.sort()
-        return (entry[3] for entry in entries if not entry[3].cancelled)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"CalendarScheduler(now={self._now!r}, width={self._width!r}, "
+            f"EventScheduler(now={self._now!r}, width={self._width!r}, "
             f"pending={self.pending_count}, fired={self._fired_count})"
         )
+
+
+def _drop_cancelled(entries: list[QueueEntry]) -> list[QueueEntry]:
+    """The live entries of one queue region, in order; the cancelled
+    ones are marked consumed so a late ``cancel()`` stays a no-op."""
+    survivors = []
+    for entry in entries:
+        if entry[3].cancelled:
+            entry[3]._consumed = True
+        else:
+            survivors.append(entry)
+    return survivors

@@ -15,8 +15,8 @@ instances are created per large run, and slots cut both the per-event
 memory and the attribute-access cost on the scheduler's hot path.
 
 Delivery fan-out does not even pay for an ``Event`` per recipient: the
-scheduler's heap holds plain ``(time, priority, sequence, item)``
-tuples, and an item may be a :class:`SlabEntry` — a single heap slot
+scheduler's queue holds plain ``(time, priority, sequence, item)``
+tuples, and an item may be a :class:`SlabEntry` — a single queue slot
 standing for a whole *vector* of same-instant deliveries.  Slab entries
 are never cancellable (``cancelled`` is a class attribute, so the
 scheduler's lazy-deletion scan pays one shared attribute read, no
@@ -53,7 +53,7 @@ class Priority(enum.IntEnum):
 class SlabEntry:
     """Base class for never-cancelled slab queue entries.
 
-    A slab entry occupies one heap slot but stands for ``size`` logical
+    A slab entry occupies one queue slot but stands for ``size`` logical
     events (a batched broadcast fan-out delivers its whole recipient
     vector from one slot).  The scheduler's contract:
 
@@ -147,7 +147,7 @@ class Event:
         self._consumed = False
 
     # ------------------------------------------------------------------
-    # Ordering (the heap and ``sorted`` need ``__lt__``; ``__eq__`` keeps
+    # Ordering (the queue and ``sorted`` need ``__lt__``; ``__eq__`` keeps
     # the dataclass-era semantics of comparing the sort key)
     # ------------------------------------------------------------------
 

@@ -50,23 +50,24 @@ class SimProcess:
     (for a payload class ``Inquiry`` the handler is ``on_inquiry``) and
     operation bodies as generators passed to :meth:`run_operation`.
 
-    Subclasses may additionally register *wave handlers* — the batch-
-    dispatch plane.  ``wave_handlers`` maps a payload class to the name
-    of a staticmethod ``(network, sender, payload, processes) -> None``
-    that handles one delivery batch of that payload in a single call,
-    replacing the per-recipient ``on_<type>`` frames on the network's
-    fast path.  A wave must be observably byte-identical to running its
-    ``on_<type>`` handler per recipient (same sends, same RNG draws in
-    the same order, same counters — the kernel-parity suite holds it to
-    that), and it must not depart any process: the kernel resolves the
-    batch's recipients *once* before the wave runs.
+    Subclasses may additionally register *wave handlers* — the
+    network's dispatch plane when tracing is off and no fault injector
+    is installed.  ``wave_handlers`` maps a payload class to the name
+    of a staticmethod ``(network, sender, payload, process) -> None``
+    that handles one delivery of that payload in a single straight-line
+    frame (handler body, inlined reply send, watcher poll), replacing
+    the ``deliver_payload`` → ``on_<type>`` chain.  A wave must be
+    observably byte-identical to its ``on_<type>`` handler (same sends,
+    same RNG draws in the same order, same counters): traced and
+    faulted runs take the handlers, and the kernel-parity suite holds
+    ``trace=True`` ≡ ``trace=False``.
     """
 
     #: Payload class -> wave staticmethod name.  Resolved per class at
     #: first instantiation (see ``_waves``); a subclass that overrides a
     #: payload's ``on_<type>`` handler without re-declaring its wave
-    #: drops the wave automatically — the legacy per-recipient path is
-    #: always the safe fallback.
+    #: drops the wave automatically — ``on_<type>`` dispatch is always
+    #: the safe fallback.
     wave_handlers: dict[type, str] = {}
 
     def __init__(self, pid: str, engine: EventScheduler) -> None:
@@ -88,13 +89,11 @@ class SimProcess:
             cache = {}
             cls._dispatch_cache = cache
         self._dispatch: dict[type, Callable[..., None]] = cache
-        caches = cls.__dict__.get("_wave_cache")
-        if caches is None:
-            caches = _build_wave_cache(cls)
-            cls._wave_cache = caches
-        waves, waves1 = caches
+        waves = cls.__dict__.get("_wave_cache")
+        if waves is None:
+            waves = _build_wave_cache(cls)
+            cls._wave_cache = waves
         self._waves: dict[type, Callable[..., None]] = waves
-        self._waves1: dict[type, Callable[..., None]] = waves1
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -164,8 +163,8 @@ class SimProcess:
     def deliver_payload(self, sender: str, payload: Any) -> None:
         """Dispatch one delivered payload to its ``on_<type>`` handler.
 
-        Called by the network — batched fan-out delivers straight from
-        the shared broadcast header, with no per-recipient ``Message``
+        Called by the network — fan-out delivers straight from the
+        shared broadcast header, with no per-recipient ``Message``
         envelope at all.  Deliveries to departed processes are dropped
         by the network before reaching this point, but the check is
         repeated here defensively.
@@ -185,24 +184,6 @@ class SimProcess:
             # watchers unregister themselves.
             for watcher in list(watchers):
                 watcher.poll()
-
-    @classmethod
-    def deliver_batch(
-        cls, network: Any, sender: str, payload: Any, processes: list
-    ) -> None:
-        """Deliver one batched payload to every process in one call.
-
-        The batch-dispatch plane's generic entry point: the network's
-        fast fire loop resolves a batch's present recipients once, then
-        calls this once per (payload, batch) instead of dispatching one
-        frame per recipient.  When the class declares a wave handler
-        for the payload type the kernel calls the wave directly; this
-        default is the exact legacy loop — per-recipient handler
-        dispatch plus watcher polls — so batches of un-waved payloads
-        keep byte-identical semantics.
-        """
-        for process in processes:
-            process.deliver_payload(sender, payload)
 
     def _handler_for(self, payload_type: type) -> Callable[..., None]:
         """The (unbound) handler for a payload type, cached per class.
@@ -294,61 +275,25 @@ def _defining_class(cls: type, name: str) -> type | None:
     return None
 
 
-def _adapt_wave_to_unicast(
-    wave: Callable[..., None]
-) -> Callable[..., None]:
-    """A single-recipient entry for a class that only declares the
-    batch wave: wrap the one process in a tuple and call through."""
-
-    def unicast_wave(
-        network: Any, sender: str, payload: Any, process: Any
-    ) -> None:
-        wave(network, sender, payload, (process,))
-
-    return unicast_wave
-
-
-def _build_wave_cache(
-    cls: type,
-) -> tuple[dict[type, Callable[..., None]], dict[type, Callable[..., None]]]:
-    """Resolve ``cls.wave_handlers`` into two payload-type -> callable
-    maps: batch waves, and their single-recipient variants.
+def _build_wave_cache(cls: type) -> dict[type, Callable[..., None]]:
+    """Resolve ``cls.wave_handlers`` into a payload-type -> callable map.
 
     A wave is only trusted when it is at least as specific as the
     ``on_<type>`` handler it replaces: if a subclass overrides the
     handler without re-declaring the wave, the inherited wave would
     silently bypass the override — so it is dropped here and the class
-    falls back to per-recipient dispatch for that payload type.
-
-    The single-recipient map serves the kernel's unicast fire path
-    (one delivery per heap slot is the continuous-delay common case, so
-    it skips the batch machinery entirely).  A staticmethod named
-    ``<wave>_one`` with signature ``(network, sender, payload, process)``
-    is used when the class defines one *at least as specific as both*
-    the wave and the handler; otherwise the batch wave is adapted.
+    falls back to ``on_<type>`` dispatch for that payload type.
     """
     cache: dict[type, Callable[..., None]] = {}
-    cache1: dict[type, Callable[..., None]] = {}
     for payload_type, wave_name in cls.wave_handlers.items():
         handler_name = f"on_{payload_type.__name__.lower()}"
         wave_owner = _defining_class(cls, wave_name)
         handler_owner = _defining_class(cls, handler_name)
         if wave_owner is None or handler_owner is None:
             continue
-        if not issubclass(wave_owner, handler_owner):
-            continue
-        wave = getattr(cls, wave_name)
-        cache[payload_type] = wave
-        one_owner = _defining_class(cls, f"{wave_name}_one")
-        if (
-            one_owner is not None
-            and issubclass(one_owner, wave_owner)
-            and issubclass(one_owner, handler_owner)
-        ):
-            cache1[payload_type] = getattr(cls, f"{wave_name}_one")
-        else:
-            cache1[payload_type] = _adapt_wave_to_unicast(wave)
-    return cache, cache1
+        if issubclass(wave_owner, handler_owner):
+            cache[payload_type] = getattr(cls, wave_name)
+    return cache
 
 
 class _ConditionWatcher:

@@ -1,19 +1,33 @@
-"""Batched vs per-event delivery must be observably byte-identical.
+"""The kernel's observable surface, pinned by a golden and a live oracle.
 
-The batched kernel (``batch_delivery=True``, the default) schedules one
-heap entry per distinct arrival instant carrying the whole destination
-vector; the legacy kernel schedules one ``Event`` + ``Message`` per
-recipient.  The contract of the refactor is that the two are
-*indistinguishable* from outside the scheduler: same operation digest,
-same trace record sequence, same delivery/drop/fault counters — across
-every protocol, under churn, and under fault plans.
+The kernel has one scheduler, one delivery path and one dispatch plane.
+Two things hold it to the behaviour of the paper-literal machine it
+replaced:
 
-These tests drive the identical workload through both kernels and
-compare the full observable surface.  Any divergence here means the
-batching changed semantics, not just speed — a hard failure.
+* **Golden.**  ``kernel_golden.json`` holds, per grid cell, the surface
+  the all-legacy kernel produced at the last commit that still had it
+  (one ``Message`` + ``Event`` per recipient, per-recipient ``on_<type>``
+  dispatch, binary heap) — operation digest, every network counter, the
+  fired-event count — and, for the traced cells, a hash of the full
+  trace-record sequence.  Every cell must reproduce its entry exactly.
+* **Live.**  ``trace=True`` takes every delivery off the wave plane and
+  through ``_fire_batch_checked`` → ``deliver_payload`` → the ``on_<type>``
+  handlers.  So a traced run *is* the reference implementation of the
+  waves, and ``trace=True`` ≡ ``trace=False`` on the whole grid (and in
+  the Hypothesis sweep, which no golden covers) is the wave-versus-
+  handler oracle.
+
+Any divergence here means a kernel change altered semantics, not just
+speed — a hard failure.  After a deliberate behaviour change, rerun
+``python tests/properties/test_kernel_parity.py`` to rewrite the golden
+and say so in the PR.
 """
 
 from __future__ import annotations
+
+import hashlib
+import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +37,8 @@ from repro.core.history import operation_digest
 from repro.faults.plan import FaultPlan, LossFault, PartitionFault
 from repro.runtime.config import SystemConfig
 from repro.runtime.system import DynamicSystem
+
+GOLDEN_PATH = Path(__file__).with_name("kernel_golden.json")
 
 #: The fault plans of the grid (``None`` = fault-free).  Loss exercises
 #: the on-transmit gate; the partition exercises delivery-time severing
@@ -49,9 +65,42 @@ FAULT_PLANS = {
     ),
 }
 
+SEEDS = (0, 1, 7, 42, 1234)
+
+#: protocol × churn × fault plan at one seed, then seed sweeps through
+#: the two regimes that stress ordering most (churn with loss; churn on
+#: the quorum protocol).
+CELLS = (
+    [
+        dict(protocol=protocol, churn_rate=churn_rate, fault_key=fault_key, seed=11)
+        for protocol in ("sync", "es", "abd")
+        for churn_rate in (0.0, 0.08)
+        for fault_key in sorted(FAULT_PLANS)
+    ]
+    + [
+        dict(protocol="sync", churn_rate=0.1, fault_key="loss", seed=seed)
+        for seed in SEEDS
+    ]
+    + [
+        dict(protocol=protocol, churn_rate=0.1, fault_key="none", seed=seed)
+        for protocol in ("sync", "es")
+        for seed in SEEDS
+    ]
+)
+
+#: Cells whose whole trace-record sequence is pinned as well.
+TRACED_CELLS = [
+    dict(protocol="sync", churn_rate=0.08, fault_key="none", seed=11),
+    dict(protocol="sync", churn_rate=0.08, fault_key="loss", seed=11),
+    dict(protocol="es", churn_rate=0.08, fault_key="none", seed=11),
+]
+
+
+def _cell_id(cell: dict) -> str:
+    return "{protocol}-churn{churn_rate}-{fault_key}-seed{seed}".format(**cell)
+
 
 def _drive(
-    batch: bool,
     *,
     protocol: str = "sync",
     seed: int = 11,
@@ -59,11 +108,9 @@ def _drive(
     fault_key: str = "none",
     trace: bool = False,
     n: int = 12,
-    batch_dispatch: bool = True,
-    queue: str = "heap",
 ) -> DynamicSystem:
-    """One fixed workload through the chosen kernel; returns the system
-    still open (callers pick their observation surface)."""
+    """One fixed workload; returns the system still open (callers pick
+    their observation surface)."""
     system = DynamicSystem(
         SystemConfig(
             n=n,
@@ -72,9 +119,6 @@ def _drive(
             seed=seed,
             trace=trace,
             faults=FAULT_PLANS[fault_key],
-            batch_delivery=batch,
-            batch_dispatch=batch_dispatch,
-            queue=queue,
         )
     )
     if churn_rate:
@@ -103,286 +147,95 @@ def _surface(system: DynamicSystem) -> dict:
     }
 
 
-class TestKernelParityGrid:
-    """The protocol × churn × fault-plan grid, both kernels."""
+def _trace_surface(system: DynamicSystem) -> dict:
+    """The trace-record sequence, counted and hashed.
 
-    @pytest.mark.parametrize("protocol", ["sync", "es", "abd"])
-    @pytest.mark.parametrize("churn_rate", [0.0, 0.08])
-    def test_protocols_under_churn(self, protocol, churn_rate):
-        batched = _surface(
-            _drive(True, protocol=protocol, churn_rate=churn_rate)
-        )
-        legacy = _surface(
-            _drive(False, protocol=protocol, churn_rate=churn_rate)
-        )
-        assert batched == legacy
-
-    @pytest.mark.parametrize("fault_key", sorted(FAULT_PLANS))
-    @pytest.mark.parametrize("churn_rate", [0.0, 0.08])
-    def test_fault_plans_under_churn(self, fault_key, churn_rate):
-        batched = _surface(
-            _drive(True, fault_key=fault_key, churn_rate=churn_rate)
-        )
-        legacy = _surface(
-            _drive(False, fault_key=fault_key, churn_rate=churn_rate)
-        )
-        assert batched == legacy
-
-    @pytest.mark.parametrize("seed", [0, 1, 7, 42, 1234])
-    def test_seed_sweep_with_churn_and_loss(self, seed):
-        batched = _surface(
-            _drive(True, seed=seed, churn_rate=0.1, fault_key="loss")
-        )
-        legacy = _surface(
-            _drive(False, seed=seed, churn_rate=0.1, fault_key="loss")
-        )
-        assert batched == legacy
-
-
-class TestDispatchParityGrid:
-    """The PR 9 axis: wave/batch dispatch vs per-event handler dispatch.
-
-    ``batch_dispatch=True`` (the default) routes deliveries through the
-    wave-handler plane — aggregated same-payload bodies, inline reply
-    pushes, cached replies; ``False`` keeps the per-delivery
-    ``on_<type>`` dispatch.  Both must be byte-identical to each other
-    AND to the PR 8 batched kernel and the legacy per-event kernel:
-    every (batch_delivery, batch_dispatch) combination is one observably
-    identical machine.
-    """
-
-    @pytest.mark.parametrize("protocol", ["sync", "es", "abd"])
-    @pytest.mark.parametrize("churn_rate", [0.0, 0.08])
-    def test_protocols_under_churn(self, protocol, churn_rate):
-        surfaces = [
-            _surface(
-                _drive(
-                    batch,
-                    protocol=protocol,
-                    churn_rate=churn_rate,
-                    batch_dispatch=dispatch,
-                )
-            )
-            for batch in (True, False)
-            for dispatch in (True, False)
-        ]
-        assert surfaces[0] == surfaces[1] == surfaces[2] == surfaces[3]
-
-    @pytest.mark.parametrize("fault_key", sorted(FAULT_PLANS))
-    def test_fault_plans(self, fault_key):
-        waved = _surface(
-            _drive(
-                True, fault_key=fault_key, churn_rate=0.08, batch_dispatch=True
-            )
-        )
-        plain = _surface(
-            _drive(
-                True, fault_key=fault_key, churn_rate=0.08, batch_dispatch=False
-            )
-        )
-        assert waved == plain
-
-    @pytest.mark.parametrize("seed", [0, 1, 7, 42, 1234])
-    @pytest.mark.parametrize("protocol", ["sync", "es"])
-    def test_seed_sweep_with_churn(self, seed, protocol):
-        waved = _surface(
-            _drive(
-                True,
-                protocol=protocol,
-                seed=seed,
-                churn_rate=0.1,
-                batch_dispatch=True,
-            )
-        )
-        plain = _surface(
-            _drive(
-                True,
-                protocol=protocol,
-                seed=seed,
-                churn_rate=0.1,
-                batch_dispatch=False,
-            )
-        )
-        assert waved == plain
-
-
-class TestQueueParityGrid:
-    """The PR 10 axis: calendar scheduler vs the tuple heap.
-
-    ``queue="calendar"`` swaps the kernel's event queue for the
-    array-backed calendar (:class:`~repro.sim.engine.CalendarScheduler`)
-    — per-epoch append-only buckets, lazily sorted, with a small
-    overflow heap for pushes into the active epoch.  The contract is
-    the strongest in the file: the calendar must be *byte-identical* to
-    the heap on every observable surface, across protocols, churn,
-    fault plans, and every (batch_delivery, batch_dispatch) kernel
-    combination — same-instant ordering included (priority, then
-    sequence, exactly the tuple order the heap pops).
-    """
-
-    @pytest.mark.parametrize("protocol", ["sync", "es", "abd"])
-    @pytest.mark.parametrize("churn_rate", [0.0, 0.08])
-    def test_protocols_under_churn(self, protocol, churn_rate):
-        heap = _surface(
-            _drive(True, protocol=protocol, churn_rate=churn_rate)
-        )
-        calendar = _surface(
-            _drive(
-                True,
-                protocol=protocol,
-                churn_rate=churn_rate,
-                queue="calendar",
-            )
-        )
-        assert heap == calendar
-
-    @pytest.mark.parametrize("fault_key", sorted(FAULT_PLANS))
-    @pytest.mark.parametrize("churn_rate", [0.0, 0.08])
-    def test_fault_plans_under_churn(self, fault_key, churn_rate):
-        heap = _surface(
-            _drive(True, fault_key=fault_key, churn_rate=churn_rate)
-        )
-        calendar = _surface(
-            _drive(
-                True,
-                fault_key=fault_key,
-                churn_rate=churn_rate,
-                queue="calendar",
-            )
-        )
-        assert heap == calendar
-
-    @pytest.mark.parametrize("batch", [True, False])
-    @pytest.mark.parametrize("dispatch", [True, False])
-    def test_kernel_combinations(self, batch, dispatch):
-        """Every delivery/dispatch kernel rides both queues identically."""
-        heap = _surface(
-            _drive(batch, churn_rate=0.08, batch_dispatch=dispatch)
-        )
-        calendar = _surface(
-            _drive(
-                batch,
-                churn_rate=0.08,
-                batch_dispatch=dispatch,
-                queue="calendar",
-            )
-        )
-        assert heap == calendar
-
-    @pytest.mark.parametrize("seed", [0, 1, 7, 42, 1234])
-    def test_seed_sweep_with_churn_and_loss(self, seed):
-        heap = _surface(
-            _drive(True, seed=seed, churn_rate=0.1, fault_key="loss")
-        )
-        calendar = _surface(
-            _drive(
-                True,
-                seed=seed,
-                churn_rate=0.1,
-                fault_key="loss",
-                queue="calendar",
-            )
-        )
-        assert heap == calendar
-
-    def test_trace_records_identical(self):
-        heap = _drive(True, churn_rate=0.08, fault_key="loss", trace=True)
-        calendar = _drive(
-            True,
-            churn_rate=0.08,
-            fault_key="loss",
-            trace=True,
-            queue="calendar",
-        )
-        assert _normalized_records(heap) == _normalized_records(calendar)
-        assert operation_digest(heap.close()) == operation_digest(
-            calendar.close()
-        )
-
-
-def _normalized_records(system: DynamicSystem) -> list[tuple]:
-    """Trace records with broadcast ids relabelled by first appearance.
-
-    Broadcast ids come from a process-global counter, so two systems in
-    one test process see different absolute values; the *order* of
-    allocation is part of the contract, the offset is not.
+    Broadcast ids come from a process-global counter, so they are
+    relabelled by first appearance: the *order* of allocation is part of
+    the contract, the offset is not.
     """
     relabel: dict[int, int] = {}
-    out = []
+    lines = []
     for record in system.trace:
         details = dict(record.details)
         raw = details.get("broadcast_id")
         if raw is not None:
             details["broadcast_id"] = relabel.setdefault(raw, len(relabel))
-        out.append((record.time, record.kind, record.process, sorted(details.items())))
-    return out
-
-
-class TestTraceParity:
-    """With tracing on, the *entire record sequence* must match.
-
-    Tracing also forces the network off its fast path, so this pins the
-    checked arm of the batched kernel against the legacy kernel —
-    record by record, in order, timestamps and details included.
-    """
-
-    @pytest.mark.parametrize("fault_key", ["none", "loss"])
-    def test_trace_records_identical(self, fault_key):
-        batched = _drive(
-            True, churn_rate=0.08, fault_key=fault_key, trace=True
+        lines.append(
+            repr((record.time, record.kind.value, record.process, sorted(details.items())))
         )
-        legacy = _drive(
-            False, churn_rate=0.08, fault_key=fault_key, trace=True
-        )
-        assert _normalized_records(batched) == _normalized_records(legacy)
-        assert operation_digest(batched.close()) == operation_digest(
-            legacy.close()
-        )
-
-    @pytest.mark.parametrize("protocol", ["sync", "es"])
-    def test_trace_records_identical_across_dispatch(self, protocol):
-        waved = _drive(
-            True, protocol=protocol, churn_rate=0.08, trace=True,
-            batch_dispatch=True,
-        )
-        plain = _drive(
-            True, protocol=protocol, churn_rate=0.08, trace=True,
-            batch_dispatch=False,
-        )
-        assert _normalized_records(waved) == _normalized_records(plain)
-        assert operation_digest(waved.close()) == operation_digest(
-            plain.close()
-        )
+    return {
+        "records": len(lines),
+        "sha256": hashlib.sha256("\n".join(lines).encode()).hexdigest(),
+    }
 
 
-class TestKernelParityProperty:
-    """Hypothesis sweeps the seed/churn space the grids cannot cover."""
+def _compute_golden() -> dict:
+    return {
+        "surfaces": {_cell_id(cell): _surface(_drive(**cell)) for cell in CELLS},
+        "traces": {
+            _cell_id(cell): _trace_surface(_drive(trace=True, **cell))
+            for cell in TRACED_CELLS
+        },
+    }
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    return json.loads(GOLDEN_PATH.read_text())
+
+
+def test_golden_covers_exactly_the_grid(golden):
+    assert sorted(golden["surfaces"]) == sorted(map(_cell_id, CELLS))
+    assert sorted(golden["traces"]) == sorted(map(_cell_id, TRACED_CELLS))
+
+
+class TestKernelGolden:
+    """Every cell reproduces what the legacy kernel produced."""
+
+    @pytest.mark.parametrize("cell", CELLS, ids=_cell_id)
+    def test_surface_matches_golden(self, golden, cell):
+        assert _surface(_drive(**cell)) == golden["surfaces"][_cell_id(cell)]
+
+    @pytest.mark.parametrize("cell", TRACED_CELLS, ids=_cell_id)
+    def test_trace_records_match_golden(self, golden, cell):
+        system = _drive(trace=True, **cell)
+        assert _trace_surface(system) == golden["traces"][_cell_id(cell)]
+
+
+class TestWavesAgainstHandlers:
+    """The live oracle: tracing on (``on_<type>`` handlers through the
+    checked arm) and tracing off (wave plane) are one machine."""
+
+    @pytest.mark.parametrize("cell", CELLS, ids=_cell_id)
+    def test_trace_on_equals_trace_off(self, cell):
+        assert _surface(_drive(trace=True, **cell)) == _surface(
+            _drive(trace=False, **cell)
+        )
 
     @given(
         seed=st.integers(min_value=0, max_value=2**32 - 1),
         churn_rate=st.floats(min_value=0.0, max_value=0.12),
-        dispatch=st.booleans(),
-        queue=st.sampled_from(["heap", "calendar"]),
+        protocol=st.sampled_from(["sync", "es", "abd"]),
     )
     @settings(max_examples=15, deadline=None)
-    def test_any_seed_any_churn(self, seed, churn_rate, dispatch, queue):
-        batched = _surface(
-            _drive(
-                True,
-                seed=seed,
-                churn_rate=churn_rate,
-                n=10,
-                batch_dispatch=dispatch,
-                queue=queue,
+    def test_any_seed_any_churn(self, seed, churn_rate, protocol):
+        """Hypothesis sweeps the seed/churn space the grid cannot cover."""
+        surfaces = [
+            _surface(
+                _drive(
+                    protocol=protocol,
+                    seed=seed,
+                    churn_rate=churn_rate,
+                    n=10,
+                    trace=trace,
+                )
             )
-        )
-        legacy = _surface(
-            _drive(
-                False,
-                seed=seed,
-                churn_rate=churn_rate,
-                n=10,
-                batch_dispatch=not dispatch,
-            )
-        )
-        assert batched == legacy
+            for trace in (True, False)
+        ]
+        assert surfaces[0] == surfaces[1]
+
+
+if __name__ == "__main__":
+    GOLDEN_PATH.write_text(json.dumps(_compute_golden(), indent=1) + "\n")
+    print(f"wrote {GOLDEN_PATH}")

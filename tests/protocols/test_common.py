@@ -141,49 +141,3 @@ class TestJoinResults:
         assert result.for_key("k0") == JoinResult("v0", 0)
         with pytest.raises(KeyError):
             result.for_key("k9")
-
-
-class TestRecordMany:
-    """The batch-dispatch plane's aggregated quorum accounting."""
-
-    def test_record_many_equals_repeated_offers(self):
-        batched = QuorumPhase(threshold=3).open()
-        looped = QuorumPhase(threshold=3).open()
-        offers = [
-            ("a", ((None, "v1", 1),)),
-            ("b", ((None, "v2", 2),)),
-            ("c", (("k0", "x", 5), ("k1", "y", 6))),
-        ]
-        batched.record_many(offers)
-        for sender, entries in offers:
-            looped.offer(sender, entries)
-        assert batched.count == looped.count == 3
-        assert batched.satisfied() and looped.satisfied()
-        assert batched.senders() == looped.senders()
-        for key in (None, "k0", "k1"):
-            assert batched.best_for(key) == looped.best_for(key)
-
-    def test_later_duplicates_supersede(self):
-        phase = QuorumPhase(threshold=2).open()
-        phase.record_many(
-            [
-                ("a", ((None, "stale", 1),)),
-                ("a", ((None, "fresh", 9),)),
-            ]
-        )
-        assert phase.count == 1  # one sender, superseded in place
-        assert phase.best_for(None) == ("fresh", 9)
-
-    def test_empty_batch_is_a_no_op(self):
-        phase = QuorumPhase(threshold=1).open()
-        phase.record_many([])
-        assert phase.count == 0
-        assert not phase.satisfied()
-
-    def test_tracker_record_many_lands_in_the_keyed_phase(self):
-        tracker = PhaseTracker(threshold=2)
-        tracker.open("k0")
-        tracker.record_many("k0", [("a", (("k0", "v", 3),)), ("b", ())])
-        assert tracker.phase("k0").satisfied()
-        assert tracker.phase("k0").best_for("k0") == ("v", 3)
-        assert tracker.phase("k1").count == 0  # other keys untouched

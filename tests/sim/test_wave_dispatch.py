@@ -1,13 +1,11 @@
-"""Unit tests for the wave-handler cache (the batch-dispatch plane).
+"""Unit tests for the wave-handler cache.
 
 ``SimProcess`` subclasses declare ``wave_handlers`` (payload class →
-staticmethod name); ``_build_wave_cache`` resolves them into the batch
-and single-recipient dispatch maps with one safety rule: a wave is only
-trusted when it is at least as specific in the MRO as the ``on_<type>``
-handler it replaces, so a subclass overriding a handler can never be
-silently bypassed by an inherited wave.  These tests pin that rule, the
-``<wave>_one`` resolution, the adapter fallback, and the generic
-``deliver_batch`` loop's parity with per-recipient delivery.
+staticmethod name); ``_build_wave_cache`` resolves them into the
+dispatch map with one safety rule: a wave is only trusted when it is at
+least as specific in the MRO as the ``on_<type>`` handler it replaces,
+so a subclass overriding a handler can never be silently bypassed by an
+inherited wave.
 """
 
 from dataclasses import dataclass
@@ -27,7 +25,7 @@ class Pong:
 
 
 class WavedNode(SimProcess):
-    """Declares a wave (with a ``_one`` variant) for Ping only."""
+    """Declares a wave for Ping only."""
 
     wave_handlers = {Ping: "_wave_ping"}
 
@@ -42,13 +40,8 @@ class WavedNode(SimProcess):
         self.log.append(("on_pong", sender, payload.tag))
 
     @staticmethod
-    def _wave_ping(network, sender, payload, procs):
-        for proc in procs:
-            proc.log.append(("wave", sender, payload.tag))
-
-    @staticmethod
-    def _wave_ping_one(network, sender, payload, proc):
-        proc.log.append(("wave_one", sender, payload.tag))
+    def _wave_ping(network, sender, payload, proc):
+        proc.log.append(("wave", sender, payload.tag))
 
 
 class OverridingNode(WavedNode):
@@ -59,41 +52,29 @@ class OverridingNode(WavedNode):
 
 
 class ReWavedNode(OverridingNode):
-    """Overrides the handler AND ships a matching wave (no ``_one``)."""
+    """Overrides the handler AND ships a matching wave."""
 
     @staticmethod
-    def _wave_ping(network, sender, payload, procs):
-        for proc in procs:
-            proc.log.append(("rewave", sender, payload.tag))
+    def _wave_ping(network, sender, payload, proc):
+        proc.log.append(("rewave", sender, payload.tag))
 
 
-def test_wave_and_one_variant_resolve():
-    waves, waves1 = _build_wave_cache(WavedNode)
+def test_declared_wave_resolves():
+    waves = _build_wave_cache(WavedNode)
     assert waves[Ping] is WavedNode.__dict__["_wave_ping"].__func__
-    assert waves1[Ping] is WavedNode.__dict__["_wave_ping_one"].__func__
     assert Pong not in waves  # no wave declared for Pong
 
 
 def test_handler_override_drops_the_inherited_wave():
     """The safety rule: an inherited wave would bypass the subclass's
     ``on_ping`` override, so the cache must not contain it."""
-    waves, waves1 = _build_wave_cache(OverridingNode)
-    assert Ping not in waves
-    assert Ping not in waves1
+    assert Ping not in _build_wave_cache(OverridingNode)
 
 
-def test_redeclared_wave_is_trusted_and_one_is_adapted():
-    """A subclass shipping its own wave (as specific as its handler) is
-    trusted again; without a fresh ``_one`` the stale inherited variant
-    must NOT be used — the batch wave is adapted instead."""
-    waves, waves1 = _build_wave_cache(ReWavedNode)
+def test_redeclared_wave_is_trusted_again():
+    """A subclass shipping its own wave (as specific as its handler)."""
+    waves = _build_wave_cache(ReWavedNode)
     assert waves[Ping] is ReWavedNode.__dict__["_wave_ping"].__func__
-    one = waves1[Ping]
-    assert one is not WavedNode.__dict__["_wave_ping_one"].__func__
-    engine = EventScheduler()
-    node = ReWavedNode("p1", engine)
-    one(None, "p0", Ping("x"), node)  # the adapter wraps the batch wave
-    assert node.log == [("rewave", "p0", "x")]
 
 
 def test_instances_expose_the_class_cache():
@@ -101,17 +82,6 @@ def test_instances_expose_the_class_cache():
     node = WavedNode("p1", engine)
     other = WavedNode("p2", engine)
     assert node._waves is other._waves  # built once per class
-    node._waves1[Ping](None, "p0", Ping("hi"), node)
-    assert node.log == [("wave_one", "p0", "hi")]
-
-
-def test_default_deliver_batch_matches_per_recipient_delivery():
-    """Un-waved payloads batch through the exact legacy loop — including
-    the departed-process drop."""
-    engine = EventScheduler()
-    nodes = [WavedNode(f"p{i}", engine) for i in range(3)]
-    nodes[1].depart()
-    WavedNode.deliver_batch(None, "p9", Pong("t"), nodes)
-    assert nodes[0].log == [("on_pong", "p9", "t")]
-    assert nodes[1].log == []  # departed: dropped defensively
-    assert nodes[2].log == [("on_pong", "p9", "t")]
+    assert OverridingNode("p3", engine)._waves is not node._waves
+    node._waves[Ping](None, "p0", Ping("hi"), node)
+    assert node.log == [("wave", "p0", "hi")]

@@ -101,16 +101,9 @@ class TestCommittedArtifactGuards:
         # The population-scaling workloads guarding the batched-delivery
         # kernel (PR 8): fan-out and churn at n = 1000.
         assert {"broadcast_fanout_large", "churn_tick_large"} <= names
-        # The million-node kernel (PR 10): the deep-queue hot-loop pair
-        # behind derived.queue_speedup, the kilonode churn workload on
-        # the calendar queue, and the n = 10^6 mesoscale cell.
-        assert {
-            "scheduler_hot_loop",
-            "scheduler_hot_loop_calendar",
-            "churn_tick_calendar",
-            "mesoscale_million",
-        } <= names
-        assert "queue_speedup" in payload["derived"]
+        # The million-node kernel (PR 10): the deep-queue hot loop and
+        # the n = 10^6 mesoscale cell.
+        assert {"scheduler_hot_loop", "mesoscale_million"} <= names
         for digest in (
             "digest",
             "faulted_digest",
