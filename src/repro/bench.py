@@ -135,7 +135,7 @@ def broadcast_fanout_large(broadcasts: int = 40, n: int = 1000) -> int:
 def churn_tick_large(ticks: float = 40.0, n: int = 1000) -> int:
     """Churn bookkeeping at ``n = 1000``: every join's inquiry fans out
     to the whole kilonode population and the actives' replies ride the
-    envelope-free point-to-point path, so this workload exercises the
+    pooled point-to-point path, so this workload exercises the
     batched kernel end to end at population scale (E17's territory)."""
     system = DynamicSystem(
         SystemConfig(n=n, delta=5.0, protocol="sync", seed=1, trace=False)

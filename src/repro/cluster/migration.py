@@ -267,7 +267,7 @@ class KeyMigration:
         message = MigFetch(self.spec.key, self.migration_id)
         try:
             for pid in poll:
-                source_sys.network.send(agent_pid, pid, message)
+                source_sys.network.send_payload(agent_pid, pid, message)
         except NetworkError:
             self._abort("source-agent-departed")
             return False
@@ -355,7 +355,7 @@ class KeyMigration:
         try:
             for pid in self._install_poll:
                 if pid not in acked and dest_sys.membership.is_present(pid):
-                    dest_sys.network.send(agent_pid, pid, message)
+                    dest_sys.network.send_payload(agent_pid, pid, message)
         except NetworkError:
             self._abort("dest-agent-departed")
             return False

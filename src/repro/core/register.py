@@ -306,7 +306,7 @@ class RegisterNode(SimProcess, abc.ABC):
             value, sequence = self.space.snapshot(msg.key)
         except KeyError:
             value, sequence = BOTTOM, -1
-        self.ctx.network.send(
+        self.ctx.network.send_payload(
             self.pid,
             sender,
             MigFetchReply(msg.key, msg.migration_id, value, sequence),
@@ -324,7 +324,7 @@ class RegisterNode(SimProcess, abc.ABC):
         # ack is unconditional, so re-installs (retry rounds) are
         # idempotent.
         self.space.adopt(msg.key, msg.value, msg.sequence)
-        self.ctx.network.send(self.pid, sender, MigAck(msg.migration_id))
+        self.ctx.network.send_payload(self.pid, sender, MigAck(msg.migration_id))
 
     def on_migack(self, sender: str, msg: Any) -> None:
         sink = self.migration_sink

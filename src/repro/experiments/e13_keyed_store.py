@@ -116,7 +116,7 @@ def _probe_join_round(
     A dedicated quiet system (no workload, no churn) admits exactly one
     joiner and counts the point-to-point sends its entry round causes —
     replies, acks, DL_PREVs; the inquiry broadcast itself rides the
-    broadcast service, not ``Network.send``.  This is the direct
+    broadcast service, not ``Network.send_payload``.  This is the direct
     measurement behind the batched-join claim: in the main run the
     whole-run traffic is dominated by reads (ES) or has no joins at all
     (ABD), so only an isolated probe can pin per-join cost against the

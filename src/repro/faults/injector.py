@@ -1,16 +1,16 @@
 """The runtime that applies a :class:`~repro.faults.plan.FaultPlan`.
 
 One :class:`FaultInjector` lives behind the network's fault gate
-(``Network.faults``).  The network consults it at two points:
+(``Network.faults``).  The network consults it at three points:
 
 * :meth:`on_transmit` — when a delivery is about to be scheduled
   (both point-to-point sends and broadcast fan-out instances).  Delay
   spikes and defer-partitions adjust the arrival time; drop-partitions
   and message loss veto the delivery outright.
-* :meth:`drop_on_deliver` — when a scheduled delivery fires:
+* :meth:`drop_at_deliver` — when a scheduled delivery fires:
   drop-partitions active at the arrival instant swallow in-flight
   messages.
-* :meth:`crash_on_deliver` — consulted only for messages that survived
+* :meth:`crash_at_deliver` — consulted only for messages that survived
   every drop (fault and departed-destination alike), so a crash
   occurrence counter counts genuinely deliverable messages.  The
   victim departs *before* the message lands, so a crash of the
@@ -114,37 +114,23 @@ class FaultInjector:
                     return deliver_at, REASON_LOSS
         return deliver_at, None
 
-    def drop_on_deliver(self, message: Any, now: Time) -> str | None:
-        """Filter one firing delivery; returns a drop reason or ``None``."""
-        return self.drop_at_deliver(message.sender, message.dest, now)
-
     def drop_at_deliver(self, sender: str, dest: str, now: Time) -> str | None:
-        """Parts-based :meth:`drop_on_deliver` — batched deliveries
-        carry no ``Message`` envelope, only the shared header fields."""
+        """Filter one firing delivery; returns a drop reason or ``None``."""
         for partition in self.plan.partitions:
             if partition.mode == "drop" and partition.severs(sender, dest, now):
                 self.partition_dropped_count += 1
                 return REASON_PARTITION
         return None
 
-    def crash_on_deliver(self, message: Any) -> None:
+    def crash_at_deliver(self, sender: str, dest: str, payload_type: str) -> None:
         """Count one deliverable message against the crash faults.
 
-        The caller must only pass messages that survived every drop —
+        The caller must only pass deliveries that survived every drop —
         the occurrence counter means "the k-th message of this phase
         actually about to be delivered".  A triggered crash fires
-        before the message reaches its handler.
+        before the message reaches its handler.  ``payload_type`` is
+        precomputed once per batch.
         """
-        if not self.plan.crashes:
-            return
-        self.crash_at_deliver(
-            message.sender, message.dest, type(message.payload).__name__
-        )
-
-    def crash_at_deliver(self, sender: str, dest: str, payload_type: str) -> None:
-        """Parts-based :meth:`crash_on_deliver` (see there for the
-        occurrence semantics); the caller precomputes ``payload_type``
-        once per batch."""
         if not self.plan.crashes:
             return
         for index, crash in enumerate(self.plan.crashes):

@@ -254,7 +254,7 @@ class FaultPlan:
     """An ordered, composable bundle of faults.
 
     Plans are applied by the :class:`~repro.faults.injector.FaultInjector`
-    inside ``Network.send`` / ``Network._deliver``; an empty plan draws
+    at the network's transmit and delivery gates; an empty plan draws
     no randomness and perturbs nothing, so installing it leaves a run
     byte-identical to an un-faulted one.
     """

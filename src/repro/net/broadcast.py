@@ -35,7 +35,6 @@ from ..sim.process import SimProcess
 from ..sim.rng import RngRegistry
 from ..sim.trace import TraceKind, TraceLog
 from .delay import DelayModel
-from .message import Message
 from .network import Network
 
 #: Entrant policy type: the two symbolic policies or a probability.
@@ -187,14 +186,11 @@ class BroadcastService:
                 deliver_at = flight.window_end
             flight.recipients.add(process.pid)
             self.network.deliver_scheduled(
-                Message(
-                    sender=flight.sender,
-                    dest=process.pid,
-                    payload=flight.payload,
-                    sent_at=flight.sent_at,
-                    deliver_at=deliver_at,
-                    broadcast_id=flight.broadcast_id,
-                )
+                flight.sender,
+                process.pid,
+                flight.payload,
+                deliver_at,
+                flight.broadcast_id,
             )
             offered += 1
         return offered

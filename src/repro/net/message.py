@@ -4,6 +4,8 @@ A :class:`Message` wraps a protocol payload with addressing and timing
 metadata.  Payloads themselves are small frozen dataclasses defined by
 each protocol (e.g. ``Inquiry``, ``Reply``, ``WriteMsg``) — the network
 never inspects them beyond their type name, which it uses for tracing.
+No delivery carries one: :meth:`~repro.net.network.Network.send` builds
+it on request, as the description of what was scheduled.
 """
 
 from __future__ import annotations

@@ -24,25 +24,29 @@ injector installed the paths are unchanged.
 Delivery hot path
 -----------------
 
-Scheduled deliveries ride the scheduler's slab queue, not full
-``Event`` objects, and no per-recipient ``Message`` or label f-string
-exists on any of these paths:
+Every scheduled delivery rides the scheduler's slab queue — no full
+``Event``, no per-recipient ``Message``, no label f-string — and there
+is exactly one point-to-point path:
 
+* every single-destination delivery is one pooled :class:`_Unicast`:
+  :meth:`Network.send_payload` (all protocol, baseline and migration
+  traffic), the reply sends wave handlers inline, the per-recipient
+  pushes of a fan-out whose delay model can tie instants, and the
+  broadcast service's entrant offers (:meth:`Network.deliver_scheduled`,
+  which carry their ``broadcast_id``).  :meth:`Network.send` is the
+  same call, plus the :class:`Message` describing what it scheduled;
 * a fault-free broadcast under a continuous delay model pushes ONE
   self-re-arming :class:`_FanoutSweep` walking its sorted arrival
-  vector; other fault-free fan-outs, point-to-point
-  :meth:`Network.send_payload` sends and the replies wave handlers
-  inline push one pooled :class:`_Unicast` per delivery;
+  vector;
 * under a fault plan a fan-out pushes one pooled
   :class:`_BroadcastBatch` per *distinct arrival instant* (a
   defer-partition parks several recipients on one), delivered in
-  recipient order;
-* an envelope send (:meth:`Network.send`) pushes one pooled
-  :class:`_ScheduledMessage` wrapping the prebuilt ``Message``.
+  recipient order.
 
 With tracing off and no injector installed (``Network._fast``) a
 delivery dispatches straight to the recipient's *wave handler* (see
-:class:`~repro.sim.process.SimProcess`); otherwise it takes
+:class:`~repro.sim.process.SimProcess`), or through
+``deliver_payload`` for a payload type without one; otherwise it takes
 :meth:`Network._fire_batch_checked` and the ``on_<type>`` handlers —
 the reference the waves are tested against.  Every path reproduces the
 one-``Message``-per-recipient ``(time, priority, sequence)`` order
@@ -55,7 +59,6 @@ state churn storms allocate nothing per delivery.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import TYPE_CHECKING, Any
 
 from ..faults.injector import REASON_DEPARTED
@@ -76,32 +79,14 @@ _DELIVERY = int(Priority.DELIVERY)
 _INF = float("inf")
 
 
-class _ScheduledMessage(SlabEntry):
-    """One queue slot for one prebuilt in-flight :class:`Message`."""
-
-    __slots__ = ("network", "message")
-
-    def __init__(self, network: "Network") -> None:
-        self.network = network
-        self.message: Message | None = None
-
-    def fire(self) -> None:
-        network = self.network
-        message = self.message
-        # Recycle before delivering: the handler may send again and
-        # reuse this very slot, its payload is already extracted.
-        self.message = None
-        network._message_pool.append(self)
-        network._deliver(message)
-
-
 class _Unicast(SlabEntry):
-    """One queue slot for one envelope-free single-destination delivery.
+    """One queue slot for one single-destination delivery.
 
-    The scalar sibling of :class:`_BroadcastBatch`: point-to-point
-    sends (:meth:`Network.send_payload`), the per-recipient pushes of a
-    continuous-delay fan-out, and the reply sends wave handlers inline
-    all land here.  Carrying ``dest`` as a plain slot instead of a
+    The scalar sibling of :class:`_BroadcastBatch` and the only
+    point-to-point delivery: :meth:`Network.send_payload`, the reply
+    sends wave handlers inline, the per-recipient pushes of a
+    tie-prone fan-out and the broadcast service's entrant offers all
+    land here.  Carrying ``dest`` as a plain slot instead of a
     one-element vector removes the list append/clear churn from the
     hottest entries, and ``size`` stays the inherited class attribute
     (1) — no per-entry store, no per-fire load beyond a type-dict hit.
@@ -136,16 +121,8 @@ class _Unicast(SlabEntry):
             wave = process._waves.get(payload.__class__)
             if wave is not None:
                 wave(network, sender, payload, process)
-                return
-            handler = process._dispatch.get(payload.__class__)
-            if handler is None:
+            else:
                 process.deliver_payload(sender, payload)
-                return
-            handler(process, sender, payload)
-            watchers = process._watchers
-            if watchers:
-                for watcher in list(watchers):
-                    watcher.poll()
             return
         network._fire_batch_checked(
             self, self.sender, self.payload, (self.dest,), network.faults
@@ -220,15 +197,7 @@ class _FanoutSweep(SlabEntry):
                 if wave is not None:
                     wave(network, self.sender, payload, process)
                 else:
-                    handler = process._dispatch.get(payload.__class__)
-                    if handler is None:
-                        process.deliver_payload(self.sender, payload)
-                    else:
-                        handler(process, self.sender, payload)
-                        watchers = process._watchers
-                        if watchers:
-                            for watcher in list(watchers):
-                                watcher.poll()
+                    process.deliver_payload(self.sender, payload)
         else:
             network._fire_batch_checked(
                 self, self.sender, self.payload, (dest,), network.faults
@@ -300,7 +269,7 @@ class Network:
         # the fire paths test a single attribute.  ``trace._enabled``
         # never changes after construction, so this only needs
         # refreshing when a fault injector lands.
-        self._fast = not trace.enabled
+        self._fast = not trace._enabled
         # Hot-path aliases: the membership dicts are bound once (only
         # ever mutated in place) and the delay model is fixed, so the
         # per-delivery attribute chains collapse to one load each.
@@ -317,7 +286,6 @@ class Network:
         # fan-out fuses its per-recipient draw into the scheduling loop.
         self._bcast_uniform = delay_model.broadcast_uniform()
         # Free lists for the slab entries (see module docstring).
-        self._message_pool: list[_ScheduledMessage] = []
         self._batch_pool: list[_BroadcastBatch] = []
         self._unicast_pool: list[_Unicast] = []
         self._sweep_pool: list[_FanoutSweep] = []
@@ -335,65 +303,36 @@ class Network:
         return self.delay_model.known_bound
 
     def send(self, sender: str, dest: str, payload: Any) -> Message:
-        """Send ``payload`` from ``sender`` to ``dest``.
+        """:meth:`send_payload`, returning the :class:`Message` that
+        describes what was scheduled (tests inspect it).
 
-        Returns the in-flight :class:`Message` (tests inspect it).  The
-        delivery is scheduled immediately with a latency drawn from the
-        delay model; whether it lands depends on the receiver still
-        being present at that instant.
+        The envelope is a description only — the delivery itself is the
+        same pooled :class:`_Unicast`; a send the fault gate vetoed
+        still returns its envelope, carrying the instant it would have
+        arrived at.
         """
-        if not self.membership.is_present(sender):
-            raise NetworkError(f"departed process {sender!r} cannot send")
-        if dest not in self.membership:
-            raise UnknownProcessError(f"destination {dest!r} was never in the system")
-        now = self.engine.now
-        delay = self.delay_model.sample(sender, dest, payload, now, self._rng)
-        if delay <= 0:
-            raise NetworkError(
-                f"delay model produced non-positive delay {delay!r}"
-            )
-        deliver_at = now + delay
-        if self.faults is not None:
-            deliver_at, fault_reason = self.faults.on_transmit(
-                sender, dest, payload, now, deliver_at
-            )
-            if fault_reason is not None:
-                return self._fault_drop_at_send(
-                    sender, dest, payload, now, deliver_at, fault_reason
-                )
-        message = Message(
+        sent_at = self.engine.now
+        deliver_at = self.send_payload(sender, dest, payload)
+        return Message(
             sender=sender,
             dest=dest,
             payload=payload,
-            sent_at=now,
+            sent_at=sent_at,
             deliver_at=deliver_at,
         )
-        self.sent_count += 1
-        # Fast path: with tracing off, sends build no trace kwargs —
-        # the per-message cost is just the Message and the queue push.
-        if self.trace.enabled:
-            self.trace.record(
-                now,
-                TraceKind.SEND,
-                sender,
-                dest=dest,
-                type=message.payload_type,
-                arrives=message.deliver_at,
-            )
-        self._schedule_message(message)
-        return message
 
-    def send_payload(self, sender: str, dest: str, payload: Any) -> None:
-        """:meth:`send` without materializing the ``Message`` envelope.
+    def send_payload(self, sender: str, dest: str, payload: Any) -> Time:
+        """Send ``payload`` from ``sender`` to ``dest``; returns the
+        arrival instant.
 
-        Same checks, same delay draw, same counters and trace records —
-        the delivery rides a pooled size-1 slab entry instead, so hot
-        protocol paths (quorum replies under churn) allocate nothing
-        per message.  Use :meth:`send` when the caller needs the
-        in-flight envelope back.
+        The delivery is scheduled immediately with a latency drawn from
+        the delay model; whether it lands depends on the receiver still
+        being present at that instant.  It rides a pooled size-1 slab
+        entry, so quorum rounds allocate nothing per message beyond
+        their payload.
         """
-        # Same gates as ``send``, as direct dict probes (``is_present``
-        # and ``__contains__`` are these very lookups behind a call).
+        # The gates as direct dict probes (``is_present`` and
+        # ``__contains__`` are these very lookups behind a call).
         if sender not in self._present:
             raise NetworkError(f"departed process {sender!r} cannot send")
         if dest not in self._records:
@@ -405,28 +344,11 @@ class Network:
                 f"delay model produced non-positive delay {delay!r}"
             )
         deliver_at = now + delay
+        fault_reason = None
         if self.faults is not None:
             deliver_at, fault_reason = self.faults.on_transmit(
                 sender, dest, payload, now, deliver_at
             )
-            if fault_reason is not None:
-                self.sent_count += 1
-                if self.trace.enabled:
-                    payload_type = type(payload).__name__
-                    self.trace.record(
-                        now,
-                        TraceKind.SEND,
-                        sender,
-                        dest=dest,
-                        type=payload_type,
-                        arrives=deliver_at,
-                    )
-                    self._account_fault_drop(
-                        now, sender, dest, payload_type, fault_reason
-                    )
-                else:
-                    self.faulted_count += 1
-                return
         self.sent_count += 1
         if self.trace._enabled:
             self.trace.record(
@@ -437,6 +359,14 @@ class Network:
                 type=type(payload).__name__,
                 arrives=deliver_at,
             )
+        if fault_reason is not None:
+            # The message *was* sent (it counts, and traces a SEND) — it
+            # just never gets a delivery event, so the trace reads SEND
+            # then DROP exactly like a delivery-time loss.
+            self._account_fault_drop(
+                now, sender, dest, type(payload).__name__, fault_reason
+            )
+            return deliver_at
         pool = self._unicast_pool
         entry = pool.pop() if pool else _Unicast(self)
         entry.sender = sender
@@ -452,20 +382,14 @@ class Network:
         engine._push((deliver_at, _DELIVERY, engine._sequence, entry))
         engine._sequence += 1
         engine._live += 1
-
-    def _schedule_message(self, message: Message) -> None:
-        """Push one delivery onto the slab queue via a pooled entry."""
-        pool = self._message_pool
-        entry = pool.pop() if pool else _ScheduledMessage(self)
-        entry.message = message
-        self.engine.schedule_slab(message.deliver_at, _DELIVERY, entry)
+        return deliver_at
 
     def _account_fault_drop(
         self, now: Time, sender: str, dest: str, payload_type: str, reason: str
     ) -> None:
         """Shared accounting for every injector-vetoed delivery."""
         self.faulted_count += 1
-        if self.trace.enabled:
+        if self.trace._enabled:
             self.trace.record(
                 now,
                 TraceKind.DROP,
@@ -475,52 +399,38 @@ class Network:
                 reason=reason,
             )
 
-    def _fault_drop_at_send(
+    def deliver_scheduled(
         self,
         sender: str,
         dest: str,
         payload: Any,
-        now: Time,
         deliver_at: Time,
-        reason: str,
-    ) -> Message:
-        """Account a message the injector vetoed before scheduling.
+        broadcast_id: int,
+    ) -> None:
+        """Schedule one delivery whose instant the caller drew (the
+        broadcast service's offers of in-flight broadcasts to entrants).
 
-        The message *was* sent (it counts, and traces a SEND) — it just
-        never gets a delivery event, so the trace reads SEND then DROP
-        exactly like a delivery-time loss."""
-        message = Message(
-            sender=sender, dest=dest, payload=payload, sent_at=now, deliver_at=deliver_at
-        )
-        self.sent_count += 1
-        if self.trace.enabled:
-            self.trace.record(
-                now,
-                TraceKind.SEND,
-                sender,
-                dest=dest,
-                type=message.payload_type,
-                arrives=message.deliver_at,
-            )
-        self._account_fault_drop(now, sender, dest, message.payload_type, reason)
-        return message
-
-    def deliver_scheduled(self, message: Message) -> None:
-        """Schedule an externally-built message (the broadcast service's
-        offers of in-flight broadcasts to entrants)."""
+        Not a send — no delay draw, no ``sent_count``, no SEND record —
+        but it passes the fault gate like any transmission, and lands
+        as a DELIVER of ``broadcast_id``.
+        """
         if self.faults is not None:
             now = self.engine.now
             deliver_at, fault_reason = self.faults.on_transmit(
-                message.sender, message.dest, message.payload, now, message.deliver_at
+                sender, dest, payload, now, deliver_at
             )
             if fault_reason is not None:
                 self._account_fault_drop(
-                    now, message.sender, message.dest, message.payload_type, fault_reason
+                    now, sender, dest, type(payload).__name__, fault_reason
                 )
                 return
-            if deliver_at != message.deliver_at:
-                message = replace(message, deliver_at=deliver_at)
-        self._schedule_message(message)
+        pool = self._unicast_pool
+        entry = pool.pop() if pool else _Unicast(self)
+        entry.sender = sender
+        entry.payload = payload
+        entry.broadcast_id = broadcast_id
+        entry.dest = dest
+        self.engine.schedule_slab(deliver_at, _DELIVERY, entry)
 
     # ------------------------------------------------------------------
     # Broadcast fan-out
@@ -677,13 +587,14 @@ class Network:
         dests: "list[str] | tuple[str, ...]",
         faults: FaultInjector | None,
     ) -> None:
-        """The traced / faulted arm of :meth:`_BroadcastBatch.fire`
-        (and of :meth:`_Unicast.fire`, over a one-element vector).
+        """The traced / faulted delivery, and the reference the wave
+        plane is tested against: :meth:`_BroadcastBatch.fire` always,
+        :meth:`_Unicast.fire` and :meth:`_FanoutSweep.fire` (over a
+        one-element vector) whenever ``_fast`` is off.
 
-        Replicates :meth:`_deliver` per recipient — same check order
-        (fault drop, presence, crash, presence again), same counters,
-        same trace records — against the shared header instead of a
-        per-recipient envelope.  The caller recycles the batch.
+        Per recipient, in this order: fault drop, presence, crash,
+        presence again, then count, trace and ``deliver_payload`` — all
+        against the entry's shared header.  The caller recycles it.
         """
         trace = self.trace
         now = self.engine.now
@@ -715,7 +626,7 @@ class Network:
                     self._departed_drop(now, sender, dest, payload_type)
                     continue
             self.delivered_count += 1
-            if trace.enabled:
+            if trace._enabled:
                 trace.record(
                     now,
                     kind,
@@ -725,16 +636,12 @@ class Network:
                 )
             self.membership.process(dest).deliver_payload(sender, payload)
 
-    # ------------------------------------------------------------------
-    # Per-message delivery (envelope sends and entrant offers)
-    # ------------------------------------------------------------------
-
     def _departed_drop(
         self, now: Time, sender: str, dest: str, payload_type: str
     ) -> None:
         """Accounting for a delivery to a destination that has left."""
         self.dropped_count += 1
-        if self.trace.enabled:
+        if self.trace._enabled:
             self.trace.record(
                 now,
                 TraceKind.DROP,
@@ -743,62 +650,6 @@ class Network:
                 type=payload_type,
                 reason=REASON_DEPARTED,
             )
-
-    def _account_departed_drop(self, message: Message) -> None:
-        self._departed_drop(
-            self.engine.now, message.sender, message.dest, message.payload_type
-        )
-
-    def _deliver(self, message: Message) -> None:
-        faults = self.faults
-        if faults is not None:
-            fault_reason = faults.drop_on_deliver(message, self.engine.now)
-            if fault_reason is not None:
-                self._account_fault_drop(
-                    self.engine.now,
-                    message.sender,
-                    message.dest,
-                    message.payload_type,
-                    fault_reason,
-                )
-                return
-        if not self.membership.is_present(message.dest):
-            self._account_departed_drop(message)
-            return
-        if faults is not None:
-            # Crash faults count only genuinely deliverable messages;
-            # a crash of the destination then drops this very message
-            # at the re-checked presence gate, like any departure.
-            faults.crash_on_deliver(message)
-            if not self.membership.is_present(message.dest):
-                self._account_departed_drop(message)
-                return
-        self.delivered_count += 1
-        if self.trace.enabled:
-            kind = (
-                TraceKind.DELIVER
-                if message.broadcast_id is not None
-                else TraceKind.RECEIVE
-            )
-            self.trace.record(
-                self.engine.now,
-                kind,
-                message.dest,
-                sender=message.sender,
-                type=message.payload_type,
-            )
-        process = self.membership.process(message.dest)
-        if self._fast:
-            # Envelope deliveries join the wave plane too: protocols
-            # whose point-to-point traffic rides full ``Message``
-            # envelopes (ES replies/acks, ABD's universe rounds) get
-            # the same straight-line unicast bodies as slab deliveries.
-            payload = message.payload
-            wave = process._waves.get(payload.__class__)
-            if wave is not None:
-                wave(self, message.sender, payload, process)
-                return
-        process.deliver(message)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -111,6 +111,10 @@ class AbdRegisterNode(RegisterNode):
         self._queries = PhaseTracker()
         self._writebacks = PhaseTracker()
         self._writes = PhaseTracker()
+        # The universe is fixed by definition, so it (and membership of
+        # it) is resolved once — but only once it exists.
+        self._universe: tuple[str, ...] | None = None
+        self._is_replica: bool | None = None
 
     # ------------------------------------------------------------------
     # Universe plumbing
@@ -119,13 +123,16 @@ class AbdRegisterNode(RegisterNode):
     @property
     def universe(self) -> tuple[str, ...]:
         """The fixed replica set (the system's initial members)."""
-        universe = self.ctx.extra.get(UNIVERSE_KEY)
-        if not universe:
-            raise ConfigError(
-                "ABD nodes need ctx.extra['abd_universe'] to hold the "
-                "initial membership"
-            )
-        return tuple(universe)
+        universe = self._universe
+        if universe is None:
+            installed = self.ctx.extra.get(UNIVERSE_KEY)
+            if not installed:
+                raise ConfigError(
+                    "ABD nodes need ctx.extra['abd_universe'] to hold the "
+                    "initial membership"
+                )
+            universe = self._universe = tuple(installed)
+        return universe
 
     @property
     def majority(self) -> int:
@@ -133,7 +140,11 @@ class AbdRegisterNode(RegisterNode):
 
     @property
     def is_replica(self) -> bool:
-        return self.pid in self.universe
+        # Asked on every replica delivery, hence cached.
+        replica = self._is_replica
+        if replica is None:
+            replica = self._is_replica = self.pid in self.universe
+        return replica
 
     # ------------------------------------------------------------------
     # Joining
@@ -180,7 +191,9 @@ class AbdRegisterNode(RegisterNode):
         self._queries.threshold = self.majority
         phase = self._queries.open(key)
         for replica in self.universe:
-            self.ctx.network.send(self.pid, replica, AbdQuery(request, key))
+            self.ctx.network.send_payload(
+                self.pid, replica, AbdQuery(request, key)
+            )
         yield WaitUntil(phase.satisfied, label="abd phase 1")
         value, sequence = phase.best_for(key)  # type: ignore[misc]
         self.space.adopt(key, value, sequence)
@@ -189,7 +202,7 @@ class AbdRegisterNode(RegisterNode):
         self._writebacks.threshold = self.majority
         wb_phase = self._writebacks.open(key)
         for replica in self.universe:
-            self.ctx.network.send(
+            self.ctx.network.send_payload(
                 self.pid, replica, AbdWriteBack(request, value, sequence, key)
             )
         yield WaitUntil(wb_phase.satisfied, label="abd phase 2")
@@ -202,7 +215,9 @@ class AbdRegisterNode(RegisterNode):
         self._writes.threshold = self.majority
         phase = self._writes.open(key)
         for replica in self.universe:
-            self.ctx.network.send(self.pid, replica, AbdWrite(value, sequence, key))
+            self.ctx.network.send_payload(
+                self.pid, replica, AbdWrite(value, sequence, key)
+            )
         yield WaitUntil(phase.satisfied, label="abd write acks")
         phase.settle()
         return OK
@@ -215,7 +230,9 @@ class AbdRegisterNode(RegisterNode):
         if not self.is_replica:
             return
         self.space.adopt(msg.key, msg.value, msg.sequence)
-        self.ctx.network.send(self.pid, sender, AbdAck(msg.sequence, msg.key))
+        self.ctx.network.send_payload(
+            self.pid, sender, AbdAck(msg.sequence, msg.key)
+        )
 
     def on_abdack(self, sender: str, msg: AbdAck) -> None:
         if msg.sequence == self.space.sequence(msg.key):
@@ -225,7 +242,7 @@ class AbdRegisterNode(RegisterNode):
         if not self.is_replica:
             return
         value, sequence = self.space.snapshot(msg.key)
-        self.ctx.network.send(
+        self.ctx.network.send_payload(
             self.pid, sender, AbdQueryReply(msg.request, value, sequence, msg.key)
         )
 
@@ -240,7 +257,9 @@ class AbdRegisterNode(RegisterNode):
         if not self.is_replica:
             return
         self.space.adopt(msg.key, msg.value, msg.sequence)
-        self.ctx.network.send(self.pid, sender, AbdWriteBackAck(msg.request, msg.key))
+        self.ctx.network.send_payload(
+            self.pid, sender, AbdWriteBackAck(msg.request, msg.key)
+        )
 
     def on_abdwritebackack(self, sender: str, msg: AbdWriteBackAck) -> None:
         key = self.space.resolve(msg.key)
@@ -250,11 +269,9 @@ class AbdRegisterNode(RegisterNode):
     # ------------------------------------------------------------------
     # Wave handlers (the network's dispatch plane, tracing and faults off)
     # ------------------------------------------------------------------
-    # ABD's universe messages travel point-to-point, so the network's
-    # envelope path is what calls these.  Same sends in the same order
-    # as the handlers above; non-replica no-op arms skip the watcher
-    # poll (a no-op delivery cannot newly satisfy a ``WaitUntil``
-    # condition).
+    # Same sends in the same order as the handlers above; non-replica
+    # no-op arms skip the watcher poll (a no-op delivery cannot newly
+    # satisfy a ``WaitUntil`` condition).
 
     wave_handlers = {
         AbdWrite: "_wave_abdwrite",
@@ -269,7 +286,7 @@ class AbdRegisterNode(RegisterNode):
         key = payload.key
         sequence = payload.sequence
         node.space.adopt(key, payload.value, sequence)
-        node.ctx.network.send(node.pid, sender, AbdAck(sequence, key))
+        network.send_payload(node.pid, sender, AbdAck(sequence, key))
         watchers = node._watchers
         if watchers:
             if len(watchers) == 1:
@@ -284,7 +301,7 @@ class AbdRegisterNode(RegisterNode):
             return
         key = payload.key
         value, sequence = node.space.snapshot(key)
-        node.ctx.network.send(
+        network.send_payload(
             node.pid, sender, AbdQueryReply(payload.request, value, sequence, key)
         )
         watchers = node._watchers
@@ -301,7 +318,7 @@ class AbdRegisterNode(RegisterNode):
             return
         key = payload.key
         node.space.adopt(key, payload.value, payload.sequence)
-        node.ctx.network.send(
+        network.send_payload(
             node.pid, sender, AbdWriteBackAck(payload.request, key)
         )
         watchers = node._watchers

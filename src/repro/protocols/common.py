@@ -85,7 +85,7 @@ class QuorumPhase:
         increment rather than ``count`` per-sender offers.  The count
         feeds :attr:`count` / :meth:`satisfied` directly; ``entries``
         (typically one ``(key, value, sequence)`` describing the
-        aggregate register state) compete in :meth:`best_for` with an
+        aggregate register state) compete in :meth:`best_per_key` with an
         empty-string sender id, which sorts below every real pid — a
         named tracer carrying the same sequence number wins the tie,
         keeping adoption deterministic.
@@ -107,37 +107,39 @@ class QuorumPhase:
     def senders(self) -> tuple[str, ...]:
         return tuple(self._offers)
 
-    def best_for(self, key: Any) -> tuple[Any, int] | None:
-        """The ``(value, sequence)`` to adopt for ``key``.
+    def best_per_key(self) -> dict[Any, tuple[Any, int]]:
+        """The ``(value, sequence)`` to adopt, for every key any offer
+        mentions — one pass over the offers however many keys a batched
+        join round carries.
 
-        Deterministic max by ``(sequence, sender)`` over every offer
-        carrying the key — ties on the sequence number are broken by
-        sender id purely for determinism; entries with equal sequence
-        numbers carry equal values anyway.  ``None`` if no offer
-        mentions the key.
+        Deterministic max by ``(sequence, sender)`` — ties on the
+        sequence number are broken by sender id purely for determinism;
+        entries with equal sequence numbers carry equal values anyway.
+        Bulk entries compete with the empty-string sender id, which
+        sorts below every real pid.
         """
-        # One comprehension + C-level max instead of a nested Python
-        # loop.  Comparing bare ``(sequence, sender, value)`` tuples is
-        # safe: each sender offers at most one entry per key, so the
-        # ``(sequence, sender)`` prefixes are unique and the comparison
-        # never reaches ``value`` — and a unique strict maximum makes
-        # "first encountered wins" moot.
-        candidates = [
-            (sequence, sender, value)
-            for sender, entries in self._offers.items()
-            for entry_key, value, sequence in entries
-            if entry_key == key
-        ]
-        if self._bulk_entries:
-            candidates.extend(
-                (sequence, "", value)
-                for entry_key, value, sequence in self._bulk_entries
-                if entry_key == key
-            )
-        if not candidates:
-            return None
-        sequence, _sender, value = max(candidates)
-        return value, sequence
+        best: dict[Any, tuple[int, str, Any]] = {}
+        for sender, entries in self._offers.items():
+            for key, value, sequence in entries:
+                held = best.get(key)
+                if (
+                    held is None
+                    or sequence > held[0]
+                    or (sequence == held[0] and sender > held[1])
+                ):
+                    best[key] = (sequence, sender, value)
+        for key, value, sequence in self._bulk_entries:
+            held = best.get(key)
+            if held is None or sequence > held[0]:
+                best[key] = (sequence, "", value)
+        return {
+            key: (value, sequence) for key, (sequence, _, value) in best.items()
+        }
+
+    def best_for(self, key: Any) -> tuple[Any, int] | None:
+        """:meth:`best_per_key` for one key; ``None`` if no offer
+        mentions it."""
+        return self.best_per_key().get(key)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         gate = f"threshold={self.threshold}" if self.threshold else "timer-gated"

@@ -236,10 +236,10 @@ class EventuallySyncRegisterNode(RegisterNode):
 
     def _adopt_join_replies(self) -> None:
         """Lines 05-06, per key: adopt the greatest-sequence reply."""
+        best = self._join_phase.best_per_key()
         for key in self.space.keys:
-            best = self._join_phase.best_for(key)
-            if best is not None:
-                self.space.adopt(key, best[0], best[1])
+            if key in best:
+                self.space.adopt(key, *best[key])
         self._join_phase.settle()
 
     def _send_reply(self, dest: str, r_sn: int, key: Any) -> None:
@@ -250,7 +250,7 @@ class EventuallySyncRegisterNode(RegisterNode):
         else:
             value, sequence = self.space.snapshot(key)
             entries = None
-        self.ctx.network.send(
+        self.ctx.network.send_payload(
             self.pid,
             dest,
             EsReply(self.pid, value, sequence, r_sn, key, entries),
@@ -262,7 +262,9 @@ class EventuallySyncRegisterNode(RegisterNode):
         read_sn = 0 if key is None and not self.space.is_single else (
             self._reads.current_request(key)
         )
-        self.ctx.network.send(self.pid, dest, EsDlPrev(self.pid, read_sn, key))
+        self.ctx.network.send_payload(
+            self.pid, dest, EsDlPrev(self.pid, read_sn, key)
+        )
 
     # ------------------------------------------------------------------
     # Message handlers
@@ -300,7 +302,7 @@ class EventuallySyncRegisterNode(RegisterNode):
             )
             entries = ((msg.key, msg.value, msg.sequence),)
         phase.offer(msg.sender, entries)  # line 20
-        self.ctx.network.send(
+        self.ctx.network.send_payload(
             self.pid, msg.sender, EsAck(self.pid, msg.sequence, msg.key)
         )
 
@@ -320,7 +322,7 @@ class EventuallySyncRegisterNode(RegisterNode):
     def on_eswrite(self, sender: str, msg: EsWrite) -> None:
         """Figure 6, lines 06-08."""
         self.space.adopt(msg.key, msg.value, msg.sequence)  # line 07
-        self.ctx.network.send(
+        self.ctx.network.send_payload(
             self.pid, msg.sender, EsAck(self.pid, msg.sequence, msg.key)
         )
 
@@ -389,7 +391,7 @@ class EventuallySyncRegisterNode(RegisterNode):
         sequence = payload.sequence
         key = payload.key
         node.space.adopt(key, payload.value, sequence)  # line 07
-        node.ctx.network.send(
+        network.send_payload(
             node.pid, payload.sender, EsAck(node.pid, sequence, key)
         )
         watchers = node._watchers

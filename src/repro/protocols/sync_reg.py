@@ -211,10 +211,10 @@ class SynchronousRegisterNode(RegisterNode):
 
     def _adopt_best_replies(self) -> None:
         """Lines 07-08, per key: adopt the greatest-sequence reply."""
+        best = self._join_phase.best_per_key()
         for key in self.space.keys:
-            best = self._join_phase.best_for(key)
-            if best is not None:
-                self.space.adopt(key, best[0], best[1])
+            if key in best:
+                self.space.adopt(key, *best[key])
         self._join_phase.settle()
 
     def _answer_pending_inquiries(self) -> None:
@@ -276,8 +276,6 @@ class SynchronousRegisterNode(RegisterNode):
             reply = Reply(self.pid, value, sequence, entries)
             self._reply_cache = reply
             self._reply_version = self.space.version
-        # send_payload: same draw/counters/trace as send, but no Message
-        # envelope — replies are the dominant p2p traffic under churn.
         self._network.send_payload(self.pid, dest, reply)
 
     # ------------------------------------------------------------------

@@ -461,7 +461,7 @@ class AggregatePopulation:
         cohort.inquired = k
         self._inquiries.append((now, k))
         present = self.present_count + len(self.membership)
-        repliers = self.active_count + len(self.membership.active_processes())
+        repliers = self.active_count + len(self.membership.active_pids())
         self._schedule_bulk(
             k * present, now, self._bcast_lo,
             self._bcast_lo + self._bcast_span,

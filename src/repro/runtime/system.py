@@ -159,7 +159,7 @@ class DynamicSystem:
 
     def active_pids(self) -> list[str]:
         """Identities currently in the active mode, in entry order."""
-        return [p.pid for p in self.membership.active_processes()]
+        return self.membership.active_pids()
 
     def present_count(self) -> int:
         return len(self.membership)

@@ -63,6 +63,12 @@ class Membership:
         self._records: dict[str, PresenceRecord] = {}
         self._processes: dict[str, SimProcess] = {}
         self._present: dict[str, SimProcess] = {}
+        # The active list is asked for on every planned operation but
+        # changes only when presence (``enter`` / ``leave``) or a
+        # process's mode does, so it is cached; each of those resets it
+        # to ``None`` — the process through the back-reference ``enter``
+        # hands it.
+        self._active: list[str] | None = None
 
     # ------------------------------------------------------------------
     # Mutation
@@ -79,6 +85,8 @@ class Membership:
         self._records[pid] = PresenceRecord(pid=pid, entered_at=process.entered_at)
         self._processes[pid] = process
         self._present[pid] = process
+        process._registry = self
+        self._active = None
 
     def mark_active(self, pid: str, instant: Time) -> None:
         """Record that ``pid`` completed its join at ``instant``."""
@@ -94,6 +102,7 @@ class Membership:
             raise ProcessError(f"{pid} left twice")
         record.left_at = instant
         self._present.pop(pid, None)
+        self._active = None
 
     # ------------------------------------------------------------------
     # Queries
@@ -133,9 +142,20 @@ class Membership:
     def present_pids(self) -> list[str]:
         return list(self._present)
 
+    def active_pids(self) -> list[str]:
+        """Every identity currently in the *active* mode, in entry order
+        (a fresh list: callers index and filter it)."""
+        active = self._active
+        if active is None:
+            active = self._active = [
+                pid for pid, p in self._present.items() if p.is_active
+            ]
+        return list(active)
+
     def active_processes(self) -> list[SimProcess]:
-        """Every process currently in the *active* mode, in entry order."""
-        return [p for p in self._present.values() if p.is_active]
+        """:meth:`active_pids`, as the live objects."""
+        present = self._present
+        return [present[pid] for pid in self.active_pids()]
 
     def iter_records(self) -> Iterator[PresenceRecord]:
         """All presence records ever created, in entry order."""

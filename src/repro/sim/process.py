@@ -79,6 +79,11 @@ class SimProcess:
         self._departed_at: Time | None = None
         self._runners: list[_OperationRunner] = []
         self._watchers: list[_ConditionWatcher] = []
+        # The Membership this process entered (set by ``enter``): told
+        # of every mode transition, so its cached active list never
+        # goes stale — also on a bare ``mark_active()`` / ``depart()``
+        # that bypasses the system.
+        self._registry: Any = None
         # Instance-level alias of this class's dispatch cache (created
         # here if this is the first instance): dispatch then costs one
         # attribute load and one dict probe per delivery, instead of a
@@ -132,6 +137,8 @@ class SimProcess:
             raise ProcessError(f"{self.pid} activated twice")
         self._mode = ProcessMode.ACTIVE
         self._activated_at = self.engine.now
+        if self._registry is not None:
+            self._registry._active = None
 
     def depart(self) -> None:
         """Silently leave the system (voluntary leave or crash).
@@ -143,6 +150,8 @@ class SimProcess:
             return
         self._mode = ProcessMode.DEPARTED
         self._departed_at = self.engine.now
+        if self._registry is not None:
+            self._registry._active = None
         for runner in list(self._runners):
             runner.abandon()
         self._runners.clear()

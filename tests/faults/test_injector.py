@@ -94,22 +94,22 @@ class TestLoss:
 
 class TestPartition:
     def test_drop_partition_severs_both_directions(
-        self, engine, membership, trace, rng
+        self, engine, membership, trace, rng, transmit
     ):
         plan = FaultPlan.of(
             PartitionFault(start=0.0, end=100.0, group_a=frozenset({"a"}), mode="drop")
         )
         net = bare_network(engine, membership, trace, rng, plan)
-        net.send("a", "b", Note("x"))
-        net.send("b", "a", Note("y"))
-        net.send("b", "c", Note("z"))  # same side: unaffected
+        transmit(net, "a", "b", Note("x"))
+        transmit(net, "b", "a", Note("y"))
+        transmit(net, "b", "c", Note("z"))  # same side: unaffected
         engine.run()
         assert net.faults.partition_dropped_count == 2
         assert net.faulted_count == 2
         assert membership.process("c").received == ["z"]
 
     def test_in_flight_message_hits_partition_at_arrival(
-        self, engine, membership, trace, rng
+        self, engine, membership, trace, rng, transmit
     ):
         # Partition starts after the send but before the delivery: the
         # message is swallowed at the delivery instant.
@@ -117,29 +117,27 @@ class TestPartition:
             PartitionFault(start=0.2, end=50.0, group_a=frozenset({"b"}), mode="drop")
         )
         net = bare_network(engine, membership, trace, rng, plan)
-        message = net.send("a", "b", Note("x"))
-        assert message.deliver_at > 0.2
+        assert transmit(net, "a", "b", Note("x")) > 0.2
         engine.run()
         assert net.faults.partition_dropped_count == 1
         assert membership.process("b").received == []
 
     def test_defer_partition_delays_until_heal_never_loses(
-        self, engine, membership, trace, rng
+        self, engine, membership, trace, rng, transmit
     ):
         heal = 12.0
         plan = FaultPlan.of(
             PartitionFault(start=0.0, end=heal, group_a=frozenset({"b"}), mode="defer")
         )
         net = bare_network(engine, membership, trace, rng, plan)
-        message = net.send("a", "b", Note("x"))
-        assert message.deliver_at == heal
+        assert transmit(net, "a", "b", Note("x")) == heal
         engine.run()
         assert net.faults.deferred_count == 1
         assert net.faulted_count == 0
         assert membership.process("b").received == ["x"]
 
     def test_short_defer_partition_respects_the_sync_bound(
-        self, engine, membership, trace, rng
+        self, engine, membership, trace, rng, transmit
     ):
         # The in-model claim: a defer partition no longer than delta
         # keeps every crossing delay within delta of the send.
@@ -150,34 +148,35 @@ class TestPartition:
         )
         net = bare_network(engine, membership, trace, rng, plan)
         for _ in range(20):
-            message = net.send("a", "b", Note("x"))
-            assert message.deliver_at - message.sent_at <= DELTA
+            assert transmit(net, "a", "b", Note("x")) - engine.now <= DELTA
 
-    def test_healed_partition_lets_traffic_flow(self, engine, membership, trace, rng):
+    def test_healed_partition_lets_traffic_flow(
+        self, engine, membership, trace, rng, transmit
+    ):
         plan = FaultPlan.of(
             PartitionFault(start=0.0, end=1.0, group_a=frozenset({"b"}), mode="drop")
         )
         net = bare_network(engine, membership, trace, rng, plan)
         engine.run_until(2.0)
-        net.send("a", "b", Note("x"))
+        transmit(net, "a", "b", Note("x"))
         engine.run()
         assert net.faults.partition_dropped_count == 0
         assert membership.process("b").received == ["x"]
 
 
 class TestSpike:
-    def test_spike_inflates_delay_inside_window(self):
+    def test_spike_inflates_delay_inside_window(self, transmit):
         plan = FaultPlan.of(DelaySpikeFault(start=0.0, end=100.0, extra=7.0))
         system = make_system(faults=plan)
-        message = system.network.send("p0001", "p0002", "x")
-        assert message.delay > 7.0
+        arrives = transmit(system.network, "p0001", "p0002", "x")
+        assert arrives - system.now > 7.0
         assert system.faults.spiked_count == 1
 
-    def test_spike_window_is_exclusive_at_end(self):
+    def test_spike_window_is_exclusive_at_end(self, transmit):
         plan = FaultPlan.of(DelaySpikeFault(start=50.0, end=60.0, extra=7.0))
         system = make_system(faults=plan)
-        message = system.network.send("p0001", "p0002", "x")
-        assert message.delay <= DELTA
+        arrives = transmit(system.network, "p0001", "p0002", "x")
+        assert arrives - system.now <= DELTA
         assert system.faults.spiked_count == 0
 
 
@@ -208,7 +207,7 @@ class TestCrash:
         assert system.network.dropped_count >= 1
 
     def test_undelivered_messages_do_not_count_toward_occurrence(
-        self, engine, membership, trace, rng
+        self, engine, membership, trace, rng, transmit
     ):
         # The first two Notes to "b" never land (drop partition), so a
         # crash at the 2nd delivered Note must wait for two messages
@@ -220,20 +219,20 @@ class TestCrash:
         )
         net = bare_network(engine, membership, trace, rng, plan)
         net.faults.crash_hook = crashed.append
-        net.send("a", "b", Note("eaten-1"))
-        net.send("a", "b", Note("eaten-2"))
+        transmit(net, "a", "b", Note("eaten-1"))
+        transmit(net, "a", "b", Note("eaten-2"))
         engine.run_until(20.0)  # partition healed, nothing delivered yet
         assert net.faults.partition_dropped_count == 2
         assert crashed == []
-        net.send("a", "b", Note("lands-1"))
+        transmit(net, "a", "b", Note("lands-1"))
         engine.run_until(30.0)
         assert crashed == []  # only ONE deliverable message so far
-        net.send("a", "b", Note("lands-2"))
+        transmit(net, "a", "b", Note("lands-2"))
         engine.run_until(40.0)
         assert crashed == ["b"]
 
     def test_delivery_to_departed_dest_does_not_count_toward_occurrence(
-        self, engine, membership, trace, rng
+        self, engine, membership, trace, rng, transmit
     ):
         plan = FaultPlan.of(
             CrashFault(phase="Note", victim="sender", pid="a", occurrence=2)
@@ -241,15 +240,15 @@ class TestCrash:
         net = bare_network(engine, membership, trace, rng, plan)
         crashed = []
         net.faults.crash_hook = crashed.append
-        net.send("a", "b", Note("never-lands"))
+        transmit(net, "a", "b", Note("never-lands"))
         membership.process("b").depart()
         membership.leave("b", 0.0)
         engine.run()
         assert net.dropped_count == 1
-        net.send("a", "c", Note("lands-1"))
+        transmit(net, "a", "c", Note("lands-1"))
         engine.run()
         assert crashed == []  # the departed-dest drop did not count
-        net.send("a", "c", Note("lands-2"))
+        transmit(net, "a", "c", Note("lands-2"))
         engine.run()
         assert crashed == ["a"]
 

@@ -1,15 +1,32 @@
-"""Unit tests for the point-to-point network."""
+"""Unit tests for the point-to-point network.
 
+``Network.send`` is ``send_payload`` plus the ``Message`` describing
+what was scheduled, so every case here runs through both entry points
+(the ``send`` fixture), and :class:`TestSendIsSendPayload` holds the two
+to the same RNG draw, counters, scheduled instant and trace records.
+"""
+
+import functools
 from dataclasses import dataclass
 
 import pytest
 
-from repro.faults import FaultInjector, FaultPlan, LossFault
+from repro.faults import (
+    CrashFault,
+    FaultInjector,
+    FaultPlan,
+    LossFault,
+    PartitionFault,
+)
 from repro.net.delay import SynchronousDelay
 from repro.net.network import Network
+from repro.sim.engine import EventScheduler
 from repro.sim.errors import NetworkError, UnknownProcessError
+from repro.sim.membership import Membership
 from repro.sim.process import SimProcess
-from repro.sim.trace import TraceKind
+from repro.sim.rng import RngRegistry
+from repro.sim.trace import TraceKind, TraceLog
+from tests.conftest import transmit_via
 
 
 @dataclass(frozen=True)
@@ -34,33 +51,49 @@ def net(engine, membership, trace, rng):
     return network
 
 
+@pytest.fixture
+def send(net, transmit):
+    """Send on ``net`` through either entry point (see ``transmit``)."""
+    return functools.partial(transmit, net)
+
+
 class TestSend:
-    def test_message_arrives_within_bound(self, net, engine, membership):
-        message = net.send("p1", "p2", Note("hi"))
-        assert 0.0 < message.delay <= 5.0
+    def test_message_arrives_within_bound(self, send, engine, membership):
+        deliver_at = send("p1", "p2", Note("hi"))
+        assert 0.0 < deliver_at <= 5.0
         engine.run()
         receiver = membership.process("p2")
-        assert receiver.notes == [("p1", "hi", message.deliver_at)]
+        assert receiver.notes == [("p1", "hi", deliver_at)]
 
-    def test_send_to_self_is_legal(self, net, engine, membership):
-        net.send("p1", "p1", Note("echo"))
+    def test_send_returns_the_envelope_it_scheduled(self, net, engine, membership):
+        message = net.send("p1", "p2", Note("hi"))
+        assert (message.sender, message.dest, message.payload) == (
+            "p1", "p2", Note("hi")
+        )
+        assert message.sent_at == 0.0 and message.broadcast_id is None
+        assert 0.0 < message.delay <= 5.0
+        engine.run()
+        assert membership.process("p2").notes == [("p1", "hi", message.deliver_at)]
+
+    def test_send_to_self_is_legal(self, send, engine, membership):
+        send("p1", "p1", Note("echo"))
         engine.run()
         assert membership.process("p1").notes[0][0] == "p1"
 
-    def test_departed_sender_rejected(self, net, membership):
+    def test_departed_sender_rejected(self, send, membership):
         membership.process("p1").depart()
         membership.leave("p1", 0.0)
         with pytest.raises(NetworkError):
-            net.send("p1", "p2", Note("x"))
+            send("p1", "p2", Note("x"))
 
-    def test_unknown_destination_rejected(self, net):
+    def test_unknown_destination_rejected(self, send):
         with pytest.raises(UnknownProcessError):
-            net.send("p1", "ghost", Note("x"))
+            send("p1", "ghost", Note("x"))
 
     def test_send_to_departed_is_dropped_on_delivery(
-        self, net, engine, membership, trace
+        self, net, send, engine, membership, trace
     ):
-        net.send("p1", "p2", Note("x"))
+        send("p1", "p2", Note("x"))
         membership.process("p2").depart()
         membership.leave("p2", 0.0)
         engine.run()
@@ -68,10 +101,9 @@ class TestSend:
         assert net.dropped_count == 1
         assert trace.count(TraceKind.DROP) == 1
 
-    def test_receiver_leaving_mid_flight_drops(self, net, engine, membership):
-        message = net.send("p1", "p2", Note("x"))
+    def test_receiver_leaving_mid_flight_drops(self, net, send, engine, membership):
         # Leave strictly before the delivery instant.
-        leave_at = message.deliver_at / 2.0
+        leave_at = send("p1", "p2", Note("x")) / 2.0
         engine.run_until(leave_at)
         membership.process("p2").depart()
         membership.leave("p2", leave_at)
@@ -79,23 +111,23 @@ class TestSend:
         assert membership.process("p2").notes == []
         assert net.dropped_count == 1
 
-    def test_counters(self, net, engine):
-        net.send("p1", "p2", Note("a"))
-        net.send("p2", "p1", Note("b"))
+    def test_counters(self, net, send, engine):
+        send("p1", "p2", Note("a"))
+        send("p2", "p1", Note("b"))
         engine.run()
         assert net.sent_count == 2
         assert net.delivered_count == 2
         assert net.dropped_count == 0
 
-    def test_trace_records_send_and_receive(self, net, engine, trace):
-        net.send("p1", "p2", Note("a"))
+    def test_trace_records_send_and_receive(self, send, engine, trace):
+        send("p1", "p2", Note("a"))
         engine.run()
         assert trace.count(TraceKind.SEND) == 1
         assert trace.count(TraceKind.RECEIVE) == 1
 
-    def test_reliability_no_loss_no_duplication(self, net, engine, membership):
+    def test_reliability_no_loss_no_duplication(self, send, engine, membership):
         for i in range(50):
-            net.send("p1", "p2", Note(str(i)))
+            send("p1", "p2", Note(str(i)))
         engine.run()
         texts = sorted(int(t) for (_, t, _) in membership.process("p2").notes)
         assert texts == list(range(50))
@@ -109,8 +141,10 @@ class TestDropAccounting:
     separately (``faulted_count`` vs ``dropped_count``) and carry a
     ``reason`` in their trace records."""
 
-    def test_departed_drop_reason_in_trace(self, net, engine, membership, trace):
-        net.send("p1", "p2", Note("x"))
+    def test_departed_drop_reason_in_trace(
+        self, net, send, engine, membership, trace
+    ):
+        send("p1", "p2", Note("x"))
         membership.process("p2").depart()
         membership.leave("p2", 0.0)
         engine.run()
@@ -119,13 +153,13 @@ class TestDropAccounting:
         assert net.dropped_count == 1
         assert net.faulted_count == 0
 
-    def test_fault_drop_counted_separately(self, net, engine, rng, trace):
+    def test_fault_drop_counted_separately(self, net, send, engine, rng, trace):
         net.install_faults(
             FaultInjector(
                 FaultPlan.of(LossFault(probability=1.0)), rng.stream("test.faults")
             )
         )
-        net.send("p1", "p2", Note("x"))
+        send("p1", "p2", Note("x"))
         engine.run()
         assert net.faulted_count == 1
         assert net.dropped_count == 0
@@ -133,8 +167,97 @@ class TestDropAccounting:
         (record,) = trace.filter(TraceKind.DROP)
         assert record.details["reason"] == "loss"
 
-    def test_no_injector_means_no_fault_accounting(self, net, engine):
-        net.send("p1", "p2", Note("x"))
+    def test_no_injector_means_no_fault_accounting(self, net, send, engine):
+        send("p1", "p2", Note("x"))
         engine.run()
         assert net.faults is None
         assert net.faulted_count == 0
+
+
+def _observe(entry_point, traced, plan, depart_dest):
+    """One fresh three-sink world: send a→b twice and b→c once through
+    ``entry_point``, run to quiescence, and report everything a send
+    may touch."""
+    engine, membership = EventScheduler(), Membership()
+    trace, rng = TraceLog(enabled=traced), RngRegistry(seed=1234)
+    net = Network(engine, membership, SynchronousDelay(delta=5.0), trace, rng)
+    for pid in ("a", "b", "c"):
+        membership.enter(Sink(pid, engine))
+
+    def crash(pid):
+        membership.process(pid).depart()
+        membership.leave(pid, engine.now)
+
+    if plan is not None:
+        net.install_faults(FaultInjector(plan, rng.stream("test.faults"), crash))
+    scheduled = []
+    for sender, dest, text in (("a", "b", "1"), ("a", "b", "2"), ("b", "c", "3")):
+        instant = transmit_via(entry_point, net, sender, dest, Note(text))
+        scheduled.append((instant, engine.pending_count, engine.next_event_time()))
+    if depart_dest:
+        crash("b")
+    engine.run()
+    return {
+        "rng": net._rng.getstate(),
+        "scheduled": scheduled,
+        "counts": (
+            net.sent_count, net.delivered_count, net.dropped_count,
+            net.faulted_count, engine.fired_count,
+        ),
+        "faults": net.faults.counters() if plan is not None else None,
+        "trace": [(r.time, r.kind, r.process, r.details) for r in trace],
+        "received": {p.pid: p.notes for p in membership.present_processes()},
+    }
+
+
+SEND_CASES = {
+    "clean": (None, False),
+    "loss_at_send": (FaultPlan.of(LossFault(probability=0.5)), False),
+    "loss_at_deliver": (
+        FaultPlan.of(
+            PartitionFault(
+                start=0.05, end=50.0, group_a=frozenset({"b"}), mode="drop"
+            )
+        ),
+        False,
+    ),
+    "deferred_at_send": (
+        FaultPlan.of(
+            PartitionFault(
+                start=0.0, end=12.0, group_a=frozenset({"b"}), mode="defer"
+            )
+        ),
+        False,
+    ),
+    "crash_at_deliver": (
+        FaultPlan.of(CrashFault(phase="Note", victim="dest", pid="b", occurrence=2)),
+        False,
+    ),
+    "departed_destination": (None, True),
+}
+
+
+class TestSendIsSendPayload:
+    """``send`` ≡ ``send_payload``: same RNG draw, ``sent_count``,
+    scheduled instant, trace records and fault accounting — the envelope
+    ``send`` returns is the only difference."""
+
+    @pytest.mark.parametrize("traced", [False, True], ids=["plain", "traced"])
+    @pytest.mark.parametrize("case", SEND_CASES)
+    def test_identical_observables(self, case, traced):
+        plan, depart_dest = SEND_CASES[case]
+        via_send = _observe("send", traced, plan, depart_dest)
+        via_payload = _observe("send_payload", traced, plan, depart_dest)
+        assert via_send == via_payload
+        # ... and the case really exercised what its name says.
+        sent, delivered, dropped, faulted, _ = via_send["counts"]
+        assert sent == 3
+        assert (faulted > 0) == case.startswith("loss")
+        assert (dropped > 0) == (case in ("crash_at_deliver", "departed_destination"))
+        assert delivered + dropped + faulted == 3
+        assert bool(via_send["trace"]) == traced
+        if case == "loss_at_deliver":
+            # Both sends to "b" were scheduled, then eaten on arrival.
+            assert [pending for _, pending, _ in via_send["scheduled"]] == [1, 2, 3]
+        if case == "deferred_at_send":
+            assert [at for at, _, _ in via_send["scheduled"][:2]] == [12.0, 12.0]

@@ -62,6 +62,32 @@ class TestStaticOperation:
         with pytest.raises(ConfigError):
             node.universe
 
+    def test_universe_is_cached_only_once_installed(self, engine):
+        """Before the runtime installs the universe every accessor
+        raises the same ``ConfigError`` (nothing empty is cached);
+        afterwards the universe is fixed, whatever ``extra`` says."""
+        from repro.core.register import NodeContext
+        from repro.protocols.abd import UNIVERSE_KEY, AbdRegisterNode
+
+        ctx = NodeContext(
+            engine=engine, network=None, broadcast=None, trace=None, n=3, delta=1.0
+        )
+        node = AbdRegisterNode("p1", ctx)
+        late = AbdRegisterNode("p9", ctx)
+        for installed in (None, ()):
+            if installed is not None:
+                ctx.extra[UNIVERSE_KEY] = installed
+            for accessor in ("universe", "majority", "is_replica"):
+                with pytest.raises(ConfigError, match="abd_universe"):
+                    getattr(node, accessor)
+        ctx.extra[UNIVERSE_KEY] = ["p1", "p2", "p3"]
+        assert node.universe == ("p1", "p2", "p3")
+        assert node.majority == 2
+        assert node.is_replica and not late.is_replica
+        ctx.extra[UNIVERSE_KEY] = ("p9",)
+        assert node.universe == ("p1", "p2", "p3")
+        assert node.is_replica and not late.is_replica
+
 
 class TestNewcomers:
     def test_join_is_trivial_and_instant(self, abd_system):
