@@ -209,23 +209,34 @@ class RegularityChecker:
                 ).check()
                 report.judgements.extend(sub.judgements)
             return report
-        writes = self.history.write_records()
-        index = None if self.paranoid else _WriteIntervalIndex(writes)
-        report = SafetyReport()
-        judgements = report.judgements
-        for op in self.history.reads():
-            if not op.done:
-                continue  # liveness checker's concern
-            judgements.append(self._judge(op, op.result, writes, index))
+        # The read judgements of a closed history are shared by every
+        # checker that asks with the same ``paranoid`` — the atomicity
+        # detector re-judges exactly the reads ``check_safety`` just
+        # judged; ``check_joins`` only adds the join judgements on top.
+        reads = self.history.memoized(
+            ("read_judgements", self.paranoid), self._judge_reads
+        )
+        report = SafetyReport(judgements=list(reads))
         if self.check_joins:
+            writes = self.history.write_records()
+            index = None if self.paranoid else _WriteIntervalIndex(writes)
             for op in self.history.joins():
                 if not op.done:
                     continue
                 adopted = _join_adopted_value(op)
                 if adopted is _NO_ADOPTION:
                     continue  # protocol does not expose its adoption
-                judgements.append(self._judge(op, adopted, writes, index))
+                report.judgements.append(self._judge(op, adopted, writes, index))
         return report
+
+    def _judge_reads(self) -> list[ReadJudgement]:
+        writes = self.history.write_records()
+        index = None if self.paranoid else _WriteIntervalIndex(writes)
+        return [
+            self._judge(op, op.result, writes, index)
+            for op in self.history.reads()
+            if op.done  # a pending read is the liveness checker's concern
+        ]
 
     def _judge(
         self,

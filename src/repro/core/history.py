@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 from ..sim.clock import Time
 from ..sim.errors import HistoryError
@@ -78,8 +78,8 @@ class History:
         self._by_kind: dict[str, list[OperationHandle]] = {}
         self._departures: dict[str, Time] = {}
         self._horizon: Time | None = None
-        self._write_records_cache: list[WriteRecord] | None = None
-        self._value_map_cache: dict[Any, WriteRecord] | None = None
+        # Derived views of the *closed* history (see :meth:`memoized`).
+        self._derived: dict[Any, Any] = {}
 
     # ------------------------------------------------------------------
     # Recording (called by the system runtime)
@@ -91,16 +91,35 @@ class History:
             handle.shard = self.shard
         self._operations.append(handle)
         self._by_kind.setdefault(handle.kind, []).append(handle)
-        self._write_records_cache = None
-        self._value_map_cache = None
+        self._derived.clear()
 
     def record_departure(self, pid: str, time: Time) -> None:
         """Note that ``pid`` left the system at ``time``."""
         self._departures[pid] = time
 
     def close(self, horizon: Time) -> None:
-        """Freeze the history at the end of the run."""
+        """Freeze the history at the end of the run.
+
+        Closing again at a later horizon (a resumed run) drops the
+        memoized views: pending operations may have completed in
+        between without a new append.
+        """
+        if horizon != self._horizon:
+            self._derived.clear()
         self._horizon = horizon
+
+    def memoized(self, key: Any, compute: Callable[[], Any]) -> Any:
+        """``compute()``, shared under ``key`` for as long as the history
+        stays closed and unchanged (any append, or a close at another
+        horizon, drops it).  An open history always recomputes: pending
+        handles can complete without a new append.  Treat the result as
+        read-only."""
+        if self._horizon is None:
+            return compute()
+        derived = self._derived
+        if key not in derived:
+            derived[key] = compute()
+        return derived[key]
 
     # ------------------------------------------------------------------
     # Raw access
@@ -198,14 +217,11 @@ class History:
         are stated for serialized writes, and the workloads guarantee
         serialization, so an overlap is a harness bug worth failing on.
 
-        Once the history is closed the result is memoized (and the
-        cache dropped again on any later append); while the run is
-        still open the records are recomputed, since pending handles
-        can complete without a new append.  Treat the returned list as
-        read-only.
+        :meth:`memoized` once the history is closed.
         """
-        if self._write_records_cache is not None:
-            return self._write_records_cache
+        return self.memoized("write_records", self._serialize_writes)
+
+    def _serialize_writes(self) -> list[WriteRecord]:
         writes = sorted(self.writes(), key=lambda op: (op.invoke_time, op.op_id))
         records = [
             WriteRecord(
@@ -244,8 +260,6 @@ class History:
                     abandoned=abandoned,
                 )
             )
-        if self._horizon is not None:
-            self._write_records_cache = records
         return records
 
     def value_to_write(self) -> dict[Any, WriteRecord]:
@@ -253,11 +267,12 @@ class History:
 
         Raises if two writes used the same value: the checkers need the
         mapping to be unambiguous (the workload generators enforce
-        uniqueness by construction).  Memoized alongside
+        uniqueness by construction).  :meth:`memoized` alongside
         :meth:`write_records` once the history is closed.
         """
-        if self._value_map_cache is not None:
-            return self._value_map_cache
+        return self.memoized("value_to_write", self._map_values)
+
+    def _map_values(self) -> dict[Any, WriteRecord]:
         mapping: dict[Any, WriteRecord] = {}
         for record in self.write_records():
             if record.value in mapping:
@@ -267,8 +282,6 @@ class History:
                     f"checkers require unique written values"
                 )
             mapping[record.value] = record
-        if self._horizon is not None:
-            self._value_map_cache = mapping
         return mapping
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -24,10 +24,10 @@ which pool ran the cells.
 
 from __future__ import annotations
 
+import atexit
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import BrokenExecutor
 from typing import Any, Iterable, Sequence
 
 from ..sim.errors import ExperimentError
@@ -40,24 +40,37 @@ def execute(spec: RunSpec) -> Any:
     return resolve(spec.kind)(**spec.params)
 
 
+def ProcessPoolExecutor(max_workers: int) -> Any:
+    """``concurrent.futures.ProcessPoolExecutor``, imported only when a
+    pool is actually built (hence named for the class it stands in
+    for).  Its module drags ``multiprocessing`` in — ~5 MB and 30-50 ms
+    — and this module is imported by every CLI start and every judged
+    run, while serial runs never build a pool."""
+    from concurrent.futures import ProcessPoolExecutor as pool_class
+
+    return pool_class(max_workers=max_workers)
+
+
 def default_workers() -> int:
     """The engine's default parallelism: every available core."""
     return os.cpu_count() or 1
 
 
 #: Live executors, keyed by worker count (reused across Runner.map calls;
-#: the interpreter's exit hooks shut them down).  Keyed by the Runner's
+#: :func:`_discard_pools` releases them at exit).  Keyed by the Runner's
 #: configured count, not the per-call spec count, so one battery of
 #: differently-sized grids shares a single pool.
-_POOLS: dict[int, ProcessPoolExecutor] = {}
+_POOLS: dict[int, Any] = {}
 
 #: Everything a pool can raise for environmental (not cell-code) reasons:
 #: missing multiprocessing synchronization primitives at construction,
 #: denied fork/clone when workers are lazily spawned at first submit, or
-#: workers dying without a Python exception.  Cell-code exceptions never
-#: reach these handlers: _execute_for_pool captures them in the worker
-#: and they are re-raised, unchanged, in the parent.
-_POOL_FAILURES = (ImportError, NotImplementedError, OSError, BrokenProcessPool)
+#: workers dying without a Python exception (``BrokenProcessPool``,
+#: caught as its light base class — see :func:`ProcessPoolExecutor`).
+#: Cell-code exceptions never reach these handlers: _execute_for_pool
+#: captures them in the worker and they are re-raised, unchanged, in
+#: the parent.
+_POOL_FAILURES = (ImportError, NotImplementedError, OSError, BrokenExecutor)
 
 
 class _CellFailure:
@@ -113,6 +126,15 @@ def _discard_pool(workers: int) -> None:
     pool = _POOLS.pop(workers, None)
     if pool is not None:
         pool.shutdown(wait=False, cancel_futures=True)
+
+
+@atexit.register
+def _discard_pools() -> None:
+    """Release the cached pools while the executor's module is still
+    whole: it is imported after this one, so interpreter teardown
+    clears it first and a pool dying later would trip over it."""
+    for workers in list(_POOLS):
+        _discard_pool(workers)
 
 
 def grouped(results: Sequence[Any], size: int) -> list[list[Any]]:

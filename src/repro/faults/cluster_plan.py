@@ -30,7 +30,12 @@ from typing import Any
 
 from ..sim.clock import Time
 from ..sim.errors import ConfigError
-from .plan import LOSS_COVER_THRESHOLD, FaultPlan, PlanClassification
+from .plan import (
+    LOSS_COVER_THRESHOLD,
+    FaultPlan,
+    PlanClassification,
+    _reject_unknown_keys,
+)
 
 
 @dataclass(frozen=True)
@@ -128,8 +133,17 @@ class ClusterFaultPlan:
 
     @classmethod
     def from_dict(cls, payload: dict[str, Any]) -> "ClusterFaultPlan":
+        _reject_unknown_keys(
+            "cluster fault plan", payload, ("name", "cluster_wide", "per_shard")
+        )
+        entries = payload.get("per_shard", [])
+        if not isinstance(entries, list):
+            raise ConfigError(
+                f"cluster fault plan 'per_shard' must be a list, got {entries!r}"
+            )
         per_shard = []
-        for entry in payload.get("per_shard", ()):
+        for entry in entries:
+            _reject_unknown_keys("per-shard fault entry", entry, ("shard", "plan"))
             if "shard" not in entry:
                 raise ConfigError(f"per-shard fault entry lacks a shard: {entry!r}")
             per_shard.append(

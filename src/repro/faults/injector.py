@@ -17,6 +17,22 @@ One :class:`FaultInjector` lives behind the network's fault gate
   destination also drops the triggering message, exactly like any
   other departure.
 
+Only a drop-mode partition or a crash can act when a delivery *fires*;
+:attr:`FaultInjector.gates_delivery` says whether the plan has one, and
+the network keeps deliveries on its wave plane otherwise.
+
+The window index: :meth:`on_transmit` does not scan the plan.  The
+sorted ``start`` / ``end`` instants of the windowed faults cut the time
+line into stretches on which the set of live faults is constant, and
+the injector keeps the live spikes, partitions and losses of the
+stretch ``[_from, _until)`` holding the last ``now`` it saw —
+re-resolved by bisection whenever ``now`` leaves it, in either
+direction — with the live losses split further, lazily, per
+payload-type name.  Contract (held to the full scan by
+``tests/properties/test_fault_properties.py``): plan order, spikes →
+partitions → losses, every counter moves on the same message, and the
+RNG is drawn exactly when a loss's window, type and link all match.
+
 Determinism: the injector draws randomness from a single dedicated
 stream (``faults.injector``) and only when a loss fault actually
 matches a message, so an installed-but-idle plan consumes no entropy
@@ -26,10 +42,13 @@ and a fixed seed replays the exact same fault schedule.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from typing import Any, Callable
 
 from ..sim.clock import Time
-from .plan import FaultPlan
+from .plan import FaultPlan, LossFault, _on_link
+
+_INF = float("inf")
 
 #: Drop reasons stamped on trace records and counters.
 REASON_LOSS = "loss"
@@ -51,6 +70,13 @@ class FaultInjector:
         "crashes_fired",
         "_crash_seen",
         "_crash_done",
+        "_edges",
+        "_from",
+        "_until",
+        "_spikes",
+        "_partitions",
+        "_losses",
+        "_typed_losses",
     )
 
     def __init__(
@@ -72,6 +98,40 @@ class FaultInjector:
         self.crashes_fired = 0
         self._crash_seen = [0] * len(plan.crashes)
         self._crash_done = [False] * len(plan.crashes)
+        # The window index (module docstring).  The stretch starts out
+        # empty, so the first transmission resolves it.
+        self._edges = sorted(
+            {
+                instant
+                for fault in (*plan.spikes, *plan.partitions, *plan.losses)
+                for instant in (fault.start, fault.end)
+                if instant is not None
+            }
+        )
+        self._from, self._until = _INF, -_INF
+        self._spikes = self._partitions = self._losses = ()
+        self._typed_losses: dict[str, tuple[LossFault, ...]] = {}
+
+    @property
+    def gates_delivery(self) -> bool:
+        """Can the plan act when a delivery *fires* (the two
+        ``*_at_deliver`` hooks)?  Every other fault is settled at
+        transmission."""
+        return bool(self.plan.crashes) or any(
+            partition.mode == "drop" for partition in self.plan.partitions
+        )
+
+    def _resolve(self, now: Time) -> None:
+        """Re-anchor the index on the stretch that holds ``now``."""
+        edges = self._edges
+        index = bisect_right(edges, now)
+        self._from = edges[index - 1] if index else -_INF
+        self._until = edges[index] if index < len(edges) else _INF
+        plan = self.plan
+        self._spikes = _live_at(plan.spikes, now)
+        self._partitions = _live_at(plan.partitions, now)
+        self._losses = _live_at(plan.losses, now)
+        self._typed_losses = {}
 
     # ------------------------------------------------------------------
     # Network hooks
@@ -92,26 +152,39 @@ class FaultInjector:
         later instant) or ``(deliver_at, reason)`` to drop it.  Batched
         fan-out passes ``payload_type`` precomputed once per broadcast.
         """
+        if not (self._from <= now < self._until):
+            self._resolve(now)
         if payload_type is None:
             payload_type = type(payload).__name__
-        plan = self.plan
-        for spike in plan.spikes:
-            if spike.matches(sender, dest, payload_type, now):
+        for spike in self._spikes:
+            types = spike.payload_types
+            if (types is None or payload_type in types) and _on_link(
+                spike, sender, dest
+            ):
                 deliver_at = now + spike.apply(deliver_at - now)
                 self.spiked_count += 1
-        for partition in plan.partitions:
-            if partition.severs(sender, dest, now):
+        for partition in self._partitions:
+            if partition._cuts(sender, dest):
                 if partition.mode == "drop":
                     self.partition_dropped_count += 1
                     return deliver_at, REASON_PARTITION
                 if partition.end > deliver_at:
                     deliver_at = partition.end
                     self.deferred_count += 1
-        for loss in plan.losses:
-            if loss.matches(sender, dest, payload_type, now):
-                if self._rng.random() < loss.probability:
-                    self.lost_count += 1
-                    return deliver_at, REASON_LOSS
+        if self._losses:
+            losses = self._typed_losses.get(payload_type)
+            if losses is None:
+                losses = self._typed_losses[payload_type] = tuple(
+                    loss
+                    for loss in self._losses
+                    if loss.payload_types is None
+                    or payload_type in loss.payload_types
+                )
+            for loss in losses:
+                if _on_link(loss, sender, dest):
+                    if self._rng.random() < loss.probability:
+                        self.lost_count += 1
+                        return deliver_at, REASON_LOSS
         return deliver_at, None
 
     def drop_at_deliver(self, sender: str, dest: str, now: Time) -> str | None:
@@ -168,3 +241,13 @@ class FaultInjector:
             f"deferred={self.deferred_count}, spiked={self.spiked_count}, "
             f"crashes={self.crashes_fired})"
         )
+
+
+def _live_at(faults: tuple[Any, ...], now: Time) -> tuple[Any, ...]:
+    """The faults whose ``[start, end)`` window covers ``now``, in plan
+    order (an ``end`` of ``None`` never closes)."""
+    return tuple(
+        fault
+        for fault in faults
+        if fault.start <= now and (fault.end is None or now < fault.end)
+    )

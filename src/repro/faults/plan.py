@@ -33,6 +33,7 @@ uses it to split violations into ``bug`` and ``expected-breakage``.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
+from math import isfinite, isnan
 from typing import Any, Callable, Iterator
 
 from ..sim.clock import Time
@@ -53,6 +54,31 @@ def _freeze_types(payload_types: Any) -> frozenset[str] | None:
     return frozen
 
 
+def _check_window(what: str, start: Time, end: Time | None) -> None:
+    """A loss / spike window: finite ``start``; ``end`` is ``None``
+    (forever), or exceeds ``start`` and is not NaN.  An infinite ``end``
+    is the same "forever" and stays legal."""
+    if not isfinite(start):
+        raise ConfigError(f"{what} window start must be finite, got {start!r}")
+    if end is not None and (isnan(end) or end <= start):
+        raise ConfigError(
+            f"{what} window end {end!r} must exceed start {start!r}"
+        )
+
+
+def _reject_unknown_keys(
+    what: str, payload: dict[str, Any], known: tuple[str, ...]
+) -> None:
+    """A plan file with a misspelt key must not load as a smaller plan."""
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {payload!r}")
+    unknown = sorted(set(payload) - set(known))
+    if unknown:
+        raise ConfigError(
+            f"{what} has unknown key(s) {unknown}; expected {sorted(known)}"
+        )
+
+
 def _link_matches(fault: Any, sender: str, dest: str, payload_type: str, now: Time) -> bool:
     """The shared windowed-link filter of loss and spike faults:
     ``now`` in ``[start, end)`` plus optional payload-type / sender /
@@ -61,11 +87,15 @@ def _link_matches(fault: Any, sender: str, dest: str, payload_type: str, now: Ti
         return False
     if fault.payload_types is not None and payload_type not in fault.payload_types:
         return False
-    if fault.sender is not None and sender != fault.sender:
-        return False
-    if fault.dest is not None and dest != fault.dest:
-        return False
-    return True
+    return _on_link(fault, sender, dest)
+
+
+def _on_link(fault: Any, sender: str, dest: str) -> bool:
+    """The sender / destination half of :func:`_link_matches` (the
+    injector's window index answers the time and type halves)."""
+    return (fault.sender is None or fault.sender == sender) and (
+        fault.dest is None or fault.dest == dest
+    )
 
 
 @dataclass(frozen=True)
@@ -90,10 +120,7 @@ class LossFault:
             raise ConfigError(
                 f"loss probability must be in (0, 1], got {self.probability!r}"
             )
-        if self.end is not None and self.end <= self.start:
-            raise ConfigError(
-                f"loss window end {self.end!r} must exceed start {self.start!r}"
-            )
+        _check_window("loss", self.start, self.end)
         object.__setattr__(self, "payload_types", _freeze_types(self.payload_types))
 
     def matches(self, sender: str, dest: str, payload_type: str, now: Time) -> bool:
@@ -122,6 +149,13 @@ class PartitionFault:
     mode: str = "drop"
 
     def __post_init__(self) -> None:
+        # A partition heals at a real instant: a defer partition
+        # schedules deliveries *at* ``end``, so it must be finite.
+        if not (isfinite(self.start) and isfinite(self.end)):
+            raise ConfigError(
+                f"partition bounds must be finite, got "
+                f"[{self.start!r}, {self.end!r})"
+            )
         if self.end <= self.start:
             raise ConfigError(
                 f"partition end {self.end!r} must exceed start {self.start!r}"
@@ -150,8 +184,12 @@ class PartitionFault:
 
     def severs(self, sender: str, dest: str, instant: Time) -> bool:
         """Does this partition cut the ``sender -> dest`` link at ``instant``?"""
-        if not self.active_at(instant):
-            return False
+        return self.active_at(instant) and self._cuts(sender, dest)
+
+    def _cuts(self, sender: str, dest: str) -> bool:
+        """The link half of :meth:`severs`: does ``sender -> dest``
+        cross the cut?  (The injector's window index has already
+        answered the time half.)"""
         in_a, out_a = sender in self.group_a, dest in self.group_a
         if self.group_b is None:
             return in_a != out_a
@@ -183,10 +221,7 @@ class DelaySpikeFault:
             raise ConfigError(f"spike extra must be non-negative, got {self.extra!r}")
         if self.factor == 1.0 and self.extra == 0.0:
             raise ConfigError("spike must change the delay (factor != 1 or extra > 0)")
-        if self.end is not None and self.end <= self.start:
-            raise ConfigError(
-                f"spike window end {self.end!r} must exceed start {self.start!r}"
-            )
+        _check_window("spike", self.start, self.end)
         object.__setattr__(self, "payload_types", _freeze_types(self.payload_types))
 
     def matches(self, sender: str, dest: str, payload_type: str, now: Time) -> bool:
@@ -390,8 +425,16 @@ class FaultPlan:
 
     @classmethod
     def from_dict(cls, payload: dict[str, Any]) -> "FaultPlan":
+        _reject_unknown_keys("fault plan", payload, ("name", "faults"))
+        entries = payload.get("faults", [])
+        if not isinstance(entries, list):
+            raise ConfigError(
+                f"fault plan 'faults' must be a list, got {entries!r}"
+            )
         faults: list[Fault] = []
-        for entry in payload.get("faults", ()):
+        for entry in entries:
+            if not isinstance(entry, dict):
+                raise ConfigError(f"fault entry must be a JSON object, got {entry!r}")
             entry = dict(entry)
             kind = entry.pop("kind", None)
             fault_cls = _FAULT_KINDS.get(kind)

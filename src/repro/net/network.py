@@ -25,30 +25,33 @@ Delivery hot path
 -----------------
 
 Every scheduled delivery rides the scheduler's slab queue — no full
-``Event``, no per-recipient ``Message``, no label f-string — and there
-is exactly one point-to-point path:
+``Event``, no per-recipient ``Message``, no label f-string — on one of
+two slab entries:
 
 * every single-destination delivery is one pooled :class:`_Unicast`:
   :meth:`Network.send_payload` (all protocol, baseline and migration
   traffic), the reply sends wave handlers inline, the per-recipient
-  pushes of a fan-out whose delay model can tie instants, and the
-  broadcast service's entrant offers (:meth:`Network.deliver_scheduled`,
-  which carry their ``broadcast_id``).  :meth:`Network.send` is the
-  same call, plus the :class:`Message` describing what it scheduled;
+  pushes of a fan-out that can tie instants or that passes the fault
+  gate, and the broadcast service's entrant offers
+  (:meth:`Network.deliver_scheduled`, which carry their
+  ``broadcast_id``).  :meth:`Network.send` is the same call, plus the
+  :class:`Message` describing what it scheduled;
 * a fault-free broadcast under a continuous delay model pushes ONE
   self-re-arming :class:`_FanoutSweep` walking its sorted arrival
-  vector;
-* under a fault plan a fan-out pushes one pooled
-  :class:`_BroadcastBatch` per *distinct arrival instant* (a
-  defer-partition parks several recipients on one), delivered in
-  recipient order.
+  vector.
 
-With tracing off and no injector installed (``Network._fast``) a
-delivery dispatches straight to the recipient's *wave handler* (see
-:class:`~repro.sim.process.SimProcess`), or through
-``deliver_payload`` for a payload type without one; otherwise it takes
-:meth:`Network._fire_batch_checked` and the ``on_<type>`` handlers —
-the reference the waves are tested against.  Every path reproduces the
+A fault plan acts at the *transmit* gate (``on_transmit``, in
+``send_payload``, ``deliver_scheduled`` and the fan-out loop) and
+otherwise leaves the plane alone: ``Network._fast`` — tracing off, and
+no installed plan that can act when a delivery *fires* (a drop-mode
+partition, a crash: ``FaultInjector.gates_delivery``) — dispatches a
+delivery straight to the recipient's *wave handler* (see
+:class:`~repro.sim.process.SimProcess`), or through ``deliver_payload``
+for a payload type without one.  Tracing and delivery-gating plans take
+:meth:`Network._fire_checked` and the ``on_<type>`` handlers instead —
+the reference the waves are tested against.  Installing any plan
+withdraws the delay model's declared uniform parameters, so no wave
+draws and sends around the gate.  Every path reproduces the
 one-``Message``-per-recipient ``(time, priority, sequence)`` order
 byte-for-byte (the determinism digests and
 ``tests/properties/kernel_golden.json`` pin this).
@@ -82,17 +85,15 @@ _INF = float("inf")
 class _Unicast(SlabEntry):
     """One queue slot for one single-destination delivery.
 
-    The scalar sibling of :class:`_BroadcastBatch` and the only
-    point-to-point delivery: :meth:`Network.send_payload`, the reply
-    sends wave handlers inline, the per-recipient pushes of a
-    tie-prone fan-out and the broadcast service's entrant offers all
-    land here.  Carrying ``dest`` as a plain slot instead of a
-    one-element vector removes the list append/clear churn from the
-    hottest entries, and ``size`` stays the inherited class attribute
-    (1) — no per-entry store, no per-fire load beyond a type-dict hit.
+    The only point-to-point delivery: :meth:`Network.send_payload`,
+    the reply sends wave handlers inline, the per-recipient pushes of a
+    tie-prone or fault-gated fan-out and the broadcast service's
+    entrant offers all land here.  ``size`` stays the inherited class
+    attribute (1) — no per-entry store, no per-fire load beyond a
+    type-dict hit.
 
     ``broadcast_id`` distinguishes a fan-out delivery (DELIVER trace
-    kind) from a point-to-point receive, exactly as on the batch.
+    kind) from a point-to-point receive.
     """
 
     __slots__ = ("network", "sender", "payload", "broadcast_id", "dest")
@@ -124,8 +125,8 @@ class _Unicast(SlabEntry):
             else:
                 process.deliver_payload(sender, payload)
             return
-        network._fire_batch_checked(
-            self, self.sender, self.payload, (self.dest,), network.faults
+        network._fire_checked(
+            self.sender, self.dest, self.payload, self.broadcast_id
         )
         self.payload = None
         network._unicast_pool.append(self)
@@ -199,47 +200,14 @@ class _FanoutSweep(SlabEntry):
                 else:
                     process.deliver_payload(self.sender, payload)
         else:
-            network._fire_batch_checked(
-                self, self.sender, self.payload, (dest,), network.faults
+            network._fire_checked(
+                self.sender, dest, self.payload, self.broadcast_id
             )
         if last:
             self.payload = None
             self.times.clear()
             self.dests.clear()
             network._sweep_pool.append(self)
-
-
-class _BroadcastBatch(SlabEntry):
-    """One queue slot for every recipient of one broadcast arriving at
-    one instant: the shared header once, plus the destination vector.
-
-    Only the fault gate builds these (:meth:`Network.deliver_fanout`
-    coalesces recipients a fault plan parks on one instant), and an
-    installed injector is permanent — so a batch always fires through
-    :meth:`Network._fire_batch_checked`."""
-
-    __slots__ = ("network", "sender", "payload", "broadcast_id", "dests", "size")
-
-    def __init__(self, network: "Network") -> None:
-        self.network = network
-        self.sender = ""
-        self.payload: Any = None
-        self.broadcast_id: int | None = None
-        self.dests: list[str] = []
-        self.size = 0
-
-    def fire(self) -> None:
-        """Deliver the recipient vector, in recipient order."""
-        network = self.network
-        dests = self.dests
-        network._fire_batch_checked(
-            self, self.sender, self.payload, dests, network.faults
-        )
-        # Recycle: drop the payload reference and the vector, keep the
-        # object (and its list) on the free list.
-        self.payload = None
-        dests.clear()
-        network._batch_pool.append(self)
 
 
 class Network:
@@ -265,10 +233,10 @@ class Network:
         # Fault gate: ``None`` means the un-faulted fast path — no extra
         # work per message beyond this attribute test.
         self.faults: FaultInjector | None = None
-        # The wave-plane flag: no faults installed AND tracing off, so
-        # the fire paths test a single attribute.  ``trace._enabled``
-        # never changes after construction, so this only needs
-        # refreshing when a fault injector lands.
+        # The wave-plane flag: tracing off AND no installed plan that
+        # gates deliveries, so the fire paths test a single attribute.
+        # ``trace._enabled`` never changes after construction, so this
+        # only needs refreshing when a fault injector lands.
         self._fast = not trace._enabled
         # Hot-path aliases: the membership dicts are bound once (only
         # ever mutated in place) and the delay model is fixed, so the
@@ -286,7 +254,6 @@ class Network:
         # fan-out fuses its per-recipient draw into the scheduling loop.
         self._bcast_uniform = delay_model.broadcast_uniform()
         # Free lists for the slab entries (see module docstring).
-        self._batch_pool: list[_BroadcastBatch] = []
         self._unicast_pool: list[_Unicast] = []
         self._sweep_pool: list[_FanoutSweep] = []
 
@@ -295,7 +262,13 @@ class Network:
         if self.faults is not None:
             raise NetworkError("a fault injector is already installed")
         self.faults = injector
-        self._fast = False
+        # Deliveries leave the wave plane only if the plan can act when
+        # one fires; and the declared uniform parameters — they describe
+        # a clean link — are withdrawn, so that every send is
+        # ``send_payload`` and every fan-out the per-recipient arm:
+        # nothing draws and sends around the transmit gate.
+        self._fast = not self.trace._enabled and not injector.gates_delivery
+        self._p2p_uniform = self._bcast_uniform = None
 
     @property
     def known_bound(self) -> Time | None:
@@ -449,192 +422,147 @@ class Network:
 
         Delays are drawn here, from ``rng`` (the broadcast service's
         stream), one per recipient in recipient order — so the fault
-        hooks see every delivery at the same point of the RNG stream as
+        gate sees every delivery at the same point of the RNG stream as
         a one-``Message``-per-recipient loop would.  With declared
         uniform parameters the draw fuses into the scheduling loop —
         same ``lo + span * random()`` per recipient, bit-identical to
         :meth:`~repro.net.delay.DelayModel.sample_broadcast_many` — and
-        no delay vector is materialized at all.  Under a fault plan,
-        recipients sharing an arrival instant (e.g. a defer-partition
-        parking several on its ``end``) coalesce into one queue slot;
-        batches are pushed in first-occurrence order, which keeps the
-        per-recipient sequence order exactly.
+        no delay vector is materialized at all.
         """
-        faults = self.faults
-        if faults is None:
-            count = len(dests)
-            if count == 0:
-                return
-            engine = self.engine
-            push = engine._push
-            params = self._bcast_uniform
-            if params is not None and params[1] > 0.0:
-                # Fused sweep arm: draw every arrival inline (recipient
-                # order — the RNG stream is exactly
-                # ``sample_broadcast_many``'s, and ``now + (lo + span *
-                # r)`` keeps the delay a single float so the sum rounds
-                # exactly like the two-step ``now + delay``; the
-                # model's constructor already validated ``0 < lo``, so
-                # the positivity check is subsumed), sort by
-                # ``(instant, recipient index)``, and push ONE sweep
-                # entry that re-arms itself arrival by arrival.  The
-                # sweep is reserved for *continuous* draws (``span >
-                # 0``): its re-push sequence numbers can only reorder
-                # exact instant ties, which are measure-zero here — see
-                # :class:`_FanoutSweep` for the full argument.
-                lo, span = params
-                rng_random = rng.random
-                pairs = [
-                    (now + (lo + span * rng_random()), i)
-                    for i in range(count)
-                ]
-                if not (pairs[-1][0] < _INF):
-                    engine._reject_instant(pairs[-1][0])
-                pairs.sort()
-                pool = self._sweep_pool
-                sweep = pool.pop() if pool else _FanoutSweep(self)
-                sweep.sender = sender
-                sweep.payload = payload
-                sweep.broadcast_id = broadcast_id
-                sweep.index = 0
-                sweep.count = count
-                times = sweep.times
-                sdests = sweep.dests
-                append_time = times.append
-                append_dest = sdests.append
-                for instant, i in pairs:
-                    append_time(instant)
-                    append_dest(dests[i])
-                push((times[0], _DELIVERY, engine._sequence, sweep))
-                engine._sequence += 1
-                engine._live += count
-                return
-            # Per-recipient arm: delay models without continuous
-            # uniform parameters CAN produce tied instants (the
-            # eventually-synchronous GST flush clamps every straggler
-            # to exactly ``gst + delta``; a degenerate ``span == 0``
-            # makes every draw equal), and tied deliveries must keep
-            # their consecutive-sequence interleaving — so
-            # each recipient gets its own pooled entry, pushed in
-            # recipient order.
-            delays = self.delay_model.sample_broadcast_many(
-                sender, dests, payload, now, rng
-            )
-            unicast_pool = self._unicast_pool
-            unicast_pop = unicast_pool.pop
-            sequence = engine._sequence
-            for dest, delay in zip(dests, delays):
-                if delay <= 0:
-                    raise NetworkError(
-                        f"delay model produced non-positive delay {delay!r}"
-                    )
-                deliver_at = now + delay
-                if not (deliver_at < _INF):
-                    engine._reject_instant(deliver_at)
-                entry = unicast_pop() if unicast_pool else _Unicast(self)
-                entry.sender = sender
-                entry.payload = payload
-                entry.broadcast_id = broadcast_id
-                entry.dest = dest
-                push((deliver_at, _DELIVERY, sequence, entry))
-                sequence += 1
-            engine._sequence = sequence
+        count = len(dests)
+        if count == 0:
+            return
+        engine = self.engine
+        push = engine._push
+        params = self._bcast_uniform
+        if params is not None and params[1] > 0.0:
+            # Fused sweep arm (never under an injector: its install
+            # withdrew the parameters): draw every arrival inline
+            # (recipient order — the RNG stream is exactly
+            # ``sample_broadcast_many``'s, and ``now + (lo + span * r)``
+            # keeps the delay a single float so the sum rounds exactly
+            # like the two-step ``now + delay``; the model's constructor
+            # already validated ``0 < lo``, so the positivity check is
+            # subsumed), sort by ``(instant, recipient index)``, and
+            # push ONE sweep entry that re-arms itself arrival by
+            # arrival.  The sweep is reserved for *continuous* draws
+            # (``span > 0``): its re-push sequence numbers can only
+            # reorder exact instant ties, which are measure-zero here —
+            # see :class:`_FanoutSweep` for the full argument.
+            lo, span = params
+            rng_random = rng.random
+            pairs = [
+                (now + (lo + span * rng_random()), i)
+                for i in range(count)
+            ]
+            if not (pairs[-1][0] < _INF):
+                engine._reject_instant(pairs[-1][0])
+            pairs.sort()
+            pool = self._sweep_pool
+            sweep = pool.pop() if pool else _FanoutSweep(self)
+            sweep.sender = sender
+            sweep.payload = payload
+            sweep.broadcast_id = broadcast_id
+            sweep.index = 0
+            sweep.count = count
+            times = sweep.times
+            sdests = sweep.dests
+            append_time = times.append
+            append_dest = sdests.append
+            for instant, i in pairs:
+                append_time(instant)
+                append_dest(dests[i])
+            push((times[0], _DELIVERY, engine._sequence, sweep))
+            engine._sequence += 1
             engine._live += count
             return
+        # Per-recipient arm: arrivals CAN tie here — the eventually-
+        # synchronous GST flush clamps every straggler to exactly
+        # ``gst + delta``, a degenerate ``span == 0`` makes every draw
+        # equal, a defer partition parks every recipient it cuts off on
+        # its ``end`` — and tied deliveries must keep their consecutive-
+        # sequence interleaving, so each recipient the fault gate lets
+        # through gets its own pooled entry, pushed in recipient order.
+        # ``DELIVERY`` is the lowest priority value: nothing a handler
+        # schedules at a tied instant overtakes a later recipient.
         delays = self.delay_model.sample_broadcast_many(
             sender, dests, payload, now, rng
         )
-        groups: dict[Time, _BroadcastBatch] = {}
+        faults = self.faults
         payload_type = type(payload).__name__
+        unicast_pool = self._unicast_pool
+        unicast_pop = unicast_pool.pop
+        sequence = first = engine._sequence
         for dest, delay in zip(dests, delays):
             if delay <= 0:
                 raise NetworkError(
                     f"delay model produced non-positive delay {delay!r}"
                 )
-            deliver_at, fault_reason = faults.on_transmit(
-                sender, dest, payload, now, now + delay, payload_type
-            )
-            if fault_reason is not None:
-                self._account_fault_drop(
-                    now, sender, dest, payload_type, fault_reason
-                )
-                continue
-            batch = groups.get(deliver_at)
-            if batch is None:
-                groups[deliver_at] = batch = self._take_batch(
-                    sender, payload, broadcast_id
-                )
-            batch.dests.append(dest)
-        for batch in groups.values():
-            batch.size = len(batch.dests)
-        self.engine.schedule_slab_many(groups, _DELIVERY)
-
-    def _take_batch(
-        self, sender: str, payload: Any, broadcast_id: int
-    ) -> _BroadcastBatch:
-        pool = self._batch_pool
-        batch = pool.pop() if pool else _BroadcastBatch(self)
-        batch.sender = sender
-        batch.payload = payload
-        batch.broadcast_id = broadcast_id
-        return batch
-
-    def _fire_batch_checked(
-        self,
-        batch: "_BroadcastBatch | _Unicast",
-        sender: str,
-        payload: Any,
-        dests: "list[str] | tuple[str, ...]",
-        faults: FaultInjector | None,
-    ) -> None:
-        """The traced / faulted delivery, and the reference the wave
-        plane is tested against: :meth:`_BroadcastBatch.fire` always,
-        :meth:`_Unicast.fire` and :meth:`_FanoutSweep.fire` (over a
-        one-element vector) whenever ``_fast`` is off.
-
-        Per recipient, in this order: fault drop, presence, crash,
-        presence again, then count, trace and ``deliver_payload`` — all
-        against the entry's shared header.  The caller recycles it.
-        """
-        trace = self.trace
-        now = self.engine.now
-        payload_type = type(payload).__name__
-        is_present = self.membership.is_present
-        kind = (
-            TraceKind.DELIVER
-            if batch.broadcast_id is not None
-            else TraceKind.RECEIVE
-        )
-        for dest in dests:
+            deliver_at = now + delay
             if faults is not None:
-                fault_reason = faults.drop_at_deliver(sender, dest, now)
+                deliver_at, fault_reason = faults.on_transmit(
+                    sender, dest, payload, now, deliver_at, payload_type
+                )
                 if fault_reason is not None:
                     self._account_fault_drop(
                         now, sender, dest, payload_type, fault_reason
                     )
                     continue
+            if not (deliver_at < _INF):
+                engine._reject_instant(deliver_at)
+            entry = unicast_pop() if unicast_pool else _Unicast(self)
+            entry.sender = sender
+            entry.payload = payload
+            entry.broadcast_id = broadcast_id
+            entry.dest = dest
+            push((deliver_at, _DELIVERY, sequence, entry))
+            sequence += 1
+        engine._sequence = sequence
+        engine._live += sequence - first
+
+    def _fire_checked(
+        self, sender: str, dest: str, payload: Any, broadcast_id: int | None
+    ) -> None:
+        """One traced / delivery-gated delivery, and the reference the
+        wave plane is tested against: what :meth:`_Unicast.fire` and
+        :meth:`_FanoutSweep.fire` do whenever ``_fast`` is off.
+
+        In this order: fault drop, presence, crash, presence again,
+        then count, trace and ``deliver_payload``.
+        """
+        trace = self.trace
+        faults = self.faults
+        now = self.engine.now
+        payload_type = type(payload).__name__
+        is_present = self.membership.is_present
+        if faults is not None:
+            fault_reason = faults.drop_at_deliver(sender, dest, now)
+            if fault_reason is not None:
+                self._account_fault_drop(
+                    now, sender, dest, payload_type, fault_reason
+                )
+                return
+        if not is_present(dest):
+            self._departed_drop(now, sender, dest, payload_type)
+            return
+        if faults is not None:
+            # Crash faults count only genuinely deliverable messages; a
+            # crash of the destination then drops this very delivery at
+            # the re-checked presence gate, like any departure.
+            faults.crash_at_deliver(sender, dest, payload_type)
             if not is_present(dest):
                 self._departed_drop(now, sender, dest, payload_type)
-                continue
-            if faults is not None:
-                # Crash faults count only genuinely deliverable
-                # messages; a crash of the destination then drops
-                # this very delivery at the re-checked presence
-                # gate, like any departure.
-                faults.crash_at_deliver(sender, dest, payload_type)
-                if not is_present(dest):
-                    self._departed_drop(now, sender, dest, payload_type)
-                    continue
-            self.delivered_count += 1
-            if trace._enabled:
-                trace.record(
-                    now,
-                    kind,
-                    dest,
-                    sender=sender,
-                    type=payload_type,
-                )
-            self.membership.process(dest).deliver_payload(sender, payload)
+                return
+        self.delivered_count += 1
+        if trace._enabled:
+            trace.record(
+                now,
+                TraceKind.DELIVER if broadcast_id is not None else TraceKind.RECEIVE,
+                dest,
+                sender=sender,
+                type=payload_type,
+            )
+        self.membership.process(dest).deliver_payload(sender, payload)
 
     def _departed_drop(
         self, now: Time, sender: str, dest: str, payload_type: str

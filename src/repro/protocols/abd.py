@@ -267,7 +267,9 @@ class AbdRegisterNode(RegisterNode):
             self._writebacks.phase(key).offer_ack(sender)
 
     # ------------------------------------------------------------------
-    # Wave handlers (the network's dispatch plane, tracing and faults off)
+    # Wave handlers (the network's dispatch plane: tracing off and no
+    # installed fault plan that gates deliveries — every send below goes
+    # through the plan's transmit gate)
     # ------------------------------------------------------------------
     # Same sends in the same order as the handlers above; non-replica
     # no-op arms skip the watcher poll (a no-op delivery cannot newly

@@ -332,7 +332,9 @@ class EventuallySyncRegisterNode(RegisterNode):
             self._acks.phase(self.space.resolve(msg.key)).offer_ack(msg.sender)
 
     # ------------------------------------------------------------------
-    # Wave handlers (the network's dispatch plane, tracing and faults off)
+    # Wave handlers (the network's dispatch plane: tracing off and no
+    # installed fault plan that gates deliveries — every send below goes
+    # through the plan's transmit gate)
     # ------------------------------------------------------------------
     # Same sends in the same order as the ``on_*`` handlers above (the
     # corpus seeds pin the digests), minus the per-delivery dispatch

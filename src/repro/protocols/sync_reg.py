@@ -64,7 +64,7 @@ from typing import Any
 
 from ..core.register import BOTTOM, NodeContext, OP_JOIN, OP_READ, OP_WRITE, RegisterNode
 from ..net.network import _DELIVERY, _INF, _Unicast
-from ..sim.errors import NetworkError, ProcessError
+from ..sim.errors import ProcessError
 from ..sim.operations import OperationBody, OperationHandle, Wait
 from ..sim.process import ProcessMode
 from .common import OK, QuorumPhase, make_join_result
@@ -310,16 +310,19 @@ class SynchronousRegisterNode(RegisterNode):
         self.space.adopt(msg.key, msg.value, msg.sequence)
 
     # ------------------------------------------------------------------
-    # Wave handlers (the network's dispatch plane, tracing and faults off)
+    # Wave handlers (the network's dispatch plane: tracing off and no
+    # installed fault plan that gates deliveries — every send below goes
+    # through the plan's transmit gate)
     # ------------------------------------------------------------------
     #
     # Each wave is its ``on_<type>`` handler as one straight-line frame —
     # same sends, same RNG draws in the same order, same counters (the
     # kernel-parity suite pins ``trace=True``, which runs the handlers,
     # against ``trace=False``, which runs these).  ``_wave_inquiry``
-    # additionally inlines the reply's ``send_payload``: an inquiry
-    # storm under churn spends most of its time in exactly that handler
-    # → send → sample → push chain.
+    # additionally inlines the reply's ``send_payload`` on a clean link
+    # (declared uniform parameters, which a fault plan withdraws): an
+    # inquiry storm under churn spends most of its time in exactly that
+    # handler → send → sample → push chain.
 
     wave_handlers = {
         Inquiry: "_wave_inquiry",
@@ -331,13 +334,15 @@ class SynchronousRegisterNode(RegisterNode):
     def _wave_inquiry(network, sender, payload, node) -> None:
         """Lines 13-16 of Figure 1, reply send fused.
 
-        The inlined send skips ``send_payload``'s sender/destination
-        gates legitimately: the replying node was just resolved from the
+        With declared uniform parameters the reply's ``send_payload``
+        is inlined (``lo + span * random()`` is the bit-identical
+        expansion of ``sample``); it skips the sender/destination gates
+        legitimately: the replying node was just resolved from the
         present table, and the inquirer broadcast a moment ago so its
-        membership record exists forever.  The reply delay is drawn with
-        the delay model's declared uniform parameters (``lo + span *
-        random()`` — the bit-identical expansion of ``sample``) when
-        available, and through the exact ``sample`` call otherwise.
+        membership record exists forever.  Without them — a delay model
+        that declares none, or an installed fault plan, which withdraws
+        them — the reply is a plain ``send_payload``, fault gate
+        included.
         """
         inquirer = payload.sender
         if inquirer == node.pid:
@@ -350,34 +355,26 @@ class SynchronousRegisterNode(RegisterNode):
                 reply = Reply(node.pid, value, sequence, entries)
                 node._reply_cache = reply
                 node._reply_version = space.version
-            engine = network.engine
-            now = engine._now
             p2p = network._p2p_uniform
-            if p2p is not None:
+            if p2p is None:
+                network.send_payload(node.pid, inquirer, reply)
+            else:
                 # Finite ``now`` plus a bounded positive draw is always
                 # finite, so the non-finite instant check is subsumed.
-                deliver_at = now + (p2p[0] + p2p[1] * network._rng.random())
-            else:
-                delay = network._sample(
-                    node.pid, inquirer, reply, now, network._rng
+                engine = network.engine
+                deliver_at = engine._now + (
+                    p2p[0] + p2p[1] * network._rng.random()
                 )
-                if delay <= 0:
-                    raise NetworkError(
-                        f"delay model produced non-positive delay {delay!r}"
-                    )
-                deliver_at = now + delay
-                if not (deliver_at < _INF):
-                    engine._reject_instant(deliver_at)
-            pool = network._unicast_pool
-            entry = pool.pop() if pool else _Unicast(network)
-            entry.sender = node.pid
-            entry.payload = reply
-            entry.broadcast_id = None
-            entry.dest = inquirer
-            engine._push((deliver_at, _DELIVERY, engine._sequence, entry))
-            engine._sequence += 1
-            engine._live += 1
-            network.sent_count += 1
+                pool = network._unicast_pool
+                entry = pool.pop() if pool else _Unicast(network)
+                entry.sender = node.pid
+                entry.payload = reply
+                entry.broadcast_id = None
+                entry.dest = inquirer
+                engine._push((deliver_at, _DELIVERY, engine._sequence, entry))
+                engine._sequence += 1
+                engine._live += 1
+                network.sent_count += 1
         else:  # line 15
             node._reply_to.add(inquirer)
         watchers = node._watchers

@@ -218,27 +218,6 @@ class EventScheduler:
         self._sequence += 1
         self._live += entry.size
 
-    def schedule_slab_many(
-        self, groups: dict[Time, SlabEntry], priority: int
-    ) -> None:
-        """Bulk :meth:`schedule_slab`: one push per ``(instant, entry)``
-        pair, in the dict's iteration order (a broadcast's batches
-        arrive in first-occurrence order, which fixes their sequence
-        numbers).  Entries must already carry their ``size``.
-        """
-        push = self._push
-        sequence = self._sequence
-        now = self._now
-        live = 0
-        for instant, entry in groups.items():
-            if not (now <= instant < _INF):
-                self._reject_instant(instant)
-            push((instant, priority, sequence, entry))
-            sequence += 1
-            live += entry.size
-        self._sequence = sequence
-        self._live += live
-
     def call_soon(
         self,
         callback: Callable[..., None],

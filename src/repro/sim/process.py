@@ -51,16 +51,17 @@ class SimProcess:
     operation bodies as generators passed to :meth:`run_operation`.
 
     Subclasses may additionally register *wave handlers* — the
-    network's dispatch plane when tracing is off and no fault injector
-    is installed.  ``wave_handlers`` maps a payload class to the name
+    network's dispatch plane when tracing is off and no installed fault
+    plan gates deliveries.  ``wave_handlers`` maps a payload class to the name
     of a staticmethod ``(network, sender, payload, process) -> None``
     that handles one delivery of that payload in a single straight-line
     frame (handler body, inlined reply send, watcher poll), replacing
     the ``deliver_payload`` → ``on_<type>`` chain.  A wave must be
     observably byte-identical to its ``on_<type>`` handler (same sends,
-    same RNG draws in the same order, same counters): traced and
-    faulted runs take the handlers, and the kernel-parity suite holds
-    ``trace=True`` ≡ ``trace=False``.
+    same RNG draws in the same order, same counters, every send through
+    ``send_payload`` or an exact inlining of it): traced runs and
+    delivery-gating plans take the handlers, and the kernel-parity
+    suite holds ``trace=True`` ≡ ``trace=False``.
     """
 
     #: Payload class -> wave staticmethod name.  Resolved per class at

@@ -193,6 +193,107 @@ class TestNewOldInversions:
         assert "NOT EVEN REGULAR" in report.summary()
 
 
+class TestSharedReadJudgements:
+    """Atomicity re-judges exactly the reads regularity just judged; on
+    a closed history the two share them."""
+
+    def history(self):
+        history = History("v0")
+        write(history, "v1", 10.0, 20.0)
+        read(history, "v1", 11.0, 12.0)
+        read(history, "v0", 13.0, 14.0)  # inverted against the read above
+        read(history, "junk", 15.0, 16.0)  # a violation
+        read(history, "v1", 25.0, None)  # pending: nobody judges it
+        join(history, "v1", 1, 21.0, 24.0)
+        write(history, "v2", 30.0, None)
+        return history
+
+    def reports(self, history, paranoid):
+        return (
+            RegularityChecker(history, paranoid=paranoid).check(),
+            find_new_old_inversions(history, paranoid=paranoid),
+        )
+
+    @pytest.mark.parametrize("paranoid", [False, True])
+    def test_both_reports_are_what_independent_checkers_produce(self, paranoid):
+        history = self.history()
+        ref_safety, ref_atomicity = self.reports(history, paranoid)  # open: no sharing
+        history.close(40.0)
+        safety, atomicity = self.reports(history, paranoid)
+        assert _fields(safety.judgements) == _fields(ref_safety.judgements)
+        assert _fields(atomicity.safety.judgements) == _fields(
+            ref_atomicity.safety.judgements
+        )
+        assert atomicity.inversions == ref_atomicity.inversions != []
+        assert safety.checked_count == 4 and atomicity.safety.checked_count == 3
+        # Shared, not recomputed: the very same judgement objects.
+        assert all(
+            a is b for a, b in zip(safety.judgements, atomicity.safety.judgements)
+        )
+        assert ref_safety.judgements[0] is not ref_atomicity.safety.judgements[0]
+
+    def test_an_open_history_recomputes(self):
+        history = self.history()
+        first, second = (
+            RegularityChecker(history).check().judgements for _ in range(2)
+        )
+        assert first[0] is not second[0]
+
+    def test_reports_own_their_lists(self):
+        history = self.history()
+        history.close(40.0)
+        RegularityChecker(history).check().judgements.clear()
+        assert RegularityChecker(history).check().checked_count == 4
+
+    def test_paranoid_and_fast_do_not_share(self):
+        history = self.history()
+        history.close(40.0)
+        fast = RegularityChecker(history).check().judgements
+        paranoid = RegularityChecker(history, paranoid=True).check().judgements
+        assert fast[0] is not paranoid[0]
+        assert _fields(fast) == _fields(paranoid)
+
+    def test_recording_one_more_operation_invalidates(self):
+        history = self.history()
+        history.close(40.0)
+        before = RegularityChecker(history).check()
+        read(history, "v1", 26.0, 27.0)
+        after = RegularityChecker(history).check()
+        assert after.checked_count == before.checked_count + 1
+        assert find_new_old_inversions(history).safety.checked_count == 4
+
+    def test_closing_at_another_horizon_invalidates(self):
+        history = self.history()
+        history.close(40.0)
+        stale = RegularityChecker(history).check()
+        assert history.write_records()[2].response_time is None
+        # The run resumes: the pending read and write complete without
+        # any new append, then the history is closed again.
+        pending_read = history.reads()[-1]
+        pending_read._complete("v1", time=41.0)
+        history.writes()[-1]._complete("ok", time=42.0)
+        history.close(40.0)  # same horizon: the views are kept
+        assert RegularityChecker(history).check().checked_count == stale.checked_count
+        history.close(45.0)
+        assert RegularityChecker(history).check().checked_count == stale.checked_count + 1
+        assert history.write_records()[2].response_time == 42.0
+        assert history.value_to_write()["v2"].response_time == 42.0
+
+
+def _fields(judgements):
+    return [
+        (
+            j.operation.op_id,
+            j.returned,
+            j.allowed,
+            j.valid,
+            j.last_completed_index,
+            j.explanation,
+        )
+        for j in judgements
+    ]
+
+
 class TestLiveness:
     def test_all_completed_is_live(self):
         history = History("v0")

@@ -85,6 +85,24 @@ class TestValidation:
         with pytest.raises(ConfigError):
             ClusterFaultPlan.from_dict({"per_shard": [{"plan": {}}]})
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"clusterwide": {}},
+            {"per_shard": [{"shard": 0, "plans": {}}]},
+            {"per_shard": [{"shard": 0, "plan": {"fault": []}}]},
+            {"cluster_wide": {"fault": []}},
+        ],
+        ids=["top-level", "per-shard-entry", "shard-plan", "cluster-wide-plan"],
+    )
+    def test_from_dict_rejects_a_misspelt_key(self, payload):
+        with pytest.raises(ConfigError, match="unknown key"):
+            ClusterFaultPlan.from_dict(payload)
+
+    def test_from_dict_rejects_a_non_list_per_shard(self):
+        with pytest.raises(ConfigError, match="must be a list"):
+            ClusterFaultPlan.from_dict({"per_shard": {"shard": 0, "plan": {}}})
+
 
 class TestClassification:
     def test_out_of_model_fault_on_any_shard_taints_the_cluster(self):

@@ -24,6 +24,44 @@ class TestFaultValidation:
         with pytest.raises(ConfigError):
             LossFault(probability=0.5, start=10.0, end=10.0)
 
+    @pytest.mark.parametrize("fault", [LossFault, DelaySpikeFault], ids=["loss", "spike"])
+    @pytest.mark.parametrize(
+        "window",
+        [
+            dict(start=float("nan")),
+            dict(start=float("inf")),
+            dict(start=float("-inf")),
+            dict(start=5.0, end=float("nan")),
+        ],
+        ids=["nan-start", "inf-start", "-inf-start", "nan-end"],
+    )
+    def test_link_fault_windows_must_be_finite(self, fault, window):
+        # A NaN ``end`` used to pass (``nan <= start`` is false) and then
+        # matched forever.
+        kind = {"probability": 0.5} if fault is LossFault else {"factor": 2.0}
+        with pytest.raises(ConfigError, match="window"):
+            fault(**kind, **window)
+
+    def test_an_infinite_end_is_forever(self):
+        assert LossFault(probability=0.5, end=float("inf")).matches("a", "b", "X", 1e300)
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            dict(start=float("nan"), end=5.0),
+            dict(start=float("-inf"), end=5.0),
+            dict(start=0.0, end=float("nan")),
+            dict(start=0.0, end=float("inf")),
+        ],
+        ids=["nan-start", "-inf-start", "nan-end", "inf-end"],
+    )
+    @pytest.mark.parametrize("mode", ["drop", "defer"])
+    def test_partition_bounds_must_be_finite(self, bounds, mode):
+        # ``end=inf, mode="defer"`` used to be accepted and die as a
+        # SchedulerError when the first message was parked on it.
+        with pytest.raises(ConfigError, match="finite"):
+            PartitionFault(group_a=frozenset({"a"}), mode=mode, **bounds)
+
     def test_partition_needs_nonempty_disjoint_groups(self):
         with pytest.raises(ConfigError):
             PartitionFault(start=0.0, end=5.0, group_a=frozenset())
@@ -191,6 +229,29 @@ class TestComposition:
     def test_from_dict_rejects_unknown_kind(self):
         with pytest.raises(ConfigError):
             FaultPlan.from_dict({"faults": [{"kind": "gremlin"}]})
+
+    def test_from_dict_rejects_a_misspelt_top_level_key(self):
+        # ``fault`` for ``faults`` used to load as the *empty* plan: the
+        # run went fault-free and reported "in-model, no violations".
+        with pytest.raises(ConfigError, match="unknown key.*fault"):
+            FaultPlan.from_dict(
+                {"name": "x", "fault": [{"kind": "loss", "probability": 0.5}]}
+            )
+
+    @pytest.mark.parametrize(
+        "faults",
+        [{"kind": "loss", "probability": 0.5}, "loss", None, 3],
+        ids=["dict", "str", "null", "int"],
+    )
+    def test_from_dict_rejects_a_non_list_faults(self, faults):
+        with pytest.raises(ConfigError, match="must be a list"):
+            FaultPlan.from_dict({"faults": faults})
+
+    def test_from_dict_rejects_a_non_object_plan_or_entry(self):
+        with pytest.raises(ConfigError, match="JSON object"):
+            FaultPlan.from_dict([{"kind": "loss", "probability": 0.5}])
+        with pytest.raises(ConfigError, match="JSON object"):
+            FaultPlan.from_dict({"faults": ["loss"]})
 
     def test_from_dict_rejects_bad_fields(self):
         with pytest.raises(ConfigError):

@@ -14,13 +14,28 @@ Three families of claims:
 * **Gate transparency** — a run with no fault plan is byte-identical
   to the pre-faults kernel (the pinned PR 1 digest), and installing an
   *empty* plan draws no randomness, so it is byte-identical too.
+* **The window index is the full scan** — the injector's indexed
+  ``on_transmit`` against a copy of the plan scan it replaced, over
+  random plans and random, non-monotone instants.
 """
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bench import history_digest
 from repro.core.history import operation_digest
-from repro.faults import CrashFault, FaultPlan, LossFault, PartitionFault
+from repro.faults import (
+    CrashFault,
+    DelaySpikeFault,
+    FaultInjector,
+    FaultPlan,
+    LossFault,
+    PartitionFault,
+)
+from repro.faults.injector import REASON_LOSS, REASON_PARTITION
 from repro.runtime.config import SystemConfig
 from repro.runtime.system import DynamicSystem
 from repro.workloads.explorer import ScenarioSpec, build_plan, run_scenario
@@ -163,3 +178,177 @@ class TestGateTransparency:
         # Sanity check that the digest is actually sensitive to faults.
         plan = build_plan("heavy-loss", DELTA, 120.0, 15)
         assert history_digest(faults=plan) != PRE_FAULTS_DIGEST
+
+
+# ----------------------------------------------------------------------
+# The window index against the full scan
+# ----------------------------------------------------------------------
+
+
+class FullScanInjector(FaultInjector):
+    """``on_transmit`` as it was before the window index: every call
+    walks the whole plan through the faults' own ``matches`` /
+    ``severs`` predicates."""
+
+    def on_transmit(self, sender, dest, payload, now, deliver_at, payload_type=None):
+        if payload_type is None:
+            payload_type = type(payload).__name__
+        plan = self.plan
+        for spike in plan.spikes:
+            if spike.matches(sender, dest, payload_type, now):
+                deliver_at = now + spike.apply(deliver_at - now)
+                self.spiked_count += 1
+        for partition in plan.partitions:
+            if partition.severs(sender, dest, now):
+                if partition.mode == "drop":
+                    self.partition_dropped_count += 1
+                    return deliver_at, REASON_PARTITION
+                if partition.end > deliver_at:
+                    deliver_at = partition.end
+                    self.deferred_count += 1
+        for loss in plan.losses:
+            if loss.matches(sender, dest, payload_type, now):
+                if self._rng.random() < loss.probability:
+                    self.lost_count += 1
+                    return deliver_at, REASON_LOSS
+        return deliver_at, None
+
+
+PIDS = ("a", "b", "c", "d")
+PAYLOADS = {name: type(name, (), {})() for name in ("Ping", "Pong", "Data")}
+
+#: Window bounds and call instants share one coarse grid, so calls land
+#: exactly on ``start`` / ``end`` edges as often as strictly inside.
+instants = st.integers(min_value=0, max_value=24).map(lambda tick: tick / 2.0)
+pid_filter = st.none() | st.sampled_from(PIDS)
+type_filter = st.none() | st.sets(st.sampled_from(sorted(PAYLOADS)), min_size=1)
+
+
+@st.composite
+def windows(draw, open_ended=True):
+    start = draw(instants)
+    length = draw(st.integers(min_value=1, max_value=16)) / 2.0
+    if open_ended and draw(st.integers(min_value=0, max_value=3)) == 0:
+        return start, None
+    return start, start + length
+
+
+@st.composite
+def losses(draw):
+    start, end = draw(windows())
+    return LossFault(
+        probability=draw(st.sampled_from([0.2, 0.5, 1.0])),
+        start=start,
+        end=end,
+        payload_types=draw(type_filter),
+        sender=draw(pid_filter),
+        dest=draw(pid_filter),
+    )
+
+
+@st.composite
+def spikes(draw):
+    start, end = draw(windows())
+    return DelaySpikeFault(
+        start=start,
+        end=end,
+        factor=draw(st.sampled_from([0.5, 2.0, 4.0])),
+        extra=draw(st.sampled_from([0.0, 1.5])),
+        payload_types=draw(type_filter),
+        sender=draw(pid_filter),
+        dest=draw(pid_filter),
+    )
+
+
+@st.composite
+def partitions(draw):
+    start, end = draw(windows(open_ended=False))
+    group_a = draw(st.sets(st.sampled_from(PIDS), min_size=1, max_size=3))
+    rest = sorted(set(PIDS) - group_a)
+    group_b = draw(st.none() | st.sets(st.sampled_from(rest), min_size=1))
+    return PartitionFault(
+        start=start,
+        end=end,
+        group_a=frozenset(group_a),
+        group_b=None if group_b is None else frozenset(group_b),
+        mode=draw(st.sampled_from(["drop", "defer"])),
+    )
+
+
+fault_plans = st.builds(
+    lambda *kinds: FaultPlan.of(*(fault for kind in kinds for fault in kind)),
+    st.lists(losses(), max_size=4),
+    st.lists(spikes(), max_size=3),
+    st.lists(partitions(), max_size=3),
+)
+
+#: ``(sender, dest, payload name, now, latency, pass the type name?)`` —
+#: ``now`` is drawn independently per call, so the sequence jumps
+#: backwards as freely as forwards, on and off the window grid.
+transmissions = st.lists(
+    st.tuples(
+        st.sampled_from(PIDS),
+        st.sampled_from(PIDS),
+        st.sampled_from(sorted(PAYLOADS)),
+        instants | st.floats(min_value=-1.0, max_value=14.0, allow_nan=False),
+        st.floats(min_value=0.01, max_value=5.0, allow_nan=False),
+        st.booleans(),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+class TestWindowIndexIsTheFullScan:
+    @given(plan=fault_plans, calls=transmissions, seed=st.integers(0, 2**16))
+    @settings(max_examples=300, deadline=None)
+    def test_same_verdicts_counters_and_rng_after_every_call(self, plan, calls, seed):
+        indexed = FaultInjector(plan, random.Random(seed))
+        scan = FullScanInjector(plan, random.Random(seed))
+        for sender, dest, name, now, latency, named in calls:
+            args = (sender, dest, PAYLOADS[name], now, now + latency)
+            if named:
+                args += (name,)
+            assert indexed.on_transmit(*args) == scan.on_transmit(*args)
+            assert indexed.counters() == scan.counters()
+            assert indexed._rng.getstate() == scan._rng.getstate()
+
+    def test_the_index_holds_only_the_live_faults_in_plan_order(self):
+        early = LossFault(probability=0.5, start=0.0, end=4.0)
+        typed = LossFault(probability=0.5, payload_types={"Pong"})
+        late = LossFault(probability=0.5, start=3.0, end=9.0)
+        spike = DelaySpikeFault(start=2.0, end=3.0, factor=2.0)
+        injector = FaultInjector(
+            FaultPlan.of(early, typed, late, spike), random.Random(1)
+        )
+        injector.on_transmit("a", "b", PAYLOADS["Ping"], 3.5, 4.0)
+        assert (injector._from, injector._until) == (3.0, 4.0)
+        assert injector._losses == (early, typed, late)
+        assert injector._typed_losses == {"Ping": (early, late)}
+        assert injector._spikes == ()
+        injector.on_transmit("a", "b", PAYLOADS["Pong"], 2.0, 2.5)  # backwards
+        assert (injector._from, injector._until) == (2.0, 3.0)
+        assert injector._losses == (early, typed)
+        assert injector._spikes == (spike,)
+        injector.on_transmit("a", "b", PAYLOADS["Pong"], 50.0, 50.5)
+        assert (injector._from, injector._until) == (9.0, float("inf"))
+        assert injector._typed_losses == {"Pong": (typed,)}
+
+    @pytest.mark.parametrize(
+        "plan,gates",
+        [
+            (FaultPlan(), False),
+            (FaultPlan.of(LossFault(probability=0.5)), False),
+            (FaultPlan.of(DelaySpikeFault(factor=2.0)), False),
+            (
+                FaultPlan.of(
+                    PartitionFault(start=1.0, end=2.0, group_a={"a"}, mode="defer")
+                ),
+                False,
+            ),
+            (FaultPlan.of(PartitionFault(start=1.0, end=2.0, group_a={"a"})), True),
+            (FaultPlan.of(CrashFault(phase="Ping")), True),
+        ],
+    )
+    def test_gates_delivery(self, plan, gates):
+        assert FaultInjector(plan, random.Random(0)).gates_delivery is gates

@@ -10,8 +10,13 @@ replaced:
   dispatch, binary heap) — operation digest, every network counter, the
   fired-event count — and, for the traced cells, a hash of the full
   trace-record sequence.  Every cell must reproduce its entry exactly.
+  The ``spike`` / ``crash`` / ``combo`` cells were added later, dumped
+  from the last kernel that took *every* faulted delivery through the
+  checked path and the ``on_<type>`` handlers (the 39 older cells came
+  out byte-identical in that dump), before transmit-only plans moved
+  onto the wave plane.
 * **Live.**  ``trace=True`` takes every delivery off the wave plane and
-  through ``_fire_batch_checked`` → ``deliver_payload`` → the ``on_<type>``
+  through ``_fire_checked`` → ``deliver_payload`` → the ``on_<type>``
   handlers.  So a traced run *is* the reference implementation of the
   waves, and ``trace=True`` ≡ ``trace=False`` on the whole grid (and in
   the Hypothesis sweep, which no golden covers) is the wave-versus-
@@ -34,7 +39,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.history import operation_digest
-from repro.faults.plan import FaultPlan, LossFault, PartitionFault
+from repro.faults.plan import (
+    CrashFault,
+    DelaySpikeFault,
+    FaultPlan,
+    LossFault,
+    PartitionFault,
+)
+from repro.net.delay import EventuallySynchronousDelay
 from repro.runtime.config import SystemConfig
 from repro.runtime.system import DynamicSystem
 
@@ -42,7 +54,11 @@ GOLDEN_PATH = Path(__file__).with_name("kernel_golden.json")
 
 #: The fault plans of the grid (``None`` = fault-free).  Loss exercises
 #: the on-transmit gate; the partition exercises delivery-time severing
-#: (both the drop and the deferred-heal arm).
+#: (both the drop and the deferred-heal arm); ``spike`` and ``combo``
+#: (the judged ``es_faulted_200`` shape: light loss on the reply types,
+#: a defer partition, a delay spike) are transmit-only plans, which ride
+#: the wave plane with tracing off; ``crash`` gates deliveries, like the
+#: drop partition, and stays on the checked path either way.
 FAULT_PLANS = {
     "none": None,
     "loss": FaultPlan.of(
@@ -63,7 +79,37 @@ FAULT_PLANS = {
         ),
         name="defer",
     ),
+    "spike": FaultPlan.of(
+        DelaySpikeFault(start=12.0, end=30.0, factor=3.0, extra=1.0),
+        name="spike",
+    ),
+    "crash": FaultPlan.of(
+        CrashFault(phase="WriteMsg", occurrence=5),
+        CrashFault(phase="EsWrite", occurrence=5),
+        CrashFault(phase="AbdAck", victim="sender", occurrence=3),
+        CrashFault(phase="Inquiry", victim="sender", occurrence=7),
+        name="crash",
+    ),
+    "combo": FaultPlan.of(
+        LossFault(
+            probability=0.05,
+            payload_types={"Reply", "EsReply", "EsAck", "AbdAck", "AbdQueryReply"},
+        ),
+        PartitionFault(
+            start=14.0,
+            end=18.0,
+            group_a=frozenset({"p0001", "p0002", "p0003", "p0004"}),
+            mode="defer",
+        ),
+        DelaySpikeFault(start=15.0, end=30.0, factor=4.0),
+        name="combo",
+    ),
 }
+
+#: GST of the eventually-synchronous cells: 6δ, inside the 48-unit run,
+#: so the pre-GST flush clamps every straggler to exactly ``gst + δ`` —
+#: the tied-instant regime the per-recipient delivery order must keep.
+ES_GST = 30.0
 
 SEEDS = (0, 1, 7, 42, 1234)
 
@@ -86,6 +132,11 @@ CELLS = (
         for protocol in ("sync", "es")
         for seed in SEEDS
     ]
+    + [
+        dict(protocol="es", churn_rate=churn_rate, fault_key=fault_key, seed=11, gst=ES_GST)
+        for churn_rate in (0.0, 0.08)
+        for fault_key in ("combo", "crash")
+    ]
 )
 
 #: Cells whose whole trace-record sequence is pinned as well.
@@ -93,11 +144,14 @@ TRACED_CELLS = [
     dict(protocol="sync", churn_rate=0.08, fault_key="none", seed=11),
     dict(protocol="sync", churn_rate=0.08, fault_key="loss", seed=11),
     dict(protocol="es", churn_rate=0.08, fault_key="none", seed=11),
+    dict(protocol="sync", churn_rate=0.08, fault_key="combo", seed=11),
+    dict(protocol="es", churn_rate=0.08, fault_key="combo", seed=11, gst=ES_GST),
 ]
 
 
 def _cell_id(cell: dict) -> str:
-    return "{protocol}-churn{churn_rate}-{fault_key}-seed{seed}".format(**cell)
+    cell_id = "{protocol}-churn{churn_rate}-{fault_key}-seed{seed}".format(**cell)
+    return f"{cell_id}-gst{cell['gst']}" if "gst" in cell else cell_id
 
 
 def _drive(
@@ -108,6 +162,7 @@ def _drive(
     fault_key: str = "none",
     trace: bool = False,
     n: int = 12,
+    gst: float | None = None,
 ) -> DynamicSystem:
     """One fixed workload; returns the system still open (callers pick
     their observation surface)."""
@@ -119,6 +174,11 @@ def _drive(
             seed=seed,
             trace=trace,
             faults=FAULT_PLANS[fault_key],
+            delay=(
+                None
+                if gst is None
+                else EventuallySynchronousDelay(gst=gst, delta=5.0)
+            ),
         )
     )
     if churn_rate:
