@@ -63,7 +63,7 @@ class ActiveSetTracker:
 
     def _probe(self) -> None:
         now = self.engine.now
-        active = len(self.membership.active_pids())
+        active = self.membership.active_count
         present = len(self.membership)
         self.samples.append(
             PopulationSample(

@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..sim.clock import Time
+from ..sim.engine import collector_paused
 from ..sim.errors import CheckerError
 from ..sim.operations import OperationHandle
 from .history import History, WriteRecord
@@ -189,6 +190,7 @@ class RegularityChecker:
         self.check_joins = check_joins
         self.paranoid = paranoid
 
+    @collector_paused()
     def check(self) -> SafetyReport:
         """Judge every completed read (and join, if enabled).
 
@@ -365,6 +367,7 @@ class AtomicityReport:
         return f"atomicity: NOT EVEN REGULAR ({self.safety.violation_count} bad reads)"
 
 
+@collector_paused()
 def find_new_old_inversions(
     history: History, paranoid: bool = False
 ) -> AtomicityReport:

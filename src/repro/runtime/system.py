@@ -43,7 +43,7 @@ from ..faults.plan import FaultPlan
 from ..protocols import PROTOCOLS
 from ..protocols.abd import UNIVERSE_KEY
 from ..sim.clock import Time
-from ..sim.engine import EventScheduler
+from ..sim.engine import EventScheduler, collector_paused
 from ..sim.errors import ConfigError, ProcessError
 from ..sim.operations import OperationHandle
 from ..sim.trace import TraceKind
@@ -125,6 +125,7 @@ class DynamicSystem:
     # Construction helpers
     # ------------------------------------------------------------------
 
+    @collector_paused()
     def _create_seeds(self) -> tuple[str, ...]:
         pids = []
         for _ in range(self.config.n):

@@ -21,7 +21,25 @@ The engine is intentionally tiny and fully deterministic:
   queue is compacted in place, so cancel-heavy workloads (migration
   retry storms) cannot grow it without bound;
 * the clock only ever moves when an entry is dequeued, so a handler
-  always observes ``engine.now`` equal to its own firing time.
+  always observes ``engine.now`` equal to its own firing time;
+* memory: reference counting is the kernel's memory manager.  A live
+  simulation makes no cyclic garbage
+  (``tests/sim/test_collector.py::TestALiveRunMakesNoCycles``: a full
+  collection after a collector-free run finds 0 unreachable objects),
+  while every automatic collection walks the in-flight queue tuples and
+  pooled entries to find nothing — a quarter of a churn-heavy drive.  So
+  :func:`collector_paused` holds CPython's cyclic collector off inside
+  ``_drain`` and at the bulk-allocation sites (the population build,
+  the plan install, the checkers), and ``repro.exec.runner.execute``
+  ends each cell with one young collection, which is where a dropped
+  system — one big cycle — is reclaimed.  The switch is process-wide
+  and goes back in ``finally`` exactly as the caller left it; the
+  first allocation after that sets off one young collection over what
+  the phase built (CPython counts allocations while paused).  A
+  handler that *does* drop cycles during a very long drain has them
+  wait for the first collection after the drain returns: drive in
+  slices (``run_until`` per stretch) if that matters.  ``step()`` is
+  not a bulk path and leaves the collector alone.
 
 Every source of nondeterminism in a simulation must flow through the
 seeded RNG streams (:mod:`repro.sim.rng`); given the same configuration
@@ -35,6 +53,8 @@ and advance ``_sequence`` / ``_live`` themselves.
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from heapq import heapify, heappop, heappush
 from math import isfinite
 from typing import Any, Callable, Iterator, Union
@@ -48,6 +68,20 @@ _INF = float("inf")
 #: What a queue entry's item slot may hold.
 QueueItem = Union[Event, SlabEntry]
 QueueEntry = tuple[Time, int, int, QueueItem]
+
+
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Hold the cyclic collector off for a bulk-allocation phase and
+    hand it back as found (see the module's *memory* note).  Nests, and
+    leaves a collector the caller had already disabled disabled."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 class EventScheduler:
@@ -401,6 +435,7 @@ class EventScheduler:
         self._now = float(horizon)
         return fired
 
+    @collector_paused()
     def _drain(self, until: Time | None, max_events: int | None) -> int:
         if self._running:
             raise SchedulerError("the scheduler is not reentrant")

@@ -67,8 +67,11 @@ class Membership:
         # changes only when presence (``enter`` / ``leave``) or a
         # process's mode does, so it is cached; each of those resets it
         # to ``None`` — the process through the back-reference ``enter``
-        # hands it.
+        # hands it.  ``_active_count`` is the list's length, kept exact
+        # at the same four transitions so sampling ``|A(τ)|`` never
+        # rebuilds a list churn invalidates every tick.
         self._active: list[str] | None = None
+        self._active_count = 0
 
     # ------------------------------------------------------------------
     # Mutation
@@ -87,6 +90,15 @@ class Membership:
         self._present[pid] = process
         process._registry = self
         self._active = None
+        if process.is_active:
+            self._active_count += 1
+
+    def _mode_changed(self, pid: str, delta: int) -> None:
+        """A process that entered here turned active (``+1``), departed
+        while active (``-1``) or departed while listening (``0``)."""
+        self._active = None
+        if pid in self._present:
+            self._active_count += delta
 
     def mark_active(self, pid: str, instant: Time) -> None:
         """Record that ``pid`` completed its join at ``instant``."""
@@ -101,8 +113,10 @@ class Membership:
         if record.left_at is not None:
             raise ProcessError(f"{pid} left twice")
         record.left_at = instant
-        self._present.pop(pid, None)
+        process = self._present.pop(pid, None)
         self._active = None
+        if process is not None and process.is_active:
+            self._active_count -= 1
 
     # ------------------------------------------------------------------
     # Queries
@@ -151,6 +165,11 @@ class Membership:
                 pid for pid, p in self._present.items() if p.is_active
             ]
         return list(active)
+
+    @property
+    def active_count(self) -> int:
+        """``len(active_pids())`` in O(1) — ``|A(now)|``."""
+        return self._active_count
 
     def active_processes(self) -> list[SimProcess]:
         """:meth:`active_pids`, as the live objects."""

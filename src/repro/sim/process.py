@@ -81,9 +81,9 @@ class SimProcess:
         self._runners: list[_OperationRunner] = []
         self._watchers: list[_ConditionWatcher] = []
         # The Membership this process entered (set by ``enter``): told
-        # of every mode transition, so its cached active list never
-        # goes stale — also on a bare ``mark_active()`` / ``depart()``
-        # that bypasses the system.
+        # of every mode transition, so its cached active list and count
+        # never go stale — also on a bare ``mark_active()`` /
+        # ``depart()`` that bypasses the system.
         self._registry: Any = None
         # Instance-level alias of this class's dispatch cache (created
         # here if this is the first instance): dispatch then costs one
@@ -139,7 +139,7 @@ class SimProcess:
         self._mode = ProcessMode.ACTIVE
         self._activated_at = self.engine.now
         if self._registry is not None:
-            self._registry._active = None
+            self._registry._mode_changed(self.pid, 1)
 
     def depart(self) -> None:
         """Silently leave the system (voluntary leave or crash).
@@ -149,10 +149,11 @@ class SimProcess:
         """
         if self._mode is ProcessMode.DEPARTED:
             return
+        was_active = self._mode is ProcessMode.ACTIVE
         self._mode = ProcessMode.DEPARTED
         self._departed_at = self.engine.now
         if self._registry is not None:
-            self._registry._active = None
+            self._registry._mode_changed(self.pid, -1 if was_active else 0)
         for runner in list(self._runners):
             runner.abandon()
         self._runners.clear()

@@ -23,6 +23,7 @@ import random
 from dataclasses import fields, replace
 from typing import TYPE_CHECKING
 
+from ..sim.engine import collector_paused
 from ..sim.errors import ExperimentError
 from ..sim.events import Priority
 from .generators import KeyPicker, uniform_key_picker, zipf_key_picker
@@ -78,6 +79,7 @@ class ClusterWorkloadDriver:
                 for shard in cluster.shards
             )
 
+    @collector_paused()
     def install(self, plan: list[WorkloadOp]) -> None:
         """Route every planned operation to its key's owning shard.
 

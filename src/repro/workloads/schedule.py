@@ -24,6 +24,7 @@ from typing import Any
 
 from ..runtime.system import DynamicSystem
 from ..sim.clock import Time
+from ..sim.engine import collector_paused
 from ..sim.errors import ExperimentError
 from ..sim.events import Priority
 from ..sim.operations import OperationHandle
@@ -99,6 +100,7 @@ class WorkloadDriver:
         self._pending_writes: dict[Any, OperationHandle] = {}
         self._installed = False
 
+    @collector_paused()
     def install(self, plan: list[WorkloadOp]) -> None:
         """Schedule every planned operation (call once, before running)."""
         if self._installed:

@@ -1,5 +1,10 @@
 """Unit tests for the Runner: ordering, worker counts, serial parity."""
 
+import gc
+from concurrent.futures import BrokenExecutor
+
+import pytest
+
 from repro.exec import Runner, RunSpec, execute, run_specs
 from repro.exec import runner as runner_module
 from repro.sim.rng import derive_seed
@@ -68,9 +73,7 @@ class TestRunner:
     def test_cell_oserror_propagates_without_serial_fallback(self):
         # A cell's own OSError must come back as that error, not be
         # mistaken for a pool failure (which would discard the pool and
-        # silently re-run the whole sweep serially).
-        import pytest
-
+        # re-run the sweep serially).
         specs = [
             RunSpec(kind="os:stat", params={"path": "/no-such-path-anywhere"})
             for _ in range(3)
@@ -89,9 +92,9 @@ class TestRunner:
 
         monkeypatch.setattr(runner_module, "_POOLS", {})
         monkeypatch.setattr(runner_module, "ProcessPoolExecutor", NoFork)
-        monkeypatch.setattr(runner_module, "_FALLBACKS", 1)  # already warned
         expected = [derive_seed(9, f"cell:{i}") for i in range(6)]
-        assert Runner(workers=3).map(_specs(6)) == expected
+        with pytest.warns(RuntimeWarning, match="6 of 6 cells ran serially"):
+            assert Runner(workers=3).map(_specs(6)) == expected
 
     def test_lazy_spawn_failure_falls_back_to_serial(self, monkeypatch):
         """Pools that break only at first submit still fall back."""
@@ -109,16 +112,98 @@ class TestRunner:
 
         monkeypatch.setattr(runner_module, "_POOLS", {})
         monkeypatch.setattr(runner_module, "ProcessPoolExecutor", BreaksOnMap)
-        monkeypatch.setattr(runner_module, "_FALLBACKS", 1)  # already warned
         expected = [derive_seed(9, f"cell:{i}") for i in range(6)]
-        assert Runner(workers=3).map(_specs(6)) == expected
+        with pytest.warns(RuntimeWarning, match="6 of 6 cells ran serially"):
+            assert Runner(workers=3).map(_specs(6)) == expected
         # The broken pool was discarded, not cached for the next call.
         assert runner_module._POOLS == {}
+
+    def test_pool_breaking_mid_grid_reruns_only_the_missing_cells(
+        self, monkeypatch
+    ):
+        """A pool that dies after k outcomes keeps them: the serial
+        fallback computes cells k.. only, in spec order."""
+        executed: list[str] = []
+
+        def recording_execute(spec):
+            executed.append(spec.params["name"])
+            return derive_seed(**spec.params)
+
+        class BreaksAfterThree:
+            def __init__(self, max_workers):
+                pass
+
+            def map(self, fn, specs, chunksize=1):
+                for spec in specs[:3]:
+                    yield fn(spec)
+                raise BrokenExecutor("a worker died")
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(runner_module, "_POOLS", {})
+        monkeypatch.setattr(runner_module, "ProcessPoolExecutor", BreaksAfterThree)
+        monkeypatch.setattr(runner_module, "execute", recording_execute)
+        runner = Runner(workers=3)
+        with pytest.warns(RuntimeWarning, match="5 of 8 cells ran serially"):
+            outcomes = runner.map(_specs(8))
+        assert outcomes == [derive_seed(9, f"cell:{i}") for i in range(8)]
+        assert executed == [f"cell:{i}" for i in range(8)]  # each once, in order
+        assert runner.fallbacks == 1
+        assert runner_module._POOLS == {}
+
+
+class TestCellBoundary:
+    """A cell is one generation: the collector is paused throughout and
+    one young collection at the end reclaims the dropped system."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_map_hands_the_collector_back_as_found(self, enabled):
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            Runner(workers=1).map(_specs(3))
+            assert gc.isenabled() is enabled
+            with pytest.raises(FileNotFoundError):
+                execute(RunSpec(kind="os:stat", params={"path": "/no-such-path"}))
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+
+    def test_a_grid_of_dropped_systems_is_reclaimed_by_count(self):
+        # Each cell builds and drives an n = 500 system and returns a
+        # small outcome; the system it drops is one big reference cycle
+        # (~20 k objects here) that only the cycle collector can free.
+        # With the kernel's pauses but no collection at the cell
+        # boundary this grid ends ~166 k tracked objects above where it
+        # started.  No ``gc.collect()`` here: the boundary must do it.
+        from repro.workloads.explorer import ScenarioSpec
+
+        def grid(count: int) -> list[RunSpec]:
+            return [
+                RunSpec(
+                    kind="scenario",
+                    params=ScenarioSpec(
+                        protocol="sync", n=500, churn_rate=0.01, horizon=40.0, seed=seed
+                    ).to_dict(),
+                )
+                for seed in range(count)
+            ]
+
+        runner = Runner(workers=1)
+        runner.map(grid(1))  # imports and per-class caches, once
+        before = len(gc.get_objects())
+        outcomes = runner.map(grid(8))
+        grown = len(gc.get_objects()) - before
+        assert len(outcomes) == 8
+        assert grown < 2_000
 
 
 class TestFallbackCounters:
     """Per-Runner fallbacks are fresh and resettable; the module-level
     ``fallback_count`` stays a process-wide aggregate."""
+
+    pytestmark = pytest.mark.filterwarnings("ignore:process pool unavailable")
 
     @staticmethod
     def _pool_less(monkeypatch):
@@ -142,7 +227,7 @@ class TestFallbackCounters:
 
     def test_reset_clears_runner_but_not_aggregate(self, monkeypatch):
         self._pool_less(monkeypatch)
-        monkeypatch.setattr(runner_module, "_FALLBACKS", 1)  # already warned
+        monkeypatch.setattr(runner_module, "_FALLBACKS", 1)  # earlier sweep
         runner = Runner(workers=3)
         runner.map(_specs(3))
         assert runner.fallbacks == 1
@@ -173,16 +258,12 @@ class TestGrouped:
         assert runner_module.grouped([], 3) == []
 
     def test_ragged_results_rejected(self):
-        import pytest
-
         from repro.sim.errors import ExperimentError
 
         with pytest.raises(ExperimentError):
             runner_module.grouped([1, 2, 3], 2)
 
     def test_nonpositive_size_rejected(self):
-        import pytest
-
         from repro.sim.errors import ExperimentError
 
         with pytest.raises(ExperimentError):
@@ -190,7 +271,7 @@ class TestGrouped:
 
 
 class TestFallbackAccounting:
-    def test_fallback_increments_counter_and_warns_once(self, monkeypatch):
+    def test_fallback_increments_counter_and_warns_every_time(self, monkeypatch):
         import warnings as warnings_module
 
         class NoFork:
@@ -205,8 +286,10 @@ class TestFallbackAccounting:
             Runner(workers=2).map(_specs(3))
             Runner(workers=2).map(_specs(3))
         assert runner_module.fallback_count() == 2
-        # Only the first fallback warns; later ones stay quiet.
-        assert len([w for w in caught if w.category is RuntimeWarning]) == 1
+        # Every fallback says how many cells it re-ran serially.
+        messages = [str(w.message) for w in caught if w.category is RuntimeWarning]
+        assert len(messages) == 2
+        assert all("3 of 3 cells ran serially" in m for m in messages)
 
 
 class TestScenarioKind:

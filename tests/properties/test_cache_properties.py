@@ -1,5 +1,6 @@
-"""Property-based tests for the two shortcuts on the planning and join
-paths: the cached active list and the single-pass best-per-key.
+"""Property-based tests for the shortcuts on the planning, sampling and
+join paths: the cached active list, its O(1) count, and the single-pass
+best-per-key.
 
 Each is held to the straightforward computation it replaced, kept here
 as the reference.
@@ -16,7 +17,7 @@ from repro.sim.membership import Membership
 from repro.sim.process import SimProcess
 
 # ----------------------------------------------------------------------
-# Membership.active_processes() / active_pids()
+# Membership.active_processes() / active_pids() / active_count
 # ----------------------------------------------------------------------
 
 #: How a transition reaches the registry: through both objects (what
@@ -27,6 +28,7 @@ ROUTES = ("both", "process", "registry")
 steps = st.lists(
     st.one_of(
         st.just(("enter",)),
+        st.just(("enter-active",)),  # activated before the registry saw it
         st.tuples(
             st.sampled_from(("activate", "leave")),
             st.integers(min_value=0, max_value=30),
@@ -49,9 +51,11 @@ class TestCachedActiveList:
         membership = Membership()
         entered: list[SimProcess] = []
         for step in steps:
-            if step[0] == "enter":
+            if step[0] in ("enter", "enter-active"):
                 process = SimProcess(f"p{len(entered):03d}", engine)
                 entered.append(process)
+                if step[0] == "enter-active":
+                    process.mark_active()
                 membership.enter(process)
             elif entered:
                 _, index, route = step
@@ -70,6 +74,7 @@ class TestCachedActiveList:
             expected = scan(membership)
             assert membership.active_processes() == expected
             assert membership.active_pids() == [p.pid for p in expected]
+            assert membership.active_count == len(expected)
             # Entry order, and a fresh list every call: callers index,
             # filter and may mutate what they get.
             assert expected == [p for p in entered if p in expected]
