@@ -14,6 +14,14 @@ escape hatches that mirror the hypotheses of the paper's lemmas:
 * ``min_stay`` — a process cannot be evicted before it has spent this
   long in the system (Lemmas 5–7 assume a joiner stays ≥ 3δ).
 
+A tick costs what can exclude a process, not the population: with
+``min_stay == 0`` nobody is too young (``now − entered_at ≥ 0`` for
+every present process), so the eligible list is the present pids — a
+C-level copy of the membership's keys — minus the protected few (one
+``list.remove`` each), and no per-process Python runs at all.  Only a
+positive ``min_stay`` scans — with the very filter the shortcut stands
+in for.
+
 Victim policies:
 
 * ``"uniform"`` — victims drawn uniformly at random (the benign reading
@@ -27,6 +35,7 @@ Victim policies:
 
 from __future__ import annotations
 
+from math import isnan
 from typing import Callable, Iterable
 
 from ..sim.clock import Time
@@ -69,8 +78,13 @@ class ChurnController:
         self._spawn = spawn
         self._depart = depart
         self._protected = set(protected)
-        if min_stay < 0:
-            raise ChurnError(f"min_stay must be non-negative, got {min_stay!r}")
+        # ``not >=`` so NaN is refused too: it would fail every
+        # eligibility test and turn churn off without a word (``inf`` is
+        # legal: never evict).  A NaN ``stop_at`` would never stop.
+        if not min_stay >= 0:
+            raise ChurnError(f"min_stay = {min_stay!r}: must be non-negative")
+        if stop_at is not None and isnan(stop_at):
+            raise ChurnError(f"stop_at = {stop_at!r}: must be an instant or None")
         if victim_policy not in ("uniform", "oldest_first"):
             raise ChurnError(
                 f"victim_policy must be 'uniform' or 'oldest_first', "
@@ -167,18 +181,27 @@ class ChurnController:
     def _choose_victims(self, quota: int, now: Time) -> list[str]:
         if quota <= 0:
             return []
-        eligible = [
-            process
-            for process in self.membership.present_processes()
-            if process.pid not in self._protected
-            and now - process.entered_at >= self.min_stay
-        ]
+        membership = self.membership
+        min_stay, protected = self.min_stay, self._protected
+        if min_stay == 0:
+            eligible = membership.present_pids()
+            for pid in protected:
+                if membership.is_present(pid):
+                    eligible.remove(pid)
+        else:
+            eligible = [
+                process.pid
+                for process in membership.present_processes()
+                if process.pid not in protected
+                and now - process._entered_at >= min_stay
+            ]
         if len(eligible) <= quota:
-            return [process.pid for process in eligible]
+            return eligible
         if self.victim_policy == "oldest_first":
-            eligible.sort(key=lambda process: (process.entered_at, process.pid))
-            return [process.pid for process in eligible[:quota]]
-        return self._rng.sample([process.pid for process in eligible], quota)
+            lookup = membership.process
+            eligible.sort(key=lambda pid: (lookup(pid)._entered_at, pid))
+            return eligible[:quota]
+        return self._rng.sample(eligible, quota)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

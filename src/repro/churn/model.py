@@ -15,6 +15,7 @@ exact without randomizing the schedule.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf, isfinite
 
 from ..sim.clock import Time
 from ..sim.errors import ChurnError
@@ -50,10 +51,16 @@ class ConstantChurn:
             raise ChurnError(f"churn rate must be in [0, 1), got {self.rate!r}")
         if self.n <= 0:
             raise ChurnError(f"system size must be positive, got {self.n!r}")
-        if self.period <= 0:
-            raise ChurnError(f"tick period must be positive, got {self.period!r}")
+        if not 0 < self.period < inf:
+            raise ChurnError(
+                f"period = {self.period!r}: a tick must be positive and finite"
+            )
         if self.start is None:
             self.start = self.period
+        elif not isfinite(self.start):
+            raise ChurnError(
+                f"start = {self.start!r}: the first tick instant must be finite"
+            )
         self._ticks_drawn = 0
         self._emitted = 0
 

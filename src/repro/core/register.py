@@ -52,6 +52,10 @@ OP_JOIN = "join"
 OP_READ = "read"
 OP_WRITE = "write"
 
+#: The cell every key starts from: nothing written, paired with −1 so
+#: the first real sequence number (0) passes the adoption guard.
+_UNSET = (BOTTOM, -1)
+
 #: The key of the classic single-register system.  ``None`` (rather
 #: than a named key) keeps every single-register code path — message
 #: payloads, operation records, digests — literally unchanged from the
@@ -81,16 +85,21 @@ class RegisterSpace:
     attribute pair.  The space is pure local state — adoption guards
     (``sequence > current``) live here so the three protocols share
     one implementation of the paper's "adopt if newer" rule.
+
+    The cells live in ONE dict, ``key → (value, sequence)``: a node
+    pays one dict and one entry per key (a population of 10⁵ pays it
+    10⁵ times), and a read of both halves is one probe.  A cell tuple
+    is replaced, never mutated, so ``snapshot`` hands it out as is; the
+    dict's insertion order is the key order (``_keys``) by construction.
     """
 
-    __slots__ = ("_keys", "_values", "_sequences", "version")
+    __slots__ = ("_keys", "_cells", "version")
 
     def __init__(self, keys: tuple[Any, ...] = (SINGLE_KEY,)) -> None:
         if not keys:
             raise ValueError("a register space needs at least one key")
         self._keys = tuple(keys)
-        self._values: dict[Any, Any] = {key: BOTTOM for key in self._keys}
-        self._sequences: dict[Any, int] = {key: -1 for key in self._keys}
+        self._cells: dict[Any, tuple[Any, int]] = dict.fromkeys(self._keys, _UNSET)
         #: Bumped by every mutator call (even a rejected adoption, so
         #: callers may over-invalidate but never under-invalidate).
         #: Protocol nodes key cached derived payloads — e.g. an inquiry
@@ -110,19 +119,18 @@ class RegisterSpace:
         """Map ``None`` to the default (first) key; validate named keys."""
         if key is None:
             return self._keys[0]
-        if key not in self._values:
+        if key not in self._cells:
             raise KeyError(f"unknown register key {key!r}; have {self._keys}")
         return key
 
     def value(self, key: Any = None) -> Any:
-        return self._values[self.resolve(key)]
+        return self._cells[self.resolve(key)][0]
 
     def sequence(self, key: Any = None) -> int:
-        return self._sequences[self.resolve(key)]
+        return self._cells[self.resolve(key)][1]
 
     def snapshot(self, key: Any = None) -> tuple[Any, int]:
-        key = self.resolve(key)
-        return self._values[key], self._sequences[key]
+        return self._cells[self.resolve(key)]
 
     def reply_parts(self) -> tuple[Any, int, tuple[tuple[Any, Any, int], ...] | None]:
         """The default key's ``(value, sequence)`` plus the batched
@@ -131,24 +139,21 @@ class RegisterSpace:
         dominant point-to-point traffic under churn, so this exists to
         keep the hot path to one method call instead of three."""
         keys = self._keys
-        key = keys[0]
+        value, sequence = self._cells[keys[0]]
         if len(keys) == 1:
-            return self._values[key], self._sequences[key], None
-        return self._values[key], self._sequences[key], self.entries()
+            return value, sequence, None
+        return value, sequence, self.entries()
 
     def install(self, key: Any, value: Any, sequence: int) -> None:
         """Unconditionally set ``key``'s local copy."""
         key = self.resolve(key)
         self.version += 1
-        self._values[key] = value
-        self._sequences[key] = sequence
+        self._cells[key] = (value, sequence)
 
     def install_all(self, value: Any, sequence: int) -> None:
         """Seed every key with the initial value (footnote 3)."""
         self.version += 1
-        for key in self._keys:
-            self._values[key] = value
-            self._sequences[key] = sequence
+        self._cells = dict.fromkeys(self._keys, (value, sequence))
 
     def adopt(self, key: Any, value: Any, sequence: int) -> bool:
         """The paper's adoption rule: install iff strictly newer.
@@ -164,15 +169,14 @@ class RegisterSpace:
         key-less), so non-migrating systems are untouched.
         """
         self.version += 1
+        cells = self._cells
         if key is None:
             key = self._keys[0]
-        elif key not in self._values:
+        elif key not in cells:
             self._keys += (key,)
-            self._values[key] = BOTTOM
-            self._sequences[key] = -1
-        if sequence > self._sequences[key]:
-            self._values[key] = value
-            self._sequences[key] = sequence
+            cells[key] = _UNSET
+        if sequence > cells[key][1]:
+            cells[key] = (value, sequence)
             return True
         return False
 
@@ -180,8 +184,9 @@ class RegisterSpace:
         """Increment and return ``key``'s sequence number (a write)."""
         key = self.resolve(key)
         self.version += 1
-        self._sequences[key] += 1
-        return self._sequences[key]
+        value, sequence = self._cells[key]
+        self._cells[key] = (value, sequence + 1)
+        return sequence + 1
 
     def entries(self) -> tuple[tuple[Any, Any, int], ...]:
         """Every ``(key, value, sequence)`` triple, in key order.
@@ -191,13 +196,14 @@ class RegisterSpace:
         of the key count.
         """
         return tuple(
-            (key, self._values[key], self._sequences[key]) for key in self._keys
+            (key, value, sequence)
+            for key, (value, sequence) in self._cells.items()
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         cells = ", ".join(
-            f"{key!r}=({self._values[key]!r}, {self._sequences[key]})"
-            for key in self._keys
+            f"{key!r}=({value!r}, {sequence})"
+            for key, value, sequence in self.entries()
         )
         return f"RegisterSpace({cells})"
 
@@ -238,11 +244,16 @@ class RegisterNode(SimProcess, abc.ABC):
       driven through :meth:`join` before it may read or write.
     """
 
+    __slots__ = ("ctx", "space", "migration_sink")
+
     def __init__(self, pid: str, ctx: NodeContext) -> None:
         super().__init__(pid, ctx.engine)
         self.ctx = ctx
         #: The node's local copies, one cell per key.
         self.space = RegisterSpace(ctx.keys)
+        #: The coordinator currently using this node as its reply agent
+        #: (``None`` when no migration is in flight through this node).
+        self.migration_sink: Any = None
 
     # ------------------------------------------------------------------
     # Seeding
@@ -294,10 +305,6 @@ class RegisterNode(SimProcess, abc.ABC):
     # The payload classes are imported lazily: ``repro.protocols``
     # imports this module at package-init time, so a top-level import
     # would cycle.
-
-    #: The coordinator currently using this node as its reply agent
-    #: (``None`` when no migration is in flight through this node).
-    migration_sink: Any = None
 
     def on_migfetch(self, sender: str, msg: Any) -> None:
         from ..protocols.common import MigFetchReply

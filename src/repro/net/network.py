@@ -62,7 +62,7 @@ state churn storms allocate nothing per delivery.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Sequence
 
 from ..faults.injector import REASON_DEPARTED
 from ..sim.clock import Time
@@ -142,8 +142,8 @@ class _FanoutSweep(SlabEntry):
     following instant.  Compared to one pooled entry per recipient this
     keeps the queue ~two orders of magnitude smaller under broadcast
     storms (one slot per in-flight broadcast, not one per in-flight
-    delivery) and replaces the per-recipient entry setup with two list
-    appends.
+    delivery) and replaces the per-recipient entry setup with one slot
+    in each of two lists.
 
     Ordering: arrivals are sorted by ``(instant, recipient index)``, so
     same-instant recipients deliver in recipient order, exactly like
@@ -165,8 +165,8 @@ class _FanoutSweep(SlabEntry):
         self.sender = ""
         self.payload: Any = None
         self.broadcast_id: int | None = None
-        self.times: list[Time] = []
-        self.dests: list[str] = []
+        self.times: Sequence[Time] = ()
+        self.dests: Sequence[str] = ()
         self.index = 0
         self.count = 0
 
@@ -205,8 +205,7 @@ class _FanoutSweep(SlabEntry):
             )
         if last:
             self.payload = None
-            self.times.clear()
-            self.dests.clear()
+            self.times = self.dests = ()
             network._sweep_pool.append(self)
 
 
@@ -465,14 +464,9 @@ class Network:
             sweep.broadcast_id = broadcast_id
             sweep.index = 0
             sweep.count = count
-            times = sweep.times
-            sdests = sweep.dests
-            append_time = times.append
-            append_dest = sdests.append
-            for instant, i in pairs:
-                append_time(instant)
-                append_dest(dests[i])
-            push((times[0], _DELIVERY, engine._sequence, sweep))
+            sweep.times = [instant for instant, _ in pairs]
+            sweep.dests = [dests[i] for _, i in pairs]
+            push((pairs[0][0], _DELIVERY, engine._sequence, sweep))
             engine._sequence += 1
             engine._live += count
             return

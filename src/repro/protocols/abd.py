@@ -103,6 +103,8 @@ class AbdRegisterNode(RegisterNode):
 
     protocol_name = "abd"
 
+    __slots__ = ("_queries", "_writebacks", "_writes", "_universe", "_is_replica")
+
     def __init__(self, pid: str, ctx: NodeContext) -> None:
         super().__init__(pid, ctx)
         # Phase thresholds depend on the replica universe, which the

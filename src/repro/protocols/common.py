@@ -55,14 +55,14 @@ class QuorumPhase:
         self.active = False
         self._offers: dict[str, tuple[Entry, ...]] = {}
         self._bulk = 0
-        self._bulk_entries: list[Entry] = []
+        self._bulk_entries: tuple[Entry, ...] = ()
 
     def open(self) -> "QuorumPhase":
         """Start a fresh round: drop prior offers, mark in-progress."""
         self.active = True
         self._offers = {}
         self._bulk = 0
-        self._bulk_entries = []
+        self._bulk_entries = ()
         return self
 
     def settle(self) -> None:
@@ -91,7 +91,7 @@ class QuorumPhase:
         keeping adoption deterministic.
         """
         self._bulk += int(count)
-        self._bulk_entries.extend(entries)
+        self._bulk_entries += tuple(entries)
 
     @property
     def count(self) -> int:

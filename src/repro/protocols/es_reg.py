@@ -125,6 +125,10 @@ class EventuallySyncRegisterNode(RegisterNode):
 
     protocol_name = "es"
 
+    __slots__ = (
+        "_majority", "_join_phase", "_reads", "_acks", "_reply_to", "_dl_prev",
+    )
+
     def __init__(self, pid: str, ctx: NodeContext) -> None:
         super().__init__(pid, ctx)
         # Figure 4, lines 01-02: the join's initializations happen at

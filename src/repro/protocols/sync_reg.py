@@ -116,15 +116,23 @@ class SynchronousRegisterNode(RegisterNode):
     protocol_name = "sync"
     join_wait = True
 
+    __slots__ = (
+        "_join_phase", "_reply_to", "_delta", "_network", "_reply_cache",
+        "_reply_version", "_inquiry_wait",
+    )
+
     def __init__(self, pid: str, ctx: NodeContext) -> None:
         super().__init__(pid, ctx)
         # Figure 1, line 01 — the join's initializations happen at
         # process creation: in the model a process starts its join the
         # instant it enters the system.  The register cells live in
         # ``self.space`` (⊥ / −1 per key); reply collection lives in a
-        # timer-gated quorum phase.
-        self._join_phase = QuorumPhase()
-        self._reply_to: set[str] = set()
+        # timer-gated quorum phase, and both it and ``reply_to`` exist
+        # from first use: the phase from the inquiry that opens it (or
+        # a stray reply), the set from the first inquiry parked while
+        # listening — a seed, which does neither, owns neither.
+        self._join_phase: QuorumPhase | None = None
+        self._reply_to: set[str] | None = None
         self._delta = ctx.delta
         # Bound once: every inquiry reply reads it (hot under churn).
         self._network = ctx.network
@@ -185,7 +193,7 @@ class SynchronousRegisterNode(RegisterNode):
         if self.join_wait:
             yield Wait(self._delta)  # line 02
         if self._needs_inquiry():  # line 03
-            self._join_phase.open()  # line 04
+            self._phase().open()  # line 04
             self.ctx.broadcast.broadcast(self.pid, Inquiry(self.pid))  # line 05
             yield Wait(self._inquiry_wait)  # line 06 (2δ, or δ+δ' per fn. 4)
             self._adopt_best_replies()  # lines 07-08
@@ -193,6 +201,13 @@ class SynchronousRegisterNode(RegisterNode):
         if self._reply_to:  # line 11
             self._answer_pending_inquiries()
         return make_join_result(self.space)  # line 12
+
+    def _phase(self) -> QuorumPhase:
+        """The join phase, created (closed, empty) on first use."""
+        phase = self._join_phase
+        if phase is None:
+            phase = self._join_phase = QuorumPhase()
+        return phase
 
     def _needs_inquiry(self) -> bool:
         """Line 03: some key still holds ⊥ (nothing adopted in transit)."""
@@ -296,14 +311,20 @@ class SynchronousRegisterNode(RegisterNode):
             else:
                 self._send_reply(msg.sender)
         else:  # line 15
-            self._reply_to.add(msg.sender)
+            self._park(msg.sender)
+
+    def _park(self, inquirer: str) -> None:
+        """Line 15: ``reply_to := reply_to ∪ {j}``."""
+        if self._reply_to is None:
+            self._reply_to = set()
+        self._reply_to.add(inquirer)
 
     def on_reply(self, sender: str, msg: Reply) -> None:
         """Line 17 of Figure 1."""
         entries = msg.entries
         if entries is None:
             entries = ((self.space.keys[0], msg.value, msg.sequence),)
-        self._join_phase.offer(msg.sender, entries)
+        self._phase().offer(msg.sender, entries)
 
     def on_writemsg(self, sender: str, msg: WriteMsg) -> None:
         """Lines 03-04 of Figure 2."""
@@ -376,7 +397,7 @@ class SynchronousRegisterNode(RegisterNode):
                 engine._live += 1
                 network.sent_count += 1
         else:  # line 15
-            node._reply_to.add(inquirer)
+            node._park(inquirer)
         watchers = node._watchers
         if watchers:
             # One watcher (the overwhelmingly common case: a joiner
@@ -399,7 +420,10 @@ class SynchronousRegisterNode(RegisterNode):
         entries = payload.entries
         if entries is None:
             entries = ((node.space.keys[0], payload.value, payload.sequence),)
-        node._join_phase._offers[payload.sender] = entries
+        phase = node._join_phase
+        if phase is None:  # a reply to a node that never inquired
+            phase = node._phase()
+        phase._offers[payload.sender] = entries
         watchers = node._watchers
         if watchers:
             if len(watchers) == 1:
@@ -431,3 +455,4 @@ class NaiveSyncRegisterNode(SynchronousRegisterNode):
 
     protocol_name = "naive"
     join_wait = False
+    __slots__ = ()

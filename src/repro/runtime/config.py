@@ -10,6 +10,7 @@ lean on this.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import inf
 from typing import Any
 
 from ..core.register import key_names
@@ -122,16 +123,19 @@ class SystemConfig:
                 raise ConfigError(f"key_set contains duplicates: {self.key_set!r}")
         if not self.pid_prefix:
             raise ConfigError("pid_prefix must be non-empty")
-        if self.delta <= 0:
-            raise ConfigError(f"delta must be positive, got {self.delta!r}")
+        if not 0 < self.delta < inf:
+            raise ConfigError(
+                f"delta must be positive and finite, got {self.delta!r}"
+            )
         if self.protocol not in PROTOCOLS:
             raise ConfigError(
                 f"unknown protocol {self.protocol!r}; "
                 f"choose from {sorted(PROTOCOLS)}"
             )
-        if self.sample_period <= 0:
+        if not 0 < self.sample_period < inf:
             raise ConfigError(
-                f"sample_period must be positive, got {self.sample_period!r}"
+                f"sample_period must be positive and finite, "
+                f"got {self.sample_period!r}"
             )
         if self.mode not in ("exact", "mesoscale"):
             raise ConfigError(

@@ -669,16 +669,7 @@ class MesoscaleSystem(DynamicSystem):
 
     def _create_seeds(self) -> tuple[str, ...]:
         config = self.config
-        pids = []
-        for _ in range(config.tracers):
-            pid = self._next_pid()
-            node = self._node_class(pid, self._ctx)
-            self.membership.enter(node)
-            node.init_as_seed(config.initial_value, sequence=0)
-            self.membership.mark_active(pid, self.engine.now)
-            self.trace.record(self.engine.now, TraceKind.ENTER, pid, seed=True)
-            self.trace.record(self.engine.now, TraceKind.ACTIVE, pid, seed=True)
-            pids.append(pid)
+        pids = self._build_seeds(config.tracers)
         self.aggregate = AggregatePopulation(
             self.engine,
             self.network,
@@ -690,7 +681,7 @@ class MesoscaleSystem(DynamicSystem):
             key=config.key_tuple()[0],
         )
         self.broadcast.aggregate = self.aggregate
-        return tuple(pids)
+        return pids
 
     def present_count(self) -> int:
         return len(self.membership) + self.aggregate.present_count

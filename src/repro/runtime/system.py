@@ -125,19 +125,31 @@ class DynamicSystem:
     # Construction helpers
     # ------------------------------------------------------------------
 
-    @collector_paused()
     def _create_seeds(self) -> tuple[str, ...]:
+        pids = self._build_seeds(self.config.n)
+        self._ctx.extra.setdefault(UNIVERSE_KEY, pids)
+        return pids
+
+    @collector_paused()
+    def _build_seeds(self, count: int) -> tuple[str, ...]:
+        """Create ``count`` seed processes: present, active and holding
+        the initial value at the current instant — one pass, everything
+        loop-invariant hoisted (at n = 10⁵ this loop is the build)."""
+        node_class, ctx = self._node_class, self._ctx
+        enter, mark_active = self.membership.enter, self.membership.mark_active
+        now, value = self.engine.now, self.config.initial_value
+        record = self.trace.record if self.trace.enabled else None
         pids = []
-        for _ in range(self.config.n):
+        for _ in range(count):
             pid = self._next_pid()
-            node = self._node_class(pid, self._ctx)
-            self.membership.enter(node)
-            node.init_as_seed(self.config.initial_value, sequence=0)
-            self.membership.mark_active(pid, self.engine.now)
-            self.trace.record(self.engine.now, TraceKind.ENTER, pid, seed=True)
-            self.trace.record(self.engine.now, TraceKind.ACTIVE, pid, seed=True)
+            node = node_class(pid, ctx)
+            enter(node)
+            node.init_as_seed(value, sequence=0)
+            mark_active(pid, now)
+            if record is not None:
+                record(now, TraceKind.ENTER, pid, seed=True)
+                record(now, TraceKind.ACTIVE, pid, seed=True)
             pids.append(pid)
-        self._ctx.extra.setdefault(UNIVERSE_KEY, tuple(pids))
         return tuple(pids)
 
     def _next_pid(self) -> str:

@@ -14,10 +14,12 @@ from typing import Iterator
 
 from .clock import Time
 from .errors import ProcessError, UnknownProcessError
-from .process import SimProcess
+from .process import ProcessMode, SimProcess
+
+_ACTIVE = ProcessMode.ACTIVE
 
 
-@dataclass
+@dataclass(slots=True)
 class PresenceRecord:
     """The full lifecycle of one process identity."""
 
@@ -85,12 +87,14 @@ class Membership:
                 f"identity {pid!r} was already used; the infinite arrival "
                 f"model forbids reuse"
             )
-        self._records[pid] = PresenceRecord(pid=pid, entered_at=process.entered_at)
+        # The raw attributes, not the properties: a population build
+        # comes through here once per process.
+        self._records[pid] = PresenceRecord(pid, process._entered_at)
         self._processes[pid] = process
         self._present[pid] = process
         process._registry = self
         self._active = None
-        if process.is_active:
+        if process._mode is _ACTIVE:
             self._active_count += 1
 
     def _mode_changed(self, pid: str, delta: int) -> None:
@@ -162,7 +166,7 @@ class Membership:
         active = self._active
         if active is None:
             active = self._active = [
-                pid for pid, p in self._present.items() if p.is_active
+                pid for pid, p in self._present.items() if p._mode is _ACTIVE
             ]
         return list(active)
 

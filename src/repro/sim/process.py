@@ -17,7 +17,7 @@ had is *abandoned* (recorded as such, excused by the liveness checker).
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from .clock import Time
 from .engine import EventScheduler
@@ -33,6 +33,11 @@ from .operations import (
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from ..net.message import Message
+
+
+#: What every process's ``_runners`` / ``_watchers`` start as (see
+#: :class:`SimProcess`): shared, immutable, falsy.
+_EMPTY: tuple = ()
 
 
 class ProcessMode(enum.Enum):
@@ -62,7 +67,25 @@ class SimProcess:
     ``send_payload`` or an exact inlining of it): traced runs and
     delivery-gating plans take the handlers, and the kernel-parity
     suite holds ``trace=True`` ≡ ``trace=False``.
+
+    A process costs what it uses.  ``_runners`` and ``_watchers`` start
+    as the one shared empty tuple and become lists of their own at the
+    first ``run_operation`` / the first ``WaitUntil`` that has to wait —
+    the only two places that append — and departure hands them back: a
+    seed that never invokes anything never owns either.  Readers
+    (``if watchers:``, iteration, ``in``) need no care.  ``__slots__``
+    run down the chain (here, :class:`~repro.core.register.RegisterNode`,
+    the protocol nodes), so an instance is its slots and nothing else.
+    A subclass that declares no ``__slots__`` gets a ``__dict__`` back
+    and may set any attribute; one that declares them must list every
+    attribute it assigns.
     """
+
+    __slots__ = (
+        "pid", "engine", "_mode", "_entered_at", "_activated_at",
+        "_departed_at", "_runners", "_watchers", "_registry", "_dispatch",
+        "_waves",
+    )
 
     #: Payload class -> wave staticmethod name.  Resolved per class at
     #: first instantiation (see ``_waves``); a subclass that overrides a
@@ -75,11 +98,11 @@ class SimProcess:
         self.pid = pid
         self.engine = engine
         self._mode = ProcessMode.LISTENING
-        self._entered_at: Time = engine.now
+        self._entered_at: Time = engine._now
         self._activated_at: Time | None = None
         self._departed_at: Time | None = None
-        self._runners: list[_OperationRunner] = []
-        self._watchers: list[_ConditionWatcher] = []
+        self._runners: Sequence[_OperationRunner] = _EMPTY
+        self._watchers: Sequence[_ConditionWatcher] = _EMPTY
         # The Membership this process entered (set by ``enter``): told
         # of every mode transition, so its cached active list and count
         # never go stale — also on a bare ``mark_active()`` /
@@ -137,7 +160,7 @@ class SimProcess:
         if self._mode is ProcessMode.ACTIVE:
             raise ProcessError(f"{self.pid} activated twice")
         self._mode = ProcessMode.ACTIVE
-        self._activated_at = self.engine.now
+        self._activated_at = self.engine._now
         if self._registry is not None:
             self._registry._mode_changed(self.pid, 1)
 
@@ -156,8 +179,7 @@ class SimProcess:
             self._registry._mode_changed(self.pid, -1 if was_active else 0)
         for runner in list(self._runners):
             runner.abandon()
-        self._runners.clear()
-        self._watchers.clear()
+        self._runners = self._watchers = _EMPTY
 
     # ------------------------------------------------------------------
     # Message handling
@@ -249,6 +271,8 @@ class SimProcess:
             )
         handle = OperationHandle(kind, self.pid, self.engine.now, argument, key)
         runner = _OperationRunner(self, body, handle)
+        if self._runners is _EMPTY:
+            self._runners = []
         self._runners.append(runner)
         runner.advance()
         return handle
@@ -380,9 +404,14 @@ class _OperationRunner:
             if isinstance(effect, WaitUntil):
                 if effect.predicate():
                     continue  # already satisfied: keep running synchronously
-                watcher = _ConditionWatcher(self.process, effect.predicate, self._on_condition)
+                process = self.process
+                watcher = _ConditionWatcher(
+                    process, effect.predicate, self._on_condition
+                )
                 self._pending_watcher = watcher
-                self.process._watchers.append(watcher)
+                if process._watchers is _EMPTY:
+                    process._watchers = []
+                process._watchers.append(watcher)
                 return
             raise ProcessError(f"unknown effect {effect!r}")  # pragma: no cover
 

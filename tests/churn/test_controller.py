@@ -100,6 +100,60 @@ class TestVictimSelection:
         assert controller.leaves_executed == 0
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+class TestParametersAreCheckedAtConstruction:
+    """Each bad value is refused where it is given, by a ``ChurnError``
+    that names the parameter — not three layers down as a scheduler
+    error, and never by silently switching churn off."""
+
+    @pytest.mark.parametrize("min_stay", [NAN, -1.0, -INF])
+    def test_min_stay(self, min_stay):
+        system = make_system(n=20)
+        with pytest.raises(ChurnError, match="min_stay = "):
+            system.attach_churn(rate=0.1, min_stay=min_stay)
+        assert system.churn is None
+
+    def test_an_infinite_min_stay_is_legal_and_never_evicts(self):
+        system = make_system(n=20)
+        controller = system.attach_churn(rate=0.1, min_stay=INF)
+        system.run_until(20.0)
+        assert controller.leaves_executed == 0
+        assert controller.shortfall == 40  # every quota, accounted for
+
+    @pytest.mark.parametrize("stop_at", [NAN])
+    def test_stop_at(self, stop_at):
+        system = make_system(n=20)
+        with pytest.raises(ChurnError, match="stop_at = nan"):
+            system.attach_churn(rate=0.1, stop_at=stop_at)
+
+    @pytest.mark.parametrize("stop_at", [INF, -INF])
+    def test_an_infinite_stop_at_is_an_instant(self, stop_at):
+        system = make_system(n=20)
+        controller = system.attach_churn(rate=0.1, stop_at=stop_at)
+        system.run_until(5.0)
+        assert controller.leaves_executed == (10 if stop_at > 0 else 0)
+
+    @pytest.mark.parametrize("period", [NAN, INF, 0.0, -1.0, -INF])
+    def test_period(self, period):
+        system = make_system(n=20)
+        with pytest.raises(ChurnError, match="period = "):
+            system.attach_churn(rate=0.1, period=period)
+
+    @pytest.mark.parametrize("start", [NAN, INF, -INF])
+    def test_start(self, start):
+        system = make_system(n=20)
+        with pytest.raises(ChurnError, match="start = "):
+            system.attach_churn(rate=0.1, start=start)
+
+    @pytest.mark.parametrize("rate", [NAN, INF, -0.1, 1.0])
+    def test_rate(self, rate):
+        system = make_system(n=20)
+        with pytest.raises(ChurnError, match="churn rate"):
+            system.attach_churn(rate=rate)
+
+
 class TestLifecycleRules:
     def test_double_attach_rejected(self):
         system = make_system(n=10)

@@ -21,6 +21,16 @@ class TestValidation:
         with pytest.raises(ConfigError):
             SystemConfig(delta=0.0)
 
+    @pytest.mark.parametrize("field", ["delta", "sample_period"])
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), float("-inf"), 0.0, -1.0]
+    )
+    def test_a_non_finite_or_non_positive_duration_is_named(self, field, value):
+        # Used to surface as a SchedulerError about a bucket width or a
+        # non-finite instant: quantities the caller never set.
+        with pytest.raises(ConfigError, match=f"^{field} must be positive and finite"):
+            SystemConfig(**{field: value})
+
     def test_rejects_unknown_protocol(self):
         with pytest.raises(ConfigError) as excinfo:
             SystemConfig(protocol="paxos")

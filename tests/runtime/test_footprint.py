@@ -1,0 +1,103 @@
+"""The per-process footprint ratchet.
+
+A population's resident cost is ``n`` times what one seed costs, and a
+seed that never runs an operation should cost what it *uses*: its
+slots, one register-cell dict, its presence record and its pid.  These
+tests hold the traced bytes and allocated blocks per seed under a
+budget (the measured value + ~10 %, CPython 3.11) so that a change
+which re-adds eager per-node state — an empty list, a set, a phase
+object, a ``__dict__`` — fails here, under a name that says so.  CI
+runs this file as its own step ("per-process footprint").
+"""
+
+from __future__ import annotations
+
+import gc
+import sys
+import tracemalloc
+
+import pytest
+
+from repro.runtime.config import SystemConfig
+from repro.runtime.system import DynamicSystem
+
+N = 2000
+
+#: protocol -> (bytes per seed, allocated blocks per seed).  Measured
+#: here (n = 2000, 3.11): 773 / 8.1, 1707 / 18.0, 1283 / 16.0; before
+#: per-process state went lazy and slotted: 1563 / 17.1, 2147 / 24.1,
+#: 1667 / 21.1.
+BUDGET = {
+    "sync": (850, 9),
+    "es": (1850, 19),
+    "abd": (1400, 17),
+}
+
+
+def traced_build(**config) -> tuple[DynamicSystem, float, float]:
+    """Build a system under tracemalloc; bytes and blocks per seed."""
+    # One throwaway build first: per-class dispatch caches, interned
+    # names and imports are paid once per process, not once per seed.
+    DynamicSystem(SystemConfig(n=20, trace=False, **config))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot()
+        system = DynamicSystem(SystemConfig(n=N, trace=False, **config))
+        after = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    stats = after.compare_to(before, "filename")
+    size = sum(stat.size_diff for stat in stats)
+    blocks = sum(stat.count_diff for stat in stats)
+    return system, size / N, blocks / N
+
+
+@pytest.mark.skipif(
+    sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
+    reason="the byte budget is CPython 3.11's object layout",
+)
+@pytest.mark.parametrize("protocol", sorted(BUDGET))
+def test_a_seed_stays_inside_its_budget(protocol):
+    max_bytes, max_blocks = BUDGET[protocol]
+    system, size, blocks = traced_build(protocol=protocol)
+    assert len(system.membership) == N
+    assert size <= max_bytes, f"{protocol}: {size:.0f} B per seed"
+    # + 0.1: the population's own containers (three membership dicts,
+    # the pid list) are a handful of blocks spread over N seeds.
+    assert blocks <= max_blocks + 0.1, f"{protocol}: {blocks:.2f} blocks per seed"
+
+
+@pytest.mark.parametrize("protocol", sorted(BUDGET))
+def test_no_seed_carries_a_dict(protocol):
+    system = DynamicSystem(SystemConfig(n=5, trace=False, protocol=protocol))
+    for pid in system.seed_pids:
+        node = system.node(pid)
+        assert not hasattr(node, "__dict__")
+        assert not hasattr(node.space, "__dict__")
+        assert not hasattr(system.membership.record(pid), "__dict__")
+
+
+def test_an_untouched_seed_owns_no_operation_or_join_state():
+    system = DynamicSystem(SystemConfig(n=5, trace=False))
+    first, second = (system.node(pid) for pid in system.seed_pids[:2])
+    assert first._runners is second._runners and len(first._runners) == 0
+    assert first._watchers is second._watchers and len(first._watchers) == 0
+    assert first._join_phase is None and first._reply_to is None
+
+
+def test_a_key_costs_one_dict_entry_not_two():
+    single, multi = (
+        DynamicSystem(SystemConfig(n=3, trace=False, keys=keys))
+        for keys in (1, 16)
+    )
+    space = multi.node(multi.seed_pids[0]).space
+    dicts = [
+        getattr(space, name)
+        for name in type(space).__slots__
+        if isinstance(getattr(space, name), dict)
+    ]
+    assert len(dicts) == 1 and len(dicts[0]) == 16
+    assert len(single.node(single.seed_pids[0]).space._cells) == 1
+    # Every key of a freshly seeded node shares the one initial cell.
+    assert len({id(cell) for cell in dicts[0].values()}) == 1
