@@ -155,7 +155,7 @@ def test_bench_point_to_point_send_trace_off(benchmark):
 
     def run() -> int:
         for _ in range(10_000):
-            system.network.send(a, b, None)
+            system.network.send_payload(a, b, None)
         system.run_for(20.0)
         return 10_000
 

@@ -49,6 +49,20 @@ from .model import ConstantChurn
 from .profiles import RateProfile
 
 
+def check_stay_and_stop(min_stay: Time, stop_at: Time | None) -> None:
+    """Refuse, by name, a ``min_stay`` / ``stop_at`` no tick can honour.
+
+    ``not >=`` so NaN is refused too: it would fail every eligibility
+    test and turn the stay rule — or, in the exact controller, churn
+    itself — off without a word (``inf`` is legal: never evict).  A NaN
+    ``stop_at`` would never stop.
+    """
+    if not min_stay >= 0:
+        raise ChurnError(f"min_stay = {min_stay!r}: must be non-negative")
+    if stop_at is not None and isnan(stop_at):
+        raise ChurnError(f"stop_at = {stop_at!r}: must be an instant or None")
+
+
 class ChurnController:
     """Drives the constant-churn adversary against a system."""
 
@@ -78,13 +92,7 @@ class ChurnController:
         self._spawn = spawn
         self._depart = depart
         self._protected = set(protected)
-        # ``not >=`` so NaN is refused too: it would fail every
-        # eligibility test and turn churn off without a word (``inf`` is
-        # legal: never evict).  A NaN ``stop_at`` would never stop.
-        if not min_stay >= 0:
-            raise ChurnError(f"min_stay = {min_stay!r}: must be non-negative")
-        if stop_at is not None and isnan(stop_at):
-            raise ChurnError(f"stop_at = {stop_at!r}: must be an instant or None")
+        check_stay_and_stop(min_stay, stop_at)
         if victim_policy not in ("uniform", "oldest_first"):
             raise ChurnError(
                 f"victim_policy must be 'uniform' or 'oldest_first', "

@@ -35,7 +35,8 @@ from typing import Any, TYPE_CHECKING
 
 from ..sim.clock import Time
 from ..sim.engine import EventScheduler
-from ..sim.operations import OperationHandle
+from ..sim.errors import ProcessError
+from ..sim.operations import OperationBody, OperationHandle
 from ..sim.process import SimProcess
 from ..sim.trace import TraceLog
 
@@ -273,7 +274,6 @@ class RegisterNode(SimProcess, abc.ABC):
     # The three operations
     # ------------------------------------------------------------------
 
-    @abc.abstractmethod
     def join(self) -> OperationHandle:
         """Invoke the join operation (the entry protocol).
 
@@ -281,16 +281,44 @@ class RegisterNode(SimProcess, abc.ABC):
         register space (the inquiry replies carry batched per-key
         entries).
         """
+        if self.is_active:
+            raise ProcessError(f"{self.pid} invoked join twice")
+        return self.run_operation(OP_JOIN, self._join_body())
 
-    @abc.abstractmethod
     def read(self, key: Any = None) -> OperationHandle:
         """Invoke a read of ``key``.  Only legal once the node is
         active; ``None`` addresses the default key."""
+        self._require_active(OP_READ)
+        key = self.space.resolve(key)
+        return self.run_operation(OP_READ, self._read_body(key), key=key)
 
-    @abc.abstractmethod
     def write(self, value: Any, key: Any = None) -> OperationHandle:
         """Invoke a write of ``key``.  Only legal once the node is
         active; ``None`` addresses the default key."""
+        self._require_active(OP_WRITE)
+        key = self.space.resolve(key)
+        return self.run_operation(
+            OP_WRITE, self._write_body(value, key), argument=value, key=key
+        )
+
+    def _require_active(self, kind: str) -> None:
+        if not self.is_active:
+            raise ProcessError(
+                f"{self.pid} invoked {kind} before its join returned; the "
+                f"model only allows reads/writes from active processes"
+            )
+
+    @abc.abstractmethod
+    def _join_body(self) -> OperationBody:
+        """The protocol's join, as an operation generator."""
+
+    @abc.abstractmethod
+    def _read_body(self, key: Any) -> OperationBody:
+        """The protocol's read of (resolved) ``key``."""
+
+    @abc.abstractmethod
+    def _write_body(self, value: Any, key: Any) -> OperationBody:
+        """The protocol's write of ``value`` to (resolved) ``key``."""
 
     # ------------------------------------------------------------------
     # Key-migration service (repro.cluster.migration)

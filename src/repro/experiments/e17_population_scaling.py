@@ -8,9 +8,9 @@ churn threshold
     c_max(n) = (1 − 1/n) / (3δ)
 
 stops mattering.  The batched-delivery kernel (one queue entry per
-distinct arrival instant instead of one ``Event`` + ``Message`` per
-recipient) made populations of 10³–10⁴ affordable, and the vectorized
-handler plane (wave dispatch, inline reply pushes) pushes the ceiling
+distinct arrival instant instead of one ``Event`` + envelope per
+recipient) made populations of 10³–10⁴ affordable, and the inlined
+handler dispatch with fused reply pushes lifts the ceiling
 to 10⁵, so this experiment sweeps n ∈ {100, 1 000, 10 000, 100 000}
 (quick mode stops at 10⁴) and probes fractions of each population's
 own threshold:

@@ -1,4 +1,4 @@
-"""Network substrate: messages, delay models, channels and broadcast.
+"""Network substrate: delay models, channels and broadcast.
 
 Implements the communication assumptions of the paper's three system
 classes — synchronous (known bound ``δ``), eventually synchronous
@@ -16,7 +16,6 @@ from .delay import (
     EventuallySynchronousDelay,
     SynchronousDelay,
 )
-from .message import Message
 from .network import Network
 
 __all__ = [
@@ -29,6 +28,5 @@ __all__ = [
     "DualBoundSynchronousDelay",
     "EventuallySynchronousDelay",
     "SynchronousDelay",
-    "Message",
     "Network",
 ]

@@ -137,7 +137,7 @@ class BroadcastService:
         recipients = self.membership.present_pids()
         # The network draws every recipient's delay itself, from this
         # service's stream, fusing the sampling into its scheduling
-        # loop — no per-recipient Message or Event at all.
+        # loop — no per-recipient envelope or Event at all.
         self.network.deliver_fanout(
             sender, recipients, payload, now, broadcast_id, self._rng
         )

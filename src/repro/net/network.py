@@ -25,34 +25,38 @@ Delivery hot path
 -----------------
 
 Every scheduled delivery rides the scheduler's slab queue — no full
-``Event``, no per-recipient ``Message``, no label f-string — on one of
+``Event``, no per-recipient envelope, no label f-string — on one of
 two slab entries:
 
 * every single-destination delivery is one pooled :class:`_Unicast`:
   :meth:`Network.send_payload` (all protocol, baseline and migration
-  traffic), the reply sends wave handlers inline, the per-recipient
-  pushes of a fan-out that can tie instants or that passes the fault
-  gate, and the broadcast service's entrant offers
+  traffic), the reply sends the sync protocol fuses on a clean link,
+  the per-recipient pushes of a fan-out that can tie instants or that
+  passes the fault gate, and the broadcast service's entrant offers
   (:meth:`Network.deliver_scheduled`, which carry their
-  ``broadcast_id``).  :meth:`Network.send` is the same call, plus the
-  :class:`Message` describing what it scheduled;
+  ``broadcast_id``);
 * a fault-free broadcast under a continuous delay model pushes ONE
   self-re-arming :class:`_FanoutSweep` walking its sorted arrival
   vector.
 
-A fault plan acts at the *transmit* gate (``on_transmit``, in
-``send_payload``, ``deliver_scheduled`` and the fan-out loop) and
-otherwise leaves the plane alone: ``Network._fast`` — tracing off, and
-no installed plan that can act when a delivery *fires* (a drop-mode
-partition, a crash: ``FaultInjector.gates_delivery``) — dispatches a
-delivery straight to the recipient's *wave handler* (see
-:class:`~repro.sim.process.SimProcess`), or through ``deliver_payload``
-for a payload type without one.  Tracing and delivery-gating plans take
-:meth:`Network._fire_checked` and the ``on_<type>`` handlers instead —
-the reference the waves are tested against.  Installing any plan
-withdraws the delay model's declared uniform parameters, so no wave
-draws and sends around the gate.  Every path reproduces the
-one-``Message``-per-recipient ``(time, priority, sequence)`` order
+Each payload type has one handler body, the recipient's ``on_<type>``
+method, and every delivery ends in it.  A fault plan acts at the
+*transmit* gate (``on_transmit``, in ``send_payload``,
+``deliver_scheduled`` and the fan-out loop) and otherwise leaves the
+fire sites alone: with ``Network._fast`` — tracing off, and no installed
+plan that can act when a delivery *fires* (a drop-mode partition, a
+crash: ``FaultInjector.gates_delivery``) — :meth:`_Unicast.fire` and
+:meth:`_FanoutSweep.fire` count the delivery and dispatch inline
+(the per-class ``_dispatch`` cache, the handler, the watcher poll).
+Tracing and delivery-gating plans take :meth:`Network._fire_checked`,
+which wraps that same dispatch — it adds the delivery-time gates and
+the trace record, then calls ``deliver_payload``.  Only a clean,
+untraced link keeps the delay model's declared point-to-point draw
+parameters (``_p2p_uniform``): tracing withdraws them, and any installed
+plan withdraws them together with the broadcast pair, so a handler that
+fuses its send on ``_p2p_uniform`` skips neither a SEND record nor the
+transmit gate.  Every path reproduces the
+one-message-per-recipient ``(time, priority, sequence)`` order
 byte-for-byte (the determinism digests and
 ``tests/properties/kernel_golden.json`` pin this).
 
@@ -73,7 +77,6 @@ from ..sim.membership import Membership
 from ..sim.rng import RngRegistry
 from ..sim.trace import TraceKind, TraceLog
 from .delay import DelayModel
-from .message import Message
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (faults -> sim only)
     from ..faults.injector import FaultInjector
@@ -86,8 +89,8 @@ class _Unicast(SlabEntry):
     """One queue slot for one single-destination delivery.
 
     The only point-to-point delivery: :meth:`Network.send_payload`,
-    the reply sends wave handlers inline, the per-recipient pushes of a
-    tie-prone or fault-gated fan-out and the broadcast service's
+    the reply sends sync fuses on a clean link, the per-recipient pushes
+    of a tie-prone or fault-gated fan-out and the broadcast service's
     entrant offers all land here.  ``size`` stays the inherited class
     attribute (1) — no per-entry store, no per-fire load beyond a
     type-dict hit.
@@ -119,11 +122,22 @@ class _Unicast(SlabEntry):
                 network.dropped_count += 1
                 return
             network.delivered_count += 1
-            wave = process._waves.get(payload.__class__)
-            if wave is not None:
-                wave(network, sender, payload, process)
-            else:
-                process.deliver_payload(sender, payload)
+            # ``deliver_payload`` inlined (the frame is measurable on
+            # every workload): cached handler, then the watcher poll.
+            handler = process._dispatch.get(payload.__class__)
+            if handler is None:
+                handler = process._handler_for(payload.__class__)
+            handler(process, sender, payload)
+            watchers = process._watchers
+            if watchers:
+                # One watcher (a joiner waits on exactly one condition)
+                # polls without the snapshot copy — ``poll`` may remove
+                # it, but the reference is already taken.
+                if len(watchers) == 1:
+                    watchers[0].poll()
+                else:
+                    for watcher in list(watchers):
+                        watcher.poll()
             return
         network._fire_checked(
             self.sender, self.dest, self.payload, self.broadcast_id
@@ -194,11 +208,18 @@ class _FanoutSweep(SlabEntry):
                 network.dropped_count += 1
             else:
                 network.delivered_count += 1
-                wave = process._waves.get(payload.__class__)
-                if wave is not None:
-                    wave(network, self.sender, payload, process)
-                else:
-                    process.deliver_payload(self.sender, payload)
+                # Same inlined dispatch as :meth:`_Unicast.fire`.
+                handler = process._dispatch.get(payload.__class__)
+                if handler is None:
+                    handler = process._handler_for(payload.__class__)
+                handler(process, self.sender, payload)
+                watchers = process._watchers
+                if watchers:
+                    if len(watchers) == 1:
+                        watchers[0].poll()
+                    else:
+                        for watcher in list(watchers):
+                            watcher.poll()
         else:
             network._fire_checked(
                 self.sender, dest, self.payload, self.broadcast_id
@@ -232,8 +253,8 @@ class Network:
         # Fault gate: ``None`` means the un-faulted fast path — no extra
         # work per message beyond this attribute test.
         self.faults: FaultInjector | None = None
-        # The wave-plane flag: tracing off AND no installed plan that
-        # gates deliveries, so the fire paths test a single attribute.
+        # The fire sites' flag: tracing off AND no installed plan that
+        # gates deliveries, so they test a single attribute.
         # ``trace._enabled`` never changes after construction, so this
         # only needs refreshing when a fault injector lands.
         self._fast = not trace._enabled
@@ -244,11 +265,15 @@ class Network:
         self._records = membership._records
         self._sample = delay_model.sample
         # Uniform point-to-point draw parameters, if the delay model
-        # declares them: wave handlers inline their reply delay draws as
-        # ``lo + span * random()`` (bit-identical to ``sample``) instead
-        # of calling through the model per reply.  ``None`` keeps waves
-        # on the exact ``sample`` call.
-        self._p2p_uniform = delay_model.p2p_uniform()
+        # declares them AND the link is clean and untraced: sync fuses
+        # its reply sends on them (``lo + span * random()``, bit-
+        # identical to ``sample``, pushed without ``send_payload``'s
+        # gates or SEND record).  ``None`` — no declaration, tracing
+        # on, or (``install_faults``) a fault plan — means every send
+        # is ``send_payload``.
+        self._p2p_uniform = (
+            None if trace._enabled else delay_model.p2p_uniform()
+        )
         # Same idea for broadcast draws: with declared parameters the
         # fan-out fuses its per-recipient draw into the scheduling loop.
         self._bcast_uniform = delay_model.broadcast_uniform()
@@ -261,7 +286,7 @@ class Network:
         if self.faults is not None:
             raise NetworkError("a fault injector is already installed")
         self.faults = injector
-        # Deliveries leave the wave plane only if the plan can act when
+        # Deliveries take the checked path only if the plan can act when
         # one fires; and the declared uniform parameters — they describe
         # a clean link — are withdrawn, so that every send is
         # ``send_payload`` and every fan-out the per-recipient arm:
@@ -273,25 +298,6 @@ class Network:
     def known_bound(self) -> Time | None:
         """The delay bound processes may rely on, if any (see delay model)."""
         return self.delay_model.known_bound
-
-    def send(self, sender: str, dest: str, payload: Any) -> Message:
-        """:meth:`send_payload`, returning the :class:`Message` that
-        describes what was scheduled (tests inspect it).
-
-        The envelope is a description only — the delivery itself is the
-        same pooled :class:`_Unicast`; a send the fault gate vetoed
-        still returns its envelope, carrying the instant it would have
-        arrived at.
-        """
-        sent_at = self.engine.now
-        deliver_at = self.send_payload(sender, dest, payload)
-        return Message(
-            sender=sender,
-            dest=dest,
-            payload=payload,
-            sent_at=sent_at,
-            deliver_at=deliver_at,
-        )
 
     def send_payload(self, sender: str, dest: str, payload: Any) -> Time:
         """Send ``payload`` from ``sender`` to ``dest``; returns the
@@ -422,7 +428,7 @@ class Network:
         Delays are drawn here, from ``rng`` (the broadcast service's
         stream), one per recipient in recipient order — so the fault
         gate sees every delivery at the same point of the RNG stream as
-        a one-``Message``-per-recipient loop would.  With declared
+        a one-send-per-recipient loop would.  With declared
         uniform parameters the draw fuses into the scheduling loop —
         same ``lo + span * random()`` per recipient, bit-identical to
         :meth:`~repro.net.delay.DelayModel.sample_broadcast_many` — and
@@ -517,12 +523,13 @@ class Network:
     def _fire_checked(
         self, sender: str, dest: str, payload: Any, broadcast_id: int | None
     ) -> None:
-        """One traced / delivery-gated delivery, and the reference the
-        wave plane is tested against: what :meth:`_Unicast.fire` and
-        :meth:`_FanoutSweep.fire` do whenever ``_fast`` is off.
+        """One traced / delivery-gated delivery: what :meth:`_Unicast.fire`
+        and :meth:`_FanoutSweep.fire` do whenever ``_fast`` is off.
 
-        In this order: fault drop, presence, crash, presence again,
-        then count, trace and ``deliver_payload``.
+        It wraps the dispatch the fast arms inline, adding only what
+        they may skip — in this order: fault drop, presence, crash,
+        presence again, then count, trace and ``deliver_payload`` (the
+        same ``on_<type>`` handler, the same watcher poll).
         """
         trace = self.trace
         faults = self.faults

@@ -36,9 +36,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from ..core.register import NodeContext, OP_JOIN, OP_READ, OP_WRITE, RegisterNode
-from ..sim.errors import ConfigError, ProcessError
-from ..sim.operations import OperationBody, OperationHandle, WaitUntil
+from ..core.register import NodeContext, RegisterNode
+from ..sim.errors import ConfigError
+from ..sim.operations import OperationBody, WaitUntil
 from .common import OK, PhaseTracker, make_join_result
 
 #: Key in ``NodeContext.extra`` holding the static replica universe.
@@ -149,44 +149,19 @@ class AbdRegisterNode(RegisterNode):
         return replica
 
     # ------------------------------------------------------------------
-    # Joining
+    # Operation bodies (``RegisterNode`` owns the entry points)
     # ------------------------------------------------------------------
 
-    def join(self) -> OperationHandle:
+    def _join_body(self) -> OperationBody:
         """A trivial join: ABD has no entry protocol.
 
         The newcomer becomes active immediately but holds no replica
         state; it may read via the fixed universe (and will block once
         churn has eaten the quorums — the point of experiment E10).
         """
-        if self.is_active:
-            raise ProcessError(f"{self.pid} invoked join twice")
-        return self.run_operation(OP_JOIN, self._join_body())
-
-    def _join_body(self) -> OperationBody:
         self.mark_active()
         return make_join_result(self.space)
         yield  # pragma: no cover — makes the body a generator
-
-    # ------------------------------------------------------------------
-    # Operations
-    # ------------------------------------------------------------------
-
-    def read(self, key: Any = None) -> OperationHandle:
-        self._require_active(OP_READ)
-        key = self.space.resolve(key)
-        return self.run_operation(OP_READ, self._read_body(key), key=key)
-
-    def write(self, value: Any, key: Any = None) -> OperationHandle:
-        self._require_active(OP_WRITE)
-        key = self.space.resolve(key)
-        return self.run_operation(
-            OP_WRITE, self._write_body(value, key), argument=value, key=key
-        )
-
-    def _require_active(self, kind: str) -> None:
-        if not self.is_active:
-            raise ProcessError(f"{self.pid} invoked {kind} before joining")
 
     def _read_body(self, key: Any) -> OperationBody:
         request = self._queries.next_request(key)
@@ -267,68 +242,3 @@ class AbdRegisterNode(RegisterNode):
         key = self.space.resolve(msg.key)
         if msg.request == self._queries.current_request(key):
             self._writebacks.phase(key).offer_ack(sender)
-
-    # ------------------------------------------------------------------
-    # Wave handlers (the network's dispatch plane: tracing off and no
-    # installed fault plan that gates deliveries — every send below goes
-    # through the plan's transmit gate)
-    # ------------------------------------------------------------------
-    # Same sends in the same order as the handlers above; non-replica
-    # no-op arms skip the watcher poll (a no-op delivery cannot newly
-    # satisfy a ``WaitUntil`` condition).
-
-    wave_handlers = {
-        AbdWrite: "_wave_abdwrite",
-        AbdQuery: "_wave_abdquery",
-        AbdWriteBack: "_wave_abdwriteback",
-    }
-
-    @staticmethod
-    def _wave_abdwrite(network, sender, payload, node) -> None:
-        if not node.is_replica:
-            return
-        key = payload.key
-        sequence = payload.sequence
-        node.space.adopt(key, payload.value, sequence)
-        network.send_payload(node.pid, sender, AbdAck(sequence, key))
-        watchers = node._watchers
-        if watchers:
-            if len(watchers) == 1:
-                watchers[0].poll()
-            else:
-                for watcher in list(watchers):
-                    watcher.poll()
-
-    @staticmethod
-    def _wave_abdquery(network, sender, payload, node) -> None:
-        if not node.is_replica:
-            return
-        key = payload.key
-        value, sequence = node.space.snapshot(key)
-        network.send_payload(
-            node.pid, sender, AbdQueryReply(payload.request, value, sequence, key)
-        )
-        watchers = node._watchers
-        if watchers:
-            if len(watchers) == 1:
-                watchers[0].poll()
-            else:
-                for watcher in list(watchers):
-                    watcher.poll()
-
-    @staticmethod
-    def _wave_abdwriteback(network, sender, payload, node) -> None:
-        if not node.is_replica:
-            return
-        key = payload.key
-        node.space.adopt(key, payload.value, payload.sequence)
-        network.send_payload(
-            node.pid, sender, AbdWriteBackAck(payload.request, key)
-        )
-        watchers = node._watchers
-        if watchers:
-            if len(watchers) == 1:
-                watchers[0].poll()
-            else:
-                for watcher in list(watchers):
-                    watcher.poll()

@@ -46,9 +46,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from ..core.register import NodeContext, OP_JOIN, OP_READ, OP_WRITE, RegisterNode
+from ..core.register import NodeContext, RegisterNode
 from ..sim.errors import ProcessError
-from ..sim.operations import OperationBody, OperationHandle, WaitUntil
+from ..sim.operations import OperationBody, WaitUntil
 from .common import OK, PhaseTracker, QuorumPhase, make_join_result
 
 
@@ -164,41 +164,11 @@ class EventuallySyncRegisterNode(RegisterNode):
         return self._majority
 
     # ------------------------------------------------------------------
-    # Operations
-    # ------------------------------------------------------------------
-
-    def join(self) -> OperationHandle:
-        """Figure 4: the join operation."""
-        if self.is_active:
-            raise ProcessError(f"{self.pid} invoked join twice")
-        return self.run_operation(OP_JOIN, self._join_body())
-
-    def read(self, key: Any = None) -> OperationHandle:
-        """Figure 5: the read operation."""
-        self._require_active(OP_READ)
-        key = self.space.resolve(key)
-        return self.run_operation(OP_READ, self._read_body(key), key=key)
-
-    def write(self, value: Any, key: Any = None) -> OperationHandle:
-        """Figure 6: the write operation (single writer per key)."""
-        self._require_active(OP_WRITE)
-        key = self.space.resolve(key)
-        return self.run_operation(
-            OP_WRITE, self._write_body(value, key), argument=value, key=key
-        )
-
-    def _require_active(self, kind: str) -> None:
-        if not self.is_active:
-            raise ProcessError(
-                f"{self.pid} invoked {kind} before its join returned; the "
-                f"model only allows reads/writes from active processes"
-            )
-
-    # ------------------------------------------------------------------
-    # Operation bodies
+    # Operation bodies (``RegisterNode`` owns the entry points)
     # ------------------------------------------------------------------
 
     def _join_body(self) -> OperationBody:
+        """Figure 4: the join operation."""
         # lines 01-02 were executed at construction time
         self._join_phase.open()
         self.ctx.broadcast.broadcast(
@@ -215,6 +185,7 @@ class EventuallySyncRegisterNode(RegisterNode):
         return make_join_result(self.space)  # line 11
 
     def _read_body(self, key: Any) -> OperationBody:
+        """Figure 5: the read operation."""
         request = self._reads.next_request(key)  # line 01
         phase = self._reads.open(key)  # line 02 (phase.active = "reading")
         self.ctx.broadcast.broadcast(
@@ -228,6 +199,7 @@ class EventuallySyncRegisterNode(RegisterNode):
         return self.space.value(key)
 
     def _write_body(self, value: Any, key: Any) -> OperationBody:
+        """Figure 6: the write operation (single writer per key)."""
         yield from self._read_body(key)  # line 01: refresh the sequence number
         sequence = self.space.bump(key)  # line 02
         self.space.install(key, value, sequence)
@@ -334,79 +306,6 @@ class EventuallySyncRegisterNode(RegisterNode):
         """Figure 6, lines 09-10."""
         if msg.sequence == self.space.sequence(msg.key):
             self._acks.phase(self.space.resolve(msg.key)).offer_ack(msg.sender)
-
-    # ------------------------------------------------------------------
-    # Wave handlers (the network's dispatch plane: tracing off and no
-    # installed fault plan that gates deliveries — every send below goes
-    # through the plan's transmit gate)
-    # ------------------------------------------------------------------
-    # Same sends in the same order as the ``on_*`` handlers above (the
-    # corpus seeds pin the digests), minus the per-delivery dispatch
-    # probe and the defensive watcher-snapshot copy.  Echo deliveries
-    # and no-op arms skip the watcher poll: a delivery that changes no
-    # state cannot newly satisfy a ``WaitUntil`` condition.
-
-    wave_handlers = {
-        EsInquiry: "_wave_esinquiry",
-        EsRead: "_wave_esread",
-        EsWrite: "_wave_eswrite",
-    }
-
-    @staticmethod
-    def _wave_esinquiry(network, sender, payload, node) -> None:
-        """Figure 4, lines 12-17."""
-        origin = payload.sender
-        if origin == node.pid:
-            return  # own broadcast echo
-        if node.is_active:
-            node._send_reply(origin, payload.read_sn, None)  # line 13
-            for key in node._reads.reading_keys():
-                node._send_dl_prev(origin, key)  # line 14
-        else:
-            node._reply_to.add((origin, payload.read_sn, None))  # line 15
-            node._send_dl_prev(origin, None)  # line 16
-        watchers = node._watchers
-        if watchers:
-            if len(watchers) == 1:
-                watchers[0].poll()
-            else:
-                for watcher in list(watchers):
-                    watcher.poll()
-
-    @staticmethod
-    def _wave_esread(network, sender, payload, node) -> None:
-        """Figure 5, lines 08-11."""
-        origin = payload.sender
-        if origin == node.pid:
-            return  # own broadcast echo
-        if node.is_active:
-            node._send_reply(origin, payload.read_sn, payload.key)  # line 09
-        else:
-            node._reply_to.add((origin, payload.read_sn, payload.key))  # line 10
-        watchers = node._watchers
-        if watchers:
-            if len(watchers) == 1:
-                watchers[0].poll()
-            else:
-                for watcher in list(watchers):
-                    watcher.poll()
-
-    @staticmethod
-    def _wave_eswrite(network, sender, payload, node) -> None:
-        """Figure 6, lines 06-08."""
-        sequence = payload.sequence
-        key = payload.key
-        node.space.adopt(key, payload.value, sequence)  # line 07
-        network.send_payload(
-            node.pid, payload.sender, EsAck(node.pid, sequence, key)
-        )
-        watchers = node._watchers
-        if watchers:
-            if len(watchers) == 1:
-                watchers[0].poll()
-            else:
-                for watcher in list(watchers):
-                    watcher.poll()
 
 
 def _pending_order(pending: tuple[str, int, Any]) -> tuple[str, int, bool, str]:

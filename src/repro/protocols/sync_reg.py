@@ -62,10 +62,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from ..core.register import BOTTOM, NodeContext, OP_JOIN, OP_READ, OP_WRITE, RegisterNode
+from ..core.register import BOTTOM, NodeContext, RegisterNode
 from ..net.network import _DELIVERY, _INF, _Unicast
 from ..sim.errors import ProcessError
-from ..sim.operations import OperationBody, OperationHandle, Wait
+from ..sim.operations import OperationBody, Wait
 from ..sim.process import ProcessMode
 from .common import OK, QuorumPhase, make_join_result
 
@@ -155,41 +155,11 @@ class SynchronousRegisterNode(RegisterNode):
             self._inquiry_wait = 2.0 * self._delta
 
     # ------------------------------------------------------------------
-    # Operations
-    # ------------------------------------------------------------------
-
-    def join(self) -> OperationHandle:
-        """Figure 1: the join operation."""
-        if self.is_active:
-            raise ProcessError(f"{self.pid} invoked join twice")
-        return self.run_operation(OP_JOIN, self._join_body())
-
-    def read(self, key: Any = None) -> OperationHandle:
-        """Figure 2: the read — purely local, zero latency."""
-        self._require_active(OP_READ)
-        key = self.space.resolve(key)
-        return self.run_operation(OP_READ, self._read_body(key), key=key)
-
-    def write(self, value: Any, key: Any = None) -> OperationHandle:
-        """Figure 2: the write — broadcast then wait δ."""
-        self._require_active(OP_WRITE)
-        key = self.space.resolve(key)
-        return self.run_operation(
-            OP_WRITE, self._write_body(value, key), argument=value, key=key
-        )
-
-    def _require_active(self, kind: str) -> None:
-        if not self.is_active:
-            raise ProcessError(
-                f"{self.pid} invoked {kind} before its join returned; the "
-                f"model only allows reads/writes from active processes"
-            )
-
-    # ------------------------------------------------------------------
-    # Operation bodies
+    # Operation bodies (``RegisterNode`` owns the entry points)
     # ------------------------------------------------------------------
 
     def _join_body(self) -> OperationBody:
+        """Figure 1: the join operation."""
         if self.join_wait:
             yield Wait(self._delta)  # line 02
         if self._needs_inquiry():  # line 03
@@ -214,10 +184,12 @@ class SynchronousRegisterNode(RegisterNode):
         return any(value is BOTTOM for _, value, _ in self.space.entries())
 
     def _read_body(self, key: Any) -> OperationBody:
+        """Figure 2: the read — purely local, zero latency."""
         return self.space.value(key)
         yield  # pragma: no cover — makes the body a generator
 
     def _write_body(self, value: Any, key: Any) -> OperationBody:
+        """Figure 2: the write — broadcast then wait δ."""
         sequence = self.space.bump(key)  # line 01
         self.space.install(key, value, sequence)
         self.ctx.broadcast.broadcast(self.pid, WriteMsg(value, sequence, key))
@@ -235,29 +207,29 @@ class SynchronousRegisterNode(RegisterNode):
     def _answer_pending_inquiries(self) -> None:
         """Line 11: answer every inquiry parked while listening.
 
-        On the network's fast path with declared uniform parameters the
-        whole flush is fused — the reply payload built once, one delay
-        draw and one pooled queue push per inquirer (the same inlined
-        send as ``_wave_inquiry``, amortized over the set).  Sends
-        happen in sorted-inquirer order either way, so the RNG stream,
-        the counters and the scheduled instants match the per-call
-        ``_send_reply`` loop exactly.  The inlined send skips
-        ``send_payload``'s gates legitimately: this node just became
-        active (present by definition) and every inquirer's membership
-        record exists forever.
+        One reply payload serves the whole set.  While the network
+        holds uniform parameters (``_p2p_uniform``: a clean, untraced
+        link — see ``on_inquiry``) the flush is fused — one delay draw
+        and one pooled queue push per inquirer (``on_inquiry``'s inlined
+        send, amortized over the set).  Sends happen in sorted-inquirer
+        order either way, so the RNG stream, the counters and the
+        scheduled instants match the ``send_payload`` loop exactly.  The
+        inlined send skips ``send_payload``'s gates legitimately: this
+        node just became active (present by definition) and every
+        inquirer's membership record exists forever.
         """
-        network = self._network
-        p2p = network._p2p_uniform
-        if not network._fast or p2p is None:
-            for j in sorted(self._reply_to):
-                self._send_reply(j)
-            return
         reply = self._reply_cache
         if reply is None or self._reply_version != self.space.version:
             value, sequence, entries = self.space.reply_parts()
             reply = Reply(self.pid, value, sequence, entries)
             self._reply_cache = reply
             self._reply_version = self.space.version
+        network = self._network
+        p2p = network._p2p_uniform
+        if p2p is None:
+            for dest in sorted(self._reply_to):
+                network.send_payload(self.pid, dest, reply)
+            return
         lo, span = p2p
         engine = network.engine
         now = engine._now
@@ -284,101 +256,42 @@ class SynchronousRegisterNode(RegisterNode):
         engine._live += sent
         network.sent_count += sent
 
-    def _send_reply(self, dest: str) -> None:
-        reply = self._reply_cache
-        if reply is None or self._reply_version != self.space.version:
-            value, sequence, entries = self.space.reply_parts()
-            reply = Reply(self.pid, value, sequence, entries)
-            self._reply_cache = reply
-            self._reply_version = self.space.version
-        self._network.send_payload(self.pid, dest, reply)
-
     # ------------------------------------------------------------------
-    # Message handlers (Figures 1 and 2)
+    # Message handlers (Figures 1 and 2) — the one body per payload
+    # type: the network's fire sites dispatch here inline, its checked
+    # path (tracing, delivery-gating plans) through ``deliver_payload``.
     # ------------------------------------------------------------------
 
     def on_inquiry(self, sender: str, msg: Inquiry) -> None:
-        """Lines 13-16 of Figure 1."""
-        if msg.sender == self.pid:
-            return  # own broadcast echo: a process does not answer itself
-        # line 14 — ``is_active`` spelled as the raw mode test and the
-        # reply-cache hit inlined (see ``_send_reply``): every broadcast
-        # fans this handler out to the whole population.
-        if self._mode is ProcessMode.ACTIVE:
-            reply = self._reply_cache
-            if reply is not None and self._reply_version == self.space.version:
-                self._network.send_payload(self.pid, msg.sender, reply)
-            else:
-                self._send_reply(msg.sender)
-        else:  # line 15
-            self._park(msg.sender)
+        """Lines 13-16 of Figure 1, reply send fused on a clean link.
 
-    def _park(self, inquirer: str) -> None:
-        """Line 15: ``reply_to := reply_to ∪ {j}``."""
-        if self._reply_to is None:
-            self._reply_to = set()
-        self._reply_to.add(inquirer)
-
-    def on_reply(self, sender: str, msg: Reply) -> None:
-        """Line 17 of Figure 1."""
-        entries = msg.entries
-        if entries is None:
-            entries = ((self.space.keys[0], msg.value, msg.sequence),)
-        self._phase().offer(msg.sender, entries)
-
-    def on_writemsg(self, sender: str, msg: WriteMsg) -> None:
-        """Lines 03-04 of Figure 2."""
-        self.space.adopt(msg.key, msg.value, msg.sequence)
-
-    # ------------------------------------------------------------------
-    # Wave handlers (the network's dispatch plane: tracing off and no
-    # installed fault plan that gates deliveries — every send below goes
-    # through the plan's transmit gate)
-    # ------------------------------------------------------------------
-    #
-    # Each wave is its ``on_<type>`` handler as one straight-line frame —
-    # same sends, same RNG draws in the same order, same counters (the
-    # kernel-parity suite pins ``trace=True``, which runs the handlers,
-    # against ``trace=False``, which runs these).  ``_wave_inquiry``
-    # additionally inlines the reply's ``send_payload`` on a clean link
-    # (declared uniform parameters, which a fault plan withdraws): an
-    # inquiry storm under churn spends most of its time in exactly that
-    # handler → send → sample → push chain.
-
-    wave_handlers = {
-        Inquiry: "_wave_inquiry",
-        Reply: "_wave_reply",
-        WriteMsg: "_wave_writemsg",
-    }
-
-    @staticmethod
-    def _wave_inquiry(network, sender, payload, node) -> None:
-        """Lines 13-16 of Figure 1, reply send fused.
-
-        With declared uniform parameters the reply's ``send_payload``
-        is inlined (``lo + span * random()`` is the bit-identical
-        expansion of ``sample``); it skips the sender/destination gates
-        legitimately: the replying node was just resolved from the
-        present table, and the inquirer broadcast a moment ago so its
-        membership record exists forever.  Without them — a delay model
-        that declares none, or an installed fault plan, which withdraws
-        them — the reply is a plain ``send_payload``, fault gate
-        included.
+        Every broadcast fans this handler out to the whole population,
+        and an inquiry storm under churn spends most of its time in the
+        handler → send → sample → push chain, so while the network holds
+        uniform parameters the reply's ``send_payload`` is inlined
+        (``lo + span * random()`` is the bit-identical expansion of
+        ``sample``).  That is legal exactly when ``_p2p_uniform`` is
+        set: the network withdraws it under tracing and under any fault
+        plan, so no SEND record and no transmit gate is skipped; the
+        sender / destination gates hold by construction — the replying
+        node was just resolved from the present table, and the inquirer
+        broadcast a moment ago so its membership record exists forever.
         """
-        inquirer = payload.sender
-        if inquirer == node.pid:
-            return  # own broadcast echo (line 13 guard)
-        if node._mode is ProcessMode.ACTIVE:
-            reply = node._reply_cache
-            space = node.space
-            if reply is None or node._reply_version != space.version:
+        inquirer = msg.sender
+        if inquirer == self.pid:
+            return  # own broadcast echo: a process does not answer itself
+        if self._mode is ProcessMode.ACTIVE:  # line 14
+            reply = self._reply_cache
+            space = self.space
+            if reply is None or self._reply_version != space.version:
                 value, sequence, entries = space.reply_parts()
-                reply = Reply(node.pid, value, sequence, entries)
-                node._reply_cache = reply
-                node._reply_version = space.version
+                reply = Reply(self.pid, value, sequence, entries)
+                self._reply_cache = reply
+                self._reply_version = space.version
+            network = self._network
             p2p = network._p2p_uniform
             if p2p is None:
-                network.send_payload(node.pid, inquirer, reply)
+                network.send_payload(self.pid, inquirer, reply)
             else:
                 # Finite ``now`` plus a bounded positive draw is always
                 # finite, so the non-finite instant check is subsumed.
@@ -388,7 +301,7 @@ class SynchronousRegisterNode(RegisterNode):
                 )
                 pool = network._unicast_pool
                 entry = pool.pop() if pool else _Unicast(network)
-                entry.sender = node.pid
+                entry.sender = self.pid
                 entry.payload = reply
                 entry.broadcast_id = None
                 entry.dest = inquirer
@@ -397,52 +310,31 @@ class SynchronousRegisterNode(RegisterNode):
                 engine._live += 1
                 network.sent_count += 1
         else:  # line 15
-            node._park(inquirer)
-        watchers = node._watchers
-        if watchers:
-            # One watcher (the overwhelmingly common case: a joiner
-            # waits on exactly one condition) polls without the
-            # defensive snapshot copy — ``poll`` may remove it, but
-            # the reference is already taken.
-            if len(watchers) == 1:
-                watchers[0].poll()
-            else:
-                for watcher in list(watchers):
-                    watcher.poll()
+            self._park(inquirer)
 
-    @staticmethod
-    def _wave_reply(network, sender, payload, node) -> None:
+    def _park(self, inquirer: str) -> None:
+        """Line 15: ``reply_to := reply_to ∪ {j}``."""
+        if self._reply_to is None:
+            self._reply_to = set()
+        self._reply_to.add(inquirer)
+
+    def on_reply(self, sender: str, msg: Reply) -> None:
         """Line 17 of Figure 1.
 
         ``offer()`` inlined; a multi-key reply's ``entries`` is already
         a tuple, so storing it directly is what ``offer`` would store.
         """
-        entries = payload.entries
+        entries = msg.entries
         if entries is None:
-            entries = ((node.space.keys[0], payload.value, payload.sequence),)
-        phase = node._join_phase
+            entries = ((self.space.keys[0], msg.value, msg.sequence),)
+        phase = self._join_phase
         if phase is None:  # a reply to a node that never inquired
-            phase = node._phase()
-        phase._offers[payload.sender] = entries
-        watchers = node._watchers
-        if watchers:
-            if len(watchers) == 1:
-                watchers[0].poll()
-            else:
-                for watcher in list(watchers):
-                    watcher.poll()
+            phase = self._phase()
+        phase._offers[msg.sender] = entries
 
-    @staticmethod
-    def _wave_writemsg(network, sender, payload, node) -> None:
+    def on_writemsg(self, sender: str, msg: WriteMsg) -> None:
         """Lines 03-04 of Figure 2."""
-        node.space.adopt(payload.key, payload.value, payload.sequence)
-        watchers = node._watchers
-        if watchers:
-            if len(watchers) == 1:
-                watchers[0].poll()
-            else:
-                for watcher in list(watchers):
-                    watcher.poll()
+        self.space.adopt(msg.key, msg.value, msg.sequence)
 
 
 class NaiveSyncRegisterNode(SynchronousRegisterNode):

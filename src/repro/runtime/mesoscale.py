@@ -65,6 +65,7 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
+from ..churn.controller import check_stay_and_stop
 from ..churn.model import ConstantChurn
 from ..net.delay import quantize_arrivals, uniform_cdf, uniform_sum_cdf
 from ..protocols.sync_reg import Inquiry, WriteMsg
@@ -579,6 +580,7 @@ class BulkChurnController:
         min_stay: Time = 0.0,
         stop_at: Time | None = None,
     ) -> None:
+        check_stay_and_stop(min_stay, stop_at)
         self.system = system
         self.churn = churn
         self.min_stay = float(min_stay)

@@ -46,9 +46,10 @@ seeded RNG streams (:mod:`repro.sim.rng`); given the same configuration
 and seed, two runs produce byte-identical traces.  The whole test
 strategy of the library leans on this property.
 
-Hot paths that inline their pushes (the network's delivery plane, the
-wave handlers) validate the instant, call :meth:`EventScheduler._push`
-and advance ``_sequence`` / ``_live`` themselves.
+Hot paths that inline their pushes (the network's delivery plane,
+sync's fused reply sends) validate the instant, call
+:meth:`EventScheduler._push` and advance ``_sequence`` / ``_live``
+themselves.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ had is *abandoned* (recorded as such, excused by the liveness checker).
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import Any, Callable, Sequence
 
 from .clock import Time
 from .engine import EventScheduler
@@ -30,9 +30,6 @@ from .operations import (
     Wait,
     WaitUntil,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from ..net.message import Message
 
 
 #: What every process's ``_runners`` / ``_watchers`` start as (see
@@ -55,18 +52,10 @@ class SimProcess:
     (for a payload class ``Inquiry`` the handler is ``on_inquiry``) and
     operation bodies as generators passed to :meth:`run_operation`.
 
-    Subclasses may additionally register *wave handlers* — the
-    network's dispatch plane when tracing is off and no installed fault
-    plan gates deliveries.  ``wave_handlers`` maps a payload class to the name
-    of a staticmethod ``(network, sender, payload, process) -> None``
-    that handles one delivery of that payload in a single straight-line
-    frame (handler body, inlined reply send, watcher poll), replacing
-    the ``deliver_payload`` → ``on_<type>`` chain.  A wave must be
-    observably byte-identical to its ``on_<type>`` handler (same sends,
-    same RNG draws in the same order, same counters, every send through
-    ``send_payload`` or an exact inlining of it): traced runs and
-    delivery-gating plans take the handlers, and the kernel-parity
-    suite holds ``trace=True`` ≡ ``trace=False``.
+    A handler is called, and the pending ``WaitUntil`` watchers polled
+    after it, by :meth:`deliver_payload` — or by the network's two fire
+    sites, which inline exactly that when nothing has to be checked or
+    traced per delivery (see :mod:`repro.net.network`).
 
     A process costs what it uses.  ``_runners`` and ``_watchers`` start
     as the one shared empty tuple and become lists of their own at the
@@ -84,15 +73,7 @@ class SimProcess:
     __slots__ = (
         "pid", "engine", "_mode", "_entered_at", "_activated_at",
         "_departed_at", "_runners", "_watchers", "_registry", "_dispatch",
-        "_waves",
     )
-
-    #: Payload class -> wave staticmethod name.  Resolved per class at
-    #: first instantiation (see ``_waves``); a subclass that overrides a
-    #: payload's ``on_<type>`` handler without re-declaring its wave
-    #: drops the wave automatically — ``on_<type>`` dispatch is always
-    #: the safe fallback.
-    wave_handlers: dict[type, str] = {}
 
     def __init__(self, pid: str, engine: EventScheduler) -> None:
         self.pid = pid
@@ -118,11 +99,6 @@ class SimProcess:
             cache = {}
             cls._dispatch_cache = cache
         self._dispatch: dict[type, Callable[..., None]] = cache
-        waves = cls.__dict__.get("_wave_cache")
-        if waves is None:
-            waves = _build_wave_cache(cls)
-            cls._wave_cache = waves
-        self._waves: dict[type, Callable[..., None]] = waves
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -185,22 +161,13 @@ class SimProcess:
     # Message handling
     # ------------------------------------------------------------------
 
-    def deliver(self, message: "Message") -> None:
-        """Dispatch a delivered message to its ``on_<type>`` handler.
-
-        Thin wrapper over :meth:`deliver_payload` — handlers only ever
-        see the sender and the payload, never the envelope.
-        """
-        self.deliver_payload(message.sender, message.payload)
-
     def deliver_payload(self, sender: str, payload: Any) -> None:
         """Dispatch one delivered payload to its ``on_<type>`` handler.
 
-        Called by the network — fan-out delivers straight from the
-        shared broadcast header, with no per-recipient ``Message``
-        envelope at all.  Deliveries to departed processes are dropped
-        by the network before reaching this point, but the check is
-        repeated here defensively.
+        Called by the network's checked path (its fast arms inline the
+        same lookup, call and poll).  Deliveries to departed processes
+        are dropped by the network before reaching this point, but the
+        check is repeated here defensively.
         """
         if self._mode is ProcessMode.DEPARTED:
             return
@@ -300,35 +267,6 @@ class SimProcess:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}({self.pid}, {self._mode.value})"
-
-
-def _defining_class(cls: type, name: str) -> type | None:
-    """The first class in ``cls``'s MRO whose ``__dict__`` holds ``name``."""
-    for klass in cls.__mro__:
-        if name in vars(klass):
-            return klass
-    return None
-
-
-def _build_wave_cache(cls: type) -> dict[type, Callable[..., None]]:
-    """Resolve ``cls.wave_handlers`` into a payload-type -> callable map.
-
-    A wave is only trusted when it is at least as specific as the
-    ``on_<type>`` handler it replaces: if a subclass overrides the
-    handler without re-declaring the wave, the inherited wave would
-    silently bypass the override — so it is dropped here and the class
-    falls back to ``on_<type>`` dispatch for that payload type.
-    """
-    cache: dict[type, Callable[..., None]] = {}
-    for payload_type, wave_name in cls.wave_handlers.items():
-        handler_name = f"on_{payload_type.__name__.lower()}"
-        wave_owner = _defining_class(cls, wave_name)
-        handler_owner = _defining_class(cls, handler_name)
-        if wave_owner is None or handler_owner is None:
-            continue
-        if issubclass(wave_owner, handler_owner):
-            cache[payload_type] = getattr(cls, wave_name)
-    return cache
 
 
 class _ConditionWatcher:

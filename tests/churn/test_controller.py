@@ -1,7 +1,11 @@
 """Unit tests for the churn controller, driven against a real system."""
 
+import functools
+
 import pytest
 
+from repro.runtime.config import SystemConfig
+from repro.runtime.mesoscale import MesoscaleSystem
 from repro.sim.errors import ChurnError
 from tests.conftest import make_system
 
@@ -102,56 +106,74 @@ class TestVictimSelection:
 
 NAN, INF = float("nan"), float("inf")
 
+#: Both controllers at two evictions a tick: the exact one (n = 20) and
+#: the mesoscale cohort one (n = 2000), which shares ``ConstantChurn``
+#: and ``check_stay_and_stop`` with it.
+CHURNED = {
+    "exact": (lambda: make_system(n=20), 0.1),
+    "mesoscale": (
+        lambda: MesoscaleSystem(SystemConfig(n=2000, mode="mesoscale")), 0.001
+    ),
+}
+
+
+@pytest.fixture(params=sorted(CHURNED))
+def churned(request):
+    """``(system, attach)``: ``attach(**overrides)`` is the system's
+    ``attach_churn`` at the two-a-tick rate."""
+    build, rate = CHURNED[request.param]
+    system = build()
+    return system, functools.partial(system.attach_churn, rate=rate)
+
 
 class TestParametersAreCheckedAtConstruction:
     """Each bad value is refused where it is given, by a ``ChurnError``
     that names the parameter — not three layers down as a scheduler
-    error, and never by silently switching churn off."""
+    error, and never by silently switching churn (or, in mesoscale, the
+    stay rule) off."""
 
     @pytest.mark.parametrize("min_stay", [NAN, -1.0, -INF])
-    def test_min_stay(self, min_stay):
-        system = make_system(n=20)
+    def test_min_stay(self, churned, min_stay):
+        system, attach = churned
         with pytest.raises(ChurnError, match="min_stay = "):
-            system.attach_churn(rate=0.1, min_stay=min_stay)
+            attach(min_stay=min_stay)
         assert system.churn is None
 
-    def test_an_infinite_min_stay_is_legal_and_never_evicts(self):
-        system = make_system(n=20)
-        controller = system.attach_churn(rate=0.1, min_stay=INF)
+    def test_an_infinite_min_stay_is_legal_and_never_evicts(self, churned):
+        system, attach = churned
+        controller = attach(min_stay=INF)
         system.run_until(20.0)
         assert controller.leaves_executed == 0
         assert controller.shortfall == 40  # every quota, accounted for
 
     @pytest.mark.parametrize("stop_at", [NAN])
-    def test_stop_at(self, stop_at):
-        system = make_system(n=20)
+    def test_stop_at(self, churned, stop_at):
+        system, attach = churned
         with pytest.raises(ChurnError, match="stop_at = nan"):
-            system.attach_churn(rate=0.1, stop_at=stop_at)
+            attach(stop_at=stop_at)
+        assert system.churn is None
 
     @pytest.mark.parametrize("stop_at", [INF, -INF])
-    def test_an_infinite_stop_at_is_an_instant(self, stop_at):
-        system = make_system(n=20)
-        controller = system.attach_churn(rate=0.1, stop_at=stop_at)
+    def test_an_infinite_stop_at_is_an_instant(self, churned, stop_at):
+        system, attach = churned
+        controller = attach(stop_at=stop_at)
         system.run_until(5.0)
         assert controller.leaves_executed == (10 if stop_at > 0 else 0)
 
     @pytest.mark.parametrize("period", [NAN, INF, 0.0, -1.0, -INF])
-    def test_period(self, period):
-        system = make_system(n=20)
+    def test_period(self, churned, period):
         with pytest.raises(ChurnError, match="period = "):
-            system.attach_churn(rate=0.1, period=period)
+            churned[1](period=period)
 
     @pytest.mark.parametrize("start", [NAN, INF, -INF])
-    def test_start(self, start):
-        system = make_system(n=20)
+    def test_start(self, churned, start):
         with pytest.raises(ChurnError, match="start = "):
-            system.attach_churn(rate=0.1, start=start)
+            churned[1](start=start)
 
     @pytest.mark.parametrize("rate", [NAN, INF, -0.1, 1.0])
-    def test_rate(self, rate):
-        system = make_system(n=20)
+    def test_rate(self, churned, rate):
         with pytest.raises(ChurnError, match="churn rate"):
-            system.attach_churn(rate=rate)
+            churned[1](rate=rate)
 
 
 class TestLifecycleRules:

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import functools
-
 import pytest
 
 from repro.net.delay import SynchronousDelay
@@ -33,20 +31,6 @@ def trace() -> TraceLog:
 @pytest.fixture
 def membership() -> Membership:
     return Membership()
-
-
-def transmit_via(entry_point, net, sender, dest, payload):
-    """Send through ``Network.<entry_point>``; returns the arrival
-    instant (``send`` is ``send_payload`` plus the envelope)."""
-    result = getattr(net, entry_point)(sender, dest, payload)
-    return result.deliver_at if entry_point == "send" else result
-
-
-@pytest.fixture(params=["send", "send_payload"])
-def transmit(request):
-    """``transmit(net, sender, dest, payload)`` through either network
-    entry point: every point-to-point case runs through both."""
-    return functools.partial(transmit_via, request.param)
 
 
 def make_system(**overrides) -> DynamicSystem:

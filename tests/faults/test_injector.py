@@ -94,22 +94,22 @@ class TestLoss:
 
 class TestPartition:
     def test_drop_partition_severs_both_directions(
-        self, engine, membership, trace, rng, transmit
+        self, engine, membership, trace, rng
     ):
         plan = FaultPlan.of(
             PartitionFault(start=0.0, end=100.0, group_a=frozenset({"a"}), mode="drop")
         )
         net = bare_network(engine, membership, trace, rng, plan)
-        transmit(net, "a", "b", Note("x"))
-        transmit(net, "b", "a", Note("y"))
-        transmit(net, "b", "c", Note("z"))  # same side: unaffected
+        net.send_payload("a", "b", Note("x"))
+        net.send_payload("b", "a", Note("y"))
+        net.send_payload("b", "c", Note("z"))  # same side: unaffected
         engine.run()
         assert net.faults.partition_dropped_count == 2
         assert net.faulted_count == 2
         assert membership.process("c").received == ["z"]
 
     def test_in_flight_message_hits_partition_at_arrival(
-        self, engine, membership, trace, rng, transmit
+        self, engine, membership, trace, rng
     ):
         # Partition starts after the send but before the delivery: the
         # message is swallowed at the delivery instant.
@@ -117,27 +117,27 @@ class TestPartition:
             PartitionFault(start=0.2, end=50.0, group_a=frozenset({"b"}), mode="drop")
         )
         net = bare_network(engine, membership, trace, rng, plan)
-        assert transmit(net, "a", "b", Note("x")) > 0.2
+        assert net.send_payload("a", "b", Note("x")) > 0.2
         engine.run()
         assert net.faults.partition_dropped_count == 1
         assert membership.process("b").received == []
 
     def test_defer_partition_delays_until_heal_never_loses(
-        self, engine, membership, trace, rng, transmit
+        self, engine, membership, trace, rng
     ):
         heal = 12.0
         plan = FaultPlan.of(
             PartitionFault(start=0.0, end=heal, group_a=frozenset({"b"}), mode="defer")
         )
         net = bare_network(engine, membership, trace, rng, plan)
-        assert transmit(net, "a", "b", Note("x")) == heal
+        assert net.send_payload("a", "b", Note("x")) == heal
         engine.run()
         assert net.faults.deferred_count == 1
         assert net.faulted_count == 0
         assert membership.process("b").received == ["x"]
 
     def test_short_defer_partition_respects_the_sync_bound(
-        self, engine, membership, trace, rng, transmit
+        self, engine, membership, trace, rng
     ):
         # The in-model claim: a defer partition no longer than delta
         # keeps every crossing delay within delta of the send.
@@ -148,34 +148,32 @@ class TestPartition:
         )
         net = bare_network(engine, membership, trace, rng, plan)
         for _ in range(20):
-            assert transmit(net, "a", "b", Note("x")) - engine.now <= DELTA
+            assert net.send_payload("a", "b", Note("x")) - engine.now <= DELTA
 
-    def test_healed_partition_lets_traffic_flow(
-        self, engine, membership, trace, rng, transmit
-    ):
+    def test_healed_partition_lets_traffic_flow(self, engine, membership, trace, rng):
         plan = FaultPlan.of(
             PartitionFault(start=0.0, end=1.0, group_a=frozenset({"b"}), mode="drop")
         )
         net = bare_network(engine, membership, trace, rng, plan)
         engine.run_until(2.0)
-        transmit(net, "a", "b", Note("x"))
+        net.send_payload("a", "b", Note("x"))
         engine.run()
         assert net.faults.partition_dropped_count == 0
         assert membership.process("b").received == ["x"]
 
 
 class TestSpike:
-    def test_spike_inflates_delay_inside_window(self, transmit):
+    def test_spike_inflates_delay_inside_window(self):
         plan = FaultPlan.of(DelaySpikeFault(start=0.0, end=100.0, extra=7.0))
         system = make_system(faults=plan)
-        arrives = transmit(system.network, "p0001", "p0002", "x")
+        arrives = system.network.send_payload("p0001", "p0002", "x")
         assert arrives - system.now > 7.0
         assert system.faults.spiked_count == 1
 
-    def test_spike_window_is_exclusive_at_end(self, transmit):
+    def test_spike_window_is_exclusive_at_end(self):
         plan = FaultPlan.of(DelaySpikeFault(start=50.0, end=60.0, extra=7.0))
         system = make_system(faults=plan)
-        arrives = transmit(system.network, "p0001", "p0002", "x")
+        arrives = system.network.send_payload("p0001", "p0002", "x")
         assert arrives - system.now <= DELTA
         assert system.faults.spiked_count == 0
 
@@ -207,7 +205,7 @@ class TestCrash:
         assert system.network.dropped_count >= 1
 
     def test_undelivered_messages_do_not_count_toward_occurrence(
-        self, engine, membership, trace, rng, transmit
+        self, engine, membership, trace, rng
     ):
         # The first two Notes to "b" never land (drop partition), so a
         # crash at the 2nd delivered Note must wait for two messages
@@ -219,20 +217,20 @@ class TestCrash:
         )
         net = bare_network(engine, membership, trace, rng, plan)
         net.faults.crash_hook = crashed.append
-        transmit(net, "a", "b", Note("eaten-1"))
-        transmit(net, "a", "b", Note("eaten-2"))
+        net.send_payload("a", "b", Note("eaten-1"))
+        net.send_payload("a", "b", Note("eaten-2"))
         engine.run_until(20.0)  # partition healed, nothing delivered yet
         assert net.faults.partition_dropped_count == 2
         assert crashed == []
-        transmit(net, "a", "b", Note("lands-1"))
+        net.send_payload("a", "b", Note("lands-1"))
         engine.run_until(30.0)
         assert crashed == []  # only ONE deliverable message so far
-        transmit(net, "a", "b", Note("lands-2"))
+        net.send_payload("a", "b", Note("lands-2"))
         engine.run_until(40.0)
         assert crashed == ["b"]
 
     def test_delivery_to_departed_dest_does_not_count_toward_occurrence(
-        self, engine, membership, trace, rng, transmit
+        self, engine, membership, trace, rng
     ):
         plan = FaultPlan.of(
             CrashFault(phase="Note", victim="sender", pid="a", occurrence=2)
@@ -240,15 +238,15 @@ class TestCrash:
         net = bare_network(engine, membership, trace, rng, plan)
         crashed = []
         net.faults.crash_hook = crashed.append
-        transmit(net, "a", "b", Note("never-lands"))
+        net.send_payload("a", "b", Note("never-lands"))
         membership.process("b").depart()
         membership.leave("b", 0.0)
         engine.run()
         assert net.dropped_count == 1
-        transmit(net, "a", "c", Note("lands-1"))
+        net.send_payload("a", "c", Note("lands-1"))
         engine.run()
         assert crashed == []  # the departed-dest drop did not count
-        transmit(net, "a", "c", Note("lands-2"))
+        net.send_payload("a", "c", Note("lands-2"))
         engine.run()
         assert crashed == ["a"]
 

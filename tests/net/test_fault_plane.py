@@ -1,12 +1,15 @@
 """One delivery plane under faults.
 
 A fault plan settles everything it can at transmission, so an installed
-plan leaves deliveries on the wave plane unless it can act when one
-*fires* (a drop-mode partition, a crash).  Pinned here:
+plan leaves the fire sites on their inlined dispatch unless it can act
+when a delivery *fires* (a drop-mode partition, a crash).  Pinned here:
 
 * which plans take the checked path (``Network._fast``), and that the
   checked path really is idle / really is taken;
-* that no wave sends around the transmit gate;
+* that the uniform draw parameters sync fuses its reply sends on exist
+  only on a clean, untraced link — so no fused send skips the transmit
+  gate or a SEND record (``trace=True`` ≡ ``trace=False`` here compares
+  ``send_payload`` against the fused send);
 * that recipients a defer partition parks on one instant — one
   ``_Unicast`` each since ``_BroadcastBatch`` went — still deliver in
   recipient / push order, ahead of anything else due at that instant.
@@ -30,7 +33,7 @@ from repro.net.delay import SynchronousDelay
 from repro.net.network import Network
 from repro.sim.events import Priority
 from repro.sim.process import SimProcess
-from repro.sim.trace import TraceLog
+from repro.sim.trace import TraceKind, TraceLog
 from tests.conftest import make_system
 
 DELTA = 5.0
@@ -80,6 +83,31 @@ class TestPlaneSelection:
         gated = make_system(trace=False, faults=FaultPlan()).network
         assert gated._p2p_uniform is None and gated._bcast_uniform is None
 
+    def test_tracing_withdraws_the_point_to_point_draw(self):
+        # The sweep stays (its fires go through ``_fire_checked``); a
+        # fused reply send would skip its SEND record.
+        traced = make_system(trace=True).network
+        assert traced._p2p_uniform is None and traced._bcast_uniform is not None
+
+    def test_a_traced_churn_run_records_every_send(self):
+        """What the fused send must never break: SEND records and
+        ``sent_count`` agree, and tracing changes neither."""
+
+        def churned(trace):
+            system = make_system(n=12, seed=5, trace=trace)
+            system.attach_churn(rate=0.1)
+            system.write("v1")
+            system.run_for(6 * DELTA)
+            return system
+
+        traced, plain = churned(True), churned(False)
+        # Overlapping joins park each other's inquiries, so both fused
+        # sites (the inquiry reply, the join-completion flush) were hit.
+        assert traced.churn.joins_executed > 4
+        sent = traced.network.sent_count
+        assert sent == plain.network.sent_count > 50
+        assert traced.trace.count(TraceKind.SEND) == sent
+
     def test_transmit_only_plan_never_takes_the_checked_path(self, monkeypatch):
         def refuse(self, sender, dest, payload, broadcast_id):
             raise AssertionError("a transmit-only plan took the checked path")
@@ -110,9 +138,9 @@ class TestPlaneSelection:
 
 
 class TestNoWaveSendsAroundTheGate:
-    """The sync waves are the only ones that ever inlined a send
-    (``_wave_inquiry``, the join-completion flush); under a plan both
-    must go through ``send_payload`` and its gate."""
+    """Sync is the only protocol that ever inlines a send (``on_inquiry``,
+    the join-completion flush); under a plan both must go through
+    ``send_payload`` and its gate."""
 
     def surface(self, plan, trace):
         system = drive(make_system(n=12, seed=5, trace=trace, faults=plan))
@@ -137,7 +165,7 @@ class TestNoWaveSendsAroundTheGate:
 
     def test_total_reply_loss_loses_every_send(self):
         # Every sync send is a Reply (the rest is broadcast): with the
-        # wave plane honouring the gate, none survives — including the
+        # handlers honouring the gate, none survives — including the
         # parked inquiries each joiner answers when its own join ends.
         plan = FaultPlan.of(LossFault(probability=1.0, payload_types={"Reply"}))
         waves = self.surface(plan, trace=False)

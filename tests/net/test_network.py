@@ -1,12 +1,9 @@
 """Unit tests for the point-to-point network.
 
-``Network.send`` is ``send_payload`` plus the ``Message`` describing
-what was scheduled, so every case here runs through both entry points
-(the ``send`` fixture), and :class:`TestSendIsSendPayload` holds the two
-to the same RNG draw, counters, scheduled instant and trace records.
+``Network.send_payload`` is the one entry point; it returns the instant
+the payload arrives at — also for a send the fault gate vetoed.
 """
 
-import functools
 from dataclasses import dataclass
 
 import pytest
@@ -26,7 +23,6 @@ from repro.sim.membership import Membership
 from repro.sim.process import SimProcess
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import TraceKind, TraceLog
-from tests.conftest import transmit_via
 
 
 @dataclass(frozen=True)
@@ -52,9 +48,8 @@ def net(engine, membership, trace, rng):
 
 
 @pytest.fixture
-def send(net, transmit):
-    """Send on ``net`` through either entry point (see ``transmit``)."""
-    return functools.partial(transmit, net)
+def send(net):
+    return net.send_payload
 
 
 class TestSend:
@@ -65,15 +60,20 @@ class TestSend:
         receiver = membership.process("p2")
         assert receiver.notes == [("p1", "hi", deliver_at)]
 
-    def test_send_returns_the_envelope_it_scheduled(self, net, engine, membership):
-        message = net.send("p1", "p2", Note("hi"))
-        assert (message.sender, message.dest, message.payload) == (
-            "p1", "p2", Note("hi")
+    def test_a_vetoed_send_still_returns_its_arrival_instant(
+        self, net, send, engine, rng, membership
+    ):
+        net.install_faults(
+            FaultInjector(
+                FaultPlan.of(LossFault(probability=1.0)), rng.stream("test.faults")
+            )
         )
-        assert message.sent_at == 0.0 and message.broadcast_id is None
-        assert 0.0 < message.delay <= 5.0
+        deliver_at = send("p1", "p2", Note("lost"))
+        assert 0.0 < deliver_at <= 5.0
+        assert engine.pending_count == 0  # counted and traced, never scheduled
+        assert (net.sent_count, net.faulted_count) == (1, 1)
         engine.run()
-        assert membership.process("p2").notes == [("p1", "hi", message.deliver_at)]
+        assert membership.process("p2").notes == []
 
     def test_send_to_self_is_legal(self, send, engine, membership):
         send("p1", "p1", Note("echo"))
@@ -174,10 +174,9 @@ class TestDropAccounting:
         assert net.faulted_count == 0
 
 
-def _observe(entry_point, traced, plan, depart_dest):
-    """One fresh three-sink world: send a→b twice and b→c once through
-    ``entry_point``, run to quiescence, and report everything a send
-    may touch."""
+def _observe(traced, plan, depart_dest):
+    """One fresh three-sink world: send a→b twice and b→c once, run to
+    quiescence, and report everything a send may touch."""
     engine, membership = EventScheduler(), Membership()
     trace, rng = TraceLog(enabled=traced), RngRegistry(seed=1234)
     net = Network(engine, membership, SynchronousDelay(delta=5.0), trace, rng)
@@ -192,7 +191,7 @@ def _observe(entry_point, traced, plan, depart_dest):
         net.install_faults(FaultInjector(plan, rng.stream("test.faults"), crash))
     scheduled = []
     for sender, dest, text in (("a", "b", "1"), ("a", "b", "2"), ("b", "c", "3")):
-        instant = transmit_via(entry_point, net, sender, dest, Note(text))
+        instant = net.send_payload(sender, dest, Note(text))
         scheduled.append((instant, engine.pending_count, engine.next_event_time()))
     if depart_dest:
         crash("b")
@@ -237,27 +236,28 @@ SEND_CASES = {
 }
 
 
-class TestSendIsSendPayload:
-    """``send`` ≡ ``send_payload``: same RNG draw, ``sent_count``,
-    scheduled instant, trace records and fault accounting — the envelope
-    ``send`` returns is the only difference."""
+class TestTracingOnlyAddsTheTrace:
+    """Tracing takes every delivery through ``_fire_checked``; leaving it
+    off lets a transmit-only plan (or none) dispatch inline.  Either
+    way: same RNG draw, counters, scheduled instants, fault accounting
+    and receptions — the records are the only difference."""
 
-    @pytest.mark.parametrize("traced", [False, True], ids=["plain", "traced"])
     @pytest.mark.parametrize("case", SEND_CASES)
-    def test_identical_observables(self, case, traced):
+    def test_identical_observables(self, case):
         plan, depart_dest = SEND_CASES[case]
-        via_send = _observe("send", traced, plan, depart_dest)
-        via_payload = _observe("send_payload", traced, plan, depart_dest)
-        assert via_send == via_payload
+        plain = _observe(False, plan, depart_dest)
+        traced = _observe(True, plan, depart_dest)
+        assert plain["trace"] == [] and traced.pop("trace")
+        plain.pop("trace")
+        assert plain == traced
         # ... and the case really exercised what its name says.
-        sent, delivered, dropped, faulted, _ = via_send["counts"]
+        sent, delivered, dropped, faulted, _ = plain["counts"]
         assert sent == 3
         assert (faulted > 0) == case.startswith("loss")
         assert (dropped > 0) == (case in ("crash_at_deliver", "departed_destination"))
         assert delivered + dropped + faulted == 3
-        assert bool(via_send["trace"]) == traced
         if case == "loss_at_deliver":
             # Both sends to "b" were scheduled, then eaten on arrival.
-            assert [pending for _, pending, _ in via_send["scheduled"]] == [1, 2, 3]
+            assert [pending for _, pending, _ in plain["scheduled"]] == [1, 2, 3]
         if case == "deferred_at_send":
-            assert [at for at, _, _ in via_send["scheduled"][:2]] == [12.0, 12.0]
+            assert [at for at, _, _ in plain["scheduled"][:2]] == [12.0, 12.0]

@@ -1,18 +1,19 @@
-"""One point-to-point plane: nothing under ``src/repro`` may go back to
-the envelope-returning ``Network.send``, and the broadcast service's
-entrant offers ride the same ``_Unicast`` as every other delivery.
+"""One point-to-point plane: ``send_payload`` is the network's only
+send, and the broadcast service's entrant offers ride the same
+``_Unicast`` as every other delivery.
 
-``Network.send`` survives only as a test-facing shell over
-``send_payload``.  The guard below patches it to raise and drives one
-short cell of every protocol plus a live migration — with tracing on
-(the ``on_<type>`` handlers run) and off (the wave handlers run), since
-the two planes carry their own send calls.
+The envelope-returning ``Network.send`` and its ``Message`` are deleted;
+one short cell of every protocol plus a live migration — with tracing on
+(every delivery through ``_fire_checked``) and off (the fire sites
+dispatch inline, sync fuses its reply sends) — proves nothing under
+``src/repro`` still reaches for them.
 """
 
 from dataclasses import dataclass
 
 import pytest
 
+import repro.net
 from repro.cluster import ClusterConfig, ClusterSystem
 from repro.faults import FaultInjector, FaultPlan, LossFault
 from repro.net.broadcast import BroadcastService
@@ -25,18 +26,12 @@ from tests.conftest import make_system
 DELTA = 5.0
 
 
-@pytest.fixture
-def no_envelope_sends(monkeypatch):
-    def refuse(self, sender, dest, payload):
-        raise AssertionError(
-            f"{type(payload).__name__} {sender}->{dest} went through "
-            f"Network.send; protocol traffic rides send_payload"
-        )
-
-    monkeypatch.setattr(Network, "send", refuse)
+def test_the_envelope_api_is_gone():
+    assert not hasattr(Network, "send")
+    assert not hasattr(SimProcess, "deliver")
+    assert not hasattr(repro.net, "Message")
 
 
-@pytest.mark.usefixtures("no_envelope_sends")
 @pytest.mark.parametrize("trace", [True, False], ids=["handlers", "waves"])
 class TestNoCallerOfSend:
     @pytest.mark.parametrize("protocol", ["sync", "es", "abd"])

@@ -14,13 +14,18 @@ replaced:
   from the last kernel that took *every* faulted delivery through the
   checked path and the ``on_<type>`` handlers (the 39 older cells came
   out byte-identical in that dump), before transmit-only plans moved
-  onto the wave plane.
-* **Live.**  ``trace=True`` takes every delivery off the wave plane and
-  through ``_fire_checked`` → ``deliver_payload`` → the ``on_<type>``
-  handlers.  So a traced run *is* the reference implementation of the
-  waves, and ``trace=True`` ≡ ``trace=False`` on the whole grid (and in
-  the Hypothesis sweep, which no golden covers) is the wave-versus-
-  handler oracle.
+  off the checked path.
+* **Live.**  Every payload type has one body, its ``on_<type>`` handler;
+  what ``trace`` still forks is how a delivery reaches it.  ``trace=True``
+  takes each one through ``_fire_checked`` → ``deliver_payload`` and
+  every send through ``send_payload``; ``trace=False`` dispatches inline
+  at the two fire sites and lets sync fuse its reply sends on the
+  declared uniform draw.  So ``trace=True`` ≡ ``trace=False`` on the
+  whole grid (and in the Hypothesis sweep, which no golden covers)
+  compares the checked wrapper against the inlined dispatch and
+  ``send_payload`` against the fused send; the fan-out sweep runs on
+  both sides, and it is the golden that holds it to per-recipient
+  entries.
 
 Any divergence here means a kernel change altered semantics, not just
 speed — a hard failure.  After a deliberate behaviour change, rerun
@@ -56,9 +61,9 @@ GOLDEN_PATH = Path(__file__).with_name("kernel_golden.json")
 #: the on-transmit gate; the partition exercises delivery-time severing
 #: (both the drop and the deferred-heal arm); ``spike`` and ``combo``
 #: (the judged ``es_faulted_200`` shape: light loss on the reply types,
-#: a defer partition, a delay spike) are transmit-only plans, which ride
-#: the wave plane with tracing off; ``crash`` gates deliveries, like the
-#: drop partition, and stays on the checked path either way.
+#: a defer partition, a delay spike) are transmit-only plans, which
+#: dispatch inline with tracing off; ``crash`` gates deliveries, like
+#: the drop partition, and stays on the checked path either way.
 FAULT_PLANS = {
     "none": None,
     "loss": FaultPlan.of(
@@ -264,8 +269,8 @@ class TestKernelGolden:
 
 
 class TestWavesAgainstHandlers:
-    """The live oracle: tracing on (``on_<type>`` handlers through the
-    checked arm) and tracing off (wave plane) are one machine."""
+    """The live oracle: tracing on (the checked wrapper, ``send_payload``)
+    and tracing off (inlined dispatch, fused sends) are one machine."""
 
     @pytest.mark.parametrize("cell", CELLS, ids=_cell_id)
     def test_trace_on_equals_trace_off(self, cell):

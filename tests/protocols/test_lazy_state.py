@@ -4,8 +4,8 @@ A node's join phase, its ``reply_to`` set and its runner / watcher
 lists are created at first use (see ``SimProcess`` and
 ``SynchronousRegisterNode``).  These tests walk the first uses that no
 benchmark workload reaches — and the departures that skip them — on
-both dispatch planes: ``trace=False`` runs the wave handlers,
-``trace=True`` the ``on_<type>`` handlers.
+both delivery paths: ``trace=False`` dispatches inline at the fire
+sites, ``trace=True`` goes through ``_fire_checked``.
 """
 
 from __future__ import annotations

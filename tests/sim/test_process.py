@@ -26,12 +26,6 @@ class EchoProcess(SimProcess):
         self.received.append(f"{sender}:{msg.payload}")
 
 
-@dataclass(frozen=True)
-class FakeMessage:
-    sender: str
-    payload: object
-
-
 class TestLifecycle:
     def test_starts_listening(self, engine):
         process = EchoProcess("p1", engine)
@@ -68,14 +62,14 @@ class TestLifecycle:
     def test_departed_process_ignores_messages(self, engine):
         process = EchoProcess("p1", engine)
         process.depart()
-        process.deliver(FakeMessage("p2", Ping()))
+        process.deliver_payload("p2", Ping())
         assert process.received == []
 
 
 class TestDispatch:
     def test_message_routed_by_payload_type(self, engine):
         process = EchoProcess("p1", engine)
-        process.deliver(FakeMessage("p2", Ping("hello")))
+        process.deliver_payload("p2", Ping("hello"))
         assert process.received == ["p2:hello"]
 
     def test_unknown_payload_raises(self, engine):
@@ -85,16 +79,16 @@ class TestDispatch:
 
         process = EchoProcess("p1", engine)
         with pytest.raises(ProcessError):
-            process.deliver(FakeMessage("p2", Mystery()))
+            process.deliver_payload("p2", Mystery())
 
     def test_handler_lookup_is_cached_per_class(self, engine):
         process = EchoProcess("pa", engine)
-        process.deliver(FakeMessage("p2", Ping("one")))
+        process.deliver_payload("p2", Ping("one"))
         cache = EchoProcess.__dict__["_dispatch_cache"]
         assert cache[Ping] is EchoProcess.on_ping
         # A second delivery (and a second instance) reuses the entry.
         other = EchoProcess("pb", engine)
-        other.deliver(FakeMessage("p3", Ping("two")))
+        other.deliver_payload("p3", Ping("two"))
         assert EchoProcess.__dict__["_dispatch_cache"] is cache
         assert other.received == ["p3:two"]
 
@@ -105,8 +99,8 @@ class TestDispatch:
 
         base = EchoProcess("p1", engine)
         loud = LoudEcho("p2", engine)
-        base.deliver(FakeMessage("x", Ping("soft")))
-        loud.deliver(FakeMessage("x", Ping("soft")))
+        base.deliver_payload("x", Ping("soft"))
+        loud.deliver_payload("x", Ping("soft"))
         assert base.received == ["x:soft"]
         assert loud.received == ["x:SOFT"]
         # The caches live on each class, never shared through MRO.
@@ -150,9 +144,9 @@ class TestOperationRunner:
         process = Collector("p1", engine)
         handle = process.run_operation("collect", process.op_body())
         assert handle.pending
-        process.deliver(FakeMessage("a", Ping()))
+        process.deliver_payload("a", Ping())
         assert handle.pending
-        process.deliver(FakeMessage("b", Ping()))
+        process.deliver_payload("b", Ping())
         assert handle.done
         assert len(handle.result) == 2
 
@@ -192,7 +186,7 @@ class TestOperationRunner:
         handle = process.run_operation("op", body())
         engine.run()  # the Wait(2.0) elapses; condition still false
         assert handle.pending
-        process.deliver(FakeMessage("x", Ping()))
+        process.deliver_payload("x", Ping())
         engine.run()  # the final Wait(1.0)
         assert handle.done
         assert handle.result == 3.0

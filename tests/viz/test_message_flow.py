@@ -76,7 +76,7 @@ class TestMessageFlow:
 
     def test_single_record_trace(self):
         system = make_system(n=2)
-        system.network.send("p0001", "p0002", "x")
+        system.network.send_payload("p0001", "p0002", "x")
         text = render_message_flow(system.trace)
         assert len(text.splitlines()) == 1
         assert "p0001" in text and "p0002" in text
