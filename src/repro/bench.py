@@ -143,7 +143,7 @@ def broadcast_fanout_large(broadcasts: int = 40, n: int = 1000) -> int:
 def churn_tick_large(ticks: float = 40.0, n: int = 1000) -> int:
     """Churn bookkeeping at ``n = 1000``: every join's inquiry fans out
     to the whole kilonode population and the actives' replies ride the
-    pooled point-to-point path, so this workload exercises the
+    point-to-point tuple plane, so this workload exercises the
     batched kernel end to end at population scale (E17's territory)."""
     system = DynamicSystem(
         SystemConfig(n=n, delta=5.0, protocol="sync", seed=1, trace=False)
@@ -466,7 +466,11 @@ def history_digest(seed: int = 7, faults: FaultPlan | None = None) -> str:
 
     ``faults=None`` is the canonical determinism workload (its digest is
     compared across PRs); passing a plan fingerprints a faulted run,
-    which must be just as reproducible.
+    which must be just as reproducible.  The canonical run is untraced
+    and clean, so its sends draw their delay inline: an unchanged
+    digest across PRs is also the oracle for "inline draw ≡
+    ``DelayModel.sample``" and "plain ``send_payload`` ≡ the hand-fused
+    sends sync once carried".
     """
     system = DynamicSystem(
         SystemConfig(

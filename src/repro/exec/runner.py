@@ -22,7 +22,7 @@ of their specs, and ``Executor.map`` keeps result order regardless of
 which pool ran the cells.
 
 A cell is a generation.  A dropped ``DynamicSystem`` is one big
-reference cycle (system ↔ engine ↔ network ↔ nodes ↔ pooled entries)
+reference cycle (system ↔ engine ↔ network ↔ nodes ↔ queued deliveries)
 that only the cyclic collector can free, and grids build and drop
 hundreds per process.  :func:`execute` runs the whole cell with the
 collector paused, so nothing the cell allocated has been promoted, and

@@ -10,7 +10,7 @@ churn threshold
 stops mattering.  The batched-delivery kernel (one queue entry per
 distinct arrival instant instead of one ``Event`` + envelope per
 recipient) made populations of 10³–10⁴ affordable, and the inlined
-handler dispatch with fused reply pushes lifts the ceiling
+handler dispatch over tuple-only reply deliveries lifts the ceiling
 to 10⁵, so this experiment sweeps n ∈ {100, 1 000, 10 000, 100 000}
 (quick mode stops at 10⁴) and probes fractions of each population's
 own threshold:

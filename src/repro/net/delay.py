@@ -225,7 +225,8 @@ class DualBoundSynchronousDelay(DelayModel):
         send_time: Time,
         rng: random.Random,
     ) -> Time:
-        return rng.uniform(self.min_delay, self.broadcast_delta)
+        lo = self.min_delay
+        return lo + (self.broadcast_delta - lo) * rng.random()
 
     def broadcast_uniform(self) -> tuple[Time, Time]:
         lo = self.min_delay
@@ -290,9 +291,11 @@ class EventuallySynchronousDelay(DelayModel):
         send_time: Time,
         rng: random.Random,
     ) -> Time:
+        # Bit-identical expansion of random.uniform (see SynchronousDelay).
+        lo = self.min_delay
         if send_time >= self.gst:
-            return rng.uniform(self.min_delay, self.delta)
-        raw = rng.uniform(self.min_delay, self.pre_gst_max)
+            return lo + (self.delta - lo) * rng.random()
+        raw = lo + (self.pre_gst_max - lo) * rng.random()
         if self.flush_at_gst:
             latest = (self.gst + self.delta) - send_time
             return min(raw, latest)

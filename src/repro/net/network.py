@@ -24,20 +24,20 @@ injector installed the paths are unchanged.
 Delivery hot path
 -----------------
 
-Every scheduled delivery rides the scheduler's slab queue — no full
-``Event``, no per-recipient envelope, no label f-string — on one of
-two slab entries:
+A message costs what it carries: every scheduled delivery is a queue
+tuple of the scheduler's slab plane — no ``Event``, no object per
+message, no free list — fired through one of two slab items:
 
-* every single-destination delivery is one pooled :class:`_Unicast`:
+* a single-destination delivery *is* its queue entry, ``(instant,
+  DELIVERY, sequence, item, dest, sender, payload, broadcast_id)``,
+  ``item`` being the network's one :class:`_Delivery`:
   :meth:`Network.send_payload` (all protocol, baseline and migration
-  traffic), the reply sends the sync protocol fuses on a clean link,
-  the per-recipient pushes of a fan-out that can tie instants or that
-  passes the fault gate, and the broadcast service's entrant offers
-  (:meth:`Network.deliver_scheduled`, which carry their
-  ``broadcast_id``);
+  traffic; ``broadcast_id`` is ``None``), the per-recipient pushes of a
+  fan-out that can tie instants or that passes the fault gate, and the
+  broadcast service's entrant offers (:meth:`Network.deliver_scheduled`).
+  The popped tuple dies by refcount: nothing is retained once it lands;
 * a fault-free broadcast under a continuous delay model pushes ONE
-  self-re-arming :class:`_FanoutSweep` walking its sorted arrival
-  vector.
+  self-re-arming :class:`_FanoutSweep` walking its sorted arrivals.
 
 Each payload type has one handler body, the recipient's ``on_<type>``
 method, and every delivery ends in it.  A fault plan acts at the
@@ -45,23 +45,19 @@ method, and every delivery ends in it.  A fault plan acts at the
 ``deliver_scheduled`` and the fan-out loop) and otherwise leaves the
 fire sites alone: with ``Network._fast`` — tracing off, and no installed
 plan that can act when a delivery *fires* (a drop-mode partition, a
-crash: ``FaultInjector.gates_delivery``) — :meth:`_Unicast.fire` and
-:meth:`_FanoutSweep.fire` count the delivery and dispatch inline
-(the per-class ``_dispatch`` cache, the handler, the watcher poll).
-Tracing and delivery-gating plans take :meth:`Network._fire_checked`,
-which wraps that same dispatch — it adds the delivery-time gates and
-the trace record, then calls ``deliver_payload``.  Only a clean,
-untraced link keeps the delay model's declared point-to-point draw
-parameters (``_p2p_uniform``): tracing withdraws them, and any installed
-plan withdraws them together with the broadcast pair, so a handler that
-fuses its send on ``_p2p_uniform`` skips neither a SEND record nor the
-transmit gate.  Every path reproduces the
+crash: ``FaultInjector.gates_delivery``) — both ``fire`` methods count
+the delivery and dispatch inline (the per-class ``_dispatch`` cache, the
+handler, the watcher poll).  Tracing and delivery-gating plans take
+:meth:`Network._fire_checked`, which wraps that same dispatch in the
+delivery-time gates and the trace record.  On a clean link the delay
+model's declared uniform parameters (checked at construction) let
+``send_payload`` and the sweep draw ``lo + span * random()`` inline —
+``sample`` written out; any installed plan withdraws both pairs and
+tracing the point-to-point one, so traced ≡ untraced parity is also the
+oracle for "inline draw ≡ ``sample``".  Every path reproduces the
 one-message-per-recipient ``(time, priority, sequence)`` order
 byte-for-byte (the determinism digests and
 ``tests/properties/kernel_golden.json`` pin this).
-
-Slab entries are recycled through per-network free lists, so steady
-state churn storms allocate nothing per delivery.
 """
 
 from __future__ import annotations
@@ -71,7 +67,7 @@ from typing import TYPE_CHECKING, Any, Sequence
 from ..faults.injector import REASON_DEPARTED
 from ..sim.clock import Time
 from ..sim.engine import EventScheduler
-from ..sim.errors import NetworkError, UnknownProcessError
+from ..sim.errors import ConfigError, NetworkError, UnknownProcessError
 from ..sim.events import Priority, SlabEntry
 from ..sim.membership import Membership
 from ..sim.rng import RngRegistry
@@ -85,49 +81,34 @@ _DELIVERY = int(Priority.DELIVERY)
 _INF = float("inf")
 
 
-class _Unicast(SlabEntry):
-    """One queue slot for one single-destination delivery.
-
-    The only point-to-point delivery: :meth:`Network.send_payload`,
-    the reply sends sync fuses on a clean link, the per-recipient pushes
-    of a tie-prone or fault-gated fan-out and the broadcast service's
-    entrant offers all land here.  ``size`` stays the inherited class
-    attribute (1) — no per-entry store, no per-fire load beyond a
-    type-dict hit.
-
-    ``broadcast_id`` distinguishes a fan-out delivery (DELIVER trace
-    kind) from a point-to-point receive.
+class _Delivery(SlabEntry):
+    """The queue item of every single-destination delivery — one per
+    network, none per message: the delivery is the entry naming it,
+    ``(instant, DELIVERY, sequence, self, dest, sender, payload,
+    broadcast_id)``.  ``broadcast_id`` tells a fan-out delivery (DELIVER
+    trace kind) from a point-to-point receive (``None``).
     """
 
-    __slots__ = ("network", "sender", "payload", "broadcast_id", "dest")
+    __slots__ = ("network",)
 
     def __init__(self, network: "Network") -> None:
         self.network = network
-        self.sender = ""
-        self.payload: Any = None
-        self.broadcast_id: int | None = None
-        self.dest = ""
 
-    def fire(self) -> None:
+    def fire(self, entry: tuple) -> None:
         network = self.network
         if network._fast:
-            sender = self.sender
-            payload = self.payload
-            process = network._present.get(self.dest)
-            # Recycle before dispatching: the handler may send again
-            # and reuse this very slot — everything is extracted.
-            self.payload = None
-            network._unicast_pool.append(self)
+            process = network._present.get(entry[4])
             if process is None:
                 network.dropped_count += 1
                 return
             network.delivered_count += 1
+            payload = entry[6]
             # ``deliver_payload`` inlined (the frame is measurable on
             # every workload): cached handler, then the watcher poll.
             handler = process._dispatch.get(payload.__class__)
             if handler is None:
                 handler = process._handler_for(payload.__class__)
-            handler(process, sender, payload)
+            handler(process, entry[5], payload)
             watchers = process._watchers
             if watchers:
                 # One watcher (a joiner waits on exactly one condition)
@@ -139,11 +120,7 @@ class _Unicast(SlabEntry):
                     for watcher in list(watchers):
                         watcher.poll()
             return
-        network._fire_checked(
-            self.sender, self.dest, self.payload, self.broadcast_id
-        )
-        self.payload = None
-        network._unicast_pool.append(self)
+        network._fire_checked(entry[5], entry[4], entry[6], entry[7])
 
 
 class _FanoutSweep(SlabEntry):
@@ -151,13 +128,12 @@ class _FanoutSweep(SlabEntry):
 
     The fan-out's arrivals are drawn up front (in recipient order, so
     the RNG stream is untouched), sorted by instant, and then swept:
-    the entry sits in the queue at the next arrival's instant, delivers
+    the sweep sits in the queue at the next arrival's instant, delivers
     that one recipient when it fires, and re-pushes itself at the
-    following instant.  Compared to one pooled entry per recipient this
-    keeps the queue ~two orders of magnitude smaller under broadcast
-    storms (one slot per in-flight broadcast, not one per in-flight
-    delivery) and replaces the per-recipient entry setup with one slot
-    in each of two lists.
+    following instant — one queue slot per in-flight broadcast, not one
+    per in-flight delivery, and one slot in each of two lists per
+    recipient instead of a tuple.  Built per broadcast (a few hundred a
+    run: no free list), dropped with its last arrival.
 
     Ordering: arrivals are sorted by ``(instant, recipient index)``, so
     same-instant recipients deliver in recipient order, exactly like
@@ -172,62 +148,63 @@ class _FanoutSweep(SlabEntry):
     """
 
     __slots__ = ("network", "sender", "payload", "broadcast_id",
-                 "times", "dests", "index", "count")
+                 "times", "dests", "index")
 
-    def __init__(self, network: "Network") -> None:
+    def __init__(
+        self,
+        network: "Network",
+        sender: str,
+        payload: Any,
+        broadcast_id: int,
+        times: Sequence[Time],
+        dests: Sequence[str],
+    ) -> None:
         self.network = network
-        self.sender = ""
-        self.payload: Any = None
-        self.broadcast_id: int | None = None
-        self.times: Sequence[Time] = ()
-        self.dests: Sequence[str] = ()
+        self.sender = sender
+        self.payload = payload
+        self.broadcast_id = broadcast_id
+        self.times = times
+        self.dests = dests
         self.index = 0
-        self.count = 0
 
-    def fire(self) -> None:
+    def fire(self, entry: tuple) -> None:
         network = self.network
         index = self.index
         dest = self.dests[index]
         index += 1
-        if index < self.count:
+        times = self.times
+        if index < len(times):
             # Re-arm at the next arrival before delivering: the sorted
             # vector guarantees monotone instants, and a handler that
             # raises leaves the remaining arrivals queued — exactly
             # like pre-pushed per-recipient entries.
             self.index = index
             engine = network.engine
-            engine._push((self.times[index], _DELIVERY, engine._sequence, self))
+            engine._push((times[index], _DELIVERY, engine._sequence, self))
             engine._sequence += 1
-            last = False
-        else:
-            last = True
         if network._fast:
             payload = self.payload
             process = network._present.get(dest)
             if process is None:
                 network.dropped_count += 1
-            else:
-                network.delivered_count += 1
-                # Same inlined dispatch as :meth:`_Unicast.fire`.
-                handler = process._dispatch.get(payload.__class__)
-                if handler is None:
-                    handler = process._handler_for(payload.__class__)
-                handler(process, self.sender, payload)
-                watchers = process._watchers
-                if watchers:
-                    if len(watchers) == 1:
-                        watchers[0].poll()
-                    else:
-                        for watcher in list(watchers):
-                            watcher.poll()
-        else:
-            network._fire_checked(
-                self.sender, dest, self.payload, self.broadcast_id
-            )
-        if last:
-            self.payload = None
-            self.times = self.dests = ()
-            network._sweep_pool.append(self)
+                return
+            network.delivered_count += 1
+            # Same inlined dispatch as :meth:`_Delivery.fire`.
+            handler = process._dispatch.get(payload.__class__)
+            if handler is None:
+                handler = process._handler_for(payload.__class__)
+            handler(process, self.sender, payload)
+            watchers = process._watchers
+            if watchers:
+                if len(watchers) == 1:
+                    watchers[0].poll()
+                else:
+                    for watcher in list(watchers):
+                        watcher.poll()
+            return
+        network._fire_checked(
+            self.sender, dest, self.payload, self.broadcast_id
+        )
 
 
 class Network:
@@ -253,10 +230,8 @@ class Network:
         # Fault gate: ``None`` means the un-faulted fast path — no extra
         # work per message beyond this attribute test.
         self.faults: FaultInjector | None = None
-        # The fire sites' flag: tracing off AND no installed plan that
-        # gates deliveries, so they test a single attribute.
-        # ``trace._enabled`` never changes after construction, so this
-        # only needs refreshing when a fault injector lands.
+        # The fire sites' one flag: tracing off (fixed at construction)
+        # AND no installed plan that gates deliveries.
         self._fast = not trace._enabled
         # Hot-path aliases: the membership dicts are bound once (only
         # ever mutated in place) and the delay model is fixed, so the
@@ -264,22 +239,15 @@ class Network:
         self._present = membership._present
         self._records = membership._records
         self._sample = delay_model.sample
-        # Uniform point-to-point draw parameters, if the delay model
-        # declares them AND the link is clean and untraced: sync fuses
-        # its reply sends on them (``lo + span * random()``, bit-
-        # identical to ``sample``, pushed without ``send_payload``'s
-        # gates or SEND record).  ``None`` — no declaration, tracing
-        # on, or (``install_faults``) a fault plan — means every send
-        # is ``send_payload``.
-        self._p2p_uniform = (
-            None if trace._enabled else delay_model.p2p_uniform()
-        )
-        # Same idea for broadcast draws: with declared parameters the
-        # fan-out fuses its per-recipient draw into the scheduling loop.
-        self._bcast_uniform = delay_model.broadcast_uniform()
-        # Free lists for the slab entries (see module docstring).
-        self._unicast_pool: list[_Unicast] = []
-        self._sweep_pool: list[_FanoutSweep] = []
+        # The model's declared uniform draw parameters, which the
+        # inline draws of ``send_payload`` and the sweep run on.
+        # ``None`` — no declaration, a fault plan (``install_faults``)
+        # or, point-to-point, tracing — means ``sample`` is called.
+        p2p = _declared_uniform(delay_model, "p2p_uniform")
+        self._p2p_uniform = None if trace._enabled else p2p
+        self._bcast_uniform = _declared_uniform(delay_model, "broadcast_uniform")
+        # The item of every single-destination queue entry.
+        self._delivery = _Delivery(self)
 
     def install_faults(self, injector: FaultInjector) -> None:
         """Install a fault injector (at most one per network)."""
@@ -288,9 +256,8 @@ class Network:
         self.faults = injector
         # Deliveries take the checked path only if the plan can act when
         # one fires; and the declared uniform parameters — they describe
-        # a clean link — are withdrawn, so that every send is
-        # ``send_payload`` and every fan-out the per-recipient arm:
-        # nothing draws and sends around the transmit gate.
+        # a clean link — are withdrawn, so that every send samples the
+        # model and every fan-out takes the per-recipient arm.
         self._fast = not self.trace._enabled and not injector.gates_delivery
         self._p2p_uniform = self._bcast_uniform = None
 
@@ -305,9 +272,8 @@ class Network:
 
         The delivery is scheduled immediately with a latency drawn from
         the delay model; whether it lands depends on the receiver still
-        being present at that instant.  It rides a pooled size-1 slab
-        entry, so quorum rounds allocate nothing per message beyond
-        their payload.
+        being present at that instant.  The delivery is its queue tuple
+        — a message allocates nothing else.
         """
         # The gates as direct dict probes (``is_present`` and
         # ``__contains__`` are these very lookups behind a call).
@@ -315,13 +281,21 @@ class Network:
             raise NetworkError(f"departed process {sender!r} cannot send")
         if dest not in self._records:
             raise UnknownProcessError(f"destination {dest!r} was never in the system")
-        now = self.engine._now
-        delay = self._sample(sender, dest, payload, now, self._rng)
-        if delay <= 0:
-            raise NetworkError(
-                f"delay model produced non-positive delay {delay!r}"
-            )
-        deliver_at = now + delay
+        engine = self.engine
+        now = engine._now
+        p2p = self._p2p_uniform
+        if p2p is not None:
+            # A clean link: ``sample`` written out (``now + (lo + span *
+            # r)`` keeps the delay a single float, so the sum rounds
+            # exactly like ``now + delay``); positive by construction.
+            deliver_at = now + (p2p[0] + p2p[1] * self._rng.random())
+        else:
+            delay = self._sample(sender, dest, payload, now, self._rng)
+            if delay <= 0:
+                raise NetworkError(
+                    f"delay model produced non-positive delay {delay!r}"
+                )
+            deliver_at = now + delay
         fault_reason = None
         if self.faults is not None:
             deliver_at, fault_reason = self.faults.on_transmit(
@@ -341,32 +315,29 @@ class Network:
             # The message *was* sent (it counts, and traces a SEND) — it
             # just never gets a delivery event, so the trace reads SEND
             # then DROP exactly like a delivery-time loss.
-            self._account_fault_drop(
-                now, sender, dest, type(payload).__name__, fault_reason
-            )
+            self._drop(now, sender, dest, type(payload).__name__, fault_reason)
             return deliver_at
-        pool = self._unicast_pool
-        entry = pool.pop() if pool else _Unicast(self)
-        entry.sender = sender
-        entry.payload = payload
-        entry.broadcast_id = None
-        entry.dest = dest
-        # schedule_slab inlined (same validation, one size-1 entry):
-        # the kernel and this hot path are co-designed — see the module
-        # docstring and the scheduler's design notes.
-        engine = self.engine
-        if not (engine._now <= deliver_at < _INF):
+        # schedule_slab inlined (same validation, one size-1 entry) —
+        # see the scheduler's design notes on who may.
+        if not (now <= deliver_at < _INF):
             engine._reject_instant(deliver_at)
-        engine._push((deliver_at, _DELIVERY, engine._sequence, entry))
+        engine._push((
+            deliver_at, _DELIVERY, engine._sequence, self._delivery,
+            dest, sender, payload, None,
+        ))
         engine._sequence += 1
         engine._live += 1
         return deliver_at
 
-    def _account_fault_drop(
+    def _drop(
         self, now: Time, sender: str, dest: str, payload_type: str, reason: str
     ) -> None:
-        """Shared accounting for every injector-vetoed delivery."""
-        self.faulted_count += 1
+        """Count and trace one delivery that will not happen: the
+        destination has left, or the injector vetoed it (``reason``)."""
+        if reason == REASON_DEPARTED:
+            self.dropped_count += 1
+        else:
+            self.faulted_count += 1
         if self.trace._enabled:
             self.trace.record(
                 now,
@@ -398,17 +369,12 @@ class Network:
                 sender, dest, payload, now, deliver_at
             )
             if fault_reason is not None:
-                self._account_fault_drop(
-                    now, sender, dest, type(payload).__name__, fault_reason
-                )
+                self._drop(now, sender, dest, type(payload).__name__, fault_reason)
                 return
-        pool = self._unicast_pool
-        entry = pool.pop() if pool else _Unicast(self)
-        entry.sender = sender
-        entry.payload = payload
-        entry.broadcast_id = broadcast_id
-        entry.dest = dest
-        self.engine.schedule_slab(deliver_at, _DELIVERY, entry)
+        self.engine.schedule_slab(
+            deliver_at, _DELIVERY, self._delivery,
+            dest, sender, payload, broadcast_id,
+        )
 
     # ------------------------------------------------------------------
     # Broadcast fan-out
@@ -428,11 +394,7 @@ class Network:
         Delays are drawn here, from ``rng`` (the broadcast service's
         stream), one per recipient in recipient order — so the fault
         gate sees every delivery at the same point of the RNG stream as
-        a one-send-per-recipient loop would.  With declared
-        uniform parameters the draw fuses into the scheduling loop —
-        same ``lo + span * random()`` per recipient, bit-identical to
-        :meth:`~repro.net.delay.DelayModel.sample_broadcast_many` — and
-        no delay vector is materialized at all.
+        a one-send-per-recipient loop would.
         """
         count = len(dests)
         if count == 0:
@@ -441,38 +403,27 @@ class Network:
         push = engine._push
         params = self._bcast_uniform
         if params is not None and params[1] > 0.0:
-            # Fused sweep arm (never under an injector: its install
-            # withdrew the parameters): draw every arrival inline
-            # (recipient order — the RNG stream is exactly
-            # ``sample_broadcast_many``'s, and ``now + (lo + span * r)``
-            # keeps the delay a single float so the sum rounds exactly
-            # like the two-step ``now + delay``; the model's constructor
-            # already validated ``0 < lo``, so the positivity check is
-            # subsumed), sort by ``(instant, recipient index)``, and
-            # push ONE sweep entry that re-arms itself arrival by
-            # arrival.  The sweep is reserved for *continuous* draws
-            # (``span > 0``): its re-push sequence numbers can only
-            # reorder exact instant ties, which are measure-zero here —
-            # see :class:`_FanoutSweep` for the full argument.
+            # Sweep arm (never under an injector: its install withdrew
+            # the parameters), reserved for *continuous* draws — see
+            # :class:`_FanoutSweep`.  Every arrival is drawn inline, in
+            # recipient order: ``sample_broadcast_many``'s stream
+            # exactly, ``now + (lo + span * r)`` keeping the delay one
+            # float so the sum rounds like ``now + delay``, positive by
+            # construction.  A stable sort of the indices keyed on the
+            # instants *is* the ``(instant, recipient index)`` order,
+            # with no pair built per recipient.
             lo, span = params
             rng_random = rng.random
-            pairs = [
-                (now + (lo + span * rng_random()), i)
-                for i in range(count)
-            ]
-            if not (pairs[-1][0] < _INF):
-                engine._reject_instant(pairs[-1][0])
-            pairs.sort()
-            pool = self._sweep_pool
-            sweep = pool.pop() if pool else _FanoutSweep(self)
-            sweep.sender = sender
-            sweep.payload = payload
-            sweep.broadcast_id = broadcast_id
-            sweep.index = 0
-            sweep.count = count
-            sweep.times = [instant for instant, _ in pairs]
-            sweep.dests = [dests[i] for _, i in pairs]
-            push((pairs[0][0], _DELIVERY, engine._sequence, sweep))
+            times = [now + (lo + span * rng_random()) for _ in range(count)]
+            if not (times[-1] < _INF):
+                engine._reject_instant(times[-1])
+            order = sorted(range(count), key=times.__getitem__)
+            times.sort()
+            sweep = _FanoutSweep(
+                self, sender, payload, broadcast_id,
+                times, list(map(dests.__getitem__, order)),
+            )
+            push((times[0], _DELIVERY, engine._sequence, sweep))
             engine._sequence += 1
             engine._live += count
             return
@@ -482,7 +433,7 @@ class Network:
         # equal, a defer partition parks every recipient it cuts off on
         # its ``end`` — and tied deliveries must keep their consecutive-
         # sequence interleaving, so each recipient the fault gate lets
-        # through gets its own pooled entry, pushed in recipient order.
+        # through gets its own queue tuple, pushed in recipient order.
         # ``DELIVERY`` is the lowest priority value: nothing a handler
         # schedules at a tied instant overtakes a later recipient.
         delays = self.delay_model.sample_broadcast_many(
@@ -490,8 +441,7 @@ class Network:
         )
         faults = self.faults
         payload_type = type(payload).__name__
-        unicast_pool = self._unicast_pool
-        unicast_pop = unicast_pool.pop
+        item = self._delivery
         sequence = first = engine._sequence
         for dest, delay in zip(dests, delays):
             if delay <= 0:
@@ -504,18 +454,14 @@ class Network:
                     sender, dest, payload, now, deliver_at, payload_type
                 )
                 if fault_reason is not None:
-                    self._account_fault_drop(
-                        now, sender, dest, payload_type, fault_reason
-                    )
+                    self._drop(now, sender, dest, payload_type, fault_reason)
                     continue
             if not (deliver_at < _INF):
                 engine._reject_instant(deliver_at)
-            entry = unicast_pop() if unicast_pool else _Unicast(self)
-            entry.sender = sender
-            entry.payload = payload
-            entry.broadcast_id = broadcast_id
-            entry.dest = dest
-            push((deliver_at, _DELIVERY, sequence, entry))
+            push((
+                deliver_at, _DELIVERY, sequence, item,
+                dest, sender, payload, broadcast_id,
+            ))
             sequence += 1
         engine._sequence = sequence
         engine._live += sequence - first
@@ -523,7 +469,7 @@ class Network:
     def _fire_checked(
         self, sender: str, dest: str, payload: Any, broadcast_id: int | None
     ) -> None:
-        """One traced / delivery-gated delivery: what :meth:`_Unicast.fire`
+        """One traced / delivery-gated delivery: what :meth:`_Delivery.fire`
         and :meth:`_FanoutSweep.fire` do whenever ``_fast`` is off.
 
         It wraps the dispatch the fast arms inline, adding only what
@@ -539,12 +485,10 @@ class Network:
         if faults is not None:
             fault_reason = faults.drop_at_deliver(sender, dest, now)
             if fault_reason is not None:
-                self._account_fault_drop(
-                    now, sender, dest, payload_type, fault_reason
-                )
+                self._drop(now, sender, dest, payload_type, fault_reason)
                 return
         if not is_present(dest):
-            self._departed_drop(now, sender, dest, payload_type)
+            self._drop(now, sender, dest, payload_type, REASON_DEPARTED)
             return
         if faults is not None:
             # Crash faults count only genuinely deliverable messages; a
@@ -552,7 +496,7 @@ class Network:
             # the re-checked presence gate, like any departure.
             faults.crash_at_deliver(sender, dest, payload_type)
             if not is_present(dest):
-                self._departed_drop(now, sender, dest, payload_type)
+                self._drop(now, sender, dest, payload_type, REASON_DEPARTED)
                 return
         self.delivered_count += 1
         if trace._enabled:
@@ -565,23 +509,25 @@ class Network:
             )
         self.membership.process(dest).deliver_payload(sender, payload)
 
-    def _departed_drop(
-        self, now: Time, sender: str, dest: str, payload_type: str
-    ) -> None:
-        """Accounting for a delivery to a destination that has left."""
-        self.dropped_count += 1
-        if self.trace._enabled:
-            self.trace.record(
-                now,
-                TraceKind.DROP,
-                dest,
-                sender=sender,
-                type=payload_type,
-                reason=REASON_DEPARTED,
-            )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Network(sent={self.sent_count}, delivered={self.delivered_count}, "
             f"dropped={self.dropped_count}, faulted={self.faulted_count})"
         )
+
+
+def _declared_uniform(model: DelayModel, method: str) -> tuple[Time, Time] | None:
+    """``model.<method>()`` — the ``(lo, span)`` of a uniform draw, or
+    ``None`` — refused unless ``lo + span * random()`` is positive and
+    finite whatever ``random()`` returns: on that strength the inline
+    draws skip the per-message ``delay <= 0`` test."""
+    params = getattr(model, method)()
+    if params is not None:
+        lo, span = params
+        if not (0 < lo < _INF and 0 <= span < _INF):  # NaN fails both
+            raise ConfigError(
+                f"{type(model).__name__}.{method}() declares (lo, span) = "
+                f"({lo!r}, {span!r}): lo must be finite and positive, "
+                f"span finite and non-negative"
+            )
+    return params

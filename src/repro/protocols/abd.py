@@ -33,8 +33,7 @@ addresses one key and the per-key phases multiplex over the node.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 from ..core.register import NodeContext, RegisterNode
 from ..sim.errors import ConfigError
@@ -45,8 +44,7 @@ from .common import OK, PhaseTracker, make_join_result
 UNIVERSE_KEY = "abd_universe"
 
 
-@dataclass(frozen=True)
-class AbdWrite:
+class AbdWrite(NamedTuple):
     """WRITE(v, sn) from the writer to every replica."""
 
     value: Any
@@ -54,24 +52,21 @@ class AbdWrite:
     key: Any = None
 
 
-@dataclass(frozen=True)
-class AbdAck:
+class AbdAck(NamedTuple):
     """Acknowledgement of a WRITE with the same sequence number."""
 
     sequence: int
     key: Any = None
 
 
-@dataclass(frozen=True)
-class AbdQuery:
+class AbdQuery(NamedTuple):
     """Phase-1 read query, tagged with the reader's request number."""
 
     request: int
     key: Any = None
 
 
-@dataclass(frozen=True)
-class AbdQueryReply:
+class AbdQueryReply(NamedTuple):
     """A replica's current ⟨value, sn⟩ for request ``request``."""
 
     request: int
@@ -80,8 +75,7 @@ class AbdQueryReply:
     key: Any = None
 
 
-@dataclass(frozen=True)
-class AbdWriteBack:
+class AbdWriteBack(NamedTuple):
     """Phase-2 write-back of the value the reader is about to return."""
 
     request: int
@@ -90,8 +84,7 @@ class AbdWriteBack:
     key: Any = None
 
 
-@dataclass(frozen=True)
-class AbdWriteBackAck:
+class AbdWriteBackAck(NamedTuple):
     """A replica's acknowledgement of a write-back."""
 
     request: int
@@ -167,10 +160,10 @@ class AbdRegisterNode(RegisterNode):
         request = self._queries.next_request(key)
         self._queries.threshold = self.majority
         phase = self._queries.open(key)
+        send = self.ctx.network.send_payload
+        query = AbdQuery(request, key)  # one immutable payload a round
         for replica in self.universe:
-            self.ctx.network.send_payload(
-                self.pid, replica, AbdQuery(request, key)
-            )
+            send(self.pid, replica, query)
         yield WaitUntil(phase.satisfied, label="abd phase 1")
         value, sequence = phase.best_for(key)  # type: ignore[misc]
         self.space.adopt(key, value, sequence)
@@ -178,10 +171,9 @@ class AbdRegisterNode(RegisterNode):
         # Phase 2: write-back, so a later read cannot see an older value.
         self._writebacks.threshold = self.majority
         wb_phase = self._writebacks.open(key)
+        write_back = AbdWriteBack(request, value, sequence, key)
         for replica in self.universe:
-            self.ctx.network.send_payload(
-                self.pid, replica, AbdWriteBack(request, value, sequence, key)
-            )
+            send(self.pid, replica, write_back)
         yield WaitUntil(wb_phase.satisfied, label="abd phase 2")
         wb_phase.settle()
         return value
@@ -191,10 +183,10 @@ class AbdRegisterNode(RegisterNode):
         self.space.install(key, value, sequence)
         self._writes.threshold = self.majority
         phase = self._writes.open(key)
+        send = self.ctx.network.send_payload
+        write = AbdWrite(value, sequence, key)
         for replica in self.universe:
-            self.ctx.network.send_payload(
-                self.pid, replica, AbdWrite(value, sequence, key)
-            )
+            send(self.pid, replica, write)
         yield WaitUntil(phase.satisfied, label="abd write acks")
         phase.settle()
         return OK

@@ -25,7 +25,7 @@ whether a phase has a threshold.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping, NamedTuple
 
 #: The control value the paper's operations return on success.
 OK = "ok"
@@ -117,9 +117,29 @@ class QuorumPhase:
         entries with equal sequence numbers carry equal values anyway.
         Bulk entries compete with the empty-string sender id, which
         sorts below every real pid.
+
+        Repliers holding the same state offer *equal* entry tuples, and
+        among equal offers only the greatest sender can win a tie, so
+        the offers are first folded to one — the greatest sender's —
+        per distinct tuple (C-speed equality, the elements are mostly
+        identical objects; values are ``Any``, so nothing is hashed),
+        and the walk over offers × keys judges one offer per distinct
+        state.
         """
-        best: dict[Any, tuple[int, str, Any]] = {}
+        folded: list[tuple[Entry, ...]] = []
+        senders: list[str] = []
         for sender, entries in self._offers.items():
+            try:
+                at = folded.index(entries)
+            except ValueError:
+                folded.append(entries)
+                senders.append(sender)
+            else:
+                if sender > senders[at]:
+                    senders[at] = sender
+                    folded[at] = entries
+        best: dict[Any, tuple[int, str, Any]] = {}
+        for sender, entries in zip(senders, folded):
             for key, value, sequence in entries:
                 held = best.get(key)
                 if (
@@ -272,16 +292,14 @@ class KeyedJoinResult:
 # messages ("crash the destination agent at the second ``MigInstall``").
 
 
-@dataclass(frozen=True)
-class MigFetch:
+class MigFetch(NamedTuple):
     """Coordinator → source node: report your ⟨value, sn⟩ for ``key``."""
 
     key: Any
     migration_id: int
 
 
-@dataclass(frozen=True)
-class MigFetchReply:
+class MigFetchReply(NamedTuple):
     """Source node → coordinator agent: my local copy of ``key``."""
 
     key: Any
@@ -290,8 +308,7 @@ class MigFetchReply:
     sequence: int
 
 
-@dataclass(frozen=True)
-class MigInstall:
+class MigInstall(NamedTuple):
     """Coordinator → destination node: adopt ⟨value, sn⟩ for ``key``."""
 
     key: Any
@@ -300,8 +317,7 @@ class MigInstall:
     sequence: int
 
 
-@dataclass(frozen=True)
-class MigAck:
+class MigAck(NamedTuple):
     """Destination node → coordinator agent: install acknowledged."""
 
     migration_id: int

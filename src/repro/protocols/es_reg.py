@@ -43,8 +43,7 @@ disambiguation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 from ..core.register import NodeContext, RegisterNode
 from ..sim.errors import ProcessError
@@ -57,16 +56,14 @@ from .common import OK, PhaseTracker, QuorumPhase, make_join_result
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EsInquiry:
+class EsInquiry(NamedTuple):
     """INQUIRY(i, r_sn): a joiner asks for the register space (r_sn is 0)."""
 
     sender: str
     read_sn: int
 
 
-@dataclass(frozen=True)
-class EsRead:
+class EsRead(NamedTuple):
     """READ(i, r_sn): a reader asks for key ``key`` of the register."""
 
     sender: str
@@ -74,8 +71,7 @@ class EsRead:
     key: Any = None
 
 
-@dataclass(frozen=True)
-class EsReply:
+class EsReply(NamedTuple):
     """REPLY(i, ⟨register, sn⟩, r_sn): answer to request ``r_sn``.
 
     ``entries`` is ``None`` on the single register; a multi-key join
@@ -90,8 +86,7 @@ class EsReply:
     entries: tuple[tuple[Any, Any, int], ...] | None = None
 
 
-@dataclass(frozen=True)
-class EsWrite:
+class EsWrite(NamedTuple):
     """WRITE(i, ⟨v, sn⟩): the writer disseminates a new value for ``key``."""
 
     sender: str
@@ -100,8 +95,7 @@ class EsWrite:
     key: Any = None
 
 
-@dataclass(frozen=True)
-class EsAck:
+class EsAck(NamedTuple):
     """ACK(i, sn): acknowledges value ``sn`` of ``key`` back to its writer."""
 
     sender: str
@@ -109,8 +103,7 @@ class EsAck:
     key: Any = None
 
 
-@dataclass(frozen=True)
-class EsDlPrev:
+class EsDlPrev(NamedTuple):
     """DL_PREV(i, r_sn): "reply to my pending request ``r_sn`` (for key
     ``key``; ``None`` = my batched join inquiry) when you become able
     to" — sent by joining or reading processes."""

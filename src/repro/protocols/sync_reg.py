@@ -59,11 +59,9 @@ removed — the broken variant of Figure 3(a) used by experiment E2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 from ..core.register import BOTTOM, NodeContext, RegisterNode
-from ..net.network import _DELIVERY, _INF, _Unicast
 from ..sim.errors import ProcessError
 from ..sim.operations import OperationBody, Wait
 from ..sim.process import ProcessMode
@@ -75,15 +73,13 @@ from .common import OK, QuorumPhase, make_join_result
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Inquiry:
+class Inquiry(NamedTuple):
     """INQUIRY(i): a joiner asks the system for the current value(s)."""
 
     sender: str
 
 
-@dataclass(frozen=True)
-class Reply:
+class Reply(NamedTuple):
     """REPLY(i, ⟨register, sn⟩): an active process answers an inquiry.
 
     ``entries`` is ``None`` on a single-register system (the classic
@@ -97,8 +93,7 @@ class Reply:
     entries: tuple[tuple[Any, Any, int], ...] | None = None
 
 
-@dataclass(frozen=True)
-class WriteMsg:
+class WriteMsg(NamedTuple):
     """WRITE(val, sn): the writer disseminates a new value for ``key``."""
 
     value: Any
@@ -138,8 +133,8 @@ class SynchronousRegisterNode(RegisterNode):
         self._network = ctx.network
         # Reply payload cache, keyed on the space's version counter:
         # under churn a node answers thousands of inquiries from a
-        # space that never changed, and the frozen payload is immutable
-        # and therefore shareable across every one of those sends.
+        # space that never changed, and the payload is immutable and
+        # therefore shareable across every one of those sends.
         self._reply_cache: Reply | None = None
         self._reply_version = -1
         # Footnote 4: with a known one-to-one bound δ' the inquiry wait
@@ -205,56 +200,22 @@ class SynchronousRegisterNode(RegisterNode):
         self._join_phase.settle()
 
     def _answer_pending_inquiries(self) -> None:
-        """Line 11: answer every inquiry parked while listening.
-
-        One reply payload serves the whole set.  While the network
-        holds uniform parameters (``_p2p_uniform``: a clean, untraced
-        link — see ``on_inquiry``) the flush is fused — one delay draw
-        and one pooled queue push per inquirer (``on_inquiry``'s inlined
-        send, amortized over the set).  Sends happen in sorted-inquirer
-        order either way, so the RNG stream, the counters and the
-        scheduled instants match the ``send_payload`` loop exactly.  The
-        inlined send skips ``send_payload``'s gates legitimately: this
-        node just became active (present by definition) and every
-        inquirer's membership record exists forever.
-        """
-        reply = self._reply_cache
-        if reply is None or self._reply_version != self.space.version:
-            value, sequence, entries = self.space.reply_parts()
-            reply = Reply(self.pid, value, sequence, entries)
-            self._reply_cache = reply
-            self._reply_version = self.space.version
-        network = self._network
-        p2p = network._p2p_uniform
-        if p2p is None:
-            for dest in sorted(self._reply_to):
-                network.send_payload(self.pid, dest, reply)
-            return
-        lo, span = p2p
-        engine = network.engine
-        now = engine._now
-        rng_random = network._rng.random
-        pool = network._unicast_pool
-        push = engine._push
-        seq = engine._sequence
-        pid = self.pid
-        sent = 0
+        """Line 11: one reply payload (the first this node builds — it
+        has only just become active), sent to every inquirer parked
+        while listening, in sorted order."""
+        reply = self._fresh_reply()
+        send = self._network.send_payload
         for dest in sorted(self._reply_to):
-            delay = lo + span * rng_random()
-            deliver_at = now + delay
-            if not (deliver_at < _INF):
-                engine._reject_instant(deliver_at)
-            entry = pool.pop() if pool else _Unicast(network)
-            entry.sender = pid
-            entry.payload = reply
-            entry.broadcast_id = None
-            entry.dest = dest
-            push((deliver_at, _DELIVERY, seq, entry))
-            seq += 1
-            sent += 1
-        engine._sequence = seq
-        engine._live += sent
-        network.sent_count += sent
+            send(self.pid, dest, reply)
+
+    def _fresh_reply(self) -> Reply:
+        """Build REPLY(i, ⟨register, sn⟩) and cache it against the
+        space's version (see ``__init__``)."""
+        space = self.space
+        value, sequence, entries = space.reply_parts()
+        reply = self._reply_cache = Reply(self.pid, value, sequence, entries)
+        self._reply_version = space.version
+        return reply
 
     # ------------------------------------------------------------------
     # Message handlers (Figures 1 and 2) — the one body per payload
@@ -263,52 +224,15 @@ class SynchronousRegisterNode(RegisterNode):
     # ------------------------------------------------------------------
 
     def on_inquiry(self, sender: str, msg: Inquiry) -> None:
-        """Lines 13-16 of Figure 1, reply send fused on a clean link.
-
-        Every broadcast fans this handler out to the whole population,
-        and an inquiry storm under churn spends most of its time in the
-        handler → send → sample → push chain, so while the network holds
-        uniform parameters the reply's ``send_payload`` is inlined
-        (``lo + span * random()`` is the bit-identical expansion of
-        ``sample``).  That is legal exactly when ``_p2p_uniform`` is
-        set: the network withdraws it under tracing and under any fault
-        plan, so no SEND record and no transmit gate is skipped; the
-        sender / destination gates hold by construction — the replying
-        node was just resolved from the present table, and the inquirer
-        broadcast a moment ago so its membership record exists forever.
-        """
+        """Lines 13-16 of Figure 1."""
         inquirer = msg.sender
         if inquirer == self.pid:
             return  # own broadcast echo: a process does not answer itself
         if self._mode is ProcessMode.ACTIVE:  # line 14
             reply = self._reply_cache
-            space = self.space
-            if reply is None or self._reply_version != space.version:
-                value, sequence, entries = space.reply_parts()
-                reply = Reply(self.pid, value, sequence, entries)
-                self._reply_cache = reply
-                self._reply_version = space.version
-            network = self._network
-            p2p = network._p2p_uniform
-            if p2p is None:
-                network.send_payload(self.pid, inquirer, reply)
-            else:
-                # Finite ``now`` plus a bounded positive draw is always
-                # finite, so the non-finite instant check is subsumed.
-                engine = network.engine
-                deliver_at = engine._now + (
-                    p2p[0] + p2p[1] * network._rng.random()
-                )
-                pool = network._unicast_pool
-                entry = pool.pop() if pool else _Unicast(network)
-                entry.sender = self.pid
-                entry.payload = reply
-                entry.broadcast_id = None
-                entry.dest = inquirer
-                engine._push((deliver_at, _DELIVERY, engine._sequence, entry))
-                engine._sequence += 1
-                engine._live += 1
-                network.sent_count += 1
+            if reply is None or self._reply_version != self.space.version:
+                reply = self._fresh_reply()
+            self._network.send_payload(self.pid, inquirer, reply)
         else:  # line 15
             self._park(inquirer)
 

@@ -5,12 +5,15 @@ Design notes
 
 The engine is intentionally tiny and fully deterministic:
 
-* queue entries are plain ``(time, priority, sequence, item)`` tuples —
-  ``sequence`` is unique, so comparisons resolve at C speed on the
-  first three fields and never touch the item.  An item is either a
-  full :class:`Event` (cancellable timers) or a
-  :class:`~repro.sim.events.SlabEntry` (a never-cancelled batch
-  standing for a whole vector of deliveries);
+* queue entries are plain tuples of at least four fields, ``(time,
+  priority, sequence, item, ...)`` — ``sequence`` is unique, so
+  comparisons resolve at C speed on the first three fields and never
+  touch the item, nor anything after it (entries of different lengths
+  share a queue).  An item is either a full :class:`Event`
+  (cancellable timers) or a never-cancelled
+  :class:`~repro.sim.events.SlabEntry`, which is fired *with its
+  entry*: whatever a push appends after the item is that push's own
+  data, so a message delivery is its queue tuple and nothing else;
 * the queue is an array-backed *calendar*: instants quantize into
   buckets one tick wide, each bucket a flat append-only list sorted
   lazily (one C call) when the clock reaches its epoch.  A push is a
@@ -26,8 +29,8 @@ The engine is intentionally tiny and fully deterministic:
   simulation makes no cyclic garbage
   (``tests/sim/test_collector.py::TestALiveRunMakesNoCycles``: a full
   collection after a collector-free run finds 0 unreachable objects),
-  while every automatic collection walks the in-flight queue tuples and
-  pooled entries to find nothing — a quarter of a churn-heavy drive.  So
+  while every automatic collection walks the in-flight queue tuples to
+  find nothing — a quarter of a churn-heavy drive.  So
   :func:`collector_paused` holds CPython's cyclic collector off inside
   ``_drain`` and at the bulk-allocation sites (the population build,
   the plan install, the checkers), and ``repro.exec.runner.execute``
@@ -46,10 +49,10 @@ seeded RNG streams (:mod:`repro.sim.rng`); given the same configuration
 and seed, two runs produce byte-identical traces.  The whole test
 strategy of the library leans on this property.
 
-Hot paths that inline their pushes (the network's delivery plane,
-sync's fused reply sends) validate the instant, call
-:meth:`EventScheduler._push` and advance ``_sequence`` / ``_live``
-themselves.
+One caller outside this file inlines its pushes: the network's
+delivery plane (``net/network.py``) validates the instant, calls
+:meth:`EventScheduler._push` and advances ``_sequence`` / ``_live``
+itself.  Everything else schedules through the public methods.
 """
 
 from __future__ import annotations
@@ -68,7 +71,10 @@ _INF = float("inf")
 
 #: What a queue entry's item slot may hold.
 QueueItem = Union[Event, SlabEntry]
-QueueEntry = tuple[Time, int, int, QueueItem]
+#: ``(time, priority, sequence, item, *fields)`` — at least four fields;
+#: the rest is the push's own data, read only by the slab item's
+#: ``fire(entry)``.
+QueueEntry = tuple[Any, ...]
 
 
 @contextmanager
@@ -179,14 +185,18 @@ class EventScheduler:
     def iter_pending(self) -> Iterator[QueueItem]:
         """Yield live pending items in firing order (for diagnostics).
 
-        Slab entries appear as themselves — one item per batch, not one
-        per logical delivery."""
+        Slab entries appear as themselves — one item per queue slot,
+        not one per logical delivery."""
+        return (entry[3] for entry in self._pending_entries())
+
+    def _pending_entries(self) -> list[QueueEntry]:
+        """The live queue entries, whole, in firing order."""
         entries = list(self._overflow)
         entries.extend(self._cur[self._pos :])
         for bucket in self._buckets.values():
             entries.extend(bucket)
         entries.sort()
-        return (entry[3] for entry in entries if not entry[3].cancelled)
+        return [entry for entry in entries if not entry[3].cancelled]
 
     def __len__(self) -> int:
         return self.pending_count
@@ -240,16 +250,19 @@ class EventScheduler:
         self._push((instant, event.priority, sequence, event))
         return event
 
-    def schedule_slab(self, instant: Time, priority: int, entry: SlabEntry) -> None:
-        """Schedule a never-cancelled slab entry (batched deliveries).
+    def schedule_slab(
+        self, instant: Time, priority: int, entry: SlabEntry, *fields: Any
+    ) -> None:
+        """Schedule one push of a never-cancelled slab entry.
 
         One queue slot stands for ``entry.size`` logical events; the
-        entry's ``fire()`` performs them all.  See
+        entry's ``fire(queue_entry)`` performs them all and finds
+        ``fields`` at ``queue_entry[4:]``.  See
         :class:`~repro.sim.events.SlabEntry` for the contract.
         """
         if not (self._now <= instant < _INF):
             self._reject_instant(instant)
-        self._push((instant, priority, self._sequence, entry))
+        self._push((instant, priority, self._sequence, entry, *fields))
         self._sequence += 1
         self._live += entry.size
 
@@ -405,12 +418,13 @@ class EventScheduler:
         item = entry[3]
         if item.__class__ is Event:
             item._consumed = True
-            size = 1
+            self._live -= 1
+            self._fired_count += 1
+            item.fire()
         else:
-            size = item.size
-        self._live -= size
-        self._fired_count += size
-        item.fire()
+            self._live -= item.size
+            self._fired_count += item.size
+            item.fire(entry)
         return True
 
     def run(self, max_events: int | None = None) -> int:
@@ -497,6 +511,7 @@ class EventScheduler:
                     self._now = entry[0]
                     item._consumed = True
                     fired += 1
+                    item.fire()
                 else:
                     if entry[0] > horizon:
                         break
@@ -506,7 +521,7 @@ class EventScheduler:
                         self._pos = pos + 1
                     self._now = entry[0]
                     fired += item.size
-                item.fire()
+                    item.fire(entry)
         finally:
             self._running = False
             # The live/fired counters drain in bulk: nothing inside the

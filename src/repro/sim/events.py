@@ -14,10 +14,13 @@ ordered by ``(time, priority, sequence)``:
 instances are created per large run, and slots cut both the per-event
 memory and the attribute-access cost on the scheduler's hot path.
 
-Delivery fan-out does not even pay for an ``Event`` per recipient: the
-scheduler's queue holds plain ``(time, priority, sequence, item)``
-tuples, and an item may be a :class:`SlabEntry` — a single queue slot
-standing for a whole *vector* of same-instant deliveries.  Slab entries
+Message deliveries do not pay for an ``Event`` at all: the scheduler's
+queue holds plain tuples that start ``(time, priority, sequence,
+item)``, and an item may be a :class:`SlabEntry`, which is fired with
+the queue entry it was popped from — so one long-lived entry serves
+every push that carries its own data in the tuple's tail (a network's
+point-to-point deliveries), and another stands for a whole vector of
+deliveries (a broadcast sweep, a mesoscale bulk arrival).  Slab entries
 are never cancellable (``cancelled`` is a class attribute, so the
 scheduler's lazy-deletion scan pays one shared attribute read, no
 per-entry state), which is exactly why they can skip the cancellation
@@ -53,18 +56,20 @@ class Priority(enum.IntEnum):
 class SlabEntry:
     """Base class for never-cancelled slab queue entries.
 
-    A slab entry occupies one queue slot but stands for ``size`` logical
-    events (a batched broadcast fan-out delivers its whole recipient
-    vector from one slot).  The scheduler's contract:
+    Each push of a slab entry occupies one queue slot and stands for
+    ``size`` logical events.  The scheduler's contract:
 
     * ``cancelled`` is always ``False`` — slab entries cannot be
       cancelled, which is what lets them skip ``Event``'s owner /
       consumed bookkeeping entirely;
-    * ``size`` is the number of logical events the entry represents;
+    * ``size`` is the number of logical events one push represents;
       it feeds the scheduler's ``pending_count`` / ``fired_count`` so
       batching is invisible to every counter-reading observer;
-    * ``fire()`` performs all ``size`` deliveries, in the deterministic
-      internal order the entry was built with.
+    * ``fire(entry)`` performs all ``size`` of them and receives the
+      queue entry just popped — ``(time, priority, sequence, self,
+      *fields)``, the ``fields`` being whatever the push carried — so
+      an entry whose pushes differ only in data keeps that data in the
+      tuple and needs no object per push.
 
     Schedule via :meth:`EventScheduler.schedule_slab`.
     """
@@ -74,7 +79,7 @@ class SlabEntry:
     cancelled = False
     size = 1
 
-    def fire(self) -> None:  # pragma: no cover - abstract
+    def fire(self, entry: tuple) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
 
 
@@ -98,7 +103,7 @@ class BulkEvent(SlabEntry):
         self.size = size
         self.action = action
 
-    def fire(self) -> None:
+    def fire(self, entry: tuple) -> None:
         self.action()
 
 

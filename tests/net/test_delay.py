@@ -227,3 +227,34 @@ class TestUniformHooks:
             for dest in dests
         ]
         assert many == one_by_one
+
+    @pytest.mark.parametrize(
+        "draw, lo, hi",
+        [
+            # The three per-message sites that used to call rng.uniform.
+            (
+                lambda rng: EventuallySynchronousDelay(gst=50.0, delta=5.0).sample(
+                    "a", "b", None, 60.0, rng
+                ),
+                0.5, 5.0,
+            ),
+            (
+                lambda rng: EventuallySynchronousDelay(
+                    gst=50.0, delta=5.0, flush_at_gst=False
+                ).sample("a", "b", None, 10.0, rng),
+                0.5, 100.0,
+            ),
+            (
+                lambda rng: DualBoundSynchronousDelay(
+                    broadcast_delta=5.0, p2p_delta=2.0
+                ).sample_broadcast("a", "b", None, 0.0, rng),
+                0.2, 5.0,
+            ),
+        ],
+        ids=["es-post-gst", "es-pre-gst", "dual-broadcast"],
+    )
+    def test_written_out_draw_is_random_uniform_bit_for_bit(self, draw, lo, hi):
+        written_out = random.Random(31)
+        wrapped = random.Random(31)
+        for _ in range(10_000):
+            assert draw(written_out) == wrapped.uniform(lo, hi)

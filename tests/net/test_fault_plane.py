@@ -6,12 +6,12 @@ when a delivery *fires* (a drop-mode partition, a crash).  Pinned here:
 
 * which plans take the checked path (``Network._fast``), and that the
   checked path really is idle / really is taken;
-* that the uniform draw parameters sync fuses its reply sends on exist
-  only on a clean, untraced link — so no fused send skips the transmit
-  gate or a SEND record (``trace=True`` ≡ ``trace=False`` here compares
-  ``send_payload`` against the fused send);
-* that recipients a defer partition parks on one instant — one
-  ``_Unicast`` each since ``_BroadcastBatch`` went — still deliver in
+* that the uniform draw parameters ``send_payload`` draws inline on
+  exist only on a clean, untraced link (``trace=True`` ≡ ``trace=False``
+  here compares ``DelayModel.sample`` against the inline draw, and a
+  plan's spikes and deferrals always see a sampled delay);
+* that recipients a defer partition parks on one instant — one queue
+  tuple each since ``_BroadcastBatch`` went — still deliver in
   recipient / push order, ahead of anything else due at that instant.
 """
 
@@ -85,13 +85,14 @@ class TestPlaneSelection:
 
     def test_tracing_withdraws_the_point_to_point_draw(self):
         # The sweep stays (its fires go through ``_fire_checked``); a
-        # fused reply send would skip its SEND record.
+        # traced send samples the model — the reference the inline draw
+        # is held to.
         traced = make_system(trace=True).network
         assert traced._p2p_uniform is None and traced._bcast_uniform is not None
 
     def test_a_traced_churn_run_records_every_send(self):
-        """What the fused send must never break: SEND records and
-        ``sent_count`` agree, and tracing changes neither."""
+        """What no send may break, drawn inline or sampled: SEND records
+        and ``sent_count`` agree, and tracing changes neither."""
 
         def churned(trace):
             system = make_system(n=12, seed=5, trace=trace)
@@ -101,7 +102,7 @@ class TestPlaneSelection:
             return system
 
         traced, plain = churned(True), churned(False)
-        # Overlapping joins park each other's inquiries, so both fused
+        # Overlapping joins park each other's inquiries, so both reply
         # sites (the inquiry reply, the join-completion flush) were hit.
         assert traced.churn.joins_executed > 4
         sent = traced.network.sent_count

@@ -4,9 +4,12 @@
 the payload arrives at — also for a send the fault gate vetoed.
 """
 
+import math
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.faults import (
     CrashFault,
@@ -15,10 +18,16 @@ from repro.faults import (
     LossFault,
     PartitionFault,
 )
-from repro.net.delay import SynchronousDelay
-from repro.net.network import Network
+from repro.net.delay import (
+    DELAY_MODEL_NAMES,
+    AdversarialDelay,
+    DelayModel,
+    SynchronousDelay,
+    make_delay,
+)
+from repro.net.network import Network, _FanoutSweep
 from repro.sim.engine import EventScheduler
-from repro.sim.errors import NetworkError, UnknownProcessError
+from repro.sim.errors import ConfigError, NetworkError, UnknownProcessError
 from repro.sim.membership import Membership
 from repro.sim.process import SimProcess
 from repro.sim.rng import RngRegistry
@@ -261,3 +270,103 @@ class TestTracingOnlyAddsTheTrace:
             assert [pending for _, pending, _ in plain["scheduled"]] == [1, 2, 3]
         if case == "deferred_at_send":
             assert [at for at, _, _ in plain["scheduled"][:2]] == [12.0, 12.0]
+
+
+class _Declares(DelayModel):
+    """A custom model whose declared uniform parameters are the test's."""
+
+    def __init__(self, p2p=None, broadcast=None):
+        self._p2p, self._broadcast = p2p, broadcast
+
+    def sample(self, sender, dest, payload, send_time, rng):
+        return 1.0
+
+    def p2p_uniform(self):
+        return self._p2p
+
+    def broadcast_uniform(self):
+        return self._broadcast
+
+
+class TestDeclaredUniformParameters:
+    """The inline draws (``send_payload``, the sweep) skip the
+    per-message ``delay <= 0`` test; what makes that safe is checked
+    once, at construction, for any ``DelayModel`` — not assumed of the
+    ones that happen to exist."""
+
+    @pytest.mark.parametrize("method", ["p2p_uniform", "broadcast_uniform"])
+    @pytest.mark.parametrize(
+        "params",
+        [
+            (math.nan, 1.0), (math.inf, 1.0), (0.0, 1.0), (-0.5, 1.0),  # lo
+            (0.5, math.nan), (0.5, -1.0), (0.5, math.inf),  # span
+        ],
+    )
+    def test_a_bad_declaration_is_refused_by_name(
+        self, engine, membership, trace, rng, method, params
+    ):
+        kwarg = "p2p" if method == "p2p_uniform" else "broadcast"
+        with pytest.raises(ConfigError) as refusal:
+            Network(engine, membership, _Declares(**{kwarg: params}), trace, rng)
+        message = str(refusal.value)
+        assert f"_Declares.{method}() declares" in message
+        assert repr(params) in message
+
+    def test_a_sound_declaration_draws_inline(self, engine, membership, trace, rng):
+        model = _Declares(p2p=(0.5, 0.0), broadcast=(0.5, 2.0))
+        network = Network(
+            engine, membership, model, TraceLog(enabled=False), rng
+        )
+        assert network._p2p_uniform == (0.5, 0.0)
+        assert network._bcast_uniform == (0.5, 2.0)
+        membership.enter(Sink("p1", engine))
+        # ``sample`` says 1.0; the declaration says 0.5 and wins.
+        assert network.send_payload("p1", "p1", Note("x")) == 0.5
+
+    @pytest.mark.parametrize("name", DELAY_MODEL_NAMES + ("adversarial",))
+    def test_every_built_in_model_passes(self, engine, membership, trace, rng, name):
+        model = (
+            AdversarialDelay(lambda s, d, p, t: 1.0)
+            if name == "adversarial"
+            else make_delay(name, 5.0)
+        )
+        network = Network(engine, membership, model, TraceLog(enabled=False), rng)
+        assert network._p2p_uniform == model.p2p_uniform()
+        assert network._bcast_uniform == model.broadcast_uniform()
+
+
+class _Scripted:
+    """An ``rng`` whose ``random()`` replays the test's draws."""
+
+    def __init__(self, draws):
+        self._draws = iter(draws)
+
+    def random(self):
+        return next(self._draws)
+
+
+class TestPairFreeFanoutOrder:
+    @given(
+        draws=st.lists(
+            # A narrow pool forces exact instant ties.
+            st.sampled_from((0.0, 0.125, 0.25, 0.5, 0.999)), min_size=1, max_size=40
+        ),
+        now=st.sampled_from((0.0, 3.5)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_the_sweep_order_is_the_instant_index_pair_sort(self, draws, now):
+        engine = EventScheduler(start=now)
+        model = SynchronousDelay(delta=5.0)
+        network = Network(
+            engine, Membership(), model, TraceLog(enabled=False), RngRegistry(seed=1)
+        )
+        lo, span = model.broadcast_uniform()
+        dests = [f"p{i}" for i in range(len(draws))]
+        network.deliver_fanout("p0", dests, Note("x"), now, 7, _Scripted(draws))
+        (entry,) = engine._pending_entries()
+        sweep = entry[3]
+        assert type(sweep) is _FanoutSweep and engine.pending_count == len(draws)
+        pairs = sorted((now + (lo + span * r), i) for i, r in enumerate(draws))
+        assert list(sweep.times) == [instant for instant, _ in pairs]
+        assert list(sweep.dests) == [dests[i] for _, i in pairs]
+        assert entry[0] == pairs[0][0]

@@ -1,11 +1,11 @@
 """One point-to-point plane: ``send_payload`` is the network's only
-send, and the broadcast service's entrant offers ride the same
-``_Unicast`` as every other delivery.
+send, and the broadcast service's entrant offers are the same queue
+tuples as every other single-destination delivery.
 
 The envelope-returning ``Network.send`` and its ``Message`` are deleted;
 one short cell of every protocol plus a live migration — with tracing on
 (every delivery through ``_fire_checked``) and off (the fire sites
-dispatch inline, sync fuses its reply sends) — proves nothing under
+dispatch inline, ``send_payload`` draws inline) — proves nothing under
 ``src/repro`` still reaches for them.
 """
 
@@ -99,10 +99,13 @@ class TestEntrantOffers:
     ):
         network, late, broadcast_id = self._offer(engine, membership, trace, rng)
         sent_before = network.sent_count
+        # The pending offer *is* its queue entry: no object of its own.
         (offer,) = [
-            e for e in engine.iter_pending() if type(e).__name__ == "_Unicast"
+            entry
+            for entry in engine._pending_entries()
+            if entry[3] is network._delivery
         ]
-        assert (offer.dest, offer.broadcast_id) == ("late", broadcast_id)
+        assert offer[4:] == ("late", "p0", News("x"), broadcast_id)
         engine.run()
         assert late.heard == ["x"]
         assert network.sent_count == sent_before == 0

@@ -137,3 +137,87 @@ class TestSinglePassBestPerKey:
             assert best.get(key) == expected
             assert phase.best_for(key) == expected
         assert all(found is not None for found in best.values())
+
+
+def plain_best_per_key(phase: QuorumPhase):
+    """``best_per_key`` as the plain walk over offers × keys."""
+    best = {}
+    for sender, entries in phase._offers.items():
+        for key, value, sequence in entries:
+            held = best.get(key)
+            if (
+                held is None
+                or sequence > held[0]
+                or (sequence == held[0] and sender > held[1])
+            ):
+                best[key] = (sequence, sender, value)
+    for key, value, sequence in phase._bulk_entries:
+        held = best.get(key)
+        if held is None or sequence > held[0]:
+            best[key] = (sequence, "", value)
+    return {key: (value, sequence) for key, (sequence, _, value) in best.items()}
+
+
+#: Equal values that tell apart (``1 == 1.0 == True``): the same state
+#: offered in two flavours makes *equal tuples* from different senders,
+#: and only the ``repr`` shows whose value an adoption returned.
+FLAVOURS = (int, float, bool)
+
+states = st.lists(
+    st.lists(
+        st.tuples(st.sampled_from(KEYS), st.integers(min_value=0, max_value=2)),
+        max_size=4,
+        unique_by=lambda e: e[0],
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+class TestFoldedBestPerKey:
+    """Equal offers are folded to the greatest sender's before the
+    walk; the adoption is the plain walk's in every case."""
+
+    @given(
+        states=states,
+        picks=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=2),
+                st.sampled_from(FLAVOURS),
+                st.booleans(),
+            ),
+            max_size=12,
+        ),
+        bulk=st.lists(
+            st.tuples(
+                st.sampled_from(KEYS),
+                st.sampled_from((1, 1.0, True)),
+                st.integers(min_value=0, max_value=2),
+            ),
+            max_size=3,
+        ),
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_plain_double_loop(self, states, picks, bulk, data):
+        phase = QuorumPhase().open()
+        # One tuple per (state, flavour): offers that share it are the
+        # entries of one cached reply; ``fresh`` offers an equal copy.
+        built = {
+            (index, flavour): tuple(
+                (key, flavour(1), sequence) for key, sequence in state
+            )
+            for index, state in enumerate(states)
+            for flavour in FLAVOURS
+        }
+        senders = data.draw(st.permutations([f"p{i:02d}" for i in range(len(picks))]))
+        for sender, (pick, flavour, fresh) in zip(senders, picks):
+            entries = built[pick % len(states), flavour]
+            phase.offer(sender, tuple(list(entries)) if fresh else entries)
+        if bulk:
+            phase.record_bulk(len(bulk), bulk)
+        folded, plain = phase.best_per_key(), plain_best_per_key(phase)
+        assert folded == plain
+        assert {k: repr(v) for k, v in folded.items()} == {
+            k: repr(v) for k, v in plain.items()
+        }

@@ -18,14 +18,16 @@ replaced:
 * **Live.**  Every payload type has one body, its ``on_<type>`` handler;
   what ``trace`` still forks is how a delivery reaches it.  ``trace=True``
   takes each one through ``_fire_checked`` → ``deliver_payload`` and
-  every send through ``send_payload``; ``trace=False`` dispatches inline
-  at the two fire sites and lets sync fuse its reply sends on the
-  declared uniform draw.  So ``trace=True`` ≡ ``trace=False`` on the
-  whole grid (and in the Hypothesis sweep, which no golden covers)
-  compares the checked wrapper against the inlined dispatch and
-  ``send_payload`` against the fused send; the fan-out sweep runs on
-  both sides, and it is the golden that holds it to per-recipient
-  entries.
+  draws every send's delay with ``DelayModel.sample``; ``trace=False``
+  dispatches inline at the two fire sites and lets ``send_payload``
+  draw ``lo + span * random()`` inline from the declared parameters.
+  So ``trace=True`` ≡ ``trace=False`` on the whole grid (and in the
+  Hypothesis sweep, which no golden covers) compares the checked
+  wrapper against the inlined dispatch and ``sample`` against the
+  inline draw; the fan-out sweep runs on both sides, and it is the
+  golden that holds it to per-recipient entries — and, since the sends
+  sync used to fuse by hand are gone, that holds plain ``send_payload``
+  to what the fused sends scheduled.
 
 Any divergence here means a kernel change altered semantics, not just
 speed — a hard failure.  After a deliberate behaviour change, rerun
@@ -269,8 +271,8 @@ class TestKernelGolden:
 
 
 class TestWavesAgainstHandlers:
-    """The live oracle: tracing on (the checked wrapper, ``send_payload``)
-    and tracing off (inlined dispatch, fused sends) are one machine."""
+    """The live oracle: tracing on (the checked wrapper, sampled delays)
+    and tracing off (inlined dispatch, inline draws) are one machine."""
 
     @pytest.mark.parametrize("cell", CELLS, ids=_cell_id)
     def test_trace_on_equals_trace_off(self, cell):

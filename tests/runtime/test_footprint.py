@@ -6,8 +6,14 @@ slots, one register-cell dict, its presence record and its pid.  These
 tests hold the traced bytes and allocated blocks per seed under a
 budget (the measured value + ~10 %, CPython 3.11) so that a change
 which re-adds eager per-node state — an empty list, a set, a phase
-object, a ``__dict__`` — fails here, under a name that says so.  CI
-runs this file as its own step ("per-process footprint").
+object, a ``__dict__`` — fails here, under a name that says so.
+
+A message, likewise, costs what it carries: in flight it is its queue
+tuple (plus the arrival instant and the sequence number the tuple
+holds), and once delivered the network keeps nothing of it.  The
+per-message ratchet below fails a change that re-adds an object per
+send or a free list that pins the run's high-water mark.  CI runs this
+file as its own step ("per-process and per-message footprint").
 """
 
 from __future__ import annotations
@@ -18,10 +24,17 @@ import tracemalloc
 
 import pytest
 
+from repro.protocols.sync_reg import Reply
 from repro.runtime.config import SystemConfig
 from repro.runtime.system import DynamicSystem
 
 N = 2000
+MESSAGES = 20_000
+
+#: Bytes and allocated blocks per un-drained ``send_payload``.  Measured
+#: here (3.11): 168 / 3.0 — the 8-field queue tuple, its instant and its
+#: sequence number; a pooled entry object per message read 208 / 4.0.
+MESSAGE_BUDGET = (176, 3)
 
 #: protocol -> (bytes per seed, allocated blocks per seed).  Measured
 #: here (n = 2000, 3.11): 773 / 8.1, 1707 / 18.0, 1283 / 16.0; before
@@ -44,13 +57,19 @@ def traced_build(**config) -> tuple[DynamicSystem, float, float]:
     try:
         before = tracemalloc.take_snapshot()
         system = DynamicSystem(SystemConfig(n=N, trace=False, **config))
-        after = tracemalloc.take_snapshot()
+        size, blocks = traced(before, N)
     finally:
         tracemalloc.stop()
-    stats = after.compare_to(before, "filename")
-    size = sum(stat.size_diff for stat in stats)
-    blocks = sum(stat.count_diff for stat in stats)
-    return system, size / N, blocks / N
+    return system, size, blocks
+
+
+def traced(snapshot_before, count):
+    """Bytes and blocks per item allocated since ``snapshot_before``."""
+    stats = tracemalloc.take_snapshot().compare_to(snapshot_before, "filename")
+    return (
+        sum(stat.size_diff for stat in stats) / count,
+        sum(stat.count_diff for stat in stats) / count,
+    )
 
 
 @pytest.mark.skipif(
@@ -66,6 +85,42 @@ def test_a_seed_stays_inside_its_budget(protocol):
     # + 0.1: the population's own containers (three membership dicts,
     # the pid list) are a handful of blocks spread over N seeds.
     assert blocks <= max_blocks + 0.1, f"{protocol}: {blocks:.2f} blocks per seed"
+
+
+@pytest.mark.skipif(
+    sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
+    reason="the byte budget is CPython 3.11's object layout",
+)
+def test_a_message_costs_its_queue_tuple_and_leaves_nothing_behind():
+    system = DynamicSystem(SystemConfig(n=20, trace=False))
+    send = system.network.send_payload
+    sender, dest = system.seed_pids[:2]
+    reply = Reply(sender, "v", 0)  # one shared payload: not the message's cost
+    send(sender, dest, reply)
+    system.run_for(2 * system.config.delta)  # warm: dispatch cache, join phase
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot()
+        for _ in range(MESSAGES):
+            send(sender, dest, reply)
+        in_flight = traced(before, MESSAGES)
+        assert system.engine.pending_count >= MESSAGES
+        delivered = system.network.delivered_count
+        system.run_for(2 * system.config.delta)
+        assert system.network.delivered_count == delivered + MESSAGES
+        retained = traced(before, MESSAGES)
+    finally:
+        tracemalloc.stop()
+    max_bytes, max_blocks = MESSAGE_BUDGET
+    assert in_flight[0] <= max_bytes, f"{in_flight[0]:.0f} B per message in flight"
+    # + 0.01: the calendar's bucket lists, a few hundred over the batch.
+    assert in_flight[1] <= max_blocks + 0.01, f"{in_flight[1]:.2f} blocks in flight"
+    # Nothing per message: what is left is CPython's own free list of
+    # dead 8-tuples, capped at 2000 however long the run (0.11 blocks
+    # a message at this batch size; a per-network free list read 1.11).
+    assert retained[1] <= 0.12, f"{retained[1]:.3f} blocks retained per delivery"
+    assert retained[0] <= 12.0, f"{retained[0]:.1f} B retained per delivery"
 
 
 @pytest.mark.parametrize("protocol", sorted(BUDGET))

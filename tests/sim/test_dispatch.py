@@ -2,13 +2,16 @@
 
 ``on_<type>`` is the only implementation of a payload type.  With
 tracing off and no delivery-gating plan the network's two fire sites
-(``_Unicast.fire``, ``_FanoutSweep.fire``) inline ``deliver_payload`` —
+(``_Delivery.fire``, ``_FanoutSweep.fire``) inline ``deliver_payload`` —
 the per-class ``_dispatch`` probe, the handler call, the watcher poll —
 and with tracing on ``_fire_checked`` ends in ``deliver_payload``
 itself.  Pinned here, through a real ``Network``: both sites honour a
 subclass's override, resolve and cache a payload type on first
 delivery, name an unknown one, and resume a satisfied ``WaitUntil`` in
-the same fire — identically on the checked path.
+the same fire — identically on the checked path.  A point-to-point
+delivery is its queue entry (dest, sender, payload and ``broadcast_id``
+ride the tuple; the item is the network's one ``_Delivery``), and the
+scheduler hands every slab item the entry it popped.
 """
 
 from dataclasses import dataclass
@@ -17,8 +20,10 @@ import pytest
 
 from repro.net.broadcast import BroadcastService
 from repro.net.delay import SynchronousDelay
-from repro.net.network import Network
+from repro.net.network import Network, _FanoutSweep
+from repro.sim.engine import EventScheduler
 from repro.sim.errors import ProcessError
+from repro.sim.events import Priority, SlabEntry
 from repro.sim.operations import WaitUntil
 from repro.sim.process import SimProcess
 from repro.sim.trace import TraceLog
@@ -76,7 +81,18 @@ class World:
         return nodes
 
     def pending(self):
-        return sorted(type(e).__name__ for e in self.engine.iter_pending())
+        """What is queued: each point-to-point delivery as the
+        ``(dest, sender, payload, broadcast_id)`` its entry carries,
+        each sweep as the destinations it has yet to reach."""
+        deliveries, sweeps = [], []
+        for entry in self.engine._pending_entries():
+            item = entry[3]
+            if item is self.network._delivery:
+                deliveries.append(entry[4:])
+            else:
+                assert type(item) is _FanoutSweep and len(entry) == 4
+                sweeps.append(sorted(item.dests[item.index:]))
+        return deliveries, sweeps
 
 
 @pytest.fixture
@@ -104,7 +120,9 @@ class TestFastArms:
         (loud,) = world.enter(Override, "o")
         world.network.send_payload("a", "o", Ping("p2p"))
         world.service.broadcast("a", Ping("bcast"))
-        assert world.pending() == ["_FanoutSweep", "_Unicast"]
+        assert world.pending() == (
+            [("o", "a", Ping("p2p"), None)], [["a", "o"]]
+        )
         world.engine.run()
         assert sorted(loud.log) == [
             ("override", "a", "bcast"), ("override", "a", "p2p")
@@ -138,7 +156,8 @@ class TestFastArms:
             world.engine.run()
         # One arrival fired (and raised); the sweep had already re-armed
         # for the other two.
-        assert world.pending() == ["_FanoutSweep"]
+        deliveries, (remaining,) = world.pending()
+        assert deliveries == [] and len(remaining) == 2
         assert world.network.delivered_count == 1
         with pytest.raises(ProcessError, match="on_mystery"):
             world.engine.run()
@@ -199,3 +218,33 @@ class TestWatchersResumeInTheSameFire:
         )
         assert first.done and first.result == arrival
         assert second.pending and len(node._watchers) == 1
+
+
+class _Recorder(SlabEntry):
+    __slots__ = ("seen",)
+
+    def __init__(self):
+        self.seen = []
+
+    def fire(self, entry):
+        self.seen.append(entry)
+
+
+@pytest.mark.parametrize("drive", ["drain", "step"])
+def test_a_slab_item_is_fired_with_its_own_queue_entry(drive):
+    """One item, two pushes with different tails: ``_drain`` and
+    ``step()`` both hand ``fire`` the entry just popped, whole."""
+    engine = EventScheduler()
+    item = _Recorder()
+    engine.schedule_slab(2.0, Priority.DELIVERY, item, "late", 2)
+    engine.schedule_slab(1.0, Priority.DELIVERY, item)
+    assert engine.pending_count == 2
+    if drive == "drain":
+        assert engine.run() == 2
+    else:
+        assert engine.step() and engine.step() and not engine.step()
+    assert item.seen == [
+        (1.0, Priority.DELIVERY, 1, item),
+        (2.0, Priority.DELIVERY, 0, item, "late", 2),
+    ]
+    assert engine.pending_count == 0 and engine.fired_count == 2
