@@ -4,7 +4,7 @@
 This is the repository's one-shot reproduction driver: it runs the full
 experiment battery (see DESIGN.md's per-experiment index) and prints
 each experiment's table and verdict.  ``--quick`` shrinks horizons and
-repetition counts (the same settings the benchmark suite uses);
+repetition counts (the same settings the test suite and CI use);
 ``--full`` is what EXPERIMENTS.md records.
 
 Run:  python examples/reproduce_paper.py [--quick] [--seed N]
@@ -22,7 +22,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="small horizons / few repetitions (benchmark settings)",
+        help="small horizons / few repetitions (the test-suite settings)",
     )
     parser.add_argument("--seed", type=int, default=0, help="root RNG seed")
     parser.add_argument(

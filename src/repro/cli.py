@@ -24,19 +24,19 @@ Nine subcommands, mirroring how the library is typically used:
     window bound.
 
 ``bench``
-    Run the headless kernel benchmarks and write the
-    ``BENCH_kernel.json`` trajectory artifact (event throughput,
-    broadcast fan-out with tracing on/off, churn bookkeeping, the
-    keyed-store fan-out pair, checker cost fast vs. paranoid,
-    determinism digests).  ``--compare OLD.json`` diffs the fresh run
-    against a committed artifact — per-workload wall-time and derived
-    ratio deltas — and exits non-zero past ``--threshold``.
+    Run the six fixed-seed determinism-digest workloads (each twice:
+    they must be STABLE) and a handful of smoke timings, and write the
+    ``BENCH_kernel.json`` artifact.  ``--compare OLD.json`` diffs the
+    fresh run against a committed artifact and exits non-zero if any
+    digest differs from it (named ``determinism.<field>``) or a timing
+    or derived ratio regressed past ``--threshold``.  Wall-time claims
+    are made with ``perf/run.py``, not here.
 
 ``profile``
-    Run one named bench workload under ``cProfile`` and print the
-    top-N frames — the instrument behind (and against) every
-    handler-plane perf claim: wall times say whether a change paid
-    off, the frame table says where the time actually went.
+    Run one named bench workload — any ``BENCH_kernel.json`` row or
+    digest workload — under ``cProfile`` and print the top-N frames:
+    wall times say whether a change paid off, the frame table says
+    where the time actually went.
 
 ``migrate``
     Live-reshard a cluster: schedule key migrations between quorum
@@ -73,7 +73,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .churn.model import (
     eventually_synchronous_churn_bound,
@@ -90,6 +90,12 @@ from .viz.timeline import render_timeline
 from .workloads.generators import read_heavy_plan
 from .workloads.scenarios import figure_3a, figure_3b, new_old_inversion
 from .workloads.schedule import WorkloadDriver
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .cluster.migration import MigrationRecord
+    from .cluster.system import ClusterSystem
+    from .core.checker import LivenessReport, SafetyReport
+    from .workloads.cluster import ClusterWorkloadDriver
 
 _SCENARIOS = {
     "fig3a": figure_3a,
@@ -177,7 +183,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     bench = sub.add_parser(
-        "bench", help="run the kernel benchmarks and write BENCH_kernel.json"
+        "bench",
+        help="run the determinism digests and smoke timings; write BENCH_kernel.json",
     )
     bench.add_argument(
         "--out",
@@ -188,16 +195,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--repeats",
         type=int,
         default=3,
-        help="timing repeats per benchmark; the best wall time is kept",
+        help="timing repeats per smoke row; the best wall time is kept",
     )
     bench.add_argument(
         "--compare",
         default=None,
         metavar="OLD.json",
         help=(
-            "diff this run against a committed artifact: prints per-"
-            "workload wall-time and derived-ratio deltas, exits non-zero "
-            "past the regression threshold"
+            "diff this run against a committed artifact: exits non-zero "
+            "on any changed determinism digest, or on a wall-time or "
+            "derived-ratio delta past the regression threshold"
         ),
     )
     bench.add_argument(
@@ -205,8 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=0.5,
         help=(
-            "fractional regression tolerance for --compare (default 0.5 "
-            "= flag anything >50%% slower than the baseline)"
+            "fractional timing tolerance for --compare (default 0.5 = "
+            "flag anything >50%% slower than the baseline; digests get none)"
         ),
     )
     _add_workers_flag(bench, "run the parallel-sweep benchmark")
@@ -220,8 +227,9 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="WORKLOAD",
         help=(
             "bench workload to profile at its artifact-default "
-            "parameters (e.g. churn_ticks, churn_tick_large, "
-            "broadcast_fanout_large; see repro.bench.PROFILE_WORKLOADS)"
+            "parameters: a BENCH_kernel.json row or digest field (e.g. "
+            "rebalance_storm, keyed_digest; see "
+            "repro.bench.PROFILE_WORKLOADS)"
         ),
     )
     profile.add_argument(
@@ -604,20 +612,18 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0 if (safety.is_safe and liveness.is_live) else 1
 
 
-def _cmd_migrate(args: argparse.Namespace) -> int:
+def _cluster_cell(args: argparse.Namespace) -> ClusterSystem:
+    """The cluster ``migrate`` and ``rebalance`` both start from: built
+    from the shared flags, the library ``--plan`` (if any) scoped into
+    every shard, churn attached."""
     from .cluster.config import ClusterConfig
     from .cluster.system import ClusterSystem
-    from .workloads.cluster import ClusterWorkloadDriver, shard_skewed_key_picker
-    from .workloads.explorer import PLAN_BUILDERS, _shard_scoped_plan, build_plan
-    from .workloads.generators import assign_keys, read_heavy_plan
+    from .workloads.explorer import PLAN_BUILDERS, build_plan, install_shard_scoped
 
     if args.plan is not None and args.plan not in PLAN_BUILDERS:
-        print(
-            f"error: unknown plan {args.plan!r}; "
-            f"known: {', '.join(PLAN_BUILDERS)}",
-            file=sys.stderr,
+        raise ReproError(
+            f"unknown plan {args.plan!r}; known: {', '.join(PLAN_BUILDERS)}"
         )
-        return 2
     cluster = ClusterSystem(
         ClusterConfig(
             shards=args.shards,
@@ -629,61 +635,73 @@ def _cmd_migrate(args: argparse.Namespace) -> int:
         )
     )
     if args.plan is not None:
-        plan = build_plan(args.plan, args.delta, args.horizon, args.n)
-        sizes = cluster.config.shard_sizes()
-        for index in range(args.shards):
-            cluster.install_faults(
-                _shard_scoped_plan(plan, index, sizes[index], args.n),
-                shards=[index],
-                scope_pids=False,
-            )
+        install_shard_scoped(
+            cluster, build_plan(args.plan, args.delta, args.horizon, args.n)
+        )
     if args.churn > 0:
         cluster.attach_churn(rate=args.churn, min_stay=3.0 * args.delta)
-    records = []
-    for j in range(args.migrations):
-        key = cluster.keys[j % len(cluster.keys)]
-        hop = 1 + j // len(cluster.keys)
-        dest = (cluster.shard_of(key) + hop) % args.shards
-        if dest == cluster.shard_of(key):
-            dest = (dest + 1) % args.shards
-        start = args.horizon * (0.15 + 0.4 * j / args.migrations)
-        records.append(
-            cluster.schedule_migration(key, dest, at=start, max_retries=1)
-        )
-    driver = ClusterWorkloadDriver(cluster, dynamic=True)
+    return cluster
+
+
+def _drive_cluster_cell(
+    args: argparse.Namespace,
+    cluster: ClusterSystem,
+    driver: ClusterWorkloadDriver,
+    stream: str,
+    distribution: str,
+) -> tuple[SafetyReport, LivenessReport]:
+    """Install the read-heavy shard-skewed plan (drawn from the
+    ``cli.<stream>.*`` RNG streams), run to the horizon, close, judge."""
+    from .workloads.cluster import shard_skewed_key_picker
+    from .workloads.generators import assign_keys
+
     plan_ops = read_heavy_plan(
         start=5.0,
         end=max(6.0, args.horizon - 4.0 * args.delta),
         write_period=args.write_period,
         read_rate=args.read_rate,
-        rng=cluster.rng.stream("cli.migrate.plan"),
+        rng=cluster.rng.stream(f"cli.{stream}.plan"),
     )
     plan_ops = assign_keys(
         plan_ops,
         shard_skewed_key_picker(
-            cluster, cluster.rng.stream("cli.migrate.keys"), distribution="uniform"
+            cluster, cluster.rng.stream(f"cli.{stream}.keys"), distribution
         ),
     )
     driver.install(plan_ops)
     cluster.run_until(args.horizon)
     cluster.close()
-    safety = cluster.check_safety(paranoid=args.paranoid)
-    liveness = cluster.check_liveness(grace=10.0 * args.delta)
+    return (
+        cluster.check_safety(paranoid=args.paranoid),
+        cluster.check_liveness(grace=10.0 * args.delta),
+    )
+
+
+def _handoff_outcome(record: MigrationRecord) -> str:
+    if record.committed:
+        return f"committed in {record.latency:.1f} (v{record.map_version})"
+    if record.aborted:
+        return f"aborted ({record.reason})"
+    return f"UNRESOLVED (phase={record.phase})"
+
+
+def _cmd_migrate(args: argparse.Namespace) -> int:
+    from .workloads.cluster import ClusterWorkloadDriver
+    from .workloads.explorer import schedule_round_robin_migrations
+
+    cluster = _cluster_cell(args)
+    records = schedule_round_robin_migrations(cluster, args.migrations, args.horizon)
+    driver = ClusterWorkloadDriver(cluster, dynamic=True)
+    safety, liveness = _drive_cluster_cell(args, cluster, driver, "migrate", "uniform")
     plan_label = f" plan={args.plan}" if args.plan else ""
     print(
         f"shards={args.shards} keys={args.keys} n={args.n} δ={args.delta} "
         f"churn={args.churn} horizon={args.horizon} seed={args.seed}{plan_label}"
     )
     for record in records:
-        if record.committed:
-            outcome = f"committed in {record.latency:.1f} (v{record.map_version})"
-        elif record.aborted:
-            outcome = f"aborted ({record.reason})"
-        else:
-            outcome = f"UNRESOLVED (phase={record.phase})"
         print(
             f"  {record.key}: shard {record.source} -> {record.dest} "
-            f"@{record.scheduled_at:g}  {outcome}"
+            f"@{record.scheduled_at:g}  {_handoff_outcome(record)}"
             + (f", {record.deferred_writes} write(s) deferred"
                if record.deferred_writes else "")
             + (f", {record.retries} retry(ies)" if record.retries else "")
@@ -704,41 +722,10 @@ def _cmd_migrate(args: argparse.Namespace) -> int:
 
 
 def _cmd_rebalance(args: argparse.Namespace) -> int:
-    from .cluster.config import ClusterConfig
     from .cluster.rebalance import RebalancePolicy, Rebalancer
-    from .cluster.system import ClusterSystem
-    from .workloads.cluster import ClusterWorkloadDriver, shard_skewed_key_picker
-    from .workloads.explorer import PLAN_BUILDERS, _shard_scoped_plan, build_plan
-    from .workloads.generators import assign_keys, read_heavy_plan
+    from .workloads.cluster import ClusterWorkloadDriver
 
-    if args.plan is not None and args.plan not in PLAN_BUILDERS:
-        print(
-            f"error: unknown plan {args.plan!r}; "
-            f"known: {', '.join(PLAN_BUILDERS)}",
-            file=sys.stderr,
-        )
-        return 2
-    cluster = ClusterSystem(
-        ClusterConfig(
-            shards=args.shards,
-            keys=args.keys,
-            n=args.n,
-            delta=args.delta,
-            protocol="sync",
-            seed=args.seed,
-        )
-    )
-    if args.plan is not None:
-        plan = build_plan(args.plan, args.delta, args.horizon, args.n)
-        sizes = cluster.config.shard_sizes()
-        for index in range(args.shards):
-            cluster.install_faults(
-                _shard_scoped_plan(plan, index, sizes[index], args.n),
-                shards=[index],
-                scope_pids=False,
-            )
-    if args.churn > 0:
-        cluster.attach_churn(rate=args.churn, min_stay=3.0 * args.delta)
+    cluster = _cluster_cell(args)
     driver = ClusterWorkloadDriver(cluster, dynamic=True)
     policy = RebalancePolicy(
         period=args.period if args.period is not None else 4.0 * args.delta,
@@ -752,26 +739,9 @@ def _cmd_rebalance(args: argparse.Namespace) -> int:
     rebalancer = Rebalancer(cluster, driver=driver, policy=policy)
     if args.retire is not None:
         rebalancer.retire_shard(args.retire)
-    plan_ops = read_heavy_plan(
-        start=5.0,
-        end=max(6.0, args.horizon - 4.0 * args.delta),
-        write_period=args.write_period,
-        read_rate=args.read_rate,
-        rng=cluster.rng.stream("cli.rebalance.plan"),
+    safety, liveness = _drive_cluster_cell(
+        args, cluster, driver, "rebalance", args.key_dist
     )
-    plan_ops = assign_keys(
-        plan_ops,
-        shard_skewed_key_picker(
-            cluster,
-            cluster.rng.stream("cli.rebalance.keys"),
-            distribution=args.key_dist,
-        ),
-    )
-    driver.install(plan_ops)
-    cluster.run_until(args.horizon)
-    cluster.close()
-    safety = cluster.check_safety(paranoid=args.paranoid)
-    liveness = cluster.check_liveness(grace=10.0 * args.delta)
     plan_label = f" plan={args.plan}" if args.plan else ""
     retire_label = f" retire={args.retire}" if args.retire is not None else ""
     print(
@@ -791,16 +761,9 @@ def _cmd_rebalance(args: argparse.Namespace) -> int:
             f"imbalance={sample.imbalance:.3f}{flag}{note}"
         )
     for action in rebalancer.actions:
-        record = action.record
-        if record.committed:
-            outcome = f"committed in {record.latency:.1f} (v{record.map_version})"
-        elif record.aborted:
-            outcome = f"aborted ({record.reason})"
-        else:
-            outcome = f"UNRESOLVED (phase={record.phase})"
         print(
             f"  {action.key}: shard {action.source} -> {action.dest} "
-            f"@{action.time:g} [{action.reason}]  {outcome}"
+            f"@{action.time:g} [{action.reason}]  {_handoff_outcome(action.record)}"
         )
     ops = driver.shard_op_counts()
     print(f"shard ops      : {tuple(ops)}")

@@ -48,6 +48,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from math import isfinite
 from typing import Any, TYPE_CHECKING
 
 from ..sim.clock import Time
@@ -111,6 +112,15 @@ class RebalancePolicy:
     plan_until: Time | None = None
 
     def validate(self) -> None:
+        # NaN compares false with everything, so the range tests below
+        # would wave it through: a NaN period never ticks, a NaN
+        # threshold never triggers — silently.  Refuse it by name.
+        for name in (
+            "period", "threshold", "cooldown", "min_window_load", "plan_until"
+        ):
+            value = getattr(self, name)
+            if value is not None and not isfinite(value):
+                raise ConfigError(f"rebalance {name} must be finite, got {value!r}")
         if self.period <= 0:
             raise ConfigError(f"rebalance period must be positive, got {self.period!r}")
         if self.threshold < 1.0:

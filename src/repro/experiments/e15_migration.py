@@ -36,6 +36,7 @@ from ..exec.spec import RunSpec
 from ..faults.plan import FaultPlan, LossFault
 from ..protocols.common import MIGRATION_PAYLOADS
 from ..workloads.cluster import ClusterWorkloadDriver, shard_skewed_key_picker
+from ..workloads.explorer import schedule_round_robin_migrations
 from ..workloads.generators import assign_keys, read_heavy_plan
 from .harness import ExperimentResult
 
@@ -71,17 +72,7 @@ def cell(
         )
     if churn_rate > 0:
         cluster.attach_churn(rate=churn_rate, min_stay=3.0 * delta)
-    records = []
-    for j in range(migrations):
-        key = cluster.keys[j % len(cluster.keys)]
-        hop = 1 + j // len(cluster.keys)
-        dest = (cluster.shard_of(key) + hop) % shards
-        if dest == cluster.shard_of(key):
-            dest = (dest + 1) % shards
-        start = horizon * (0.15 + 0.4 * j / migrations)
-        records.append(
-            cluster.schedule_migration(key, dest, at=start, max_retries=1)
-        )
+    records = schedule_round_robin_migrations(cluster, migrations, horizon)
     driver = ClusterWorkloadDriver(cluster, dynamic=True)
     plan = read_heavy_plan(
         start=5.0,

@@ -3,7 +3,7 @@
 Every experiment module exposes ``run(seed=0, quick=False, ...)`` and
 returns an :class:`ExperimentResult` whose ``rows`` regenerate the
 corresponding claim of the paper (see the E-index in ``DESIGN.md``).
-``quick=True`` shrinks repetitions/horizons for the benchmark suite;
+``quick=True`` shrinks repetitions/horizons for the test suite and CI;
 the full parameterization is what ``EXPERIMENTS.md`` records.
 """
 

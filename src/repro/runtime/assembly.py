@@ -103,9 +103,10 @@ def make_scheduler(delta: float) -> EventScheduler:
     ``δ/25``, comfortably under the default delay model's minimum
     message delay, so in-flight arrivals land in future buckets (small
     sorted chunks) while only broadcast-sweep re-arms ride the tiny
-    overflow heap.  The divisor was picked empirically on the
-    ``churn_tick_large`` workload; width only affects speed — ordering
-    is exact at any width.
+    overflow heap.  The divisor was picked empirically on an n = 1000
+    churn workload (a retired bench row; ``perf/``'s ``sync_churn_1k``
+    is where to re-measure it); width only affects speed — ordering is
+    exact at any width.
     """
     return EventScheduler(bucket_width=delta / 25.0)
 

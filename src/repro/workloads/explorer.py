@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
-from typing import Any, Iterator
+from typing import TYPE_CHECKING, Any, Iterator
 
 from ..core.checker import LivenessReport, SafetyReport
 from ..core.history import operation_digest
@@ -67,6 +67,10 @@ from ..sim.clock import Time
 from ..sim.errors import ExperimentError
 from .generators import assign_keys, make_key_picker, read_heavy_plan
 from .schedule import WorkloadDriver
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..cluster.migration import MigrationRecord
+    from ..cluster.system import ClusterSystem
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -806,6 +810,43 @@ def _shard_scoped_plan(
     )
 
 
+def install_shard_scoped(cluster: ClusterSystem, plan: FaultPlan) -> None:
+    """Install a library ``plan`` on every shard of ``cluster``, each
+    copy scoped into its shard's pid namespace and rescaled to the
+    shard's slice of the population (:func:`_shard_scoped_plan`)."""
+    for index, shard_n in enumerate(cluster.config.shard_sizes()):
+        cluster.install_faults(
+            _shard_scoped_plan(plan, index, shard_n, cluster.config.n),
+            shards=[index],
+            scope_pids=False,
+        )
+
+
+def schedule_round_robin_migrations(
+    cluster: ClusterSystem, count: int, horizon: Time
+) -> list[MigrationRecord]:
+    """Schedule ``count`` key handoffs over ``horizon``; return their records.
+
+    Keys round-robin; each hops one shard over (wrapping adds a hop so
+    repeats of the same key keep moving); starts spread over
+    [0.15, 0.55] of the horizon and retries capped at one so even a
+    handoff that times out every phase under total migration-message
+    loss still resolves — commit or clean abort, never a record left
+    mid-phase at the horizon.
+    """
+    shards = len(cluster.shards)
+    records = []
+    for j in range(count):
+        key = cluster.keys[j % len(cluster.keys)]
+        hop = 1 + j // len(cluster.keys)
+        dest = (cluster.shard_of(key) + hop) % shards
+        if dest == cluster.shard_of(key):
+            dest = (dest + 1) % shards
+        start = horizon * (0.15 + 0.4 * j / count)
+        records.append(cluster.schedule_migration(key, dest, at=start, max_retries=1))
+    return records
+
+
 def _run_cluster_scenario(spec: ScenarioSpec) -> ScenarioOutcome:
     """The sharded flavour of one explorer cell.
 
@@ -840,30 +881,10 @@ def _run_cluster_scenario(spec: ScenarioSpec) -> ScenarioOutcome:
         )
     )
     if not plan.is_empty:
-        sizes = cluster.config.shard_sizes()
-        for index in range(spec.shards):
-            cluster.install_faults(
-                _shard_scoped_plan(plan, index, sizes[index], spec.n),
-                shards=[index],
-                scope_pids=False,
-            )
+        install_shard_scoped(cluster, plan)
     if spec.churn_rate > 0:
         cluster.attach_churn(rate=spec.churn_rate, min_stay=3.0 * spec.delta)
-    if spec.migrations:
-        # Keys round-robin; each hops one shard over (wrapping adds a
-        # hop so repeats of the same key keep moving); starts spread
-        # over [0.15, 0.55] of the horizon and retries capped at one so
-        # even a handoff that times out every phase under total
-        # migration-message loss still resolves — commit or clean
-        # abort, never a record left mid-phase at the horizon.
-        for j in range(spec.migrations):
-            key = cluster.keys[j % len(cluster.keys)]
-            hop = 1 + j // len(cluster.keys)
-            dest = (cluster.shard_of(key) + hop) % spec.shards
-            if dest == cluster.shard_of(key):
-                dest = (dest + 1) % spec.shards
-            start = spec.horizon * (0.15 + 0.4 * j / spec.migrations)
-            cluster.schedule_migration(key, dest, at=start, max_retries=1)
+    schedule_round_robin_migrations(cluster, spec.migrations, spec.horizon)
     # Migrating (and rebalanced) cells need fire-time routing (a write
     # landing after a flip must reach the new owner); static cells keep
     # the recorded install-time split byte for byte.

@@ -14,6 +14,7 @@ import random
 from bisect import bisect_right
 from dataclasses import replace
 from itertools import accumulate
+from math import isfinite
 from typing import Any, Callable, Sequence
 
 from ..sim.clock import Time
@@ -24,8 +25,18 @@ from .schedule import ReadOp, WorkloadOp, WriteOp
 KeyPicker = Callable[[], Any]
 
 
+def _require_finite(**params: float) -> None:
+    """Refuse a NaN / infinite plan parameter by name, where it enters:
+    three layers down it is a loop that never ends (``expovariate(inf)``
+    is 0.0, ``nan >= end`` is false) or an ``int()`` conversion error."""
+    for name, value in params.items():
+        if not isfinite(value):
+            raise ExperimentError(f"{name} must be finite, got {value!r}")
+
+
 def periodic_times(start: Time, period: Time, count: int) -> list[Time]:
     """``count`` instants spaced ``period`` apart, starting at ``start``."""
+    _require_finite(start=start, period=period)
     if period <= 0:
         raise ExperimentError(f"period must be positive, got {period!r}")
     if count < 0:
@@ -37,6 +48,7 @@ def poisson_times(
     start: Time, end: Time, rate: float, rng: random.Random
 ) -> list[Time]:
     """A Poisson arrival process of intensity ``rate`` on ``[start, end)``."""
+    _require_finite(start=start, end=end, rate=rate)
     if rate < 0:
         raise ExperimentError(f"rate must be non-negative, got {rate!r}")
     if end < start:
@@ -83,8 +95,13 @@ def read_heavy_plan(
     Writes start half a period after ``start`` so the first reads
     exercise the initial value too.
     """
+    _require_finite(start=start, end=end, write_period=write_period)
     if end <= start:
         raise ExperimentError(f"end {end!r} must exceed start {start!r}")
+    if write_period <= 0:
+        raise ExperimentError(
+            f"write_period must be positive, got {write_period!r}"
+        )
     write_count = max(0, int((end - start - write_period / 2) // write_period))
     plan: list[WorkloadOp] = []
     plan.extend(

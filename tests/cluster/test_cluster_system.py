@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bench import cluster_workload
 from repro.cluster import ClusterConfig, ClusterSystem, cluster_digest
 from repro.core.history import operation_digest
 from repro.runtime.system import DynamicSystem
@@ -163,3 +164,17 @@ class TestClose:
     def test_history_property_closes(self):
         cluster = make_cluster()
         assert cluster.history.horizon is not None
+
+
+def test_cluster_shard_scaling_guard():
+    """Perf guard: partitioning the bench cluster workload over 4
+    shards must cut total delivered messages by at least 2x at fixed
+    population — the deterministic message-count claim behind
+    ``derived.shard_scaling`` (it reads 4.25; 2x is the loose floor)."""
+    single_delivered, _ = cluster_workload(shards=1)
+    sharded_delivered, _ = cluster_workload(shards=4)
+    scaling = single_delivered / sharded_delivered
+    assert scaling >= 2.0, (
+        f"expected >=2x delivered-message reduction from 4 shards, "
+        f"got {scaling:.2f}x ({single_delivered} -> {sharded_delivered})"
+    )

@@ -67,8 +67,22 @@ class TestPolicyValidation:
         with pytest.raises(ConfigError):
             RebalancePolicy(**knobs).validate()
 
+    @pytest.mark.parametrize(
+        "name", ["period", "threshold", "cooldown", "min_window_load", "plan_until"]
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_knob_is_refused_by_name(self, name, value):
+        # NaN compares false with everything, so ``nan <= 0`` and
+        # ``nan < 1.0`` used to wave it through: a rebalancer that
+        # never ticks, or never triggers, without a word.
+        with pytest.raises(
+            ConfigError, match=f"rebalance {name} must be finite, got {value!r}"
+        ):
+            RebalancePolicy(**{name: value}).validate()
+
     def test_defaults_validate(self):
         RebalancePolicy().validate()
+        RebalancePolicy(plan_until=100.0).validate()
 
     def test_ops_signal_needs_a_driver(self):
         with pytest.raises(ConfigError):

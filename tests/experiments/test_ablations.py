@@ -1,40 +1,47 @@
 """Tests for the A1–A4 ablations."""
 
+from functools import cache
+
 import pytest
 
 from repro.experiments.ablations import ABLATIONS
 
-QUICK_KWARGS = {"seed": 0, "quick": True}
+
+@cache
+def quick(ablation_id):
+    """The quick run of one ablation, once per session: ablations are
+    deterministic and every test here only reads the result."""
+    return ABLATIONS[ablation_id](seed=0, quick=True)
 
 
 @pytest.mark.parametrize("ablation_id", sorted(ABLATIONS))
 def test_ablation_reproduces(ablation_id):
-    result = ABLATIONS[ablation_id](**QUICK_KWARGS)
+    result = quick(ablation_id)
     assert result.verdict.startswith("REPRODUCED"), result.describe()
 
 
 class TestA1Shapes:
     def test_inversions_grow_with_spread(self):
-        result = ABLATIONS["A1"](**QUICK_KWARGS)
+        result = quick("A1")
         inversions = result.column("inversions")
         # Spreads are listed tight-to-loose: the count must not shrink.
         assert inversions == sorted(inversions)
 
     def test_all_runs_regular(self):
-        result = ABLATIONS["A1"](**QUICK_KWARGS)
+        result = quick("A1")
         assert all(result.column("regular"))
 
 
 class TestA2Shapes:
     def test_naive_caught_only_on_departure_rounds(self):
-        result = ABLATIONS["A2"](**QUICK_KWARGS)
+        result = quick("A2")
         naive = next(r for r in result.rows if r["protocol"] == "naive")
         # Coin-flip departures: violations strictly between 0 and all.
         assert 0 < naive["violations"] < naive["rounds"]
         assert naive["stale_joins"] == naive["violations"]
 
     def test_full_protocol_never_caught(self):
-        result = ABLATIONS["A2"](**QUICK_KWARGS)
+        result = quick("A2")
         sync = next(r for r in result.rows if r["protocol"] == "sync")
         assert sync["violations"] == 0
         assert sync["stale_joins"] == 0
@@ -42,7 +49,7 @@ class TestA2Shapes:
 
 class TestA3Shapes:
     def test_latency_bounds_are_exact(self):
-        result = ABLATIONS["A3"](**QUICK_KWARGS)
+        result = quick("A3")
         baseline, optimized = result.rows
         assert baseline["max_join_latency"] == 15.0  # 3δ with δ=5
         assert optimized["max_join_latency"] == 11.0  # 2δ + δ' with δ'=1
@@ -56,25 +63,25 @@ class TestA3Shapes:
 
 class TestA4Shapes:
     def test_optimistic_policy_creates_fast_joins(self):
-        result = ABLATIONS["A4"](**QUICK_KWARGS)
+        result = quick("A4")
         none_row, all_row = result.rows
         assert none_row["fast_fraction"] < all_row["fast_fraction"]
         assert all_row["mean_latency"] < none_row["mean_latency"]
 
     def test_both_policies_safe(self):
-        result = ABLATIONS["A4"](**QUICK_KWARGS)
+        result = quick("A4")
         assert all(result.column("safe"))
 
 
 class TestA5Shapes:
     def test_serialized_writes_never_diverge(self):
-        result = ABLATIONS["A5"](**QUICK_KWARGS)
+        result = quick("A5")
         serial = next(r for r in result.rows if "one" in r["writers"])
         assert serial["diverged_rounds"] == 0
         assert serial["sn_collisions"] == 0
 
     def test_concurrent_writers_always_collide(self):
-        result = ABLATIONS["A5"](**QUICK_KWARGS)
+        result = quick("A5")
         concurrent = next(r for r in result.rows if "two" in r["writers"])
         assert concurrent["diverged_rounds"] == concurrent["rounds"]
         assert concurrent["sn_collisions"] == concurrent["rounds"]
@@ -82,17 +89,17 @@ class TestA5Shapes:
 
 class TestA6Shapes:
     def test_sub_majority_quorums_always_stale(self):
-        result = ABLATIONS["A6"](**QUICK_KWARGS)
+        result = quick("A6")
         for row in result.rows:
             if not row["intersecting"]:
                 assert row["violation_rate"] == 1.0
 
     def test_majority_quorum_never_stale(self):
-        result = ABLATIONS["A6"](**QUICK_KWARGS)
+        result = quick("A6")
         majority = next(r for r in result.rows if r["intersecting"])
         assert majority["violations"] == 0
 
     def test_smaller_quorums_finish_writes_faster(self):
-        result = ABLATIONS["A6"](**QUICK_KWARGS)
+        result = quick("A6")
         latencies = result.column("write_latency")
         assert latencies == sorted(latencies)

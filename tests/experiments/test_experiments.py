@@ -6,16 +6,23 @@ matches the paper.  ``quick=True`` keeps horizons small; the full
 parameterization behind ``EXPERIMENTS.md`` is the same code.
 """
 
+from functools import cache
+
 import pytest
 
 from repro.experiments import EXPERIMENTS
 
-QUICK_KWARGS = {"seed": 0, "quick": True}
+
+@cache
+def quick(experiment_id):
+    """The quick run of one experiment, once per session: experiments
+    are deterministic and every test here only reads the result."""
+    return EXPERIMENTS[experiment_id](seed=0, quick=True)
 
 
 @pytest.mark.parametrize("experiment_id", sorted(EXPERIMENTS))
 def test_experiment_reproduces(experiment_id):
-    result = EXPERIMENTS[experiment_id](**QUICK_KWARGS)
+    result = quick(experiment_id)
     assert result.verdict.startswith("REPRODUCED"), (
         f"{experiment_id} did not reproduce:\n{result.describe()}"
     )
@@ -23,7 +30,7 @@ def test_experiment_reproduces(experiment_id):
 
 @pytest.mark.parametrize("experiment_id", sorted(EXPERIMENTS))
 def test_experiment_result_is_well_formed(experiment_id):
-    result = EXPERIMENTS[experiment_id](**QUICK_KWARGS)
+    result = quick(experiment_id)
     assert result.experiment_id == experiment_id
     assert result.rows, "an experiment must produce at least one row"
     assert result.paper_claim
@@ -35,7 +42,7 @@ class TestSpecificShapes:
     """Spot-checks of the quantitative shapes the paper predicts."""
 
     def test_e4_bound_column_matches_formula(self):
-        result = EXPERIMENTS["E4"](**QUICK_KWARGS)
+        result = quick("E4")
         n = result.params["n"]
         delta = result.params["delta"]
         for row in result.rows:
@@ -45,7 +52,7 @@ class TestSpecificShapes:
             assert row["first_window"] >= row["bound"] - 1e-9
 
     def test_e5_no_violations_below_cap(self):
-        result = EXPERIMENTS["E5"](**QUICK_KWARGS)
+        result = quick("E5")
         for row in result.rows:
             if row["c_over_cap"] < 1.0:
                 assert row["violation_rate"] == 0.0
@@ -53,20 +60,20 @@ class TestSpecificShapes:
                 assert row["join_lat_max"] <= 3 * result.params["delta"] + 1e-9
 
     def test_e6_horn_a_monotone_degradation(self):
-        result = EXPERIMENTS["E6"](**QUICK_KWARGS)
+        result = quick("E6")
         horn_a = [r for r in result.rows if r["horn"] == "A"]
         # More delay inflation must not make the timer protocol safer
         # (allowing noise: compare first vs last).
         assert horn_a[-1]["violation_rate"] >= horn_a[0]["violation_rate"]
 
     def test_e6_horn_b_all_blocked(self):
-        result = EXPERIMENTS["E6"](**QUICK_KWARGS)
+        result = quick("E6")
         horn_b = [r for r in result.rows if r["horn"] == "B"]
         assert horn_b
         assert all(r["victim_blocked"] for r in horn_b)
 
     def test_e9_sync_reads_are_free(self):
-        result = EXPERIMENTS["E9"](**QUICK_KWARGS)
+        result = quick("E9")
         sync_read = next(
             r for r in result.rows if r["protocol"] == "sync" and r["op"] == "read"
         )
@@ -77,7 +84,7 @@ class TestSpecificShapes:
         assert es_read["mean"] > 0.0
 
     def test_e10_abd_is_the_one_that_breaks(self):
-        result = EXPERIMENTS["E10"](**QUICK_KWARGS)
+        result = quick("E10")
         worst_churn = max(r["c"] for r in result.rows)
         for row in result.rows:
             if row["c"] == worst_churn:
@@ -87,7 +94,7 @@ class TestSpecificShapes:
                     assert row["read_done_rate"] > 0.99
 
     def test_e11_join_collapse_at_cap_under_adversary(self):
-        result = EXPERIMENTS["E11"](**QUICK_KWARGS)
+        result = quick("E11")
         for row in result.rows:
             if row["policy"] == "oldest_first":
                 if row["c_over_cap"] <= 0.95:
@@ -98,7 +105,7 @@ class TestSpecificShapes:
 
 class TestE12Shapes:
     def test_burst_damages_joins_at_equal_average(self):
-        result = EXPERIMENTS["E12"](**QUICK_KWARGS)
+        result = quick("E12")
         rows = {row["regime"]: row for row in result.rows}
         assert rows["burst"]["join_done_rate"] < rows["constant"]["join_done_rate"]
         assert rows["constant"]["violations"] == 0
@@ -108,7 +115,7 @@ class TestE12Shapes:
 
 class TestE16Shapes:
     def test_rebalancer_pays_a_reported_amortized_cost(self):
-        result = EXPERIMENTS["E16"](**QUICK_KWARGS)
+        result = quick("E16")
         for row in result.rows:
             assert row["imbalance_rebalanced"] < row["imbalance_static"]
             assert row["unresolved"] == 0

@@ -8,10 +8,11 @@ protocols and delay models.
 
 import pytest
 
+from repro.bench import DIGEST_WORKLOADS
 from repro.net.delay import AsynchronousDelay, EventuallySynchronousDelay
 from repro.workloads.generators import read_heavy_plan
 from repro.workloads.schedule import WorkloadDriver
-from tests.conftest import make_system
+from tests.conftest import committed_bench_artifact, make_system
 
 
 def run_fingerprint(protocol: str, seed: int, delay_factory=None) -> tuple:
@@ -105,14 +106,15 @@ class TestTraceTransparency:
         assert ops_fingerprint(True) == ops_fingerprint(False)
 
 
-class TestBenchDigestStability:
-    def test_fixed_seed_digest_is_stable(self):
-        """The bench artifact's determinism digest: two fixed-seed runs
-        in one process must hash identically (the smoke check that the
-        kernel refactor did not perturb operation histories)."""
-        from repro.bench import history_digest
-
-        assert history_digest() == history_digest()
+@pytest.mark.parametrize("field", DIGEST_WORKLOADS)
+def test_digest_workload_reproduces_the_committed_digest(field):
+    """The tier-1 pin of "byte-identical digests": each of the six
+    fixed-seed digest workloads must hash to the entry committed in
+    ``BENCH_kernel.json``.  A PR that changes scheduling, RNG draws or
+    accounting on purpose regenerates the artifact in the same commit
+    (``python -m repro bench --repeats 7``) and says so."""
+    committed = committed_bench_artifact()["determinism"]
+    assert DIGEST_WORKLOADS[field]() == committed[field]
 
 
 class TestExperimentDeterminism:

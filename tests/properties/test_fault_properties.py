@@ -39,6 +39,7 @@ from repro.faults.injector import REASON_LOSS, REASON_PARTITION
 from repro.runtime.config import SystemConfig
 from repro.runtime.system import DynamicSystem
 from repro.workloads.explorer import ScenarioSpec, build_plan, run_scenario
+from tests.conftest import committed_bench_artifact
 
 DELTA = 5.0
 
@@ -46,8 +47,8 @@ DELTA = 5.0
 #: PR 1, before the fault subsystem existed.  A no-fault-plan run must
 #: keep reproducing it byte for byte; only a PR that *intentionally*
 #: changes scheduling, RNG draws or churn accounting may update it
-#: (and must say so, per ROADMAP "Reading BENCH_kernel.json").
-PRE_FAULTS_DIGEST = "4fbcfd6718e796c7ef1915dd1c8cb203925addac878fb1e7df84b25321e39d50"
+#: (by regenerating the artifact, and saying so).
+PRE_FAULTS_DIGEST = committed_bench_artifact()["determinism"]["digest"]
 
 
 def in_model_plan(n: int) -> FaultPlan:

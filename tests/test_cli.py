@@ -76,6 +76,23 @@ class TestSimulate:
         ) == 0
         assert "legend:" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "flag, value, named",
+        [
+            ("--read-rate", "inf", "rate must be finite, got inf"),
+            ("--read-rate", "nan", "rate must be finite, got nan"),
+            ("--write-period", "0", "write_period must be positive, got 0.0"),
+            ("--write-period", "nan", "write_period must be finite, got nan"),
+        ],
+    )
+    def test_non_finite_plan_parameter_is_refused_by_name(
+        self, capsys, flag, value, named
+    ):
+        # ``--read-rate inf`` used to hang in the Poisson generator and
+        # ``--write-period 0`` to die in an ``int()`` three layers down.
+        assert main(["simulate", "--n", "8", "--horizon", "60", flag, value]) == 2
+        assert capsys.readouterr().err == f"error: {named}\n"
+
 
 class TestExperiments:
     def test_single_experiment(self, capsys):
@@ -130,23 +147,27 @@ class TestBench:
     def test_bench_writes_artifact(self, tmp_path, capsys):
         import json
 
+        from repro.bench import DIGEST_WORKLOADS, stable_field
+
         out_path = tmp_path / "BENCH_kernel.json"
         assert main(["bench", "--out", str(out_path), "--repeats", "1"]) == 0
         stdout = capsys.readouterr().out
-        assert "checker_regularity_fast" in stdout
-        assert " STABLE" in stdout and "UNSTABLE" not in stdout
+        assert "rebalance_storm" in stdout
+        assert stdout.count(" STABLE") == len(DIGEST_WORKLOADS)
+        assert "UNSTABLE" not in stdout
         payload = json.loads(out_path.read_text())
         assert payload["artifact"] == "BENCH_kernel"
         names = {bench["name"] for bench in payload["benchmarks"]}
         assert "broadcast_fanout_trace_off" in names
-        assert "checker_atomicity_paranoid" in names
+        assert "migration_handoff" in names
         assert "explore_sweep_serial" in names
         assert "explore_sweep_parallel" in names
-        assert payload["determinism"]["stable_within_process"] is True
+        for field in DIGEST_WORKLOADS:
+            assert len(payload["determinism"][field]) == 64
+            assert payload["determinism"][stable_field(field)] is True
         # Structural only: a single --repeats 1 sample is noise-dominated,
-        # so speedup magnitude is asserted by the best-of-N guard in
-        # benchmarks/test_bench_kernel.py, not here.
-        assert payload["derived"]["checker_atomicity_speedup"] > 0.0
+        # so no ratio's magnitude is asserted here.
+        assert payload["derived"]["keyed_fanout_overhead"] > 0.0
         assert payload["derived"]["parallel_explore_speedup"] > 0.0
         assert payload["parallel_workers"] >= 1
 
@@ -266,6 +287,22 @@ class TestRebalanceCLI:
         assert main(self.QUICK + ["--plan", "not-a-plan"]) == 2
         assert "unknown plan" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--period", "--threshold", "--cooldown"])
+    def test_nan_policy_parameter_is_refused_by_name(self, capsys, flag):
+        assert main(self.QUICK + [flag, "nan"]) == 2
+        name = flag.lstrip("-")
+        assert capsys.readouterr().err == (
+            f"error: rebalance {name} must be finite, got nan\n"
+        )
+
+    def test_runs_under_a_shard_scoped_library_plan(self, capsys):
+        # rebal-loss drops every migration message in every shard: the
+        # rebalancer still plans, and every handoff aborts cleanly.
+        assert main(self.QUICK + ["--plan", "rebal-loss"]) == 0
+        out = capsys.readouterr().out
+        assert "plan=rebal-loss" in out
+        assert "0 committed, 3 aborted, 0 unresolved" in out
+
     def test_explore_accepts_the_rebalance_axis(self, capsys):
         code = main(
             [
@@ -286,21 +323,39 @@ class TestRebalanceCLI:
         assert "rebal=2" in capsys.readouterr().out
 
 
+class TestMigrateCLI:
+    QUICK = [
+        "migrate", "--horizon", "100", "--n", "12",
+        "--shards", "3", "--keys", "4", "--churn", "0",
+    ]
+
+    def test_handoffs_under_a_shard_scoped_library_plan(self, capsys):
+        # mig-loss drops every migration message in every shard: each
+        # handoff times out of its copy phase and aborts cleanly.
+        assert main(self.QUICK + ["--plan", "mig-loss"]) == 0
+        out = capsys.readouterr().out
+        assert "plan=mig-loss" in out
+        assert [line.split()[5:7] for line in out.splitlines()[1:4]] == [
+            ["@15", "aborted"], ["@28.3333", "aborted"], ["@41.6667", "aborted"]
+        ]
+        assert main(self.QUICK + ["--plan", "not-a-plan"]) == 2
+        assert "unknown plan" in capsys.readouterr().err
+
+
 class TestProfileCommand:
     def test_profiles_a_workload(self, capsys):
-        assert main(["profile", "engine_throughput", "--top", "5"]) == 0
+        assert main(["profile", "broadcast_fanout_trace_off", "--top", "5"]) == 0
         out = capsys.readouterr().out
-        assert "workload engine_throughput" in out
+        assert "workload broadcast_fanout_trace_off" in out
         assert "cumulative" in out  # pstats sort header
 
     def test_sort_by_tottime(self, capsys):
-        assert (
-            main(["profile", "engine_throughput", "--sort", "tottime"]) == 0
-        )
+        assert main(["profile", "faulted_digest", "--sort", "tottime"]) == 0
         assert "tottime" in capsys.readouterr().out
 
     def test_unknown_workload_rejected(self, capsys):
         assert main(["profile", "definitely_not_a_workload"]) == 2
         err = capsys.readouterr().err
         assert "unknown workload" in err
-        assert "churn_ticks" in err  # the error names the known set
+        # The error names the known set: rows and digest fields alike.
+        assert "cluster_sharded" in err and "rebalance_digest" in err

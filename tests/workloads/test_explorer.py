@@ -134,6 +134,34 @@ class TestShardedScenarios:
             f"s0.p{i:04d}" for i in range(1, 7)
         )
 
+    def test_install_shard_scoped_lands_the_rescaled_plan_on_every_shard(self):
+        from repro.cluster import ClusterConfig, ClusterSystem
+        from repro.workloads.explorer import _shard_scoped_plan, install_shard_scoped
+
+        cluster = ClusterSystem(ClusterConfig(shards=3, keys=3, n=17, seed=1))
+        plan = build_plan("partition-drop", 5.0, 120.0, 17)
+        install_shard_scoped(cluster, plan)
+        for index, shard_n in enumerate((6, 6, 5)):
+            installed = cluster.shards[index].faults.plan
+            assert installed == _shard_scoped_plan(plan, index, shard_n, 17)
+            assert min(installed.partitions[0].group_a).startswith(f"s{index}.")
+
+    def test_round_robin_migrations_hop_on_when_a_key_comes_round_again(self):
+        from repro.cluster import ClusterConfig, ClusterSystem
+        from repro.workloads.explorer import schedule_round_robin_migrations
+
+        cluster = ClusterSystem(ClusterConfig(shards=3, keys=2, n=12, seed=1))
+        a, b = (cluster.shard_of(key) for key in cluster.keys)
+        records = schedule_round_robin_migrations(cluster, 4, horizon=100.0)
+        assert records == list(cluster.migration_records())
+        assert [r.key for r in records] == [*cluster.keys, *cluster.keys]
+        # First pass one shard over, second pass two: no bouncing back.
+        assert [r.dest for r in records] == [
+            (a + 1) % 3, (b + 1) % 3, (a + 2) % 3, (b + 2) % 3
+        ]
+        assert [r.scheduled_at for r in records] == pytest.approx([15, 25, 35, 45])
+        assert schedule_round_robin_migrations(cluster, 0, horizon=100.0) == []
+
     def test_zero_shards_rejected(self):
         with pytest.raises(ExperimentError):
             run_scenario(ScenarioSpec(shards=0))

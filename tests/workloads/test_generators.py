@@ -56,6 +56,47 @@ class TestPoissonTimes:
             poisson_times(10.0, 0.0, 1.0, rng)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+class TestNonFiniteParametersAreRefusedByName:
+    """Each entry point called directly: the parameter and the value
+    are in the message.  ``rng=None`` because nothing may be drawn
+    first — past validation a non-finite rate draws forever
+    (``expovariate(inf)`` is 0.0, and ``nan >= end`` is false)."""
+
+    @pytest.mark.parametrize(
+        "name, value", [("rate", INF), ("rate", NAN), ("end", INF), ("start", NAN)]
+    )
+    def test_poisson_times(self, name, value):
+        params = dict(start=0.0, end=10.0, rate=1.0) | {name: value}
+        with pytest.raises(ExperimentError, match=f"{name} must be finite, got"):
+            poisson_times(rng=None, **params)
+
+    @pytest.mark.parametrize(
+        "name, value", [("period", NAN), ("period", INF), ("start", NAN)]
+    )
+    def test_periodic_times(self, name, value):
+        params = dict(start=0.0, period=2.0, count=2) | {name: value}
+        with pytest.raises(ExperimentError, match=f"{name} must be finite, got"):
+            periodic_times(**params)
+
+    @pytest.mark.parametrize(
+        "name, value, named",
+        [
+            ("write_period", 0.0, "write_period must be positive, got 0.0"),
+            ("write_period", NAN, "write_period must be finite, got nan"),
+            ("write_period", INF, "write_period must be finite, got inf"),
+            ("end", INF, "end must be finite, got inf"),
+            ("read_rate", INF, "rate must be finite, got inf"),
+        ],
+    )
+    def test_read_heavy_plan(self, name, value, named):
+        params = dict(start=5.0, end=60.0, write_period=10.0, read_rate=1.0)
+        with pytest.raises(ExperimentError, match=named):
+            read_heavy_plan(rng=None, **(params | {name: value}))
+
+
 class TestPlans:
     def test_periodic_writes_carry_writer(self):
         plan = periodic_writes(0.0, 5.0, 3, writer="p0001")
