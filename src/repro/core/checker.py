@@ -32,24 +32,30 @@ the running maximum write index among finished reads (instead of the
 O(R²) all-pairs scan).  The original brute-force implementations are
 retained behind ``paranoid=True`` (CLI: ``--paranoid``) as reference
 oracles; the property suite asserts verdict parity between the two.
+
+A judgement costs a tuple: :class:`ReadJudgement` and
+:class:`Inversion` are ``NamedTuple``s, the sweeps iterate the
+history's own per-kind list (:meth:`History.of_kind`, no copy) and sort
+decorated ``(time, op_id, ...)`` tuples — ``op_id`` is unique, so the
+comparison never leaves C — and a closed history shares its read
+judgements, write records and key list between the checkers.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 from ..sim.clock import Time
 from ..sim.engine import collector_paused
 from ..sim.errors import CheckerError
 from ..sim.operations import OperationHandle
 from .history import History, WriteRecord
-from .register import OP_JOIN
+from .register import OP_JOIN, OP_READ
 
 
-@dataclass(frozen=True, slots=True)
-class ReadJudgement:
+class ReadJudgement(NamedTuple):
     """The verdict on one read (or join-adoption)."""
 
     operation: OperationHandle
@@ -222,7 +228,7 @@ class RegularityChecker:
         if self.check_joins:
             writes = self.history.write_records()
             index = None if self.paranoid else _WriteIntervalIndex(writes)
-            for op in self.history.joins():
+            for op in self.history.of_kind(OP_JOIN):
                 if not op.done:
                     continue
                 adopted = _join_adopted_value(op)
@@ -236,7 +242,7 @@ class RegularityChecker:
         index = None if self.paranoid else _WriteIntervalIndex(writes)
         return [
             self._judge(op, op.result, writes, index)
-            for op in self.history.reads()
+            for op in self.history.of_kind(OP_READ)
             if op.done  # a pending read is the liveness checker's concern
         ]
 
@@ -318,8 +324,7 @@ def _join_adopted_value(op: OperationHandle) -> Any:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Inversion:
+class Inversion(NamedTuple):
     """A new/old inversion: ``earlier`` read a newer write than ``later``.
 
     ``earlier.response_time < later.invoke_time`` yet the write index
@@ -403,52 +408,44 @@ def find_new_old_inversions(
         return merged
     safety = RegularityChecker(history, check_joins=False, paranoid=paranoid).check()
     value_map = history.value_to_write()
-    indexed_reads: list[tuple[OperationHandle, int]] = []
-    for op in history.reads():
+    # Decorated ``(invoke_time, op_id, write index, read)`` tuples:
+    # ``op_id`` is unique, so sorting never compares past it and needs
+    # no key function.
+    by_invoke: list[tuple[Time, int, int, OperationHandle]] = []
+    for op in history.of_kind(OP_READ):
         if not op.done:
             continue
         record = value_map.get(op.result)
         if record is None:
             continue  # not a written value: already a safety violation
-        indexed_reads.append((op, record.index))
-    indexed_reads.sort(key=lambda pair: (pair[0].invoke_time, pair[0].op_id))
+        by_invoke.append((op.invoke_time, op.op_id, record.index, op))
+    by_invoke.sort()
     report = AtomicityReport(safety=safety)
+    inversions = report.inversions
     if paranoid:
-        for i, (earlier, earlier_idx) in enumerate(indexed_reads):
-            for later, later_idx in indexed_reads[i + 1 :]:
-                if earlier.response_time < later.invoke_time and earlier_idx > later_idx:
-                    report.inversions.append(
-                        Inversion(
-                            earlier=earlier,
-                            later=later,
-                            earlier_write_index=earlier_idx,
-                            later_write_index=later_idx,
-                        )
+        for i, (_, _, earlier_idx, earlier) in enumerate(by_invoke):
+            for invoked, _, later_idx, later in by_invoke[i + 1 :]:
+                if earlier.response_time < invoked and earlier_idx > later_idx:
+                    inversions.append(
+                        Inversion(earlier, later, earlier_idx, later_idx)
                     )
         return report
     by_response = sorted(
-        indexed_reads, key=lambda pair: (pair[0].response_time, pair[0].op_id)
+        (op.response_time, op_id, index, op) for _, op_id, index, op in by_invoke
     )
+    finished = len(by_response)
     pointer = 0
-    best: tuple[OperationHandle, int] | None = None  # max write index finished so far
-    for later, later_idx in indexed_reads:
-        while (
-            pointer < len(by_response)
-            and by_response[pointer][0].response_time < later.invoke_time
-        ):
-            candidate = by_response[pointer]
-            if best is None or candidate[1] > best[1]:
-                best = candidate
+    best: OperationHandle | None = None  # the finished read of max write index
+    best_idx = -1
+    for invoked, _, later_idx, later in by_invoke:
+        while pointer < finished and by_response[pointer][0] < invoked:
+            candidate_idx = by_response[pointer][2]
+            if candidate_idx > best_idx:
+                best_idx = candidate_idx
+                best = by_response[pointer][3]
             pointer += 1
-        if best is not None and best[1] > later_idx:
-            report.inversions.append(
-                Inversion(
-                    earlier=best[0],
-                    later=later,
-                    earlier_write_index=best[1],
-                    later_write_index=later_idx,
-                )
-            )
+        if best_idx > later_idx:
+            inversions.append(Inversion(best, later, best_idx, later_idx))
     return report
 
 

@@ -16,13 +16,19 @@ specification only promises termination to processes that stay).
 from __future__ import annotations
 
 import hashlib
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator
+from itertools import islice
+from typing import Any, Callable, Iterator, Sequence
 
 from ..sim.clock import Time
 from ..sim.errors import HistoryError
 from ..sim.operations import OperationHandle
 from .register import OP_JOIN, OP_READ, OP_WRITE
+
+
+#: Rows per hash update in :func:`operation_digest`.
+_DIGEST_ROWS = 1024
 
 
 @dataclass(frozen=True, slots=True)
@@ -75,7 +81,7 @@ class History:
         #: back into per-shard histories.
         self.shard = shard
         self._operations: list[OperationHandle] = []
-        self._by_kind: dict[str, list[OperationHandle]] = {}
+        self._by_kind: defaultdict[str, list[OperationHandle]] = defaultdict(list)
         self._departures: dict[str, Time] = {}
         self._horizon: Time | None = None
         # Derived views of the *closed* history (see :meth:`memoized`).
@@ -90,7 +96,7 @@ class History:
         if self.shard is not None:
             handle.shard = self.shard
         self._operations.append(handle)
-        self._by_kind.setdefault(handle.kind, []).append(handle)
+        self._by_kind[handle.kind].append(handle)
         self._derived.clear()
 
     def record_departure(self, pid: str, time: Time) -> None:
@@ -146,6 +152,12 @@ class History:
             return list(self._operations)
         return list(self._by_kind.get(kind, ()))
 
+    def of_kind(self, kind: str) -> Sequence[OperationHandle]:
+        """The operations of one kind *without* the copy
+        :meth:`operations` makes: for callers that only iterate.  It is
+        the history's own list — never mutate it."""
+        return self._by_kind.get(kind, ())
+
     def joins(self) -> list[OperationHandle]:
         return self.operations(OP_JOIN)
 
@@ -169,7 +181,11 @@ class History:
         A classic single-register history returns ``[None]``; a keyed
         store returns its named keys in sorted order.  Joins are
         key-less (one join installs every key) and do not contribute.
+        :meth:`memoized` once the history is closed.
         """
+        return self.memoized("keys", self._find_keys)
+
+    def _find_keys(self) -> list[Any]:
         found = {
             op.key
             for kind in (OP_READ, OP_WRITE)
@@ -222,7 +238,9 @@ class History:
         return self.memoized("write_records", self._serialize_writes)
 
     def _serialize_writes(self) -> list[WriteRecord]:
-        writes = sorted(self.writes(), key=lambda op: (op.invoke_time, op.op_id))
+        writes = sorted(
+            self.of_kind(OP_WRITE), key=lambda op: (op.invoke_time, op.op_id)
+        )
         records = [
             WriteRecord(
                 index=0,
@@ -333,19 +351,25 @@ def operation_digest(history: History) -> str:
     did, which is what keeps the trajectory digests comparable across
     the RegisterSpace refactor.
     """
-    blob = repr(
-        [
-            (op.kind, op.process_id, op.invoke_time, op.response_time, str(op.argument))
-            if op.key is None
-            else (
-                op.kind,
-                op.key,
-                op.process_id,
-                op.invoke_time,
-                op.response_time,
-                str(op.argument),
-            )
-            for op in history
-        ]
-    ).encode()
-    return hashlib.sha256(blob).hexdigest()
+    # ``repr`` of the whole row list, fed to the hash a slice of rows at
+    # a time: the bytes are the same, the blob never exists.
+    sha = hashlib.sha256(b"[")
+    operations = iter(history)
+    separator = ""
+    while rows := [
+        (op.kind, op.process_id, op.invoke_time, op.response_time, str(op.argument))
+        if op.key is None
+        else (
+            op.kind,
+            op.key,
+            op.process_id,
+            op.invoke_time,
+            op.response_time,
+            str(op.argument),
+        )
+        for op in islice(operations, _DIGEST_ROWS)
+    ]:
+        sha.update((separator + repr(rows)[1:-1]).encode())
+        separator = ", "
+    sha.update(b"]")
+    return sha.hexdigest()

@@ -13,7 +13,9 @@ The engine is intentionally tiny and fully deterministic:
   (cancellable timers) or a never-cancelled
   :class:`~repro.sim.events.SlabEntry`, which is fired *with its
   entry*: whatever a push appends after the item is that push's own
-  data, so a message delivery is its queue tuple and nothing else;
+  data, so a message delivery is its queue tuple and nothing else,
+  and a whole series of timed callbacks (:meth:`schedule_series`: an
+  installed workload plan) is one entry that re-pushes itself;
 * the queue is an array-backed *calendar*: instants quantize into
   buckets one tick wide, each bucket a flat append-only list sorted
   lazily (one C call) when the clock reaches its epoch.  A push is a
@@ -61,7 +63,7 @@ import gc
 from contextlib import contextmanager
 from heapq import heapify, heappop, heappush
 from math import isfinite
-from typing import Any, Callable, Iterator, Union
+from typing import Any, Callable, Iterable, Iterator, Sequence, Union
 
 from .clock import Time
 from .errors import ClockError, SchedulerError
@@ -166,7 +168,8 @@ class EventScheduler:
 
         O(1): the counter is maintained on schedule, cancel and fire
         instead of scanning the queue.  A slab entry counts as its
-        ``size`` logical events, so batching never changes the number.
+        ``size`` logical events and a series as its unfired items, so
+        batching never changes the number.
         """
         return self._live
 
@@ -265,6 +268,48 @@ class EventScheduler:
         self._push((instant, priority, self._sequence, entry, *fields))
         self._sequence += 1
         self._live += entry.size
+
+    def schedule_series(
+        self,
+        instants: Iterable[Time],
+        callback: Callable[[Any], None],
+        items: Sequence[Any],
+        priority: int = Priority.TIMER,
+    ) -> None:
+        """Schedule ``callback(items[k])`` at ``instants[k]`` for every
+        ``k``, never cancellable, in one queue slot.
+
+        Indistinguishable from ``schedule_at(instants[k], callback,
+        items[k], priority=priority)`` called for ``k = 0, 1, ...``: the
+        same block of sequence numbers is reserved and ``pending_count``
+        grows by ``len(items)`` now, so firing order, counters and the
+        sequence handed to whatever is scheduled next all agree.  Only
+        the next item is queued: entry ``k + 1`` is pushed as entry
+        ``k`` fires, which is why ``instants`` must already be
+        non-decreasing (a stable sort by instant is what the per-item
+        calls' ``(time, priority, sequence)`` order amounts to).
+        """
+        instants = list(map(float, instants))
+        count = len(items)
+        if len(instants) != count:
+            raise SchedulerError(f"{len(instants)} instants for {count} items")
+        previous = self._now
+        for position, instant in enumerate(instants):
+            # NaN fails the first comparison, +inf the second.
+            if not (previous <= instant < _INF):
+                raise SchedulerError(
+                    f"cannot schedule series position {position} at "
+                    f"{instant!r}: instants must be finite and never "
+                    f"decrease, and {previous!r} comes before it"
+                )
+            previous = instant
+        if not count:
+            return
+        sequence = self._sequence
+        self._sequence = sequence + count
+        self._live += count
+        series = _Series(self, instants, callback, items)
+        self._push((instants[0], int(priority), sequence, series, 0))
 
     def call_soon(
         self,
@@ -536,6 +581,38 @@ class EventScheduler:
             f"EventScheduler(now={self._now!r}, width={self._width!r}, "
             f"pending={self.pending_count}, fired={self._fired_count})"
         )
+
+
+class _Series(SlabEntry):
+    """The item of :meth:`EventScheduler.schedule_series`: one logical
+    event per push, the position in the series riding the queue tuple.
+    Entry ``k`` pushes entry ``k + 1`` — under the next reserved
+    sequence number — before it calls back, so the queue never lacks
+    the series' next instant while the callback schedules around it."""
+
+    __slots__ = ("push", "instants", "callback", "items")
+
+    def __init__(
+        self,
+        engine: EventScheduler,
+        instants: list[Time],
+        callback: Callable[[Any], None],
+        items: Sequence[Any],
+    ) -> None:
+        self.push = engine._push
+        self.instants = instants
+        self.callback = callback
+        self.items = items
+
+    def fire(self, entry: QueueEntry) -> None:
+        position = entry[4]
+        following = position + 1
+        instants = self.instants
+        if following < len(instants):
+            self.push(
+                (instants[following], entry[1], entry[2] + 1, self, following)
+            )
+        self.callback(self.items[position])
 
 
 def _drop_cancelled(entries: list[QueueEntry]) -> list[QueueEntry]:

@@ -19,12 +19,13 @@ queue holds plain tuples that start ``(time, priority, sequence,
 item)``, and an item may be a :class:`SlabEntry`, which is fired with
 the queue entry it was popped from — so one long-lived entry serves
 every push that carries its own data in the tuple's tail (a network's
-point-to-point deliveries), and another stands for a whole vector of
-deliveries (a broadcast sweep, a mesoscale bulk arrival).  Slab entries
-are never cancellable (``cancelled`` is a class attribute, so the
-scheduler's lazy-deletion scan pays one shared attribute read, no
-per-entry state), which is exactly why they can skip the cancellation
-bookkeeping full events carry.
+point-to-point deliveries; an installed workload plan, whose one series
+entry re-pushes itself with the next position), and another stands for
+a whole vector of deliveries (a broadcast sweep, a mesoscale bulk
+arrival).  Slab entries are never cancellable (``cancelled`` is a class
+attribute, so the scheduler's lazy-deletion scan pays one shared
+attribute read, no per-entry state), which is exactly why they can skip
+the cancellation bookkeeping full events carry.
 """
 
 from __future__ import annotations
@@ -71,7 +72,8 @@ class SlabEntry:
       an entry whose pushes differ only in data keeps that data in the
       tuple and needs no object per push.
 
-    Schedule via :meth:`EventScheduler.schedule_slab`.
+    Schedule via :meth:`EventScheduler.schedule_slab`
+    (:meth:`EventScheduler.schedule_series` builds and pushes its own).
     """
 
     __slots__ = ()

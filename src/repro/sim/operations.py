@@ -24,7 +24,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import Any, Callable, Generator
+from typing import Any, Callable, Generator, Sequence
 
 from .clock import Time
 from .errors import (
@@ -123,7 +123,9 @@ class OperationHandle:
         self.response_time: Time | None = None
         self._result: Any = None
         self._state = OperationState.PENDING
-        self._callbacks: list[Callable[[OperationHandle], None]] = []
+        # The shared empty tuple until a callback has to wait: most
+        # handles (every workload read) never get one.
+        self._callbacks: Sequence[Callable[[OperationHandle], None]] = ()
 
     # ------------------------------------------------------------------
     # State queries
@@ -185,8 +187,10 @@ class OperationHandle:
         """
         if self._state is not OperationState.PENDING:
             callback(self)
-        else:
+        elif self._callbacks:
             self._callbacks.append(callback)
+        else:
+            self._callbacks = [callback]
 
     def _complete(self, result: Any, time: Time) -> None:
         if self._state is not OperationState.PENDING:
@@ -204,7 +208,7 @@ class OperationHandle:
         self._fire_callbacks()
 
     def _fire_callbacks(self) -> None:
-        callbacks, self._callbacks = self._callbacks, []
+        callbacks, self._callbacks = self._callbacks, ()
         for callback in callbacks:
             callback(self)
 

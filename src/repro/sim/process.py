@@ -232,16 +232,26 @@ class SimProcess:
         handle with the register key the operation addresses (``None``
         for the single register and for joins).
         """
-        if not self.present:
+        if self._mode is ProcessMode.DEPARTED:
             raise ProcessDepartedError(
                 f"{self.pid} cannot invoke {kind} after departing"
             )
-        handle = OperationHandle(kind, self.pid, self.engine.now, argument, key)
+        now = self.engine._now
+        handle = OperationHandle(kind, self.pid, now, argument, key)
+        # The first step comes before anything is built for it: a body
+        # that returns without yielding (the synchronous read) is done,
+        # and only an operation that has to wait gets a runner.
+        try:
+            effect = next(body)
+        except StopIteration as stop:
+            handle._complete(stop.value, now)
+            return handle
         runner = _OperationRunner(self, body, handle)
         if self._runners is _EMPTY:
             self._runners = []
         self._runners.append(runner)
-        runner.advance()
+        if not runner.block_on(effect):
+            runner.advance()
         return handle
 
     def notify(self) -> None:
@@ -303,6 +313,11 @@ class _ConditionWatcher:
 class _OperationRunner:
     """Drives one operation generator through its yielded effects."""
 
+    __slots__ = (
+        "process", "body", "handle", "_abandoned", "_pending_timer",
+        "_pending_watcher",
+    )
+
     def __init__(
         self,
         process: SimProcess,
@@ -326,32 +341,38 @@ class _OperationRunner:
             except StopIteration as stop:
                 self._complete(stop.value)
                 return
-            if not isinstance(effect, Effect):
-                raise ProcessError(
-                    f"operation {self.handle.kind} yielded {effect!r}; "
-                    f"only Wait/WaitUntil effects are allowed"
-                )
-            if isinstance(effect, Wait):
-                self._pending_timer = self.process.engine.schedule(
-                    effect.duration,
-                    self._on_timer,
-                    priority=Priority.OPERATION,
-                    label=f"{self.process.pid}:{self.handle.kind}:wait",
-                )
+            if self.block_on(effect):
                 return
-            if isinstance(effect, WaitUntil):
-                if effect.predicate():
-                    continue  # already satisfied: keep running synchronously
-                process = self.process
-                watcher = _ConditionWatcher(
-                    process, effect.predicate, self._on_condition
-                )
-                self._pending_watcher = watcher
-                if process._watchers is _EMPTY:
-                    process._watchers = []
-                process._watchers.append(watcher)
-                return
-            raise ProcessError(f"unknown effect {effect!r}")  # pragma: no cover
+
+    def block_on(self, effect: Any) -> bool:
+        """Arm ``effect``; ``False`` if it is already satisfied, so the
+        body keeps running synchronously."""
+        if not isinstance(effect, Effect):
+            raise ProcessError(
+                f"operation {self.handle.kind} yielded {effect!r}; "
+                f"only Wait/WaitUntil effects are allowed"
+            )
+        if isinstance(effect, Wait):
+            self._pending_timer = self.process.engine.schedule(
+                effect.duration,
+                self._on_timer,
+                priority=Priority.OPERATION,
+                label=f"{self.process.pid}:{self.handle.kind}:wait",
+            )
+            return True
+        if isinstance(effect, WaitUntil):
+            if effect.predicate():
+                return False
+            process = self.process
+            watcher = _ConditionWatcher(
+                process, effect.predicate, self._on_condition
+            )
+            self._pending_watcher = watcher
+            if process._watchers is _EMPTY:
+                process._watchers = []
+            process._watchers.append(watcher)
+            return True
+        raise ProcessError(f"unknown effect {effect!r}")  # pragma: no cover
 
     def _on_timer(self) -> None:
         self._pending_timer = None

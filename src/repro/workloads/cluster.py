@@ -25,9 +25,16 @@ from typing import TYPE_CHECKING
 
 from ..sim.engine import collector_paused
 from ..sim.errors import ExperimentError
-from ..sim.events import Priority
 from .generators import KeyPicker, uniform_key_picker, zipf_key_picker
-from .schedule import ReadOp, WorkloadDriver, WorkloadOp, WorkloadStats, WriteOp
+from .schedule import (
+    ReadOp,
+    WorkloadDriver,
+    WorkloadOp,
+    WorkloadStats,
+    WriteOp,
+    check_plan,
+    install_series,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..cluster.system import ClusterSystem
@@ -91,8 +98,11 @@ class ClusterWorkloadDriver:
             raise ExperimentError("cluster workload installed twice")
         self._installed = True
         if self.dynamic:
-            self._install_dynamic(plan)
+            install_series(
+                self.cluster.engine, plan, self._fire_read, self._fire_write
+            )
             return
+        check_plan(plan, self.cluster.now)  # positions in *this* plan
         per_shard: list[list[WorkloadOp]] = [[] for _ in self.cluster.shards]
         for op in plan:
             key = self.cluster.resolve_key(op.key)
@@ -100,27 +110,6 @@ class ClusterWorkloadDriver:
         for driver, sub_plan in zip(self.drivers, per_shard):
             if sub_plan:
                 driver.install(sub_plan)
-
-    def _install_dynamic(self, plan: list[WorkloadOp]) -> None:
-        engine = self.cluster.engine
-        for op in plan:
-            if op.time < self.cluster.now:
-                raise ExperimentError(
-                    f"operation planned at {op.time!r} but the clock already "
-                    f"reads {self.cluster.now!r}"
-                )
-            if isinstance(op, WriteOp):
-                engine.schedule_at(
-                    op.time, self._fire_write, op,
-                    priority=Priority.OPERATION, label="cluster workload write",
-                )
-            elif isinstance(op, ReadOp):
-                engine.schedule_at(
-                    op.time, self._fire_read, op,
-                    priority=Priority.OPERATION, label="cluster workload read",
-                )
-            else:  # pragma: no cover - plan construction bug
-                raise ExperimentError(f"unknown workload op {op!r}")
 
     # ------------------------------------------------------------------
     # Dynamic firing (routing resolved at fire time)

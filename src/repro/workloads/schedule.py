@@ -1,8 +1,11 @@
 """Workload scheduling: turning operation plans into simulated invocations.
 
 A workload is a list of :class:`ReadOp` / :class:`WriteOp` plans.  The
-:class:`WorkloadDriver` installs them into a system's event queue and,
-at each firing time, resolves *who* performs the operation:
+:class:`WorkloadDriver` checks the plan once (:func:`check_plan`), sorts
+it stably by time and hands it to the engine as *one* series
+(:func:`install_series`): the plan occupies a single queue slot however
+long it is, and fires exactly as scheduling it op by op would.  At each
+firing time the driver resolves *who* performs the operation:
 
 * a ``WriteOp`` goes to the designated writer (or an explicit pid) and
   is **skipped** if the previous write has not completed — the paper
@@ -20,17 +23,22 @@ latency distributions without digging through the history.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from math import inf
+from operator import attrgetter
+from typing import Any, Callable, Sequence
 
 from ..runtime.system import DynamicSystem
 from ..sim.clock import Time
-from ..sim.engine import collector_paused
+from ..sim.engine import EventScheduler, collector_paused
 from ..sim.errors import ExperimentError
 from ..sim.events import Priority
 from ..sim.operations import OperationHandle
 
 
-@dataclass(frozen=True)
+_PLANNED_AT = attrgetter("time")
+
+
+@dataclass(frozen=True, slots=True)
 class ReadOp:
     """Plan: read ``key`` at ``time``, by ``reader`` (``None`` = random
     active process; ``key=None`` = the default register)."""
@@ -40,7 +48,7 @@ class ReadOp:
     key: Any = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WriteOp:
     """Plan: write ``value`` to ``key`` at ``time`` (``None`` value =
     auto-unique; ``key=None`` = the default register)."""
@@ -52,6 +60,44 @@ class WriteOp:
 
 
 WorkloadOp = ReadOp | WriteOp
+
+
+def check_plan(plan: Sequence[WorkloadOp], now: Time) -> None:
+    """The one validation pass of both drivers: refuse, naming the op's
+    position in the plan and its time, an op that is not a read or a
+    write or whose time is NaN, infinite or before ``now``."""
+    for position, op in enumerate(plan):
+        if not isinstance(op, (ReadOp, WriteOp)):
+            raise ExperimentError(
+                f"unknown workload op {op!r} at position {position} of the plan"
+            )
+        if not (now <= op.time < inf):
+            raise ExperimentError(
+                f"operation {position} of the plan ({type(op).__name__}) is "
+                f"planned at {op.time!r}: not a finite instant at or after "
+                f"the clock, which reads {now!r}"
+            )
+
+
+def install_series(
+    engine: EventScheduler,
+    plan: Sequence[WorkloadOp],
+    fire_read: Callable[[ReadOp], None],
+    fire_write: Callable[[WriteOp], None],
+) -> None:
+    """Put a checked ``plan`` on ``engine`` as one series that fires
+    each op at its ``time`` — the one install path of both drivers.
+    The plan fires in ``(time, position)`` order, which is what
+    scheduling op by op in list order would give."""
+    check_plan(plan, engine.now)
+    ordered = sorted(plan, key=_PLANNED_AT)
+
+    def fire(op: WorkloadOp) -> None:
+        (fire_read if isinstance(op, ReadOp) else fire_write)(op)
+
+    engine.schedule_series(
+        map(_PLANNED_AT, ordered), fire, ordered, priority=Priority.OPERATION
+    )
 
 
 @dataclass
@@ -106,30 +152,9 @@ class WorkloadDriver:
         if self._installed:
             raise ExperimentError("workload installed twice")
         self._installed = True
-        for op in plan:
-            if op.time < self.system.now:
-                raise ExperimentError(
-                    f"operation planned at {op.time!r} but the clock already "
-                    f"reads {self.system.now!r}"
-                )
-            if isinstance(op, WriteOp):
-                self.system.engine.schedule_at(
-                    op.time,
-                    self._fire_write,
-                    op,
-                    priority=Priority.OPERATION,
-                    label="workload write",
-                )
-            elif isinstance(op, ReadOp):
-                self.system.engine.schedule_at(
-                    op.time,
-                    self._fire_read,
-                    op,
-                    priority=Priority.OPERATION,
-                    label="workload read",
-                )
-            else:  # pragma: no cover - plan construction bug
-                raise ExperimentError(f"unknown workload op {op!r}")
+        install_series(
+            self.system.engine, plan, self._fire_read, self._fire_write
+        )
 
     # ------------------------------------------------------------------
     # Firing
@@ -154,17 +179,22 @@ class WorkloadDriver:
         self.stats.write_handles.append(handle)
 
     def _fire_read(self, op: ReadOp) -> None:
+        system = self.system
+        stats = self.stats
         reader = op.reader if op.reader is not None else self._pick_reader()
-        if reader is None or not self.system.membership.is_present(reader):
-            self.stats.reads_skipped += 1
+        if reader is None or not system.membership.is_present(reader):
+            stats.reads_skipped += 1
             return
-        node = self.system.node(reader)
+        # The node is resolved once: ``system.read`` would look it up
+        # again to do exactly these two lines.
+        node = system.node(reader)
         if not node.is_active:
-            self.stats.reads_skipped += 1
+            stats.reads_skipped += 1
             return
-        handle = self.system.read(reader, key=op.key)
-        self.stats.reads_issued += 1
-        self.stats.read_handles.append(handle)
+        handle = node.read(op.key)
+        system.history.record_operation(handle)
+        stats.reads_issued += 1
+        stats.read_handles.append(handle)
 
     def _pick_reader(self) -> str | None:
         candidates = self.system.active_pids()

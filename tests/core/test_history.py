@@ -128,3 +128,77 @@ class TestOperationFilters:
         w = write(history, "v1", 0.0, 1.0)
         r = read(history, "v1", 2.0, 2.0)
         assert list(history) == [w, r]
+
+    def test_of_kind_is_the_per_kind_list_not_a_copy(self):
+        history = History("v0")
+        assert len(history.of_kind("read")) == 0
+        first = read(history, "v0", 1.0, 1.0)
+        view = history.of_kind("read")
+        assert list(view) == [first] and history.of_kind("read") is view
+        second = read(history, "v0", 2.0, 2.0)
+        assert list(view) == [first, second]
+        # The copying accessors still hand out lists of their own.
+        assert history.reads() == list(view) and history.reads() is not view
+
+
+class TestKeysAreMemoizedWhileClosed:
+    def test_an_open_history_recomputes(self):
+        history = History("v0")
+        read(history, "v0", 1.0, 1.0)
+        assert history.keys() == [None] and history.keys() is not history.keys()
+
+    def test_a_closed_history_shares_until_it_changes(self):
+        history = History("v0")
+        history.record_operation(_keyed("read", "b", 1.0))
+        history.close(10.0)
+        keys = history.keys()
+        assert keys == ["b"] and history.keys() is keys
+        history.record_operation(_keyed("write", "a", 2.0))
+        assert history.keys() == ["a", "b"]
+        assert history.is_keyed
+        shared = history.keys()
+        history.close(10.0)  # same horizon: kept
+        assert history.keys() is shared
+        history.close(20.0)
+        assert history.keys() == shared and history.keys() is not shared
+
+
+def _keyed(kind, key, time):
+    from repro.sim.operations import OperationHandle
+
+    handle = OperationHandle(kind, "p", invoke_time=time, argument=f"w{time}", key=key)
+    handle._complete("ok", time=time)
+    return handle
+
+
+class TestOperationDigest:
+    """The hash is fed a slice of rows at a time; the bytes must be
+    those of one ``repr`` of the whole row list."""
+
+    @staticmethod
+    def whole_blob_digest(history):
+        import hashlib
+
+        rows = [
+            (op.kind, op.process_id, op.invoke_time, op.response_time, str(op.argument))
+            if op.key is None
+            else (op.kind, op.key, op.process_id, op.invoke_time,
+                  op.response_time, str(op.argument))
+            for op in history
+        ]
+        return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1, 7])
+    @pytest.mark.parametrize("slices", [0, 1, 3])
+    def test_digest_is_the_hash_of_the_whole_repr(self, slices, extra):
+        from repro.core.history import _DIGEST_ROWS, operation_digest
+
+        history = History("v0")
+        for k in range(max(0, slices * _DIGEST_ROWS + extra)):
+            if k % 5 == 0:
+                history.record_operation(_keyed("read", f"k{k % 3}é", float(k)))
+            elif k % 7 == 0:
+                write(history, f"w{k}", float(k), None)  # pending: None in the row
+            else:
+                read(history, "v0", float(k), float(k) + 0.25)
+        assert operation_digest(history) == self.whole_blob_digest(history)

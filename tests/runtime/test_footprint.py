@@ -12,8 +12,15 @@ A message, likewise, costs what it carries: in flight it is its queue
 tuple (plus the arrival instant and the sequence number the tuple
 holds), and once delivered the network keeps nothing of it.  The
 per-message ratchet below fails a change that re-adds an object per
-send or a free list that pins the run's high-water mark.  CI runs this
-file as its own step ("per-process and per-message footprint").
+send or a free list that pins the run's high-water mark.
+
+An operation costs what it records: planned, it is its plan op and the
+instant it fires at (the whole plan holds one queue slot); completed
+and judged, it is that plus its handle and its judgement tuple.  The
+per-operation ratchet fails a change that re-adds an ``Event`` per
+planned op, a callback list per handle or a ``__dict__`` on either.
+CI runs this file as its own step ("per-process, per-message and
+per-operation footprint").
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ import pytest
 from repro.protocols.sync_reg import Reply
 from repro.runtime.config import SystemConfig
 from repro.runtime.system import DynamicSystem
+from repro.workloads.schedule import ReadOp, WorkloadDriver, WriteOp
 
 N = 2000
 MESSAGES = 20_000
@@ -35,6 +43,18 @@ MESSAGES = 20_000
 #: here (3.11): 168 / 3.0 — the 8-field queue tuple, its instant and its
 #: sequence number; a pooled entry object per message read 208 / 4.0.
 MESSAGE_BUDGET = (176, 3)
+
+OPERATIONS = 20_000
+
+#: Bytes and allocated blocks per planned local read once installed, and
+#: once completed and judged.  Measured here (3.11): 107 / 2.0 — the
+#: slotted plan op and its instant, plus a list slot each in the plan,
+#: its sorted copy and the series' instants — and 378 / 5.0: those, the
+#: handle, its op id and the judgement tuple.  One ``Event`` per planned
+#: op read 461 / 8.1 installed; a ``__dict__`` per plan op and a
+#: callback list per handle, 470 / 7.2 judged.
+PLANNED_BUDGET = (118, 2)
+JUDGED_BUDGET = (416, 5)
 
 #: protocol -> (bytes per seed, allocated blocks per seed).  Measured
 #: here (n = 2000, 3.11): 773 / 8.1, 1707 / 18.0, 1283 / 16.0; before
@@ -156,3 +176,71 @@ def test_a_key_costs_one_dict_entry_not_two():
     assert len(single.node(single.seed_pids[0]).space._cells) == 1
     # Every key of a freshly seeded node shares the one initial cell.
     assert len({id(cell) for cell in dicts[0].values()}) == 1
+
+
+def judged_reads(count, checkpoint=lambda: None):
+    """Plan, install, drive and judge ``count`` local reads on a small
+    sync system; ``checkpoint()`` runs once the plan is installed.
+    Returns everything the run keeps alive, and the queue slots the
+    install added."""
+    system = DynamicSystem(SystemConfig(n=20, trace=False))
+    horizon = 100.0
+    plan = [ReadOp(time=horizon * (k + 1) / count) for k in range(count)]
+    slots = system.engine._occupied_slots()
+    driver = WorkloadDriver(system)
+    driver.install(plan)
+    added = system.engine._occupied_slots() - slots
+    checkpoint()
+    system.run_until(horizon)
+    system.close()
+    report = system.check_safety()
+    assert report.checked_count == count and report.is_safe
+    return (system, plan, driver, report), added
+
+
+@pytest.mark.skipif(
+    sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
+    reason="the byte budget is CPython 3.11's object layout",
+)
+def test_a_local_read_costs_its_plan_op_its_handle_and_its_judgement():
+    judged_reads(50)  # warm: imports, dispatch caches, the reader stream
+    gc.collect()
+    planned = []
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot()
+        # ``kept`` holds the run alive across the second measurement.
+        kept, _ = judged_reads(
+            OPERATIONS, lambda: planned.append(traced(before, OPERATIONS))
+        )
+        judged = traced(before, OPERATIONS)
+    finally:
+        tracemalloc.stop()
+    # + 0.05: the system itself and the lists' over-allocation, a few
+    # hundred blocks over the batch.
+    (size, blocks), (max_bytes, max_blocks) = planned[0], PLANNED_BUDGET
+    assert size <= max_bytes, f"{size:.0f} B per planned read"
+    assert blocks <= max_blocks + 0.05, f"{blocks:.2f} blocks per planned read"
+    (size, blocks), (max_bytes, max_blocks) = judged, JUDGED_BUDGET
+    assert size <= max_bytes, f"{size:.0f} B per judged read"
+    assert blocks <= max_blocks + 0.05, f"{blocks:.2f} blocks per judged read"
+    assert len(kept[1]) == OPERATIONS
+
+
+def test_a_plan_holds_one_queue_slot_however_long():
+    _, added = judged_reads(OPERATIONS)
+    assert added == 1
+
+
+def test_no_operation_record_carries_a_dict():
+    (system, plan, driver, report), _ = judged_reads(10)
+    for record in (
+        plan[0],
+        WriteOp(time=1.0),
+        driver.stats.read_handles[0],
+        report.judgements[0],
+    ):
+        assert not hasattr(record, "__dict__"), type(record).__name__
+    # A handle nobody waits on shares the one empty callback tuple.
+    first, second = driver.stats.read_handles[:2]
+    assert first._callbacks is second._callbacks and len(first._callbacks) == 0

@@ -135,6 +135,57 @@ class TestOperationRunner:
         assert handle.result == 42
         assert handle.latency == 0.0
 
+    def test_a_body_that_never_blocks_takes_no_runner(self, engine):
+        process, other = EchoProcess("p1", engine), EchoProcess("p2", engine)
+
+        def body():
+            return engine.now
+            yield  # pragma: no cover
+
+        engine.run_until(2.0)
+        handle = process.run_operation("op", body())
+        assert handle.done and handle.result == 2.0
+        assert handle.invoke_time == handle.response_time == 2.0
+        # Nothing was built for it: still the one shared empty tuple.
+        assert process._runners is other._runners and process._runners == ()
+        assert engine.pending_count == 0
+        # A callback added after the fact runs at once, exactly once.
+        seen = []
+        handle.add_done_callback(seen.append)
+        assert seen == [handle]
+        assert len(handle._callbacks) == 0
+
+    def test_done_callbacks_added_while_pending_fire_once_in_order(self, engine):
+        process = EchoProcess("p1", engine)
+
+        def body():
+            yield Wait(1.0)
+            return "done"
+
+        handle = process.run_operation("op", body())
+        seen = []
+        handle.add_done_callback(lambda h: seen.append(("first", h.result)))
+        handle.add_done_callback(lambda h: seen.append(("second", h.result)))
+        assert seen == []
+        engine.run()
+        assert seen == [("first", "done"), ("second", "done")]
+        assert len(handle._callbacks) == 0
+
+    def test_only_an_operation_that_blocks_holds_a_runner(self, engine):
+        process = EchoProcess("p1", engine)
+
+        def body():
+            yield WaitUntil(lambda: True)  # satisfied: keeps running
+            yield Wait(2.0)
+            return "late"
+
+        handle = process.run_operation("op", body())
+        assert handle.pending and len(process._runners) == 1
+        assert not hasattr(process._runners[0], "__dict__")
+        engine.run()
+        assert handle.done and handle.latency == 2.0
+        assert process._runners == []
+
     def test_wait_until_wakes_on_message(self, engine):
         class Collector(EchoProcess):
             def op_body(self):
@@ -203,6 +254,38 @@ class TestOperationRunner:
         process.depart()
         engine.run()
         assert handle.abandoned
+
+    def test_departure_abandons_whatever_the_operation_blocked_on(self, engine):
+        process = EchoProcess("p1", engine)
+
+        def timed():
+            yield Wait(10.0)
+
+        def conditional():
+            yield WaitUntil(lambda: False)
+
+        def second_step():
+            yield WaitUntil(lambda: True)
+            yield Wait(10.0)
+
+        handles = [
+            process.run_operation("op", body())
+            for body in (timed, conditional, second_step)
+        ]
+        seen = []
+        for handle in handles:
+            handle.add_done_callback(seen.append)
+        assert engine.pending_count == 2 and len(process._watchers) == 1
+        engine.run_until(1.0)
+        process.depart()
+        assert all(handle.abandoned for handle in handles)
+        assert all(handle.response_time is None for handle in handles)
+        assert seen == handles
+        # Timers cancelled, watcher dropped, both lists handed back.
+        assert engine.pending_count == 0
+        assert process._runners == () and process._watchers == ()
+        engine.run()
+        assert engine.fired_count == 0
 
     def test_departed_process_cannot_invoke(self, engine):
         process = EchoProcess("p1", engine)

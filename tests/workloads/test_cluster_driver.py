@@ -61,6 +61,35 @@ class TestDriverRouting:
         with pytest.raises(ExperimentError):
             driver.install([])
 
+    @pytest.mark.parametrize("dynamic", [False, True])
+    @pytest.mark.parametrize(
+        "time",
+        [
+            float("nan"),
+            float("inf"),
+            float("-inf"),
+            4.0,
+        ],
+    )
+    def test_a_bad_time_is_refused_by_its_position_in_the_cluster_plan(
+        self, dynamic, time
+    ):
+        cluster = make_cluster()
+        cluster.run_until(5.0)
+        pending = cluster.engine.pending_count
+        driver = ClusterWorkloadDriver(cluster, dynamic=dynamic)
+        # One op per key first, so every shard's sub-plan is non-empty
+        # and the bad op's position in a sub-plan is not its position.
+        plan = [WriteOp(time=6.0, key=key) for key in cluster.keys]
+        plan.append(ReadOp(time=time, key=cluster.keys[-1]))
+        with pytest.raises(ExperimentError) as refused:
+            driver.install(plan)
+        message = str(refused.value)
+        assert f"operation {len(cluster.keys)} of the plan (ReadOp)" in message
+        assert f"planned at {time!r}" in message
+        assert "the clock, which reads 5.0" in message
+        assert cluster.engine.pending_count == pending
+
     def test_stats_aggregate_handles(self):
         cluster = make_cluster()
         driver = ClusterWorkloadDriver(cluster)

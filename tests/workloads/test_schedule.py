@@ -99,6 +99,55 @@ class TestInstallRules:
         with pytest.raises(ExperimentError):
             driver.install([ReadOp(time=5.0)])
 
+    @pytest.mark.parametrize(
+        "time",
+        [
+            float("nan"),
+            float("inf"),
+            float("-inf"),
+            9.5,
+        ],
+    )
+    def test_a_bad_time_is_refused_by_position_and_nothing_is_scheduled(
+        self, time
+    ):
+        system = make_system()
+        system.run_until(10.0)
+        pending = system.engine.pending_count
+        driver = WorkloadDriver(system)
+        plan = [ReadOp(time=11.0), WriteOp(time=12.0), WriteOp(time=time)]
+        with pytest.raises(ExperimentError) as refused:
+            driver.install(plan)
+        message = str(refused.value)
+        assert "operation 2 of the plan (WriteOp)" in message
+        assert f"planned at {time!r}" in message
+        assert "the clock, which reads 10.0" in message
+        assert system.engine.pending_count == pending
+
+    def test_an_unknown_op_is_refused_by_position(self):
+        driver = WorkloadDriver(make_system())
+        with pytest.raises(ExperimentError, match="position 1 of the plan"):
+            driver.install([ReadOp(time=1.0), ("read", 2.0)])
+
+    def test_an_unsorted_plan_fires_in_time_then_list_order(self):
+        system = make_system()
+        driver = WorkloadDriver(system)
+        readers = system.seed_pids[:3]
+        pending = system.engine.pending_count
+        driver.install(
+            [
+                ReadOp(time=3.0, reader=readers[0]),
+                ReadOp(time=1.0, reader=readers[1]),
+                ReadOp(time=3.0, reader=readers[2]),
+            ]
+        )
+        assert system.engine.pending_count == pending + 3
+        system.run_until(5.0)
+        assert [
+            (handle.invoke_time, handle.process_id)
+            for handle in driver.stats.read_handles
+        ] == [(1.0, readers[1]), (3.0, readers[0]), (3.0, readers[2])]
+
 
 class TestStatsProperties:
     def test_completion_rates_default_to_one(self):
