@@ -31,6 +31,7 @@ Quickstart::
     print(system.check_safety().summary())
 """
 
+from ._lazy import lazy_names
 from .churn import (
     ActiveSetTracker,
     ChurnController,
@@ -77,9 +78,14 @@ from .protocols import (
 )
 from .runtime import DynamicSystem, SystemConfig
 from .sim import EventScheduler, OperationHandle, RngRegistry, TraceLog
-from .viz import render_message_flow, render_timeline
 
 __version__ = "1.0.0"
+
+#: The renderers resolve on first use: a run that draws nothing does
+#: not import :mod:`repro.viz`.
+__getattr__, __dir__ = lazy_names(
+    __name__, {"render_message_flow": "viz", "render_timeline": "viz"}
+)
 
 __all__ = [
     "ActiveSetTracker",

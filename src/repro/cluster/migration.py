@@ -266,8 +266,7 @@ class KeyMigration:
         self._fetch_phase.threshold = len(poll) // 2 + 1
         message = MigFetch(self.spec.key, self.migration_id)
         try:
-            for pid in poll:
-                source_sys.network.send_payload(agent_pid, pid, message)
+            source_sys.network.send_round(agent_pid, poll, message)
         except NetworkError:
             self._abort("source-agent-departed")
             return False
@@ -352,10 +351,13 @@ class KeyMigration:
         acked = set(self._install_phase.senders())
         value, sequence = self._install_value
         message = MigInstall(self.spec.key, self.migration_id, value, sequence)
+        is_present = dest_sys.membership.is_present
+        pending = [
+            pid for pid in self._install_poll
+            if pid not in acked and is_present(pid)
+        ]
         try:
-            for pid in self._install_poll:
-                if pid not in acked and dest_sys.membership.is_present(pid):
-                    dest_sys.network.send_payload(agent_pid, pid, message)
+            dest_sys.network.send_round(agent_pid, pending, message)
         except NetworkError:
             self._abort("dest-agent-departed")
             return False

@@ -327,39 +327,36 @@ class RegisterNode(SimProcess, abc.ABC):
     # Every protocol's nodes can serve a live-resharding handoff: the
     # coordinator polls source nodes for their freshest copy
     # (``MigFetch``) and installs the winner across the destination
-    # shard (``MigInstall``).  Replies route back through the *agent*
+    # shard (``MigInstall``); a node's answer is its handler's return
+    # value, which the network sends.  Replies route back through the *agent*
     # node the coordinator sends from — the coordinator itself is a
     # plain object outside the membership — via ``migration_sink``.
     # The payload classes are imported lazily: ``repro.protocols``
     # imports this module at package-init time, so a top-level import
     # would cycle.
 
-    def on_migfetch(self, sender: str, msg: Any) -> None:
+    def on_migfetch(self, sender: str, msg: Any) -> Any:
         from ..protocols.common import MigFetchReply
 
         try:
             value, sequence = self.space.snapshot(msg.key)
         except KeyError:
             value, sequence = BOTTOM, -1
-        self.ctx.network.send_payload(
-            self.pid,
-            sender,
-            MigFetchReply(msg.key, msg.migration_id, value, sequence),
-        )
+        return MigFetchReply(msg.key, msg.migration_id, value, sequence)
 
     def on_migfetchreply(self, sender: str, msg: Any) -> None:
         sink = self.migration_sink
         if sink is not None:
             sink.on_fetch_reply(sender, msg)
 
-    def on_miginstall(self, sender: str, msg: Any) -> None:
+    def on_miginstall(self, sender: str, msg: Any) -> Any:
         from ..protocols.common import MigAck
 
         # Adoption auto-admits the key and keeps newer local state; the
         # ack is unconditional, so re-installs (retry rounds) are
         # idempotent.
         self.space.adopt(msg.key, msg.value, msg.sequence)
-        self.ctx.network.send_payload(self.pid, sender, MigAck(msg.migration_id))
+        return MigAck(msg.migration_id)
 
     def on_migack(self, sender: str, msg: Any) -> None:
         sink = self.migration_sink

@@ -30,14 +30,36 @@ message, no free list — fired through one of two slab items:
 
 * a single-destination delivery *is* its queue entry, ``(instant,
   DELIVERY, sequence, item, dest, sender, payload, broadcast_id)``,
-  ``item`` being the network's one :class:`_Delivery`:
-  :meth:`Network.send_payload` (all protocol, baseline and migration
-  traffic; ``broadcast_id`` is ``None``), the per-recipient pushes of a
-  fan-out that can tie instants or that passes the fault gate, and the
+  ``item`` being the network's one :class:`_Delivery`: every
+  point-to-point send (all protocol, baseline and migration traffic;
+  ``broadcast_id`` is ``None``), the per-recipient pushes of a fan-out
+  that can tie instants or that passes the fault gate, and the
   broadcast service's entrant offers (:meth:`Network.deliver_scheduled`).
   The popped tuple dies by refcount: nothing is retained once it lands;
 * a fault-free broadcast under a continuous delay model pushes ONE
   self-re-arming :class:`_FanoutSweep` walking its sorted arrivals.
+
+A send is a reply or a round
+----------------------------
+
+Every message the paper's figures send answers the message just
+received, or carries one payload to a known set.  A handler *returns*
+its answer to the delivery's sender and the site that fired the
+delivery sends it — after the handler, before the watcher poll, where
+the handler's own send would stand; a round is one
+:meth:`Network.send_round`.  Four places may draw a point-to-point
+delay: :meth:`Network.send_payload`, ``send_round`` and the reply arms
+of the two ``fire`` methods — the last three only while
+``_p2p_uniform`` is set (a clean, untraced link), where they push the
+queue tuple themselves and skip what they already hold: the replying
+process was just fetched from ``_present``, the sender it answers has a
+record, nothing gates or traces the link.  With ``_p2p_uniform``
+``None`` — tracing, an installed plan — they call ``send_payload``, as
+does the checked path, so it stays the single slow path and the only
+place a gate, a SEND record or a fault decision lives.  (The inline
+pushes skip its finite-instant test too: the declared ``(lo, span)`` are
+finite, and ``_push`` cannot take a non-finite instant — ``int()`` of it
+raises.)
 
 Each payload type has one handler body, the recipient's ``on_<type>``
 method, and every delivery ends in it.  A fault plan acts at the
@@ -47,11 +69,12 @@ fire sites alone: with ``Network._fast`` — tracing off, and no installed
 plan that can act when a delivery *fires* (a drop-mode partition, a
 crash: ``FaultInjector.gates_delivery``) — both ``fire`` methods count
 the delivery and dispatch inline (the per-class ``_dispatch`` cache, the
-handler, the watcher poll).  Tracing and delivery-gating plans take
-:meth:`Network._fire_checked`, which wraps that same dispatch in the
-delivery-time gates and the trace record.  On a clean link the delay
-model's declared uniform parameters (checked at construction) let
-``send_payload`` and the sweep draw ``lo + span * random()`` inline —
+handler, its reply, the watcher poll).  Tracing and delivery-gating
+plans take :meth:`Network._fire_checked`, which wraps that same
+dispatch in the delivery-time gates and the trace record.  On a clean
+link the delay model's declared uniform parameters (checked at
+construction) let every send and the sweep draw ``lo + span *
+random()`` inline —
 ``sample`` written out; any installed plan withdraws both pairs and
 tracing the point-to-point one, so traced ≡ untraced parity is also the
 oracle for "inline draw ≡ ``sample``".  Every path reproduces the
@@ -108,7 +131,26 @@ class _Delivery(SlabEntry):
             handler = process._dispatch.get(payload.__class__)
             if handler is None:
                 handler = process._handler_for(payload.__class__)
-            handler(process, entry[5], payload)
+            reply = handler(process, entry[5], payload)
+            if reply is not None:
+                # The handler's answer to the sender, queued where its
+                # own send would have been: after the handler, before
+                # the poll.  On a clean link this is ``send_payload``
+                # written out, minus what this site already holds — a
+                # present process, a sender that has a record.
+                p2p = network._p2p_uniform
+                if p2p is None:
+                    network.send_payload(entry[4], entry[5], reply)
+                else:
+                    engine = network.engine
+                    engine._push((
+                        engine._now + (p2p[0] + p2p[1] * network._rng.random()),
+                        _DELIVERY, engine._sequence, self,
+                        entry[5], entry[4], reply, None,
+                    ))
+                    engine._sequence += 1
+                    engine._live += 1
+                    network.sent_count += 1
             watchers = process._watchers
             if watchers:
                 # One watcher (a joiner waits on exactly one condition)
@@ -193,7 +235,22 @@ class _FanoutSweep(SlabEntry):
             handler = process._dispatch.get(payload.__class__)
             if handler is None:
                 handler = process._handler_for(payload.__class__)
-            handler(process, self.sender, payload)
+            reply = handler(process, self.sender, payload)
+            if reply is not None:
+                # Same reply arm as :meth:`_Delivery.fire`.
+                p2p = network._p2p_uniform
+                if p2p is None:
+                    network.send_payload(dest, self.sender, reply)
+                else:
+                    engine = network.engine
+                    engine._push((
+                        engine._now + (p2p[0] + p2p[1] * network._rng.random()),
+                        _DELIVERY, engine._sequence, network._delivery,
+                        self.sender, dest, reply, None,
+                    ))
+                    engine._sequence += 1
+                    engine._live += 1
+                    network.sent_count += 1
             watchers = process._watchers
             if watchers:
                 if len(watchers) == 1:
@@ -329,6 +386,46 @@ class Network:
         engine._live += 1
         return deliver_at
 
+    def send_round(self, sender: str, dests: Sequence[str], payload: Any) -> None:
+        """Send one ``payload`` from ``sender`` to each of ``dests`` — a
+        quorum round, a flush of parked inquirers: the per-destination
+        :meth:`send_payload` loop as one call.
+
+        Same draws in list order, same consecutive sequence numbers,
+        same counters, and the same error after the same prefix has
+        been queued and counted; off a clean link it *is* that loop.
+        """
+        p2p = self._p2p_uniform
+        if p2p is None or not dests:
+            for dest in dests:
+                self.send_payload(sender, dest, payload)
+            return
+        if sender not in self._present:
+            raise NetworkError(f"departed process {sender!r} cannot send")
+        lo, span = p2p
+        engine = self.engine
+        now = engine._now
+        push = engine._push
+        random = self._rng.random
+        records = self._records
+        item = self._delivery
+        sequence = first = engine._sequence
+        try:
+            for dest in dests:
+                if dest not in records:
+                    raise UnknownProcessError(
+                        f"destination {dest!r} was never in the system"
+                    )
+                push((
+                    now + (lo + span * random()), _DELIVERY, sequence, item,
+                    dest, sender, payload, None,
+                ))
+                sequence += 1
+        finally:
+            engine._sequence = sequence
+            engine._live += sequence - first
+            self.sent_count += sequence - first
+
     def _drop(
         self, now: Time, sender: str, dest: str, payload_type: str, reason: str
     ) -> None:
@@ -411,14 +508,15 @@ class Network:
             # float so the sum rounds like ``now + delay``, positive by
             # construction.  A stable sort of the indices keyed on the
             # instants *is* the ``(instant, recipient index)`` order,
-            # with no pair built per recipient.
+            # with no pair built per recipient; both vectors are then
+            # gathered through it — one sort a broadcast.
             lo, span = params
             rng_random = rng.random
             times = [now + (lo + span * rng_random()) for _ in range(count)]
             if not (times[-1] < _INF):
                 engine._reject_instant(times[-1])
             order = sorted(range(count), key=times.__getitem__)
-            times.sort()
+            times = list(map(times.__getitem__, order))
             sweep = _FanoutSweep(
                 self, sender, payload, broadcast_id,
                 times, list(map(dests.__getitem__, order)),
@@ -507,7 +605,9 @@ class Network:
                 sender=sender,
                 type=payload_type,
             )
-        self.membership.process(dest).deliver_payload(sender, payload)
+        self.membership.process(dest).deliver_payload(
+            sender, payload, self.send_payload
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -19,6 +19,10 @@ regular, in the static setting):
   ``REPLY``, adopt the highest ``sn``; phase 2 (write-back): push that
   pair back to a majority, then return.
 
+Each "send to the universe" is one ``send_round``; a replica's "send
+ACK / REPLY to the sender" is its handler's ``return``, which the
+network sends.
+
 Only the original universe members act as replicas.  Processes that
 arrive later (spawned by churn) complete a trivial join and may invoke
 reads — their quorums are still drawn from the fixed universe, which is
@@ -160,10 +164,8 @@ class AbdRegisterNode(RegisterNode):
         request = self._queries.next_request(key)
         self._queries.threshold = self.majority
         phase = self._queries.open(key)
-        send = self.ctx.network.send_payload
-        query = AbdQuery(request, key)  # one immutable payload a round
-        for replica in self.universe:
-            send(self.pid, replica, query)
+        send_round = self.ctx.network.send_round  # one payload a round
+        send_round(self.pid, self.universe, AbdQuery(request, key))
         yield WaitUntil(phase.satisfied, label="abd phase 1")
         value, sequence = phase.best_for(key)  # type: ignore[misc]
         self.space.adopt(key, value, sequence)
@@ -171,9 +173,9 @@ class AbdRegisterNode(RegisterNode):
         # Phase 2: write-back, so a later read cannot see an older value.
         self._writebacks.threshold = self.majority
         wb_phase = self._writebacks.open(key)
-        write_back = AbdWriteBack(request, value, sequence, key)
-        for replica in self.universe:
-            send(self.pid, replica, write_back)
+        send_round(
+            self.pid, self.universe, AbdWriteBack(request, value, sequence, key)
+        )
         yield WaitUntil(wb_phase.satisfied, label="abd phase 2")
         wb_phase.settle()
         return value
@@ -183,10 +185,9 @@ class AbdRegisterNode(RegisterNode):
         self.space.install(key, value, sequence)
         self._writes.threshold = self.majority
         phase = self._writes.open(key)
-        send = self.ctx.network.send_payload
-        write = AbdWrite(value, sequence, key)
-        for replica in self.universe:
-            send(self.pid, replica, write)
+        self.ctx.network.send_round(
+            self.pid, self.universe, AbdWrite(value, sequence, key)
+        )
         yield WaitUntil(phase.satisfied, label="abd write acks")
         phase.settle()
         return OK
@@ -195,25 +196,21 @@ class AbdRegisterNode(RegisterNode):
     # Message handlers (replicas only)
     # ------------------------------------------------------------------
 
-    def on_abdwrite(self, sender: str, msg: AbdWrite) -> None:
+    def on_abdwrite(self, sender: str, msg: AbdWrite) -> AbdAck | None:
         if not self.is_replica:
-            return
+            return None
         self.space.adopt(msg.key, msg.value, msg.sequence)
-        self.ctx.network.send_payload(
-            self.pid, sender, AbdAck(msg.sequence, msg.key)
-        )
+        return AbdAck(msg.sequence, msg.key)
 
     def on_abdack(self, sender: str, msg: AbdAck) -> None:
         if msg.sequence == self.space.sequence(msg.key):
             self._writes.phase(self.space.resolve(msg.key)).offer_ack(sender)
 
-    def on_abdquery(self, sender: str, msg: AbdQuery) -> None:
+    def on_abdquery(self, sender: str, msg: AbdQuery) -> AbdQueryReply | None:
         if not self.is_replica:
-            return
+            return None
         value, sequence = self.space.snapshot(msg.key)
-        self.ctx.network.send_payload(
-            self.pid, sender, AbdQueryReply(msg.request, value, sequence, msg.key)
-        )
+        return AbdQueryReply(msg.request, value, sequence, msg.key)
 
     def on_abdqueryreply(self, sender: str, msg: AbdQueryReply) -> None:
         key = self.space.resolve(msg.key)
@@ -222,13 +219,13 @@ class AbdRegisterNode(RegisterNode):
                 sender, ((key, msg.value, msg.sequence),)
             )
 
-    def on_abdwriteback(self, sender: str, msg: AbdWriteBack) -> None:
+    def on_abdwriteback(
+        self, sender: str, msg: AbdWriteBack
+    ) -> AbdWriteBackAck | None:
         if not self.is_replica:
-            return
+            return None
         self.space.adopt(msg.key, msg.value, msg.sequence)
-        self.ctx.network.send_payload(
-            self.pid, sender, AbdWriteBackAck(msg.request, msg.key)
-        )
+        return AbdWriteBackAck(msg.request, msg.key)
 
     def on_abdwritebackack(self, sender: str, msg: AbdWriteBackAck) -> None:
         key = self.space.resolve(msg.key)

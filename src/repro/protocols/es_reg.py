@@ -32,6 +32,12 @@ multi-key :class:`~repro.core.register.RegisterSpace` (replies carry
 per-key entries), while reads and writes address one key each through
 per-key phases multiplexed over the same node.
 
+Where a figure's handler ends in "send … to p_j" — its one answer to
+the sender of the message being handled (Figure 4 line 21's ACK,
+Figure 5 line 09's REPLY, Figure 6 line 08's ACK) — the handler
+*returns* that message and the network sends it; ``on_esinquiry`` may
+owe p_j several (lines 13-14, 16) and sends them itself.
+
 Transcription note: the source report's pseudo-code for lines 14/16 is
 typographically garbled in the archived PDF (the argument of
 ``DL_PREV``).  We transcribe it as *the sender's own pending request
@@ -211,7 +217,8 @@ class EventuallySyncRegisterNode(RegisterNode):
                 self.space.adopt(key, *best[key])
         self._join_phase.settle()
 
-    def _send_reply(self, dest: str, r_sn: int, key: Any) -> None:
+    def _reply(self, r_sn: int, key: Any) -> EsReply:
+        """REPLY(i, ⟨register, sn⟩, r_sn) for request ``r_sn`` on ``key``."""
         if key is None and not self.space.is_single:
             # A batched (join-style) request: one reply carries every key.
             value, sequence = self.space.snapshot()
@@ -219,11 +226,10 @@ class EventuallySyncRegisterNode(RegisterNode):
         else:
             value, sequence = self.space.snapshot(key)
             entries = None
-        self.ctx.network.send_payload(
-            self.pid,
-            dest,
-            EsReply(self.pid, value, sequence, r_sn, key, entries),
-        )
+        return EsReply(self.pid, value, sequence, r_sn, key, entries)
+
+    def _send_reply(self, dest: str, r_sn: int, key: Any) -> None:
+        self.ctx.network.send_payload(self.pid, dest, self._reply(r_sn, key))
 
     def _send_dl_prev(self, dest: str, key: Any) -> None:
         """Promise ``dest`` a reply for *our* pending request on ``key``
@@ -251,17 +257,17 @@ class EventuallySyncRegisterNode(RegisterNode):
             self._reply_to.add((msg.sender, msg.read_sn, None))  # line 15
             self._send_dl_prev(msg.sender, None)  # line 16
 
-    def on_esreply(self, sender: str, msg: EsReply) -> None:
+    def on_esreply(self, sender: str, msg: EsReply) -> EsAck | None:
         """Figure 4, lines 18-21."""
         if msg.key is None and not self.space.is_single:
             # A batched reply answers our join's inquiry (request 0).
             if msg.read_sn != 0:
-                return
+                return None
             phase = self._join_phase
             entries = msg.entries or ()
         else:
             if msg.read_sn != self._reads.current_request(msg.key):  # line 19
-                return
+                return None
             # Request 0 is always the join's inquiry (reads number from
             # 1), so the matched read_sn alone determines the phase.
             phase = (
@@ -271,29 +277,25 @@ class EventuallySyncRegisterNode(RegisterNode):
             )
             entries = ((msg.key, msg.value, msg.sequence),)
         phase.offer(msg.sender, entries)  # line 20
-        self.ctx.network.send_payload(
-            self.pid, msg.sender, EsAck(self.pid, msg.sequence, msg.key)
-        )
+        return EsAck(self.pid, msg.sequence, msg.key)  # line 21
 
     def on_esdlprev(self, sender: str, msg: EsDlPrev) -> None:
         """Figure 4, line 22."""
         self._dl_prev.add((msg.sender, msg.read_sn, msg.key))
 
-    def on_esread(self, sender: str, msg: EsRead) -> None:
+    def on_esread(self, sender: str, msg: EsRead) -> EsReply | None:
         """Figure 5, lines 08-11."""
         if msg.sender == self.pid:
-            return  # own broadcast echo
+            return None  # own broadcast echo
         if self.is_active:
-            self._send_reply(msg.sender, msg.read_sn, msg.key)  # line 09
-        else:
-            self._reply_to.add((msg.sender, msg.read_sn, msg.key))  # line 10
+            return self._reply(msg.read_sn, msg.key)  # line 09
+        self._reply_to.add((msg.sender, msg.read_sn, msg.key))  # line 10
+        return None
 
-    def on_eswrite(self, sender: str, msg: EsWrite) -> None:
+    def on_eswrite(self, sender: str, msg: EsWrite) -> EsAck:
         """Figure 6, lines 06-08."""
         self.space.adopt(msg.key, msg.value, msg.sequence)  # line 07
-        self.ctx.network.send_payload(
-            self.pid, msg.sender, EsAck(self.pid, msg.sequence, msg.key)
-        )
+        return EsAck(self.pid, msg.sequence, msg.key)  # line 08
 
     def on_esack(self, sender: str, msg: EsAck) -> None:
         """Figure 6, lines 09-10."""

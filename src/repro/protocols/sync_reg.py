@@ -28,6 +28,10 @@ Line-by-line correspondence
     (15)     else reply_to := reply_to ∪ {j}
     (17) when REPLY(j, ⟨value, sn⟩) is received: replies ∪= {⟨j, value, sn⟩}
 
+A "send … to p_j" that answers the message being handled (line 14) is
+the handler's ``return``: the network sends it to the delivery's
+sender.  Line 11's flush is one ``send_round``.
+
 ``read()`` / ``write(v)`` (Figure 2)::
 
     read:  return register                        (purely local, fast)
@@ -112,7 +116,7 @@ class SynchronousRegisterNode(RegisterNode):
     join_wait = True
 
     __slots__ = (
-        "_join_phase", "_reply_to", "_delta", "_network", "_reply_cache",
+        "_join_phase", "_reply_to", "_delta", "_reply_cache",
         "_reply_version", "_inquiry_wait",
     )
 
@@ -129,8 +133,6 @@ class SynchronousRegisterNode(RegisterNode):
         self._join_phase: QuorumPhase | None = None
         self._reply_to: set[str] | None = None
         self._delta = ctx.delta
-        # Bound once: every inquiry reply reads it (hot under churn).
-        self._network = ctx.network
         # Reply payload cache, keyed on the space's version counter:
         # under churn a node answers thousands of inquiries from a
         # space that never changed, and the payload is immutable and
@@ -203,10 +205,9 @@ class SynchronousRegisterNode(RegisterNode):
         """Line 11: one reply payload (the first this node builds — it
         has only just become active), sent to every inquirer parked
         while listening, in sorted order."""
-        reply = self._fresh_reply()
-        send = self._network.send_payload
-        for dest in sorted(self._reply_to):
-            send(self.pid, dest, reply)
+        self.ctx.network.send_round(
+            self.pid, sorted(self._reply_to), self._fresh_reply()
+        )
 
     def _fresh_reply(self) -> Reply:
         """Build REPLY(i, ⟨register, sn⟩) and cache it against the
@@ -223,18 +224,18 @@ class SynchronousRegisterNode(RegisterNode):
     # path (tracing, delivery-gating plans) through ``deliver_payload``.
     # ------------------------------------------------------------------
 
-    def on_inquiry(self, sender: str, msg: Inquiry) -> None:
+    def on_inquiry(self, sender: str, msg: Inquiry) -> Reply | None:
         """Lines 13-16 of Figure 1."""
         inquirer = msg.sender
         if inquirer == self.pid:
-            return  # own broadcast echo: a process does not answer itself
+            return None  # own broadcast echo: a process does not answer itself
         if self._mode is ProcessMode.ACTIVE:  # line 14
             reply = self._reply_cache
             if reply is None or self._reply_version != self.space.version:
                 reply = self._fresh_reply()
-            self._network.send_payload(self.pid, inquirer, reply)
-        else:  # line 15
-            self._park(inquirer)
+            return reply
+        self._park(inquirer)  # line 15
+        return None
 
     def _park(self, inquirer: str) -> None:
         """Line 15: ``reply_to := reply_to ∪ {j}``."""

@@ -21,7 +21,7 @@ from typing import Any, Callable, Sequence
 
 from .clock import Time
 from .engine import EventScheduler
-from .errors import ProcessDepartedError, ProcessError
+from .errors import NetworkError, ProcessDepartedError, ProcessError
 from .events import Priority
 from .operations import (
     Effect,
@@ -52,10 +52,12 @@ class SimProcess:
     (for a payload class ``Inquiry`` the handler is ``on_inquiry``) and
     operation bodies as generators passed to :meth:`run_operation`.
 
-    A handler is called, and the pending ``WaitUntil`` watchers polled
-    after it, by :meth:`deliver_payload` — or by the network's two fire
-    sites, which inline exactly that when nothing has to be checked or
-    traced per delivery (see :mod:`repro.net.network`).
+    A handler is called, what it returns sent to the delivery's sender
+    (a "send … to p_j" line of the figures is a ``return``) and the
+    pending ``WaitUntil`` watchers polled after it, by
+    :meth:`deliver_payload` — or by the network's two fire sites, which
+    inline exactly that when nothing has to be checked or traced per
+    delivery (see :mod:`repro.net.network`).
 
     A process costs what it uses.  ``_runners`` and ``_watchers`` start
     as the one shared empty tuple and become lists of their own at the
@@ -161,13 +163,25 @@ class SimProcess:
     # Message handling
     # ------------------------------------------------------------------
 
-    def deliver_payload(self, sender: str, payload: Any) -> None:
+    def deliver_payload(
+        self,
+        sender: str,
+        payload: Any,
+        send: Callable[[str, str, Any], Any] | None = None,
+    ) -> None:
         """Dispatch one delivered payload to its ``on_<type>`` handler.
 
         Called by the network's checked path (its fast arms inline the
-        same lookup, call and poll).  Deliveries to departed processes
-        are dropped by the network before reaching this point, but the
-        check is repeated here defensively.
+        same lookup, call, reply and poll).  Deliveries to departed
+        processes are dropped by the network before reaching this
+        point, but the check is repeated here defensively.
+
+        What the handler returns is its answer to ``sender``: it goes
+        out through ``send`` (the network's ``send_payload``) before the
+        watchers are polled, where the handler's own send would have
+        been.  The fast arms queue a return value unexamined; this path
+        refuses one that is not a message where it happens, not one
+        delay later when nothing can dispatch it.
         """
         if self._mode is ProcessMode.DEPARTED:
             return
@@ -176,7 +190,18 @@ class SimProcess:
         handler = self._dispatch.get(payload.__class__)
         if handler is None:
             handler = self._handler_for(payload.__class__)
-        handler(self, sender, payload)
+        reply = handler(self, sender, payload)
+        if reply is not None:
+            if send is None or not (
+                isinstance(reply, tuple) and hasattr(reply, "_fields")
+            ):
+                raise NetworkError(
+                    f"{type(self).__name__}.{handler.__name__} of {self.pid!r} "
+                    f"returned a {type(reply).__name__}: a handler returns None "
+                    f"or, to a delivery the network made, the message that "
+                    f"answers its sender"
+                )
+            send(self.pid, sender, reply)
         watchers = self._watchers
         if watchers:
             # Watchers may complete operations whose callbacks add new

@@ -370,3 +370,25 @@ class TestPairFreeFanoutOrder:
         assert list(sweep.times) == [instant for instant, _ in pairs]
         assert list(sweep.dests) == [dests[i] for _, i in pairs]
         assert entry[0] == pairs[0][0]
+
+    def test_one_gather_is_the_two_sort_result_on_crafted_ties(self):
+        """The arrivals are argsorted once and both vectors gathered
+        through that order; the instants used to be sorted a second
+        time.  Runs of exact ties, at the front, inside and at the back."""
+        draws = [0.5, 0.0, 0.5, 0.999, 0.0, 0.25, 0.999, 0.5, 0.0, 0.999]
+        now = 3.5
+        engine = EventScheduler(start=now)
+        model = SynchronousDelay(delta=5.0)
+        network = Network(
+            engine, Membership(), model, TraceLog(enabled=False), RngRegistry(seed=1)
+        )
+        lo, span = model.broadcast_uniform()
+        dests = [f"p{i}" for i in range(len(draws))]
+        network.deliver_fanout("p0", dests, Note("x"), now, 7, _Scripted(draws))
+        sweep = engine._pending_entries()[0][3]
+        times = [now + (lo + span * r) for r in draws]
+        order = sorted(range(len(times)), key=times.__getitem__)
+        times.sort()
+        assert sweep.times == times
+        assert sweep.dests == [dests[i] for i in order]
+        assert order[:3] == [1, 4, 8] and order[-3:] == [3, 6, 9]  # ties by index

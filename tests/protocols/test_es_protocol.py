@@ -143,9 +143,12 @@ class TestWrite:
         peer = system.seed_pids[4]
         node.space.install(None, "newest", 9)
         before = system.network.sent_count
-        node.on_eswrite(peer, EsWrite(peer, "old", 3))
+        write = EsWrite(peer, "old", 3)
+        assert node.on_eswrite(peer, write) == EsAck(node.pid, 3)
         assert node.register_value == "newest"
-        assert system.network.sent_count == before + 1  # the ACK
+        # The ACK is the handler's return value; a delivery sends it.
+        node.deliver_payload(peer, write, system.network.send_payload)
+        assert system.network.sent_count == before + 1
 
 
 class TestDlPrev:

@@ -19,6 +19,14 @@ instant it fires at (the whole plan holds one queue slot); completed
 and judged, it is that plus its handle and its judgement tuple.  The
 per-operation ratchet fails a change that re-adds an ``Event`` per
 planned op, a callback list per handle or a ``__dict__`` on either.
+
+And a send is a reply or a round: on a clean link a delivered message
+enters one Python frame of ``repro.net`` — the fire site that dispatches
+it and queues the handler's answer — plus one ``send_round`` frame a
+round; ``Network.send_payload``, the slow path, is not entered at all.
+The exact-cost ratchet counts frames under ``sys.setprofile`` on two
+small runs, so a change that puts a frame or a gate back per message
+fails here on any runner, however noisy.
 CI runs this file as its own step ("per-process, per-message and
 per-operation footprint").
 """
@@ -26,11 +34,14 @@ per-operation footprint").
 from __future__ import annotations
 
 import gc
+import os
 import sys
 import tracemalloc
 
 import pytest
 
+import repro.net
+from repro.net.network import Network
 from repro.protocols.sync_reg import Reply
 from repro.runtime.config import SystemConfig
 from repro.runtime.system import DynamicSystem
@@ -244,3 +255,61 @@ def test_no_operation_record_carries_a_dict():
     # A handle nobody waits on shares the one empty callback tuple.
     first, second = driver.stats.read_handles[:2]
     assert first._callbacks is second._callbacks and len(first._callbacks) == 0
+
+
+#: ``repro.net`` frames entered per delivered message on a clean link.
+#: Counted here: 123 frames for 120 deliveries (an ABD write and read at
+#: n = 20: one ``fire`` each plus three ``send_round``) and 106 for 101
+#: (a sync join at n = 50: one ``fire`` each plus the broadcast's five);
+#: with a ``send_payload`` frame per reply and per round destination
+#: they read 240 and 156.
+NET_FRAMES_PER_DELIVERY = {"abd": 1.03, "sync": 1.06}
+
+
+def net_frames(run) -> tuple[int, int]:
+    """Run ``run()`` under ``sys.setprofile``; Python frames entered in
+    ``repro.net``, and how many of them were ``Network.send_payload``."""
+    net_dir = os.path.dirname(repro.net.__file__) + os.sep
+    send_payload = Network.send_payload.__code__
+    entered = [0, 0]
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(net_dir):
+            entered[0] += 1
+            entered[1] += frame.f_code is send_payload
+
+    sys.setprofile(count)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return entered[0], entered[1]
+
+
+def _abd_write_and_read(system):
+    write = system.write("v")
+    system.run_for(2 * system.config.delta)
+    read = system.read(system.seed_pids[3])
+    system.run_for(4 * system.config.delta)
+    assert write.done and read.done and read.result == "v"
+
+
+def _sync_join(system):
+    joiner = system.spawn_joiner()
+    system.run_for(4 * system.config.delta)
+    assert system.node(joiner).is_active
+
+
+@pytest.mark.parametrize(
+    "protocol, n, run", [("abd", 20, _abd_write_and_read), ("sync", 50, _sync_join)]
+)
+def test_a_clean_message_enters_one_net_frame_and_never_send_payload(protocol, n, run):
+    system = DynamicSystem(SystemConfig(n=n, trace=False, protocol=protocol))
+    frames, slow = net_frames(lambda: run(system))
+    delivered = system.network.delivered_count
+    assert delivered >= 2 * n and system.network.sent_count >= n
+    assert slow == 0, f"send_payload entered {slow} times on a clean link"
+    per_delivery = frames / delivered
+    assert per_delivery <= NET_FRAMES_PER_DELIVERY[protocol], (
+        f"{frames} repro.net frames for {delivered} deliveries"
+    )
