@@ -95,6 +95,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .cluster.migration import MigrationRecord
     from .cluster.system import ClusterSystem
     from .core.checker import LivenessReport, SafetyReport
+    from .sim.trace import TraceLog
     from .workloads.cluster import ClusterWorkloadDriver
 
 _SCENARIOS = {
@@ -550,13 +551,20 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
 def _cmd_scenario(args: argparse.Namespace) -> int:
     scenario = _SCENARIOS[args.name](seed=args.seed)
     print(scenario.describe())
+    trace = scenario.system.trace
     if args.timeline:
-        print()
-        print(render_timeline(scenario.system, width=76))
+        _print_view(trace, render_timeline(scenario.system, width=76))
     if args.messages:
-        print()
-        print(render_message_flow(scenario.system.trace))
+        _print_view(trace, render_message_flow(trace))
     return 0
+
+
+def _print_view(trace: TraceLog, rendering: str) -> None:
+    """Print a view of ``trace``; say so on stderr if the log is cut short."""
+    print()
+    print(rendering)
+    if trace.dropped:
+        print(trace.truncation, file=sys.stderr)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -606,9 +614,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     print(safety.summary())
     print(liveness.summary())
     if args.timeline:
-        print()
         pids = [r.pid for r in system.membership.iter_records()][:25]
-        print(render_timeline(system, width=76, pids=pids))
+        _print_view(system.trace, render_timeline(system, width=76, pids=pids))
     return 0 if (safety.is_safe and liveness.is_live) else 1
 
 

@@ -92,6 +92,8 @@ class RegisterSpace:
     10⁵ times), and a read of both halves is one probe.  A cell tuple
     is replaced, never mutated, so ``snapshot`` hands it out as is; the
     dict's insertion order is the key order (``_keys``) by construction.
+    A quorum handler probes it with its message's key as it stands
+    (``read`` / ``write`` resolved it) and comes here only on a miss.
     """
 
     __slots__ = ("_keys", "_cells", "version")

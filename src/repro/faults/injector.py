@@ -33,6 +33,14 @@ payload-type name.  Contract (held to the full scan by
 partitions → losses, every counter moves on the same message, and the
 RNG is drawn exactly when a loss's window, type and link all match.
 
+Idle on this stretch: a payload class that passed :meth:`on_transmit`
+with no spike or partition live and no live loss naming its type is
+untouched until the stretch ends, whoever sends it.  :meth:`idle_for`
+says so, under the test ``on_transmit`` opens with, and a caller may
+skip the call on its word (the network's two hot transmit sites do);
+:meth:`_resolve` forgets every class, so each window edge, and a ``now``
+that moved back, starts from nothing proven.
+
 Determinism: the injector draws randomness from a single dedicated
 stream (``faults.injector``) and only when a loss fault actually
 matches a message, so an installed-but-idle plan consumes no entropy
@@ -77,6 +85,7 @@ class FaultInjector:
         "_partitions",
         "_losses",
         "_typed_losses",
+        "_idle",
     )
 
     def __init__(
@@ -111,6 +120,7 @@ class FaultInjector:
         self._from, self._until = _INF, -_INF
         self._spikes = self._partitions = self._losses = ()
         self._typed_losses: dict[str, tuple[LossFault, ...]] = {}
+        self._idle: set[type] = set()
 
     @property
     def gates_delivery(self) -> bool:
@@ -120,6 +130,11 @@ class FaultInjector:
         return bool(self.plan.crashes) or any(
             partition.mode == "drop" for partition in self.plan.partitions
         )
+
+    def idle_for(self, payload_class: type, now: Time) -> bool:
+        """Is ``payload_class`` proven untouched at ``now`` (module
+        docstring)?  Then :meth:`on_transmit` would change nothing."""
+        return payload_class in self._idle and self._from <= now < self._until
 
     def _resolve(self, now: Time) -> None:
         """Re-anchor the index on the stretch that holds ``now``."""
@@ -132,6 +147,7 @@ class FaultInjector:
         self._partitions = _live_at(plan.partitions, now)
         self._losses = _live_at(plan.losses, now)
         self._typed_losses = {}
+        self._idle = set()
 
     # ------------------------------------------------------------------
     # Network hooks
@@ -171,20 +187,20 @@ class FaultInjector:
                 if partition.end > deliver_at:
                     deliver_at = partition.end
                     self.deferred_count += 1
-        if self._losses:
-            losses = self._typed_losses.get(payload_type)
-            if losses is None:
-                losses = self._typed_losses[payload_type] = tuple(
-                    loss
-                    for loss in self._losses
-                    if loss.payload_types is None
-                    or payload_type in loss.payload_types
-                )
-            for loss in losses:
-                if _on_link(loss, sender, dest):
-                    if self._rng.random() < loss.probability:
-                        self.lost_count += 1
-                        return deliver_at, REASON_LOSS
+        losses = self._typed_losses.get(payload_type)
+        if losses is None:
+            losses = self._typed_losses[payload_type] = tuple(
+                loss
+                for loss in self._losses
+                if loss.payload_types is None or payload_type in loss.payload_types
+            )
+            if not (losses or self._spikes or self._partitions):
+                self._idle.add(payload.__class__)
+        for loss in losses:
+            if _on_link(loss, sender, dest):
+                if self._rng.random() < loss.probability:
+                    self.lost_count += 1
+                    return deliver_at, REASON_LOSS
         return deliver_at, None
 
     def drop_at_deliver(self, sender: str, dest: str, now: Time) -> str | None:

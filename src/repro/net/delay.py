@@ -301,6 +301,19 @@ class EventuallySynchronousDelay(DelayModel):
             return min(raw, latest)
         return raw
 
+    def sample_broadcast_many(
+        self, sender: str, dests: list[str], payload: Any, send_time: Time,
+        rng: random.Random,
+    ) -> list[Time]:
+        """:meth:`sample` per recipient — one send time, so one side of
+        GST — as one comprehension: same stream, same order, same clamp."""
+        lo, draw, early = self.min_delay, rng.random, send_time < self.gst
+        span = (self.pre_gst_max if early else self.delta) - lo
+        if early and self.flush_at_gst:
+            latest = (self.gst + self.delta) - send_time
+            return [min(lo + span * draw(), latest) for _ in dests]
+        return [lo + span * draw() for _ in dests]
+
     def __repr__(self) -> str:
         return (
             f"EventuallySynchronousDelay(gst={self.gst!r}, delta={self.delta!r}, "

@@ -64,7 +64,8 @@ raises.)
 Each payload type has one handler body, the recipient's ``on_<type>``
 method, and every delivery ends in it.  A fault plan acts at the
 *transmit* gate (``on_transmit``, in ``send_payload``,
-``deliver_scheduled`` and the fan-out loop) and otherwise leaves the
+``deliver_scheduled`` and the fan-out loop; the first and last skip it
+on ``FaultInjector.idle_for``'s word) and otherwise leaves the
 fire sites alone: with ``Network._fast`` — tracing off, and no installed
 plan that can act when a delivery *fires* (a drop-mode partition, a
 crash: ``FaultInjector.gates_delivery``) — both ``fire`` methods count
@@ -354,8 +355,9 @@ class Network:
                 )
             deliver_at = now + delay
         fault_reason = None
-        if self.faults is not None:
-            deliver_at, fault_reason = self.faults.on_transmit(
+        faults = self.faults
+        if faults is not None and not faults.idle_for(payload.__class__, now):
+            deliver_at, fault_reason = faults.on_transmit(
                 sender, dest, payload, now, deliver_at
             )
         self.sent_count += 1
@@ -538,6 +540,8 @@ class Network:
             sender, dests, payload, now, rng
         )
         faults = self.faults
+        if faults is not None and faults.idle_for(payload.__class__, now):
+            faults = None  # one test a fan-out
         payload_type = type(payload).__name__
         item = self._delivery
         sequence = first = engine._sequence

@@ -105,15 +105,15 @@ class AbdRegisterNode(RegisterNode):
     def __init__(self, pid: str, ctx: NodeContext) -> None:
         super().__init__(pid, ctx)
         # Phase thresholds depend on the replica universe, which the
-        # runtime installs only after every seed exists — they are
-        # stamped onto the trackers at operation time instead.
+        # runtime installs only after every seed exists — each round is
+        # opened with the majority as it then stands.
         self._queries = PhaseTracker()
         self._writebacks = PhaseTracker()
         self._writes = PhaseTracker()
         # The universe is fixed by definition, so it (and membership of
         # it) is resolved once — but only once it exists.
         self._universe: tuple[str, ...] | None = None
-        self._is_replica: bool | None = None
+        self._is_replica = False  # until the universe is known to hold us
 
     # ------------------------------------------------------------------
     # Universe plumbing
@@ -131,6 +131,7 @@ class AbdRegisterNode(RegisterNode):
                     "initial membership"
                 )
             universe = self._universe = tuple(installed)
+            self._is_replica = self.pid in universe
         return universe
 
     @property
@@ -139,11 +140,10 @@ class AbdRegisterNode(RegisterNode):
 
     @property
     def is_replica(self) -> bool:
-        # Asked on every replica delivery, hence cached.
-        replica = self._is_replica
-        if replica is None:
-            replica = self._is_replica = self.pid in self.universe
-        return replica
+        # Asked by every request until the universe is resolved.
+        return self._is_replica or (
+            self._universe is None and self.pid in self.universe
+        )
 
     # ------------------------------------------------------------------
     # Operation bodies (``RegisterNode`` owns the entry points)
@@ -161,9 +161,8 @@ class AbdRegisterNode(RegisterNode):
         yield  # pragma: no cover — makes the body a generator
 
     def _read_body(self, key: Any) -> OperationBody:
-        request = self._queries.next_request(key)
-        self._queries.threshold = self.majority
-        phase = self._queries.open(key)
+        phase = self._queries.open(key, self.majority)
+        phase.request = request = phase.request + 1
         send_round = self.ctx.network.send_round  # one payload a round
         send_round(self.pid, self.universe, AbdQuery(request, key))
         yield WaitUntil(phase.satisfied, label="abd phase 1")
@@ -171,8 +170,7 @@ class AbdRegisterNode(RegisterNode):
         self.space.adopt(key, value, sequence)
         phase.settle()
         # Phase 2: write-back, so a later read cannot see an older value.
-        self._writebacks.threshold = self.majority
-        wb_phase = self._writebacks.open(key)
+        wb_phase = self._writebacks.open(key, self.majority)
         send_round(
             self.pid, self.universe, AbdWriteBack(request, value, sequence, key)
         )
@@ -183,8 +181,7 @@ class AbdRegisterNode(RegisterNode):
     def _write_body(self, value: Any, key: Any) -> OperationBody:
         sequence = self.space.bump(key)
         self.space.install(key, value, sequence)
-        self._writes.threshold = self.majority
-        phase = self._writes.open(key)
+        phase = self._writes.open(key, self.majority)
         self.ctx.network.send_round(
             self.pid, self.universe, AbdWrite(value, sequence, key)
         )
@@ -193,41 +190,56 @@ class AbdRegisterNode(RegisterNode):
         return OK
 
     # ------------------------------------------------------------------
-    # Message handlers (replicas only)
+    # Message handlers: replicas alone serve requests (one slot load; a
+    # seed predates its universe, so its first request resolves both);
+    # an answer finds its round with one probe under the message's key,
+    # none there is the cold path: the default key's, the named ``KeyError``.
     # ------------------------------------------------------------------
 
     def on_abdwrite(self, sender: str, msg: AbdWrite) -> AbdAck | None:
-        if not self.is_replica:
+        if not (self._is_replica or self.is_replica):
             return None
         self.space.adopt(msg.key, msg.value, msg.sequence)
         return AbdAck(msg.sequence, msg.key)
 
     def on_abdack(self, sender: str, msg: AbdAck) -> None:
-        if msg.sequence == self.space.sequence(msg.key):
-            self._writes.phase(self.space.resolve(msg.key)).offer_ack(sender)
+        key = msg.key
+        phase = self._writes.get(key)
+        if phase is None:
+            phase = self._writes.get(key := self.space.resolve(key))
+        if phase is not None and msg.sequence == self.space._cells[key][1]:
+            phase._offers[sender] = ()
 
     def on_abdquery(self, sender: str, msg: AbdQuery) -> AbdQueryReply | None:
-        if not self.is_replica:
+        if not (self._is_replica or self.is_replica):
             return None
-        value, sequence = self.space.snapshot(msg.key)
+        space = self.space
+        value, sequence = space._cells.get(msg.key) or space.snapshot(msg.key)
         return AbdQueryReply(msg.request, value, sequence, msg.key)
 
     def on_abdqueryreply(self, sender: str, msg: AbdQueryReply) -> None:
-        key = self.space.resolve(msg.key)
-        if msg.request == self._queries.current_request(key):
-            self._queries.phase(key).offer(
-                sender, ((key, msg.value, msg.sequence),)
-            )
+        key = msg.key
+        phase = self._queries.get(key)
+        if phase is None:
+            phase = self._queries.get(key := self.space.resolve(key))
+        if phase is not None and msg.request == phase.request:
+            phase._offers[sender] = ((key, msg.value, msg.sequence),)
 
     def on_abdwriteback(
         self, sender: str, msg: AbdWriteBack
     ) -> AbdWriteBackAck | None:
-        if not self.is_replica:
+        if not (self._is_replica or self.is_replica):
             return None
         self.space.adopt(msg.key, msg.value, msg.sequence)
         return AbdWriteBackAck(msg.request, msg.key)
 
     def on_abdwritebackack(self, sender: str, msg: AbdWriteBackAck) -> None:
-        key = self.space.resolve(msg.key)
-        if msg.request == self._queries.current_request(key):
-            self._writebacks.phase(key).offer_ack(sender)
+        # Tagged with its *query* round: a superseded read's is not counted.
+        key = msg.key
+        query = self._queries.get(key)
+        if query is None:
+            query = self._queries.get(key := self.space.resolve(key))
+        if query is not None and msg.request == query.request:
+            phase = self._writebacks.get(key)
+            if phase is not None:
+                phase._offers[sender] = ()

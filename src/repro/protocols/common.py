@@ -12,10 +12,10 @@ That logic now lives here, once:
   rule uses.  Entries are *keyed* — a single phase can collect batched
   per-key payloads, which is how one join inquiry round serves every
   key of a :class:`~repro.core.register.RegisterSpace`.
-* :class:`PhaseTracker` — a per-key multiplex of phases plus the
-  per-key request counters (the ES protocol's ``read_sn``, ABD's
-  ``request``), so per-key protocol state rides one ``SimProcess`` per
-  node instead of one process per register.
+* :class:`PhaseTracker` — the dict ``key -> QuorumPhase`` of one node,
+  each phase carrying its key's request counter (the ES protocol's
+  ``read_sn``, ABD's ``request``), so per-key protocol state rides one
+  ``SimProcess`` per node instead of one process per register.
 
 The sync, ES and ABD nodes all instantiate these instead of keeping
 private reply sets; the timer- vs. quorum-gated difference is just
@@ -46,13 +46,15 @@ class QuorumPhase:
     captured the phase keep observing the newest round — exactly the
     attribute-rebinding semantics the protocols historically relied on
     when concurrent operations at one node superseded each other.
+    ``request`` numbers the round where a protocol tags its rounds.
     """
 
-    __slots__ = ("threshold", "active", "_offers", "_bulk", "_bulk_entries")
+    __slots__ = ("threshold", "active", "request", "_offers", "_bulk", "_bulk_entries")
 
     def __init__(self, threshold: int | None = None) -> None:
         self.threshold = threshold
         self.active = False
+        self.request = 0
         self._offers: dict[str, tuple[Entry, ...]] = {}
         self._bulk = 0
         self._bulk_entries: tuple[Entry, ...] = ()
@@ -166,53 +168,28 @@ class QuorumPhase:
         return f"QuorumPhase({gate}, offers={len(self._offers)}, active={self.active})"
 
 
-class PhaseTracker:
-    """Per-key phases and request counters for one node.
+class PhaseTracker(dict):
+    """One node's per-key phases: the dict ``key -> QuorumPhase`` itself.
 
     Multiplexes a :class:`QuorumPhase` per register key over a single
-    ``SimProcess``, and owns the per-key request numbering the
-    protocols tag their rounds with (the ES ``read_sn``, ABD's
-    ``request``).  Counters start at 0 — request 0 is the join's own
-    batched inquiry — and ``next_request`` pre-increments, matching
-    the historical per-node counters exactly in the single-key case.
+    ``SimProcess``; the number a key's rounds are tagged with (the ES
+    ``read_sn``, ABD's ``request``: pre-incremented by the reader, so 0
+    is the join's own batched inquiry) is ``phase.request``.  A phase
+    exists from the round that first opens it: a handler finds it with
+    one C-level probe, ``tracker.get(key)``, which builds nothing for a
+    key never opened — ``None`` reads "request 0, nobody collecting".
     """
 
-    __slots__ = ("threshold", "_phases", "_requests")
+    __slots__ = ()
 
-    def __init__(self, threshold: int | None = None) -> None:
-        self.threshold = threshold
-        self._phases: dict[Any, QuorumPhase] = {}
-        self._requests: dict[Any, int] = {}
-
-    def phase(self, key: Any) -> QuorumPhase:
-        """The key's phase, created (closed, empty) on first use."""
-        phase = self._phases.get(key)
+    def open(self, key: Any, threshold: int | None) -> QuorumPhase:
+        """Open a fresh round for ``key`` and return its phase, gated at
+        ``threshold`` (per round: ABD's is known only once its universe is)."""
+        phase = self.get(key)
         if phase is None:
-            phase = QuorumPhase(self.threshold)
-            self._phases[key] = phase
-        return phase
-
-    def open(self, key: Any) -> QuorumPhase:
-        """Open a fresh round for ``key`` and return its phase.
-
-        Re-stamps the tracker's current threshold onto the phase, so
-        trackers whose quorum size is only known lazily (ABD's fixed
-        universe installs after the seeds exist) still gate correctly
-        even if the phase object was created earlier by a stray ack.
-        """
-        phase = self.phase(key)
-        phase.threshold = self.threshold
+            phase = self[key] = QuorumPhase()
+        phase.threshold = threshold
         return phase.open()
-
-    def current_request(self, key: Any) -> int:
-        """The latest request number issued for ``key`` (0 initially)."""
-        return self._requests.get(key, 0)
-
-    def next_request(self, key: Any) -> int:
-        """Issue the next request number for ``key`` (1, 2, ...)."""
-        request = self._requests.get(key, 0) + 1
-        self._requests[key] = request
-        return request
 
     def reading_keys(self) -> list[Any]:
         """Keys whose phase is currently open, in deterministic order.
@@ -221,12 +198,9 @@ class PhaseTracker:
         and named keys coexist.
         """
         return sorted(
-            (key for key, phase in self._phases.items() if phase.active),
+            (key for key, phase in self.items() if phase.active),
             key=lambda key: (key is not None, str(key)),
         )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"PhaseTracker(threshold={self.threshold}, keys={len(self._phases)})"
 
 
 @dataclass(frozen=True)

@@ -54,6 +54,7 @@ from typing import Any, NamedTuple
 from ..core.register import NodeContext, RegisterNode
 from ..sim.errors import ProcessError
 from ..sim.operations import OperationBody, WaitUntil
+from ..sim.process import ProcessMode
 from .common import OK, PhaseTracker, QuorumPhase, make_join_result
 
 
@@ -146,12 +147,13 @@ class EventuallySyncRegisterNode(RegisterNode):
             self._majority = ctx.n // 2 + 1
         # Shared quorum machinery: one batched join phase, per-key read
         # phases (owning the read_sn request counters) and per-key
-        # write-ack phases, all multiplexed over this one process.
+        # write-ack phases, all multiplexed over this one process; they,
+        # and the two pending sets, are built on first use.
         self._join_phase = QuorumPhase(self._majority)
-        self._reads = PhaseTracker(self._majority)
-        self._acks = PhaseTracker(self._majority)
-        self._reply_to: set[tuple[str, int, Any]] = set()
-        self._dl_prev: set[tuple[str, int, Any]] = set()
+        self._reads = PhaseTracker()
+        self._acks = PhaseTracker()
+        self._reply_to: set[tuple[str, int, Any]] | None = None
+        self._dl_prev: set[tuple[str, int, Any]] | None = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -177,7 +179,8 @@ class EventuallySyncRegisterNode(RegisterNode):
         self._adopt_join_replies()  # lines 05-06
         self.mark_active()  # line 07
         for dest, r_sn, key in sorted(  # lines 08-10
-            self._reply_to | self._dl_prev, key=_pending_order
+            set().union(self._reply_to or (), self._dl_prev or ()),
+            key=_pending_order,
         ):
             if dest != self.pid:
                 self._send_reply(dest, r_sn, key)
@@ -185,10 +188,10 @@ class EventuallySyncRegisterNode(RegisterNode):
 
     def _read_body(self, key: Any) -> OperationBody:
         """Figure 5: the read operation."""
-        request = self._reads.next_request(key)  # line 01
-        phase = self._reads.open(key)  # line 02 (phase.active = "reading")
+        phase = self._reads.open(key, self._majority)  # line 02 ("reading")
+        phase.request += 1  # line 01
         self.ctx.broadcast.broadcast(
-            self.pid, EsRead(self.pid, request, key)  # line 03
+            self.pid, EsRead(self.pid, phase.request, key)  # line 03
         )
         yield WaitUntil(phase.satisfied, label="read replies")  # line 04
         best = phase.best_for(key)  # lines 05-06
@@ -202,7 +205,7 @@ class EventuallySyncRegisterNode(RegisterNode):
         yield from self._read_body(key)  # line 01: refresh the sequence number
         sequence = self.space.bump(key)  # line 02
         self.space.install(key, value, sequence)
-        ack_phase = self._acks.open(key)  # line 03
+        ack_phase = self._acks.open(key, self._majority)  # line 03
         self.ctx.broadcast.broadcast(
             self.pid, EsWrite(self.pid, value, sequence, key)  # line 04
         )
@@ -218,14 +221,15 @@ class EventuallySyncRegisterNode(RegisterNode):
         self._join_phase.settle()
 
     def _reply(self, r_sn: int, key: Any) -> EsReply:
-        """REPLY(i, ⟨register, sn⟩, r_sn) for request ``r_sn`` on ``key``."""
-        if key is None and not self.space.is_single:
+        """REPLY(i, ⟨register, sn⟩, r_sn) for request ``r_sn`` on ``key`` —
+        resolved where the request began: the cell is one probe away."""
+        space = self.space
+        entries = None
+        if key is None and len(space._keys) != 1:
             # A batched (join-style) request: one reply carries every key.
-            value, sequence = self.space.snapshot()
-            entries: tuple | None = self.space.entries()
+            value, sequence, entries = space.reply_parts()
         else:
-            value, sequence = self.space.snapshot(key)
-            entries = None
+            value, sequence = space._cells.get(key) or space.snapshot(key)
         return EsReply(self.pid, value, sequence, r_sn, key, entries)
 
     def _send_reply(self, dest: str, r_sn: int, key: Any) -> None:
@@ -234,11 +238,9 @@ class EventuallySyncRegisterNode(RegisterNode):
     def _send_dl_prev(self, dest: str, key: Any) -> None:
         """Promise ``dest`` a reply for *our* pending request on ``key``
         (``None`` = our batched join inquiry)."""
-        read_sn = 0 if key is None and not self.space.is_single else (
-            self._reads.current_request(key)
-        )
+        pending = self._reads.get(key) or self._join_phase  # request 0
         self.ctx.network.send_payload(
-            self.pid, dest, EsDlPrev(self.pid, read_sn, key)
+            self.pid, dest, EsDlPrev(self.pid, pending.request, key)
         )
 
     # ------------------------------------------------------------------
@@ -249,47 +251,49 @@ class EventuallySyncRegisterNode(RegisterNode):
         """Figure 4, lines 12-17."""
         if msg.sender == self.pid:
             return  # own broadcast echo
-        if self.is_active:
+        if self._mode is ProcessMode.ACTIVE:
             self._send_reply(msg.sender, msg.read_sn, None)  # line 13
             for key in self._reads.reading_keys():
                 self._send_dl_prev(msg.sender, key)  # line 14
         else:
-            self._reply_to.add((msg.sender, msg.read_sn, None))  # line 15
+            self._park((msg.sender, msg.read_sn, None))  # line 15
             self._send_dl_prev(msg.sender, None)  # line 16
+
+    def _park(self, pending: tuple[str, int, Any]) -> None:
+        """Lines 15 / 10: ``reply_to := reply_to ∪ {(j, r_sn)}``."""
+        if self._reply_to is None:
+            self._reply_to = set()
+        self._reply_to.add(pending)
 
     def on_esreply(self, sender: str, msg: EsReply) -> EsAck | None:
         """Figure 4, lines 18-21."""
-        if msg.key is None and not self.space.is_single:
+        key = msg.key
+        if key is None and len(self.space._keys) != 1:
             # A batched reply answers our join's inquiry (request 0).
-            if msg.read_sn != 0:
-                return None
-            phase = self._join_phase
-            entries = msg.entries or ()
+            phase, entries = self._join_phase, msg.entries or ()
         else:
-            if msg.read_sn != self._reads.current_request(msg.key):  # line 19
-                return None
-            # Request 0 is always the join's inquiry (reads number from
-            # 1), so the matched read_sn alone determines the phase.
-            phase = (
-                self._join_phase
-                if msg.read_sn == 0
-                else self._reads.phase(msg.key)
-            )
-            entries = ((msg.key, msg.value, msg.sequence),)
-        phase.offer(msg.sender, entries)  # line 20
-        return EsAck(self.pid, msg.sequence, msg.key)  # line 21
+            # Reads number from 1, and a key never read has no phase:
+            # request 0 is always the join's inquiry.
+            phase = self._reads.get(key) or self._join_phase
+            entries = ((key, msg.value, msg.sequence),)
+        if msg.read_sn != phase.request:  # line 19
+            return None
+        phase._offers[msg.sender] = entries  # line 20
+        return EsAck(self.pid, msg.sequence, key)  # line 21
 
     def on_esdlprev(self, sender: str, msg: EsDlPrev) -> None:
         """Figure 4, line 22."""
+        if self._dl_prev is None:
+            self._dl_prev = set()
         self._dl_prev.add((msg.sender, msg.read_sn, msg.key))
 
     def on_esread(self, sender: str, msg: EsRead) -> EsReply | None:
         """Figure 5, lines 08-11."""
         if msg.sender == self.pid:
             return None  # own broadcast echo
-        if self.is_active:
+        if self._mode is ProcessMode.ACTIVE:
             return self._reply(msg.read_sn, msg.key)  # line 09
-        self._reply_to.add((msg.sender, msg.read_sn, msg.key))  # line 10
+        self._park((msg.sender, msg.read_sn, msg.key))  # line 10
         return None
 
     def on_eswrite(self, sender: str, msg: EsWrite) -> EsAck:
@@ -298,9 +302,13 @@ class EventuallySyncRegisterNode(RegisterNode):
         return EsAck(self.pid, msg.sequence, msg.key)  # line 08
 
     def on_esack(self, sender: str, msg: EsAck) -> None:
-        """Figure 6, lines 09-10."""
-        if msg.sequence == self.space.sequence(msg.key):
-            self._acks.phase(self.space.resolve(msg.key)).offer_ack(msg.sender)
+        """Figure 6, lines 09-10 (no write open on the key: no phase)."""
+        key, cells = msg.key, self.space._cells
+        if key not in cells:  # a batched reply's ack: the default key
+            key = self.space.resolve(key)
+        phase = self._acks.get(key)
+        if phase is not None and msg.sequence == cells[key][1]:
+            phase._offers[msg.sender] = ()
 
 
 def _pending_order(pending: tuple[str, int, Any]) -> tuple[str, int, bool, str]:

@@ -78,6 +78,14 @@ class TraceLog:
         """How many records were discarded due to the capacity bound."""
         return self._dropped
 
+    @property
+    def truncation(self) -> str:
+        """The line a whole-log reading of a truncated log ends with."""
+        return (
+            f"trace truncated: {self._dropped} records dropped "
+            f"(trace_capacity={self._capacity})"
+        )
+
     def record(
         self,
         time: Time,
@@ -134,7 +142,10 @@ class TraceLog:
         lines = [record.describe() for record in records]
         if limit is not None and len(self._records) > limit:
             lines.append(f"... {len(self._records) - limit} more records")
+        if self._dropped:
+            lines.append(self.truncation)
         return "\n".join(lines)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"TraceLog(records={len(self._records)}, enabled={self._enabled})"
+    def __repr__(self) -> str:
+        tail = f", {self.truncation}" if self._dropped else ""
+        return f"TraceLog(records={len(self._records)}, enabled={self._enabled}{tail})"

@@ -228,6 +228,32 @@ class TestUniformHooks:
         ]
         assert many == one_by_one
 
+    @pytest.mark.parametrize("flush", [True, False], ids=["flush", "no-flush"])
+    @pytest.mark.parametrize(
+        "send_time", [0.0, 10.0, 49.5, 50.0, 50.5, 300.0],
+        ids=["t0", "before", "inside-the-flush", "at-gst", "after", "long-after"],
+    )
+    def test_es_fanout_is_per_recipient_sampling_bit_for_bit(self, send_time, flush):
+        """The ES model draws a fan-out in one comprehension on either
+        side of GST: same stream, same order, same ``flush_at_gst``
+        clamp as ``sample_broadcast`` per recipient, and the stream is
+        left where the loop leaves it."""
+        model = EventuallySynchronousDelay(gst=50.0, delta=5.0, flush_at_gst=flush)
+        vectorized = random.Random(21)
+        looped = random.Random(21)
+        dests = [f"p{i}" for i in range(200)]
+        many = model.sample_broadcast_many("a", dests, None, send_time, vectorized)
+        assert many == [
+            model.sample_broadcast("a", dest, None, send_time, looped)
+            for dest in dests
+        ]
+        assert vectorized.getstate() == looped.getstate()
+        if flush and send_time < model.gst:
+            latest = (model.gst + model.delta) - send_time
+            assert max(many) == latest and many.count(latest) > 1  # clamped ties
+        assert model.sample_broadcast_many("a", [], None, send_time, vectorized) == []
+        assert vectorized.getstate() == looped.getstate()
+
     @pytest.mark.parametrize(
         "draw, lo, hi",
         [

@@ -17,6 +17,11 @@ Three families of claims:
 * **The window index is the full scan** — the injector's indexed
   ``on_transmit`` against a copy of the plan scan it replaced, over
   random plans and random, non-monotone instants.
+* **The skip is the full scan** — an injector called only when its
+  own ``idle_for`` says no (what the network's transmit sites do)
+  against one called for every message, then those sites themselves
+  in whole runs.  CI runs this family and the exact-count ratchet as
+  their own step ("a quorum message is one probe").
 """
 
 import random
@@ -353,3 +358,119 @@ class TestWindowIndexIsTheFullScan:
     )
     def test_gates_delivery(self, plan, gates):
         assert FaultInjector(plan, random.Random(0)).gates_delivery is gates
+
+
+# ----------------------------------------------------------------------
+# The idle-class skip against the call it skips
+# ----------------------------------------------------------------------
+
+
+def through_the_gate(injector, sender, dest, payload, now, deliver_at):
+    """The transmit gate as ``Network.send_payload`` and the fan-out arm
+    apply it: the call is skipped on the injector's own word,
+    ``idle_for``, that the payload class is idle at ``now``."""
+    if injector.idle_for(payload.__class__, now):
+        return deliver_at, None
+    return injector.on_transmit(sender, dest, payload, now, deliver_at)
+
+
+class TestIdleSkipIsTheFullScan:
+    @given(plan=fault_plans, calls=transmissions, seed=st.integers(0, 2**16))
+    @settings(max_examples=300, deadline=None)
+    def test_same_arrivals_counters_and_rng_after_every_message(
+        self, plan, calls, seed
+    ):
+        """Windows open and close between sends and ``now`` jumps
+        backwards as freely as forwards (``transmissions``)."""
+        skipping = FaultInjector(plan, random.Random(seed))
+        scan = FullScanInjector(plan, random.Random(seed))
+        for sender, dest, name, now, latency, _ in calls:
+            args = (sender, dest, PAYLOADS[name], now, now + latency)
+            assert through_the_gate(skipping, *args) == scan.on_transmit(*args)
+            assert skipping.counters() == scan.counters()
+            assert skipping._rng.getstate() == scan._rng.getstate()
+
+    @given(
+        untargeted=st.lists(
+            st.builds(LossFault, probability=st.sampled_from([0.2, 1.0]),
+                      sender=pid_filter, dest=pid_filter)
+            | st.builds(DelaySpikeFault, factor=st.just(2.0), sender=pid_filter),
+            min_size=1, max_size=3,
+        ),
+        others=fault_plans,
+        calls=transmissions,
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_an_untargeted_live_fault_leaves_no_class_idle(
+        self, untargeted, others, calls
+    ):
+        """While a fault that names no payload type is live — here from
+        0 on, whatever link it is confined to — no class is proven
+        untouched."""
+        plan = FaultPlan.of(
+            *untargeted, *others.losses, *others.spikes, *others.partitions
+        )
+        injector = FaultInjector(plan, random.Random(3))
+        for sender, dest, name, now, latency, _ in calls:
+            through_the_gate(injector, sender, dest, PAYLOADS[name], now, now + latency)
+            if now >= 0.0:  # an unwindowed fault is live on [0, inf)
+                assert injector._idle == set()
+
+    @pytest.mark.parametrize("protocol", ["es", "abd"])
+    def test_the_network_sites_skip_what_a_run_never_notices(
+        self, protocol, monkeypatch
+    ):
+        """``send_payload`` and the fan-out arm themselves: a run whose
+        injector never says idle is the same run with more gate calls."""
+        plan = FaultPlan.of(
+            LossFault(probability=0.2, end=50.0, payload_types={"EsAck", "AbdAck"}),
+            DelaySpikeFault(start=30.0, end=40.0, factor=1.5, payload_types={"EsRead"}),
+            LossFault(probability=0.1, start=60.0, end=70.0),
+        )
+        gate, entered, runs = FaultInjector.on_transmit, [], []
+
+        def counted(self, *args):
+            entered[-1] += 1
+            return gate(self, *args)
+
+        monkeypatch.setattr(FaultInjector, "on_transmit", counted)
+        for never_idle in (False, True):
+            if never_idle:
+                monkeypatch.setattr(FaultInjector, "idle_for", lambda *_: False)
+            entered.append(0)
+            system = run_faulted(protocol, 15, 4, plan)
+            runs.append((
+                operation_digest(system.history),
+                system.faults.counters(),
+                system.network.sent_count,
+                system.network.delivered_count,
+                system.faults._rng.getstate(),
+            ))
+        assert runs[0] == runs[1] and runs[0][1]["lost"] > 0
+        assert 0 < entered[0] < entered[1]
+
+    def test_a_class_is_idle_from_its_first_clean_pass_to_the_stretch_end(self):
+        class Counting(FaultInjector):
+            def on_transmit(self, sender, dest, payload, now, deliver_at):
+                self.entered.append((type(payload).__name__, now))
+                return super().on_transmit(sender, dest, payload, now, deliver_at)
+
+        typed = LossFault(probability=1.0, payload_types={"Pong"})
+        spike = DelaySpikeFault(start=4.0, end=6.0, factor=2.0, payload_types={"Data"})
+        injector = Counting(FaultPlan.of(typed, spike), random.Random(1))
+        injector.entered = []
+        ping, pong = PAYLOADS["Ping"], PAYLOADS["Pong"]
+        assert injector._idle == set()  # nothing is proven before a message
+        assert through_the_gate(injector, "a", "b", pong, 1.0, 2.0) == (2.0, REASON_LOSS)
+        assert through_the_gate(injector, "a", "b", ping, 1.0, 2.0) == (2.0, None)
+        assert injector._idle == {type(ping)}  # a live loss names Pong
+        del injector.entered[:]
+        through_the_gate(injector, "a", "b", ping, 3.5, 4.0)  # same stretch: skipped
+        through_the_gate(injector, "a", "b", pong, 3.5, 4.0)  # never idle
+        through_the_gate(injector, "a", "b", ping, 4.0, 4.5)  # the spike opened
+        assert injector._idle == set()  # a live spike, whatever it names
+        through_the_gate(injector, "a", "b", ping, 3.5, 4.0)  # back: proven anew
+        through_the_gate(injector, "a", "b", ping, 3.9, 4.0)
+        assert injector.entered == [
+            ("Pong", 3.5), ("Ping", 4.0), ("Ping", 3.5),
+        ]

@@ -89,6 +89,36 @@ class TestStaticOperation:
         assert node.is_replica and not late.is_replica
 
 
+class TestAnswersFindTheirRound:
+    """An answer probes its tracker under the message's key as it
+    stands; a miss is the cold path, which still resolves the key."""
+
+    def test_an_answer_under_an_unknown_key_raises_the_named_error(self):
+        from repro.protocols.abd import AbdAck, AbdQueryReply, AbdWriteBackAck
+
+        system = make_system(protocol="abd", keys=2)
+        node = system.node(system.seed_pids[1])
+        for handler, msg in (
+            (node.on_abdack, AbdAck(1, "nope")),
+            (node.on_abdqueryreply, AbdQueryReply(1, "v", 1, "nope")),
+            (node.on_abdwritebackack, AbdWriteBackAck(1, "nope")),
+        ):
+            with pytest.raises(KeyError, match="unknown register key 'nope'"):
+                handler("p0002", msg)
+
+    def test_a_none_key_names_the_default_keys_round(self):
+        from repro.protocols.abd import AbdQueryReply
+
+        system = make_system(protocol="abd", keys=2)
+        node = system.node(system.seed_pids[1])
+        default = node.space.resolve(None)
+        node.on_abdqueryreply("p0002", AbdQueryReply(0, "v", 1, None))
+        assert not node._queries  # nobody collecting: nothing built
+        phase = node._queries.open(default, node.majority)
+        node.on_abdqueryreply("p0002", AbdQueryReply(0, "v", 1, None))
+        assert phase.best_for(default) == ("v", 1)
+
+
 class TestNewcomers:
     def test_join_is_trivial_and_instant(self, abd_system):
         pid = abd_system.spawn_joiner()

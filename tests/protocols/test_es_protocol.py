@@ -90,8 +90,8 @@ class TestRead:
         system = make_es()
         node = system.node(system.seed_pids[2])
         peer = system.seed_pids[3]
-        node._reads._requests[None] = 5  # pretend 5 read rounds happened
-        phase = node._reads.open(None)
+        phase = node._reads.open(None, node.majority)
+        phase.request = 5  # pretend 5 read rounds happened
         node.on_esreply(peer, EsReply(peer, "junk", 99, read_sn=3))
         assert phase.count == 0
         node.on_esreply(peer, EsReply(peer, "fresh", 7, read_sn=5))
@@ -122,19 +122,22 @@ class TestWrite:
         """Figure 6 line 01: the write starts with a read."""
         system = make_es()
         node = system.node(system.writer_pid)
-        before = node._reads.current_request(None)
+        assert None not in node._reads  # no read round yet: request 0
         system.write("v1")
-        assert node._reads.current_request(None) == before + 1
+        assert node._reads[None].request == 1
 
     def test_ack_guard_matches_current_sn(self):
         """Figure 6 lines 09-10: only acks for the current sn count."""
         system = make_es()
         node = system.node(system.seed_pids[1])
         node.space.install(None, node.space.value(), 4)
-        node.on_esack("a", EsAck("a", 3))
-        assert node._acks.phase(None).count == 0
         node.on_esack("a", EsAck("a", 4))
-        assert node._acks.phase(None).senders() == ("a",)
+        assert None not in node._acks  # nobody collecting: nothing built
+        phase = node._acks.open(None, node.majority)
+        node.on_esack("a", EsAck("a", 3))
+        assert phase.count == 0
+        node.on_esack("a", EsAck("a", 4))
+        assert phase.senders() == ("a",)
 
     def test_stale_write_does_not_downgrade_but_still_acks(self):
         """Figure 6 lines 06-08: ACK is sent in all cases."""
@@ -176,7 +179,7 @@ class TestDlPrev:
         system = make_es()
         node = system.node(system.seed_pids[2])
         peer = system.seed_pids[6]
-        node._reads.open(None)  # a read round is in progress
+        node._reads.open(None, node.majority)  # a read round is in progress
         before = system.network.sent_count
         node.on_esinquiry(peer, EsInquiry(peer, 0))
         # One REPLY (line 13) + one DL_PREV (line 14).

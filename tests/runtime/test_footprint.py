@@ -27,8 +27,16 @@ round; ``Network.send_payload``, the slow path, is not entered at all.
 The exact-cost ratchet counts frames under ``sys.setprofile`` on two
 small runs, so a change that puts a frame or a gate back per message
 fails here on any runner, however noisy.
+
+And a quorum message is one probe: an ES or ABD handler finds its phase
+and its cell through the message's key as it stands, so a delivery
+enters its ``on_<type>`` frame and little else of ``repro.protocols`` /
+``repro.core`` — no accessor chain — and the fault gate is entered only
+for a payload class some live fault could touch.  Same instrument, two
+more counts.
 CI runs this file as its own step ("per-process, per-message and
-per-operation footprint").
+per-operation footprint"), and the two exact-count ratchets again under
+the steps named after what they hold.
 """
 
 from __future__ import annotations
@@ -40,7 +48,11 @@ import tracemalloc
 
 import pytest
 
+import repro.core
 import repro.net
+import repro.protocols
+from repro.faults import FaultPlan, LossFault
+from repro.faults.injector import FaultInjector
 from repro.net.network import Network
 from repro.protocols.sync_reg import Reply
 from repro.runtime.config import SystemConfig
@@ -68,13 +80,14 @@ PLANNED_BUDGET = (118, 2)
 JUDGED_BUDGET = (416, 5)
 
 #: protocol -> (bytes per seed, allocated blocks per seed).  Measured
-#: here (n = 2000, 3.11): 773 / 8.1, 1707 / 18.0, 1283 / 16.0; before
-#: per-process state went lazy and slotted: 1563 / 17.1, 2147 / 24.1,
-#: 1667 / 21.1.
+#: here (n = 2000, 3.11): 757 / 8.1, 1051 / 12.0, 941 / 10.1; with two
+#: dicts a tracker and ES's two pending sets built eagerly: 773 / 8.1,
+#: 1707 / 18.0, 1283 / 16.0; before per-process state went lazy and
+#: slotted: 1563 / 17.1, 2147 / 24.1, 1667 / 21.1.
 BUDGET = {
     "sync": (850, 9),
-    "es": (1850, 19),
-    "abd": (1400, 17),
+    "es": (1160, 13),
+    "abd": (1040, 11),
 }
 
 
@@ -172,6 +185,24 @@ def test_an_untouched_seed_owns_no_operation_or_join_state():
     assert first._join_phase is None and first._reply_to is None
 
 
+@pytest.mark.parametrize(
+    "protocol, trackers",
+    [("es", ("_reads", "_acks")), ("abd", ("_queries", "_writebacks", "_writes"))],
+)
+def test_an_untouched_quorum_seed_owns_no_round_or_pending_state(protocol, trackers):
+    system = DynamicSystem(SystemConfig(n=5, trace=False, protocol=protocol))
+    node = system.node(system.seed_pids[0])
+    empty = sys.getsizeof({})
+    for name in trackers:
+        tracker = getattr(node, name)
+        # The tracker IS its one dict, and an empty one has no table yet.
+        assert isinstance(tracker, dict) and len(tracker) == 0
+        assert not hasattr(tracker, "__dict__") and type(tracker).__slots__ == ()
+        assert sys.getsizeof(tracker) <= empty + 16  # the GC header, if counted
+    if protocol == "es":
+        assert node._reply_to is None and node._dl_prev is None
+
+
 def test_a_key_costs_one_dict_entry_not_two():
     single, multi = (
         DynamicSystem(SystemConfig(n=3, trace=False, keys=keys))
@@ -266,24 +297,29 @@ def test_no_operation_record_carries_a_dict():
 NET_FRAMES_PER_DELIVERY = {"abd": 1.03, "sync": 1.06}
 
 
-def net_frames(run) -> tuple[int, int]:
+def frames_entered(run, watch, *packages) -> tuple[int, dict[str, int]]:
     """Run ``run()`` under ``sys.setprofile``; Python frames entered in
-    ``repro.net``, and how many of them were ``Network.send_payload``."""
-    net_dir = os.path.dirname(repro.net.__file__) + os.sep
-    send_payload = Network.send_payload.__code__
-    entered = [0, 0]
+    ``packages``, and the entries of the function ``watch`` by the type
+    name of its ``payload`` argument."""
+    dirs = tuple(os.path.dirname(package.__file__) + os.sep for package in packages)
+    watched = watch.__code__
+    entered = [0]
+    by_payload: dict[str, int] = {}
 
     def count(frame, event, arg):
-        if event == "call" and frame.f_code.co_filename.startswith(net_dir):
-            entered[0] += 1
-            entered[1] += frame.f_code is send_payload
+        if event == "call":
+            code = frame.f_code
+            entered[0] += code.co_filename.startswith(dirs)
+            if code is watched:
+                name = type(frame.f_locals["payload"]).__name__
+                by_payload[name] = by_payload.get(name, 0) + 1
 
     sys.setprofile(count)
     try:
         run()
     finally:
         sys.setprofile(None)
-    return entered[0], entered[1]
+    return entered[0], by_payload
 
 
 def _abd_write_and_read(system):
@@ -305,11 +341,66 @@ def _sync_join(system):
 )
 def test_a_clean_message_enters_one_net_frame_and_never_send_payload(protocol, n, run):
     system = DynamicSystem(SystemConfig(n=n, trace=False, protocol=protocol))
-    frames, slow = net_frames(lambda: run(system))
+    frames, slow = frames_entered(
+        lambda: run(system), Network.send_payload, repro.net
+    )
     delivered = system.network.delivered_count
     assert delivered >= 2 * n and system.network.sent_count >= n
-    assert slow == 0, f"send_payload entered {slow} times on a clean link"
+    assert slow == {}, f"send_payload entered for {slow} on a clean link"
     per_delivery = frames / delivered
     assert per_delivery <= NET_FRAMES_PER_DELIVERY[protocol], (
         f"{frames} repro.net frames for {delivered} deliveries"
     )
+
+
+#: ``repro.protocols`` + ``repro.core`` frames entered per delivered
+#: message.  Counted here: 105 frames for the 58 deliveries of one ES
+#: read at n = 20 (20 ``on_esread``, 19 each of ``_reply``, ``on_esreply``
+#: and ``on_esack``, 13 ``satisfied`` polls, 15 for the operation itself)
+#: and 288 for the 120 of an ABD write + read (one ``on_abd*`` each, 41
+#: ``adopt``, 48 ``satisfied``, 19 first ``is_replica`` and 25
+#: ``universe`` resolutions); with ``resolve`` / ``is_single`` /
+#: ``snapshot`` / ``sequence`` / ``phase`` / ``current_request`` /
+#: ``offer`` / ``is_replica`` behind every handler they read 335 and 634.
+PROTOCOL_FRAMES_PER_DELIVERY = {"es": 1.90, "abd": 2.52}
+
+
+def _es_read(system):
+    read = system.read(system.seed_pids[3])
+    system.run_for(4 * system.config.delta)
+    assert read.done and read.result == system.config.initial_value
+
+
+@pytest.mark.parametrize(
+    "protocol, run, per_operation",
+    [("es", _es_read, 2.9), ("abd", _abd_write_and_read, 6.0)],
+)
+def test_a_quorum_message_enters_its_handler_and_no_accessor_chain(
+    protocol, run, per_operation
+):
+    n = 20
+    system = DynamicSystem(SystemConfig(n=n, trace=False, protocol=protocol))
+    frames, _ = frames_entered(
+        lambda: run(system), FaultInjector.on_transmit, repro.protocols, repro.core
+    )
+    delivered = system.network.delivered_count
+    assert delivered >= per_operation * n - 2  # the whole quorum answered
+    assert frames / delivered <= PROTOCOL_FRAMES_PER_DELIVERY[protocol], (
+        f"{frames} repro.protocols + repro.core frames for {delivered} deliveries"
+    )
+
+
+def test_the_fault_gate_is_entered_only_for_a_class_a_live_fault_names():
+    plan = FaultPlan.of(LossFault(probability=0.05, payload_types={"EsAck"}))
+    system = DynamicSystem(
+        SystemConfig(n=20, trace=False, protocol="es", faults=plan)
+    )
+    _es_read(system)  # each class's first message is what proves it idle
+    assert system.network._p2p_uniform is None  # every send is send_payload
+    sent = system.network.sent_count
+    _, gated = frames_entered(lambda: _es_read(system), FaultInjector.on_transmit)
+    replies = (system.network.sent_count - sent) // 2  # a REPLY, then its ACK
+    assert replies >= 18
+    # Entered once per EsAck, never for EsRead / EsReply (20 / 19 / 19
+    # entries before the injector published its idle classes).
+    assert gated == {"EsAck": replies}

@@ -30,6 +30,23 @@ class TestRecording:
         assert len(log) == 2
         assert log.dropped == 3
 
+    def test_a_truncated_log_says_so_wherever_it_is_read_whole(self):
+        log = TraceLog(capacity=2)
+        for i in range(5):
+            log.record(float(i), TraceKind.NOTE)
+        notice = "trace truncated: 3 records dropped (trace_capacity=2)"
+        assert log.truncation == notice
+        assert log.describe().splitlines()[2:] == [notice]
+        assert log.describe(limit=1).endswith("... 1 more records\n" + notice)
+        assert repr(log).endswith(f"enabled=True, {notice})")
+
+    def test_a_complete_log_says_nothing_of_truncation(self):
+        log = TraceLog(capacity=5)
+        for i in range(5):
+            log.record(float(i), TraceKind.NOTE)
+        assert log.dropped == 0
+        assert "truncated" not in log.describe() and "truncated" not in repr(log)
+
 
 class TestQueries:
     def _populated(self) -> TraceLog:

@@ -38,6 +38,25 @@ class TestScenario:
         out = capsys.readouterr().out
         assert "==Inquiry==> *" in out
 
+    @pytest.mark.parametrize("flag", ["--timeline", "--messages"])
+    def test_a_truncated_trace_says_so_on_stderr(self, capsys, monkeypatch, flag):
+        from repro import cli
+        from repro.workloads.scenarios import figure_3a
+
+        def cut_short(seed):
+            scenario = figure_3a(seed=seed)
+            trace = scenario.system.trace
+            trace._capacity = len(trace) - 5
+            del trace._records[-5:]
+            trace._dropped = 5
+            return scenario
+
+        monkeypatch.setitem(cli._SCENARIOS, "fig3a", cut_short)
+        assert main(["scenario", "fig3a", flag]) == 0
+        err = capsys.readouterr().err
+        assert err.startswith("trace truncated: 5 records dropped (trace_capacity=")
+        assert err.count("\n") == 1
+
     def test_unknown_scenario_rejected(self):
         with pytest.raises(SystemExit):
             main(["scenario", "fig9"])
@@ -75,6 +94,22 @@ class TestSimulate:
             ]
         ) == 0
         assert "legend:" in capsys.readouterr().out
+
+    def test_a_truncated_timeline_says_so_on_stderr(self, capsys, monkeypatch):
+        from functools import partial
+
+        from repro import cli
+
+        args = ["simulate", "--n", "8", "--horizon", "40", "--seed", "3", "--timeline"]
+        assert main(args) == 0
+        complete = capsys.readouterr()
+        assert complete.err == ""
+        bounded = partial(cli.SystemConfig, trace_capacity=60)
+        monkeypatch.setattr(cli, "SystemConfig", bounded)
+        assert main(args) == 0
+        cut = capsys.readouterr()
+        assert "legend:" in cut.out  # still rendered, no longer silently
+        assert cut.err == "trace truncated: 24 records dropped (trace_capacity=60)\n"
 
     @pytest.mark.parametrize(
         "flag, value, named",
