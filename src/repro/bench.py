@@ -1,23 +1,21 @@
 """The determinism ratchet: ``python -m repro bench``.
 
 ``perf/`` (``BENCHMARK.json``) is the repository's one timing
-instrument — every wall-time claim is read there.  This module keeps
-what only it does: :data:`DIGEST_WORKLOADS`, one table of six
-fixed-seed runs (plain, faulted, keyed, sharded, migrating, rebalanced)
-whose SHA-256 digests must be byte-identical across PRs and
-interpreters.  ``repro bench`` runs each twice in one process (a
-scheduler or RNG regression that breaks reproducibility shows as
-UNSTABLE), writes them with a handful of smoke timings to the
-``BENCH_kernel.json`` artifact, and with ``--compare OLD.json``
-(:func:`compare_artifacts`) fails on any digest that differs from the
-committed artifact, or on a smoke timing past ``--threshold``.  A PR
-that changes behaviour on purpose regenerates ``BENCH_kernel.json`` in
-the same commit, exactly as ``perf/run.py --write-pins`` does the pins.
+instrument — every wall-time claim is read there.  This module is
+:data:`DIGEST_WORKLOADS`, one table of six fixed-seed runs (plain,
+faulted, keyed, sharded, migrating, rebalanced) whose SHA-256 digests
+must be byte-identical across PRs and interpreters.  ``repro bench``
+runs each twice in one process (a scheduler or RNG regression that
+breaks reproducibility shows as UNSTABLE) and writes them to the
+``BENCH_kernel.json`` artifact, which is deterministic: two runs differ
+only in the ``python`` version that took them.  With ``--compare
+OLD.json`` (:func:`compare_artifacts`) it exits 1 naming every digest
+that differs from the committed artifact.  A PR that changes behaviour
+on purpose regenerates ``BENCH_kernel.json`` in the same commit,
+exactly as ``perf/run.py --write-pins`` does the pins.
 
-The timed rows (:data:`TIMED_WORKLOADS`, the explorer-sweep pair) are
-the ones no ``perf/`` workload answers or whose workload runs anyway
-for a digest or a ratio; ``repro profile`` runs any row or digest
-workload under cProfile.
+``repro profile`` runs any digest workload under cProfile; it is the
+one place here that reads a clock.
 """
 
 from __future__ import annotations
@@ -26,7 +24,6 @@ import hashlib
 import json
 import platform
 import random
-import time
 from typing import Any, Callable
 
 from .cluster.config import ClusterConfig
@@ -34,71 +31,27 @@ from .cluster.history import cluster_digest
 from .cluster.rebalance import RebalancePolicy, Rebalancer
 from .cluster.system import ClusterSystem
 from .core.history import operation_digest
-from .exec.runner import default_workers, fallback_count
 from .faults.plan import FaultPlan, PartitionFault
 from .runtime.config import SystemConfig
 from .runtime.system import DynamicSystem
 from .sim.errors import ReproError
 from .workloads.cluster import ClusterWorkloadDriver, shard_skewed_key_picker
-from .workloads.explorer import explore, schedule_round_robin_migrations
+from .workloads.explorer import schedule_round_robin_migrations
 from .workloads.generators import assign_keys, make_key_picker, read_heavy_plan
 from .workloads.schedule import WorkloadDriver, WorkloadOp
 
 ARTIFACT_NAME = "BENCH_kernel.json"
-SCHEMA_VERSION = 1
-
-
-def _time_best(fn: Callable[[], Any], repeats: int) -> tuple[float, Any]:
-    """Best-of-``repeats`` wall time; returns (seconds, last result)."""
-    best = float("inf")
-    result = None
-    for _ in range(max(1, repeats)):
-        start = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - start)
-    return best, result
+#: 2 since the artifact holds the digests only (1 also held timings).
+SCHEMA_VERSION = 2
 
 
 # ----------------------------------------------------------------------
 # Workload builders
 # ----------------------------------------------------------------------
 
-
-def broadcast_fanout(trace: bool) -> int:
-    """One hundred write broadcasts into a 50-process system; the
-    trace-on / trace-off pair is what the flight recorder costs."""
-    system = DynamicSystem(
-        SystemConfig(n=50, delta=5.0, protocol="sync", seed=1, trace=trace)
-    )
-    for _ in range(100):
-        system.write()
-        system.run_for(12.0)
-    return system.network.delivered_count
-
-
-def mesoscale_million() -> int:
-    """One n = 10⁶ mesoscale cell (E18's sub-threshold drive): two
-    writes and a 0.3×-threshold churn flow over a million processes,
-    closed-form broadcast trajectories instead of per-recipient events.
-    No ``perf/`` workload covers the analytic plane.  Returns the
-    modeled delivered count (~2 × 10¹¹)."""
-    from .experiments.e17_population_scaling import population_churn_threshold
-    from .experiments.e18_mesoscale import cell
-
-    n = 1_000_000
-    cap = population_churn_threshold(n, 5.0)
-    data = cell(
-        seed=1, n=n, delta=5.0, rate=0.3 * cap, horizon=18.0, writes=2,
-        mode="mesoscale",
-    )
-    if data["violations"]:
-        raise AssertionError("the mesoscale benchmark cell violated regularity")
-    return data["delivered"]
-
-
-#: The keyed and the cluster workloads share a population, a horizon
-#: and an operation-plan shape.
-_N, _HORIZON = 40, 240.0
+#: The keyed and the cluster workloads share a population, a key count,
+#: a horizon and an operation-plan shape.
+_N, _KEYS, _HORIZON = 40, 8, 240.0
 
 
 def _read_heavy(rng: random.Random) -> list[WorkloadOp]:
@@ -107,28 +60,24 @@ def _read_heavy(rng: random.Random) -> list[WorkloadOp]:
     )
 
 
-def keyed_store_fanout(keys: int = 8) -> tuple[int, str]:
+def keyed_store_fanout() -> tuple[int, str]:
     """A churning keyed store under a Zipf fan-out workload.
 
-    ``keys`` registers served by one node population, constant churn
+    Eight registers served by one node population, constant churn
     spawning joiners whose *batched* entry round must install every
     key, reads/writes spread over the keys by a Zipf picker, per-key
     regularity judged at close.  Returns the delivered-message count
     and the history's digest (which covers each operation's key).
-    With ``keys=1`` it is the same workload on the classic single
-    register: the pair is what serving 8 registers instead of 1 costs.
     """
     system = DynamicSystem(
-        SystemConfig(n=_N, delta=5.0, protocol="sync", seed=11, trace=False, keys=keys)
+        SystemConfig(n=_N, delta=5.0, protocol="sync", seed=11, trace=False, keys=_KEYS)
     )
     system.attach_churn(rate=0.04, min_stay=15.0)
     driver = WorkloadDriver(system)
-    plan = _read_heavy(system.rng.stream("bench.keyed.plan"))
-    if keys > 1:
-        plan = assign_keys(
-            plan,
-            make_key_picker("zipf", system.keys, system.rng.stream("bench.keyed.keys")),
-        )
+    plan = assign_keys(
+        _read_heavy(system.rng.stream("bench.keyed.plan")),
+        make_key_picker("zipf", system.keys, system.rng.stream("bench.keyed.keys")),
+    )
     driver.install(plan)
     system.run_until(_HORIZON)
     history = system.close()
@@ -148,17 +97,15 @@ def keyed_store_fanout(keys: int = 8) -> tuple[int, str]:
 _CLUSTER_SEEDS = {"cluster": 17, "migration": 23, "rebalance": 29}
 
 
-def cluster_workload(kind: str = "cluster", shards: int = 4) -> tuple[int, str]:
-    """A churning sharded cluster under Zipf hot-shard traffic.
+def cluster_workload(kind: str = "cluster") -> tuple[int, str]:
+    """A churning 4-shard cluster under Zipf hot-shard traffic.
 
-    The same population, key count and operation-plan shape served by
-    ``shards`` independent quorum groups, with one of three things
+    The keyed store's population, key count and operation-plan shape
+    served by four independent quorum groups, with one of three things
     riding the run:
 
     ``"cluster"``
-        Nothing — static routing.  Against ``shards=1`` (one quorum
-        group) the delivered-message ratio is ``derived.shard_scaling``:
-        deterministic, unlike wall time, and near the shard count.
+        Nothing — static routing.
     ``"migration"``
         Three keys hand off to neighbouring shards mid-run and the
         workload routes dynamically (fire-time owner resolution).
@@ -178,8 +125,8 @@ def cluster_workload(kind: str = "cluster", shards: int = 4) -> tuple[int, str]:
     delta = 5.0
     cluster = ClusterSystem(
         ClusterConfig(
-            shards=shards,
-            keys=8,
+            shards=4,
+            keys=_KEYS,
             n=_N,
             delta=delta,
             protocol="sync",
@@ -231,30 +178,6 @@ def cluster_workload(kind: str = "cluster", shards: int = 4) -> tuple[int, str]:
     return cluster.delivered_count, digest
 
 
-def explore_sweep(workers: int) -> tuple[str, int]:
-    """The judged sweep the serial / parallel row pair times: six
-    heavyweight explorer cells (sync and ES under three fault plans,
-    churn on), shrinking disabled.  Returns the report's JSON digest
-    and the cell count, so the caller can assert both legs produced the
-    byte-identical report the execution engine guarantees."""
-    report = explore(
-        budget=6,
-        seed=3,
-        protocols=("sync", "es"),
-        delays=("sync",),
-        churn_rates=(0.03,),
-        plan_names=("none", "light-loss", "writer-crash"),
-        seeds_per_combo=1,
-        n=30,
-        delta=5.0,
-        horizon=300.0,
-        shrink=False,
-        workers=workers,
-    )
-    blob = json.dumps(report.to_dict(), sort_keys=True).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest(), len(report.outcomes)
-
-
 def history_digest(faults: FaultPlan | None = None) -> str:
     """SHA-256 fingerprint of a fixed-seed churn run's operation history.
 
@@ -280,7 +203,7 @@ def history_digest(faults: FaultPlan | None = None) -> str:
 
 
 # ----------------------------------------------------------------------
-# The two tables
+# The table
 # ----------------------------------------------------------------------
 
 _FAULTED_PLAN = FaultPlan.of(
@@ -314,32 +237,9 @@ def stable_field(digest_field: str) -> str:
     return digest_field.replace("digest", "stable_within_process")
 
 
-#: The smoke-timed rows, by artifact row name: a zero-argument callable
-#: returning the run's delivered-message count (every row's metric).
-TIMED_WORKLOADS: dict[str, Callable[[], int]] = {
-    "broadcast_fanout_trace_off": lambda: broadcast_fanout(False),
-    "broadcast_fanout_trace_on": lambda: broadcast_fanout(True),
-    "mesoscale_million": mesoscale_million,
-    "keyed_store_fanout_single": lambda: keyed_store_fanout(keys=1)[0],
-    "keyed_store_fanout": lambda: keyed_store_fanout()[0],
-    "cluster_single": lambda: cluster_workload(shards=1)[0],
-    "cluster_sharded": lambda: cluster_workload()[0],
-    "migration_handoff": lambda: cluster_workload("migration")[0],
-    "rebalance_storm": lambda: cluster_workload("rebalance")[0],
-}
-
-
 # ----------------------------------------------------------------------
 # Profiling
 # ----------------------------------------------------------------------
-
-#: Workloads ``repro profile`` can run under cProfile, by name: every
-#: timed row (so a profile is directly comparable to the matching
-#: ``BENCH_kernel.json`` row) and every digest workload.
-PROFILE_WORKLOADS: dict[str, Callable[[], Any]] = {
-    **TIMED_WORKLOADS,
-    **DIGEST_WORKLOADS,
-}
 
 #: ``--sort`` spellings accepted by :func:`profile_workload` (a curated
 #: subset of pstats' keys — the ones that answer perf questions here).
@@ -349,23 +249,24 @@ PROFILE_SORTS = ("cumulative", "tottime", "calls")
 def profile_workload(
     name: str, top: int = 25, sort: str = "cumulative"
 ) -> None:
-    """Run one named bench workload under cProfile and print its wall
-    time and result, then the ``top`` frames by ``sort`` order: wall
-    times say *whether* a change paid off, the frame table *where* the
-    time went."""
+    """Run one digest workload under cProfile and print its wall time
+    and digest, then the ``top`` frames by ``sort`` order: the frame
+    table says where the time went; whether a change paid off is
+    measured with ``perf/``."""
     import cProfile
     import pstats
+    import time
 
-    if name not in PROFILE_WORKLOADS:
+    if name not in DIGEST_WORKLOADS:
         raise ReproError(
-            f"unknown workload {name!r}; known: {', '.join(PROFILE_WORKLOADS)}"
+            f"unknown workload {name!r}; known: {', '.join(DIGEST_WORKLOADS)}"
         )
     if sort not in PROFILE_SORTS:
         raise ReproError(f"unknown sort {sort!r}; known: {', '.join(PROFILE_SORTS)}")
     profiler = cProfile.Profile()
     start = time.perf_counter()
     profiler.enable()
-    result = PROFILE_WORKLOADS[name]()
+    result = DIGEST_WORKLOADS[name]()
     profiler.disable()
     wall = time.perf_counter() - start
     print(f"workload {name}: {wall:.3f}s wall (profiled), result {result!r}")
@@ -374,224 +275,65 @@ def profile_workload(
 
 
 # ----------------------------------------------------------------------
-# Runner
+# The artifact
 # ----------------------------------------------------------------------
 
 
-def run_kernel_benchmarks(
-    repeats: int = 3, workers: int | None = None
-) -> dict[str, Any]:
-    """Run both tables and the explorer-sweep pair; return the artifact.
+def run_kernel_benchmarks() -> dict[str, Any]:
+    """Run every digest workload twice; return the artifact.
 
-    ``workers`` sizes the multi-worker leg of the parallel-sweep
-    benchmark (default: all cores).
+    Deterministic: two calls return equal payloads on one interpreter,
+    and payloads from different interpreters differ only in
+    ``python``.
     """
-    benchmarks: list[dict[str, Any]] = []
-    walls: dict[str, float] = {}
-    values: dict[str, Any] = {}
-
-    def record(name: str, metric: str, seconds: float, value: Any) -> None:
-        walls[name], values[name] = seconds, value
-        benchmarks.append(
-            {
-                "name": name,
-                "wall_seconds": round(seconds, 6),
-                "metric": metric,
-                "value": value,
-            }
-        )
-
-    for name, workload in TIMED_WORKLOADS.items():
-        record(name, "delivered", *_time_best(workload, repeats))
-
-    sweep_workers = max(1, workers) if workers is not None else default_workers()
-    seconds, (serial_digest, sweep_cells) = _time_best(
-        lambda: explore_sweep(workers=1), repeats
-    )
-    record("explore_sweep_serial", "cells", seconds, sweep_cells)
-    fallbacks_before = fallback_count()
-    seconds, (parallel_digest, parallel_cells) = _time_best(
-        lambda: explore_sweep(workers=sweep_workers), repeats
-    )
-    record("explore_sweep_parallel", "cells", seconds, parallel_cells)
-    # Whether the parallel leg truly ran on a pool: in a pool-less
-    # environment the Runner falls back to the serial path, and the
-    # recorded speedup would otherwise masquerade as a regression.
-    pool_used = sweep_workers > 1 and fallback_count() == fallbacks_before
-    if (serial_digest, sweep_cells) != (parallel_digest, parallel_cells):
-        raise AssertionError(
-            "the parallel explorer sweep produced a different report than "
-            "the serial one — the execution engine's ordering guarantee broke"
-        )
-
     determinism: dict[str, Any] = {}
     for field, workload in DIGEST_WORKLOADS.items():
         determinism[field] = workload()
         determinism[stable_field(field)] = workload() == determinism[field]
-
-    def ratio(over: str, under: str) -> float:
-        return round(walls[over] / walls[under], 3)
-
     return {
         "artifact": "BENCH_kernel",
         "schema_version": SCHEMA_VERSION,
         "python": platform.python_version(),
-        "repeats": repeats,
-        "benchmarks": benchmarks,
-        "parallel_workers": sweep_workers,
-        "parallel_pool_used": pool_used,
-        "derived": {
-            "trace_off_speedup": ratio(
-                "broadcast_fanout_trace_on", "broadcast_fanout_trace_off"
-            ),
-            # what serving 8 registers instead of 1 costs end to end on
-            # the same churning population — joins are batched over
-            # keys, so this should stay near 1, not near 8.
-            "keyed_fanout_overhead": ratio(
-                "keyed_store_fanout", "keyed_store_fanout_single"
-            ),
-            # the delivered-message reduction from partitioning the same
-            # workload over 4 quorum shards at fixed total population —
-            # a message count, not a wall time; near 4, not near 1.
-            "shard_scaling": round(
-                values["cluster_single"] / values["cluster_sharded"], 3
-            ),
-            # serial wall time over multi-worker wall time for the same
-            # judged sweep; ~1.0 (pool overhead only) on a single-core
-            # host, >1 with real cores to fan out across.
-            "parallel_explore_speedup": ratio(
-                "explore_sweep_serial", "explore_sweep_parallel"
-            ),
-        },
         "determinism": determinism,
     }
 
 
-# ----------------------------------------------------------------------
-# Artifact comparison (``repro bench --compare OLD.json``)
-# ----------------------------------------------------------------------
-
-
-def _walls(artifact: dict[str, Any]) -> dict[str, float]:
-    return {b["name"]: b["wall_seconds"] for b in artifact.get("benchmarks", [])}
-
-
-def _normalized_deltas(old: dict[str, Any], new: dict[str, Any]) -> dict[str, float]:
-    """Label → delta for every timing and ratio both artifacts know,
-    normalized so that above 1.0 is the regression direction: wall
-    times and overhead ratios growing, speedup/scaling ratios
-    *shrinking* (inverted).  The one statement of the direction rule:
-    :func:`compare_artifacts` (flagging) and :func:`worst_delta` (the
-    one-line summary) both read it, so they never name different
-    culprits.
-    """
-    old_walls = _walls(old)
-    deltas = {
-        name: wall / old_walls[name] if old_walls[name] > 0 else float("inf")
-        for name, wall in _walls(new).items()
-        if name in old_walls
-    }
-    old_derived = old.get("derived", {})
-    for name, value in new.get("derived", {}).items():
-        old_value = old_derived.get(name)
-        if old_value is None or old_value <= 0:
-            continue
-        drift = value / old_value
-        if "overhead" not in name:
-            # A speedup/scaling ratio collapsing to zero is a total
-            # regression, not a skippable entry (an overhead doing so
-            # is an improvement).
-            drift = float("inf") if value <= 0 else 1.0 / drift
-        deltas[f"derived.{name}"] = drift
-    return deltas
-
-
 def compare_artifacts(
-    old: dict[str, Any], new: dict[str, Any], threshold: float = 0.5
+    old: dict[str, Any], new: dict[str, Any]
 ) -> tuple[list[str], list[str]]:
-    """Diff two bench artifacts: wall times, derived ratios, digests.
+    """Diff the digests of two bench artifacts.
 
-    Returns ``(lines, regressions)``: a human-readable line for every
-    entry, and the labels flagged as regressions — a wall time more
-    than ``threshold`` (fractionally) slower than the old artifact, a
-    speedup ratio more than ``threshold`` below it, or a determinism
-    digest that differs at all (``determinism.<field>``; no threshold
-    applies — a PR that changes scheduling/RNG on purpose regenerates
-    the committed artifact and says so).  Entries only one side knows
-    are reported but never flagged (artifacts grow and shrink across
-    PRs).
+    Returns ``(lines, regressions)``: one human-readable line per
+    digest, and the ``determinism.<field>`` label of every digest the
+    baseline ``old`` does not hold with the same value — changed or
+    missing; no tolerance applies.  Nothing else in either artifact is
+    read, so a schema-1 baseline (which also held timings) compares
+    on its digests alone.
     """
-    if threshold < 0:
-        raise ValueError(f"threshold must be non-negative, got {threshold!r}")
     lines: list[str] = []
     regressions: list[str] = []
-    deltas = _normalized_deltas(old, new)
-    limit = 1.0 + threshold
-    old_walls, new_walls = _walls(old), _walls(new)
-    for name, wall in new_walls.items():
-        if name not in old_walls:
-            lines.append(f"{name}: new workload ({wall * 1e3:.2f} ms), no baseline")
-            continue
-        line = (
-            f"{name}: {old_walls[name] * 1e3:.2f} ms -> {wall * 1e3:.2f} ms "
-            f"({deltas[name]:.2f}x)"
-        )
-        if deltas[name] > limit:
-            line += f"  REGRESSION (> {limit:.2f}x)"
-            regressions.append(name)
-        lines.append(line)
-    for name in sorted(set(old_walls) - set(new_walls)):
-        lines.append(f"{name}: workload dropped (was {old_walls[name] * 1e3:.2f} ms)")
-    old_derived = old.get("derived", {})
-    for name, value in new.get("derived", {}).items():
-        label = f"derived.{name}"
-        if old_derived.get(name) is None:
-            lines.append(f"{label}: new ratio ({value}), no baseline")
-        elif deltas.get(label, 0.0) > limit:
-            lines.append(f"{label}: {old_derived[name]} -> {value}  REGRESSION")
-            regressions.append(label)
-        else:
-            lines.append(f"{label}: {old_derived[name]} -> {value}")
-    old_digests, new_digests = old.get("determinism", {}), new.get("determinism", {})
+    old_digests, new_digests = old.get("determinism", {}), new["determinism"]
     for field in DIGEST_WORKLOADS:
         label = f"determinism.{field}"
-        if field not in old_digests or field not in new_digests:
-            continue
-        if old_digests[field] == new_digests[field]:
+        was, now = old_digests.get(field), new_digests[field]
+        if was == now:
             lines.append(f"{label}: unchanged")
-        else:
-            lines.append(
-                f"{label}: CHANGED {old_digests[field][:16]}… -> "
-                f"{new_digests[field][:16]}…  REGRESSION"
-            )
-            regressions.append(label)
+            continue
+        was = "missing" if was is None else f"{was[:16]}…"
+        lines.append(f"{label}: CHANGED {was} -> {now[:16]}…  REGRESSION")
+        regressions.append(label)
     return lines, regressions
 
 
-def worst_delta(
-    old: dict[str, Any], new: dict[str, Any]
-) -> tuple[str, float] | None:
-    """The single worst :func:`_normalized_deltas` entry, as ``(label,
-    delta)`` — ``("rebalance_storm", 1.42)`` means the worst offender
-    is 42% worse than the baseline — or ``None`` when nothing is
-    comparable.  The one-line PASS/FAIL summary of ``--compare``."""
-    deltas = _normalized_deltas(old, new)
-    return max(deltas.items(), key=lambda pair: pair[1]) if deltas else None
-
-
 def run_and_report(
-    out_path: str = ARTIFACT_NAME,
-    repeats: int = 3,
-    workers: int | None = None,
-    compare_to: str | None = None,
-    threshold: float = 0.5,
+    out_path: str = ARTIFACT_NAME, compare_to: str | None = None
 ) -> int:
     """CLI body of ``python -m repro bench``.
 
     Exits non-zero if a digest workload is unstable within the process,
     or — with ``compare_to``, a committed artifact such as the
     repository's ``BENCH_kernel.json`` — if a digest differs from the
-    baseline's or a timing regressed past ``threshold``.
+    baseline's.
     """
     baseline = None
     if compare_to is not None:
@@ -606,19 +348,12 @@ def run_and_report(
                 raise OSError(
                     f"baseline {compare_to!r} is not valid JSON: {error}"
                 ) from error
-    payload = run_kernel_benchmarks(repeats=repeats, workers=workers)
+    payload = run_kernel_benchmarks()
     with open(out_path, "w") as handle:
         json.dump(payload, handle, indent=2)
         handle.write("\n")
-    width = max(len(b["name"]) for b in payload["benchmarks"])
-    for bench in payload["benchmarks"]:
-        print(
-            f"{bench['name']:<{width}}  {bench['wall_seconds'] * 1e3:9.2f} ms  "
-            f"({bench['metric']}={bench['value']})"
-        )
-    for key, value in payload["derived"].items():
-        print(f"{key:<{width}}  {value:9.2f} x")
     determinism = payload["determinism"]
+    width = max(len(field) for field in DIGEST_WORKLOADS)
     for field in DIGEST_WORKLOADS:
         stable = "STABLE" if determinism[stable_field(field)] else "UNSTABLE"
         print(f"{field:<{width}}  {determinism[field][:16]}… {stable}")
@@ -626,20 +361,13 @@ def run_and_report(
     if not all(determinism[stable_field(field)] for field in DIGEST_WORKLOADS):
         return 1
     if baseline is not None:
-        print(f"\ncomparison against {compare_to} (threshold {threshold:.0%}):")
-        lines, regressions = compare_artifacts(baseline, payload, threshold)
+        print(f"\ncomparison against {compare_to}:")
+        lines, regressions = compare_artifacts(baseline, payload)
         for line in lines:
             print(f"  {line}")
-        worst = worst_delta(baseline, payload)
-        verdict = "FAIL" if regressions else "PASS"
-        if worst is not None:
-            print(
-                f"COMPARE {verdict}: worst delta {worst[0]} {worst[1]:.2f}x "
-                f"(threshold {1.0 + threshold:.2f}x)"
-            )
-        else:
-            print(f"COMPARE {verdict}: no comparable workloads")
         if regressions:
+            print(f"COMPARE FAIL: {len(regressions)} of {len(lines)} digests differ")
             print(f"REGRESSED: {', '.join(regressions)}")
             return 1
+        print(f"COMPARE PASS: all {len(lines)} digests unchanged")
     return 0

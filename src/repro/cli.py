@@ -25,18 +25,15 @@ Nine subcommands, mirroring how the library is typically used:
 
 ``bench``
     Run the six fixed-seed determinism-digest workloads (each twice:
-    they must be STABLE) and a handful of smoke timings, and write the
-    ``BENCH_kernel.json`` artifact.  ``--compare OLD.json`` diffs the
-    fresh run against a committed artifact and exits non-zero if any
-    digest differs from it (named ``determinism.<field>``) or a timing
-    or derived ratio regressed past ``--threshold``.  Wall-time claims
-    are made with ``perf/run.py``, not here.
+    they must be STABLE) and write them to the ``BENCH_kernel.json``
+    artifact.  ``--compare OLD.json`` exits non-zero naming every
+    digest that differs from a committed artifact
+    (``determinism.<field>``).  Nothing here is timed: wall-time
+    claims are made with ``perf/run.py``.
 
 ``profile``
-    Run one named bench workload — any ``BENCH_kernel.json`` row or
-    digest workload — under ``cProfile`` and print the top-N frames:
-    wall times say whether a change paid off, the frame table says
-    where the time actually went.
+    Run one digest workload under ``cProfile`` and print the top-N
+    frames: where the time actually went.
 
 ``migrate``
     Live-reshard a cluster: schedule key migrations between quorum
@@ -185,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="run the determinism digests and smoke timings; write BENCH_kernel.json",
+        help="run the six determinism digests; write BENCH_kernel.json",
     )
     bench.add_argument(
         "--out",
@@ -193,44 +190,25 @@ def build_parser() -> argparse.ArgumentParser:
         help="artifact path (default: BENCH_kernel.json)",
     )
     bench.add_argument(
-        "--repeats",
-        type=int,
-        default=3,
-        help="timing repeats per smoke row; the best wall time is kept",
-    )
-    bench.add_argument(
         "--compare",
         default=None,
         metavar="OLD.json",
         help=(
             "diff this run against a committed artifact: exits non-zero "
-            "on any changed determinism digest, or on a wall-time or "
-            "derived-ratio delta past the regression threshold"
+            "naming every determinism digest that differs from it"
         ),
     )
-    bench.add_argument(
-        "--threshold",
-        type=float,
-        default=0.5,
-        help=(
-            "fractional timing tolerance for --compare (default 0.5 = "
-            "flag anything >50%% slower than the baseline; digests get none)"
-        ),
-    )
-    _add_workers_flag(bench, "run the parallel-sweep benchmark")
 
     profile = sub.add_parser(
         "profile",
-        help="run one bench workload under cProfile and print hot frames",
+        help="run one digest workload under cProfile and print hot frames",
     )
     profile.add_argument(
         "workload",
         metavar="WORKLOAD",
         help=(
-            "bench workload to profile at its artifact-default "
-            "parameters: a BENCH_kernel.json row or digest field (e.g. "
-            "rebalance_storm, keyed_digest; see "
-            "repro.bench.PROFILE_WORKLOADS)"
+            "digest workload to profile: a BENCH_kernel.json determinism "
+            "field (e.g. rebalance_digest; see repro.bench.DIGEST_WORKLOADS)"
         ),
     )
     profile.add_argument(
@@ -485,13 +463,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             from .bench import run_and_report
 
             try:
-                return run_and_report(
-                    out_path=args.out,
-                    repeats=args.repeats,
-                    workers=args.workers,
-                    compare_to=args.compare,
-                    threshold=args.threshold,
-                )
+                return run_and_report(out_path=args.out, compare_to=args.compare)
             except OSError as error:
                 print(f"error: cannot read/write artifact: {error}", file=sys.stderr)
                 return 2

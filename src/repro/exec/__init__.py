@@ -1,8 +1,8 @@
 """The shared execution engine: declarative runs, parallel execution.
 
 Every sweep in the repository — the twelve ``experiments/e*`` grids,
-the adversarial scenario explorer, the seed-corpus replay and the bench
-sweep — describes its cells as :class:`RunSpec` values and hands them
+the adversarial scenario explorer and the seed-corpus replay —
+describes its cells as :class:`RunSpec` values and hands them
 to a :class:`Runner`, which maps them to outcomes through a
 ``concurrent.futures.ProcessPoolExecutor``.
 
@@ -25,7 +25,7 @@ The engine's contract (see ROADMAP.md, "Parallel execution engine"):
 from __future__ import annotations
 
 from .registry import ENTRY_POINTS, resolve
-from .runner import Runner, execute, fallback_count, grouped, run_specs
+from .runner import Runner, execute, grouped, run_specs
 from .spec import RunSpec
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "Runner",
     "RunSpec",
     "execute",
-    "fallback_count",
     "grouped",
     "resolve",
     "run_specs",

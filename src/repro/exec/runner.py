@@ -111,18 +111,9 @@ def _execute_for_pool(spec: RunSpec) -> Any:
 
 
 #: How many times a requested pool could not be used and a sweep fell
-#: back to the serial path, summed over every Runner in this process
-#: (read via :func:`fallback_count`, so callers like the bench can
-#: record whether their "parallel" leg really was).  Each Runner also
-#: keeps its own resettable ``fallbacks`` counter, so test runs and
-#: repeated batteries can observe a single sweep without inheriting
-#: state from earlier ones.
+#: back to the serial path in this process: the ordinal each fallback's
+#: warning carries.
 _FALLBACKS = 0
-
-
-def fallback_count() -> int:
-    """Process-wide aggregate of pool→serial fallbacks (all Runners)."""
-    return _FALLBACKS
 
 
 def _note_fallback(rerun: int, total: int) -> None:
@@ -176,16 +167,6 @@ class Runner:
 
     def __init__(self, workers: int | None = None) -> None:
         self.workers = max(1, workers if workers is not None else default_workers())
-        #: Pool→serial fallbacks observed by *this* Runner.  Fresh per
-        #: instance (and resettable via :meth:`reset_fallbacks`), unlike
-        #: the process-wide :func:`fallback_count` aggregate.
-        self.fallbacks = 0
-
-    def reset_fallbacks(self) -> None:
-        """Zero this Runner's fallback counter (the aggregate keeps
-        counting — it answers "did any sweep in this process fall
-        back", this counter answers "did *mine*")."""
-        self.fallbacks = 0
 
     def map(self, specs: Iterable[RunSpec]) -> list[Any]:
         """Execute every spec; outcomes are returned in spec order."""
@@ -216,7 +197,6 @@ class Runner:
             # collected prefix stands — cells are pure functions of
             # their specs.
             _discard_pool(self.workers)
-            self.fallbacks += 1
             rest = spec_list[len(results) :]
             _note_fallback(len(rest), len(spec_list))
             results.extend(execute(spec) for spec in rest)

@@ -23,31 +23,28 @@ own threshold:
 * an **above-threshold cell** (1.15× at n = 100) shows the sharp edge:
   under worst-case eviction no joiner survives its own ``3δ`` join
   window, so join completion collapses to zero;
-* the **n = 10 000 cell** runs a small absolute churn flow (rate
-  ≈ 10⁻⁴, i.e. one membership refresh per tick — each refresh still
-  fans an inquiry round out to all 10⁴ processes) and must stay
-  regular and complete its joins: the population size the per-event
-  kernel could not reach.
+* the **n ≥ 10 000 cells** run a small absolute churn flow (rate
+  1/n, i.e. one membership refresh per tick — each refresh still fans
+  an inquiry round out to all n processes) and must stay regular,
+  have joins eligible and complete every one of them: the population
+  sizes the per-event kernel could not reach.
 
-Wall-clock numbers are deliberately kept *out* of the result rows
-(tables must be byte-identical across runs and worker counts); the CI
-wall budget lives in :func:`smoke`, which times the n = 10 000 cell
-alone.
+Nothing here reads a clock: the result rows are byte-identical across
+runs and worker counts, and wall time is measured with ``perf/``.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Any
 
 from ..exec.runner import run_specs
 from ..exec.spec import RunSpec
 from ..runtime.config import SystemConfig
 from ..runtime.system import DynamicSystem
-from .harness import ExperimentResult
+from .harness import ExperimentResult, populations_label
 
 #: Populations swept.  Quick mode stops at 10⁴ (the 10⁵ cell costs
-#: ~10 s of wall alone); full mode and the CI smoke leg run all four.
+#: ~10 s of wall alone); full mode, its own CI step, runs all four.
 DEFAULT_POPULATIONS = (100, 1_000, 10_000, 100_000)
 
 
@@ -73,10 +70,7 @@ def cell(
 
     Eviction is worst-case ``oldest_first`` (each process lives exactly
     ``1/rate``), the regime in which the threshold is exactly tight.
-    ``wall_seconds`` is returned for :func:`smoke`'s budget check but
-    never lands in a result row.
     """
-    started = time.perf_counter()
     system = DynamicSystem(
         SystemConfig(n=n, delta=delta, protocol="sync", seed=seed, trace=False)
     )
@@ -89,7 +83,6 @@ def cell(
         for pid in system.active_pids()[:2]:
             system.read(pid)
     system.run_until(horizon)
-    wall = time.perf_counter() - started
     history = system.close()
     safety = system.check_safety()
     joins = history.joins()
@@ -106,7 +99,6 @@ def cell(
         "delivered": system.network.delivered_count,
         "violations": safety.violation_count,
         "checked": safety.checked_count,
-        "wall_seconds": wall,
     }
 
 
@@ -139,7 +131,7 @@ def _grid(
         else:
             # The 10⁵ cell: quick mode skips it (it alone costs about
             # as much wall as the rest of the quick grid together);
-            # full mode and the CI smoke leg carry it.
+            # full mode carries it.
             if quick:
                 continue
             fractions = ()
@@ -158,6 +150,7 @@ def _grid(
                     # (Figure 1, line 03) and completes in δ — the
                     # starvation claim is about full 3δ joins.
                     writes=writes if frac < 1.0 else 0,
+                    refresh=False,
                 )
             )
         if not fractions:
@@ -170,6 +163,7 @@ def _grid(
                     rate=rate,
                     horizon=horizon,
                     writes=writes,
+                    refresh=True,
                 )
             )
     return cells
@@ -221,6 +215,8 @@ def run(
             all_regular = False
         if g["frac"] < 1.0 and data["eligible"] and data["done_rate"] < 0.8:
             sub_threshold_complete = False
+        if g["refresh"] and not (data["eligible"] and data["done_rate"] == 1.0):
+            sub_threshold_complete = False
         if g["frac"] > 1.0 and data["done_rate"] > 0.05:
             above_threshold_starves = False
         result.add_row(
@@ -250,9 +246,10 @@ def run(
         "load the per-event kernel could not sustain"
     )
     if all_regular and sub_threshold_complete and above_threshold_starves:
+        refreshed = populations_label([g["n"] for g in grid if g["refresh"]])
         result.verdict = (
             "REPRODUCED: every population stays regular, sub-threshold "
-            "joins complete at every n (including n = 10⁴), and join "
+            f"joins complete at every n (including {refreshed}), and join "
             "completion collapses above the threshold under worst-case "
             "eviction"
         )
@@ -267,39 +264,3 @@ def run(
         )
     return result
 
-
-def smoke(
-    n: int = 10_000,
-    delta: float = 5.0,
-    budget_seconds: float = 60.0,
-    seed: int = 0,
-) -> dict[str, Any]:
-    """The CI wall-budget gate: one large-population churn cell, timed.
-
-    Runs a one-refresh-per-tick cell at ``n`` (two writes, horizon 18)
-    and asserts it finishes inside ``budget_seconds``, stays regular
-    and completes its eligible joins.  CI runs it twice — at the
-    default n = 10⁴ and at n = 10⁵, the vectorized handler plane's
-    headline population.  Returns the cell's measurements for logging.
-    """
-    data = cell(
-        seed=seed, n=n, delta=delta, rate=1.0 / n, horizon=18.0, writes=2
-    )
-    if data["wall_seconds"] >= budget_seconds:
-        raise AssertionError(
-            f"n={n} churn cell took {data['wall_seconds']:.1f}s, "
-            f"budget {budget_seconds:.0f}s"
-        )
-    if data["violations"]:
-        raise AssertionError(f"n={n} churn cell violated regularity")
-    if data["eligible"] and data["done_rate"] < 1.0:
-        raise AssertionError(
-            f"n={n} churn cell left joins incomplete "
-            f"(done_rate={data['done_rate']:.3f})"
-        )
-    print(
-        f"E17 smoke: n={n} cell ok in {data['wall_seconds']:.1f}s "
-        f"(budget {budget_seconds:.0f}s) — {data['delivered']} deliveries, "
-        f"{data['joins']} joins, {data['violations']} violations"
-    )
-    return data

@@ -92,5 +92,24 @@ def format_table(columns: Sequence[str], rows: list[dict[str, Any]]) -> str:
     return "\n".join([header, separator, *body])
 
 
+_SUPERSCRIPTS = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
+
+
+def populations_label(populations: Sequence[int]) -> str:
+    """How a verdict names the populations that ran: ``n = 10⁴`` for
+    one, ``n ∈ {10³, 10⁴}`` for several (powers of ten as such, any
+    other n as its digits), so a verdict built from the grid never
+    names a population the grid skipped."""
+    names = []
+    for n in sorted(set(populations)):
+        exponent = len(str(n)) - 1
+        names.append(
+            "10" + str(exponent).translate(_SUPERSCRIPTS)
+            if n == 10**exponent
+            else str(n)
+        )
+    return f"n = {names[0]}" if len(names) == 1 else f"n ∈ {{{', '.join(names)}}}"
+
+
 #: Signature every experiment module's ``run`` conforms to.
 ExperimentRunner = Callable[..., ExperimentResult]

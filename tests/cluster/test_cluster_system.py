@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench import cluster_workload
+from repro.bench import cluster_workload, keyed_store_fanout
 from repro.cluster import ClusterConfig, ClusterSystem, cluster_digest
 from repro.core.history import operation_digest
 from repro.runtime.system import DynamicSystem
@@ -167,12 +167,13 @@ class TestClose:
 
 
 def test_cluster_shard_scaling_guard():
-    """Perf guard: partitioning the bench cluster workload over 4
-    shards must cut total delivered messages by at least 2x at fixed
-    population — the deterministic message-count claim behind
-    ``derived.shard_scaling`` (it reads 4.25; 2x is the loose floor)."""
-    single_delivered, _ = cluster_workload(shards=1)
-    sharded_delivered, _ = cluster_workload(shards=4)
+    """Perf guard: the bench's 4-shard cluster workload delivers at
+    least 2x fewer messages than the keyed store serving the same
+    population, key count, churn and plan shape from one quorum group —
+    a deterministic message count (it reads 23071 / 5417 = 4.26, as a
+    1-shard cluster's 23012 did; 2x is the loose floor)."""
+    single_delivered, _ = keyed_store_fanout()
+    sharded_delivered, _ = cluster_workload()
     scaling = single_delivered / sharded_delivered
     assert scaling >= 2.0, (
         f"expected >=2x delivered-message reduction from 4 shards, "

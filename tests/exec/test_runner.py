@@ -1,6 +1,7 @@
 """Unit tests for the Runner: ordering, worker counts, serial parity."""
 
 import gc
+import warnings
 from concurrent.futures import BrokenExecutor
 
 import pytest
@@ -144,12 +145,11 @@ class TestRunner:
         monkeypatch.setattr(runner_module, "_POOLS", {})
         monkeypatch.setattr(runner_module, "ProcessPoolExecutor", BreaksAfterThree)
         monkeypatch.setattr(runner_module, "execute", recording_execute)
-        runner = Runner(workers=3)
-        with pytest.warns(RuntimeWarning, match="5 of 8 cells ran serially"):
-            outcomes = runner.map(_specs(8))
+        with pytest.warns(RuntimeWarning, match="5 of 8 cells ran serially") as caught:
+            outcomes = Runner(workers=3).map(_specs(8))
         assert outcomes == [derive_seed(9, f"cell:{i}") for i in range(8)]
         assert executed == [f"cell:{i}" for i in range(8)]  # each once, in order
-        assert runner.fallbacks == 1
+        assert len(caught) == 1  # one fallback, one warning
         assert runner_module._POOLS == {}
 
 
@@ -199,48 +199,55 @@ class TestCellBoundary:
         assert grown < 2_000
 
 
-class TestFallbackCounters:
-    """Per-Runner fallbacks are fresh and resettable; the module-level
-    ``fallback_count`` stays a process-wide aggregate."""
-
-    pytestmark = pytest.mark.filterwarnings("ignore:process pool unavailable")
+class TestFallbackWarnings:
+    """Every pool→serial fallback warns once, saying how many cells it
+    re-ran serially and carrying the process-wide fallback ordinal, so
+    the default once-per-location filter cannot swallow the next one."""
 
     @staticmethod
-    def _pool_less(monkeypatch):
+    def _pool_less(monkeypatch, earlier: int = 0):
         class NoFork:
             def __init__(self, max_workers):
                 raise OSError("fork denied")
 
         monkeypatch.setattr(runner_module, "_POOLS", {})
         monkeypatch.setattr(runner_module, "ProcessPoolExecutor", NoFork)
+        monkeypatch.setattr(runner_module, "_FALLBACKS", earlier)
 
-    def test_per_runner_counter_counts_own_fallbacks_only(self, monkeypatch):
+    @staticmethod
+    def _fallback_warnings(*runs) -> list[str]:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            for runner, count in runs:
+                runner.map(_specs(count))
+        return [str(w.message) for w in caught if w.category is RuntimeWarning]
+
+    def test_each_fallback_warns_once_with_its_cell_count(self, monkeypatch):
         self._pool_less(monkeypatch)
-        monkeypatch.setattr(runner_module, "_FALLBACKS", 5)  # earlier sweeps
-        runner = Runner(workers=3)
-        assert runner.fallbacks == 0  # fresh despite process history
-        runner.map(_specs(4))
-        assert runner.fallbacks == 1
-        runner.map(_specs(4))
-        assert runner.fallbacks == 2
-        assert runner_module.fallback_count() == 7  # aggregate kept counting
+        messages = self._fallback_warnings(
+            (Runner(workers=2), 3), (Runner(workers=2), 3)
+        )
+        assert len(messages) == 2  # distinct texts: neither is swallowed
+        assert all("3 of 3 cells ran serially" in m for m in messages)
+        assert messages[0].endswith("fallback #1 of this process)")
+        assert messages[1].endswith("fallback #2 of this process)")
 
-    def test_reset_clears_runner_but_not_aggregate(self, monkeypatch):
+    def test_ordinal_counts_every_runner_in_the_process(self, monkeypatch):
+        self._pool_less(monkeypatch, earlier=5)  # earlier sweeps fell back
+        runner = Runner(workers=3)
+        messages = self._fallback_warnings(
+            (runner, 4), (runner, 4), (Runner(workers=2), 3)
+        )
+        assert [m.split("fallback #")[1] for m in messages] == [
+            f"{i} of this process)" for i in (6, 7, 8)
+        ]
+        assert runner_module._FALLBACKS == 8
+
+    def test_serial_runs_never_fall_back(self, monkeypatch):
         self._pool_less(monkeypatch)
-        monkeypatch.setattr(runner_module, "_FALLBACKS", 1)  # earlier sweep
-        runner = Runner(workers=3)
-        runner.map(_specs(3))
-        assert runner.fallbacks == 1
-        runner.reset_fallbacks()
-        assert runner.fallbacks == 0
-        assert runner_module.fallback_count() == 2  # aggregate untouched
-        runner.map(_specs(3))
-        assert runner.fallbacks == 1  # counts again after the reset
-
-    def test_serial_runs_never_count_as_fallbacks(self):
-        runner = Runner(workers=1)
-        runner.map(_specs(5))
-        assert runner.fallbacks == 0
+        runs = (Runner(workers=1), 5), (Runner(workers=4), 1)
+        assert self._fallback_warnings(*runs) == []
+        assert runner_module._FALLBACKS == 0
 
 
 class TestGrouped:
@@ -268,28 +275,6 @@ class TestGrouped:
 
         with pytest.raises(ExperimentError):
             runner_module.grouped([1], 0)
-
-
-class TestFallbackAccounting:
-    def test_fallback_increments_counter_and_warns_every_time(self, monkeypatch):
-        import warnings as warnings_module
-
-        class NoFork:
-            def __init__(self, max_workers):
-                raise OSError("fork denied")
-
-        monkeypatch.setattr(runner_module, "_POOLS", {})
-        monkeypatch.setattr(runner_module, "ProcessPoolExecutor", NoFork)
-        monkeypatch.setattr(runner_module, "_FALLBACKS", 0)
-        with warnings_module.catch_warnings(record=True) as caught:
-            warnings_module.simplefilter("always")
-            Runner(workers=2).map(_specs(3))
-            Runner(workers=2).map(_specs(3))
-        assert runner_module.fallback_count() == 2
-        # Every fallback says how many cells it re-ran serially.
-        messages = [str(w.message) for w in caught if w.category is RuntimeWarning]
-        assert len(messages) == 2
-        assert all("3 of 3 cells ran serially" in m for m in messages)
 
 
 class TestScenarioKind:

@@ -11,6 +11,7 @@ from functools import cache
 import pytest
 
 from repro.experiments import EXPERIMENTS
+from repro.experiments.harness import populations_label
 
 
 @cache
@@ -123,3 +124,73 @@ class TestE16Shapes:
             # Handoffs are not free and the cost is reported, not hidden.
             assert row["committed"] > 0
             assert row["cost_per_commit"] > 0
+
+
+class TestVerdictsNameWhatRan:
+    """A verdict names only the populations its grid ran."""
+
+    def test_quick_e18_crosschecks_only_n_10_3(self):
+        verdict = quick("E18").verdict
+        assert "mesoscale matches the exact kernel at n = 10³ " in verdict
+        assert "10⁴" not in verdict
+        assert "at n = 10⁶ joins complete" in verdict
+
+    def test_quick_e17_names_its_one_refresh_per_tick_cell(self):
+        assert "(including n = 10⁴)" in quick("E17").verdict
+
+
+class TestLargeCellsCompleteEveryJoin:
+    """E17's one-refresh-per-tick cells and E18's sub-threshold scale
+    cells must have eligible joins and complete every one: a cell with
+    none, or with one left undone, fails the verdict."""
+
+    DOCTORED = [
+        pytest.param(dict(eligible=0, done=0, done_rate=1.0), id="no-eligible"),
+        pytest.param(dict(done_rate=0.95), id="one-undone"),
+    ]
+
+    #: The real cells' results by (module, params): cells are
+    #: deterministic, so each runs once for all the doctored cases.
+    _CELLS: dict = {}
+
+    def _run_doctored(self, monkeypatch, module, doctor, change):
+        from repro.exec import registry
+
+        cell = module.cell
+
+        def doctored(**params):
+            key = (module.__name__, tuple(sorted(params.items())))
+            if key not in self._CELLS:
+                self._CELLS[key] = cell(**params)
+            data = dict(self._CELLS[key])
+            if doctor(params):
+                data.update(change)
+            return data
+
+        monkeypatch.setattr(module, "cell", doctored)
+        monkeypatch.setattr(registry, "_RESOLVED", {})
+        return module.run(seed=0, quick=True, workers=1).verdict
+
+    @pytest.mark.parametrize("change", DOCTORED)
+    def test_e17_refresh_cell(self, monkeypatch, change):
+        from repro.experiments import e17_population_scaling as e17
+
+        verdict = self._run_doctored(
+            monkeypatch, e17, lambda p: p["n"] >= 10_000, change
+        )
+        assert verdict.startswith("NOT REPRODUCED: regular, but join completion")
+
+    @pytest.mark.parametrize("change", DOCTORED)
+    def test_e18_sub_threshold_scale_cell(self, monkeypatch, change):
+        from repro.experiments import e18_mesoscale as e18
+
+        verdict = self._run_doctored(
+            monkeypatch, e18, lambda p: p["n"] == 1_000_000 and p["writes"], change
+        )
+        assert verdict.startswith("NOT REPRODUCED: cross-checks pass but a large-n")
+
+
+def test_populations_label():
+    assert populations_label([1_000]) == "n = 10³"
+    assert populations_label([10_000, 1_000, 10_000]) == "n ∈ {10³, 10⁴}"
+    assert populations_label([500, 100_000]) == "n ∈ {500, 10⁵}"

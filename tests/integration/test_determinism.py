@@ -112,7 +112,7 @@ def test_digest_workload_reproduces_the_committed_digest(field):
     fixed-seed digest workloads must hash to the entry committed in
     ``BENCH_kernel.json``.  A PR that changes scheduling, RNG draws or
     accounting on purpose regenerates the artifact in the same commit
-    (``python -m repro bench --repeats 7``) and says so."""
+    (``python -m repro bench``) and says so."""
     committed = committed_bench_artifact()["determinism"]
     assert DIGEST_WORKLOADS[field]() == committed[field]
 

@@ -185,26 +185,31 @@ class TestBench:
         from repro.bench import DIGEST_WORKLOADS, stable_field
 
         out_path = tmp_path / "BENCH_kernel.json"
-        assert main(["bench", "--out", str(out_path), "--repeats", "1"]) == 0
+        assert main(["bench", "--out", str(out_path)]) == 0
         stdout = capsys.readouterr().out
-        assert "rebalance_storm" in stdout
+        assert "rebalance_digest" in stdout
         assert stdout.count(" STABLE") == len(DIGEST_WORKLOADS)
         assert "UNSTABLE" not in stdout
         payload = json.loads(out_path.read_text())
         assert payload["artifact"] == "BENCH_kernel"
-        names = {bench["name"] for bench in payload["benchmarks"]}
-        assert "broadcast_fanout_trace_off" in names
-        assert "migration_handoff" in names
-        assert "explore_sweep_serial" in names
-        assert "explore_sweep_parallel" in names
+        assert payload["schema_version"] == 2
         for field in DIGEST_WORKLOADS:
             assert len(payload["determinism"][field]) == 64
             assert payload["determinism"][stable_field(field)] is True
-        # Structural only: a single --repeats 1 sample is noise-dominated,
-        # so no ratio's magnitude is asserted here.
-        assert payload["derived"]["keyed_fanout_overhead"] > 0.0
-        assert payload["derived"]["parallel_explore_speedup"] > 0.0
-        assert payload["parallel_workers"] >= 1
+
+    def test_unreadable_baseline_exits_two_before_running(self, tmp_path, capsys):
+        baseline = tmp_path / "broken.json"
+        baseline.write_text("{not json")
+        out_path = tmp_path / "fresh.json"
+        assert main(["bench", "--out", str(out_path), "--compare", str(baseline)]) == 2
+        assert "is not valid JSON" in capsys.readouterr().err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("flag", ["--repeats", "--threshold", "--workers"])
+    def test_bench_takes_no_timing_flag(self, capsys, flag):
+        with pytest.raises(SystemExit):
+            main(["bench", flag, "1"])
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestExplore:
@@ -379,9 +384,9 @@ class TestMigrateCLI:
 
 class TestProfileCommand:
     def test_profiles_a_workload(self, capsys):
-        assert main(["profile", "broadcast_fanout_trace_off", "--top", "5"]) == 0
+        assert main(["profile", "rebalance_digest", "--top", "5"]) == 0
         out = capsys.readouterr().out
-        assert "workload broadcast_fanout_trace_off" in out
+        assert "workload rebalance_digest" in out
         assert "cumulative" in out  # pstats sort header
 
     def test_sort_by_tottime(self, capsys):
@@ -392,5 +397,6 @@ class TestProfileCommand:
         assert main(["profile", "definitely_not_a_workload"]) == 2
         err = capsys.readouterr().err
         assert "unknown workload" in err
-        # The error names the known set: rows and digest fields alike.
-        assert "cluster_sharded" in err and "rebalance_digest" in err
+        # The error names the known set: the digest fields.
+        assert "known: digest, faulted_digest, keyed_digest" in err
+        assert "rebalance_digest" in err
