@@ -3,7 +3,7 @@
 Nine subcommands, mirroring how the library is typically used:
 
 ``experiments``
-    Run the reproduction battery (E1–E18, optionally the ablations)
+    Run the reproduction battery (E1–E17, optionally the ablations)
     and print each table and verdict.  Each experiment's sweep runs
     through the parallel execution engine (``--workers``); tables are
     byte-identical at any worker count.
@@ -113,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     experiments = sub.add_parser(
-        "experiments", help="run the reproduction battery (E1-E18)"
+        "experiments", help="run the reproduction battery (E1-E17)"
     )
     experiments.add_argument(
         "--ids",

@@ -40,7 +40,6 @@ ENTRY_POINTS: dict[str, str] = {
     "e15": "repro.experiments.e15_migration:cell",
     "e16": "repro.experiments.e16_rebalance:cell",
     "e17": "repro.experiments.e17_population_scaling:cell",
-    "e18": "repro.experiments.e18_mesoscale:cell",
 }
 
 #: Resolved callables, cached per process.

@@ -35,7 +35,6 @@ from . import (
     e15_migration,
     e16_rebalance,
     e17_population_scaling,
-    e18_mesoscale,
 )
 from .ablations import ABLATIONS
 from .harness import ExperimentResult, format_table
@@ -59,7 +58,6 @@ EXPERIMENTS: dict[str, Callable[..., ExperimentResult]] = {
     "E15": e15_migration.run,
     "E16": e16_rebalance.run,
     "E17": e17_population_scaling.run,
-    "E18": e18_mesoscale.run,
 }
 
 

@@ -79,13 +79,6 @@ class BroadcastService:
         self._window = window
         self._entrant_policy = self._validate_policy(entrant_policy)
         self._in_flight: list[_InFlightBroadcast] = []
-        #: Mesoscale absorption hook.  When a
-        #: :class:`~repro.runtime.mesoscale.AggregatePopulation` is
-        #: installed here, every broadcast is *also* offered to it so
-        #: the analytically aggregated cohorts can fold the round into
-        #: their closed-form arrival trajectories.  ``None`` (always,
-        #: outside mesoscale mode) keeps this path entirely inert.
-        self.aggregate: Any = None
 
     @staticmethod
     def _validate_policy(policy: EntrantPolicy) -> EntrantPolicy:
@@ -141,8 +134,6 @@ class BroadcastService:
         self.network.deliver_fanout(
             sender, recipients, payload, now, broadcast_id, self._rng
         )
-        if self.aggregate is not None:
-            self.aggregate.absorb_broadcast(sender, payload, now, broadcast_id)
         if self._window is not None and self._entrant_policy != "none":
             self._in_flight.append(
                 _InFlightBroadcast(

@@ -430,96 +430,3 @@ def make_delay(name: str, delta: Time, gst: Time | None = None) -> DelayModel:
         f"unknown delay model {name!r}; choose from {DELAY_MODEL_NAMES}"
     )
 
-
-# ----------------------------------------------------------------------
-# Closed-form arrival trajectories (the mesoscale aggregate plane)
-# ----------------------------------------------------------------------
-#
-# The mesoscale mode (``SystemConfig(mode="mesoscale")``) replaces a
-# broadcast round's n per-recipient delay draws with the *expected
-# arrival-count trajectory* of the round, computed from the uniform
-# delay parameters the models above already declare via
-# ``broadcast_uniform()`` / ``p2p_uniform()``.  Two closed forms cover
-# the synchronous protocol's rounds:
-#
-# * one-hop arrivals (a broadcast's deliveries) are uniform on
-#   ``[lo, lo + span]`` — :func:`uniform_cdf`;
-# * two-hop arrivals (an inquiry's replies: broadcast delay plus
-#   point-to-point delay) follow the convolution of two uniforms, a
-#   piecewise-quadratic trapezoid — :func:`uniform_sum_cdf`.
-#
-# :func:`quantize_arrivals` turns a CDF into deterministic per-instant
-# integer counts (cumulative rounding, so the counts always sum to the
-# population exactly) — the bulk events the aggregate plane schedules.
-
-
-def uniform_cdf(t: Time, lo: Time, span: Time) -> float:
-    """``P(U <= t)`` for ``U`` uniform on ``[lo, lo + span]``."""
-    if t <= lo:
-        return 0.0
-    if span <= 0.0:
-        return 1.0
-    if t >= lo + span:
-        return 1.0
-    return (t - lo) / span
-
-
-def uniform_sum_cdf(
-    t: Time, lo1: Time, span1: Time, lo2: Time, span2: Time
-) -> float:
-    """``P(U1 + U2 <= t)`` for independent uniforms (trapezoid law).
-
-    ``U1`` is uniform on ``[lo1, lo1 + span1]``, ``U2`` on
-    ``[lo2, lo2 + span2]``.  Degenerate spans collapse to the
-    single-uniform (or step) law.
-    """
-    s = t - (lo1 + lo2)
-    short = min(span1, span2)
-    long = max(span1, span2)
-    if s <= 0.0:
-        return 0.0
-    if s >= short + long:
-        return 1.0
-    if short <= 0.0:
-        # One (or both) point masses: a plain uniform shifted by the
-        # constant — the guards above already handled the step case.
-        return s / long
-    if s <= short:
-        return s * s / (2.0 * short * long)
-    if s <= long:
-        return (2.0 * s - short) / (2.0 * long)
-    tail = short + long - s
-    return 1.0 - tail * tail / (2.0 * short * long)
-
-
-def quantize_arrivals(
-    count: int,
-    start: Time,
-    earliest: Time,
-    latest: Time,
-    cdf: "Callable[[Time], float]",
-    steps: int = 16,
-) -> list[tuple[Time, int]]:
-    """Deterministic per-instant arrival counts for one aggregate round.
-
-    Splits the arrival window ``[start + earliest, start + latest]``
-    into ``steps`` equal sub-intervals and assigns each boundary
-    instant the *increment* of the cumulatively rounded expected count
-    — ``round(count * cdf)`` differences — so the returned counts sum
-    to ``count`` exactly and every run quantizes identically (no RNG).
-    Zero-count instants are dropped.  ``cdf`` takes the *relative*
-    offset from ``start``.
-    """
-    if count <= 0 or steps < 1:
-        return []
-    width = (latest - earliest) / steps
-    out: list[tuple[Time, int]] = []
-    previous = 0
-    for k in range(1, steps + 1):
-        offset = earliest + width * k
-        cumulative = int(count * cdf(offset) + 0.5) if k < steps else count
-        increment = cumulative - previous
-        if increment > 0:
-            out.append((start + offset, increment))
-        previous = cumulative
-    return out

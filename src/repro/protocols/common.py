@@ -49,22 +49,18 @@ class QuorumPhase:
     ``request`` numbers the round where a protocol tags its rounds.
     """
 
-    __slots__ = ("threshold", "active", "request", "_offers", "_bulk", "_bulk_entries")
+    __slots__ = ("threshold", "active", "request", "_offers")
 
     def __init__(self, threshold: int | None = None) -> None:
         self.threshold = threshold
         self.active = False
         self.request = 0
         self._offers: dict[str, tuple[Entry, ...]] = {}
-        self._bulk = 0
-        self._bulk_entries: tuple[Entry, ...] = ()
 
     def open(self) -> "QuorumPhase":
         """Start a fresh round: drop prior offers, mark in-progress."""
         self.active = True
         self._offers = {}
-        self._bulk = 0
-        self._bulk_entries = ()
         return self
 
     def settle(self) -> None:
@@ -79,32 +75,13 @@ class QuorumPhase:
         """Record a bare acknowledgement (no payload, just the count)."""
         self._offers[sender] = ()
 
-    def record_bulk(self, count: int, entries: Iterable[Entry] = ()) -> None:
-        """Fold ``count`` *anonymous* same-round replies into the phase.
-
-        The mesoscale plane's entry point: an analytically aggregated
-        cohort answers a tracer's inquiry as a single arrival-count
-        increment rather than ``count`` per-sender offers.  The count
-        feeds :attr:`count` / :meth:`satisfied` directly; ``entries``
-        (typically one ``(key, value, sequence)`` describing the
-        aggregate register state) compete in :meth:`best_per_key` with an
-        empty-string sender id, which sorts below every real pid — a
-        named tracer carrying the same sequence number wins the tie,
-        keeping adoption deterministic.
-        """
-        self._bulk += int(count)
-        self._bulk_entries += tuple(entries)
-
     @property
     def count(self) -> int:
-        return len(self._offers) + self._bulk
+        return len(self._offers)
 
     def satisfied(self) -> bool:
         """Has the quorum threshold been met?  (Timer phases: never.)"""
-        return (
-            self.threshold is not None
-            and len(self._offers) + self._bulk >= self.threshold
-        )
+        return self.threshold is not None and len(self._offers) >= self.threshold
 
     def senders(self) -> tuple[str, ...]:
         return tuple(self._offers)
@@ -117,8 +94,6 @@ class QuorumPhase:
         Deterministic max by ``(sequence, sender)`` — ties on the
         sequence number are broken by sender id purely for determinism;
         entries with equal sequence numbers carry equal values anyway.
-        Bulk entries compete with the empty-string sender id, which
-        sorts below every real pid.
 
         Repliers holding the same state offer *equal* entry tuples, and
         among equal offers only the greatest sender can win a tie, so
@@ -150,10 +125,6 @@ class QuorumPhase:
                     or (sequence == held[0] and sender > held[1])
                 ):
                     best[key] = (sequence, sender, value)
-        for key, value, sequence in self._bulk_entries:
-            held = best.get(key)
-            if held is None or sequence > held[0]:
-                best[key] = (sequence, "", value)
         return {
             key: (value, sequence) for key, (sequence, _, value) in best.items()
         }

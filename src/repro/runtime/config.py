@@ -74,19 +74,6 @@ class SystemConfig:
         construction.  ``None`` keeps the network's fault gate closed
         (the byte-identical fast path); an empty plan is installed but
         draws no randomness, so it perturbs nothing either.
-    mode:
-        ``"exact"`` (the default) simulates every process and message;
-        ``"mesoscale"`` aggregates the bulk of the population
-        analytically (arrival-count trajectories from the delay model's
-        closed-form uniform CDF) around a small exact *tracer*
-        subpopulation — see :mod:`repro.runtime.mesoscale` for the
-        validity envelope.  Mesoscale is a declared approximation:
-        E18 cross-checks it against the exact kernel, and mesoscale
-        runs are excluded from the determinism-digest gate.
-    tracers:
-        The exact tracer subpopulation size under ``mode="mesoscale"``
-        (the first ``tracers`` seeds, including the designated writer,
-        are real protocol nodes whose histories the checkers judge).
     """
 
     n: int = 20
@@ -103,8 +90,6 @@ class SystemConfig:
     pid_prefix: str = "p"
     sample_period: Time = 1.0
     faults: FaultPlan | None = None
-    mode: str = "exact"
-    tracers: int = 16
     extra: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -137,39 +122,6 @@ class SystemConfig:
                 f"sample_period must be positive and finite, "
                 f"got {self.sample_period!r}"
             )
-        if self.mode not in ("exact", "mesoscale"):
-            raise ConfigError(
-                f"unknown mode {self.mode!r}; choose 'exact' or 'mesoscale'"
-            )
-        if self.mode == "mesoscale":
-            if self.protocol != "sync":
-                raise ConfigError(
-                    f"mesoscale mode aggregates the Figures 1-2 synchronous "
-                    f"protocol only, got protocol={self.protocol!r}"
-                )
-            if self.keys != 1 or self.key_set is not None:
-                raise ConfigError(
-                    "mesoscale mode serves the single classic register"
-                )
-            if self.entrant_policy != "none":
-                raise ConfigError(
-                    "mesoscale mode requires entrant_policy='none'"
-                )
-            if self.faults is not None:
-                raise ConfigError(
-                    "mesoscale mode is fault-free (the aggregate plane has "
-                    "no per-message fault gate)"
-                )
-            if self.tracers < 2:
-                raise ConfigError(
-                    f"mesoscale needs at least 2 tracers (writer + reader), "
-                    f"got {self.tracers!r}"
-                )
-            if self.n <= self.tracers:
-                raise ConfigError(
-                    f"mesoscale needs n > tracers, got n={self.n} "
-                    f"tracers={self.tracers}"
-                )
 
     def key_tuple(self) -> tuple[Any, ...]:
         """The register-space key names this config serves.

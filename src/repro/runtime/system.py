@@ -62,22 +62,12 @@ class DynamicSystem:
     partitioned back.
     """
 
-    #: ``True`` only on :class:`~repro.runtime.mesoscale.MesoscaleSystem`
-    #: — a plain DynamicSystem handed a mesoscale config would silently
-    #: simulate all n processes exactly, so the mismatch is rejected.
-    mesoscale_capable = False
-
     def __init__(
         self,
         config: SystemConfig,
         engine: EventScheduler | None = None,
         shard_id: int | None = None,
     ) -> None:
-        if config.mode == "mesoscale" and not self.mesoscale_capable:
-            raise ConfigError(
-                "mode='mesoscale' needs MesoscaleSystem — build via "
-                "repro.runtime.mesoscale.make_system(config)"
-            )
         self.config = config
         self.shard_id = shard_id
         substrate = build_substrate(config, engine=engine)
@@ -112,7 +102,8 @@ class DynamicSystem:
         self._closed = False
         if config.faults is not None:
             self.install_faults(config.faults)
-        self.seed_pids: tuple[str, ...] = self._create_seeds()
+        self.seed_pids: tuple[str, ...] = self._build_seeds(config.n)
+        self._ctx.extra.setdefault(UNIVERSE_KEY, self.seed_pids)
         self.writer_pid: str = self.seed_pids[0]
         # The tracker installs after the seeds exist so its t=0 probe
         # sees the paper's initial condition |A(0)| = n.
@@ -124,11 +115,6 @@ class DynamicSystem:
     # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------
-
-    def _create_seeds(self) -> tuple[str, ...]:
-        pids = self._build_seeds(self.config.n)
-        self._ctx.extra.setdefault(UNIVERSE_KEY, pids)
-        return pids
 
     @collector_paused()
     def _build_seeds(self, count: int) -> tuple[str, ...]:

@@ -21,8 +21,7 @@ the queue entry it was popped from — so one long-lived entry serves
 every push that carries its own data in the tuple's tail (a network's
 point-to-point deliveries; an installed workload plan, whose one series
 entry re-pushes itself with the next position), and another stands for
-a whole vector of deliveries (a broadcast sweep, a mesoscale bulk
-arrival).  Slab entries are never cancellable (``cancelled`` is a class
+a whole vector of deliveries (a broadcast sweep).  Slab entries are never cancellable (``cancelled`` is a class
 attribute, so the scheduler's lazy-deletion scan pays one shared
 attribute read, no per-entry state), which is exactly why they can skip
 the cancellation bookkeeping full events carry.
@@ -83,30 +82,6 @@ class SlabEntry:
 
     def fire(self, entry: tuple) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
-
-
-class BulkEvent(SlabEntry):
-    """A slab entry standing for ``size`` *aggregate* deliveries.
-
-    The mesoscale plane's workhorse: one scheduled slot carries a whole
-    arrival-count increment of an analytically aggregated broadcast
-    round (``size`` deliveries landing at one quantized instant), and
-    ``fire()`` runs the ``action`` that applies the increment — bump
-    the network's bulk counters, fold a reply count into a join phase,
-    adopt a written value into the aggregate register.  Because
-    ``size`` rides the scheduler's normal slab accounting, mesoscale
-    runs report ``fired_count`` / ``pending_count`` figures comparable
-    with the exact kernel's.
-    """
-
-    __slots__ = ("size", "action")
-
-    def __init__(self, size: int, action: "Callable[[], None]") -> None:
-        self.size = size
-        self.action = action
-
-    def fire(self, entry: tuple) -> None:
-        self.action()
 
 
 class Event:

@@ -4,8 +4,7 @@ import functools
 
 import pytest
 
-from repro.runtime.config import SystemConfig
-from repro.runtime.mesoscale import MesoscaleSystem
+from repro.cluster import ClusterConfig, ClusterSystem
 from repro.sim.errors import ChurnError
 from tests.conftest import make_system
 
@@ -106,59 +105,59 @@ class TestVictimSelection:
 
 NAN, INF = float("nan"), float("inf")
 
-#: Both controllers at two evictions a tick: the exact one (n = 20) and
-#: the mesoscale cohort one (n = 2000), which shares ``ConstantChurn``
-#: and ``check_stay_and_stop`` with it.
+#: Two ways to attach the exact controller at two evictions a tick per
+#: population: one system of n = 20, and a two-shard cluster of 20 a
+#: shard, whose ``attach_churn`` hands the same knobs to every shard.
 CHURNED = {
-    "exact": (lambda: make_system(n=20), 0.1),
-    "mesoscale": (
-        lambda: MesoscaleSystem(SystemConfig(n=2000, mode="mesoscale")), 0.001
-    ),
+    "system": lambda: make_system(n=20),
+    "cluster": lambda: ClusterSystem(ClusterConfig(shards=2, keys=2, n=40, seed=5)),
 }
 
 
 @pytest.fixture(params=sorted(CHURNED))
 def churned(request):
-    """``(system, attach)``: ``attach(**overrides)`` is the system's
-    ``attach_churn`` at the two-a-tick rate."""
-    build, rate = CHURNED[request.param]
-    system = build()
-    return system, functools.partial(system.attach_churn, rate=rate)
+    """``(system, attach, shards)``: ``attach(**overrides)`` is the
+    system's ``attach_churn`` at two evictions a tick per population;
+    ``shards`` are the populations it drives."""
+    system = CHURNED[request.param]()
+    shards = getattr(system, "shards", (system,))
+    return system, functools.partial(system.attach_churn, rate=0.1), shards
 
 
 class TestParametersAreCheckedAtConstruction:
     """Each bad value is refused where it is given, by a ``ChurnError``
     that names the parameter — not three layers down as a scheduler
-    error, and never by silently switching churn (or, in mesoscale, the
-    stay rule) off."""
+    error, and never by silently switching churn off."""
 
     @pytest.mark.parametrize("min_stay", [NAN, -1.0, -INF])
     def test_min_stay(self, churned, min_stay):
-        system, attach = churned
+        _, attach, shards = churned
         with pytest.raises(ChurnError, match="min_stay = "):
             attach(min_stay=min_stay)
-        assert system.churn is None
+        assert all(shard.churn is None for shard in shards)
 
     def test_an_infinite_min_stay_is_legal_and_never_evicts(self, churned):
-        system, attach = churned
-        controller = attach(min_stay=INF)
+        system, attach, shards = churned
+        attach(min_stay=INF)
         system.run_until(20.0)
-        assert controller.leaves_executed == 0
-        assert controller.shortfall == 40  # every quota, accounted for
+        for shard in shards:
+            assert shard.churn.leaves_executed == 0
+            assert shard.churn.shortfall == 40  # every quota, accounted for
 
     @pytest.mark.parametrize("stop_at", [NAN])
     def test_stop_at(self, churned, stop_at):
-        system, attach = churned
+        _, attach, shards = churned
         with pytest.raises(ChurnError, match="stop_at = nan"):
             attach(stop_at=stop_at)
-        assert system.churn is None
+        assert all(shard.churn is None for shard in shards)
 
     @pytest.mark.parametrize("stop_at", [INF, -INF])
     def test_an_infinite_stop_at_is_an_instant(self, churned, stop_at):
-        system, attach = churned
-        controller = attach(stop_at=stop_at)
+        system, attach, shards = churned
+        attach(stop_at=stop_at)
         system.run_until(5.0)
-        assert controller.leaves_executed == (10 if stop_at > 0 else 0)
+        for shard in shards:
+            assert shard.churn.leaves_executed == (10 if stop_at > 0 else 0)
 
     @pytest.mark.parametrize("period", [NAN, INF, 0.0, -1.0, -INF])
     def test_period(self, churned, period):

@@ -3,8 +3,13 @@
 import pytest
 
 from repro.exec import ENTRY_POINTS, RunSpec, resolve
+from repro.experiments import EXPERIMENTS
 from repro.sim.errors import ExperimentError
 from repro.sim.rng import derive_seed
+
+
+def _module_of(kind):
+    return ENTRY_POINTS[kind].partition(":")[0]
 
 
 class TestRunSpec:
@@ -31,6 +36,20 @@ class TestRegistry:
     @pytest.mark.parametrize("kind", sorted(ENTRY_POINTS))
     def test_every_registered_kind_resolves_to_a_callable(self, kind):
         assert callable(resolve(kind))
+
+    @pytest.mark.parametrize("experiment_id", sorted(EXPERIMENTS))
+    def test_every_experiment_registers_its_cells(self, experiment_id):
+        module = EXPERIMENTS[experiment_id].__module__
+        kinds = [k for k in ENTRY_POINTS if _module_of(k) == module]
+        assert kinds, f"{experiment_id} has no registered cell kind"
+        assert all(resolve(k).__module__ == module for k in kinds)
+
+    def test_every_experiment_kind_belongs_to_the_battery(self):
+        """Retiring an experiment retires its cell kinds with it."""
+        battery = {runner.__module__ for runner in EXPERIMENTS.values()}
+        for kind in ENTRY_POINTS:
+            if _module_of(kind).startswith("repro.experiments."):
+                assert _module_of(kind) in battery, kind
 
     def test_module_colon_function_form_resolves(self):
         fn = resolve("repro.sim.rng:derive_seed")

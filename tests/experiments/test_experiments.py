@@ -129,20 +129,20 @@ class TestE16Shapes:
 class TestVerdictsNameWhatRan:
     """A verdict names only the populations its grid ran."""
 
-    def test_quick_e18_crosschecks_only_n_10_3(self):
-        verdict = quick("E18").verdict
-        assert "mesoscale matches the exact kernel at n = 10³ " in verdict
-        assert "10⁴" not in verdict
-        assert "at n = 10⁶ joins complete" in verdict
-
     def test_quick_e17_names_its_one_refresh_per_tick_cell(self):
         assert "(including n = 10⁴)" in quick("E17").verdict
 
+    def test_quick_e17_names_its_above_threshold_cells(self):
+        assert "above the threshold (n ∈ {10², 10³})" in quick("E17").verdict
+
 
 class TestLargeCellsCompleteEveryJoin:
-    """E17's one-refresh-per-tick cells and E18's sub-threshold scale
-    cells must have eligible joins and complete every one: a cell with
-    none, or with one left undone, fails the verdict."""
+    """E17's one-refresh-per-tick cells must have eligible joins and
+    complete every one: a cell with none, or with one left undone,
+    fails the verdict.  Its above-threshold cells (n = 10², 10³) must
+    starve: one that completes half its joins, or all of them, fails it
+    too — as does a sub-threshold cell that completes only half, and a
+    violation in any kind of cell."""
 
     DOCTORED = [
         pytest.param(dict(eligible=0, done=0, done_rate=1.0), id="no-eligible"),
@@ -180,14 +180,45 @@ class TestLargeCellsCompleteEveryJoin:
         )
         assert verdict.startswith("NOT REPRODUCED: regular, but join completion")
 
-    @pytest.mark.parametrize("change", DOCTORED)
-    def test_e18_sub_threshold_scale_cell(self, monkeypatch, change):
-        from repro.experiments import e18_mesoscale as e18
+    @pytest.mark.parametrize("done_rate", [0.5, 1.0])
+    @pytest.mark.parametrize("n", [100, 1_000])
+    def test_e17_above_threshold_cell(self, monkeypatch, n, done_rate):
+        from repro.experiments import e17_population_scaling as e17
 
         verdict = self._run_doctored(
-            monkeypatch, e18, lambda p: p["n"] == 1_000_000 and p["writes"], change
+            monkeypatch,
+            e17,
+            lambda p: p["n"] == n and not p["writes"],
+            dict(done_rate=done_rate),
         )
-        assert verdict.startswith("NOT REPRODUCED: cross-checks pass but a large-n")
+        assert verdict.startswith("NOT REPRODUCED: regular, but join completion")
+
+    @pytest.mark.parametrize("n", [100, 1_000])
+    def test_e17_sub_threshold_cell(self, monkeypatch, n):
+        from repro.experiments import e17_population_scaling as e17
+
+        verdict = self._run_doctored(
+            monkeypatch,
+            e17,
+            lambda p: p["n"] == n and p["writes"],
+            dict(done_rate=0.5),
+        )
+        assert verdict.startswith("NOT REPRODUCED: regular, but join completion")
+
+    CELL_KINDS = {
+        "sub-threshold": lambda p: p["n"] == 100 and p["writes"],
+        "above-threshold": lambda p: p["n"] == 1_000 and not p["writes"],
+        "refresh": lambda p: p["n"] >= 10_000,
+    }
+
+    @pytest.mark.parametrize("kind", sorted(CELL_KINDS))
+    def test_e17_violation_in_any_cell(self, monkeypatch, kind):
+        from repro.experiments import e17_population_scaling as e17
+
+        verdict = self._run_doctored(
+            monkeypatch, e17, self.CELL_KINDS[kind], dict(violations=1)
+        )
+        assert verdict.startswith("NOT REPRODUCED: a population cell violated")
 
 
 def test_populations_label():

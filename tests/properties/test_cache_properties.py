@@ -111,11 +111,6 @@ def reference_best_for(phase: QuorumPhase, key):
         for entry_key, value, sequence in entries
         if entry_key == key
     ]
-    candidates.extend(
-        (sequence, "", value)
-        for entry_key, value, sequence in phase._bulk_entries
-        if entry_key == key
-    )
     if not candidates:
         return None
     sequence, _sender, value = max(candidates)
@@ -123,14 +118,12 @@ def reference_best_for(phase: QuorumPhase, key):
 
 
 class TestSinglePassBestPerKey:
-    @given(offers=offers, bulk=st.lists(entry, max_size=4))
+    @given(offers=offers)
     @settings(max_examples=300, deadline=None)
-    def test_equals_the_per_key_rescan(self, offers, bulk):
+    def test_equals_the_per_key_rescan(self, offers):
         phase = QuorumPhase().open()
         for sender, entries in offers.items():
             phase.offer(sender, entries)
-        if bulk:
-            phase.record_bulk(len(bulk), bulk)
         best = phase.best_per_key()
         for key in KEYS:
             expected = reference_best_for(phase, key)
@@ -151,10 +144,6 @@ def plain_best_per_key(phase: QuorumPhase):
                 or (sequence == held[0] and sender > held[1])
             ):
                 best[key] = (sequence, sender, value)
-    for key, value, sequence in phase._bulk_entries:
-        held = best.get(key)
-        if held is None or sequence > held[0]:
-            best[key] = (sequence, "", value)
     return {key: (value, sequence) for key, (sequence, _, value) in best.items()}
 
 
@@ -188,18 +177,10 @@ class TestFoldedBestPerKey:
             ),
             max_size=12,
         ),
-        bulk=st.lists(
-            st.tuples(
-                st.sampled_from(KEYS),
-                st.sampled_from((1, 1.0, True)),
-                st.integers(min_value=0, max_value=2),
-            ),
-            max_size=3,
-        ),
         data=st.data(),
     )
     @settings(max_examples=300, deadline=None)
-    def test_equals_the_plain_double_loop(self, states, picks, bulk, data):
+    def test_equals_the_plain_double_loop(self, states, picks, data):
         phase = QuorumPhase().open()
         # One tuple per (state, flavour): offers that share it are the
         # entries of one cached reply; ``fresh`` offers an equal copy.
@@ -214,8 +195,6 @@ class TestFoldedBestPerKey:
         for sender, (pick, flavour, fresh) in zip(senders, picks):
             entries = built[pick % len(states), flavour]
             phase.offer(sender, tuple(list(entries)) if fresh else entries)
-        if bulk:
-            phase.record_bulk(len(bulk), bulk)
         folded, plain = phase.best_per_key(), plain_best_per_key(phase)
         assert folded == plain
         assert {k: repr(v) for k, v in folded.items()} == {

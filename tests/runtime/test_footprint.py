@@ -80,14 +80,15 @@ PLANNED_BUDGET = (118, 2)
 JUDGED_BUDGET = (416, 5)
 
 #: protocol -> (bytes per seed, allocated blocks per seed).  Measured
-#: here (n = 2000, 3.11): 757 / 8.1, 1051 / 12.0, 941 / 10.1; with two
+#: here (n = 2000, 3.11): 757 / 8.1, 1019 / 12.0, 917 / 10.1; with a
+#: six-slot ``QuorumPhase``: 757 / 8.1, 1035 / 12.0, 917 / 10.1; with two
 #: dicts a tracker and ES's two pending sets built eagerly: 773 / 8.1,
 #: 1707 / 18.0, 1283 / 16.0; before per-process state went lazy and
 #: slotted: 1563 / 17.1, 2147 / 24.1, 1667 / 21.1.
 BUDGET = {
     "sync": (850, 9),
-    "es": (1160, 13),
-    "abd": (1040, 11),
+    "es": (1120, 13),
+    "abd": (1010, 11),
 }
 
 
