@@ -1,18 +1,12 @@
-"""The determinism ratchet: ``python -m repro bench``.
+"""The six fixed-seed digest workloads, and ``repro profile``.
 
 ``perf/`` (``BENCHMARK.json``) is the repository's one timing
 instrument — every wall-time claim is read there.  This module is
 :data:`DIGEST_WORKLOADS`, one table of six fixed-seed runs (plain,
 faulted, keyed, sharded, migrating, rebalanced) whose SHA-256 digests
-must be byte-identical across PRs and interpreters.  ``repro bench``
-runs each twice in one process (a scheduler or RNG regression that
-breaks reproducibility shows as UNSTABLE) and writes them to the
-``BENCH_kernel.json`` artifact, which is deterministic: two runs differ
-only in the ``python`` version that took them.  With ``--compare
-OLD.json`` (:func:`compare_artifacts`) it exits 1 naming every digest
-that differs from the committed artifact.  A PR that changes behaviour
-on purpose regenerates ``BENCH_kernel.json`` in the same commit,
-exactly as ``perf/run.py --write-pins`` does the pins.
+must be byte-identical across changes and interpreters: the golden
+store's ``digest/`` family (``tests/golden.py``) pins them, and a
+change that moves one on purpose regenerates the store.
 
 ``repro profile`` runs any digest workload under cProfile; it is the
 one place here that reads a clock.
@@ -21,10 +15,8 @@ one place here that reads a clock.
 from __future__ import annotations
 
 import hashlib
-import json
-import platform
 import random
-from typing import Any, Callable
+from typing import Callable
 
 from .cluster.config import ClusterConfig
 from .cluster.history import cluster_digest
@@ -39,10 +31,6 @@ from .workloads.cluster import ClusterWorkloadDriver, shard_skewed_key_picker
 from .workloads.explorer import schedule_round_robin_migrations
 from .workloads.generators import assign_keys, make_key_picker, read_heavy_plan
 from .workloads.schedule import WorkloadDriver, WorkloadOp
-
-ARTIFACT_NAME = "BENCH_kernel.json"
-#: 2 since the artifact holds the digests only (1 also held timings).
-SCHEMA_VERSION = 2
 
 
 # ----------------------------------------------------------------------
@@ -211,12 +199,10 @@ _FAULTED_PLAN = FaultPlan.of(
     name="bench-faulted",
 )
 
-#: The six fixed-seed digest workloads, by their field in the
-#: artifact's ``determinism`` block: a zero-argument callable returning
-#: the digest.  The only place they are listed — the artifact, the
-#: run-twice stability check, the stdout lines, ``--compare``'s digest
-#: diff, the exit condition, ``repro profile`` and the tier-1 pin
-#: (``tests/integration/test_determinism.py``) all iterate this table.
+#: The six fixed-seed digest workloads, by name: a zero-argument
+#: callable returning the digest.  The only place they are listed —
+#: ``repro profile`` and the golden store's ``digest/<name>`` entries
+#: (``tests/integration/test_determinism.py``) both iterate this table.
 #: Each later entry covers what the ones before it cannot see: a fault
 #: window acting, the operation's key, its shard id, the migration
 #: records, the rebalancer's samples and planned moves.
@@ -228,13 +214,6 @@ DIGEST_WORKLOADS: dict[str, Callable[[], str]] = {
     "migration_digest": lambda: cluster_workload("migration")[1],
     "rebalance_digest": lambda: cluster_workload("rebalance")[1],
 }
-
-
-def stable_field(digest_field: str) -> str:
-    """The ``determinism`` key holding a digest's run-twice verdict
-    (``digest`` → ``stable_within_process``, ``keyed_digest`` →
-    ``keyed_stable_within_process``)."""
-    return digest_field.replace("digest", "stable_within_process")
 
 
 # ----------------------------------------------------------------------
@@ -272,102 +251,3 @@ def profile_workload(
     print(f"workload {name}: {wall:.3f}s wall (profiled), result {result!r}")
     stats = pstats.Stats(profiler)
     stats.strip_dirs().sort_stats(sort).print_stats(top)
-
-
-# ----------------------------------------------------------------------
-# The artifact
-# ----------------------------------------------------------------------
-
-
-def run_kernel_benchmarks() -> dict[str, Any]:
-    """Run every digest workload twice; return the artifact.
-
-    Deterministic: two calls return equal payloads on one interpreter,
-    and payloads from different interpreters differ only in
-    ``python``.
-    """
-    determinism: dict[str, Any] = {}
-    for field, workload in DIGEST_WORKLOADS.items():
-        determinism[field] = workload()
-        determinism[stable_field(field)] = workload() == determinism[field]
-    return {
-        "artifact": "BENCH_kernel",
-        "schema_version": SCHEMA_VERSION,
-        "python": platform.python_version(),
-        "determinism": determinism,
-    }
-
-
-def compare_artifacts(
-    old: dict[str, Any], new: dict[str, Any]
-) -> tuple[list[str], list[str]]:
-    """Diff the digests of two bench artifacts.
-
-    Returns ``(lines, regressions)``: one human-readable line per
-    digest, and the ``determinism.<field>`` label of every digest the
-    baseline ``old`` does not hold with the same value — changed or
-    missing; no tolerance applies.  Nothing else in either artifact is
-    read, so a schema-1 baseline (which also held timings) compares
-    on its digests alone.
-    """
-    lines: list[str] = []
-    regressions: list[str] = []
-    old_digests, new_digests = old.get("determinism", {}), new["determinism"]
-    for field in DIGEST_WORKLOADS:
-        label = f"determinism.{field}"
-        was, now = old_digests.get(field), new_digests[field]
-        if was == now:
-            lines.append(f"{label}: unchanged")
-            continue
-        was = "missing" if was is None else f"{was[:16]}…"
-        lines.append(f"{label}: CHANGED {was} -> {now[:16]}…  REGRESSION")
-        regressions.append(label)
-    return lines, regressions
-
-
-def run_and_report(
-    out_path: str = ARTIFACT_NAME, compare_to: str | None = None
-) -> int:
-    """CLI body of ``python -m repro bench``.
-
-    Exits non-zero if a digest workload is unstable within the process,
-    or — with ``compare_to``, a committed artifact such as the
-    repository's ``BENCH_kernel.json`` — if a digest differs from the
-    baseline's.
-    """
-    baseline = None
-    if compare_to is not None:
-        # Load the baseline *before* writing the fresh artifact: with
-        # compare_to == out_path (comparing against the committed
-        # artifact in place) writing first would clobber the baseline
-        # and silently compare the run against itself.
-        with open(compare_to) as handle:
-            try:
-                baseline = json.load(handle)
-            except ValueError as error:
-                raise OSError(
-                    f"baseline {compare_to!r} is not valid JSON: {error}"
-                ) from error
-    payload = run_kernel_benchmarks()
-    with open(out_path, "w") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
-    determinism = payload["determinism"]
-    width = max(len(field) for field in DIGEST_WORKLOADS)
-    for field in DIGEST_WORKLOADS:
-        stable = "STABLE" if determinism[stable_field(field)] else "UNSTABLE"
-        print(f"{field:<{width}}  {determinism[field][:16]}… {stable}")
-    print(f"wrote {out_path}")
-    if not all(determinism[stable_field(field)] for field in DIGEST_WORKLOADS):
-        return 1
-    if baseline is not None:
-        print(f"\ncomparison against {compare_to}:")
-        lines, regressions = compare_artifacts(baseline, payload)
-        for line in lines:
-            print(f"  {line}")
-        if regressions:
-            print(f"COMPARE FAIL: {len(regressions)} of {len(lines)} digests differ")
-            print(f"REGRESSED: {', '.join(regressions)}")
-            return 1
-        print(f"COMPARE PASS: all {len(lines)} digests unchanged")
-    return 0

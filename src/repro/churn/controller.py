@@ -105,10 +105,6 @@ class ChurnController:
         """Exempt ``pid`` from eviction for the rest of the run."""
         self._protected.add(pid)
 
-    def unprotect(self, pid: str) -> None:
-        """Remove ``pid`` from the protected set."""
-        self._protected.discard(pid)
-
     @property
     def protected(self) -> frozenset[str]:
         return frozenset(self._protected)

@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Nine subcommands, mirroring how the library is typically used:
+Eight subcommands, mirroring how the library is typically used:
 
 ``experiments``
     Run the reproduction battery (E1–E17, optionally the ablations)
@@ -22,14 +22,6 @@ Nine subcommands, mirroring how the library is typically used:
     Print the paper's analytic bounds for given δ and n: the
     synchronous cap ``1/(3δ)``, the ES cap ``1/(3δn)``, Lemma 2's
     window bound.
-
-``bench``
-    Run the six fixed-seed determinism-digest workloads (each twice:
-    they must be STABLE) and write them to the ``BENCH_kernel.json``
-    artifact.  ``--compare OLD.json`` exits non-zero naming every
-    digest that differs from a committed artifact
-    (``determinism.<field>``).  Nothing here is timed: wall-time
-    claims are made with ``perf/run.py``.
 
 ``profile``
     Run one digest workload under ``cProfile`` and print the top-N
@@ -180,25 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also evaluate Lemma 2's bound at this churn rate",
     )
 
-    bench = sub.add_parser(
-        "bench",
-        help="run the six determinism digests; write BENCH_kernel.json",
-    )
-    bench.add_argument(
-        "--out",
-        default="BENCH_kernel.json",
-        help="artifact path (default: BENCH_kernel.json)",
-    )
-    bench.add_argument(
-        "--compare",
-        default=None,
-        metavar="OLD.json",
-        help=(
-            "diff this run against a committed artifact: exits non-zero "
-            "naming every determinism digest that differs from it"
-        ),
-    )
-
     profile = sub.add_parser(
         "profile",
         help="run one digest workload under cProfile and print hot frames",
@@ -207,8 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
         "workload",
         metavar="WORKLOAD",
         help=(
-            "digest workload to profile: a BENCH_kernel.json determinism "
-            "field (e.g. rebalance_digest; see repro.bench.DIGEST_WORKLOADS)"
+            "digest workload to profile (e.g. rebalance_digest; see "
+            "repro.bench.DIGEST_WORKLOADS)"
         ),
     )
     profile.add_argument(
@@ -459,14 +432,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             return _cmd_simulate(args)
         if args.command == "bounds":
             return _cmd_bounds(args)
-        if args.command == "bench":
-            from .bench import run_and_report
-
-            try:
-                return run_and_report(out_path=args.out, compare_to=args.compare)
-            except OSError as error:
-                print(f"error: cannot read/write artifact: {error}", file=sys.stderr)
-                return 2
         if args.command == "profile":
             from .bench import profile_workload
 

@@ -71,10 +71,6 @@ class ClusterHistory:
     # Shard access
     # ------------------------------------------------------------------
 
-    @property
-    def shard_count(self) -> int:
-        return len(self._shards)
-
     def shard_ids(self) -> range:
         return range(len(self._shards))
 
@@ -159,7 +155,7 @@ class ClusterHistory:
         for op in self.merged_operations():
             if self.migrated_keys and op.key in self.migrated_keys:
                 continue  # judged across the seam instead (seam_view)
-            if op.shard == shard or (op.shard is None and self.shard_count == 1):
+            if op.shard == shard:
                 view.record_operation(op)
         view._departures = dict(source._departures)
         if source.horizon is not None:
@@ -205,7 +201,7 @@ class ClusterHistory:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         per_shard = ", ".join(f"s{i}={len(h)}" for i, h in enumerate(self._shards))
-        return f"ClusterHistory(shards={self.shard_count}, ops={len(self)}: {per_shard})"
+        return f"ClusterHistory(shards={len(self._shards)}, ops={len(self)}: {per_shard})"
 
 
 def cluster_digest(history: ClusterHistory) -> str:

@@ -24,7 +24,7 @@ reproduces the whole cluster byte-for-byte
 from __future__ import annotations
 
 import itertools
-from typing import Any, Sequence, TYPE_CHECKING
+from typing import Any, Sequence
 
 from ..churn.controller import ChurnController
 from ..core.checker import AtomicityReport, LivenessReport, SafetyReport
@@ -44,9 +44,6 @@ from .checker import (
 from .config import ClusterConfig
 from .history import ClusterHistory
 from .migration import KeyMigration, MigrationRecord, MigrationSpec
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..faults.cluster_plan import ClusterFaultPlan
 
 
 class ClusterSystem:
@@ -342,25 +339,6 @@ class ClusterSystem:
                     lambda pid, index=index: scope_pid(pid, index)
                 )
             injectors.append(self.shards[index].install_faults(scoped))
-        return tuple(injectors)
-
-    def install_cluster_faults(
-        self, plan: "ClusterFaultPlan", scope_pids: bool = True
-    ) -> tuple[FaultInjector, ...]:
-        """Install a :class:`~repro.faults.cluster_plan.ClusterFaultPlan`.
-
-        Each shard receives the cluster-wide schedule merged with its
-        own per-shard schedules (one injector per faulted shard); shards
-        the composed plan leaves empty get no injector at all.
-        """
-        injectors = []
-        for index in range(len(self.shards)):
-            shard_plan = plan.plan_for(index)
-            if shard_plan.is_empty:
-                continue
-            injectors.extend(
-                self.install_faults(shard_plan, shards=[index], scope_pids=scope_pids)
-            )
         return tuple(injectors)
 
     # ------------------------------------------------------------------

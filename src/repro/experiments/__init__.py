@@ -1,9 +1,10 @@
 """Experiments: one module per figure/lemma/theorem of the paper.
 
-See the per-experiment index in ``DESIGN.md``.  Each module exposes
-``run(seed=0, quick=False, ..., workers=None) -> ExperimentResult``;
-``run_all`` executes the whole battery (used by
-``examples/reproduce_paper.py`` and by ``EXPERIMENTS.md`` generation).
+Each module exposes
+``run(seed=0, quick=False, ..., workers=None) -> ExperimentResult``,
+registered in :data:`EXPERIMENTS` (the ablations in :data:`ABLATIONS`)
+in paper order; ``repro experiments`` and
+``examples/reproduce_paper.py`` run the battery from there.
 
 Every experiment builds its sweep as a grid of
 :class:`repro.exec.RunSpec` cells executed through the shared engine:
@@ -61,31 +62,9 @@ EXPERIMENTS: dict[str, Callable[..., ExperimentResult]] = {
 }
 
 
-def run_all(
-    seed: int = 0,
-    quick: bool = False,
-    ablations: bool = False,
-    workers: int | None = None,
-) -> list[ExperimentResult]:
-    """Run every experiment (optionally plus ablations), in paper order.
-
-    ``workers`` is forwarded to each experiment's grid (default: all
-    cores); the battery itself stays sequential so experiment output
-    order is stable.
-    """
-    battery = dict(EXPERIMENTS)
-    if ablations:
-        battery.update(ABLATIONS)
-    return [
-        runner(seed=seed, quick=quick, workers=workers)
-        for runner in battery.values()
-    ]
-
-
 __all__ = [
     "ABLATIONS",
     "EXPERIMENTS",
     "ExperimentResult",
     "format_table",
-    "run_all",
 ]

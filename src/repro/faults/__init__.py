@@ -11,7 +11,6 @@ violating run refutes a lemma (in-model ⇒ bug) or merely documents a
 hypothesis the plan broke (out-of-model ⇒ expected breakage).
 """
 
-from .cluster_plan import ClusterFaultPlan
 from .injector import (
     REASON_DEPARTED,
     REASON_LOSS,
@@ -30,7 +29,6 @@ from .plan import (
 )
 
 __all__ = [
-    "ClusterFaultPlan",
     "REASON_DEPARTED",
     "REASON_LOSS",
     "REASON_PARTITION",

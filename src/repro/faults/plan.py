@@ -278,11 +278,6 @@ class PlanClassification:
     in_model: bool
     reasons: tuple[str, ...] = ()
 
-    def describe(self) -> str:
-        if self.in_model:
-            return "in-model (violations under this plan are bugs)"
-        return "out-of-model: " + "; ".join(self.reasons)
-
 
 @dataclass(frozen=True)
 class FaultPlan:
@@ -321,9 +316,6 @@ class FaultPlan:
     def __len__(self) -> int:
         return len(self.atomic_faults())
 
-    def __iter__(self) -> Iterator[Fault]:
-        return iter(self.atomic_faults())
-
     @classmethod
     def of(cls, *faults: Fault, name: str = "") -> "FaultPlan":
         """Build a plan from loose faults (order within each kind kept)."""
@@ -346,11 +338,6 @@ class FaultPlan:
             crashes=tuple(crashes),
             name=name,
         )
-
-    def merged(self, other: "FaultPlan") -> "FaultPlan":
-        """The union of two plans (``self``'s faults first)."""
-        name = self.name if not other.name else f"{self.name}+{other.name}".strip("+")
-        return FaultPlan.of(*self.atomic_faults(), *other.atomic_faults(), name=name)
 
     # ------------------------------------------------------------------
     # Model taxonomy

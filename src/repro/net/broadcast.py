@@ -94,10 +94,6 @@ class BroadcastService:
             raise ConfigError(f"entrant probability {probability!r} not in [0, 1]")
         return probability
 
-    @property
-    def entrant_policy(self) -> EntrantPolicy:
-        return self._entrant_policy
-
     # ------------------------------------------------------------------
     # Broadcasting
     # ------------------------------------------------------------------

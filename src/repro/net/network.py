@@ -80,8 +80,8 @@ random()`` inline —
 tracing the point-to-point one, so traced ≡ untraced parity is also the
 oracle for "inline draw ≡ ``sample``".  Every path reproduces the
 one-message-per-recipient ``(time, priority, sequence)`` order
-byte-for-byte (the determinism digests and
-``tests/properties/kernel_golden.json`` pin this).
+byte-for-byte (the golden store's ``digest/``, ``kernel/`` and
+``trace/`` entries, ``tests/golden.json``, pin this).
 """
 
 from __future__ import annotations

@@ -198,7 +198,7 @@ class JoinResult:
 class KeyedJoinResult:
     """A multi-key join's adoptions: one ``(value, sequence)`` per key.
 
-    ``value``/``sequence`` expose the default (first) key's adoption so
+    ``value`` exposes the default (first) key's adoption so
     single-register tooling keeps working; the per-key checker views a
     keyed history through :meth:`for_key`.
     """
@@ -208,10 +208,6 @@ class KeyedJoinResult:
     @property
     def value(self) -> Any:
         return next(iter(self.adoptions.values()))[0]
-
-    @property
-    def sequence(self) -> int:
-        return next(iter(self.adoptions.values()))[1]
 
     @property
     def ok(self) -> str:

@@ -129,27 +129,6 @@ class Event:
         self._consumed = False
 
     # ------------------------------------------------------------------
-    # Ordering (the queue and ``sorted`` need ``__lt__``; ``__eq__`` keeps
-    # the dataclass-era semantics of comparing the sort key)
-    # ------------------------------------------------------------------
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.priority, self.sequence) < (
-            other.time,
-            other.priority,
-            other.sequence,
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Event):
-            return NotImplemented
-        return (self.time, self.priority, self.sequence) == (
-            other.time,
-            other.priority,
-            other.sequence,
-        )
-
-    # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
 

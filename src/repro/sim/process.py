@@ -74,7 +74,7 @@ class SimProcess:
 
     __slots__ = (
         "pid", "engine", "_mode", "_entered_at", "_activated_at",
-        "_departed_at", "_runners", "_watchers", "_registry", "_dispatch",
+        "_runners", "_watchers", "_registry", "_dispatch",
     )
 
     def __init__(self, pid: str, engine: EventScheduler) -> None:
@@ -83,7 +83,6 @@ class SimProcess:
         self._mode = ProcessMode.LISTENING
         self._entered_at: Time = engine._now
         self._activated_at: Time | None = None
-        self._departed_at: Time | None = None
         self._runners: Sequence[_OperationRunner] = _EMPTY
         self._watchers: Sequence[_ConditionWatcher] = _EMPTY
         # The Membership this process entered (set by ``enter``): told
@@ -127,10 +126,6 @@ class SimProcess:
     def activated_at(self) -> Time | None:
         return self._activated_at
 
-    @property
-    def departed_at(self) -> Time | None:
-        return self._departed_at
-
     def mark_active(self) -> None:
         """Transition LISTENING → ACTIVE (when ``join`` returns)."""
         if self._mode is ProcessMode.DEPARTED:
@@ -152,7 +147,6 @@ class SimProcess:
             return
         was_active = self._mode is ProcessMode.ACTIVE
         self._mode = ProcessMode.DEPARTED
-        self._departed_at = self.engine.now
         if self._registry is not None:
             self._registry._mode_changed(self.pid, -1 if was_active else 0)
         for runner in list(self._runners):

@@ -1057,14 +1057,6 @@ class ExplorationReport:
             if o.verdict == VERDICT_BUG or o.shrunk_verdict == VERDICT_BUG
         ]
 
-    @property
-    def breakages(self) -> list[ScenarioOutcome]:
-        return [o for o in self.outcomes if o.verdict == VERDICT_BREAKAGE]
-
-    @property
-    def near_misses(self) -> list[ScenarioOutcome]:
-        return [o for o in self.outcomes if o.verdict == VERDICT_NEAR_MISS]
-
     def counts(self) -> dict[str, int]:
         tally: dict[str, int] = {}
         for outcome in self.outcomes:

@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 import pytest
 
 from repro.net.delay import SynchronousDelay
@@ -34,13 +31,6 @@ def trace() -> TraceLog:
 @pytest.fixture
 def membership() -> Membership:
     return Membership()
-
-
-def committed_bench_artifact() -> dict:
-    """The repository's committed ``BENCH_kernel.json``: the one place
-    the six determinism digests are written down."""
-    path = Path(__file__).resolve().parent.parent / "BENCH_kernel.json"
-    return json.loads(path.read_text())
 
 
 def make_system(**overrides) -> DynamicSystem:

@@ -192,13 +192,6 @@ class TestComposition:
         assert len(plan.crashes) == 1
         assert not plan.is_empty
 
-    def test_merged_keeps_both_plans_faults(self):
-        a = FaultPlan.of(LossFault(probability=0.2), name="a")
-        b = FaultPlan.of(DelaySpikeFault(extra=1.0), name="b")
-        merged = a.merged(b)
-        assert len(merged) == 2
-        assert merged.name == "a+b"
-
     @pytest.mark.parametrize(
         "plan",
         [

@@ -3,7 +3,9 @@
 Every stochastic choice flows through seeded named streams, so equal
 configurations must produce byte-identical observable behaviour — ops,
 messages, traces, checker verdicts.  These tests pin that down across
-protocols and delay models.
+protocols and delay models, and hold the six
+:data:`~repro.bench.DIGEST_WORKLOADS` to the golden store's ``digest/``
+family (``tests/golden.py``).
 """
 
 import pytest
@@ -12,7 +14,8 @@ from repro.bench import DIGEST_WORKLOADS
 from repro.net.delay import AsynchronousDelay, EventuallySynchronousDelay
 from repro.workloads.generators import read_heavy_plan
 from repro.workloads.schedule import WorkloadDriver
-from tests.conftest import committed_bench_artifact, make_system
+from tests.conftest import make_system
+from tests.golden import expected
 
 
 def run_fingerprint(protocol: str, seed: int, delay_factory=None) -> tuple:
@@ -106,15 +109,29 @@ class TestTraceTransparency:
         assert ops_fingerprint(True) == ops_fingerprint(False)
 
 
-@pytest.mark.parametrize("field", DIGEST_WORKLOADS)
-def test_digest_workload_reproduces_the_committed_digest(field):
-    """The tier-1 pin of "byte-identical digests": each of the six
-    fixed-seed digest workloads must hash to the entry committed in
-    ``BENCH_kernel.json``.  A PR that changes scheduling, RNG draws or
-    accounting on purpose regenerates the artifact in the same commit
-    (``python -m repro bench``) and says so."""
-    committed = committed_bench_artifact()["determinism"]
-    assert DIGEST_WORKLOADS[field]() == committed[field]
+def digest_family() -> dict:
+    """The golden store's ``digest/`` family: one entry per digest workload."""
+    return {f"digest/{field}": workload for field, workload in DIGEST_WORKLOADS.items()}
+
+
+DIGESTS = digest_family()
+
+
+@pytest.mark.parametrize("key", DIGESTS)
+def test_digest_workload_is_stable_within_process(key):
+    """Each of the six fixed-seed digest workloads hashes to the same
+    value on two runs in one process: a scheduler or RNG regression that
+    breaks reproducibility fails here, whatever the store holds."""
+    assert DIGESTS[key]() == DIGESTS[key](), (
+        f"{key} differs between two runs in one process"
+    )
+
+
+@pytest.mark.parametrize("key", DIGESTS)
+def test_digest_workload_reproduces_its_golden(key):
+    """The tier-1 pin of "byte-identical digests": each digest workload
+    hashes to its golden-store entry."""
+    assert DIGESTS[key]() == expected(key)
 
 
 class TestExperimentDeterminism:

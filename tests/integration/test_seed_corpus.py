@@ -1,42 +1,35 @@
 """The regression-seed corpus: found scenarios never regress.
 
-``tests/corpus/seeds.json`` records every explorer scenario worth
-keeping — violating runs (expected breakages of the paper's
-hypotheses) and near-misses (faults fired, safety held) — together
-with the verdict, checker counts and history digest observed when the
-entry was recorded.  This suite replays each entry and asserts the
-outcome is unchanged, so a scenario the explorer once found can never
-silently change meaning.
+The golden store's ``corpus/<name>`` family (``tests/golden.py``)
+records every explorer scenario worth keeping — violating runs
+(expected breakages of the paper's hypotheses) and near-misses (faults
+fired, safety held) — as its spec together with the verdict, checker
+counts and history digest observed when the entry was recorded.  This
+suite holds each recorded spec to :data:`CORPUS_SCENARIOS`, replays the
+canonical scenario and asserts the outcome is unchanged, so a scenario
+the explorer once found can never silently change meaning.
 
-The digests double as a determinism net: like the BENCH_kernel.json
-digest, they may only change when a PR *intentionally* changes
-scheduling, RNG draws or churn accounting — such a PR regenerates the
-corpus (and says so) with::
+The digests double as a determinism net: like the ``digest/`` family,
+they may only change when a change *intentionally* moves scheduling,
+RNG draws or churn accounting — it then regenerates the store with
+``PYTHONPATH=src python -m tests.golden`` and says which keys moved.
 
-    PYTHONPATH=src python tests/integration/test_seed_corpus.py --regen
-
-The canonical scenario list lives in :data:`CORPUS_SCENARIOS` below;
-regeneration re-runs it and rewrites the expectations.
-
-Replay (and regeneration) goes through the shared execution engine —
-each entry is a ``RunSpec`` of kind ``"scenario"``, the same path
-``repro explore`` takes — so the corpus also guards the engine's
-serial/parallel equivalence: outcomes must match the recorded digests
-at whatever worker count this host runs.
+Replay goes through the shared execution engine — each entry is a
+``RunSpec`` of kind ``"scenario"``, the same path ``repro explore``
+takes — so the corpus also guards the engine's serial/parallel
+equivalence: outcomes must match the recorded digests at whatever
+worker count this host runs.
 """
 
 from __future__ import annotations
 
 import functools
-import json
-from pathlib import Path
 
 import pytest
 
 from repro.exec import RunSpec, run_specs
 from repro.workloads.explorer import ScenarioOutcome, ScenarioSpec, build_plan
-
-CORPUS_PATH = Path(__file__).parent.parent / "corpus" / "seeds.json"
+from tests.golden import expected
 
 DELTA = 5.0
 HORIZON = 120.0
@@ -151,96 +144,56 @@ def _observed(outcome: ScenarioOutcome) -> dict:
     }
 
 
-def _replay(named_specs: list[tuple[str, ScenarioSpec]]) -> dict[str, ScenarioOutcome]:
-    """Replay scenarios through the shared execution engine.
-
-    Each corpus entry becomes a ``RunSpec`` of kind ``"scenario"`` —
-    the exact path ``repro explore`` runs — judged across all cores;
-    outcomes come back in entry order and are keyed by entry name.
-    """
-    outcomes = run_specs(
-        [
-            RunSpec(kind="scenario", params=spec.to_dict(), label=name)
-            for name, spec in named_specs
-        ]
-    )
-    return dict(zip((name for name, _ in named_specs), outcomes))
+#: The canonical scenarios by their golden-store key.
+SPECS = {f"corpus/{name}": spec for name, spec in CORPUS_SCENARIOS}
 
 
 @functools.lru_cache(maxsize=1)
 def _replayed() -> dict[str, ScenarioOutcome]:
-    """The recorded corpus, replayed once per test session."""
-    return _replay(
+    """Every canonical scenario, replayed once per session, by key.
+
+    Each becomes a ``RunSpec`` of kind ``"scenario"`` — the exact path
+    ``repro explore`` runs — judged across all cores.
+    """
+    outcomes = run_specs(
         [
-            (entry["name"], ScenarioSpec.from_dict(entry["spec"]))
-            for entry in load_corpus()
+            RunSpec(kind="scenario", params=spec.to_dict(), label=name)
+            for name, spec in CORPUS_SCENARIOS
         ]
     )
+    return dict(zip(SPECS, outcomes))
 
 
-def regenerate() -> dict:
-    """Re-run every canonical scenario and rebuild the corpus payload."""
-    outcomes = _replay(CORPUS_SCENARIOS)
-    entries = []
-    for name, spec in CORPUS_SCENARIOS:
-        entries.append(
-            {
-                "name": name,
-                "spec": spec.to_dict(),
-                "expect": _observed(outcomes[name]),
-            }
-        )
-    return {"schema_version": 1, "entries": entries}
+def _entry(key: str) -> dict:
+    return {"spec": SPECS[key].to_dict(), "expect": _observed(_replayed()[key])}
 
 
-def load_corpus() -> list[dict]:
-    if not CORPUS_PATH.exists():
-        # The sync-check test below fails loudly in this case; keep
-        # import (and --regen bootstrap) working.
-        return []
-    payload = json.loads(CORPUS_PATH.read_text())
-    return payload["entries"]
+def corpus_family() -> dict:
+    """The golden store's ``corpus/`` family: every canonical scenario."""
+    return {key: functools.partial(_entry, key) for key in SPECS}
 
 
-def test_corpus_file_matches_the_canonical_scenario_list():
-    """seeds.json must cover exactly the scenarios defined here."""
-    recorded = [entry["name"] for entry in load_corpus()]
-    assert recorded == [name for name, _ in CORPUS_SCENARIOS], (
-        "tests/corpus/seeds.json is out of sync with CORPUS_SCENARIOS — "
-        "regenerate it (see module docstring)"
+@pytest.mark.parametrize("key", SPECS)
+def test_corpus_entry_records_its_canonical_spec(key):
+    assert expected(key)["spec"] == SPECS[key].to_dict(), (
+        f"{key}'s recorded spec is not its CORPUS_SCENARIOS spec"
     )
 
 
-@pytest.mark.parametrize(
-    "entry", load_corpus(), ids=lambda entry: entry["name"]
-)
-def test_corpus_seed_replays_to_the_recorded_verdict(entry):
-    expect = entry["expect"]
-    observed = _observed(_replayed()[entry["name"]])
-    assert observed == expect, (
-        f"corpus seed {entry['name']!r} no longer replays to its recorded "
-        f"outcome; if this PR intentionally changed scheduling/RNG/churn "
-        f"semantics, regenerate the corpus (see module docstring)"
+@pytest.mark.parametrize("key", SPECS)
+def test_corpus_seed_replays_to_the_recorded_verdict(key):
+    assert _observed(_replayed()[key]) == expected(key)["expect"], (
+        f"{key} no longer replays to its recorded outcome; if this change "
+        f"intentionally moved scheduling/RNG/churn semantics, regenerate "
+        f"the golden store (see module docstring)"
     )
 
 
 def test_corpus_keeps_documenting_the_boundary():
     """The corpus must retain both sides of the model boundary."""
-    entries = load_corpus()
-    verdicts = {entry["expect"]["verdict"] for entry in entries}
+    verdicts = [expected(key)["expect"]["verdict"] for key in SPECS]
     assert "expected-breakage" in verdicts
-    assert {"near-miss", "ok"} & verdicts
-    assert not any(
-        entry["expect"]["verdict"] == "bug" for entry in entries
-    ), "an in-model bug must be fixed, not enshrined in the corpus"
-
-
-if __name__ == "__main__":
-    import sys
-
-    if "--regen" in sys.argv:
-        CORPUS_PATH.parent.mkdir(parents=True, exist_ok=True)
-        CORPUS_PATH.write_text(json.dumps(regenerate(), indent=2) + "\n")
-        print(f"wrote {CORPUS_PATH}")
-    else:
-        print("usage: python tests/integration/test_seed_corpus.py --regen")
+    assert {"near-miss", "ok"} & set(verdicts)
+    assert "bug" not in verdicts, (
+        "an in-model bug must be fixed, not enshrined in the corpus"
+    )

@@ -44,16 +44,16 @@ from repro.faults.injector import REASON_LOSS, REASON_PARTITION
 from repro.runtime.config import SystemConfig
 from repro.runtime.system import DynamicSystem
 from repro.workloads.explorer import ScenarioSpec, build_plan, run_scenario
-from tests.conftest import committed_bench_artifact
+from tests.golden import expected
 
 DELTA = 5.0
 
-#: The fixed-seed determinism digest recorded in BENCH_kernel.json by
-#: PR 1, before the fault subsystem existed.  A no-fault-plan run must
-#: keep reproducing it byte for byte; only a PR that *intentionally*
-#: changes scheduling, RNG draws or churn accounting may update it
-#: (by regenerating the artifact, and saying so).
-PRE_FAULTS_DIGEST = committed_bench_artifact()["determinism"]["digest"]
+#: The fixed-seed determinism digest, recorded before the fault
+#: subsystem existed.  A no-fault-plan run must keep reproducing it
+#: byte for byte; only a change that *intentionally* moves scheduling,
+#: RNG draws or churn accounting may update it (by regenerating the
+#: golden store, and saying so).
+PRE_FAULTS_DIGEST = expected("digest/digest")
 
 
 def in_model_plan(n: int) -> FaultPlan:

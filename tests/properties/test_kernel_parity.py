@@ -4,13 +4,14 @@ The kernel has one scheduler, one delivery path and one dispatch plane.
 Two things hold it to the behaviour of the paper-literal machine it
 replaced:
 
-* **Golden.**  ``kernel_golden.json`` holds, per grid cell, the surface
-  the all-legacy kernel produced at the last commit that still had it
-  (one ``Message`` + ``Event`` per recipient, per-recipient ``on_<type>``
-  dispatch, binary heap) — operation digest, every network counter, the
-  fired-event count — and, for the traced cells, a hash of the full
-  trace-record sequence.  Every cell must reproduce its entry exactly.
-  The ``spike`` / ``crash`` / ``combo`` cells were added later, dumped
+* **Golden.**  The golden store (``tests/golden.py``) holds, per grid
+  cell, the surface the all-legacy kernel produced at the last commit
+  that still had it (one ``Message`` + ``Event`` per recipient,
+  per-recipient ``on_<type>`` dispatch, binary heap) — operation
+  digest, every network counter, the fired-event count, under
+  ``kernel/<cell>`` — and, for the traced cells, a hash of the full
+  trace-record sequence under ``trace/<cell>``.  Every cell must
+  reproduce its entry exactly.  The ``spike`` / ``crash`` / ``combo`` cells were added later, dumped
   from the last kernel that took *every* faulted delivery through the
   checked path and the ``on_<type>`` handlers (the 39 older cells came
   out byte-identical in that dump), before transmit-only plans moved
@@ -30,16 +31,15 @@ replaced:
   to what the fused sends scheduled.
 
 Any divergence here means a kernel change altered semantics, not just
-speed — a hard failure.  After a deliberate behaviour change, rerun
-``python tests/properties/test_kernel_parity.py`` to rewrite the golden
-and say so in the PR.
+speed — a hard failure.  After a deliberate behaviour change, rewrite
+the store with ``PYTHONPATH=src python -m tests.golden`` and say which
+keys moved.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
-import json
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -56,8 +56,7 @@ from repro.faults.plan import (
 from repro.net.delay import EventuallySynchronousDelay
 from repro.runtime.config import SystemConfig
 from repro.runtime.system import DynamicSystem
-
-GOLDEN_PATH = Path(__file__).with_name("kernel_golden.json")
+from tests.golden import expected
 
 #: The fault plans of the grid (``None`` = fault-free).  Loss exercises
 #: the on-transmit gate; the partition exercises delivery-time severing
@@ -237,37 +236,44 @@ def _trace_surface(system: DynamicSystem) -> dict:
     }
 
 
-def _compute_golden() -> dict:
+def _cell_surface(cell: dict) -> dict:
+    return _surface(_drive(**cell))
+
+
+def _cell_trace(cell: dict) -> dict:
+    return _trace_surface(_drive(trace=True, **cell))
+
+
+#: The grid and the traced cells by their golden-store key.
+SURFACE_CELLS = {f"kernel/{_cell_id(cell)}": cell for cell in CELLS}
+TRACE_CELLS = {f"trace/{_cell_id(cell)}": cell for cell in TRACED_CELLS}
+
+
+def kernel_family() -> dict:
+    """The golden store's ``kernel/`` family: every grid cell's surface."""
     return {
-        "surfaces": {_cell_id(cell): _surface(_drive(**cell)) for cell in CELLS},
-        "traces": {
-            _cell_id(cell): _trace_surface(_drive(trace=True, **cell))
-            for cell in TRACED_CELLS
-        },
+        key: functools.partial(_cell_surface, cell)
+        for key, cell in SURFACE_CELLS.items()
     }
 
 
-@pytest.fixture(scope="module")
-def golden() -> dict:
-    return json.loads(GOLDEN_PATH.read_text())
-
-
-def test_golden_covers_exactly_the_grid(golden):
-    assert sorted(golden["surfaces"]) == sorted(map(_cell_id, CELLS))
-    assert sorted(golden["traces"]) == sorted(map(_cell_id, TRACED_CELLS))
+def trace_family() -> dict:
+    """The golden store's ``trace/`` family: every traced cell's records."""
+    return {
+        key: functools.partial(_cell_trace, cell) for key, cell in TRACE_CELLS.items()
+    }
 
 
 class TestKernelGolden:
     """Every cell reproduces what the legacy kernel produced."""
 
-    @pytest.mark.parametrize("cell", CELLS, ids=_cell_id)
-    def test_surface_matches_golden(self, golden, cell):
-        assert _surface(_drive(**cell)) == golden["surfaces"][_cell_id(cell)]
+    @pytest.mark.parametrize("key", SURFACE_CELLS)
+    def test_surface_matches_golden(self, key):
+        assert _cell_surface(SURFACE_CELLS[key]) == expected(key)
 
-    @pytest.mark.parametrize("cell", TRACED_CELLS, ids=_cell_id)
-    def test_trace_records_match_golden(self, golden, cell):
-        system = _drive(trace=True, **cell)
-        assert _trace_surface(system) == golden["traces"][_cell_id(cell)]
+    @pytest.mark.parametrize("key", TRACE_CELLS)
+    def test_trace_records_match_golden(self, key):
+        assert _cell_trace(TRACE_CELLS[key]) == expected(key)
 
 
 class TestWavesAgainstHandlers:
@@ -301,8 +307,3 @@ class TestWavesAgainstHandlers:
             for trace in (True, False)
         ]
         assert surfaces[0] == surfaces[1]
-
-
-if __name__ == "__main__":
-    GOLDEN_PATH.write_text(json.dumps(_compute_golden(), indent=1) + "\n")
-    print(f"wrote {GOLDEN_PATH}")

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.bench import DIGEST_WORKLOADS
 from repro.cli import main
+from tests.golden import expected
 
 
 class TestBounds:
@@ -178,38 +180,16 @@ class TestParanoid:
         assert fast_verdict == paranoid_verdict
 
 
-class TestBench:
-    def test_bench_writes_artifact(self, tmp_path, capsys):
-        import json
-
-        from repro.bench import DIGEST_WORKLOADS, stable_field
-
-        out_path = tmp_path / "BENCH_kernel.json"
-        assert main(["bench", "--out", str(out_path)]) == 0
-        stdout = capsys.readouterr().out
-        assert "rebalance_digest" in stdout
-        assert stdout.count(" STABLE") == len(DIGEST_WORKLOADS)
-        assert "UNSTABLE" not in stdout
-        payload = json.loads(out_path.read_text())
-        assert payload["artifact"] == "BENCH_kernel"
-        assert payload["schema_version"] == 2
-        for field in DIGEST_WORKLOADS:
-            assert len(payload["determinism"][field]) == 64
-            assert payload["determinism"][stable_field(field)] is True
-
-    def test_unreadable_baseline_exits_two_before_running(self, tmp_path, capsys):
-        baseline = tmp_path / "broken.json"
-        baseline.write_text("{not json")
-        out_path = tmp_path / "fresh.json"
-        assert main(["bench", "--out", str(out_path), "--compare", str(baseline)]) == 2
-        assert "is not valid JSON" in capsys.readouterr().err
-        assert not out_path.exists()
-
-    @pytest.mark.parametrize("flag", ["--repeats", "--threshold", "--workers"])
-    def test_bench_takes_no_timing_flag(self, capsys, flag):
-        with pytest.raises(SystemExit):
-            main(["bench", flag, "1"])
-        assert "unrecognized arguments" in capsys.readouterr().err
+class TestSubcommands:
+    def test_bench_is_refused_and_the_eight_subcommands_are_named(self, capsys):
+        with pytest.raises(SystemExit) as refused:
+            main(["bench"])
+        assert refused.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'bench'" in err
+        for name in ("experiments", "scenario", "simulate", "bounds",
+                     "profile", "migrate", "rebalance", "explore"):
+            assert f"'{name}'" in err
 
 
 class TestExplore:
@@ -388,6 +368,12 @@ class TestProfileCommand:
         out = capsys.readouterr().out
         assert "workload rebalance_digest" in out
         assert "cumulative" in out  # pstats sort header
+
+    @pytest.mark.parametrize("name", DIGEST_WORKLOADS)
+    def test_profiled_workload_returns_its_golden_digest(self, capsys, name):
+        """Profiling observes a digest workload without perturbing it."""
+        assert main(["profile", name, "--top", "3"]) == 0
+        assert f"result {expected(f'digest/{name}')!r}" in capsys.readouterr().out
 
     def test_sort_by_tottime(self, capsys):
         assert main(["profile", "faulted_digest", "--sort", "tottime"]) == 0
