@@ -551,7 +551,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     print(safety.summary())
     print(liveness.summary())
     if args.timeline:
-        pids = [r.pid for r in system.membership.iter_records()][:25]
+        pids = [p.pid for p in system.membership.processes()][:25]
         _print_view(system.trace, render_timeline(system, width=76, pids=pids))
     return 0 if (safety.is_safe and liveness.is_live) else 1
 

@@ -53,9 +53,12 @@ OP_JOIN = "join"
 OP_READ = "read"
 OP_WRITE = "write"
 
+#: One key's local copy: ``(value, sequence)``.
+Cell = tuple[Any, int]
+
 #: The cell every key starts from: nothing written, paired with −1 so
 #: the first real sequence number (0) passes the adoption guard.
-_UNSET = (BOTTOM, -1)
+_UNSET: Cell = (BOTTOM, -1)
 
 #: The key of the classic single-register system.  ``None`` (rather
 #: than a named key) keeps every single-register code path — message
@@ -94,21 +97,28 @@ class RegisterSpace:
     dict's insertion order is the key order (``_keys``) by construction.
     A quorum handler probes it with its message's key as it stands
     (``read`` / ``write`` resolved it) and comes here only on a miss.
+
+    ``cell`` is what every key starts from: ⟨⊥, −1⟩ for a joiner, the
+    initial ⟨value, 0⟩ for a seed (footnote 3) — one tuple the whole
+    population shares.
     """
 
     __slots__ = ("_keys", "_cells", "version")
 
-    def __init__(self, keys: tuple[Any, ...] = (SINGLE_KEY,)) -> None:
+    def __init__(
+        self, keys: tuple[Any, ...] = (SINGLE_KEY,), cell: Cell = _UNSET
+    ) -> None:
         if not keys:
             raise ValueError("a register space needs at least one key")
         self._keys = tuple(keys)
-        self._cells: dict[Any, tuple[Any, int]] = dict.fromkeys(self._keys, _UNSET)
+        self._cells: dict[Any, tuple[Any, int]] = dict.fromkeys(self._keys, cell)
         #: Bumped by every mutator call (even a rejected adoption, so
-        #: callers may over-invalidate but never under-invalidate).
+        #: callers may over-invalidate but never under-invalidate), and
+        #: 1 for a seeded space, as if its initial cell were installed.
         #: Protocol nodes key cached derived payloads — e.g. an inquiry
         #: reply, rebuilt tens of thousands of times under churn from a
         #: space that never changed — on this counter.
-        self.version = 0
+        self.version = 0 if cell is _UNSET else 1
 
     @property
     def keys(self) -> tuple[Any, ...]:
@@ -152,11 +162,6 @@ class RegisterSpace:
         key = self.resolve(key)
         self.version += 1
         self._cells[key] = (value, sequence)
-
-    def install_all(self, value: Any, sequence: int) -> None:
-        """Seed every key with the initial value (footnote 3)."""
-        self.version += 1
-        self._cells = dict.fromkeys(self._keys, (value, sequence))
 
     def adopt(self, key: Any, value: Any, sequence: int) -> bool:
         """The paper's adoption rule: install iff strictly newer.
@@ -233,6 +238,10 @@ class NodeContext:
     #: tuple is the paper's one register; multi-key systems pass
     #: :func:`key_names` of their key count.
     keys: tuple[Any, ...] = (SINGLE_KEY,)
+    #: What the node class derives from ``n``, ``delta`` and ``extra``
+    #: (sync's inquiry wait, ES's quorum): checked and resolved once by
+    #: :meth:`RegisterNode.bind`, and shared by every node built here.
+    derived: dict[str, Any] = field(default_factory=dict)
 
 
 class RegisterNode(SimProcess, abc.ABC):
@@ -240,37 +249,31 @@ class RegisterNode(SimProcess, abc.ABC):
 
     Lifecycle contract (Section 2):
 
-    * a node created as a *seed* starts active and already stores the
-      register's initial value — the paper's "initially, n processes
-      compose the system" premise;
+    * a node created as a *seed* (``seed=(initial value, 0)``) starts
+      active and already stores the register's initial value on every
+      key — the paper's "initially, n processes compose the system"
+      premise (footnote 3);
     * a node created as a *joiner* starts in listening mode and must be
       driven through :meth:`join` before it may read or write.
+
+    ``ctx`` must have been bound to the node class (:meth:`bind`).
     """
 
     __slots__ = ("ctx", "space", "migration_sink")
 
-    def __init__(self, pid: str, ctx: NodeContext) -> None:
-        super().__init__(pid, ctx.engine)
+    def __init__(self, pid: str, ctx: NodeContext, seed: Cell | None = None) -> None:
+        super().__init__(pid, ctx.engine, seed is not None)
         self.ctx = ctx
         #: The node's local copies, one cell per key.
-        self.space = RegisterSpace(ctx.keys)
+        self.space = RegisterSpace(ctx.keys, _UNSET if seed is None else seed)
         #: The coordinator currently using this node as its reply agent
         #: (``None`` when no migration is in flight through this node).
         self.migration_sink: Any = None
 
-    # ------------------------------------------------------------------
-    # Seeding
-    # ------------------------------------------------------------------
-
-    def init_as_seed(self, value: Any, sequence: int = 0) -> None:
-        """Install the initial value on every key and mark active.
-
-        Used only for the ``n`` processes that compose the system at
-        time 0 (footnote 3 of the paper: every initial process holds
-        the register's initial value).
-        """
-        self.space.install_all(value, sequence)
-        self.mark_active()
+    @classmethod
+    def bind(cls, ctx: NodeContext) -> None:
+        """Check and resolve into ``ctx.derived``, once per context and
+        before any node is built, what this class reads from ``ctx.extra``."""
 
     # ------------------------------------------------------------------
     # The three operations

@@ -295,7 +295,7 @@ class Network:
         # ever mutated in place) and the delay model is fixed, so the
         # per-delivery attribute chains collapse to one load each.
         self._present = membership._present
-        self._records = membership._records
+        self._known = membership._processes
         self._sample = delay_model.sample
         # The model's declared uniform draw parameters, which the
         # inline draws of ``send_payload`` and the sweep run on.
@@ -337,7 +337,7 @@ class Network:
         # ``__contains__`` are these very lookups behind a call).
         if sender not in self._present:
             raise NetworkError(f"departed process {sender!r} cannot send")
-        if dest not in self._records:
+        if dest not in self._known:
             raise UnknownProcessError(f"destination {dest!r} was never in the system")
         engine = self.engine
         now = engine._now
@@ -409,12 +409,12 @@ class Network:
         now = engine._now
         push = engine._push
         random = self._rng.random
-        records = self._records
+        known = self._known
         item = self._delivery
         sequence = first = engine._sequence
         try:
             for dest in dests:
-                if dest not in records:
+                if dest not in known:
                     raise UnknownProcessError(
                         f"destination {dest!r} was never in the system"
                     )

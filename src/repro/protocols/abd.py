@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from typing import Any, NamedTuple
 
-from ..core.register import NodeContext, RegisterNode
+from ..core.register import Cell, NodeContext, RegisterNode
 from ..sim.errors import ConfigError
 from ..sim.operations import OperationBody, WaitUntil
 from .common import OK, PhaseTracker, make_join_result
@@ -102,8 +102,8 @@ class AbdRegisterNode(RegisterNode):
 
     __slots__ = ("_queries", "_writebacks", "_writes", "_universe", "_is_replica")
 
-    def __init__(self, pid: str, ctx: NodeContext) -> None:
-        super().__init__(pid, ctx)
+    def __init__(self, pid: str, ctx: NodeContext, seed: Cell | None = None) -> None:
+        super().__init__(pid, ctx, seed)
         # Phase thresholds depend on the replica universe, which the
         # runtime installs only after every seed exists — each round is
         # opened with the majority as it then stands.

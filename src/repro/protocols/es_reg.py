@@ -51,7 +51,7 @@ from __future__ import annotations
 
 from typing import Any, NamedTuple
 
-from ..core.register import NodeContext, RegisterNode
+from ..core.register import Cell, NodeContext, RegisterNode
 from ..sim.errors import ProcessError
 from ..sim.operations import OperationBody, WaitUntil
 from ..sim.process import ProcessMode
@@ -129,22 +129,27 @@ class EventuallySyncRegisterNode(RegisterNode):
         "_majority", "_join_phase", "_reads", "_acks", "_reply_to", "_dl_prev",
     )
 
-    def __init__(self, pid: str, ctx: NodeContext) -> None:
-        super().__init__(pid, ctx)
-        # Figure 4, lines 01-02: the join's initializations happen at
-        # process creation (join starts the instant the process enters).
+    @classmethod
+    def bind(cls, ctx: NodeContext) -> None:
         # The paper's quorum is the majority ⌊n/2⌋ + 1.  Ablation A6
         # overrides it (ctx.extra["quorum_size"]) to measure why nothing
         # smaller is sound: sub-majority quorums need not intersect.
         override = ctx.extra.get("quorum_size")
-        if override is not None:
-            if not 1 <= int(override) <= ctx.n:
-                raise ProcessError(
-                    f"quorum_size {override!r} must lie in [1, n={ctx.n}]"
-                )
-            self._majority = int(override)
+        if override is None:
+            quorum = ctx.n // 2 + 1
+        elif 1 <= int(override) <= ctx.n:
+            quorum = int(override)
         else:
-            self._majority = ctx.n // 2 + 1
+            raise ProcessError(
+                f"quorum_size {override!r} must lie in [1, n={ctx.n}]"
+            )
+        ctx.derived["quorum"] = quorum
+
+    def __init__(self, pid: str, ctx: NodeContext, seed: Cell | None = None) -> None:
+        super().__init__(pid, ctx, seed)
+        # Figure 4, lines 01-02: the join's initializations happen at
+        # process creation (join starts the instant the process enters).
+        self._majority = ctx.derived["quorum"]
         # Shared quorum machinery: one batched join phase, per-key read
         # phases (owning the read_sn request counters) and per-key
         # write-ack phases, all multiplexed over this one process; they,

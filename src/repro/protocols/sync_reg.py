@@ -65,7 +65,7 @@ from __future__ import annotations
 
 from typing import Any, NamedTuple
 
-from ..core.register import BOTTOM, NodeContext, RegisterNode
+from ..core.register import BOTTOM, Cell, NodeContext, RegisterNode
 from ..sim.errors import ProcessError
 from ..sim.operations import OperationBody, Wait
 from ..sim.process import ProcessMode
@@ -120,8 +120,23 @@ class SynchronousRegisterNode(RegisterNode):
         "_reply_version", "_inquiry_wait",
     )
 
-    def __init__(self, pid: str, ctx: NodeContext) -> None:
-        super().__init__(pid, ctx)
+    @classmethod
+    def bind(cls, ctx: NodeContext) -> None:
+        # Footnote 4: with a known one-to-one bound δ' the inquiry wait
+        # is δ + δ' instead of 2δ.
+        p2p_delta = ctx.extra.get("p2p_delta")
+        if p2p_delta is None:
+            wait = 2.0 * ctx.delta
+        elif 0 < p2p_delta <= ctx.delta:
+            wait = ctx.delta + float(p2p_delta)
+        else:
+            raise ProcessError(
+                f"p2p_delta {p2p_delta!r} must lie in (0, δ={ctx.delta!r}]"
+            )
+        ctx.derived["inquiry_wait"] = wait
+
+    def __init__(self, pid: str, ctx: NodeContext, seed: Cell | None = None) -> None:
+        super().__init__(pid, ctx, seed)
         # Figure 1, line 01 — the join's initializations happen at
         # process creation: in the model a process starts its join the
         # instant it enters the system.  The register cells live in
@@ -139,17 +154,7 @@ class SynchronousRegisterNode(RegisterNode):
         # therefore shareable across every one of those sends.
         self._reply_cache: Reply | None = None
         self._reply_version = -1
-        # Footnote 4: with a known one-to-one bound δ' the inquiry wait
-        # is δ + δ' instead of 2δ.
-        p2p_delta = ctx.extra.get("p2p_delta")
-        if p2p_delta is not None:
-            if not 0 < p2p_delta <= self._delta:
-                raise ProcessError(
-                    f"p2p_delta {p2p_delta!r} must lie in (0, δ={self._delta!r}]"
-                )
-            self._inquiry_wait = self._delta + float(p2p_delta)
-        else:
-            self._inquiry_wait = 2.0 * self._delta
+        self._inquiry_wait = ctx.derived["inquiry_wait"]
 
     # ------------------------------------------------------------------
     # Operation bodies (``RegisterNode`` owns the entry points)

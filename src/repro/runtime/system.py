@@ -95,6 +95,7 @@ class DynamicSystem:
             extra=dict(config.extra),
             keys=self.keys,
         )
+        self._node_class.bind(self._ctx)
         self._pid_counter = itertools.count(1)
         self._value_counter = itertools.count(1)
         self._churn: ChurnController | None = None
@@ -118,25 +119,20 @@ class DynamicSystem:
 
     @collector_paused()
     def _build_seeds(self, count: int) -> tuple[str, ...]:
-        """Create ``count`` seed processes: present, active and holding
-        the initial value at the current instant — one pass, everything
-        loop-invariant hoisted (at n = 10⁵ this loop is the build)."""
-        node_class, ctx = self._node_class, self._ctx
-        enter, mark_active = self.membership.enter, self.membership.mark_active
-        now, value = self.engine.now, self.config.initial_value
-        record = self.trace.record if self.trace.enabled else None
-        pids = []
-        for _ in range(count):
-            pid = self._next_pid()
-            node = node_class(pid, ctx)
-            enter(node)
-            node.init_as_seed(value, sequence=0)
-            mark_active(pid, now)
-            if record is not None:
+        """Create ``count`` seed processes, each built in its final
+        state: present, active and holding the initial value at the
+        current instant (at n = 10⁵ this loop is the build)."""
+        node_class, ctx, enter = self._node_class, self._ctx, self.membership.enter
+        cell = (self.config.initial_value, 0)  # one tuple, every seed's cells
+        pids = tuple([self._next_pid() for _ in range(count)])
+        for pid in pids:
+            enter(node_class(pid, ctx, cell))
+        if self.trace.enabled:
+            record, now = self.trace.record, self.engine.now
+            for pid in pids:
                 record(now, TraceKind.ENTER, pid, seed=True)
                 record(now, TraceKind.ACTIVE, pid, seed=True)
-            pids.append(pid)
-        return tuple(pids)
+        return pids
 
     def _next_pid(self) -> str:
         return f"{self.config.pid_prefix}{next(self._pid_counter):04d}"
@@ -190,8 +186,8 @@ class DynamicSystem:
         """Admit a fresh process; it immediately starts its join.
 
         Returns the new identity.  The join operation is recorded in
-        the history; when it completes, the membership flips the
-        process to active (Definition 1).
+        the history; when it completes, the process is active
+        (Definition 1).
         """
         pid = self._next_pid()
         node = self._node_class(pid, self._ctx)
@@ -203,7 +199,6 @@ class DynamicSystem:
 
         def _on_join_done(h: OperationHandle) -> None:
             if h.done:
-                self.membership.mark_active(pid, self.engine.now)
                 self.trace.record(self.engine.now, TraceKind.ACTIVE, pid)
 
         handle.add_done_callback(_on_join_done)

@@ -10,7 +10,7 @@ streams and a structured trace log.
 from .clock import START_OF_TIME, Time, VirtualClock
 from .engine import EventScheduler
 from .events import Event, Priority
-from .membership import Membership, PresenceRecord
+from .membership import Membership
 from .operations import (
     Effect,
     OperationBody,
@@ -31,7 +31,6 @@ __all__ = [
     "Event",
     "Priority",
     "Membership",
-    "PresenceRecord",
     "Effect",
     "OperationBody",
     "OperationHandle",

@@ -5,11 +5,13 @@ The registry is the ground truth about presence used by the network
 (victims are drawn from current members) and by the active-set tracker
 that validates Lemma 2.  Protocol nodes never read it — processes in the
 paper have no membership oracle beyond the known system size ``n``.
+It keeps the processes themselves — every one that ever entered, and
+the present ones: a process is its own presence record, and
+:meth:`Membership.leave` stamps its departure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 from .clock import Time
@@ -17,41 +19,6 @@ from .errors import ProcessError, UnknownProcessError
 from .process import ProcessMode, SimProcess
 
 _ACTIVE = ProcessMode.ACTIVE
-
-
-@dataclass(slots=True)
-class PresenceRecord:
-    """The full lifecycle of one process identity."""
-
-    pid: str
-    entered_at: Time
-    activated_at: Time | None = None
-    left_at: Time | None = None
-
-    @property
-    def present_now(self) -> bool:
-        return self.left_at is None
-
-    def present_at(self, instant: Time) -> bool:
-        """Was the process in the system (listening or active) at ``instant``?"""
-        if instant < self.entered_at:
-            return False
-        return self.left_at is None or instant < self.left_at
-
-    def active_at(self, instant: Time) -> bool:
-        """Was the process in the *active* mode at ``instant``?  (Def. 1)"""
-        if self.activated_at is None or instant < self.activated_at:
-            return False
-        return self.left_at is None or instant < self.left_at
-
-    def active_throughout(self, start: Time, end: Time) -> bool:
-        """Was the process active during the whole interval ``[start, end]``?
-
-        This is membership in the paper's ``A(start, end)``.
-        """
-        if self.activated_at is None or self.activated_at > start:
-            return False
-        return self.left_at is None or self.left_at > end
 
 
 class Membership:
@@ -62,7 +29,6 @@ class Membership:
     """
 
     def __init__(self) -> None:
-        self._records: dict[str, PresenceRecord] = {}
         self._processes: dict[str, SimProcess] = {}
         self._present: dict[str, SimProcess] = {}
         # The active list is asked for on every planned operation but
@@ -80,16 +46,14 @@ class Membership:
     # ------------------------------------------------------------------
 
     def enter(self, process: SimProcess) -> None:
-        """Register a process that just entered (listening mode)."""
+        """Register a process that just entered (listening, or active if
+        it is a seed)."""
         pid = process.pid
-        if pid in self._records:
+        if pid in self._processes:
             raise ProcessError(
                 f"identity {pid!r} was already used; the infinite arrival "
                 f"model forbids reuse"
             )
-        # The raw attributes, not the properties: a population build
-        # comes through here once per process.
-        self._records[pid] = PresenceRecord(pid, process._entered_at)
         self._processes[pid] = process
         self._present[pid] = process
         process._registry = self
@@ -104,36 +68,23 @@ class Membership:
         if pid in self._present:
             self._active_count += delta
 
-    def mark_active(self, pid: str, instant: Time) -> None:
-        """Record that ``pid`` completed its join at ``instant``."""
-        record = self._record(pid)
-        if record.left_at is not None:
-            raise ProcessError(f"{pid} cannot become active after leaving")
-        record.activated_at = instant
-
     def leave(self, pid: str, instant: Time) -> None:
         """Record that ``pid`` left the system at ``instant``."""
-        record = self._record(pid)
-        if record.left_at is not None:
+        process = self.process(pid)
+        if process._left_at is not None:
             raise ProcessError(f"{pid} left twice")
-        record.left_at = instant
-        process = self._present.pop(pid, None)
+        process._left_at = instant
+        del self._present[pid]
         self._active = None
-        if process is not None and process.is_active:
+        if process._mode is _ACTIVE:
             self._active_count -= 1
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
 
-    def _record(self, pid: str) -> PresenceRecord:
-        record = self._records.get(pid)
-        if record is None:
-            raise UnknownProcessError(f"unknown process {pid!r}")
-        return record
-
     def __contains__(self, pid: str) -> bool:
-        return pid in self._records
+        return pid in self._processes
 
     def __len__(self) -> int:
         """Number of processes currently present."""
@@ -146,9 +97,10 @@ class Membership:
             raise UnknownProcessError(f"unknown process {pid!r}")
         return process
 
-    def record(self, pid: str) -> PresenceRecord:
-        """The immutable-ish presence record for ``pid``."""
-        return self._record(pid)
+    def processes(self) -> Iterator[SimProcess]:
+        """Every process that ever entered, present or departed, in
+        entry order."""
+        return iter(self._processes.values())
 
     def is_present(self, pid: str) -> bool:
         return pid in self._present
@@ -180,22 +132,18 @@ class Membership:
         present = self._present
         return [present[pid] for pid in self.active_pids()]
 
-    def iter_records(self) -> Iterator[PresenceRecord]:
-        """All presence records ever created, in entry order."""
-        return iter(self._records.values())
-
     def active_count_at(self, instant: Time) -> int:
         """``|A(instant)|`` — the paper's active-set size at one instant."""
-        return sum(1 for r in self._records.values() if r.active_at(instant))
+        return sum(1 for p in self._processes.values() if p.active_at(instant))
 
     def active_throughout_count(self, start: Time, end: Time) -> int:
         """``|A(start, end)|`` — processes active during the whole window."""
         return sum(
-            1 for r in self._records.values() if r.active_throughout(start, end)
+            1 for p in self._processes.values() if p.active_throughout(start, end)
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Membership(present={len(self._present)}, "
-            f"total_ever={len(self._records)})"
+            f"total_ever={len(self._processes)})"
         )

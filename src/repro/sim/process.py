@@ -70,19 +70,26 @@ class SimProcess:
     A subclass that declares no ``__slots__`` gets a ``__dict__`` back
     and may set any attribute; one that declares them must list every
     attribute it assigns.
+
+    A process is its own presence record: ``entered_at``,
+    ``activated_at`` and ``left_at`` (stamped by ``Membership.leave``)
+    answer :meth:`present_at`, :meth:`active_at` and
+    :meth:`active_throughout`.  ``active=True`` builds a seed, active
+    from its first instant (Section 2.1's initial processes).
     """
 
     __slots__ = (
-        "pid", "engine", "_mode", "_entered_at", "_activated_at",
+        "pid", "engine", "_mode", "_entered_at", "_activated_at", "_left_at",
         "_runners", "_watchers", "_registry", "_dispatch",
     )
 
-    def __init__(self, pid: str, engine: EventScheduler) -> None:
+    def __init__(self, pid: str, engine: EventScheduler, active: bool = False) -> None:
         self.pid = pid
         self.engine = engine
-        self._mode = ProcessMode.LISTENING
+        self._mode = ProcessMode.ACTIVE if active else ProcessMode.LISTENING
         self._entered_at: Time = engine._now
-        self._activated_at: Time | None = None
+        self._activated_at: Time | None = self._entered_at if active else None
+        self._left_at: Time | None = None
         self._runners: Sequence[_OperationRunner] = _EMPTY
         self._watchers: Sequence[_ConditionWatcher] = _EMPTY
         # The Membership this process entered (set by ``enter``): told
@@ -125,6 +132,31 @@ class SimProcess:
     @property
     def activated_at(self) -> Time | None:
         return self._activated_at
+
+    @property
+    def left_at(self) -> Time | None:
+        return self._left_at
+
+    def present_at(self, instant: Time) -> bool:
+        """Was the process in the system (listening or active) at ``instant``?"""
+        if instant < self._entered_at:
+            return False
+        return self._left_at is None or instant < self._left_at
+
+    def active_at(self, instant: Time) -> bool:
+        """Was the process in the *active* mode at ``instant``?  (Def. 1)"""
+        if self._activated_at is None or instant < self._activated_at:
+            return False
+        return self._left_at is None or instant < self._left_at
+
+    def active_throughout(self, start: Time, end: Time) -> bool:
+        """Was the process active during the whole interval ``[start, end]``?
+
+        This is membership in the paper's ``A(start, end)``.
+        """
+        if self._activated_at is None or self._activated_at > start:
+            return False
+        return self._left_at is None or self._left_at > end
 
     def mark_active(self) -> None:
         """Transition LISTENING → ACTIVE (when ``join`` returns)."""

@@ -79,7 +79,7 @@ class TimelineRenderer:
     def render(self, pids: list[str] | None = None) -> str:
         """The diagram for ``pids`` (default: every process ever seen)."""
         if pids is None:
-            pids = [record.pid for record in self.membership.iter_records()]
+            pids = [process.pid for process in self.membership.processes()]
         missing = [pid for pid in pids if pid not in self.membership]
         if missing:
             raise TimelineError(f"unknown processes: {missing}")
@@ -111,18 +111,18 @@ class TimelineRenderer:
         return "time".ljust(label_width) + "".join(cells)
 
     def _lifecycle_row(self, pid: str) -> list[str]:
-        record = self.membership.record(pid)
+        process = self.membership.process(pid)
         row = []
         for col in range(self.width):
             instant = self.start + (col + 0.5) * self._bucket
-            if record.active_at(instant):
+            if process.active_at(instant):
                 row.append("=")
-            elif record.present_at(instant):
+            elif process.present_at(instant):
                 row.append(":")
             else:
                 row.append(".")
-        if record.left_at is not None:
-            col = self._column(record.left_at)
+        if process.left_at is not None:
+            col = self._column(process.left_at)
             if col is not None:
                 self._put(row, col, "x")
         return row

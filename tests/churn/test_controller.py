@@ -73,9 +73,9 @@ class TestVictimSelection:
         system = make_system(n=10)
         system.attach_churn(rate=0.1, min_stay=5.0)
         system.run_until(40.0)
-        for record in system.membership.iter_records():
-            if record.left_at is not None and record.entered_at > 0:
-                assert record.left_at - record.entered_at >= 5.0
+        for process in system.membership.processes():
+            if process.left_at is not None and process.entered_at > 0:
+                assert process.left_at - process.entered_at >= 5.0
 
     def test_oldest_first_evicts_in_entry_order(self):
         system = make_system(n=10)
@@ -84,7 +84,7 @@ class TestVictimSelection:
         system.run_until(5.0)
         # After 5 ticks of 1 eviction each, the five oldest seeds are gone.
         departed = [
-            r.pid for r in system.membership.iter_records() if r.left_at is not None
+            p.pid for p in system.membership.processes() if p.left_at is not None
         ]
         assert departed == [f"p{i:04d}" for i in range(1, 6)]
 
@@ -197,7 +197,7 @@ class TestLifecycleRules:
         system.attach_churn(rate=0.1, protect_writer=False)
         system.run_until(10.0)
         departed = [
-            r.pid for r in system.membership.iter_records() if r.left_at is not None
+            p.pid for p in system.membership.processes() if p.left_at is not None
         ]
         assert departed
         for pid in departed:

@@ -52,8 +52,7 @@ class TestRegisterSpace:
         assert space.bump("k1") == 0
 
     def test_entries_in_key_order(self):
-        space = RegisterSpace(key_names(3))
-        space.install_all("v0", 0)
+        space = RegisterSpace(key_names(3), ("v0", 0))
         space.install("k1", "v1", 4)
         assert space.entries() == (
             ("k0", "v0", 0),

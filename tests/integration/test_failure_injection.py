@@ -143,11 +143,11 @@ class TestChurnWithFailures:
         for t in range(20, 101, 20):
             system.run_until(float(t))
             present = [
-                r.pid
-                for r in system.membership.iter_records()
-                if r.present_now and r.pid != system.writer_pid
+                p.pid
+                for p in system.membership.processes()
+                if p.left_at is None and p.pid != system.writer_pid
             ]
-            newest = max(present, key=lambda pid: system.membership.record(pid).entered_at)
+            newest = max(present, key=lambda pid: system.membership.process(pid).entered_at)
             system.leave(newest)
             if system.active_pids():
                 system.read(system.active_pids()[-1])

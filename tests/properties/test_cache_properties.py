@@ -20,9 +20,10 @@ from repro.sim.process import SimProcess
 # Membership.active_processes() / active_pids() / active_count
 # ----------------------------------------------------------------------
 
-#: How a transition reaches the registry: through both objects (what
-#: ``DynamicSystem`` does), on the process alone (a bare
-#: ``mark_active()`` / ``depart()``), or on the registry alone.
+#: How a departure reaches the registry: through both objects (what
+#: ``DynamicSystem`` does), on the process alone (a bare ``depart()``),
+#: or on the registry alone.  An activation has one route, the process's
+#: own ``mark_active()``: the process is its own presence record.
 ROUTES = ("both", "process", "registry")
 
 steps = st.lists(
@@ -60,16 +61,13 @@ class TestCachedActiveList:
             elif entered:
                 _, index, route = step
                 process = entered[index % len(entered)]
-                record = membership.record(process.pid)
                 if step[0] == "activate":
-                    if route != "registry" and process.mode.value == "listening":
+                    if process.mode.value == "listening":
                         process.mark_active()
-                    if route != "process" and record.left_at is None:
-                        membership.mark_active(process.pid, engine.now)
                 else:
                     if route != "registry":
                         process.depart()
-                    if route != "process" and record.left_at is None:
+                    if route != "process" and process.left_at is None:
                         membership.leave(process.pid, engine.now)
             expected = scan(membership)
             assert membership.active_processes() == expected

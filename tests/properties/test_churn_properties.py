@@ -51,7 +51,7 @@ class TestPopulationInvariants:
         system = make_system(n=8, seed=seed, trace=False)
         system.attach_churn(rate=0.2)
         system.run_until(25.0)
-        pids = [record.pid for record in system.membership.iter_records()]
+        pids = [process.pid for process in system.membership.processes()]
         assert len(pids) == len(set(pids))
 
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
@@ -60,8 +60,8 @@ class TestPopulationInvariants:
         system = make_system(n=8, seed=seed, trace=False)
         system.attach_churn(rate=0.2)
         system.run_until(25.0)
-        for record in system.membership.iter_records():
-            if record.left_at is not None:
-                assert not system.membership.is_present(record.pid)
-                process = system.membership.process(record.pid)
+        for process in system.membership.processes():
+            if process.left_at is not None:
+                assert not system.membership.is_present(process.pid)
+                assert system.membership.process(process.pid) is process
                 assert not process.present

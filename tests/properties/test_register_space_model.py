@@ -5,7 +5,9 @@ sequence)`` in one dict; until per-process state went on a diet it kept
 a ``_values`` and a ``_sequences`` dict side by side.  The two-dict
 layout lives on here as the reference model: a Hypothesis state machine
 drives both with the same random mutator calls — known, unknown and
-``None`` keys — and compares every observable after every step.
+``None`` keys — and compares every observable after every step.  A
+seeded space (built holding one initial cell on every key) starts where
+the model does after ``install_all`` of that cell.
 """
 
 from __future__ import annotations
@@ -72,6 +74,8 @@ class TwoDictSpace:
         self._sequences[key] = sequence
 
     def install_all(self, value, sequence):
+        """How the model seeds: what a space built with the cell
+        ``(value, sequence)`` must equal."""
         self.version += 1
         for key in self._keys:
             self._values[key] = value
@@ -121,10 +125,17 @@ def outcome(call):
 
 
 class OneDictIsTwo(RuleBasedStateMachine):
-    @initialize(keys=st.sampled_from(((SINGLE_KEY,), NAMED[:1], NAMED[:2], NAMED)))
-    def build(self, keys):
-        self.space = RegisterSpace(keys)
+    @initialize(
+        keys=st.sampled_from(((SINGLE_KEY,), NAMED[:1], NAMED[:2], NAMED)),
+        seed=st.none() | st.tuples(values, sequences),
+    )
+    def build(self, keys, seed):
         self.model = TwoDictSpace(keys)
+        if seed is None:
+            self.space = RegisterSpace(keys)
+        else:
+            self.space = RegisterSpace(keys, seed)
+            self.model.install_all(*seed)
 
     def both(self, name, *args):
         got = outcome(lambda: getattr(self.space, name)(*args))
@@ -134,10 +145,6 @@ class OneDictIsTwo(RuleBasedStateMachine):
     @rule(key=any_key, value=values, sequence=sequences)
     def install(self, key, value, sequence):
         self.both("install", key, value, sequence)
-
-    @rule(value=values, sequence=sequences)
-    def install_all(self, value, sequence):
-        self.both("install_all", value, sequence)
 
     @rule(key=any_key, value=values, sequence=sequences)
     def adopt(self, key, value, sequence):

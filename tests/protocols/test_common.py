@@ -239,15 +239,13 @@ def test_the_one_dict_tracker_matches_the_two_dict_model(steps):
 
 class TestJoinResults:
     def test_single_key_space_yields_classic_join_result(self):
-        space = RegisterSpace(key_names(1))
-        space.install_all("v0", 0)
+        space = RegisterSpace(key_names(1), ("v0", 0))
         result = make_join_result(space)
         assert isinstance(result, JoinResult)
         assert (result.value, result.sequence, result.ok) == ("v0", 0, "ok")
 
     def test_multi_key_space_yields_keyed_join_result(self):
-        space = RegisterSpace(key_names(3))
-        space.install_all("v0", 0)
+        space = RegisterSpace(key_names(3), ("v0", 0))
         space.install("k2", "hot", 7)
         result = make_join_result(space)
         assert isinstance(result, KeyedJoinResult)

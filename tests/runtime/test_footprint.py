@@ -2,11 +2,14 @@
 
 A population's resident cost is ``n`` times what one seed costs, and a
 seed that never runs an operation should cost what it *uses*: its
-slots, one register-cell dict, its presence record and its pid.  These
-tests hold the traced bytes and allocated blocks per seed under a
-budget (the measured value + ~10 %, CPython 3.11) so that a change
-which re-adds eager per-node state — an empty list, a set, a phase
-object, a ``__dict__`` — fails here, under a name that says so.
+slots (a process is its own presence record), one register-cell dict
+holding the population's one initial cell, and its pid.  These tests
+hold the traced bytes and allocated blocks per seed under a budget (the
+measured value + ~10 %, CPython 3.11), and the objects the cyclic
+collector tracks per seed to an exact count, so that a change which
+re-adds eager per-node state — an empty list, a set, a phase object, a
+record beside the process, a ``__dict__`` — fails here, under a name
+that says so.
 
 A message, likewise, costs what it carries: in flight it is its queue
 tuple (plus the arrival instant and the sequence number the tuple
@@ -80,16 +83,26 @@ PLANNED_BUDGET = (118, 2)
 JUDGED_BUDGET = (416, 5)
 
 #: protocol -> (bytes per seed, allocated blocks per seed).  Measured
-#: here (n = 2000, 3.11): 757 / 8.1, 1019 / 12.0, 917 / 10.1; with a
-#: six-slot ``QuorumPhase``: 757 / 8.1, 1035 / 12.0, 917 / 10.1; with two
-#: dicts a tracker and ES's two pending sets built eagerly: 773 / 8.1,
-#: 1707 / 18.0, 1283 / 16.0; before per-process state went lazy and
-#: slotted: 1563 / 17.1, 2147 / 24.1, 1667 / 21.1.
+#: here (n = 2000, 3.11): 585 / 5.05, 841 / 9.05, 768 / 8.05; with a
+#: ``PresenceRecord`` per process, a cell tuple per seed and the inquiry
+#: wait / quorum resolved per node: 749 / 8.1, 1011 / 12.0, 909 / 10.1;
+#: with a six-slot ``QuorumPhase``: 757 / 8.1, 1035 / 12.0, 917 / 10.1;
+#: with two dicts a tracker and ES's two pending sets built eagerly: 773
+#: / 8.1, 1707 / 18.0, 1283 / 16.0; before per-process state went lazy
+#: and slotted: 1563 / 17.1, 2147 / 24.1, 1667 / 21.1.
 BUDGET = {
-    "sync": (850, 9),
-    "es": (1120, 13),
-    "abd": (1010, 11),
+    "sync": (645, 6),
+    "es": (925, 10),
+    "abd": (845, 9),
 }
+
+#: protocol -> objects the cyclic collector tracks per seed, as built
+#: (before any collection untracks an atomic-only dict): the node, its
+#: ``RegisterSpace`` and its cell dict, plus the ES join phase and two
+#: trackers / the three ABD trackers.  The drive's first full collection
+#: walks every one of them.  With a ``PresenceRecord`` and a cell tuple
+#: per seed: 5, 8, 8.
+GC_TRACKED_PER_SEED = {"sync": 3, "es": 6, "abd": 6}
 
 
 def traced_build(**config) -> tuple[DynamicSystem, float, float]:
@@ -130,6 +143,33 @@ def test_a_seed_stays_inside_its_budget(protocol):
     # + 0.1: the population's own containers (three membership dicts,
     # the pid list) are a handful of blocks spread over N seeds.
     assert blocks <= max_blocks + 0.1, f"{protocol}: {blocks:.2f} blocks per seed"
+
+
+@pytest.mark.skipif(
+    sys.implementation.name != "cpython",
+    reason="GC tracking is CPython's",
+)
+@pytest.mark.parametrize("protocol", sorted(GC_TRACKED_PER_SEED))
+def test_a_seed_is_its_gc_tracked_objects_and_no_more(protocol):
+    DynamicSystem(SystemConfig(n=20, trace=False, protocol=protocol))  # warm
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        system = DynamicSystem(SystemConfig(n=N, trace=False, protocol=protocol))
+        per_seed = (len(gc.get_objects()) - before) / N
+    finally:
+        if enabled:
+            gc.enable()
+    assert len(system.membership) == N
+    # Exact both ways: + 0.05 is the system's own objects (~40) spread
+    # over N seeds, so one object more per seed fails, and one fewer
+    # fails until the ratchet is tightened.
+    expected = GC_TRACKED_PER_SEED[protocol]
+    assert expected <= per_seed <= expected + 0.05, (
+        f"{protocol}: {per_seed:.3f} GC-tracked objects per seed"
+    )
 
 
 @pytest.mark.skipif(
@@ -175,7 +215,7 @@ def test_no_seed_carries_a_dict(protocol):
         node = system.node(pid)
         assert not hasattr(node, "__dict__")
         assert not hasattr(node.space, "__dict__")
-        assert not hasattr(system.membership.record(pid), "__dict__")
+        assert not hasattr(system.membership.process(pid), "__dict__")
 
 
 def test_an_untouched_seed_owns_no_operation_or_join_state():
