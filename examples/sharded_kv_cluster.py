@@ -11,8 +11,9 @@ network) on one shared simulated clock:
 * 48 processes total, split 12 per shard — a write dissemination or a
   joiner's entry round only touches the owning shard's 12 peers, never
   all 48 (the E14 scaling claim);
-* keys are routed by static seeded hashing, so every client derives
-  the same placement with no routing state;
+* keys are placed by seeded hashing, so every client derives the same
+  placement with no routing state, and each operation is routed to its
+  key's owner when it fires, through the cluster's one front door;
 * traffic is Zipf-skewed **by shard** — one hot shard takes most of
   the operations while the tail idles, the production failure shape —
   and per-key regularity must survive it, because shards cannot couple;

@@ -1,9 +1,9 @@
-"""The six fixed-seed digest workloads, and ``repro profile``.
+"""The five fixed-seed digest workloads, and ``repro profile``.
 
 ``perf/`` (``BENCHMARK.json``) is the repository's one timing
 instrument — every wall-time claim is read there.  This module is
-:data:`DIGEST_WORKLOADS`, one table of six fixed-seed runs (plain,
-faulted, keyed, sharded, migrating, rebalanced) whose SHA-256 digests
+:data:`DIGEST_WORKLOADS`, one table of five fixed-seed runs (plain,
+faulted, keyed, migrating, rebalanced) whose SHA-256 digests
 must be byte-identical across changes and interpreters: the golden
 store's ``digest/`` family (``tests/golden.py``) pins them, and a
 change that moves one on purpose regenerates the store.
@@ -82,21 +82,19 @@ def keyed_store_fanout() -> tuple[int, str]:
 #: The cluster workload's fixed seed by what rides it.  The seeds and
 #: the ``bench.<kind>.*`` RNG stream names are the ones the committed
 #: digests were taken with.
-_CLUSTER_SEEDS = {"cluster": 17, "migration": 23, "rebalance": 29}
+_CLUSTER_SEEDS = {"migration": 23, "rebalance": 29}
 
 
-def cluster_workload(kind: str = "cluster") -> tuple[int, str]:
+def cluster_workload(kind: str) -> tuple[int, str]:
     """A churning 4-shard cluster under Zipf hot-shard traffic.
 
     The keyed store's population, key count and operation-plan shape
-    served by four independent quorum groups, with one of three things
-    riding the run:
+    served by four independent quorum groups, every operation routed
+    to its key's owner when it fires, with one of two things riding
+    the run:
 
-    ``"cluster"``
-        Nothing — static routing.
     ``"migration"``
-        Three keys hand off to neighbouring shards mid-run and the
-        workload routes dynamically (fire-time owner resolution).
+        Three keys hand off to neighbouring shards mid-run.
     ``"rebalance"``
         No handoff is hand-scheduled: an aggressive
         :class:`~repro.cluster.rebalance.Rebalancer` (short period, low
@@ -124,7 +122,7 @@ def cluster_workload(kind: str = "cluster") -> tuple[int, str]:
     cluster.attach_churn(rate=0.04, min_stay=15.0)
     if kind == "migration":
         schedule_round_robin_migrations(cluster, 3, _HORIZON)
-    driver = ClusterWorkloadDriver(cluster, dynamic=kind != "cluster")
+    driver = ClusterWorkloadDriver(cluster)
     rebalancer = None
     if kind == "rebalance":
         rebalancer = Rebalancer(
@@ -199,18 +197,17 @@ _FAULTED_PLAN = FaultPlan.of(
     name="bench-faulted",
 )
 
-#: The six fixed-seed digest workloads, by name: a zero-argument
+#: The five fixed-seed digest workloads, by name: a zero-argument
 #: callable returning the digest.  The only place they are listed —
 #: ``repro profile`` and the golden store's ``digest/<name>`` entries
 #: (``tests/integration/test_determinism.py``) both iterate this table.
 #: Each later entry covers what the ones before it cannot see: a fault
-#: window acting, the operation's key, its shard id, the migration
+#: window acting, the operation's key, its shard id and the migration
 #: records, the rebalancer's samples and planned moves.
 DIGEST_WORKLOADS: dict[str, Callable[[], str]] = {
     "digest": history_digest,
     "faulted_digest": lambda: history_digest(faults=_FAULTED_PLAN),
     "keyed_digest": lambda: keyed_store_fanout()[1],
-    "cluster_digest": lambda: cluster_workload()[1],
     "migration_digest": lambda: cluster_workload("migration")[1],
     "rebalance_digest": lambda: cluster_workload("rebalance")[1],
 }

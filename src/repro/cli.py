@@ -36,12 +36,13 @@ Eight subcommands, mirroring how the library is typically used:
 
 ``rebalance``
     Drive one policy-driven rebalancing cell ad hoc: a Zipf hot-shard
-    cluster with a load-watching rebalancer planning budget-bounded
-    storms of concurrent handoffs (optionally retiring a shard, or
-    running under a ``rebal-*`` fault plan), printing every sampling
-    window, every planned handoff's outcome and the imbalance
-    before/after.  Exits non-zero if safety broke or a planned
-    handoff never resolved.
+    cluster with a rebalancer watching issued operations per shard and
+    planning budget-bounded storms of concurrent handoffs (policy flags
+    ``--period``, ``--threshold``, ``--migration-budget``; optionally
+    retiring a shard, or running under a ``rebal-*`` fault plan),
+    printing every sampling window, every planned handoff's outcome and
+    the imbalance before/after.  Exits non-zero if safety broke or a
+    planned handoff never resolved.
 
 ``explore``
     Sweep the adversarial scenario matrix (protocol × delay model ×
@@ -56,6 +57,9 @@ Eight subcommands, mirroring how the library is typically used:
     byte-identical at any worker count).  In-model violations are bugs
     (exit 1); out-of-model ones document the paper's hypotheses
     (exit 0).
+
+An unknown ``--plan`` / ``--plans`` name is refused with exit code 2
+before any cell runs (the explorer's ``build_plan`` names it).
 """
 
 from __future__ import annotations
@@ -259,18 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=2,
         help="max handoffs planned per sampling window (the storm size cap)",
-    )
-    rebalance.add_argument(
-        "--cooldown",
-        type=float,
-        default=0.0,
-        help="extra wait after a planned batch before imbalance triggers again",
-    )
-    rebalance.add_argument(
-        "--load",
-        default="ops",
-        choices=["ops", "delivered"],
-        help="shard-load signal: issued workload ops or delivered messages",
     )
     rebalance.add_argument(
         "--retire",
@@ -562,12 +554,8 @@ def _cluster_cell(args: argparse.Namespace) -> ClusterSystem:
     every shard, churn attached."""
     from .cluster.config import ClusterConfig
     from .cluster.system import ClusterSystem
-    from .workloads.explorer import PLAN_BUILDERS, build_plan, install_shard_scoped
+    from .workloads.explorer import build_plan, install_shard_scoped
 
-    if args.plan is not None and args.plan not in PLAN_BUILDERS:
-        raise ReproError(
-            f"unknown plan {args.plan!r}; known: {', '.join(PLAN_BUILDERS)}"
-        )
     cluster = ClusterSystem(
         ClusterConfig(
             shards=args.shards,
@@ -635,7 +623,7 @@ def _cmd_migrate(args: argparse.Namespace) -> int:
 
     cluster = _cluster_cell(args)
     records = schedule_round_robin_migrations(cluster, args.migrations, args.horizon)
-    driver = ClusterWorkloadDriver(cluster, dynamic=True)
+    driver = ClusterWorkloadDriver(cluster)
     safety, liveness = _drive_cluster_cell(args, cluster, driver, "migrate", "uniform")
     plan_label = f" plan={args.plan}" if args.plan else ""
     print(
@@ -670,13 +658,11 @@ def _cmd_rebalance(args: argparse.Namespace) -> int:
     from .workloads.cluster import ClusterWorkloadDriver
 
     cluster = _cluster_cell(args)
-    driver = ClusterWorkloadDriver(cluster, dynamic=True)
+    driver = ClusterWorkloadDriver(cluster)
     policy = RebalancePolicy(
         period=args.period if args.period is not None else 4.0 * args.delta,
         threshold=args.threshold,
         budget=args.migration_budget,
-        cooldown=args.cooldown,
-        load=args.load,
         max_retries=1,
         plan_until=args.horizon - 18.0 * args.delta,
     )
@@ -695,7 +681,7 @@ def _cmd_rebalance(args: argparse.Namespace) -> int:
     )
     print(
         f"policy         : period={policy.period:g} threshold={policy.threshold:g} "
-        f"budget={policy.budget} cooldown={policy.cooldown:g} load={policy.load}"
+        f"budget={policy.budget}"
     )
     for sample in rebalancer.samples:
         flag = f" planned {sample.planned}" if sample.planned else ""
@@ -735,17 +721,9 @@ def _cmd_rebalance(args: argparse.Namespace) -> int:
 def _cmd_explore(args: argparse.Namespace) -> int:
     import json
 
-    from .workloads.explorer import DEFAULT_PLAN_NAMES, PLAN_BUILDERS, explore
+    from .workloads.explorer import DEFAULT_PLAN_NAMES, explore
 
     plan_names = tuple(args.plans) if args.plans else DEFAULT_PLAN_NAMES
-    unknown = [p for p in plan_names if p not in PLAN_BUILDERS]
-    if unknown:
-        print(
-            f"error: unknown plan(s) {', '.join(unknown)}; "
-            f"known: {', '.join(PLAN_BUILDERS)}",
-            file=sys.stderr,
-        )
-        return 2
     report = explore(
         budget=args.budget,
         seed=args.seed,

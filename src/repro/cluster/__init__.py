@@ -9,8 +9,9 @@ level routing, merged histories and merged checking on top:
 
 * :class:`ClusterConfig` — shards, keys, total population; static
   seeded key→shard hashing; per-shard config derivation;
-* :class:`ClusterSystem` — construction, routing, churn/fault
-  scoping, aggregate accounting;
+* :class:`ClusterSystem` — construction, fire-time routing through
+  one per-key serializing front door, churn/fault scoping, aggregate
+  accounting;
 * :class:`ClusterHistory` / :func:`cluster_digest` — the merged
   observable behaviour on the common clock;
 * :func:`check_cluster_safety` / :func:`find_cluster_inversions` /

@@ -175,8 +175,8 @@ class ClusterHistory:
         one fresh :class:`History` — departures pooled across shards
         (pid namespaces are disjoint) — and safety is judged on that
         seam-spanning record.  The migration protocol's freeze/drain
-        guarantees writes never overlap across the seam, and elastic
-        mode's cluster-wide value counter keeps written values unique,
+        guarantees writes never overlap across the seam, and the front
+        door's cluster-wide value counter keeps written values unique,
         so the ordinary checkers apply unchanged.
 
         Joins are key-less and stay in the per-shard views; seam views

@@ -7,21 +7,16 @@ that runs on the shared cluster clock, samples per-shard load on a
 configurable period, and past an imbalance threshold plans a **batch**
 of :meth:`~repro.cluster.system.ClusterSystem.schedule_migration` calls
 — greedy hottest-key-to-coldest-shard moves, bounded by a per-window
-migration budget and a post-batch cooldown.  Storms of *concurrent*
-cross-key migrations (serialized per key, concurrent across keys) are
-the normal operating mode here, not an accident.
+migration budget.  Storms of *concurrent* cross-key migrations
+(serialized per key, concurrent across keys) are the normal operating
+mode here, not an accident.
 
-Load signals (:attr:`RebalancePolicy.load`):
-
-* ``"ops"`` — issued operations per shard from the dynamic
-  :meth:`~repro.workloads.cluster.ClusterWorkloadDriver.shard_op_counts`
-  (plus per-key counts for greedy key selection);
-* ``"delivered"`` — delivered protocol messages per shard from each
-  shard's network, usable without a workload driver (per-key load is
-  then estimated as an equal share of the shard's window load).
-
+Load is the workload driver's issued operations:
+:meth:`~repro.workloads.cluster.ClusterWorkloadDriver.shard_op_counts`
+per shard, and ``key_op_counts`` per key for greedy key selection.
 Each sampling tick computes the **window** load (cumulative minus the
-previous snapshot) and the imbalance metric ``max/mean`` over shards.
+previous snapshot) and the imbalance metric ``max/mean`` over shards;
+a window with zero load is idle and never acted on.
 Above :attr:`RebalancePolicy.threshold` the planner repeatedly takes
 the hottest eligible key off the hottest shard and sends it to the
 coldest non-retired shard, updating a working copy of the loads after
@@ -60,9 +55,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..workloads.cluster import ClusterWorkloadDriver
     from .system import ClusterSystem
 
-#: Valid :attr:`RebalancePolicy.load` signals.
-LOAD_SIGNALS = ("ops", "delivered")
-
 
 @dataclass(frozen=True)
 class RebalancePolicy:
@@ -78,18 +70,6 @@ class RebalancePolicy:
     ``budget``
         Maximum migrations planned per sampling window — the storm
         size cap.  Retirement drains share the same budget.
-    ``cooldown``
-        Extra wait after a planned batch before imbalance may trigger
-        again (retirement drains ignore it: a retiring shard must
-        empty).  Keeps the planner from chasing its own handoff
-        traffic.
-    ``load``
-        Shard-load signal: ``"ops"`` (workload driver issued-op
-        counts; requires a dynamic driver) or ``"delivered"``
-        (per-shard delivered protocol messages; driver optional).
-    ``min_window_load``
-        Windows whose total load delta is below this are never acted
-        on — an idle cluster is not "imbalanced".
     ``max_retries``
         Passed through to every planned
         :class:`~repro.cluster.migration.MigrationSpec`.
@@ -105,9 +85,6 @@ class RebalancePolicy:
     period: Time = 20.0
     threshold: float = 1.5
     budget: int = 2
-    cooldown: Time = 0.0
-    load: str = "ops"
-    min_window_load: int = 1
     max_retries: int = 2
     plan_until: Time | None = None
 
@@ -115,9 +92,7 @@ class RebalancePolicy:
         # NaN compares false with everything, so the range tests below
         # would wave it through: a NaN period never ticks, a NaN
         # threshold never triggers — silently.  Refuse it by name.
-        for name in (
-            "period", "threshold", "cooldown", "min_window_load", "plan_until"
-        ):
+        for name in ("period", "threshold", "plan_until"):
             value = getattr(self, name)
             if value is not None and not isfinite(value):
                 raise ConfigError(f"rebalance {name} must be finite, got {value!r}")
@@ -130,16 +105,6 @@ class RebalancePolicy:
             )
         if self.budget < 1:
             raise ConfigError(f"migration budget must be >= 1, got {self.budget!r}")
-        if self.cooldown < 0:
-            raise ConfigError(f"cooldown cannot be negative, got {self.cooldown!r}")
-        if self.load not in LOAD_SIGNALS:
-            raise ConfigError(
-                f"unknown load signal {self.load!r}; choose from {list(LOAD_SIGNALS)}"
-            )
-        if self.min_window_load < 0:
-            raise ConfigError(
-                f"min_window_load cannot be negative, got {self.min_window_load!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -170,69 +135,39 @@ class RebalanceAction:
 class Rebalancer:
     """Watches per-shard load and plans batches of key handoffs.
 
-    Construct *before* the run starts (it arms the cluster's elastic
-    front door, so every write of the run shares the serializing path
-    with the handoffs that may follow) on a named multi-key cluster::
+    Runs on a named multi-key cluster, reading load from the workload
+    driver; the first tick fires one period after construction::
 
         cluster = ClusterSystem(ClusterConfig(shards=4, keys=8, n=40))
-        driver = ClusterWorkloadDriver(cluster, dynamic=True)
+        driver = ClusterWorkloadDriver(cluster)
         rebal = Rebalancer(cluster, driver=driver,
                            policy=RebalancePolicy(period=15.0, budget=3))
         driver.install(plan)
         cluster.run_until(horizon)
 
-    ``driver`` is required for the ``"ops"`` load signal and optional
-    for ``"delivered"``.  Everything observable lands in
-    :attr:`samples` (every tick) and :attr:`actions` (every planned
-    migration, with its live :class:`MigrationRecord`).
+    Everything observable lands in :attr:`samples` (every tick) and
+    :attr:`actions` (every planned migration, with its live
+    :class:`MigrationRecord`).
     """
 
     def __init__(
         self,
         cluster: "ClusterSystem",
-        driver: "ClusterWorkloadDriver | None" = None,
+        driver: "ClusterWorkloadDriver",
         policy: RebalancePolicy | None = None,
     ) -> None:
         self.policy = policy or RebalancePolicy()
         self.policy.validate()
-        if driver is not None and not driver.dynamic:
-            raise ConfigError(
-                "the rebalancer needs a dynamic cluster driver "
-                "(static drivers route at install time and cannot follow flips)"
-            )
-        if self.policy.load == "ops" and driver is None:
-            raise ConfigError(
-                'load signal "ops" needs a dynamic ClusterWorkloadDriver; '
-                'pass one, or use load="delivered"'
-            )
+        cluster.check_reshardable()
         self.cluster = cluster
         self.driver = driver
-        cluster.enable_elastic()
         self.samples: list[RebalanceSample] = []
         self.actions: list[RebalanceAction] = []
         self._retired: set[int] = set()
         self._in_flight: dict[Any, MigrationRecord] = {}
-        self._last_loads = self._cumulative_loads()
-        self._last_key_loads = self._cumulative_key_loads()
-        self._cooldown_until: Time = cluster.now
+        self._last_loads = driver.shard_op_counts()
+        self._last_key_loads = driver.key_op_counts()
         self._arm_tick()
-
-    # ------------------------------------------------------------------
-    # Load signals
-    # ------------------------------------------------------------------
-
-    def _cumulative_loads(self) -> tuple[int, ...]:
-        if self.policy.load == "ops":
-            assert self.driver is not None
-            return self.driver.shard_op_counts()
-        return tuple(
-            shard.network.delivered_count for shard in self.cluster.shards
-        )
-
-    def _cumulative_key_loads(self) -> dict[Any, int]:
-        if self.driver is None:
-            return {}
-        return self.driver.key_op_counts()
 
     @staticmethod
     def imbalance_of(loads: tuple[int, ...] | list[float]) -> float:
@@ -254,12 +189,12 @@ class Rebalancer:
 
     def _tick(self) -> None:
         now = self.cluster.now
-        cumulative = self._cumulative_loads()
+        cumulative = self.driver.shard_op_counts()
         window = tuple(
             new - old for new, old in zip(cumulative, self._last_loads)
         )
         self._last_loads = cumulative
-        key_cumulative = self._cumulative_key_loads()
+        key_cumulative = self.driver.key_op_counts()
         key_window = {
             key: count - self._last_key_loads.get(key, 0)
             for key, count in key_cumulative.items()
@@ -275,14 +210,10 @@ class Rebalancer:
         planned = 0
         if self.policy.plan_until is not None and now > self.policy.plan_until:
             note = "quiesced"
-        elif sum(window) < self.policy.min_window_load and not retiring:
+        elif not any(window) and not retiring:
             note = "idle"
-        elif now < self._cooldown_until and not retiring:
-            note = "cooldown"
         elif imbalance > self.policy.threshold or retiring:
             planned = self._plan_batch(now, window, key_window)
-            if planned and self.policy.cooldown > 0:
-                self._cooldown_until = now + self.policy.cooldown
         self.samples.append(
             RebalanceSample(
                 time=now, loads=window, imbalance=imbalance,
@@ -346,24 +277,14 @@ class Rebalancer:
             if not self.cluster.is_frozen(key) and key not in self._in_flight
         ]
 
-    def _key_load(
-        self, key: Any, shard: int, working: list[float],
-        key_window: dict[Any, int],
-    ) -> float:
-        if key_window:
-            return float(key_window.get(key, 0))
-        owned = len(self.cluster.keys_of_shard(shard))
-        return working[shard] / owned if owned else 0.0
-
     def _hottest_key(
-        self, shard: int, working: list[float],
-        key_window: dict[Any, int], chosen: set[Any],
+        self, shard: int, key_window: dict[Any, int], chosen: set[Any]
     ) -> tuple[Any, float] | None:
         best: tuple[Any, float] | None = None
         for key in self._eligible_keys(shard):
             if key in chosen:
                 continue
-            load = self._key_load(key, shard, working, key_window)
+            load = float(key_window.get(key, 0))
             if best is None or load > best[1]:
                 best = (key, load)
         return best
@@ -382,7 +303,7 @@ class Rebalancer:
         chosen: set[Any],
     ) -> tuple[Any, int, int, float] | None:
         for shard in sorted(self._retired):
-            pick = self._hottest_key(shard, working, key_window, chosen)
+            pick = self._hottest_key(shard, key_window, chosen)
             if pick is None:
                 continue
             dest = self._coldest_dest(working, exclude=shard)
@@ -404,7 +325,7 @@ class Rebalancer:
         for source in by_heat:
             if source in self._retired:
                 continue
-            pick = self._hottest_key(source, working, key_window, chosen)
+            pick = self._hottest_key(source, key_window, chosen)
             if pick is None:
                 continue
             dest = self._coldest_dest(working, exclude=source)
@@ -484,6 +405,6 @@ class Rebalancer:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"Rebalancer(load={self.policy.load!r}, "
-            f"period={self.policy.period!r}, planned={len(self.actions)})"
+            f"Rebalancer(period={self.policy.period!r}, "
+            f"planned={len(self.actions)})"
         )

@@ -5,13 +5,16 @@ A :class:`ClusterSystem` runs ``shards`` independent
 its own churn controller, network, broadcast service and protocol
 nodes — on one shared :class:`~repro.sim.engine.EventScheduler`, and
 routes cluster-level ``read(key)`` / ``write(key, value)`` to the
-shard that statically owns the key.  The paper's protocols are
-untouched: a shard does not know it is a shard.  What sharding buys is
-the scale lever the ROADMAP names — a broadcast (a write, a joiner's
-inquiry round) reaches ``n / S`` processes instead of ``n``, so
-per-node message load and churn-tick join traffic fall as the shard
-count grows at fixed total population (experiment E14 measures
-exactly this).
+shard that owns the key when the operation is issued.  Writes pass one
+front door that serializes them per key and draws their values from
+one cluster-wide counter, so a key's history stays checkable when live
+resharding (:mod:`repro.cluster.migration`) moves it between shards.
+The paper's protocols are untouched: a shard does not know it is a
+shard.  What sharding buys is the scale lever the ROADMAP names — a
+broadcast (a write, a joiner's inquiry round) reaches ``n / S``
+processes instead of ``n``, so per-node message load and churn-tick
+join traffic fall as the shard count grows at fixed total population
+(experiment E14 measures exactly this).
 
 Determinism: the shared clock makes shard interleaving plain event
 ordering; every shard draws randomness only from streams derived from
@@ -67,7 +70,7 @@ class ClusterSystem:
         )
         self._closed = False
         self._history: ClusterHistory | None = None
-        # -- live-resharding state (inert until a migration schedules) --
+        # -- front door and live-resharding state --
         #: Version of the key→shard map; bumped by every committed flip.
         self.map_version = 0
         #: ``(time, key, source, dest, map_version)`` per committed flip.
@@ -79,12 +82,6 @@ class ClusterSystem:
         self._last_write: dict[Any, OperationHandle] = {}
         self._writes_deferred = 0
         self._writes_dropped = 0
-        #: Elastic mode (set by :meth:`schedule_migration`): the front
-        #: door serializes writes per key and draws values from one
-        #: cluster-wide counter, because a migrated key's history spans
-        #: two shards and the checkers need globally unique values and
-        #: non-overlapping writes across the seam.
-        self._elastic = False
         self._value_counter = itertools.count(1)
 
     # ------------------------------------------------------------------
@@ -127,25 +124,18 @@ class ClusterSystem:
         return shard.read(pid if pid is not None else shard.writer_pid, key=key)
 
     def write(
-        self, value: Any | None = None, key: Any = None, pid: str | None = None
+        self, value: Any | None = None, key: Any = None
     ) -> OperationHandle | None:
-        """Write ``key`` on its owning shard (its writer by default).
+        """Write ``key`` through the front door, by its owner's writer.
 
-        ``value=None`` draws the owning shard's next unique value —
-        uniqueness per shard is what the per-key checkers need, since
-        keys never span shards.
-
-        With migrations scheduled (*elastic* mode) the front door
-        changes contract: values come from a cluster-wide counter, the
-        explicit ``pid`` is ignored (a deferred write may land on a
-        different shard than the caller assumed), and a write for a
-        frozen or busy key is *deferred* — queued in order and issued
-        to the then-current owner when the key unfreezes or the
-        previous write settles.  Deferred writes return ``None``.
+        ``value=None`` draws the next cluster-wide value: a migrated
+        key's history spans two shards, and the checkers need globally
+        unique values and non-overlapping writes across the seam.  A
+        write for a frozen or busy key is *deferred* — queued in order
+        and issued to the then-current owner when the key unfreezes or
+        the previous write settles.  Deferred writes return ``None``.
         """
         key = self.resolve_key(key)
-        if not self._elastic:
-            return self.shard_for(key).write(value, pid=pid, key=key)
         if value is None:
             value = self.next_value()
         last = self._last_write.get(key)
@@ -156,45 +146,36 @@ class ClusterSystem:
         return self._issue_write(key, value)
 
     def next_value(self) -> str:
-        """A cluster-unique value for the next write (elastic mode)."""
+        """A cluster-unique value for the next write."""
         return f"w{next(self._value_counter)}"
 
     # ------------------------------------------------------------------
     # Live resharding (repro.cluster.migration)
     # ------------------------------------------------------------------
 
-    def enable_elastic(self) -> None:
-        """Flip the front door into elastic mode before the run starts.
-
-        :meth:`schedule_migration` does this implicitly; callers that
-        plan migrations *during* the run (a rebalancer watching load)
-        must arm the serializing front door up front, because every
-        write of the run has to share the cluster-wide value counter
-        and per-key serialization with the handoffs that may follow.
-        """
+    def check_reshardable(self) -> None:
+        """Refuse live resharding on a 1-key cluster: nothing to move."""
         if len(self.keys) == 1 and self.keys[0] is None:
             raise ConfigError(
-                "elastic mode requires a named multi-key cluster "
+                "live resharding requires a named multi-key cluster "
                 "(a 1-key cluster has nothing to reshard)"
             )
-        self._elastic = True
 
     def schedule_migration(
         self, key: Any, dest: int, at: Time, **knobs: Any
     ) -> MigrationRecord:
-        """Plan a handoff of ``key`` to shard ``dest`` at time ``at``.
+        """Plan a handoff of ``key`` to shard ``dest`` at time ``at``,
+        before the run or during it.
 
-        Must be called *before* the run starts (it flips the cluster
-        into elastic mode — see :meth:`write` — and every write of the
-        run must go through the serializing front door).  Returns the
-        :class:`MigrationRecord` that the handoff will fill in.
+        Returns the :class:`MigrationRecord` that the handoff will fill
+        in.
         """
+        self.check_reshardable()
         key = self.resolve_key(key)
         if not 0 <= dest < len(self.shards):
             raise ConfigError(
                 f"destination shard {dest} out of range [0, {len(self.shards)})"
             )
-        self.enable_elastic()
         migration = KeyMigration(
             self,
             MigrationSpec(key=key, dest=dest, start=at, **knobs),
@@ -214,7 +195,7 @@ class ClusterSystem:
 
     @property
     def writes_deferred(self) -> int:
-        """Writes the elastic front door queued instead of issuing."""
+        """Writes the front door queued instead of issuing."""
         return self._writes_deferred
 
     @property

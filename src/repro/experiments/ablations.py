@@ -82,7 +82,7 @@ def run_a1(
             trace=False,
         )
         system = DynamicSystem(config)
-        driver = WorkloadDriver(system, avoid_writer_reads=True)
+        driver = WorkloadDriver(system, exclude_writer=True)
         plan = poisson_reads(
             start=2.0, end=horizon - 5.0, rate=1.5,
             rng=system.rng.stream("a1.plan"),

@@ -73,7 +73,7 @@ def cell(
     if churn_rate > 0:
         cluster.attach_churn(rate=churn_rate, min_stay=3.0 * delta)
     records = schedule_round_robin_migrations(cluster, migrations, horizon)
-    driver = ClusterWorkloadDriver(cluster, dynamic=True)
+    driver = ClusterWorkloadDriver(cluster)
     plan = read_heavy_plan(
         start=5.0,
         end=horizon - 4.0 * delta,

@@ -21,8 +21,7 @@ budget-bounded storms of concurrent key migrations must
 Cells come in identically-seeded pairs (rebalancer off/on): same
 population, same churn schedule, same Zipf-skewed operation plan —
 the rebalancer is the only difference, so the imbalance delta is
-attributable.  Both arms run the elastic front door and the dynamic
-fire-time-routing driver, keeping write semantics identical.
+attributable.
 """
 
 from __future__ import annotations
@@ -67,7 +66,7 @@ def cell(
     cluster = ClusterSystem(config)
     if churn_rate > 0:
         cluster.attach_churn(rate=churn_rate, min_stay=3.0 * delta)
-    driver = ClusterWorkloadDriver(cluster, dynamic=True)
+    driver = ClusterWorkloadDriver(cluster)
     rebalancer = None
     if rebalance:
         rebalancer = Rebalancer(
@@ -81,10 +80,6 @@ def cell(
                 plan_until=horizon - PLAN_MARGIN_DELTAS * delta,
             ),
         )
-    else:
-        # The control arm runs the same elastic front door, so the two
-        # arms differ only in whether anyone plans migrations.
-        cluster.enable_elastic()
     plan = read_heavy_plan(
         start=5.0,
         end=horizon - 4.0 * delta,

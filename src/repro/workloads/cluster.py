@@ -1,12 +1,13 @@
-"""Cluster workloads: one plan, routed to the owning shards.
+"""Cluster workloads: one plan, routed at fire time to the owning shard.
 
 The :class:`ClusterWorkloadDriver` takes the same
 :class:`~repro.workloads.schedule.ReadOp` / ``WriteOp`` plans the
 single-system :class:`~repro.workloads.schedule.WorkloadDriver`
-consumes, splits them by each operation's owning shard (static key
-routing) and delegates to one per-shard ``WorkloadDriver`` — so the
-per-key write serialization, reader selection and skip accounting are
-the proven single-system machinery, shard by shard.
+consumes and installs them as one series on the cluster's shared
+engine.  Each operation resolves its key's owning shard when it
+fires, through the cluster front door
+(:meth:`~repro.cluster.system.ClusterSystem.read` / ``write``), so a
+plan installed before a migration flip still lands on the new owner.
 
 :func:`shard_skewed_key_picker` is the hot-shard generator: it draws a
 *shard* first (uniform, or Zipf so one shard takes most of the
@@ -20,21 +21,12 @@ threatens per-key regularity (it must not — shards are independent).
 from __future__ import annotations
 
 import random
-from dataclasses import fields, replace
 from typing import TYPE_CHECKING
 
 from ..sim.engine import collector_paused
 from ..sim.errors import ExperimentError
 from .generators import KeyPicker, uniform_key_picker, zipf_key_picker
-from .schedule import (
-    ReadOp,
-    WorkloadDriver,
-    WorkloadOp,
-    WorkloadStats,
-    WriteOp,
-    check_plan,
-    install_series,
-)
+from .schedule import ReadOp, WorkloadOp, WorkloadStats, WriteOp, install_series
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..cluster.system import ClusterSystem
@@ -43,93 +35,60 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class ClusterWorkloadDriver:
     """Installs one workload plan across a cluster's shards.
 
-    Two routing modes:
+    Every operation resolves its owning shard *at firing time*: a write
+    fired after a flip reaches the new owner, and a write fired during
+    a freeze is deferred by the front door (counted in
+    ``stats.writes_deferred``) rather than issued to a stale shard.  A
+    write whose key still has one pending is skipped, as in the
+    single-system driver.  Readers are drawn from the *current* owner's
+    active set, from the cluster stream ``workload.cluster.readers``.
 
-    * **static** (default) — operations are split by owning shard at
-      install time and delegated to one single-system
-      :class:`WorkloadDriver` per shard.  Cheapest, and byte-identical
-      to the pre-resharding driver, but blind to routing changes.
-    * **dynamic** (``dynamic=True``) — each operation resolves its
-      owning shard *at firing time* through the cluster front door
-      (:meth:`ClusterSystem.read` / ``write``), which is what live
-      resharding requires: a write fired after a flip must reach the
-      new owner, and a write fired during a freeze is deferred by the
-      front door (counted in ``stats.writes_deferred``) rather than
-      issued to a stale shard.  Readers are drawn from the *current*
-      owner's active set, from the dedicated cluster stream
-      ``workload.cluster.readers`` (only created in dynamic mode, so
-      static runs draw exactly what they always drew).
+    ``dynamic=True`` is accepted and changes nothing; ``dynamic=False``
+    (install-time routing, which no cluster has) is refused by name
+    rather than silently ignored.
     """
 
-    def __init__(
-        self,
-        cluster: "ClusterSystem",
-        avoid_writer_reads: bool = False,
-        dynamic: bool = False,
-    ) -> None:
-        self.cluster = cluster
-        self.dynamic = dynamic
-        self._installed = False
-        if dynamic:
-            self.drivers: tuple[WorkloadDriver, ...] = ()
-            self._stats = WorkloadStats()
-            self._rng = cluster.rng.stream("workload.cluster.readers")
-            self._avoid_writer_reads = avoid_writer_reads
-            self._pending_writes: dict[object, object] = {}
-            self._shard_ops: dict[int, int] = {}
-            self._key_ops: dict[object, int] = {}
-        else:
-            #: One single-system driver per shard; their stats are the
-            #: ground truth, :attr:`stats` just aggregates them.
-            self.drivers = tuple(
-                WorkloadDriver(shard, avoid_writer_reads=avoid_writer_reads)
-                for shard in cluster.shards
+    def __init__(self, cluster: "ClusterSystem", dynamic: bool = True) -> None:
+        if not dynamic:
+            raise ExperimentError(
+                "ClusterWorkloadDriver(dynamic=False) is not supported: "
+                "every cluster driver routes each operation at fire time"
             )
+        self.cluster = cluster
+        self.stats = WorkloadStats()
+        self._rng = cluster.rng.stream("workload.cluster.readers")
+        self._pending_writes: dict[object, object] = {}
+        self._shard_ops: dict[int, int] = {}
+        self._key_ops: dict[object, int] = {}
+        self._installed = False
 
     @collector_paused()
     def install(self, plan: list[WorkloadOp]) -> None:
-        """Route every planned operation to its key's owning shard.
+        """Schedule every planned operation (call once).
 
-        Keys are materialized first (``key=None`` becomes the cluster's
-        default key), so a shard owning several keys serializes writes
-        on the *cluster* key, never on its private default slot.
+        ``key=None`` is resolved to the cluster's default key when the
+        operation fires, so it shares that key's write serialization.
         """
         if self._installed:
             raise ExperimentError("cluster workload installed twice")
         self._installed = True
-        if self.dynamic:
-            install_series(
-                self.cluster.engine, plan, self._fire_read, self._fire_write
-            )
-            return
-        check_plan(plan, self.cluster.now)  # positions in *this* plan
-        per_shard: list[list[WorkloadOp]] = [[] for _ in self.cluster.shards]
-        for op in plan:
-            key = self.cluster.resolve_key(op.key)
-            per_shard[self.cluster.shard_of(key)].append(replace(op, key=key))
-        for driver, sub_plan in zip(self.drivers, per_shard):
-            if sub_plan:
-                driver.install(sub_plan)
-
-    # ------------------------------------------------------------------
-    # Dynamic firing (routing resolved at fire time)
-    # ------------------------------------------------------------------
+        install_series(self.cluster.engine, plan, self._fire_read, self._fire_write)
 
     def _fire_write(self, op: WriteOp) -> None:
         key = self.cluster.resolve_key(op.key)
         pending = self._pending_writes.get(key)
         if pending is not None and pending.pending:
-            self._stats.writes_skipped += 1
+            self.stats.writes_skipped += 1
             return
         handle = self.cluster.write(op.value, key=key)
         if handle is None:
-            # Deferred by the elastic front door (frozen or queued);
-            # it will reach the then-current owner on unfreeze.
-            self._stats.writes_deferred += 1
+            # Deferred by the front door (frozen or queued); it will
+            # reach the then-current owner on unfreeze.
+            self.stats.writes_deferred += 1
             return
         self._pending_writes[key] = handle
-        self._stats.writes_issued += 1
-        self._stats.write_handles.append(handle)
+        self.stats.writes_issued += 1
+        self.stats.write_handles.append(handle)
         self._count_shard_op(key)
 
     def _fire_read(self, op: ReadOp) -> None:
@@ -137,20 +96,18 @@ class ClusterWorkloadDriver:
         shard = self.cluster.shard_for(key)
         reader = op.reader if op.reader is not None else self._pick_reader(shard)
         if reader is None or not shard.membership.is_present(reader):
-            self._stats.reads_skipped += 1
+            self.stats.reads_skipped += 1
             return
         if not shard.node(reader).is_active:
-            self._stats.reads_skipped += 1
+            self.stats.reads_skipped += 1
             return
         handle = self.cluster.read(key, pid=reader)
-        self._stats.reads_issued += 1
-        self._stats.read_handles.append(handle)
+        self.stats.reads_issued += 1
+        self.stats.read_handles.append(handle)
         self._count_shard_op(key)
 
     def _pick_reader(self, shard) -> str | None:
         candidates = shard.active_pids()
-        if self._avoid_writer_reads:
-            candidates = [pid for pid in candidates if pid != shard.writer_pid]
         if not candidates:
             return None
         return self._rng.choice(candidates)
@@ -160,54 +117,16 @@ class ClusterWorkloadDriver:
         self._shard_ops[shard] = self._shard_ops.get(shard, 0) + 1
         self._key_ops[key] = self._key_ops.get(key, 0) + 1
 
-    # ------------------------------------------------------------------
-    # Accounting
-    # ------------------------------------------------------------------
-
     def shard_op_counts(self) -> tuple[int, ...]:
         """Issued operations per shard — the skew made visible."""
-        if self.dynamic:
-            return tuple(
-                self._shard_ops.get(shard, 0)
-                for shard in range(len(self.cluster.shards))
-            )
         return tuple(
-            d.stats.reads_issued + d.stats.writes_issued for d in self.drivers
+            self._shard_ops.get(shard, 0) for shard in range(len(self.cluster.shards))
         )
 
     def key_op_counts(self) -> dict[object, int]:
-        """Issued operations per key (dynamic mode only).
-
-        The rebalancer's per-key load signal: which keys make a hot
-        shard hot.  Static mode routes at install time and never
-        tracks per-key counts; asking there is a usage bug.
-        """
-        if not self.dynamic:
-            raise ExperimentError(
-                "key_op_counts requires a dynamic cluster driver"
-            )
+        """Issued operations per key: the rebalancer's per-key load
+        signal — which keys make a hot shard hot."""
         return dict(self._key_ops)
-
-    @property
-    def stats(self) -> WorkloadStats:
-        """Cluster-wide aggregate of the per-shard driver stats.
-
-        Aggregation walks ``WorkloadStats``'s own fields — lists are
-        concatenated, counters summed — so adding a field to the
-        dataclass can never silently vanish from cluster totals.
-        """
-        if self.dynamic:
-            return self._stats
-        total = WorkloadStats()
-        for driver in self.drivers:
-            for field in fields(WorkloadStats):
-                mine = getattr(total, field.name)
-                theirs = getattr(driver.stats, field.name)
-                if isinstance(mine, list):
-                    mine.extend(theirs)
-                else:
-                    setattr(total, field.name, mine + theirs)
-        return total
 
 
 def shard_skewed_key_picker(
@@ -230,7 +149,7 @@ def shard_skewed_key_picker(
     route to the keys it owns *now*, never by stale ownership.  A
     shard that has since lost every key falls back to a uniform draw
     over all cluster keys, keeping the per-pick draw count — and so
-    the seeded sequence for static clusters — exactly as before.
+    the seeded sequence — unchanged.
     """
     populated = [
         shard

@@ -885,12 +885,7 @@ def _run_cluster_scenario(spec: ScenarioSpec) -> ScenarioOutcome:
     if spec.churn_rate > 0:
         cluster.attach_churn(rate=spec.churn_rate, min_stay=3.0 * spec.delta)
     schedule_round_robin_migrations(cluster, spec.migrations, spec.horizon)
-    # Migrating (and rebalanced) cells need fire-time routing (a write
-    # landing after a flip must reach the new owner); static cells keep
-    # the recorded install-time split byte for byte.
-    driver = ClusterWorkloadDriver(
-        cluster, dynamic=bool(spec.migrations or spec.rebalance)
-    )
+    driver = ClusterWorkloadDriver(cluster)
     if spec.rebalance:
         from ..cluster.rebalance import RebalancePolicy, Rebalancer
 

@@ -132,12 +132,12 @@ class WorkloadStats:
 class WorkloadDriver:
     """Installs a workload plan into a system and tracks outcomes."""
 
-    def __init__(self, system: DynamicSystem, avoid_writer_reads: bool = False) -> None:
-        """``avoid_writer_reads`` excludes the designated writer from the
+    def __init__(self, system: DynamicSystem, exclude_writer: bool = False) -> None:
+        """``exclude_writer`` excludes the designated writer from the
         random reader pool (useful when measuring reader-side latency
         in isolation)."""
         self.system = system
-        self.avoid_writer_reads = avoid_writer_reads
+        self.exclude_writer = exclude_writer
         self.stats = WorkloadStats()
         self._rng = system.rng.stream("workload.readers")
         # Writes are serialized *per key* (the checkers partition the
@@ -198,7 +198,7 @@ class WorkloadDriver:
 
     def _pick_reader(self) -> str | None:
         candidates = self.system.active_pids()
-        if self.avoid_writer_reads:
+        if self.exclude_writer:
             candidates = [pid for pid in candidates if pid != self.system.writer_pid]
         if not candidates:
             return None

@@ -6,6 +6,8 @@ from repro.cluster import ClusterConfig, ClusterSystem
 from repro.faults.plan import CrashFault, FaultPlan, LossFault
 from repro.protocols.common import MIGRATION_PAYLOADS
 from repro.sim.errors import ConfigError
+from repro.workloads.cluster import ClusterWorkloadDriver, shard_skewed_key_picker
+from repro.workloads.generators import assign_keys, read_heavy_plan
 
 
 def make_cluster(**overrides) -> ClusterSystem:
@@ -92,6 +94,30 @@ class TestCommit:
         cluster.run_for(1.0)
         assert read.result == "during-freeze"
         assert read.shard == dest
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_a_migration_scheduled_mid_run_commits_and_stays_regular(self, seed):
+        """The front door serializes every write from the start, so a
+        handoff may be planned while the run is already under way."""
+        cluster = make_cluster(seed=seed)
+        cluster.attach_churn(rate=0.02, min_stay=15.0)
+        driver = ClusterWorkloadDriver(cluster)
+        plan = read_heavy_plan(
+            start=5.0, end=100.0, write_period=10.0, read_rate=1.0,
+            rng=cluster.rng.stream("t.midrun.plan"),
+        )
+        driver.install(assign_keys(
+            plan, shard_skewed_key_picker(cluster, cluster.rng.stream("t.midrun.keys"))
+        ))
+        cluster.run_until(40.0)
+        key = cluster.keys[0]
+        dest = (cluster.shard_of(key) + 1) % 3
+        record = cluster.schedule_migration(key, dest, at=45.0)
+        cluster.run_until(130.0)
+        assert record.committed
+        assert cluster.shard_of(key) == dest
+        assert driver.stats.writes_issued > 0
+        assert cluster.check_safety().is_safe
 
     def test_second_migration_of_same_key_waits_for_the_first(self):
         cluster = make_cluster()
@@ -207,12 +233,6 @@ class TestAbort:
 
 
 class TestElasticFrontDoor:
-    def test_clusters_without_migrations_stay_non_elastic(self):
-        cluster = make_cluster()
-        handle = cluster.write("direct", key=cluster.keys[0])
-        assert handle is not None  # non-elastic writes return handles
-        assert cluster.writes_deferred == 0
-
     def test_elastic_values_are_cluster_unique(self):
         cluster = make_cluster()
         cluster.schedule_migration(cluster.keys[0], 0, at=200.0)
@@ -249,7 +269,6 @@ class TestDeferredQueueDepth:
         frame and the queue empties no matter how deep it got."""
         depth = 3000
         cluster = make_cluster()
-        cluster.enable_elastic()
         key = cluster.keys[0]
         shard = cluster.shard_for(key)
         cluster._freeze(key)
@@ -267,7 +286,6 @@ class TestDeferredQueueDepth:
         actually issue — dropping is the exceptional path, not the loop's
         purpose."""
         cluster = make_cluster()
-        cluster.enable_elastic()
         key = cluster.keys[0]
         cluster._freeze(key)
         for _ in range(5):

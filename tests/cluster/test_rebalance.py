@@ -3,7 +3,7 @@
 The Rebalancer is the *when* on top of PR 6's *how*: it samples
 per-shard load on the cluster clock and plans budget-bounded storms of
 concurrent key migrations.  These tests pin its policy validation, its
-trigger/idle/cooldown/quiesce tick notes, greedy move selection,
+trigger/idle/quiesce tick notes, greedy move selection,
 shard retirement, and — because the planner draws no randomness — the
 byte-determinism of a rebalanced run, concurrent storms included.
 """
@@ -19,6 +19,7 @@ from repro.cluster import (
 from repro.sim.errors import ConfigError
 from repro.workloads.cluster import ClusterWorkloadDriver, shard_skewed_key_picker
 from repro.workloads.generators import assign_keys, read_heavy_plan
+from repro.workloads.schedule import ReadOp
 
 
 def make_cluster(**overrides) -> ClusterSystem:
@@ -28,8 +29,8 @@ def make_cluster(**overrides) -> ClusterSystem:
 
 
 def skewed_setup(cluster, horizon, **policy_knobs):
-    """Dynamic driver + rebalancer + Zipf hot-shard plan, ready to run."""
-    driver = ClusterWorkloadDriver(cluster, dynamic=True)
+    """Driver + rebalancer + Zipf hot-shard plan, ready to run."""
+    driver = ClusterWorkloadDriver(cluster)
     knobs = dict(period=15.0, threshold=1.2, budget=2, max_retries=1,
                  plan_until=horizon - 90.0)
     knobs.update(policy_knobs)
@@ -58,9 +59,6 @@ class TestPolicyValidation:
             dict(period=-5.0),
             dict(threshold=0.9),
             dict(budget=0),
-            dict(cooldown=-1.0),
-            dict(load="wall-clock"),
-            dict(min_window_load=-1),
         ],
     )
     def test_bad_knobs_rejected(self, knobs):
@@ -68,7 +66,7 @@ class TestPolicyValidation:
             RebalancePolicy(**knobs).validate()
 
     @pytest.mark.parametrize(
-        "name", ["period", "threshold", "cooldown", "min_window_load", "plan_until"]
+        "name", ["period", "threshold", "plan_until"]
     )
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_knob_is_refused_by_name(self, name, value):
@@ -85,25 +83,26 @@ class TestPolicyValidation:
         RebalancePolicy(plan_until=100.0).validate()
 
     def test_ops_signal_needs_a_driver(self):
-        with pytest.raises(ConfigError):
+        # Load is the driver's issued operations: there is no other
+        # signal to fall back on.
+        with pytest.raises(TypeError, match="driver"):
             Rebalancer(make_cluster())
 
-    def test_static_driver_rejected(self):
-        cluster = make_cluster()
-        driver = ClusterWorkloadDriver(cluster, dynamic=False)
-        with pytest.raises(ConfigError):
-            Rebalancer(cluster, driver=driver)
+    def test_a_single_register_cluster_is_refused_up_front(self):
+        cluster = ClusterSystem(ClusterConfig(shards=2, keys=1, n=8, seed=1))
+        with pytest.raises(ConfigError, match="nothing to reshard"):
+            Rebalancer(cluster, driver=ClusterWorkloadDriver(cluster))
 
-    def test_delivered_signal_needs_no_driver(self):
-        cluster = make_cluster()
-        rebalancer = Rebalancer(
-            cluster, policy=RebalancePolicy(load="delivered")
-        )
-        assert rebalancer.driver is None
+    def test_policy_has_five_knobs(self):
+        from dataclasses import fields
+
+        assert [f.name for f in fields(RebalancePolicy)] == [
+            "period", "threshold", "budget", "max_retries", "plan_until"
+        ]
 
     def test_construction_arms_the_elastic_front_door(self):
         cluster = make_cluster()
-        driver = ClusterWorkloadDriver(cluster, dynamic=True)
+        driver = ClusterWorkloadDriver(cluster)
         Rebalancer(cluster, driver=driver)
         # Elastic writes draw the cluster-wide counter (starts at w1).
         assert cluster.next_value() == "w1"
@@ -112,7 +111,7 @@ class TestPolicyValidation:
 class TestTickNotes:
     def test_idle_cluster_never_plans(self):
         cluster = make_cluster()
-        driver = ClusterWorkloadDriver(cluster, dynamic=True)
+        driver = ClusterWorkloadDriver(cluster)
         rebalancer = Rebalancer(
             cluster, driver=driver, policy=RebalancePolicy(period=10.0)
         )
@@ -121,6 +120,23 @@ class TestTickNotes:
         assert len(rebalancer.samples) == 5
         assert all(s.note == "idle" for s in rebalancer.samples)
         assert rebalancer.actions == []
+
+    def test_a_window_with_zero_load_is_idle(self):
+        cluster = make_cluster()
+        driver = ClusterWorkloadDriver(cluster)
+        rebalancer = Rebalancer(
+            cluster, driver=driver,
+            policy=RebalancePolicy(period=10.0, threshold=1.2),
+        )
+        key = cluster.keys[0]
+        driver.install([ReadOp(time=1.0 + t, key=key) for t in range(8)])
+        cluster.run_until(50.0)
+        first, *rest = rebalancer.samples
+        assert sum(first.loads) == 8 and first.planned == 1
+        # Traffic stopped: every later window is empty, so idle — even
+        # though cumulative load and the skew it left are still there.
+        assert len(rest) == 4
+        assert all(s.note == "idle" and s.planned == 0 for s in rest)
 
     def test_quiesce_stops_planning_but_not_sampling(self):
         cluster = make_cluster()
@@ -132,29 +148,12 @@ class TestTickNotes:
         assert all(s.planned == 0 for s in late)
         assert all(a.time <= 40.0 for a in rebalancer.actions)
 
-    def test_cooldown_suppresses_the_next_trigger(self):
-        cluster = make_cluster()
-        driver, rebalancer = skewed_setup(
-            cluster, horizon=200.0, cooldown=100.0, plan_until=None
-        )
-        cluster.run_until(120.0)
-        planning = [s for s in rebalancer.samples if s.planned]
-        assert planning, "the skewed workload never triggered the planner"
-        first = planning[0].time
-        cooled = [
-            s for s in rebalancer.samples
-            if first < s.time < first + 100.0 and s.note == "cooldown"
-        ]
-        assert cooled, "no tick inside the cooldown window was suppressed"
-        assert all(s.planned == 0 for s in cooled)
-
 
 class TestBalancing:
     def test_skewed_load_triggers_moves_that_reduce_imbalance(self):
         horizon = 260.0
         static = make_cluster()
-        static_driver = ClusterWorkloadDriver(static, dynamic=True)
-        static.enable_elastic()
+        static_driver = ClusterWorkloadDriver(static)
         plan = read_heavy_plan(
             start=5.0, end=horizon - 20.0, write_period=10.0, read_rate=1.0,
             rng=static.rng.stream("t.rebal.plan"),
@@ -211,7 +210,7 @@ class TestRetirement:
     def test_retired_shard_drains_fully_and_gets_nothing_back(self):
         cluster = make_cluster()
         driver, rebalancer = skewed_setup(
-            cluster, horizon=300.0, threshold=5.0, load="delivered"
+            cluster, horizon=300.0, threshold=5.0
         )
         rebalancer.retire_shard(0)
         cluster.run_until(300.0)
@@ -222,9 +221,27 @@ class TestRetirement:
         assert rebalancer.retired == frozenset({0})
         assert cluster.check_safety().is_safe
 
+    def test_retirement_drains_an_idle_cluster_and_moves_nothing_else(self):
+        """No operation ever issued: the retiring shard still drains, and
+        no key is moved for load nobody measured."""
+        cluster = make_cluster()
+        driver = ClusterWorkloadDriver(cluster)
+        rebalancer = Rebalancer(
+            cluster, driver=driver,
+            policy=RebalancePolicy(period=10.0, max_retries=1),
+        )
+        owned = cluster.keys_of_shard(0)
+        rebalancer.retire_shard(0)
+        driver.install([])
+        cluster.run_until(200.0)
+        assert owned and cluster.keys_of_shard(0) == ()
+        assert {a.reason for a in rebalancer.actions} == {"retire"}
+        committed = [a.key for a in rebalancer.actions if a.record.committed]
+        assert sorted(committed) == sorted(owned)
+
     def test_retire_validates_the_shard_index(self):
         cluster = make_cluster()
-        driver = ClusterWorkloadDriver(cluster, dynamic=True)
+        driver = ClusterWorkloadDriver(cluster)
         rebalancer = Rebalancer(cluster, driver=driver)
         with pytest.raises(ConfigError):
             rebalancer.retire_shard(4)
@@ -233,11 +250,44 @@ class TestRetirement:
 
     def test_cannot_retire_every_shard(self):
         cluster = make_cluster(shards=2, keys=4, n=8)
-        driver = ClusterWorkloadDriver(cluster, dynamic=True)
+        driver = ClusterWorkloadDriver(cluster)
         rebalancer = Rebalancer(cluster, driver=driver)
         rebalancer.retire_shard(0)
         with pytest.raises(ConfigError):
             rebalancer.retire_shard(1)
+
+
+class TestMidRunConstruction:
+    @pytest.mark.parametrize("seed", [9, 13])
+    def test_a_rebalancer_built_mid_run_plans_and_resolves(self, seed):
+        """The front door serializes every write from the start, so the
+        rebalancer may join a run already under way."""
+        cluster = make_cluster(seed=seed)
+        driver = ClusterWorkloadDriver(cluster)
+        plan = read_heavy_plan(
+            start=5.0, end=240.0, write_period=10.0, read_rate=1.0,
+            rng=cluster.rng.stream("t.rebal.plan"),
+        )
+        driver.install(assign_keys(
+            plan,
+            shard_skewed_key_picker(
+                cluster, cluster.rng.stream("t.rebal.keys"), distribution="zipf"
+            ),
+        ))
+        cluster.run_until(60.0)
+        before = sum(driver.shard_op_counts())
+        rebalancer = Rebalancer(
+            cluster, driver=driver,
+            policy=RebalancePolicy(
+                period=15.0, threshold=1.2, max_retries=1, plan_until=170.0
+            ),
+        )
+        cluster.run_until(260.0)
+        assert before > 0
+        assert rebalancer.samples[0].time == 75.0
+        assert rebalancer.actions and all(a.time > 60.0 for a in rebalancer.actions)
+        assert rebalancer.summary()["unresolved"] == 0
+        assert cluster.check_safety().is_safe
 
 
 class TestDeterminism:

@@ -4,8 +4,8 @@
 fixed-seed run produced when the entry was recorded:
 
 ``digest/<field>``
-    The six :data:`repro.bench.DIGEST_WORKLOADS` history digests
-    (plain, faulted, keyed, sharded, migrating, rebalanced runs).
+    The five :data:`repro.bench.DIGEST_WORKLOADS` history digests
+    (plain, faulted, keyed, migrating, rebalanced runs).
 ``kernel/<cell>``
     The kernel's observable surface — operation digest, every network
     counter, the fired-event count — on each cell of the grid in

@@ -3,7 +3,7 @@
 Every stochastic choice flows through seeded named streams, so equal
 configurations must produce byte-identical observable behaviour — ops,
 messages, traces, checker verdicts.  These tests pin that down across
-protocols and delay models, and hold the six
+protocols and delay models, and hold the five
 :data:`~repro.bench.DIGEST_WORKLOADS` to the golden store's ``digest/``
 family (``tests/golden.py``).
 """
@@ -119,7 +119,7 @@ DIGESTS = digest_family()
 
 @pytest.mark.parametrize("key", DIGESTS)
 def test_digest_workload_is_stable_within_process(key):
-    """Each of the six fixed-seed digest workloads hashes to the same
+    """Each of the five fixed-seed digest workloads hashes to the same
     value on two runs in one process: a scheduler or RNG regression that
     breaks reproducibility fails here, whatever the store holds."""
     assert DIGESTS[key]() == DIGESTS[key](), (

@@ -54,7 +54,7 @@ def run_cluster(
                     key, dest, at=30.0 + 25.0 * j, max_retries=1
                 )
             )
-    driver = ClusterWorkloadDriver(cluster, dynamic=migrate)
+    driver = ClusterWorkloadDriver(cluster)
     workload = read_heavy_plan(
         start=5.0,
         end=HORIZON - 20.0,

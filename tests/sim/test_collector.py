@@ -118,7 +118,7 @@ def _cluster_with_handoffs() -> ClusterSystem:
     plan = [WriteOp(time=5.0 + 20.0 * i, key=keys[i % 6]) for i in range(10)]
     plan += [ReadOp(time=7.0 + 3.0 * i, key=keys[i % 6]) for i in range(60)]
     plan.sort(key=lambda op: op.time)
-    ClusterWorkloadDriver(cluster, dynamic=True).install(plan)
+    ClusterWorkloadDriver(cluster).install(plan)
     cluster.run_until(260.0)
     assert committed.committed and aborted.aborted
     cluster.check_safety()

@@ -247,8 +247,10 @@ class TestExplore:
         assert payload["counterexamples"]
 
     def test_unknown_plan_rejected(self, capsys):
-        assert main(["explore", "--plans", "gremlins"]) == 2
-        assert "unknown plan" in capsys.readouterr().err
+        assert main(["explore", "--plans", "none", "gremlins"]) == 2
+        captured = capsys.readouterr()
+        assert "unknown fault plan 'gremlins'" in captured.err
+        assert captured.out == ""  # refused before any cell ran
 
     def test_workers_flag_output_matches_serial(self, capsys):
         args = [
@@ -297,17 +299,27 @@ class TestRebalanceCLI:
         assert "regularity: SAFE" in out
 
     def test_retire_flag_drains_the_shard(self, capsys):
-        assert main(self.QUICK + ["--retire", "0", "--load", "delivered",
-                                  "--horizon", "220"]) == 0
+        assert main(self.QUICK + ["--retire", "0", "--horizon", "220"]) == 0
         out = capsys.readouterr().out
         assert "retire=0" in out
         assert "[retire]" in out
+        assert "8 committed, 3 aborted, 0 unresolved" in out
+        assert "regularity: SAFE" in out
 
     def test_unknown_plan_rejected(self, capsys):
         assert main(self.QUICK + ["--plan", "not-a-plan"]) == 2
-        assert "unknown plan" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "unknown fault plan 'not-a-plan'" in captured.err
+        assert captured.out == ""
 
-    @pytest.mark.parametrize("flag", ["--period", "--threshold", "--cooldown"])
+    @pytest.mark.parametrize("flag", ["--cooldown", "--load"])
+    def test_deleted_policy_flags_are_refused(self, capsys, flag):
+        with pytest.raises(SystemExit) as refused:
+            main(self.QUICK + [flag, "1"])
+        assert refused.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--period", "--threshold"])
     def test_nan_policy_parameter_is_refused_by_name(self, capsys, flag):
         assert main(self.QUICK + [flag, "nan"]) == 2
         name = flag.lstrip("-")
@@ -359,7 +371,7 @@ class TestMigrateCLI:
             ["@15", "aborted"], ["@28.3333", "aborted"], ["@41.6667", "aborted"]
         ]
         assert main(self.QUICK + ["--plan", "not-a-plan"]) == 2
-        assert "unknown plan" in capsys.readouterr().err
+        assert "unknown fault plan 'not-a-plan'" in capsys.readouterr().err
 
 
 class TestProfileCommand:

@@ -61,7 +61,6 @@ class TestDriverRouting:
         with pytest.raises(ExperimentError):
             driver.install([])
 
-    @pytest.mark.parametrize("dynamic", [False, True])
     @pytest.mark.parametrize(
         "time",
         [
@@ -72,14 +71,14 @@ class TestDriverRouting:
         ],
     )
     def test_a_bad_time_is_refused_by_its_position_in_the_cluster_plan(
-        self, dynamic, time
+        self, time
     ):
         cluster = make_cluster()
         cluster.run_until(5.0)
         pending = cluster.engine.pending_count
-        driver = ClusterWorkloadDriver(cluster, dynamic=dynamic)
-        # One op per key first, so every shard's sub-plan is non-empty
-        # and the bad op's position in a sub-plan is not its position.
+        driver = ClusterWorkloadDriver(cluster)
+        # One op per key first: the refusal names the bad op by its
+        # position in the whole plan, across every shard.
         plan = [WriteOp(time=6.0, key=key) for key in cluster.keys]
         plan.append(ReadOp(time=time, key=cluster.keys[-1]))
         with pytest.raises(ExperimentError) as refused:
@@ -89,6 +88,12 @@ class TestDriverRouting:
         assert f"planned at {time!r}" in message
         assert "the clock, which reads 5.0" in message
         assert cluster.engine.pending_count == pending
+
+    def test_static_routing_is_refused_by_name(self):
+        with pytest.raises(ExperimentError, match=r"dynamic=False"):
+            ClusterWorkloadDriver(make_cluster(), dynamic=False)
+        # ``dynamic=True`` stays accepted: it is the only mode.
+        ClusterWorkloadDriver(make_cluster(), dynamic=True).install([])
 
     def test_stats_aggregate_handles(self):
         cluster = make_cluster()
@@ -236,36 +241,102 @@ class TestPickerFollowsFlips:
         assert all(cluster.shard_of(k) != source for k in draws)
 
 
-class TestStatsAggregation:
-    def test_static_stats_aggregate_every_field(self):
-        """Regression: the static driver's ``stats`` summed a hand-kept
-        field list that silently dropped ``writes_deferred`` (and would
-        drop any future counter).  Aggregation is introspective now:
-        every ``WorkloadStats`` field must survive the merge."""
-        from dataclasses import fields
+class TestFireTimeRoutingWithoutMigrations:
+    """Every cluster routes at fire time.  With no migration the owner
+    never changes, so each operation must land exactly where splitting
+    the plan by ``shard_of`` at install time would have sent it — the
+    split is computed here as the oracle."""
 
-        from repro.workloads.schedule import WorkloadStats
+    @staticmethod
+    def _plan(keys):
+        # Writes to any one key 40 apart (a sync write settles in delta),
+        # reads spread over the run; nothing churns, so nothing skips.
+        plan = [
+            WriteOp(time=2.0 + 40.0 * j + index, key=key)
+            for j in range(3)
+            for index, key in enumerate(keys)
+        ]
+        rng = random.Random(4)
+        plan += [
+            ReadOp(time=rng.uniform(1.0, 120.0), key=rng.choice(keys))
+            for _ in range(60)
+        ]
+        return plan
 
-        cluster = make_cluster()
+    @staticmethod
+    def _install_time_split(cluster, plan):
+        split = [0] * len(cluster.shards)
+        owner = {}
+        for op in plan:
+            key = cluster.resolve_key(op.key)
+            owner[key] = cluster.shard_of(key)
+            split[owner[key]] += 1
+        return tuple(split), owner
+
+    @pytest.mark.parametrize(
+        "overrides, keys",
+        [(dict(), 8), (dict(shards=2, keys=1, n=8), 1)],
+        ids=["named-keys", "one-key"],
+    )
+    def test_each_op_runs_on_its_install_time_shard(self, overrides, keys):
+        cluster = make_cluster(**overrides)
+        # A 1-key cluster's only key is None, the single register.
+        assert len(cluster.keys) == keys
+        assert (cluster.keys == (None,)) == (keys == 1)
+        plan = self._plan(cluster.keys)
+        split, owner = self._install_time_split(cluster, plan)
         driver = ClusterWorkloadDriver(cluster)
-        for index, sub in enumerate(driver.drivers):
-            for field in fields(WorkloadStats):
-                value = getattr(sub.stats, field.name)
-                if isinstance(value, int):
-                    setattr(sub.stats, field.name, index + 1)
-                else:
-                    value.append(object())
-        total = driver.stats
-        expected = sum(range(1, len(driver.drivers) + 1))
-        for field in fields(WorkloadStats):
-            value = getattr(total, field.name)
-            if isinstance(value, int):
-                assert value == expected, f"{field.name} dropped by the merge"
-            else:
-                assert len(value) == len(driver.drivers)
+        driver.install(plan)
+        cluster.run_until(160.0)
+        stats = driver.stats
+        assert stats.reads_skipped == stats.writes_skipped == 0
+        assert stats.writes_deferred == 0
+        assert driver.shard_op_counts() == split
+        for handle in stats.read_handles + stats.write_handles:
+            assert handle.shard == owner[cluster.resolve_key(handle.key)]
+        assert cluster.check_safety().is_safe
 
-    def test_deferred_writes_surface_in_static_stats(self):
-        cluster = make_cluster()
+
+class TestDriverFollowsFlips:
+    """The reason every cluster routes at fire time: a plan installed
+    before a handoff lands on whichever shard owns the key when each
+    operation fires."""
+
+    @staticmethod
+    def _migrating_cluster():
+        cluster = make_cluster(shards=3, keys=6, n=18, seed=5)
+        key = cluster.keys[0]
+        source = cluster.shard_of(key)
+        return cluster, key, source, (source + 1) % 3
+
+    def test_ops_fired_after_the_flip_reach_the_new_owner(self):
+        cluster, key, source, dest = self._migrating_cluster()
         driver = ClusterWorkloadDriver(cluster)
-        driver.drivers[0].stats.writes_deferred = 7
-        assert driver.stats.writes_deferred == 7
+        driver.install([
+            ReadOp(time=5.0, key=key), WriteOp(time=6.0, key=key),
+            ReadOp(time=80.0, key=key), WriteOp(time=81.0, key=key),
+        ])
+        record = cluster.schedule_migration(key, dest, at=20.0)
+        cluster.run_until(120.0)
+        assert record.committed
+        stats = driver.stats
+        handles = sorted(
+            stats.read_handles + stats.write_handles, key=lambda h: h.invoke_time
+        )
+        assert [h.shard for h in handles] == [source, source, dest, dest]
+        counts = driver.shard_op_counts()
+        assert counts[source] == counts[dest] == 2
+
+    def test_a_write_fired_during_the_freeze_lands_on_the_new_owner(self):
+        cluster, key, source, dest = self._migrating_cluster()
+        driver = ClusterWorkloadDriver(cluster)
+        driver.install([WriteOp(time=21.0, value="frozen", key=key)])
+        record = cluster.schedule_migration(key, dest, at=20.0)
+        cluster.run_until(120.0)
+        assert record.committed and record.deferred_writes == 1
+        assert driver.stats.writes_deferred == 1
+        assert driver.stats.writes_issued == 0
+        history = cluster.close()
+        assert [w.argument for w in history.shard_history(source).writes()] == []
+        assert [w.argument for w in history.seam_view(key).writes()] == ["frozen"]
+        assert history.seam_view(key).writes()[0].shard == dest

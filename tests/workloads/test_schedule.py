@@ -69,7 +69,7 @@ class TestReaderSelection:
 
     def test_avoid_writer_reads(self):
         system = make_system(n=3)
-        driver = WorkloadDriver(system, avoid_writer_reads=True)
+        driver = WorkloadDriver(system, exclude_writer=True)
         driver.install([ReadOp(time=float(t)) for t in range(1, 21)])
         system.run_until(30.0)
         readers = {h.process_id for h in driver.stats.read_handles}
