@@ -27,8 +27,11 @@ from .faults.plan import FaultPlan, PartitionFault
 from .runtime.config import SystemConfig
 from .runtime.system import DynamicSystem
 from .sim.errors import ReproError
-from .workloads.cluster import ClusterWorkloadDriver, shard_skewed_key_picker
-from .workloads.explorer import schedule_round_robin_migrations
+from .workloads.cluster import (
+    ClusterWorkloadDriver,
+    schedule_round_robin_migrations,
+    shard_skewed_key_picker,
+)
 from .workloads.generators import assign_keys, make_key_picker, read_heavy_plan
 from .workloads.schedule import WorkloadDriver, WorkloadOp
 

@@ -45,21 +45,19 @@ Eight subcommands, mirroring how the library is typically used:
     planned handoff never resolved.
 
 ``explore``
-    Sweep the adversarial scenario matrix (protocol × delay model ×
-    churn × fault plan × key count × shard count × migration count ×
-    seed), judge every
-    history with the checkers (sharded cells run as clusters with the
-    plan scoped into every shard and the merged history judged;
-    ``--migrations`` adds live key handoffs — the resharding storms),
-    shrink violating fault schedules and optionally
-    write the JSON counterexample report.  The sweep fans out across
+    Sweep the adversarial scenario matrix — one flag per row of the
+    explorer's sweep table (``repro.workloads.explorer.AXES``; ``repro
+    explore --help`` lists them) — judge every history with the
+    checkers, shrink violating fault schedules and optionally write the
+    JSON counterexample report.  The sweep fans out across
     ``--workers`` processes (cells are independent; the report is
     byte-identical at any worker count).  In-model violations are bugs
     (exit 1); out-of-model ones document the paper's hypotheses
     (exit 0).
 
-An unknown ``--plan`` / ``--plans`` name is refused with exit code 2
-before any cell runs (the explorer's ``build_plan`` names it).
+A bad setting — an unknown ``--plan`` / ``--plans`` name, a churn rate
+outside [0, 1), a non-finite δ or horizon, a sweep with no cell — is
+refused by name with exit code 2, before anything is printed.
 """
 
 from __future__ import annotations
@@ -74,12 +72,18 @@ from .churn.model import (
     synchronous_churn_bound,
 )
 from .experiments import ABLATIONS, EXPERIMENTS
-from .net.delay import DELAY_MODEL_NAMES
 from .runtime.config import SystemConfig
 from .runtime.system import DynamicSystem
 from .sim.errors import ReproError
 from .viz.message_flow import render_message_flow
 from .viz.timeline import render_timeline
+from .workloads.cluster import (
+    ClusterWorkloadDriver,
+    install_shard_scoped,
+    schedule_round_robin_migrations,
+    shard_skewed_key_picker,
+)
+from .workloads.explorer import AXES, build_plan, explore
 from .workloads.generators import read_heavy_plan
 from .workloads.scenarios import figure_3a, figure_3b, new_old_inversion
 from .workloads.schedule import WorkloadDriver
@@ -89,7 +93,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .cluster.system import ClusterSystem
     from .core.checker import LivenessReport, SafetyReport
     from .sim.trace import TraceLog
-    from .workloads.cluster import ClusterWorkloadDriver
 
 _SCENARIOS = {
     "fig3a": figure_3a,
@@ -301,83 +304,17 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget", type=int, default=50, help="max scenario cells to run"
     )
     explore.add_argument("--seed", type=int, default=0)
-    explore.add_argument(
-        "--protocols",
-        nargs="+",
-        default=["sync", "es", "abd"],
-        choices=["sync", "naive", "es", "abd"],
-    )
-    explore.add_argument(
-        "--delays", nargs="+", default=["sync", "es"], choices=DELAY_MODEL_NAMES
-    )
-    explore.add_argument(
-        "--churn", nargs="+", type=float, default=[0.0, 0.02], metavar="RATE"
-    )
-    explore.add_argument(
-        "--plans",
-        nargs="+",
-        default=None,
-        metavar="PLAN",
-        help="fault plans to sweep (default: the whole library)",
-    )
-    explore.add_argument("--n", type=int, default=10)
-    explore.add_argument("--delta", type=float, default=5.0)
-    explore.add_argument("--horizon", type=float, default=120.0)
-    explore.add_argument("--seeds-per-combo", type=int, default=1)
-    explore.add_argument(
-        "--keys",
-        nargs="+",
-        type=int,
-        default=[1],
-        metavar="K",
-        help="register-space key counts to sweep (default: just 1)",
-    )
-    explore.add_argument(
-        "--key-dist",
-        default="uniform",
-        choices=["uniform", "zipf"],
-        help=(
-            "key distribution for keyed cells (sharded cells apply it "
-            "at the shard level: zipf = a hot shard)"
-        ),
-    )
-    explore.add_argument(
-        "--shards",
-        nargs="+",
-        type=int,
-        default=[1],
-        metavar="S",
-        help=(
-            "cluster shard counts to sweep (default: just 1, the classic "
-            "single population; larger counts run sharded clusters with "
-            "the fault plan scoped into every shard)"
-        ),
-    )
-    explore.add_argument(
-        "--migrations",
-        nargs="+",
-        type=int,
-        default=[0],
-        metavar="M",
-        help=(
-            "live key-migration counts to sweep (default: just 0; counts "
-            "> 0 run only in cells with shards >= 2 and keys >= 2 — "
-            "combine with the mig-* plans for resharding storms)"
-        ),
-    )
-    explore.add_argument(
-        "--rebalance",
-        nargs="+",
-        type=int,
-        default=[0],
-        metavar="B",
-        help=(
-            "rebalancer per-window migration budgets to sweep (default: "
-            "just 0 = no rebalancer; budgets > 0 run only in cells with "
-            "shards >= 2 and keys >= 2 — combine with the rebal-* plans "
-            "for rebalancing storms)"
-        ),
-    )
+    for axis in AXES:
+        explore.add_argument(
+            axis.flag,
+            dest=axis.name,
+            nargs="+" if isinstance(axis.default, tuple) else None,
+            type=axis.type,
+            default=axis.default,
+            choices=axis.choices,
+            metavar=axis.metavar,
+            help=axis.help,
+        )
     explore.add_argument(
         "--no-shrink",
         action="store_true",
@@ -506,7 +443,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         keys=args.keys,
     )
     system = DynamicSystem(config)
-    if args.churn > 0:
+    if args.churn:
         system.attach_churn(rate=args.churn, min_stay=3.0 * args.delta)
     driver = WorkloadDriver(system)
     plan = read_heavy_plan(
@@ -554,7 +491,6 @@ def _cluster_cell(args: argparse.Namespace) -> ClusterSystem:
     every shard, churn attached."""
     from .cluster.config import ClusterConfig
     from .cluster.system import ClusterSystem
-    from .workloads.explorer import build_plan, install_shard_scoped
 
     cluster = ClusterSystem(
         ClusterConfig(
@@ -570,7 +506,7 @@ def _cluster_cell(args: argparse.Namespace) -> ClusterSystem:
         install_shard_scoped(
             cluster, build_plan(args.plan, args.delta, args.horizon, args.n)
         )
-    if args.churn > 0:
+    if args.churn:
         cluster.attach_churn(rate=args.churn, min_stay=3.0 * args.delta)
     return cluster
 
@@ -584,7 +520,6 @@ def _drive_cluster_cell(
 ) -> tuple[SafetyReport, LivenessReport]:
     """Install the read-heavy shard-skewed plan (drawn from the
     ``cli.<stream>.*`` RNG streams), run to the horizon, close, judge."""
-    from .workloads.cluster import shard_skewed_key_picker
     from .workloads.generators import assign_keys
 
     plan_ops = read_heavy_plan(
@@ -618,9 +553,6 @@ def _handoff_outcome(record: MigrationRecord) -> str:
 
 
 def _cmd_migrate(args: argparse.Namespace) -> int:
-    from .workloads.cluster import ClusterWorkloadDriver
-    from .workloads.explorer import schedule_round_robin_migrations
-
     cluster = _cluster_cell(args)
     records = schedule_round_robin_migrations(cluster, args.migrations, args.horizon)
     driver = ClusterWorkloadDriver(cluster)
@@ -655,7 +587,6 @@ def _cmd_migrate(args: argparse.Namespace) -> int:
 
 def _cmd_rebalance(args: argparse.Namespace) -> int:
     from .cluster.rebalance import RebalancePolicy, Rebalancer
-    from .workloads.cluster import ClusterWorkloadDriver
 
     cluster = _cluster_cell(args)
     driver = ClusterWorkloadDriver(cluster)
@@ -721,27 +652,12 @@ def _cmd_rebalance(args: argparse.Namespace) -> int:
 def _cmd_explore(args: argparse.Namespace) -> int:
     import json
 
-    from .workloads.explorer import DEFAULT_PLAN_NAMES, explore
-
-    plan_names = tuple(args.plans) if args.plans else DEFAULT_PLAN_NAMES
     report = explore(
         budget=args.budget,
         seed=args.seed,
-        protocols=tuple(args.protocols),
-        delays=tuple(args.delays),
-        churn_rates=tuple(args.churn),
-        plan_names=plan_names,
-        seeds_per_combo=args.seeds_per_combo,
-        n=args.n,
-        delta=args.delta,
-        horizon=args.horizon,
         shrink=not args.no_shrink,
         workers=args.workers,
-        key_counts=tuple(args.keys),
-        key_dist=args.key_dist,
-        shard_counts=tuple(args.shards),
-        migration_counts=tuple(args.migrations),
-        rebalance_counts=tuple(args.rebalance),
+        **{axis.name: getattr(args, axis.name) for axis in AXES},
     )
     for outcome in report.outcomes:
         if args.verbose or outcome.violated:

@@ -35,8 +35,11 @@ from ..exec.runner import run_specs
 from ..exec.spec import RunSpec
 from ..faults.plan import FaultPlan, LossFault
 from ..protocols.common import MIGRATION_PAYLOADS
-from ..workloads.cluster import ClusterWorkloadDriver, shard_skewed_key_picker
-from ..workloads.explorer import schedule_round_robin_migrations
+from ..workloads.cluster import (
+    ClusterWorkloadDriver,
+    schedule_round_robin_migrations,
+    shard_skewed_key_picker,
+)
 from ..workloads.generators import assign_keys, read_heavy_plan
 from .harness import ExperimentResult
 

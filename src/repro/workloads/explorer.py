@@ -1,10 +1,11 @@
 """Adversarial scenario explorer: sweep, check, shrink, report.
 
 A FoundationDB/Jepsen-style deterministic simulation-testing loop over
-the register protocols: enumerate a matrix of protocol × delay model ×
-churn profile × fault plan × seed, run every cell under the seeded
-fault injector, judge each closed history with the regularity /
-atomicity / liveness checkers, and shrink any violating run's fault
+the register protocols: enumerate the matrix the sweep table
+:data:`AXES` declares over the fault-plan library :data:`PLANS`, run
+every cell under the seeded fault injector, judge each closed history
+with the regularity / atomicity / liveness checkers, and shrink any
+violating run's fault
 schedule to a minimal counterexample (drop whole faults — down to the
 empty plan when the faults turn out irrelevant — then bisect the
 surviving windows; the minimized plan is re-judged, so a shrink that
@@ -35,11 +36,15 @@ appear anywhere in the artifact).
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any, Iterator
+import itertools
+import math
+from dataclasses import dataclass, field, fields, replace
+from typing import Any, Callable
 
-from ..core.checker import LivenessReport, SafetyReport
+from ..cluster.config import ClusterConfig
+from ..cluster.history import cluster_digest
+from ..cluster.rebalance import RebalancePolicy, Rebalancer
+from ..cluster.system import ClusterSystem
 from ..core.history import operation_digest
 from ..exec.runner import run_specs
 from ..exec.spec import RunSpec
@@ -59,18 +64,21 @@ from ..net.delay import (
     DUAL_P2P_FRACTION,
     make_delay,
 )
+from ..protocols import PROTOCOLS
 from ..protocols.common import MIGRATION_PAYLOADS
-from ..runtime.assembly import scope_pid, split_population
+from ..runtime.assembly import split_population
 from ..runtime.config import SystemConfig
 from ..runtime.system import DynamicSystem
 from ..sim.clock import Time
 from ..sim.errors import ExperimentError
+from .cluster import (
+    ClusterWorkloadDriver,
+    install_shard_scoped,
+    schedule_round_robin_migrations,
+    shard_skewed_key_picker,
+)
 from .generators import assign_keys, make_key_picker, read_heavy_plan
 from .schedule import WorkloadDriver
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..cluster.migration import MigrationRecord
-    from ..cluster.system import ClusterSystem
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -91,11 +99,6 @@ def _seed_group(n: int, fraction: float = 1 / 3) -> frozenset[str]:
 # The fault-plan library the matrix sweeps
 # ----------------------------------------------------------------------
 
-
-def _plan_none(delta: Time, horizon: Time, n: int) -> FaultPlan:
-    return FaultPlan(name="none")
-
-
 #: Reply-style payloads per protocol (sync, es, abd) — the messages the
 #: light-loss plan may eat without touching the dissemination itself.
 REPLY_PAYLOADS = frozenset({"Reply", "EsReply", "EsAck", "AbdQueryReply", "AbdAck"})
@@ -103,197 +106,124 @@ REPLY_PAYLOADS = frozenset({"Reply", "EsReply", "EsAck", "AbdQueryReply", "AbdAc
 #: Dissemination-style payloads per protocol — the writer-crash trigger.
 WRITE_PAYLOADS = frozenset({"WriteMsg", "EsWrite", "AbdWrite"})
 
+#: A library plan's faults, built from the scenario's (δ, horizon, n).
+PlanFaults = Callable[[Time, Time, int], tuple[Fault, ...]]
 
-def _plan_light_loss(delta: Time, horizon: Time, n: int) -> FaultPlan:
+
+def _fixed(*faults: Fault) -> PlanFaults:
+    """A plan whose faults do not depend on the scenario's dimensions."""
+    return lambda delta, horizon, n: faults
+
+
+def _seed_cut(
+    delta: Time, horizon: Time, n: int, length: float, mode: str
+) -> PartitionFault:
+    """Cut the first third of the seeds off for ``length`` δ from 0.3·horizon."""
+    start = horizon * 0.3
+    return PartitionFault(
+        start=start, end=start + length * delta, group_a=_seed_group(n), mode=mode
+    )
+
+
+# Crash whichever node a MigFetchReply is delivered to — that is the
+# source shard's migration agent, mid-copy.  The handoff must abort
+# cleanly (ownership stays at the source), so a violation here is a
+# bug: crashes are ordinary in-model departures.
+_CRASH_MID_COPY = CrashFault(phase="MigFetchReply", victim="dest")
+
+# Crash a destination replica at its second MigInstall delivery —
+# mid-install, after some replicas already staged the value.  The
+# coordinator must either reach full present-pid coverage (the victim
+# departed, so it no longer counts) and commit, or abort with the
+# source still owning the key.
+_CRASH_MID_INSTALL = CrashFault(phase="MigInstall", victim="dest", occurrence=2)
+
+# Eat *every* migration message, under hand-scheduled handoffs or a
+# rebalancer's storms of concurrent ones.  The handoff can never finish
+# — but losing coordination traffic is in-model for the register itself
+# (classify_scenario filters migration-only losses), so every handoff
+# must time out, abort cleanly and keep serving from the source: a
+# violation here is a bug.
+_COORDINATION_LOSS = _fixed(
+    LossFault(probability=1.0, payload_types=MIGRATION_PAYLOADS)
+)
+
+# The handoff storm, under hand-scheduled handoffs or continuous
+# rebalancing: heavy loss on *all* traffic plus crashes at both handoff
+# phases.  Out-of-model (the loss soaks dissemination too), so
+# violations document the boundary, not refute a lemma.
+_HANDOFF_STORM = _fixed(
+    LossFault(probability=0.35),
+    _CRASH_MID_COPY,
+    CrashFault(phase="MigInstall", victim="dest"),
+)
+
+#: The library: plan name → its faults.  Corpus specs and sweep labels
+#: carry these names.  The ``mig-*`` plans attack hand-scheduled
+#: handoffs (the ``migrations`` axis), the ``rebal-*`` plans the same
+#: phases under a rebalancer (the ``rebalance`` axis).
+PLANS: dict[str, PlanFaults] = {
+    "none": _fixed(),
     # Below the cover threshold and confined to reply/ack traffic: the
     # dissemination itself stays reliable, so safety should survive.
-    return FaultPlan.of(
-        LossFault(probability=0.05, payload_types=REPLY_PAYLOADS),
-        name="light-loss",
-    )
-
-
-def _plan_heavy_loss(delta: Time, horizon: Time, n: int) -> FaultPlan:
-    return FaultPlan.of(LossFault(probability=0.35), name="heavy-loss")
-
-
-def _plan_partition_defer(delta: Time, horizon: Time, n: int) -> FaultPlan:
+    "light-loss": _fixed(LossFault(probability=0.05, payload_types=REPLY_PAYLOADS)),
+    "heavy-loss": _fixed(LossFault(probability=0.35)),
     # Shorter than delta and defer-mode: every crossing message still
     # meets the synchronous bound, so the run stays in-model.
-    start = horizon * 0.3
-    return FaultPlan.of(
-        PartitionFault(
-            start=start, end=start + 0.8 * delta, group_a=_seed_group(n), mode="defer"
-        ),
-        name="partition-defer",
-    )
-
-
-def _plan_partition_drop(delta: Time, horizon: Time, n: int) -> FaultPlan:
-    start = horizon * 0.3
-    return FaultPlan.of(
-        PartitionFault(
-            start=start, end=start + 3.0 * delta, group_a=_seed_group(n), mode="drop"
-        ),
-        name="partition-drop",
-    )
-
-
-def _plan_delay_spike(delta: Time, horizon: Time, n: int) -> FaultPlan:
-    start = horizon * 0.4
-    return FaultPlan.of(
-        DelaySpikeFault(start=start, end=start + 2.0 * delta, factor=4.0),
-        name="delay-spike",
-    )
-
-
-def _plan_writer_crash(delta: Time, horizon: Time, n: int) -> FaultPlan:
+    "partition-defer": lambda delta, horizon, n: (
+        _seed_cut(delta, horizon, n, 0.8, "defer"),
+    ),
+    "partition-drop": lambda delta, horizon, n: (
+        _seed_cut(delta, horizon, n, 3.0, "drop"),
+    ),
+    "delay-spike": lambda delta, horizon, n: (
+        DelaySpikeFault(start=horizon * 0.4, end=horizon * 0.4 + 2.0 * delta, factor=4.0),
+    ),
     # The writer departs the instant its third WRITE dissemination
     # lands somewhere — the Figure 3(a) flavour of departure.  One
     # crash fault per protocol's write payload; at most one can ever
     # fire (a run speaks a single protocol).
-    return FaultPlan.of(
+    "writer-crash": _fixed(
         *(
             CrashFault(phase=phase, victim="sender", occurrence=3)
             for phase in sorted(WRITE_PAYLOADS)
-        ),
-        name="writer-crash",
-    )
-
-
-def _plan_combo(delta: Time, horizon: Time, n: int) -> FaultPlan:
+        )
+    ),
     # Deliberately over-provisioned; the shrinker's job is to find
     # which ingredient actually breaks the run.
-    start = horizon * 0.3
-    return FaultPlan.of(
+    "combo": lambda delta, horizon, n: (
         LossFault(probability=0.25, start=horizon * 0.1),
-        PartitionFault(
-            start=start, end=start + 3.0 * delta, group_a=_seed_group(n), mode="drop"
-        ),
+        _seed_cut(delta, horizon, n, 3.0, "drop"),
         DelaySpikeFault(start=horizon * 0.6, end=horizon * 0.6 + 2.0 * delta, factor=3.0),
-        name="combo",
-    )
-
-
-def _plan_mig_crash_copy(delta: Time, horizon: Time, n: int) -> FaultPlan:
-    # Crash whichever node a MigFetchReply is delivered to — that is
-    # the source shard's migration agent, mid-copy.  The handoff must
-    # abort cleanly (ownership stays at the source), so a violation
-    # here is a bug: crashes are ordinary in-model departures.
-    return FaultPlan.of(
-        CrashFault(phase="MigFetchReply", victim="dest"),
-        name="mig-crash-copy",
-    )
-
-
-def _plan_mig_crash_install(delta: Time, horizon: Time, n: int) -> FaultPlan:
-    # Crash a destination replica at its second MigInstall delivery —
-    # mid-install, after some replicas already staged the value.  The
-    # coordinator must either reach full present-pid coverage (the
-    # victim departed, so it no longer counts) and commit, or abort
-    # with the source still owning the key.
-    return FaultPlan.of(
-        CrashFault(phase="MigInstall", victim="dest", occurrence=2),
-        name="mig-crash-install",
-    )
-
-
-def _plan_mig_loss(delta: Time, horizon: Time, n: int) -> FaultPlan:
-    # Eat *every* migration message.  The handoff can never finish —
-    # but losing coordination traffic is in-model for the register
-    # itself (classify_scenario filters migration-only losses), so the
-    # protocol must time out, abort, and keep serving from the source.
-    return FaultPlan.of(
-        LossFault(probability=1.0, payload_types=MIGRATION_PAYLOADS),
-        name="mig-loss",
-    )
-
-
-def _plan_mig_storm(delta: Time, horizon: Time, n: int) -> FaultPlan:
-    # The resharding storm: heavy loss on *all* traffic plus crashes at
-    # both handoff phases.  Out-of-model (the loss soaks dissemination
-    # too), so violations document the boundary, not refute a lemma.
-    return FaultPlan.of(
-        LossFault(probability=0.35),
-        CrashFault(phase="MigFetchReply", victim="dest"),
-        CrashFault(phase="MigInstall", victim="dest"),
-        name="mig-storm",
-    )
-
-
-def _plan_rebal_loss(delta: Time, horizon: Time, n: int) -> FaultPlan:
-    # Eat every handoff-coordination message under a *rebalancer's*
-    # storms of concurrent migrations.  Still in-model (the register
-    # makes no hypothesis about coordination traffic): every planned
-    # batch must abort cleanly while the store keeps serving, so a
-    # violation here is a rebalancer-induced bug.
-    return FaultPlan.of(
-        LossFault(probability=1.0, payload_types=MIGRATION_PAYLOADS),
-        name="rebal-loss",
-    )
-
-
-def _plan_rebal_crash(delta: Time, horizon: Time, n: int) -> FaultPlan:
-    # Crash the handoff agents at both remote phases while the
-    # rebalancer keeps planning fresh batches — in-model departures, so
-    # safety must survive every storm.
-    return FaultPlan.of(
-        CrashFault(phase="MigFetchReply", victim="dest"),
-        CrashFault(phase="MigInstall", victim="dest", occurrence=2),
-        name="rebal-crash",
-    )
-
-
-def _plan_rebal_storm(delta: Time, horizon: Time, n: int) -> FaultPlan:
-    # Heavy loss on *all* traffic plus agent crashes under continuous
-    # rebalancing: out-of-model (the loss soaks dissemination too), the
-    # boundary-documenting flavour of the family.
-    return FaultPlan.of(
-        LossFault(probability=0.35),
-        CrashFault(phase="MigFetchReply", victim="dest"),
-        CrashFault(phase="MigInstall", victim="dest"),
-        name="rebal-storm",
-    )
-
-
-PLAN_BUILDERS = {
-    "none": _plan_none,
-    "light-loss": _plan_light_loss,
-    "heavy-loss": _plan_heavy_loss,
-    "partition-defer": _plan_partition_defer,
-    "partition-drop": _plan_partition_drop,
-    "delay-spike": _plan_delay_spike,
-    "writer-crash": _plan_writer_crash,
-    "combo": _plan_combo,
-    "mig-crash-copy": _plan_mig_crash_copy,
-    "mig-crash-install": _plan_mig_crash_install,
-    "mig-loss": _plan_mig_loss,
-    "mig-storm": _plan_mig_storm,
-    "rebal-loss": _plan_rebal_loss,
-    "rebal-crash": _plan_rebal_crash,
-    "rebal-storm": _plan_rebal_storm,
+    ),
+    "mig-crash-copy": _fixed(_CRASH_MID_COPY),
+    "mig-crash-install": _fixed(_CRASH_MID_INSTALL),
+    "mig-loss": _COORDINATION_LOSS,
+    "mig-storm": _HANDOFF_STORM,
+    "rebal-loss": _COORDINATION_LOSS,
+    # Both agent crashes while the rebalancer keeps planning fresh
+    # batches — in-model departures, so safety must survive every storm.
+    "rebal-crash": _fixed(_CRASH_MID_COPY, _CRASH_MID_INSTALL),
+    "rebal-storm": _HANDOFF_STORM,
 }
 
-#: The default sweep deliberately excludes the ``mig-*`` and
-#: ``rebal-*`` storm plans: they only bite when the cell schedules
-#: migrations (or runs a rebalancer), and keeping them out preserves
-#: the recorded default-matrix order byte for byte.
+#: The default sweep leaves out the ``mig-*`` and ``rebal-*`` plans:
+#: they only bite when the cell hands keys off, and keeping them out
+#: preserves the recorded default-matrix order byte for byte.
 DEFAULT_PLAN_NAMES = tuple(
-    name
-    for name in PLAN_BUILDERS
-    if not name.startswith(("mig-", "rebal-"))
+    name for name in PLANS if not name.startswith(("mig-", "rebal-"))
 )
 
 
 def build_plan(name: str, delta: Time, horizon: Time, n: int) -> FaultPlan:
     """Instantiate a library plan for the given scenario dimensions."""
     try:
-        builder = PLAN_BUILDERS[name]
+        faults = PLANS[name]
     except KeyError:
         raise ExperimentError(
-            f"unknown fault plan {name!r}; choose from {sorted(PLAN_BUILDERS)}"
+            f"unknown fault plan {name!r}; choose from {sorted(PLANS)}"
         ) from None
-    return builder(delta, horizon, n)
+    return FaultPlan.of(*faults(delta, horizon, n), name=name)
 
 
 # ----------------------------------------------------------------------
@@ -303,7 +233,13 @@ def build_plan(name: str, delta: Time, horizon: Time, n: int) -> FaultPlan:
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """Everything needed to replay one explorer cell exactly."""
+    """Everything needed to replay one explorer cell exactly.
+
+    A swept field means what its row of :data:`AXES` says.  One key,
+    one shard and no handoffs is the classic cell, byte-identical to
+    the explorer before those axes existed — which is why the recorded
+    corpus replays unchanged.  A bad spec is refused when it is built.
+    """
 
     protocol: str = "sync"
     n: int = 10
@@ -315,32 +251,35 @@ class ScenarioSpec:
     horizon: Time = 120.0
     read_rate: float = 0.4
     write_period: Time = 20.0
-    #: Register-space key count; 1 is the classic single register
-    #: (byte-identical to pre-RegisterSpace cells, which is why the
-    #: recorded corpus replays unchanged).
     keys: int = 1
-    #: How keyed workload operations pick their key.  Cluster cells
-    #: (``shards > 1``) apply it at the *shard* level (``zipf`` = a hot
-    #: shard), then pick uniformly within the drawn shard.
     key_dist: str = "uniform"
-    #: Shard count; 1 runs the classic single-population cell
-    #: (byte-identical to the pre-cluster explorer, which is why the
-    #: recorded corpus replays unchanged), larger counts run a
-    #: :class:`~repro.cluster.system.ClusterSystem` with the plan
-    #: installed cluster-wide and the merged history judged.
     shards: int = 1
-    #: Live key migrations scheduled during the run (cluster cells
-    #: only; requires ``shards > 1`` and ``keys > 1``).  Keys round-
-    #: robin, each hops to the next shard, starts spread over the
-    #: middle of the horizon — the resharding-storm axis.
     migrations: int = 0
-    #: Per-window migration budget of a load-watching
-    #: :class:`~repro.cluster.rebalance.Rebalancer` riding the run
-    #: (0 = none; requires ``shards > 1`` and ``keys > 1``).  Unlike
-    #: the ``migrations`` axis the handoffs are *planned by policy*
-    #: from observed load, so a safety violation under an in-model
-    #: plan here is a rebalancer-induced bug.
     rebalance: int = 0
+
+    def __post_init__(self) -> None:
+        for name in ("delta", "horizon"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ExperimentError(
+                    f"{name} must be finite and positive, got {value!r}"
+                )
+        if self.delay not in DELAY_MODEL_NAMES:
+            raise ExperimentError(
+                f"unknown delay model {self.delay!r}; choose from {DELAY_MODEL_NAMES}"
+            )
+        if self.shards < 1:
+            raise ExperimentError(f"shards must be at least 1, got {self.shards!r}")
+        for name in ("migrations", "rebalance"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ExperimentError(f"{name} must be non-negative, got {value!r}")
+            if value and (self.shards < 2 or self.keys < 2):
+                raise ExperimentError(
+                    f"{name}={value} needs somewhere to move keys: it requires "
+                    f"shards >= 2 and keys >= 2, got shards={self.shards} "
+                    f"keys={self.keys}"
+                )
 
     def label(self) -> str:
         plan = self.plan.name or "anonymous"
@@ -355,27 +294,15 @@ class ScenarioSpec:
         )
 
     def to_dict(self) -> dict[str, Any]:
+        # ``migrations`` and ``rebalance`` are only emitted when set, so
+        # pre-resharding spec dicts (and the recorded corpus) stay
+        # byte-identical.
         payload = {
-            "protocol": self.protocol,
-            "n": self.n,
-            "delta": self.delta,
-            "delay": self.delay,
-            "churn_rate": self.churn_rate,
-            "plan": self.plan.to_dict(),
-            "seed": self.seed,
-            "horizon": self.horizon,
-            "read_rate": self.read_rate,
-            "write_period": self.write_period,
-            "keys": self.keys,
-            "key_dist": self.key_dist,
-            "shards": self.shards,
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.name not in ("migrations", "rebalance") or getattr(self, f.name)
         }
-        # Only emitted when set, so pre-resharding spec dicts (and the
-        # recorded corpus) stay byte-identical.
-        if self.migrations:
-            payload["migrations"] = self.migrations
-        if self.rebalance:
-            payload["rebalance"] = self.rebalance
+        payload["plan"] = self.plan.to_dict()
         return payload
 
     @classmethod
@@ -572,63 +499,6 @@ FAULT_FIRED_COUNTERS = (
 )
 
 
-def _build_outcome(
-    spec: ScenarioSpec,
-    safety: SafetyReport,
-    atomicity: Any,
-    liveness: LivenessReport,
-    classification: PlanClassification,
-    digest: str,
-    fault_counters: dict[str, int],
-    network_counters: dict[str, int],
-    reads_issued: int,
-    writes_issued: int,
-    quiesced: bool,
-    migrations_committed: int = 0,
-    migrations_aborted: int = 0,
-    migrations_planned: int = 0,
-) -> ScenarioOutcome:
-    """The one verdict rule, shared by every cell flavour.
-
-    A regularity violation is a bug in-model and expected breakage
-    out-of-model; a safe run where any fault actually fired is a
-    near-miss; otherwise ok.  Keeping this in one place means sharded
-    cells can never judge with stale rules.
-    """
-    faults_fired = any(
-        fault_counters.get(key, 0) for key in FAULT_FIRED_COUNTERS
-    )
-    if not safety.is_safe:
-        verdict = VERDICT_BUG if classification.in_model else VERDICT_BREAKAGE
-    elif faults_fired:
-        verdict = VERDICT_NEAR_MISS
-    else:
-        verdict = VERDICT_OK
-    violations = safety.violations
-    return ScenarioOutcome(
-        spec=spec,
-        verdict=verdict,
-        safe=safety.is_safe,
-        violation_count=safety.violation_count,
-        checked_count=safety.checked_count,
-        atomic=atomicity.is_atomic,
-        inversion_count=len(atomicity.inversions),
-        live=liveness.is_live,
-        stuck_count=len(liveness.stuck),
-        classification=classification,
-        digest=digest,
-        fault_counters=fault_counters,
-        network_counters=network_counters,
-        reads_issued=reads_issued,
-        writes_issued=writes_issued,
-        quiesced=quiesced,
-        migrations_committed=migrations_committed,
-        migrations_aborted=migrations_aborted,
-        migrations_planned=migrations_planned,
-        first_violation=(violations[0].explanation if violations else None),
-    )
-
-
 def scenario_cell(**params: Any) -> ScenarioOutcome:
     """Execution-engine cell: a ``ScenarioSpec`` as plain parameters.
 
@@ -643,53 +513,64 @@ def scenario_cell(**params: Any) -> ScenarioOutcome:
 def run_scenario(spec: ScenarioSpec) -> ScenarioOutcome:
     """Run one cell of the matrix and judge its history.
 
-    ``shards > 1`` runs the cell as a sharded cluster (the plan
-    installed cluster-wide, shard-scoped into every shard's pid
-    namespace; the merged history judged by the cluster checkers);
-    ``shards == 1`` is the historical single-population path,
-    byte-identical to the pre-cluster explorer.
+    ``shards == 1`` runs one population with the plan in its config.
+    ``shards > 1`` runs a :class:`~repro.cluster.system.ClusterSystem`:
+    the plan scoped into every shard (:func:`install_shard_scoped`),
+    ``key_dist`` skewing traffic by *shard* (``zipf`` makes a hot
+    shard), the cell's handoffs riding the run, and the merged history
+    judged by the cluster checkers.  Both schedule in one order —
+    faults, churn, migrations, driver, rebalancer, plan — and share the
+    workload shape and the verdict rule: a regularity violation is a
+    bug in-model and expected breakage out-of-model; a safe run where
+    any fault actually fired is a near-miss; otherwise ok.
     """
-    if spec.shards < 1:
-        raise ExperimentError(
-            f"shard count must be at least 1, got {spec.shards!r}"
+    plan, sharded = spec.plan, spec.shards > 1
+    delay = make_delay(spec.delay, spec.delta)
+    if sharded:
+        digest = cluster_digest
+        config = ClusterConfig(
+            shards=spec.shards, keys=spec.keys, n=spec.n, delta=spec.delta,
+            protocol=spec.protocol, delay=spec.delay, seed=spec.seed, trace=False,
         )
-    if spec.migrations < 0:
-        raise ExperimentError(
-            f"migration count must be non-negative, got {spec.migrations!r}"
+        system = ClusterSystem(config)
+        if not plan.is_empty:
+            install_shard_scoped(system, plan)
+    else:
+        digest = operation_digest
+        config = SystemConfig(
+            n=spec.n, delta=spec.delta, protocol=spec.protocol, delay=delay,
+            seed=spec.seed, trace=False, keys=spec.keys,
+            faults=None if plan.is_empty else plan,
         )
-    if spec.migrations and (spec.shards < 2 or spec.keys < 2):
-        raise ExperimentError(
-            "migrations need somewhere to go: a cell with "
-            f"migrations={spec.migrations} requires shards >= 2 and "
-            f"keys >= 2, got shards={spec.shards} keys={spec.keys}"
-        )
-    if spec.rebalance < 0:
-        raise ExperimentError(
-            f"rebalance budget must be non-negative, got {spec.rebalance!r}"
-        )
-    if spec.rebalance and (spec.shards < 2 or spec.keys < 2):
-        raise ExperimentError(
-            "a rebalancer needs somewhere to move keys: a cell with "
-            f"rebalance={spec.rebalance} requires shards >= 2 and "
-            f"keys >= 2, got shards={spec.shards} keys={spec.keys}"
-        )
-    if spec.shards > 1:
-        return _run_cluster_scenario(spec)
-    plan = spec.plan
-    config = SystemConfig(
-        n=spec.n,
-        delta=spec.delta,
-        protocol=spec.protocol,
-        delay=make_delay(spec.delay, spec.delta),
-        seed=spec.seed,
-        trace=False,
-        keys=spec.keys,
-        faults=plan if not plan.is_empty else None,
-    )
-    system = DynamicSystem(config)
-    if spec.churn_rate > 0:
+        system = DynamicSystem(config)
+    if spec.churn_rate:
         system.attach_churn(rate=spec.churn_rate, min_stay=3.0 * spec.delta)
-    driver = WorkloadDriver(system)
+    if sharded:
+        schedule_round_robin_migrations(system, spec.migrations, spec.horizon)
+        driver = ClusterWorkloadDriver(system)
+        if spec.rebalance:
+            # A deliberately trigger-happy policy: tick every 3 delta,
+            # react to mild skew, plan up to ``spec.rebalance`` handoffs
+            # per window — the concurrent-storm shape — and stop planning
+            # past 55% of the horizon so the timeout ladders of the last
+            # batch (one retry per phase) can resolve before the run ends.
+            policy = RebalancePolicy(
+                period=3.0 * spec.delta, threshold=1.2, budget=spec.rebalance,
+                max_retries=1, plan_until=spec.horizon * 0.55,
+            )
+            Rebalancer(system, driver=driver, policy=policy)
+        pick_key = shard_skewed_key_picker(
+            system, system.rng.stream("explorer.shards"), distribution=spec.key_dist
+        )
+    else:
+        driver = WorkloadDriver(system)
+        # Key assignment draws from its own stream, so a keys=1 cell
+        # stays byte-identical to the pre-RegisterSpace explorer.
+        pick_key = (
+            make_key_picker(spec.key_dist, system.keys, system.rng.stream("explorer.keys"))
+            if spec.keys > 1
+            else None
+        )
     workload = read_heavy_plan(
         start=5.0,
         end=max(6.0, spec.horizon - 4.0 * spec.delta),
@@ -697,254 +578,56 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioOutcome:
         read_rate=spec.read_rate,
         rng=system.rng.stream("explorer.plan"),
     )
-    if spec.keys > 1:
-        # Key assignment draws from its own stream, so a keys=1 cell
-        # stays byte-identical to the pre-RegisterSpace explorer.
-        workload = assign_keys(
-            workload,
-            make_key_picker(
-                spec.key_dist, system.keys, system.rng.stream("explorer.keys")
-            ),
-        )
+    if pick_key is not None:
+        workload = assign_keys(workload, pick_key)
     driver.install(workload)
     system.run_until(spec.horizon)
     history = system.close()
-    safety: SafetyReport = system.check_safety()
+    safety = system.check_safety()
     atomicity = system.check_atomicity()
-    liveness: LivenessReport = system.check_liveness(grace=10.0 * spec.delta)
-    return _build_outcome(
-        spec,
-        safety,
-        atomicity,
-        liveness,
-        classify_scenario(spec, system.delay_model.known_bound),
-        digest=operation_digest(history),
-        fault_counters=(
-            system.faults.counters() if system.faults is not None else {}
-        ),
+    liveness = system.check_liveness(grace=10.0 * spec.delta)
+    if sharded:
+        # Every handoff the run scheduled — the fixed `migrations` axis
+        # plus anything a rebalancer planned from observed load.
+        fault_counters, network = system.fault_counters(), system
+        records = system.migration_records()
+    else:
+        faults = system.faults
+        fault_counters = faults.counters() if faults is not None else {}
+        network, records = system.network, ()
+    classification = classify_scenario(spec, delay.known_bound)
+    if not safety.is_safe:
+        verdict = VERDICT_BUG if classification.in_model else VERDICT_BREAKAGE
+    elif any(fault_counters.get(key, 0) for key in FAULT_FIRED_COUNTERS):
+        verdict = VERDICT_NEAR_MISS
+    else:
+        verdict = VERDICT_OK
+    return ScenarioOutcome(
+        spec=spec,
+        verdict=verdict,
+        safe=safety.is_safe,
+        violation_count=safety.violation_count,
+        checked_count=safety.checked_count,
+        atomic=atomicity.is_atomic,
+        inversion_count=len(atomicity.inversions),
+        live=liveness.is_live,
+        stuck_count=len(liveness.stuck),
+        classification=classification,
+        digest=digest(history),
+        fault_counters=fault_counters,
         network_counters={
-            "sent": system.network.sent_count,
-            "delivered": system.network.delivered_count,
-            "dropped": system.network.dropped_count,
-            "faulted": system.network.faulted_count,
+            name: getattr(network, f"{name}_count")
+            for name in ("sent", "delivered", "dropped", "faulted")
         },
         reads_issued=driver.stats.reads_issued,
         writes_issued=driver.stats.writes_issued,
         quiesced=system.engine.next_event_time() is None,
-    )
-
-
-#: A bare (un-namespaced) generated process identity, ``p0001`` style.
-_BARE_SEED_PID = re.compile(r"p\d{4}")
-
-
-def _shard_scoped_plan(
-    plan: FaultPlan, index: int, shard_n: int, total_n: int
-) -> FaultPlan:
-    """Scope a library plan into shard ``index``, preserving geometry.
-
-    The library's partition groups name a *fraction* of the total seed
-    population (``_seed_group``); inside an ``n/S``-sized shard the
-    same literal pids would cover the whole shard and the "partition"
-    would degenerate to seeds-versus-joiners.  Groups made entirely of
-    bare seed pids are therefore rebuilt as the same fraction of the
-    shard's (smaller) seed population — never all of it — so a
-    partition-drop cell still splits the shard's quorum.  Two-group
-    partitions rescale to *disjoint* leading pid ranges (falling back
-    to the plain mapping when the shard is too small to hold both).
-    Everything else (loss/spike filters, crash pins, mixed groups)
-    gets the plain namespace mapping.
-    """
-    def pid_range(start: int, count: int) -> frozenset[str]:
-        return frozenset(
-            scope_pid(f"p{i:04d}", index) for i in range(start, start + count)
-        )
-
-    def scaled(group: frozenset[str]) -> int:
-        return max(1, round(len(group) * shard_n / total_n))
-
-    def prefixed(group: frozenset[str] | None) -> frozenset[str] | None:
-        if group is None:
-            return None
-        return frozenset(scope_pid(pid, index) for pid in group)
-
-    def rescale(fault: PartitionFault) -> PartitionFault:
-        bare_a = all(_BARE_SEED_PID.fullmatch(pid) for pid in fault.group_a)
-        bare_b = fault.group_b is None or all(
-            _BARE_SEED_PID.fullmatch(pid) for pid in fault.group_b
-        )
-        if not (bare_a and bare_b):
-            return replace(
-                fault,
-                group_a=prefixed(fault.group_a),
-                group_b=prefixed(fault.group_b),
-            )
-        count_a = scaled(fault.group_a)
-        if fault.group_b is None:
-            count_a = min(count_a, max(1, shard_n - 1))
-            return replace(fault, group_a=pid_range(1, count_a), group_b=None)
-        # Two explicit groups: allocate *disjoint* leading pid ranges.
-        count_b = scaled(fault.group_b)
-        if count_a + count_b > shard_n:
-            if shard_n < 2:
-                # Too small to hold two disjoint non-empty groups at
-                # any scale; the originals were disjoint, so plain
-                # mapping keeps the plan valid (if degenerate, like
-                # the shard itself).
-                return replace(
-                    fault,
-                    group_a=prefixed(fault.group_a),
-                    group_b=prefixed(fault.group_b),
-                )
-            count_a = max(1, min(count_a, shard_n - 1))
-            count_b = shard_n - count_a
-        return replace(
-            fault,
-            group_a=pid_range(1, count_a),
-            group_b=pid_range(1 + count_a, count_b),
-        )
-
-    mapped = plan.map_pids(lambda pid: scope_pid(pid, index))
-    return replace(
-        mapped, partitions=tuple(rescale(fault) for fault in plan.partitions)
-    )
-
-
-def install_shard_scoped(cluster: ClusterSystem, plan: FaultPlan) -> None:
-    """Install a library ``plan`` on every shard of ``cluster``, each
-    copy scoped into its shard's pid namespace and rescaled to the
-    shard's slice of the population (:func:`_shard_scoped_plan`)."""
-    for index, shard_n in enumerate(cluster.config.shard_sizes()):
-        cluster.install_faults(
-            _shard_scoped_plan(plan, index, shard_n, cluster.config.n),
-            shards=[index],
-            scope_pids=False,
-        )
-
-
-def schedule_round_robin_migrations(
-    cluster: ClusterSystem, count: int, horizon: Time
-) -> list[MigrationRecord]:
-    """Schedule ``count`` key handoffs over ``horizon``; return their records.
-
-    Keys round-robin; each hops one shard over (wrapping adds a hop so
-    repeats of the same key keep moving); starts spread over
-    [0.15, 0.55] of the horizon and retries capped at one so even a
-    handoff that times out every phase under total migration-message
-    loss still resolves — commit or clean abort, never a record left
-    mid-phase at the horizon.
-    """
-    shards = len(cluster.shards)
-    records = []
-    for j in range(count):
-        key = cluster.keys[j % len(cluster.keys)]
-        hop = 1 + j // len(cluster.keys)
-        dest = (cluster.shard_of(key) + hop) % shards
-        if dest == cluster.shard_of(key):
-            dest = (dest + 1) % shards
-        start = horizon * (0.15 + 0.4 * j / count)
-        records.append(cluster.schedule_migration(key, dest, at=start, max_retries=1))
-    return records
-
-
-def _run_cluster_scenario(spec: ScenarioSpec) -> ScenarioOutcome:
-    """The sharded flavour of one explorer cell.
-
-    Same workload shape and verdict logic as the single-population
-    path, but the population is split over ``spec.shards`` independent
-    quorum groups, traffic is spread by *shard* skew (``key_dist``
-    picks the shard distribution — ``zipf`` makes a hot shard), the
-    fault plan lands on every shard (scoped into its pid namespace)
-    and the merged history is judged by the cluster checkers.
-    """
-    from ..cluster.checker import (
-        check_cluster_liveness,
-        check_cluster_safety,
-        find_cluster_inversions,
-    )
-    from ..cluster.config import ClusterConfig
-    from ..cluster.history import cluster_digest
-    from ..cluster.system import ClusterSystem
-    from .cluster import ClusterWorkloadDriver, shard_skewed_key_picker
-
-    plan = spec.plan
-    cluster = ClusterSystem(
-        ClusterConfig(
-            shards=spec.shards,
-            keys=spec.keys,
-            n=spec.n,
-            delta=spec.delta,
-            protocol=spec.protocol,
-            delay=spec.delay,
-            seed=spec.seed,
-            trace=False,
-        )
-    )
-    if not plan.is_empty:
-        install_shard_scoped(cluster, plan)
-    if spec.churn_rate > 0:
-        cluster.attach_churn(rate=spec.churn_rate, min_stay=3.0 * spec.delta)
-    schedule_round_robin_migrations(cluster, spec.migrations, spec.horizon)
-    driver = ClusterWorkloadDriver(cluster)
-    if spec.rebalance:
-        from ..cluster.rebalance import RebalancePolicy, Rebalancer
-
-        # A deliberately trigger-happy policy: tick every 3 delta,
-        # react to mild skew, plan up to ``spec.rebalance`` handoffs
-        # per window — the concurrent-storm shape — and stop planning
-        # past 55% of the horizon so the timeout ladders of the last
-        # batch (one retry per phase) can resolve before the run ends.
-        Rebalancer(
-            cluster,
-            driver=driver,
-            policy=RebalancePolicy(
-                period=3.0 * spec.delta,
-                threshold=1.2,
-                budget=spec.rebalance,
-                max_retries=1,
-                plan_until=spec.horizon * 0.55,
-            ),
-        )
-    workload = read_heavy_plan(
-        start=5.0,
-        end=max(6.0, spec.horizon - 4.0 * spec.delta),
-        write_period=spec.write_period,
-        read_rate=spec.read_rate,
-        rng=cluster.rng.stream("explorer.plan"),
-    )
-    workload = assign_keys(
-        workload,
-        shard_skewed_key_picker(
-            cluster, cluster.rng.stream("explorer.shards"), distribution=spec.key_dist
+        migrations_committed=sum(1 for r in records if r.committed),
+        migrations_aborted=sum(1 for r in records if r.aborted),
+        migrations_planned=len(records),
+        first_violation=(
+            safety.violations[0].explanation if safety.violations else None
         ),
-    )
-    driver.install(workload)
-    cluster.run_until(spec.horizon)
-    history = cluster.close()
-    stats = driver.stats
-    # All handoffs the run scheduled — the fixed `migrations` axis plus
-    # anything a rebalancer planned from observed load.
-    all_records = cluster.migration_records()
-    return _build_outcome(
-        spec,
-        check_cluster_safety(history),
-        find_cluster_inversions(history),
-        check_cluster_liveness(history, grace=10.0 * spec.delta),
-        classify_scenario(spec, make_delay(spec.delay, spec.delta).known_bound),
-        digest=cluster_digest(history),
-        fault_counters=cluster.fault_counters(),
-        network_counters={
-            "sent": cluster.sent_count,
-            "delivered": cluster.delivered_count,
-            "dropped": cluster.dropped_count,
-            "faulted": cluster.faulted_count,
-        },
-        reads_issued=stats.reads_issued,
-        writes_issued=stats.writes_issued,
-        quiesced=cluster.engine.next_event_time() is None,
-        migrations_committed=sum(1 for r in all_records if r.committed),
-        migrations_aborted=sum(1 for r in all_records if r.aborted),
-        migrations_planned=len(all_records),
     )
 
 
@@ -1089,110 +772,152 @@ class ExplorationReport:
         )
 
 
-def scenario_matrix(
-    seed: int,
-    protocols: tuple[str, ...],
-    delays: tuple[str, ...],
-    churn_rates: tuple[float, ...],
-    plan_names: tuple[str, ...],
-    seeds_per_combo: int,
-    n: int,
-    delta: Time,
-    horizon: Time,
-    key_counts: tuple[int, ...] = (1,),
-    key_dist: str = "uniform",
-    shard_counts: tuple[int, ...] = (1,),
-    migration_counts: tuple[int, ...] = (0,),
-    rebalance_counts: tuple[int, ...] = (0,),
-) -> Iterator[ScenarioSpec]:
-    """The sweep, in deterministic order (plans vary slowest).
 
-    ``key_counts`` is the RegisterSpace axis: each combination is run
-    once per key count, the default ``(1,)`` being the classic
-    single-register matrix.  ``shard_counts`` is the cluster axis:
-    each (plan, protocol, delay, churn, keys) combination additionally
-    runs at every shard count (1 = the classic single population).
-    ``migration_counts`` is the resharding axis: cluster combinations
-    additionally run with that many live key migrations; counts > 0
-    are silently skipped for cells that cannot host a handoff
-    (``shards < 2`` or ``keys < 2``), so a mixed sweep stays valid.
-    ``rebalance_counts`` is the rebalancer axis: a per-window migration
-    budget for a load-watching rebalancer riding the cell, with the
-    same skip rule.
+@dataclass(frozen=True)
+class Axis:
+    """One row of the sweep table: a :class:`ScenarioSpec` field, what
+    :func:`explore` sweeps when the row is not set, and the
+    ``repro explore`` flag that sets it."""
+
+    field: str
+    flag: str
+    default: Any
+    help: str
+    type: Callable[[str], Any] = str
+    choices: tuple[str, ...] | None = None
+    metavar: str | None = None
+    #: ``False`` for a setting every cell shares (one value, no axis).
+    swept: bool = True
+    #: The :func:`explore` keyword (and the CLI's ``dest``) when it is
+    #: not the field name.
+    keyword: str | None = None
+
+    @property
+    def name(self) -> str:
+        return self.keyword or self.field
+
+
+#: The sweep table.  Swept rows multiply the matrix in this order —
+#: the first varies slowest, the seed fastest; the rest set one value
+#: every cell shares.  A row with a tuple default takes a list of values
+#: on the command line.
+AXES = (
+    Axis(
+        "plan", "--plans", DEFAULT_PLAN_NAMES,
+        f"fault plans to sweep (default: the {len(DEFAULT_PLAN_NAMES)} library "
+        f"plans not prefixed mig- or rebal-, of {len(PLANS)})",
+        metavar="PLAN",
+    ),
+    Axis("protocol", "--protocols", ("sync", "es", "abd"), "register protocols to sweep",
+         choices=tuple(PROTOCOLS)),
+    Axis("delay", "--delays", ("sync", "es"), "delay models to sweep",
+         choices=DELAY_MODEL_NAMES),
+    Axis("churn_rate", "--churn", (0.0, 0.02), "churn rates to sweep, each in [0, 1)",
+         type=float, metavar="RATE"),
+    Axis(
+        "keys", "--keys", (1,),
+        "register-space key counts to sweep (default: just 1, the classic "
+        "single register; keyed cells are judged per key)",
+        type=int, metavar="K",
+    ),
+    Axis(
+        "shards", "--shards", (1,),
+        "cluster shard counts to sweep (default: just 1, the classic single "
+        "population; larger counts run sharded clusters with the fault plan "
+        "scoped into every shard and the merged history judged)",
+        type=int, metavar="S",
+    ),
+    Axis(
+        "migrations", "--migrations", (0,),
+        "live key-migration counts to sweep (default: just 0; counts > 0 run "
+        "only in cells with shards >= 2 and keys >= 2 — combine with the "
+        "mig-* plans for resharding storms)",
+        type=int, metavar="M",
+    ),
+    Axis(
+        "rebalance", "--rebalance", (0,),
+        "rebalancer per-window migration budgets to sweep (default: just 0 = "
+        "no rebalancer; budgets > 0 run only in cells with shards >= 2 and "
+        "keys >= 2 — combine with the rebal-* plans for rebalancing storms)",
+        type=int, metavar="B",
+    ),
+    Axis("seed", "--seeds-per-combo", 1, "seeds per combination, counting up from --seed",
+         type=int, keyword="seeds_per_combo"),
+    Axis("n", "--n", 10, "population size of every cell", type=int, swept=False),
+    Axis("delta", "--delta", 5.0, "the delay bound δ", type=float, swept=False),
+    Axis("horizon", "--horizon", 120.0, "run length", type=float, swept=False),
+    Axis(
+        "key_dist", "--key-dist", "uniform",
+        "key distribution for keyed cells (sharded cells apply it at the "
+        "shard level: zipf = a hot shard)",
+        choices=("uniform", "zipf"), swept=False,
+    ),
+)
+
+
+def scenario_matrix(seed: int = 0, **settings: Any) -> list[ScenarioSpec]:
+    """The sweep: the product of the swept rows of :data:`AXES`.
+
+    ``settings`` set rows by :attr:`Axis.name` (a swept row takes its
+    values, the seed row a count, a shared row one value); an unset row
+    takes its default.  A cell asking for handoffs without ``shards >=
+    2`` and ``keys >= 2`` is skipped, so a mixed sweep stays valid; a
+    sweep left with no cell is refused, naming the row that emptied it.
     """
-    for name in plan_names:
-        plan = build_plan(name, delta, horizon, n)
-        for protocol in protocols:
-            for delay in delays:
-                for churn_rate in churn_rates:
-                    for keys in key_counts:
-                        for shards in shard_counts:
-                            for migrations in migration_counts:
-                                if migrations and (shards < 2 or keys < 2):
-                                    continue
-                                for rebalance in rebalance_counts:
-                                    if rebalance and (shards < 2 or keys < 2):
-                                        continue
-                                    for offset in range(seeds_per_combo):
-                                        yield ScenarioSpec(
-                                            protocol=protocol,
-                                            n=n,
-                                            delta=delta,
-                                            delay=delay,
-                                            churn_rate=churn_rate,
-                                            plan=plan,
-                                            seed=seed + offset,
-                                            horizon=horizon,
-                                            keys=keys,
-                                            key_dist=key_dist,
-                                            shards=shards,
-                                            migrations=migrations,
-                                            rebalance=rebalance,
-                                        )
+    unknown = sorted(settings.keys() - {axis.name for axis in AXES})
+    if unknown:
+        raise ExperimentError(
+            f"unknown sweep axis {unknown[0]!r}; choose from "
+            f"{[axis.name for axis in AXES]}"
+        )
+    chosen = {axis.field: settings.get(axis.name, axis.default) for axis in AXES}
+    # Built first, so a bad delta or horizon is refused by name before
+    # any plan is built from it.
+    base = ScenarioSpec(**{a.field: chosen[a.field] for a in AXES if not a.swept})
+    chosen["plan"] = [
+        build_plan(name, base.delta, base.horizon, base.n) for name in chosen["plan"]
+    ]
+    chosen["seed"] = range(seed, seed + chosen["seed"])
+    values = {axis.field: tuple(chosen[axis.field]) for axis in AXES if axis.swept}
+    specs = []
+    for combo in itertools.product(*values.values()):
+        cell = dict(zip(values, combo))
+        handoffs = cell["migrations"] or cell["rebalance"]
+        if handoffs and (cell["shards"] < 2 or cell["keys"] < 2):
+            continue
+        specs.append(replace(base, **cell))
+    if not specs:
+        for axis in AXES:
+            if axis.swept and not values[axis.field]:
+                raise ExperimentError(
+                    f"the sweep is empty: {axis.name}={settings[axis.name]!r} "
+                    f"leaves nothing to sweep"
+                )
+        handoff = "migrations" if all(values["migrations"]) else "rebalance"
+        raise ExperimentError(
+            f"the sweep is empty: {handoff}={values[handoff]} needs a cell "
+            f"with shards >= 2 and keys >= 2, got shards={values['shards']} "
+            f"keys={values['keys']}"
+        )
+    return specs
 
 
 def explore(
     budget: int = 50,
     seed: int = 0,
-    protocols: tuple[str, ...] = ("sync", "es", "abd"),
-    delays: tuple[str, ...] = ("sync", "es"),
-    churn_rates: tuple[float, ...] = (0.0, 0.02),
-    plan_names: tuple[str, ...] = DEFAULT_PLAN_NAMES,
-    seeds_per_combo: int = 1,
-    n: int = 10,
-    delta: Time = 5.0,
-    horizon: Time = 120.0,
     shrink: bool = True,
     shrink_budget: int = 12,
     workers: int | None = None,
-    key_counts: tuple[int, ...] = (1,),
-    key_dist: str = "uniform",
-    shard_counts: tuple[int, ...] = (1,),
-    migration_counts: tuple[int, ...] = (0,),
-    rebalance_counts: tuple[int, ...] = (0,),
+    **axes: Any,
 ) -> ExplorationReport:
     """Sweep the matrix, judge every run, shrink every counterexample.
 
+    ``axes`` set rows of :data:`AXES` (see :func:`scenario_matrix`).
     ``budget`` caps the number of sweep cells actually run (the matrix
     is truncated, deterministically, never sampled); shrinking spends
     at most ``shrink_budget`` extra runs per counterexample.
-    ``key_counts`` adds the RegisterSpace axis: every combination is
-    additionally run with that many keys (per-key regularity judged by
-    the partitioning checkers); ``key_dist`` picks how keyed workload
-    operations spread over the keys (``uniform`` or ``zipf``).
-    ``shard_counts`` adds the cluster axis: combinations additionally
-    run as sharded clusters (``key_dist`` then skews traffic by shard
-    — ``zipf`` is the hot-shard scenario), the plan lands on every
-    shard and the merged history is judged; classification is
-    untouched, so in-model violations of sharded cells are bugs too.
-    ``migration_counts`` adds the resharding axis: cluster cells
-    additionally run with that many live key migrations under the
-    plan — the resharding-storm family when combined with the
-    ``mig-*`` plans.  ``rebalance_counts`` adds the rebalancer axis
-    (per-window migration budgets for a load-watching rebalancer) —
-    the rebalancing-storm family when combined with the ``rebal-*``
-    plans; classification is again untouched, so a rebalancer-induced
-    violation under an in-model plan is a bug.
+    Classification ignores the sweep, so an in-model violation of any
+    cell — sharded, migrating, rebalanced — is a bug.
 
     The sweep itself runs through the shared execution engine:
     ``workers`` processes judge cells concurrently (default: all
@@ -1203,26 +928,10 @@ def explore(
     """
     if budget < 1:
         raise ExperimentError(f"budget must be at least 1, got {budget!r}")
-    for shards in shard_counts:
-        if shards < 1:
-            raise ExperimentError(
-                f"shard counts must be at least 1, got {shards!r}"
-            )
-    for delay in delays:
-        if delay not in DELAY_MODEL_NAMES:
-            raise ExperimentError(
-                f"unknown delay model {delay!r}; choose from {DELAY_MODEL_NAMES}"
-            )
-    report = ExplorationReport(root_seed=seed, budget=budget)
-    specs = list(
-        scenario_matrix(
-            seed, tuple(protocols), tuple(delays), tuple(churn_rates),
-            tuple(plan_names), seeds_per_combo, n, delta, horizon,
-            tuple(key_counts), key_dist, tuple(shard_counts),
-            tuple(migration_counts), tuple(rebalance_counts),
-        )
+    specs = scenario_matrix(seed, **axes)
+    report = ExplorationReport(
+        root_seed=seed, budget=budget, skipped_cells=max(0, len(specs) - budget)
     )
-    report.skipped_cells = max(0, len(specs) - budget)
     swept = specs[:budget]
     outcomes = run_specs(
         [

@@ -16,6 +16,10 @@ fixed-seed run produced when the entry was recorded:
     An explorer scenario worth keeping (``tests/integration/
     test_seed_corpus.py``): its ``spec`` and the outcome (``expect``)
     replaying it gave.
+``sweep/<name>``
+    One of the four CI explorer smoke sweeps (``tests/integration/
+    test_smoke_sweeps.py``): the outcome counts and the sha256 of the
+    JSON report it writes.
 
 Tests read the store through :func:`expected` only.  Each family's
 producer lives beside the tests that read it (:data:`PRODUCERS`): it
@@ -50,6 +54,7 @@ PRODUCERS: dict[str, str] = {
     "kernel": "tests.properties.test_kernel_parity:kernel_family",
     "trace": "tests.properties.test_kernel_parity:trace_family",
     "corpus": "tests.integration.test_seed_corpus:corpus_family",
+    "sweep": "tests.integration.test_smoke_sweeps:sweep_family",
 }
 
 

@@ -24,10 +24,10 @@ WORKERS = 4
 
 EXPLORE_KWARGS = dict(
     budget=8,
-    protocols=("sync",),
-    delays=("sync",),
-    churn_rates=(0.0, 0.02),
-    plan_names=("none", "light-loss", "heavy-loss", "writer-crash"),
+    protocol=("sync",),
+    delay=("sync",),
+    churn_rate=(0.0, 0.02),
+    plan=("none", "light-loss", "heavy-loss", "writer-crash"),
     seeds_per_combo=1,
     n=8,
     delta=5.0,
@@ -72,18 +72,18 @@ def test_e14_sharded_cluster_is_byte_identical_across_worker_counts():
 def test_explore_sharded_cells_byte_identical_across_worker_counts():
     kwargs = dict(
         budget=6,
-        protocols=("sync",),
-        delays=("sync",),
-        churn_rates=(0.02,),
-        plan_names=("none", "heavy-loss"),
+        protocol=("sync",),
+        delay=("sync",),
+        churn_rate=(0.02,),
+        plan=("none", "heavy-loss"),
         seeds_per_combo=1,
         n=12,
         delta=5.0,
         horizon=80.0,
         shrink=True,
-        key_counts=(4,),
+        keys=(4,),
         key_dist="zipf",
-        shard_counts=(1, 3),
+        shards=(1, 3),
     )
     serial = explore(seed=3, workers=1, **kwargs)
     parallel = explore(seed=3, workers=WORKERS, **kwargs)

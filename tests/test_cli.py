@@ -268,6 +268,82 @@ class TestExplore:
         parallel_out = capsys.readouterr().out
         assert serial_out == parallel_out
 
+    #: ``repro explore``'s flags: (nargs, type, choices, effective default).
+    #: CI's smoke sweeps spell these, so the sweep table must keep them.
+    FLAGS = {
+        "--budget": (None, int, None, 50),
+        "--seed": (None, int, None, 0),
+        "--protocols": ("+", str, ("sync", "naive", "es", "abd"), ("sync", "es", "abd")),
+        "--delays": ("+", str, ("sync", "dual", "es", "async"), ("sync", "es")),
+        "--churn": ("+", float, None, (0.0, 0.02)),
+        "--plans": ("+", str, None, (
+            "none", "light-loss", "heavy-loss", "partition-defer",
+            "partition-drop", "delay-spike", "writer-crash", "combo",
+        )),
+        "--n": (None, int, None, 10),
+        "--delta": (None, float, None, 5.0),
+        "--horizon": (None, float, None, 120.0),
+        "--seeds-per-combo": (None, int, None, 1),
+        "--keys": ("+", int, None, (1,)),
+        "--key-dist": (None, str, ("uniform", "zipf"), "uniform"),
+        "--shards": ("+", int, None, (1,)),
+        "--migrations": ("+", int, None, (0,)),
+        "--rebalance": ("+", int, None, (0,)),
+        "--no-shrink": (0, str, None, False),
+        "--out": (None, str, None, None),
+        "--verbose": (0, str, None, False),
+        "--workers": (None, int, None, None),
+    }
+
+    def test_flags_keep_their_names_nargs_types_choices_and_defaults(self):
+        import argparse
+
+        from repro.cli import build_parser
+
+        (commands,) = [
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        flags = {
+            action.option_strings[-1]: (
+                action.nargs,
+                action.type or str,
+                None if action.choices is None else tuple(action.choices),
+                tuple(action.default) if isinstance(action.default, (list, tuple))
+                else action.default,
+            )
+            for action in commands.choices["explore"]._actions
+            if action.option_strings != ["-h", "--help"]
+        }
+        assert flags == self.FLAGS
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["explore", "--churn", "nan"], "churn rate must be in [0, 1), got nan"),
+            (["explore", "--churn", "-1"], "churn rate must be in [0, 1), got -1.0"),
+            (["simulate", "--churn", "nan"], "churn rate must be in [0, 1), got nan"),
+            (["simulate", "--churn", "-0.5"], "churn rate must be in [0, 1), got -0.5"),
+            (["explore", "--seeds-per-combo", "0"], "seeds_per_combo=0"),
+            (["explore", "--migrations", "2"], "migrations=(2,) needs a cell"),
+            (["explore", "--delta", "nan"], "delta must be finite and positive, got nan"),
+            (["explore", "--horizon", "0"], "horizon must be finite and positive, got 0.0"),
+        ],
+        ids=[
+            "explore-churn-nan", "explore-churn-negative", "simulate-churn-nan",
+            "simulate-churn-negative", "explore-no-seeds", "explore-migrations-unsharded",
+            "explore-delta-nan", "explore-horizon-zero",
+        ],
+    )
+    def test_a_bad_or_empty_setting_is_refused_by_name(self, capsys, argv, named):
+        # Each of these used to run (with no churn, an empty sweep or
+        # zero joins) and exit 0, or named a partition instead of delta.
+        serial = ["--workers", "1"] if argv[0] == "explore" else []
+        assert main(argv + serial) == 2
+        captured = capsys.readouterr()
+        assert named in captured.err
+        assert captured.out == ""
+
     def test_verbose_prints_every_run(self, capsys):
         code = main(
             [

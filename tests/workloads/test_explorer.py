@@ -1,14 +1,17 @@
 """Unit tests for the adversarial scenario explorer."""
 
 import json
+import re
+from dataclasses import fields
 
 import pytest
 
 from repro.faults import DelaySpikeFault, FaultPlan, LossFault, PartitionFault
 from repro.sim.errors import ExperimentError
 from repro.workloads.explorer import (
+    AXES,
     DEFAULT_PLAN_NAMES,
-    PLAN_BUILDERS,
+    PLANS,
     ExplorationReport,
     ScenarioSpec,
     build_plan,
@@ -36,6 +39,15 @@ class TestPlanLibrary:
         assert light.classify(5.0, known_bound=5.0).in_model
         assert not heavy.classify(5.0, known_bound=5.0).in_model
 
+    def test_paired_plans_share_one_construction(self):
+        assert PLANS["mig-loss"] is PLANS["rebal-loss"]
+        assert PLANS["mig-storm"] is PLANS["rebal-storm"]
+        copy, install, both = (
+            build_plan(name, 5.0, 120.0, 18)
+            for name in ("mig-crash-copy", "mig-crash-install", "rebal-crash")
+        )
+        assert both.crashes == copy.crashes + install.crashes
+
 
 class TestSpecSerialization:
     def test_round_trip(self):
@@ -59,10 +71,26 @@ class TestSpecSerialization:
         assert ScenarioSpec.from_dict(spec.to_dict()) == spec
         assert "shards=4" in spec.label()
 
+    def test_to_dict_follows_the_field_order(self):
+        spec = ScenarioSpec(n=18, shards=3, keys=6, migrations=2, rebalance=1)
+        assert list(spec.to_dict()) == [f.name for f in fields(ScenarioSpec)]
+
     def test_legacy_spec_dict_defaults_to_one_shard(self):
         payload = ScenarioSpec().to_dict()
         payload.pop("shards")
         assert ScenarioSpec.from_dict(payload).shards == 1
+
+
+class TestSpecCheck:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -5.0])
+    @pytest.mark.parametrize("name", ["delta", "horizon"])
+    def test_a_bad_dimension_is_refused_by_name(self, name, value):
+        with pytest.raises(ExperimentError, match=f"{name} must be finite and positive"):
+            ScenarioSpec(**{name: value})
+
+    def test_an_unknown_delay_model_is_refused(self):
+        with pytest.raises(ExperimentError, match="unknown delay model 'warp'"):
+            ScenarioSpec(delay="warp")
 
 
 class TestShardedScenarios:
@@ -96,7 +124,7 @@ class TestShardedScenarios:
         """A library partition naming 1/3 of the total population must
         split a shard's quorum 1/3-vs-2/3, not isolate every seed of
         the (smaller) shard from its joiners."""
-        from repro.workloads.explorer import _shard_scoped_plan
+        from repro.workloads.cluster import _shard_scoped_plan
 
         plan = build_plan("partition-drop", 5.0, 120.0, 18)
         assert len(plan.partitions[0].group_a) == 6  # 1/3 of 18
@@ -112,7 +140,7 @@ class TestShardedScenarios:
 
     def test_shard_scoped_two_group_partition_stays_disjoint(self):
         """Explicit two-group partitions rescale to disjoint ranges."""
-        from repro.workloads.explorer import _shard_scoped_plan
+        from repro.workloads.cluster import _shard_scoped_plan
 
         plan = FaultPlan.of(
             PartitionFault(
@@ -136,7 +164,7 @@ class TestShardedScenarios:
 
     def test_install_shard_scoped_lands_the_rescaled_plan_on_every_shard(self):
         from repro.cluster import ClusterConfig, ClusterSystem
-        from repro.workloads.explorer import _shard_scoped_plan, install_shard_scoped
+        from repro.workloads.cluster import _shard_scoped_plan, install_shard_scoped
 
         cluster = ClusterSystem(ClusterConfig(shards=3, keys=3, n=17, seed=1))
         plan = build_plan("partition-drop", 5.0, 120.0, 17)
@@ -148,7 +176,7 @@ class TestShardedScenarios:
 
     def test_round_robin_migrations_hop_on_when_a_key_comes_round_again(self):
         from repro.cluster import ClusterConfig, ClusterSystem
-        from repro.workloads.explorer import schedule_round_robin_migrations
+        from repro.workloads.cluster import schedule_round_robin_migrations
 
         cluster = ClusterSystem(ClusterConfig(shards=3, keys=2, n=12, seed=1))
         a, b = (cluster.shard_of(key) for key in cluster.keys)
@@ -166,15 +194,15 @@ class TestShardedScenarios:
         with pytest.raises(ExperimentError):
             run_scenario(ScenarioSpec(shards=0))
         with pytest.raises(ExperimentError):
-            explore(budget=1, shard_counts=(0,))
+            explore(budget=1, shards=(0,))
 
     def test_shard_axis_multiplies_the_matrix(self):
         specs = list(
             scenario_matrix(
-                seed=0, protocols=("sync",), delays=("sync",),
-                churn_rates=(0.0,), plan_names=("none",),
+                seed=0, protocol=("sync",), delay=("sync",),
+                churn_rate=(0.0,), plan=("none",),
                 seeds_per_combo=1, n=8, delta=5.0, horizon=50.0,
-                key_counts=(1, 4), key_dist="uniform", shard_counts=(1, 2),
+                keys=(1, 4), key_dist="uniform", shards=(1, 2),
             )
         )
         assert len(specs) == 4
@@ -320,10 +348,10 @@ class TestShrunkVerdict:
     def test_shrunk_plan_is_rejudged(self):
         report = explore(
             budget=1,
-            protocols=("abd",),
-            delays=("sync",),
-            churn_rates=(0.02,),
-            plan_names=("heavy-loss",),
+            protocol=("abd",),
+            delay=("sync",),
+            churn_rate=(0.02,),
+            plan=("heavy-loss",),
             shrink=True,
         )
         (outcome,) = report.outcomes
@@ -351,10 +379,10 @@ class TestExplore:
     def test_budget_truncates_the_matrix(self):
         report = explore(
             budget=3,
-            protocols=("sync",),
-            delays=("sync",),
-            churn_rates=(0.0,),
-            plan_names=("none", "light-loss"),
+            protocol=("sync",),
+            delay=("sync",),
+            churn_rate=(0.0,),
+            plan=("none", "light-loss"),
             horizon=60.0,
             shrink=False,
         )
@@ -364,10 +392,10 @@ class TestExplore:
     def test_truncation_is_recorded_not_silent(self):
         report = explore(
             budget=1,
-            protocols=("sync",),
-            delays=("sync",),
-            churn_rates=(0.0,),
-            plan_names=("none", "light-loss"),
+            protocol=("sync",),
+            delay=("sync",),
+            churn_rate=(0.0,),
+            plan=("none", "light-loss"),
             horizon=60.0,
             shrink=False,
         )
@@ -379,10 +407,10 @@ class TestExplore:
     def test_matrix_order_is_deterministic(self):
         kwargs = dict(
             seed=1,
-            protocols=("sync", "es"),
-            delays=("sync",),
-            churn_rates=(0.0, 0.02),
-            plan_names=("none",),
+            protocol=("sync", "es"),
+            delay=("sync",),
+            churn_rate=(0.0, 0.02),
+            plan=("none",),
             seeds_per_combo=2,
             n=10,
             delta=5.0,
@@ -397,10 +425,10 @@ class TestExplore:
         kwargs = dict(
             budget=4,
             seed=5,
-            protocols=("sync",),
-            delays=("sync",),
-            churn_rates=(0.02,),
-            plan_names=("heavy-loss", "none"),
+            protocol=("sync",),
+            delay=("sync",),
+            churn_rate=(0.02,),
+            plan=("heavy-loss", "none"),
             horizon=60.0,
         )
         a = explore(**kwargs).to_dict()
@@ -410,10 +438,10 @@ class TestExplore:
     def test_violations_collect_into_counterexamples(self):
         report = explore(
             budget=2,
-            protocols=("sync",),
-            delays=("sync",),
-            churn_rates=(0.0,),
-            plan_names=("partition-drop",),
+            protocol=("sync",),
+            delay=("sync",),
+            churn_rate=(0.0,),
+            plan=("partition-drop",),
             shrink=True,
         )
         payload = report.to_dict()
@@ -427,7 +455,31 @@ class TestExplore:
         with pytest.raises(ExperimentError):
             explore(budget=0)
         with pytest.raises(ExperimentError):
-            explore(budget=1, delays=("warp",))
+            explore(budget=1, delay=("warp",))
+
+    def test_the_table_sweeps_spec_fields_in_matrix_order(self):
+        assert {axis.field for axis in AXES} <= {f.name for f in fields(ScenarioSpec)}
+        assert [axis.field for axis in AXES if axis.swept] == [
+            "plan", "protocol", "delay", "churn_rate", "keys", "shards",
+            "migrations", "rebalance", "seed",
+        ]
+
+    @pytest.mark.parametrize(
+        "axes, named",
+        [
+            (dict(seeds_per_combo=0), "seeds_per_combo=0"),
+            (dict(plan=()), "plan=()"),
+            (dict(migrations=(2,)), "migrations=(2,)"),
+            (dict(migrations=(0, 2), rebalance=(1,), shards=(3,)), "rebalance=(1,)"),
+        ],
+    )
+    def test_an_empty_sweep_is_refused_naming_its_axis(self, axes, named):
+        with pytest.raises(ExperimentError, match=re.escape(f"the sweep is empty: {named}")):
+            explore(budget=1, **axes)
+
+    def test_an_unknown_axis_is_refused_by_name(self):
+        with pytest.raises(ExperimentError, match="unknown sweep axis 'plan_names'"):
+            explore(budget=1, plan_names=("none",))
 
     def test_summary_mentions_counts(self):
         report = ExplorationReport(root_seed=0, budget=1)

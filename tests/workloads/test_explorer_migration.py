@@ -7,7 +7,7 @@ from repro.protocols.common import MIGRATION_PAYLOADS
 from repro.sim.errors import ExperimentError
 from repro.workloads.explorer import (
     DEFAULT_PLAN_NAMES,
-    PLAN_BUILDERS,
+    PLANS,
     ScenarioSpec,
     build_plan,
     classify_scenario,
@@ -20,16 +20,16 @@ class TestMigrationPlans:
     def test_library_offers_the_four_storm_plans(self):
         for name in ("mig-crash-copy", "mig-crash-install", "mig-loss",
                      "mig-storm"):
-            assert name in PLAN_BUILDERS
+            assert name in PLANS
             plan = build_plan(name, delta=5.0, horizon=120.0, n=18)
             assert not plan.is_empty
 
     def test_default_sweep_excludes_migration_plans(self):
         assert not any(n.startswith("mig-") for n in DEFAULT_PLAN_NAMES)
-        # But every builder outside the opt-in families (mig-, rebal-)
+        # But every plan outside the opt-in families (mig-, rebal-)
         # stays in.
         assert set(DEFAULT_PLAN_NAMES) == {
-            n for n in PLAN_BUILDERS if not n.startswith(("mig-", "rebal-"))
+            n for n in PLANS if not n.startswith(("mig-", "rebal-"))
         }
 
     def test_mig_loss_is_in_model_but_mig_storm_is_not(self):
@@ -119,17 +119,17 @@ class TestMatrixSkipRule:
     def test_matrix_skips_impossible_migration_cells(self):
         specs = list(scenario_matrix(
             seed=0,
-            protocols=("sync",),
-            delays=("sync",),
-            churn_rates=(0.0,),
-            plan_names=("none",),
+            protocol=("sync",),
+            delay=("sync",),
+            churn_rate=(0.0,),
+            plan=("none",),
             seeds_per_combo=1,
             n=12,
             delta=5.0,
             horizon=60.0,
-            key_counts=(1, 4),
-            shard_counts=(1, 2),
-            migration_counts=(0, 2),
+            keys=(1, 4),
+            shards=(1, 2),
+            migrations=(0, 2),
         ))
         migrating = [s for s in specs if s.migrations]
         # Only the (keys=4, shards=2) combination can host a handoff.

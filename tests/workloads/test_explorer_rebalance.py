@@ -14,7 +14,7 @@ import pytest
 from repro.sim.errors import ExperimentError
 from repro.workloads.explorer import (
     DEFAULT_PLAN_NAMES,
-    PLAN_BUILDERS,
+    PLANS,
     VERDICT_BUG,
     ScenarioSpec,
     build_plan,
@@ -36,14 +36,14 @@ def rebal_spec(plan_name="none", **overrides) -> ScenarioSpec:
 class TestRebalancePlans:
     def test_library_offers_the_three_rebal_storm_plans(self):
         for name in ("rebal-loss", "rebal-crash", "rebal-storm"):
-            assert name in PLAN_BUILDERS
+            assert name in PLANS
             plan = build_plan(name, delta=5.0, horizon=150.0, n=18)
             assert not plan.is_empty
 
     def test_default_sweep_excludes_rebal_plans(self):
         assert not any(n.startswith("rebal-") for n in DEFAULT_PLAN_NAMES)
         assert set(DEFAULT_PLAN_NAMES) == {
-            n for n in PLAN_BUILDERS if not n.startswith(("mig-", "rebal-"))
+            n for n in PLANS if not n.startswith(("mig-", "rebal-"))
         }
 
 
@@ -103,17 +103,17 @@ class TestMatrixSkipRule:
     def test_matrix_skips_impossible_rebalance_cells(self):
         specs = list(scenario_matrix(
             seed=0,
-            protocols=("sync",),
-            delays=("sync",),
-            churn_rates=(0.0,),
-            plan_names=("none",),
+            protocol=("sync",),
+            delay=("sync",),
+            churn_rate=(0.0,),
+            plan=("none",),
             seeds_per_combo=1,
             n=12,
             delta=5.0,
             horizon=60.0,
-            key_counts=(1, 4),
-            shard_counts=(1, 2),
-            rebalance_counts=(0, 2),
+            keys=(1, 4),
+            shards=(1, 2),
+            rebalance=(0, 2),
         ))
         rebalanced = [s for s in specs if s.rebalance]
         # Only the (keys=4, shards=2) combination can host a rebalancer.

@@ -131,12 +131,12 @@ class TestPerKeyWriteSerialization:
 class TestExplorerKeyAxis:
     def test_matrix_grows_by_key_counts(self):
         base = dict(
-            seed=0, protocols=("sync",), delays=("sync",), churn_rates=(0.0,),
-            plan_names=("none",), seeds_per_combo=1, n=6, delta=5.0,
+            seed=0, protocol=("sync",), delay=("sync",), churn_rate=(0.0,),
+            plan=("none",), seeds_per_combo=1, n=6, delta=5.0,
             horizon=60.0,
         )
         single = list(scenario_matrix(**base))
-        keyed = list(scenario_matrix(**base, key_counts=(1, 4)))
+        keyed = list(scenario_matrix(**base, keys=(1, 4)))
         assert len(keyed) == 2 * len(single)
         assert [spec.keys for spec in keyed] == [1, 4]
 
