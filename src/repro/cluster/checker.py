@@ -16,7 +16,7 @@ verdicts, experiment tables, summaries) consumes them unchanged.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Iterator
 
 from ..core.checker import (
     AtomicityReport,
@@ -26,6 +26,7 @@ from ..core.checker import (
     SafetyReport,
     find_new_old_inversions,
 )
+from ..core.history import History
 from ..sim.clock import Time
 from .history import ClusterHistory
 
@@ -49,31 +50,30 @@ def check_cluster_safety(
     everywhere — per shard and across the seam.
     """
     report = SafetyReport()
-    for shard in history.shard_ids():
+    for view, judge_joins in _views(history):
         sub = RegularityChecker(
-            history.shard_view(shard),
-            check_joins=check_joins and shard not in history.migration_shards,
-            paranoid=paranoid,
-        ).check()
-        report.judgements.extend(sub.judgements)
-    for key in _seam_keys(history):
-        sub = RegularityChecker(
-            history.seam_view(key), check_joins=False, paranoid=paranoid
+            view, check_joins=check_joins and judge_joins, paranoid=paranoid
         ).check()
         report.judgements.extend(sub.judgements)
     return report
 
 
-def _seam_keys(history: ClusterHistory) -> list[Any]:
-    """Migrated keys in deterministic judging order.
+def _views(history: ClusterHistory) -> Iterator[tuple[History, bool]]:
+    """Every view the checkers judge, in judging order, each with
+    whether its joins may be judged.
 
-    The handoff rule: a committed flip moves a key's operations out of
-    the per-shard views and into one seam-spanning view per key
-    (:meth:`~ClusterHistory.seam_view`), judged after the shards.
-    Joins are keyless and stay in the shard views, so seam views are
-    always judged with join checking off.
+    The shard views come first; a shard touched by a committed
+    migration keeps its joins unjudged.  Then the handoff rule: a
+    committed flip moves a key's operations out of the per-shard views
+    and into one seam-spanning view per key
+    (:meth:`~ClusterHistory.seam_view`), in deterministic key order.
+    Joins are keyless and stay in the shard views, so seam views never
+    judge joins.
     """
-    return sorted(history.migrated_keys, key=str)
+    for shard in history.shard_ids():
+        yield history.shard_view(shard), shard not in history.migration_shards
+    for key in sorted(history.migrated_keys, key=str):
+        yield history.seam_view(key), False
 
 
 def find_cluster_inversions(
@@ -86,12 +86,8 @@ def find_cluster_inversions(
     is judged shard by shard and the verdicts concatenated.
     """
     merged = AtomicityReport(safety=SafetyReport())
-    for shard in history.shard_ids():
-        sub = find_new_old_inversions(history.shard_view(shard), paranoid=paranoid)
-        merged.safety.judgements.extend(sub.safety.judgements)
-        merged.inversions.extend(sub.inversions)
-    for key in _seam_keys(history):
-        sub = find_new_old_inversions(history.seam_view(key), paranoid=paranoid)
+    for view, _ in _views(history):
+        sub = find_new_old_inversions(view, paranoid=paranoid)
         merged.safety.judgements.extend(sub.safety.judgements)
         merged.inversions.extend(sub.inversions)
     return merged
@@ -104,20 +100,6 @@ def check_cluster_liveness(history: ClusterHistory, grace: Time) -> LivenessRepo
     concatenated in shard order.
     """
     merged = LivenessReport()
-    for shard in history.shard_ids():
-        sub = LivenessChecker(history.shard_view(shard), grace=grace).check()
-        merged.completed += sub.completed
-        merged.excused += sub.excused
-        merged.in_grace += sub.in_grace
-        merged.stuck.extend(sub.stuck)
-        for kind, samples in sub.latencies.items():
-            merged.latencies.setdefault(kind, []).extend(samples)
-    for key in _seam_keys(history):
-        sub = LivenessChecker(history.seam_view(key), grace=grace).check()
-        merged.completed += sub.completed
-        merged.excused += sub.excused
-        merged.in_grace += sub.in_grace
-        merged.stuck.extend(sub.stuck)
-        for kind, samples in sub.latencies.items():
-            merged.latencies.setdefault(kind, []).extend(samples)
+    for view, _ in _views(history):
+        merged.merge(LivenessChecker(view, grace=grace).check())
     return merged

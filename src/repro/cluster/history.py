@@ -22,7 +22,7 @@ from __future__ import annotations
 import hashlib
 from typing import Any, Iterator, Sequence
 
-from ..core.history import History
+from ..core.history import History, hash_rows
 from ..sim.clock import Time
 from ..sim.errors import HistoryError
 from ..sim.operations import OperationHandle
@@ -212,29 +212,19 @@ def cluster_digest(history: ClusterHistory) -> str:
     operation's shard id on top of kind, key, process, timing and
     argument, in merged (global invocation) order — so a routing or
     shard-interleaving regression changes the digest even when each
-    shard's own history still looks plausible.
+    shard's own history still looks plausible.  The rows are written by
+    :func:`~repro.core.history.hash_rows`, each led by its shard and
+    always carrying its key.
     """
-    blob = repr(
-        [
-            (
-                op.shard,
-                op.kind,
-                op.key,
-                op.process_id,
-                op.invoke_time,
-                op.response_time,
-                str(op.argument),
-            )
-            for op in history
-        ]
-    ).encode()
+    sha = hashlib.sha256()
+    hash_rows(sha, history, sharded=True)
     if history.migrations:
         # Resharding runs additionally pin every handoff outcome, so a
         # migration that commits at a different instant (or aborts for
         # a different reason) changes the digest even if the operation
         # stream happens to coincide.  Runs without migrations keep the
         # exact pre-resharding blob, byte for byte.
-        blob += repr(
+        blob = repr(
             [
                 (
                     record.key,
@@ -251,5 +241,6 @@ def cluster_digest(history: ClusterHistory) -> str:
                 )
                 for record in history.migrations
             ]
-        ).encode()
-    return hashlib.sha256(blob).hexdigest()
+        )
+        sha.update(blob.encode())
+    return sha.hexdigest()

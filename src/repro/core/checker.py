@@ -33,12 +33,23 @@ O(R²) all-pairs scan).  The original brute-force implementations are
 retained behind ``paranoid=True`` (CLI: ``--paranoid``) as reference
 oracles; the property suite asserts verdict parity between the two.
 
-A judgement costs a tuple: :class:`ReadJudgement` and
-:class:`Inversion` are ``NamedTuple``s, the sweeps iterate the
-history's own per-kind list (:meth:`History.of_kind`, no copy) and sort
-decorated ``(time, op_id, ...)`` tuples — ``op_id`` is unique, so the
-comparison never leaves C — and a closed history shares its read
-judgements, write records and key list between the checkers.
+A judgement costs a tuple, and judging touches each operation once.
+:class:`ReadJudgement` and :class:`Inversion` are ``NamedTuple``s.  The
+regularity sweep is one loop over the history's own per-kind list
+(:meth:`History.of_kind`, no copy): a read is done iff it has a
+response, its three bisection cuts key the write index's per-cut memo
+(one ``(last, concurrent, allowed)`` per distinct cut), and a valid
+read appends its judgement in the loop — only a violation, a join or
+``paranoid=True`` goes through ``_judge``, the one place an explanation
+is written.  The inversion detector builds its decorated
+``(time, op_id, ...)`` tuples from those judgements — ``op_id`` is
+unique, so sorting never leaves C — and liveness is one loop over
+response and invocation times with local counters.  A closed history
+shares its read judgements, write records, key list and per-key
+sub-histories between the checkers.  ``tests/core/test_checker_cost.py``
+holds the four judged phases (these three checkers and
+:func:`~repro.core.history.operation_digest`) to at most 3 Python calls
+per operation.
 """
 
 from __future__ import annotations
@@ -53,6 +64,10 @@ from ..sim.errors import CheckerError
 from ..sim.operations import OperationHandle
 from .history import History, WriteRecord
 from .register import OP_JOIN, OP_READ
+
+
+#: The explanation of every valid judgement.
+_ALLOWED = "returned an allowed value"
 
 
 class ReadJudgement(NamedTuple):
@@ -155,13 +170,20 @@ class _WriteIntervalIndex:
         prefix in invocation order) — one contiguous slice; open
         writes invoked by ``response`` stay concurrent forever.
         """
-        lo = bisect_right(self.completed_resp, invoke)
-        hi = bisect_right(self.completed_inv, response)
-        open_hi = bisect_right(self.open_inv, response)
-        key = (lo, hi, open_hi)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
+        cut = (
+            bisect_right(self.completed_resp, invoke),
+            bisect_right(self.completed_inv, response),
+            bisect_right(self.open_inv, response),
+        )
+        hit = self._cache.get(cut)
+        return hit if hit is not None else self.at_cut(cut)
+
+    def at_cut(
+        self, cut: tuple[int, int, int]
+    ) -> tuple[WriteRecord, list[WriteRecord], tuple[Any, ...]]:
+        """:meth:`allowed_for` given its three bisection cuts, computed
+        once per cut and memoized."""
+        lo, hi, open_hi = cut
         last = self.completed[lo - 1]
         concurrent = self.completed[lo:hi] if hi > lo else []
         if open_hi:
@@ -174,7 +196,7 @@ class _WriteIntervalIndex:
             w.value for w in concurrent if w.index != last_index
         )
         entry = (last, concurrent, allowed)
-        self._cache[key] = entry
+        self._cache[cut] = entry
         return entry
 
 
@@ -239,12 +261,48 @@ class RegularityChecker:
 
     def _judge_reads(self) -> list[ReadJudgement]:
         writes = self.history.write_records()
-        index = None if self.paranoid else _WriteIntervalIndex(writes)
-        return [
-            self._judge(op, op.result, writes, index)
-            for op in self.history.of_kind(OP_READ)
-            if op.done  # a pending read is the liveness checker's concern
-        ]
+        reads = self.history.of_kind(OP_READ)
+        if self.paranoid:
+            return [
+                self._judge(op, op.result, writes, None)
+                for op in reads
+                if op.done  # a pending read is the liveness checker's concern
+            ]
+        # One touch per read: the three cuts key the index's memo and a
+        # valid read appends its judgement here; only a violation goes
+        # through ``_judge``, the one place an explanation is written.
+        index = _WriteIntervalIndex(writes)
+        completed_resp = index.completed_resp
+        completed_inv = index.completed_inv
+        open_inv = index.open_inv
+        cached = index._cache.get
+        at_cut = index.at_cut
+        judgements: list[ReadJudgement] = []
+        append = judgements.append
+        for op in reads:
+            response = op.response_time
+            if response is None:
+                continue  # pending or abandoned: liveness's concern
+            invoke = op.invoke_time
+            cut = (
+                bisect_right(completed_resp, invoke),
+                bisect_right(completed_inv, response),
+                bisect_right(open_inv, response),
+            )
+            entry = cached(cut)
+            if entry is None:
+                entry = at_cut(cut)
+            # A read with a response is done: ``op.result`` is
+            # ``_result``, read here without the property's frame.
+            returned = op._result
+            allowed = entry[2]
+            if returned in allowed:
+                append(
+                    ReadJudgement(op, returned, allowed, True, entry[0].index, _ALLOWED)
+                )
+            else:
+                append(self._judge(op, returned, writes, index))
+        return judgements
 
     def _judge(
         self,
@@ -271,7 +329,7 @@ class RegularityChecker:
             last_index = last.index
         valid = returned in allowed_values
         if valid:
-            explanation = "returned an allowed value"
+            explanation = _ALLOWED
         else:
             explanation = (
                 f"returned {returned!r} but the last write completed before "
@@ -407,18 +465,19 @@ def find_new_old_inversions(
             merged.inversions.extend(sub.inversions)
         return merged
     safety = RegularityChecker(history, check_joins=False, paranoid=paranoid).check()
-    value_map = history.value_to_write()
-    # Decorated ``(invoke_time, op_id, write index, read)`` tuples:
+    written = history.value_to_write().get
+    # Decorated ``(invoke_time, op_id, write index, read)`` tuples, one
+    # per judgement (the judgements are exactly the completed reads):
     # ``op_id`` is unique, so sorting never compares past it and needs
     # no key function.
     by_invoke: list[tuple[Time, int, int, OperationHandle]] = []
-    for op in history.of_kind(OP_READ):
-        if not op.done:
-            continue
-        record = value_map.get(op.result)
+    append = by_invoke.append
+    for judgement in safety.judgements:
+        record = written(judgement.returned)
         if record is None:
             continue  # not a written value: already a safety violation
-        by_invoke.append((op.invoke_time, op.op_id, record.index, op))
+        op = judgement.operation
+        append((op.invoke_time, op.op_id, record.index, op))
     by_invoke.sort()
     report = AtomicityReport(safety=safety)
     inversions = report.inversions
@@ -431,7 +490,7 @@ def find_new_old_inversions(
                     )
         return report
     by_response = sorted(
-        (op.response_time, op_id, index, op) for _, op_id, index, op in by_invoke
+        [(op.response_time, op_id, index, op) for _, op_id, index, op in by_invoke]
     )
     finished = len(by_response)
     pointer = 0
@@ -476,6 +535,16 @@ class LivenessReport:
     def is_live(self) -> bool:
         return not self.stuck
 
+    def merge(self, other: "LivenessReport") -> None:
+        """Add ``other``'s counters to this report and append its stuck
+        operations and latency samples."""
+        self.completed += other.completed
+        self.excused += other.excused
+        self.in_grace += other.in_grace
+        self.stuck.extend(other.stuck)
+        for kind, samples in other.latencies.items():
+            self.latencies.setdefault(kind, []).extend(samples)
+
     def mean_latency(self, kind: str) -> float:
         """Mean completion latency of the given operation kind."""
         samples = self.latencies.get(kind, [])
@@ -515,17 +584,31 @@ class LivenessChecker:
         horizon = self.history.horizon
         if horizon is None:
             raise CheckerError("history is not closed; call History.close() first")
-        report = LivenessReport()
+        grace = self.grace
+        completed = excused = in_grace = 0
+        stuck: list[StuckOperation] = []
+        latencies: dict[str, list[Time]] = {}
         for op in self.history:
-            if op.done:
-                report.completed += 1
-                report.latencies.setdefault(op.kind, []).append(op.latency)
+            # An operation has a response iff it is done.
+            response = op.response_time
+            if response is not None:
+                completed += 1
+                samples = latencies.get(op.kind)
+                if samples is None:
+                    samples = latencies[op.kind] = []
+                samples.append(response - op.invoke_time)
             elif op.abandoned:
-                report.excused += 1
+                excused += 1
             else:
                 age = horizon - op.invoke_time
-                if age <= self.grace:
-                    report.in_grace += 1
+                if age <= grace:
+                    in_grace += 1
                 else:
-                    report.stuck.append(StuckOperation(operation=op, age=age))
-        return report
+                    stuck.append(StuckOperation(operation=op, age=age))
+        return LivenessReport(
+            completed=completed,
+            excused=excused,
+            in_grace=in_grace,
+            stuck=stuck,
+            latencies=latencies,
+        )

@@ -19,7 +19,7 @@ import hashlib
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import islice
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from ..sim.clock import Time
 from ..sim.errors import HistoryError
@@ -209,17 +209,33 @@ class History:
         Each key starts from the same initial value (the seeds install
         it on every key), and departures/horizon carry over, so the
         single-register checkers judge the sub-history unchanged.
+
+        Once the history is closed, every key's sub-history comes from
+        one :meth:`memoized` pass and is the same object on every call,
+        so the judgements it memoizes are shared by every checker.
         """
-        sub = History(self.initial_value)
+        subs = self.memoized("sub_histories", lambda: self._partition(self.keys()))
+        sub = subs.get(key)
+        if sub is None:  # no read or write addressed ``key``: joins only
+            sub = self._partition([key])[key]
+        return sub
+
+    def _partition(self, keys: list[Any]) -> dict[Any, "History"]:
+        """The sub-histories of ``keys``, built in one pass."""
+        subs = {key: History(self.initial_value) for key in keys}
         for op in self._operations:
             if op.kind == OP_JOIN:
-                sub.record_operation(_JoinKeyView(op, key))
-            elif op.key == key:
-                sub.record_operation(op)
-        sub._departures = dict(self._departures)
-        if self._horizon is not None:
-            sub.close(self._horizon)
-        return sub
+                for key, sub in subs.items():
+                    sub.record_operation(_JoinKeyView(op, key))
+            else:
+                sub = subs.get(op.key)
+                if sub is not None:
+                    sub.record_operation(op)
+        for sub in subs.values():
+            sub._departures = dict(self._departures)
+            if self._horizon is not None:
+                sub.close(self._horizon)
+        return subs
 
     # ------------------------------------------------------------------
     # Derived views for the checkers
@@ -351,25 +367,55 @@ def operation_digest(history: History) -> str:
     did, which is what keeps the trajectory digests comparable across
     the RegisterSpace refactor.
     """
-    # ``repr`` of the whole row list, fed to the hash a slice of rows at
-    # a time: the bytes are the same, the blob never exists.
-    sha = hashlib.sha256(b"[")
-    operations = iter(history)
+    sha = hashlib.sha256()
+    hash_rows(sha, history)
+    return sha.hexdigest()
+
+
+def hash_rows(
+    sha: Any, operations: Iterable[OperationHandle], sharded: bool = False
+) -> None:
+    """Feed ``sha`` the bytes of ``repr(rows)``, one row per operation.
+
+    A row is ``(kind, process_id, invoke_time, response_time,
+    str(argument))`` with the key after the kind when it is not
+    ``None``; ``sharded`` rows always carry the key and start with the
+    operation's shard.  Each row's text is written field by field with
+    ``!r`` — what ``repr`` of the tuple writes — and fed to the hash
+    :data:`_DIGEST_ROWS` rows at a time, so the list never exists.  A
+    response that *is* the invocation instant (a local read) reuses its
+    text: identity, not equality, since ``1 == 1.0`` and
+    ``0.0 == -0.0`` yet each pair has two texts.
+    """
+    sha.update(b"[")
+    operations = iter(operations)
     separator = ""
-    while rows := [
-        (op.kind, op.process_id, op.invoke_time, op.response_time, str(op.argument))
-        if op.key is None
-        else (
-            op.kind,
-            op.key,
-            op.process_id,
-            op.invoke_time,
-            op.response_time,
-            str(op.argument),
-        )
-        for op in islice(operations, _DIGEST_ROWS)
-    ]:
-        sha.update((separator + repr(rows)[1:-1]).encode())
+    while True:
+        rows: list[str] = []
+        append = rows.append
+        for op in islice(operations, _DIGEST_ROWS):
+            invoke = op.invoke_time
+            response = op.response_time
+            invoked = repr(invoke)
+            responded = invoked if response is invoke else repr(response)
+            key = op.key
+            if sharded:
+                append(
+                    f"({op.shard!r}, {op.kind!r}, {key!r}, {op.process_id!r}, "
+                    f"{invoked}, {responded}, {str(op.argument)!r})"
+                )
+            elif key is None:
+                append(
+                    f"({op.kind!r}, {op.process_id!r}, {invoked}, {responded}, "
+                    f"{str(op.argument)!r})"
+                )
+            else:
+                append(
+                    f"({op.kind!r}, {key!r}, {op.process_id!r}, {invoked}, "
+                    f"{responded}, {str(op.argument)!r})"
+                )
+        if not rows:
+            break
+        sha.update((separator + ", ".join(rows)).encode())
         separator = ", "
     sha.update(b"]")
-    return sha.hexdigest()

@@ -20,9 +20,10 @@ def write(
     end: float | None,
     pid: str = "writer",
     abandoned: bool = False,
+    key: Any = None,
 ) -> OperationHandle:
     """Record a write [start, end] (end=None: still pending / abandoned)."""
-    handle = OperationHandle(OP_WRITE, pid, invoke_time=start, argument=value)
+    handle = OperationHandle(OP_WRITE, pid, invoke_time=start, argument=value, key=key)
     if abandoned:
         handle._abandon(time=end if end is not None else start)
     elif end is not None:
@@ -37,9 +38,10 @@ def read(
     start: float,
     end: float | None,
     pid: str = "reader",
+    key: Any = None,
 ) -> OperationHandle:
     """Record a read [start, end] returning ``returned``."""
-    handle = OperationHandle(OP_READ, pid, invoke_time=start)
+    handle = OperationHandle(OP_READ, pid, invoke_time=start, key=key)
     if end is not None:
         handle._complete(returned, time=end)
     history.record_operation(handle)

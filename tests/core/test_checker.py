@@ -399,7 +399,10 @@ def test_checker_fast_beats_naive_by_3x():
         for _ in range(3):
             # A closed history shares its read judgements between
             # checkers, so each repeat judges an unjudged copy.
-            unjudged = history.sub_history(None)
+            unjudged = History(history.initial_value)
+            for op in history:
+                unjudged.record_operation(op)
+            unjudged.close(history.horizon)
             start = time.perf_counter()
             assert find_new_old_inversions(unjudged, **knobs).is_atomic
             best = min(best, time.perf_counter() - start)

@@ -1,6 +1,8 @@
 """Unit tests for operation histories."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.history import History
 from repro.sim.errors import HistoryError
@@ -171,6 +173,46 @@ def _keyed(kind, key, time):
     return handle
 
 
+#: Text ``repr`` has to escape or keeps as is: quotes, a backslash,
+#: control characters and non-ASCII.
+_AWKWARD_TEXT = st.text(alphabet="ab '\"\\\n\t\x00é✓", max_size=5)
+_INSTANTS = st.sampled_from(
+    [0, 1, 2, 0.0, -0.0, 1.0, 2.5, float("inf"), float("-inf")]
+)
+
+
+def _equal_twins(instant):
+    """Fresh objects equal to ``instant`` — some with another repr."""
+    twins = [instant * 1.0]  # a new float object, even for a float
+    if instant == 0:
+        twins.append(-(instant * 1.0))  # 0.0 <-> -0.0
+    if instant not in (float("inf"), float("-inf")):
+        twins.append(int(instant))
+    return twins
+
+
+@st.composite
+def _digest_operation(draw):
+    from repro.sim.operations import OperationHandle
+
+    invoke = draw(_INSTANTS)
+    handle = OperationHandle(
+        draw(st.sampled_from(["read", "write", "join"])),
+        draw(_AWKWARD_TEXT),
+        invoke_time=invoke,
+        argument=draw(st.one_of(st.none(), st.integers(-3, 3), _AWKWARD_TEXT)),
+        key=draw(st.one_of(st.none(), _AWKWARD_TEXT)),
+    )
+    fate = draw(st.sampled_from(["itself", "twin", "other", "pending"]))
+    if fate == "itself":
+        handle._complete("ok", time=invoke)
+    elif fate == "twin":
+        handle._complete("ok", time=draw(st.sampled_from(_equal_twins(invoke))))
+    elif fate == "other":
+        handle._complete("ok", time=draw(_INSTANTS))
+    return handle
+
+
 class TestOperationDigest:
     """The hash is fed a slice of rows at a time; the bytes must be
     those of one ``repr`` of the whole row list."""
@@ -201,4 +243,18 @@ class TestOperationDigest:
                 write(history, f"w{k}", float(k), None)  # pending: None in the row
             else:
                 read(history, "v0", float(k), float(k) + 0.25)
+        assert operation_digest(history) == self.whole_blob_digest(history)
+
+    @given(operations=st.lists(_digest_operation(), max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_digest_is_the_hash_of_the_rows_repr(self, operations):
+        """Row by row, field by field: the same bytes as ``repr(rows)``
+        for times that are equal yet print differently (``1`` / ``1.0``,
+        ``0.0`` / ``-0.0``), a response that is or only equals its
+        invocation, pending responses and text that ``repr`` escapes."""
+        from repro.core.history import operation_digest
+
+        history = History("v0")
+        for handle in operations:
+            history.record_operation(handle)
         assert operation_digest(history) == self.whole_blob_digest(history)

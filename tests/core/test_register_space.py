@@ -118,6 +118,45 @@ class TestKeyedHistoryViews:
             assert join.result.value == expected
             assert join.op_id == history.joins()[0].op_id
 
+    def test_sub_history_is_one_object_while_closed(self):
+        from repro.sim.operations import OperationHandle
+
+        history = self._keyed_system().history
+        sub = history.sub_history("k0")
+        assert history.sub_history("k0") is sub
+        assert history.sub_history("k1") is not sub
+        # A key no read or write addressed sees the joins only.
+        assert [op.kind for op in history.sub_history("k9")] == ["join"]
+        history.record_operation(OperationHandle("read", "p", 99.0, key="k0"))
+        fresh = history.sub_history("k0")
+        assert fresh is not sub
+        assert len(fresh.reads()) == len(sub.reads()) + 1
+
+    def test_keyed_safety_then_atomicity_judges_each_key_once(self, monkeypatch):
+        from repro.core.checker import RegularityChecker
+
+        system = DynamicSystem(
+            SystemConfig(n=4, delta=5.0, protocol="sync", seed=3, keys=4)
+        )
+        for key in system.keys:
+            system.write(f"{key}-1", key=key)
+            system.run_for(6.0)
+            for pid in system.seed_pids:
+                system.read(pid, key=key)
+        system.run_for(6.0)
+        system.close()
+        judged = []
+        original = RegularityChecker._judge_reads
+
+        def counting(checker):
+            judged.append(checker.history)
+            return original(checker)
+
+        monkeypatch.setattr(RegularityChecker, "_judge_reads", counting)
+        assert system.check_safety().checked_count == 16
+        assert system.check_atomicity().is_atomic
+        assert len(judged) == 4
+
     def test_unkeyed_history_keys_is_none_singleton(self):
         history = History("v0")
         assert history.keys() == [None]

@@ -2,12 +2,17 @@
 
 The sub-quadratic regularity sweep and the O(R log R) inversion sweep
 must agree with the brute-force reference implementations
-(``paranoid=True``) on every verdict.  Two sources of histories:
+(``paranoid=True``) on every verdict.  Three sources of histories:
 
 * *synthetic* histories drawn by hypothesis — serialized writes with a
   tail of pending/abandoned writes, reads returning arbitrary written
   (or never-written) values, so both the accept and the reject paths
   are exercised with exact timestamps;
+* *grid* histories drawn by hypothesis on the instants {0, 0.5, …, 6}
+  over 1–3 keys, so reads start and end exactly where writes are
+  invoked and respond — the tie edge of every bisection cut; the
+  liveness checker is held to the rule spelled out on the handle's
+  ``done`` / ``abandoned`` / ``latency`` on the same histories;
 * *simulated* histories from fixed-seed churn runs, which add join
   adoptions, abandoned operations and realistic interleavings.
 
@@ -25,8 +30,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.checker import RegularityChecker, find_new_old_inversions
+from repro.core.checker import (
+    LivenessChecker,
+    LivenessReport,
+    RegularityChecker,
+    StuckOperation,
+    find_new_old_inversions,
+)
 from repro.core.history import History
+from repro.core.register import OP_JOIN
+from repro.protocols.common import JoinResult, KeyedJoinResult
+from repro.sim.operations import OperationHandle
 from tests.conftest import make_system
 from tests.core.helpers import join, read, write
 
@@ -119,6 +133,108 @@ class TestSyntheticEquivalence:
     @settings(max_examples=300, deadline=None)
     def test_atomicity_parity(self, history):
         assert_atomicity_parity(history)
+
+
+# ----------------------------------------------------------------------
+# Tie instants (hypothesis)
+# ----------------------------------------------------------------------
+
+#: Every instant of a grid history: {0, 0.5, ..., 6}.
+GRID = [i / 2 for i in range(13)]
+FATES = ["done", "done", "done", "pending", "abandoned"]
+
+
+@st.composite
+def grid_history(draw) -> History:
+    """1–3 keys, ragged serialized writes, reads and join adoptions,
+    every instant on :data:`GRID` — so reads start and end exactly on
+    write invocations and responses, the ``<=`` / ``<`` edge of each
+    of the three cuts."""
+    key_count = draw(st.integers(min_value=1, max_value=3))
+    keys = [None] if key_count == 1 else [f"k{i}" for i in range(key_count)]
+    history = History("v0")
+    values = {key: ["v0"] for key in keys}
+    edges: list[int] = []  # grid positions of write invocations and responses
+    for key in keys:
+        cursor = 0
+        for i in range(draw(st.integers(min_value=0, max_value=4))):
+            start = draw(st.integers(min_value=cursor, max_value=12))
+            fate = draw(st.sampled_from(FATES))
+            value = f"{key}:w{i}"
+            values[key].append(value)
+            edges.append(start)
+            if fate == "done":
+                end = draw(st.integers(min_value=start, max_value=12))
+                write(history, value, GRID[start], GRID[end], key=key)
+                edges.append(end)
+                cursor = end
+            else:
+                write(history, value, GRID[start], None,
+                      abandoned=fate == "abandoned", key=key)
+                cursor = start
+    instant = st.integers(min_value=0, max_value=12)
+    if edges:
+        instant = st.one_of(st.sampled_from(edges), instant)
+    for _ in range(draw(st.integers(min_value=0, max_value=12))):
+        key = draw(st.sampled_from(keys))
+        start, end = sorted((draw(instant), draw(instant)))
+        returned = draw(st.sampled_from(values[key] + ["junk"]))
+        fate = draw(st.sampled_from(FATES))
+        handle = read(history, returned, GRID[start],
+                      GRID[end] if fate == "done" else None, key=key)
+        if fate == "abandoned":
+            handle._abandon(time=GRID[end])
+    for sequence in range(draw(st.integers(min_value=0, max_value=3))):
+        start, end = sorted((draw(instant), draw(instant)))
+        adopted = {key: (draw(st.sampled_from(values[key])), sequence) for key in keys}
+        fate = draw(st.sampled_from(FATES))
+        handle = OperationHandle(OP_JOIN, "joiner", invoke_time=GRID[start])
+        if fate == "done":
+            result = (
+                JoinResult(*adopted[None]) if keys == [None] else KeyedJoinResult(adopted)
+            )
+            handle._complete(result, time=GRID[end])
+        elif fate == "abandoned":
+            handle._abandon(time=GRID[end])
+        history.record_operation(handle)
+    history.close(draw(st.sampled_from([6.0, 7.5, 9.0])))
+    return history
+
+
+def reference_liveness(history: History, grace: float) -> LivenessReport:
+    """The liveness rule spelled out on the handle's own accessors."""
+    report = LivenessReport()
+    for op in history:
+        if op.done:
+            report.completed += 1
+            report.latencies.setdefault(op.kind, []).append(op.latency)
+        elif op.abandoned:
+            report.excused += 1
+        else:
+            age = history.horizon - op.invoke_time
+            if age <= grace:
+                report.in_grace += 1
+            else:
+                report.stuck.append(StuckOperation(operation=op, age=age))
+    return report
+
+
+class TestTieInstants:
+    @given(history=grid_history())
+    @settings(max_examples=300, deadline=None)
+    def test_regularity_parity(self, history):
+        assert_safety_parity(history)
+
+    @given(history=grid_history())
+    @settings(max_examples=300, deadline=None)
+    def test_atomicity_parity(self, history):
+        assert_atomicity_parity(history)
+
+    @given(history=grid_history(), grace=st.sampled_from([0.0, 1.5, 3.0]))
+    @settings(max_examples=300, deadline=None)
+    def test_liveness_matches_the_reference(self, history, grace):
+        fast = LivenessChecker(history, grace=grace).check()
+        assert fast == reference_liveness(history, grace)
 
 
 # ----------------------------------------------------------------------
