@@ -71,7 +71,8 @@ from .churn.model import (
     lemma2_window_lower_bound,
     synchronous_churn_bound,
 )
-from .experiments import ABLATIONS, EXPERIMENTS
+from .experiments import EXPERIMENTS
+from .experiments import run as run_experiment
 from .runtime.config import SystemConfig
 from .runtime.system import DynamicSystem
 from .sim.errors import ReproError
@@ -125,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     experiments.add_argument(
         "--ablations",
         action="store_true",
-        help="include the A1-A4 ablations in the default set",
+        help="include the A1-A6 ablations in the default set",
     )
     _add_workers_flag(experiments, "run each experiment's sweep cells")
 
@@ -384,25 +385,26 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def _cmd_experiments(args: argparse.Namespace) -> int:
-    registry = dict(EXPERIMENTS)
-    registry.update(ABLATIONS)
     if args.ids:
-        unknown = [i for i in args.ids if i not in registry]
+        unknown = [i for i in args.ids if i not in EXPERIMENTS]
         if unknown:
             print(
                 f"error: unknown experiment id(s) {', '.join(unknown)}; "
-                f"known: {', '.join(registry)}",
+                f"known: {', '.join(EXPERIMENTS)}",
                 file=sys.stderr,
             )
             return 2
-        selected = {i: registry[i] for i in args.ids}
-    elif args.ablations:
-        selected = registry
+        selected = list(dict.fromkeys(args.ids))
     else:
-        selected = dict(EXPERIMENTS)
+        selected = [i for i in EXPERIMENTS if args.ablations or i.startswith("E")]
     failures = []
-    for experiment_id, runner in selected.items():
-        result = runner(seed=args.seed, quick=args.quick, workers=args.workers)
+    for experiment_id in selected:
+        result = run_experiment(
+            EXPERIMENTS[experiment_id],
+            seed=args.seed,
+            quick=args.quick,
+            workers=args.workers,
+        )
         print(result.describe())
         print()
         if not result.verdict.startswith("REPRODUCED"):

@@ -1,10 +1,10 @@
 """The shared execution engine: declarative runs, parallel execution.
 
-Every sweep in the repository — the twelve ``experiments/e*`` grids,
-the adversarial scenario explorer and the seed-corpus replay —
-describes its cells as :class:`RunSpec` values and hands them
-to a :class:`Runner`, which maps them to outcomes through a
-``concurrent.futures.ProcessPoolExecutor``.
+Every sweep in the repository — the grid of each row of the
+experiment battery, the adversarial scenario explorer and the
+seed-corpus replay — describes its cells as :class:`RunSpec` values
+and hands them to a :class:`Runner`, which maps them to outcomes
+through a ``concurrent.futures.ProcessPoolExecutor``.
 
 The engine's contract (see ROADMAP.md, "Parallel execution engine"):
 

@@ -17,7 +17,7 @@ deterministically fall back to that serial path.
 
 Pools are cached per worker count and reused across ``map`` calls, so
 one ``repro experiments`` invocation pays worker startup once for its
-twelve grids, not per grid.  Safe to share: cells are pure functions
+whole battery, not per grid.  Safe to share: cells are pure functions
 of their specs, and ``Executor.map`` keeps result order regardless of
 which pool ran the cells.
 

@@ -1,24 +1,24 @@
-"""Experiments: one module per figure/lemma/theorem of the paper.
+"""Experiments: one declaration per figure/lemma/theorem of the paper.
 
-Each module exposes
-``run(seed=0, quick=False, ..., workers=None) -> ExperimentResult``,
-registered in :data:`EXPERIMENTS` (the ablations in :data:`ABLATIONS`)
-in paper order; ``repro experiments`` and
-``examples/reproduce_paper.py`` run the battery from there.
+Each module declares its claim as an
+:class:`~repro.experiments.harness.Experiment` row (``ablations``
+declares six) and :data:`EXPERIMENTS` holds them in one ordered table —
+E1–E17 in paper order, then the ablations A1–A6.  ``run(EXPERIMENTS[id],
+seed, quick, workers)`` regenerates any row; ``repro experiments`` runs
+the battery from the table.
 
-Every experiment builds its sweep as a grid of
-:class:`repro.exec.RunSpec` cells executed through the shared engine:
-``workers`` processes run cells concurrently (default: all cores) and
-the resulting tables are byte-identical at any worker count, because
-each cell's seed is derived from the root seed and the cell's grid
-coordinates — never from execution order.
+Every row builds its sweep as a grid of :class:`repro.exec.RunSpec`
+cells executed through the shared engine: ``workers`` processes run
+cells concurrently (default: all cores) and the resulting tables are
+byte-identical at any worker count, because each cell's seed is derived
+from the root seed and the cell's grid coordinates — never from
+execution order.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
 from . import (
+    ablations,
     e01_new_old_inversion,
     e02_figure3a,
     e03_figure3b,
@@ -37,34 +37,43 @@ from . import (
     e16_rebalance,
     e17_population_scaling,
 )
-from .ablations import ABLATIONS
-from .harness import ExperimentResult, format_table
+from .harness import Experiment, ExperimentResult, format_table, run
 
-#: Registry: experiment id -> runner, in paper order.
-EXPERIMENTS: dict[str, Callable[..., ExperimentResult]] = {
-    "E1": e01_new_old_inversion.run,
-    "E2": e02_figure3a.run,
-    "E3": e03_figure3b.run,
-    "E4": e04_lemma2.run,
-    "E5": e05_sync_sweep.run,
-    "E6": e06_impossibility.run,
-    "E7": e07_es_termination.run,
-    "E8": e08_es_safety.run,
-    "E9": e09_latency.run,
-    "E10": e10_baseline_comparison.run,
-    "E11": e11_churn_cap.run,
-    "E12": e12_burst_churn.run,
-    "E13": e13_keyed_store.run,
-    "E14": e14_sharded_cluster.run,
-    "E15": e15_migration.run,
-    "E16": e16_rebalance.run,
-    "E17": e17_population_scaling.run,
+#: The battery: experiment id -> declaration, E1–E17 then A1–A6.
+EXPERIMENTS: dict[str, Experiment] = {
+    experiment.id: experiment
+    for experiment in (
+        e01_new_old_inversion.EXPERIMENT,
+        e02_figure3a.EXPERIMENT,
+        e03_figure3b.EXPERIMENT,
+        e04_lemma2.EXPERIMENT,
+        e05_sync_sweep.EXPERIMENT,
+        e06_impossibility.EXPERIMENT,
+        e07_es_termination.EXPERIMENT,
+        e08_es_safety.EXPERIMENT,
+        e09_latency.EXPERIMENT,
+        e10_baseline_comparison.EXPERIMENT,
+        e11_churn_cap.EXPERIMENT,
+        e12_burst_churn.EXPERIMENT,
+        e13_keyed_store.EXPERIMENT,
+        e14_sharded_cluster.EXPERIMENT,
+        e15_migration.EXPERIMENT,
+        e16_rebalance.EXPERIMENT,
+        e17_population_scaling.EXPERIMENT,
+        ablations.A1,
+        ablations.A2,
+        ablations.A3,
+        ablations.A4,
+        ablations.A5,
+        ablations.A6,
+    )
 }
 
 
 __all__ = [
-    "ABLATIONS",
     "EXPERIMENTS",
+    "Experiment",
     "ExperimentResult",
     "format_table",
+    "run",
 ]

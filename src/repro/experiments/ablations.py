@@ -1,7 +1,7 @@
 """Ablations: quantifying the design choices the paper argues in prose.
 
-Four studies, labelled A1–A4 (DESIGN.md's experiment index covers the
-paper's own artifacts as E1–E11; these go beyond it):
+Six studies, labelled A1–A6 (the E-rows regenerate the paper's own
+artifacts; these go beyond it):
 
 * **A1 — delay spread vs. new/old inversions.**  Regularity permits
   inversions (E1 exhibits one); how often do they *actually* happen?
@@ -28,110 +28,119 @@ paper's own artifacts as E1–E11; these go beyond it):
   missing machinery would have prevented: both writes pick the same
   sequence number, the replicas split on arrival order, and the
   population diverges permanently.
+* **A6 — the ES quorum size.**  Every wait of the ES protocol needs a
+  majority; A6 shrinks the quorum below it and exhibits the stale reads
+  that quorum intersection exists to prevent.
 
-Each ``run_aN`` returns an :class:`~repro.experiments.harness.ExperimentResult`
-with the same conventions as E1–E11.  ``workers`` is accepted for
-harness uniformity with the E-experiments (the registry calls every
-runner with the same keywords); the ablation sweeps are small and some
-adapt mid-sweep, so they run serially regardless.
+Each study is one row of the battery table, with one cell per variant
+(one table row each), so its variants run through the worker pool like
+the E-rows' grids.
 """
 
 from __future__ import annotations
 
+from typing import Any
+
 from ..core.checker import find_new_old_inversions
-from ..net.delay import DualBoundSynchronousDelay, SynchronousDelay
+from ..exec.spec import RunSpec
+from ..net.delay import AdversarialDelay, DualBoundSynchronousDelay, SynchronousDelay
+from ..protocols.sync_reg import WriteMsg
 from ..runtime.config import SystemConfig
 from ..runtime.system import DynamicSystem
-from ..sim.rng import derive_seed
 from ..workloads.generators import poisson_reads
-from ..workloads.schedule import WorkloadDriver
-from .harness import ExperimentResult
+from ..workloads.schedule import WorkloadDriver, WriteOp
+from .harness import Experiment, Judgement
 
 
-def run_a1(
-    seed: int = 0,
-    quick: bool = False,
-    n: int = 10,
-    delta: float = 5.0,
-    spreads: tuple[float, ...] = (0.9, 0.5, 0.1),
-    workers: int | None = None,
-) -> ExperimentResult:
-    """A1 — inversion frequency as a function of delivery spread.
+def _variants(
+    name: str, p: dict[str, Any], axis: str, values: tuple[Any, ...], **fixed: Any
+) -> list[RunSpec]:
+    """One cell per variant, seeded by ``"<id>:<value>"``."""
+    return [
+        RunSpec.seeded(
+            f"{__name__}:{name}_cell", p["seed"], f"{name}:{value}",
+            n=p["n"], delta=p["delta"], **{axis: value}, **fixed,
+        )
+        for value in values
+    ]
+
+
+def a1_cell(seed: int, n: int, delta: float, spread: float, horizon: float) -> dict:
+    """A1 — inversion frequency at one delivery spread.
 
     ``spread`` is ``min_delay / δ``: at 0.9 every message takes ≈ δ
     (readers converge almost simultaneously); at 0.1 deliveries of one
     WRITE straddle nearly the whole window.
     """
-    horizon = 300.0 if quick else 900.0
-    result = ExperimentResult(
-        experiment_id="A1",
-        title="Ablation — delay spread vs new/old inversion frequency",
-        paper_claim=(
-            "regular registers admit inversions; their frequency is an "
-            "artifact of delivery spread, not of churn"
-        ),
-        params={"n": n, "delta": delta, "horizon": horizon, "seed": seed},
+    config = SystemConfig(
+        n=n,
+        delta=delta,
+        protocol="sync",
+        seed=seed,
+        delay=SynchronousDelay(delta=delta, min_delay=spread * delta),
+        trace=False,
     )
-    for spread in spreads:
-        config = SystemConfig(
-            n=n,
-            delta=delta,
-            protocol="sync",
-            seed=derive_seed(seed, f"a1:{spread}"),
-            delay=SynchronousDelay(delta=delta, min_delay=spread * delta),
-            trace=False,
-        )
-        system = DynamicSystem(config)
-        driver = WorkloadDriver(system, exclude_writer=True)
-        plan = poisson_reads(
-            start=2.0, end=horizon - 5.0, rate=1.5,
-            rng=system.rng.stream("a1.plan"),
-        )
-        from ..workloads.schedule import WriteOp
+    system = DynamicSystem(config)
+    driver = WorkloadDriver(system, exclude_writer=True)
+    plan = poisson_reads(
+        start=2.0, end=horizon - 5.0, rate=1.5,
+        rng=system.rng.stream("a1.plan"),
+    )
+    t = 5.0
+    while t < horizon - 4.0 * delta:
+        plan.append(WriteOp(time=t))
+        t += 3.0 * delta
+    plan.sort(key=lambda op: op.time)
+    driver.install(plan)
+    system.run_until(horizon)
+    system.close()
+    # A1's headline metric is the number of inverted *pairs*, so it
+    # needs the all-pairs oracle: the fast sweep reports only one
+    # witness pair per inverted read and would compress the column.
+    report = find_new_old_inversions(system.history, paranoid=True)
+    reads = len([op for op in system.history.reads() if op.done])
+    return dict(
+        spread=spread,
+        reads=reads,
+        writes=len(system.history.writes()),
+        inversions=len(report.inversions),
+        regular=report.safety.is_safe,
+    )
 
-        t = 5.0
-        while t < horizon - 4.0 * delta:
-            plan.append(WriteOp(time=t))
-            t += 3.0 * delta
-        plan.sort(key=lambda op: op.time)
-        driver.install(plan)
-        system.run_until(horizon)
-        system.close()
-        # A1's headline metric is the number of inverted *pairs*, so it
-        # needs the all-pairs oracle: the fast sweep reports only one
-        # witness pair per inverted read and would compress the column.
-        report = find_new_old_inversions(system.history, paranoid=True)
-        reads = len([op for op in system.history.reads() if op.done])
-        result.add_row(
-            spread=spread,
-            reads=reads,
-            writes=len(system.history.writes()),
-            inversions=len(report.inversions),
-            regular=report.safety.is_safe,
-        )
-    inversions = result.column("inversions")
-    regular_everywhere = all(result.column("regular"))
-    result.notes.append(
+
+def _judge_a1(p: dict[str, Any], quick: bool, rows: list[Any]) -> Judgement:
+    inversions = [row["inversions"] for row in rows]
+    notes = [
         "every run stays regular; inversions are the price of regularity "
         "without atomicity, growing as deliveries spread out"
-    )
-    result.verdict = (
+    ]
+    verdict = (
         "REPRODUCED: all runs regular; inversion count rises as the spread widens"
-        if regular_everywhere and inversions[-1] > inversions[0]
+        if all(row["regular"] for row in rows) and inversions[-1] > inversions[0]
         else "PARTIAL: see the inversion column"
     )
-    return result
+    return rows, notes, verdict
 
 
-def run_a2(
-    seed: int = 0,
-    quick: bool = False,
-    n: int = 20,
-    delta: float = 5.0,
-    rounds: int | None = None,
-    workers: int | None = None,
-) -> ExperimentResult:
-    """A2 — randomized Figure 3: naive vs full join over many rounds.
+A1 = Experiment(
+    id="A1",
+    title="Ablation — delay spread vs new/old inversion frequency",
+    claim=(
+        "regular registers admit inversions; their frequency is an "
+        "artifact of delivery spread, not of churn"
+    ),
+    params=lambda seed, quick: dict(
+        n=10, delta=5.0, horizon=300.0 if quick else 900.0, seed=seed
+    ),
+    grid=lambda p, quick: _variants(
+        "a1", p, "spread", (0.9, 0.5, 0.1), horizon=p["horizon"]
+    ),
+    judge=_judge_a1,
+)
+
+
+def a2_cell(seed: int, n: int, delta: float, protocol: str, rounds: int) -> dict:
+    """A2 — randomized Figure 3 under one join protocol.
 
     Each round reproduces the figure's ingredients with random timing:
     a write starts, a joiner enters shortly after, the writer departs
@@ -146,271 +155,273 @@ def run_a2(
     over all replies and a single fresh replier (out of n) repairs it —
     the bug needs the adversary the paper draws, not bad luck.
     """
-    if rounds is None:
-        rounds = 12 if quick else 40
-    result = ExperimentResult(
-        experiment_id="A2",
-        title="Ablation — randomized Figure 3 (join-wait on/off)",
-        paper_claim=(
-            "without the line-02 wait a legal synchronous schedule can "
-            "serve a stale value; with it, none can"
-        ),
-        params={"n": n, "delta": delta, "rounds": rounds, "seed": seed},
+    stale_joins = 0
+    reads_checked = 0
+    writer_box: dict[str, str] = {}
+
+    def figure3_delays(sender, dest, payload, send_time):
+        if isinstance(payload, WriteMsg):
+            return delta  # dissemination uses the whole window
+        if dest == writer_box.get("pid"):
+            return delta  # the inquiry crawls toward the writer
+        return 0.3 * delta  # everything else is fast
+
+    config = SystemConfig(
+        n=n,
+        delta=delta,
+        protocol=protocol,
+        seed=seed,
+        delay=AdversarialDelay(figure3_delays, fallback=SynchronousDelay(delta)),
+        trace=False,
     )
-    from ..net.delay import AdversarialDelay
-    from ..protocols.sync_reg import WriteMsg
-
-    for protocol in ("naive", "sync"):
-        stale_joins = 0
-        reads_checked = 0
-        writer_box: dict[str, str] = {}
-
-        def figure3_delays(sender, dest, payload, send_time):
-            if isinstance(payload, WriteMsg):
-                return delta  # dissemination uses the whole window
-            if dest == writer_box.get("pid"):
-                return delta  # the inquiry crawls toward the writer
-            return 0.3 * delta  # everything else is fast
-
-        config = SystemConfig(
-            n=n,
-            delta=delta,
-            protocol=protocol,
-            seed=derive_seed(seed, f"a2:{protocol}"),
-            delay=AdversarialDelay(
-                figure3_delays, fallback=SynchronousDelay(delta)
-            ),
-            trace=False,
-        )
-        system = DynamicSystem(config)
-        timing = system.rng.stream("a2.timing")
-        writers = list(system.seed_pids)
-        t = 10.0
-        rounds_run = 0
-        for _ in range(rounds):
-            if not writers:
-                break  # every seed writer has departed
-            writer = writers.pop()
-            writer_box["pid"] = writer
-            rounds_run += 1
-            system.run_until(t)
-            write = system.write(pid=writer)
-            joiner_enters = t + timing.uniform(0.25, 0.45) * delta
-            system.run_until(joiner_enters)
-            joiner = system.spawn_joiner()
-            join = system.history.joins()[-1]
-            system.run_until(t + delta + 0.2)
-            assert write.done
-            writer_leaves = timing.random() < 0.5
-            if writer_leaves:
-                system.leave(writer)
-            else:
-                writers.insert(0, writer)  # survivors return to the pool
-            system.run_until(t + 4.0 * delta)
-            if join.done:
-                if join.result.value != write.argument:
-                    stale_joins += 1
-                system.read(joiner)
-                reads_checked += 1
-            t += 6.0 * delta
+    system = DynamicSystem(config)
+    timing = system.rng.stream("a2.timing")
+    writers = list(system.seed_pids)
+    t = 10.0
+    rounds_run = 0
+    for _ in range(rounds):
+        if not writers:
+            break  # every seed writer has departed
+        writer = writers.pop()
+        writer_box["pid"] = writer
+        rounds_run += 1
         system.run_until(t)
-        system.close()
-        safety = system.check_safety(check_joins=False)
-        result.add_row(
-            protocol=protocol,
-            rounds=rounds_run,
-            stale_joins=stale_joins,
-            reads=reads_checked,
-            violations=safety.violation_count,
-            violation_rate=safety.violation_rate,
-        )
-    naive_row, sync_row = result.rows
-    result.notes.append(
+        write = system.write(pid=writer)
+        joiner_enters = t + timing.uniform(0.25, 0.45) * delta
+        system.run_until(joiner_enters)
+        joiner = system.spawn_joiner()
+        join = system.history.joins()[-1]
+        system.run_until(t + delta + 0.2)
+        assert write.done
+        writer_leaves = timing.random() < 0.5
+        if writer_leaves:
+            system.leave(writer)
+        else:
+            writers.insert(0, writer)  # survivors return to the pool
+        system.run_until(t + 4.0 * delta)
+        if join.done:
+            if join.result.value != write.argument:
+                stale_joins += 1
+            system.read(joiner)
+            reads_checked += 1
+        t += 6.0 * delta
+    system.run_until(t)
+    system.close()
+    safety = system.check_safety(check_joins=False)
+    return dict(
+        protocol=protocol,
+        rounds=rounds_run,
+        stale_joins=stale_joins,
+        reads=reads_checked,
+        violations=safety.violation_count,
+        violation_rate=safety.violation_rate,
+    )
+
+
+def _judge_a2(p: dict[str, Any], quick: bool, rows: list[Any]) -> Judgement:
+    naive_row, sync_row = rows
+    notes = [
         "each round: write starts, joiner enters mid-write, the writer "
         "leaves right after its write terminates on a coin flip, the "
         "joiner reads after joining; the naive join is caught exactly in "
-        "the writer-departure rounds"
-    )
-    result.notes.append(
+        "the writer-departure rounds",
         "under uniform random delays the naive join survives: max-sn "
         "adoption means one fresh replier out of n repairs it — the "
-        "violation needs the figure's adversarial (still ≤ δ) schedule"
-    )
-    result.verdict = (
+        "violation needs the figure's adversarial (still ≤ δ) schedule",
+    ]
+    verdict = (
         "REPRODUCED: the naive join produces stale reads at a measurable "
         "rate; the full join never does"
         if naive_row["violations"] > 0 and sync_row["violations"] == 0
         else "PARTIAL: expected naive > 0 and full = 0 violations"
     )
-    return result
+    return rows, notes, verdict
 
 
-def run_a3(
-    seed: int = 0,
-    quick: bool = False,
-    n: int = 20,
-    delta: float = 5.0,
-    p2p_delta: float = 1.0,
-    joins: int | None = None,
-    workers: int | None = None,
-) -> ExperimentResult:
-    """A3 — footnote 4: ``wait(δ + δ')`` vs ``wait(2δ)``.
+A2 = Experiment(
+    id="A2",
+    title="Ablation — randomized Figure 3 (join-wait on/off)",
+    claim=(
+        "without the line-02 wait a legal synchronous schedule can "
+        "serve a stale value; with it, none can"
+    ),
+    params=lambda seed, quick: dict(
+        n=20, delta=5.0, rounds=12 if quick else 40, seed=seed
+    ),
+    grid=lambda p, quick: _variants(
+        "a2", p, "protocol", ("naive", "sync"), rounds=p["rounds"]
+    ),
+    judge=_judge_a2,
+)
+
+
+def a3_cell(
+    seed: int, n: int, delta: float, optimized: bool, p2p_delta: float, joins: int
+) -> dict:
+    """A3 — footnote 4: ``wait(δ + δ')`` (optimized) or ``wait(2δ)``.
 
     Under a dual-bound network (broadcasts ≤ δ, one-to-one ≤ δ'), the
     optimized join finishes in ``2δ + δ'`` instead of ``3δ`` while
     remaining safe.
     """
-    if joins is None:
-        joins = 10 if quick else 30
-    result = ExperimentResult(
-        experiment_id="A3",
-        title="Ablation — footnote 4's join-wait optimization",
-        paper_claim=(
-            f"with a one-to-one bound δ' = {p2p_delta} < δ = {delta}, the "
-            f"inquiry wait shrinks from 2δ to δ + δ' without losing safety"
-        ),
-        params={"n": n, "delta": delta, "p2p_delta": p2p_delta, "seed": seed},
+    config = SystemConfig(
+        n=n,
+        delta=delta,
+        protocol="sync",
+        seed=seed,
+        delay=DualBoundSynchronousDelay(broadcast_delta=delta, p2p_delta=p2p_delta),
+        extra={"p2p_delta": p2p_delta} if optimized else {},
+        trace=False,
     )
-    for optimized in (False, True):
-        extra = {"p2p_delta": p2p_delta} if optimized else {}
-        config = SystemConfig(
-            n=n,
-            delta=delta,
-            protocol="sync",
-            seed=derive_seed(seed, f"a3:{optimized}"),
-            delay=DualBoundSynchronousDelay(
-                broadcast_delta=delta, p2p_delta=p2p_delta
-            ),
-            extra=extra,
-            trace=False,
-        )
-        system = DynamicSystem(config)
-        t = 5.0
-        handles = []
-        for k in range(joins):
-            system.run_until(t)
-            if k % 3 == 0:
-                system.write()
-            system.run_until(t + 1.5 * delta)  # past the write window
-            system.spawn_joiner()
-            handles.append(system.history.joins()[-1])
-            t += 4.0 * delta
-        system.run_until(t + 4.0 * delta)
-        system.close()
-        latencies = [h.latency for h in handles if h.done]
-        safety = system.check_safety()
-        expected = 2.0 * delta + p2p_delta if optimized else 3.0 * delta
-        result.add_row(
-            join_wait="δ+δ' (fn.4)" if optimized else "2δ (paper text)",
-            joins=len(latencies),
-            max_join_latency=max(latencies),
-            expected_bound=expected,
-            within_bound=max(latencies) <= expected + 1e-9,
-            safe=safety.is_safe,
-        )
-    baseline, optimized_row = result.rows
+    system = DynamicSystem(config)
+    t = 5.0
+    handles = []
+    for k in range(joins):
+        system.run_until(t)
+        if k % 3 == 0:
+            system.write()
+        system.run_until(t + 1.5 * delta)  # past the write window
+        system.spawn_joiner()
+        handles.append(system.history.joins()[-1])
+        t += 4.0 * delta
+    system.run_until(t + 4.0 * delta)
+    system.close()
+    latencies = [h.latency for h in handles if h.done]
+    safety = system.check_safety()
+    expected = 2.0 * delta + p2p_delta if optimized else 3.0 * delta
+    return dict(
+        join_wait="δ+δ' (fn.4)" if optimized else "2δ (paper text)",
+        joins=len(latencies),
+        max_join_latency=max(latencies),
+        expected_bound=expected,
+        within_bound=max(latencies) <= expected + 1e-9,
+        safe=safety.is_safe,
+    )
+
+
+def _judge_a3(p: dict[str, Any], quick: bool, rows: list[Any]) -> Judgement:
+    baseline, optimized_row = rows
     gain = baseline["max_join_latency"] - optimized_row["max_join_latency"]
-    result.notes.append(
+    notes = [
         f"worst-case join latency gain: {gain:.2f} time units "
-        f"(= δ − δ' = {delta - p2p_delta:.2f} when the inquiry path is taken)"
-    )
-    result.verdict = (
+        f"(= δ − δ' = {p['delta'] - p['p2p_delta']:.2f} when the inquiry "
+        "path is taken)"
+    ]
+    verdict = (
         "REPRODUCED: the optimized join is faster by δ − δ' and stays safe"
         if (
             optimized_row["max_join_latency"] < baseline["max_join_latency"]
-            and all(result.column("safe"))
-            and all(result.column("within_bound"))
+            and all(row["safe"] for row in rows)
+            and all(row["within_bound"] for row in rows)
         )
         else "PARTIAL: see latency/safety columns"
     )
-    return result
+    return rows, notes, verdict
 
 
-def run_a4(
-    seed: int = 0,
-    quick: bool = False,
-    n: int = 20,
-    delta: float = 5.0,
-    workers: int | None = None,
-) -> ExperimentResult:
-    """A4 — entrant broadcast policy: "none" vs "all".
+#: The one-to-one bound δ' of A3's dual-bound network, and its δ.
+A3_P2P_DELTA = 1.0
+A3_DELTA = 5.0
+
+A3 = Experiment(
+    id="A3",
+    title="Ablation — footnote 4's join-wait optimization",
+    claim=(
+        f"with a one-to-one bound δ' = {A3_P2P_DELTA} < δ = {A3_DELTA}, the "
+        f"inquiry wait shrinks from 2δ to δ + δ' without losing safety"
+    ),
+    params=lambda seed, quick: dict(
+        n=20, delta=A3_DELTA, p2p_delta=A3_P2P_DELTA, seed=seed
+    ),
+    grid=lambda p, quick: _variants(
+        "a3", p, "optimized", (False, True),
+        p2p_delta=p["p2p_delta"], joins=10 if quick else 30,
+    ),
+    judge=_judge_a3,
+)
+
+
+def a4_cell(seed: int, n: int, delta: float, policy: str, horizon: float) -> dict:
+    """A4 — one entrant broadcast policy, "none" or "all".
 
     With optimistic delivery to entrants, a joiner arriving during a
     write's window can hear the WRITE, skip the inquiry (Figure 1 line
     03) and finish in δ.  Under the bare guarantee it must inquire.
     Both are safe; the policy only moves latency.
     """
-    horizon = 250.0 if quick else 700.0
-    result = ExperimentResult(
-        experiment_id="A4",
-        title="Ablation — broadcast delivery to entrants",
-        paper_claim=(
-            "timely delivery guarantees nothing for processes entering "
-            "during the window; optimistic delivery is allowed and only "
-            "shortens joins"
-        ),
-        params={"n": n, "delta": delta, "horizon": horizon, "seed": seed},
+    config = SystemConfig(
+        n=n,
+        delta=delta,
+        protocol="sync",
+        seed=seed,
+        entrant_policy=policy,
+        trace=False,
     )
-    for policy in ("none", "all"):
-        config = SystemConfig(
-            n=n,
-            delta=delta,
-            protocol="sync",
-            seed=derive_seed(seed, f"a4:{policy}"),
-            entrant_policy=policy,
-            trace=False,
-        )
-        system = DynamicSystem(config)
-        timing = system.rng.stream("a4.timing")
-        t = 5.0
-        joins = []
-        while t < horizon - 6.0 * delta:
-            system.run_until(t)
-            system.write()
-            # The joiner enters inside the write's dissemination window.
-            system.run_until(t + timing.uniform(0.1, 0.8) * delta)
-            system.spawn_joiner()
-            joins.append(system.history.joins()[-1])
-            t += 5.0 * delta
-        system.run_until(horizon)
-        system.close()
-        done = [j for j in joins if j.done]
-        fast = sum(1 for j in done if j.latency <= delta + 1e-9)
-        safety = system.check_safety()
-        result.add_row(
-            entrant_policy=policy,
-            joins=len(done),
-            fast_joins=fast,
-            fast_fraction=fast / len(done) if done else 0.0,
-            mean_latency=sum(j.latency for j in done) / len(done),
-            safe=safety.is_safe,
-        )
-    none_row, all_row = result.rows
-    result.notes.append(
+    system = DynamicSystem(config)
+    timing = system.rng.stream("a4.timing")
+    t = 5.0
+    joins = []
+    while t < horizon - 6.0 * delta:
+        system.run_until(t)
+        system.write()
+        # The joiner enters inside the write's dissemination window.
+        system.run_until(t + timing.uniform(0.1, 0.8) * delta)
+        system.spawn_joiner()
+        joins.append(system.history.joins()[-1])
+        t += 5.0 * delta
+    system.run_until(horizon)
+    system.close()
+    done = [j for j in joins if j.done]
+    fast = sum(1 for j in done if j.latency <= delta + 1e-9)
+    safety = system.check_safety()
+    return dict(
+        entrant_policy=policy,
+        joins=len(done),
+        fast_joins=fast,
+        fast_fraction=fast / len(done) if done else 0.0,
+        mean_latency=sum(j.latency for j in done) / len(done),
+        safe=safety.is_safe,
+    )
+
+
+def _judge_a4(p: dict[str, Any], quick: bool, rows: list[Any]) -> Judgement:
+    none_row, all_row = rows
+    notes = [
         "fast_joins = joins that heard a WRITE during their line-02 wait "
         "and skipped the inquiry (latency δ instead of 3δ)"
-    )
-    result.verdict = (
+    ]
+    verdict = (
         "REPRODUCED: both policies safe; optimistic entrant delivery turns "
         "mid-write joins into fast δ-joins"
         if (
-            all(result.column("safe"))
+            all(row["safe"] for row in rows)
             and all_row["fast_fraction"] > none_row["fast_fraction"]
         )
         else "PARTIAL: see fast_fraction column"
     )
-    return result
+    return rows, notes, verdict
 
 
-def run_a5(
-    seed: int = 0,
-    quick: bool = False,
-    n: int = 11,
-    delta: float = 4.0,
-    rounds: int | None = None,
-    workers: int | None = None,
-) -> ExperimentResult:
-    """A5 — concurrent ES writers: the assumed-away failure mode.
+A4 = Experiment(
+    id="A4",
+    title="Ablation — broadcast delivery to entrants",
+    claim=(
+        "timely delivery guarantees nothing for processes entering "
+        "during the window; optimistic delivery is allowed and only "
+        "shortens joins"
+    ),
+    params=lambda seed, quick: dict(
+        n=20, delta=5.0, horizon=250.0 if quick else 700.0, seed=seed
+    ),
+    grid=lambda p, quick: _variants(
+        "a4", p, "policy", ("none", "all"), horizon=p["horizon"]
+    ),
+    judge=_judge_a4,
+)
+
+
+def a5_cell(seed: int, n: int, delta: float, concurrent: bool, rounds: int) -> dict:
+    """A5 — ES writers one at a time, or two overlapping.
 
     Two active processes write different values at the same instant.
     Both embedded reads observe the same sequence number ``k``; both
@@ -423,88 +434,81 @@ def run_a5(
     specification itself presumes serialized writes), so divergence is
     measured directly on the replicas' state.
     """
-    if rounds is None:
-        rounds = 6 if quick else 20
-    result = ExperimentResult(
-        experiment_id="A5",
-        title="Ablation — two concurrent writers on the ES protocol",
-        paper_claim=(
-            "the ES protocol permits any writer only under the assumption "
-            "that writes never overlap; the paper defers the quorum "
-            "machinery that would enforce it"
-        ),
-        params={"n": n, "delta": delta, "rounds": rounds, "seed": seed},
+    config = SystemConfig(n=n, delta=delta, protocol="es", seed=seed, trace=False)
+    system = DynamicSystem(config)
+    diverged_rounds = 0
+    sn_collisions = 0
+    t = 10.0
+    for k in range(rounds):
+        writer_a = system.seed_pids[0]
+        writer_b = system.seed_pids[1]
+        system.run_until(t)
+        system.node(writer_a).write(f"r{k}-a")
+        if concurrent:
+            system.node(writer_b).write(f"r{k}-b")
+        system.run_until(t + 10.0 * delta)  # let everything settle
+        values = {
+            system.node(pid).register_value
+            for pid in system.seed_pids
+            if system.membership.is_present(pid)
+        }
+        if len(values) > 1:
+            diverged_rounds += 1
+        if concurrent and (
+            system.node(writer_a).sequence_number
+            == system.node(writer_b).sequence_number
+            and system.node(writer_a).register_value
+            != system.node(writer_b).register_value
+        ):
+            sn_collisions += 1
+        t += 12.0 * delta
+    return dict(
+        writers="two, overlapping" if concurrent else "one at a time",
+        rounds=rounds,
+        diverged_rounds=diverged_rounds,
+        sn_collisions=sn_collisions,
     )
-    for concurrent in (False, True):
-        config = SystemConfig(
-            n=n,
-            delta=delta,
-            protocol="es",
-            seed=derive_seed(seed, f"a5:{concurrent}"),
-            trace=False,
-        )
-        system = DynamicSystem(config)
-        diverged_rounds = 0
-        sn_collisions = 0
-        t = 10.0
-        for k in range(rounds):
-            writer_a = system.seed_pids[0]
-            writer_b = system.seed_pids[1]
-            system.run_until(t)
-            first = system.node(writer_a).write(f"r{k}-a")
-            if concurrent:
-                second = system.node(writer_b).write(f"r{k}-b")
-            system.run_until(t + 10.0 * delta)  # let everything settle
-            values = {
-                system.node(pid).register_value
-                for pid in system.seed_pids
-                if system.membership.is_present(pid)
-            }
-            if len(values) > 1:
-                diverged_rounds += 1
-            if concurrent and (
-                system.node(writer_a).sequence_number
-                == system.node(writer_b).sequence_number
-                and system.node(writer_a).register_value
-                != system.node(writer_b).register_value
-            ):
-                sn_collisions += 1
-            t += 12.0 * delta
-        result.add_row(
-            writers="two, overlapping" if concurrent else "one at a time",
-            rounds=rounds,
-            diverged_rounds=diverged_rounds,
-            sn_collisions=sn_collisions,
-        )
-    serial_row, concurrent_row = result.rows
-    result.notes.append(
+
+
+def _judge_a5(p: dict[str, Any], quick: bool, rows: list[Any]) -> Judgement:
+    serial_row, concurrent_row = rows
+    notes = [
         "diverged_rounds counts settle-time snapshots where replicas "
         "disagree; sn_collisions counts rounds where both writers ended "
-        "with the same sequence number but different values"
-    )
-    result.notes.append(
+        "with the same sequence number but different values",
         "the fix the paper defers to future work: serialize writers with "
-        "a quorum (or rely on write-backs as in the atomic protocols)"
-    )
-    result.verdict = (
+        "a quorum (or rely on write-backs as in the atomic protocols)",
+    ]
+    verdict = (
         "REPRODUCED: serialized writes always converge; overlapping writes "
         "collide on sequence numbers and leave the replicas split"
         if serial_row["diverged_rounds"] == 0
         and concurrent_row["diverged_rounds"] > 0
         else "PARTIAL: see the divergence columns"
     )
-    return result
+    return rows, notes, verdict
 
 
-def run_a6(
-    seed: int = 0,
-    quick: bool = False,
-    n: int = 11,
-    delta: float = 4.0,
-    rounds: int | None = None,
-    workers: int | None = None,
-) -> ExperimentResult:
-    """A6 — why the ES quorum must be a majority.
+A5 = Experiment(
+    id="A5",
+    title="Ablation — two concurrent writers on the ES protocol",
+    claim=(
+        "the ES protocol permits any writer only under the assumption "
+        "that writes never overlap; the paper defers the quorum "
+        "machinery that would enforce it"
+    ),
+    params=lambda seed, quick: dict(
+        n=11, delta=4.0, rounds=6 if quick else 20, seed=seed
+    ),
+    grid=lambda p, quick: _variants(
+        "a5", p, "concurrent", (False, True), rounds=p["rounds"]
+    ),
+    judge=_judge_a5,
+)
+
+
+def a6_cell(seed: int, n: int, delta: float, quorum: int, rounds: int) -> dict:
+    """A6 — the ES protocol with one quorum size: why it must be a majority.
 
     The protocol waits for ``⌊n/2⌋ + 1`` answers everywhere.  A6 sweeps
     the quorum size: any two majorities intersect, so a read always
@@ -524,96 +528,89 @@ def run_a6(
     repairs everyone within δ, and max-sn adoption forgives a lot) —
     non-intersection is an adversary's weapon, like Figure 3's.
     """
-    if rounds is None:
-        rounds = 15 if quick else 60
-    majority = n // 2 + 1
-    result = ExperimentResult(
-        experiment_id="A6",
-        title="Ablation — ES quorum size vs safety",
-        paper_claim=(
-            f"every wait in Figures 4-6 needs ⌊n/2⌋+1 = {majority} answers; "
-            f"quorum intersection is the whole safety argument"
-        ),
-        params={"n": n, "delta": delta, "rounds": rounds, "seed": seed},
-    )
-    from ..net.delay import AdversarialDelay
-
-    quorums = (max(2, n // 3), n // 2, majority)
     cohort_a_size = n // 2  # the writer's cohort
     fast, slow = 0.1 * delta, 0.975 * delta
-    for quorum in quorums:
-        cohort_a: set[str] = set()
+    cohort_a: set[str] = set()
 
-        def two_cohorts(sender, dest, payload, send_time):
-            same_side = (sender in cohort_a) == (dest in cohort_a)
-            return fast if same_side else slow
+    def two_cohorts(sender, dest, payload, send_time):
+        same_side = (sender in cohort_a) == (dest in cohort_a)
+        return fast if same_side else slow
 
-        config = SystemConfig(
-            n=n,
-            delta=delta,
-            protocol="es",
-            seed=derive_seed(seed, f"a6:{quorum}"),
-            extra={"quorum_size": quorum},
-            delay=AdversarialDelay(two_cohorts, fallback=SynchronousDelay(delta)),
-            trace=False,
-        )
-        system = DynamicSystem(config)
-        cohort_a.update(system.seed_pids[:cohort_a_size])
-        cohort_b = [p for p in system.seed_pids if p not in cohort_a]
-        pick = system.rng.stream("a6.readers")
-        t = 10.0
-        write_latencies = []
-        for _ in range(rounds):
-            system.run_until(t)
-            write = system.write()  # the writer sits in cohort A
-            # Run to the write's completion, then read immediately from
-            # cohort B, while B's copies may still be stale.
-            while write.pending:
-                system.engine.step()
-            write_latencies.append(write.latency)
-            system.read(pick.choice(cohort_b))
-            t += 10.0 * delta
-        system.run_until(t + 10.0 * delta)
-        system.close()
-        safety = system.check_safety(check_joins=False)
-        result.add_row(
-            quorum=quorum,
-            intersecting=2 * quorum > n,
-            rounds=rounds,
-            write_latency=sum(write_latencies) / len(write_latencies),
-            reads=safety.checked_count,
-            violations=safety.violation_count,
-            violation_rate=safety.violation_rate,
-        )
-    sub_majority_rows = [r for r in result.rows if not r["intersecting"]]
-    majority_rows = [r for r in result.rows if r["intersecting"]]
-    result.notes.append(
+    config = SystemConfig(
+        n=n,
+        delta=delta,
+        protocol="es",
+        seed=seed,
+        extra={"quorum_size": quorum},
+        delay=AdversarialDelay(two_cohorts, fallback=SynchronousDelay(delta)),
+        trace=False,
+    )
+    system = DynamicSystem(config)
+    cohort_a.update(system.seed_pids[:cohort_a_size])
+    cohort_b = [p for p in system.seed_pids if p not in cohort_a]
+    pick = system.rng.stream("a6.readers")
+    t = 10.0
+    write_latencies = []
+    for _ in range(rounds):
+        system.run_until(t)
+        write = system.write()  # the writer sits in cohort A
+        # Run to the write's completion, then read immediately from
+        # cohort B, while B's copies may still be stale.
+        while write.pending:
+            system.engine.step()
+        write_latencies.append(write.latency)
+        system.read(pick.choice(cohort_b))
+        t += 10.0 * delta
+    system.run_until(t + 10.0 * delta)
+    system.close()
+    safety = system.check_safety(check_joins=False)
+    return dict(
+        quorum=quorum,
+        intersecting=2 * quorum > n,
+        rounds=rounds,
+        write_latency=sum(write_latencies) / len(write_latencies),
+        reads=safety.checked_count,
+        violations=safety.violation_count,
+        violation_rate=safety.violation_rate,
+    )
+
+
+def _judge_a6(p: dict[str, Any], quick: bool, rows: list[Any]) -> Judgement:
+    notes = [
         "two-cohort network: intra-cohort delay 0.1δ, cross-cohort 0.975δ "
         "(all legal); each read is issued the instant the write returns, "
-        "from the cohort opposite the writer"
-    )
-    result.notes.append(
+        "from the cohort opposite the writer",
         "smaller quorums also finish writes faster (write_latency), which "
-        "is precisely what widens the stale window"
-    )
-    result.verdict = (
+        "is precisely what widens the stale window",
+    ]
+    verdict = (
         "REPRODUCED: sub-majority quorums produce stale reads after "
         "completed writes; the majority quorum never does"
         if (
-            any(r["violations"] > 0 for r in sub_majority_rows)
-            and all(r["violations"] == 0 for r in majority_rows)
+            any(r["violations"] > 0 for r in rows if not r["intersecting"])
+            and all(r["violations"] == 0 for r in rows if r["intersecting"])
         )
         else "PARTIAL: see the violations column per quorum size"
     )
-    return result
+    return rows, notes, verdict
 
 
-#: Registry of ablations, mirroring ``EXPERIMENTS``.
-ABLATIONS = {
-    "A1": run_a1,
-    "A2": run_a2,
-    "A3": run_a3,
-    "A4": run_a4,
-    "A5": run_a5,
-    "A6": run_a6,
-}
+#: A6's population: quorums of n // 3, n // 2 and the majority are swept.
+A6_N = 11
+
+A6 = Experiment(
+    id="A6",
+    title="Ablation — ES quorum size vs safety",
+    claim=(
+        f"every wait in Figures 4-6 needs ⌊n/2⌋+1 = {A6_N // 2 + 1} answers; "
+        f"quorum intersection is the whole safety argument"
+    ),
+    params=lambda seed, quick: dict(
+        n=A6_N, delta=4.0, rounds=15 if quick else 60, seed=seed
+    ),
+    grid=lambda p, quick: _variants(
+        "a6", p, "quorum", (max(2, A6_N // 3), A6_N // 2, A6_N // 2 + 1),
+        rounds=p["rounds"],
+    ),
+    judge=_judge_a6,
+)

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 from typing import Any
 
-from ..exec.runner import run_specs
 from ..exec.spec import RunSpec
 from ..workloads.scenarios import new_old_inversion
-from .harness import ExperimentResult
+from .harness import Experiment, Judgement
 
 
 def cell(seed: int) -> dict[str, Any]:
@@ -43,36 +42,32 @@ def cell(seed: int) -> dict[str, Any]:
     }
 
 
-def run(seed: int = 0, quick: bool = False, workers: int | None = None) -> ExperimentResult:
-    """Replay the inversion scenario and tabulate the two reads.
-
-    ``quick`` is accepted for harness uniformity; the scenario is a
-    single scripted run either way (so ``workers`` has nothing to
-    parallelize — the grid is one cell).
-    """
-    (outcome,) = run_specs(
-        [RunSpec(kind="e01", params={"seed": seed}, label="e01")],
-        workers=workers,
-    )
-    result = ExperimentResult(
-        experiment_id="E1",
-        title="New/old inversion (introduction figure)",
-        paper_claim=(
-            "A regular register admits runs where an earlier read returns a "
-            "newer value than a later read; an atomic register does not."
-        ),
-        params={"seed": seed, "protocol": "sync", "n": 4},
-    )
-    for row in outcome["rows"]:
-        result.add_row(**row)
-    result.notes.append(
+def _judge(p: dict[str, Any], quick: bool, outcomes: list[Any]) -> Judgement:
+    (outcome,) = outcomes
+    notes = [
         "both reads overlap the write's interval [20, 25]; the earlier read "
-        "returned 'v1' (new), the later 'v0' (old)"
-    )
-    result.notes.extend(outcome["narrative"])
-    result.verdict = (
+        "returned 'v1' (new), the later 'v0' (old)",
+        *outcome["narrative"],
+    ]
+    verdict = (
         "REPRODUCED: run is regular yet exhibits a new/old inversion"
         if (outcome["inversion_found"] and outcome["regular"])
         else "NOT REPRODUCED: expected a regular-but-not-atomic run"
     )
-    return result
+    return outcome["rows"], notes, verdict
+
+
+#: A single scripted run either way: ``quick`` changes nothing.
+EXPERIMENT = Experiment(
+    id="E1",
+    title="New/old inversion (introduction figure)",
+    claim=(
+        "A regular register admits runs where an earlier read returns a "
+        "newer value than a later read; an atomic register does not."
+    ),
+    params=lambda seed, quick: {"seed": seed, "protocol": "sync", "n": 4},
+    grid=lambda p, quick: [
+        RunSpec(kind=f"{__name__}:cell", params={"seed": p["seed"]}, label="e01")
+    ],
+    judge=_judge,
+)

@@ -10,31 +10,31 @@ from __future__ import annotations
 
 from typing import Any
 
-from ..exec.runner import run_specs
 from ..exec.spec import RunSpec
 from ..workloads.scenarios import figure_3a
-from .harness import ExperimentResult
+from .harness import Experiment, Judgement
+
+
+def scenario_rows(scenario: Any) -> list[dict[str, Any]]:
+    """One row per operation of a replayed Figure 3 schedule (E2, E3)."""
+    return [
+        {
+            "operation": label,
+            "process": handle.process_id,
+            "invoked": handle.invoke_time,
+            "responded": handle.response_time,
+            "outcome": repr(handle.result.value if label == "join" else handle.result),
+        }
+        for label, handle in scenario.handles.items()
+    ]
 
 
 def cell(seed: int) -> dict[str, Any]:
     """Replay the Figure 3(a) schedule; summarize it as data."""
     scenario = figure_3a(seed=seed)
-    rows = []
-    for label, handle in scenario.handles.items():
-        rows.append(
-            {
-                "operation": label,
-                "process": handle.process_id,
-                "invoked": handle.invoke_time,
-                "responded": handle.response_time,
-                "outcome": repr(
-                    handle.result.value if label == "join" else handle.result
-                ),
-            }
-        )
     stale_read = scenario.handles["read"]
     return {
-        "rows": rows,
+        "rows": scenario_rows(scenario),
         "narrative": list(scenario.narrative),
         "violations": [j.explanation for j in scenario.safety.violations],
         "safe": scenario.safety.is_safe,
@@ -43,34 +43,36 @@ def cell(seed: int) -> dict[str, Any]:
     }
 
 
-def run(seed: int = 0, quick: bool = False, workers: int | None = None) -> ExperimentResult:
-    """Replay the Figure 3(a) schedule against the naive protocol."""
-    (outcome,) = run_specs(
-        [RunSpec(kind="e02", params={"seed": seed}, label="e02")],
-        workers=workers,
-    )
-    result = ExperimentResult(
-        experiment_id="E2",
-        title="Figure 3(a) — join without wait(δ)",
-        paper_claim=(
-            "Without the wait at join line 02, the joiner can install the "
-            "previous value of the register and serve it to later reads."
-        ),
-        params={"seed": seed, "protocol": "naive", "n": 3},
-    )
-    for row in outcome["rows"]:
-        result.add_row(**row)
-    result.notes.extend(outcome["narrative"])
-    for explanation in outcome["violations"]:
-        result.notes.append(f"violation: {explanation}")
+def _judge(p: dict[str, Any], quick: bool, outcomes: list[Any]) -> Judgement:
+    (outcome,) = outcomes
+    notes = [
+        *outcome["narrative"],
+        *(f"violation: {explanation}" for explanation in outcome["violations"]),
+    ]
     reproduced = (
         not outcome["safe"]
         and outcome["read_done"]
         and outcome["read_result"] == "v0"
     )
-    result.verdict = (
+    verdict = (
         "REPRODUCED: the post-write read returned the stale 'v0'"
         if reproduced
         else "NOT REPRODUCED: expected a stale read under the naive protocol"
     )
-    return result
+    return outcome["rows"], notes, verdict
+
+
+#: The naive protocol on the figure's scripted schedule: one cell.
+EXPERIMENT = Experiment(
+    id="E2",
+    title="Figure 3(a) — join without wait(δ)",
+    claim=(
+        "Without the wait at join line 02, the joiner can install the "
+        "previous value of the register and serve it to later reads."
+    ),
+    params=lambda seed, quick: {"seed": seed, "protocol": "naive", "n": 3},
+    grid=lambda p, quick: [
+        RunSpec(kind=f"{__name__}:cell", params={"seed": p["seed"]}, label="e02")
+    ],
+    judge=_judge,
+)

@@ -10,31 +10,18 @@ from __future__ import annotations
 
 from typing import Any
 
-from ..exec.runner import run_specs
 from ..exec.spec import RunSpec
 from ..workloads.scenarios import figure_3b
-from .harness import ExperimentResult
+from .e02_figure3a import scenario_rows
+from .harness import Experiment, Judgement
 
 
 def cell(seed: int) -> dict[str, Any]:
     """Replay the Figure 3(b) schedule; summarize it as data."""
     scenario = figure_3b(seed=seed)
-    rows = []
-    for label, handle in scenario.handles.items():
-        rows.append(
-            {
-                "operation": label,
-                "process": handle.process_id,
-                "invoked": handle.invoke_time,
-                "responded": handle.response_time,
-                "outcome": repr(
-                    handle.result.value if label == "join" else handle.result
-                ),
-            }
-        )
     fresh_read = scenario.handles["read"]
     return {
-        "rows": rows,
+        "rows": scenario_rows(scenario),
         "narrative": list(scenario.narrative),
         "safe": scenario.safety.is_safe,
         "live": scenario.liveness.is_live,
@@ -43,33 +30,33 @@ def cell(seed: int) -> dict[str, Any]:
     }
 
 
-def run(seed: int = 0, quick: bool = False, workers: int | None = None) -> ExperimentResult:
-    """Replay the Figure 3 schedule against the full synchronous protocol."""
-    (outcome,) = run_specs(
-        [RunSpec(kind="e03", params={"seed": seed}, label="e03")],
-        workers=workers,
-    )
-    result = ExperimentResult(
-        experiment_id="E3",
-        title="Figure 3(b) — join with wait(δ)",
-        paper_claim=(
-            "With the wait, the same schedule yields a join that adopts the "
-            "last written value; subsequent reads are safe."
-        ),
-        params={"seed": seed, "protocol": "sync", "n": 3},
-    )
-    for row in outcome["rows"]:
-        result.add_row(**row)
-    result.notes.extend(outcome["narrative"])
+def _judge(p: dict[str, Any], quick: bool, outcomes: list[Any]) -> Judgement:
+    (outcome,) = outcomes
     reproduced = (
         outcome["safe"]
         and outcome["read_done"]
         and outcome["read_result"] == "v1"
         and outcome["live"]
     )
-    result.verdict = (
+    verdict = (
         "REPRODUCED: the join adopted 'v1' and the read returned it; run safe"
         if reproduced
         else "NOT REPRODUCED: expected a safe run under the full protocol"
     )
-    return result
+    return outcome["rows"], list(outcome["narrative"]), verdict
+
+
+#: The full synchronous protocol on the same schedule: one cell.
+EXPERIMENT = Experiment(
+    id="E3",
+    title="Figure 3(b) — join with wait(δ)",
+    claim=(
+        "With the wait, the same schedule yields a join that adopts the "
+        "last written value; subsequent reads are safe."
+    ),
+    params=lambda seed, quick: {"seed": seed, "protocol": "sync", "n": 3},
+    grid=lambda p, quick: [
+        RunSpec(kind=f"{__name__}:cell", params={"seed": p["seed"]}, label="e03")
+    ],
+    judge=_judge,
+)

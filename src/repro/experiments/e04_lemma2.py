@@ -23,14 +23,18 @@ from __future__ import annotations
 from typing import Any
 
 from ..churn.model import lemma2_window_lower_bound, synchronous_churn_bound
-from ..exec.runner import run_specs
 from ..exec.spec import RunSpec
 from ..runtime.config import SystemConfig
 from ..runtime.system import DynamicSystem
-from .harness import ExperimentResult
+from .harness import Experiment, Judgement
 
-#: Fractions of the analytic cap 1/(3δ) swept by default.
-DEFAULT_CAP_FRACTIONS = (0.0, 0.25, 0.5, 0.75, 0.9, 1.0)
+N = 60
+DELTA = 5.0
+#: Worst-case victims: the longest-present members leave first.
+VICTIM_POLICY = "oldest_first"
+CAP = synchronous_churn_bound(DELTA)
+#: Fractions of the analytic cap 1/(3δ) swept.
+CAP_FRACTIONS = (0.0, 0.25, 0.5, 0.75, 0.9, 1.0)
 
 
 def cell(
@@ -56,65 +60,49 @@ def cell(
     }
 
 
-def run(
-    seed: int = 0,
-    quick: bool = False,
-    n: int = 60,
-    delta: float = 5.0,
-    cap_fractions: tuple[float, ...] = DEFAULT_CAP_FRACTIONS,
-    victim_policy: str = "oldest_first",
-    workers: int | None = None,
-) -> ExperimentResult:
-    """Sweep the churn rate and measure window survivor counts."""
-    horizon = 60.0 if quick else 240.0
-    cap = synchronous_churn_bound(delta)
-    result = ExperimentResult(
-        experiment_id="E4",
-        title="Lemma 2 — survivors of a 3δ window under constant churn",
-        paper_claim=f"|A(τ, τ+3δ)| ≥ n(1 − 3δc) > 0 for c < 1/(3δ) = {cap:.4f}",
-        params={
-            "n": n,
-            "delta": delta,
-            "horizon": horizon,
-            "victim_policy": victim_policy,
-            "seed": seed,
-        },
-    )
-    specs = [
-        RunSpec.seeded(
-            "e04",
-            seed,
-            f"e04:{fraction}",
-            n=n,
-            delta=delta,
-            c=fraction * cap,
-            horizon=horizon,
-            victim_policy=victim_policy,
-        )
-        for fraction in cap_fractions
+def _grid(p: dict[str, Any], quick: bool) -> list[RunSpec]:
+    fixed = dict(n=N, delta=DELTA, horizon=p["horizon"], victim_policy=VICTIM_POLICY)
+    return [
+        RunSpec.seeded(f"{__name__}:cell", p["seed"], f"e04:{f}", c=f * CAP, **fixed)
+        for f in CAP_FRACTIONS
     ]
-    cells = run_specs(specs, workers=workers)
-    all_hold = True
-    for fraction, measured in zip(cap_fractions, cells):
-        c = fraction * cap
-        bound = lemma2_window_lower_bound(n, c, delta)
-        holds = measured["first_window"] >= bound - 1e-9
-        all_hold = all_hold and holds
-        result.add_row(
-            c=c,
-            c_over_cap=fraction,
-            bound=bound,
-            first_window=measured["first_window"],
-            min_window=measured["min_window"],
-            bound_holds=holds,
+
+
+def _judge(p: dict[str, Any], quick: bool, outcomes: list[Any]) -> Judgement:
+    rows = []
+    for fraction, measured in zip(CAP_FRACTIONS, outcomes):
+        c = fraction * CAP
+        bound = lemma2_window_lower_bound(N, c, DELTA)
+        rows.append(
+            dict(
+                c=c,
+                c_over_cap=fraction,
+                bound=bound,
+                first_window=measured["first_window"],
+                min_window=measured["min_window"],
+                bound_holds=measured["first_window"] >= bound - 1e-9,
+            )
         )
-    result.notes.append(
+    notes = [
         "first_window is |A(0, 3δ)| from the quiescent start (the lemma's "
         "setting); min_window is the steady-state minimum over all windows"
-    )
-    result.verdict = (
+    ]
+    verdict = (
         "REPRODUCED: the quiescent-start bound holds at every swept churn rate"
-        if all_hold
+        if all(row["bound_holds"] for row in rows)
         else "NOT REPRODUCED: the quiescent-start bound failed somewhere"
     )
-    return result
+    return rows, notes, verdict
+
+
+EXPERIMENT = Experiment(
+    id="E4",
+    title="Lemma 2 — survivors of a 3δ window under constant churn",
+    claim=f"|A(τ, τ+3δ)| ≥ n(1 − 3δc) > 0 for c < 1/(3δ) = {CAP:.4f}",
+    params=lambda seed, quick: dict(
+        n=N, delta=DELTA, horizon=60.0 if quick else 240.0,
+        victim_policy=VICTIM_POLICY, seed=seed,
+    ),
+    grid=_grid,
+    judge=_judge,
+)

@@ -22,16 +22,18 @@ from __future__ import annotations
 from typing import Any
 
 from ..churn.model import synchronous_churn_bound
-from ..exec.runner import grouped, run_specs
+from ..exec.runner import grouped
 from ..exec.spec import RunSpec
 from ..runtime.config import SystemConfig
 from ..runtime.system import DynamicSystem
-from ..workloads.generators import read_heavy_plan
-from ..workloads.schedule import WorkloadDriver
-from .harness import ExperimentResult
+from .harness import Experiment, Judgement, drive_read_heavy, totals
 
-#: Multiples of the analytic cap swept by default.
-DEFAULT_CAP_FRACTIONS = (0.0, 0.3, 0.6, 0.9, 1.5, 3.0, 6.0)
+N = 30
+DELTA = 4.0
+VICTIM_POLICY = "uniform"
+CAP = synchronous_churn_bound(DELTA)
+#: Multiples of the analytic cap swept.
+CAP_FRACTIONS = (0.0, 0.3, 0.6, 0.9, 1.5, 3.0, 6.0)
 
 
 def cell(
@@ -47,17 +49,9 @@ def cell(
     system = DynamicSystem(config)
     if c > 0:
         system.attach_churn(rate=c, victim_policy=victim_policy)
-    driver = WorkloadDriver(system)
-    plan = read_heavy_plan(
-        start=5.0,
-        end=horizon - 4.0 * delta,
-        write_period=6.0 * delta,
-        read_rate=0.8,
-        rng=system.rng.stream("e05.plan"),
+    drive_read_heavy(
+        system, horizon, horizon - 4.0 * delta, 6.0 * delta, 0.8, "e05.plan"
     )
-    driver.install(plan)
-    system.run_until(horizon)
-    system.close()
     safety = system.check_safety(check_joins=False)
     liveness = system.check_liveness()
     joins_started = 0
@@ -82,88 +76,54 @@ def cell(
     }
 
 
-def run(
-    seed: int = 0,
-    quick: bool = False,
-    n: int = 30,
-    delta: float = 4.0,
-    cap_fractions: tuple[float, ...] = DEFAULT_CAP_FRACTIONS,
-    repetitions: int | None = None,
-    victim_policy: str = "uniform",
-    workers: int | None = None,
-) -> ExperimentResult:
-    """Sweep churn through and beyond the ``1/(3δ)`` cap."""
-    if repetitions is None:
-        repetitions = 2 if quick else 5
-    horizon = 120.0 if quick else 400.0
-    cap = synchronous_churn_bound(delta)
-    result = ExperimentResult(
-        experiment_id="E5",
-        title="Theorem 1 — synchronous protocol vs churn rate",
-        paper_claim=(
-            f"every run is regular and operations terminate while "
-            f"c < 1/(3δ) = {cap:.4f}; beyond the cap the guarantee lapses"
-        ),
-        params={
-            "n": n,
-            "delta": delta,
-            "horizon": horizon,
-            "repetitions": repetitions,
-            "victim_policy": victim_policy,
-            "seed": seed,
-        },
-    )
-    specs = [
+def _grid(p: dict[str, Any], quick: bool) -> list[RunSpec]:
+    fixed = dict(n=N, delta=DELTA, horizon=p["horizon"], victim_policy=VICTIM_POLICY)
+    return [
         RunSpec.seeded(
-            "e05",
-            seed,
-            f"e05:{fraction}:{rep}",
-            n=n,
-            delta=delta,
-            c=fraction * cap,
-            horizon=horizon,
-            victim_policy=victim_policy,
+            f"{__name__}:cell", p["seed"], f"e05:{f}:{rep}", c=f * CAP, **fixed
         )
-        for fraction in cap_fractions
-        for rep in range(repetitions)
+        for f in CAP_FRACTIONS
+        for rep in range(p["repetitions"])
     ]
-    cells = run_specs(specs, workers=workers)
+
+
+def _judge(p: dict[str, Any], quick: bool, outcomes: list[Any]) -> Judgement:
+    rows = []
     safe_below_cap = True
-    for fraction, group in zip(cap_fractions, grouped(cells, repetitions)):
-        c = fraction * cap
-        reads_checked = sum(g["reads_checked"] for g in group)
-        read_violations = sum(g["read_violations"] for g in group)
-        stuck_ops = sum(g["stuck_ops"] for g in group)
+    for fraction, group in zip(CAP_FRACTIONS, grouped(outcomes, p["repetitions"])):
+        total = totals(group)
         join_latencies = [lat for g in group for lat in g["join_latencies"]]
-        violation_rate = read_violations / reads_checked if reads_checked else 0.0
-        if fraction < 1.0 and (read_violations or stuck_ops):
+        reads_checked = total["reads_checked"]
+        if fraction < 1.0 and (total["read_violations"] or total["stuck_ops"]):
             safe_below_cap = False
-        result.add_row(
-            c_over_cap=fraction,
-            c=c,
-            reads=reads_checked,
-            violation_rate=violation_rate,
-            joins=sum(g["joins_started"] for g in group),
-            join_done=sum(g["joins_completed"] for g in group),
-            bottom_joins=sum(g["bottom_joins"] for g in group),
-            join_lat_max=(max(join_latencies) if join_latencies else 0.0),
-            stuck=stuck_ops,
+        rows.append(
+            dict(
+                c_over_cap=fraction,
+                c=fraction * CAP,
+                reads=reads_checked,
+                violation_rate=(
+                    total["read_violations"] / reads_checked if reads_checked else 0.0
+                ),
+                joins=total["joins_started"],
+                join_done=total["joins_completed"],
+                bottom_joins=total["bottom_joins"],
+                join_lat_max=(max(join_latencies) if join_latencies else 0.0),
+                stuck=total["stuck_ops"],
+            )
         )
-    result.notes.append(
+    notes = [
         "bottom_joins counts joins that ended holding ⊥ (no reply arrived) — "
-        "the failure mode the 3δ-window bound exists to prevent"
-    )
-    result.notes.append(
+        "the failure mode the 3δ-window bound exists to prevent",
         "join_lat_max must stay ≤ 3δ (Lemma 1); reads are local and always "
-        "complete instantly"
-    )
-    below = [row for row in result.rows if row["c_over_cap"] < 1.0]
-    above = [row for row in result.rows if row["c_over_cap"] > 1.0]
+        "complete instantly",
+    ]
+    below = [row for row in rows if row["c_over_cap"] < 1.0]
+    above = [row for row in rows if row["c_over_cap"] > 1.0]
     degradation_seen = any(
         row["violation_rate"] > 0 or row["bottom_joins"] > 0 or row["stuck"] > 0
         for row in above
     )
-    result.verdict = (
+    verdict = (
         "REPRODUCED: flawless below the cap"
         + (", degradation appears beyond it" if degradation_seen else
            "; beyond the cap uniform churn stayed benign in these runs "
@@ -171,4 +131,20 @@ def run(
         if safe_below_cap and below
         else "NOT REPRODUCED: violations occurred below the churn cap"
     )
-    return result
+    return rows, notes, verdict
+
+
+EXPERIMENT = Experiment(
+    id="E5",
+    title="Theorem 1 — synchronous protocol vs churn rate",
+    claim=(
+        f"every run is regular and operations terminate while "
+        f"c < 1/(3δ) = {CAP:.4f}; beyond the cap the guarantee lapses"
+    ),
+    params=lambda seed, quick: dict(
+        n=N, delta=DELTA, horizon=120.0 if quick else 400.0,
+        repetitions=2 if quick else 5, victim_policy=VICTIM_POLICY, seed=seed,
+    ),
+    grid=_grid,
+    judge=_judge,
+)

@@ -27,28 +27,26 @@ from __future__ import annotations
 
 from typing import Any
 
-from ..exec.runner import run_specs
 from ..exec.spec import RunSpec
 from ..net.delay import AdversarialDelay, AsynchronousDelay
 from ..protocols.es_reg import EsReply
 from ..runtime.config import SystemConfig
 from ..runtime.system import DynamicSystem
 from ..sim.clock import Time
-from ..workloads.generators import read_heavy_plan
-from ..workloads.schedule import WorkloadDriver
-from .harness import ExperimentResult
+from .harness import Experiment, Judgement, drive_read_heavy
 
+N = 20
+DELTA = 4.0
 #: Mean point-to-point delay, as a multiple of the δ the protocol believes.
-DEFAULT_INFLATIONS = (0.5, 1.0, 2.0, 4.0)
-
+INFLATIONS = (0.5, 1.0, 2.0, 4.0)
 #: Horizons at which Horn B checks the victim is still blocked.
-DEFAULT_PATIENCES = (50.0, 200.0, 800.0)
+PATIENCES = (50.0, 200.0, 800.0)
 
 
 def horn_a_cell(
     seed: int, n: int, delta: float, inflation: float, horizon: float
 ) -> dict[str, Any]:
-    """Sync protocol under one asynchronous-delay inflation."""
+    """Sync protocol under one asynchronous-delay inflation: its row."""
     config = SystemConfig(
         n=n,
         delta=delta,
@@ -59,28 +57,25 @@ def horn_a_cell(
     )
     system = DynamicSystem(config)
     system.attach_churn(rate=0.02)
-    driver = WorkloadDriver(system)
-    plan = read_heavy_plan(
-        start=5.0,
-        end=horizon - 3.0 * delta,
-        write_period=5.0 * delta,
-        read_rate=0.6,
-        rng=system.rng.stream("e06.plan"),
+    drive_read_heavy(
+        system, horizon, horizon - 3.0 * delta, 5.0 * delta, 0.6, "e06.plan"
     )
-    driver.install(plan)
-    system.run_until(horizon)
-    system.close()
     safety = system.check_safety(check_joins=False)
-    return {
-        "reads": safety.checked_count,
-        "violation_rate": safety.violation_rate,
-    }
+    return dict(
+        horn="A",
+        inflation=inflation,
+        patience="",
+        reads=safety.checked_count,
+        violation_rate=safety.violation_rate,
+        victim_blocked="",
+    )
 
 
 def horn_b_cell(
     seed: int, n: int, delta: float, patiences: tuple[float, ...]
 ) -> list[dict[str, Any]]:
-    """ES protocol with an adversary starving one joiner of replies.
+    """ES protocol with an adversary starving one joiner of replies: one
+    row per probed patience.
 
     One sequential run probed at increasing horizons: the adversarial
     delay closes over the victim pid chosen mid-run, so this horn is a
@@ -96,7 +91,6 @@ def horn_b_cell(
             return 1_000_000.0  # finite (channels stay reliable) but unbounded
         return None  # fall through to the fast fallback
 
-    horizon_cap = max(patiences)
     config = SystemConfig(
         n=n,
         delta=delta,
@@ -122,89 +116,72 @@ def horn_b_cell(
     controller.protect(victim_box["pid"])
     probes = []
     for patience in sorted(patiences):
-        if patience > horizon_cap:
-            continue
         system.run_until(patience)
         probes.append(
-            {"patience": patience, "victim_blocked": victim_join.pending}
+            dict(
+                horn="B",
+                inflation=0.0,
+                patience=patience,
+                reads=0,
+                violation_rate=0.0,
+                victim_blocked=victim_join.pending,
+            )
         )
     system.close()
     return probes
 
 
-def run(
-    seed: int = 0,
-    quick: bool = False,
-    n: int = 20,
-    delta: float = 4.0,
-    inflations: tuple[float, ...] = DEFAULT_INFLATIONS,
-    patiences: tuple[float, ...] = DEFAULT_PATIENCES,
-    workers: int | None = None,
-) -> ExperimentResult:
-    """Run both horns (one grid) and tabulate them."""
-    result = ExperimentResult(
-        experiment_id="E6",
-        title="Theorem 2 — impossibility under full asynchrony",
-        paper_claim=(
-            "with no bound on message delays, a run always exists in which "
-            "the value obtained is older than the last completed write (or "
-            "the operation never returns)"
+def _grid(p: dict[str, Any], quick: bool) -> list[RunSpec]:
+    horizon = 150.0 if quick else 400.0
+    return [
+        *(
+            RunSpec.seeded(
+                f"{__name__}:horn_a_cell", p["seed"], f"e06a:{inflation}",
+                n=N, delta=DELTA, inflation=inflation, horizon=horizon,
+            )
+            for inflation in INFLATIONS
         ),
-        params={"n": n, "delta": delta, "seed": seed},
-    )
-    horizon_a = 150.0 if quick else 400.0
-    specs = [
         RunSpec.seeded(
-            "e06a",
-            seed,
-            f"e06a:{inflation}",
-            n=n,
-            delta=delta,
-            inflation=inflation,
-            horizon=horizon_a,
-        )
-        for inflation in inflations
+            f"{__name__}:horn_b_cell", p["seed"], "e06b",
+            n=N, delta=DELTA, patiences=PATIENCES,
+        ),
     ]
-    specs.append(
-        RunSpec.seeded("e06b", seed, "e06b", n=n, delta=delta, patiences=patiences)
-    )
-    cells = run_specs(specs, workers=workers)
-    for inflation, measured in zip(inflations, cells[:-1]):
-        result.add_row(
-            horn="A",
-            inflation=inflation,
-            patience="",
-            reads=measured["reads"],
-            violation_rate=measured["violation_rate"],
-            victim_blocked="",
-        )
-    result.notes.append(
+
+
+def _judge(p: dict[str, Any], quick: bool, outcomes: list[Any]) -> Judgement:
+    *horn_a, horn_b = outcomes
+    rows = [*horn_a, *horn_b]
+    notes = [
         "Horn A: the synchronous protocol believes δ="
-        f"{delta}; actual delays are exponential with the stated inflation — "
-        "write/join waits expire before dissemination finishes"
-    )
-    for probe in cells[-1]:
-        result.add_row(
-            horn="B",
-            inflation=0.0,
-            patience=probe["patience"],
-            reads=0,
-            violation_rate=0.0,
-            victim_blocked=probe["victim_blocked"],
-        )
-    result.notes.append(
+        f"{DELTA}; actual delays are exponential with the stated inflation — "
+        "write/join waits expire before dissemination finishes",
         "Horn B: every REPLY addressed to the victim joiner is delayed to "
         "t=1e6; the victim's join is still pending at every probed horizon "
-        "while the rest of the system keeps running"
+        "while the rest of the system keeps running",
+    ]
+    a_breaks = any(
+        r["violation_rate"] > 0 for r in rows if r["horn"] == "A" and r["inflation"] > 1
     )
-    horn_a_rows = [r for r in result.rows if r["horn"] == "A"]
-    horn_b_rows = [r for r in result.rows if r["horn"] == "B"]
-    a_breaks = any(r["violation_rate"] > 0 for r in horn_a_rows if r["inflation"] > 1)
-    b_blocks = all(r["victim_blocked"] for r in horn_b_rows)
-    result.verdict = (
+    b_blocks = all(r["victim_blocked"] for r in rows if r["horn"] == "B")
+    verdict = (
         "REPRODUCED: the timer protocol turns unsafe and the quorum protocol "
         "can be blocked past every horizon"
         if (a_breaks and b_blocks)
         else "NOT REPRODUCED: one of the horns failed to materialize"
     )
-    return result
+    return rows, notes, verdict
+
+
+#: Both horns in one grid: one cell per inflation, then Horn B's run.
+EXPERIMENT = Experiment(
+    id="E6",
+    title="Theorem 2 — impossibility under full asynchrony",
+    claim=(
+        "with no bound on message delays, a run always exists in which "
+        "the value obtained is older than the last completed write (or "
+        "the operation never returns)"
+    ),
+    params=lambda seed, quick: {"n": N, "delta": DELTA, "seed": seed},
+    grid=_grid,
+    judge=_judge,
+)

@@ -18,14 +18,17 @@ from __future__ import annotations
 from typing import Any
 
 from ..analysis.stats import summarize
-from ..exec.runner import run_specs
 from ..exec.spec import RunSpec
 from ..net.delay import EventuallySynchronousDelay
 from ..runtime.config import SystemConfig
 from ..runtime.system import DynamicSystem
 from ..workloads.generators import poisson_reads
 from ..workloads.schedule import WorkloadDriver, WriteOp
-from .harness import ExperimentResult
+from .harness import Experiment, Judgement
+
+N = 21
+DELTA = 4.0
+CHURN_RATE = 0.004
 
 
 def cell(
@@ -102,66 +105,46 @@ def cell(
     }
 
 
-def run(
-    seed: int = 0,
-    quick: bool = False,
-    n: int = 21,
-    delta: float = 4.0,
-    gst: float | None = None,
-    churn_rate: float = 0.004,
-    workers: int | None = None,
-) -> ExperimentResult:
-    """One ES run across GST (a single engine cell); bucketed statistics."""
-    gst = gst if gst is not None else (80.0 if quick else 200.0)
-    horizon = gst * 2.5
-    pre_gst_max = 15.0 * delta
-    (outcome,) = run_specs(
-        [
-            RunSpec.seeded(
-                "e07",
-                seed,
-                "e07",
-                n=n,
-                delta=delta,
-                gst=gst,
-                pre_gst_max=pre_gst_max,
-                churn_rate=churn_rate,
-                horizon=horizon,
-            )
-        ],
-        workers=workers,
+def _params(seed: int, quick: bool) -> dict[str, Any]:
+    gst = 80.0 if quick else 200.0
+    return dict(
+        n=N, delta=DELTA, gst=gst, pre_gst_max=15.0 * DELTA,
+        churn_rate=CHURN_RATE, horizon=gst * 2.5, seed=seed,
     )
-    result = ExperimentResult(
-        experiment_id="E7",
-        title="Theorem 3 — ES termination across GST",
-        paper_claim=(
-            "under majority-active and 3δ-stay assumptions, every operation "
-            "by a staying process terminates (messages are timely only "
-            "after the unknown GST)"
-        ),
-        params={
-            "n": n,
-            "delta": delta,
-            "gst": gst,
-            "pre_gst_max": pre_gst_max,
-            "churn_rate": churn_rate,
-            "horizon": horizon,
-            "seed": seed,
-        },
-    )
-    for row in outcome["rows"]:
-        result.add_row(**row)
-    result.notes.append(outcome["liveness_summary"])
-    result.notes.append(outcome["safety_summary"])
-    result.notes.append(
+
+
+def _judge(p: dict[str, Any], quick: bool, outcomes: list[Any]) -> Judgement:
+    (outcome,) = outcomes
+    notes = [
+        outcome["liveness_summary"],
+        outcome["safety_summary"],
         "pre-GST latencies reflect arbitrary delays (and unblocking via "
-        "later joiners); post-GST operations settle within a few δ"
-    )
-    reproduced = outcome["live"] and outcome["safe"]
-    result.verdict = (
+        "later joiners); post-GST operations settle within a few δ",
+    ]
+    verdict = (
         "REPRODUCED: all operations by staying processes terminated and the "
         "run is regular"
-        if reproduced
+        if outcome["live"] and outcome["safe"]
         else "NOT REPRODUCED: stuck operations or safety violations observed"
     )
-    return result
+    return outcome["rows"], notes, verdict
+
+
+#: One ES run across GST (a single engine cell); bucketed statistics.
+EXPERIMENT = Experiment(
+    id="E7",
+    title="Theorem 3 — ES termination across GST",
+    claim=(
+        "under majority-active and 3δ-stay assumptions, every operation "
+        "by a staying process terminates (messages are timely only "
+        "after the unknown GST)"
+    ),
+    params=_params,
+    grid=lambda p, quick: [
+        RunSpec.seeded(
+            f"{__name__}:cell", p["seed"], "e07",
+            **{k: v for k, v in p.items() if k != "seed"},
+        )
+    ],
+    judge=_judge,
+)

@@ -21,17 +21,18 @@ from __future__ import annotations
 from typing import Any
 
 from ..churn.model import eventually_synchronous_churn_bound
-from ..exec.runner import grouped, run_specs
+from ..exec.runner import grouped
 from ..exec.spec import RunSpec
 from ..net.delay import EventuallySynchronousDelay
 from ..runtime.config import SystemConfig
 from ..runtime.system import DynamicSystem
-from ..workloads.generators import read_heavy_plan
-from ..workloads.schedule import WorkloadDriver
-from .harness import ExperimentResult
+from .harness import Experiment, Judgement, drive_read_heavy, totals
 
+N = 21
+DELTA = 4.0
+BOUND = eventually_synchronous_churn_bound(DELTA, N)
 #: Churn rates swept, as multiples of the paper's ES bound 1/(3δn).
-DEFAULT_BOUND_MULTIPLES = (0.0, 1.0, 4.0, 16.0, 64.0, 128.0)
+BOUND_MULTIPLES = (0.0, 1.0, 4.0, 16.0, 64.0, 128.0)
 
 
 def cell(
@@ -56,17 +57,9 @@ def cell(
     system = DynamicSystem(config)
     if c > 0:
         system.attach_churn(rate=c, min_stay=3.0 * delta)
-    driver = WorkloadDriver(system)
-    plan = read_heavy_plan(
-        start=5.0,
-        end=horizon - 8.0 * delta,
-        write_period=10.0 * delta,
-        read_rate=0.3,
-        rng=system.rng.stream("e08.plan"),
+    drive_read_heavy(
+        system, horizon, horizon - 8.0 * delta, 10.0 * delta, 0.3, "e08.plan"
     )
-    driver.install(plan)
-    system.run_until(horizon)
-    system.close()
     safety = system.check_safety(check_joins=False)
     liveness = system.check_liveness(grace=10.0 * delta)
     return {
@@ -77,84 +70,61 @@ def cell(
     }
 
 
-def run(
-    seed: int = 0,
-    quick: bool = False,
-    n: int = 21,
-    delta: float = 4.0,
-    bound_multiples: tuple[float, ...] = DEFAULT_BOUND_MULTIPLES,
-    repetitions: int | None = None,
-    workers: int | None = None,
-) -> ExperimentResult:
-    """Sweep churn against the ES protocol."""
-    if repetitions is None:
-        repetitions = 1 if quick else 3
-    gst = 30.0
-    horizon = 150.0 if quick else 450.0
-    bound = eventually_synchronous_churn_bound(delta, n)
-    result = ExperimentResult(
-        experiment_id="E8",
-        title="Theorem 4 — ES safety vs churn / majority-active margin",
-        paper_claim=(
-            f"reads are regular while |A(τ)| > n/2 at all times and "
-            f"c ≤ 1/(3δn) = {bound:.5f}"
-        ),
-        params={
-            "n": n,
-            "delta": delta,
-            "gst": gst,
-            "horizon": horizon,
-            "repetitions": repetitions,
-            "seed": seed,
-        },
-    )
-    specs = [
+def _grid(p: dict[str, Any], quick: bool) -> list[RunSpec]:
+    fixed = dict(n=N, delta=DELTA, gst=p["gst"], horizon=p["horizon"])
+    return [
         RunSpec.seeded(
-            "e08",
-            seed,
-            f"e08:{multiple}:{rep}",
-            n=n,
-            delta=delta,
-            c=multiple * bound,
-            gst=gst,
-            horizon=horizon,
+            f"{__name__}:cell", p["seed"], f"e08:{m}:{rep}", c=m * BOUND, **fixed
         )
-        for multiple in bound_multiples
-        for rep in range(repetitions)
+        for m in BOUND_MULTIPLES
+        for rep in range(p["repetitions"])
     ]
-    cells = run_specs(specs, workers=workers)
-    majority = n // 2 + 1
+
+
+def _judge(p: dict[str, Any], quick: bool, outcomes: list[Any]) -> Judgement:
+    rows = []
     safe_within = True
-    for multiple, group in zip(bound_multiples, grouped(cells, repetitions)):
-        c = multiple * bound
-        reads_checked = sum(g["reads_checked"] for g in group)
-        violations = sum(g["violations"] for g in group)
-        stuck = sum(g["stuck"] for g in group)
-        min_active = min((g["min_active"] for g in group), default=n)
-        majority_held = all(g["min_active"] > n // 2 for g in group)
-        if multiple <= 1.0 and (violations or stuck):
+    for multiple, group in zip(BOUND_MULTIPLES, grouped(outcomes, p["repetitions"])):
+        total = totals(group)
+        if multiple <= 1.0 and (total["violations"] or total["stuck"]):
             safe_within = False
-        result.add_row(
-            c_over_bound=multiple,
-            c=c,
-            min_active=min_active,
-            majority_ok=majority_held,
-            reads=reads_checked,
-            violations=violations,
-            stuck=stuck,
+        rows.append(
+            dict(
+                c_over_bound=multiple,
+                c=multiple * BOUND,
+                min_active=min((g["min_active"] for g in group), default=N),
+                majority_ok=all(g["min_active"] > N // 2 for g in group),
+                reads=total["reads_checked"],
+                violations=total["violations"],
+                stuck=total["stuck"],
+            )
         )
-    result.notes.append(
-        f"majority threshold is |A(τ)| ≥ {majority} (n={n}); majority_ok "
-        f"records whether every probe stayed strictly above n/2"
-    )
-    result.notes.append(
+    notes = [
+        f"majority threshold is |A(τ)| ≥ {N // 2 + 1} (n={N}); majority_ok "
+        f"records whether every probe stayed strictly above n/2",
         "the honest failure mode of a majority protocol is stalling (stuck "
-        "> 0) once the active majority erodes; violations require serving ⊥"
-    )
-    result.verdict = (
+        "> 0) once the active majority erodes; violations require serving ⊥",
+    ]
+    verdict = (
         "REPRODUCED: safe and live within the assumption; degradation "
         "appears as the majority-active margin erodes"
         if safe_within
         else "NOT REPRODUCED: failures occurred within the assumption"
     )
-    return result
+    return rows, notes, verdict
+
+
+EXPERIMENT = Experiment(
+    id="E8",
+    title="Theorem 4 — ES safety vs churn / majority-active margin",
+    claim=(
+        f"reads are regular while |A(τ)| > n/2 at all times and "
+        f"c ≤ 1/(3δn) = {BOUND:.5f}"
+    ),
+    params=lambda seed, quick: dict(
+        n=N, delta=DELTA, gst=30.0, horizon=150.0 if quick else 450.0,
+        repetitions=1 if quick else 3, seed=seed,
+    ),
+    grid=_grid,
+    judge=_judge,
+)

@@ -15,14 +15,15 @@ from __future__ import annotations
 from typing import Any
 
 from ..analysis.stats import percentile, summarize
-from ..exec.runner import run_specs
 from ..exec.spec import RunSpec
 from ..net.delay import EventuallySynchronousDelay
 from ..runtime.config import SystemConfig
 from ..runtime.system import DynamicSystem
-from ..workloads.generators import read_heavy_plan
-from ..workloads.schedule import WorkloadDriver
-from .harness import ExperimentResult
+from .harness import Experiment, Judgement, drive_read_heavy
+
+N = 20
+DELTA = 4.0
+CHURN_RATE = 0.005
 
 
 def cell(
@@ -50,17 +51,9 @@ def cell(
     )
     system = DynamicSystem(config)
     system.attach_churn(rate=churn_rate, min_stay=3.0 * delta)
-    driver = WorkloadDriver(system)
-    plan = read_heavy_plan(
-        start=5.0,
-        end=horizon - 5.0 * delta,
-        write_period=6.0 * delta,
-        read_rate=0.5,
-        rng=system.rng.stream("e09.plan"),
+    drive_read_heavy(
+        system, horizon, horizon - 5.0 * delta, 6.0 * delta, 0.5, "e09.plan"
     )
-    driver.install(plan)
-    system.run_until(horizon)
-    system.close()
     rows = []
     for kind in ("read", "write", "join"):
         latencies = [
@@ -83,69 +76,45 @@ def cell(
     return rows
 
 
-def run(
-    seed: int = 0,
-    quick: bool = False,
-    n: int = 20,
-    delta: float = 4.0,
-    churn_rate: float = 0.005,
-    workers: int | None = None,
-) -> ExperimentResult:
-    """Measure per-operation latency for both protocols."""
-    horizon = 150.0 if quick else 500.0
-    result = ExperimentResult(
-        experiment_id="E9",
-        title="Fast reads — operation latency by protocol",
-        paper_claim=(
-            "sync: read = 0, write = δ, join ≤ 3δ; "
-            "es: every operation pays at least one quorum round trip"
-        ),
-        params={
-            "n": n,
-            "delta": delta,
-            "churn_rate": churn_rate,
-            "horizon": horizon,
-            "seed": seed,
-        },
-    )
-    protocols = ("sync", "es")
-    specs = [
-        RunSpec.seeded(
-            "e09",
-            seed,
-            f"e09:{protocol}",
-            n=n,
-            delta=delta,
-            protocol=protocol,
-            churn_rate=churn_rate,
-            horizon=horizon,
-        )
-        for protocol in protocols
-    ]
-    for rows in run_specs(specs, workers=workers):
-        for row in rows:
-            result.add_row(**row)
-    sync_read = next(
-        (r for r in result.rows if r["protocol"] == "sync" and r["op"] == "read"),
-        None,
-    )
-    es_read = next(
-        (r for r in result.rows if r["protocol"] == "es" and r["op"] == "read"),
-        None,
-    )
-    result.notes.append(
+def _judge(p: dict[str, Any], quick: bool, outcomes: list[Any]) -> Judgement:
+    rows = [row for protocol_rows in outcomes for row in protocol_rows]
+    read = {r["protocol"]: r for r in rows if r["op"] == "read"}
+    notes = [
         "in_delta_units = mean latency / δ; sync reads are local so the "
         "column is exactly 0 for them"
-    )
+    ]
     reproduced = (
-        sync_read is not None
-        and sync_read["max"] == 0.0
-        and es_read is not None
-        and es_read["mean"] > 0.0
+        "sync" in read
+        and read["sync"]["max"] == 0.0
+        and "es" in read
+        and read["es"]["mean"] > 0.0
     )
-    result.verdict = (
+    verdict = (
         "REPRODUCED: sync reads are free, ES reads pay a quorum round trip"
         if reproduced
         else "NOT REPRODUCED: latency shape differs from the paper's design point"
     )
-    return result
+    return rows, notes, verdict
+
+
+#: Same workload, same churn, one cell per protocol.
+EXPERIMENT = Experiment(
+    id="E9",
+    title="Fast reads — operation latency by protocol",
+    claim=(
+        "sync: read = 0, write = δ, join ≤ 3δ; "
+        "es: every operation pays at least one quorum round trip"
+    ),
+    params=lambda seed, quick: dict(
+        n=N, delta=DELTA, churn_rate=CHURN_RATE,
+        horizon=150.0 if quick else 500.0, seed=seed,
+    ),
+    grid=lambda p, quick: [
+        RunSpec.seeded(
+            f"{__name__}:cell", p["seed"], f"e09:{protocol}", protocol=protocol,
+            **{k: v for k, v in p.items() if k != "seed"},
+        )
+        for protocol in ("sync", "es")
+    ],
+    judge=_judge,
+)

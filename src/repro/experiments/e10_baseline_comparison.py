@@ -18,15 +18,16 @@ from __future__ import annotations
 
 from typing import Any
 
-from ..exec.runner import run_specs
 from ..exec.spec import RunSpec
 from ..runtime.config import SystemConfig
 from ..runtime.system import DynamicSystem
-from ..workloads.generators import read_heavy_plan
-from ..workloads.schedule import WorkloadDriver
-from .harness import ExperimentResult
+from .harness import Experiment, Judgement, drive_read_heavy
 
-DEFAULT_CHURN_RATES = (0.0, 0.002, 0.005, 0.01, 0.02)
+N = 20
+DELTA = 4.0
+#: The static baseline's quorum size over its fixed universe.
+MAJORITY = N // 2 + 1
+CHURN_RATES = (0.0, 0.002, 0.005, 0.01, 0.02)
 
 
 def _staying_completion(handles: list) -> float:
@@ -45,113 +46,74 @@ def cell(
     c: float,
     horizon: float,
 ) -> dict[str, Any]:
-    """One (protocol, churn rate): completion rates and safety."""
+    """One (protocol, churn rate): its table row."""
     config = SystemConfig(
         n=n, delta=delta, protocol=protocol, seed=seed, trace=False
     )
     system = DynamicSystem(config)
     if c > 0:
         system.attach_churn(rate=c, min_stay=3.0 * delta)
-    driver = WorkloadDriver(system)
-    plan = read_heavy_plan(
-        start=5.0,
-        end=horizon - 8.0 * delta,
-        write_period=8.0 * delta,
-        read_rate=0.3,
-        rng=system.rng.stream("e10.plan"),
+    driver = drive_read_heavy(
+        system, horizon, horizon - 8.0 * delta, 8.0 * delta, 0.3, "e10.plan"
     )
-    driver.install(plan)
-    system.run_until(horizon)
-    system.close()
-    safety = system.check_safety(check_joins=False)
-    return {
-        "reads_issued": driver.stats.reads_issued,
-        "read_done_rate": _staying_completion(driver.stats.read_handles),
-        "write_done_rate": _staying_completion(driver.stats.write_handles),
-        "violations": safety.violation_count,
-        "safe": safety.is_safe,
-        "replicas_left": sum(
+    return dict(
+        protocol=protocol,
+        c=c,
+        replicas_left=sum(
             1 for pid in system.seed_pids if system.membership.is_present(pid)
         ),
-    }
-
-
-def run(
-    seed: int = 0,
-    quick: bool = False,
-    n: int = 20,
-    delta: float = 4.0,
-    churn_rates: tuple[float, ...] = DEFAULT_CHURN_RATES,
-    workers: int | None = None,
-) -> ExperimentResult:
-    """Completion and safety for sync / es / abd across churn rates."""
-    horizon = 200.0 if quick else 600.0
-    result = ExperimentResult(
-        experiment_id="E10",
-        title="Dynamic protocols vs static ABD under churn",
-        paper_claim=(
-            "static-majority protocols lose liveness once churn replaces "
-            "half of their fixed universe; the dynamic protocols do not"
-        ),
-        params={"n": n, "delta": delta, "horizon": horizon, "seed": seed},
+        reads_issued=driver.stats.reads_issued,
+        read_done_rate=_staying_completion(driver.stats.read_handles),
+        write_done_rate=_staying_completion(driver.stats.write_handles),
+        violations=system.check_safety(check_joins=False).violation_count,
     )
-    grid = [
-        (protocol, c)
-        for protocol in ("sync", "es", "abd")
-        for c in churn_rates
-    ]
-    specs = [
-        RunSpec.seeded(
-            "e10",
-            seed,
-            f"e10:{protocol}:{c}",
-            n=n,
-            delta=delta,
-            protocol=protocol,
-            c=c,
-            horizon=horizon,
-        )
-        for protocol, c in grid
-    ]
-    cells = run_specs(specs, workers=workers)
-    majority = n // 2 + 1
+
+
+def _judge(p: dict[str, Any], quick: bool, rows: list[Any]) -> Judgement:
     cliff_seen = False
     dynamic_fine = True
-    for (protocol, c), measured in zip(grid, cells):
+    for row in rows:
         row_ok = (
-            measured["read_done_rate"] > 0.99
-            and measured["write_done_rate"] > 0.99
-            and measured["safe"]
+            row["read_done_rate"] > 0.99
+            and row["write_done_rate"] > 0.99
+            and row["violations"] == 0
         )
-        if (
-            protocol == "abd"
-            and measured["replicas_left"] < majority
-            and not row_ok
-        ):
+        if row["protocol"] == "abd" and row["replicas_left"] < MAJORITY and not row_ok:
             cliff_seen = True
-        if protocol != "abd" and not row_ok:
+        if row["protocol"] != "abd" and not row_ok:
             dynamic_fine = False
-        result.add_row(
-            protocol=protocol,
-            c=c,
-            replicas_left=measured["replicas_left"],
-            reads_issued=measured["reads_issued"],
-            read_done_rate=measured["read_done_rate"],
-            write_done_rate=measured["write_done_rate"],
-            violations=measured["violations"],
-        )
-    result.notes.append(
+    notes = [
         "replicas_left = initial members still present at the horizon; ABD "
-        f"quorums need {n // 2 + 1} of them, the dynamic protocols none"
-    )
-    result.notes.append(
+        f"quorums need {MAJORITY} of them, the dynamic protocols none",
         "done rates are over operations whose invoker stayed in the system "
-        "(the spec excuses operations abandoned by a departure)"
-    )
-    result.verdict = (
+        "(the spec excuses operations abandoned by a departure)",
+    ]
+    verdict = (
         "REPRODUCED: ABD stalls once churn consumes its universe, while "
         "both dynamic protocols keep completing safely"
         if (cliff_seen and dynamic_fine)
         else "NOT REPRODUCED: expected the static baseline (and only it) to stall"
     )
-    return result
+    return rows, notes, verdict
+
+
+EXPERIMENT = Experiment(
+    id="E10",
+    title="Dynamic protocols vs static ABD under churn",
+    claim=(
+        "static-majority protocols lose liveness once churn replaces "
+        "half of their fixed universe; the dynamic protocols do not"
+    ),
+    params=lambda seed, quick: dict(
+        n=N, delta=DELTA, horizon=200.0 if quick else 600.0, seed=seed
+    ),
+    grid=lambda p, quick: [
+        RunSpec.seeded(
+            f"{__name__}:cell", p["seed"], f"e10:{protocol}:{c}",
+            n=N, delta=DELTA, protocol=protocol, c=c, horizon=p["horizon"],
+        )
+        for protocol in ("sync", "es", "abd")
+        for c in CHURN_RATES
+    ],
+    judge=_judge,
+)

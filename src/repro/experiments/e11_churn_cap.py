@@ -32,14 +32,14 @@ from __future__ import annotations
 from typing import Any
 
 from ..churn.model import synchronous_churn_bound
-from ..exec.runner import run_specs
 from ..exec.spec import RunSpec
 from ..runtime.config import SystemConfig
 from ..runtime.system import DynamicSystem
-from .harness import ExperimentResult
+from .harness import Experiment, Judgement
 
-DEFAULT_DELTAS = (2.0, 4.0)
-DEFAULT_CAP_MULTIPLES = (0.5, 0.8, 0.95, 1.05, 1.3, 2.0)
+N = 30
+DELTAS = (2.0, 4.0)
+CAP_MULTIPLES = (0.5, 0.8, 0.95, 1.05, 1.3, 2.0)
 
 
 def cell(
@@ -65,56 +65,27 @@ def cell(
     }
 
 
-def run(
-    seed: int = 0,
-    quick: bool = False,
-    n: int = 30,
-    deltas: tuple[float, ...] = DEFAULT_DELTAS,
-    cap_multiples: tuple[float, ...] = DEFAULT_CAP_MULTIPLES,
-    workers: int | None = None,
-) -> ExperimentResult:
-    """Locate the empirical churn breaking point per δ and policy."""
-    result = ExperimentResult(
-        experiment_id="E11",
-        title="Empirical churn cap vs the analytic 1/(3δ)",
-        paper_claim=(
-            "the synchronous protocol is proved correct for c < 1/(3δ); "
-            "under worst-case departures the cap is exactly tight (joins "
-            "need 3δ of stability), under benign departures it is conservative"
-        ),
-        params={"n": n, "seed": seed},
-    )
-    horizon = 120.0 if quick else 300.0
-    grid = []
-    for delta in deltas:
+def _grid_points() -> list[tuple[float, str, float, float]]:
+    """The (δ, policy, multiple of the cap, c) cells; c < 1 only."""
+    points = []
+    for delta in DELTAS:
         cap = synchronous_churn_bound(delta)
         for policy in ("oldest_first", "uniform"):
-            for multiple in cap_multiples:
-                c = multiple * cap
-                if c >= 1.0:
-                    continue
-                grid.append((delta, policy, multiple, c))
-    specs = [
-        RunSpec.seeded(
-            "e11",
-            seed,
-            f"e11:{delta}:{policy}:{multiple}",
-            n=n,
-            delta=delta,
-            c=c,
-            horizon=horizon,
-            policy=policy,
-        )
-        for delta, policy, multiple, c in grid
-    ]
-    cells = run_specs(specs, workers=workers)
+            for multiple in CAP_MULTIPLES:
+                if multiple * cap < 1.0:
+                    points.append((delta, policy, multiple, multiple * cap))
+    return points
+
+
+def _judge(p: dict[str, Any], quick: bool, outcomes: list[Any]) -> Judgement:
+    rows = []
     tight_under_adversary = True
     conservative_under_uniform = True
     steady_state_matches = True
-    for (delta, policy, multiple, c), measured in zip(grid, cells):
+    for (delta, policy, multiple, c), measured in zip(_grid_points(), outcomes):
         join_rate = measured["join_done_rate"]
         active_end = measured["active_end"]
-        predicted = max(0.0, n * (1.0 - 3.0 * delta * c))
+        predicted = max(0.0, N * (1.0 - 3.0 * delta * c))
         if policy == "oldest_first":
             # Tightness: joins complete below the cap, none above.
             if multiple < 1.0 and join_rate < 0.8:
@@ -124,37 +95,35 @@ def run(
             # Steady state matches Lemma 2's formula (writer is
             # protected, hence the +1 slack; churn granularity
             # adds a couple more).
-            if abs(active_end - predicted) > max(3.0, 0.15 * n):
+            if abs(active_end - predicted) > max(3.0, 0.15 * N):
                 steady_state_matches = False
         if policy == "uniform" and 1.0 < multiple <= 1.5:
             # Conservative for benign churn: still some completions.
             if join_rate < 0.05:
                 conservative_under_uniform = False
-        result.add_row(
-            delta=delta,
-            policy=policy,
-            c_over_cap=multiple,
-            c=c,
-            joins=measured["joins"],
-            join_done_rate=join_rate,
-            active_end=active_end,
-            predicted_active=predicted,
+        rows.append(
+            dict(
+                delta=delta,
+                policy=policy,
+                c_over_cap=multiple,
+                c=c,
+                joins=measured["joins"],
+                join_done_rate=join_rate,
+                active_end=active_end,
+                predicted_active=predicted,
+            )
         )
-    result.notes.append(
+    notes = [
         "oldest_first evicts each process after exactly 1/c time units; a "
         "join needs 3δ, so join_done_rate must collapse exactly at "
-        "c/cap = 1 under that policy"
-    )
-    result.notes.append(
+        "c/cap = 1 under that policy",
         "predicted_active = n(1 − 3δc), Lemma 2's bound — under worst-case "
-        "churn it is also the steady-state active population"
-    )
-    result.notes.append(
+        "churn it is also the steady-state active population",
         "under uniform eviction, lifetimes are geometric, some joiners "
         "outlive 3δ above the cap, and the system degrades gradually — "
-        "the analytic cap is conservative for benign churn"
-    )
-    result.verdict = (
+        "the analytic cap is conservative for benign churn",
+    ]
+    verdict = (
         "REPRODUCED: the cap is exactly tight under worst-case departures, "
         "conservative under uniform ones, and the steady-state active "
         "population matches n(1 − 3δc)"
@@ -162,4 +131,25 @@ def run(
             and steady_state_matches)
         else "PARTIAL: see join_done_rate and predicted_active columns"
     )
-    return result
+    return rows, notes, verdict
+
+
+#: Locate the empirical churn breaking point per δ and policy.
+EXPERIMENT = Experiment(
+    id="E11",
+    title="Empirical churn cap vs the analytic 1/(3δ)",
+    claim=(
+        "the synchronous protocol is proved correct for c < 1/(3δ); "
+        "under worst-case departures the cap is exactly tight (joins "
+        "need 3δ of stability), under benign departures it is conservative"
+    ),
+    params=lambda seed, quick: {"n": N, "seed": seed},
+    grid=lambda p, quick: [
+        RunSpec.seeded(
+            f"{__name__}:cell", p["seed"], f"e11:{delta}:{policy}:{multiple}",
+            n=N, delta=delta, c=c, horizon=120.0 if quick else 300.0, policy=policy,
+        )
+        for delta, policy, multiple, c in _grid_points()
+    ],
+    judge=_judge,
+)

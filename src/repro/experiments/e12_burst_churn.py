@@ -25,13 +25,34 @@ from typing import Any
 
 from ..churn.model import synchronous_churn_bound
 from ..churn.profiles import BurstRate, ConstantRate, DiurnalRate, RateProfile
-from ..exec.runner import grouped, run_specs
+from ..exec.runner import grouped
 from ..exec.spec import RunSpec
 from ..runtime.config import SystemConfig
 from ..runtime.system import DynamicSystem
-from ..workloads.generators import read_heavy_plan
-from ..workloads.schedule import WorkloadDriver
-from .harness import ExperimentResult
+from .harness import Experiment, Judgement, drive_read_heavy, totals
+
+N = 30
+DELTA = 4.0
+CAP = synchronous_churn_bound(DELTA)
+# Burst design: quiet at 0.2·cap, bursts at 3·cap for 2δ out of every 80
+# time units — a long-run average of ~0.48·cap, safely below the cap,
+# with instantaneous excursions far above it.
+BURST = 3.0 * CAP
+_BURST_PROFILE = BurstRate(
+    base_rate=0.2 * CAP,
+    burst_rate=BURST,
+    period=80.0,
+    burst_length=2.0 * DELTA,
+    first_burst=20.0,
+)
+AVERAGE = _BURST_PROFILE.long_run_average()
+#: The three regimes, in table order; the diurnal peak (average × 1.8)
+#: stays strictly below the cap.
+PROFILES: dict[str, RateProfile] = {
+    "constant": ConstantRate(AVERAGE),
+    "diurnal": DiurnalRate(base_rate=AVERAGE, amplitude=AVERAGE * 0.8, period=80.0),
+    "burst": _BURST_PROFILE,
+}
 
 
 def cell(
@@ -50,17 +71,9 @@ def cell(
     config = SystemConfig(n=n, delta=delta, protocol="sync", seed=seed, trace=False)
     system = DynamicSystem(config)
     system.attach_churn(profile=profile, victim_policy="oldest_first")
-    driver = WorkloadDriver(system)
-    plan = read_heavy_plan(
-        start=5.0,
-        end=horizon - 3.0 * delta,
-        write_period=8.0 * delta,
-        read_rate=0.6,
-        rng=system.rng.stream("e12.plan"),
+    drive_read_heavy(
+        system, horizon, horizon - 3.0 * delta, 8.0 * delta, 0.6, "e12.plan"
     )
-    driver.install(plan)
-    system.run_until(horizon)
-    system.close()
     safety = system.check_safety(check_joins=False)
     joins_total = 0
     joins_done = 0
@@ -80,92 +93,27 @@ def cell(
     }
 
 
-def run(
-    seed: int = 0,
-    quick: bool = False,
-    n: int = 30,
-    delta: float = 4.0,
-    repetitions: int | None = None,
-    workers: int | None = None,
-) -> ExperimentResult:
-    """Same average churn, three shapes; damage differs."""
-    if repetitions is None:
-        repetitions = 1 if quick else 3
-    horizon = 240.0 if quick else 600.0
-    cap = synchronous_churn_bound(delta)
-    # Burst design: quiet at 0.2·cap, bursts at 3·cap for 2δ out of
-    # every 80 time units — a long-run average of ~0.48·cap, safely
-    # below the cap, with instantaneous excursions far above it.
-    burst_length = 2.0 * delta
-    period = 80.0
-    base = 0.2 * cap
-    burst = 3.0 * cap
-    profile_burst = BurstRate(
-        base_rate=base,
-        burst_rate=burst,
-        period=period,
-        burst_length=burst_length,
-        first_burst=20.0,
-    )
-    average = profile_burst.long_run_average()
-    # The diurnal peak (average × 1.8) stays strictly below the cap.
-    profiles = {
-        "constant": ConstantRate(average),
-        "diurnal": DiurnalRate(
-            base_rate=average, amplitude=average * 0.8, period=period
-        ),
-        "burst": profile_burst,
-    }
-    result = ExperimentResult(
-        experiment_id="E12",
-        title="Extension — burst churn vs the constant-rate assumption",
-        paper_claim=(
-            f"the protocol is proved for constant c < 1/(3δ) = {cap:.4f}; "
-            f"all three regimes below average to {average:.4f} "
-            f"({average / cap:.0%} of the cap), only the burst regime "
-            f"exceeds the cap instantaneously"
-        ),
-        params={
-            "n": n,
-            "delta": delta,
-            "horizon": horizon,
-            "repetitions": repetitions,
-            "burst_rate_over_cap": burst / cap,
-            "seed": seed,
-        },
-    )
-    regimes = list(profiles.items())
-    specs = [
-        RunSpec.seeded(
-            "e12",
-            seed,
-            f"e12:{name}:{rep}",
-            n=n,
-            delta=delta,
-            profile=profile,
-            horizon=horizon,
+def _judge(p: dict[str, Any], quick: bool, outcomes: list[Any]) -> Judgement:
+    rows = []
+    groups = grouped(outcomes, p["repetitions"])
+    for (name, profile), group in zip(PROFILES.items(), groups):
+        total = totals(group)
+        joins_total = total["joins_total"]
+        peak = max(profile.rate_at(t) for t in range(0, int(p["horizon"])))
+        rows.append(
+            dict(
+                regime=name,
+                peak_over_cap=peak / CAP,
+                joins=joins_total,
+                join_done_rate=(
+                    total["joins_done"] / joins_total if joins_total else 1.0
+                ),
+                bottom_joins=total["bottom_joins"],
+                reads=total["reads_checked"],
+                violations=total["violations"],
+            )
         )
-        for name, profile in regimes
-        for rep in range(repetitions)
-    ]
-    cells = run_specs(specs, workers=workers)
-    for (name, profile), group in zip(regimes, grouped(cells, repetitions)):
-        joins_total = sum(g["joins_total"] for g in group)
-        peak = max(profile.rate_at(t) for t in range(0, int(horizon)))
-        result.add_row(
-            regime=name,
-            peak_over_cap=peak / cap,
-            joins=joins_total,
-            join_done_rate=(
-                sum(g["joins_done"] for g in group) / joins_total
-                if joins_total
-                else 1.0
-            ),
-            bottom_joins=sum(g["bottom_joins"] for g in group),
-            reads=sum(g["reads_checked"] for g in group),
-            violations=sum(g["violations"] for g in group),
-        )
-    by_name = {row["regime"]: row for row in result.rows}
+    by_name = {row["regime"]: row for row in rows}
     constant_clean = (
         by_name["constant"]["violations"] == 0
         and by_name["constant"]["bottom_joins"] == 0
@@ -183,19 +131,43 @@ def run(
         or by_name["burst"]["bottom_joins"] > 0
         or by_name["burst"]["violations"] > 0
     )
-    result.notes.append(
+    notes = [
         "all three regimes share the same long-run average; only the "
-        "burst regime exceeds 1/(3δ) instantaneously (peak_over_cap)"
-    )
-    result.notes.append(
+        "burst regime exceeds 1/(3δ) instantaneously (peak_over_cap)",
         "bursts under oldest-first departures wipe the replier pool of "
         "joins in flight during the burst — the constant-rate assumption "
-        "is about the instantaneous rate, not the average"
-    )
-    result.verdict = (
+        "is about the instantaneous rate, not the average",
+    ]
+    verdict = (
         "REPRODUCED: sub-cap constant and diurnal regimes are clean; the "
         "equal-average burst regime damages joins"
         if constant_clean and diurnal_clean and burst_damaged
         else "PARTIAL: see per-regime columns"
     )
-    return result
+    return rows, notes, verdict
+
+
+#: Same average churn, three shapes; damage differs.
+EXPERIMENT = Experiment(
+    id="E12",
+    title="Extension — burst churn vs the constant-rate assumption",
+    claim=(
+        f"the protocol is proved for constant c < 1/(3δ) = {CAP:.4f}; "
+        f"all three regimes below average to {AVERAGE:.4f} "
+        f"({AVERAGE / CAP:.0%} of the cap), only the burst regime "
+        f"exceeds the cap instantaneously"
+    ),
+    params=lambda seed, quick: dict(
+        n=N, delta=DELTA, horizon=240.0 if quick else 600.0,
+        repetitions=1 if quick else 3, burst_rate_over_cap=BURST / CAP, seed=seed,
+    ),
+    grid=lambda p, quick: [
+        RunSpec.seeded(
+            f"{__name__}:cell", p["seed"], f"e12:{name}:{rep}",
+            n=N, delta=DELTA, profile=profile, horizon=p["horizon"],
+        )
+        for name, profile in PROFILES.items()
+        for rep in range(p["repetitions"])
+    ],
+    judge=_judge,
+)

@@ -27,18 +27,22 @@ from __future__ import annotations
 
 from typing import Any
 
-from ..exec.runner import grouped, run_specs
+from ..exec.runner import grouped
 from ..exec.spec import RunSpec
 from ..runtime.config import SystemConfig
 from ..runtime.system import DynamicSystem
 from ..workloads.generators import assign_keys, make_key_picker, read_heavy_plan
 from ..workloads.schedule import WorkloadDriver
-from .harness import ExperimentResult
+from .harness import Experiment, Judgement
 
-#: Key counts swept by default (1 is the paper's single register).
-DEFAULT_KEY_COUNTS = (1, 4, 16)
-
-#: Protocols exercised, with the churn each one's hypotheses allow.
+N = 20
+DELTA = 5.0
+#: Key counts swept (1 is the paper's single register).
+KEY_COUNTS = (1, 4, 16)
+#: Zipf: hot keys and a cold tail, the production shape.
+KEY_DIST = "zipf"
+#: Protocols exercised, in table order, with the churn each one's
+#: hypotheses allow.
 PROTOCOL_CHURN = {"sync": 0.02, "es": 0.004, "abd": 0.0}
 
 
@@ -79,29 +83,13 @@ def cell(
     system.run_until(horizon)
     history = system.close()
     safety = system.check_safety()
-    per_key_violations = {
-        str(key): sum(
-            1
-            for j in safety.judgements
-            if not j.valid and j.operation.key == key
-        )
-        for key in history.keys()
-    }
     liveness = system.check_liveness(grace=10.0 * delta)
-    joins = history.joins()
-    joins_completed = sum(1 for j in joins if j.done)
-    completed_ops = sum(1 for op in history if op.done)
     return {
-        "keys_observed": len(history.keys()),
         "reads_checked": safety.checked_count,
         "violations": safety.violation_count,
-        "per_key_violations": per_key_violations,
         "stuck": len(liveness.stuck),
-        "joins_started": len(joins),
-        "joins_completed": joins_completed,
-        "completed_ops": completed_ops,
-        "messages_sent": system.network.sent_count,
-        "broadcasts": system.broadcast.broadcast_count,
+        "joins_completed": sum(1 for j in history.joins() if j.done),
+        "completed_ops": sum(1 for op in history if op.done),
         "reads_issued": driver.stats.reads_issued,
         "writes_issued": driver.stats.writes_issued,
         "join_round_msgs": _probe_join_round(protocol, n, delta, keys, seed),
@@ -136,107 +124,95 @@ def _probe_join_round(
     return probe.network.sent_count - before
 
 
-def run(
-    seed: int = 0,
-    quick: bool = False,
-    n: int = 20,
-    delta: float = 5.0,
-    key_counts: tuple[int, ...] = DEFAULT_KEY_COUNTS,
-    protocols: tuple[str, ...] = ("sync", "es", "abd"),
-    key_dist: str = "zipf",
-    workers: int | None = None,
-) -> ExperimentResult:
-    """Sweep key counts across the three protocols via the engine."""
-    horizon = 150.0 if quick else 400.0
-    if quick:
-        key_counts = tuple(key_counts[:2]) or (1,)
-    result = ExperimentResult(
-        experiment_id="E13",
-        title="RegisterSpace — keyed store on the paper's quorum machinery",
-        paper_claim=(
-            "every key of a keyed register space is independently regular "
-            "under each protocol's hypotheses, and join traffic is "
-            "independent of the key count (batched inquiry rounds)"
-        ),
-        params={
-            "n": n,
-            "delta": delta,
-            "horizon": horizon,
-            "key_counts": key_counts,
-            "key_dist": key_dist,
-            "seed": seed,
-        },
-    )
-    specs = [
+def _grid(p: dict[str, Any], quick: bool) -> list[RunSpec]:
+    return [
         RunSpec.seeded(
-            "e13",
-            seed,
+            f"{__name__}:cell",
+            p["seed"],
             f"e13:{protocol}:{keys}",
             protocol=protocol,
-            n=n,
-            delta=delta,
+            n=N,
+            delta=DELTA,
             keys=keys,
-            horizon=horizon,
+            horizon=p["horizon"],
             churn_rate=PROTOCOL_CHURN[protocol],
             read_rate=0.8,
-            write_period=4.0 * delta,
-            key_dist=key_dist,
+            write_period=4.0 * DELTA,
+            key_dist=KEY_DIST,
         )
-        for protocol in protocols
-        for keys in key_counts
+        for protocol in PROTOCOL_CHURN
+        for keys in p["key_counts"]
     ]
-    cells = run_specs(specs, workers=workers)
-    all_regular = True
+
+
+def _judge(p: dict[str, Any], quick: bool, outcomes: list[Any]) -> Judgement:
+    key_counts = p["key_counts"]
+    rows = []
     join_cost_ratios: list[float] = []
-    for protocol, group in zip(protocols, grouped(cells, len(key_counts))):
-        base_round: int | None = None
+    for protocol, group in zip(PROTOCOL_CHURN, grouped(outcomes, len(key_counts))):
+        base_round = group[0]["join_round_msgs"]
         for keys, data in zip(key_counts, group):
-            if data["violations"]:
-                all_regular = False
             round_msgs = data["join_round_msgs"]
-            if base_round is None:
-                base_round = round_msgs
             # ABD's trivial join sends nothing: cost is 0 at every key
             # count, ratio pinned at 1.
             ratio = round_msgs / base_round if base_round else 1.0
             if base_round:
                 join_cost_ratios.append(ratio)
-            result.add_row(
-                protocol=protocol,
-                keys=keys,
-                reads=data["reads_issued"],
-                writes=data["writes_issued"],
-                checked=data["reads_checked"],
-                violations=data["violations"],
-                joins=data["joins_completed"],
-                join_round_msgs=round_msgs,
-                join_cost_ratio=ratio,
-                stuck=data["stuck"],
-                ops_done=data["completed_ops"],
+            rows.append(
+                dict(
+                    protocol=protocol,
+                    keys=keys,
+                    reads=data["reads_issued"],
+                    writes=data["writes_issued"],
+                    checked=data["reads_checked"],
+                    violations=data["violations"],
+                    joins=data["joins_completed"],
+                    join_round_msgs=round_msgs,
+                    join_cost_ratio=ratio,
+                    stuck=data["stuck"],
+                    ops_done=data["completed_ops"],
+                )
             )
-    result.notes.append(
+    notes = [
         "join_round_msgs is measured on an isolated probe: a quiet "
         "system admits one joiner and counts the point-to-point sends "
         "its entry round causes, so the batched-join claim is pinned "
         "directly, not through whole-run traffic (abd's trivial join "
-        "sends nothing at any key count)"
-    )
-    result.notes.append(
+        "sends nothing at any key count)",
         "violations aggregates the per-key partitioned checker: a keyed "
-        "history is regular iff every key's sub-history is"
-    )
-    batched = all(ratio <= 1.5 for ratio in join_cost_ratios)
-    if all_regular and batched:
-        result.verdict = (
+        "history is regular iff every key's sub-history is",
+    ]
+    all_regular = not any(row["violations"] for row in rows)
+    if all_regular and all(ratio <= 1.5 for ratio in join_cost_ratios):
+        verdict = (
             "REPRODUCED: every key independently regular at every key "
             "count, and join traffic stays flat as keys grow (batched "
             "inquiry rounds)"
         )
     elif all_regular:
-        result.verdict = (
+        verdict = (
             "NOT REPRODUCED: regular, but join traffic grew with the key "
             "count — the batched inquiry round regressed"
         )
     else:
-        result.verdict = "NOT REPRODUCED: a keyed run violated per-key regularity"
-    return result
+        verdict = "NOT REPRODUCED: a keyed run violated per-key regularity"
+    return rows, notes, verdict
+
+
+#: Key counts across the three protocols; quick mode keeps the first two.
+EXPERIMENT = Experiment(
+    id="E13",
+    title="RegisterSpace — keyed store on the paper's quorum machinery",
+    claim=(
+        "every key of a keyed register space is independently regular "
+        "under each protocol's hypotheses, and join traffic is "
+        "independent of the key count (batched inquiry rounds)"
+    ),
+    params=lambda seed, quick: dict(
+        n=N, delta=DELTA, horizon=150.0 if quick else 400.0,
+        key_counts=KEY_COUNTS[:2] if quick else KEY_COUNTS, key_dist=KEY_DIST,
+        seed=seed,
+    ),
+    grid=_grid,
+    judge=_judge,
+)

@@ -31,14 +31,16 @@ from typing import Any
 
 from ..cluster.config import ClusterConfig
 from ..cluster.system import ClusterSystem
-from ..exec.runner import run_specs
 from ..exec.spec import RunSpec
-from ..workloads.cluster import ClusterWorkloadDriver, shard_skewed_key_picker
-from ..workloads.generators import assign_keys, read_heavy_plan
-from .harness import ExperimentResult
+from ..workloads.cluster import ClusterWorkloadDriver
+from .harness import Experiment, Judgement, drive_skewed_cluster
 
-#: Shard counts swept by default (1 is the unsharded keyed store).
-DEFAULT_SHARD_COUNTS = (1, 2, 4, 8)
+N = 48
+DELTA = 5.0
+KEYS = 16
+#: Shard counts swept (1 is the unsharded keyed store).
+SHARD_COUNTS = (1, 2, 4, 8)
+SKEW = "zipf"
 
 
 def cell(
@@ -60,25 +62,11 @@ def cell(
     cluster = ClusterSystem(config)
     cluster.attach_churn(rate=churn_rate, min_stay=3.0 * delta)
     driver = ClusterWorkloadDriver(cluster)
-    plan = read_heavy_plan(
-        start=5.0,
-        end=horizon - 4.0 * delta,
-        write_period=write_period,
-        read_rate=read_rate,
-        rng=cluster.rng.stream("e14.plan"),
+    safety = drive_skewed_cluster(
+        cluster, driver, horizon, horizon - 4.0 * delta, write_period, read_rate,
+        "e14", skew,
     )
-    plan = assign_keys(
-        plan,
-        shard_skewed_key_picker(
-            cluster, cluster.rng.stream("e14.skew"), distribution=skew
-        ),
-    )
-    driver.install(plan)
-    cluster.run_until(horizon)
-    history = cluster.close()
     stats = driver.stats
-    safety = cluster.check_safety()
-    joins = history.operations("join")
     op_counts = driver.shard_op_counts()
     total_ops = sum(op_counts) or 1
     return {
@@ -86,8 +74,9 @@ def cell(
         "checked": safety.checked_count,
         "delivered": cluster.delivered_count,
         "per_node_delivered": cluster.per_node_delivered(),
-        "joins_started": len(joins),
-        "joins_completed": sum(1 for j in joins if j.done),
+        "joins_completed": sum(
+            1 for j in cluster.history.operations("join") if j.done
+        ),
         "reads_issued": stats.reads_issued,
         "writes_issued": stats.writes_issued,
         "hot_shard_share": max(op_counts) / total_ops,
@@ -119,70 +108,27 @@ def _probe_join_round(
     return probe.sent_count - before
 
 
-def run(
-    seed: int = 0,
-    quick: bool = False,
-    n: int = 48,
-    delta: float = 5.0,
-    keys: int = 16,
-    shard_counts: tuple[int, ...] = DEFAULT_SHARD_COUNTS,
-    skew: str = "zipf",
-    workers: int | None = None,
-) -> ExperimentResult:
-    """Sweep shard counts at fixed total population via the engine."""
-    horizon = 150.0 if quick else 360.0
-    if quick:
-        shard_counts = tuple(shard_counts[:3]) or (1,)
-    result = ExperimentResult(
-        experiment_id="E14",
-        title="Sharded cluster — load and churn cost fall with the shard count",
-        paper_claim=(
-            "partitioning the key space over S independent quorum shards "
-            "divides per-node message load and per-join churn traffic by "
-            "~S at fixed total population, while merged-cluster checking "
-            "stays regular even under hot-shard skew"
-        ),
-        params={
-            "n": n,
-            "delta": delta,
-            "keys": keys,
-            "shard_counts": shard_counts,
-            "skew": skew,
-            "seed": seed,
-        },
+def _grid(p: dict[str, Any], quick: bool) -> list[RunSpec]:
+    # Every cell runs the same root seed on purpose: the workload plan is
+    # shard-count-independent, so the shard axis is the only variable.
+    fixed = dict(
+        seed=p["seed"], n=N, delta=DELTA, keys=KEYS,
+        horizon=150.0 if quick else 360.0, churn_rate=0.02, read_rate=1.0,
+        write_period=2.0 * DELTA, skew=SKEW,
     )
-    specs = [
+    return [
         RunSpec(
-            kind="e14",
-            params=dict(
-                seed=seed,
-                shards=shards,
-                n=n,
-                delta=delta,
-                keys=keys,
-                horizon=horizon,
-                churn_rate=0.02,
-                read_rate=1.0,
-                write_period=2.0 * delta,
-                skew=skew,
-            ),
-            # Every cell runs the same root seed on purpose: the
-            # workload plan is shard-count-independent, so the shard
-            # axis is the only variable.
+            kind=f"{__name__}:cell",
+            params=dict(shards=shards, **fixed),
             label=f"e14:shards={shards}",
         )
-        for shards in shard_counts
+        for shards in p["shard_counts"]
     ]
-    cells = run_specs(specs, workers=workers)
-    all_regular = True
-    loads: list[float] = []
-    join_costs: list[int] = []
-    for shards, data in zip(shard_counts, cells):
-        if data["violations"]:
-            all_regular = False
-        loads.append(data["per_node_delivered"])
-        join_costs.append(data["join_round_msgs"])
-        result.add_row(
+
+
+def _judge(p: dict[str, Any], quick: bool, outcomes: list[Any]) -> Judgement:
+    rows = [
+        dict(
             shards=shards,
             per_node_load=round(data["per_node_delivered"], 2),
             join_round_msgs=data["join_round_msgs"],
@@ -194,37 +140,55 @@ def run(
             checked=data["checked"],
             violations=data["violations"],
         )
-    result.notes.append(
+        for shards, data in zip(p["shard_counts"], outcomes)
+    ]
+    notes = [
         "per_node_load is total delivered messages over the fixed total "
         "population; every cell drives the identical operation plan "
-        "(same root seed), so the shard count is the only variable"
-    )
-    result.notes.append(
+        "(same root seed), so the shard count is the only variable",
         "join_round_msgs is one joiner's isolated entry round in shard 0 "
         "(the E13-style probe): the churn-tick join cost, which shrinks "
-        "with the shard population n/S"
-    )
-    result.notes.append(
+        "with the shard population n/S",
         "hot_share is the busiest shard's fraction of issued operations "
         "under the zipf shard skew — the hot-shard scenario the checking "
-        "must survive"
-    )
+        "must survive",
+    ]
+    all_regular = not any(data["violations"] for data in outcomes)
+    loads = [data["per_node_delivered"] for data in outcomes]
+    join_costs = [data["join_round_msgs"] for data in outcomes]
     load_monotone = all(a > b for a, b in zip(loads, loads[1:]))
     join_monotone = all(a >= b for a, b in zip(join_costs, join_costs[1:]))
     if all_regular and load_monotone and join_monotone:
-        result.verdict = (
+        verdict = (
             "REPRODUCED: per-node delivered load falls monotonically with "
             "the shard count, per-join churn traffic shrinks with n/S, and "
             "every shard stays regular under hot-shard skew"
         )
     elif all_regular:
-        result.verdict = (
+        verdict = (
             "NOT REPRODUCED: regular, but sharding failed to cut "
             f"per-node load/join cost monotonically (loads={loads}, "
             f"join_costs={join_costs})"
         )
     else:
-        result.verdict = (
-            "NOT REPRODUCED: a sharded run violated per-key regularity"
-        )
-    return result
+        verdict = "NOT REPRODUCED: a sharded run violated per-key regularity"
+    return rows, notes, verdict
+
+
+#: Shard counts at fixed total population; quick mode keeps the first three.
+EXPERIMENT = Experiment(
+    id="E14",
+    title="Sharded cluster — load and churn cost fall with the shard count",
+    claim=(
+        "partitioning the key space over S independent quorum shards "
+        "divides per-node message load and per-join churn traffic by "
+        "~S at fixed total population, while merged-cluster checking "
+        "stays regular even under hot-shard skew"
+    ),
+    params=lambda seed, quick: dict(
+        n=N, delta=DELTA, keys=KEYS,
+        shard_counts=SHARD_COUNTS[:3] if quick else SHARD_COUNTS, skew=SKEW, seed=seed,
+    ),
+    grid=_grid,
+    judge=_judge,
+)

@@ -31,20 +31,19 @@ from typing import Any
 
 from ..cluster.config import ClusterConfig
 from ..cluster.system import ClusterSystem
-from ..exec.runner import run_specs
 from ..exec.spec import RunSpec
 from ..faults.plan import FaultPlan, LossFault
 from ..protocols.common import MIGRATION_PAYLOADS
-from ..workloads.cluster import (
-    ClusterWorkloadDriver,
-    schedule_round_robin_migrations,
-    shard_skewed_key_picker,
-)
-from ..workloads.generators import assign_keys, read_heavy_plan
-from .harness import ExperimentResult
+from ..workloads.cluster import ClusterWorkloadDriver, schedule_round_robin_migrations
+from .harness import Experiment, Judgement, drive_skewed_cluster
 
-#: Churn rates swept by default (0 isolates the handoff itself).
-DEFAULT_CHURN_RATES = (0.0, 0.02, 0.04)
+N = 18
+DELTA = 5.0
+KEYS = 6
+SHARDS = 3
+MIGRATIONS = 3
+#: Churn rates swept (0 isolates the handoff itself).
+CHURN_RATES = (0.0, 0.02, 0.04)
 
 
 def cell(
@@ -60,7 +59,7 @@ def cell(
     read_rate: float,
     write_period: float,
 ) -> dict[str, Any]:
-    """One cell: migrate keys mid-run, close, judge, measure."""
+    """One cell: migrate keys mid-run, close, judge; its table row."""
     config = ClusterConfig(
         shards=shards, keys=keys, n=n, delta=delta, protocol="sync", seed=seed
     )
@@ -77,158 +76,100 @@ def cell(
         cluster.attach_churn(rate=churn_rate, min_stay=3.0 * delta)
     records = schedule_round_robin_migrations(cluster, migrations, horizon)
     driver = ClusterWorkloadDriver(cluster)
-    plan = read_heavy_plan(
-        start=5.0,
-        end=horizon - 4.0 * delta,
-        write_period=write_period,
-        read_rate=read_rate,
-        rng=cluster.rng.stream("e15.plan"),
+    safety = drive_skewed_cluster(
+        cluster, driver, horizon, horizon - 4.0 * delta, write_period, read_rate,
+        "e15", "uniform",
     )
-    plan = assign_keys(
-        plan,
-        shard_skewed_key_picker(
-            cluster, cluster.rng.stream("e15.skew"), distribution="uniform"
-        ),
-    )
-    driver.install(plan)
-    cluster.run_until(horizon)
-    cluster.close()
-    safety = cluster.check_safety()
     latencies = [r.latency for r in records if r.committed]
-    return {
-        "committed": sum(1 for r in records if r.committed),
-        "aborted": sum(1 for r in records if r.aborted),
-        "unresolved": sum(1 for r in records if not r.finished),
-        "mean_latency": (sum(latencies) / len(latencies)) if latencies else 0.0,
-        "max_latency": max(latencies) if latencies else 0.0,
-        "writes_deferred": driver.stats.writes_deferred + sum(
-            r.deferred_writes for r in records
-        ),
-        "writes_dropped": cluster.writes_dropped,
-        "violations": safety.violation_count,
-        "checked": safety.checked_count,
-        "reads_issued": driver.stats.reads_issued,
-        "writes_issued": driver.stats.writes_issued,
-        "map_version": cluster.map_version,
-    }
-
-
-def run(
-    seed: int = 0,
-    quick: bool = False,
-    n: int = 18,
-    delta: float = 5.0,
-    keys: int = 6,
-    shards: int = 3,
-    churn_rates: tuple[float, ...] = DEFAULT_CHURN_RATES,
-    migrations: int = 3,
-    workers: int | None = None,
-) -> ExperimentResult:
-    """Sweep churn × coordination-loss over live migrations."""
-    horizon = 120.0 if quick else 240.0
-    if quick:
-        churn_rates = tuple(churn_rates[:2]) or (0.0,)
-    result = ExperimentResult(
-        experiment_id="E15",
-        title="Live resharding — crash-safe key handoff under churn",
-        paper_claim=(
-            "keys migrate between quorum shards during the run without "
-            "breaking per-key regularity: every handoff commits or aborts "
-            "cleanly (never a stuck freeze, never two owners), deferred "
-            "writes drain after the flip, and losing all coordination "
-            "traffic only forces clean aborts, never violations"
-        ),
-        params={
-            "n": n,
-            "delta": delta,
-            "keys": keys,
-            "shards": shards,
-            "churn_rates": churn_rates,
-            "migrations": migrations,
-            "seed": seed,
-        },
+    return dict(
+        churn=churn_rate,
+        plan="mig-loss" if lose_migration_msgs else "none",
+        committed=sum(1 for r in records if r.committed),
+        aborted=sum(1 for r in records if r.aborted),
+        unresolved=sum(1 for r in records if not r.finished),
+        mean_latency=round(sum(latencies) / len(latencies), 2) if latencies else 0.0,
+        max_latency=round(max(latencies), 2) if latencies else 0.0,
+        deferred=driver.stats.writes_deferred
+        + sum(r.deferred_writes for r in records),
+        dropped=cluster.writes_dropped,
+        checked=safety.checked_count,
+        violations=safety.violation_count,
     )
-    specs = [
+
+
+def _grid(p: dict[str, Any], quick: bool) -> list[RunSpec]:
+    fixed = dict(
+        seed=p["seed"], shards=SHARDS, n=N, delta=DELTA, keys=KEYS,
+        horizon=120.0 if quick else 240.0, migrations=MIGRATIONS, read_rate=0.6,
+        write_period=2.0 * DELTA,
+    )
+    return [
         RunSpec(
-            kind="e15",
-            params=dict(
-                seed=seed,
-                shards=shards,
-                n=n,
-                delta=delta,
-                keys=keys,
-                horizon=horizon,
-                churn_rate=churn_rate,
-                migrations=migrations,
-                lose_migration_msgs=lose,
-                read_rate=0.6,
-                write_period=2.0 * delta,
-            ),
-            label=f"e15:c={churn_rate:g}{' mig-loss' if lose else ''}",
+            kind=f"{__name__}:cell",
+            params=dict(churn_rate=c, lose_migration_msgs=lose, **fixed),
+            label=f"e15:c={c:g}{' mig-loss' if lose else ''}",
         )
         for lose in (False, True)
-        for churn_rate in churn_rates
+        for c in p["churn_rates"]
     ]
-    cells = run_specs(specs, workers=workers)
-    all_regular = True
-    all_resolved = True
-    storm_all_aborted = True
-    for spec, data in zip(specs, cells):
-        churn_rate = spec.params["churn_rate"]
-        lose = spec.params["lose_migration_msgs"]
-        if data["violations"]:
-            all_regular = False
-        if data["unresolved"]:
-            all_resolved = False
-        if lose and data["committed"]:
-            storm_all_aborted = False
-        result.add_row(
-            churn=churn_rate,
-            plan="mig-loss" if lose else "none",
-            committed=data["committed"],
-            aborted=data["aborted"],
-            unresolved=data["unresolved"],
-            mean_latency=round(data["mean_latency"], 2),
-            max_latency=round(data["max_latency"], 2),
-            deferred=data["writes_deferred"],
-            dropped=data["writes_dropped"],
-            checked=data["checked"],
-            violations=data["violations"],
-        )
-    result.notes.append(
+
+
+def _judge(p: dict[str, Any], quick: bool, rows: list[Any]) -> Judgement:
+    notes = [
         "latency is flip-commit minus handoff start (freeze through "
         "install); it bounds the write stall a migrating key's clients "
-        "see, since frozen-window writes defer and drain at the flip"
-    )
-    result.notes.append(
+        "see, since frozen-window writes defer and drain at the flip",
         "mig-loss rows lose every MigFetch/MigFetchReply/MigInstall/"
         "MigAck message: the handoff can never finish, so the protocol "
         "must time out and abort with the source still owning the key — "
-        "coordination loss is in-model for the register itself"
-    )
-    result.notes.append(
+        "coordination loss is in-model for the register itself",
         "dropped counts deferred writes whose owning shard lost its "
         "write agent to churn before the drain — ordinary departures, "
-        "not migration casualties"
+        "not migration casualties",
+    ]
+    all_regular = not any(row["violations"] for row in rows)
+    all_resolved = not any(row["unresolved"] for row in rows)
+    storm_all_aborted = not any(
+        row["committed"] for row in rows if row["plan"] == "mig-loss"
     )
     if all_regular and all_resolved and storm_all_aborted:
-        result.verdict = (
+        verdict = (
             "REPRODUCED: every handoff resolved (commit or clean abort), "
             "per-key regularity held across every seam at every churn "
             "rate, and total coordination loss only forced clean aborts"
         )
     elif not all_resolved:
-        result.verdict = (
+        verdict = (
             "NOT REPRODUCED: a migration was still mid-phase at the "
             "horizon (stuck handoff)"
         )
     elif not storm_all_aborted:
-        result.verdict = (
+        verdict = (
             "NOT REPRODUCED: a handoff claimed to commit although every "
             "coordination message was lost"
         )
     else:
-        result.verdict = (
-            "NOT REPRODUCED: a migrated run violated per-key regularity"
-        )
-    return result
+        verdict = "NOT REPRODUCED: a migrated run violated per-key regularity"
+    return rows, notes, verdict
+
+
+#: Churn × coordination loss over live migrations; quick mode keeps the
+#: first two churn rates.
+EXPERIMENT = Experiment(
+    id="E15",
+    title="Live resharding — crash-safe key handoff under churn",
+    claim=(
+        "keys migrate between quorum shards during the run without "
+        "breaking per-key regularity: every handoff commits or aborts "
+        "cleanly (never a stuck freeze, never two owners), deferred "
+        "writes drain after the flip, and losing all coordination "
+        "traffic only forces clean aborts, never violations"
+    ),
+    params=lambda seed, quick: dict(
+        n=N, delta=DELTA, keys=KEYS, shards=SHARDS,
+        churn_rates=CHURN_RATES[:2] if quick else CHURN_RATES,
+        migrations=MIGRATIONS, seed=seed,
+    ),
+    grid=_grid,
+    judge=_judge,
+)

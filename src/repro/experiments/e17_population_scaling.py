@@ -42,15 +42,15 @@ from __future__ import annotations
 
 from typing import Any
 
-from ..exec.runner import run_specs
 from ..exec.spec import RunSpec
 from ..runtime.config import SystemConfig
 from ..runtime.system import DynamicSystem
-from .harness import ExperimentResult, populations_label
+from .harness import Experiment, Judgement, populations_label
 
+DELTA = 5.0
 #: Populations swept.  Quick mode stops at 10⁴ (the 10⁵ cell costs
 #: ~10 s of wall alone); full mode, its own CI step, runs all four.
-DEFAULT_POPULATIONS = (100, 1_000, 10_000, 100_000)
+POPULATIONS = (100, 1_000, 10_000, 100_000)
 
 
 def population_churn_threshold(n: int, delta: float) -> float:
@@ -99,7 +99,6 @@ def cell(
     return {
         "joins": len(joins),
         "eligible": len(eligible),
-        "done": done,
         "done_rate": done / len(eligible) if eligible else 1.0,
         "delivered": system.network.delivered_count,
         "violations": safety.violation_count,
@@ -107,9 +106,7 @@ def cell(
     }
 
 
-def _grid(
-    quick: bool, populations: tuple[int, ...], delta: float
-) -> list[dict[str, Any]]:
+def _cells(quick: bool) -> list[dict[str, Any]]:
     """The (n, threshold-fraction) cells, sized to the mode.
 
     Near-threshold churn at population n replaces ~``frac·n`` processes
@@ -125,8 +122,8 @@ def _grid(
     joins.
     """
     cells: list[dict[str, Any]] = []
-    for n in populations:
-        cap = population_churn_threshold(n, delta)
+    for n in POPULATIONS:
+        cap = population_churn_threshold(n, DELTA)
         above: tuple[float, float] | None = None
         if n <= 100:
             fractions = (0.3, 0.9)
@@ -192,48 +189,13 @@ def _grid(
     return cells
 
 
-def run(
-    seed: int = 0,
-    quick: bool = False,
-    delta: float = 5.0,
-    populations: tuple[int, ...] = DEFAULT_POPULATIONS,
-    workers: int | None = None,
-) -> ExperimentResult:
-    """Sweep population sizes against each one's own churn threshold."""
-    result = ExperimentResult(
-        experiment_id="E17",
-        title="Population scaling — the churn threshold at n up to 10⁵",
-        paper_claim=(
-            "the synchronous protocol survives any churn below "
-            "c_max(n) = (1 − 1/n)/(3δ) at every population size: joins "
-            "complete and regularity holds below the threshold, join "
-            "completion collapses above it under worst-case eviction"
-        ),
-        params={
-            "delta": delta,
-            "populations": populations,
-            "seed": seed,
-        },
-    )
-    grid = _grid(quick, populations, delta)
-    specs = [
-        RunSpec.seeded(
-            "e17",
-            seed,
-            f"e17:n={g['n']}:frac={g['frac']:.4f}",
-            n=g["n"],
-            delta=delta,
-            rate=g["rate"],
-            horizon=g["horizon"],
-            writes=g["writes"],
-        )
-        for g in grid
-    ]
-    cells = run_specs(specs, workers=workers)
+def _judge(p: dict[str, Any], quick: bool, outcomes: list[Any]) -> Judgement:
+    grid = _cells(quick)
+    rows = []
     all_regular = True
     sub_threshold_complete = True
     above_threshold_starves = True
-    for g, data in zip(grid, cells):
+    for g, data in zip(grid, outcomes):
         if data["violations"]:
             all_regular = False
         if g["frac"] < 1.0 and data["eligible"] and data["done_rate"] < 0.8:
@@ -242,49 +204,74 @@ def run(
             sub_threshold_complete = False
         if g["frac"] > 1.0 and data["done_rate"] > 0.05:
             above_threshold_starves = False
-        result.add_row(
-            n=g["n"],
-            c_over_cap=round(g["frac"], 4),
-            c=round(g["rate"], 6),
-            horizon=g["horizon"],
-            joins=data["joins"],
-            eligible=data["eligible"],
-            done_rate=round(data["done_rate"], 3),
-            delivered=data["delivered"],
-            checked=data["checked"],
-            violations=data["violations"],
+        rows.append(
+            dict(
+                n=g["n"],
+                c_over_cap=round(g["frac"], 4),
+                c=round(g["rate"], 6),
+                horizon=g["horizon"],
+                joins=data["joins"],
+                eligible=data["eligible"],
+                done_rate=round(data["done_rate"], 3),
+                delivered=data["delivered"],
+                checked=data["checked"],
+                violations=data["violations"],
+            )
         )
-    result.notes.append(
+    notes = [
         "c_over_cap is the cell's churn rate as a fraction of its own "
         "population's threshold (1 − 1/n)/(3δ); eviction is worst-case "
-        "oldest_first, the regime where the threshold is exactly tight"
-    )
-    result.notes.append(
+        "oldest_first, the regime where the threshold is exactly tight",
         "done_rate counts only eligible joins (invoked at least 3δ "
-        "before the horizon, so their window fits inside the run)"
-    )
-    result.notes.append(
+        "before the horizon, so their window fits inside the run)",
         "the n = 10⁴ cell runs one membership refresh per tick — each "
         "join's inquiry round still fans out to all 10⁴ processes, the "
-        "load the per-event kernel could not sustain"
-    )
+        "load the per-event kernel could not sustain",
+    ]
     if all_regular and sub_threshold_complete and above_threshold_starves:
         refreshed = populations_label([g["n"] for g in grid if g["refresh"]])
         starved = populations_label([g["n"] for g in grid if g["frac"] > 1.0])
-        result.verdict = (
+        verdict = (
             "REPRODUCED: every population stays regular, sub-threshold "
             f"joins complete at every n (including {refreshed}), and join "
             f"completion collapses above the threshold ({starved}) under "
             "worst-case eviction"
         )
     elif all_regular:
-        result.verdict = (
+        verdict = (
             "NOT REPRODUCED: regular, but join completion did not track "
             "the (1 − 1/n)/(3δ) threshold (see done_rate column)"
         )
     else:
-        result.verdict = (
-            "NOT REPRODUCED: a population cell violated regularity"
-        )
-    return result
+        verdict = "NOT REPRODUCED: a population cell violated regularity"
+    return rows, notes, verdict
 
+
+#: Population sizes against each one's own churn threshold.
+EXPERIMENT = Experiment(
+    id="E17",
+    title="Population scaling — the churn threshold at n up to 10⁵",
+    claim=(
+        "the synchronous protocol survives any churn below "
+        "c_max(n) = (1 − 1/n)/(3δ) at every population size: joins "
+        "complete and regularity holds below the threshold, join "
+        "completion collapses above it under worst-case eviction"
+    ),
+    params=lambda seed, quick: {
+        "delta": DELTA, "populations": POPULATIONS, "seed": seed
+    },
+    grid=lambda p, quick: [
+        RunSpec.seeded(
+            f"{__name__}:cell",
+            p["seed"],
+            f"e17:n={g['n']}:frac={g['frac']:.4f}",
+            n=g["n"],
+            delta=DELTA,
+            rate=g["rate"],
+            horizon=g["horizon"],
+            writes=g["writes"],
+        )
+        for g in _cells(quick)
+    ],
+    judge=_judge,
+)

@@ -1,10 +1,13 @@
-"""Experiment harness: shared result types and table rendering.
+"""Experiment harness: the declaration every claim is, and its one run.
 
-Every experiment module exposes ``run(seed=0, quick=False, ...)`` and
-returns an :class:`ExperimentResult` whose ``rows`` regenerate the
-corresponding claim of the paper (see the E-index in ``DESIGN.md``).
-``quick=True`` shrinks repetitions/horizons for the test suite and CI;
-the full parameterization is what ``EXPERIMENTS.md`` records.
+Each module under ``experiments/`` declares the claims it regenerates as
+:class:`Experiment` rows — the paper's claim, the parameters the report
+prints, the grid of :class:`~repro.exec.RunSpec` cells that measure it
+and the judgement that turns their outcomes into a table and a verdict.
+:func:`run` executes any row: it builds the grid, runs it through the
+engine once and renders an :class:`ExperimentResult`.  ``quick=True``
+shrinks repetitions/horizons for the test suite and CI; the full grid
+is the same declaration at full size.
 """
 
 from __future__ import annotations
@@ -12,7 +15,59 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
+from ..cluster.system import ClusterSystem
+from ..core.checker import SafetyReport
+from ..exec.runner import run_specs
+from ..exec.spec import RunSpec
+from ..runtime.system import DynamicSystem
 from ..sim.errors import ExperimentError
+from ..workloads.cluster import ClusterWorkloadDriver, shard_skewed_key_picker
+from ..workloads.generators import assign_keys, read_heavy_plan
+from ..workloads.schedule import WorkloadDriver
+
+#: What a judgement returns: the table rows, the notes and the verdict.
+Judgement = tuple[list[dict[str, Any]], list[str], str]
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One row of the battery: a paper claim and how to regenerate it.
+
+    ``params(seed, quick)`` is the parameter dict the report prints;
+    ``grid(params, quick)`` lists the cells that measure the claim, each
+    naming its cell function as ``"module:function"``; ``judge(params,
+    quick, outcomes)`` reads the cells' outcomes, in grid order, and
+    returns the rows, the notes and the verdict (which may read outcome
+    fields the rows drop).
+    """
+
+    id: str
+    title: str
+    claim: str
+    params: Callable[[int, bool], dict[str, Any]]
+    grid: Callable[[dict[str, Any], bool], list[RunSpec]]
+    judge: Callable[[dict[str, Any], bool, list[Any]], Judgement]
+
+
+def run(
+    experiment: Experiment,
+    seed: int = 0,
+    quick: bool = False,
+    workers: int | None = None,
+) -> ExperimentResult:
+    """Regenerate one claim: its grid, run once through the engine."""
+    params = experiment.params(seed, quick)
+    outcomes = run_specs(experiment.grid(params, quick), workers=workers)
+    rows, notes, verdict = experiment.judge(params, quick, outcomes)
+    return ExperimentResult(
+        experiment_id=experiment.id,
+        title=experiment.title,
+        paper_claim=experiment.claim,
+        params=params,
+        rows=rows,
+        notes=notes,
+        verdict=verdict,
+    )
 
 
 @dataclass
@@ -23,16 +78,14 @@ class ExperimentResult:
     title: str
     paper_claim: str
     params: dict[str, Any] = field(default_factory=dict)
-    columns: tuple[str, ...] = ()
     rows: list[dict[str, Any]] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
     verdict: str = ""
 
-    def add_row(self, **values: Any) -> None:
-        """Append one table row (columns are taken from the first row)."""
-        if not self.columns:
-            self.columns = tuple(values)
-        self.rows.append(values)
+    @property
+    def columns(self) -> tuple[str, ...]:
+        """The table's columns: the first row's keys, in order."""
+        return tuple(self.rows[0]) if self.rows else ()
 
     def column(self, name: str) -> list[Any]:
         """All values of one column, in row order."""
@@ -92,6 +145,73 @@ def format_table(columns: Sequence[str], rows: list[dict[str, Any]]) -> str:
     return "\n".join([header, separator, *body])
 
 
+def drive_read_heavy(
+    system: DynamicSystem,
+    horizon: float,
+    end: float,
+    write_period: float,
+    read_rate: float,
+    stream: str,
+) -> WorkloadDriver:
+    """Run ``system`` to ``horizon`` under the read-heavy plan (operations
+    from t = 5 to ``end``, drawn from RNG stream ``stream``) and close
+    its history; returns the driver, whose stats the cell may read."""
+    driver = WorkloadDriver(system)
+    driver.install(
+        read_heavy_plan(
+            start=5.0,
+            end=end,
+            write_period=write_period,
+            read_rate=read_rate,
+            rng=system.rng.stream(stream),
+        )
+    )
+    system.run_until(horizon)
+    system.close()
+    return driver
+
+
+def drive_skewed_cluster(
+    cluster: ClusterSystem,
+    driver: ClusterWorkloadDriver,
+    horizon: float,
+    end: float,
+    write_period: float,
+    read_rate: float,
+    prefix: str,
+    distribution: str,
+) -> SafetyReport:
+    """Run ``cluster`` to ``horizon`` under the read-heavy plan, its keys
+    drawn with ``distribution`` skew over the shards (RNG streams
+    ``<prefix>.plan`` and ``<prefix>.skew``); close the run and return
+    the merged-history safety report."""
+    plan = read_heavy_plan(
+        start=5.0,
+        end=end,
+        write_period=write_period,
+        read_rate=read_rate,
+        rng=cluster.rng.stream(f"{prefix}.plan"),
+    )
+    skew = cluster.rng.stream(f"{prefix}.skew")
+    driver.install(
+        assign_keys(
+            plan, shard_skewed_key_picker(cluster, skew, distribution=distribution)
+        )
+    )
+    cluster.run_until(horizon)
+    cluster.close()
+    return cluster.check_safety()
+
+
+def totals(group: Sequence[dict[str, Any]]) -> dict[str, Any]:
+    """Field-wise sums of a repetition group's numeric outcome fields."""
+    return {
+        key: sum(outcome[key] for outcome in group)
+        for key, value in group[0].items()
+        if isinstance(value, (int, float))
+    }
+
+
 _SUPERSCRIPTS = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
 
 
@@ -109,7 +229,3 @@ def populations_label(populations: Sequence[int]) -> str:
             else str(n)
         )
     return f"n = {names[0]}" if len(names) == 1 else f"n ∈ {{{', '.join(names)}}}"
-
-
-#: Signature every experiment module's ``run`` conforms to.
-ExperimentRunner = Callable[..., ExperimentResult]

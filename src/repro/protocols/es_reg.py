@@ -43,8 +43,7 @@ typographically garbled in the archived PDF (the argument of
 ``DL_PREV``).  We transcribe it as *the sender's own pending request
 number*, which is the only reading consistent with the proof of
 Lemma 5 (the REPLY triggered by a ``DL_PREV`` must pass the receiver's
-``r_sn = read_sn_i`` guard at line 19).  DESIGN.md records this
-disambiguation.
+``r_sn = read_sn_i`` guard at line 19).
 """
 
 from __future__ import annotations

@@ -9,7 +9,12 @@ from repro.sim.rng import derive_seed
 
 
 def _module_of(kind):
-    return ENTRY_POINTS[kind].partition(":")[0]
+    return ENTRY_POINTS.get(kind, kind).partition(":")[0]
+
+
+def _grid(experiment_id, quick):
+    experiment = EXPERIMENTS[experiment_id]
+    return experiment.grid(experiment.params(0, quick), quick)
 
 
 class TestRunSpec:
@@ -39,17 +44,31 @@ class TestRegistry:
 
     @pytest.mark.parametrize("experiment_id", sorted(EXPERIMENTS))
     def test_every_experiment_registers_its_cells(self, experiment_id):
-        module = EXPERIMENTS[experiment_id].__module__
-        kinds = [k for k in ENTRY_POINTS if _module_of(k) == module]
-        assert kinds, f"{experiment_id} has no registered cell kind"
-        assert all(resolve(k).__module__ == module for k in kinds)
+        """A declaration names its cells as ``"module:function"`` of an
+        experiment module, each resolving to that module's function, in
+        both modes."""
+        kinds = {
+            spec.kind for quick in (True, False) for spec in _grid(experiment_id, quick)
+        }
+        assert kinds, f"{experiment_id} has no cell"
+        for kind in kinds:
+            assert _module_of(kind).startswith("repro.experiments."), kind
+            assert resolve(kind).__module__ == _module_of(kind)
 
     def test_every_experiment_kind_belongs_to_the_battery(self):
-        """Retiring an experiment retires its cell kinds with it."""
-        battery = {runner.__module__ for runner in EXPERIMENTS.values()}
+        """Experiment cells are named by their declarations, so the
+        static table holds no experiment kind to retire with one."""
         for kind in ENTRY_POINTS:
-            if _module_of(kind).startswith("repro.experiments."):
-                assert _module_of(kind) in battery, kind
+            assert not _module_of(kind).startswith("repro.experiments."), kind
+
+    @pytest.mark.parametrize("experiment_id", ["A1", "A2", "A3", "A4", "A5", "A6"])
+    def test_ablation_cells_keep_their_derive_labels(self, experiment_id):
+        """Each variant's seed is ``derive_seed(root, "<id>:<variant>")``,
+        the label the ablations have always drawn their seeds from."""
+        prefix = experiment_id.lower() + ":"
+        for spec in _grid(experiment_id, quick=True):
+            assert spec.label.startswith(prefix)
+            assert spec.params["seed"] == derive_seed(0, spec.label)
 
     def test_module_colon_function_form_resolves(self):
         fn = resolve("repro.sim.rng:derive_seed")

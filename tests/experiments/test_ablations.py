@@ -1,20 +1,13 @@
-"""Tests for the A1–A4 ablations."""
-
-from functools import cache
+"""Tests for the A1–A6 ablations."""
 
 import pytest
 
-from repro.experiments.ablations import ABLATIONS
+from tests.experiments.battery import quick
+
+ABLATION_IDS = ["A1", "A2", "A3", "A4", "A5", "A6"]
 
 
-@cache
-def quick(ablation_id):
-    """The quick run of one ablation, once per session: ablations are
-    deterministic and every test here only reads the result."""
-    return ABLATIONS[ablation_id](seed=0, quick=True)
-
-
-@pytest.mark.parametrize("ablation_id", sorted(ABLATIONS))
+@pytest.mark.parametrize("ablation_id", ABLATION_IDS)
 def test_ablation_reproduces(ablation_id):
     result = quick(ablation_id)
     assert result.verdict.startswith("REPRODUCED"), result.describe()
@@ -54,11 +47,6 @@ class TestA3Shapes:
         assert baseline["max_join_latency"] == 15.0  # 3δ with δ=5
         assert optimized["max_join_latency"] == 11.0  # 2δ + δ' with δ'=1
         assert all(result.column("safe"))
-
-    def test_custom_p2p_bound(self):
-        result = ABLATIONS["A3"](seed=0, quick=True, p2p_delta=2.5)
-        optimized = result.rows[1]
-        assert optimized["expected_bound"] == 12.5  # 2δ + δ'
 
 
 class TestA4Shapes:

@@ -1,27 +1,36 @@
-"""Integration tests: every experiment must reproduce its paper claim.
+"""Integration tests: every row of the battery must reproduce its claim.
 
-These are the repository's headline assertions — each experiment's
+These are the repository's headline assertions — each row's
 ``verdict`` starts with ``REPRODUCED`` when the measured behaviour
 matches the paper.  ``quick=True`` keeps horizons small; the full
-parameterization behind ``EXPERIMENTS.md`` is the same code.
+grid is the same declaration at full size.  Each row's quick run is
+shared with the golden store's ``battery/`` family, which pins its
+whole ``describe()`` text.
 """
-
-from functools import cache
 
 import pytest
 
-from repro.experiments import EXPERIMENTS
+from repro.experiments import EXPERIMENTS, run
 from repro.experiments.harness import populations_label
+from tests.experiments.battery import battery_family, quick
+from tests.golden import expected
+
+BATTERY_KEYS = battery_family()
 
 
-@cache
-def quick(experiment_id):
-    """The quick run of one experiment, once per session: experiments
-    are deterministic and every test here only reads the result."""
-    return EXPERIMENTS[experiment_id](seed=0, quick=True)
+@pytest.mark.parametrize("key", BATTERY_KEYS)
+def test_battery_row_reproduces_its_golden(key):
+    assert BATTERY_KEYS[key]() == expected(key), (
+        f"{key} no longer describes its recorded table; if this change "
+        f"intentionally moved a cell, regenerate the golden store"
+    )
 
 
-@pytest.mark.parametrize("experiment_id", sorted(EXPERIMENTS))
+#: The paper's claims; the ablations' verdicts are test_ablations.py's.
+CLAIM_IDS = sorted(i for i in EXPERIMENTS if i.startswith("E"))
+
+
+@pytest.mark.parametrize("experiment_id", CLAIM_IDS)
 def test_experiment_reproduces(experiment_id):
     result = quick(experiment_id)
     assert result.verdict.startswith("REPRODUCED"), (
@@ -169,7 +178,7 @@ class TestLargeCellsCompleteEveryJoin:
 
         monkeypatch.setattr(module, "cell", doctored)
         monkeypatch.setattr(registry, "_RESOLVED", {})
-        return module.run(seed=0, quick=True, workers=1).verdict
+        return run(module.EXPERIMENT, seed=0, quick=True, workers=1).verdict
 
     @pytest.mark.parametrize("change", DOCTORED)
     def test_e17_refresh_cell(self, monkeypatch, change):

@@ -7,15 +7,16 @@ from repro.sim.errors import ExperimentError
 
 
 def make_result() -> ExperimentResult:
-    result = ExperimentResult(
+    return ExperimentResult(
         experiment_id="EX",
         title="Example",
         paper_claim="claim text",
         params={"n": 5},
+        rows=[
+            dict(name="a", value=1.23456, flag=True),
+            dict(name="bb", value=7.0, flag=False),
+        ],
     )
-    result.add_row(name="a", value=1.23456, flag=True)
-    result.add_row(name="bb", value=7.0, flag=False)
-    return result
 
 
 class TestExperimentResult:

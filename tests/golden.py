@@ -55,6 +55,7 @@ PRODUCERS: dict[str, str] = {
     "trace": "tests.properties.test_kernel_parity:trace_family",
     "corpus": "tests.integration.test_seed_corpus:corpus_family",
     "sweep": "tests.integration.test_smoke_sweeps:sweep_family",
+    "battery": "tests.experiments.battery:battery_family",
 }
 
 

@@ -136,10 +136,10 @@ def test_digest_workload_reproduces_its_golden(key):
 
 class TestExperimentDeterminism:
     def test_experiments_are_reproducible(self):
-        from repro.experiments import EXPERIMENTS
+        from repro.experiments import EXPERIMENTS, run
 
         for experiment_id in ("E4", "E9"):
-            first = EXPERIMENTS[experiment_id](seed=3, quick=True)
-            second = EXPERIMENTS[experiment_id](seed=3, quick=True)
+            first = run(EXPERIMENTS[experiment_id], seed=3, quick=True)
+            second = run(EXPERIMENTS[experiment_id], seed=3, quick=True)
             assert first.rows == second.rows, experiment_id
             assert first.verdict == second.verdict

@@ -16,7 +16,7 @@ import json
 
 import pytest
 
-from repro.experiments import e04_lemma2, e09_latency, e14_sharded_cluster
+from repro.experiments import EXPERIMENTS, run
 from repro.workloads.explorer import explore
 
 #: Enough workers to genuinely exercise the pool on any host.
@@ -45,28 +45,35 @@ def test_explore_report_is_byte_identical_across_worker_counts(seed):
     assert serial_blob == parallel_blob
 
 
+def _describe_at_both_worker_counts(experiment_id, seed):
+    experiment = EXPERIMENTS[experiment_id]
+    serial = run(experiment, seed=seed, quick=True, workers=1)
+    parallel = run(experiment, seed=seed, quick=True, workers=WORKERS)
+    return serial.describe(), parallel.describe()
+
+
+# E4's churn grid, and the ablations, whose variants are cells of the
+# pool like any E-row's.
 @pytest.mark.parametrize("seed", [0, 7])
-def test_experiment_grid_is_byte_identical_across_worker_counts(seed):
-    serial = e04_lemma2.run(seed=seed, quick=True, workers=1)
-    parallel = e04_lemma2.run(seed=seed, quick=True, workers=WORKERS)
-    assert serial.describe() == parallel.describe()
+@pytest.mark.parametrize("experiment_id", ["E4", "A1", "A2", "A3", "A4", "A5", "A6"])
+def test_experiment_grid_is_byte_identical_across_worker_counts(experiment_id, seed):
+    serial, parallel = _describe_at_both_worker_counts(experiment_id, seed)
+    assert serial == parallel
 
 
 def test_multi_row_cells_keep_row_order():
     # E9's cells each return several rows; interleaving would reorder
     # the table if the engine ever yielded by completion time.
-    serial = e09_latency.run(seed=0, quick=True, workers=1)
-    parallel = e09_latency.run(seed=0, quick=True, workers=WORKERS)
-    assert serial.describe() == parallel.describe()
+    serial, parallel = _describe_at_both_worker_counts("E9", 0)
+    assert serial == parallel
 
 
 def test_e14_sharded_cluster_is_byte_identical_across_worker_counts():
     # The E14 acceptance criterion: cluster cells (multi-system runs on
     # one shared scheduler, shard-derived seeds) must be exactly as
     # worker-count-independent as single-system cells.
-    serial = e14_sharded_cluster.run(seed=0, quick=True, workers=1)
-    parallel = e14_sharded_cluster.run(seed=0, quick=True, workers=WORKERS)
-    assert serial.describe() == parallel.describe()
+    serial, parallel = _describe_at_both_worker_counts("E14", 0)
+    assert serial == parallel
 
 
 def test_explore_sharded_cells_byte_identical_across_worker_counts():

@@ -160,9 +160,33 @@ class TestExperiments:
         assert serial_out == parallel_out
         assert "all 1 experiments reproduced" in serial_out
 
+    @pytest.mark.parametrize("ablations", [False, True])
+    def test_default_set_is_the_e_rows_and_the_flag_adds_the_a_rows(
+        self, monkeypatch, capsys, ablations
+    ):
+        from repro import cli
+        from repro.experiments import EXPERIMENTS, ExperimentResult
+
+        ran = []
+
+        def fake_run(experiment, seed, quick, workers):
+            ran.append(experiment.id)
+            return ExperimentResult(experiment.id, "", "", verdict="REPRODUCED")
+
+        monkeypatch.setattr(cli, "run_experiment", fake_run)
+        assert main(["experiments"] + (["--ablations"] if ablations else [])) == 0
+        expected_ids = [i for i in EXPERIMENTS if ablations or i.startswith("E")]
+        assert ran == expected_ids
+        assert len(ran) == (23 if ablations else 17)
+        assert f"all {len(ran)} experiments reproduced" in capsys.readouterr().out
+
     def test_workers_flag_reaches_ablations_without_error(self, capsys):
-        # Ablations accept the engine's keyword for harness uniformity.
-        assert main(["experiments", "--ids", "A3", "--quick", "--workers", "2"]) == 0
+        # An ablation's variants are pool cells like any E-row's.
+        args = ["experiments", "--ids", "A3", "--quick"]
+        assert main(args + ["--workers", "2"]) == 0
+        parallel_out = capsys.readouterr().out
+        assert main(args + ["--workers", "1"]) == 0
+        assert capsys.readouterr().out == parallel_out
 
 
 class TestParanoid:

@@ -11,6 +11,7 @@ names every key that changed.
 import pytest
 
 from tests import golden
+from tests.experiments import test_experiments
 from tests.integration import test_determinism, test_seed_corpus, test_smoke_sweeps
 from tests.properties import test_kernel_parity
 
@@ -71,6 +72,7 @@ PER_ENTRY_TESTS = {
     "trace": lambda key: test_kernel_parity.TestKernelGolden().test_trace_records_match_golden(key),
     "corpus": lambda key: test_seed_corpus.test_corpus_entry_records_its_canonical_spec(key),
     "sweep": lambda key: test_smoke_sweeps.test_smoke_sweep_reproduces_its_golden(key),
+    "battery": lambda key: test_experiments.test_battery_row_reproduces_its_golden(key),
 }
 
 
