@@ -31,19 +31,21 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Any, TYPE_CHECKING
+from typing import Any, NoReturn, TYPE_CHECKING
 
 from ..sim.clock import Time
 from ..sim.engine import EventScheduler
 from ..sim.errors import ProcessError
 from ..sim.operations import OperationBody, OperationHandle
-from ..sim.process import SimProcess
+from ..sim.process import ProcessMode, SimProcess
 from ..sim.trace import TraceLog
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..net.broadcast import BroadcastService
     from ..net.network import Network
 
+
+_ACTIVE = ProcessMode.ACTIVE
 
 #: The distinguished "nothing written locally yet" value (the paper's ⊥).
 BOTTOM = None
@@ -293,25 +295,26 @@ class RegisterNode(SimProcess, abc.ABC):
     def read(self, key: Any = None) -> OperationHandle:
         """Invoke a read of ``key``.  Only legal once the node is
         active; ``None`` addresses the default key."""
-        self._require_active(OP_READ)
+        if self._mode is not _ACTIVE:
+            self._refuse_inactive(OP_READ)
         key = self.space.resolve(key)
         return self.run_operation(OP_READ, self._read_body(key), key=key)
 
     def write(self, value: Any, key: Any = None) -> OperationHandle:
         """Invoke a write of ``key``.  Only legal once the node is
         active; ``None`` addresses the default key."""
-        self._require_active(OP_WRITE)
+        if self._mode is not _ACTIVE:
+            self._refuse_inactive(OP_WRITE)
         key = self.space.resolve(key)
         return self.run_operation(
             OP_WRITE, self._write_body(value, key), argument=value, key=key
         )
 
-    def _require_active(self, kind: str) -> None:
-        if not self.is_active:
-            raise ProcessError(
-                f"{self.pid} invoked {kind} before its join returned; the "
-                f"model only allows reads/writes from active processes"
-            )
+    def _refuse_inactive(self, kind: str) -> NoReturn:
+        raise ProcessError(
+            f"{self.pid} invoked {kind} before its join returned; the "
+            f"model only allows reads/writes from active processes"
+        )
 
     @abc.abstractmethod
     def _join_body(self) -> OperationBody:

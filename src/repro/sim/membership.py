@@ -12,6 +12,7 @@ the present ones: a process is its own presence record, and
 
 from __future__ import annotations
 
+from random import Random
 from typing import Iterator
 
 from .clock import Time
@@ -31,14 +32,17 @@ class Membership:
     def __init__(self) -> None:
         self._processes: dict[str, SimProcess] = {}
         self._present: dict[str, SimProcess] = {}
-        # The active list is asked for on every planned operation but
-        # changes only when presence (``enter`` / ``leave``) or a
-        # process's mode does, so it is cached; each of those resets it
-        # to ``None`` — the process through the back-reference ``enter``
-        # hands it.  ``_active_count`` is the list's length, kept exact
-        # at the same four transitions so sampling ``|A(τ)|`` never
-        # rebuilds a list churn invalidates every tick.
-        self._active: list[str] | None = None
+        # The active processes, in entry order: every planned read
+        # without a named reader is drawn from this list, in place
+        # (:meth:`draw_active`), but it changes only when presence
+        # (``enter`` / ``leave``) or a process's mode does, so it is
+        # cached; each of those resets it to ``None`` — the process
+        # through the back-reference ``enter`` hands it.  A drawn
+        # process is therefore present and active by construction.
+        # ``_active_count`` is the list's length, kept exact at the same
+        # four transitions so sampling ``|A(τ)|`` never rebuilds a list
+        # churn invalidates every tick.
+        self._active: list[SimProcess] | None = None
         self._active_count = 0
 
     # ------------------------------------------------------------------
@@ -112,15 +116,36 @@ class Membership:
     def present_pids(self) -> list[str]:
         return list(self._present)
 
-    def active_pids(self) -> list[str]:
-        """Every identity currently in the *active* mode, in entry order
-        (a fresh list: callers index and filter it)."""
+    def _active_list(self) -> list[SimProcess]:
         active = self._active
         if active is None:
             active = self._active = [
-                pid for pid, p in self._present.items() if p._mode is _ACTIVE
+                p for p in self._present.values() if p._mode is _ACTIVE
             ]
-        return list(active)
+        return active
+
+    def active_pids(self) -> list[str]:
+        """Every identity currently in the *active* mode, in entry order
+        (a fresh list: callers index and filter it)."""
+        return [p.pid for p in self._active_list()]
+
+    def draw_active(
+        self, rng: Random, exclude: str | None = None
+    ) -> SimProcess | None:
+        """One active process drawn uniformly by ``rng.choice`` from the
+        cached active list, in place — ``None`` if there is none.
+
+        The draw consumes ``rng`` exactly as
+        ``rng.choice(active_pids())`` does; ``exclude`` leaves that pid
+        out of the pool, as ``rng.choice`` over the filtered list would.
+        """
+        # The cache hit is inlined: this runs once per planned read.
+        active = self._active
+        if active is None:
+            active = self._active_list()
+        if exclude is not None:
+            active = [p for p in active if p.pid != exclude]
+        return rng.choice(active) if active else None
 
     @property
     def active_count(self) -> int:
@@ -129,8 +154,7 @@ class Membership:
 
     def active_processes(self) -> list[SimProcess]:
         """:meth:`active_pids`, as the live objects."""
-        present = self._present
-        return [present[pid] for pid in self.active_pids()]
+        return list(self._active_list())
 
     def active_count_at(self, instant: Time) -> int:
         """``|A(instant)|`` — the paper's active-set size at one instant."""

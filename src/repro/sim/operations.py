@@ -198,14 +198,16 @@ class OperationHandle:
         self._result = result
         self.response_time = time
         self._state = OperationState.DONE
-        self._fire_callbacks()
+        if self._callbacks:
+            self._fire_callbacks()
 
     def _abandon(self, time: Time) -> None:
         if self._state is not OperationState.PENDING:
             return
         self.response_time = None
         self._state = OperationState.ABANDONED
-        self._fire_callbacks()
+        if self._callbacks:
+            self._fire_callbacks()
 
     def _fire_callbacks(self) -> None:
         callbacks, self._callbacks = self._callbacks, ()

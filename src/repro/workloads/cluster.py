@@ -35,7 +35,14 @@ from ..runtime.assembly import scope_pid
 from ..sim.engine import collector_paused
 from ..sim.errors import ExperimentError
 from .generators import KeyPicker, uniform_key_picker, zipf_key_picker
-from .schedule import ReadOp, WorkloadOp, WorkloadStats, WriteOp, install_series
+from .schedule import (
+    ReadOp,
+    WorkloadOp,
+    WorkloadStats,
+    WriteOp,
+    install_series,
+    named_process,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..cluster.migration import MigrationRecord
@@ -52,8 +59,11 @@ class ClusterWorkloadDriver:
     a freeze is deferred by the front door (counted in
     ``stats.writes_deferred``) rather than issued to a stale shard.  A
     write whose key still has one pending is skipped, as in the
-    single-system driver.  Readers are drawn from the *current* owner's
-    active set, from the cluster stream ``workload.cluster.readers``.
+    single-system driver.  Readers are drawn in place from the *current*
+    owner's active list (``Membership.draw_active``), from the cluster
+    stream ``workload.cluster.readers``, and read there directly; the
+    handle goes to that shard's history.  An explicit reader must be a
+    pid of the owning shard: one that never entered it is refused.
 
     ``dynamic=True`` is accepted and changes nothing; ``dynamic=False``
     (install-time routing, which no cluster has) is refused by name
@@ -101,31 +111,33 @@ class ClusterWorkloadDriver:
         self._pending_writes[key] = handle
         self.stats.writes_issued += 1
         self.stats.write_handles.append(handle)
-        self._count_shard_op(key)
+        self._count_shard_op(self.cluster.shard_of(key), key)
 
     def _fire_read(self, op: ReadOp) -> None:
-        key = self.cluster.resolve_key(op.key)
-        shard = self.cluster.shard_for(key)
-        reader = op.reader if op.reader is not None else self._pick_reader(shard)
-        if reader is None or not shard.membership.is_present(reader):
+        cluster = self.cluster
+        key = cluster.resolve_key(op.key)
+        index = cluster.shard_of(key)
+        shard = cluster.shards[index]
+        if op.reader is None:
+            node = shard.membership.draw_active(self._rng)
+        else:
+            node = named_process(
+                shard.membership,
+                op.reader,
+                op,
+                "reader",
+                f"shard {index}, which owns key {key!r}",
+            )
+        if node is None:
             self.stats.reads_skipped += 1
             return
-        if not shard.node(reader).is_active:
-            self.stats.reads_skipped += 1
-            return
-        handle = self.cluster.read(key, pid=reader)
+        handle = node.read(key)
+        shard.history.record_operation(handle)
         self.stats.reads_issued += 1
         self.stats.read_handles.append(handle)
-        self._count_shard_op(key)
+        self._count_shard_op(index, key)
 
-    def _pick_reader(self, shard) -> str | None:
-        candidates = shard.active_pids()
-        if not candidates:
-            return None
-        return self._rng.choice(candidates)
-
-    def _count_shard_op(self, key: object) -> None:
-        shard = self.cluster.shard_of(key)
+    def _count_shard_op(self, shard: int, key: object) -> None:
         self._shard_ops[shard] = self._shard_ops.get(shard, 0) + 1
         self._key_ops[key] = self._key_ops.get(key, 0) + 1
 

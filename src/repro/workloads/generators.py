@@ -19,7 +19,7 @@ from typing import Any, Callable, Sequence
 
 from ..sim.clock import Time
 from ..sim.errors import ExperimentError
-from .schedule import ReadOp, WorkloadOp, WriteOp
+from .schedule import _PLANNED_AT, ReadOp, WorkloadOp, WriteOp
 
 #: A key picker: draws the register key the next operation addresses.
 KeyPicker = Callable[[], Any]
@@ -108,7 +108,7 @@ def read_heavy_plan(
         periodic_writes(start + write_period / 2, write_period, write_count, writer)
     )
     plan.extend(poisson_reads(start, end, read_rate, rng))
-    plan.sort(key=lambda op: op.time)
+    plan.sort(key=_PLANNED_AT)
     return plan
 
 
@@ -208,5 +208,5 @@ def write_heavy_plan(
             if t + offset < end:
                 plan.append(ReadOp(time=t + offset))
         t += write_period
-    plan.sort(key=lambda op: op.time)
+    plan.sort(key=_PLANNED_AT)
     return plan

@@ -12,12 +12,20 @@ firing time the driver resolves *who* performs the operation:
   assumes writes are never concurrent, and the checkers require
   serialized writes, so the driver enforces serialization and counts
   the skips (a liveness signal in its own right);
-* a ``ReadOp`` goes to an explicit pid or to a uniformly drawn *active*
-  process; if no active process exists at that instant the read is
-  skipped and counted (another breakdown signal).
+* a ``ReadOp`` goes to an explicit pid or to an *active* process drawn
+  uniformly, in place, from the membership's cached active list
+  (:meth:`~repro.sim.membership.Membership.draw_active`, stream
+  ``workload.readers``); if no active process exists at that instant
+  the read is skipped and counted (another breakdown signal).  A drawn
+  reader is present and active by construction, so the driver invokes
+  its ``read`` directly and records the handle in the history.
 
-The driver records every issued handle, so experiments can compute
-latency distributions without digging through the history.
+An explicit pid (:func:`named_process`) that has departed or is still
+joining is a counted skip; one that never entered the system is a
+mistyped plan, refused with an :class:`ExperimentError` naming the pid
+and the op's planned time.  The driver records every issued handle, so
+experiments can compute latency distributions without digging through
+the history.
 """
 
 from __future__ import annotations
@@ -32,7 +40,9 @@ from ..sim.clock import Time
 from ..sim.engine import EventScheduler, collector_paused
 from ..sim.errors import ExperimentError
 from ..sim.events import Priority
+from ..sim.membership import Membership
 from ..sim.operations import OperationHandle
+from ..sim.process import SimProcess
 
 
 _PLANNED_AT = attrgetter("time")
@@ -100,6 +110,28 @@ def install_series(
     )
 
 
+def named_process(
+    membership: Membership,
+    pid: str,
+    op: WorkloadOp,
+    role: str,
+    where: str = "the system",
+) -> SimProcess | None:
+    """The process an explicit ``op.reader`` / ``op.writer`` names, if it
+    is present and active as ``op`` fires; ``None`` — a counted skip —
+    if it departed or is still joining.  A ``pid`` that never entered
+    ``membership`` is refused, naming it and the op's planned time."""
+    if pid not in membership:
+        raise ExperimentError(
+            f"{type(op).__name__} planned at {op.time!r} names {role} {pid!r}, "
+            f"which never entered {where}"
+        )
+    if not membership.is_present(pid):
+        return None
+    process = membership.process(pid)
+    return process if process.is_active else None
+
+
 @dataclass
 class WorkloadStats:
     """What the driver actually managed to issue."""
@@ -137,7 +169,7 @@ class WorkloadDriver:
         random reader pool (useful when measuring reader-side latency
         in isolation)."""
         self.system = system
-        self.exclude_writer = exclude_writer
+        self._excluded = system.writer_pid if exclude_writer else None
         self.stats = WorkloadStats()
         self._rng = system.rng.stream("workload.readers")
         # Writes are serialized *per key* (the checkers partition the
@@ -164,16 +196,19 @@ class WorkloadDriver:
         # Serialize on the *resolved* key: in a multi-key system a
         # WriteOp with key=None addresses the default key, and must
         # share that key's serialization slot, not a separate None one.
-        key = op.key if op.key is not None else self.system.keys[0]
+        # The writer is looked up first, so a mistyped one is refused
+        # even while a write is pending.
+        system = self.system
+        key = op.key if op.key is not None else system.keys[0]
+        writer = op.writer if op.writer is not None else system.writer_pid
         pending = self._pending_writes.get(key)
-        if pending is not None and pending.pending:
+        if (
+            named_process(system.membership, writer, op, "writer") is None
+            or (pending is not None and pending.pending)
+        ):
             self.stats.writes_skipped += 1
             return
-        writer = op.writer if op.writer is not None else self.system.writer_pid
-        if not self.system.membership.is_present(writer):
-            self.stats.writes_skipped += 1
-            return
-        handle = self.system.write(op.value, pid=writer, key=op.key)
+        handle = system.write(op.value, pid=writer, key=op.key)
         self._pending_writes[key] = handle
         self.stats.writes_issued += 1
         self.stats.write_handles.append(handle)
@@ -181,25 +216,14 @@ class WorkloadDriver:
     def _fire_read(self, op: ReadOp) -> None:
         system = self.system
         stats = self.stats
-        reader = op.reader if op.reader is not None else self._pick_reader()
-        if reader is None or not system.membership.is_present(reader):
-            stats.reads_skipped += 1
-            return
-        # The node is resolved once: ``system.read`` would look it up
-        # again to do exactly these two lines.
-        node = system.node(reader)
-        if not node.is_active:
+        if op.reader is None:
+            node = system.membership.draw_active(self._rng, self._excluded)
+        else:
+            node = named_process(system.membership, op.reader, op, "reader")
+        if node is None:
             stats.reads_skipped += 1
             return
         handle = node.read(op.key)
         system.history.record_operation(handle)
         stats.reads_issued += 1
         stats.read_handles.append(handle)
-
-    def _pick_reader(self) -> str | None:
-        candidates = self.system.active_pids()
-        if self.exclude_writer:
-            candidates = [pid for pid in candidates if pid != self.system.writer_pid]
-        if not candidates:
-            return None
-        return self._rng.choice(candidates)

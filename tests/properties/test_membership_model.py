@@ -10,10 +10,16 @@ unchanged.  After every step every query the two can answer must agree,
 at the step's instant and at instants on both sides of every
 transition; the refused transitions (double leave, an unknown pid,
 activating twice or after leaving) must be refused by both.
+
+The same sequences hold the in-place reader draw
+(:meth:`Membership.draw_active`) to the draw it replaced,
+``rng.choice(active_pids())`` over a fresh copy — with and without one
+pid excluded — pid for pid and RNG state for RNG state.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 import pytest
@@ -23,7 +29,7 @@ from hypothesis import strategies as st
 from repro.sim.engine import EventScheduler
 from repro.sim.errors import ProcessError, UnknownProcessError
 from repro.sim.membership import Membership
-from repro.sim.process import SimProcess
+from repro.sim.process import ProcessMode, SimProcess
 
 Time = float
 
@@ -124,6 +130,16 @@ steps = st.lists(
 )
 
 
+def old_draw(membership: Membership, rng: random.Random, exclude: str | None):
+    """The drivers' reader draw before it moved into the membership."""
+    candidates = membership.active_pids()
+    if exclude is not None:
+        candidates = [pid for pid in candidates if pid != exclude]
+    if not candidates:
+        return None
+    return rng.choice(candidates)
+
+
 def refused_alike(action, reference_action) -> None:
     """Run the same transition on both sides: both succeed, or both
     raise the same error type."""
@@ -214,6 +230,48 @@ class TestProcessIsItsPresenceRecord:
 
                     refused_alike(leave, lambda: reference.leave(process.pid, now))
             assert_agree(membership, reference, now)
+
+    @given(
+        steps=steps,
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        excluded=st.integers(min_value=0, max_value=40),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_the_in_place_draw_is_the_old_draw(self, steps, seed, excluded):
+        engine = EventScheduler()
+        membership = Membership()
+        entered: list[SimProcess] = []
+        new_rng, old_rng = random.Random(seed), random.Random(seed)
+        for step in steps:
+            kind, advance = step[0], step[1]
+            engine.run_until(engine.now + advance)
+            if kind in ("enter", "enter-seed"):
+                process = SimProcess(
+                    f"p{len(entered):03d}", engine, active=kind == "enter-seed"
+                )
+                membership.enter(process)
+                entered.append(process)
+            elif kind != "ghost" and entered:
+                process = entered[step[2] % len(entered)]
+                if kind == "activate":
+                    if process.mode is ProcessMode.LISTENING:
+                        process.mark_active()
+                elif process.left_at is None:
+                    process.depart()
+                    membership.leave(process.pid, engine.now)
+            exclude = entered[excluded % len(entered)].pid if entered else None
+            for left_out in (None, exclude):
+                drawn = membership.draw_active(new_rng, left_out)
+                assert (drawn.pid if drawn else None) == old_draw(
+                    membership, old_rng, left_out
+                )
+                assert drawn is None or drawn is membership.process(drawn.pid)
+                assert new_rng.getstate() == old_rng.getstate()
+            # ``active_pids`` still hands out a fresh list to mutate.
+            pids = membership.active_pids()
+            pids.append("mutated")
+            assert "mutated" not in membership.active_pids()
+            assert membership.active_pids() is not membership.active_pids()
 
     def test_identity_reuse_is_refused_by_both(self):
         engine = EventScheduler()

@@ -106,6 +106,55 @@ class TestDriverRouting:
         assert stats.write_completion_rate == 1.0
 
 
+class TestNamedReaders:
+    """An explicit reader must be a pid of the key's owning shard: a pid
+    that never entered that shard is refused by name; a departed one is
+    a counted skip."""
+
+    def test_a_reader_outside_the_owning_shard_is_refused_with_its_time(self):
+        cluster = make_cluster()
+        key = cluster.keys[0]
+        owner = cluster.shard_of(key)
+        stranger = cluster.shards[(owner + 1) % 4].seed_pids[0]
+        driver = ClusterWorkloadDriver(cluster)
+        driver.install([ReadOp(time=7.0, reader=stranger, key=key)])
+        with pytest.raises(ExperimentError) as refused:
+            cluster.run_until(10.0)
+        message = str(refused.value)
+        assert f"ReadOp planned at 7.0 names reader {stranger!r}" in message
+        assert f"never entered shard {owner}, which owns key {key!r}" in message
+        assert driver.stats.reads_skipped == 0
+
+    def test_a_mistyped_reader_is_refused(self):
+        cluster = make_cluster()
+        driver = ClusterWorkloadDriver(cluster)
+        driver.install([ReadOp(time=2.0, reader="p9999x")])
+        with pytest.raises(ExperimentError, match="names reader 'p9999x'"):
+            cluster.run_until(10.0)
+
+    def test_an_owning_shards_reader_reads_there_and_a_departed_one_skips(self):
+        cluster = make_cluster()
+        key = cluster.keys[1]
+        owner = cluster.shard_of(key)
+        shard = cluster.shards[owner]
+        reader, gone = shard.seed_pids[1], shard.seed_pids[2]
+        driver = ClusterWorkloadDriver(cluster)
+        driver.install(
+            [
+                ReadOp(time=2.0, reader=reader, key=key),
+                ReadOp(time=12.0, reader=gone, key=key),
+            ]
+        )
+        cluster.run_until(5.0)
+        shard.leave(gone)
+        cluster.run_until(20.0)
+        stats = driver.stats
+        assert stats.reads_issued == stats.reads_skipped == 1
+        (handle,) = stats.read_handles
+        assert (handle.process_id, handle.shard, handle.key) == (reader, owner, key)
+        assert cluster.close().shard_history(owner).reads() == [handle]
+
+
 class TestShardSkewPicker:
     def test_zipf_skew_concentrates_on_the_hot_shard(self):
         cluster = make_cluster()

@@ -84,6 +84,58 @@ class TestReaderSelection:
         assert driver.stats.reads_skipped == 1
 
 
+class TestNamedPids:
+    """An explicit ``reader`` / ``writer`` that never entered the system
+    is a mistyped plan, refused by name; one that departed or is still
+    joining is a counted skip."""
+
+    @pytest.mark.parametrize(
+        "op, role, pid",
+        [
+            (ReadOp(time=3.0, reader="p9999x"), "reader", "p9999x"),
+            (WriteOp(time=3.0, writer="nobody"), "writer", "nobody"),
+        ],
+    )
+    def test_a_pid_that_never_entered_is_refused_with_its_time(self, op, role, pid):
+        system = make_system()
+        driver = WorkloadDriver(system)
+        driver.install([op])
+        with pytest.raises(ExperimentError) as refused:
+            system.run_until(5.0)
+        message = str(refused.value)
+        assert f"{type(op).__name__} planned at 3.0" in message
+        assert f"names {role} {pid!r}" in message
+        assert "never entered the system" in message
+        assert driver.stats.reads_skipped == driver.stats.writes_skipped == 0
+
+    def test_a_mistyped_writer_is_refused_while_a_write_is_pending(self):
+        system = make_system(protocol="es", n=11)
+        driver = WorkloadDriver(system)
+        driver.install([WriteOp(time=1.0), WriteOp(time=1.1, writer="nobody")])
+        with pytest.raises(ExperimentError, match="names writer 'nobody'"):
+            system.run_until(40.0)
+
+    def test_a_departed_reader_is_a_counted_skip(self):
+        system = make_system()
+        reader = system.seed_pids[3]
+        driver = WorkloadDriver(system)
+        driver.install([ReadOp(time=10.0, reader=reader)])
+        system.run_until(5.0)
+        system.leave(reader)
+        system.run_until(20.0)
+        assert driver.stats.reads_skipped == 1
+        assert driver.stats.reads_issued == 0
+
+    def test_a_joining_writer_is_a_counted_skip(self):
+        system = make_system()
+        pid = system.spawn_joiner()
+        driver = WorkloadDriver(system)
+        driver.install([WriteOp(time=1.0, writer=pid)])  # still joining at t=1
+        system.run_until(5.0)
+        assert driver.stats.writes_skipped == 1
+        assert driver.stats.writes_issued == 0
+
+
 class TestInstallRules:
     def test_double_install_rejected(self):
         system = make_system()
