@@ -35,7 +35,8 @@ The engine is intentionally tiny and fully deterministic:
   find nothing — a quarter of a churn-heavy drive.  So
   :func:`collector_paused` holds CPython's cyclic collector off inside
   ``_drain`` and at the bulk-allocation sites (the population build,
-  the plan install, the checkers), and ``repro.exec.runner.execute``
+  the plan build — ``read_heavy_plan`` / ``write_heavy_plan`` — the
+  plan install, the checkers), and ``repro.exec.runner.execute``
   ends each cell with one young collection, which is where a dropped
   system — one big cycle — is reclaimed.  The switch is process-wide
   and goes back in ``finally`` exactly as the caller left it; the

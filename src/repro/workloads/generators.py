@@ -6,6 +6,15 @@ writes" (Section 3.3), so the canonical workload here is read-heavy:
 periodic writes with a Poisson stream of reads from random active
 processes.  All generators are pure functions from parameters (plus an
 explicit RNG) to a plan — no hidden state, fully reproducible.
+
+A plan op costs one Python call: its hand-written ``__init__``
+(:mod:`.schedule`).  :func:`poisson_times` draws each gap inline as
+``-log(1.0 - rng.random()) / rate`` — the body of
+``Random.expovariate``, so the same floats from the same RNG draws —
+and the two plan builders run under
+:func:`~repro.sim.engine.collector_paused`: every op is a slotted
+object the cyclic collector tracks, and an automatic collection during
+the build would only walk the plan to find nothing.
 """
 
 from __future__ import annotations
@@ -14,10 +23,11 @@ import random
 from bisect import bisect_right
 from dataclasses import replace
 from itertools import accumulate
-from math import isfinite
+from math import isfinite, log
 from typing import Any, Callable, Sequence
 
 from ..sim.clock import Time
+from ..sim.engine import collector_paused
 from ..sim.errors import ExperimentError
 from .schedule import _PLANNED_AT, ReadOp, WorkloadOp, WriteOp
 
@@ -32,6 +42,20 @@ def _require_finite(**params: float) -> None:
     for name, value in params.items():
         if not isfinite(value):
             raise ExperimentError(f"{name} must be finite, got {value!r}")
+
+
+def _require_span(start: Time, end: Time, write_period: Time) -> None:
+    """The refusals both plan builders share: finite parameters, a
+    non-empty span and a positive write period (past them
+    :func:`write_heavy_plan` loops forever on a zero or negative period
+    or an infinite end)."""
+    _require_finite(start=start, end=end, write_period=write_period)
+    if end <= start:
+        raise ExperimentError(f"end {end!r} must exceed start {start!r}")
+    if write_period <= 0:
+        raise ExperimentError(
+            f"write_period must be positive, got {write_period!r}"
+        )
 
 
 def periodic_times(start: Time, period: Time, count: int) -> list[Time]:
@@ -53,15 +77,17 @@ def poisson_times(
         raise ExperimentError(f"rate must be non-negative, got {rate!r}")
     if end < start:
         raise ExperimentError(f"end {end!r} precedes start {start!r}")
-    times = []
-    t = start
+    times: list[Time] = []
     if rate == 0:
         return times
+    draw = rng.random
+    append = times.append
+    t = start
     while True:
-        t += rng.expovariate(rate)
+        t += -log(1.0 - draw()) / rate  # rng.expovariate(rate), inlined
         if t >= end:
             return times
-        times.append(t)
+        append(t)
 
 
 def periodic_writes(
@@ -79,9 +105,10 @@ def poisson_reads(
     start: Time, end: Time, rate: float, rng: random.Random
 ) -> list[WorkloadOp]:
     """Poisson reads by uniformly-drawn active processes."""
-    return [ReadOp(time=t) for t in poisson_times(start, end, rate, rng)]
+    return list(map(ReadOp, poisson_times(start, end, rate, rng)))
 
 
+@collector_paused()
 def read_heavy_plan(
     start: Time,
     end: Time,
@@ -95,13 +122,7 @@ def read_heavy_plan(
     Writes start half a period after ``start`` so the first reads
     exercise the initial value too.
     """
-    _require_finite(start=start, end=end, write_period=write_period)
-    if end <= start:
-        raise ExperimentError(f"end {end!r} must exceed start {start!r}")
-    if write_period <= 0:
-        raise ExperimentError(
-            f"write_period must be positive, got {write_period!r}"
-        )
+    _require_span(start, end, write_period)
     write_count = max(0, int((end - start - write_period / 2) // write_period))
     plan: list[WorkloadOp] = []
     plan.extend(
@@ -186,6 +207,7 @@ def assign_keys(plan: list[WorkloadOp], picker: KeyPicker) -> list[WorkloadOp]:
     return [replace(op, key=picker()) for op in plan]
 
 
+@collector_paused()
 def write_heavy_plan(
     start: Time,
     end: Time,
@@ -199,6 +221,11 @@ def write_heavy_plan(
     Used by ablations to show where the fast-read design stops paying
     off (every write costs a broadcast + δ, reads stay free).
     """
+    _require_span(start, end, write_period)
+    if reads_per_write < 0:
+        raise ExperimentError(
+            f"reads_per_write must be non-negative, got {reads_per_write!r}"
+        )
     plan: list[WorkloadOp] = []
     t = start
     while t < end:

@@ -48,7 +48,17 @@ from ..sim.process import SimProcess
 _PLANNED_AT = attrgetter("time")
 
 
-@dataclass(frozen=True, slots=True)
+# A plan op is a frozen, slotted value object built by the hundred
+# thousand, so its ``__init__`` is written by hand: each field goes
+# straight into its slot through the slot's member descriptor (bound
+# below, once the dataclass has made the slotted class), one C call
+# apiece, instead of the generated ``__init__``'s generic
+# ``object.__setattr__``.  Everything else — ``__eq__``, ``__hash__``,
+# ``__repr__``, ``__match_args__``, ``dataclasses.replace`` and the
+# refusal to assign a field — is the dataclass's own.
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class ReadOp:
     """Plan: read ``key`` at ``time``, by ``reader`` (``None`` = random
     active process; ``key=None`` = the default register)."""
@@ -57,8 +67,13 @@ class ReadOp:
     reader: str | None = None
     key: Any = None
 
+    def __init__(self, time: Time, reader: str | None = None, key: Any = None):
+        _set_read_time(self, time)
+        _set_read_reader(self, reader)
+        _set_read_key(self, key)
 
-@dataclass(frozen=True, slots=True)
+
+@dataclass(frozen=True, slots=True, init=False)
 class WriteOp:
     """Plan: write ``value`` to ``key`` at ``time`` (``None`` value =
     auto-unique; ``key=None`` = the default register)."""
@@ -67,6 +82,27 @@ class WriteOp:
     value: Any = None
     writer: str | None = None
     key: Any = None
+
+    def __init__(
+        self,
+        time: Time,
+        value: Any = None,
+        writer: str | None = None,
+        key: Any = None,
+    ):
+        _set_write_time(self, time)
+        _set_write_value(self, value)
+        _set_write_writer(self, writer)
+        _set_write_key(self, key)
+
+
+_set_read_time = ReadOp.__dict__["time"].__set__
+_set_read_reader = ReadOp.__dict__["reader"].__set__
+_set_read_key = ReadOp.__dict__["key"].__set__
+_set_write_time = WriteOp.__dict__["time"].__set__
+_set_write_value = WriteOp.__dict__["value"].__set__
+_set_write_writer = WriteOp.__dict__["writer"].__set__
+_set_write_key = WriteOp.__dict__["key"].__set__
 
 
 WorkloadOp = ReadOp | WriteOp

@@ -3,17 +3,18 @@ whose switch it is.
 
 ``repro.sim.engine.collector_paused`` holds CPython's cyclic collector
 off while the kernel allocates in bulk (the drain, the population
-build, the plan install, the checkers).  That is safe only because a
-live simulation makes no cyclic garbage — reference counting frees
-every dead object the moment it dies — and polite only because the
-switch is process-wide and goes back the way the caller left it.  This
-file holds both to account; it has its own CI step, so a kernel change
-that starts leaking cycles fails under a name that says so.
+build, the plan build and install, the checkers).  That is safe only
+because a live simulation makes no cyclic garbage — reference counting
+frees every dead object the moment it dies — and polite only because
+the switch is process-wide and goes back the way the caller left it.
+This file holds both to account; it has its own CI step, so a kernel
+change that starts leaking cycles fails under a name that says so.
 """
 
 from __future__ import annotations
 
 import gc
+import random
 
 import pytest
 
@@ -32,7 +33,7 @@ from repro.runtime.system import DynamicSystem
 from repro.sim.engine import EventScheduler, collector_paused
 from repro.sim.errors import ExperimentError, SchedulerError
 from repro.workloads.cluster import ClusterWorkloadDriver
-from repro.workloads.generators import read_heavy_plan
+from repro.workloads.generators import read_heavy_plan, write_heavy_plan
 from repro.workloads.schedule import ReadOp, WorkloadDriver, WriteOp
 
 DELTA = 5.0
@@ -250,11 +251,27 @@ def _check(system: DynamicSystem) -> None:
     assert system.check_atomicity().is_atomic
 
 
+def _read_heavy_plan(system: DynamicSystem) -> None:
+    read_heavy_plan(0.0, HORIZON, 4 * DELTA, 0.5, system.rng.stream("test.plan"))
+
+
+def _write_heavy_plan(system: DynamicSystem) -> None:
+    write_heavy_plan(0.0, HORIZON, 2 * DELTA, 2, system.rng.stream("test.plan"))
+
+
+def _write_heavy_plan_refused(system: DynamicSystem) -> None:
+    with pytest.raises(ExperimentError, match="write_period must be positive"):
+        write_heavy_plan(0.0, HORIZON, 0.0, 2, system.rng.stream("test.plan"))
+
+
 SYSTEM_CALLS = {
     "DynamicSystem": _build,
     "install": _install,
     "install-raises": _install_twice,
     "check_safety-check_atomicity": _check,
+    "read_heavy_plan": _read_heavy_plan,
+    "write_heavy_plan": _write_heavy_plan,
+    "write_heavy_plan-raises": _write_heavy_plan_refused,
 }
 
 
@@ -305,6 +322,20 @@ class TestTheSwitchIsTheCallers:
         assert engine.step()  # not a bulk path: the collector stays on
         engine.run()
         assert seen == {"step": True, "drain": False}
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("build", [read_heavy_plan, write_heavy_plan])
+    def test_paused_while_a_plan_is_drawn(self, build):
+        seen = set()
+
+        class Probe(random.Random):
+            def random(self) -> float:
+                seen.add(gc.isenabled())
+                return super().random()
+
+        gc.enable()
+        assert build(0.0, HORIZON, 4 * DELTA, 2, Probe(5))
+        assert seen == {False}
         assert gc.isenabled()
 
 

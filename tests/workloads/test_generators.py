@@ -96,6 +96,24 @@ class TestNonFiniteParametersAreRefusedByName:
         with pytest.raises(ExperimentError, match=named):
             read_heavy_plan(rng=None, **(params | {name: value}))
 
+    @pytest.mark.parametrize(
+        "name, value, named",
+        [
+            ("write_period", NAN, "write_period must be finite, got nan"),
+            ("write_period", INF, "write_period must be finite, got inf"),
+            ("end", INF, "end must be finite, got inf"),
+            ("end", NAN, "end must be finite, got nan"),
+            ("start", NAN, "start must be finite, got nan"),
+            ("end", 5.0, "end 5.0 must exceed start 5.0"),
+            ("end", 1.0, "end 1.0 must exceed start 5.0"),
+            ("reads_per_write", -1, "reads_per_write must be non-negative, got -1"),
+        ],
+    )
+    def test_write_heavy_plan(self, name, value, named):
+        params = dict(start=5.0, end=60.0, write_period=10.0, reads_per_write=1)
+        with pytest.raises(ExperimentError, match=named):
+            write_heavy_plan(rng=None, **(params | {name: value}))
+
 
 class TestPlans:
     def test_periodic_writes_carry_writer(self):
@@ -130,3 +148,14 @@ class TestPlans:
         assert writes == 10
         assert reads <= 20
         assert [op.time for op in plan] == sorted(op.time for op in plan)
+
+    @pytest.mark.parametrize("period", [0.0, -1.0])
+    def test_write_heavy_plan_period_must_be_positive(self, period):
+        # Past validation such a period never advances the write clock:
+        # the build would loop forever.
+        with pytest.raises(ExperimentError, match="write_period must be positive"):
+            write_heavy_plan(0.0, 100.0, period, 2, rng=None)
+
+    def test_write_heavy_plan_without_reads_is_write_only(self, rng):
+        plan = write_heavy_plan(5.0, 60.0, 10.0, 0, rng)
+        assert [type(op) for op in plan] == [WriteOp] * 6
