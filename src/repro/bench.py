@@ -15,7 +15,6 @@ one place here that reads a clock.
 from __future__ import annotations
 
 import hashlib
-import random
 from typing import Callable
 
 from .cluster.config import ClusterConfig
@@ -32,8 +31,8 @@ from .workloads.cluster import (
     schedule_round_robin_migrations,
     shard_skewed_key_picker,
 )
-from .workloads.generators import assign_keys, make_key_picker, read_heavy_plan
-from .workloads.schedule import WorkloadDriver, WorkloadOp
+from .workloads.generators import drive_read_heavy, make_key_picker
+from .workloads.schedule import WorkloadDriver
 
 
 # ----------------------------------------------------------------------
@@ -41,14 +40,10 @@ from .workloads.schedule import WorkloadDriver, WorkloadOp
 # ----------------------------------------------------------------------
 
 #: The keyed and the cluster workloads share a population, a key count,
-#: a horizon and an operation-plan shape.
+#: a horizon and an operation-plan shape: :func:`drive_read_heavy`'s
+#: horizon, plan end, write period and read rate.
 _N, _KEYS, _HORIZON = 40, 8, 240.0
-
-
-def _read_heavy(rng: random.Random) -> list[WorkloadOp]:
-    return read_heavy_plan(
-        start=5.0, end=_HORIZON - 20.0, write_period=12.0, read_rate=2.0, rng=rng
-    )
+_PLAN = (_HORIZON, _HORIZON - 20.0, 12.0, 2.0)
 
 
 def keyed_store_fanout() -> tuple[int, str]:
@@ -64,14 +59,10 @@ def keyed_store_fanout() -> tuple[int, str]:
         SystemConfig(n=_N, delta=5.0, protocol="sync", seed=11, trace=False, keys=_KEYS)
     )
     system.attach_churn(rate=0.04, min_stay=15.0)
-    driver = WorkloadDriver(system)
-    plan = assign_keys(
-        _read_heavy(system.rng.stream("bench.keyed.plan")),
+    history = drive_read_heavy(
+        system, WorkloadDriver(system), *_PLAN, "bench.keyed.plan",
         make_key_picker("zipf", system.keys, system.rng.stream("bench.keyed.keys")),
     )
-    driver.install(plan)
-    system.run_until(_HORIZON)
-    history = system.close()
     safety = system.check_safety()
     if not safety.is_safe:
         raise AssertionError(
@@ -139,13 +130,10 @@ def cluster_workload(kind: str) -> tuple[int, str]:
                 plan_until=_HORIZON - 18.0 * delta,
             ),
         )
-    plan = assign_keys(
-        _read_heavy(cluster.rng.stream(f"bench.{kind}.plan")),
+    history = drive_read_heavy(
+        cluster, driver, *_PLAN, f"bench.{kind}.plan",
         shard_skewed_key_picker(cluster, cluster.rng.stream(f"bench.{kind}.keys")),
     )
-    driver.install(plan)
-    cluster.run_until(_HORIZON)
-    history = cluster.close()
     safety = cluster.check_safety()
     if not safety.is_safe:
         raise AssertionError(

@@ -55,9 +55,17 @@ Eight subcommands, mirroring how the library is typically used:
     (exit 1); out-of-model ones document the paper's hypotheses
     (exit 0).
 
+``simulate``, ``migrate`` and ``rebalance`` are the run commands: their
+shared flags are the rows of one table (:data:`RUN_FLAGS`, a default
+per command), and each drives its system through
+:func:`~repro.workloads.generators.drive_read_heavy` on its own RNG
+streams.
+
 A bad setting — an unknown ``--plan`` / ``--plans`` name, a churn rate
-outside [0, 1), a non-finite δ or horizon, a sweep with no cell — is
-refused by name with exit code 2, before anything is printed.
+outside [0, 1), a non-finite δ or horizon, a horizon the workload plan
+(t = 5 to ``max(6, horizon - 4δ)``) does not fit, a negative migration
+count or handoffs on one shard, a sweep with no cell — is refused by
+name with exit code 2, before anything is printed.
 """
 
 from __future__ import annotations
@@ -85,7 +93,7 @@ from .workloads.cluster import (
     shard_skewed_key_picker,
 )
 from .workloads.explorer import AXES, build_plan, explore
-from .workloads.generators import read_heavy_plan
+from .workloads.generators import drive_read_heavy, make_key_picker
 from .workloads.scenarios import figure_3a, figure_3b, new_old_inversion
 from .workloads.schedule import WorkloadDriver
 
@@ -94,6 +102,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .cluster.system import ClusterSystem
     from .core.checker import LivenessReport, SafetyReport
     from .sim.trace import TraceLog
+    from .workloads.generators import KeyPicker
 
 _SCENARIOS = {
     "fig3a": figure_3a,
@@ -144,31 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument(
         "--protocol", default="sync", choices=["sync", "naive", "es", "abd"]
     )
-    simulate.add_argument("--n", type=int, default=20)
-    simulate.add_argument("--delta", type=float, default=5.0)
-    simulate.add_argument("--churn", type=float, default=0.01)
-    simulate.add_argument("--horizon", type=float, default=200.0)
-    simulate.add_argument("--read-rate", type=float, default=0.5)
-    simulate.add_argument("--write-period", type=float, default=30.0)
-    simulate.add_argument("--seed", type=int, default=0)
-    simulate.add_argument(
-        "--keys",
-        type=int,
-        default=1,
-        help="register-space key count (default 1: the classic single register)",
-    )
-    simulate.add_argument(
-        "--key-dist",
-        default="uniform",
-        choices=["uniform", "zipf"],
-        help="how keyed operations spread over the keys",
-    )
     simulate.add_argument("--timeline", action="store_true")
-    simulate.add_argument(
-        "--paranoid",
-        action="store_true",
-        help="judge the history with the brute-force reference checkers",
-    )
+    _add_run_flags(simulate, "simulate")
 
     bounds = sub.add_parser("bounds", help="print the analytic bounds")
     bounds.add_argument("--delta", type=float, default=5.0)
@@ -209,47 +195,18 @@ def build_parser() -> argparse.ArgumentParser:
         "migrate",
         help="live-reshard a cluster: migrate keys between shards mid-run",
     )
-    migrate.add_argument("--shards", type=int, default=3)
-    migrate.add_argument("--keys", type=int, default=6)
-    migrate.add_argument("--n", type=int, default=18)
-    migrate.add_argument("--delta", type=float, default=5.0)
-    migrate.add_argument("--churn", type=float, default=0.02)
-    migrate.add_argument("--horizon", type=float, default=120.0)
     migrate.add_argument(
         "--migrations",
         type=int,
         default=3,
         help="key handoffs to schedule (keys round-robin to the next shard)",
     )
-    migrate.add_argument("--seed", type=int, default=0)
-    migrate.add_argument(
-        "--plan",
-        default=None,
-        metavar="PLAN",
-        help=(
-            "fault plan from the explorer library to run the handoffs "
-            "under (e.g. mig-loss, mig-crash-install, mig-storm)"
-        ),
-    )
-    migrate.add_argument("--read-rate", type=float, default=0.6)
-    migrate.add_argument("--write-period", type=float, default=10.0)
-    migrate.add_argument(
-        "--paranoid",
-        action="store_true",
-        help="judge the merged history with the brute-force reference checkers",
-    )
+    _add_run_flags(migrate, "migrate")
 
     rebalance = sub.add_parser(
         "rebalance",
         help="rebalance a hot-shard cluster by policy-planned migrations",
     )
-    rebalance.add_argument("--shards", type=int, default=4)
-    rebalance.add_argument("--keys", type=int, default=8)
-    rebalance.add_argument("--n", type=int, default=24)
-    rebalance.add_argument("--delta", type=float, default=5.0)
-    rebalance.add_argument("--churn", type=float, default=0.02)
-    rebalance.add_argument("--horizon", type=float, default=240.0)
-    rebalance.add_argument("--seed", type=int, default=0)
     rebalance.add_argument(
         "--period",
         type=float,
@@ -275,28 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SHARD",
         help="retire this shard: migrate every key off it, never move keys to it",
     )
-    rebalance.add_argument(
-        "--plan",
-        default=None,
-        metavar="PLAN",
-        help=(
-            "fault plan from the explorer library to rebalance under "
-            "(e.g. rebal-loss, rebal-crash, rebal-storm)"
-        ),
-    )
-    rebalance.add_argument(
-        "--key-dist",
-        default="zipf",
-        choices=["uniform", "zipf"],
-        help="shard-level traffic skew (zipf = a hot shard, the default)",
-    )
-    rebalance.add_argument("--read-rate", type=float, default=0.6)
-    rebalance.add_argument("--write-period", type=float, default=10.0)
-    rebalance.add_argument(
-        "--paranoid",
-        action="store_true",
-        help="judge the merged history with the brute-force reference checkers",
-    )
+    _add_run_flags(rebalance, "rebalance")
 
     explore = sub.add_parser(
         "explore", help="sweep adversarial fault scenarios and shrink violations"
@@ -332,6 +268,59 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_workers_flag(explore, "judge sweep cells")
     return parser
+
+
+#: The run commands, in the column order of :data:`RUN_FLAGS`.
+RUN_COMMANDS = ("simulate", "migrate", "rebalance")
+#: A run flag's default where its command does not take it.
+_ABSENT = object()
+
+#: The run flags, one row each: its default in ``simulate``, ``migrate``
+#: and ``rebalance`` (the default's type is the flag's type; ``False``
+#: makes a switch).
+RUN_FLAGS = {
+    "--shards": (_ABSENT, 3, 4),
+    "--keys": (1, 6, 8),
+    "--n": (20, 18, 24),
+    "--delta": (5.0, 5.0, 5.0),
+    "--churn": (0.01, 0.02, 0.02),
+    "--horizon": (200.0, 120.0, 240.0),
+    "--seed": (0, 0, 0),
+    "--plan": (_ABSENT, None, None),
+    "--key-dist": ("uniform", _ABSENT, "zipf"),
+    "--read-rate": (0.5, 0.6, 0.6),
+    "--write-period": (30.0, 10.0, 10.0),
+    "--paranoid": (False, False, False),
+}
+#: What a run flag declares beyond its default.
+_RUN_FLAG_OPTIONS = {
+    "--keys": dict(help="register-space key count (1: the classic single register)"),
+    "--plan": dict(
+        metavar="PLAN",
+        help="fault plan from the explorer library to run under, scoped into "
+        "every shard (e.g. mig-loss, mig-storm, rebal-crash, rebal-storm)",
+    ),
+    "--key-dist": dict(
+        choices=("uniform", "zipf"),
+        help="how operations spread over the keys (rebalance: over the "
+        "shards; zipf = a hot shard)",
+    ),
+    "--paranoid": dict(
+        help="judge the history with the brute-force reference checkers"
+    ),
+}
+
+
+def _add_run_flags(sub: argparse.ArgumentParser, command: str) -> None:
+    """Declare the :data:`RUN_FLAGS` ``command`` takes on ``sub``."""
+    column = RUN_COMMANDS.index(command)
+    for flag, defaults in RUN_FLAGS.items():
+        default, options = defaults[column], _RUN_FLAG_OPTIONS.get(flag, {})
+        if default is False:
+            sub.add_argument(flag, action="store_true", **options)
+        elif default is not _ABSENT:
+            kind = None if default is None else type(default)
+            sub.add_argument(flag, type=kind, default=default, **options)
 
 
 def _add_workers_flag(sub: argparse.ArgumentParser, doing: str) -> None:
@@ -448,25 +437,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.churn:
         system.attach_churn(rate=args.churn, min_stay=3.0 * args.delta)
     driver = WorkloadDriver(system)
-    plan = read_heavy_plan(
-        start=5.0,
-        end=max(6.0, args.horizon - 4.0 * args.delta),
-        write_period=args.write_period,
-        read_rate=args.read_rate,
-        rng=system.rng.stream("cli.plan"),
+    pick_key = (
+        make_key_picker(args.key_dist, system.keys, system.rng.stream("cli.keys"))
+        if args.keys > 1
+        else None
     )
-    if args.keys > 1:
-        from .workloads.generators import assign_keys, make_key_picker
-
-        plan = assign_keys(
-            plan,
-            make_key_picker(args.key_dist, system.keys, system.rng.stream("cli.keys")),
-        )
-    driver.install(plan)
-    system.run_until(args.horizon)
-    system.close()
-    safety = system.check_safety(paranoid=args.paranoid)
-    liveness = system.check_liveness(grace=10.0 * args.delta)
+    safety, liveness = _drive_and_judge(args, system, driver, "cli.plan", pick_key)
     keyed = f" keys={args.keys}/{args.key_dist}" if args.keys > 1 else ""
     print(
         f"protocol={args.protocol} n={args.n} δ={args.delta} "
@@ -513,36 +489,22 @@ def _cluster_cell(args: argparse.Namespace) -> ClusterSystem:
     return cluster
 
 
-def _drive_cluster_cell(
+def _drive_and_judge(
     args: argparse.Namespace,
-    cluster: ClusterSystem,
-    driver: ClusterWorkloadDriver,
+    system: DynamicSystem | ClusterSystem,
+    driver: WorkloadDriver | ClusterWorkloadDriver,
     stream: str,
-    distribution: str,
+    pick_key: KeyPicker | None,
 ) -> tuple[SafetyReport, LivenessReport]:
-    """Install the read-heavy shard-skewed plan (drawn from the
-    ``cli.<stream>.*`` RNG streams), run to the horizon, close, judge."""
-    from .workloads.generators import assign_keys
-
-    plan_ops = read_heavy_plan(
-        start=5.0,
-        end=max(6.0, args.horizon - 4.0 * args.delta),
-        write_period=args.write_period,
-        read_rate=args.read_rate,
-        rng=cluster.rng.stream(f"cli.{stream}.plan"),
+    """Run ``system`` under the read-heavy plan the run flags shape (RNG
+    stream ``stream``), close it and judge it."""
+    drive_read_heavy(
+        system, driver, args.horizon, max(6.0, args.horizon - 4.0 * args.delta),
+        args.write_period, args.read_rate, stream, pick_key,
     )
-    plan_ops = assign_keys(
-        plan_ops,
-        shard_skewed_key_picker(
-            cluster, cluster.rng.stream(f"cli.{stream}.keys"), distribution
-        ),
-    )
-    driver.install(plan_ops)
-    cluster.run_until(args.horizon)
-    cluster.close()
     return (
-        cluster.check_safety(paranoid=args.paranoid),
-        cluster.check_liveness(grace=10.0 * args.delta),
+        system.check_safety(paranoid=args.paranoid),
+        system.check_liveness(grace=10.0 * args.delta),
     )
 
 
@@ -558,7 +520,12 @@ def _cmd_migrate(args: argparse.Namespace) -> int:
     cluster = _cluster_cell(args)
     records = schedule_round_robin_migrations(cluster, args.migrations, args.horizon)
     driver = ClusterWorkloadDriver(cluster)
-    safety, liveness = _drive_cluster_cell(args, cluster, driver, "migrate", "uniform")
+    pick_key = shard_skewed_key_picker(
+        cluster, cluster.rng.stream("cli.migrate.keys"), "uniform"
+    )
+    safety, liveness = _drive_and_judge(
+        args, cluster, driver, "cli.migrate.plan", pick_key
+    )
     plan_label = f" plan={args.plan}" if args.plan else ""
     print(
         f"shards={args.shards} keys={args.keys} n={args.n} δ={args.delta} "
@@ -602,8 +569,11 @@ def _cmd_rebalance(args: argparse.Namespace) -> int:
     rebalancer = Rebalancer(cluster, driver=driver, policy=policy)
     if args.retire is not None:
         rebalancer.retire_shard(args.retire)
-    safety, liveness = _drive_cluster_cell(
-        args, cluster, driver, "rebalance", args.key_dist
+    pick_key = shard_skewed_key_picker(
+        cluster, cluster.rng.stream("cli.rebalance.keys"), args.key_dist
+    )
+    safety, liveness = _drive_and_judge(
+        args, cluster, driver, "cli.rebalance.plan", pick_key
     )
     plan_label = f" plan={args.plan}" if args.plan else ""
     retire_label = f" retire={args.retire}" if args.retire is not None else ""

@@ -8,8 +8,8 @@ through a ``concurrent.futures.ProcessPoolExecutor``.
 
 The engine's contract (see ROADMAP.md, "Parallel execution engine"):
 
-* **Declarative cells.** A :class:`RunSpec` names a registered cell
-  *kind* (resolved lazily to a module-level function, so specs pickle
+* **Declarative cells.** A :class:`RunSpec` names its cell function
+  as a ``"module:function"`` *kind* (resolved lazily, so specs pickle
   as data, not code) plus plain keyword parameters.  A cell is a pure
   function of its spec: it builds its own ``DynamicSystem`` from an
   explicit seed and returns a picklable outcome.
@@ -24,12 +24,11 @@ The engine's contract (see ROADMAP.md, "Parallel execution engine"):
 
 from __future__ import annotations
 
-from .registry import ENTRY_POINTS, resolve
+from .registry import resolve
 from .runner import Runner, execute, grouped, run_specs
 from .spec import RunSpec
 
 __all__ = [
-    "ENTRY_POINTS",
     "Runner",
     "RunSpec",
     "execute",

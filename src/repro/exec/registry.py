@@ -1,15 +1,13 @@
-"""Cell-kind registry: spec kinds resolve to module-level functions.
+"""Cell kinds: a spec's kind names its module-level cell function.
 
-The registry is a static table mapping each kind to a
-``"module:function"`` entry point.  Resolution is lazy (the module is
+A kind is written ``"module:function"`` — every experiment row and the
+explorer name their cells this way, beside the cell, as do ad-hoc cells
+in tests and one-off sweeps.  Resolution is lazy (the module is
 imported on first use, in whichever process executes the spec), so
 worker processes need no registration side effects — unpickling a
-:class:`~repro.exec.spec.RunSpec` carries only the kind string.
-
-A kind not present in the table may itself be written in
-``"module:function"`` form; every experiment's cells name themselves
-this way (the declaration beside the cell spells it), as do ad-hoc
-cells in tests and one-off sweeps.
+:class:`~repro.exec.spec.RunSpec` carries only the kind string.  Every
+cell function takes only plain keyword arguments (the spec's params)
+and returns a picklable value.
 """
 
 from __future__ import annotations
@@ -19,12 +17,6 @@ from typing import Any, Callable
 
 from ..sim.errors import ExperimentError
 
-#: kind -> "module:function".  Every cell function takes only plain
-#: keyword arguments (the spec's params) and returns a picklable value.
-ENTRY_POINTS: dict[str, str] = {
-    "scenario": "repro.workloads.explorer:scenario_cell",
-}
-
 #: Resolved callables, cached per process.
 _RESOLVED: dict[str, Callable[..., Any]] = {}
 
@@ -32,18 +24,16 @@ _RESOLVED: dict[str, Callable[..., Any]] = {}
 def resolve(kind: str) -> Callable[..., Any]:
     """Return the cell function a spec kind names.
 
-    Raises :class:`ExperimentError` for an unknown kind or an entry
-    point that does not import to a callable.
+    Raises :class:`ExperimentError` for a kind not of the form
+    ``"module:function"`` or one that does not import to a callable.
     """
     cached = _RESOLVED.get(kind)
     if cached is not None:
         return cached
-    entry = ENTRY_POINTS.get(kind, kind)
-    module_name, _, attr = entry.partition(":")
+    module_name, _, attr = kind.partition(":")
     if not module_name or not attr:
         raise ExperimentError(
-            f"unknown cell kind {kind!r}; registered kinds: "
-            f"{', '.join(sorted(ENTRY_POINTS))} (or use 'module:function')"
+            f"cell kind {kind!r} is not of the form 'module:function'"
         )
     try:
         module = importlib.import_module(module_name)
@@ -53,8 +43,6 @@ def resolve(kind: str) -> Callable[..., Any]:
         ) from error
     fn = getattr(module, attr, None)
     if not callable(fn):
-        raise ExperimentError(
-            f"cell kind {kind!r} entry point {entry!r} is not a callable"
-        )
+        raise ExperimentError(f"cell kind {kind!r} is not a callable")
     _RESOLVED[kind] = fn
     return fn

@@ -1,7 +1,7 @@
 """Declarative run specifications.
 
 A :class:`RunSpec` is the unit of work the execution engine schedules:
-a *kind* (a registered cell-function name, see
+a *kind* (the cell function as ``"module:function"``, see
 :mod:`repro.exec.registry`) plus the plain keyword parameters that
 cell function receives.  Specs carry data only — the callable is
 resolved lazily, in whichever process executes the spec — so a spec
@@ -19,7 +19,7 @@ from ..sim.rng import derive_seed
 
 @dataclass(frozen=True)
 class RunSpec:
-    """One cell of a sweep: a registered cell kind plus its parameters.
+    """One cell of a sweep: a cell kind plus its parameters.
 
     ``params`` must be picklable (plain values, dataclasses, tuples);
     cells that need rich objects rebuild them from these parameters.

@@ -26,7 +26,9 @@ from ..exec.runner import grouped
 from ..exec.spec import RunSpec
 from ..runtime.config import SystemConfig
 from ..runtime.system import DynamicSystem
-from .harness import Experiment, Judgement, drive_read_heavy, totals
+from ..workloads.generators import drive_read_heavy
+from ..workloads.schedule import WorkloadDriver
+from .harness import Experiment, Judgement, totals
 
 N = 30
 DELTA = 4.0
@@ -50,7 +52,8 @@ def cell(
     if c > 0:
         system.attach_churn(rate=c, victim_policy=victim_policy)
     drive_read_heavy(
-        system, horizon, horizon - 4.0 * delta, 6.0 * delta, 0.8, "e05.plan"
+        system, WorkloadDriver(system), horizon, horizon - 4.0 * delta,
+        6.0 * delta, 0.8, "e05.plan",
     )
     safety = system.check_safety(check_joins=False)
     liveness = system.check_liveness()

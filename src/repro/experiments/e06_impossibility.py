@@ -33,7 +33,9 @@ from ..protocols.es_reg import EsReply
 from ..runtime.config import SystemConfig
 from ..runtime.system import DynamicSystem
 from ..sim.clock import Time
-from .harness import Experiment, Judgement, drive_read_heavy
+from ..workloads.generators import drive_read_heavy
+from ..workloads.schedule import WorkloadDriver
+from .harness import Experiment, Judgement
 
 N = 20
 DELTA = 4.0
@@ -58,7 +60,8 @@ def horn_a_cell(
     system = DynamicSystem(config)
     system.attach_churn(rate=0.02)
     drive_read_heavy(
-        system, horizon, horizon - 3.0 * delta, 5.0 * delta, 0.6, "e06.plan"
+        system, WorkloadDriver(system), horizon, horizon - 3.0 * delta,
+        5.0 * delta, 0.6, "e06.plan",
     )
     safety = system.check_safety(check_joins=False)
     return dict(

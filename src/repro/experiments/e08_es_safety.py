@@ -26,7 +26,9 @@ from ..exec.spec import RunSpec
 from ..net.delay import EventuallySynchronousDelay
 from ..runtime.config import SystemConfig
 from ..runtime.system import DynamicSystem
-from .harness import Experiment, Judgement, drive_read_heavy, totals
+from ..workloads.generators import drive_read_heavy
+from ..workloads.schedule import WorkloadDriver
+from .harness import Experiment, Judgement, totals
 
 N = 21
 DELTA = 4.0
@@ -58,7 +60,8 @@ def cell(
     if c > 0:
         system.attach_churn(rate=c, min_stay=3.0 * delta)
     drive_read_heavy(
-        system, horizon, horizon - 8.0 * delta, 10.0 * delta, 0.3, "e08.plan"
+        system, WorkloadDriver(system), horizon, horizon - 8.0 * delta,
+        10.0 * delta, 0.3, "e08.plan",
     )
     safety = system.check_safety(check_joins=False)
     liveness = system.check_liveness(grace=10.0 * delta)

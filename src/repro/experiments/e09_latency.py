@@ -19,7 +19,9 @@ from ..exec.spec import RunSpec
 from ..net.delay import EventuallySynchronousDelay
 from ..runtime.config import SystemConfig
 from ..runtime.system import DynamicSystem
-from .harness import Experiment, Judgement, drive_read_heavy
+from ..workloads.generators import drive_read_heavy
+from ..workloads.schedule import WorkloadDriver
+from .harness import Experiment, Judgement
 
 N = 20
 DELTA = 4.0
@@ -52,7 +54,8 @@ def cell(
     system = DynamicSystem(config)
     system.attach_churn(rate=churn_rate, min_stay=3.0 * delta)
     drive_read_heavy(
-        system, horizon, horizon - 5.0 * delta, 6.0 * delta, 0.5, "e09.plan"
+        system, WorkloadDriver(system), horizon, horizon - 5.0 * delta,
+        6.0 * delta, 0.5, "e09.plan",
     )
     rows = []
     for kind in ("read", "write", "join"):

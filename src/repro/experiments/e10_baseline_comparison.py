@@ -21,7 +21,9 @@ from typing import Any
 from ..exec.spec import RunSpec
 from ..runtime.config import SystemConfig
 from ..runtime.system import DynamicSystem
-from .harness import Experiment, Judgement, drive_read_heavy
+from ..workloads.generators import drive_read_heavy
+from ..workloads.schedule import WorkloadDriver
+from .harness import Experiment, Judgement
 
 N = 20
 DELTA = 4.0
@@ -53,8 +55,10 @@ def cell(
     system = DynamicSystem(config)
     if c > 0:
         system.attach_churn(rate=c, min_stay=3.0 * delta)
-    driver = drive_read_heavy(
-        system, horizon, horizon - 8.0 * delta, 8.0 * delta, 0.3, "e10.plan"
+    driver = WorkloadDriver(system)
+    drive_read_heavy(
+        system, driver, horizon, horizon - 8.0 * delta, 8.0 * delta, 0.3,
+        "e10.plan",
     )
     return dict(
         protocol=protocol,

@@ -29,7 +29,9 @@ from ..exec.runner import grouped
 from ..exec.spec import RunSpec
 from ..runtime.config import SystemConfig
 from ..runtime.system import DynamicSystem
-from .harness import Experiment, Judgement, drive_read_heavy, totals
+from ..workloads.generators import drive_read_heavy
+from ..workloads.schedule import WorkloadDriver
+from .harness import Experiment, Judgement, totals
 
 N = 30
 DELTA = 4.0
@@ -72,7 +74,8 @@ def cell(
     system = DynamicSystem(config)
     system.attach_churn(profile=profile, victim_policy="oldest_first")
     drive_read_heavy(
-        system, horizon, horizon - 3.0 * delta, 8.0 * delta, 0.6, "e12.plan"
+        system, WorkloadDriver(system), horizon, horizon - 3.0 * delta,
+        8.0 * delta, 0.6, "e12.plan",
     )
     safety = system.check_safety(check_joins=False)
     joins_total = 0

@@ -31,7 +31,7 @@ from ..exec.runner import grouped
 from ..exec.spec import RunSpec
 from ..runtime.config import SystemConfig
 from ..runtime.system import DynamicSystem
-from ..workloads.generators import assign_keys, make_key_picker, read_heavy_plan
+from ..workloads.generators import drive_read_heavy, make_key_picker
 from ..workloads.schedule import WorkloadDriver
 from .harness import Experiment, Judgement
 
@@ -67,21 +67,15 @@ def cell(
     if churn_rate > 0:
         system.attach_churn(rate=churn_rate, min_stay=3.0 * delta)
     driver = WorkloadDriver(system)
-    plan = read_heavy_plan(
-        start=5.0,
-        end=horizon - 4.0 * delta,
-        write_period=write_period,
-        read_rate=read_rate,
-        rng=system.rng.stream("e13.plan"),
+    pick_key = (
+        make_key_picker(key_dist, system.keys, system.rng.stream("e13.keys"))
+        if keys > 1
+        else None
     )
-    if keys > 1:
-        plan = assign_keys(
-            plan,
-            make_key_picker(key_dist, system.keys, system.rng.stream("e13.keys")),
-        )
-    driver.install(plan)
-    system.run_until(horizon)
-    history = system.close()
+    history = drive_read_heavy(
+        system, driver, horizon, horizon - 4.0 * delta, write_period, read_rate,
+        "e13.plan", pick_key,
+    )
     safety = system.check_safety()
     liveness = system.check_liveness(grace=10.0 * delta)
     return {

@@ -32,8 +32,9 @@ from typing import Any
 from ..cluster.config import ClusterConfig
 from ..cluster.system import ClusterSystem
 from ..exec.spec import RunSpec
-from ..workloads.cluster import ClusterWorkloadDriver
-from .harness import Experiment, Judgement, drive_skewed_cluster
+from ..workloads.cluster import ClusterWorkloadDriver, shard_skewed_key_picker
+from ..workloads.generators import drive_read_heavy
+from .harness import Experiment, Judgement
 
 N = 48
 DELTA = 5.0
@@ -62,10 +63,12 @@ def cell(
     cluster = ClusterSystem(config)
     cluster.attach_churn(rate=churn_rate, min_stay=3.0 * delta)
     driver = ClusterWorkloadDriver(cluster)
-    safety = drive_skewed_cluster(
+    pick_key = shard_skewed_key_picker(cluster, cluster.rng.stream("e14.skew"), skew)
+    drive_read_heavy(
         cluster, driver, horizon, horizon - 4.0 * delta, write_period, read_rate,
-        "e14", skew,
+        "e14.plan", pick_key,
     )
+    safety = cluster.check_safety()
     stats = driver.stats
     op_counts = driver.shard_op_counts()
     total_ops = sum(op_counts) or 1

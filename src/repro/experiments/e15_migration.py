@@ -34,8 +34,13 @@ from ..cluster.system import ClusterSystem
 from ..exec.spec import RunSpec
 from ..faults.plan import FaultPlan, LossFault
 from ..protocols.common import MIGRATION_PAYLOADS
-from ..workloads.cluster import ClusterWorkloadDriver, schedule_round_robin_migrations
-from .harness import Experiment, Judgement, drive_skewed_cluster
+from ..workloads.cluster import (
+    ClusterWorkloadDriver,
+    schedule_round_robin_migrations,
+    shard_skewed_key_picker,
+)
+from ..workloads.generators import drive_read_heavy
+from .harness import Experiment, Judgement
 
 N = 18
 DELTA = 5.0
@@ -76,10 +81,14 @@ def cell(
         cluster.attach_churn(rate=churn_rate, min_stay=3.0 * delta)
     records = schedule_round_robin_migrations(cluster, migrations, horizon)
     driver = ClusterWorkloadDriver(cluster)
-    safety = drive_skewed_cluster(
-        cluster, driver, horizon, horizon - 4.0 * delta, write_period, read_rate,
-        "e15", "uniform",
+    pick_key = shard_skewed_key_picker(
+        cluster, cluster.rng.stream("e15.skew"), "uniform"
     )
+    drive_read_heavy(
+        cluster, driver, horizon, horizon - 4.0 * delta, write_period, read_rate,
+        "e15.plan", pick_key,
+    )
+    safety = cluster.check_safety()
     latencies = [r.latency for r in records if r.committed]
     return dict(
         churn=churn_rate,

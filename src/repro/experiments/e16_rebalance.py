@@ -33,8 +33,9 @@ from ..cluster.rebalance import RebalancePolicy, Rebalancer
 from ..cluster.system import ClusterSystem
 from ..exec.runner import grouped
 from ..exec.spec import RunSpec
-from ..workloads.cluster import ClusterWorkloadDriver
-from .harness import Experiment, Judgement, drive_skewed_cluster
+from ..workloads.cluster import ClusterWorkloadDriver, shard_skewed_key_picker
+from ..workloads.generators import drive_read_heavy
+from .harness import Experiment, Judgement
 
 N = 24
 DELTA = 5.0
@@ -84,10 +85,12 @@ def cell(
                 plan_until=horizon - PLAN_MARGIN_DELTAS * delta,
             ),
         )
-    safety = drive_skewed_cluster(
+    pick_key = shard_skewed_key_picker(cluster, cluster.rng.stream("e16.skew"), "zipf")
+    drive_read_heavy(
         cluster, driver, horizon, horizon - 4.0 * delta, write_period, read_rate,
-        "e16", "zipf",
+        "e16.plan", pick_key,
     )
+    safety = cluster.check_safety()
     records = cluster.migration_records()
     return {
         "imbalance": Rebalancer.imbalance_of(driver.shard_op_counts()),

@@ -8,6 +8,12 @@ and the judgement that turns their outcomes into a table and a verdict.
 engine once and renders an :class:`ExperimentResult`.  ``quick=True``
 shrinks repetitions/horizons for the test suite and CI; the full grid
 is the same declaration at full size.
+
+A cell that runs the read-heavy workload calls
+:func:`~repro.workloads.generators.drive_read_heavy` with its own RNG
+stream names and key picker — the one drive the explorer, the digest
+workloads and the CLI run commands share — so this module holds only
+the declaration, its run and the rendering of its result.
 """
 
 from __future__ import annotations
@@ -15,15 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
-from ..cluster.system import ClusterSystem
-from ..core.checker import SafetyReport
 from ..exec.runner import run_specs
 from ..exec.spec import RunSpec
-from ..runtime.system import DynamicSystem
 from ..sim.errors import ExperimentError
-from ..workloads.cluster import ClusterWorkloadDriver, shard_skewed_key_picker
-from ..workloads.generators import assign_keys, read_heavy_plan
-from ..workloads.schedule import WorkloadDriver
 
 #: What a judgement returns: the table rows, the notes and the verdict.
 Judgement = tuple[list[dict[str, Any]], list[str], str]
@@ -143,64 +143,6 @@ def format_table(columns: Sequence[str], rows: list[dict[str, Any]]) -> str:
         for line in rendered
     ]
     return "\n".join([header, separator, *body])
-
-
-def drive_read_heavy(
-    system: DynamicSystem,
-    horizon: float,
-    end: float,
-    write_period: float,
-    read_rate: float,
-    stream: str,
-) -> WorkloadDriver:
-    """Run ``system`` to ``horizon`` under the read-heavy plan (operations
-    from t = 5 to ``end``, drawn from RNG stream ``stream``) and close
-    its history; returns the driver, whose stats the cell may read."""
-    driver = WorkloadDriver(system)
-    driver.install(
-        read_heavy_plan(
-            start=5.0,
-            end=end,
-            write_period=write_period,
-            read_rate=read_rate,
-            rng=system.rng.stream(stream),
-        )
-    )
-    system.run_until(horizon)
-    system.close()
-    return driver
-
-
-def drive_skewed_cluster(
-    cluster: ClusterSystem,
-    driver: ClusterWorkloadDriver,
-    horizon: float,
-    end: float,
-    write_period: float,
-    read_rate: float,
-    prefix: str,
-    distribution: str,
-) -> SafetyReport:
-    """Run ``cluster`` to ``horizon`` under the read-heavy plan, its keys
-    drawn with ``distribution`` skew over the shards (RNG streams
-    ``<prefix>.plan`` and ``<prefix>.skew``); close the run and return
-    the merged-history safety report."""
-    plan = read_heavy_plan(
-        start=5.0,
-        end=end,
-        write_period=write_period,
-        read_rate=read_rate,
-        rng=cluster.rng.stream(f"{prefix}.plan"),
-    )
-    skew = cluster.rng.stream(f"{prefix}.skew")
-    driver.install(
-        assign_keys(
-            plan, shard_skewed_key_picker(cluster, skew, distribution=distribution)
-        )
-    )
-    cluster.run_until(horizon)
-    cluster.close()
-    return cluster.check_safety()
 
 
 def totals(group: Sequence[dict[str, Any]]) -> dict[str, Any]:

@@ -282,9 +282,18 @@ def schedule_round_robin_migrations(
     [0.15, 0.55] of the horizon and retries capped at one so even a
     handoff that times out every phase under total migration-message
     loss still resolves — commit or clean abort, never a record left
-    mid-phase at the horizon.
+    mid-phase at the horizon.  A negative count, or handoffs on a
+    cluster with one shard (each would be a self-handoff), are refused
+    by name.
     """
     shards = len(cluster.shards)
+    if count < 0:
+        raise ExperimentError(f"migrations must be non-negative, got {count!r}")
+    if count and shards < 2:
+        raise ExperimentError(
+            f"migrations={count} needs somewhere to move keys: it requires "
+            f"shards >= 2, got shards={shards}"
+        )
     records = []
     for j in range(count):
         key = cluster.keys[j % len(cluster.keys)]

@@ -77,7 +77,7 @@ from .cluster import (
     schedule_round_robin_migrations,
     shard_skewed_key_picker,
 )
-from .generators import assign_keys, make_key_picker, read_heavy_plan
+from .generators import drive_read_heavy, make_key_picker
 from .schedule import WorkloadDriver
 
 REPORT_SCHEMA_VERSION = 1
@@ -502,10 +502,10 @@ FAULT_FIRED_COUNTERS = (
 def scenario_cell(**params: Any) -> ScenarioOutcome:
     """Execution-engine cell: a ``ScenarioSpec`` as plain parameters.
 
-    Registered as kind ``"scenario"`` in :mod:`repro.exec.registry`;
-    the params are exactly ``ScenarioSpec.to_dict()``, so a spec
-    round-trips through JSON artifacts, the seed corpus and the worker
-    pool without carrying code.
+    Its kind is ``"repro.workloads.explorer:scenario_cell"``; the params
+    are exactly ``ScenarioSpec.to_dict()``, so a spec round-trips
+    through JSON artifacts, the seed corpus and the worker pool without
+    carrying code.
     """
     return run_scenario(ScenarioSpec.from_dict(params))
 
@@ -571,18 +571,10 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioOutcome:
             if spec.keys > 1
             else None
         )
-    workload = read_heavy_plan(
-        start=5.0,
-        end=max(6.0, spec.horizon - 4.0 * spec.delta),
-        write_period=spec.write_period,
-        read_rate=spec.read_rate,
-        rng=system.rng.stream("explorer.plan"),
+    history = drive_read_heavy(
+        system, driver, spec.horizon, max(6.0, spec.horizon - 4.0 * spec.delta),
+        spec.write_period, spec.read_rate, "explorer.plan", pick_key,
     )
-    if pick_key is not None:
-        workload = assign_keys(workload, pick_key)
-    driver.install(workload)
-    system.run_until(spec.horizon)
-    history = system.close()
     safety = system.check_safety()
     atomicity = system.check_atomicity()
     liveness = system.check_liveness(grace=10.0 * spec.delta)
@@ -935,7 +927,7 @@ def explore(
     swept = specs[:budget]
     outcomes = run_specs(
         [
-            RunSpec(kind="scenario", params=spec.to_dict(), label=spec.label())
+            RunSpec(f"{__name__}:scenario_cell", spec.to_dict(), spec.label())
             for spec in swept
         ],
         workers=workers,

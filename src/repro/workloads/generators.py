@@ -1,4 +1,4 @@
-"""Workload plan generators.
+"""Workload plan generators, and the one read-heavy drive.
 
 The paper's synchronous protocol is explicitly "targeted for
 applications where the number of reads outperforms the number of
@@ -6,6 +6,13 @@ writes" (Section 3.3), so the canonical workload here is read-heavy:
 periodic writes with a Poisson stream of reads from random active
 processes.  All generators are pure functions from parameters (plus an
 explicit RNG) to a plan — no hidden state, fully reproducible.
+
+:func:`drive_read_heavy` is how a run meets that workload: it draws the
+plan from a named RNG stream, keys it if asked, installs it, runs the
+system (a :class:`~repro.runtime.system.DynamicSystem` or a
+:class:`~repro.cluster.system.ClusterSystem`) to its horizon and closes
+it.  Every experiment cell, explorer scenario, digest workload and CLI
+run command that drives this workload calls it.
 
 A plan op costs one Python call: its hand-written ``__init__``
 (:mod:`.schedule`).  :func:`poisson_times` draws each gap inline as
@@ -24,12 +31,20 @@ from bisect import bisect_right
 from dataclasses import replace
 from itertools import accumulate
 from math import isfinite, log
-from typing import Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from ..sim.clock import Time
 from ..sim.engine import collector_paused
 from ..sim.errors import ExperimentError
 from .schedule import _PLANNED_AT, ReadOp, WorkloadOp, WriteOp
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..cluster.history import ClusterHistory
+    from ..cluster.system import ClusterSystem
+    from ..core.history import History
+    from ..runtime.system import DynamicSystem
+    from .cluster import ClusterWorkloadDriver
+    from .schedule import WorkloadDriver
 
 #: A key picker: draws the register key the next operation addresses.
 KeyPicker = Callable[[], Any]
@@ -237,3 +252,40 @@ def write_heavy_plan(
         t += write_period
     plan.sort(key=_PLANNED_AT)
     return plan
+
+
+def drive_read_heavy(
+    system: DynamicSystem | ClusterSystem,
+    driver: WorkloadDriver | ClusterWorkloadDriver,
+    horizon: Time,
+    end: Time,
+    write_period: Time,
+    read_rate: float,
+    stream: str,
+    pick_key: KeyPicker | None = None,
+) -> History | ClusterHistory:
+    """Run ``system`` to ``horizon`` under the read-heavy plan and close it.
+
+    The plan spans t = 5 to ``end`` and is drawn from RNG stream
+    ``stream``; ``pick_key``, if given, keys it (drawing from its own
+    stream, after the plan).  ``driver`` installs it — its stats are the
+    caller's to read.  A plan that ends past the horizon is refused by
+    name: it would leave its tail unissued, or the run empty.  Returns
+    the closed history.
+    """
+    if end > horizon:
+        raise ExperimentError(
+            f"the plan ends at {end!r}, past the horizon {horizon!r}"
+        )
+    plan = read_heavy_plan(
+        start=5.0,
+        end=end,
+        write_period=write_period,
+        read_rate=read_rate,
+        rng=system.rng.stream(stream),
+    )
+    if pick_key is not None:
+        plan = assign_keys(plan, pick_key)
+    driver.install(plan)
+    system.run_until(horizon)
+    return system.close()

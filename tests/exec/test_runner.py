@@ -182,7 +182,7 @@ class TestCellBoundary:
         def grid(count: int) -> list[RunSpec]:
             return [
                 RunSpec(
-                    kind="scenario",
+                    kind="repro.workloads.explorer:scenario_cell",
                     params=ScenarioSpec(
                         protocol="sync", n=500, churn_rate=0.01, horizon=40.0, seed=seed
                     ).to_dict(),
@@ -282,7 +282,9 @@ class TestScenarioKind:
         from repro.workloads.explorer import ScenarioSpec, run_scenario
 
         scenario = ScenarioSpec(protocol="sync", n=6, horizon=40.0, seed=2)
-        spec = RunSpec(kind="scenario", params=scenario.to_dict())
+        spec = RunSpec(
+            kind="repro.workloads.explorer:scenario_cell", params=scenario.to_dict()
+        )
         outcome = execute(spec)
         assert outcome.spec == scenario
         assert outcome.digest == run_scenario(scenario).digest

@@ -2,14 +2,16 @@
 
 import pytest
 
-from repro.exec import ENTRY_POINTS, RunSpec, resolve
+from repro.exec import RunSpec, resolve
 from repro.experiments import EXPERIMENTS
 from repro.sim.errors import ExperimentError
 from repro.sim.rng import derive_seed
 
+SCENARIO_CELL = "repro.workloads.explorer:scenario_cell"
+
 
 def _module_of(kind):
-    return ENTRY_POINTS.get(kind, kind).partition(":")[0]
+    return kind.partition(":")[0]
 
 
 def _grid(experiment_id, quick):
@@ -29,18 +31,19 @@ class TestRunSpec:
         assert spec.label == "pretty"
 
     def test_round_trips_through_dict(self):
-        spec = RunSpec(kind="scenario", params={"seed": 3, "n": 5}, label="x")
+        spec = RunSpec(kind=SCENARIO_CELL, params={"seed": 3, "n": 5}, label="x")
         assert RunSpec.from_dict(spec.to_dict()) == spec
 
     def test_from_dict_tolerates_missing_optionals(self):
-        spec = RunSpec.from_dict({"kind": "scenario"})
+        spec = RunSpec.from_dict({"kind": SCENARIO_CELL})
         assert spec.params == {} and spec.label == ""
 
 
 class TestRegistry:
-    @pytest.mark.parametrize("kind", sorted(ENTRY_POINTS))
-    def test_every_registered_kind_resolves_to_a_callable(self, kind):
-        assert callable(resolve(kind))
+    def test_the_explorer_names_a_cell_that_resolves(self):
+        from repro.workloads import explorer
+
+        assert resolve(SCENARIO_CELL) is explorer.scenario_cell
 
     @pytest.mark.parametrize("experiment_id", sorted(EXPERIMENTS))
     def test_every_experiment_registers_its_cells(self, experiment_id):
@@ -54,12 +57,6 @@ class TestRegistry:
         for kind in kinds:
             assert _module_of(kind).startswith("repro.experiments."), kind
             assert resolve(kind).__module__ == _module_of(kind)
-
-    def test_every_experiment_kind_belongs_to_the_battery(self):
-        """Experiment cells are named by their declarations, so the
-        static table holds no experiment kind to retire with one."""
-        for kind in ENTRY_POINTS:
-            assert not _module_of(kind).startswith("repro.experiments."), kind
 
     @pytest.mark.parametrize("experiment_id", ["A1", "A2", "A3", "A4", "A5", "A6"])
     def test_ablation_cells_keep_their_derive_labels(self, experiment_id):
@@ -84,4 +81,4 @@ class TestRegistry:
 
     def test_non_callable_entry_point_is_rejected(self):
         with pytest.raises(ExperimentError):
-            resolve("repro.exec.registry:ENTRY_POINTS")
+            resolve("repro.exec.registry:_RESOLVED")

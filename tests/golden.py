@@ -20,6 +20,10 @@ fixed-seed run produced when the entry was recorded:
     One of the four CI explorer smoke sweeps (``tests/integration/
     test_smoke_sweeps.py``): the outcome counts and the sha256 of the
     JSON report it writes.
+``cli/<name>``
+    One run of ``simulate``, ``migrate`` or ``rebalance`` through
+    ``repro.cli.main`` (``tests/test_cli.py``): its exit code and the
+    sha256 of its stdout.
 
 Tests read the store through :func:`expected` only.  Each family's
 producer lives beside the tests that read it (:data:`PRODUCERS`): it
@@ -56,6 +60,7 @@ PRODUCERS: dict[str, str] = {
     "corpus": "tests.integration.test_seed_corpus:corpus_family",
     "sweep": "tests.integration.test_smoke_sweeps:sweep_family",
     "battery": "tests.experiments.battery:battery_family",
+    "cli": "tests.test_cli:cli_family",
 }
 
 

@@ -15,10 +15,10 @@ RNG draws or churn accounting — it then regenerates the store with
 ``PYTHONPATH=src python -m tests.golden`` and says which keys moved.
 
 Replay goes through the shared execution engine — each entry is a
-``RunSpec`` of kind ``"scenario"``, the same path ``repro explore``
-takes — so the corpus also guards the engine's serial/parallel
-equivalence: outcomes must match the recorded digests at whatever
-worker count this host runs.
+``RunSpec`` of kind ``"repro.workloads.explorer:scenario_cell"``, the
+same path ``repro explore`` takes — so the corpus also guards the
+engine's serial/parallel equivalence: outcomes must match the recorded
+digests at whatever worker count this host runs.
 """
 
 from __future__ import annotations
@@ -152,12 +152,16 @@ SPECS = {f"corpus/{name}": spec for name, spec in CORPUS_SCENARIOS}
 def _replayed() -> dict[str, ScenarioOutcome]:
     """Every canonical scenario, replayed once per session, by key.
 
-    Each becomes a ``RunSpec`` of kind ``"scenario"`` — the exact path
+    Each becomes a ``RunSpec`` of the explorer's cell kind — the exact path
     ``repro explore`` runs — judged across all cores.
     """
     outcomes = run_specs(
         [
-            RunSpec(kind="scenario", params=spec.to_dict(), label=name)
+            RunSpec(
+                kind="repro.workloads.explorer:scenario_cell",
+                params=spec.to_dict(),
+                label=name,
+            )
             for name, spec in CORPUS_SCENARIOS
         ]
     )

@@ -1,10 +1,54 @@
 """Tests for the command-line interface."""
 
+import contextlib
+import functools
+import hashlib
+import io
+
 import pytest
 
 from repro.bench import DIGEST_WORKLOADS
 from repro.cli import main
 from tests.golden import expected
+
+#: The run commands the golden store's ``cli/`` family pins, by name:
+#: each entry is the sha256 of the stdout and the exit code of one run.
+CLI_RUNS = {
+    "simulate": "simulate",
+    "simulate-keyed-zipf-paranoid": "simulate --keys 4 --key-dist zipf --paranoid",
+    "simulate-es": "simulate --protocol es --churn 0.002",
+    "simulate-abd-static": "simulate --protocol abd --churn 0",
+    "migrate": "migrate",
+    "migrate-mig-loss": "migrate --plan mig-loss",
+    "rebalance": "rebalance",
+    "rebalance-retire": "rebalance --retire 0",
+    "rebalance-rebal-storm": "rebalance --plan rebal-storm",
+}
+
+
+def _ran(name: str) -> dict:
+    """Run ``CLI_RUNS[name]`` through ``main``: its exit code and the
+    sha256 of what it printed."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(CLI_RUNS[name].split())
+    return {"exit": code, "sha256": hashlib.sha256(out.getvalue().encode()).hexdigest()}
+
+
+def cli_family() -> dict:
+    """The golden store's ``cli/`` family: one entry per pinned run."""
+    return {f"cli/{name}": functools.partial(_ran, name) for name in CLI_RUNS}
+
+
+CLI_KEYS = cli_family()
+
+
+@pytest.mark.parametrize("key", CLI_KEYS)
+def test_cli_run_reproduces_its_golden(key):
+    assert CLI_KEYS[key]() == expected(key), (
+        f"{key} no longer prints its recorded output; if this change "
+        f"intentionally moved a run, regenerate the golden store"
+    )
 
 
 class TestBounds:
@@ -204,6 +248,86 @@ class TestParanoid:
         assert fast_verdict == paranoid_verdict
 
 
+class TestRunFlags:
+    #: The run flags of ``simulate``, ``migrate`` and ``rebalance``:
+    #: option strings → (nargs, type, choices, default, dest).
+    FLAGS = {
+        "simulate": {
+            ("--protocol",): (
+                None, str, ("sync", "naive", "es", "abd"), "sync", "protocol"
+            ),
+            ("--n",): (None, int, None, 20, "n"),
+            ("--delta",): (None, float, None, 5.0, "delta"),
+            ("--churn",): (None, float, None, 0.01, "churn"),
+            ("--horizon",): (None, float, None, 200.0, "horizon"),
+            ("--read-rate",): (None, float, None, 0.5, "read_rate"),
+            ("--write-period",): (None, float, None, 30.0, "write_period"),
+            ("--seed",): (None, int, None, 0, "seed"),
+            ("--keys",): (None, int, None, 1, "keys"),
+            ("--key-dist",): (None, str, ("uniform", "zipf"), "uniform", "key_dist"),
+            ("--timeline",): (0, str, None, False, "timeline"),
+            ("--paranoid",): (0, str, None, False, "paranoid"),
+        },
+        "migrate": {
+            ("--shards",): (None, int, None, 3, "shards"),
+            ("--keys",): (None, int, None, 6, "keys"),
+            ("--n",): (None, int, None, 18, "n"),
+            ("--delta",): (None, float, None, 5.0, "delta"),
+            ("--churn",): (None, float, None, 0.02, "churn"),
+            ("--horizon",): (None, float, None, 120.0, "horizon"),
+            ("--migrations",): (None, int, None, 3, "migrations"),
+            ("--seed",): (None, int, None, 0, "seed"),
+            ("--plan",): (None, str, None, None, "plan"),
+            ("--read-rate",): (None, float, None, 0.6, "read_rate"),
+            ("--write-period",): (None, float, None, 10.0, "write_period"),
+            ("--paranoid",): (0, str, None, False, "paranoid"),
+        },
+        "rebalance": {
+            ("--shards",): (None, int, None, 4, "shards"),
+            ("--keys",): (None, int, None, 8, "keys"),
+            ("--n",): (None, int, None, 24, "n"),
+            ("--delta",): (None, float, None, 5.0, "delta"),
+            ("--churn",): (None, float, None, 0.02, "churn"),
+            ("--horizon",): (None, float, None, 240.0, "horizon"),
+            ("--seed",): (None, int, None, 0, "seed"),
+            ("--period",): (None, float, None, None, "period"),
+            ("--threshold",): (None, float, None, 1.25, "threshold"),
+            ("--migration-budget",): (None, int, None, 2, "migration_budget"),
+            ("--retire",): (None, int, None, None, "retire"),
+            ("--plan",): (None, str, None, None, "plan"),
+            ("--key-dist",): (None, str, ("uniform", "zipf"), "zipf", "key_dist"),
+            ("--read-rate",): (None, float, None, 0.6, "read_rate"),
+            ("--write-period",): (None, float, None, 10.0, "write_period"),
+            ("--paranoid",): (0, str, None, False, "paranoid"),
+        },
+    }
+
+    @pytest.mark.parametrize("command", FLAGS)
+    def test_flags_keep_their_names_nargs_types_choices_defaults_and_dests(
+        self, command
+    ):
+        import argparse
+
+        from repro.cli import build_parser
+
+        (commands,) = [
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        flags = {
+            tuple(action.option_strings): (
+                action.nargs,
+                action.type or str,
+                None if action.choices is None else tuple(action.choices),
+                action.default,
+                action.dest,
+            )
+            for action in commands.choices[command]._actions
+            if action.option_strings != ["-h", "--help"]
+        }
+        assert flags == self.FLAGS[command]
+
+
 class TestSubcommands:
     def test_bench_is_refused_and_the_eight_subcommands_are_named(self, capsys):
         with pytest.raises(SystemExit) as refused:
@@ -352,16 +476,32 @@ class TestExplore:
             (["explore", "--migrations", "2"], "migrations=(2,) needs a cell"),
             (["explore", "--delta", "nan"], "delta must be finite and positive, got nan"),
             (["explore", "--horizon", "0"], "horizon must be finite and positive, got 0.0"),
+            (["simulate", "--horizon", "0"], "the plan ends at 6.0, past the horizon 0.0"),
+            (["simulate", "--horizon", "3"], "the plan ends at 6.0, past the horizon 3.0"),
+            (["migrate", "--horizon", "5"], "the plan ends at 6.0, past the horizon 5.0"),
+            (["rebalance", "--horizon", "4"], "the plan ends at 6.0, past the horizon 4.0"),
+            (["explore", "--horizon", "5"], "the plan ends at 6.0, past the horizon 5.0"),
+            (
+                ["migrate", "--shards", "1"],
+                "migrations=3 needs somewhere to move keys: it requires "
+                "shards >= 2, got shards=1",
+            ),
+            (["migrate", "--migrations", "-1"], "migrations must be non-negative, got -1"),
         ],
         ids=[
             "explore-churn-nan", "explore-churn-negative", "simulate-churn-nan",
             "simulate-churn-negative", "explore-no-seeds", "explore-migrations-unsharded",
-            "explore-delta-nan", "explore-horizon-zero",
+            "explore-delta-nan", "explore-horizon-zero", "simulate-horizon-zero",
+            "simulate-horizon-short", "migrate-horizon-short", "rebalance-horizon-short",
+            "explore-horizon-short",
+            "migrate-one-shard", "migrate-migrations-negative",
         ],
     )
     def test_a_bad_or_empty_setting_is_refused_by_name(self, capsys, argv, named):
-        # Each of these used to run (with no churn, an empty sweep or
-        # zero joins) and exit 0, or named a partition instead of delta.
+        # Each of these used to run (with no churn, an empty sweep, zero
+        # joins, an empty workload past a short horizon, self-handoffs on
+        # one shard or no handoffs at all) and exit 0, or named a
+        # partition instead of delta.
         serial = ["--workers", "1"] if argv[0] == "explore" else []
         assert main(argv + serial) == 2
         captured = capsys.readouterr()

@@ -10,7 +10,7 @@ names every key that changed.
 
 import pytest
 
-from tests import golden
+from tests import golden, test_cli
 from tests.experiments import test_experiments
 from tests.integration import test_determinism, test_seed_corpus, test_smoke_sweeps
 from tests.properties import test_kernel_parity
@@ -73,6 +73,7 @@ PER_ENTRY_TESTS = {
     "corpus": lambda key: test_seed_corpus.test_corpus_entry_records_its_canonical_spec(key),
     "sweep": lambda key: test_smoke_sweeps.test_smoke_sweep_reproduces_its_golden(key),
     "battery": lambda key: test_experiments.test_battery_row_reproduces_its_golden(key),
+    "cli": lambda key: test_cli.test_cli_run_reproduces_its_golden(key),
 }
 
 

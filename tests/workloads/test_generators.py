@@ -159,3 +159,76 @@ class TestPlans:
     def test_write_heavy_plan_without_reads_is_write_only(self, rng):
         plan = write_heavy_plan(5.0, 60.0, 10.0, 0, rng)
         assert [type(op) for op in plan] == [WriteOp] * 6
+
+
+class TestDriveReadHeavy:
+    """The one read-heavy drive: draw, key, install, run, close."""
+
+    @staticmethod
+    def _single(keys=1):
+        from repro.runtime.config import SystemConfig
+        from repro.runtime.system import DynamicSystem
+        from repro.workloads.schedule import WorkloadDriver
+
+        system = DynamicSystem(SystemConfig(n=8, seed=3, trace=False, keys=keys))
+        system.attach_churn(rate=0.01, min_stay=15.0)
+        return system, WorkloadDriver(system)
+
+    @staticmethod
+    def _cluster():
+        from repro.cluster.config import ClusterConfig
+        from repro.cluster.system import ClusterSystem
+        from repro.workloads.cluster import ClusterWorkloadDriver
+
+        cluster = ClusterSystem(ClusterConfig(shards=2, keys=4, n=12, seed=3))
+        return cluster, ClusterWorkloadDriver(cluster)
+
+    @pytest.mark.parametrize("kind", ["single", "keyed", "cluster"])
+    def test_is_the_hand_assembled_run(self, kind):
+        from repro.cluster.history import cluster_digest
+        from repro.core.history import operation_digest
+        from repro.workloads.cluster import shard_skewed_key_picker
+        from repro.workloads.generators import (
+            assign_keys,
+            drive_read_heavy,
+            make_key_picker,
+        )
+
+        def build():
+            if kind == "cluster":
+                system, driver = self._cluster()
+                picker = shard_skewed_key_picker(system, system.rng.stream("t.keys"))
+                return system, driver, picker, cluster_digest
+            system, driver = self._single(keys=4 if kind == "keyed" else 1)
+            picker = (
+                make_key_picker("zipf", system.keys, system.rng.stream("t.keys"))
+                if kind == "keyed"
+                else None
+            )
+            return system, driver, picker, operation_digest
+
+        system, driver, picker, digest = build()
+        driven = drive_read_heavy(
+            system, driver, 60.0, 45.0, 10.0, 0.5, "t.plan", picker
+        )
+        assert driven is system.history
+        system, driver, picker, _ = build()
+        plan = read_heavy_plan(5.0, 45.0, 10.0, 0.5, system.rng.stream("t.plan"))
+        if picker is not None:
+            plan = assign_keys(plan, picker)
+        driver.install(plan)
+        system.run_until(60.0)
+        assert digest(driven) == digest(system.close())
+        assert driver.stats.reads_issued > 0
+
+    @pytest.mark.parametrize("horizon, end", [(0.0, 6.0), (3.0, 6.0), (40.0, 40.5)])
+    def test_a_plan_past_the_horizon_is_refused_by_name(self, horizon, end):
+        from repro.workloads.generators import drive_read_heavy
+
+        system, driver = self._single()
+        with pytest.raises(
+            ExperimentError,
+            match=rf"the plan ends at {end!r}, past the horizon {horizon!r}",
+        ):
+            drive_read_heavy(system, driver, horizon, end, 10.0, 0.5, "t.plan")
+        assert system.engine.now == 0.0 and driver.stats.reads_issued == 0
