@@ -33,13 +33,20 @@ payload-type name.  Contract (held to the full scan by
 partitions → losses, every counter moves on the same message, and the
 RNG is drawn exactly when a loss's window, type and link all match.
 
-Idle on this stretch: a payload class that passed :meth:`on_transmit`
-with no spike or partition live and no live loss naming its type is
-untouched until the stretch ends, whoever sends it.  :meth:`idle_for`
-says so, under the test ``on_transmit`` opens with, and a caller may
-skip the call on its word (the network's two hot transmit sites do);
-:meth:`_resolve` forgets every class, so each window edge, and a ``now``
-that moved back, starts from nothing proven.
+The loss gate: a payload class whose first :meth:`on_transmit` on a
+stretch finds no spike or partition live, and only losses that
+restrict no link (``sender is None and dest is None``) naming its type,
+gets a *gate* — those losses' probabilities, in plan order; ``()``
+says the class is untouched.  Until the stretch ends, whoever sends it,
+every message of the class meets exactly that: one draw of the
+injector's stream per probability, in order, the first draw below its
+probability losing the message (``lost_count``).  The table
+``_gates`` (class → gate) speaks for ``now`` only under the test
+``on_transmit`` opens with, ``_from <= now < _until``; under it a
+caller may draw a gated class's losses itself instead of calling
+``on_transmit`` (the network's two hot transmit sites do, with no call
+into this module).  :meth:`_resolve` forgets every gate, so each window
+edge, and a ``now`` that moved back, starts from nothing proven.
 
 Determinism: the injector draws randomness from a single dedicated
 stream (``faults.injector``) and only when a loss fault actually
@@ -85,7 +92,7 @@ class FaultInjector:
         "_partitions",
         "_losses",
         "_typed_losses",
-        "_idle",
+        "_gates",
     )
 
     def __init__(
@@ -120,7 +127,7 @@ class FaultInjector:
         self._from, self._until = _INF, -_INF
         self._spikes = self._partitions = self._losses = ()
         self._typed_losses: dict[str, tuple[LossFault, ...]] = {}
-        self._idle: set[type] = set()
+        self._gates: dict[type, tuple[float, ...]] = {}
 
     @property
     def gates_delivery(self) -> bool:
@@ -130,11 +137,6 @@ class FaultInjector:
         return bool(self.plan.crashes) or any(
             partition.mode == "drop" for partition in self.plan.partitions
         )
-
-    def idle_for(self, payload_class: type, now: Time) -> bool:
-        """Is ``payload_class`` proven untouched at ``now`` (module
-        docstring)?  Then :meth:`on_transmit` would change nothing."""
-        return payload_class in self._idle and self._from <= now < self._until
 
     def _resolve(self, now: Time) -> None:
         """Re-anchor the index on the stretch that holds ``now``."""
@@ -147,7 +149,7 @@ class FaultInjector:
         self._partitions = _live_at(plan.partitions, now)
         self._losses = _live_at(plan.losses, now)
         self._typed_losses = {}
-        self._idle = set()
+        self._gates = {}
 
     # ------------------------------------------------------------------
     # Network hooks
@@ -194,8 +196,12 @@ class FaultInjector:
                 for loss in self._losses
                 if loss.payload_types is None or payload_type in loss.payload_types
             )
-            if not (losses or self._spikes or self._partitions):
-                self._idle.add(payload.__class__)
+            if not (self._spikes or self._partitions) and all(
+                loss.sender is None and loss.dest is None for loss in losses
+            ):
+                self._gates[payload.__class__] = tuple(
+                    loss.probability for loss in losses
+                )
         for loss in losses:
             if _on_link(loss, sender, dest):
                 if self._rng.random() < loss.probability:

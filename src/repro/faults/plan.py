@@ -215,10 +215,16 @@ class DelaySpikeFault:
     payload_types: frozenset[str] | None = None
 
     def __post_init__(self) -> None:
-        if self.factor <= 0:
-            raise ConfigError(f"spike factor must be positive, got {self.factor!r}")
-        if self.extra < 0:
-            raise ConfigError(f"spike extra must be non-negative, got {self.extra!r}")
+        # Finite, or a spiked delivery lands at a NaN / infinite instant
+        # that only the scheduler refuses, three layers down.
+        if not (isfinite(self.factor) and self.factor > 0):
+            raise ConfigError(
+                f"spike factor must be positive and finite, got {self.factor!r}"
+            )
+        if not (isfinite(self.extra) and self.extra >= 0):
+            raise ConfigError(
+                f"spike extra must be non-negative and finite, got {self.extra!r}"
+            )
         if self.factor == 1.0 and self.extra == 0.0:
             raise ConfigError("spike must change the delay (factor != 1 or extra > 0)")
         _check_window("spike", self.start, self.end)
@@ -435,9 +441,6 @@ class FaultPlan:
             except TypeError as error:
                 raise ConfigError(f"bad {kind} fault entry: {error}") from error
         return cls.of(*faults, name=str(payload.get("name", "")))
-
-    def renamed(self, name: str) -> "FaultPlan":
-        return replace(self, name=name)
 
     def map_pids(self, fn: Callable[[str], str]) -> "FaultPlan":
         """Rewrite every process identity the plan references.

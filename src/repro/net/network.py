@@ -64,12 +64,17 @@ raises.)
 Each payload type has one handler body, the recipient's ``on_<type>``
 method, and every delivery ends in it.  A fault plan acts at the
 *transmit* gate (``on_transmit``, in ``send_payload``,
-``deliver_scheduled`` and the fan-out loop; the first and last skip it
-on ``FaultInjector.idle_for``'s word) and otherwise leaves the
-fire sites alone: with ``Network._fast`` — tracing off, and no installed
-plan that can act when a delivery *fires* (a drop-mode partition, a
-crash: ``FaultInjector.gates_delivery``) — both ``fire`` methods count
-the delivery and dispatch inline (the per-class ``_dispatch`` cache, the
+``deliver_scheduled`` and the fan-out loop) and otherwise leaves the
+fire sites alone.  The first and last read the injector's loss gate
+before the call: a class with a gate on the current stretch — no spike
+or partition live, only losses that restrict no link naming it — has
+those losses drawn right there, from the injector's stream in plan
+order, counted in its ``lost_count`` and dropped through ``_drop`` like
+any veto; ``on_transmit`` decides the rest.  At the fire sites, with
+``Network._fast`` — tracing off, and no installed plan that can act
+when a delivery *fires* (a drop-mode partition, a crash:
+``FaultInjector.gates_delivery``) — both ``fire`` methods count the
+delivery and dispatch inline (the per-class ``_dispatch`` cache, the
 handler, its reply, the watcher poll).  Tracing and delivery-gating
 plans take :meth:`Network._fire_checked`, which wraps that same
 dispatch in the delivery-time gates and the trace record.  On a clean
@@ -88,7 +93,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Sequence
 
-from ..faults.injector import REASON_DEPARTED
+from ..faults.injector import REASON_DEPARTED, REASON_LOSS
 from ..sim.clock import Time
 from ..sim.engine import EventScheduler
 from ..sim.errors import ConfigError, NetworkError, UnknownProcessError
@@ -356,10 +361,26 @@ class Network:
             deliver_at = now + delay
         fault_reason = None
         faults = self.faults
-        if faults is not None and not faults.idle_for(payload.__class__, now):
-            deliver_at, fault_reason = faults.on_transmit(
-                sender, dest, payload, now, deliver_at
+        if faults is not None:
+            # The class's loss gate, read under the test ``on_transmit``
+            # opens with (``repro.faults.injector``): its losses are
+            # drawn here, as ``on_transmit`` would draw them; a class
+            # with none on this stretch gets the call.
+            gate = (
+                faults._gates.get(payload.__class__)
+                if faults._from <= now < faults._until
+                else None
             )
+            if gate is None:
+                deliver_at, fault_reason = faults.on_transmit(
+                    sender, dest, payload, now, deliver_at
+                )
+            else:
+                for probability in gate:
+                    if faults._rng.random() < probability:
+                        faults.lost_count += 1
+                        fault_reason = REASON_LOSS
+                        break
         self.sent_count += 1
         if self.trace._enabled:
             self.trace.record(
@@ -540,8 +561,12 @@ class Network:
             sender, dests, payload, now, rng
         )
         faults = self.faults
-        if faults is not None and faults.idle_for(payload.__class__, now):
-            faults = None  # one test a fan-out
+        gate = None
+        if faults is not None and faults._from <= now < faults._until:
+            # ``send_payload``'s gate, read once a fan-out.
+            gate = faults._gates.get(payload.__class__)
+            if gate == ():
+                faults = None  # untouched: no test per recipient
         payload_type = type(payload).__name__
         item = self._delivery
         sequence = first = engine._sequence
@@ -552,9 +577,17 @@ class Network:
                 )
             deliver_at = now + delay
             if faults is not None:
-                deliver_at, fault_reason = faults.on_transmit(
-                    sender, dest, payload, now, deliver_at, payload_type
-                )
+                if gate is None:
+                    deliver_at, fault_reason = faults.on_transmit(
+                        sender, dest, payload, now, deliver_at, payload_type
+                    )
+                else:
+                    fault_reason = None
+                    for probability in gate:
+                        if faults._rng.random() < probability:
+                            faults.lost_count += 1
+                            fault_reason = REASON_LOSS
+                            break
                 if fault_reason is not None:
                     self._drop(now, sender, dest, payload_type, fault_reason)
                     continue

@@ -42,7 +42,7 @@ from typing import Any, NamedTuple
 from ..core.register import Cell, NodeContext, RegisterNode
 from ..sim.errors import ConfigError
 from ..sim.operations import OperationBody, WaitUntil
-from .common import OK, PhaseTracker, make_join_result
+from .common import OK, PhaseTracker, make_join_result, new_reply
 
 #: Key in ``NodeContext.extra`` holding the static replica universe.
 UNIVERSE_KEY = "abd_universe"
@@ -200,7 +200,7 @@ class AbdRegisterNode(RegisterNode):
         if not (self._is_replica or self.is_replica):
             return None
         self.space.adopt(msg.key, msg.value, msg.sequence)
-        return AbdAck(msg.sequence, msg.key)
+        return new_reply(AbdAck, (msg.sequence, msg.key))
 
     def on_abdack(self, sender: str, msg: AbdAck) -> None:
         key = msg.key
@@ -215,7 +215,7 @@ class AbdRegisterNode(RegisterNode):
             return None
         space = self.space
         value, sequence = space._cells.get(msg.key) or space.snapshot(msg.key)
-        return AbdQueryReply(msg.request, value, sequence, msg.key)
+        return new_reply(AbdQueryReply, (msg.request, value, sequence, msg.key))
 
     def on_abdqueryreply(self, sender: str, msg: AbdQueryReply) -> None:
         key = msg.key
@@ -231,7 +231,7 @@ class AbdRegisterNode(RegisterNode):
         if not (self._is_replica or self.is_replica):
             return None
         self.space.adopt(msg.key, msg.value, msg.sequence)
-        return AbdWriteBackAck(msg.request, msg.key)
+        return new_reply(AbdWriteBackAck, (msg.request, msg.key))
 
     def on_abdwritebackack(self, sender: str, msg: AbdWriteBackAck) -> None:
         # Tagged with its *query* round: a superseded read's is not counted.

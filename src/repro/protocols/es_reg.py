@@ -54,7 +54,7 @@ from ..core.register import Cell, NodeContext, RegisterNode
 from ..sim.errors import ProcessError
 from ..sim.operations import OperationBody, WaitUntil
 from ..sim.process import ProcessMode
-from .common import OK, PhaseTracker, QuorumPhase, make_join_result
+from .common import OK, PhaseTracker, QuorumPhase, make_join_result, new_reply
 
 
 # ----------------------------------------------------------------------
@@ -234,7 +234,7 @@ class EventuallySyncRegisterNode(RegisterNode):
             value, sequence, entries = space.reply_parts()
         else:
             value, sequence = space._cells.get(key) or space.snapshot(key)
-        return EsReply(self.pid, value, sequence, r_sn, key, entries)
+        return new_reply(EsReply, (self.pid, value, sequence, r_sn, key, entries))
 
     def _send_reply(self, dest: str, r_sn: int, key: Any) -> None:
         self.ctx.network.send_payload(self.pid, dest, self._reply(r_sn, key))
@@ -244,7 +244,7 @@ class EventuallySyncRegisterNode(RegisterNode):
         (``None`` = our batched join inquiry)."""
         pending = self._reads.get(key) or self._join_phase  # request 0
         self.ctx.network.send_payload(
-            self.pid, dest, EsDlPrev(self.pid, pending.request, key)
+            self.pid, dest, new_reply(EsDlPrev, (self.pid, pending.request, key))
         )
 
     # ------------------------------------------------------------------
@@ -283,7 +283,7 @@ class EventuallySyncRegisterNode(RegisterNode):
         if msg.read_sn != phase.request:  # line 19
             return None
         phase._offers[msg.sender] = entries  # line 20
-        return EsAck(self.pid, msg.sequence, key)  # line 21
+        return new_reply(EsAck, (self.pid, msg.sequence, key))  # line 21
 
     def on_esdlprev(self, sender: str, msg: EsDlPrev) -> None:
         """Figure 4, line 22."""
@@ -303,7 +303,7 @@ class EventuallySyncRegisterNode(RegisterNode):
     def on_eswrite(self, sender: str, msg: EsWrite) -> EsAck:
         """Figure 6, lines 06-08."""
         self.space.adopt(msg.key, msg.value, msg.sequence)  # line 07
-        return EsAck(self.pid, msg.sequence, msg.key)  # line 08
+        return new_reply(EsAck, (self.pid, msg.sequence, msg.key))  # line 08
 
     def on_esack(self, sender: str, msg: EsAck) -> None:
         """Figure 6, lines 09-10 (no write open on the key: no phase)."""

@@ -69,7 +69,7 @@ from ..core.register import BOTTOM, Cell, NodeContext, RegisterNode
 from ..sim.errors import ProcessError
 from ..sim.operations import OperationBody, Wait
 from ..sim.process import ProcessMode
-from .common import OK, QuorumPhase, make_join_result
+from .common import OK, QuorumPhase, make_join_result, new_reply
 
 
 # ----------------------------------------------------------------------
@@ -219,7 +219,9 @@ class SynchronousRegisterNode(RegisterNode):
         space's version (see ``__init__``)."""
         space = self.space
         value, sequence, entries = space.reply_parts()
-        reply = self._reply_cache = Reply(self.pid, value, sequence, entries)
+        reply = self._reply_cache = new_reply(
+            Reply, (self.pid, value, sequence, entries)
+        )
         self._reply_version = space.version
         return reply
 

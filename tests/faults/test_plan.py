@@ -91,6 +91,25 @@ class TestFaultValidation:
         with pytest.raises(ConfigError):
             DelaySpikeFault(factor=-2.0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("factor", float("nan")),
+            ("factor", float("inf")),
+            ("extra", float("nan")),
+            ("extra", float("inf")),
+        ],
+    )
+    def test_spike_refuses_a_non_finite_factor_or_extra_by_name(self, field, value):
+        """Accepted, it would only fail at the scheduler's non-finite
+        instant test, three layers down, once a message met it."""
+        message = rf"spike {field} must be .* finite, got {value!r}"
+        with pytest.raises(ConfigError, match=message):
+            DelaySpikeFault(**{field: value})
+        entry = {"kind": "spike", "start": 0.0, "end": 10.0, field: value}
+        with pytest.raises(ConfigError, match=message):
+            FaultPlan.from_dict({"faults": [entry]})
+
     def test_crash_victim_and_occurrence_checked(self):
         with pytest.raises(ConfigError):
             CrashFault(phase="WriteMsg", victim="bystander")

@@ -17,11 +17,12 @@ Three families of claims:
 * **The window index is the full scan** — the injector's indexed
   ``on_transmit`` against a copy of the plan scan it replaced, over
   random plans and random, non-monotone instants.
-* **The skip is the full scan** — an injector called only when its
-  own ``idle_for`` says no (what the network's transmit sites do)
-  against one called for every message, then those sites themselves
-  in whole runs.  CI runs this family and the exact-count ratchet as
-  their own step ("a quorum message is one probe").
+* **The loss gate is the full scan** — an injector whose gated classes
+  have their losses drawn outside it, on its own gate table (what the
+  network's transmit sites do), against one called for every message;
+  each gate against the plan; two mutant gates caught; then those sites
+  themselves in whole runs.  CI runs this family and the exact-count
+  ratchet as their own step ("a quorum message is one probe").
 """
 
 import random
@@ -361,20 +362,107 @@ class TestWindowIndexIsTheFullScan:
 
 
 # ----------------------------------------------------------------------
-# The idle-class skip against the call it skips
+# The loss gate against the call it replaces
 # ----------------------------------------------------------------------
+
+
+def gate_at(injector, payload_class, now):
+    """The loss gate the network's two transmit sites read: the
+    injector's table, under the test ``on_transmit`` opens with."""
+    if injector._from <= now < injector._until:
+        return injector._gates.get(payload_class)
+    return None
 
 
 def through_the_gate(injector, sender, dest, payload, now, deliver_at):
     """The transmit gate as ``Network.send_payload`` and the fan-out arm
-    apply it: the call is skipped on the injector's own word,
-    ``idle_for``, that the payload class is idle at ``now``."""
-    if injector.idle_for(payload.__class__, now):
-        return deliver_at, None
-    return injector.on_transmit(sender, dest, payload, now, deliver_at)
+    apply it: a class gated at ``now`` has its losses drawn right here,
+    in order, from the injector's own stream; any other message goes
+    through ``on_transmit``."""
+    gate = gate_at(injector, payload.__class__, now)
+    if gate is None:
+        return injector.on_transmit(sender, dest, payload, now, deliver_at)
+    for probability in gate:
+        if injector._rng.random() < probability:
+            injector.lost_count += 1
+            return deliver_at, REASON_LOSS
+    return deliver_at, None
 
 
-class TestIdleSkipIsTheFullScan:
+def first_divergence(gated, scan, calls):
+    """The index of the first call after which ``gated``, called through
+    the gate, and ``scan``, called for every message, disagree on the
+    verdict, a counter or the RNG state; ``None`` if they never do."""
+    for index, (sender, dest, name, now, latency, _) in enumerate(calls):
+        args = (sender, dest, PAYLOADS[name], now, now + latency)
+        if (
+            through_the_gate(gated, *args) != scan.on_transmit(*args)
+            or gated.counters() != scan.counters()
+            or gated._rng.getstate() != scan._rng.getstate()
+        ):
+            return index
+    return None
+
+
+def live(fault, now):
+    """Is ``fault``'s window open at ``now``, by the plan itself?"""
+    return fault.start <= now and (fault.end is None or now < fault.end)
+
+
+class Forgetful(dict):
+    """A gate table that keeps nothing: every gate lookup misses."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+class IgnoresLinkFilter(FaultInjector):
+    """Mutant: gates a class whatever link its live losses are
+    confined to."""
+
+    def on_transmit(self, sender, dest, payload, now, deliver_at, payload_type=None):
+        verdict = super().on_transmit(
+            sender, dest, payload, now, deliver_at, payload_type
+        )
+        if not (self._spikes or self._partitions):
+            self._gates[payload.__class__] = tuple(
+                loss.probability
+                for loss in self._typed_losses[payload_type or type(payload).__name__]
+            )
+        return verdict
+
+
+class SkipsADraw(FaultInjector):
+    """Mutant: a gate that draws only the first of its class's losses."""
+
+    def on_transmit(self, sender, dest, payload, now, deliver_at, payload_type=None):
+        verdict = super().on_transmit(
+            sender, dest, payload, now, deliver_at, payload_type
+        )
+        gate = self._gates.get(payload.__class__)
+        if gate:
+            self._gates[payload.__class__] = gate[:1]
+        return verdict
+
+
+link_filtered_losses = st.builds(
+    LossFault,
+    probability=st.sampled_from([0.2, 1.0]),
+    start=instants,
+    payload_types=type_filter,
+    sender=pid_filter,
+    dest=st.sampled_from(PIDS),
+) | st.builds(
+    LossFault,
+    probability=st.sampled_from([0.2, 1.0]),
+    start=instants,
+    payload_types=type_filter,
+    sender=st.sampled_from(PIDS),
+    dest=pid_filter,
+)
+
+
+class TestLossGateIsTheFullScan:
     @given(plan=fault_plans, calls=transmissions, seed=st.integers(0, 2**16))
     @settings(max_examples=300, deadline=None)
     def test_same_arrivals_counters_and_rng_after_every_message(
@@ -382,13 +470,34 @@ class TestIdleSkipIsTheFullScan:
     ):
         """Windows open and close between sends and ``now`` jumps
         backwards as freely as forwards (``transmissions``)."""
-        skipping = FaultInjector(plan, random.Random(seed))
+        gated = FaultInjector(plan, random.Random(seed))
         scan = FullScanInjector(plan, random.Random(seed))
+        assert first_divergence(gated, scan, calls) is None
+
+    @given(plan=fault_plans, calls=transmissions)
+    @settings(max_examples=200, deadline=None)
+    def test_every_gate_is_its_live_unrestricted_losses_in_plan_order(
+        self, plan, calls
+    ):
+        """After every message, each gate held is what the plan itself
+        says at that instant: no spike or partition live, and exactly
+        the probabilities of the live losses naming the class, every
+        one of them on every link."""
+        injector = FaultInjector(plan, random.Random(5))
         for sender, dest, name, now, latency, _ in calls:
-            args = (sender, dest, PAYLOADS[name], now, now + latency)
-            assert through_the_gate(skipping, *args) == scan.on_transmit(*args)
-            assert skipping.counters() == scan.counters()
-            assert skipping._rng.getstate() == scan._rng.getstate()
+            through_the_gate(injector, sender, dest, PAYLOADS[name], now, now + latency)
+            for payload_class, gate in injector._gates.items():
+                assert gate_at(injector, payload_class, now) == gate
+                assert not any(live(f, now) for f in (*plan.spikes, *plan.partitions))
+                naming = [
+                    loss for loss in plan.losses
+                    if live(loss, now) and (
+                        loss.payload_types is None
+                        or payload_class.__name__ in loss.payload_types
+                    )
+                ]
+                assert all(loss.sender is None and loss.dest is None for loss in naming)
+                assert gate == tuple(loss.probability for loss in naming)
 
     @given(
         untargeted=st.lists(
@@ -401,12 +510,12 @@ class TestIdleSkipIsTheFullScan:
         calls=transmissions,
     )
     @settings(max_examples=100, deadline=None)
-    def test_an_untargeted_live_fault_leaves_no_class_idle(
+    def test_an_untargeted_live_fault_leaves_no_class_untouched(
         self, untargeted, others, calls
     ):
         """While a fault that names no payload type is live — here from
-        0 on, whatever link it is confined to — no class is proven
-        untouched."""
+        0 on, whatever link it is confined to — no class's gate is
+        ``()``."""
         plan = FaultPlan.of(
             *untargeted, *others.losses, *others.spikes, *others.partitions
         )
@@ -414,42 +523,47 @@ class TestIdleSkipIsTheFullScan:
         for sender, dest, name, now, latency, _ in calls:
             through_the_gate(injector, sender, dest, PAYLOADS[name], now, now + latency)
             if now >= 0.0:  # an unwindowed fault is live on [0, inf)
-                assert injector._idle == set()
+                assert () not in injector._gates.values()
 
-    @pytest.mark.parametrize("protocol", ["es", "abd"])
-    def test_the_network_sites_skip_what_a_run_never_notices(
-        self, protocol, monkeypatch
-    ):
-        """``send_payload`` and the fan-out arm themselves: a run whose
-        injector never says idle is the same run with more gate calls."""
+    @given(filtered=link_filtered_losses, others=fault_plans, calls=transmissions)
+    @settings(max_examples=100, deadline=None)
+    def test_a_link_filtered_loss_never_gets_a_gate(self, filtered, others, calls):
+        """While a loss confined to a sender or a destination is live,
+        no class it names is gated: ``on_transmit`` alone can tell
+        which links it cuts."""
         plan = FaultPlan.of(
-            LossFault(probability=0.2, end=50.0, payload_types={"EsAck", "AbdAck"}),
-            DelaySpikeFault(start=30.0, end=40.0, factor=1.5, payload_types={"EsRead"}),
-            LossFault(probability=0.1, start=60.0, end=70.0),
+            filtered, *others.losses, *others.spikes, *others.partitions
         )
-        gate, entered, runs = FaultInjector.on_transmit, [], []
+        injector = FaultInjector(plan, random.Random(4))
+        for sender, dest, name, now, latency, _ in calls:
+            through_the_gate(injector, sender, dest, PAYLOADS[name], now, now + latency)
+            if live(filtered, now):
+                assert not [
+                    payload_class for payload_class in injector._gates
+                    if filtered.payload_types is None
+                    or payload_class.__name__ in filtered.payload_types
+                ]
 
-        def counted(self, *args):
-            entered[-1] += 1
-            return gate(self, *args)
+    @given(
+        voiding=st.lists(spikes() | partitions(), min_size=1, max_size=2),
+        others=fault_plans,
+        calls=transmissions,
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_any_live_spike_or_partition_voids_every_gate(
+        self, voiding, others, calls
+    ):
+        """Whatever payload types or links it names."""
+        plan = FaultPlan.of(
+            *voiding, *others.losses, *others.spikes, *others.partitions
+        )
+        injector = FaultInjector(plan, random.Random(6))
+        for sender, dest, name, now, latency, _ in calls:
+            through_the_gate(injector, sender, dest, PAYLOADS[name], now, now + latency)
+            if any(live(fault, now) for fault in voiding):
+                assert injector._gates == {}
 
-        monkeypatch.setattr(FaultInjector, "on_transmit", counted)
-        for never_idle in (False, True):
-            if never_idle:
-                monkeypatch.setattr(FaultInjector, "idle_for", lambda *_: False)
-            entered.append(0)
-            system = run_faulted(protocol, 15, 4, plan)
-            runs.append((
-                operation_digest(system.history),
-                system.faults.counters(),
-                system.network.sent_count,
-                system.network.delivered_count,
-                system.faults._rng.getstate(),
-            ))
-        assert runs[0] == runs[1] and runs[0][1]["lost"] > 0
-        assert 0 < entered[0] < entered[1]
-
-    def test_a_class_is_idle_from_its_first_clean_pass_to_the_stretch_end(self):
+    def test_a_gate_lasts_from_its_first_clean_pass_to_the_stretch_end(self):
         class Counting(FaultInjector):
             def on_transmit(self, sender, dest, payload, now, deliver_at):
                 self.entered.append((type(payload).__name__, now))
@@ -460,17 +574,94 @@ class TestIdleSkipIsTheFullScan:
         injector = Counting(FaultPlan.of(typed, spike), random.Random(1))
         injector.entered = []
         ping, pong = PAYLOADS["Ping"], PAYLOADS["Pong"]
-        assert injector._idle == set()  # nothing is proven before a message
+        Ping, Pong = type(ping), type(pong)
+        assert injector._gates == {}  # nothing is proven before a message
         assert through_the_gate(injector, "a", "b", pong, 1.0, 2.0) == (2.0, REASON_LOSS)
         assert through_the_gate(injector, "a", "b", ping, 1.0, 2.0) == (2.0, None)
-        assert injector._idle == {type(ping)}  # a live loss names Pong
+        assert (injector._from, injector._until) == (0.0, 4.0)
+        assert injector._gates == {Ping: (), Pong: (1.0,)}
+        # Outside its stretch, either way, a gate says nothing.
+        for outside in (-0.5, 4.0, 7.0):
+            assert gate_at(injector, Ping, outside) is None
+            assert gate_at(injector, Pong, outside) is None
         del injector.entered[:]
-        through_the_gate(injector, "a", "b", ping, 3.5, 4.0)  # same stretch: skipped
-        through_the_gate(injector, "a", "b", pong, 3.5, 4.0)  # never idle
+        through_the_gate(injector, "a", "b", ping, 3.5, 4.0)  # same stretch: gated
+        assert through_the_gate(injector, "a", "b", pong, 3.5, 4.0) == (4.0, REASON_LOSS)
+        assert injector.lost_count == 2  # the gated Pong drew, and lost
         through_the_gate(injector, "a", "b", ping, 4.0, 4.5)  # the spike opened
-        assert injector._idle == set()  # a live spike, whatever it names
+        assert injector._gates == {}  # a live spike, whatever it names
         through_the_gate(injector, "a", "b", ping, 3.5, 4.0)  # back: proven anew
         through_the_gate(injector, "a", "b", ping, 3.9, 4.0)
+        through_the_gate(injector, "a", "b", pong, -1.0, 0.0)  # before the loss
+        assert injector._gates == {Pong: ()}
+        through_the_gate(injector, "a", "b", pong, -0.5, 0.0)
         assert injector.entered == [
-            ("Pong", 3.5), ("Ping", 4.0), ("Ping", 3.5),
+            ("Ping", 4.0), ("Ping", 3.5), ("Pong", -1.0),
         ]
+
+    @pytest.mark.parametrize(
+        "mutant, plan",
+        [
+            (IgnoresLinkFilter, FaultPlan.of(LossFault(probability=1.0, sender="a"))),
+            (
+                SkipsADraw,
+                FaultPlan.of(LossFault(probability=0.5), LossFault(probability=0.5)),
+            ),
+        ],
+    )
+    def test_a_mutant_gate_is_caught(self, mutant, plan):
+        """The comparison above is not vacuous: a gate that ignores a
+        link filter, or draws fewer losses than it names, diverges
+        from the full scan on a few messages of one class."""
+        calls = [("b", "c", "Ping", 1.0, 1.0, False)] * 12
+        for injector, caught in ((FaultInjector, False), (mutant, True)):
+            divergence = first_divergence(
+                injector(plan, random.Random(8)),
+                FullScanInjector(plan, random.Random(8)),
+                calls,
+            )
+            assert (divergence is not None) is caught
+
+    @pytest.mark.parametrize("protocol", ["es", "abd"])
+    def test_the_network_sites_draw_what_the_full_gate_would(
+        self, protocol, monkeypatch
+    ):
+        """``send_payload`` and the fan-out arm themselves: a run whose
+        gate always misses is the same run with more ``on_transmit``
+        entries — and the gated run drew some of its losses inline."""
+        plan = FaultPlan.of(
+            LossFault(probability=0.2, end=50.0, payload_types={"EsAck", "AbdAck"}),
+            DelaySpikeFault(start=30.0, end=40.0, factor=1.5, payload_types={"EsRead"}),
+            LossFault(probability=0.1, start=60.0, end=70.0),
+        )
+        gate, resolve = FaultInjector.on_transmit, FaultInjector._resolve
+        entered, lost_inside, runs = [], [], []
+
+        def counted(self, *args):
+            entered[-1] += 1
+            verdict = gate(self, *args)
+            lost_inside[-1] += verdict[1] == REASON_LOSS
+            return verdict
+
+        def never_gated(self, now):
+            resolve(self, now)
+            self._gates = Forgetful()
+
+        monkeypatch.setattr(FaultInjector, "on_transmit", counted)
+        for always_miss in (False, True):
+            if always_miss:
+                monkeypatch.setattr(FaultInjector, "_resolve", never_gated)
+            entered.append(0)
+            lost_inside.append(0)
+            system = run_faulted(protocol, 15, 4, plan)
+            runs.append((
+                operation_digest(system.history),
+                system.faults.counters(),
+                system.network.sent_count,
+                system.network.delivered_count,
+                system.faults._rng.getstate(),
+            ))
+        assert runs[0] == runs[1] and runs[0][1]["lost"] > 0
+        assert 0 < entered[0] < entered[1]
+        lost = runs[0][1]["lost"]
+        assert lost_inside[0] < lost == lost_inside[1]

@@ -35,8 +35,10 @@ And a quorum message is one probe: an ES or ABD handler finds its phase
 and its cell through the message's key as it stands, so a delivery
 enters its ``on_<type>`` frame and little else of ``repro.protocols`` /
 ``repro.core`` — no accessor chain — and the fault gate is entered only
-for a payload class some live fault could touch.  Same instrument, two
-more counts.
+for a payload class some live fault could touch in a way its loss gate
+cannot say (a spike, a partition, a loss confined to a link): a gated
+send enters no frame of ``repro.faults`` (the ratchet allows one).  Same
+instrument, three more counts.
 CI runs this file as its own step ("per-process, per-message and
 per-operation footprint"), and the two exact-count ratchets again under
 the steps named after what they hold.
@@ -52,11 +54,13 @@ import tracemalloc
 import pytest
 
 import repro.core
+import repro.faults
 import repro.net
 import repro.protocols
 from repro.faults import FaultPlan, LossFault
 from repro.faults.injector import FaultInjector
 from repro.net.network import Network
+from repro.protocols.es_reg import EsAck, EsRead, EsReply
 from repro.protocols.sync_reg import Reply
 from repro.runtime.config import SystemConfig
 from repro.runtime.system import DynamicSystem
@@ -431,17 +435,43 @@ def test_a_quorum_message_enters_its_handler_and_no_accessor_chain(
     )
 
 
-def test_the_fault_gate_is_entered_only_for_a_class_a_live_fault_names():
+def _es_read_under_a_loss_on_es_ack():
     plan = FaultPlan.of(LossFault(probability=0.05, payload_types={"EsAck"}))
     system = DynamicSystem(
         SystemConfig(n=20, trace=False, protocol="es", faults=plan)
     )
-    _es_read(system)  # each class's first message is what proves it idle
+    _es_read(system)  # each class's first message is what gates it
+    assert system.faults._gates == {EsRead: (), EsReply: (), EsAck: (0.05,)}
+    return system
+
+
+def test_the_fault_gate_is_entered_only_for_a_class_a_live_fault_names():
+    system = _es_read_under_a_loss_on_es_ack()
     assert system.network._p2p_uniform is None  # every send is send_payload
     sent = system.network.sent_count
+    drawn = system.faults._rng.getstate()
     _, gated = frames_entered(lambda: _es_read(system), FaultInjector.on_transmit)
     replies = (system.network.sent_count - sent) // 2  # a REPLY, then its ACK
     assert replies >= 18
-    # Entered once per EsAck, never for EsRead / EsReply (20 / 19 / 19
-    # entries before the injector published its idle classes).
-    assert gated == {"EsAck": replies}
+    # Entered for none of EsRead / EsReply / EsAck: the loss names
+    # EsAck on every link, so its gate is that loss's probability and
+    # each ACK draws it at the send site (20 / 19 / 19 entries before
+    # the injector published idle classes, 0 / 0 / 19 before it
+    # published gates).
+    assert gated == {}
+    assert system.faults._rng.getstate() != drawn  # the ACKs did draw
+
+
+def test_a_gated_faulted_send_enters_at_most_one_faults_frame():
+    """The network reads the gate and draws its loss itself: one frame
+    is allowed for a gate lookup, never ``on_transmit`` and its
+    ``_on_link``."""
+    system = _es_read_under_a_loss_on_es_ack()
+    sender, dest = system.seed_pids[:2]
+    ack = EsAck(sender, 0, None)
+    frames, _ = frames_entered(
+        lambda: system.network.send_payload(sender, dest, ack),
+        FaultInjector.on_transmit,
+        repro.faults,
+    )
+    assert frames <= 1

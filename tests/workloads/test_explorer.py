@@ -134,7 +134,8 @@ class TestShardedScenarios:
         # Never the whole shard, even for a full-population group.
         full = build_plan("partition-drop", 5.0, 120.0, 3)
         wide = _shard_scoped_plan(
-            full.renamed("x"), index=0, shard_n=1, total_n=3
+            FaultPlan(partitions=full.partitions, name="x"),
+            index=0, shard_n=1, total_n=3,
         )
         assert len(wide.partitions[0].group_a) == 1
 
