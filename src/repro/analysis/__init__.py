@@ -1,5 +1,5 @@
-"""Analysis helpers: summary statistics and interval estimates."""
+"""Analysis helpers: summary statistics and percentiles."""
 
-from .stats import Summary, percentile, proportion, summarize, wilson_interval
+from .stats import Summary, percentile, summarize
 
-__all__ = ["Summary", "percentile", "proportion", "summarize", "wilson_interval"]
+__all__ = ["Summary", "percentile", "summarize"]

@@ -50,36 +50,6 @@ def summarize(samples: Sequence[float]) -> Summary:
     )
 
 
-def proportion(successes: int, trials: int) -> float:
-    """A guarded ratio: 0/0 counts as 0."""
-    if trials < 0 or successes < 0 or successes > trials:
-        raise ExperimentError(
-            f"invalid proportion: {successes}/{trials}"
-        )
-    if trials == 0:
-        return 0.0
-    return successes / trials
-
-
-def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion.
-
-    Preferred over the normal approximation because experiment
-    violation rates are frequently 0 or 1 exactly.
-    """
-    p = proportion(successes, trials)
-    if trials == 0:
-        return (0.0, 1.0)
-    denom = 1.0 + z * z / trials
-    center = (p + z * z / (2 * trials)) / denom
-    margin = (
-        z
-        * math.sqrt(p * (1.0 - p) / trials + z * z / (4.0 * trials * trials))
-        / denom
-    )
-    return (max(0.0, center - margin), min(1.0, center + margin))
-
-
 def percentile(samples: Iterable[float], q: float) -> float:
     """The q-th percentile (0 <= q <= 100), linear interpolation."""
     data = sorted(samples)

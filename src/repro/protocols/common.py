@@ -57,24 +57,37 @@ class QuorumPhase:
     attribute-rebinding semantics the protocols historically relied on
     when concurrent operations at one node superseded each other.
     ``request`` numbers the round where a protocol tags its rounds.
+
+    A timer-gated phase may also fold single-key offers as they land
+    instead of storing them: ``_lead`` is the running max
+    ``(sequence, sender, value, key)`` of those offers, and
+    :meth:`best_per_key` seeds its walk with it.  The synchronous join
+    does this (its replies are counted by nobody), so its single-key
+    repliers are not among :meth:`senders`; a quorum phase, which
+    counts, stores every offer.
     """
 
-    __slots__ = ("threshold", "active", "request", "_offers")
+    __slots__ = ("threshold", "active", "request", "_offers", "_lead")
 
     def __init__(self, threshold: int | None = None) -> None:
         self.threshold = threshold
         self.active = False
         self.request = 0
         self._offers: dict[str, tuple[Entry, ...]] = {}
+        self._lead: tuple[int, str, Any, Any] | None = None
 
     def open(self) -> "QuorumPhase":
         """Start a fresh round: drop prior offers, mark in-progress."""
         self.active = True
         self._offers = {}
+        self._lead = None
         return self
 
     def settle(self) -> None:
-        """Mark the round finished (offers are kept for inspection)."""
+        """Mark the round finished.  What was offered stays readable:
+        superseding rounds of a quorum protocol share one phase object,
+        so nothing here may drop it; a protocol that is done with a
+        phase releases the phase itself."""
         self.active = False
 
     def offer(self, sender: str, entries: Iterable[Entry]) -> None:
@@ -111,7 +124,9 @@ class QuorumPhase:
         per distinct tuple (C-speed equality, the elements are mostly
         identical objects; values are ``Any``, so nothing is hashed),
         and the walk over offers × keys judges one offer per distinct
-        state.
+        state.  The walk starts from the folded single-key lead, if any,
+        under the same ``(sequence, sender)`` order: the result is the
+        max over the union of folded and stored offers.
         """
         folded: list[tuple[Entry, ...]] = []
         senders: list[str] = []
@@ -126,6 +141,9 @@ class QuorumPhase:
                     senders[at] = sender
                     folded[at] = entries
         best: dict[Any, tuple[int, str, Any]] = {}
+        lead = self._lead
+        if lead is not None:
+            best[lead[3]] = lead[:3]
         for sender, entries in zip(senders, folded):
             for key, value, sequence in entries:
                 held = best.get(key)

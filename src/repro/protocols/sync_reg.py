@@ -16,21 +16,32 @@ Line-by-line correspondence
     (04)     replies := ∅
     (05)     broadcast INQUIRY(i)
     (06)     wait(2δ)
-    (07)     let ⟨id, val, sn⟩ ∈ replies with maximal sn
+    (07)     let ⟨id, val, sn⟩ ∈ replies with maximal sn     ← folded at 17
     (08)     if sn > sn_i then adopt ⟨val, sn⟩
     (09) end if
-    (10) active := true
+    (10) active := true                                 ← replies released
     (11) for each j ∈ reply_to: send REPLY(i, ⟨register, sn⟩) to p_j
+                                                        ← reply_to released
     (12) return ok
 
     (13) when INQUIRY(j) is delivered:
     (14)     if active then send REPLY(i, ⟨register, sn⟩) to p_j
     (15)     else reply_to := reply_to ∪ {j}
     (17) when REPLY(j, ⟨value, sn⟩) is received: replies ∪= {⟨j, value, sn⟩}
+                                                        ← 1-key: the max only
 
 A "send … to p_j" that answers the message being handled (line 14) is
 the handler's ``return``: the network sends it to the delivery's
 sender.  Line 11's flush is one ``send_round``.
+
+Lines 07–08 are folded as the replies land: line 17 keeps only the
+running max by ``(sequence, sender)`` of the single-key replies (a
+batched multi-key reply is stored, as the replier's shared ``entries``
+tuple), so a joiner holds O(1) of its n replies, and line 07 merges
+that max with the stored batches.  Lines 10–11 release what the join
+consumed: the join phase at activation, ``reply_to`` after the flush
+(an active node never parks again).  A REPLY that lands later is still
+recorded, in a fresh (closed) phase.
 
 ``read()`` / ``write(v)`` (Figure 2)::
 
@@ -144,7 +155,8 @@ class SynchronousRegisterNode(RegisterNode):
         # timer-gated quorum phase, and both it and ``reply_to`` exist
         # from first use: the phase from the inquiry that opens it (or
         # a stray reply), the set from the first inquiry parked while
-        # listening — a seed, which does neither, owns neither.
+        # listening — a seed, which does neither, owns neither.  Both
+        # are released once the join has consumed them (lines 10-11).
         self._join_phase: QuorumPhase | None = None
         self._reply_to: set[str] | None = None
         self._delta = ctx.delta
@@ -170,8 +182,10 @@ class SynchronousRegisterNode(RegisterNode):
             yield Wait(self._inquiry_wait)  # line 06 (2δ, or δ+δ' per fn. 4)
             self._adopt_best_replies()  # lines 07-08
         self.mark_active()  # line 10
+        self._join_phase = None  # consumed
         if self._reply_to:  # line 11
             self._answer_pending_inquiries()
+            self._reply_to = None  # an active node never parks again
         return make_join_result(self.space)  # line 12
 
     def _phase(self) -> QuorumPhase:
@@ -204,7 +218,6 @@ class SynchronousRegisterNode(RegisterNode):
         for key in self.space.keys:
             if key in best:
                 self.space.adopt(key, *best[key])
-        self._join_phase.settle()
 
     def _answer_pending_inquiries(self) -> None:
         """Line 11: one reply payload (the first this node builds — it
@@ -251,18 +264,27 @@ class SynchronousRegisterNode(RegisterNode):
         self._reply_to.add(inquirer)
 
     def on_reply(self, sender: str, msg: Reply) -> None:
-        """Line 17 of Figure 1.
+        """Line 17 of Figure 1, with line 07's max folded in.
 
-        ``offer()`` inlined; a multi-key reply's ``entries`` is already
-        a tuple, so storing it directly is what ``offer`` would store.
+        A single-key reply replaces the phase's lead iff it is greater
+        by ``(sequence, sender)``, and nothing of it is kept otherwise;
+        a multi-key reply's ``entries`` is already a tuple, so storing
+        it directly is what ``offer()`` would store.
         """
-        entries = msg.entries
-        if entries is None:
-            entries = ((self.space.keys[0], msg.value, msg.sequence),)
+        replier, value, sequence, entries = msg
         phase = self._join_phase
-        if phase is None:  # a reply to a node that never inquired
+        if phase is None:  # a reply to a node that never inquired, or late
             phase = self._phase()
-        phase._offers[msg.sender] = entries
+        if entries is not None:
+            phase._offers[replier] = entries
+            return
+        lead = phase._lead
+        if (
+            lead is None
+            or sequence > lead[0]
+            or (sequence == lead[0] and replier > lead[1])
+        ):
+            phase._lead = (sequence, replier, value, self.space._keys[0])
 
     def on_writemsg(self, sender: str, msg: WriteMsg) -> None:
         """Lines 03-04 of Figure 2."""

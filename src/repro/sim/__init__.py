@@ -7,7 +7,7 @@ operations with ``Wait``/``WaitUntil`` effects, process lifecycles
 streams and a structured trace log.
 """
 
-from .clock import START_OF_TIME, Time, VirtualClock
+from .clock import START_OF_TIME, Time
 from .engine import EventScheduler
 from .events import Event, Priority
 from .membership import Membership
@@ -26,7 +26,6 @@ from .trace import TraceKind, TraceLog, TraceRecord
 __all__ = [
     "START_OF_TIME",
     "Time",
-    "VirtualClock",
     "EventScheduler",
     "Event",
     "Priority",

@@ -1,4 +1,4 @@
-"""Virtual clock for the discrete-event simulator.
+"""Simulated time for the discrete-event simulator.
 
 The paper's time model is the set of positive integers (Section 2.1).
 The simulator is slightly more liberal: time is a non-negative real so
@@ -9,52 +9,8 @@ ordering guarantees only rely on times being totally ordered.
 
 from __future__ import annotations
 
-from .errors import ClockError
-
 #: Type alias used throughout the library for simulated instants.
 Time = float
 
 #: The instant at which every simulation starts.
 START_OF_TIME: Time = 0.0
-
-
-class VirtualClock:
-    """A monotonically non-decreasing simulated clock.
-
-    The clock is advanced only by the :class:`~repro.sim.engine.EventScheduler`
-    when it dequeues an event.  User code reads it through :attr:`now`.
-
-    >>> clock = VirtualClock()
-    >>> clock.now
-    0.0
-    >>> clock.advance_to(3.5)
-    >>> clock.now
-    3.5
-    """
-
-    __slots__ = ("_now",)
-
-    def __init__(self, start: Time = START_OF_TIME) -> None:
-        if start < 0:
-            raise ClockError(f"clock cannot start at negative time {start!r}")
-        self._now: Time = float(start)
-
-    @property
-    def now(self) -> Time:
-        """The current simulated instant."""
-        return self._now
-
-    def advance_to(self, instant: Time) -> None:
-        """Move the clock forward to ``instant``.
-
-        Raises :class:`~repro.sim.errors.ClockError` if ``instant`` lies in
-        the past: the simulator never reorders already-executed events.
-        """
-        if instant < self._now:
-            raise ClockError(
-                f"cannot move clock backwards from {self._now!r} to {instant!r}"
-            )
-        self._now = float(instant)
-
-    def __repr__(self) -> str:
-        return f"VirtualClock(now={self._now!r})"

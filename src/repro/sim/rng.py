@@ -54,13 +54,5 @@ class RngRegistry:
             self._streams[name] = stream
         return stream
 
-    def fork(self, name: str) -> "RngRegistry":
-        """Return a child registry whose root seed depends on ``name``.
-
-        Useful for giving each repetition of an experiment its own
-        fully-independent universe of streams.
-        """
-        return RngRegistry(derive_seed(self._seed, f"fork:{name}"))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RngRegistry(seed={self._seed}, streams={sorted(self._streams)})"

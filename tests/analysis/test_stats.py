@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.analysis.stats import (
-    percentile,
-    proportion,
-    summarize,
-    wilson_interval,
-)
+from repro.analysis.stats import percentile, summarize
 from repro.sim.errors import ExperimentError
 from tests.conftest import make_system
 
@@ -34,42 +29,6 @@ class TestSummarize:
     def test_format(self):
         text = summarize([1.0, 3.0]).format(precision=1)
         assert "2.0" in text and "k=2" in text
-
-
-class TestProportion:
-    def test_ratio(self):
-        assert proportion(3, 4) == 0.75
-
-    def test_zero_trials(self):
-        assert proportion(0, 0) == 0.0
-
-    def test_invalid(self):
-        with pytest.raises(ExperimentError):
-            proportion(5, 4)
-        with pytest.raises(ExperimentError):
-            proportion(-1, 4)
-
-
-class TestWilson:
-    def test_contains_point_estimate(self):
-        low, high = wilson_interval(8, 10)
-        assert low < 0.8 < high
-
-    def test_handles_extremes(self):
-        low, high = wilson_interval(0, 20)
-        assert low == 0.0
-        assert high < 0.25
-        low, high = wilson_interval(20, 20)
-        assert low > 0.75
-        assert high == 1.0
-
-    def test_zero_trials_is_vacuous(self):
-        assert wilson_interval(0, 0) == (0.0, 1.0)
-
-    def test_narrows_with_more_trials(self):
-        small = wilson_interval(5, 10)
-        large = wilson_interval(500, 1000)
-        assert (large[1] - large[0]) < (small[1] - small[0])
 
 
 class TestPercentile:
@@ -131,7 +90,7 @@ class TestHistoryEdgeCases:
         assert report.is_live  # abandoned operations are excused...
         assert report.excused == 2
         assert report.latencies.get("write", []) == []  # ...not measured
-        assert proportion(report.completed, len(system.history)) == 0.0
+        assert report.completed == 0
 
 
 class TestNumericEdgeCases:
@@ -142,12 +101,3 @@ class TestNumericEdgeCases:
 
     def test_percentile_with_duplicates(self):
         assert percentile([1.0, 1.0, 1.0, 9.0], 50.0) == 1.0
-
-    def test_proportion_of_certainty(self):
-        assert proportion(5, 5) == 1.0
-
-    def test_wilson_interval_degenerate_extremes_stay_in_bounds(self):
-        low, high = wilson_interval(0, 1)
-        assert 0.0 <= low <= high <= 1.0
-        low, high = wilson_interval(1, 1)
-        assert 0.0 <= low <= high <= 1.0

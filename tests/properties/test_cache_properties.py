@@ -1,6 +1,7 @@
 """Property-based tests for the shortcuts on the planning, sampling and
-join paths: the cached active list, its O(1) count, and the single-pass
-best-per-key.
+join paths: the cached active list, its O(1) count, the single-pass
+best-per-key, and the synchronous join's fold of its replies as they
+land.
 
 Each is held to the straightforward computation it replaced, kept here
 as the reference.
@@ -12,6 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.protocols.common import QuorumPhase
+from repro.protocols.sync_reg import Reply
+from repro.runtime.config import SystemConfig
+from repro.runtime.system import DynamicSystem
 from repro.sim.engine import EventScheduler
 from repro.sim.membership import Membership
 from repro.sim.process import SimProcess
@@ -198,3 +202,88 @@ class TestFoldedBestPerKey:
         assert {k: repr(v) for k, v in folded.items()} == {
             k: repr(v) for k, v in plain.items()
         }
+
+
+# ----------------------------------------------------------------------
+# The synchronous join's fold as replies land, against the batch fold
+# ----------------------------------------------------------------------
+
+
+def seed_node(keys: int):
+    """A seed of a small sync system with ``keys`` register keys, whose
+    ``on_reply`` the test drives by hand."""
+    system = DynamicSystem(SystemConfig(n=3, keys=keys, trace=False))
+    return system.node(system.seed_pids[0])
+
+
+#: One arrival: a single-key reply ``(sequence,)`` or a batched one
+#: ``(entries,)`` whose entries name the keys of either space (and
+#: keys the node does not hold, as under migration), or a phase step.
+arrivals = st.lists(
+    st.one_of(
+        st.tuples(st.just("single"), st.integers(min_value=0, max_value=2)),
+        st.tuples(
+            st.just("batched"),
+            st.lists(
+                st.tuples(st.sampled_from(KEYS), st.integers(min_value=0, max_value=2)),
+                min_size=1,
+                max_size=4,
+                unique_by=lambda e: e[0],
+            ),
+        ),
+        st.tuples(st.sampled_from(("open", "release"))),
+    ),
+    max_size=16,
+)
+
+
+class TestJoinFoldIsTheBatchFold:
+    """Line 17 keeps a single-key reply's running max, line 07 merges
+    it with the stored batched offers; the adoption is the batch fold's
+    over every reply stored whole (what line 17 kept before), in any
+    arrival order, with ties on ``sn`` everywhere and values that say
+    whose they are.  ``open`` is line 04 (it drops what landed before);
+    ``release`` is line 10 (a later reply starts a phase of its own);
+    a reply landing with no phase is a stray one."""
+
+    @given(keys=st.sampled_from((1, 3)), arrivals=arrivals, data=st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_equals_the_batch_fold(self, keys, arrivals, data):
+        node = seed_node(keys)
+        oracle = QuorumPhase()
+        senders = iter(
+            data.draw(st.permutations([f"p{i:02d}" for i in range(len(arrivals))]))
+        )
+        batched = set()
+        for arrival in arrivals:
+            kind = arrival[0]
+            if kind == "open":
+                node._phase().open()
+                oracle.open()
+                batched.clear()
+            elif kind == "release":
+                node._join_phase = None
+                oracle = QuorumPhase()
+                batched.clear()
+            elif kind == "single":
+                sender, sequence = next(senders), arrival[1]
+                value = f"{sender}@{sequence}"
+                node.on_reply(sender, Reply(sender, value, sequence))
+                oracle.offer(sender, [(node.space.keys[0], value, sequence)])
+            else:
+                sender = next(senders)
+                entries = tuple(
+                    (key, f"{sender}:{key}@{sequence}", sequence)
+                    for key, sequence in arrival[1]
+                )
+                node.on_reply(sender, Reply(sender, "-", -1, entries))
+                oracle.offer(sender, entries)
+                batched.add(sender)
+        phase = node._join_phase
+        if phase is None:
+            assert oracle.count == 0
+            return
+        assert phase.best_per_key() == plain_best_per_key(oracle)
+        # Only the batched offers are kept, and kept whole.
+        assert set(phase.senders()) == batched
+        assert all(phase._offers[s] == oracle._offers[s] for s in batched)

@@ -79,6 +79,27 @@ class TestQuorumPhase:
         phase.settle()
         assert not phase.active
 
+    def test_the_folded_lead_seeds_best_per_key(self):
+        """A timer-gated phase's folded single-key max competes with the
+        stored offers under the same ``(sequence, sender)`` order."""
+        phase = QuorumPhase()
+        phase.open()
+        phase._lead = (3, "b", "lead", "k0")
+        phase.offer("a", (("k0", "stored", 3), ("k1", "w", 1)))
+        assert phase.best_per_key() == {"k0": ("lead", 3), "k1": ("w", 1)}
+        phase.offer("c", (("k0", "later", 3),))
+        assert phase.best_for("k0") == ("later", 3)  # "c" > "b"
+        assert phase.senders() == ("a", "c")  # the lead is not an offer
+
+    def test_open_drops_the_folded_lead(self):
+        phase = QuorumPhase()
+        phase.open()
+        phase._lead = (1, "a", "v", None)
+        phase.settle()
+        assert phase.best_for(None) == ("v", 1)  # settling keeps it
+        phase.open()
+        assert phase.best_per_key() == {}
+
     def test_acks_count_without_payload(self):
         phase = QuorumPhase(threshold=2)
         phase.open()

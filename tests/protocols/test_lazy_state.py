@@ -32,7 +32,8 @@ class TestAReplyNobodyAskedFor:
         system.network.send_payload(sender, target, Reply(sender, "stale", 7))
         system.run_for(2 * DELTA)
         assert system.network.delivered_count == 1
-        assert node._join_phase.senders() == (sender,)
+        # Line 17 folds a single-key reply into the phase's running max:
+        # the adoption line 07 would make is the stray reply's.
         assert node._join_phase.best_per_key() == {None: ("stale", 7)}
         # Line 17 only collects; nothing adopts outside a join.
         assert node.is_active and not node._join_phase.active
@@ -48,8 +49,15 @@ class TestAReplyNobodyAskedFor:
         joiner = system.spawn_joiner()
         system.run_for(3 * DELTA + 0.1)
         node = system.node(joiner)
-        assert node.is_active and node.register_value == "v0"
-        assert len(node._join_phase.senders()) == len(system.seed_pids)
+        assert node.is_active
+        assert (node.register_value, node.sequence_number) == ("v0", 0)
+        # Every seed answered the inquiry (each built its one reply),
+        # the stray replies' targets included.
+        assert all(
+            system.node(pid)._reply_cache is not None for pid in system.seed_pids
+        )
+        # Lines 10-11: the consumed join state is released at activation.
+        assert node._join_phase is None and node._reply_to is None
 
 
 class TestAListeningNodeParksAnInquiry:
@@ -65,10 +73,14 @@ class TestAListeningNodeParksAnInquiry:
         assert [node._reply_to for node in nodes] == [{second}, {first}]
         system.run_for(2 * DELTA)
         assert all(node.is_active for node in nodes)
-        # Line 11: the flush at activation reached the other joiner's
-        # phase (late, after its own adoption — recorded all the same).
-        assert first in nodes[1]._join_phase.senders()
-        assert second in nodes[0]._join_phase.senders()
+        assert [node._reply_to for node in nodes] == [None, None]
+        # Line 11: the flush at activation reached the other joiner
+        # late, after its own adoption released its join phase: it is
+        # recorded all the same, in a fresh phase of its own.
+        for node, flusher in zip(nodes, (second, first)):
+            assert node._join_phase.best_per_key() == {None: ("v0", 0)}
+            assert node._join_phase._lead[1] == flusher
+            assert (node.register_value, node.sequence_number) == ("v0", 0)
 
 
 class TestDepartures:
@@ -96,9 +108,10 @@ class TestDepartures:
         system.leave(joiner)
         assert handle.abandoned
         assert len(node._runners) == 0 and len(node._watchers) == 0
-        collected = node._join_phase.senders()
+        collected = node._join_phase._lead, node._join_phase.best_per_key()
         system.run_for(4 * DELTA)  # late replies drop at the presence gate
-        assert node._join_phase.senders() == collected
+        assert node._join_phase._lead is collected[0]
+        assert node._join_phase.best_per_key() == collected[1]
         assert not node.is_active and system.network.dropped_count > 0
 
     def test_an_es_joiner_waiting_on_its_quorum(self):

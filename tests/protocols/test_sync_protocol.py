@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.register import BOTTOM
 from repro.protocols.common import JoinResult
+from repro.protocols.sync_reg import Inquiry, Reply
 from repro.sim.errors import ProcessError
 from repro.sim.trace import TraceKind
 from tests.conftest import make_system
@@ -232,3 +233,162 @@ class TestFootnote4Optimization:
         """A claimed δ' larger than δ fails fast, at node construction."""
         with pytest.raises(ProcessError):
             make_system(extra={"p2p_delta": 99.0})
+
+
+class TestLine17FoldsTheReplies:
+    """Line 17 keeps only the running max by ``(sn, sender)`` of the
+    single-key replies; line 07 merges it with the stored batched
+    replies.  Each case below is one the fold could get wrong: which
+    reply wins, what is kept, and what a phase holds when."""
+
+    @staticmethod
+    def collecting(keys=1):
+        """A node with an open join phase (line 04), fed by hand."""
+        system = make_system(n=3, keys=keys, trace=False)
+        node = system.node(system.seed_pids[0])
+        node._phase().open()
+        return node
+
+    def test_a_higher_sn_replaces_the_lead(self):
+        node = self.collecting()
+        node.on_reply("p2", Reply("p2", "old", 1))
+        node.on_reply("p1", Reply("p1", "new", 2))
+        assert node._join_phase.best_per_key() == {None: ("new", 2)}
+
+    def test_a_lower_sn_leaves_the_lead(self):
+        node = self.collecting()
+        node.on_reply("p1", Reply("p1", "new", 2))
+        node.on_reply("p2", Reply("p2", "old", 1))
+        assert node._join_phase.best_per_key() == {None: ("new", 2)}
+
+    @pytest.mark.parametrize(
+        "order", [("p1", "p2"), ("p2", "p1")], ids=["greater-last", "greater-first"]
+    )
+    def test_an_sn_tie_goes_to_the_greater_sender(self, order):
+        node = self.collecting()
+        for sender in order:
+            node.on_reply(sender, Reply(sender, f"from-{sender}", 3))
+        assert node._join_phase.best_per_key() == {None: ("from-p2", 3)}
+        assert node._join_phase._lead[1] == "p2"
+
+    def test_a_single_key_reply_keeps_no_offer(self):
+        node = self.collecting()
+        for i in range(5):
+            node.on_reply(f"p{i}", Reply(f"p{i}", "v", i))
+        phase = node._join_phase
+        assert phase.count == 0 and phase.senders() == ()
+        assert phase.best_per_key() == {None: ("v", 4)}
+
+    def test_a_batched_reply_is_stored_as_the_repliers_tuple(self):
+        node = self.collecting(keys=3)
+        entries = (("k0", "a", 1), ("k1", "b", 2), ("k2", "c", 3))
+        node.on_reply("p1", Reply("p1", "-", -1, entries))
+        assert node._join_phase.senders() == ("p1",)
+        assert node._join_phase._offers["p1"] is entries
+        assert node._join_phase._lead is None
+
+    @pytest.mark.parametrize(
+        "batched, winner",
+        [("p1", "single"), ("p3", "batched")],
+        ids=["lesser-batched-loses", "greater-batched-wins"],
+    )
+    def test_a_tie_between_lead_and_batch_goes_to_the_greater_sender(
+        self, batched, winner
+    ):
+        node = self.collecting(keys=3)
+        node.on_reply("p2", Reply("p2", "single", 5))  # folds under "k0"
+        entries = (("k0", "batched", 5), ("k1", "b", 0))
+        node.on_reply(batched, Reply(batched, "-", -1, entries))
+        assert node._join_phase.best_per_key()["k0"] == (winner, 5)
+
+    def test_a_batch_with_a_higher_sn_beats_the_lead(self):
+        node = self.collecting(keys=3)
+        node.on_reply("p9", Reply("p9", "single", 5))
+        node.on_reply("p1", Reply("p1", "-", -1, (("k0", "batched", 6),)))
+        assert node._join_phase.best_per_key() == {"k0": ("batched", 6)}
+
+    def test_a_batch_naming_other_keys_leaves_the_lead_its_key(self):
+        """Mixed offers: a 1-key replier's reply folds under the
+        joiner's first key, a batch supplies the rest."""
+        node = self.collecting(keys=3)
+        node.on_reply("p1", Reply("p1", "single", 2))
+        node.on_reply("p2", Reply("p2", "-", -1, (("k1", "b", 1), ("k2", "c", 0))))
+        assert node._join_phase.best_per_key() == {
+            "k0": ("single", 2),
+            "k1": ("b", 1),
+            "k2": ("c", 0),
+        }
+
+    def test_line_04_drops_the_lead(self):
+        node = self.collecting()
+        node.on_reply("p1", Reply("p1", "before", 9))
+        node._phase().open()
+        assert node._join_phase._lead is None
+        assert node._join_phase.best_per_key() == {}
+        node.on_reply("p2", Reply("p2", "after", 1))
+        assert node._join_phase.best_per_key() == {None: ("after", 1)}
+
+    def test_a_stray_reply_starts_a_closed_phase(self):
+        system = make_system(n=3, trace=False)
+        node = system.node(system.seed_pids[1])
+        assert node._join_phase is None
+        node.on_reply("p1", Reply("p1", "stray", 4))
+        assert not node._join_phase.active
+        assert node._join_phase.best_per_key() == {None: ("stray", 4)}
+
+
+class TestTheJoinAdoptsTheFold:
+    """Lines 07-08 end to end: what the joiner adopts from its seeds'
+    replies, and what it keeps once active."""
+
+    def test_the_joiner_adopts_the_greatest_sn(self, sync_system):
+        ahead = sync_system.seed_pids[3]
+        sync_system.node(ahead).space.adopt(None, "ahead", 4)
+        pid = sync_system.spawn_joiner()
+        sync_system.run_for(4 * DELTA)
+        node = sync_system.node(pid)
+        assert (node.register_value, node.sequence_number) == ("ahead", 4)
+
+    def test_an_sn_tie_across_seeds_adopts_the_greatest_senders(self, sync_system):
+        lesser, greater = sorted(sync_system.seed_pids[1:3])
+        sync_system.node(lesser).space.adopt(None, "lesser", 2)
+        sync_system.node(greater).space.adopt(None, "greater", 2)
+        pid = sync_system.spawn_joiner()
+        sync_system.run_for(4 * DELTA)
+        assert sync_system.node(pid).register_value == "greater"
+
+    def test_a_keyed_join_adopts_every_keys_max(self):
+        system = make_system(keys=3)
+        system.node(system.seed_pids[2]).space.adopt("k1", "one", 3)
+        system.node(system.seed_pids[5]).space.adopt("k2", "two", 7)
+        pid = system.spawn_joiner()
+        system.run_for(4 * DELTA)
+        node = system.node(pid)
+        assert node.is_active and node._join_phase is None
+        assert node.space.snapshot("k1") == ("one", 3)
+        assert node.space.snapshot("k2") == ("two", 7)
+        assert node.space.snapshot("k0") == system.node(
+            system.seed_pids[0]
+        ).space.snapshot("k0")
+
+    def test_a_reply_after_activation_is_recorded_and_adopts_nothing(
+        self, sync_system
+    ):
+        pid = sync_system.spawn_joiner()
+        sync_system.run_for(4 * DELTA)
+        node = sync_system.node(pid)
+        assert node._join_phase is None
+        sender = sync_system.seed_pids[1]
+        sync_system.network.send_payload(sender, pid, Reply(sender, "late", 9))
+        sync_system.run_for(2 * DELTA)
+        assert node._join_phase.best_per_key() == {None: ("late", 9)}
+        assert (node.register_value, node.sequence_number) == ("v0", 0)
+
+    def test_an_inquiry_after_activation_is_answered_not_parked(self, sync_system):
+        pid = sync_system.spawn_joiner()
+        sync_system.run_for(4 * DELTA)
+        node = sync_system.node(pid)
+        assert node._reply_to is None
+        reply = node.on_inquiry("p-other", Inquiry("p-other"))
+        assert reply == Reply(pid, "v0", 0)
+        assert node._reply_to is None

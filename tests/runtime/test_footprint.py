@@ -39,6 +39,11 @@ for a payload class some live fault could touch in a way its loss gate
 cannot say (a spike, a partition, a loss confined to a link): a gated
 send enters no frame of ``repro.faults`` (the ratchet allows one).  Same
 instrument, three more counts.
+
+A synchronous join, too, keeps what it adopts and nothing of its
+replies: a single-key REPLY is folded into the join's running max as it
+lands, without a ``repro.core`` frame, and the join phase is released at
+activation.  One tracemalloc ratchet and one exact frame count.
 CI runs this file as its own step ("per-process, per-message and
 per-operation footprint"), and the two exact-count ratchets again under
 the steps named after what they hold.
@@ -475,3 +480,57 @@ def test_a_gated_faulted_send_enters_at_most_one_faults_frame():
         repro.faults,
     )
     assert frames <= 1
+
+
+#: Bytes and blocks a completed sync join at n = 200 retains per
+#: delivered REPLY.  Measured here (3.11): 28 / 0.45 — the joiner, its
+#: handle and its adoption spread over 200 replies, nothing per reply;
+#: with a ``((key, value, sn),)`` offer kept per reply in a phase kept
+#: for the run, 174 / 2.48.
+JOIN_RETAINED_BUDGET = (40, 1)
+
+
+@pytest.mark.skipif(
+    sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
+    reason="the byte budget is CPython 3.11's object layout",
+)
+def test_a_completed_sync_join_keeps_nothing_of_its_replies():
+    system = DynamicSystem(SystemConfig(n=200, trace=False))
+    _sync_join(system)  # warm: every seed builds its one cached reply
+    sent = system.network.sent_count
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot()
+        _sync_join(system)
+        gc.collect()
+        replies = system.network.sent_count - sent  # a join sends only these
+        size, blocks = traced(before, replies)
+    finally:
+        tracemalloc.stop()
+    assert replies == 201  # every seed and the first joiner answered
+    max_bytes, max_blocks = JOIN_RETAINED_BUDGET
+    assert size <= max_bytes, f"{size:.0f} B retained per delivered REPLY"
+    assert blocks <= max_blocks, f"{blocks:.2f} blocks retained per delivered REPLY"
+
+
+def test_a_single_key_reply_enters_no_core_frame():
+    """Line 17 reads the reply's key off the space's slot: no
+    ``RegisterSpace.keys`` property, no ``repro.core`` call at all,
+    whether the reply lands in a phase or starts one."""
+    system = DynamicSystem(SystemConfig(n=20, trace=False))
+    sender, collecting, fresh = system.seed_pids[:3]
+    send = system.network.send_payload
+    reply = Reply(sender, "v", 0)
+    send(sender, collecting, reply)
+    system.run_for(2 * system.config.delta)  # warm: dispatch cache, the phase
+    delivered = system.network.delivered_count
+
+    def deliver():
+        send(sender, collecting, reply)  # into the phase it has
+        send(sender, fresh, reply)  # a stray reply: the phase is built
+        system.run_for(2 * system.config.delta)
+
+    frames, _ = frames_entered(deliver, Network.send_payload, repro.core)
+    assert system.network.delivered_count == delivered + 2
+    assert frames == 0, f"{frames} repro.core frames for two REPLY deliveries"
