@@ -83,11 +83,6 @@ class ConstantChurn:
         self._emitted += whole
         return whole
 
-    def reset(self) -> None:
-        """Forget the accumulated schedule (for reuse across runs)."""
-        self._ticks_drawn = 0
-        self._emitted = 0
-
 
 def synchronous_churn_bound(delta: Time) -> float:
     """The synchronous protocol's churn cap ``1 / (3δ)`` (Section 3.1).

@@ -83,7 +83,27 @@ def key_names(count: int) -> tuple[Any, ...]:
     return tuple(f"k{i}" for i in range(count))
 
 
-class RegisterSpace:
+#: key tuple → its position index, built once per key tuple and shared
+#: by every space built from that tuple (a population of 10⁵ holds one).
+#: Read-only once built: an ``adopt`` that admits a key copies first.
+_INDEXES: dict[tuple[Any, ...], dict[Any, int]] = {}
+
+
+def _index_of(keys: tuple[Any, ...]) -> dict[Any, int]:
+    """The shared ``key → position`` index of ``keys``."""
+    index = _INDEXES.get(keys)
+    if index is None:
+        if not keys:
+            raise ValueError("a register space needs at least one key")
+        index = {key: position for position, key in enumerate(keys)}
+        if len(index) != len(keys):
+            duplicate = next(key for key in keys if keys.count(key) > 1)
+            raise ValueError(f"register key {duplicate!r} appears twice in {keys}")
+        _INDEXES[keys] = index
+    return index
+
+
+class RegisterSpace(list):
     """Per-key local copies of the keyed register store.
 
     Every protocol node owns one: the per-key ``⟨value, sequence⟩``
@@ -92,28 +112,31 @@ class RegisterSpace:
     (``sequence > current``) live here so the three protocols share
     one implementation of the paper's "adopt if newer" rule.
 
-    The cells live in ONE dict, ``key → (value, sequence)``: a node
-    pays one dict and one entry per key (a population of 10⁵ pays it
-    10⁵ times), and a read of both halves is one probe.  A cell tuple
-    is replaced, never mutated, so ``snapshot`` hands it out as is; the
-    dict's insertion order is the key order (``_keys``) by construction.
-    A quorum handler probes it with its message's key as it stands
-    (``read`` / ``write`` resolved it) and comes here only on a miss.
+    The space IS its list of cells, one ``(value, sequence)`` tuple per
+    key in key order (``_keys``): a node pays one list object and one
+    slot per key (a population of 10⁵ pays it 10⁵ times), and a read of
+    both halves is one subscript.  ``_index`` maps a key to its
+    position; it is built once per key tuple and shared by every space
+    built from that tuple, and only an ``adopt`` that admits a key
+    gives its space a private copy.  A cell tuple is replaced, never
+    mutated, so ``snapshot`` hands it out as is.  A quorum handler
+    probes ``_index`` with its message's key as it stands (``read`` /
+    ``write`` resolved it) and comes here only on a miss.
 
     ``cell`` is what every key starts from: ⟨⊥, −1⟩ for a joiner, the
     initial ⟨value, 0⟩ for a seed (footnote 3) — one tuple the whole
     population shares.
     """
 
-    __slots__ = ("_keys", "_cells", "version")
+    __slots__ = ("_keys", "_index", "version")
 
     def __init__(
         self, keys: tuple[Any, ...] = (SINGLE_KEY,), cell: Cell = _UNSET
     ) -> None:
-        if not keys:
-            raise ValueError("a register space needs at least one key")
-        self._keys = tuple(keys)
-        self._cells: dict[Any, tuple[Any, int]] = dict.fromkeys(self._keys, cell)
+        keys = tuple(keys)
+        self._index = _index_of(keys)
+        self._keys = keys
+        list.__init__(self, (cell,) * len(keys))
         #: Bumped by every mutator call (even a rejected adoption, so
         #: callers may over-invalidate but never under-invalidate), and
         #: 1 for a seeded space, as if its initial cell were installed.
@@ -134,18 +157,27 @@ class RegisterSpace:
         """Map ``None`` to the default (first) key; validate named keys."""
         if key is None:
             return self._keys[0]
-        if key not in self._cells:
+        if key not in self._index:
             raise KeyError(f"unknown register key {key!r}; have {self._keys}")
         return key
 
+    def _position(self, key: Any) -> int:
+        """``key``'s cell position (``None``: the default key's, 0)."""
+        if key is None:
+            return 0
+        position = self._index.get(key)
+        if position is None:
+            self.resolve(key)  # an unknown named key: the KeyError
+        return position
+
     def value(self, key: Any = None) -> Any:
-        return self._cells[self.resolve(key)][0]
+        return self[self._position(key)][0]
 
     def sequence(self, key: Any = None) -> int:
-        return self._cells[self.resolve(key)][1]
+        return self[self._position(key)][1]
 
     def snapshot(self, key: Any = None) -> tuple[Any, int]:
-        return self._cells[self.resolve(key)]
+        return self[self._position(key)]
 
     def reply_parts(self) -> tuple[Any, int, tuple[tuple[Any, Any, int], ...] | None]:
         """The default key's ``(value, sequence)`` plus the batched
@@ -153,17 +185,16 @@ class RegisterSpace:
         fields of an inquiry reply, in one call.  Replies are the
         dominant point-to-point traffic under churn, so this exists to
         keep the hot path to one method call instead of three."""
-        keys = self._keys
-        value, sequence = self._cells[keys[0]]
-        if len(keys) == 1:
+        value, sequence = self[0]
+        if len(self) == 1:
             return value, sequence, None
         return value, sequence, self.entries()
 
     def install(self, key: Any, value: Any, sequence: int) -> None:
         """Unconditionally set ``key``'s local copy."""
-        key = self.resolve(key)
+        position = self._position(key)
         self.version += 1
-        self._cells[key] = (value, sequence)
+        self[position] = (value, sequence)
 
     def adopt(self, key: Any, value: Any, sequence: int) -> bool:
         """The paper's adoption rule: install iff strictly newer.
@@ -174,28 +205,33 @@ class RegisterSpace:
         including ones created before the migration — may then receive
         the key via ``MigInstall``, a ``WriteMsg`` broadcast or a
         batched join reply.  The admitted cell starts at ⟨⊥, -1⟩, so
-        the newer-wins guard applies uniformly.  The ``None`` sentinel
-        still resolves to the default key (single-register payloads are
-        key-less), so non-migrating systems are untouched.
+        the newer-wins guard applies uniformly, and the space's index
+        becomes its own copy (the shared one is never written).  The
+        ``None`` sentinel still resolves to the default key
+        (single-register payloads are key-less), so non-migrating
+        systems are untouched.
         """
         self.version += 1
-        cells = self._cells
         if key is None:
-            key = self._keys[0]
-        elif key not in cells:
-            self._keys += (key,)
-            cells[key] = _UNSET
-        if sequence > cells[key][1]:
-            cells[key] = (value, sequence)
+            position = 0
+        else:
+            position = self._index.get(key)
+            if position is None:
+                position = len(self)
+                self._keys += (key,)
+                self._index = {**self._index, key: position}
+                self.append(_UNSET)
+        if sequence > self[position][1]:
+            self[position] = (value, sequence)
             return True
         return False
 
     def bump(self, key: Any = None) -> int:
         """Increment and return ``key``'s sequence number (a write)."""
-        key = self.resolve(key)
+        position = self._position(key)
         self.version += 1
-        value, sequence = self._cells[key]
-        self._cells[key] = (value, sequence + 1)
+        value, sequence = self[position]
+        self[position] = (value, sequence + 1)
         return sequence + 1
 
     def entries(self) -> tuple[tuple[Any, Any, int], ...]:
@@ -207,7 +243,7 @@ class RegisterSpace:
         """
         return tuple(
             (key, value, sequence)
-            for key, (value, sequence) in self._cells.items()
+            for key, (value, sequence) in zip(self._keys, self)
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -207,15 +207,19 @@ class AbdRegisterNode(RegisterNode):
         phase = self._writes.get(key)
         if phase is None:
             phase = self._writes.get(key := self.space.resolve(key))
-        if phase is not None and msg.sequence == self.space._cells[key][1]:
-            phase._offers[sender] = ()
+        if phase is not None:
+            space = self.space
+            i = 0 if key is None else space._index.get(key)
+            if msg.sequence == space[i][1]:
+                phase._offers[sender] = ()
 
     def on_abdquery(self, sender: str, msg: AbdQuery) -> AbdQueryReply | None:
         if not (self._is_replica or self.is_replica):
             return None
-        space = self.space
-        value, sequence = space._cells.get(msg.key) or space.snapshot(msg.key)
-        return new_reply(AbdQueryReply, (msg.request, value, sequence, msg.key))
+        space, key = self.space, msg.key
+        i = 0 if key is None else space._index.get(key)  # None: the default key
+        value, sequence = space.snapshot(key) if i is None else space[i]
+        return new_reply(AbdQueryReply, (msg.request, value, sequence, key))
 
     def on_abdqueryreply(self, sender: str, msg: AbdQueryReply) -> None:
         key = msg.key

@@ -125,7 +125,7 @@ class EventuallySyncRegisterNode(RegisterNode):
     protocol_name = "es"
 
     __slots__ = (
-        "_majority", "_join_phase", "_reads", "_acks", "_reply_to", "_dl_prev",
+        "_join_phase", "_reads", "_acks", "_reply_to", "_dl_prev",
     )
 
     @classmethod
@@ -148,12 +148,11 @@ class EventuallySyncRegisterNode(RegisterNode):
         super().__init__(pid, ctx, seed)
         # Figure 4, lines 01-02: the join's initializations happen at
         # process creation (join starts the instant the process enters).
-        self._majority = ctx.derived["quorum"]
         # Shared quorum machinery: one batched join phase, per-key read
         # phases (owning the read_sn request counters) and per-key
         # write-ack phases, all multiplexed over this one process; they,
         # and the two pending sets, are built on first use.
-        self._join_phase = QuorumPhase(self._majority)
+        self._join_phase = QuorumPhase(ctx.derived["quorum"])
         self._reads = PhaseTracker()
         self._acks = PhaseTracker()
         self._reply_to: set[tuple[str, int, Any]] | None = None
@@ -166,7 +165,7 @@ class EventuallySyncRegisterNode(RegisterNode):
     @property
     def majority(self) -> int:
         """The quorum size ``⌊n/2⌋ + 1`` every operation waits for."""
-        return self._majority
+        return self.ctx.derived["quorum"]
 
     # ------------------------------------------------------------------
     # Operation bodies (``RegisterNode`` owns the entry points)
@@ -192,7 +191,7 @@ class EventuallySyncRegisterNode(RegisterNode):
 
     def _read_body(self, key: Any) -> OperationBody:
         """Figure 5: the read operation."""
-        phase = self._reads.open(key, self._majority)  # line 02 ("reading")
+        phase = self._reads.open(key, self.ctx.derived["quorum"])  # line 02 ("reading")
         phase.request += 1  # line 01
         self.ctx.broadcast.broadcast(
             self.pid, EsRead(self.pid, phase.request, key)  # line 03
@@ -209,7 +208,7 @@ class EventuallySyncRegisterNode(RegisterNode):
         yield from self._read_body(key)  # line 01: refresh the sequence number
         sequence = self.space.bump(key)  # line 02
         self.space.install(key, value, sequence)
-        ack_phase = self._acks.open(key, self._majority)  # line 03
+        ack_phase = self._acks.open(key, self.ctx.derived["quorum"])  # line 03
         self.ctx.broadcast.broadcast(
             self.pid, EsWrite(self.pid, value, sequence, key)  # line 04
         )
@@ -233,7 +232,8 @@ class EventuallySyncRegisterNode(RegisterNode):
             # A batched (join-style) request: one reply carries every key.
             value, sequence, entries = space.reply_parts()
         else:
-            value, sequence = space._cells.get(key) or space.snapshot(key)
+            i = 0 if key is None else space._index.get(key)  # None: the default key
+            value, sequence = space.snapshot(key) if i is None else space[i]
         return new_reply(EsReply, (self.pid, value, sequence, r_sn, key, entries))
 
     def _send_reply(self, dest: str, r_sn: int, key: Any) -> None:
@@ -307,11 +307,12 @@ class EventuallySyncRegisterNode(RegisterNode):
 
     def on_esack(self, sender: str, msg: EsAck) -> None:
         """Figure 6, lines 09-10 (no write open on the key: no phase)."""
-        key, cells = msg.key, self.space._cells
-        if key not in cells:  # a batched reply's ack: the default key
-            key = self.space.resolve(key)
+        key, space = msg.key, self.space
+        i = space._index.get(key)
+        if i is None:  # a batched reply's ack: the default key
+            key, i = space.resolve(key), 0
         phase = self._acks.get(key)
-        if phase is not None and msg.sequence == cells[key][1]:
+        if phase is not None and msg.sequence == space[i][1]:
             phase._offers[msg.sender] = ()
 
 

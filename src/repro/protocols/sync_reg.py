@@ -127,8 +127,7 @@ class SynchronousRegisterNode(RegisterNode):
     join_wait = True
 
     __slots__ = (
-        "_join_phase", "_reply_to", "_delta", "_reply_cache",
-        "_reply_version", "_inquiry_wait",
+        "_join_phase", "_reply_to", "_reply_cache", "_reply_version",
     )
 
     @classmethod
@@ -159,14 +158,12 @@ class SynchronousRegisterNode(RegisterNode):
         # are released once the join has consumed them (lines 10-11).
         self._join_phase: QuorumPhase | None = None
         self._reply_to: set[str] | None = None
-        self._delta = ctx.delta
         # Reply payload cache, keyed on the space's version counter:
         # under churn a node answers thousands of inquiries from a
         # space that never changed, and the payload is immutable and
         # therefore shareable across every one of those sends.
         self._reply_cache: Reply | None = None
         self._reply_version = -1
-        self._inquiry_wait = ctx.derived["inquiry_wait"]
 
     # ------------------------------------------------------------------
     # Operation bodies (``RegisterNode`` owns the entry points)
@@ -175,11 +172,12 @@ class SynchronousRegisterNode(RegisterNode):
     def _join_body(self) -> OperationBody:
         """Figure 1: the join operation."""
         if self.join_wait:
-            yield Wait(self._delta)  # line 02
+            yield Wait(self.ctx.delta)  # line 02
         if self._needs_inquiry():  # line 03
             self._phase().open()  # line 04
             self.ctx.broadcast.broadcast(self.pid, Inquiry(self.pid))  # line 05
-            yield Wait(self._inquiry_wait)  # line 06 (2δ, or δ+δ' per fn. 4)
+            # line 06: 2δ, or δ + δ' per footnote 4
+            yield Wait(self.ctx.derived["inquiry_wait"])
             self._adopt_best_replies()  # lines 07-08
         self.mark_active()  # line 10
         self._join_phase = None  # consumed
@@ -197,7 +195,7 @@ class SynchronousRegisterNode(RegisterNode):
 
     def _needs_inquiry(self) -> bool:
         """Line 03: some key still holds ⊥ (nothing adopted in transit)."""
-        return any(value is BOTTOM for _, value, _ in self.space.entries())
+        return any(value is BOTTOM for value, _ in self.space)
 
     def _read_body(self, key: Any) -> OperationBody:
         """Figure 2: the read — purely local, zero latency."""
@@ -209,7 +207,7 @@ class SynchronousRegisterNode(RegisterNode):
         sequence = self.space.bump(key)  # line 01
         self.space.install(key, value, sequence)
         self.ctx.broadcast.broadcast(self.pid, WriteMsg(value, sequence, key))
-        yield Wait(self._delta)  # line 02
+        yield Wait(self.ctx.delta)  # line 02
         return OK
 
     def _adopt_best_replies(self) -> None:

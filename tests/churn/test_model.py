@@ -33,12 +33,6 @@ class TestConstantChurn:
         churn = ConstantChurn(rate=0.0, n=10)
         assert churn.refreshes_for_next_tick() == 0
 
-    def test_reset_clears_carry(self):
-        churn = ConstantChurn(rate=0.05, n=30)
-        churn.refreshes_for_next_tick()
-        churn.reset()
-        assert churn.refreshes_for_next_tick() == 1  # same as a fresh start
-
     def test_default_start_is_one_period(self):
         assert ConstantChurn(rate=0.1, n=10).start == 1.0
         assert ConstantChurn(rate=0.1, n=10, period=2.5).start == 2.5

@@ -37,6 +37,13 @@ class TestRegisterSpace:
         with pytest.raises(KeyError):
             multi.resolve("nope")
 
+    def test_a_duplicate_key_is_refused_by_name(self):
+        # Two keys sharing one position would address one cell twice.
+        with pytest.raises(ValueError, match="register key 'k0' appears twice"):
+            RegisterSpace(("k0", "k0"))
+        with pytest.raises(ValueError, match="register key 'k1' appears twice"):
+            RegisterSpace(("k0", "k1", "k2", "k1"), ("v0", 0))
+
     def test_adopt_only_when_strictly_newer(self):
         space = RegisterSpace(key_names(2))
         assert space.adopt("k0", "v1", 3)

@@ -1,13 +1,15 @@
-"""One cell dict ≡ two.
+"""A list of cells ≡ one cell dict.
 
-:class:`~repro.core.register.RegisterSpace` keeps ``key → (value,
-sequence)`` in one dict; until per-process state went on a diet it kept
-a ``_values`` and a ``_sequences`` dict side by side.  The two-dict
-layout lives on here as the reference model: a Hypothesis state machine
-drives both with the same random mutator calls — known, unknown and
-``None`` keys — and compares every observable after every step.  A
-seeded space (built holding one initial cell on every key) starts where
-the model does after ``install_all`` of that cell.
+:class:`~repro.core.register.RegisterSpace` IS its list of ``(value,
+sequence)`` cells, in key order, addressed through a ``key → position``
+index that every space built from the same key tuple shares; until a
+seed's register went on a diet it kept ``key → (value, sequence)`` in a
+dict of its own.  That layout lives on here as the reference model: a
+Hypothesis state machine builds two sibling spaces from one key tuple,
+drives either with the same random mutator calls as its model — known,
+unknown and ``None`` keys, adoptions that admit a key — and compares
+every observable of both after every step.  A sibling that admits a key
+must leave the other's index (and every other seed's) as it was.
 """
 
 from __future__ import annotations
@@ -26,15 +28,16 @@ from hypothesis.stateful import (
 
 from repro.core.register import BOTTOM, SINGLE_KEY, RegisterSpace
 
+UNSET = (BOTTOM, -1)
 
-class TwoDictSpace:
+
+class DictSpace:
     """The former layout, behaviour for behaviour (the reference)."""
 
-    def __init__(self, keys: tuple[Any, ...]) -> None:
+    def __init__(self, keys: tuple[Any, ...], cell: tuple[Any, int] = UNSET) -> None:
         self._keys = tuple(keys)
-        self._values = {key: BOTTOM for key in self._keys}
-        self._sequences = {key: -1 for key in self._keys}
-        self.version = 0
+        self._cells = dict.fromkeys(self._keys, cell)
+        self.version = 0 if cell is UNSET else 1
 
     @property
     def keys(self):
@@ -47,63 +50,52 @@ class TwoDictSpace:
     def resolve(self, key=None):
         if key is None:
             return self._keys[0]
-        if key not in self._values:
+        if key not in self._cells:
             raise KeyError(f"unknown register key {key!r}; have {self._keys}")
         return key
 
     def value(self, key=None):
-        return self._values[self.resolve(key)]
+        return self._cells[self.resolve(key)][0]
 
     def sequence(self, key=None):
-        return self._sequences[self.resolve(key)]
+        return self._cells[self.resolve(key)][1]
 
     def snapshot(self, key=None):
-        key = self.resolve(key)
-        return self._values[key], self._sequences[key]
+        return self._cells[self.resolve(key)]
 
     def reply_parts(self):
-        key = self._keys[0]
+        value, sequence = self._cells[self._keys[0]]
         if len(self._keys) == 1:
-            return self._values[key], self._sequences[key], None
-        return self._values[key], self._sequences[key], self.entries()
+            return value, sequence, None
+        return value, sequence, self.entries()
 
     def install(self, key, value, sequence):
         key = self.resolve(key)
         self.version += 1
-        self._values[key] = value
-        self._sequences[key] = sequence
-
-    def install_all(self, value, sequence):
-        """How the model seeds: what a space built with the cell
-        ``(value, sequence)`` must equal."""
-        self.version += 1
-        for key in self._keys:
-            self._values[key] = value
-            self._sequences[key] = sequence
+        self._cells[key] = (value, sequence)
 
     def adopt(self, key, value, sequence):
         self.version += 1
         if key is None:
             key = self._keys[0]
-        elif key not in self._values:
+        elif key not in self._cells:
             self._keys += (key,)
-            self._values[key] = BOTTOM
-            self._sequences[key] = -1
-        if sequence > self._sequences[key]:
-            self._values[key] = value
-            self._sequences[key] = sequence
+            self._cells[key] = UNSET
+        if sequence > self._cells[key][1]:
+            self._cells[key] = (value, sequence)
             return True
         return False
 
     def bump(self, key=None):
         key = self.resolve(key)
         self.version += 1
-        self._sequences[key] += 1
-        return self._sequences[key]
+        value, sequence = self._cells[key]
+        self._cells[key] = (value, sequence + 1)
+        return sequence + 1
 
     def entries(self):
         return tuple(
-            (key, self._values[key], self._sequences[key]) for key in self._keys
+            (key, value, sequence) for key, (value, sequence) in self._cells.items()
         )
 
 
@@ -114,6 +106,7 @@ STRANGERS = ("x0", "x1")
 any_key = st.sampled_from((None, *NAMED, *STRANGERS))
 values = st.sampled_from(("a", "b", "c", BOTTOM))
 sequences = st.integers(min_value=-1, max_value=6)
+siblings = st.sampled_from((0, 1))
 
 
 def outcome(call):
@@ -124,53 +117,58 @@ def outcome(call):
         return ("KeyError", str(error))
 
 
-class OneDictIsTwo(RuleBasedStateMachine):
+class ListIsDict(RuleBasedStateMachine):
     @initialize(
         keys=st.sampled_from(((SINGLE_KEY,), NAMED[:1], NAMED[:2], NAMED)),
         seed=st.none() | st.tuples(values, sequences),
     )
     def build(self, keys, seed):
-        self.model = TwoDictSpace(keys)
-        if seed is None:
-            self.space = RegisterSpace(keys)
-        else:
-            self.space = RegisterSpace(keys, seed)
-            self.model.install_all(*seed)
+        cell = () if seed is None else (seed,)
+        self.keys = keys
+        self.spaces = [RegisterSpace(keys, *cell) for _ in range(2)]
+        self.models = [DictSpace(keys, *cell) for _ in range(2)]
+        self.shared = self.spaces[0]._index
 
-    def both(self, name, *args):
-        got = outcome(lambda: getattr(self.space, name)(*args))
-        assert got == outcome(lambda: getattr(self.model, name)(*args)), name
+    def both(self, node, name, *args):
+        got = outcome(lambda: getattr(self.spaces[node], name)(*args))
+        assert got == outcome(lambda: getattr(self.models[node], name)(*args)), name
         return got
 
-    @rule(key=any_key, value=values, sequence=sequences)
-    def install(self, key, value, sequence):
-        self.both("install", key, value, sequence)
+    @rule(node=siblings, key=any_key, value=values, sequence=sequences)
+    def install(self, node, key, value, sequence):
+        self.both(node, "install", key, value, sequence)
 
-    @rule(key=any_key, value=values, sequence=sequences)
-    def adopt(self, key, value, sequence):
-        self.both("adopt", key, value, sequence)
+    @rule(node=siblings, key=any_key, value=values, sequence=sequences)
+    def adopt(self, node, key, value, sequence):
+        self.both(node, "adopt", key, value, sequence)
 
-    @rule(key=any_key)
-    def bump(self, key):
-        self.both("bump", key)
+    @rule(node=siblings, key=any_key)
+    def bump(self, node, key):
+        self.both(node, "bump", key)
 
     @invariant()
     def every_observable_agrees(self):
-        space, model = self.space, self.model
-        assert space.keys == model.keys
-        assert space.is_single == model.is_single
-        assert space.version == model.version
-        assert space.entries() == model.entries()
-        assert space.reply_parts() == model.reply_parts()
-        for key in (None, *NAMED, *STRANGERS):
-            for name in ("resolve", "value", "sequence", "snapshot"):
-                self.both(name, key)
+        for node, (space, model) in enumerate(zip(self.spaces, self.models)):
+            assert space.keys == model.keys
+            assert space.is_single == model.is_single
+            assert space.version == model.version
+            assert space.entries() == model.entries()
+            assert space.reply_parts() == model.reply_parts()
+            for key in (None, *NAMED, *STRANGERS):
+                for name in ("resolve", "value", "sequence", "snapshot"):
+                    self.both(node, name, key)
+
+    @invariant()
+    def only_an_admitting_space_owns_its_index(self):
+        assert self.shared == {key: i for i, key in enumerate(self.keys)}
+        for space in self.spaces:
+            assert (space._index is self.shared) == (space.keys == self.keys)
 
 
-OneDictIsTwo.TestCase.settings = settings(
+ListIsDict.TestCase.settings = settings(
     max_examples=100, stateful_step_count=20, deadline=None
 )
-TestOneDictIsTwo = OneDictIsTwo.TestCase
+TestListIsDict = ListIsDict.TestCase
 
 
 def test_an_empty_key_tuple_is_still_refused():

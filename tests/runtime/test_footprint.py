@@ -2,8 +2,9 @@
 
 A population's resident cost is ``n`` times what one seed costs, and a
 seed that never runs an operation should cost what it *uses*: its
-slots (a process is its own presence record), one register-cell dict
-holding the population's one initial cell, and its pid.  These tests
+slots (a process is its own presence record), its register space — a
+list of cells, each slot the population's one initial cell, addressed
+through a key index every seed shares — and its pid.  These tests
 hold the traced bytes and allocated blocks per seed under a budget (the
 measured value + ~10 %, CPython 3.11), and the objects the cyclic
 collector tracks per seed to an exact count, so that a change which
@@ -92,26 +93,29 @@ PLANNED_BUDGET = (118, 2)
 JUDGED_BUDGET = (416, 5)
 
 #: protocol -> (bytes per seed, allocated blocks per seed).  Measured
-#: here (n = 2000, 3.11): 585 / 5.05, 841 / 9.05, 768 / 8.05; with a
-#: ``PresenceRecord`` per process, a cell tuple per seed and the inquiry
+#: here (n = 2000, 3.11): 385 / 4.05, 657 / 8.05, 584 / 7.05; with a
+#: ``RegisterSpace`` wrapping a one-entry cell dict and the delay /
+#: quorum copied into each node: 585 / 5.05, 849 / 9.05, 769 / 8.05;
+#: with a ``PresenceRecord`` per process, a cell tuple per seed and the inquiry
 #: wait / quorum resolved per node: 749 / 8.1, 1011 / 12.0, 909 / 10.1;
 #: with a six-slot ``QuorumPhase``: 757 / 8.1, 1035 / 12.0, 917 / 10.1;
 #: with two dicts a tracker and ES's two pending sets built eagerly: 773
 #: / 8.1, 1707 / 18.0, 1283 / 16.0; before per-process state went lazy
 #: and slotted: 1563 / 17.1, 2147 / 24.1, 1667 / 21.1.
 BUDGET = {
-    "sync": (645, 6),
-    "es": (925, 10),
-    "abd": (845, 9),
+    "sync": (425, 4),
+    "es": (725, 8),
+    "abd": (645, 7),
 }
 
 #: protocol -> objects the cyclic collector tracks per seed, as built
-#: (before any collection untracks an atomic-only dict): the node, its
-#: ``RegisterSpace`` and its cell dict, plus the ES join phase and two
-#: trackers / the three ABD trackers.  The drive's first full collection
-#: walks every one of them.  With a ``PresenceRecord`` and a cell tuple
-#: per seed: 5, 8, 8.
-GC_TRACKED_PER_SEED = {"sync": 3, "es": 6, "abd": 6}
+#: (before any collection untracks an atomic-only dict): the node and
+#: its ``RegisterSpace`` (a list: its cells), plus the ES join phase and
+#: two trackers / the three ABD trackers.  The drive's first full
+#: collection walks every one of them.  With a cell dict beside the
+#: space: 3, 6, 6; with a ``PresenceRecord`` and a cell tuple per seed
+#: as well: 5, 8, 8.
+GC_TRACKED_PER_SEED = {"sync": 2, "es": 5, "abd": 5}
 
 
 def traced_build(**config) -> tuple[DynamicSystem, float, float]:
@@ -253,21 +257,23 @@ def test_an_untouched_quorum_seed_owns_no_round_or_pending_state(protocol, track
         assert node._reply_to is None and node._dl_prev is None
 
 
-def test_a_key_costs_one_dict_entry_not_two():
-    single, multi = (
-        DynamicSystem(SystemConfig(n=3, trace=False, keys=keys))
-        for keys in (1, 16)
-    )
-    space = multi.node(multi.seed_pids[0]).space
-    dicts = [
-        getattr(space, name)
-        for name in type(space).__slots__
-        if isinstance(getattr(space, name), dict)
-    ]
-    assert len(dicts) == 1 and len(dicts[0]) == 16
-    assert len(single.node(single.seed_pids[0]).space._cells) == 1
-    # Every key of a freshly seeded node shares the one initial cell.
-    assert len({id(cell) for cell in dicts[0].values()}) == 1
+def test_a_key_costs_one_list_slot():
+    system = DynamicSystem(SystemConfig(n=3, trace=False, keys=16))
+    space, sibling = (system.node(pid).space for pid in system.seed_pids[:2])
+    # The space IS its cells: one slot per key, and every slot of a
+    # freshly seeded node holds the population's one initial cell.
+    assert len(space) == 16
+    assert all(cell is space[0] for cell in space)
+    assert space[0] is sibling[0]
+    # The key -> position index is the key tuple's, not the node's.
+    shared = sibling._index
+    assert space._index is shared and len(shared) == 16
+    # Admitting a key gives the admitting node its own index; the
+    # sibling's (and every other seed's) stays as it was.
+    assert space.adopt("moved", "v", 3)
+    assert space._index is not shared and space._index["moved"] == 16
+    assert sibling._index is shared and "moved" not in shared
+    assert system.node(system.seed_pids[2]).space._index is shared
 
 
 def judged_reads(count, checkpoint=lambda: None):
