@@ -9,9 +9,10 @@ hand each view to the *unchanged* single-system checkers, which in
 turn partition per key.  Reports are the ordinary
 :class:`~repro.core.checker.SafetyReport` /
 :class:`~repro.core.checker.AtomicityReport` /
-:class:`~repro.core.checker.LivenessReport` types with judgements
-concatenated in shard order, so everything downstream (explorer
-verdicts, experiment tables, summaries) consumes them unchanged.
+:class:`~repro.core.checker.LivenessReport` types, merged in shard
+order (:meth:`~repro.core.checker.SafetyReport.merge`), so everything
+downstream (explorer verdicts, experiment tables, summaries) consumes
+them unchanged.
 """
 
 from __future__ import annotations
@@ -36,9 +37,9 @@ def check_cluster_safety(
 ) -> SafetyReport:
     """Regularity of the merged cluster history (per-shard, per-key).
 
-    Judgements are concatenated in shard order (then the single-system
-    checker's own key order), so a violation's position names its
-    shard as well as its key.
+    Reports merge in shard order (then the single-system checker's own
+    key order), so a violation's position names its shard as well as
+    its key.
 
     Shards touched by a committed migration
     (:attr:`~ClusterHistory.migration_shards`) are judged with join
@@ -51,10 +52,11 @@ def check_cluster_safety(
     """
     report = SafetyReport()
     for view, judge_joins in _views(history):
-        sub = RegularityChecker(
-            view, check_joins=check_joins and judge_joins, paranoid=paranoid
-        ).check()
-        report.judgements.extend(sub.judgements)
+        report.merge(
+            RegularityChecker(
+                view, check_joins=check_joins and judge_joins, paranoid=paranoid
+            ).check()
+        )
     return report
 
 
@@ -88,7 +90,7 @@ def find_cluster_inversions(
     merged = AtomicityReport(safety=SafetyReport())
     for view, _ in _views(history):
         sub = find_new_old_inversions(view, paranoid=paranoid)
-        merged.safety.judgements.extend(sub.safety.judgements)
+        merged.safety.merge(sub.safety)
         merged.inversions.extend(sub.inversions)
     return merged
 

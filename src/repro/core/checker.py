@@ -33,30 +33,34 @@ O(R²) all-pairs scan).  The original brute-force implementations are
 retained behind ``paranoid=True`` (CLI: ``--paranoid``) as reference
 oracles; the property suite asserts verdict parity between the two.
 
-A judgement costs a tuple, and judging touches each operation once.
-:class:`ReadJudgement` and :class:`Inversion` are ``NamedTuple``s.  The
-regularity sweep is one loop over the history's own per-kind list
-(:meth:`History.of_kind`, no copy): a read is done iff it has a
-response, its three bisection cuts key the write index's per-cut memo
-(one ``(last, concurrent, allowed)`` per distinct cut), and a valid
-read appends its judgement in the loop — only a violation, a join or
-``paranoid=True`` goes through ``_judge``, the one place an explanation
-is written.  The inversion detector builds its decorated
-``(time, op_id, ...)`` tuples from those judgements — ``op_id`` is
-unique, so sorting never leaves C — and liveness is one loop over
-response and invocation times with local counters.  A closed history
-shares its read judgements, write records, key list and per-key
+A judged pass keeps its verdicts, not one record per read: both sweeps
+hold O(W + in-flight reads).  The regularity sweep is one loop over the
+history's own per-kind list (:meth:`History.of_kind`, no copy): a read
+is done iff it has a response, and its three bisection cuts key the
+write index's per-cut memo (one ``(last, concurrent, allowed)`` per
+distinct cut).  A valid read leaves nothing behind; only a violation,
+a join or ``paranoid=True`` goes through ``_judge``, the one place an
+explanation is written.  A :class:`SafetyReport` is ``checked_count``
+plus its violations; :attr:`SafetyReport.judgements` rebuilds the full
+list on request from the writes and the reads still pending at check
+time.  The inversion detector walks the same read list in invocation
+order with a heap of the reads still in flight, and liveness is one
+loop over response and invocation times with local counters.  A closed
+history shares its read verdicts, write records, key list and per-key
 sub-histories between the checkers.  ``tests/core/test_checker_cost.py``
 holds the four judged phases (these three checkers and
-:func:`~repro.core.history.operation_digest`) to at most 3 Python calls
-per operation.
+:func:`~repro.core.history.operation_digest`) to at most 1 Python call
+per operation, and the two sweeps to at most 32 traced bytes per read.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Any, NamedTuple
+from functools import partial
+from heapq import heappop, heappush
+from operator import attrgetter
+from typing import Any, Callable, Collection, Iterator, NamedTuple, Sequence
 
 from ..sim.clock import Time
 from ..sim.engine import collector_paused
@@ -87,17 +91,30 @@ class ReadJudgement(NamedTuple):
 
 @dataclass
 class SafetyReport:
-    """Outcome of a regularity check over a whole history."""
+    """Outcome of a regularity check over a whole history.
 
-    judgements: list[ReadJudgement] = field(default_factory=list)
+    A report keeps its verdicts — how many operations were judged and
+    the judgements that failed — not one record per judged read.
+    """
+
+    checked_count: int = 0
+    violations: list[ReadJudgement] = field(default_factory=list)
+    # One callable per single-register check merged into this report,
+    # each rebuilding that check's judgements as they stood at check
+    # time (see :attr:`judgements`).
+    _rejudges: list[Callable[[], list[ReadJudgement]]] = field(
+        default_factory=list, init=False, repr=False, compare=False
+    )
 
     @property
-    def violations(self) -> list[ReadJudgement]:
-        return [j for j in self.judgements if not j.valid]
-
-    @property
-    def checked_count(self) -> int:
-        return len(self.judgements)
+    def judgements(self) -> list[ReadJudgement]:
+        """Every judgement, valid or not, in judging order — rebuilt on
+        each request, for tests and debugging; the verdicts need only
+        :attr:`checked_count` and :attr:`violations`."""
+        judgements: list[ReadJudgement] = []
+        for rejudge in self._rejudges:
+            judgements.extend(rejudge())
+        return judgements
 
     @property
     def violation_count(self) -> int:
@@ -110,9 +127,15 @@ class SafetyReport:
     @property
     def violation_rate(self) -> float:
         """Fraction of checked reads that violated regularity."""
-        if not self.judgements:
+        if not self.checked_count:
             return 0.0
         return self.violation_count / self.checked_count
+
+    def merge(self, other: "SafetyReport") -> None:
+        """Append ``other``'s verdicts (and judgements) to this report's."""
+        self.checked_count += other.checked_count
+        self.violations.extend(other.violations)
+        self._rejudges.extend(other._rejudges)
 
     def summary(self) -> str:
         status = "SAFE" if self.is_safe else "VIOLATED"
@@ -226,63 +249,79 @@ class RegularityChecker:
         judged independently by the unchanged single-register sweep
         (regularity of a keyed store is per-key regularity — writes to
         different keys are unordered by the specification), and the
-        judgements are concatenated in key order.
+        reports merge in key order.
         """
-        keys = self.history.keys()
+        history = self.history
+        keys = history.keys()
         if len(keys) > 1:
             report = SafetyReport()
             for key in keys:
-                sub = RegularityChecker(
-                    self.history.sub_history(key),
-                    check_joins=self.check_joins,
-                    paranoid=self.paranoid,
-                ).check()
-                report.judgements.extend(sub.judgements)
+                report.merge(
+                    RegularityChecker(
+                        history.sub_history(key),
+                        check_joins=self.check_joins,
+                        paranoid=self.paranoid,
+                    ).check()
+                )
             return report
-        # The read judgements of a closed history are shared by every
+        writes = history.write_records()
+        # The read verdicts of a closed history are shared by every
         # checker that asks with the same ``paranoid`` — the atomicity
         # detector re-judges exactly the reads ``check_safety`` just
-        # judged; ``check_joins`` only adds the join judgements on top.
-        reads = self.history.memoized(
-            ("read_judgements", self.paranoid), self._judge_reads
+        # judged; ``check_joins`` only adds the join verdicts on top.
+        checked, violations, pending = history.memoized(
+            ("read_verdicts", self.paranoid), self._judge_reads
         )
-        report = SafetyReport(judgements=list(reads))
-        if self.check_joins:
-            writes = self.history.write_records()
+        report = SafetyReport(checked_count=checked, violations=list(violations))
+        joins = history.of_kind(OP_JOIN) if self.check_joins else ()
+        if joins:
+            pending = (*pending, *(op.op_id for op in joins if not op.done))
             index = None if self.paranoid else _WriteIntervalIndex(writes)
-            for op in self.history.of_kind(OP_JOIN):
-                if not op.done:
-                    continue
-                adopted = _join_adopted_value(op)
-                if adopted is _NO_ADOPTION:
-                    continue  # protocol does not expose its adoption
-                report.judgements.append(self._judge(op, adopted, writes, index))
+            for judgement in self._judge_joins(joins, writes, index, ()):
+                report.checked_count += 1
+                if not judgement.valid:
+                    report.violations.append(judgement)
+        report._rejudges.append(
+            partial(
+                self._rejudge,
+                writes,
+                len(history.of_kind(OP_READ)),
+                len(joins),
+                frozenset(pending),
+            )
+        )
         return report
 
-    def _judge_reads(self) -> list[ReadJudgement]:
+    def _judge_reads(self) -> tuple[int, tuple[ReadJudgement, ...], tuple[int, ...]]:
+        """``(completed reads, their violations, op ids of the reads
+        without a response)`` — a pending read is liveness's concern."""
         writes = self.history.write_records()
         reads = self.history.of_kind(OP_READ)
         if self.paranoid:
-            return [
-                self._judge(op, op.result, writes, None)
-                for op in reads
-                if op.done  # a pending read is the liveness checker's concern
+            judged = [
+                self._judge(op, op.result, writes, None) for op in reads if op.done
             ]
-        # One touch per read: the three cuts key the index's memo and a
-        # valid read appends its judgement here; only a violation goes
-        # through ``_judge``, the one place an explanation is written.
+            return (
+                len(judged),
+                tuple(j for j in judged if not j.valid),
+                tuple(op.op_id for op in reads if not op.done),
+            )
+        # One touch per read: the three cuts key the index's memo, and
+        # only a violation goes through ``_judge``, the one place a
+        # judgement is built.
         index = _WriteIntervalIndex(writes)
         completed_resp = index.completed_resp
         completed_inv = index.completed_inv
         open_inv = index.open_inv
         cached = index._cache.get
         at_cut = index.at_cut
-        judgements: list[ReadJudgement] = []
-        append = judgements.append
+        violations: list[ReadJudgement] = []
+        pending: list[int] = []
         for op in reads:
             response = op.response_time
             if response is None:
-                continue  # pending or abandoned: liveness's concern
+                pending.append(op.op_id)
+                continue
             invoke = op.invoke_time
             cut = (
                 bisect_right(completed_resp, invoke),
@@ -295,14 +334,49 @@ class RegularityChecker:
             # A read with a response is done: ``op.result`` is
             # ``_result``, read here without the property's frame.
             returned = op._result
-            allowed = entry[2]
-            if returned in allowed:
-                append(
-                    ReadJudgement(op, returned, allowed, True, entry[0].index, _ALLOWED)
-                )
-            else:
-                append(self._judge(op, returned, writes, index))
+            if returned not in entry[2]:
+                violations.append(self._judge(op, returned, writes, index))
+        return len(reads) - len(pending), tuple(violations), tuple(pending)
+
+    def _rejudge(
+        self,
+        writes: list[WriteRecord],
+        read_count: int,
+        join_count: int,
+        pending: frozenset[int],
+    ) -> list[ReadJudgement]:
+        """The judgements :meth:`check` passed, as they stood then: the
+        first ``read_count`` reads and ``join_count`` joins, less the
+        ``pending`` ones, against the write records of that moment."""
+        history = self.history
+        index = None if self.paranoid else _WriteIntervalIndex(writes)
+        judgements = [
+            self._judge(op, op.result, writes, index)
+            for op in history.of_kind(OP_READ)[:read_count]
+            if op.op_id not in pending
+        ]
+        judgements.extend(
+            self._judge_joins(
+                history.of_kind(OP_JOIN)[:join_count], writes, index, pending
+            )
+        )
         return judgements
+
+    def _judge_joins(
+        self,
+        joins: Sequence[OperationHandle],
+        writes: list[WriteRecord],
+        index: _WriteIntervalIndex | None,
+        skip: Collection[int],
+    ) -> Iterator[ReadJudgement]:
+        """The judgement of each join that responded, is not in
+        ``skip`` and exposes the value it adopted."""
+        for op in joins:
+            if op.op_id in skip or not op.done:
+                continue
+            adopted = _join_adopted_value(op)
+            if adopted is not _NO_ADOPTION:  # else: a plain "ok" join
+                yield self._judge(op, adopted, writes, index)
 
     def _judge(
         self,
@@ -442,12 +516,17 @@ def find_new_old_inversions(
     and are excluded from the inversion scan.
 
     The default detector is an O(R log R) sweep: reads are visited in
-    invocation order while a pointer over the response-ordered reads
-    maintains the running maximum write index among reads that finished
-    strictly before the current invocation.  A read whose write index
-    falls below that maximum is inverted, and is reported paired with
-    the maximal earlier read as its witness — one witness pair per
-    inverted read.  ``paranoid=True`` restores the original all-pairs
+    ``(invoke_time, op_id)`` order while a heap keyed on
+    ``(response_time, op_id)`` holds the visited reads still in flight;
+    before a read is judged, every read that finished strictly before
+    its invocation is popped into the running maximum write index, so
+    the heap never holds more than the reads in flight at one instant.
+    A read whose write index falls below that maximum is inverted, and
+    is reported paired with the maximal earlier read as its witness
+    (the first to finish, among equals) — one witness pair per inverted
+    read.  The history's own read list is walked as it stands when it
+    is in invocation order (a recorded run's is); any other list is
+    sorted first.  ``paranoid=True`` restores the original all-pairs
     scan, which enumerates *every* inverted pair (worst-case O(R²)
     output); the two agree exactly on which reads are inverted, hence
     on every verdict.
@@ -461,27 +540,24 @@ def find_new_old_inversions(
         merged = AtomicityReport(safety=SafetyReport())
         for key in keys:
             sub = find_new_old_inversions(history.sub_history(key), paranoid=paranoid)
-            merged.safety.judgements.extend(sub.safety.judgements)
+            merged.safety.merge(sub.safety)
             merged.inversions.extend(sub.inversions)
         return merged
     safety = RegularityChecker(history, check_joins=False, paranoid=paranoid).check()
-    written = history.value_to_write().get
-    # Decorated ``(invoke_time, op_id, write index, read)`` tuples, one
-    # per judgement (the judgements are exactly the completed reads):
-    # ``op_id`` is unique, so sorting never compares past it and needs
-    # no key function.
-    by_invoke: list[tuple[Time, int, int, OperationHandle]] = []
-    append = by_invoke.append
-    for judgement in safety.judgements:
-        record = written(judgement.returned)
-        if record is None:
-            continue  # not a written value: already a safety violation
-        op = judgement.operation
-        append((op.invoke_time, op.op_id, record.index, op))
-    by_invoke.sort()
     report = AtomicityReport(safety=safety)
-    inversions = report.inversions
+    written = history.value_to_write().get
+    reads = history.of_kind(OP_READ)
     if paranoid:
+        # Decorated ``(invoke_time, op_id, write index, read)`` tuples,
+        # one per completed read of a written value: ``op_id`` is
+        # unique, so sorting never compares past it.
+        by_invoke = sorted(
+            (op.invoke_time, op.op_id, record.index, op)
+            for op in reads
+            if op.response_time is not None
+            and (record := written(op._result)) is not None
+        )
+        inversions = report.inversions
         for i, (_, _, earlier_idx, earlier) in enumerate(by_invoke):
             for invoked, _, later_idx, later in by_invoke[i + 1 :]:
                 if earlier.response_time < invoked and earlier_idx > later_idx:
@@ -489,23 +565,57 @@ def find_new_old_inversions(
                         Inversion(earlier, later, earlier_idx, later_idx)
                     )
         return report
-    by_response = sorted(
-        [(op.response_time, op_id, index, op) for _, op_id, index, op in by_invoke]
-    )
-    finished = len(by_response)
-    pointer = 0
+    inversions = _sweep_inversions(reads, written)
+    if inversions is None:  # not in invocation order: a synthetic list
+        inversions = _sweep_inversions(sorted(reads, key=_INVOCATION_ORDER), written)
+    report.inversions = inversions
+    return report
+
+
+_INVOCATION_ORDER = attrgetter("invoke_time", "op_id")
+
+
+def _sweep_inversions(
+    reads: Sequence[OperationHandle],
+    written: Callable[[Any], WriteRecord | None],
+) -> list[Inversion] | None:
+    """The fast detector's witnesses over ``reads``, or ``None`` as
+    soon as a completed read of a written value is out of
+    ``(invoke_time, op_id)`` order."""
+    inversions: list[Inversion] = []
+    # ``(response_time, op_id, write index, read)`` of the visited reads
+    # not yet known to have finished before the current invocation.
+    in_flight: list[tuple[Time, int, int, OperationHandle]] = []
     best: OperationHandle | None = None  # the finished read of max write index
     best_idx = -1
-    for invoked, _, later_idx, later in by_invoke:
-        while pointer < finished and by_response[pointer][0] < invoked:
-            candidate_idx = by_response[pointer][2]
+    last_invoked: Time = float("-inf")
+    last_id = -1
+    for op in reads:
+        response = op.response_time
+        if response is None:
+            continue  # pending or abandoned: not a completed read
+        record = written(op._result)
+        if record is None:
+            continue  # not a written value: already a safety violation
+        invoked = op.invoke_time
+        op_id = op.op_id
+        if invoked <= last_invoked and (invoked < last_invoked or op_id < last_id):
+            return None
+        last_invoked = invoked
+        last_id = op_id
+        # Entries leave in ``(response_time, op_id)`` order across the
+        # whole sweep: a read pushed later finishes no earlier than its
+        # own invocation, hence no earlier than any invocation visited.
+        while in_flight and in_flight[0][0] < invoked:
+            _, _, candidate_idx, candidate = heappop(in_flight)
             if candidate_idx > best_idx:
                 best_idx = candidate_idx
-                best = by_response[pointer][3]
-            pointer += 1
+                best = candidate
+        later_idx = record.index
         if best_idx > later_idx:
-            inversions.append(Inversion(best, later, best_idx, later_idx))
-    return report
+            inversions.append(Inversion(best, op, best_idx, later_idx))
+        heappush(in_flight, (response, op_id, later_idx, op))
+    return inversions
 
 
 # ----------------------------------------------------------------------
@@ -575,8 +685,8 @@ class LivenessChecker:
         need at the horizon before being declared stuck (use the
         protocol's worst-case latency, e.g. ``3δ`` for a synchronous
         join)."""
-        if grace < 0:
-            raise CheckerError(f"grace must be non-negative, got {grace!r}")
+        if not grace >= 0:  # NaN too: ``age <= nan`` would make every op stuck
+            raise CheckerError(f"grace must be a non-negative number, got {grace!r}")
         self.history = history
         self.grace = grace
 

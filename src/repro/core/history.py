@@ -212,7 +212,7 @@ class History:
 
         Once the history is closed, every key's sub-history comes from
         one :meth:`memoized` pass and is the same object on every call,
-        so the judgements it memoizes are shared by every checker.
+        so the read verdicts it memoizes are shared by every checker.
         """
         subs = self.memoized("sub_histories", lambda: self._partition(self.keys()))
         sub = subs.get(key)

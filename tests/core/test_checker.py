@@ -9,12 +9,17 @@ import time
 
 import pytest
 
+from repro.cluster import ClusterConfig, ClusterSystem
 from repro.core.checker import (
+    Inversion,
     LivenessChecker,
     RegularityChecker,
+    SafetyReport,
+    _sweep_inversions,
     find_new_old_inversions,
 )
 from repro.core.history import History
+from repro.core.register import OP_READ
 from repro.runtime.config import SystemConfig
 from repro.runtime.system import DynamicSystem
 from repro.sim.errors import CheckerError
@@ -185,6 +190,47 @@ class TestNewOldInversions:
         report = find_new_old_inversions(history)
         assert report.is_atomic  # no order between the reads
 
+    def test_reads_recorded_out_of_invocation_order_are_sorted_first(self):
+        history = History("v0")
+        write(history, "v1", 10.0, 20.0)
+        write(history, "v2", 21.0, 40.0)
+        # Recorded out of invocation order; each inverted read has one
+        # inverted pair, so the fast witnesses are the oracle's pairs.
+        later = read(history, "v1", 33.0, 34.0)
+        first = read(history, "v1", 11.0, 12.0)
+        earlier = read(history, "v2", 31.0, 32.0)
+        middle = read(history, "v0", 15.0, 16.0)
+        reads = history.of_kind(OP_READ)
+        assert _sweep_inversions(reads, history.value_to_write().get) is None
+        report = find_new_old_inversions(history)
+        assert report.is_regular_but_not_atomic
+        assert report.inversions == find_new_old_inversions(
+            history, paranoid=True
+        ).inversions
+        assert report.inversions == [
+            Inversion(first, middle, 1, 0),
+            Inversion(earlier, later, 2, 1),
+        ]
+
+    def test_a_read_ending_as_another_begins_precedes_nothing(self):
+        history = History("v0")
+        write(history, "v1", 10.0, 20.0)
+        read(history, "v1", 11.0, 12.0)
+        read(history, "v0", 12.0, 13.0)  # invoked at the response instant
+        assert find_new_old_inversions(history).is_atomic
+        assert find_new_old_inversions(history, paranoid=True).is_atomic
+
+    def test_the_witness_is_the_first_finished_read_of_the_newest_write(self):
+        history = History("v0")
+        write(history, "v1", 10.0, 20.0)
+        write(history, "v2", 21.0, 30.0)
+        witness = read(history, "v2", 22.0, 23.0)
+        read(history, "v2", 24.0, 25.0)  # as new, finished later
+        later = read(history, "v1", 26.0, 27.0)
+        assert find_new_old_inversions(history).inversions == [
+            Inversion(witness, later, 2, 1)
+        ]
+
     def test_violating_reads_excluded_from_inversion_scan(self):
         history = History("v0")
         write(history, "v1", 1.0, 2.0)
@@ -199,7 +245,7 @@ class TestNewOldInversions:
 
 class TestSharedReadJudgements:
     """Atomicity re-judges exactly the reads regularity just judged; on
-    a closed history the two share them."""
+    a closed history the two share one regularity pass."""
 
     def history(self):
         history = History("v0")
@@ -212,50 +258,115 @@ class TestSharedReadJudgements:
         write(history, "v2", 30.0, None)
         return history
 
+    #: ``_fields`` of the judgements a check of :meth:`history` passes,
+    #: written out: three reads in recording order, then the join.
+    JUDGED = [
+        (1, "v1", ("v0", "v1"), True, 0, "returned an allowed value"),
+        (2, "v0", ("v0", "v1"), True, 0, "returned an allowed value"),
+        (
+            3,
+            "junk",
+            ("v0", "v1"),
+            False,
+            0,
+            "returned 'junk' but the last write completed before invocation "
+            "was #0 ('v0') and the concurrent writes were [(1, 'v1')]",
+        ),
+        (5, "v1", ("v1",), True, 1, "returned an allowed value"),
+    ]
+
     def reports(self, history, paranoid):
         return (
             RegularityChecker(history, paranoid=paranoid).check(),
             find_new_old_inversions(history, paranoid=paranoid),
         )
 
+    def passes(self, monkeypatch):
+        """The regularity passes run from now on, as the histories they
+        judged."""
+        passes = []
+        original = RegularityChecker._judge_reads
+
+        def counting(checker):
+            passes.append(checker.history)
+            return original(checker)
+
+        monkeypatch.setattr(RegularityChecker, "_judge_reads", counting)
+        return passes
+
     @pytest.mark.parametrize("paranoid", [False, True])
-    def test_both_reports_are_what_independent_checkers_produce(self, paranoid):
+    def test_a_closed_history_judges_its_reads_once(self, paranoid, monkeypatch):
         history = self.history()
-        ref_safety, ref_atomicity = self.reports(history, paranoid)  # open: no sharing
+        ref_safety, ref_atomicity = self.reports(history, paranoid)  # open
         history.close(40.0)
+        passes = self.passes(monkeypatch)
         safety, atomicity = self.reports(history, paranoid)
+        assert passes == [history]
         assert _fields(safety.judgements) == _fields(ref_safety.judgements)
         assert _fields(atomicity.safety.judgements) == _fields(
             ref_atomicity.safety.judgements
         )
         assert atomicity.inversions == ref_atomicity.inversions != []
         assert safety.checked_count == 4 and atomicity.safety.checked_count == 3
-        # Shared, not recomputed: the very same judgement objects.
-        assert all(
-            a is b for a, b in zip(safety.judgements, atomicity.safety.judgements)
-        )
-        assert ref_safety.judgements[0] is not ref_atomicity.safety.judgements[0]
+        assert _fields(safety.violations) == _fields(atomicity.safety.violations)
+        assert safety.violation_count == 1
 
-    def test_an_open_history_recomputes(self):
+    def test_an_open_history_recomputes(self, monkeypatch):
         history = self.history()
-        first, second = (
-            RegularityChecker(history).check().judgements for _ in range(2)
-        )
-        assert first[0] is not second[0]
+        passes = self.passes(monkeypatch)
+        self.reports(history, paranoid=False)
+        assert passes == [history, history]
+
+    def test_paranoid_and_fast_do_not_share(self, monkeypatch):
+        history = self.history()
+        history.close(40.0)
+        passes = self.passes(monkeypatch)
+        fast = RegularityChecker(history).check()
+        paranoid = RegularityChecker(history, paranoid=True).check()
+        assert len(passes) == 2
+        assert _fields(fast.judgements) == _fields(paranoid.judgements)
+        assert _fields(fast.violations) == _fields(paranoid.violations)
 
     def test_reports_own_their_lists(self):
         history = self.history()
         history.close(40.0)
-        RegularityChecker(history).check().judgements.clear()
-        assert RegularityChecker(history).check().checked_count == 4
+        first = find_new_old_inversions(history)
+        first.safety.violations.clear()
+        first.inversions.clear()
+        second = find_new_old_inversions(history)
+        assert second.safety.violation_count == 1 and len(second.inversions) == 1
+        assert RegularityChecker(history).check().violation_count == 1
 
-    def test_paranoid_and_fast_do_not_share(self):
+    @pytest.mark.parametrize("paranoid", [False, True])
+    @pytest.mark.parametrize("closed", [False, True])
+    def test_judgements_are_those_of_check_time(self, closed, paranoid):
         history = self.history()
-        history.close(40.0)
-        fast = RegularityChecker(history).check().judgements
-        paranoid = RegularityChecker(history, paranoid=True).check().judgements
-        assert fast[0] is not paranoid[0]
-        assert _fields(fast) == _fields(paranoid)
+        first = history.writes()[0].op_id
+        if closed:
+            history.close(40.0)
+        report = RegularityChecker(history, paranoid=paranoid).check()
+        expected = [(first + op, *rest) for op, *rest in self.JUDGED]
+        assert _fields(report.judgements) == expected
+        assert report.checked_count == len(expected)
+        assert _fields(report.violations) == [expected[2]]
+        # The run goes on: the pending read and write complete, a read
+        # is recorded.  A fresh check sees them; the report does not.
+        history.reads()[-1]._complete("v2", time=41.0)
+        history.writes()[-1]._complete("ok", time=42.0)
+        read(history, "v2", 43.0, 44.0)
+        if closed:
+            history.close(45.0)
+        assert _fields(report.judgements) == expected
+        assert RegularityChecker(history, paranoid=paranoid).check().checked_count == 6
+
+    def test_merged_reports_keep_their_judgements_in_order(self):
+        history = self.history()
+        merged = SafetyReport()
+        parts = [RegularityChecker(history).check() for _ in range(2)]
+        for part in parts:
+            merged.merge(part)
+        assert merged.checked_count == 8 and merged.violation_count == 2
+        assert _fields(merged.judgements) == 2 * _fields(parts[0].judgements)
 
     def test_recording_one_more_operation_invalidates(self):
         history = self.history()
@@ -354,6 +465,19 @@ class TestLiveness:
         with pytest.raises(CheckerError):
             LivenessChecker(history, grace=-1.0)
 
+    def test_nan_grace_rejected(self):
+        # ``nan < 0`` is false, and ``age <= nan`` would have judged
+        # every pending operation stuck.
+        system = DynamicSystem(SystemConfig(n=4, seed=1, trace=False))
+        system.read(system.seed_pids[0])
+        system.run_for(1.0)
+        with pytest.raises(CheckerError, match="grace"):
+            system.check_liveness(grace=float("nan"))
+        cluster = ClusterSystem(ClusterConfig(shards=2, keys=2, n=4, seed=1))
+        cluster.run_for(1.0)
+        with pytest.raises(CheckerError, match="grace"):
+            cluster.check_liveness(grace=float("nan"))
+
 
 class TestReportSummaries:
     def test_safety_summary_mentions_counts(self):
@@ -397,7 +521,7 @@ def test_checker_fast_beats_naive_by_3x():
     def best_of_3(**knobs) -> float:
         best = float("inf")
         for _ in range(3):
-            # A closed history shares its read judgements between
+            # A closed history shares its read verdicts between
             # checkers, so each repeat judges an unjudged copy.
             unjudged = History(history.initial_value)
             for op in history:

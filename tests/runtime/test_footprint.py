@@ -20,9 +20,10 @@ send or a free list that pins the run's high-water mark.
 
 An operation costs what it records: planned, it is its plan op and the
 instant it fires at (the whole plan holds one queue slot); completed
-and judged, it is that plus its handle and its judgement tuple.  The
-per-operation ratchet fails a change that re-adds an ``Event`` per
-planned op, a callback list per handle or a ``__dict__`` on either.
+and judged, it is that plus its handle — a judged report keeps its
+verdicts, not a record per valid read.  The per-operation ratchet fails
+a change that re-adds an ``Event`` per planned op, a callback list per
+handle, a judgement kept per read or a ``__dict__`` on any of them.
 
 And a send is a reply or a round: on a clean link a delivered message
 enters one Python frame of ``repro.net`` — the fire site that dispatches
@@ -85,12 +86,12 @@ OPERATIONS = 20_000
 #: Bytes and allocated blocks per planned local read once installed, and
 #: once completed and judged.  Measured here (3.11): 107 / 2.0 — the
 #: slotted plan op and its instant, plus a list slot each in the plan,
-#: its sorted copy and the series' instants — and 378 / 5.0: those, the
-#: handle, its op id and the judgement tuple.  One ``Event`` per planned
-#: op read 461 / 8.1 installed; a ``__dict__`` per plan op and a
-#: callback list per handle, 470 / 7.2 judged.
+#: its sorted copy and the series' instants — and 265 / 4.03: those, the
+#: handle and its op id.  One ``Event`` per planned op read 461 / 8.1
+#: installed; a ``__dict__`` per plan op and a callback list per handle,
+#: 470 / 7.2 judged; a judgement tuple kept per valid read, 378 / 5.0.
 PLANNED_BUDGET = (118, 2)
-JUDGED_BUDGET = (416, 5)
+JUDGED_BUDGET = (292, 4)
 
 #: protocol -> (bytes per seed, allocated blocks per seed).  Measured
 #: here (n = 2000, 3.11): 385 / 4.05, 657 / 8.05, 584 / 7.05; with a
@@ -300,7 +301,7 @@ def judged_reads(count, checkpoint=lambda: None):
     sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
     reason="the byte budget is CPython 3.11's object layout",
 )
-def test_a_local_read_costs_its_plan_op_its_handle_and_its_judgement():
+def test_a_local_read_costs_its_plan_op_and_its_handle():
     judged_reads(50)  # warm: imports, dispatch caches, the reader stream
     gc.collect()
     planned = []
