@@ -67,8 +67,8 @@ def cell(
             1 for pid in system.seed_pids if system.membership.is_present(pid)
         ),
         reads_issued=driver.stats.reads_issued,
-        read_done_rate=_staying_completion(driver.stats.read_handles),
-        write_done_rate=_staying_completion(driver.stats.write_handles),
+        read_done_rate=_staying_completion(system.history.reads()),
+        write_done_rate=_staying_completion(system.history.writes()),
         violations=system.check_safety(check_joins=False).violation_count,
     )
 

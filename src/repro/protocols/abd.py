@@ -189,11 +189,21 @@ class AbdRegisterNode(RegisterNode):
         phase.settle()
         return OK
 
+    def depart(self) -> None:
+        """Leave silently, releasing the three trackers' rounds, which a
+        silent process can never use again (its register ``space``
+        stays readable)."""
+        super().depart()
+        self._queries.clear()
+        self._writebacks.clear()
+        self._writes.clear()
+
     # ------------------------------------------------------------------
     # Message handlers: replicas alone serve requests (one slot load; a
     # seed predates its universe, so its first request resolves both);
     # an answer finds its round with one probe under the message's key,
-    # none there is the cold path: the default key's, the named ``KeyError``.
+    # none there is the cold path: the default key's, the named ``KeyError``;
+    # a settled round records nothing (``QuorumPhase``: what a round keeps).
     # ------------------------------------------------------------------
 
     def on_abdwrite(self, sender: str, msg: AbdWrite) -> AbdAck | None:
@@ -210,7 +220,7 @@ class AbdRegisterNode(RegisterNode):
         if phase is not None:
             space = self.space
             i = 0 if key is None else space._index.get(key)
-            if msg.sequence == space[i][1]:
+            if phase.active and msg.sequence == space[i][1]:
                 phase._offers[sender] = ()
 
     def on_abdquery(self, sender: str, msg: AbdQuery) -> AbdQueryReply | None:
@@ -226,8 +236,16 @@ class AbdRegisterNode(RegisterNode):
         phase = self._queries.get(key)
         if phase is None:
             phase = self._queries.get(key := self.space.resolve(key))
-        if phase is not None and msg.request == phase.request:
-            phase._offers[sender] = ((key, msg.value, msg.sequence),)
+        if phase is not None and msg.request == phase.request and phase.active:
+            # Counted as an ack is; its ⟨v, sn⟩ folded into the max.
+            phase._offers[sender] = ()
+            sequence, lead = msg.sequence, phase._lead
+            if (
+                lead is None
+                or sequence > lead[0]
+                or (sequence == lead[0] and sender > lead[1])
+            ):
+                phase._lead = (sequence, sender, msg.value, key)
 
     def on_abdwriteback(
         self, sender: str, msg: AbdWriteBack
@@ -245,5 +263,5 @@ class AbdRegisterNode(RegisterNode):
             query = self._queries.get(key := self.space.resolve(key))
         if query is not None and msg.request == query.request:
             phase = self._writebacks.get(key)
-            if phase is not None:
+            if phase is not None and phase.active:
                 phase._offers[sender] = ()

@@ -58,13 +58,38 @@ class QuorumPhase:
     when concurrent operations at one node superseded each other.
     ``request`` numbers the round where a protocol tags its rounds.
 
-    A timer-gated phase may also fold single-key offers as they land
-    instead of storing them: ``_lead`` is the running max
-    ``(sequence, sender, value, key)`` of those offers, and
-    :meth:`best_per_key` seeds its walk with it.  The synchronous join
-    does this (its replies are counted by nobody), so its single-key
-    repliers are not among :meth:`senders`; a quorum phase, which
-    counts, stores every offer.
+    What a round keeps.  A round needs two things of its replies: how
+    many distinct repliers it has (the quorum count: ES Figure 4 lines
+    04 / 19-20, Figure 6 lines 09-10, ABD's majorities) and the max
+    ⟨v, sn⟩ among them (lines 05-06; Figure 1 line 07).  So a handler
+    that receives a single-key reply records its replier as an ack
+    does, ``_offers[sender] = ()``, and folds the entry into ``_lead``,
+    the round's running max ``(sequence, sender, value, key)`` by
+    ``(sequence, sender)`` — what :meth:`best_per_key` would pick among
+    stored offers, tie-break included; a re-offer by the same sender
+    keeps the max, as the paper's ``replies`` is a set of ⟨j, ⟨v, sn⟩⟩
+    pairs.  A batched multi-key reply is stored whole, as the
+    replier's shared ``entries`` tuple, and :meth:`best_per_key` starts
+    its walk from the lead, so an adoption is the max over both.
+
+    The quorum handlers (ES's ``on_esreply`` / ``on_esack``, ABD's
+    answers to its three rounds) record only while the round is
+    :attr:`active`: a reply that lands after the quorum was met is
+    still answered (ES line 21 still returns its ACK) but is not
+    stored.  The synchronous join counts nobody (its phase closes on a
+    clock): it folds likewise, drops its phase at activation (line 10)
+    and records a later REPLY in a fresh closed phase.  A departed node
+    drops its rounds (each protocol's ``depart``).  A
+    ``((key, value, sn),)`` offer stored per reply, in a phase a node
+    keeps for life, would grow retained memory as operations × n; a
+    settled round holds one dict slot per replier counted before its
+    quorum, and the lead.
+    ``tests/runtime/test_footprint.py`` holds a completed join and a
+    completed ES / ABD read at n = 200 to a byte and block budget per
+    delivered reply; ``tests/properties/test_cache_properties.py``
+    holds the sync fold to the batch fold over any arrival order.  The
+    migration coordinator's :meth:`offer` / :meth:`offer_ack` /
+    :meth:`senders` keep their supersede semantics.
     """
 
     __slots__ = ("threshold", "active", "request", "_offers", "_lead")
@@ -84,10 +109,11 @@ class QuorumPhase:
         return self
 
     def settle(self) -> None:
-        """Mark the round finished.  What was offered stays readable:
-        superseding rounds of a quorum protocol share one phase object,
-        so nothing here may drop it; a protocol that is done with a
-        phase releases the phase itself."""
+        """Mark the round finished; the quorum handlers record nothing
+        more in it.  What was offered stays readable: superseding
+        rounds of a quorum protocol share one phase object, so nothing
+        here may drop it; a protocol that is done with a phase releases
+        the phase itself."""
         self.active = False
 
     def offer(self, sender: str, entries: Iterable[Entry]) -> None:
@@ -124,13 +150,17 @@ class QuorumPhase:
         per distinct tuple (C-speed equality, the elements are mostly
         identical objects; values are ``Any``, so nothing is hashed),
         and the walk over offers × keys judges one offer per distinct
-        state.  The walk starts from the folded single-key lead, if any,
-        under the same ``(sequence, sender)`` order: the result is the
-        max over the union of folded and stored offers.
+        state; an entry-less offer (an ack, or a replier folded into
+        the lead) is skipped.  The walk starts from the folded
+        single-key lead, if any, under the same ``(sequence, sender)``
+        order: the result is the max over the union of folded and
+        stored offers.
         """
         folded: list[tuple[Entry, ...]] = []
         senders: list[str] = []
         for sender, entries in self._offers.items():
+            if not entries:  # an ack, or a replier folded into the lead
+                continue
             try:
                 at = folded.index(entries)
             except ValueError:

@@ -213,6 +213,7 @@ class EventuallySyncRegisterNode(RegisterNode):
             self.pid, EsWrite(self.pid, value, sequence, key)  # line 04
         )
         yield WaitUntil(ack_phase.satisfied, label="write acks")  # line 05
+        ack_phase.settle()
         return OK
 
     def _adopt_join_replies(self) -> None:
@@ -247,6 +248,18 @@ class EventuallySyncRegisterNode(RegisterNode):
             self.pid, dest, new_reply(EsDlPrev, (self.pid, pending.request, key))
         )
 
+    def depart(self) -> None:
+        """Leave silently, releasing every round and pending set a
+        silent process can never use again (its register ``space``
+        stays readable; the join phase object stays, empty)."""
+        super().depart()
+        self._reads.clear()
+        self._acks.clear()
+        join = self._join_phase
+        join._offers.clear()
+        join._lead = None
+        self._reply_to = self._dl_prev = None
+
     # ------------------------------------------------------------------
     # Message handlers
     # ------------------------------------------------------------------
@@ -270,7 +283,14 @@ class EventuallySyncRegisterNode(RegisterNode):
         self._reply_to.add(pending)
 
     def on_esreply(self, sender: str, msg: EsReply) -> EsAck | None:
-        """Figure 4, lines 18-21."""
+        """Figure 4, lines 18-21.
+
+        Line 20 records the replier, ``()`` as an ack is, and folds a
+        single-key reply's ⟨v, sn⟩ into the round's running max by
+        ``(sequence, sender)`` (lines 05-06 as the replies land); a
+        batched reply's ``entries`` is stored whole.  A settled round
+        records nothing, but line 21 still answers.
+        """
         key = msg.key
         if key is None and len(self.space._keys) != 1:
             # A batched reply answers our join's inquiry (request 0).
@@ -278,11 +298,22 @@ class EventuallySyncRegisterNode(RegisterNode):
         else:
             # Reads number from 1, and a key never read has no phase:
             # request 0 is always the join's inquiry.
-            phase = self._reads.get(key) or self._join_phase
-            entries = ((key, msg.value, msg.sequence),)
+            phase, entries = self._reads.get(key) or self._join_phase, None
         if msg.read_sn != phase.request:  # line 19
             return None
-        phase._offers[msg.sender] = entries  # line 20
+        if phase.active:  # line 20
+            replier = msg.sender
+            if entries is not None:
+                phase._offers[replier] = entries
+            else:
+                phase._offers[replier] = ()
+                sequence, lead = msg.sequence, phase._lead
+                if (
+                    lead is None
+                    or sequence > lead[0]
+                    or (sequence == lead[0] and replier > lead[1])
+                ):
+                    phase._lead = (sequence, replier, msg.value, key)
         return new_reply(EsAck, (self.pid, msg.sequence, key))  # line 21
 
     def on_esdlprev(self, sender: str, msg: EsDlPrev) -> None:
@@ -306,13 +337,14 @@ class EventuallySyncRegisterNode(RegisterNode):
         return new_reply(EsAck, (self.pid, msg.sequence, msg.key))  # line 08
 
     def on_esack(self, sender: str, msg: EsAck) -> None:
-        """Figure 6, lines 09-10 (no write open on the key: no phase)."""
+        """Figure 6, lines 09-10 (no write open on the key: no phase;
+        a settled write records nothing)."""
         key, space = msg.key, self.space
         i = space._index.get(key)
         if i is None:  # a batched reply's ack: the default key
             key, i = space.resolve(key), 0
         phase = self._acks.get(key)
-        if phase is not None and msg.sequence == space[i][1]:
+        if phase is not None and phase.active and msg.sequence == space[i][1]:
             phase._offers[msg.sender] = ()
 
 

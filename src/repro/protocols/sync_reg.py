@@ -236,6 +236,13 @@ class SynchronousRegisterNode(RegisterNode):
         self._reply_version = space.version
         return reply
 
+    def depart(self) -> None:
+        """Leave silently, releasing what a silent process can never use
+        again: its join phase, its parked inquirers and its cached
+        REPLY (its register ``space`` stays readable)."""
+        super().depart()
+        self._join_phase = self._reply_to = self._reply_cache = None
+
     # ------------------------------------------------------------------
     # Message handlers (Figures 1 and 2) — the one body per payload
     # type: the network's fire sites dispatch here inline, its checked

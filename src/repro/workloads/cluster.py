@@ -110,7 +110,6 @@ class ClusterWorkloadDriver:
             return
         self._pending_writes[key] = handle
         self.stats.writes_issued += 1
-        self.stats.write_handles.append(handle)
         self._count_shard_op(self.cluster.shard_of(key), key)
 
     def _fire_read(self, op: ReadOp) -> None:
@@ -134,7 +133,6 @@ class ClusterWorkloadDriver:
         handle = node.read(key)
         shard.history.record_operation(handle)
         self.stats.reads_issued += 1
-        self.stats.read_handles.append(handle)
         self._count_shard_op(index, key)
 
     def _count_shard_op(self, shard: int, key: object) -> None:

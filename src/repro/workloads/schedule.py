@@ -30,7 +30,7 @@ the history.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import inf
 from operator import attrgetter
 from typing import Any, Callable, Sequence
@@ -177,24 +177,6 @@ class WorkloadStats:
     writes_issued: int = 0
     writes_skipped: int = 0  # previous write still pending
     writes_deferred: int = 0  # queued by a migration freeze (cluster only)
-    read_handles: list[OperationHandle] = field(default_factory=list)
-    write_handles: list[OperationHandle] = field(default_factory=list)
-
-    @property
-    def write_completion_rate(self) -> float:
-        """Fraction of issued writes that completed."""
-        if not self.write_handles:
-            return 1.0
-        done = sum(1 for h in self.write_handles if h.done)
-        return done / len(self.write_handles)
-
-    @property
-    def read_completion_rate(self) -> float:
-        """Fraction of issued reads that completed."""
-        if not self.read_handles:
-            return 1.0
-        done = sum(1 for h in self.read_handles if h.done)
-        return done / len(self.read_handles)
 
 
 class WorkloadDriver:
@@ -247,7 +229,6 @@ class WorkloadDriver:
         handle = system.write(op.value, pid=writer, key=op.key)
         self._pending_writes[key] = handle
         self.stats.writes_issued += 1
-        self.stats.write_handles.append(handle)
 
     def _fire_read(self, op: ReadOp) -> None:
         system = self.system
@@ -262,4 +243,3 @@ class WorkloadDriver:
         handle = node.read(op.key)
         system.history.record_operation(handle)
         stats.reads_issued += 1
-        stats.read_handles.append(handle)

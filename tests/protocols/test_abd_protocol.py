@@ -119,6 +119,40 @@ class TestAnswersFindTheirRound:
         assert phase.best_for(default) == ("v", 1)
 
 
+    def test_a_reply_after_settle_is_not_recorded_and_a_reoffer_keeps_the_max(self):
+        from repro.protocols.abd import AbdQueryReply
+
+        system = make_system(protocol="abd")
+        node = system.node(system.seed_pids[1])
+        key = node.space.resolve(None)
+        phase = node._queries.open(key, node.majority)
+        phase.request = 1
+        node.on_abdqueryreply("p0002", AbdQueryReply(1, "v", 3, key))
+        node.on_abdqueryreply("p0002", AbdQueryReply(1, "older", 1, key))
+        assert phase._offers == {"p0002": ()}  # counted once, no entry kept
+        assert phase.best_for(key) == ("v", 3)
+        # A tie on sn goes to the greater sender, in either arrival order.
+        node.on_abdqueryreply("p0005", AbdQueryReply(1, "tie", 3, key))
+        node.on_abdqueryreply("p0001", AbdQueryReply(1, "lost", 3, key))
+        assert phase.best_for(key) == ("tie", 3)
+        phase.settle()
+        node.on_abdqueryreply("p0003", AbdQueryReply(1, "newer", 9, key))
+        assert phase.senders() == ("p0002", "p0005", "p0001")
+        assert phase.best_for(key) == ("tie", 3)
+
+    def test_completed_rounds_counted_their_quorum_and_no_more(self, abd_system):
+        node = abd_system.node(abd_system.writer_pid)
+        write = abd_system.write("v1")
+        abd_system.run_for(4 * DELTA)
+        read = abd_system.read(node.pid)
+        abd_system.run_for(4 * DELTA)
+        assert write.done and read.done and read.result == "v1"
+        key = node.space.resolve(None)
+        for tracker in (node._writes, node._queries, node._writebacks):
+            phase = tracker[key]
+            assert not phase.active and phase.count == node.majority
+
+
 class TestNewcomers:
     def test_join_is_trivial_and_instant(self, abd_system):
         pid = abd_system.spawn_joiner()

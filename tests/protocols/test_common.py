@@ -209,19 +209,26 @@ def test_the_one_dict_tracker_matches_the_two_dict_model(steps):
     ``reading_keys()`` order as phases + counters behind accessors —
     where a handler's ``phase(key)`` is now ``get(key)``, which builds
     nothing for a key no round ever opened (the model's stray phase is
-    closed, empty and reset by the next ``open``: unobservable)."""
+    closed, empty and reset by the next ``open``: unobservable).  An
+    offer is what a quorum handler writes — the replier counted as an
+    ack is, its entry folded into the lead, and nothing recorded once
+    the round settled — so a round adopts the max over the offers made
+    while it was active."""
     tracker, model = PhaseTracker(), _TwoDictTracker(2)
     opened = set()
+    made = {}  # key -> (sequence, sender) of every offer made while active
     for step in steps:
         kind, key = step[0], step[1]
         if kind == "threshold":
             model.threshold = key
         elif kind == "open":
             opened.add(key)
+            made[key] = []
             assert tracker.open(key, model.threshold).active
             assert model.open(key).active
         elif kind == "next":  # the numbered round: next_request + open
             opened.add(key)
+            made[key] = []
             request = model.next_request(key)
             model.open(key)
             phase = tracker.open(key, model.threshold)
@@ -238,12 +245,21 @@ def test_the_one_dict_tracker_matches_the_two_dict_model(steps):
                 assert key not in opened
                 continue
             if kind == "offer":
-                entries = ((key, "v", step[3]),)
-                phase._offers[step[2]] = entries  # what a handler writes
-                reference.offer(step[2], entries)
+                _, _, sender, sequence = step
+                if phase.active:  # what a handler writes: count, fold
+                    phase._offers[sender] = ()
+                    lead = phase._lead
+                    if lead is None or (sequence, sender) > lead[:2]:
+                        phase._lead = (sequence, sender, f"{sender}@{sequence}", key)
+                if reference.active:
+                    reference.offer_ack(sender)
+                    made[key].append((sequence, sender))
             elif kind == "ack":
-                phase._offers[step[2]] = ()
-                reference.offer_ack(step[2])
+                sender = step[2]
+                if phase.active:
+                    phase._offers[sender] = ()
+                if reference.active:
+                    reference.offer_ack(sender)
             else:
                 phase.settle()
                 reference.settle()
@@ -255,7 +271,11 @@ def test_the_one_dict_tracker_matches_the_two_dict_model(steps):
             assert phase.threshold == reference.threshold
             assert phase.satisfied() == reference.satisfied()
             assert phase.active == reference.active
-            assert phase.best_for(key) == reference.best_for(key)
+            # The max over the offers made while active, tie-break
+            # included (the value names its sender).
+            best = max(made[key], default=None)
+            expected = None if best is None else (f"{best[1]}@{best[0]}", best[0])
+            assert phase.best_for(key) == expected
 
 
 class TestJoinResults:

@@ -99,6 +99,53 @@ class TestRead:
         assert phase.best_for(None) == ("fresh", 7)
 
 
+    def test_a_reply_after_settle_is_acked_but_not_recorded(self):
+        """Line 21 answers every reply that passes line 19; a round
+        that met its quorum and settled records none of them."""
+        system = make_es()
+        node = system.node(system.seed_pids[2])
+        peer, late = system.seed_pids[3], system.seed_pids[4]
+        phase = node._reads.open(None, node.majority)
+        phase.request = 1
+        ack = node.on_esreply(peer, EsReply(peer, "v", 3, read_sn=1))
+        assert ack == EsAck(node.pid, 3)
+        phase.settle()
+        ack = node.on_esreply(late, EsReply(late, "newer", 9, read_sn=1))
+        assert ack == EsAck(node.pid, 9)
+        assert phase.senders() == (peer,)
+        assert phase.best_for(None) == ("v", 3)
+
+    def test_a_reoffer_by_the_same_sender_keeps_the_max(self):
+        """``replies`` is a set of ⟨j, ⟨v, sn⟩⟩ pairs: line 05 takes the
+        max over all of them, and ``j`` is counted once."""
+        system = make_es()
+        node = system.node(system.seed_pids[2])
+        peer = system.seed_pids[3]
+        phase = node._reads.open(None, node.majority)
+        phase.request = 1
+        node.on_esreply(peer, EsReply(peer, "new", 5, read_sn=1))
+        node.on_esreply(peer, EsReply(peer, "old", 2, read_sn=1))
+        assert phase.count == 1
+        assert phase.best_for(None) == ("new", 5)
+        # The replier is counted; its entry lives on only in the max.
+        assert phase._offers == {peer: ()}
+        # A tie on sn goes to the greater sender, in either arrival order.
+        lesser, greater = system.seed_pids[0], system.seed_pids[9]
+        node.on_esreply(greater, EsReply(greater, "tie", 5, read_sn=1))
+        node.on_esreply(lesser, EsReply(lesser, "lost", 5, read_sn=1))
+        assert phase.count == 3
+        assert phase.best_for(None) == ("tie", 5)
+
+    def test_a_completed_read_counted_its_quorum_and_no_more(self):
+        system = make_es()
+        node = system.node(system.seed_pids[3])
+        handle = system.read(node.pid)
+        system.run_for(4 * DELTA)
+        assert handle.done
+        phase = node._reads[None]
+        assert not phase.active and phase.count == node.majority
+
+
 class TestWrite:
     def test_write_completes_with_majority_acks(self):
         system = make_es()
@@ -138,6 +185,19 @@ class TestWrite:
         assert phase.count == 0
         node.on_esack("a", EsAck("a", 4))
         assert phase.senders() == ("a",)
+
+    def test_a_completed_write_settles_its_ack_round(self):
+        """Figure 6 line 05's wait is the round's end: the ack phase
+        settles with the quorum, and a later ACK is not recorded."""
+        system = make_es()
+        node = system.node(system.writer_pid)
+        handle = system.write("v1")
+        system.run_for(6 * DELTA)
+        assert handle.done
+        phase = node._acks[None]
+        assert not phase.active and phase.count == node.majority
+        node.on_esack("p0099", EsAck("p0099", node.sequence_number))
+        assert phase.count == node.majority
 
     def test_stale_write_does_not_downgrade_but_still_acks(self):
         """Figure 6 lines 06-08: ACK is sent in all cases."""

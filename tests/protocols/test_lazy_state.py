@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.protocols.es_reg import EsDlPrev
 from repro.protocols.sync_reg import Reply
 from repro.sim.operations import WaitUntil
 from repro.sim.process import SimProcess
@@ -108,10 +109,11 @@ class TestDepartures:
         system.leave(joiner)
         assert handle.abandoned
         assert len(node._runners) == 0 and len(node._watchers) == 0
-        collected = node._join_phase._lead, node._join_phase.best_per_key()
+        # A departed node drops the rounds it can never use again.
+        released = (node._join_phase, node._reply_to, node._reply_cache)
+        assert released == (None, None, None)
         system.run_for(4 * DELTA)  # late replies drop at the presence gate
-        assert node._join_phase._lead is collected[0]
-        assert node._join_phase.best_per_key() == collected[1]
+        assert (node._join_phase, node._reply_to, node._reply_cache) == released
         assert not node.is_active and system.network.dropped_count > 0
 
     def test_an_es_joiner_waiting_on_its_quorum(self):
@@ -120,11 +122,44 @@ class TestDepartures:
         node = system.node(joiner)
         assert len(node._watchers) == 1  # the join's WaitUntil
         handle = node._runners[0].handle
+        system.run_for(0.6 * DELTA)  # some replies in, short of the quorum
+        phase = node._join_phase
+        assert 0 < phase.count < node.majority and phase._lead is not None
         system.leave(joiner)
         assert handle.abandoned
         assert len(node._runners) == 0 and len(node._watchers) == 0
+        # The join phase object stays (a DL_PREV names its request),
+        # emptied; the late replies drop at the presence gate.
+        assert node._join_phase is phase
+        assert (phase.count, phase._lead) == (0, None)
         system.run_for(4 * DELTA)
-        assert not node.is_active
+        assert not node.is_active and (phase.count, phase._lead) == (0, None)
+
+    @pytest.mark.parametrize(
+        "protocol, trackers",
+        [("es", ("_reads", "_acks")), ("abd", ("_queries", "_writebacks", "_writes"))],
+    )
+    def test_a_quorum_node_drops_its_rounds(self, protocol, trackers):
+        system = make_system(protocol=protocol, n=11, trace=False)
+        writer = system.writer_pid
+        node = system.node(writer)
+        write = system.write("v1")
+        system.run_for(6 * DELTA)
+        read = system.read(writer)
+        system.run_for(6 * DELTA)
+        assert write.done and read.done and read.result == "v1"
+        assert all(getattr(node, name) for name in trackers)  # settled rounds
+        if protocol == "es":
+            node._park(("p0099", 1, None))
+            node.on_esdlprev("p0098", EsDlPrev("p0098", 2))
+        system.leave(writer)
+        system.run_for(4 * DELTA)
+        assert all(len(getattr(node, name)) == 0 for name in trackers)
+        if protocol == "es":
+            assert node._reply_to is None and node._dl_prev is None
+            assert (node._join_phase.count, node._join_phase._lead) == (0, None)
+        # The register copy is not a round: it stays readable.
+        assert (node.register_value, node.sequence_number) == ("v1", 1)
 
 
 class TestWatchersAfterTheFirstFired:

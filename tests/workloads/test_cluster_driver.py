@@ -101,9 +101,9 @@ class TestDriverRouting:
         plan = [WriteOp(time=2.0, key=key) for key in cluster.keys[:4]]
         driver.install(plan)
         cluster.run_until(40.0)
-        stats = driver.stats
-        assert len(stats.write_handles) == stats.writes_issued == 4
-        assert stats.write_completion_rate == 1.0
+        writes = cluster.close().operations("write")
+        assert len(writes) == driver.stats.writes_issued == 4
+        assert all(handle.done for handle in writes)
 
 
 class TestNamedReaders:
@@ -150,9 +150,9 @@ class TestNamedReaders:
         cluster.run_until(20.0)
         stats = driver.stats
         assert stats.reads_issued == stats.reads_skipped == 1
-        (handle,) = stats.read_handles
+        (handle,) = cluster.close().operations("read")
         assert (handle.process_id, handle.shard, handle.key) == (reader, owner, key)
-        assert cluster.close().shard_history(owner).reads() == [handle]
+        assert cluster.history.shard_history(owner).reads() == [handle]
 
 
 class TestShardSkewPicker:
@@ -341,7 +341,8 @@ class TestFireTimeRoutingWithoutMigrations:
         assert stats.reads_skipped == stats.writes_skipped == 0
         assert stats.writes_deferred == 0
         assert driver.shard_op_counts() == split
-        for handle in stats.read_handles + stats.write_handles:
+        history = cluster.close()
+        for handle in history.operations("read") + history.operations("write"):
             assert handle.shard == owner[cluster.resolve_key(handle.key)]
         assert cluster.check_safety().is_safe
 
@@ -368,9 +369,10 @@ class TestDriverFollowsFlips:
         record = cluster.schedule_migration(key, dest, at=20.0)
         cluster.run_until(120.0)
         assert record.committed
-        stats = driver.stats
+        history = cluster.close()
         handles = sorted(
-            stats.read_handles + stats.write_handles, key=lambda h: h.invoke_time
+            history.operations("read") + history.operations("write"),
+            key=lambda h: h.invoke_time,
         )
         assert [h.shard for h in handles] == [source, source, dest, dest]
         counts = driver.shard_op_counts()

@@ -27,7 +27,7 @@ class TestWriteSerialization:
         system.run_until(60.0)
         assert driver.stats.writes_issued == 3
         assert driver.stats.writes_skipped == 0
-        assert driver.stats.write_completion_rate == 1.0
+        assert all(handle.done for handle in system.history.writes())
 
     def test_departed_writer_skips(self):
         system = make_system()
@@ -47,7 +47,7 @@ class TestReaderSelection:
         driver.install([ReadOp(time=float(t)) for t in range(1, 11)])
         system.run_until(20.0)
         assert driver.stats.reads_issued == 10
-        for handle in driver.stats.read_handles:
+        for handle in system.history.reads():
             assert handle.done
 
     def test_explicit_reader_honoured(self):
@@ -56,7 +56,7 @@ class TestReaderSelection:
         driver = WorkloadDriver(system)
         driver.install([ReadOp(time=1.0, reader=target)])
         system.run_until(5.0)
-        assert driver.stats.read_handles[0].process_id == target
+        assert system.history.reads()[0].process_id == target
 
     def test_no_active_processes_skips(self):
         system = make_system(n=2)
@@ -72,7 +72,7 @@ class TestReaderSelection:
         driver = WorkloadDriver(system, exclude_writer=True)
         driver.install([ReadOp(time=float(t)) for t in range(1, 21)])
         system.run_until(30.0)
-        readers = {h.process_id for h in driver.stats.read_handles}
+        readers = {h.process_id for h in system.history.reads()}
         assert system.writer_pid not in readers
 
     def test_joining_reader_is_skipped(self):
@@ -197,22 +197,26 @@ class TestInstallRules:
         system.run_until(5.0)
         assert [
             (handle.invoke_time, handle.process_id)
-            for handle in driver.stats.read_handles
+            for handle in system.history.reads()
         ] == [(1.0, readers[1]), (3.0, readers[0]), (3.0, readers[2])]
 
 
-class TestStatsProperties:
-    def test_completion_rates_default_to_one(self):
+class TestStatsAreCounts:
+    """The driver counts what it issued; the handles are the history's."""
+
+    def test_stats_hold_counts_only(self):
         from repro.workloads.schedule import WorkloadStats
 
         stats = WorkloadStats()
-        assert stats.read_completion_rate == 1.0
-        assert stats.write_completion_rate == 1.0
+        assert all(value == 0 for value in vars(stats).values())
 
-    def test_completion_rates_count_done_handles(self):
+    def test_issued_operations_are_the_historys(self):
         system = make_system()
         driver = WorkloadDriver(system)
         driver.install([WriteOp(time=1.0), ReadOp(time=2.0)])
         system.run_until(20.0)
-        assert driver.stats.write_completion_rate == 1.0
-        assert driver.stats.read_completion_rate == 1.0
+        writes, reads = system.history.writes(), system.history.reads()
+        assert (len(writes), len(reads)) == (
+            driver.stats.writes_issued, driver.stats.reads_issued
+        ) == (1, 1)
+        assert all(handle.done for handle in writes + reads)
