@@ -62,6 +62,13 @@ Cell = tuple[Any, int]
 #: the first real sequence number (0) passes the adoption guard.
 _UNSET: Cell = (BOTTOM, -1)
 
+#: The cell the last install or adoption put in place: back-to-back
+#: adoptions of its ⟨value, sn⟩ — every recipient of a WRITE, the
+#: joiners adopting it — install this same tuple, so a population that
+#: adopted a write shares one cell with its writer, the way the seeds
+#: share their initial one.
+_last_cell: Cell = _UNSET
+
 #: The key of the classic single-register system.  ``None`` (rather
 #: than a named key) keeps every single-register code path — message
 #: payloads, operation records, digests — literally unchanged from the
@@ -125,7 +132,8 @@ class RegisterSpace(list):
 
     ``cell`` is what every key starts from: ⟨⊥, −1⟩ for a joiner, the
     initial ⟨value, 0⟩ for a seed (footnote 3) — one tuple the whole
-    population shares.
+    population shares; :meth:`adopt` keeps the sharing, installing one
+    tuple for a run of adoptions of the same ⟨value, sn⟩.
     """
 
     __slots__ = ("_keys", "_index", "version")
@@ -192,9 +200,10 @@ class RegisterSpace(list):
 
     def install(self, key: Any, value: Any, sequence: int) -> None:
         """Unconditionally set ``key``'s local copy."""
+        global _last_cell
         position = self._position(key)
         self.version += 1
-        self[position] = (value, sequence)
+        self[position] = _last_cell = (value, sequence)
 
     def adopt(self, key: Any, value: Any, sequence: int) -> bool:
         """The paper's adoption rule: install iff strictly newer.
@@ -209,8 +218,11 @@ class RegisterSpace(list):
         becomes its own copy (the shared one is never written).  The
         ``None`` sentinel still resolves to the default key
         (single-register payloads are key-less), so non-migrating
-        systems are untouched.
+        systems are untouched.  The installed cell is the last
+        install's or adoption's when it holds the same ``value`` object
+        and ``sequence`` (see ``_last_cell``).
         """
+        global _last_cell
         self.version += 1
         if key is None:
             position = 0
@@ -222,7 +234,10 @@ class RegisterSpace(list):
                 self._index = {**self._index, key: position}
                 self.append(_UNSET)
         if sequence > self[position][1]:
-            self[position] = (value, sequence)
+            cell = _last_cell
+            if cell[0] is not value or cell[1] != sequence:
+                cell = _last_cell = (value, sequence)
+            self[position] = cell
             return True
         return False
 

@@ -33,11 +33,20 @@ message, no free list — fired through one of two slab items:
   ``item`` being the network's one :class:`_Delivery`: every
   point-to-point send (all protocol, baseline and migration traffic;
   ``broadcast_id`` is ``None``), the per-recipient pushes of a fan-out
-  that can tie instants or that passes the fault gate, and the
-  broadcast service's entrant offers (:meth:`Network.deliver_scheduled`).
-  The popped tuple dies by refcount: nothing is retained once it lands;
+  that can tie instants or that passes the fault gate (in recipient
+  order, with consecutive sequence numbers), and the broadcast
+  service's entrant offers (:meth:`Network.deliver_scheduled`);
 * a fault-free broadcast under a continuous delay model pushes ONE
-  self-re-arming :class:`_FanoutSweep` walking its sorted arrivals.
+  self-re-arming :class:`_FanoutSweep` walking its sorted arrival
+  vector — an ``array('d')`` of instants beside the recipient list,
+  16 B per arrival in flight — one queue slot per in-flight broadcast,
+  not n.
+
+These two are the only :class:`~repro.sim.events.SlabEntry` kinds in
+``repro.net``, and nothing is pooled: no per-recipient envelope,
+``Event``, label string or entry object exists on the delivery path,
+and a popped tuple or a finished sweep dies by refcount — nothing is
+retained once a message lands.
 
 A send is a reply or a round
 ----------------------------
@@ -91,6 +100,8 @@ byte-for-byte (the golden store's ``digest/``, ``kernel/`` and
 
 from __future__ import annotations
 
+from array import array
+from functools import partial
 from typing import TYPE_CHECKING, Any, Sequence
 
 from ..faults.injector import REASON_DEPARTED, REASON_LOSS
@@ -179,9 +190,11 @@ class _FanoutSweep(SlabEntry):
     the sweep sits in the queue at the next arrival's instant, delivers
     that one recipient when it fires, and re-pushes itself at the
     following instant — one queue slot per in-flight broadcast, not one
-    per in-flight delivery, and one slot in each of two lists per
-    recipient instead of a tuple.  Built per broadcast (a few hundred a
-    run: no free list), dropped with its last arrival.
+    per in-flight delivery.  A pending arrival costs 16 B and no object:
+    its instant, 8 B in the ``array('d')`` ``times``, and its recipient's
+    slot in the list ``dests`` (the pid strings are the membership's).
+    Built per broadcast (a few hundred a run: no free list), dropped
+    with its last arrival.
 
     Ordering: arrivals are sorted by ``(instant, recipient index)``, so
     same-instant recipients deliver in recipient order, exactly like
@@ -204,8 +217,8 @@ class _FanoutSweep(SlabEntry):
         sender: str,
         payload: Any,
         broadcast_id: int,
-        times: Sequence[Time],
-        dests: Sequence[str],
+        times: array,
+        dests: list[str],
     ) -> None:
         self.network = network
         self.sender = sender
@@ -529,20 +542,22 @@ class Network:
             # recipient order: ``sample_broadcast_many``'s stream
             # exactly, ``now + (lo + span * r)`` keeping the delay one
             # float so the sum rounds like ``now + delay``, positive by
-            # construction.  A stable sort of the indices keyed on the
-            # instants *is* the ``(instant, recipient index)`` order,
-            # with no pair built per recipient; both vectors are then
-            # gathered through it — one sort a broadcast.
+            # construction.  A stable sort of the recipients keyed on
+            # their instants *is* the ``(instant, recipient index)``
+            # order, with no pair and no index built per recipient.
             lo, span = params
             rng_random = rng.random
             times = [now + (lo + span * rng_random()) for _ in range(count)]
             if not (times[-1] < _INF):
                 engine._reject_instant(times[-1])
-            order = sorted(range(count), key=times.__getitem__)
-            times = list(map(times.__getitem__, order))
+            # The key function walks ``times`` in step with ``dests``
+            # (``sorted`` computes its keys in list order), so the
+            # recipients come out stably sorted on their instants; the
+            # instants then sort alone — ties are equal floats.
+            ordered = sorted(dests, key=partial(next, iter(times)))
+            times.sort()
             sweep = _FanoutSweep(
-                self, sender, payload, broadcast_id,
-                times, list(map(dests.__getitem__, order)),
+                self, sender, payload, broadcast_id, array("d", times), ordered
             )
             push((times[0], _DELIVERY, engine._sequence, sweep))
             engine._sequence += 1

@@ -76,7 +76,7 @@ from __future__ import annotations
 
 from typing import Any, NamedTuple
 
-from ..core.register import BOTTOM, Cell, NodeContext, RegisterNode
+from ..core.register import BOTTOM, Cell, NodeContext, RegisterNode, RegisterSpace
 from ..sim.errors import ProcessError
 from ..sim.operations import OperationBody, Wait
 from ..sim.process import ProcessMode
@@ -97,12 +97,15 @@ class Inquiry(NamedTuple):
 class Reply(NamedTuple):
     """REPLY(i, ⟨register, sn⟩): an active process answers an inquiry.
 
-    ``entries`` is ``None`` on a single-register system (the classic
-    payload); a multi-key system batches every key's
-    ``(key, value, sequence)`` triple into the one reply.
+    ``i``, the replier, is the delivery's sender — the ``sender`` every
+    handler receives — so the payload does not repeat it, and every
+    single-key node holding the same ⟨value, sn⟩ answers with one
+    shared payload (see :func:`_reply_of`).  ``entries`` is ``None`` on
+    a single-register system (the classic payload); a multi-key system
+    batches every key's ``(key, value, sequence)`` triple into the one
+    reply.
     """
 
-    sender: str
     value: Any
     sequence: int
     entries: tuple[tuple[Any, Any, int], ...] | None = None
@@ -114,6 +117,27 @@ class WriteMsg(NamedTuple):
     value: Any
     sequence: int
     key: Any = None
+
+
+#: The last single-key REPLY built.
+_last_reply = Reply(BOTTOM, -1)
+
+
+def _reply_of(space: RegisterSpace) -> Reply:
+    """The REPLY ``space`` answers with.  A single-key space holding the
+    last single-key REPLY's ⟨value, sn⟩ — the same value object, the
+    same sn — answers with that very payload: the seeds share one
+    initial cell and a write's adopters one adopted cell
+    (``RegisterSpace.adopt``), so a population answers a join's n
+    inquiries with a handful of payloads, not one per replier."""
+    global _last_reply
+    if len(space) != 1:
+        return new_reply(Reply, space.reply_parts())
+    value, sequence = space[0]
+    reply = _last_reply
+    if reply[0] is not value or reply[1] != sequence:
+        reply = _last_reply = new_reply(Reply, (value, sequence, None))
+    return reply
 
 
 class SynchronousRegisterNode(RegisterNode):
@@ -226,13 +250,10 @@ class SynchronousRegisterNode(RegisterNode):
         )
 
     def _fresh_reply(self) -> Reply:
-        """Build REPLY(i, ⟨register, sn⟩) and cache it against the
-        space's version (see ``__init__``)."""
+        """REPLY(i, ⟨register, sn⟩), cached against the space's version
+        (see ``__init__``)."""
         space = self.space
-        value, sequence, entries = space.reply_parts()
-        reply = self._reply_cache = new_reply(
-            Reply, (self.pid, value, sequence, entries)
-        )
+        reply = self._reply_cache = _reply_of(space)
         self._reply_version = space.version
         return reply
 
@@ -276,20 +297,20 @@ class SynchronousRegisterNode(RegisterNode):
         a multi-key reply's ``entries`` is already a tuple, so storing
         it directly is what ``offer()`` would store.
         """
-        replier, value, sequence, entries = msg
+        value, sequence, entries = msg
         phase = self._join_phase
         if phase is None:  # a reply to a node that never inquired, or late
             phase = self._phase()
         if entries is not None:
-            phase._offers[replier] = entries
+            phase._offers[sender] = entries
             return
         lead = phase._lead
         if (
             lead is None
             or sequence > lead[0]
-            or (sequence == lead[0] and replier > lead[1])
+            or (sequence == lead[0] and sender > lead[1])
         ):
-            phase._lead = (sequence, replier, value, self.space._keys[0])
+            phase._lead = (sequence, sender, value, self.space._keys[0])
 
     def on_writemsg(self, sender: str, msg: WriteMsg) -> None:
         """Lines 03-04 of Figure 2."""

@@ -13,9 +13,11 @@ The engine is intentionally tiny and fully deterministic:
   (cancellable timers) or a never-cancelled
   :class:`~repro.sim.events.SlabEntry`, which is fired *with its
   entry*: whatever a push appends after the item is that push's own
-  data, so a message delivery is its queue tuple and nothing else,
-  and a whole series of timed callbacks (:meth:`schedule_series`: an
-  installed workload plan) is one entry that re-pushes itself;
+  data, so one long-lived item serves any number of pushes — a
+  message delivery is its queue tuple and nothing else (the network's
+  two items, ``net/network.py``) — and a whole series of timed
+  callbacks (:meth:`schedule_series`: an installed workload plan) is
+  one entry that re-pushes itself;
 * the queue is an array-backed *calendar*: instants quantize into
   buckets one tick wide, each bucket a flat append-only list sorted
   lazily (one C call) when the clock reaches its epoch.  A push is a
@@ -64,7 +66,7 @@ import gc
 from contextlib import contextmanager
 from heapq import heapify, heappop, heappush
 from math import isfinite
-from typing import Any, Callable, Iterable, Iterator, Sequence, Union
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .clock import Time
 from .errors import ClockError, SchedulerError
@@ -72,11 +74,10 @@ from .events import Event, Priority, SlabEntry
 
 _INF = float("inf")
 
-#: What a queue entry's item slot may hold.
-QueueItem = Union[Event, SlabEntry]
 #: ``(time, priority, sequence, item, *fields)`` — at least four fields;
 #: the rest is the push's own data, read only by the slab item's
-#: ``fire(entry)``.
+#: ``fire(entry)``.  The item is an :class:`Event` or a
+#: :class:`SlabEntry`.
 QueueEntry = tuple[Any, ...]
 
 
@@ -186,13 +187,6 @@ class EventScheduler:
         entry, _ = self._front()
         return entry[0] if entry is not None else None
 
-    def iter_pending(self) -> Iterator[QueueItem]:
-        """Yield live pending items in firing order (for diagnostics).
-
-        Slab entries appear as themselves — one item per queue slot,
-        not one per logical delivery."""
-        return (entry[3] for entry in self._pending_entries())
-
     def _pending_entries(self) -> list[QueueEntry]:
         """The live queue entries, whole, in firing order."""
         entries = list(self._overflow)
@@ -201,9 +195,6 @@ class EventScheduler:
             entries.extend(bucket)
         entries.sort()
         return [entry for entry in entries if not entry[3].cancelled]
-
-    def __len__(self) -> int:
-        return self.pending_count
 
     # ------------------------------------------------------------------
     # Scheduling

@@ -52,6 +52,27 @@ class TestRegisterSpace:
         assert space.snapshot("k0") == ("v1", 3)
         assert space.snapshot("k1") == (BOTTOM, -1)  # isolated per key
 
+    def test_back_to_back_adoptions_of_one_cell_share_it(self):
+        value = object()
+        first, second, writer = (RegisterSpace(key_names(2)) for _ in range(3))
+        writer.install("k0", value, 4)
+        assert first.adopt("k0", value, 4) and second.adopt("k0", value, 4)
+        assert first[0] is second[0] is writer[0]
+        assert first.adopt("k1", value, 4)
+        assert first[1] is first[0]  # the same ⟨value, sn⟩ on another key
+
+    def test_an_adoption_shares_no_cell_whose_value_or_sn_differs(self):
+        first, second = RegisterSpace(key_names(2)), RegisterSpace(key_names(2))
+        assert first.adopt("k0", "a", 3)
+        # Same sn, another value; an equal but distinct value; same value,
+        # another sn: each is a cell of its own.
+        assert second.adopt("k0", "b", 3)
+        assert second.snapshot("k0") == ("b", 3)
+        assert first.adopt("k1", 1, 5) and second.adopt("k1", 1.0, 5)
+        assert type(second.value("k1")) is float
+        assert second.adopt("k0", "b", 4) and second.snapshot("k0") == ("b", 4)
+        assert first.snapshot("k0") == ("a", 3)
+
     def test_bump_is_per_key(self):
         space = RegisterSpace(key_names(2))
         assert space.bump("k0") == 0

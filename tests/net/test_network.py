@@ -372,9 +372,10 @@ class TestPairFreeFanoutOrder:
         assert entry[0] == pairs[0][0]
 
     def test_one_gather_is_the_two_sort_result_on_crafted_ties(self):
-        """The arrivals are argsorted once and both vectors gathered
-        through that order; the instants used to be sorted a second
-        time.  Runs of exact ties, at the front, inside and at the back."""
+        """The recipients are sorted once on their instants and the
+        instants sorted alone; the result is the argsort of the
+        instants gathered through both vectors.  Runs of exact ties, at
+        the front, inside and at the back."""
         draws = [0.5, 0.0, 0.5, 0.999, 0.0, 0.25, 0.999, 0.5, 0.0, 0.999]
         now = 3.5
         engine = EventScheduler(start=now)
@@ -389,6 +390,6 @@ class TestPairFreeFanoutOrder:
         times = [now + (lo + span * r) for r in draws]
         order = sorted(range(len(times)), key=times.__getitem__)
         times.sort()
-        assert sweep.times == times
+        assert list(sweep.times) == times
         assert sweep.dests == [dests[i] for i in order]
         assert order[:3] == [1, 4, 8] and order[-3:] == [3, 6, 9]  # ties by index

@@ -268,7 +268,7 @@ class TestJoinFoldIsTheBatchFold:
             elif kind == "single":
                 sender, sequence = next(senders), arrival[1]
                 value = f"{sender}@{sequence}"
-                node.on_reply(sender, Reply(sender, value, sequence))
+                node.on_reply(sender, Reply(value, sequence))
                 oracle.offer(sender, [(node.space.keys[0], value, sequence)])
             else:
                 sender = next(senders)
@@ -276,7 +276,7 @@ class TestJoinFoldIsTheBatchFold:
                     (key, f"{sender}:{key}@{sequence}", sequence)
                     for key, sequence in arrival[1]
                 )
-                node.on_reply(sender, Reply(sender, "-", -1, entries))
+                node.on_reply(sender, Reply("-", -1, entries))
                 oracle.offer(sender, entries)
                 batched.add(sender)
         phase = node._join_phase

@@ -30,7 +30,7 @@ class TestAReplyNobodyAskedFor:
         sender, target = system.seed_pids[1], system.seed_pids[2]
         node = system.node(target)
         assert node._join_phase is None  # a seed never inquired
-        system.network.send_payload(sender, target, Reply(sender, "stale", 7))
+        system.network.send_payload(sender, target, Reply("stale", 7))
         system.run_for(2 * DELTA)
         assert system.network.delivered_count == 1
         # Line 17 folds a single-key reply into the phase's running max:
@@ -45,7 +45,7 @@ class TestAReplyNobodyAskedFor:
         system = make_system(trace=trace)
         sender = system.seed_pids[1]
         for target in system.seed_pids[2:]:
-            system.network.send_payload(sender, target, Reply(sender, "stale", 7))
+            system.network.send_payload(sender, target, Reply("stale", 7))
         system.run_for(2 * DELTA)
         joiner = system.spawn_joiner()
         system.run_for(3 * DELTA + 0.1)

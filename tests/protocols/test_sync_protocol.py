@@ -251,14 +251,14 @@ class TestLine17FoldsTheReplies:
 
     def test_a_higher_sn_replaces_the_lead(self):
         node = self.collecting()
-        node.on_reply("p2", Reply("p2", "old", 1))
-        node.on_reply("p1", Reply("p1", "new", 2))
+        node.on_reply("p2", Reply("old", 1))
+        node.on_reply("p1", Reply("new", 2))
         assert node._join_phase.best_per_key() == {None: ("new", 2)}
 
     def test_a_lower_sn_leaves_the_lead(self):
         node = self.collecting()
-        node.on_reply("p1", Reply("p1", "new", 2))
-        node.on_reply("p2", Reply("p2", "old", 1))
+        node.on_reply("p1", Reply("new", 2))
+        node.on_reply("p2", Reply("old", 1))
         assert node._join_phase.best_per_key() == {None: ("new", 2)}
 
     @pytest.mark.parametrize(
@@ -267,14 +267,14 @@ class TestLine17FoldsTheReplies:
     def test_an_sn_tie_goes_to_the_greater_sender(self, order):
         node = self.collecting()
         for sender in order:
-            node.on_reply(sender, Reply(sender, f"from-{sender}", 3))
+            node.on_reply(sender, Reply(f"from-{sender}", 3))
         assert node._join_phase.best_per_key() == {None: ("from-p2", 3)}
         assert node._join_phase._lead[1] == "p2"
 
     def test_a_single_key_reply_keeps_no_offer(self):
         node = self.collecting()
         for i in range(5):
-            node.on_reply(f"p{i}", Reply(f"p{i}", "v", i))
+            node.on_reply(f"p{i}", Reply("v", i))
         phase = node._join_phase
         assert phase.count == 0 and phase.senders() == ()
         assert phase.best_per_key() == {None: ("v", 4)}
@@ -282,7 +282,7 @@ class TestLine17FoldsTheReplies:
     def test_a_batched_reply_is_stored_as_the_repliers_tuple(self):
         node = self.collecting(keys=3)
         entries = (("k0", "a", 1), ("k1", "b", 2), ("k2", "c", 3))
-        node.on_reply("p1", Reply("p1", "-", -1, entries))
+        node.on_reply("p1", Reply("-", -1, entries))
         assert node._join_phase.senders() == ("p1",)
         assert node._join_phase._offers["p1"] is entries
         assert node._join_phase._lead is None
@@ -296,23 +296,23 @@ class TestLine17FoldsTheReplies:
         self, batched, winner
     ):
         node = self.collecting(keys=3)
-        node.on_reply("p2", Reply("p2", "single", 5))  # folds under "k0"
+        node.on_reply("p2", Reply("single", 5))  # folds under "k0"
         entries = (("k0", "batched", 5), ("k1", "b", 0))
-        node.on_reply(batched, Reply(batched, "-", -1, entries))
+        node.on_reply(batched, Reply("-", -1, entries))
         assert node._join_phase.best_per_key()["k0"] == (winner, 5)
 
     def test_a_batch_with_a_higher_sn_beats_the_lead(self):
         node = self.collecting(keys=3)
-        node.on_reply("p9", Reply("p9", "single", 5))
-        node.on_reply("p1", Reply("p1", "-", -1, (("k0", "batched", 6),)))
+        node.on_reply("p9", Reply("single", 5))
+        node.on_reply("p1", Reply("-", -1, (("k0", "batched", 6),)))
         assert node._join_phase.best_per_key() == {"k0": ("batched", 6)}
 
     def test_a_batch_naming_other_keys_leaves_the_lead_its_key(self):
         """Mixed offers: a 1-key replier's reply folds under the
         joiner's first key, a batch supplies the rest."""
         node = self.collecting(keys=3)
-        node.on_reply("p1", Reply("p1", "single", 2))
-        node.on_reply("p2", Reply("p2", "-", -1, (("k1", "b", 1), ("k2", "c", 0))))
+        node.on_reply("p1", Reply("single", 2))
+        node.on_reply("p2", Reply("-", -1, (("k1", "b", 1), ("k2", "c", 0))))
         assert node._join_phase.best_per_key() == {
             "k0": ("single", 2),
             "k1": ("b", 1),
@@ -321,18 +321,18 @@ class TestLine17FoldsTheReplies:
 
     def test_line_04_drops_the_lead(self):
         node = self.collecting()
-        node.on_reply("p1", Reply("p1", "before", 9))
+        node.on_reply("p1", Reply("before", 9))
         node._phase().open()
         assert node._join_phase._lead is None
         assert node._join_phase.best_per_key() == {}
-        node.on_reply("p2", Reply("p2", "after", 1))
+        node.on_reply("p2", Reply("after", 1))
         assert node._join_phase.best_per_key() == {None: ("after", 1)}
 
     def test_a_stray_reply_starts_a_closed_phase(self):
         system = make_system(n=3, trace=False)
         node = system.node(system.seed_pids[1])
         assert node._join_phase is None
-        node.on_reply("p1", Reply("p1", "stray", 4))
+        node.on_reply("p1", Reply("stray", 4))
         assert not node._join_phase.active
         assert node._join_phase.best_per_key() == {None: ("stray", 4)}
 
@@ -379,7 +379,7 @@ class TestTheJoinAdoptsTheFold:
         node = sync_system.node(pid)
         assert node._join_phase is None
         sender = sync_system.seed_pids[1]
-        sync_system.network.send_payload(sender, pid, Reply(sender, "late", 9))
+        sync_system.network.send_payload(sender, pid, Reply("late", 9))
         sync_system.run_for(2 * DELTA)
         assert node._join_phase.best_per_key() == {None: ("late", 9)}
         assert (node.register_value, node.sequence_number) == ("v0", 0)
@@ -390,5 +390,20 @@ class TestTheJoinAdoptsTheFold:
         node = sync_system.node(pid)
         assert node._reply_to is None
         reply = node.on_inquiry("p-other", Inquiry("p-other"))
-        assert reply == Reply(pid, "v0", 0)
+        assert reply == Reply("v0", 0)
         assert node._reply_to is None
+
+    def test_seeds_share_a_reply_only_for_the_same_value_and_sn(self, sync_system):
+        first, second, third, fourth = (
+            sync_system.node(pid) for pid in sync_system.seed_pids[:4]
+        )
+        first.space.adopt(None, "a", 2)
+        second.space.adopt(None, "b", 2)  # the same sn, another value
+        third.space.adopt(None, "b", 3)  # the same value, another sn
+        inquiry = Inquiry("p-other")
+        replies = [
+            node.on_inquiry(inquiry.sender, inquiry)
+            for node in (first, second, third, fourth)
+        ]
+        assert replies == [Reply("a", 2), Reply("b", 2), Reply("b", 3), Reply("v0", 0)]
+        assert fourth.on_inquiry(inquiry.sender, inquiry) is replies[3]

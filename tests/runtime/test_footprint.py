@@ -49,6 +49,12 @@ activation.  One tracemalloc ratchet and one exact frame count.  A
 completed ES or ABD read likewise keeps a dict slot per replier its
 quorum counted and the running max, nothing per reply: one more
 tracemalloc ratchet.
+
+And a large-n broadcast costs what differs per recipient: an in-flight
+fault-free fan-out holds an 8 B instant and an 8 B recipient slot per
+pending arrival, the seeds a WRITE lands on end up holding one shared
+cell (no cell per adopter), and single-key seeds answer an inquiry
+with one shared REPLY (no payload per replier).  Three more ratchets.
 CI runs this file as its own step ("per-process, per-message and
 per-operation footprint"), and the two exact-count ratchets again under
 the steps named after what they hold.
@@ -71,7 +77,7 @@ from repro.faults import FaultPlan, LossFault
 from repro.faults.injector import FaultInjector
 from repro.net.network import Network
 from repro.protocols.es_reg import EsAck, EsRead, EsReply
-from repro.protocols.sync_reg import Reply
+from repro.protocols.sync_reg import Inquiry, Reply, WriteMsg
 from repro.runtime.config import SystemConfig
 from repro.runtime.system import DynamicSystem
 from repro.workloads.schedule import ReadOp, WorkloadDriver, WriteOp
@@ -197,7 +203,7 @@ def test_a_message_costs_its_queue_tuple_and_leaves_nothing_behind():
     system = DynamicSystem(SystemConfig(n=20, trace=False))
     send = system.network.send_payload
     sender, dest = system.seed_pids[:2]
-    reply = Reply(sender, "v", 0)  # one shared payload: not the message's cost
+    reply = Reply("v", 0)  # one shared payload: not the message's cost
     send(sender, dest, reply)
     system.run_for(2 * system.config.delta)  # warm: dispatch cache, join phase
     gc.collect()
@@ -575,7 +581,7 @@ def test_a_single_key_reply_enters_no_core_frame():
     system = DynamicSystem(SystemConfig(n=20, trace=False))
     sender, collecting, fresh = system.seed_pids[:3]
     send = system.network.send_payload
-    reply = Reply(sender, "v", 0)
+    reply = Reply("v", 0)
     send(sender, collecting, reply)
     system.run_for(2 * system.config.delta)  # warm: dispatch cache, the phase
     delivered = system.network.delivered_count
@@ -588,3 +594,115 @@ def test_a_single_key_reply_enters_no_core_frame():
     frames, _ = frames_entered(deliver, Network.send_payload, repro.core)
     assert system.network.delivered_count == delivered + 2
     assert frames == 0, f"{frames} repro.core frames for two REPLY deliveries"
+
+
+def _traced_outside_tracemalloc(before, count):
+    """:func:`traced` without the snapshots' own allocations — a
+    kilobyte that, at a few bytes per item, the budgets below would
+    feel."""
+    drop = [tracemalloc.Filter(False, tracemalloc.__file__)]
+    stats = (
+        tracemalloc.take_snapshot()
+        .filter_traces(drop)
+        .compare_to(before.filter_traces(drop), "filename")
+    )
+    return (
+        sum(stat.size_diff for stat in stats) / count,
+        sum(stat.count_diff for stat in stats) / count,
+    )
+
+
+#: Bytes and blocks an in-flight fault-free fan-out holds per pending
+#: arrival, at n = 2000.  Measured here (3.11): 16.3 / 0.008 — the
+#: arrival's 8 B instant in the sweep's ``array('d')`` and its 8 B slot
+#: in the sweep's recipient list; with a float object per instant in a
+#: list, 39.1 / 0.96.
+FANOUT_BUDGET = (17, 0.01)
+
+
+@pytest.mark.skipif(
+    sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
+    reason="the byte budget is CPython 3.11's object layout",
+)
+def test_an_in_flight_fanout_costs_16_bytes_per_arrival():
+    system = DynamicSystem(SystemConfig(n=N, trace=False))
+    sender = system.seed_pids[0]
+    payload = WriteMsg("v", 0)  # sn 0: its deliveries adopt nothing
+    gc.collect()
+    tracemalloc.start()
+    try:
+        # Warm, and drained, under the tracer: dispatch caches, the
+        # calendar's buckets, and CPython's float free list holding
+        # traced floats, which the measured fan-out's floats replace
+        # one for one.
+        system.broadcast.broadcast(sender, payload)
+        system.run_for(2 * system.config.delta)
+        slots = system.engine._occupied_slots()
+        pending = system.engine.pending_count
+        before = tracemalloc.take_snapshot()
+        system.broadcast.broadcast(sender, payload)
+        size, blocks = _traced_outside_tracemalloc(before, N)
+    finally:
+        tracemalloc.stop()
+    assert system.engine.pending_count == pending + N
+    assert system.engine._occupied_slots() == slots + 1  # one sweep
+    max_bytes, max_blocks = FANOUT_BUDGET
+    assert size <= max_bytes, f"{size:.2f} B per arrival in flight"
+    assert blocks <= max_blocks, f"{blocks:.4f} blocks per arrival in flight"
+
+
+#: Bytes and blocks a WRITE landing on n = 2000 seeds leaves behind per
+#: seed.  Measured here (3.11): 1.7 / 0.03 — the write's handle and
+#: history record spread over the seeds, nothing per seed; with a cell
+#: tuple built per adopter, 57.7 / 1.03.
+ADOPTED_BUDGET = (4, 0.05)
+
+
+@pytest.mark.skipif(
+    sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
+    reason="the byte budget is CPython 3.11's object layout",
+)
+def test_the_seeds_a_write_lands_on_share_one_cell():
+    warm = DynamicSystem(SystemConfig(n=20, trace=False))
+    warm.write()  # dispatch caches, the write's code paths
+    warm.run_for(2 * warm.config.delta)
+    system = DynamicSystem(SystemConfig(n=N, trace=False))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot()
+        write = system.write()
+        system.run_for(2 * system.config.delta)
+        gc.collect()
+        size, blocks = _traced_outside_tracemalloc(before, N)
+    finally:
+        tracemalloc.stop()
+    assert write.done
+    nodes = [system.node(pid) for pid in system.seed_pids]
+    cell = nodes[0].space[0]
+    assert cell == (write.argument, 1)
+    # The writer's installed cell included: one object for every seed.
+    assert all(node.space[0] is cell for node in nodes)
+    max_bytes, max_blocks = ADOPTED_BUDGET
+    assert size <= max_bytes, f"{size:.2f} B retained per adopting seed"
+    assert blocks <= max_blocks, f"{blocks:.4f} blocks retained per adopting seed"
+
+
+@pytest.mark.parametrize("written", [False, True], ids=["initial", "after-a-write"])
+def test_single_key_seeds_answer_an_inquiry_with_one_reply(written):
+    """n = 2000 seeds answer one inquiry with one REPLY object between
+    them (2000 with a REPLY built per replier) — whether their cell is
+    the initial one or the one a WRITE left them (the writer's own
+    installed cell included).  Counted by identity, not traced: the
+    replies are 4-tuples, which CPython's per-size free list (2000
+    deep) can hand out without a traced allocation."""
+    system = DynamicSystem(SystemConfig(n=N, trace=False))
+    if written:
+        system.write()
+        system.run_for(2 * system.config.delta)
+    inquiry = Inquiry("p-joiner")
+    nodes = [system.node(pid) for pid in system.seed_pids]
+    # Every node caches what it answered, so the ids stay distinct.
+    replies = {id(node.on_inquiry(inquiry.sender, inquiry)) for node in nodes}
+    assert len(replies) == 1, f"{len(replies)} REPLY objects for {N} seeds"
+    assert tuple(nodes[0]._reply_cache) == (*nodes[0].space[0], None)

@@ -189,7 +189,7 @@ class TestWatchersResumeInTheSameFire:
             arrival = world.network.send_payload("a", "b", Ping("x"))
         else:
             world.service.broadcast("a", Ping("x"))
-            sweep = next(world.engine.iter_pending())
+            sweep = world.engine._pending_entries()[0][3]
             arrival = sweep.times[list(sweep.dests).index("b")]
         world.engine.run()
         return node, handles, arrival

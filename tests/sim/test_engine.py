@@ -95,7 +95,7 @@ class TestCancellation:
         drop = engine.schedule(2.0, lambda: None)
         drop.cancel()
         assert engine.pending_count == 1
-        assert len(engine) == 1
+        assert len(engine._pending_entries()) == 1
         keep.cancel()
         assert engine.pending_count == 0
 
@@ -167,11 +167,11 @@ class TestHandlersSchedulingMore:
         assert engine.step() is True
         assert engine.step() is False
 
-    def test_iter_pending_in_firing_order(self, engine):
+    def test_pending_entries_in_firing_order(self, engine):
         engine.schedule(3.0, lambda: None, label="c")
         engine.schedule(1.0, lambda: None, label="a")
         engine.schedule(2.0, lambda: None, label="b")
-        labels = [event.label for event in engine.iter_pending()]
+        labels = [entry[3].label for entry in engine._pending_entries()]
         assert labels == ["a", "b", "c"]
 
 

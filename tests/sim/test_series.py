@@ -159,7 +159,9 @@ def test_a_series_holds_one_queue_slot():
     )
     assert engine._occupied_slots() == 1
     assert engine.pending_count == 1000
-    assert [type(item).__name__ for item in engine.iter_pending()] == ["_Series"]
+    assert [type(entry[3]).__name__ for entry in engine._pending_entries()] == [
+        "_Series"
+    ]
     assert engine.run_until(500.0) == 500
     assert engine._occupied_slots() == 1 and engine.pending_count == 500
     assert engine.run() == 500
