@@ -175,6 +175,17 @@ class ChurnController:
         return whole
 
     def _choose_victims(self, quota: int, now: Time) -> list[str]:
+        """Up to ``quota`` victims among the eligible present pids: a
+        uniform sample, or the oldest first (``victim_policy``).
+
+        Nothing walks the population in Python per tick: with
+        ``min_stay == 0`` every present process is eligible
+        (``now − entered_at ≥ 0``), so the present pids are copied at C
+        level and the protected few removed; a positive ``min_stay``
+        filters over ``_entered_at``.  ``tests/churn/test_victim_selection.py``
+        holds the old full scan as the reference: same victims, same RNG
+        state.
+        """
         if quota <= 0:
             return []
         membership = self.membership

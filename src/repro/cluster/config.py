@@ -25,7 +25,7 @@ from ..net.broadcast import EntrantPolicy
 from ..net.delay import DELAY_MODEL_NAMES, make_delay
 from ..protocols import PROTOCOLS
 from ..runtime.assembly import derive_shard_seed, shard_pid_prefix, split_population
-from ..runtime.config import SystemConfig
+from ..runtime.config import SystemConfig, require_count
 from ..sim.clock import Time
 from ..sim.errors import ConfigError
 from ..sim.rng import derive_seed
@@ -77,6 +77,9 @@ class ClusterConfig:
     sample_period: Time = 1.0
 
     def __post_init__(self) -> None:
+        require_count("shards", self.shards)
+        require_count("keys", self.keys)
+        require_count("n", self.n)
         if self.shards < 1:
             raise ConfigError(f"shard count must be at least 1, got {self.shards!r}")
         if self.keys < 1:

@@ -90,24 +90,24 @@ def key_names(count: int) -> tuple[Any, ...]:
     return tuple(f"k{i}" for i in range(count))
 
 
-#: key tuple → its position index, built once per key tuple and shared
-#: by every space built from that tuple (a population of 10⁵ holds one).
-#: Read-only once built: an ``adopt`` that admits a key copies first.
-_INDEXES: dict[tuple[Any, ...], dict[Any, int]] = {}
+class _KeyIndexes(dict):
+    """key tuple → its ``key → position`` index, built once per key
+    tuple (on the first subscript that misses) and shared by every space
+    built from that tuple: a population of 10⁵ holds one.  Read-only
+    once built: an ``adopt`` that admits a key copies first."""
 
-
-def _index_of(keys: tuple[Any, ...]) -> dict[Any, int]:
-    """The shared ``key → position`` index of ``keys``."""
-    index = _INDEXES.get(keys)
-    if index is None:
+    def __missing__(self, keys: tuple[Any, ...]) -> dict[Any, int]:
         if not keys:
             raise ValueError("a register space needs at least one key")
         index = {key: position for position, key in enumerate(keys)}
         if len(index) != len(keys):
             duplicate = next(key for key in keys if keys.count(key) > 1)
             raise ValueError(f"register key {duplicate!r} appears twice in {keys}")
-        _INDEXES[keys] = index
-    return index
+        self[keys] = index
+        return index
+
+
+_INDEXES = _KeyIndexes()
 
 
 class RegisterSpace(list):
@@ -128,7 +128,11 @@ class RegisterSpace(list):
     gives its space a private copy.  A cell tuple is replaced, never
     mutated, so ``snapshot`` hands it out as is.  A quorum handler
     probes ``_index`` with its message's key as it stands (``read`` /
-    ``write`` resolved it) and comes here only on a miss.
+    ``write`` resolved it) and comes here only on a miss.  A key tuple
+    that names a key twice is refused (``ValueError`` naming the key).
+    Building a space is one subscript of the index memo and one
+    exact-size ``extend`` of its cells (an ``append`` would
+    over-allocate the slot array).
 
     ``cell`` is what every key starts from: ⟨⊥, −1⟩ for a joiner, the
     initial ⟨value, 0⟩ for a seed (footnote 3) — one tuple the whole
@@ -141,10 +145,11 @@ class RegisterSpace(list):
     def __init__(
         self, keys: tuple[Any, ...] = (SINGLE_KEY,), cell: Cell = _UNSET
     ) -> None:
-        keys = tuple(keys)
-        self._index = _index_of(keys)
+        if keys.__class__ is not tuple:
+            keys = tuple(keys)
+        self._index = _INDEXES[keys]
         self._keys = keys
-        list.__init__(self, (cell,) * len(keys))
+        self.extend((cell,) * len(keys))
         #: Bumped by every mutator call (even a rejected adoption, so
         #: callers may over-invalidate but never under-invalidate), and
         #: 1 for a seeded space, as if its initial cell were installed.
@@ -315,7 +320,7 @@ class RegisterNode(SimProcess, abc.ABC):
     __slots__ = ("ctx", "space", "migration_sink")
 
     def __init__(self, pid: str, ctx: NodeContext, seed: Cell | None = None) -> None:
-        super().__init__(pid, ctx.engine, seed is not None)
+        SimProcess.__init__(self, pid, ctx.engine, seed is not None)
         self.ctx = ctx
         #: The node's local copies, one cell per key.
         self.space = RegisterSpace(ctx.keys, _UNSET if seed is None else seed)

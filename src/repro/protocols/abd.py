@@ -103,7 +103,7 @@ class AbdRegisterNode(RegisterNode):
     __slots__ = ("_queries", "_writebacks", "_writes", "_universe", "_is_replica")
 
     def __init__(self, pid: str, ctx: NodeContext, seed: Cell | None = None) -> None:
-        super().__init__(pid, ctx, seed)
+        RegisterNode.__init__(self, pid, ctx, seed)
         # Phase thresholds depend on the replica universe, which the
         # runtime installs only after every seed exists — each round is
         # opened with the majority as it then stands.

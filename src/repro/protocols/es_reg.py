@@ -145,7 +145,7 @@ class EventuallySyncRegisterNode(RegisterNode):
         ctx.derived["quorum"] = quorum
 
     def __init__(self, pid: str, ctx: NodeContext, seed: Cell | None = None) -> None:
-        super().__init__(pid, ctx, seed)
+        RegisterNode.__init__(self, pid, ctx, seed)
         # Figure 4, lines 01-02: the join's initializations happen at
         # process creation (join starts the instant the process enters).
         # Shared quorum machinery: one batched join phase, per-key read

@@ -170,7 +170,7 @@ class SynchronousRegisterNode(RegisterNode):
         ctx.derived["inquiry_wait"] = wait
 
     def __init__(self, pid: str, ctx: NodeContext, seed: Cell | None = None) -> None:
-        super().__init__(pid, ctx, seed)
+        RegisterNode.__init__(self, pid, ctx, seed)
         # Figure 1, line 01 — the join's initializations happen at
         # process creation: in the model a process starts its join the
         # instant it enters the system.  The register cells live in

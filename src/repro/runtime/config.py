@@ -22,6 +22,14 @@ from ..sim.clock import Time
 from ..sim.errors import ConfigError
 
 
+def require_count(name: str, value: Any) -> None:
+    """Refuse a size that is not an ``int`` — a ``bool`` included — by
+    name: ``range`` in the build would refuse a float only later, with
+    a bare ``TypeError``, and take ``True`` for 1."""
+    if value.__class__ is bool or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an int, got {value!r}")
+
+
 @dataclass
 class SystemConfig:
     """Parameters of one simulated dynamic system.
@@ -93,6 +101,8 @@ class SystemConfig:
     extra: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        require_count("n", self.n)
+        require_count("keys", self.keys)
         if self.n < 1:
             raise ConfigError(f"system size must be at least 1, got {self.n!r}")
         if self.keys < 1:

@@ -121,12 +121,23 @@ class DynamicSystem:
     def _build_seeds(self, count: int) -> tuple[str, ...]:
         """Create ``count`` seed processes, each built in its final
         state: present, active and holding the initial value at the
-        current instant (at n = 10⁵ this loop is the build)."""
-        node_class, ctx, enter = self._node_class, self._ctx, self.membership.enter
+        current instant (at n = 10⁵ this is the build).
+
+        A seed costs its objects, not its frames: the pids are one
+        comprehension, each seed is ``node_class(pid, ctx, cell)`` — the
+        constructor a joiner gets too, with no transition to make
+        afterwards — and the population enters the membership in one
+        bulk :meth:`~repro.sim.membership.Membership.enter`.  Every key
+        of every seed holds the one ``cell`` tuple.
+        """
+        prefix, node_class = self.config.pid_prefix, self._node_class
+        pids = tuple(
+            [f"{prefix}{i:04d}" for i in itertools.islice(self._pid_counter, count)]
+        )
         cell = (self.config.initial_value, 0)  # one tuple, every seed's cells
-        pids = tuple([self._next_pid() for _ in range(count)])
-        for pid in pids:
-            enter(node_class(pid, ctx, cell))
+        self.membership.enter(
+            *map(node_class, pids, itertools.repeat(self._ctx), itertools.repeat(cell))
+        )
         if self.trace.enabled:
             record, now = self.trace.record, self.engine.now
             for pid in pids:

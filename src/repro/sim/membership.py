@@ -12,6 +12,7 @@ the present ones: a process is its own presence record, and
 
 from __future__ import annotations
 
+from operator import attrgetter
 from random import Random
 from typing import Iterator
 
@@ -20,6 +21,7 @@ from .errors import ProcessError, UnknownProcessError
 from .process import ProcessMode, SimProcess
 
 _ACTIVE = ProcessMode.ACTIVE
+_pid_of = attrgetter("pid")
 
 
 class Membership:
@@ -49,21 +51,45 @@ class Membership:
     # Mutation
     # ------------------------------------------------------------------
 
-    def enter(self, process: SimProcess) -> None:
-        """Register a process that just entered (listening, or active if
-        it is a seed)."""
-        pid = process.pid
-        if pid in self._processes:
+    def enter(self, *processes: SimProcess) -> None:
+        """Register processes that just entered, in one batch: a joiner
+        (listening), or a population's seeds (active).
+
+        The batch is refused whole, before anything is entered, if it
+        reuses an identity — one already entered, or one twice within
+        the batch (the infinite arrival model forbids reuse).  The batch
+        is one transient ``pid → process`` table (no object per
+        process), and the checks and the two registry merges run at C
+        speed, so what a population costs here is its registry entries
+        and one loop over it (the back-reference and the active count).
+        """
+        entered = self._processes
+        batch = dict(zip(map(_pid_of, processes), processes))
+        if len(batch) != len(processes) or not entered.keys().isdisjoint(batch.keys()):
             raise ProcessError(
-                f"identity {pid!r} was already used; the infinite arrival "
-                f"model forbids reuse"
+                f"identity {self._first_reused(processes)!r} was already "
+                f"used; the infinite arrival model forbids reuse"
             )
-        self._processes[pid] = process
-        self._present[pid] = process
-        process._registry = self
+        active = 0
+        for process in processes:
+            process._registry = self
+            if process._mode is _ACTIVE:
+                active += 1
+        entered.update(batch)
+        self._present.update(batch)
         self._active = None
-        if process._mode is _ACTIVE:
-            self._active_count += 1
+        self._active_count += active
+
+    def _first_reused(self, processes: tuple[SimProcess, ...]) -> str | None:
+        """The first pid of ``processes`` already entered, or already
+        met earlier in the batch."""
+        seen: set[str] = set()
+        for process in processes:
+            pid = process.pid
+            if pid in self._processes or pid in seen:
+                return pid
+            seen.add(pid)
+        return None
 
     def _mode_changed(self, pid: str, delta: int) -> None:
         """A process that entered here turned active (``+1``), departed

@@ -45,6 +45,13 @@ class ProcessMode(enum.Enum):
     DEPARTED = "departed"  # left (or crashed): silent forever
 
 
+#: The modes as module constants: a load of ``ProcessMode.ACTIVE``
+#: goes through the enum's class lookup on every access.
+_ACTIVE = ProcessMode.ACTIVE
+_LISTENING = ProcessMode.LISTENING
+_DEPARTED = ProcessMode.DEPARTED
+
+
 class SimProcess:
     """Base class for every protocol node.
 
@@ -59,10 +66,14 @@ class SimProcess:
     inline exactly that when nothing has to be checked or traced per
     delivery (see :mod:`repro.net.network`).
 
-    A process costs what it uses.  ``_runners`` and ``_watchers`` start
-    as the one shared empty tuple and become lists of their own at the
-    first ``run_operation`` / the first ``WaitUntil`` that has to wait —
-    the only two places that append — and departure hands them back: a
+    A process costs what it uses — its objects, not its frames — with
+    no knob, no second node class and no compact mode: a seed and a
+    joiner are built by the same constructor chain, each class's own
+    ``__init__`` called directly (no ``super()`` hop), the modes read
+    from module constants.  ``_runners`` and ``_watchers`` start as the
+    one shared empty tuple and become lists of their own at the first
+    ``run_operation`` / the first ``WaitUntil`` that has to wait — the
+    only two places that append — and departure hands them back: a
     seed that never invokes anything never owns either.  Readers
     (``if watchers:``, iteration, ``in``) need no care.  ``__slots__``
     run down the chain (here, :class:`~repro.core.register.RegisterNode`,
@@ -83,10 +94,20 @@ class SimProcess:
         "_runners", "_watchers", "_registry", "_dispatch",
     )
 
+    #: payload type → unbound handler, one dict per class: created for
+    #: each subclass by ``__init_subclass__`` (not inherited, so a
+    #: subclass that overrides a handler never sees a parent's entry)
+    #: and filled by :meth:`_handler_for`.
+    _dispatch_cache: dict[type, Callable[..., None]] = {}
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._dispatch_cache = {}
+
     def __init__(self, pid: str, engine: EventScheduler, active: bool = False) -> None:
         self.pid = pid
         self.engine = engine
-        self._mode = ProcessMode.ACTIVE if active else ProcessMode.LISTENING
+        self._mode = _ACTIVE if active else _LISTENING
         self._entered_at: Time = engine._now
         self._activated_at: Time | None = self._entered_at if active else None
         self._left_at: Time | None = None
@@ -97,16 +118,10 @@ class SimProcess:
         # never go stale — also on a bare ``mark_active()`` /
         # ``depart()`` that bypasses the system.
         self._registry: Any = None
-        # Instance-level alias of this class's dispatch cache (created
-        # here if this is the first instance): dispatch then costs one
-        # attribute load and one dict probe per delivery, instead of a
-        # ``type()`` + mappingproxy lookup.
-        cls = type(self)
-        cache = cls.__dict__.get("_dispatch_cache")
-        if cache is None:
-            cache = {}
-            cls._dispatch_cache = cache
-        self._dispatch: dict[type, Callable[..., None]] = cache
+        # Instance-level alias of this class's dispatch cache: dispatch
+        # then costs one attribute load and one dict probe per delivery,
+        # instead of a ``type()`` + class lookup.
+        self._dispatch: dict[type, Callable[..., None]] = self._dispatch_cache
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -119,11 +134,11 @@ class SimProcess:
     @property
     def present(self) -> bool:
         """True while the process is in the system (listening or active)."""
-        return self._mode is not ProcessMode.DEPARTED
+        return self._mode is not _DEPARTED
 
     @property
     def is_active(self) -> bool:
-        return self._mode is ProcessMode.ACTIVE
+        return self._mode is _ACTIVE
 
     @property
     def entered_at(self) -> Time:
@@ -160,11 +175,11 @@ class SimProcess:
 
     def mark_active(self) -> None:
         """Transition LISTENING → ACTIVE (when ``join`` returns)."""
-        if self._mode is ProcessMode.DEPARTED:
+        if self._mode is _DEPARTED:
             raise ProcessDepartedError(f"{self.pid} cannot activate after departing")
-        if self._mode is ProcessMode.ACTIVE:
+        if self._mode is _ACTIVE:
             raise ProcessError(f"{self.pid} activated twice")
-        self._mode = ProcessMode.ACTIVE
+        self._mode = _ACTIVE
         self._activated_at = self.engine._now
         if self._registry is not None:
             self._registry._mode_changed(self.pid, 1)
@@ -175,10 +190,10 @@ class SimProcess:
         Cancels every pending timer/condition of this process and
         abandons its in-flight operations.  Idempotent.
         """
-        if self._mode is ProcessMode.DEPARTED:
+        if self._mode is _DEPARTED:
             return
-        was_active = self._mode is ProcessMode.ACTIVE
-        self._mode = ProcessMode.DEPARTED
+        was_active = self._mode is _ACTIVE
+        self._mode = _DEPARTED
         if self._registry is not None:
             self._registry._mode_changed(self.pid, -1 if was_active else 0)
         for runner in list(self._runners):
@@ -209,7 +224,7 @@ class SimProcess:
         refuses one that is not a message where it happens, not one
         delay later when nothing can dispatch it.
         """
-        if self._mode is ProcessMode.DEPARTED:
+        if self._mode is _DEPARTED:
             return
         # Cache hit is the common case; a miss (first delivery of a
         # payload type to this class) falls back to _handler_for.
@@ -243,16 +258,10 @@ class SimProcess:
         every delivery — measurable per-message overhead on fan-out
         workloads.  The payload-type → handler mapping is immutable for
         a given process class, so it is memoized in a dict stored on
-        that class (``cls.__dict__``, not inherited, so a subclass that
-        overrides a handler never sees a parent's cache entry).
+        that class (``_dispatch_cache``).
         """
         cls = type(self)
-        cache: dict[type, Callable[..., None]] | None = cls.__dict__.get(
-            "_dispatch_cache"
-        )
-        if cache is None:
-            cache = {}
-            cls._dispatch_cache = cache
+        cache = cls._dispatch_cache
         handler = cache.get(payload_type)
         if handler is None:
             name = f"on_{payload_type.__name__.lower()}"
@@ -283,7 +292,7 @@ class SimProcess:
         handle with the register key the operation addresses (``None``
         for the single register and for joins).
         """
-        if self._mode is ProcessMode.DEPARTED:
+        if self._mode is _DEPARTED:
             raise ProcessDepartedError(
                 f"{self.pid} cannot invoke {kind} after departing"
             )
@@ -304,23 +313,6 @@ class SimProcess:
         if not runner.block_on(effect):
             runner.advance()
         return handle
-
-    def notify(self) -> None:
-        """Re-evaluate all pending ``WaitUntil`` conditions.
-
-        Protocol code calls this after mutating state outside a message
-        handler (handlers trigger re-evaluation automatically).
-        """
-        self._wake_watchers()
-
-    def _wake_watchers(self) -> None:
-        if not self._watchers:
-            return
-        # Watchers may complete operations whose callbacks add new
-        # watchers; iterate over a snapshot and let satisfied watchers
-        # unregister themselves.
-        for watcher in list(self._watchers):
-            watcher.poll()
 
     def _finish_runner(self, runner: "_OperationRunner") -> None:
         if runner in self._runners:

@@ -22,6 +22,21 @@ class TestValidation:
         with pytest.raises(ConfigError):
             ClusterConfig(keys=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n", 3.5), ("shards", 2.0), ("keys", 4.0), ("n", True), ("shards", True)],
+    )
+    def test_a_non_int_size_is_named(self, field, value):
+        # A float used to pass validation and die in the build with a
+        # bare ``TypeError`` from ``range``.
+        with pytest.raises(ConfigError, match=f"^{field} must be an int, got {value!r}$"):
+            ClusterConfig(**{field: value})
+
+    def test_int_sizes_are_unchanged(self):
+        config = ClusterConfig(shards=3, keys=5, n=12)
+        assert (config.shards, config.keys, config.n) == (3, 5, 12)
+        assert sum(config.shard_config(i).n for i in range(3)) == 12
+
     def test_rejects_population_smaller_than_shards(self):
         with pytest.raises(ConfigError):
             ClusterConfig(shards=8, n=4)

@@ -11,6 +11,12 @@ at the step's instant and at instants on both sides of every
 transition; the refused transitions (double leave, an unknown pid,
 activating twice or after leaving) must be refused by both.
 
+A step may also enter a batch of processes through one bulk
+:meth:`Membership.enter` (the way ``DynamicSystem`` enters its seeds).
+A batch that reuses an identity — twice within itself, or one already
+entered — is refused by name and leaves nothing of it entered: not a
+registry entry, not a back-reference, not the cached active list.
+
 The same sequences hold the in-place reader draw
 (:meth:`Membership.draw_active`) to the draw it replaced,
 ``rng.choice(active_pids())`` over a fresh copy — with and without one
@@ -20,6 +26,7 @@ pid excluded — pid for pid and RNG state for RNG state.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 
 import pytest
@@ -116,8 +123,20 @@ class ReferenceRegistry:
 #: at one instant) are the interesting case for half-open intervals.
 advances = st.sampled_from((0.0, 0.0, 0.5, 1.0, 2.5))
 
+#: A bulk entry: one flag per process (a seed, or a joiner), how the
+#: batch reuses an identity (not at all, twice within itself, or one
+#: already entered) and where.
+batches = st.tuples(
+    st.just("batch"),
+    advances,
+    st.lists(st.booleans(), max_size=5),
+    st.sampled_from((None, "inside", "entered")),
+    st.integers(min_value=0, max_value=40),
+)
+
 steps = st.lists(
     st.one_of(
+        batches,
         st.tuples(st.sampled_from(("enter", "enter-seed")), advances),
         st.tuples(
             st.sampled_from(("activate", "leave")),
@@ -128,6 +147,26 @@ steps = st.lists(
     ),
     max_size=50,
 )
+
+
+def bulk_entry(
+    engine: EventScheduler, entered: list[SimProcess], step: tuple
+) -> tuple[list[SimProcess], str | None]:
+    """The batch a ``batches`` step describes, and the identity it
+    reuses (``None``: a batch of fresh identities)."""
+    _, _, seeds, reuse, at = step
+    batch = [
+        SimProcess(f"p{len(entered) + i:03d}", engine, active=seed)
+        for i, seed in enumerate(seeds)
+    ]
+    reused = None
+    if reuse == "inside" and batch:
+        reused = batch[at % len(batch)].pid
+    elif reuse == "entered" and entered:
+        reused = entered[at % len(entered)].pid
+    if reused is not None:
+        batch.insert(at % (len(batch) + 1), SimProcess(reused, engine))
+    return batch, reused
 
 
 def old_draw(membership: Membership, rng: random.Random, exclude: str | None):
@@ -209,6 +248,20 @@ class TestProcessIsItsPresenceRecord:
                 membership.enter(process)
                 reference.enter(process.pid, now, seed)
                 entered.append(process)
+            elif kind == "batch":
+                batch, reused = bulk_entry(engine, entered, step)
+                if reused is None:
+                    membership.enter(*batch)
+                    for process in batch:
+                        reference.enter(process.pid, now, process.is_active)
+                    entered.extend(batch)
+                else:
+                    cached = membership._active_list()
+                    with pytest.raises(ProcessError, match=re.escape(repr(reused))):
+                        membership.enter(*batch)
+                    # Refused before anything was mutated.
+                    assert all(process._registry is None for process in batch)
+                    assert membership._active is cached
             elif kind == "ghost":
                 with pytest.raises(UnknownProcessError):
                     membership.leave("ghost", now)
@@ -251,6 +304,11 @@ class TestProcessIsItsPresenceRecord:
                 )
                 membership.enter(process)
                 entered.append(process)
+            elif kind == "batch":
+                batch, reused = bulk_entry(engine, entered, step)
+                if reused is None:
+                    membership.enter(*batch)
+                    entered.extend(batch)
             elif kind != "ghost" and entered:
                 process = entered[step[2] % len(entered)]
                 if kind == "activate":

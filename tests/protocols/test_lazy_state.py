@@ -177,11 +177,11 @@ class TestWatchersAfterTheFirstFired:
         owned = process._watchers
         assert owned is not shared and len(owned) == 1
         flags["first"] = True
-        process.notify()  # first watcher fires, second registers
+        owned[0].poll()  # first watcher fires, second registers
         assert handle.pending
         assert process._watchers is owned and len(owned) == 1
         flags["second"] = True
-        process.notify()
+        owned[0].poll()
         assert handle.done and handle.result == "both"
         assert process._watchers is owned and owned == []
         # A later operation on the same process starts from the owned,

@@ -17,6 +17,20 @@ class TestValidation:
         with pytest.raises(ConfigError):
             SystemConfig(n=0)
 
+    @pytest.mark.parametrize(
+        "field, value", [("n", 2.5), ("keys", 1.5), ("n", True), ("keys", True)]
+    )
+    def test_a_non_int_size_is_named(self, field, value):
+        # A float used to pass validation and die in the build with a
+        # bare ``TypeError`` from ``range``; ``n=True`` built one process.
+        with pytest.raises(ConfigError, match=f"^{field} must be an int, got {value!r}$"):
+            SystemConfig(**{field: value})
+
+    def test_int_sizes_are_unchanged(self):
+        config = SystemConfig(n=7, keys=3)
+        assert (config.n, config.keys) == (7, 3)
+        assert config.key_tuple() == ("k0", "k1", "k2")
+
     def test_rejects_non_positive_delta(self):
         with pytest.raises(ConfigError):
             SystemConfig(delta=0.0)

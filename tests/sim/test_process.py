@@ -211,7 +211,7 @@ class TestOperationRunner:
         handle = process.run_operation("op", body())
         assert handle.done
 
-    def test_notify_re_evaluates_conditions(self, engine):
+    def test_a_delivery_re_evaluates_conditions_set_outside_a_handler(self, engine):
         process = EchoProcess("p1", engine)
         flag = {"ready": False}
 
@@ -222,8 +222,9 @@ class TestOperationRunner:
         handle = process.run_operation("op", body())
         assert handle.pending
         flag["ready"] = True
-        process.notify()
-        assert handle.done
+        assert handle.pending  # nothing polls until something is delivered
+        process.deliver_payload("p2", Ping("any"))
+        assert handle.done and handle.result == "woken"
 
     def test_mixed_effects(self, engine):
         process = EchoProcess("p1", engine)
