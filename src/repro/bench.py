@@ -1,4 +1,4 @@
-"""The five fixed-seed digest workloads, and ``repro profile``.
+"""The five fixed-seed digest workloads.
 
 ``perf/`` (``BENCHMARK.json``) is the repository's one timing
 instrument — every wall-time claim is read there.  This module is
@@ -7,9 +7,6 @@ faulted, keyed, migrating, rebalanced) whose SHA-256 digests
 must be byte-identical across changes and interpreters: the golden
 store's ``digest/`` family (``tests/golden.py``) pins them, and a
 change that moves one on purpose regenerates the store.
-
-``repro profile`` runs any digest workload under cProfile; it is the
-one place here that reads a clock.
 """
 
 from __future__ import annotations
@@ -25,7 +22,6 @@ from .core.history import operation_digest
 from .faults.plan import FaultPlan, PartitionFault
 from .runtime.config import SystemConfig
 from .runtime.system import DynamicSystem
-from .sim.errors import ReproError
 from .workloads.cluster import (
     ClusterWorkloadDriver,
     schedule_round_robin_migrations,
@@ -189,9 +185,9 @@ _FAULTED_PLAN = FaultPlan.of(
 )
 
 #: The five fixed-seed digest workloads, by name: a zero-argument
-#: callable returning the digest.  The only place they are listed —
-#: ``repro profile`` and the golden store's ``digest/<name>`` entries
-#: (``tests/integration/test_determinism.py``) both iterate this table.
+#: callable returning the digest.  The only place they are listed: the
+#: golden store's ``digest/<name>`` entries
+#: (``tests/integration/test_determinism.py``) iterate this table.
 #: Each later entry covers what the ones before it cannot see: a fault
 #: window acting, the operation's key, its shard id and the migration
 #: records, the rebalancer's samples and planned moves.
@@ -202,40 +198,3 @@ DIGEST_WORKLOADS: dict[str, Callable[[], str]] = {
     "migration_digest": lambda: cluster_workload("migration")[1],
     "rebalance_digest": lambda: cluster_workload("rebalance")[1],
 }
-
-
-# ----------------------------------------------------------------------
-# Profiling
-# ----------------------------------------------------------------------
-
-#: ``--sort`` spellings accepted by :func:`profile_workload` (a curated
-#: subset of pstats' keys — the ones that answer perf questions here).
-PROFILE_SORTS = ("cumulative", "tottime", "calls")
-
-
-def profile_workload(
-    name: str, top: int = 25, sort: str = "cumulative"
-) -> None:
-    """Run one digest workload under cProfile and print its wall time
-    and digest, then the ``top`` frames by ``sort`` order: the frame
-    table says where the time went; whether a change paid off is
-    measured with ``perf/``."""
-    import cProfile
-    import pstats
-    import time
-
-    if name not in DIGEST_WORKLOADS:
-        raise ReproError(
-            f"unknown workload {name!r}; known: {', '.join(DIGEST_WORKLOADS)}"
-        )
-    if sort not in PROFILE_SORTS:
-        raise ReproError(f"unknown sort {sort!r}; known: {', '.join(PROFILE_SORTS)}")
-    profiler = cProfile.Profile()
-    start = time.perf_counter()
-    profiler.enable()
-    result = DIGEST_WORKLOADS[name]()
-    profiler.disable()
-    wall = time.perf_counter() - start
-    print(f"workload {name}: {wall:.3f}s wall (profiled), result {result!r}")
-    stats = pstats.Stats(profiler)
-    stats.strip_dirs().sort_stats(sort).print_stats(top)

@@ -15,7 +15,6 @@ from .profiles import (
     ConstantRate,
     DiurnalRate,
     RateProfile,
-    TraceRate,
 )
 
 __all__ = [
@@ -31,5 +30,4 @@ __all__ = [
     "ConstantRate",
     "DiurnalRate",
     "RateProfile",
-    "TraceRate",
 ]

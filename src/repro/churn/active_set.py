@@ -37,20 +37,17 @@ class WindowStat:
     survivors: int
 
 
-class ActiveSetTracker:
-    """Samples ``|A(τ)|`` during a run and computes ``|A(τ, τ+w)|`` after it."""
+#: The cadence of the active-set probes.
+SAMPLE_PERIOD: Time = 1.0
 
-    def __init__(
-        self,
-        engine: EventScheduler,
-        membership: Membership,
-        period: Time = 1.0,
-    ) -> None:
-        if period <= 0:
-            raise ChurnError(f"sampling period must be positive, got {period!r}")
+
+class ActiveSetTracker:
+    """Samples ``|A(τ)|`` every :data:`SAMPLE_PERIOD` during a run and
+    computes ``|A(τ, τ+w)|`` after it."""
+
+    def __init__(self, engine: EventScheduler, membership: Membership) -> None:
         self.engine = engine
         self.membership = membership
-        self.period = period
         self.samples: list[PopulationSample] = []
         self._installed = False
 
@@ -74,7 +71,10 @@ class ActiveSetTracker:
             )
         )
         self.engine.schedule(
-            self.period, self._probe, priority=Priority.PROBE, label="active-set probe"
+            SAMPLE_PERIOD,
+            self._probe,
+            priority=Priority.PROBE,
+            label="active-set probe",
         )
 
     # ------------------------------------------------------------------
@@ -86,18 +86,6 @@ class ActiveSetTracker:
         if not self.samples:
             raise ChurnError("no samples recorded; was the tracker installed?")
         return min(sample.active for sample in self.samples)
-
-    def min_present(self) -> int:
-        """The smallest sampled population size."""
-        if not self.samples:
-            raise ChurnError("no samples recorded; was the tracker installed?")
-        return min(sample.present for sample in self.samples)
-
-    def mean_active(self) -> float:
-        """The mean sampled ``|A(τ)|``."""
-        if not self.samples:
-            raise ChurnError("no samples recorded; was the tracker installed?")
-        return sum(sample.active for sample in self.samples) / len(self.samples)
 
     def window_survivors(
         self,

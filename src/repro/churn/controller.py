@@ -105,10 +105,6 @@ class ChurnController:
         """Exempt ``pid`` from eviction for the rest of the run."""
         self._protected.add(pid)
 
-    @property
-    def protected(self) -> frozenset[str]:
-        return frozenset(self._protected)
-
     def install(self) -> None:
         """Schedule the first churn tick."""
         if self._installed:

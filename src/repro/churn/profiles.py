@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import abc
 import math
-from bisect import bisect_right
 
 from ..sim.clock import Time
 from ..sim.errors import ChurnError
@@ -30,19 +29,6 @@ class RateProfile(abc.ABC):
     @abc.abstractmethod
     def rate_at(self, time: Time) -> float:
         """The churn rate in effect at ``time`` (fraction per time unit)."""
-
-    def average_rate(self, start: Time, end: Time, step: Time = 1.0) -> float:
-        """The mean rate over ``[start, end)`` on a sampling grid."""
-        if end <= start:
-            raise ChurnError(f"end {end!r} must exceed start {start!r}")
-        if step <= 0:
-            raise ChurnError(f"step must be positive, got {step!r}")
-        samples = []
-        t = start
-        while t < end:
-            samples.append(self.rate_at(t))
-            t += step
-        return sum(samples) / len(samples)
 
 
 class ConstantRate(RateProfile):
@@ -147,29 +133,3 @@ class DiurnalRate(RateProfile):
             f"DiurnalRate(base={self.base_rate!r}, "
             f"amplitude={self.amplitude!r}, period={self.period!r})"
         )
-
-
-class TraceRate(RateProfile):
-    """A step function from an explicit ``(time, rate)`` trace.
-
-    The rate at ``t`` is the rate of the last point at or before ``t``
-    (the first point's rate before that).  Useful for replaying
-    measured churn traces against the protocols.
-    """
-
-    def __init__(self, points: list[tuple[Time, float]]) -> None:
-        if not points:
-            raise ChurnError("a trace needs at least one (time, rate) point")
-        ordered = sorted(points)
-        for time, rate in ordered:
-            if not 0.0 <= rate < 1.0:
-                raise ChurnError(f"rate must be in [0, 1), got {rate!r} at {time!r}")
-        self._times = [time for time, _ in ordered]
-        self._rates = [rate for _, rate in ordered]
-
-    def rate_at(self, time: Time) -> float:
-        index = bisect_right(self._times, time) - 1
-        return self._rates[max(index, 0)]
-
-    def __repr__(self) -> str:
-        return f"TraceRate({len(self._times)} points)"

@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Eight subcommands, mirroring how the library is typically used:
+Seven subcommands, mirroring how the library is typically used:
 
 ``experiments``
     Run the reproduction battery (E1–E17, optionally the ablations)
@@ -22,10 +22,6 @@ Eight subcommands, mirroring how the library is typically used:
     Print the paper's analytic bounds for given δ and n: the
     synchronous cap ``1/(3δ)``, the ES cap ``1/(3δn)``, Lemma 2's
     window bound.
-
-``profile``
-    Run one digest workload under ``cProfile`` and print the top-N
-    frames: where the time actually went.
 
 ``migrate``
     Live-reshard a cluster: schedule key migrations between quorum
@@ -101,7 +97,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .cluster.migration import MigrationRecord
     from .cluster.system import ClusterSystem
     from .core.checker import LivenessReport, SafetyReport
-    from .sim.trace import TraceLog
     from .workloads.generators import KeyPicker
 
 _SCENARIOS = {
@@ -164,31 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         help="also evaluate Lemma 2's bound at this churn rate",
-    )
-
-    profile = sub.add_parser(
-        "profile",
-        help="run one digest workload under cProfile and print hot frames",
-    )
-    profile.add_argument(
-        "workload",
-        metavar="WORKLOAD",
-        help=(
-            "digest workload to profile (e.g. rebalance_digest; see "
-            "repro.bench.DIGEST_WORKLOADS)"
-        ),
-    )
-    profile.add_argument(
-        "--top",
-        type=int,
-        default=25,
-        help="frames to print (default 25)",
-    )
-    profile.add_argument(
-        "--sort",
-        default="cumulative",
-        choices=["cumulative", "tottime", "calls"],
-        help="pstats sort order (default cumulative)",
     )
 
     migrate = sub.add_parser(
@@ -351,11 +321,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             return _cmd_simulate(args)
         if args.command == "bounds":
             return _cmd_bounds(args)
-        if args.command == "profile":
-            from .bench import profile_workload
-
-            profile_workload(args.workload, top=args.top, sort=args.sort)
-            return 0
         if args.command == "migrate":
             return _cmd_migrate(args)
         if args.command == "rebalance":
@@ -408,20 +373,11 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
 def _cmd_scenario(args: argparse.Namespace) -> int:
     scenario = _SCENARIOS[args.name](seed=args.seed)
     print(scenario.describe())
-    trace = scenario.system.trace
     if args.timeline:
-        _print_view(trace, render_timeline(scenario.system, width=76))
+        print(f"\n{render_timeline(scenario.system, width=76)}")
     if args.messages:
-        _print_view(trace, render_message_flow(trace))
+        print(f"\n{render_message_flow(scenario.system.trace)}")
     return 0
-
-
-def _print_view(trace: TraceLog, rendering: str) -> None:
-    """Print a view of ``trace``; say so on stderr if the log is cut short."""
-    print()
-    print(rendering)
-    if trace.dropped:
-        print(trace.truncation, file=sys.stderr)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -459,7 +415,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     print(liveness.summary())
     if args.timeline:
         pids = [p.pid for p in system.membership.processes()][:25]
-        _print_view(system.trace, render_timeline(system, width=76, pids=pids))
+        print(f"\n{render_timeline(system, width=76, pids=pids)}")
     return 0 if (safety.is_safe and liveness.is_live) else 1
 
 

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Any
 
 from ..core.register import key_names
-from ..net.broadcast import EntrantPolicy
 from ..net.delay import DELAY_MODEL_NAMES, make_delay
 from ..protocols import PROTOCOLS
 from ..runtime.assembly import derive_shard_seed, shard_pid_prefix, split_population
@@ -59,9 +58,9 @@ class ClusterConfig:
         Per-shard structured traces.  Default off — clusters exist to
         be scaled, and the flight recorder is observation only.
 
-    ``delta``, ``protocol``, ``entrant_policy``, ``initial_value``,
-    ``seed`` and ``sample_period`` mean exactly what they mean on
-    :class:`~repro.runtime.config.SystemConfig`, applied per shard.
+    ``delta``, ``protocol`` and ``seed`` mean exactly what they mean
+    on :class:`~repro.runtime.config.SystemConfig`, applied per shard;
+    every shard keeps that config's default entrant policy.
     """
 
     shards: int = 2
@@ -70,11 +69,8 @@ class ClusterConfig:
     delta: Time = 5.0
     protocol: str = "sync"
     delay: str | None = None
-    entrant_policy: EntrantPolicy = "none"
-    initial_value: Any = "v0"
     seed: int = 0
     trace: bool = False
-    sample_period: Time = 1.0
 
     def __post_init__(self) -> None:
         require_count("shards", self.shards)
@@ -150,12 +146,9 @@ class ClusterConfig:
             delta=self.delta,
             protocol=self.protocol,
             delay=make_delay(self.delay, self.delta) if self.delay is not None else None,
-            entrant_policy=self.entrant_policy,
-            initial_value=self.initial_value,
             seed=derive_shard_seed(self.seed, index),
             trace=self.trace,
             keys=len(owned) if owned else 1,
             key_set=owned if owned else None,
             pid_prefix=shard_pid_prefix(index),
-            sample_period=self.sample_period,
         )

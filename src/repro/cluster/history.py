@@ -74,10 +74,6 @@ class ClusterHistory:
     def shard_ids(self) -> range:
         return range(len(self._shards))
 
-    def shard_history(self, shard: int) -> History:
-        """Shard ``shard``'s own (recorded, not reconstructed) history."""
-        return self._shards[shard]
-
     @property
     def horizon(self) -> Time | None:
         """The common close instant (``None`` while the run is open,
@@ -121,13 +117,6 @@ class ClusterHistory:
         if kind is None:
             return self.merged_operations()
         return [op for op in self.merged_operations() if op.kind == kind]
-
-    def keys(self) -> list[Any]:
-        """Every register key addressed anywhere in the cluster."""
-        found: set[Any] = set()
-        for shard in self._shards:
-            found.update(shard.keys())
-        return sorted(found, key=lambda key: (key is not None, str(key)))
 
     # ------------------------------------------------------------------
     # Partitioning the merge back (what the checkers consume)

@@ -360,10 +360,6 @@ class Rebalancer:
             raise ConfigError("cannot retire every shard in the cluster")
         self._retired.add(shard)
 
-    @property
-    def retired(self) -> frozenset[int]:
-        return frozenset(self._retired)
-
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------

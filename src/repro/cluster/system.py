@@ -411,10 +411,6 @@ class ClusterSystem:
                     totals[cause] = totals.get(cause, 0) + count
         return totals
 
-    def active_counts(self) -> tuple[int, ...]:
-        """Active-process count per shard (a population health probe)."""
-        return tuple(len(shard.active_pids()) for shard in self.shards)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"ClusterSystem(shards={len(self.shards)}, keys={len(self.keys)}, "

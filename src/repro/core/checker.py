@@ -655,19 +655,6 @@ class LivenessReport:
         for kind, samples in other.latencies.items():
             self.latencies.setdefault(kind, []).extend(samples)
 
-    def mean_latency(self, kind: str) -> float:
-        """Mean completion latency of the given operation kind."""
-        samples = self.latencies.get(kind, [])
-        if not samples:
-            raise CheckerError(f"no completed {kind!r} operations to average")
-        return sum(samples) / len(samples)
-
-    def max_latency(self, kind: str) -> float:
-        samples = self.latencies.get(kind, [])
-        if not samples:
-            raise CheckerError(f"no completed {kind!r} operations observed")
-        return max(samples)
-
     def summary(self) -> str:
         status = "LIVE" if self.is_live else "STUCK"
         return (

@@ -167,10 +167,6 @@ class History:
     def writes(self) -> list[OperationHandle]:
         return self.operations(OP_WRITE)
 
-    def departed_at(self, pid: str) -> Time | None:
-        """When ``pid`` left the system, or ``None`` if it stayed."""
-        return self._departures.get(pid)
-
     # ------------------------------------------------------------------
     # Keyed views (the RegisterSpace dimension)
     # ------------------------------------------------------------------
@@ -194,11 +190,6 @@ class History:
         if not found:
             return [None]
         return sorted(found, key=lambda key: (key is not None, str(key)))
-
-    @property
-    def is_keyed(self) -> bool:
-        """True when more than one register key appears in the history."""
-        return len(self.keys()) > 1
 
     def sub_history(self, key: Any) -> "History":
         """The single-register history of one key.

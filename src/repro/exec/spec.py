@@ -5,8 +5,7 @@ a *kind* (the cell function as ``"module:function"``, see
 :mod:`repro.exec.registry`) plus the plain keyword parameters that
 cell function receives.  Specs carry data only — the callable is
 resolved lazily, in whichever process executes the spec — so a spec
-pickles cheaply across the worker pool and serializes to JSON for
-artifacts and replay.
+pickles cheaply across the worker pool.
 """
 
 from __future__ import annotations
@@ -50,16 +49,4 @@ class RunSpec:
             kind=kind,
             params={**params, "seed": derive_seed(root_seed, cell)},
             label=label or cell,
-        )
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-friendly form (assumes ``params`` are JSON-friendly)."""
-        return {"kind": self.kind, "params": dict(self.params), "label": self.label}
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "RunSpec":
-        return cls(
-            kind=payload["kind"],
-            params=dict(payload.get("params") or {}),
-            label=payload.get("label", ""),
         )

@@ -23,7 +23,6 @@ from typing import Any, Callable, Sequence
 
 from ..exec.runner import run_specs
 from ..exec.spec import RunSpec
-from ..sim.errors import ExperimentError
 
 #: What a judgement returns: the table rows, the notes and the verdict.
 Judgement = tuple[list[dict[str, Any]], list[str], str]
@@ -86,14 +85,6 @@ class ExperimentResult:
     def columns(self) -> tuple[str, ...]:
         """The table's columns: the first row's keys, in order."""
         return tuple(self.rows[0]) if self.rows else ()
-
-    def column(self, name: str) -> list[Any]:
-        """All values of one column, in row order."""
-        if name not in self.columns:
-            raise ExperimentError(
-                f"unknown column {name!r}; have {list(self.columns)}"
-            )
-        return [row.get(name) for row in self.rows]
 
     def to_table(self) -> str:
         """Render rows as a fixed-width text table (the 'paper table')."""

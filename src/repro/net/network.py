@@ -337,11 +337,6 @@ class Network:
         self._fast = not self.trace._enabled and not injector.gates_delivery
         self._p2p_uniform = self._bcast_uniform = None
 
-    @property
-    def known_bound(self) -> Time | None:
-        """The delay bound processes may rely on, if any (see delay model)."""
-        return self.delay_model.known_bound
-
     def send_payload(self, sender: str, dest: str, payload: Any) -> Time:
         """Send ``payload`` from ``sender`` to ``dest``; returns the
         arrival instant.

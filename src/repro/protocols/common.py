@@ -124,10 +124,6 @@ class QuorumPhase:
         """Record a bare acknowledgement (no payload, just the count)."""
         self._offers[sender] = ()
 
-    @property
-    def count(self) -> int:
-        return len(self._offers)
-
     def satisfied(self) -> bool:
         """Has the quorum threshold been met?  (Timer phases: never.)"""
         return self.threshold is not None and len(self._offers) >= self.threshold
@@ -246,11 +242,6 @@ class JoinResult:
     value: Any
     sequence: int
 
-    @property
-    def ok(self) -> str:
-        """The paper's return value."""
-        return OK
-
 
 @dataclass(frozen=True)
 class KeyedJoinResult:
@@ -266,11 +257,6 @@ class KeyedJoinResult:
     @property
     def value(self) -> Any:
         return next(iter(self.adoptions.values()))[0]
-
-    @property
-    def ok(self) -> str:
-        """The paper's return value."""
-        return OK
 
     def for_key(self, key: Any) -> JoinResult:
         """This join's adoption restricted to one key."""

@@ -132,15 +132,21 @@ class EventuallySyncRegisterNode(RegisterNode):
     def bind(cls, ctx: NodeContext) -> None:
         # The paper's quorum is the majority ⌊n/2⌋ + 1.  Ablation A6
         # overrides it (ctx.extra["quorum_size"]) to measure why nothing
-        # smaller is sound: sub-majority quorums need not intersect.
+        # smaller is sound: sub-majority quorums need not intersect.  A
+        # bool or a fraction is refused, not rounded into a quorum.
         override = ctx.extra.get("quorum_size")
         if override is None:
             quorum = ctx.n // 2 + 1
-        elif 1 <= int(override) <= ctx.n:
+        elif (
+            override.__class__ is not bool
+            and isinstance(override, (int, float))
+            and override % 1 == 0
+            and 1 <= override <= ctx.n
+        ):
             quorum = int(override)
         else:
             raise ProcessError(
-                f"quorum_size {override!r} must lie in [1, n={ctx.n}]"
+                f"quorum_size {override!r} must be a whole number in [1, n={ctx.n}]"
             )
         ctx.derived["quorum"] = quorum
 
@@ -157,15 +163,6 @@ class EventuallySyncRegisterNode(RegisterNode):
         self._acks = PhaseTracker()
         self._reply_to: set[tuple[str, int, Any]] | None = None
         self._dl_prev: set[tuple[str, int, Any]] | None = None
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-
-    @property
-    def majority(self) -> int:
-        """The quorum size ``⌊n/2⌋ + 1`` every operation waits for."""
-        return self.ctx.derived["quorum"]
 
     # ------------------------------------------------------------------
     # Operation bodies (``RegisterNode`` owns the entry points)

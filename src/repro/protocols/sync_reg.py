@@ -74,6 +74,7 @@ removed — the broken variant of Figure 3(a) used by experiment E2.
 
 from __future__ import annotations
 
+from numbers import Real
 from typing import Any, NamedTuple
 
 from ..core.register import BOTTOM, Cell, NodeContext, RegisterNode, RegisterSpace
@@ -157,11 +158,16 @@ class SynchronousRegisterNode(RegisterNode):
     @classmethod
     def bind(cls, ctx: NodeContext) -> None:
         # Footnote 4: with a known one-to-one bound δ' the inquiry wait
-        # is δ + δ' instead of 2δ.
+        # is δ + δ' instead of 2δ.  A bool or a non-real is refused, not
+        # read as a number.
         p2p_delta = ctx.extra.get("p2p_delta")
         if p2p_delta is None:
             wait = 2.0 * ctx.delta
-        elif 0 < p2p_delta <= ctx.delta:
+        elif (
+            p2p_delta.__class__ is not bool
+            and isinstance(p2p_delta, Real)
+            and 0 < p2p_delta <= ctx.delta
+        ):
             wait = ctx.delta + float(p2p_delta)
         else:
             raise ProcessError(

@@ -68,7 +68,7 @@ def build_substrate(
     if engine is None:
         engine = make_scheduler(config.delta)
     rng = RngRegistry(config.seed)
-    trace = TraceLog(enabled=config.trace, capacity=config.trace_capacity)
+    trace = TraceLog(enabled=config.trace)
     membership = Membership()
     delay_model = (
         config.delay if config.delay is not None else SynchronousDelay(config.delta)

@@ -22,6 +22,10 @@ from ..sim.clock import Time
 from ..sim.errors import ConfigError
 
 
+#: The register's initial value held by every seed (footnote 3).
+INITIAL_VALUE = "v0"
+
+
 def require_count(name: str, value: Any) -> None:
     """Refuse a size that is not an ``int`` — a ``bool`` included — by
     name: ``range`` in the build would refuse a float only later, with
@@ -51,14 +55,11 @@ class SystemConfig:
         Whether broadcasts reach processes that enter during the
         delivery window — ``"none"`` (bare guarantee), ``"all"``, or a
         probability (see :mod:`repro.net.broadcast`).
-    initial_value:
-        The register's initial value held by the seeds (footnote 3).
     seed:
         Root seed for every RNG stream in the run.
     trace:
         Whether to retain the structured trace (disable for big runs).
-    trace_capacity:
-        Optional cap on retained trace records.
+        A traced run keeps every record.
     keys:
         How many registers the system's
         :class:`~repro.core.register.RegisterSpace` serves.  The
@@ -75,8 +76,6 @@ class SystemConfig:
         A cluster gives each shard its own namespace (``s0.p`` …) so
         merged histories never collide.  The default is byte-identical
         to the historical naming.
-    sample_period:
-        Cadence of the active-set tracker probes.
     faults:
         An optional :class:`~repro.faults.plan.FaultPlan` installed at
         construction.  ``None`` keeps the network's fault gate closed
@@ -89,14 +88,11 @@ class SystemConfig:
     protocol: str = "sync"
     delay: DelayModel | None = None
     entrant_policy: EntrantPolicy = "none"
-    initial_value: Any = "v0"
     seed: int = 0
     trace: bool = True
-    trace_capacity: int | None = None
     keys: int = 1
     key_set: tuple[Any, ...] | None = None
     pid_prefix: str = "p"
-    sample_period: Time = 1.0
     faults: FaultPlan | None = None
     extra: dict[str, Any] = field(default_factory=dict)
 
@@ -126,11 +122,6 @@ class SystemConfig:
             raise ConfigError(
                 f"unknown protocol {self.protocol!r}; "
                 f"choose from {sorted(PROTOCOLS)}"
-            )
-        if not 0 < self.sample_period < inf:
-            raise ConfigError(
-                f"sample_period must be positive and finite, "
-                f"got {self.sample_period!r}"
             )
 
     def key_tuple(self) -> tuple[Any, ...]:

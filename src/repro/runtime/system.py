@@ -48,7 +48,7 @@ from ..sim.errors import ConfigError, ProcessError
 from ..sim.operations import OperationHandle
 from ..sim.trace import TraceKind
 from .assembly import build_substrate
-from .config import SystemConfig
+from .config import INITIAL_VALUE, SystemConfig
 
 
 class DynamicSystem:
@@ -79,7 +79,7 @@ class DynamicSystem:
         self.delay_model = substrate.delay_model
         self.network = substrate.network
         self.broadcast = substrate.broadcast
-        self.history = History(config.initial_value, shard=shard_id)
+        self.history = History(INITIAL_VALUE, shard=shard_id)
         self._node_class = PROTOCOLS[config.protocol]
         #: The register space's keys: ``(None,)`` for the classic
         #: single register, named keys for a multi-register store (a
@@ -108,9 +108,7 @@ class DynamicSystem:
         self.writer_pid: str = self.seed_pids[0]
         # The tracker installs after the seeds exist so its t=0 probe
         # sees the paper's initial condition |A(0)| = n.
-        self.tracker = ActiveSetTracker(
-            self.engine, self.membership, period=config.sample_period
-        )
+        self.tracker = ActiveSetTracker(self.engine, self.membership)
         self.tracker.install()
 
     # ------------------------------------------------------------------
@@ -134,7 +132,7 @@ class DynamicSystem:
         pids = tuple(
             [f"{prefix}{i:04d}" for i in itertools.islice(self._pid_counter, count)]
         )
-        cell = (self.config.initial_value, 0)  # one tuple, every seed's cells
+        cell = (INITIAL_VALUE, 0)  # one tuple, every seed's cells
         self.membership.enter(
             *map(node_class, pids, itertools.repeat(self._ctx), itertools.repeat(cell))
         )
@@ -152,10 +150,6 @@ class DynamicSystem:
     # Access
     # ------------------------------------------------------------------
 
-    @property
-    def now(self) -> Time:
-        return self.engine.now
-
     def node(self, pid: str) -> RegisterNode:
         """The protocol node for ``pid`` (present or departed)."""
         process = self.membership.process(pid)
@@ -166,9 +160,6 @@ class DynamicSystem:
     def active_pids(self) -> list[str]:
         """Identities currently in the active mode, in entry order."""
         return self.membership.active_pids()
-
-    def present_count(self) -> int:
-        return len(self.membership)
 
     def next_value(self) -> str:
         """A fresh, unique value for the next write (``w1``, ``w2``, ...)."""

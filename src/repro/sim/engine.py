@@ -115,8 +115,9 @@ class EventScheduler:
     * ``_buckets``: future epochs (``epoch > _cur_epoch``), unsorted;
     * ``_cur[_pos:]``: the active epoch, sorted, consumed by index;
     * ``_overflow``: a small heap for entries pushed *into* the active
-      epoch or earlier (``call_soon``, same-instant re-scheduling) —
-      anything whose order the already-sorted ``_cur`` cannot absorb.
+      epoch or earlier (a zero-delay ``schedule``, a sweep re-arm,
+      same-instant re-scheduling) — anything whose order the
+      already-sorted ``_cur`` cannot absorb.
 
     Correctness leans on one invariant: every ``_overflow`` entry has
     ``epoch <= _cur_epoch`` and every bucket entry ``epoch >
@@ -127,7 +128,8 @@ class EventScheduler:
 
     ``bucket_width`` should sit at or below the delay model's minimum
     message delay (the simulation's natural tick; the runtime derives
-    ``δ/25``): arrivals then always land in a *future* bucket and the
+    ``δ/25`` for a standalone system and a cluster's shared engine
+    alike): arrivals then always land in a *future* bucket and the
     overflow heap stays empty on the hot path.  Width only affects
     speed, never ordering.
     """
@@ -186,15 +188,6 @@ class EventScheduler:
         operations resolved, nothing left to do) from a stalled one."""
         entry, _ = self._front()
         return entry[0] if entry is not None else None
-
-    def _pending_entries(self) -> list[QueueEntry]:
-        """The live queue entries, whole, in firing order."""
-        entries = list(self._overflow)
-        entries.extend(self._cur[self._pos :])
-        for bucket in self._buckets.values():
-            entries.extend(bucket)
-        entries.sort()
-        return [entry for entry in entries if not entry[3].cancelled]
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -302,18 +295,6 @@ class EventScheduler:
         self._live += count
         series = _Series(self, instants, callback, items)
         self._push((instants[0], int(priority), sequence, series, 0))
-
-    def call_soon(
-        self,
-        callback: Callable[..., None],
-        *args: Any,
-        priority: int = Priority.OPERATION,
-        label: str = "",
-    ) -> Event:
-        """Schedule ``callback`` at the current instant (after running events)."""
-        return self.schedule_at(
-            self._now, callback, *args, priority=priority, label=label
-        )
 
     def _reject_instant(self, instant: Time) -> None:
         if isfinite(instant):

@@ -178,10 +178,6 @@ class Membership:
         """``len(active_pids())`` in O(1) — ``|A(now)|``."""
         return self._active_count
 
-    def active_processes(self) -> list[SimProcess]:
-        """:meth:`active_pids`, as the live objects."""
-        return list(self._active_list())
-
     def active_count_at(self, instant: Time) -> int:
         """``|A(instant)|`` — the paper's active-set size at one instant."""
         return sum(1 for p in self._processes.values() if p.active_at(instant))

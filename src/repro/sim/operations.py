@@ -132,10 +132,6 @@ class OperationHandle:
     # ------------------------------------------------------------------
 
     @property
-    def state(self) -> OperationState:
-        return self._state
-
-    @property
     def done(self) -> bool:
         """True once the operation returned a response."""
         return self._state is OperationState.DONE

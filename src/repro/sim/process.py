@@ -128,10 +128,6 @@ class SimProcess:
     # ------------------------------------------------------------------
 
     @property
-    def mode(self) -> ProcessMode:
-        return self._mode
-
-    @property
     def present(self) -> bool:
         """True while the process is in the system (listening or active)."""
         return self._mode is not _DEPARTED
@@ -139,14 +135,6 @@ class SimProcess:
     @property
     def is_active(self) -> bool:
         return self._mode is _ACTIVE
-
-    @property
-    def entered_at(self) -> Time:
-        return self._entered_at
-
-    @property
-    def activated_at(self) -> Time | None:
-        return self._activated_at
 
     @property
     def left_at(self) -> Time | None:

@@ -41,11 +41,6 @@ class RngRegistry:
         self._seed = int(seed)
         self._streams: dict[str, random.Random] = {}
 
-    @property
-    def seed(self) -> int:
-        """The root seed this registry derives every stream from."""
-        return self._seed
-
     def stream(self, name: str) -> random.Random:
         """Return the RNG stream for ``name``, creating it on first use."""
         stream = self._streams.get(name)

@@ -172,6 +172,6 @@ def render_timeline(system, **kwargs) -> str:
     history has not been closed yet.
     """
     pids = kwargs.pop("pids", None)
-    kwargs.setdefault("end", system.history.horizon or system.now)
+    kwargs.setdefault("end", system.history.horizon or system.engine.now)
     renderer = TimelineRenderer(system.membership, system.history, **kwargs)
     return renderer.render(pids=pids)

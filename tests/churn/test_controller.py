@@ -14,7 +14,7 @@ class TestTicks:
         system = make_system(n=20)
         system.attach_churn(rate=0.1)
         system.run_until(50.0)
-        assert system.present_count() == 20
+        assert len(system.membership) == 20
 
     def test_refresh_totals_match_rate(self):
         system = make_system(n=20)
@@ -66,7 +66,7 @@ class TestVictimSelection:
         if system.membership.is_present(vip):
             controller.protect(vip)
             system.run_until(60.0)
-            if vip in controller.protected:
+            if vip in controller._protected:
                 assert system.membership.is_present(vip)
 
     def test_min_stay_spares_newcomers(self):
@@ -74,8 +74,8 @@ class TestVictimSelection:
         system.attach_churn(rate=0.1, min_stay=5.0)
         system.run_until(40.0)
         for process in system.membership.processes():
-            if process.left_at is not None and process.entered_at > 0:
-                assert process.left_at - process.entered_at >= 5.0
+            if process.left_at is not None and process._entered_at > 0:
+                assert process.left_at - process._entered_at >= 5.0
 
     def test_oldest_first_evicts_in_entry_order(self):
         system = make_system(n=10)
@@ -201,4 +201,4 @@ class TestLifecycleRules:
         ]
         assert departed
         for pid in departed:
-            assert system.history.departed_at(pid) is not None
+            assert system.history._departures.get(pid) is not None

@@ -6,7 +6,6 @@ from repro.churn.profiles import (
     BurstRate,
     ConstantRate,
     DiurnalRate,
-    TraceRate,
 )
 from repro.sim.errors import ChurnError
 from tests.conftest import make_system
@@ -17,9 +16,6 @@ class TestConstantRate:
         profile = ConstantRate(0.05)
         assert profile.rate_at(0.0) == 0.05
         assert profile.rate_at(1e6) == 0.05
-
-    def test_average(self):
-        assert ConstantRate(0.05).average_rate(0.0, 100.0) == pytest.approx(0.05)
 
     def test_validation(self):
         with pytest.raises(ChurnError):
@@ -60,7 +56,7 @@ class TestBurstRate:
         profile = self._profile()
         expected = 0.2 * 0.2 + 0.01 * 0.8  # duty cycle 10/50
         assert profile.long_run_average() == pytest.approx(expected)
-        measured = profile.average_rate(100.0, 100.0 + 50 * 20, step=1.0)
+        measured = sum(profile.rate_at(100.0 + t) for t in range(50 * 20)) / (50 * 20)
         assert measured == pytest.approx(expected, rel=0.05)
 
     def test_validation(self):
@@ -88,38 +84,18 @@ class TestDiurnalRate:
             DiurnalRate(0.1, -0.1, 100.0)
 
 
-class TestTraceRate:
-    def test_step_function(self):
-        profile = TraceRate([(0.0, 0.01), (10.0, 0.1), (20.0, 0.02)])
-        assert profile.rate_at(5.0) == 0.01
-        assert profile.rate_at(10.0) == 0.1
-        assert profile.rate_at(15.0) == 0.1
-        assert profile.rate_at(100.0) == 0.02
-
-    def test_before_first_point_uses_first_rate(self):
-        profile = TraceRate([(10.0, 0.1)])
-        assert profile.rate_at(0.0) == 0.1
-
-    def test_unsorted_input_is_sorted(self):
-        profile = TraceRate([(20.0, 0.02), (0.0, 0.01)])
-        assert profile.rate_at(5.0) == 0.01
-
-    def test_validation(self):
-        with pytest.raises(ChurnError):
-            TraceRate([])
-        with pytest.raises(ChurnError):
-            TraceRate([(0.0, 1.5)])
-
-
 class TestProfileDrivenController:
     def test_profile_overrides_constant_rate(self):
         system = make_system(n=20)
-        profile = TraceRate([(0.0, 0.0), (10.0, 0.1), (20.0, 0.0)])
+        profile = BurstRate(
+            base_rate=0.0, burst_rate=0.1, period=40.0, burst_length=10.0,
+            first_burst=10.0,
+        )
         controller = system.attach_churn(profile=profile)
         system.run_until(30.0)
         # Churn only in [10, 20): 0.1 * 20 = 2 refreshes per tick * 10.
         assert controller.leaves_executed == 20
-        assert system.present_count() == 20
+        assert len(system.membership) == 20
 
     def test_burst_profile_executes_burst_quota(self):
         system = make_system(n=20)

@@ -32,12 +32,12 @@ def reference_victims(controller, rng, quota, now):
         process
         for process in controller.membership.present_processes()
         if process.pid not in controller._protected
-        and now - process.entered_at >= controller.min_stay
+        and now - process._entered_at >= controller.min_stay
     ]
     if len(eligible) <= quota:
         return [process.pid for process in eligible]
     if controller.victim_policy == "oldest_first":
-        eligible.sort(key=lambda process: (process.entered_at, process.pid))
+        eligible.sort(key=lambda process: (process._entered_at, process.pid))
         return [process.pid for process in eligible[:quota]]
     return rng.sample([process.pid for process in eligible], quota)
 

@@ -49,6 +49,21 @@ class TestValidation:
         with pytest.raises(ConfigError):
             ClusterConfig(delay="subspace")
 
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), float("-inf"), 0.0, -1.0]
+    )
+    def test_a_non_finite_or_non_positive_delta_is_named_by_the_shard(self, value):
+        # Every shard's SystemConfig takes the cluster's delta and names it.
+        with pytest.raises(ConfigError, match="^delta must be positive and finite"):
+            ClusterConfig(delta=value).shard_config(0)
+
+    @pytest.mark.parametrize("knob", ["entrant_policy", "initial_value", "sample_period"])
+    def test_a_deleted_knob_is_refused(self, knob):
+        # Every shard keeps SystemConfig's entrant policy and the
+        # runtime's constant initial value and sample period.
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{knob}'"):
+            ClusterConfig(**{knob: 1})
+
 
 class TestPopulationSplit:
     def test_even_split(self):

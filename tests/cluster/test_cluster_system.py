@@ -3,8 +3,10 @@
 import pytest
 
 from repro.bench import cluster_workload, keyed_store_fanout
+from repro.churn.active_set import SAMPLE_PERIOD
 from repro.cluster import ClusterConfig, ClusterSystem, cluster_digest
 from repro.core.history import operation_digest
+from repro.runtime.config import INITIAL_VALUE
 from repro.runtime.system import DynamicSystem
 from repro.sim.errors import ConfigError
 
@@ -81,7 +83,8 @@ class TestFrontDoor:
         assert cluster.write(key=key) is None  # busy: queued behind w1
         assert cluster.writes_deferred == 1
         cluster.run_for(30.0)
-        writes = cluster.close().shard_history(cluster.shard_of(key)).writes()
+        cluster.close()
+        writes = cluster.shards[cluster.shard_of(key)].history.writes()
         assert [w.argument for w in writes] == ["w1", "w2"]
         assert writes[0].response_time <= writes[1].invoke_time
 
@@ -124,11 +127,11 @@ class TestDeterminism:
             return close()
 
         cluster = ClusterSystem(config)
-        cluster_history = drive(
+        drive(
             lambda key: cluster.read(key=key),
             lambda key: cluster.write(key=key),
             cluster.run_for,
-            lambda: cluster.close().shard_history(0),
+            cluster.close,
         )
         solo = DynamicSystem(config.shard_config(0))
         solo_history = drive(
@@ -137,6 +140,7 @@ class TestDeterminism:
             solo.run_for,
             solo.close,
         )
+        cluster_history = cluster.shards[0].history
         assert operation_digest(cluster_history) == operation_digest(solo_history)
 
 
@@ -164,8 +168,18 @@ class TestChurnAndAccounting:
         )
 
     def test_active_counts_probe(self):
+        # Every shard starts with its whole population slice active.
         cluster = make_cluster()
-        assert cluster.active_counts() == cluster.config.shard_sizes()
+        counts = tuple(shard.membership.active_count for shard in cluster.shards)
+        assert counts == cluster.config.shard_sizes()
+
+    def test_every_shard_samples_and_starts_from_the_runtime_constants(self):
+        cluster = make_cluster()
+        cluster.run_for(10.0)
+        for shard in cluster.shards:
+            times = [sample.time for sample in shard.tracker.samples]
+            assert times == [i * SAMPLE_PERIOD for i in range(11)]
+            assert shard.history.initial_value == INITIAL_VALUE
 
 
 class TestClose:

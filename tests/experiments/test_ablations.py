@@ -16,13 +16,13 @@ def test_ablation_reproduces(ablation_id):
 class TestA1Shapes:
     def test_inversions_grow_with_spread(self):
         result = quick("A1")
-        inversions = result.column("inversions")
+        inversions = [row["inversions"] for row in result.rows]
         # Spreads are listed tight-to-loose: the count must not shrink.
         assert inversions == sorted(inversions)
 
     def test_all_runs_regular(self):
         result = quick("A1")
-        assert all(result.column("regular"))
+        assert all(row["regular"] for row in result.rows)
 
 
 class TestA2Shapes:
@@ -46,7 +46,7 @@ class TestA3Shapes:
         baseline, optimized = result.rows
         assert baseline["max_join_latency"] == 15.0  # 3δ with δ=5
         assert optimized["max_join_latency"] == 11.0  # 2δ + δ' with δ'=1
-        assert all(result.column("safe"))
+        assert all(row["safe"] for row in result.rows)
 
 
 class TestA4Shapes:
@@ -58,7 +58,7 @@ class TestA4Shapes:
 
     def test_both_policies_safe(self):
         result = quick("A4")
-        assert all(result.column("safe"))
+        assert all(row["safe"] for row in result.rows)
 
 
 class TestA5Shapes:
@@ -89,5 +89,5 @@ class TestA6Shapes:
 
     def test_smaller_quorums_finish_writes_faster(self):
         result = quick("A6")
-        latencies = result.column("write_latency")
+        latencies = [row["write_latency"] for row in result.rows]
         assert latencies == sorted(latencies)

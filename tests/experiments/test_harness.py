@@ -1,9 +1,6 @@
 """Unit tests for the experiment harness and table rendering."""
 
-import pytest
-
 from repro.experiments.harness import ExperimentResult, format_table
-from repro.sim.errors import ExperimentError
 
 
 def make_result() -> ExperimentResult:
@@ -23,14 +20,6 @@ class TestExperimentResult:
     def test_columns_come_from_first_row(self):
         result = make_result()
         assert result.columns == ("name", "value", "flag")
-
-    def test_column_accessor(self):
-        result = make_result()
-        assert result.column("name") == ["a", "bb"]
-
-    def test_unknown_column_rejected(self):
-        with pytest.raises(ExperimentError):
-            make_result().column("missing")
 
     def test_describe_includes_everything(self):
         result = make_result()
@@ -52,17 +41,9 @@ class TestEmptyAndErrorPaths:
             experiment_id="E0", title="Empty", paper_claim="claim"
         )
 
-    def test_unknown_column_error_names_the_known_columns(self):
-        with pytest.raises(ExperimentError) as excinfo:
-            make_result().column("missing")
-        message = str(excinfo.value)
-        assert "missing" in message
-        assert "name" in message and "value" in message and "flag" in message
-
-    def test_column_on_a_rowless_result_is_unknown(self):
+    def test_a_rowless_result_has_no_columns(self):
         # No rows ever added -> no columns exist yet.
-        with pytest.raises(ExperimentError):
-            self.empty_result().column("anything")
+        assert self.empty_result().columns == ()
 
     def test_to_table_with_no_rows_renders_placeholder(self):
         assert self.empty_result().to_table() == "(no rows)"

@@ -147,7 +147,7 @@ class TestChurnWithFailures:
                 for p in system.membership.processes()
                 if p.left_at is None and p.pid != system.writer_pid
             ]
-            newest = max(present, key=lambda pid: system.membership.process(pid).entered_at)
+            newest = max(present, key=lambda pid: system.membership.process(pid)._entered_at)
             system.leave(newest)
             if system.active_pids():
                 system.read(system.active_pids()[-1])

@@ -37,7 +37,7 @@ from repro.sim.operations import WaitUntil
 from repro.sim.process import SimProcess
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import TraceLog
-from tests.conftest import make_system
+from tests.conftest import make_system, pending_entries
 
 DELTA = 5.0
 PIDS = tuple(f"p{i}" for i in range(6))
@@ -73,7 +73,7 @@ def _network(mode: str, process=Sink, lossy: bool = True):
 
 def _queued(network: Network) -> list[tuple]:
     """The pending entries without their item (each network's own)."""
-    return [entry[:3] + entry[4:] for entry in network.engine._pending_entries()]
+    return [entry[:3] + entry[4:] for entry in pending_entries(network.engine)]
 
 
 def _state(network: Network) -> dict[str, Any]:
@@ -238,7 +238,7 @@ def _ping(process: type, mode: str, site: str) -> list[tuple]:
     assert engine.step()
     scheduled = sorted(
         (entry[2], entry[4], entry[5], type(entry[6]).__name__)
-        for entry in engine._pending_entries()
+        for entry in pending_entries(engine)
     )
     engine.run()
     assert network.membership.process("p0").heard == ["pong"]

@@ -66,7 +66,7 @@ class TestCachedActiveList:
                 _, index, route = step
                 process = entered[index % len(entered)]
                 if step[0] == "activate":
-                    if process.mode.value == "listening":
+                    if process._mode.value == "listening":
                         process.mark_active()
                 else:
                     if route != "registry":
@@ -74,15 +74,12 @@ class TestCachedActiveList:
                     if route != "process" and process.left_at is None:
                         membership.leave(process.pid, engine.now)
             expected = scan(membership)
-            assert membership.active_processes() == expected
             assert membership.active_pids() == [p.pid for p in expected]
             assert membership.active_count == len(expected)
             # Entry order, and a fresh list every call: callers index,
             # filter and may mutate what they get.
             assert expected == [p for p in entered if p in expected]
-            membership.active_processes().clear()
             membership.active_pids().clear()
-            assert membership.active_processes() == expected
 
 
 # ----------------------------------------------------------------------
@@ -281,7 +278,7 @@ class TestJoinFoldIsTheBatchFold:
                 batched.add(sender)
         phase = node._join_phase
         if phase is None:
-            assert oracle.count == 0
+            assert oracle.senders() == ()
             return
         assert phase.best_per_key() == plain_best_per_key(oracle)
         # Only the batched offers are kept, and kept whole.

@@ -43,7 +43,7 @@ class TestPopulationInvariants:
         system = make_system(n=12, seed=seed, trace=False)
         system.attach_churn(rate=rate)
         system.run_until(30.0)
-        assert system.present_count() == 12
+        assert len(system.membership) == 12
 
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=20, deadline=None)

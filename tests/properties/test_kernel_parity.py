@@ -209,7 +209,7 @@ def _surface(system: DynamicSystem) -> dict:
         "faulted": network.faulted_count,
         "fired": system.engine.fired_count,
         "now": system.engine.now,
-        "present": system.present_count(),
+        "present": len(system.membership),
     }
 
 

@@ -214,5 +214,4 @@ class TestKeyedCheckerEquivalence:
         system.read(system.active_pids()[2])
         history = system.close()
         assert history.keys() == [None]
-        assert not history.is_keyed
         assert RegularityChecker(history).check().is_safe

@@ -214,8 +214,8 @@ def assert_agree(membership: Membership, reference: ReferenceRegistry, now: Time
     instants = probe_instants(reference, now)
     for process in processes:
         record = records[process.pid]
-        assert process.entered_at == record.entered_at
-        assert process.activated_at == record.activated_at
+        assert process._entered_at == record.entered_at
+        assert process._activated_at == record.activated_at
         assert process.left_at == record.left_at
         for instant in instants:
             assert process.present_at(instant) == record.present_at(instant)
@@ -312,7 +312,7 @@ class TestProcessIsItsPresenceRecord:
             elif kind != "ghost" and entered:
                 process = entered[step[2] % len(entered)]
                 if kind == "activate":
-                    if process.mode is ProcessMode.LISTENING:
+                    if process._mode is ProcessMode.LISTENING:
                         process.mark_active()
                 elif process.left_at is None:
                     process.depart()

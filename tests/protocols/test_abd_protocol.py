@@ -150,7 +150,7 @@ class TestAnswersFindTheirRound:
         key = node.space.resolve(None)
         for tracker in (node._writes, node._queries, node._writebacks):
             phase = tracker[key]
-            assert not phase.active and phase.count == node.majority
+            assert not phase.active and len(phase.senders()) == node.majority
 
 
 class TestNewcomers:

@@ -27,7 +27,7 @@ class TestQuorumPhase:
         phase.open()
         for who in ("a", "b", "c"):
             phase.offer(who, ((None, "v", 1),))
-        assert phase.count == 3
+        assert len(phase.senders()) == 3
         assert not phase.satisfied()
 
     def test_threshold_gates_satisfaction(self):
@@ -43,7 +43,7 @@ class TestQuorumPhase:
         phase.open()
         phase.offer("a", ((None, "old", 1),))
         phase.offer("a", ((None, "new", 5),))
-        assert phase.count == 1
+        assert len(phase.senders()) == 1
         assert phase.best_for(None) == ("new", 5)
 
     def test_best_for_is_max_by_sequence_then_sender(self):
@@ -75,7 +75,7 @@ class TestQuorumPhase:
         assert phase.active and phase.satisfied()
         phase.open()  # the next round: same object, clean slate
         assert phase.active
-        assert phase.count == 0 and not phase.satisfied()
+        assert len(phase.senders()) == 0 and not phase.satisfied()
         phase.settle()
         assert not phase.active
 
@@ -267,7 +267,7 @@ def test_the_one_dict_tracker_matches_the_two_dict_model(steps):
         for key in opened:
             phase, reference = tracker[key], model.phase(key)
             assert phase.request == model.current_request(key)
-            assert phase.count == reference.count
+            assert len(phase.senders()) == len(reference.senders())
             assert phase.threshold == reference.threshold
             assert phase.satisfied() == reference.satisfied()
             assert phase.active == reference.active
@@ -283,14 +283,13 @@ class TestJoinResults:
         space = RegisterSpace(key_names(1), ("v0", 0))
         result = make_join_result(space)
         assert isinstance(result, JoinResult)
-        assert (result.value, result.sequence, result.ok) == ("v0", 0, "ok")
+        assert (result.value, result.sequence) == ("v0", 0)
 
     def test_multi_key_space_yields_keyed_join_result(self):
         space = RegisterSpace(key_names(3), ("v0", 0))
         space.install("k2", "hot", 7)
         result = make_join_result(space)
         assert isinstance(result, KeyedJoinResult)
-        assert result.ok == "ok"
         assert result.value == "v0"  # default key's adoption, for old tooling
         assert result.for_key("k2") == JoinResult("hot", 7)
         assert result.for_key("k0") == JoinResult("v0", 0)

@@ -151,12 +151,11 @@ class TestDeferredReplies:
         # The first joiner received the second's INQUIRY while not yet
         # active, deferred it (line 15), and answered at activation
         # (line 11): a REPLY from first to second must exist.
-        replies = sync_system.trace.filter(
-            kind=TraceKind.SEND,
-            process=first,
-            predicate=lambda r: r.details.get("type") == "Reply"
-            and r.details.get("dest") == second,
-        )
+        replies = [
+            r for r in sync_system.trace
+            if r.kind is TraceKind.SEND and r.process == first
+            and r.details.get("type") == "Reply" and r.details.get("dest") == second
+        ]
         assert replies, "the deferred reply of Figure 1 line 11 never happened"
 
     def test_active_process_replies_immediately(self, sync_system):
@@ -164,10 +163,10 @@ class TestDeferredReplies:
         sync_system.run_for(DELTA + 0.1)  # the inquiry just went out
         sync_system.run_for(3 * DELTA)
         # Every active seed answered with a point-to-point Reply.
-        sends = sync_system.trace.filter(
-            kind=TraceKind.SEND,
-            predicate=lambda r: r.details.get("type") == "Reply",
-        )
+        sends = [
+            r for r in sync_system.trace
+            if r.kind is TraceKind.SEND and r.details.get("type") == "Reply"
+        ]
         assert len(sends) >= len(sync_system.seed_pids)
 
 
@@ -229,10 +228,12 @@ class TestFootnote4Optimization:
         system.run_for(4 * DELTA)
         assert join.latency == 3 * DELTA
 
-    def test_invalid_p2p_bound_rejected(self):
-        """A claimed δ' larger than δ fails fast, at node construction."""
-        with pytest.raises(ProcessError):
-            make_system(extra={"p2p_delta": 99.0})
+    @pytest.mark.parametrize("bad", [99.0, True, "1", 1j])
+    def test_invalid_p2p_bound_rejected(self, bad):
+        """A claimed δ' larger than δ fails fast, at node construction;
+        a bool or a non-real is refused by value, not read as δ' = 1."""
+        with pytest.raises(ProcessError, match=f"^p2p_delta {bad!r} "):
+            make_system(extra={"p2p_delta": bad})
 
 
 class TestLine17FoldsTheReplies:
@@ -276,7 +277,7 @@ class TestLine17FoldsTheReplies:
         for i in range(5):
             node.on_reply(f"p{i}", Reply("v", i))
         phase = node._join_phase
-        assert phase.count == 0 and phase.senders() == ()
+        assert len(phase.senders()) == 0 and phase.senders() == ()
         assert phase.best_per_key() == {None: ("v", 4)}
 
     def test_a_batched_reply_is_stored_as_the_repliers_tuple(self):

@@ -434,7 +434,7 @@ PROTOCOL_FRAMES_PER_DELIVERY = {"es": 1.90, "abd": 2.52}
 def _es_read(system):
     read = system.read(system.seed_pids[3])
     system.run_for(4 * system.config.delta)
-    assert read.done and read.result == system.config.initial_value
+    assert read.done and read.result == system.history.initial_value
 
 
 @pytest.mark.parametrize(
@@ -552,7 +552,7 @@ def test_a_completed_quorum_read_keeps_nothing_of_its_replies(protocol):
     def read(pid):
         handle = system.read(pid)
         system.run_for(4 * system.config.delta)
-        assert handle.done and handle.result == system.config.initial_value
+        assert handle.done and handle.result == system.history.initial_value
 
     # ES: n READ deliveries (the reader's own echo among them), n − 1
     # REPLYs and their ACKs; ABD: n of each of its four messages.

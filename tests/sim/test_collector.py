@@ -85,7 +85,7 @@ def _leaves_mid_operation() -> DynamicSystem:
     system = DynamicSystem(SystemConfig(n=12, delta=DELTA, protocol="sync", seed=5))
     joiner = system.spawn_joiner()
     system.run_for(DELTA / 2)
-    assert system.node(joiner).mode.name == "LISTENING"
+    assert system.node(joiner)._mode.name == "LISTENING"
     system.leave(joiner)
     write = system.write()
     system.run_for(DELTA / 4)

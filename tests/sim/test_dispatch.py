@@ -27,6 +27,7 @@ from repro.sim.events import Priority, SlabEntry
 from repro.sim.operations import WaitUntil
 from repro.sim.process import SimProcess
 from repro.sim.trace import TraceLog
+from tests.conftest import pending_entries
 
 DELTA = 5.0
 
@@ -85,7 +86,7 @@ class World:
         ``(dest, sender, payload, broadcast_id)`` its entry carries,
         each sweep as the destinations it has yet to reach."""
         deliveries, sweeps = [], []
-        for entry in self.engine._pending_entries():
+        for entry in pending_entries(self.engine):
             item = entry[3]
             if item is self.network._delivery:
                 deliveries.append(entry[4:])
@@ -189,7 +190,7 @@ class TestWatchersResumeInTheSameFire:
             arrival = world.network.send_payload("a", "b", Ping("x"))
         else:
             world.service.broadcast("a", Ping("x"))
-            sweep = world.engine._pending_entries()[0][3]
+            sweep = pending_entries(world.engine)[0][3]
             arrival = sweep.times[list(sweep.dests).index("b")]
         world.engine.run()
         return node, handles, arrival

@@ -16,6 +16,7 @@ import pytest
 from repro.sim.engine import EventScheduler
 from repro.sim.errors import SchedulerError
 from repro.sim.events import Priority, SlabEntry
+from tests.conftest import pending_entries
 
 
 class TestScheduling:
@@ -52,9 +53,9 @@ class TestScheduling:
         with pytest.raises(SchedulerError):
             engine.schedule_at(4.0, lambda: None)
 
-    def test_call_soon_fires_at_current_time(self, engine):
+    def test_a_zero_delay_fires_at_current_time(self, engine):
         fired = []
-        engine.schedule(3.0, lambda: engine.call_soon(fired.append, engine.now))
+        engine.schedule(3.0, lambda: engine.schedule(0.0, fired.append, engine.now))
         engine.run()
         assert fired == [3.0]
 
@@ -95,7 +96,7 @@ class TestCancellation:
         drop = engine.schedule(2.0, lambda: None)
         drop.cancel()
         assert engine.pending_count == 1
-        assert len(engine._pending_entries()) == 1
+        assert len(pending_entries(engine)) == 1
         keep.cancel()
         assert engine.pending_count == 0
 
@@ -171,7 +172,7 @@ class TestHandlersSchedulingMore:
         engine.schedule(3.0, lambda: None, label="c")
         engine.schedule(1.0, lambda: None, label="a")
         engine.schedule(2.0, lambda: None, label="b")
-        labels = [entry[3].label for entry in engine._pending_entries()]
+        labels = [entry[3].label for entry in pending_entries(engine)]
         assert labels == ["a", "b", "c"]
 
 
@@ -370,15 +371,15 @@ class TestCompaction:
 
 
 class TestDrainReentry:
-    def test_call_soon_from_a_handler_interleaves_by_priority(self, engine):
-        """``call_soon`` from a firing handler lands in the overflow heap
-        and fires within the same drain — after the same-instant TIMER
-        peer, because OPERATION ranks below TIMER."""
+    def test_a_zero_delay_from_a_handler_interleaves_by_priority(self, engine):
+        """A zero-delay ``schedule`` from a firing handler lands in the
+        overflow heap and fires within the same drain — after the
+        same-instant TIMER peer, because OPERATION ranks below TIMER."""
         fired = []
 
         def chain():
             fired.append("first")
-            engine.call_soon(fired.append, "soon")
+            engine.schedule(0.0, fired.append, "soon", priority=Priority.OPERATION)
 
         engine.schedule_at(1.0, chain)
         engine.schedule_at(1.0, fired.append, "peer")

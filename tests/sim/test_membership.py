@@ -63,7 +63,7 @@ class TestPresenceRecord:
     def test_a_seed_is_active_from_its_first_instant(self, engine):
         engine.run_until(4.0)
         seed = SimProcess("s", engine, active=True)
-        assert seed.is_active and seed.entered_at == seed.activated_at == 4.0
+        assert seed.is_active and seed.present_at(4.0) and not seed.present_at(3.9)
         assert seed.active_at(4.0) and not seed.active_at(3.9)
 
 
@@ -109,13 +109,12 @@ class TestMembership:
         with pytest.raises(ProcessError):
             process.mark_active()
 
-    def test_active_processes_requires_mark(self, engine, membership):
+    def test_the_active_list_requires_mark(self, engine, membership):
         p1, p2 = make_process("p1", engine), make_process("p2", engine)
         membership.enter(p1)
         membership.enter(p2)
         p1.mark_active()
-        actives = membership.active_processes()
-        assert [p.pid for p in actives] == ["p1"]
+        assert membership.active_pids() == ["p1"]
 
     def test_counting_queries(self, engine, membership):
         processes = [make_process(f"p{i}", engine) for i in range(3)]

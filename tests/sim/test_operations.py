@@ -9,7 +9,6 @@ from repro.sim.errors import (
 )
 from repro.sim.operations import (
     OperationHandle,
-    OperationState,
     Wait,
     WaitUntil,
 )
@@ -38,7 +37,6 @@ class TestOperationHandle:
         assert handle.pending
         assert not handle.done
         assert not handle.abandoned
-        assert handle.state is OperationState.PENDING
 
     def test_result_raises_while_pending(self):
         handle = OperationHandle("read", "p1", invoke_time=2.0)

@@ -7,7 +7,7 @@ import pytest
 from repro.sim.engine import EventScheduler
 from repro.sim.errors import ProcessDepartedError, ProcessError
 from repro.sim.operations import Wait, WaitUntil
-from repro.sim.process import ProcessMode, SimProcess
+from repro.sim.process import SimProcess
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,6 @@ class EchoProcess(SimProcess):
 class TestLifecycle:
     def test_starts_listening(self, engine):
         process = EchoProcess("p1", engine)
-        assert process.mode is ProcessMode.LISTENING
         assert process.present
         assert not process.is_active
 
@@ -38,7 +37,7 @@ class TestLifecycle:
         engine.run_until(4.0)
         process.mark_active()
         assert process.is_active
-        assert process.activated_at == 4.0
+        assert process.active_at(4.0) and not process.active_at(3.9)
 
     def test_double_activation_rejected(self, engine):
         process = EchoProcess("p1", engine)
@@ -50,7 +49,6 @@ class TestLifecycle:
         process = EchoProcess("p1", engine)
         process.depart()
         assert not process.present
-        assert process.mode is ProcessMode.DEPARTED
         with pytest.raises(ProcessDepartedError):
             process.mark_active()
 

@@ -44,6 +44,3 @@ class TestRngRegistry:
             registry_a.stream("signal").random()
             == registry_b.stream("signal").random()
         )
-
-    def test_seed_property(self):
-        assert RngRegistry(seed=11).seed == 11

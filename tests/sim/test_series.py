@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from repro.sim.engine import EventScheduler
 from repro.sim.errors import SchedulerError
 from repro.sim.events import Priority
+from tests.conftest import pending_entries
 
 #: Few distinct instants, so plans tie with each other and with timers.
 instants = st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.5, 2.5, 3.0, 7.25, 9.0])
@@ -46,7 +47,7 @@ class World:
         if item in self.spawning:
             # At the current instant and the series' own priority: must
             # land after every planned op already tied here.
-            engine.call_soon(self.log.append, ("soon", item))
+            engine.schedule(0.0, self.log.append, ("soon", item), priority=Priority.OPERATION)
             engine.schedule(0.5, self.log.append, ("later", item))
 
     def install(self, plan: list[float], series: bool) -> None:
@@ -159,7 +160,7 @@ def test_a_series_holds_one_queue_slot():
     )
     assert engine._occupied_slots() == 1
     assert engine.pending_count == 1000
-    assert [type(entry[3]).__name__ for entry in engine._pending_entries()] == [
+    assert [type(entry[3]).__name__ for entry in pending_entries(engine)] == [
         "_Series"
     ]
     assert engine.run_until(500.0) == 500

@@ -7,7 +7,6 @@ import io
 
 import pytest
 
-from repro.bench import DIGEST_WORKLOADS
 from repro.cli import main
 from tests.golden import expected
 
@@ -84,25 +83,6 @@ class TestScenario:
         out = capsys.readouterr().out
         assert "==Inquiry==> *" in out
 
-    @pytest.mark.parametrize("flag", ["--timeline", "--messages"])
-    def test_a_truncated_trace_says_so_on_stderr(self, capsys, monkeypatch, flag):
-        from repro import cli
-        from repro.workloads.scenarios import figure_3a
-
-        def cut_short(seed):
-            scenario = figure_3a(seed=seed)
-            trace = scenario.system.trace
-            trace._capacity = len(trace) - 5
-            del trace._records[-5:]
-            trace._dropped = 5
-            return scenario
-
-        monkeypatch.setitem(cli._SCENARIOS, "fig3a", cut_short)
-        assert main(["scenario", "fig3a", flag]) == 0
-        err = capsys.readouterr().err
-        assert err.startswith("trace truncated: 5 records dropped (trace_capacity=")
-        assert err.count("\n") == 1
-
     def test_unknown_scenario_rejected(self):
         with pytest.raises(SystemExit):
             main(["scenario", "fig9"])
@@ -140,22 +120,6 @@ class TestSimulate:
             ]
         ) == 0
         assert "legend:" in capsys.readouterr().out
-
-    def test_a_truncated_timeline_says_so_on_stderr(self, capsys, monkeypatch):
-        from functools import partial
-
-        from repro import cli
-
-        args = ["simulate", "--n", "8", "--horizon", "40", "--seed", "3", "--timeline"]
-        assert main(args) == 0
-        complete = capsys.readouterr()
-        assert complete.err == ""
-        bounded = partial(cli.SystemConfig, trace_capacity=60)
-        monkeypatch.setattr(cli, "SystemConfig", bounded)
-        assert main(args) == 0
-        cut = capsys.readouterr()
-        assert "legend:" in cut.out  # still rendered, no longer silently
-        assert cut.err == "trace truncated: 24 records dropped (trace_capacity=60)\n"
 
     @pytest.mark.parametrize(
         "flag, value, named",
@@ -329,14 +293,15 @@ class TestRunFlags:
 
 
 class TestSubcommands:
-    def test_bench_is_refused_and_the_eight_subcommands_are_named(self, capsys):
+    @pytest.mark.parametrize("gone", ["bench", "profile"])
+    def test_a_deleted_command_is_refused_and_the_seven_are_named(self, capsys, gone):
         with pytest.raises(SystemExit) as refused:
-            main(["bench"])
+            main([gone])
         assert refused.value.code == 2
         err = capsys.readouterr().err
-        assert "invalid choice: 'bench'" in err
+        assert f"invalid choice: '{gone}'" in err
         for name in ("experiments", "scenario", "simulate", "bounds",
-                     "profile", "migrate", "rebalance", "explore"):
+                     "migrate", "rebalance", "explore"):
             assert f"'{name}'" in err
 
 
@@ -612,29 +577,3 @@ class TestMigrateCLI:
         ]
         assert main(self.QUICK + ["--plan", "not-a-plan"]) == 2
         assert "unknown fault plan 'not-a-plan'" in capsys.readouterr().err
-
-
-class TestProfileCommand:
-    def test_profiles_a_workload(self, capsys):
-        assert main(["profile", "rebalance_digest", "--top", "5"]) == 0
-        out = capsys.readouterr().out
-        assert "workload rebalance_digest" in out
-        assert "cumulative" in out  # pstats sort header
-
-    @pytest.mark.parametrize("name", DIGEST_WORKLOADS)
-    def test_profiled_workload_returns_its_golden_digest(self, capsys, name):
-        """Profiling observes a digest workload without perturbing it."""
-        assert main(["profile", name, "--top", "3"]) == 0
-        assert f"result {expected(f'digest/{name}')!r}" in capsys.readouterr().out
-
-    def test_sort_by_tottime(self, capsys):
-        assert main(["profile", "faulted_digest", "--sort", "tottime"]) == 0
-        assert "tottime" in capsys.readouterr().out
-
-    def test_unknown_workload_rejected(self, capsys):
-        assert main(["profile", "definitely_not_a_workload"]) == 2
-        err = capsys.readouterr().err
-        assert "unknown workload" in err
-        # The error names the known set: the digest fields.
-        assert "known: digest, faulted_digest, keyed_digest" in err
-        assert "rebalance_digest" in err

@@ -37,7 +37,8 @@ class TestDriverRouting:
         driver.install([WriteOp(time=1.0), ReadOp(time=20.0)])
         cluster.run_until(40.0)
         owner = cluster.shard_of(cluster.keys[0])
-        history = cluster.close().shard_history(owner)
+        cluster.close()
+        history = cluster.shards[owner].history
         assert len(history.writes()) == 1
         assert len(history.reads()) == 1
         # The key was materialized: it is the cluster default, not None.
@@ -152,7 +153,7 @@ class TestNamedReaders:
         assert stats.reads_issued == stats.reads_skipped == 1
         (handle,) = cluster.close().operations("read")
         assert (handle.process_id, handle.shard, handle.key) == (reader, owner, key)
-        assert cluster.history.shard_history(owner).reads() == [handle]
+        assert cluster.shards[owner].history.reads() == [handle]
 
 
 class TestShardSkewPicker:
@@ -388,6 +389,6 @@ class TestDriverFollowsFlips:
         assert driver.stats.writes_deferred == 1
         assert driver.stats.writes_issued == 0
         history = cluster.close()
-        assert [w.argument for w in history.shard_history(source).writes()] == []
+        assert [w.argument for w in cluster.shards[source].history.writes()] == []
         assert [w.argument for w in history.seam_view(key).writes()] == ["frozen"]
         assert history.seam_view(key).writes()[0].shard == dest
