@@ -24,7 +24,7 @@ from ..core.register import key_names
 from ..net.delay import DELAY_MODEL_NAMES, make_delay
 from ..protocols import PROTOCOLS
 from ..runtime.assembly import derive_shard_seed, shard_pid_prefix, split_population
-from ..runtime.config import SystemConfig, require_count
+from ..runtime.config import SystemConfig, require_count, require_delta
 from ..sim.clock import Time
 from ..sim.errors import ConfigError
 from ..sim.rng import derive_seed
@@ -76,6 +76,7 @@ class ClusterConfig:
         require_count("shards", self.shards)
         require_count("keys", self.keys)
         require_count("n", self.n)
+        require_delta(self.delta)
         if self.shards < 1:
             raise ConfigError(f"shard count must be at least 1, got {self.shards!r}")
         if self.keys < 1:

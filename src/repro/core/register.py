@@ -350,7 +350,14 @@ class RegisterNode(SimProcess, abc.ABC):
 
     def read(self, key: Any = None) -> OperationHandle:
         """Invoke a read of ``key``.  Only legal once the node is
-        active; ``None`` addresses the default key."""
+        active; ``None`` addresses the default key.
+
+        A protocol whose read waits (ES, ABD) inherits this entry point
+        and defines ``_read_body(key)``, the read of the resolved key as
+        an operation generator; one whose read is local overrides
+        ``read`` itself and needs no body (sync: Figure 2's read is
+        born complete).
+        """
         if self._mode is not _ACTIVE:
             self._refuse_inactive(OP_READ)
         key = self.space.resolve(key)
@@ -375,10 +382,6 @@ class RegisterNode(SimProcess, abc.ABC):
     @abc.abstractmethod
     def _join_body(self) -> OperationBody:
         """The protocol's join, as an operation generator."""
-
-    @abc.abstractmethod
-    def _read_body(self, key: Any) -> OperationBody:
-        """The protocol's read of (resolved) ``key``."""
 
     @abc.abstractmethod
     def _write_body(self, value: Any, key: Any) -> OperationBody:

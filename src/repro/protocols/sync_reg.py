@@ -77,9 +77,11 @@ from __future__ import annotations
 from numbers import Real
 from typing import Any, NamedTuple
 
-from ..core.register import BOTTOM, Cell, NodeContext, RegisterNode, RegisterSpace
+from ..core.register import (
+    BOTTOM, OP_READ, Cell, NodeContext, RegisterNode, RegisterSpace,
+)
 from ..sim.errors import ProcessError
-from ..sim.operations import OperationBody, Wait
+from ..sim.operations import OperationBody, OperationHandle, OperationState, Wait
 from ..sim.process import ProcessMode
 from .common import OK, QuorumPhase, make_join_result, new_reply
 
@@ -119,6 +121,9 @@ class WriteMsg(NamedTuple):
     sequence: int
     key: Any = None
 
+
+_ACTIVE = ProcessMode.ACTIVE
+_DONE = OperationState.DONE
 
 #: The last single-key REPLY built.
 _last_reply = Reply(BOTTOM, -1)
@@ -196,7 +201,8 @@ class SynchronousRegisterNode(RegisterNode):
         self._reply_version = -1
 
     # ------------------------------------------------------------------
-    # Operation bodies (``RegisterNode`` owns the entry points)
+    # Operations: the join and write bodies (``RegisterNode`` owns their
+    # entry points) and the read, its own entry point
     # ------------------------------------------------------------------
 
     def _join_body(self) -> OperationBody:
@@ -227,10 +233,37 @@ class SynchronousRegisterNode(RegisterNode):
         """Line 03: some key still holds ⊥ (nothing adopted in transit)."""
         return any(value is BOTTOM for value, _ in self.space)
 
-    def _read_body(self, key: Any) -> OperationBody:
-        """Figure 2: the read — purely local, zero latency."""
-        return self.space.value(key)
-        yield  # pragma: no cover — makes the body a generator
+    def read(self, key: Any = None) -> OperationHandle:
+        """Figure 2's ``read()``: ``return(register_i)``.
+
+        Local and zero-time, so the read is born complete, in this one
+        frame: the mode test (an inactive node is refused as every
+        operation is), the key resolved (``None`` is the default key's
+        position 0; an unknown named key is ``resolve``'s ``KeyError``),
+        the handle built at the engine's clock and the cell's value
+        stored as its result.  The response time is the invocation's
+        own float object, so a history row prints the instant once (the
+        digest's ``response is invoke`` test).  No generator, runner or
+        callback is built: the handle is what ``run_operation`` makes of
+        a body that returns before its first effect, the op id drawn at
+        the same point.
+        """
+        if self._mode is not _ACTIVE:
+            self._refuse_inactive(OP_READ)
+        space = self.space
+        if key is None:
+            position = 0
+            key = space._keys[0]
+        else:
+            position = space._index.get(key)
+            if position is None:
+                space.resolve(key)  # an unknown named key: the KeyError
+        now = self.engine._now
+        handle = OperationHandle(OP_READ, self.pid, now, None, key)
+        handle._result = space[position][0]
+        handle.response_time = now
+        handle._state = _DONE
+        return handle
 
     def _write_body(self, value: Any, key: Any) -> OperationBody:
         """Figure 2: the write — broadcast then wait δ."""
@@ -281,7 +314,7 @@ class SynchronousRegisterNode(RegisterNode):
         inquirer = msg.sender
         if inquirer == self.pid:
             return None  # own broadcast echo: a process does not answer itself
-        if self._mode is ProcessMode.ACTIVE:  # line 14
+        if self._mode is _ACTIVE:  # line 14
             reply = self._reply_cache
             if reply is None or self._reply_version != self.space.version:
                 reply = self._fresh_reply()

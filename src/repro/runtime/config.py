@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import inf
+from numbers import Real
 from typing import Any
 
 from ..core.register import key_names
@@ -32,6 +33,17 @@ def require_count(name: str, value: Any) -> None:
     a bare ``TypeError``, and take ``True`` for 1."""
     if value.__class__ is bool or not isinstance(value, int):
         raise ConfigError(f"{name} must be an int, got {value!r}")
+
+
+def require_delta(value: Any) -> None:
+    """Refuse a delay bound ``δ`` that is not a positive, finite real,
+    by name — a ``bool`` included, which would otherwise run as δ = 1."""
+    if value.__class__ is bool or not isinstance(value, Real):
+        raise ConfigError(
+            f"delta must be a real number (a bool is not one), got {value!r}"
+        )
+    if not 0 < value < inf:
+        raise ConfigError(f"delta must be positive and finite, got {value!r}")
 
 
 @dataclass
@@ -114,10 +126,7 @@ class SystemConfig:
                 raise ConfigError(f"key_set contains duplicates: {self.key_set!r}")
         if not self.pid_prefix:
             raise ConfigError("pid_prefix must be non-empty")
-        if not 0 < self.delta < inf:
-            raise ConfigError(
-                f"delta must be positive and finite, got {self.delta!r}"
-            )
+        require_delta(self.delta)
         if self.protocol not in PROTOCOLS:
             raise ConfigError(
                 f"unknown protocol {self.protocol!r}; "

@@ -37,7 +37,7 @@ from ..core.checker import (
     find_new_old_inversions,
 )
 from ..core.history import History
-from ..core.register import NodeContext, OP_READ, OP_WRITE, RegisterNode
+from ..core.register import NodeContext, RegisterNode
 from ..faults.injector import FaultInjector
 from ..faults.plan import FaultPlan
 from ..protocols import PROTOCOLS

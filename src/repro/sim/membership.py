@@ -158,12 +158,22 @@ class Membership:
     def draw_active(
         self, rng: Random, exclude: str | None = None
     ) -> SimProcess | None:
-        """One active process drawn uniformly by ``rng.choice`` from the
-        cached active list, in place — ``None`` if there is none.
+        """One active process drawn uniformly from the cached active
+        list, in place — ``None`` if there is none.
 
-        The draw consumes ``rng`` exactly as
+        The draw is the one ``Random.choice`` makes
+        (``_randbelow_with_getrandbits`` on CPython 3.11 and 3.12),
+        inlined so a planned read enters no frame of ``random``: ``k``
+        bits are drawn for a pool of ``n`` (``k = n.bit_length()``, so
+        a pool of one still draws) and redrawn while they read ``n`` or
+        more.  It consumes ``rng`` exactly as
         ``rng.choice(active_pids())`` does; ``exclude`` leaves that pid
-        out of the pool, as ``rng.choice`` over the filtered list would.
+        out of the pool, as ``rng.choice`` over the filtered list would
+        (``tests/properties/test_membership_model.py`` holds the two to
+        the same process and the same ``getstate()``).  The cached list
+        is reset at every enter, leave and mode change, so the drawn
+        process is present and active by construction and a driver
+        calls its ``read`` without asking again.
         """
         # The cache hit is inlined: this runs once per planned read.
         active = self._active
@@ -171,7 +181,15 @@ class Membership:
             active = self._active_list()
         if exclude is not None:
             active = [p for p in active if p.pid != exclude]
-        return rng.choice(active) if active else None
+        n = len(active)
+        if not n:
+            return None
+        getrandbits = rng.getrandbits
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return active[r]
 
     @property
     def active_count(self) -> int:

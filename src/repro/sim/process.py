@@ -279,6 +279,14 @@ class SimProcess:
         abandoned if this process departs first.  ``key`` stamps the
         handle with the register key the operation addresses (``None``
         for the single register and for joins).
+
+        Each operation pays only for what it uses: the body's first step
+        is taken before anything is built for it, so a body that returns
+        before its first effect completes its handle on the spot; only
+        an operation that blocks gets a (slotted) ``_OperationRunner``
+        and a ``_runners`` list of its own; and a handle's callback list
+        exists once somebody waits on it.  A read that never waits need
+        not come here at all (sync's ``read`` builds its handle done).
         """
         if self._mode is _DEPARTED:
             raise ProcessDepartedError(
@@ -287,8 +295,8 @@ class SimProcess:
         now = self.engine._now
         handle = OperationHandle(kind, self.pid, now, argument, key)
         # The first step comes before anything is built for it: a body
-        # that returns without yielding (the synchronous read) is done,
-        # and only an operation that has to wait gets a runner.
+        # that returns before its first effect is done, and only an
+        # operation that has to wait gets a runner.
         try:
             effect = next(body)
         except StopIteration as stop:

@@ -94,7 +94,7 @@ class ClusterWorkloadDriver:
         if self._installed:
             raise ExperimentError("cluster workload installed twice")
         self._installed = True
-        install_series(self.cluster.engine, plan, self._fire_read, self._fire_write)
+        install_series(self.cluster.engine, plan, self._fire)
 
     def _fire_write(self, op: WriteOp) -> None:
         key = self.cluster.resolve_key(op.key)
@@ -112,7 +112,12 @@ class ClusterWorkloadDriver:
         self.stats.writes_issued += 1
         self._count_shard_op(self.cluster.shard_of(key), key)
 
-    def _fire_read(self, op: ReadOp) -> None:
+    def _fire(self, op: WorkloadOp) -> None:
+        """Fire one planned op: a write through :meth:`_fire_write`, a
+        read here, inline."""
+        if not isinstance(op, ReadOp):
+            self._fire_write(op)
+            return
         cluster = self.cluster
         key = cluster.resolve_key(op.key)
         index = cluster.shard_of(key)

@@ -86,7 +86,14 @@ def periodic_times(start: Time, period: Time, count: int) -> list[Time]:
 def poisson_times(
     start: Time, end: Time, rate: float, rng: random.Random
 ) -> list[Time]:
-    """A Poisson arrival process of intensity ``rate`` on ``[start, end)``."""
+    """A Poisson arrival process of intensity ``rate`` on ``[start, end)``.
+
+    Each gap is drawn inline as ``-log(1.0 - rng.random()) / rate``, the
+    body of ``Random.expovariate`` on CPython 3.11 and 3.12: the same
+    floats and the same RNG state after, and no frame per draw
+    (``tests/properties/test_plan_properties.py`` holds it to a loop
+    that calls ``expovariate``).
+    """
     _require_finite(start=start, end=end, rate=rate)
     if rate < 0:
         raise ExperimentError(f"rate must be non-negative, got {rate!r}")

@@ -128,19 +128,23 @@ def check_plan(plan: Sequence[WorkloadOp], now: Time) -> None:
 def install_series(
     engine: EventScheduler,
     plan: Sequence[WorkloadOp],
-    fire_read: Callable[[ReadOp], None],
-    fire_write: Callable[[WriteOp], None],
+    fire: Callable[[WorkloadOp], None],
 ) -> None:
-    """Put a checked ``plan`` on ``engine`` as one series that fires
-    each op at its ``time`` — the one install path of both drivers.
-    The plan fires in ``(time, position)`` order, which is what
-    scheduling op by op in list order would give."""
+    """Put a checked ``plan`` on ``engine`` as one series that calls
+    ``fire(op)`` at each op's ``time`` — the one install path of both
+    drivers.  ``fire`` is the driver's own dispatch, called by the
+    series directly: a planned read enters no frame between the engine
+    and the driver.
+
+    The series is one never-cancelled queue slot however long the plan
+    is: it reserves the block of sequence numbers and adds the
+    ``len(plan)`` to ``pending_count`` that per-op ``schedule_at`` calls
+    would, and pushes op ``k + 1`` as op ``k`` fires, so the plan fires
+    in ``(time, position)`` order — what scheduling op by op in list
+    order gives.  ``tests/sim/test_series.py`` holds the two
+    indistinguishable."""
     check_plan(plan, engine.now)
     ordered = sorted(plan, key=_PLANNED_AT)
-
-    def fire(op: WorkloadOp) -> None:
-        (fire_read if isinstance(op, ReadOp) else fire_write)(op)
-
     engine.schedule_series(
         map(_PLANNED_AT, ordered), fire, ordered, priority=Priority.OPERATION
     )
@@ -202,9 +206,7 @@ class WorkloadDriver:
         if self._installed:
             raise ExperimentError("workload installed twice")
         self._installed = True
-        install_series(
-            self.system.engine, plan, self._fire_read, self._fire_write
-        )
+        install_series(self.system.engine, plan, self._fire)
 
     # ------------------------------------------------------------------
     # Firing
@@ -230,7 +232,12 @@ class WorkloadDriver:
         self._pending_writes[key] = handle
         self.stats.writes_issued += 1
 
-    def _fire_read(self, op: ReadOp) -> None:
+    def _fire(self, op: WorkloadOp) -> None:
+        """Fire one planned op: a write through :meth:`_fire_write`, a
+        read here, inline — the hot path, one frame of the driver."""
+        if not isinstance(op, ReadOp):
+            self._fire_write(op)
+            return
         system = self.system
         stats = self.stats
         if op.reader is None:

@@ -52,10 +52,17 @@ class TestValidation:
     @pytest.mark.parametrize(
         "value", [float("nan"), float("inf"), float("-inf"), 0.0, -1.0]
     )
-    def test_a_non_finite_or_non_positive_delta_is_named_by_the_shard(self, value):
-        # Every shard's SystemConfig takes the cluster's delta and names it.
+    def test_a_non_finite_or_non_positive_delta_is_named_at_construction(self, value):
+        # Refused by the cluster's own config, not first by a shard's.
         with pytest.raises(ConfigError, match="^delta must be positive and finite"):
-            ClusterConfig(delta=value).shard_config(0)
+            ClusterConfig(delta=value)
+
+    @pytest.mark.parametrize("value", [True, False, "5.0", None])
+    def test_a_bool_or_non_real_delta_is_named_at_construction(self, value):
+        with pytest.raises(
+            ConfigError, match=r"^delta must be a real number \(a bool is not one\)"
+        ):
+            ClusterConfig(delta=value)
 
     @pytest.mark.parametrize("knob", ["entrant_policy", "initial_value", "sample_period"])
     def test_a_deleted_knob_is_refused(self, knob):

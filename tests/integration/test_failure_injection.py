@@ -8,7 +8,6 @@ surviving operations stay correct.
 
 import pytest
 
-from repro.net.delay import EventuallySynchronousDelay
 from tests.conftest import make_system
 
 DELTA = 5.0

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.register import BOTTOM
 from repro.protocols.common import JoinResult
 from repro.protocols.sync_reg import Inquiry, Reply
 from repro.sim.errors import ProcessError

@@ -88,8 +88,11 @@ def _drive(tmp: str) -> None:
 
 def _dump(tmp: str) -> None:
     sys.setprofile(None)
+    # A pool's manager thread may still be winding down with the hook
+    # on and adding to the set: write a snapshot, taken in one C call.
+    entered = list(_entered)
     with open(f"{tmp}/{os.getpid()}.entered", "a") as out:
-        out.writelines(f"{c.co_filename}\0{c.co_qualname}\n" for c in _entered)
+        out.writelines(f"{c.co_filename}\0{c.co_qualname}\n" for c in entered)
 
 
 def unreached() -> set[str]:

@@ -45,6 +45,15 @@ class TestValidation:
         with pytest.raises(ConfigError, match=f"^{field} must be positive and finite"):
             SystemConfig(**{field: value})
 
+    @pytest.mark.parametrize("value", [True, False, "5.0", None])
+    def test_a_bool_or_non_real_delta_is_named(self, value):
+        # ``delta=True`` used to pass ``0 < delta < inf`` and run as δ = 1.
+        with pytest.raises(
+            ConfigError,
+            match=rf"^delta must be a real number \(a bool is not one\), got {value!r}$",
+        ):
+            SystemConfig(n=5, delta=value)
+
     @pytest.mark.parametrize("knob", ["trace_capacity", "sample_period", "initial_value"])
     def test_a_deleted_knob_is_refused(self, knob):
         # No caller set one of these to a second value: a traced run
