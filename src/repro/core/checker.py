@@ -73,6 +73,9 @@ from .register import OP_JOIN, OP_READ
 #: The explanation of every valid judgement.
 _ALLOWED = "returned an allowed value"
 
+#: The latency sample of every zero-time operation.
+_ZERO = 0.0
+
 
 class ReadJudgement(NamedTuple):
     """The verdict on one read (or join-adoption)."""
@@ -693,7 +696,10 @@ class LivenessChecker:
                 samples = latencies.get(op.kind)
                 if samples is None:
                     samples = latencies[op.kind] = []
-                samples.append(response - op.invoke_time)
+                # A born-complete read's response IS its invocation's
+                # float: its sample is the one shared 0.0 (= x - x).
+                invoked = op.invoke_time
+                samples.append(_ZERO if response is invoked else response - invoked)
             elif op.abandoned:
                 excused += 1
             else:

@@ -15,14 +15,14 @@ checker consumes only the operation handles it returns — protocols are
 never trusted to self-report correctness.
 
 The paper implements exactly one register; the production
-extrapolation is a *store* of many.  Each node therefore owns a
-:class:`RegisterSpace` — per-key ``⟨value, sequence⟩`` cells — and
-every operation addresses a key.  The single-register system is the
-``keys == 1`` special case whose key is the :data:`SINGLE_KEY`
-sentinel ``None``: its message payloads, histories and digests are
-byte-identical to the pre-RegisterSpace library, which is what keeps
-the trajectory artifacts and the seed corpus comparable across the
-refactor.  Safety of a keyed store is per-key safety: the checkers
+extrapolation is a *store* of many.  Each node therefore holds a
+:class:`RegisterSpace` — per-key ``⟨value, sequence⟩`` cells, shared by
+the nodes in that state — and every operation addresses a key.  The
+single-register system is the ``keys == 1`` special case whose key is
+the :data:`SINGLE_KEY` sentinel ``None``: its message payloads,
+histories and digests are byte-identical to the pre-RegisterSpace
+library, which keeps the trajectory artifacts and the seed corpus
+comparable across the refactor.  Safety of a keyed store is per-key safety: the checkers
 partition histories by key (see :meth:`History.sub_history
 <repro.core.history.History.sub_history>`).
 """
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Any, NoReturn, TYPE_CHECKING
 
 from ..sim.clock import Time
@@ -62,13 +63,6 @@ Cell = tuple[Any, int]
 #: the first real sequence number (0) passes the adoption guard.
 _UNSET: Cell = (BOTTOM, -1)
 
-#: The cell the last install or adoption put in place: back-to-back
-#: adoptions of its ⟨value, sn⟩ — every recipient of a WRITE, the
-#: joiners adopting it — install this same tuple, so a population that
-#: adopted a write shares one cell with its writer, the way the seeds
-#: share their initial one.
-_last_cell: Cell = _UNSET
-
 #: The key of the classic single-register system.  ``None`` (rather
 #: than a named key) keeps every single-register code path — message
 #: payloads, operation records, digests — literally unchanged from the
@@ -90,81 +84,61 @@ def key_names(count: int) -> tuple[Any, ...]:
     return tuple(f"k{i}" for i in range(count))
 
 
-class _KeyIndexes(dict):
-    """key tuple → its ``key → position`` index, built once per key
-    tuple (on the first subscript that misses) and shared by every space
-    built from that tuple: a population of 10⁵ holds one.  Read-only
-    once built: an ``adopt`` that admits a key copies first."""
-
-    def __missing__(self, keys: tuple[Any, ...]) -> dict[Any, int]:
-        if not keys:
-            raise ValueError("a register space needs at least one key")
-        index = {key: position for position, key in enumerate(keys)}
-        if len(index) != len(keys):
-            duplicate = next(key for key in keys if keys.count(key) > 1)
-            raise ValueError(f"register key {duplicate!r} appears twice in {keys}")
-        self[keys] = index
-        return index
+@cache
+def _index_of(keys: tuple[Any, ...]) -> dict[Any, int]:
+    """``keys``' ``key → position`` index, built once per key tuple.
+    Read-only: an ``adopt`` that admits a key copies it first."""
+    if not keys:
+        raise ValueError("a register space needs at least one key")
+    index = {key: position for position, key in enumerate(keys)}
+    if len(index) != len(keys):
+        duplicate = next(key for key in keys if keys.count(key) > 1)
+        raise ValueError(f"register key {duplicate!r} appears twice in {keys}")
+    return index
 
 
-_INDEXES = _KeyIndexes()
+#: The last adoption, ``(prior, key, value, sequence, cell, successor)``:
+#: the recipients of one WRITE hold one prior space and make one adoption,
+#: so each gets this successor.  An install leaves its cell here under no
+#: prior: a write's adopters share the writer's cell (and space, if single-key).
+_last: tuple = (None, None, None, None, None, None)
 
 
 class RegisterSpace(list):
-    """Per-key local copies of the keyed register store.
-
-    Every protocol node owns one: the per-key ``⟨value, sequence⟩``
-    pairs that used to live as a node's single ``_register``/``_sn``
-    attribute pair.  The space is pure local state — adoption guards
-    (``sequence > current``) live here so the three protocols share
-    one implementation of the paper's "adopt if newer" rule.
+    """Per-key local copies of the keyed register store: an immutable
+    value that every node in the same register state shares.
 
     The space IS its list of cells, one ``(value, sequence)`` tuple per
-    key in key order (``_keys``): a node pays one list object and one
-    slot per key (a population of 10⁵ pays it 10⁵ times), and a read of
-    both halves is one subscript.  ``_index`` maps a key to its
-    position; it is built once per key tuple and shared by every space
-    built from that tuple, and only an ``adopt`` that admits a key
-    gives its space a private copy.  A cell tuple is replaced, never
-    mutated, so ``snapshot`` hands it out as is.  A quorum handler
-    probes ``_index`` with its message's key as it stands (``read`` /
-    ``write`` resolved it) and comes here only on a miss.  A key tuple
-    that names a key twice is refused (``ValueError`` naming the key).
-    Building a space is one subscript of the index memo and one
-    exact-size ``extend`` of its cells (an ``append`` would
-    over-allocate the slot array).
+    key in key order (``_keys``), so a read of both halves is one
+    C-level subscript.  :meth:`install`, :meth:`adopt` and :meth:`bump`
+    return the successor, which the node rebinds ``space`` to.  The
+    seeds all start on ⟨v0, 0⟩ (footnote 3) and every process a WRITE
+    reaches adopts the same ⟨v, sn⟩, so a population holds a handful of
+    spaces: the seeds' one, the joiners' :data:`blank_space`, a WRITE's
+    one successor (``_last``).  The three protocols share its adoption
+    guard, the paper's "adopt if newer" rule.
 
-    ``cell`` is what every key starts from: ⟨⊥, −1⟩ for a joiner, the
-    initial ⟨value, 0⟩ for a seed (footnote 3) — one tuple the whole
-    population shares; :meth:`adopt` keeps the sharing, installing one
-    tuple for a run of adoptions of the same ⟨value, sn⟩.
+    ``_index`` maps a key to its position: the key tuple's, copied only
+    by an ``adopt`` that admits a key.  A quorum handler probes it with
+    its message's key as it stands and comes here only on a miss.  A
+    key tuple that names a key twice is refused (``ValueError`` naming
+    the key).  ``reply`` is the REPLY a protocol derives from the space,
+    filled on first use (sync's inquiry answer); a successor has none.
     """
 
-    __slots__ = ("_keys", "_index", "version")
+    __slots__ = ("_keys", "_index", "reply")
 
     def __init__(
         self, keys: tuple[Any, ...] = (SINGLE_KEY,), cell: Cell = _UNSET
     ) -> None:
-        if keys.__class__ is not tuple:
-            keys = tuple(keys)
-        self._index = _INDEXES[keys]
+        self._index = _index_of(keys)
         self._keys = keys
         self.extend((cell,) * len(keys))
-        #: Bumped by every mutator call (even a rejected adoption, so
-        #: callers may over-invalidate but never under-invalidate), and
-        #: 1 for a seeded space, as if its initial cell were installed.
-        #: Protocol nodes key cached derived payloads — e.g. an inquiry
-        #: reply, rebuilt tens of thousands of times under churn from a
-        #: space that never changed — on this counter.
-        self.version = 0 if cell is _UNSET else 1
+        self.reply = None
 
     @property
     def keys(self) -> tuple[Any, ...]:
         return self._keys
-
-    @property
-    def is_single(self) -> bool:
-        return len(self._keys) == 1
 
     def resolve(self, key: Any = None) -> Any:
         """Map ``None`` to the default (first) key; validate named keys."""
@@ -195,64 +169,80 @@ class RegisterSpace(list):
     def reply_parts(self) -> tuple[Any, int, tuple[tuple[Any, Any, int], ...] | None]:
         """The default key's ``(value, sequence)`` plus the batched
         ``entries`` payload (``None`` on a single-key space) — the three
-        fields of an inquiry reply, in one call.  Replies are the
-        dominant point-to-point traffic under churn, so this exists to
-        keep the hot path to one method call instead of three."""
+        fields of an inquiry reply, in one call."""
         value, sequence = self[0]
         if len(self) == 1:
             return value, sequence, None
         return value, sequence, self.entries()
 
-    def install(self, key: Any, value: Any, sequence: int) -> None:
-        """Unconditionally set ``key``'s local copy."""
-        global _last_cell
-        position = self._position(key)
-        self.version += 1
-        self[position] = _last_cell = (value, sequence)
+    def _with(self, position: int, cell: Cell, key: Any = None) -> RegisterSpace:
+        """This space with ``cell`` at ``position`` (past the end: ``key``'s)."""
+        successor = list.__new__(RegisterSpace)
+        successor += self
+        successor._keys, successor._index = self._keys, self._index
+        successor.reply = None
+        if position == len(self):
+            successor.append(cell)
+            successor._keys += (key,)
+            successor._index = {**self._index, key: position}
+        else:
+            successor[position] = cell
+        return successor
 
-    def adopt(self, key: Any, value: Any, sequence: int) -> bool:
-        """The paper's adoption rule: install iff strictly newer.
+    def install(self, key: Any, value: Any, sequence: int) -> RegisterSpace:
+        """The space with ``key``'s local copy set unconditionally."""
+        global _last
+        cell = (value, sequence)
+        successor = self._with(self._position(key), cell)
+        _last = (None, key, value, sequence, cell, successor)
+        return successor
+
+    def adopt(self, key: Any, value: Any, sequence: int) -> RegisterSpace:
+        """The paper's adoption rule: the space with ``key`` at ⟨value,
+        sequence⟩ iff that is strictly newer, else this space.
 
         Unlike :meth:`resolve`-gated operations, adoption *auto-admits*
         an unknown named key: live resharding grows a destination
-        shard's key set at migration time, and any node of that shard —
-        including ones created before the migration — may then receive
-        the key via ``MigInstall``, a ``WriteMsg`` broadcast or a
-        batched join reply.  The admitted cell starts at ⟨⊥, -1⟩, so
-        the newer-wins guard applies uniformly, and the space's index
-        becomes its own copy (the shared one is never written).  The
-        ``None`` sentinel still resolves to the default key
-        (single-register payloads are key-less), so non-migrating
-        systems are untouched.  The installed cell is the last
-        install's or adoption's when it holds the same ``value`` object
-        and ``sequence`` (see ``_last_cell``).
+        shard's key set at migration time, and any node of that shard
+        may then receive the key via ``MigInstall``, a ``WriteMsg``
+        broadcast or a batched join reply.  The admitted cell starts at
+        ⟨⊥, -1⟩, so the guard applies uniformly (a refused adoption
+        still admits).  ``None`` is the default key.  The last
+        adoption's successor and cell are reused where they are what
+        this one builds (``_last``).
         """
-        global _last_cell
-        self.version += 1
-        if key is None:
-            position = 0
-        else:
-            position = self._index.get(key)
-            if position is None:
-                position = len(self)
-                self._keys += (key,)
-                self._index = {**self._index, key: position}
-                self.append(_UNSET)
-        if sequence > self[position][1]:
-            cell = _last_cell
-            if cell[0] is not value or cell[1] != sequence:
-                cell = _last_cell = (value, sequence)
-            self[position] = cell
-            return True
-        return False
+        global _last
+        last = _last
+        if (
+            last[0] is self
+            and last[2] is value
+            and last[3] == sequence
+            and last[1] == key
+        ):
+            return last[5]
+        position = 0 if key is None else self._index.get(key)
+        if position is None:  # admitted at ⟨⊥, −1⟩, and guarded as any cell
+            position = len(self)
+            if sequence <= _UNSET[1]:
+                return self._with(position, _UNSET, key)
+        elif sequence <= self[position][1]:
+            return self
+        cell, successor = last[4], last[5]
+        if last[2] is not value or last[3] != sequence:
+            cell = (value, sequence)
+            successor = self._with(position, cell, key)
+        elif position or len(self) != 1 or successor._index is not self._index:
+            # Only a single-key successor of the same keys is its cell alone.
+            successor = self._with(position, cell, key)
+        _last = (self, key, value, sequence, cell, successor)
+        return successor
 
-    def bump(self, key: Any = None) -> int:
-        """Increment and return ``key``'s sequence number (a write)."""
+    def bump(self, key: Any = None) -> RegisterSpace:
+        """The space with ``key``'s sequence number incremented (a
+        write's ``sn := sn + 1``)."""
         position = self._position(key)
-        self.version += 1
         value, sequence = self[position]
-        self[position] = (value, sequence + 1)
-        return sequence + 1
+        return self._with(position, (value, sequence + 1))
 
     def entries(self) -> tuple[tuple[Any, Any, int], ...]:
         """Every ``(key, value, sequence)`` triple, in key order.
@@ -272,6 +262,10 @@ class RegisterSpace(list):
             for key, value, sequence in self.entries()
         )
         return f"RegisterSpace({cells})"
+
+
+#: key tuple → its ⟨⊥, −1⟩ space, built once: every joiner starts on it.
+blank_space = cache(RegisterSpace)
 
 
 @dataclass
@@ -307,23 +301,28 @@ class RegisterNode(SimProcess, abc.ABC):
 
     Lifecycle contract (Section 2):
 
-    * a node created as a *seed* (``seed=(initial value, 0)``) starts
-      active and already stores the register's initial value on every
-      key — the paper's "initially, n processes compose the system"
-      premise (footnote 3);
-    * a node created as a *joiner* starts in listening mode and must be
-      driven through :meth:`join` before it may read or write.
+    * a node created as a *seed* (``seed`` a space holding the initial
+      value on every key, the one every seed is built on) starts active
+      — the paper's "initially, n processes compose the system" premise
+      (footnote 3);
+    * a node created as a *joiner* (``seed`` omitted) starts in
+      listening mode on the shared :func:`blank_space` of ``ctx.keys``
+      and must be driven through :meth:`join` before it may read or
+      write.
 
     ``ctx`` must have been bound to the node class (:meth:`bind`).
     """
 
     __slots__ = ("ctx", "space", "migration_sink")
 
-    def __init__(self, pid: str, ctx: NodeContext, seed: Cell | None = None) -> None:
+    def __init__(
+        self, pid: str, ctx: NodeContext, seed: RegisterSpace | None = None
+    ) -> None:
         SimProcess.__init__(self, pid, ctx.engine, seed is not None)
         self.ctx = ctx
-        #: The node's local copies, one cell per key.
-        self.space = RegisterSpace(ctx.keys, _UNSET if seed is None else seed)
+        #: The node's local copies, one cell per key: a shared value,
+        #: rebound (never changed) by every transition.
+        self.space = blank_space(ctx.keys) if seed is None else seed
         #: The coordinator currently using this node as its reply agent
         #: (``None`` when no migration is in flight through this node).
         self.migration_sink: Any = None
@@ -422,7 +421,7 @@ class RegisterNode(SimProcess, abc.ABC):
         # Adoption auto-admits the key and keeps newer local state; the
         # ack is unconditional, so re-installs (retry rounds) are
         # idempotent.
-        self.space.adopt(msg.key, msg.value, msg.sequence)
+        self.space = self.space.adopt(msg.key, msg.value, msg.sequence)
         return MigAck(msg.migration_id)
 
     def on_migack(self, sender: str, msg: Any) -> None:

@@ -62,13 +62,18 @@ of the two ``fire`` methods — the last three only while
 ``_p2p_uniform`` is set (a clean, untraced link), where they push the
 queue tuple themselves and skip what they already hold: the replying
 process was just fetched from ``_present``, the sender it answers has a
-record, nothing gates or traces the link.  With ``_p2p_uniform``
-``None`` — tracing, an installed plan — they call ``send_payload``, as
-does the checked path, so it stays the single slow path and the only
-place a gate, a SEND record or a fault decision lives.  (The inline
-pushes skip its finite-instant test too: the declared ``(lo, span)`` are
-finite, and ``_push`` cannot take a non-finite instant — ``int()`` of it
-raises.)
+record, nothing gates or traces the link (nor tests the instant for
+finiteness: the declared ``(lo, span)`` are finite).  With
+``_p2p_uniform`` ``None`` — tracing, an installed plan — they call
+``send_payload``, as does the checked path, so it stays the single slow
+path and the only place a gate, a SEND record or a fault decision
+lives: at seed 0 it is entered 0 times on ``abd_static_200`` (357,600
+before; 894 ``send_round`` calls) and on ``sync_churn_1k`` (381,222
+before; 299 rounds), ``net.sent`` unchanged.  A message is a
+``NamedTuple`` (a reply is one C call, ``protocols.common.new_reply``;
+a round builds its payload once) costing 168 B / 3 allocated blocks in
+flight — the queue tuple, its instant, its sequence number; 208 / 4
+with a pooled entry object — and nothing once it lands.
 
 Each payload type has one handler body, the recipient's ``on_<type>``
 method, and every delivery ends in it.  A fault plan acts at the

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from typing import Any, NamedTuple
 
-from ..core.register import Cell, NodeContext, RegisterNode
+from ..core.register import NodeContext, RegisterNode, RegisterSpace
 from ..sim.errors import ConfigError
 from ..sim.operations import OperationBody, WaitUntil
 from .common import OK, PhaseTracker, make_join_result, new_reply
@@ -102,7 +102,9 @@ class AbdRegisterNode(RegisterNode):
 
     __slots__ = ("_queries", "_writebacks", "_writes", "_universe", "_is_replica")
 
-    def __init__(self, pid: str, ctx: NodeContext, seed: Cell | None = None) -> None:
+    def __init__(
+        self, pid: str, ctx: NodeContext, seed: RegisterSpace | None = None
+    ) -> None:
         RegisterNode.__init__(self, pid, ctx, seed)
         # Phase thresholds depend on the replica universe, which the
         # runtime installs only after every seed exists — each round is
@@ -167,7 +169,7 @@ class AbdRegisterNode(RegisterNode):
         send_round(self.pid, self.universe, AbdQuery(request, key))
         yield WaitUntil(phase.satisfied, label="abd phase 1")
         value, sequence = phase.best_for(key)  # type: ignore[misc]
-        self.space.adopt(key, value, sequence)
+        self.space = self.space.adopt(key, value, sequence)
         phase.settle()
         # Phase 2: write-back, so a later read cannot see an older value.
         wb_phase = self._writebacks.open(key, self.majority)
@@ -179,8 +181,9 @@ class AbdRegisterNode(RegisterNode):
         return value
 
     def _write_body(self, value: Any, key: Any) -> OperationBody:
-        sequence = self.space.bump(key)
-        self.space.install(key, value, sequence)
+        space = self.space.bump(key)
+        sequence = space.sequence(key)
+        self.space = space.install(key, value, sequence)
         phase = self._writes.open(key, self.majority)
         self.ctx.network.send_round(
             self.pid, self.universe, AbdWrite(value, sequence, key)
@@ -209,7 +212,7 @@ class AbdRegisterNode(RegisterNode):
     def on_abdwrite(self, sender: str, msg: AbdWrite) -> AbdAck | None:
         if not (self._is_replica or self.is_replica):
             return None
-        self.space.adopt(msg.key, msg.value, msg.sequence)
+        self.space = self.space.adopt(msg.key, msg.value, msg.sequence)
         return new_reply(AbdAck, (msg.sequence, msg.key))
 
     def on_abdack(self, sender: str, msg: AbdAck) -> None:
@@ -252,7 +255,7 @@ class AbdRegisterNode(RegisterNode):
     ) -> AbdWriteBackAck | None:
         if not (self._is_replica or self.is_replica):
             return None
-        self.space.adopt(msg.key, msg.value, msg.sequence)
+        self.space = self.space.adopt(msg.key, msg.value, msg.sequence)
         return new_reply(AbdWriteBackAck, (msg.request, msg.key))
 
     def on_abdwritebackack(self, sender: str, msg: AbdWriteBackAck) -> None:

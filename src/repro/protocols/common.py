@@ -324,7 +324,7 @@ def make_join_result(space: Any) -> JoinResult | KeyedJoinResult:
     (byte-compatible with the pre-RegisterSpace library); multi-key
     spaces report every key's adoption.
     """
-    if space.is_single:
+    if len(space) == 1:
         return JoinResult(space.value(), space.sequence())
     return KeyedJoinResult(
         {key: (value, sequence) for key, value, sequence in space.entries()}

@@ -50,7 +50,7 @@ from __future__ import annotations
 
 from typing import Any, NamedTuple
 
-from ..core.register import Cell, NodeContext, RegisterNode
+from ..core.register import NodeContext, RegisterNode, RegisterSpace
 from ..sim.errors import ProcessError
 from ..sim.operations import OperationBody, WaitUntil
 from ..sim.process import ProcessMode
@@ -150,7 +150,9 @@ class EventuallySyncRegisterNode(RegisterNode):
             )
         ctx.derived["quorum"] = quorum
 
-    def __init__(self, pid: str, ctx: NodeContext, seed: Cell | None = None) -> None:
+    def __init__(
+        self, pid: str, ctx: NodeContext, seed: RegisterSpace | None = None
+    ) -> None:
         RegisterNode.__init__(self, pid, ctx, seed)
         # Figure 4, lines 01-02: the join's initializations happen at
         # process creation (join starts the instant the process enters).
@@ -196,15 +198,16 @@ class EventuallySyncRegisterNode(RegisterNode):
         yield WaitUntil(phase.satisfied, label="read replies")  # line 04
         best = phase.best_for(key)  # lines 05-06
         if best is not None:
-            self.space.adopt(key, best[0], best[1])
+            self.space = self.space.adopt(key, best[0], best[1])
         phase.settle()  # line 07
         return self.space.value(key)
 
     def _write_body(self, value: Any, key: Any) -> OperationBody:
         """Figure 6: the write operation (single writer per key)."""
         yield from self._read_body(key)  # line 01: refresh the sequence number
-        sequence = self.space.bump(key)  # line 02
-        self.space.install(key, value, sequence)
+        space = self.space.bump(key)  # line 02
+        sequence = space.sequence(key)
+        self.space = space.install(key, value, sequence)
         ack_phase = self._acks.open(key, self.ctx.derived["quorum"])  # line 03
         self.ctx.broadcast.broadcast(
             self.pid, EsWrite(self.pid, value, sequence, key)  # line 04
@@ -216,9 +219,11 @@ class EventuallySyncRegisterNode(RegisterNode):
     def _adopt_join_replies(self) -> None:
         """Lines 05-06, per key: adopt the greatest-sequence reply."""
         best = self._join_phase.best_per_key()
-        for key in self.space.keys:
+        space = self.space
+        for key in space.keys:
             if key in best:
-                self.space.adopt(key, *best[key])
+                space = space.adopt(key, *best[key])
+        self.space = space
         self._join_phase.settle()
 
     def _reply(self, r_sn: int, key: Any) -> EsReply:
@@ -330,7 +335,7 @@ class EventuallySyncRegisterNode(RegisterNode):
 
     def on_eswrite(self, sender: str, msg: EsWrite) -> EsAck:
         """Figure 6, lines 06-08."""
-        self.space.adopt(msg.key, msg.value, msg.sequence)  # line 07
+        self.space = self.space.adopt(msg.key, msg.value, msg.sequence)  # line 07
         return new_reply(EsAck, (self.pid, msg.sequence, msg.key))  # line 08
 
     def on_esack(self, sender: str, msg: EsAck) -> None:

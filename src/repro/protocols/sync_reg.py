@@ -78,7 +78,7 @@ from numbers import Real
 from typing import Any, NamedTuple
 
 from ..core.register import (
-    BOTTOM, OP_READ, Cell, NodeContext, RegisterNode, RegisterSpace,
+    BOTTOM, OP_READ, NodeContext, RegisterNode, RegisterSpace,
 )
 from ..sim.errors import ProcessError
 from ..sim.operations import OperationBody, OperationHandle, OperationState, Wait
@@ -102,8 +102,8 @@ class Reply(NamedTuple):
 
     ``i``, the replier, is the delivery's sender — the ``sender`` every
     handler receives — so the payload does not repeat it, and every
-    single-key node holding the same ⟨value, sn⟩ answers with one
-    shared payload (see :func:`_reply_of`).  ``entries`` is ``None`` on
+    node holding the same register space answers with one shared
+    payload (see :func:`_reply_of`).  ``entries`` is ``None`` on
     a single-register system (the classic payload); a multi-key system
     batches every key's ``(key, value, sequence)`` triple into the one
     reply.
@@ -125,24 +125,16 @@ class WriteMsg(NamedTuple):
 _ACTIVE = ProcessMode.ACTIVE
 _DONE = OperationState.DONE
 
-#: The last single-key REPLY built.
-_last_reply = Reply(BOTTOM, -1)
-
 
 def _reply_of(space: RegisterSpace) -> Reply:
-    """The REPLY ``space`` answers with.  A single-key space holding the
-    last single-key REPLY's ⟨value, sn⟩ — the same value object, the
-    same sn — answers with that very payload: the seeds share one
-    initial cell and a write's adopters one adopted cell
-    (``RegisterSpace.adopt``), so a population answers a join's n
-    inquiries with a handful of payloads, not one per replier."""
-    global _last_reply
-    if len(space) != 1:
-        return new_reply(Reply, space.reply_parts())
-    value, sequence = space[0]
-    reply = _last_reply
-    if reply[0] is not value or reply[1] != sequence:
-        reply = _last_reply = new_reply(Reply, (value, sequence, None))
+    """The REPLY ``space`` answers with, built on its first use and kept
+    in its ``reply`` slot.  The seeds share one space and a write's
+    adopters one successor (``RegisterSpace.adopt``), so a population
+    answers a join's n inquiries with a handful of payloads, not one per
+    replier — and a multi-key state builds its batched reply once."""
+    reply = space.reply
+    if reply is None:
+        reply = space.reply = new_reply(Reply, space.reply_parts())
     return reply
 
 
@@ -156,9 +148,7 @@ class SynchronousRegisterNode(RegisterNode):
     protocol_name = "sync"
     join_wait = True
 
-    __slots__ = (
-        "_join_phase", "_reply_to", "_reply_cache", "_reply_version",
-    )
+    __slots__ = ("_join_phase", "_reply_to")
 
     @classmethod
     def bind(cls, ctx: NodeContext) -> None:
@@ -180,7 +170,9 @@ class SynchronousRegisterNode(RegisterNode):
             )
         ctx.derived["inquiry_wait"] = wait
 
-    def __init__(self, pid: str, ctx: NodeContext, seed: Cell | None = None) -> None:
+    def __init__(
+        self, pid: str, ctx: NodeContext, seed: RegisterSpace | None = None
+    ) -> None:
         RegisterNode.__init__(self, pid, ctx, seed)
         # Figure 1, line 01 — the join's initializations happen at
         # process creation: in the model a process starts its join the
@@ -193,12 +185,6 @@ class SynchronousRegisterNode(RegisterNode):
         # are released once the join has consumed them (lines 10-11).
         self._join_phase: QuorumPhase | None = None
         self._reply_to: set[str] | None = None
-        # Reply payload cache, keyed on the space's version counter:
-        # under churn a node answers thousands of inquiries from a
-        # space that never changed, and the payload is immutable and
-        # therefore shareable across every one of those sends.
-        self._reply_cache: Reply | None = None
-        self._reply_version = -1
 
     # ------------------------------------------------------------------
     # Operations: the join and write bodies (``RegisterNode`` owns their
@@ -267,8 +253,9 @@ class SynchronousRegisterNode(RegisterNode):
 
     def _write_body(self, value: Any, key: Any) -> OperationBody:
         """Figure 2: the write — broadcast then wait δ."""
-        sequence = self.space.bump(key)  # line 01
-        self.space.install(key, value, sequence)
+        space = self.space.bump(key)  # line 01: sn := sn + 1
+        sequence = space.sequence(key)
+        self.space = space.install(key, value, sequence)  # register := v
         self.ctx.broadcast.broadcast(self.pid, WriteMsg(value, sequence, key))
         yield Wait(self.ctx.delta)  # line 02
         return OK
@@ -276,32 +263,26 @@ class SynchronousRegisterNode(RegisterNode):
     def _adopt_best_replies(self) -> None:
         """Lines 07-08, per key: adopt the greatest-sequence reply."""
         best = self._join_phase.best_per_key()
-        for key in self.space.keys:
+        space = self.space
+        for key in space.keys:
             if key in best:
-                self.space.adopt(key, *best[key])
+                space = space.adopt(key, *best[key])
+        self.space = space
 
     def _answer_pending_inquiries(self) -> None:
-        """Line 11: one reply payload (the first this node builds — it
-        has only just become active), sent to every inquirer parked
+        """Line 11: one reply payload, sent to every inquirer parked
         while listening, in sorted order."""
         self.ctx.network.send_round(
-            self.pid, sorted(self._reply_to), self._fresh_reply()
+            self.pid, sorted(self._reply_to), _reply_of(self.space)
         )
-
-    def _fresh_reply(self) -> Reply:
-        """REPLY(i, ⟨register, sn⟩), cached against the space's version
-        (see ``__init__``)."""
-        space = self.space
-        reply = self._reply_cache = _reply_of(space)
-        self._reply_version = space.version
-        return reply
 
     def depart(self) -> None:
         """Leave silently, releasing what a silent process can never use
-        again: its join phase, its parked inquirers and its cached
-        REPLY (its register ``space`` stays readable)."""
+        again: its join phase, its parked inquirers and its space's REPLY
+        (a node still on the space builds it again; the space stays
+        readable)."""
         super().depart()
-        self._join_phase = self._reply_to = self._reply_cache = None
+        self._join_phase = self._reply_to = self.space.reply = None
 
     # ------------------------------------------------------------------
     # Message handlers (Figures 1 and 2) — the one body per payload
@@ -315,9 +296,9 @@ class SynchronousRegisterNode(RegisterNode):
         if inquirer == self.pid:
             return None  # own broadcast echo: a process does not answer itself
         if self._mode is _ACTIVE:  # line 14
-            reply = self._reply_cache
-            if reply is None or self._reply_version != self.space.version:
-                reply = self._fresh_reply()
+            reply = self.space.reply
+            if reply is None:
+                reply = _reply_of(self.space)
             return reply
         self._park(inquirer)  # line 15
         return None
@@ -353,7 +334,7 @@ class SynchronousRegisterNode(RegisterNode):
 
     def on_writemsg(self, sender: str, msg: WriteMsg) -> None:
         """Lines 03-04 of Figure 2."""
-        self.space.adopt(msg.key, msg.value, msg.sequence)
+        self.space = self.space.adopt(msg.key, msg.value, msg.sequence)
 
 
 class NaiveSyncRegisterNode(SynchronousRegisterNode):

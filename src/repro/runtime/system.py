@@ -37,7 +37,7 @@ from ..core.checker import (
     find_new_old_inversions,
 )
 from ..core.history import History
-from ..core.register import NodeContext, RegisterNode
+from ..core.register import NodeContext, RegisterNode, RegisterSpace
 from ..faults.injector import FaultInjector
 from ..faults.plan import FaultPlan
 from ..protocols import PROTOCOLS
@@ -122,19 +122,19 @@ class DynamicSystem:
         current instant (at n = 10⁵ this is the build).
 
         A seed costs its objects, not its frames: the pids are one
-        comprehension, each seed is ``node_class(pid, ctx, cell)`` — the
-        constructor a joiner gets too, with no transition to make
+        comprehension, each seed is ``node_class(pid, ctx, space)`` —
+        the constructor a joiner gets too, with no transition to make
         afterwards — and the population enters the membership in one
-        bulk :meth:`~repro.sim.membership.Membership.enter`.  Every key
-        of every seed holds the one ``cell`` tuple.
+        bulk :meth:`~repro.sim.membership.Membership.enter`.  Every seed
+        holds the one ``space``, every key of it the one initial cell.
         """
         prefix, node_class = self.config.pid_prefix, self._node_class
         pids = tuple(
             [f"{prefix}{i:04d}" for i in itertools.islice(self._pid_counter, count)]
         )
-        cell = (INITIAL_VALUE, 0)  # one tuple, every seed's cells
+        space = RegisterSpace(self.keys, (INITIAL_VALUE, 0))
         self.membership.enter(
-            *map(node_class, pids, itertools.repeat(self._ctx), itertools.repeat(cell))
+            *map(node_class, pids, itertools.repeat(self._ctx), itertools.repeat(space))
         )
         if self.trace.enabled:
             record, now = self.trace.record, self.engine.now
@@ -168,7 +168,7 @@ class DynamicSystem:
     def register_key(self, key: Any) -> None:
         """Admit ``key`` into this system's register space (migration).
 
-        Every node constructed from now on owns a cell for the key;
+        Every joiner built from now on starts with a cell for the key;
         nodes already present receive it via ``MigInstall`` adoption
         (the :class:`~repro.cluster.migration.KeyMigration` install
         round covers all present pids before routing flips).

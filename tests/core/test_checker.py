@@ -452,6 +452,18 @@ class TestLiveness:
         assert sorted(report.latencies["write"]) == [2.0, 4.0]
         assert "read" not in report.latencies
 
+    def test_born_complete_reads_share_one_zero_sample(self):
+        """A local read's response IS its invocation's float; its
+        sample is one shared +0.0, bit for bit what ``x - x`` gives."""
+        system = DynamicSystem(SystemConfig(n=5, seed=3, trace=False))
+        system.run_for(1.5)
+        reads = [system.read(pid) for pid in system.seed_pids[:3]]
+        assert all(op.response_time is op.invoke_time for op in reads)
+        system.close()
+        samples = LivenessChecker(system.history, grace=5.0).check().latencies["read"]
+        assert len(samples) == 3 and len({id(sample) for sample in samples}) == 1
+        assert samples[0].hex() == (1.5 - 1.5).hex() == "0x0.0p+0"
+
     def test_unclosed_history_rejected(self):
         history = History("v0")
         with pytest.raises(CheckerError):

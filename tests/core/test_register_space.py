@@ -46,42 +46,66 @@ class TestRegisterSpace:
 
     def test_adopt_only_when_strictly_newer(self):
         space = RegisterSpace(key_names(2))
-        assert space.adopt("k0", "v1", 3)
-        assert not space.adopt("k0", "stale", 3)
-        assert not space.adopt("k0", "staler", 1)
-        assert space.snapshot("k0") == ("v1", 3)
-        assert space.snapshot("k1") == (BOTTOM, -1)  # isolated per key
+        newer = space.adopt("k0", "v1", 3)
+        assert newer is not space and space.snapshot("k0") == (BOTTOM, -1)
+        assert newer.adopt("k0", "stale", 3) is newer
+        assert newer.adopt("k0", "staler", 1) is newer
+        assert newer.snapshot("k0") == ("v1", 3)
+        assert newer.snapshot("k1") == (BOTTOM, -1)  # isolated per key
 
     def test_back_to_back_adoptions_of_one_cell_share_it(self):
         value = object()
         first, second, writer = (RegisterSpace(key_names(2)) for _ in range(3))
-        writer.install("k0", value, 4)
-        assert first.adopt("k0", value, 4) and second.adopt("k0", value, 4)
+        writer = writer.install("k0", value, 4)
+        first, second = first.adopt("k0", value, 4), second.adopt("k0", value, 4)
         assert first[0] is second[0] is writer[0]
-        assert first.adopt("k1", value, 4)
+        first = first.adopt("k1", value, 4)
         assert first[1] is first[0]  # the same ⟨value, sn⟩ on another key
+
+    def test_the_adopters_of_one_space_share_one_successor(self):
+        value = object()
+        shared = RegisterSpace(key_names(2), ("v0", 0))
+        first, second = shared.adopt("k1", value, 4), shared.adopt("k1", value, 4)
+        assert first is second and shared.snapshot("k1") == ("v0", 0)
+        # An admitting adoption's successor (and its index copy) is
+        # shared too; the shared index stays as it was.
+        moved = first.adopt("moved", value, 1)
+        assert first.adopt("moved", value, 1) is moved
+        assert "moved" not in first._index and moved._index["moved"] == 2
+
+    def test_single_key_adopters_share_the_writers_space(self):
+        value = object()
+        seeded = RegisterSpace(key_names(1), ("v0", 0))
+        writer = seeded.bump(None).install(None, value, 1)
+        blank = RegisterSpace(key_names(1))
+        # Whatever each held before, a single-key adopter of the
+        # written ⟨value, sn⟩ lands on the writer's successor.
+        assert seeded.adopt(None, value, 1) is writer
+        assert blank.adopt(None, value, 1) is writer
+        assert seeded.adopt(None, value, 1) is writer
 
     def test_an_adoption_shares_no_cell_whose_value_or_sn_differs(self):
         first, second = RegisterSpace(key_names(2)), RegisterSpace(key_names(2))
-        assert first.adopt("k0", "a", 3)
+        first = first.adopt("k0", "a", 3)
         # Same sn, another value; an equal but distinct value; same value,
         # another sn: each is a cell of its own.
-        assert second.adopt("k0", "b", 3)
+        second = second.adopt("k0", "b", 3)
         assert second.snapshot("k0") == ("b", 3)
-        assert first.adopt("k1", 1, 5) and second.adopt("k1", 1.0, 5)
+        first, second = first.adopt("k1", 1, 5), second.adopt("k1", 1.0, 5)
         assert type(second.value("k1")) is float
-        assert second.adopt("k0", "b", 4) and second.snapshot("k0") == ("b", 4)
+        second = second.adopt("k0", "b", 4)
+        assert second.snapshot("k0") == ("b", 4)
         assert first.snapshot("k0") == ("a", 3)
 
     def test_bump_is_per_key(self):
         space = RegisterSpace(key_names(2))
-        assert space.bump("k0") == 0
-        assert space.bump("k0") == 1
-        assert space.bump("k1") == 0
+        once = space.bump("k0")
+        assert once.sequence("k0") == 0 and space.sequence("k0") == -1
+        assert once.bump("k0").sequence("k0") == 1
+        assert once.bump("k1").snapshot("k1") == (BOTTOM, 0)
 
     def test_entries_in_key_order(self):
-        space = RegisterSpace(key_names(3), ("v0", 0))
-        space.install("k1", "v1", 4)
+        space = RegisterSpace(key_names(3), ("v0", 0)).install("k1", "v1", 4)
         assert space.entries() == (
             ("k0", "v0", 0),
             ("k1", "v1", 4),
@@ -94,7 +118,7 @@ class TestSystemConfigKeys:
         system = DynamicSystem(SystemConfig(n=3, seed=1))
         assert system.keys == (None,)
         node = system.node(system.seed_pids[0])
-        assert node.space.is_single
+        assert len(node.space) == 1
         assert node.register_value == "v0"
 
     def test_keyed_system_seeds_every_key(self):

@@ -10,6 +10,7 @@ from repro.net.delay import (
     DualBoundSynchronousDelay,
     EventuallySynchronousDelay,
     SynchronousDelay,
+    make_delay,
 )
 from repro.sim.errors import ConfigError
 
@@ -77,6 +78,22 @@ class TestEventuallySynchronousDelay:
     def test_rejects_negative_gst(self):
         with pytest.raises(ConfigError):
             EventuallySynchronousDelay(gst=-1.0, delta=5.0)
+
+    @pytest.mark.parametrize("delta", [0.0, -1.0])
+    def test_rejects_non_positive_delta_by_name(self, delta):
+        with pytest.raises(ConfigError, match=f"delta must be positive, got {delta!r}"):
+            EventuallySynchronousDelay(gst=0.0, delta=delta)
+
+    @pytest.mark.parametrize("min_delay", [0.0, -0.5, 5.5])
+    def test_rejects_min_delay_outside_zero_to_delta_by_name(self, min_delay):
+        message = rf"min_delay {min_delay!r} must lie in \(0, delta=5.0\]"
+        with pytest.raises(ConfigError, match=message):
+            EventuallySynchronousDelay(gst=0.0, delta=5.0, min_delay=min_delay)
+
+
+def test_make_delay_refuses_an_unknown_name_by_name():
+    with pytest.raises(ConfigError, match="unknown delay model 'fast'; choose from"):
+        make_delay("fast", 5.0)
 
 
 class TestAsynchronousDelay:

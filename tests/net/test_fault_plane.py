@@ -30,11 +30,12 @@ from repro.faults import (
 )
 from repro.net.broadcast import BroadcastService
 from repro.net.delay import SynchronousDelay
-from repro.net.network import Network
+from repro.net.network import Network, _FanoutSweep
+from repro.protocols.sync_reg import Reply
 from repro.sim.events import Priority
 from repro.sim.process import SimProcess
 from repro.sim.trace import TraceKind, TraceLog
-from tests.conftest import make_system
+from tests.conftest import make_system, pending_entries
 
 DELTA = 5.0
 
@@ -187,6 +188,39 @@ class TestNoWaveSendsAroundTheGate:
         system.run_for(2 * DELTA)
         assert all(node.is_active for node in nodes)
         assert system.faults.lost_count == lost_before + 2
+
+    def test_a_plan_installed_mid_sweep_gates_the_sweeps_replies(self):
+        """A plan that gates no delivery, installed while a fault-free
+        fan-out is in flight, withdraws ``_p2p_uniform`` but leaves
+        ``_fast`` on: the sweep's remaining arrivals dispatch inline and
+        their replies take the sweep's ``send_payload`` arm, where the
+        gate loses every one of them."""
+        system = make_system(n=50, trace=False)
+        network = system.network
+        joiner = system.node(system.spawn_joiner())
+        received = []
+
+        def on_reply(process, sender, msg):
+            received.append(sender)
+            return type(process).on_reply(process, sender, msg)
+
+        joiner._dispatch = {**joiner._dispatch, Reply: on_reply}
+        # The inquiry goes out at δ; its arrivals lie in (δ, 2δ].
+        system.run_until(1.5 * DELTA)
+        assert isinstance(pending_entries(system.engine)[0][3], _FanoutSweep)
+        answered = network.sent_count  # every send so far is a REPLY
+        assert 0 < answered < 50
+        injector = system.install_faults(
+            FaultPlan.of(LossFault(probability=1.0, payload_types={"Reply"}))
+        )
+        assert network._fast and network._p2p_uniform is None
+        system.run_for(3 * DELTA)
+        assert joiner.is_active
+        lost = network.sent_count - answered
+        assert answered + lost == 50  # every seed answered once
+        assert injector.lost_count == network.faulted_count == lost
+        # What lands is what was sent before the plan, and only that.
+        assert len(received) == answered
 
 
 # ----------------------------------------------------------------------

@@ -336,6 +336,40 @@ class TestDeclaredUniformParameters:
         assert network._bcast_uniform == model.broadcast_uniform()
 
 
+class _Instant(DelayModel):
+    """A custom model that breaks the contract: every delay is 0."""
+
+    def sample(self, sender, dest, payload, send_time, rng):
+        return 0.0
+
+
+REFUSAL = "delay model produced non-positive delay 0.0"
+
+
+class TestANonPositiveDelayIsRefused:
+    """The paths that call a model's ``sample`` (no declared uniform
+    parameters) refuse what it returns unless it is positive, by name."""
+
+    @pytest.fixture
+    def instant(self, engine, membership, trace, rng):
+        network = Network(engine, membership, _Instant(), trace, rng)
+        for pid in ("p1", "p2"):
+            membership.enter(Sink(pid, engine))
+        return network
+
+    def test_by_send_payload(self, instant):
+        with pytest.raises(NetworkError, match=REFUSAL):
+            instant.send_payload("p1", "p2", Note("x"))
+        assert instant.sent_count == 0
+
+    def test_by_deliver_fanout(self, instant, engine, rng):
+        with pytest.raises(NetworkError, match=REFUSAL):
+            instant.deliver_fanout(
+                "p1", ["p1", "p2"], Note("x"), engine.now, 1, rng.stream("b")
+            )
+        assert engine.pending_count == 0
+
+
 class _Scripted:
     """An ``rng`` whose ``random()`` replays the test's draws."""
 

@@ -1,7 +1,7 @@
 """Property-based tests for the shortcuts on the planning, sampling and
 join paths: the cached active list, its O(1) count, the single-pass
-best-per-key, and the synchronous join's fold of its replies as they
-land.
+best-per-key, the synchronous join's fold of its replies as they land,
+and the inquiry REPLY a register space carries for its nodes.
 
 Each is held to the straightforward computation it replaced, kept here
 as the reference.
@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.protocols.common import QuorumPhase
-from repro.protocols.sync_reg import Reply
+from repro.protocols.sync_reg import Inquiry, Reply, WriteMsg
 from repro.runtime.config import SystemConfig
 from repro.runtime.system import DynamicSystem
 from repro.sim.engine import EventScheduler
@@ -284,3 +284,47 @@ class TestJoinFoldIsTheBatchFold:
         # Only the batched offers are kept, and kept whole.
         assert set(phase.senders()) == batched
         assert all(phase._offers[s] == oracle._offers[s] for s in batched)
+
+
+# ----------------------------------------------------------------------
+# The inquiry REPLY a register space carries, against one built afresh
+# ----------------------------------------------------------------------
+
+#: One step at one of the four seeds: a WRITE adopted (Figure 2 lines
+#: 03-04, keys the node may not hold included, as under migration), or
+#: a write's own install.  Every seed answers an inquiry after each.
+space_steps = st.lists(
+    st.tuples(
+        st.sampled_from(("adopt", "install")),
+        st.integers(min_value=0, max_value=3),
+        st.sampled_from(KEYS + ("x0",)),
+        st.sampled_from(("a", "b")),
+        st.integers(min_value=0, max_value=3),
+    ),
+    max_size=24,
+)
+
+
+class TestPerSpaceReply:
+    """A node answers an inquiry with the REPLY its space carries, built
+    on the space's first inquiry: it always equals the REPLY built
+    afresh from the node's cells (a transition never leaves a stale
+    one), and nodes holding one space answer with one object."""
+
+    @given(keys=st.sampled_from((1, 3)), steps=space_steps)
+    @settings(max_examples=300, deadline=None)
+    def test_equals_a_fresh_reply_and_is_shared_by_its_space(self, keys, steps):
+        system = DynamicSystem(SystemConfig(n=4, keys=keys, trace=False))
+        nodes = [system.node(pid) for pid in system.seed_pids]
+        inquiry = Inquiry("p-joiner")
+        for kind, index, key, value, sequence in steps:
+            node = nodes[index]
+            if kind == "adopt":
+                node.on_writemsg("p-writer", WriteMsg(value, sequence, key))
+            elif key is None or key in node.space.keys:
+                node.space = node.space.install(key, value, sequence)
+            answers = {}
+            for other in nodes:
+                reply = other.on_inquiry(inquiry.sender, inquiry)
+                assert reply == Reply(*other.space.reply_parts())
+                assert answers.setdefault(id(other.space), reply) is reply

@@ -1,15 +1,27 @@
-"""A list of cells ≡ one cell dict.
+"""Shared immutable spaces ≡ one private cell dict per node.
 
 :class:`~repro.core.register.RegisterSpace` IS its list of ``(value,
 sequence)`` cells, in key order, addressed through a ``key → position``
-index that every space built from the same key tuple shares; until a
-seed's register went on a diet it kept ``key → (value, sequence)`` in a
-dict of its own.  That layout lives on here as the reference model: a
-Hypothesis state machine builds two sibling spaces from one key tuple,
-drives either with the same random mutator calls as its model — known,
-unknown and ``None`` keys, adoptions that admit a key — and compares
-every observable of both after every step.  A sibling that admits a key
-must leave the other's index (and every other seed's) as it was.
+index that every space built from the same key tuple shares, and it is
+never changed once built: a transition returns the successor space and
+the node rebinds ``space`` to it, so nodes in one register state share
+one space object (and the REPLY derived from it).  Until seeds shared a
+space each node kept ``key → (value, sequence)`` in a dict of its own;
+that layout lives on here as the reference model, one private model per
+node.  A Hypothesis state machine starts a small population on one
+shared space (a seed's or the joiners' blank one), drives random
+installs, adoptions, bumps and key admissions on single nodes, and
+random WRITEs — a writer's bump and install, then an adoption at every
+other node in turn — and after every step holds that:
+
+* every node's space equals its private model, observable by observable;
+* no transition changed a space object that any node holds or held, nor
+  the key tuple's shared index;
+* the recipients of one WRITE end on one space object and one REPLY:
+  each lands on the one before it's successor when it held the same
+  space or, single-key, whatever it held (the memo is the last
+  adoption's, so a recipient holding another multi-key space between
+  them starts a successor of its own).
 """
 
 from __future__ import annotations
@@ -26,26 +38,24 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.core.register import BOTTOM, SINGLE_KEY, RegisterSpace
+from repro.core.register import BOTTOM, SINGLE_KEY, RegisterSpace, blank_space
+from repro.protocols.sync_reg import Reply, _reply_of
 
 UNSET = (BOTTOM, -1)
+POPULATION = 4
 
 
 class DictSpace:
-    """The former layout, behaviour for behaviour (the reference)."""
+    """The former per-node layout, behaviour for behaviour (the
+    reference): mutated in place, never shared."""
 
     def __init__(self, keys: tuple[Any, ...], cell: tuple[Any, int] = UNSET) -> None:
         self._keys = tuple(keys)
         self._cells = dict.fromkeys(self._keys, cell)
-        self.version = 0 if cell is UNSET else 1
 
     @property
     def keys(self):
         return self._keys
-
-    @property
-    def is_single(self):
-        return len(self._keys) == 1
 
     def resolve(self, key=None):
         if key is None:
@@ -70,28 +80,26 @@ class DictSpace:
         return value, sequence, self.entries()
 
     def install(self, key, value, sequence):
-        key = self.resolve(key)
-        self.version += 1
-        self._cells[key] = (value, sequence)
+        self._cells[self.resolve(key)] = (value, sequence)
 
     def adopt(self, key, value, sequence):
-        self.version += 1
+        """True iff the cells changed (an admission counts)."""
+        admitted = False
         if key is None:
             key = self._keys[0]
         elif key not in self._cells:
             self._keys += (key,)
             self._cells[key] = UNSET
+            admitted = True
         if sequence > self._cells[key][1]:
             self._cells[key] = (value, sequence)
             return True
-        return False
+        return admitted
 
     def bump(self, key=None):
         key = self.resolve(key)
-        self.version += 1
         value, sequence = self._cells[key]
         self._cells[key] = (value, sequence + 1)
-        return sequence + 1
 
     def entries(self):
         return tuple(
@@ -106,69 +114,138 @@ STRANGERS = ("x0", "x1")
 any_key = st.sampled_from((None, *NAMED, *STRANGERS))
 values = st.sampled_from(("a", "b", "c", BOTTOM))
 sequences = st.integers(min_value=-1, max_value=6)
-siblings = st.sampled_from((0, 1))
+nodes = st.integers(min_value=0, max_value=POPULATION - 1)
 
 
 def outcome(call):
-    """What a call did: its result, or the error it raised."""
+    """What a call did: ``"ok"``, or the error it raised."""
     try:
-        return ("ok", call())
+        call()
+        return ("ok",)
     except KeyError as error:
         return ("KeyError", str(error))
 
 
-class ListIsDict(RuleBasedStateMachine):
+class SharedSpacesAreDicts(RuleBasedStateMachine):
     @initialize(
         keys=st.sampled_from(((SINGLE_KEY,), NAMED[:1], NAMED[:2], NAMED)),
         seed=st.none() | st.tuples(values, sequences),
     )
     def build(self, keys, seed):
-        cell = () if seed is None else (seed,)
         self.keys = keys
-        self.spaces = [RegisterSpace(keys, *cell) for _ in range(2)]
-        self.models = [DictSpace(keys, *cell) for _ in range(2)]
-        self.shared = self.spaces[0]._index
+        # One space for the whole population, as the runtime builds it.
+        shared = blank_space(keys) if seed is None else RegisterSpace(keys, seed)
+        self.spaces = [shared] * POPULATION
+        self.models = [
+            DictSpace(keys) if seed is None else DictSpace(keys, seed)
+            for _ in range(POPULATION)
+        ]
+        self.index = dict(shared._index)
+        #: id -> (space, its cells, keys and index as first seen): every
+        #: space any node held, kept alive so the ids stay distinct.
+        self.seen: dict[int, tuple] = {}
+        self.remember()
 
-    def both(self, node, name, *args):
-        got = outcome(lambda: getattr(self.spaces[node], name)(*args))
-        assert got == outcome(lambda: getattr(self.models[node], name)(*args)), name
-        return got
+    def remember(self):
+        for space in self.spaces:
+            if id(space) not in self.seen:
+                self.seen[id(space)] = (
+                    space, list(space), space.keys, dict(space._index)
+                )
 
-    @rule(node=siblings, key=any_key, value=values, sequence=sequences)
+    def step(self, node, name, *args):
+        """``name`` on ``node``'s space and on its model; the node
+        rebinds to the successor.  Returns (prior, successor, model's
+        result)."""
+        prior, model = self.spaces[node], self.models[node]
+        successor, result = None, None
+
+        def on_space():
+            nonlocal successor
+            successor = getattr(prior, name)(*args)
+
+        def on_model():
+            nonlocal result
+            result = getattr(model, name)(*args)
+
+        assert outcome(on_space) == outcome(on_model), name
+        if successor is not None:
+            self.spaces[node] = successor
+        self.remember()
+        return prior, successor, result
+
+    @rule(node=nodes, key=any_key, value=values, sequence=sequences)
     def install(self, node, key, value, sequence):
-        self.both(node, "install", key, value, sequence)
+        self.step(node, "install", key, value, sequence)
 
-    @rule(node=siblings, key=any_key, value=values, sequence=sequences)
+    @rule(node=nodes, key=any_key, value=values, sequence=sequences)
     def adopt(self, node, key, value, sequence):
-        self.both(node, "adopt", key, value, sequence)
+        prior, successor, changed = self.step(node, "adopt", key, value, sequence)
+        # A refused adoption that admits nothing keeps the very space.
+        assert (successor is prior) == (not changed)
 
-    @rule(node=siblings, key=any_key)
+    @rule(node=nodes, key=any_key)
     def bump(self, node, key):
-        self.both(node, "bump", key)
+        self.step(node, "bump", key)
+
+    @rule(writer=nodes, key=st.sampled_from((None, *NAMED)))
+    def write(self, writer, key):
+        """Figure 2's write: ``sn += 1; register := v``, then WRITE(v,
+        sn) adopted at every other node, in node order."""
+        try:
+            self.spaces[writer].resolve(key)
+        except KeyError:
+            return
+        self.step(writer, "bump", key)
+        value, sequence = object(), self.spaces[writer].sequence(key)
+        self.step(writer, "install", key, value, sequence)
+        # The memo is the last adoption's: an adopter lands on the last
+        # one's successor (the writer's install first) when it held the
+        # same space — or, single-key, whatever it held: a single-key
+        # successor is its one cell.
+        last_prior, last = None, self.spaces[writer]
+        for node in range(POPULATION):
+            if node == writer:
+                continue
+            prior, successor, changed = self.step(node, "adopt", key, value, sequence)
+            if not changed:
+                continue
+            single = len(prior) == len(last) == 1 and prior._index is last._index
+            if prior is last_prior or single:
+                assert successor is last
+                assert _reply_of(successor) is _reply_of(last)
+            last_prior, last = prior, successor
 
     @invariant()
-    def every_observable_agrees(self):
-        for node, (space, model) in enumerate(zip(self.spaces, self.models)):
+    def every_node_equals_its_model(self):
+        for space, model in zip(self.spaces, self.models):
             assert space.keys == model.keys
-            assert space.is_single == model.is_single
-            assert space.version == model.version
+            assert len(space) == len(model.keys)
+            assert list(space) == [model.snapshot(key) for key in model.keys]
             assert space.entries() == model.entries()
             assert space.reply_parts() == model.reply_parts()
+            if space.reply is not None:
+                assert space.reply == Reply(*model.reply_parts())
             for key in (None, *NAMED, *STRANGERS):
                 for name in ("resolve", "value", "sequence", "snapshot"):
-                    self.both(node, name, key)
+                    got = outcome(lambda: getattr(space, name)(key))
+                    assert got == outcome(lambda: getattr(model, name)(key))
+                    if got == ("ok",):
+                        assert getattr(space, name)(key) == getattr(model, name)(key)
 
     @invariant()
-    def only_an_admitting_space_owns_its_index(self):
-        assert self.shared == {key: i for i, key in enumerate(self.keys)}
-        for space in self.spaces:
-            assert (space._index is self.shared) == (space.keys == self.keys)
+    def no_transition_changes_a_held_space(self):
+        for space, cells, keys, index in self.seen.values():
+            assert list(space) == cells and space.keys == keys
+            assert space._index == index
+        # The key tuple's index is never written, whoever admitted.
+        assert self.spaces and RegisterSpace(self.keys)._index == self.index
 
 
-ListIsDict.TestCase.settings = settings(
+SharedSpacesAreDicts.TestCase.settings = settings(
     max_examples=100, stateful_step_count=20, deadline=None
 )
-TestListIsDict = ListIsDict.TestCase
+TestSharedSpacesAreDicts = SharedSpacesAreDicts.TestCase
 
 
 def test_an_empty_key_tuple_is_still_refused():
@@ -177,9 +254,8 @@ def test_an_empty_key_tuple_is_still_refused():
 
 
 def test_a_snapshot_does_not_alias_later_writes():
-    space = RegisterSpace(("k0",))
-    space.install("k0", "a", 1)
+    space = RegisterSpace(("k0",)).install("k0", "a", 1)
     before = space.snapshot("k0")
-    space.bump("k0")
-    space.adopt("k0", "b", 5)
-    assert before == ("a", 1) and space.snapshot("k0") == ("b", 5)
+    later = space.bump("k0").adopt("k0", "b", 5)
+    assert before == ("a", 1) and space.snapshot("k0") == ("a", 1)
+    assert later.snapshot("k0") == ("b", 5)

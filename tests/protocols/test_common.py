@@ -286,8 +286,7 @@ class TestJoinResults:
         assert (result.value, result.sequence) == ("v0", 0)
 
     def test_multi_key_space_yields_keyed_join_result(self):
-        space = RegisterSpace(key_names(3), ("v0", 0))
-        space.install("k2", "hot", 7)
+        space = RegisterSpace(key_names(3), ("v0", 0)).install("k2", "hot", 7)
         result = make_join_result(space)
         assert isinstance(result, KeyedJoinResult)
         assert result.value == "v0"  # default key's adoption, for old tooling

@@ -177,7 +177,7 @@ class TestWrite:
         """Figure 6 lines 09-10: only acks for the current sn count."""
         system = make_es()
         node = system.node(system.seed_pids[1])
-        node.space.install(None, node.space.value(), 4)
+        node.space = node.space.install(None, node.space.value(), 4)
         node.on_esack("a", EsAck("a", 4))
         assert None not in node._acks  # nobody collecting: nothing built
         phase = node._acks.open(None, node.ctx.derived["quorum"])
@@ -204,7 +204,7 @@ class TestWrite:
         system = make_es()
         node = system.node(system.seed_pids[1])
         peer = system.seed_pids[4]
-        node.space.install(None, "newest", 9)
+        node.space = node.space.install(None, "newest", 9)
         before = system.network.sent_count
         write = EsWrite(peer, "old", 3)
         assert node.on_eswrite(peer, write) == EsAck(node.pid, 3)

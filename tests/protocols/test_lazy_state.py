@@ -13,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.protocols.es_reg import EsDlPrev
-from repro.protocols.sync_reg import Reply
+from repro.protocols.sync_reg import Inquiry, Reply
 from repro.sim.operations import WaitUntil
 from repro.sim.process import SimProcess
 from tests.conftest import make_system
@@ -52,10 +52,10 @@ class TestAReplyNobodyAskedFor:
         node = system.node(joiner)
         assert node.is_active
         assert (node.register_value, node.sequence_number) == ("v0", 0)
-        # Every seed answered the inquiry (each built its one reply),
-        # the stray replies' targets included.
+        # Every seed answered the inquiry, the stray replies' targets
+        # included: the one reply of the space they share is built.
         assert all(
-            system.node(pid)._reply_cache is not None for pid in system.seed_pids
+            system.node(pid).space.reply is not None for pid in system.seed_pids
         )
         # Lines 10-11: the consumed join state is released at activation.
         assert node._join_phase is None and node._reply_to is None
@@ -98,6 +98,19 @@ class TestDepartures:
         node.depart()  # idempotent
         system.run_for(4 * DELTA)
 
+    def test_a_departing_sync_node_releases_its_spaces_reply(self):
+        """A space's REPLY is dropped with a node that leaves it (a
+        departed node's space often has no other holder); a node still
+        on the space answers with an equal one, built again."""
+        system = make_system(trace=False)
+        victim, neighbour = (system.node(pid) for pid in system.seed_pids[3:5])
+        inquiry = Inquiry("p-other")
+        answered = neighbour.on_inquiry(inquiry.sender, inquiry)
+        assert victim.space is neighbour.space and victim.space.reply is answered
+        system.leave(victim.pid)
+        assert neighbour.space.reply is None
+        assert neighbour.on_inquiry(inquiry.sender, inquiry) == answered
+
     @both_planes
     def test_a_sync_joiner_mid_inquiry(self, trace):
         system = make_system(trace=trace)
@@ -110,10 +123,10 @@ class TestDepartures:
         assert handle.abandoned
         assert len(node._runners) == 0 and len(node._watchers) == 0
         # A departed node drops the rounds it can never use again.
-        released = (node._join_phase, node._reply_to, node._reply_cache)
+        released = (node._join_phase, node._reply_to, node.space.reply)
         assert released == (None, None, None)
         system.run_for(4 * DELTA)  # late replies drop at the presence gate
-        assert (node._join_phase, node._reply_to, node._reply_cache) == released
+        assert (node._join_phase, node._reply_to, node.space.reply) == released
         assert not node.is_active and system.network.dropped_count > 0
 
     def test_an_es_joiner_waiting_on_its_quorum(self):

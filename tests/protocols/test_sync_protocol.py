@@ -342,25 +342,26 @@ class TestTheJoinAdoptsTheFold:
     replies, and what it keeps once active."""
 
     def test_the_joiner_adopts_the_greatest_sn(self, sync_system):
-        ahead = sync_system.seed_pids[3]
-        sync_system.node(ahead).space.adopt(None, "ahead", 4)
+        ahead = sync_system.node(sync_system.seed_pids[3])
+        ahead.space = ahead.space.adopt(None, "ahead", 4)
         pid = sync_system.spawn_joiner()
         sync_system.run_for(4 * DELTA)
         node = sync_system.node(pid)
         assert (node.register_value, node.sequence_number) == ("ahead", 4)
 
     def test_an_sn_tie_across_seeds_adopts_the_greatest_senders(self, sync_system):
-        lesser, greater = sorted(sync_system.seed_pids[1:3])
-        sync_system.node(lesser).space.adopt(None, "lesser", 2)
-        sync_system.node(greater).space.adopt(None, "greater", 2)
+        lesser, greater = map(sync_system.node, sorted(sync_system.seed_pids[1:3]))
+        lesser.space = lesser.space.adopt(None, "lesser", 2)
+        greater.space = greater.space.adopt(None, "greater", 2)
         pid = sync_system.spawn_joiner()
         sync_system.run_for(4 * DELTA)
         assert sync_system.node(pid).register_value == "greater"
 
     def test_a_keyed_join_adopts_every_keys_max(self):
         system = make_system(keys=3)
-        system.node(system.seed_pids[2]).space.adopt("k1", "one", 3)
-        system.node(system.seed_pids[5]).space.adopt("k2", "two", 7)
+        for index, key, value, sequence in ((2, "k1", "one", 3), (5, "k2", "two", 7)):
+            seed = system.node(system.seed_pids[index])
+            seed.space = seed.space.adopt(key, value, sequence)
         pid = system.spawn_joiner()
         system.run_for(4 * DELTA)
         node = system.node(pid)
@@ -397,9 +398,10 @@ class TestTheJoinAdoptsTheFold:
         first, second, third, fourth = (
             sync_system.node(pid) for pid in sync_system.seed_pids[:4]
         )
-        first.space.adopt(None, "a", 2)
-        second.space.adopt(None, "b", 2)  # the same sn, another value
-        third.space.adopt(None, "b", 3)  # the same value, another sn
+        first.space = first.space.adopt(None, "a", 2)
+        # The same sn, another value; the same value, another sn.
+        second.space = second.space.adopt(None, "b", 2)
+        third.space = third.space.adopt(None, "b", 3)
         inquiry = Inquiry("p-other")
         replies = [
             node.on_inquiry(inquiry.sender, inquiry)

@@ -5,16 +5,17 @@ and at n = 10⁵ building them is most of a judged run's setup.  A seed
 costs its objects, not its frames: ``DynamicSystem._build_seeds`` makes
 the pids in one comprehension and enters the whole population through
 one bulk ``Membership.enter``, so the only frames entered per seed are
-the constructor chain ``node_class(pid, ctx, cell)`` runs — the
-protocol node's ``__init__``, ``RegisterNode.__init__``,
-``SimProcess.__init__`` and ``RegisterSpace.__init__`` (whose shared
-key index is one subscript of the memo, not a call), plus the ES join
-phase's ``QuorumPhase.__init__``.  ``sys.setprofile`` counts every
-Python-level ``call`` event over the build — deterministic, so the
-bound holds without timing noise.  At n = 2000 (CPython 3.11) it
-measures 4.03 / 5.03 / 4.03 calls per seed for sync / es / abd,
-against 7.03 / 8.03 / 7.03 with a ``_next_pid`` frame, an
-``_index_of`` frame and a ``Membership.enter`` frame per seed.
+the constructor chain ``node_class(pid, ctx, space)`` runs — the
+protocol node's ``__init__``, ``RegisterNode.__init__`` and
+``SimProcess.__init__``, plus the ES join phase's
+``QuorumPhase.__init__``: every seed is handed the population's one
+``RegisterSpace``, so none builds its own.  ``sys.setprofile`` counts
+every Python-level ``call`` event over the build — deterministic, so
+the bound holds without timing noise.  At n = 2000 (CPython 3.11) it
+measures 3.03 / 4.03 / 3.03 calls per seed for sync / es / abd,
+against 4.03 / 5.03 / 4.03 with a ``RegisterSpace.__init__`` per seed
+and 7.03 / 8.03 / 7.03 with a ``_next_pid`` frame, an ``_index_of``
+frame and a ``Membership.enter`` frame per seed as well.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from repro.runtime.system import DynamicSystem
 N = 2000
 
 #: protocol -> the ratchet: calls over the build per seed.
-MAX_CALLS_PER_SEED = {"sync": 4.05, "es": 5.05, "abd": 4.05}
+MAX_CALLS_PER_SEED = {"sync": 3.05, "es": 4.05, "abd": 3.05}
 
 
 @pytest.mark.parametrize("protocol", sorted(MAX_CALLS_PER_SEED))

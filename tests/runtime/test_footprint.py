@@ -2,9 +2,9 @@
 
 A population's resident cost is ``n`` times what one seed costs, and a
 seed that never runs an operation should cost what it *uses*: its
-slots (a process is its own presence record), its register space — a
-list of cells, each slot the population's one initial cell, addressed
-through a key index every seed shares — and its pid.  These tests
+slots (a process is its own presence record) and its pid — its register
+space is the population's one, a list of cells each the one initial
+cell, addressed through the key tuple's index.  These tests
 hold the traced bytes and allocated blocks per seed under a budget (the
 measured value + ~10 %, CPython 3.11), and the objects the cyclic
 collector tracks per seed to an exact count, so that a change which
@@ -103,8 +103,10 @@ PLANNED_BUDGET = (118, 2)
 JUDGED_BUDGET = (292, 4)
 
 #: protocol -> (bytes per seed, allocated blocks per seed).  Measured
-#: here (n = 2000, 3.11): 385 / 4.05, 657 / 8.05, 584 / 7.05; with a
-#: ``RegisterSpace`` wrapping a one-entry cell dict and the delay /
+#: here (n = 2000, 3.11): 273 / 2.05, 561 / 6.05, 488 / 5.05; with a
+#: ``RegisterSpace`` of its own per seed (a list and its slot array) and
+#: sync's two reply-cache slots: 385 / 4.05, 657 / 8.05, 584 / 7.05;
+#: with a ``RegisterSpace`` wrapping a one-entry cell dict and the delay /
 #: quorum copied into each node: 585 / 5.05, 849 / 9.05, 769 / 8.05;
 #: with a ``PresenceRecord`` per process, a cell tuple per seed and the inquiry
 #: wait / quorum resolved per node: 749 / 8.1, 1011 / 12.0, 909 / 10.1;
@@ -113,19 +115,19 @@ JUDGED_BUDGET = (292, 4)
 #: / 8.1, 1707 / 18.0, 1283 / 16.0; before per-process state went lazy
 #: and slotted: 1563 / 17.1, 2147 / 24.1, 1667 / 21.1.
 BUDGET = {
-    "sync": (425, 4),
-    "es": (725, 8),
-    "abd": (645, 7),
+    "sync": (313, 2),
+    "es": (629, 6),
+    "abd": (549, 5),
 }
 
 #: protocol -> objects the cyclic collector tracks per seed, as built
-#: (before any collection untracks an atomic-only dict): the node and
-#: its ``RegisterSpace`` (a list: its cells), plus the ES join phase and
-#: two trackers / the three ABD trackers.  The drive's first full
-#: collection walks every one of them.  With a cell dict beside the
-#: space: 3, 6, 6; with a ``PresenceRecord`` and a cell tuple per seed
-#: as well: 5, 8, 8.
-GC_TRACKED_PER_SEED = {"sync": 2, "es": 5, "abd": 5}
+#: (before any collection untracks an atomic-only dict): the node, plus
+#: the ES join phase and two trackers / the three ABD trackers — the
+#: ``RegisterSpace`` is the population's one.  The drive's first full
+#: collection walks every one of them.  With a space per seed: 2, 5, 5;
+#: with a cell dict beside it: 3, 6, 6; with a ``PresenceRecord`` and a
+#: cell tuple per seed as well: 5, 8, 8.
+GC_TRACKED_PER_SEED = {"sync": 1, "es": 4, "abd": 4}
 
 
 def traced_build(**config) -> tuple[DynamicSystem, float, float]:
@@ -269,21 +271,25 @@ def test_an_untouched_quorum_seed_owns_no_round_or_pending_state(protocol, track
 
 def test_a_key_costs_one_list_slot():
     system = DynamicSystem(SystemConfig(n=3, trace=False, keys=16))
-    space, sibling = (system.node(pid).space for pid in system.seed_pids[:2])
-    # The space IS its cells: one slot per key, and every slot of a
-    # freshly seeded node holds the population's one initial cell.
+    node, sibling, third = (system.node(pid) for pid in system.seed_pids)
+    # The seeds share one space, and it IS its cells: one slot per key,
+    # every slot holding the population's one initial cell.
+    space = node.space
+    assert sibling.space is space and third.space is space
     assert len(space) == 16
     assert all(cell is space[0] for cell in space)
-    assert space[0] is sibling[0]
-    # The key -> position index is the key tuple's, not the node's.
-    shared = sibling._index
-    assert space._index is shared and len(shared) == 16
-    # Admitting a key gives the admitting node its own index; the
-    # sibling's (and every other seed's) stays as it was.
-    assert space.adopt("moved", "v", 3)
-    assert space._index is not shared and space._index["moved"] == 16
-    assert sibling._index is shared and "moved" not in shared
-    assert system.node(system.seed_pids[2]).space._index is shared
+    # The key -> position index is the key tuple's, not the space's.
+    shared = space._index
+    assert len(shared) == 16
+    # Admitting a key moves the admitting node to a successor with its
+    # own index; the shared space and its index stay as they were.
+    node.space = space.adopt("moved", "v", 3)
+    assert node.space._index is not shared and node.space._index["moved"] == 16
+    assert len(space) == 16 and "moved" not in shared
+    assert sibling.space is space and third.space is space
+    # A sibling that adopts the same moves to the same successor.
+    sibling.space = sibling.space.adopt("moved", "v", 3)
+    assert sibling.space is node.space
 
 
 def judged_reads(count, checkpoint=lambda: None):
@@ -652,9 +658,10 @@ def test_an_in_flight_fanout_costs_16_bytes_per_arrival():
 
 
 #: Bytes and blocks a WRITE landing on n = 2000 seeds leaves behind per
-#: seed.  Measured here (3.11): 1.7 / 0.03 — the write's handle and
-#: history record spread over the seeds, nothing per seed; with a cell
-#: tuple built per adopter, 57.7 / 1.03.
+#: seed.  Measured here (3.11): 2.1 / 0.03 — the write's handle and
+#: history record spread over the seeds, nothing per seed (the seeds
+#: move to one successor space); with a cell tuple built per adopter,
+#: 57.7 / 1.03.
 ADOPTED_BUDGET = (4, 0.05)
 
 
@@ -679,9 +686,12 @@ def test_the_seeds_a_write_lands_on_share_one_cell():
         tracemalloc.stop()
     assert write.done
     nodes = [system.node(pid) for pid in system.seed_pids]
-    cell = nodes[0].space[0]
+    space = nodes[0].space
+    cell = space[0]
     assert cell == (write.argument, 1)
-    # The writer's installed cell included: one object for every seed.
+    # The writer's installed space and cell included: one object of
+    # each for every seed.
+    assert all(node.space is space for node in nodes)
     assert all(node.space[0] is cell for node in nodes)
     max_bytes, max_blocks = ADOPTED_BUDGET
     assert size <= max_bytes, f"{size:.2f} B retained per adopting seed"
@@ -702,7 +712,8 @@ def test_single_key_seeds_answer_an_inquiry_with_one_reply(written):
         system.run_for(2 * system.config.delta)
     inquiry = Inquiry("p-joiner")
     nodes = [system.node(pid) for pid in system.seed_pids]
-    # Every node caches what it answered, so the ids stay distinct.
+    # The shared space keeps what its nodes answered, so the ids stay
+    # distinct.
     replies = {id(node.on_inquiry(inquiry.sender, inquiry)) for node in nodes}
     assert len(replies) == 1, f"{len(replies)} REPLY objects for {N} seeds"
-    assert tuple(nodes[0]._reply_cache) == (*nodes[0].space[0], None)
+    assert tuple(nodes[0].space.reply) == (*nodes[0].space[0], None)
