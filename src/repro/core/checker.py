@@ -73,7 +73,8 @@ from .register import OP_JOIN, OP_READ
 #: The explanation of every valid judgement.
 _ALLOWED = "returned an allowed value"
 
-#: The latency sample of every zero-time operation.
+#: The latency sample of every born-complete read, whose response IS its
+#: invocation's float (for any finite x, x - x is this +0.0).
 _ZERO = 0.0
 
 
@@ -696,8 +697,6 @@ class LivenessChecker:
                 samples = latencies.get(op.kind)
                 if samples is None:
                     samples = latencies[op.kind] = []
-                # A born-complete read's response IS its invocation's
-                # float: its sample is the one shared 0.0 (= x - x).
                 invoked = op.invoke_time
                 samples.append(_ZERO if response is invoked else response - invoked)
             elif op.abandoned:

@@ -32,6 +32,7 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass, field
 from functools import cache
+from operator import is_
 from typing import Any, NoReturn, TYPE_CHECKING
 
 from ..sim.clock import Time
@@ -103,6 +104,17 @@ def _index_of(keys: tuple[Any, ...]) -> dict[Any, int]:
 #: prior: a write's adopters share the writer's cell (and space, if single-key).
 _last: tuple = (None, None, None, None, None, None)
 
+#: The last join fold's successor (:meth:`RegisterSpace.adopt_all`).
+_joined: RegisterSpace | None = None
+
+
+def _alike(space: RegisterSpace | None, keys: tuple, cells: list) -> bool:
+    """Whether ``space`` holds ``keys`` at ``cells``: cell for cell, the
+    same value object and sequence number."""
+    return space is not None and space._keys == keys and all(
+        a is b or (a[0] is b[0] and a[1] == b[1]) for a, b in zip(space, cells)
+    )
+
 
 class RegisterSpace(list):
     """Per-key local copies of the keyed register store: an immutable
@@ -110,12 +122,12 @@ class RegisterSpace(list):
 
     The space IS its list of cells, one ``(value, sequence)`` tuple per
     key in key order (``_keys``), so a read of both halves is one
-    C-level subscript.  :meth:`install`, :meth:`adopt` and :meth:`bump`
-    return the successor, which the node rebinds ``space`` to.  The
-    seeds all start on ⟨v0, 0⟩ (footnote 3) and every process a WRITE
-    reaches adopts the same ⟨v, sn⟩, so a population holds a handful of
-    spaces: the seeds' one, the joiners' :data:`blank_space`, a WRITE's
-    one successor (``_last``).  The three protocols share its adoption
+    C-level subscript.  :meth:`install`, :meth:`adopt` and
+    :meth:`adopt_all` return the successor, which the node rebinds
+    ``space`` to.  The seeds all start on ⟨v0, 0⟩ (footnote 3), the
+    processes a WRITE reaches adopt one ⟨v, sn⟩ (``_last``) and the
+    joiners of a round one set of maxima (``_joined``): a population
+    holds a handful of spaces.  The three protocols share its adoption
     guard, the paper's "adopt if newer" rule.
 
     ``_index`` maps a key to its position: the key tuple's, copied only
@@ -202,12 +214,10 @@ class RegisterSpace(list):
         sequence⟩ iff that is strictly newer, else this space.
 
         Unlike :meth:`resolve`-gated operations, adoption *auto-admits*
-        an unknown named key: live resharding grows a destination
-        shard's key set at migration time, and any node of that shard
-        may then receive the key via ``MigInstall``, a ``WriteMsg``
-        broadcast or a batched join reply.  The admitted cell starts at
-        ⟨⊥, -1⟩, so the guard applies uniformly (a refused adoption
-        still admits).  ``None`` is the default key.  The last
+        an unknown named key at ⟨⊥, −1⟩ (live resharding grows a shard's
+        key set; its nodes get the key by ``MigInstall`` or a
+        ``WriteMsg``), so the guard applies uniformly (a refused
+        adoption still admits).  ``None`` is the default key.  The last
         adoption's successor and cell are reused where they are what
         this one builds (``_last``).
         """
@@ -231,18 +241,35 @@ class RegisterSpace(list):
         if last[2] is not value or last[3] != sequence:
             cell = (value, sequence)
             successor = self._with(position, cell, key)
-        elif position or len(self) != 1 or successor._index is not self._index:
-            # Only a single-key successor of the same keys is its cell alone.
+        elif (
+            position or len(self) != 1 or successor._index is not self._index
+        ) and not (last[1] == key and _alike(last[0], self._keys, self)):
+            # A single-key successor of the same keys is its cell alone;
+            # a prior alike the last one has its successor.
             successor = self._with(position, cell, key)
         _last = (self, key, value, sequence, cell, successor)
         return successor
 
-    def bump(self, key: Any = None) -> RegisterSpace:
-        """The space with ``key``'s sequence number incremented (a
-        write's ``sn := sn + 1``)."""
-        position = self._position(key)
-        value, sequence = self[position]
-        return self._with(position, (value, sequence + 1))
+    def adopt_all(self, best: dict[Any, Cell]) -> RegisterSpace:
+        """:meth:`adopt` of each key of this space that ``best`` maps to a
+        ``(value, sequence)`` (a join's per-key maxima), as one successor:
+        joiners whose folds end alike, or alike the last adoption, share
+        one space (``_joined``, ``_last``)."""
+        global _joined
+        cells = [
+            cell if offer is None or offer[1] <= cell[1] else offer
+            for cell, offer in zip(self, map(best.get, self.keys))
+        ]
+        if all(map(is_, cells, self)):
+            return self
+        for space in (_joined, _last[5]):
+            if _alike(space, self._keys, cells):
+                return space
+        successor = _joined = list.__new__(RegisterSpace)
+        successor += cells
+        successor._keys, successor._index = self._keys, self._index
+        successor.reply = None
+        return successor
 
     def entries(self) -> tuple[tuple[Any, Any, int], ...]:
         """Every ``(key, value, sequence)`` triple, in key order.

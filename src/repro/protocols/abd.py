@@ -181,9 +181,8 @@ class AbdRegisterNode(RegisterNode):
         return value
 
     def _write_body(self, value: Any, key: Any) -> OperationBody:
-        space = self.space.bump(key)
-        sequence = space.sequence(key)
-        self.space = space.install(key, value, sequence)
+        sequence = self.space.sequence(key) + 1
+        self.space = self.space.install(key, value, sequence)
         phase = self._writes.open(key, self.majority)
         self.ctx.network.send_round(
             self.pid, self.universe, AbdWrite(value, sequence, key)

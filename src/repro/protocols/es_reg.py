@@ -178,7 +178,9 @@ class EventuallySyncRegisterNode(RegisterNode):
             self.pid, EsInquiry(self.pid, 0)  # line 03 (r_sn = 0)
         )
         yield WaitUntil(self._join_phase.satisfied, label="join replies")  # line 04
-        self._adopt_join_replies()  # lines 05-06
+        # lines 05-06: per key, adopt the greatest-sequence reply
+        self.space = self.space.adopt_all(self._join_phase.best_per_key())
+        self._join_phase.settle()
         self.mark_active()  # line 07
         for dest, r_sn, key in sorted(  # lines 08-10
             set().union(self._reply_to or (), self._dl_prev or ()),
@@ -205,9 +207,8 @@ class EventuallySyncRegisterNode(RegisterNode):
     def _write_body(self, value: Any, key: Any) -> OperationBody:
         """Figure 6: the write operation (single writer per key)."""
         yield from self._read_body(key)  # line 01: refresh the sequence number
-        space = self.space.bump(key)  # line 02
-        sequence = space.sequence(key)
-        self.space = space.install(key, value, sequence)
+        sequence = self.space.sequence(key) + 1  # line 02: sn := sn + 1
+        self.space = self.space.install(key, value, sequence)
         ack_phase = self._acks.open(key, self.ctx.derived["quorum"])  # line 03
         self.ctx.broadcast.broadcast(
             self.pid, EsWrite(self.pid, value, sequence, key)  # line 04
@@ -215,16 +216,6 @@ class EventuallySyncRegisterNode(RegisterNode):
         yield WaitUntil(ack_phase.satisfied, label="write acks")  # line 05
         ack_phase.settle()
         return OK
-
-    def _adopt_join_replies(self) -> None:
-        """Lines 05-06, per key: adopt the greatest-sequence reply."""
-        best = self._join_phase.best_per_key()
-        space = self.space
-        for key in space.keys:
-            if key in best:
-                space = space.adopt(key, *best[key])
-        self.space = space
-        self._join_phase.settle()
 
     def _reply(self, r_sn: int, key: Any) -> EsReply:
         """REPLY(i, ⟨register, sn⟩, r_sn) for request ``r_sn`` on ``key`` —

@@ -128,10 +128,8 @@ _DONE = OperationState.DONE
 
 def _reply_of(space: RegisterSpace) -> Reply:
     """The REPLY ``space`` answers with, built on its first use and kept
-    in its ``reply`` slot.  The seeds share one space and a write's
-    adopters one successor (``RegisterSpace.adopt``), so a population
-    answers a join's n inquiries with a handful of payloads, not one per
-    replier — and a multi-key state builds its batched reply once."""
+    in its ``reply`` slot: nodes in one register state share one space,
+    so they answer a join's inquiries with one payload, not one each."""
     reply = space.reply
     if reply is None:
         reply = space.reply = new_reply(Reply, space.reply_parts())
@@ -200,7 +198,8 @@ class SynchronousRegisterNode(RegisterNode):
             self.ctx.broadcast.broadcast(self.pid, Inquiry(self.pid))  # line 05
             # line 06: 2δ, or δ + δ' per footnote 4
             yield Wait(self.ctx.derived["inquiry_wait"])
-            self._adopt_best_replies()  # lines 07-08
+            # lines 07-08: per key, adopt the greatest-sequence reply
+            self.space = self.space.adopt_all(self._join_phase.best_per_key())
         self.mark_active()  # line 10
         self._join_phase = None  # consumed
         if self._reply_to:  # line 11
@@ -253,21 +252,11 @@ class SynchronousRegisterNode(RegisterNode):
 
     def _write_body(self, value: Any, key: Any) -> OperationBody:
         """Figure 2: the write — broadcast then wait δ."""
-        space = self.space.bump(key)  # line 01: sn := sn + 1
-        sequence = space.sequence(key)
-        self.space = space.install(key, value, sequence)  # register := v
+        sequence = self.space.sequence(key) + 1  # line 01: sn := sn + 1
+        self.space = self.space.install(key, value, sequence)  # register := v
         self.ctx.broadcast.broadcast(self.pid, WriteMsg(value, sequence, key))
         yield Wait(self.ctx.delta)  # line 02
         return OK
-
-    def _adopt_best_replies(self) -> None:
-        """Lines 07-08, per key: adopt the greatest-sequence reply."""
-        best = self._join_phase.best_per_key()
-        space = self.space
-        for key in space.keys:
-            if key in best:
-                space = space.adopt(key, *best[key])
-        self.space = space
 
     def _answer_pending_inquiries(self) -> None:
         """Line 11: one reply payload, sent to every inquirer parked
@@ -279,8 +268,7 @@ class SynchronousRegisterNode(RegisterNode):
     def depart(self) -> None:
         """Leave silently, releasing what a silent process can never use
         again: its join phase, its parked inquirers and its space's REPLY
-        (a node still on the space builds it again; the space stays
-        readable)."""
+        (built again by a node still on the space, which stays readable)."""
         super().depart()
         self._join_phase = self._reply_to = self.space.reply = None
 
@@ -296,10 +284,7 @@ class SynchronousRegisterNode(RegisterNode):
         if inquirer == self.pid:
             return None  # own broadcast echo: a process does not answer itself
         if self._mode is _ACTIVE:  # line 14
-            reply = self.space.reply
-            if reply is None:
-                reply = _reply_of(self.space)
-            return reply
+            return self.space.reply or _reply_of(self.space)
         self._park(inquirer)  # line 15
         return None
 

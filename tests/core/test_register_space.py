@@ -76,7 +76,7 @@ class TestRegisterSpace:
     def test_single_key_adopters_share_the_writers_space(self):
         value = object()
         seeded = RegisterSpace(key_names(1), ("v0", 0))
-        writer = seeded.bump(None).install(None, value, 1)
+        writer = seeded.install(None, value, 1)
         blank = RegisterSpace(key_names(1))
         # Whatever each held before, a single-key adopter of the
         # written ⟨value, sn⟩ lands on the writer's successor.
@@ -97,12 +97,32 @@ class TestRegisterSpace:
         assert second.snapshot("k0") == ("b", 4)
         assert first.snapshot("k0") == ("a", 3)
 
-    def test_bump_is_per_key(self):
-        space = RegisterSpace(key_names(2))
-        once = space.bump("k0")
-        assert once.sequence("k0") == 0 and space.sequence("k0") == -1
-        assert once.bump("k0").sequence("k0") == 1
-        assert once.bump("k1").snapshot("k1") == (BOTTOM, 0)
+    def test_adopt_all_takes_each_newer_key_in_one_successor(self):
+        space = RegisterSpace(key_names(3), ("v0", 2))
+        best = {"k0": ("new", 3), "k1": ("stale", 2), "x": ("other", 9)}
+        joined = space.adopt_all(best)
+        # The guard is per key, a key the space lacks is not admitted,
+        # and the prior is untouched.
+        assert joined.entries() == (
+            ("k0", "new", 3), ("k1", "v0", 2), ("k2", "v0", 2)
+        )
+        assert joined._index is space._index and space.value("k0") == "v0"
+        # Nothing newer: the very space.
+        assert space.adopt_all({"k1": ("stale", 2)}) is space
+        assert space.adopt_all({}) is space
+
+    def test_joiners_that_fold_the_same_replies_share_one_space(self):
+        value = object()
+        blank = RegisterSpace(key_names(2))
+        first = blank.adopt_all({"k0": (value, 4), "k1": ("v0", 0)})
+        # Another joiner's fold builds its own offer tuples.
+        assert blank.adopt_all({"k0": (value, 4), "k1": ("v0", 0)}) is first
+        # A fold that ends where the last adoption ended lands there.
+        written = first.install("k1", 1, 1)
+        assert blank.adopt_all({"k0": (value, 4), "k1": (1, 1)}) is written
+        # An equal but distinct value is a space of its own.
+        other = blank.adopt_all({"k0": (value, 4), "k1": (1.0, 1)})
+        assert other is not written and type(other.value("k1")) is float
 
     def test_entries_in_key_order(self):
         space = RegisterSpace(key_names(3), ("v0", 0)).install("k1", "v1", 4)

@@ -10,18 +10,22 @@ space each node kept ``key → (value, sequence)`` in a dict of its own;
 that layout lives on here as the reference model, one private model per
 node.  A Hypothesis state machine starts a small population on one
 shared space (a seed's or the joiners' blank one), drives random
-installs, adoptions, bumps and key admissions on single nodes, and
-random WRITEs — a writer's bump and install, then an adoption at every
-other node in turn — and after every step holds that:
+installs, adoptions and key admissions on single nodes, random join
+folds (``adopt_all`` of one set of per-key maxima at several nodes in
+turn) and random WRITEs — a writer's install of ``sn + 1``, then an
+adoption at every other node in turn — and after every step holds that:
 
 * every node's space equals its private model, observable by observable;
 * no transition changed a space object that any node holds or held, nor
-  the key tuple's shared index;
+  the key tuple's shared index, and only a space that admitted a key
+  owns an index of its own;
 * the recipients of one WRITE end on one space object and one REPLY:
   each lands on the one before it's successor when it held the same
-  space or, single-key, whatever it held (the memo is the last
-  adoption's, so a recipient holding another multi-key space between
-  them starts a successor of its own).
+  space, a space alike it (the same keys, value objects and sequence
+  numbers) or, single-key, whatever it held (the memo is the last
+  adoption's, so a recipient holding an unlike multi-key space between
+  them starts a successor of its own);
+* the joiners whose folds end alike end on one space object.
 """
 
 from __future__ import annotations
@@ -38,7 +42,13 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.core.register import BOTTOM, SINGLE_KEY, RegisterSpace, blank_space
+from repro.core.register import (
+    BOTTOM,
+    SINGLE_KEY,
+    RegisterSpace,
+    _index_of,
+    blank_space,
+)
 from repro.protocols.sync_reg import Reply, _reply_of
 
 UNSET = (BOTTOM, -1)
@@ -96,10 +106,15 @@ class DictSpace:
             return True
         return admitted
 
-    def bump(self, key=None):
-        key = self.resolve(key)
-        value, sequence = self._cells[key]
-        self._cells[key] = (value, sequence + 1)
+    def adopt_all(self, best):
+        """True iff some key of this space took a newer offer."""
+        changed = False
+        for key in self._keys:
+            offer = best.get(key)
+            if offer is not None and offer[1] > self._cells[key][1]:
+                self._cells[key] = offer
+                changed = True
+        return changed
 
     def entries(self):
         return tuple(
@@ -115,6 +130,16 @@ any_key = st.sampled_from((None, *NAMED, *STRANGERS))
 values = st.sampled_from(("a", "b", "c", BOTTOM))
 sequences = st.integers(min_value=-1, max_value=6)
 nodes = st.integers(min_value=0, max_value=POPULATION - 1)
+offers = st.dictionaries(
+    st.sampled_from((SINGLE_KEY, *NAMED, *STRANGERS)), st.tuples(values, sequences)
+)
+
+
+def alike(space, other):
+    """Same keys, and cell for cell the same value object and sn."""
+    return space.keys == other.keys and all(
+        a[0] is b[0] and a[1] == b[1] for a, b in zip(space, other)
+    )
 
 
 def outcome(call):
@@ -184,9 +209,19 @@ class SharedSpacesAreDicts(RuleBasedStateMachine):
         # A refused adoption that admits nothing keeps the very space.
         assert (successor is prior) == (not changed)
 
-    @rule(node=nodes, key=any_key)
-    def bump(self, node, key):
-        self.step(node, "bump", key)
+    @rule(joiners=st.lists(nodes, min_size=1, unique=True), best=offers)
+    def join(self, joiners, best):
+        """Lines 07-08 of Figure 1 at each of ``joiners`` in turn: one
+        fold of the same per-key maxima, each joiner's own offer tuples."""
+        last = None
+        for node in joiners:
+            fresh = {key: tuple(offer) for key, offer in best.items()}
+            prior, successor, changed = self.step(node, "adopt_all", fresh)
+            assert (successor is prior) == (not changed)
+            if changed:
+                if last is not None and alike(successor, last):
+                    assert successor is last
+                last = successor
 
     @rule(writer=nodes, key=st.sampled_from((None, *NAMED)))
     def write(self, writer, key):
@@ -196,13 +231,12 @@ class SharedSpacesAreDicts(RuleBasedStateMachine):
             self.spaces[writer].resolve(key)
         except KeyError:
             return
-        self.step(writer, "bump", key)
-        value, sequence = object(), self.spaces[writer].sequence(key)
+        value, sequence = object(), self.spaces[writer].sequence(key) + 1
         self.step(writer, "install", key, value, sequence)
         # The memo is the last adoption's: an adopter lands on the last
         # one's successor (the writer's install first) when it held the
-        # same space — or, single-key, whatever it held: a single-key
-        # successor is its one cell.
+        # same space or one alike it — or, single-key, whatever it held:
+        # a single-key successor is its one cell.
         last_prior, last = None, self.spaces[writer]
         for node in range(POPULATION):
             if node == writer:
@@ -211,7 +245,7 @@ class SharedSpacesAreDicts(RuleBasedStateMachine):
             if not changed:
                 continue
             single = len(prior) == len(last) == 1 and prior._index is last._index
-            if prior is last_prior or single:
+            if single or last_prior is not None and alike(prior, last_prior):
                 assert successor is last
                 assert _reply_of(successor) is _reply_of(last)
             last_prior, last = prior, successor
@@ -235,11 +269,15 @@ class SharedSpacesAreDicts(RuleBasedStateMachine):
 
     @invariant()
     def no_transition_changes_a_held_space(self):
+        shared = _index_of(self.keys)
         for space, cells, keys, index in self.seen.values():
             assert list(space) == cells and space.keys == keys
             assert space._index == index
+            # Only an admitting space owns its index; every other space
+            # of the key tuple probes the tuple's one index.
+            assert (space._index is shared) == (space.keys == self.keys)
         # The key tuple's index is never written, whoever admitted.
-        assert self.spaces and RegisterSpace(self.keys)._index == self.index
+        assert shared == self.index
 
 
 SharedSpacesAreDicts.TestCase.settings = settings(
@@ -256,6 +294,6 @@ def test_an_empty_key_tuple_is_still_refused():
 def test_a_snapshot_does_not_alias_later_writes():
     space = RegisterSpace(("k0",)).install("k0", "a", 1)
     before = space.snapshot("k0")
-    later = space.bump("k0").adopt("k0", "b", 5)
+    later = space.install("k0", "a", 2).adopt("k0", "b", 5)
     assert before == ("a", 1) and space.snapshot("k0") == ("a", 1)
     assert later.snapshot("k0") == ("b", 5)

@@ -281,6 +281,8 @@ def test_a_key_costs_one_list_slot():
     # The key -> position index is the key tuple's, not the space's.
     shared = space._index
     assert len(shared) == 16
+    # A successor that admits nothing probes the same index.
+    assert space.adopt("k3", "v", 5)._index is shared
     # Admitting a key moves the admitting node to a successor with its
     # own index; the shared space and its index stay as they were.
     node.space = space.adopt("moved", "v", 3)
@@ -431,9 +433,10 @@ def test_a_clean_message_enters_one_net_frame_and_never_send_payload(protocol, n
 #: and ``on_esack``, 13 ``satisfied`` polls, 15 for the operation itself)
 #: and 288 for the 120 of an ABD write + read (one ``on_abd*`` each, 41
 #: ``adopt``, 48 ``satisfied``, 19 first ``is_replica`` and 25
-#: ``universe`` resolutions); with ``resolve`` / ``is_single`` /
-#: ``snapshot`` / ``sequence`` / ``phase`` / ``current_request`` /
-#: ``offer`` / ``is_replica`` behind every handler they read 335 and 634.
+#: ``universe`` resolutions); with ``resolve`` / ``is_single`` (since
+#: deleted) / ``snapshot`` / ``sequence`` / ``phase`` /
+#: ``current_request`` / ``offer`` / ``is_replica`` behind every handler
+#: they read 335 and 634.
 PROTOCOL_FRAMES_PER_DELIVERY = {"es": 1.90, "abd": 2.52}
 
 
