@@ -15,6 +15,9 @@ suite asserts.  Environments that cannot run a process pool at all
 at pool construction or only when the first worker is spawned)
 deterministically fall back to that serial path.
 
+A pooled cell that runs past :data:`CELL_BUDGET_S` is taken to be hung:
+its pool's workers are terminated and an ``ExperimentError`` names it.
+
 Pools are cached per worker count and reused across ``map`` calls, so
 one ``repro experiments`` invocation pays worker startup once for its
 whole battery, not per grid.  Safe to share: cells are pure functions
@@ -110,6 +113,11 @@ def _execute_for_pool(spec: RunSpec) -> Any:
         return _CellFailure(error)
 
 
+#: Seconds the parent waits for one pooled cell's outcome (the slowest
+#: cell, E17's n = 10⁵ population, takes well under a minute).
+CELL_BUDGET_S = 1800.0
+
+
 #: How many times a requested pool could not be used and a sweep fell
 #: back to the serial path in this process: the ordinal each fallback's
 #: warning carries.
@@ -130,9 +138,12 @@ def _note_fallback(rerun: int, total: int) -> None:
     )
 
 
-def _discard_pool(workers: int) -> None:
+def _discard_pool(workers: int, terminate: bool = False) -> None:
     pool = _POOLS.pop(workers, None)
     if pool is not None:
+        for process in list(pool._processes.values()) if terminate else ():
+            process.terminate()  # a hung cell never returns on its own
+            process.join()
         pool.shutdown(wait=False, cancel_futures=True)
 
 
@@ -175,17 +186,27 @@ class Runner:
             return [execute(spec) for spec in spec_list]
         results: list[Any] = []
         failure: _CellFailure | None = None
+        futures: list[Any] = []
         try:
             pool = _POOLS.get(self.workers)
             if pool is None:
                 pool = ProcessPoolExecutor(max_workers=self.workers)
                 _POOLS[self.workers] = pool
-            # chunksize=1 keeps heterogeneous cells load-balanced; the
-            # result order is spec order either way.  Workers spawn
+            # One cell per submit keeps heterogeneous cells load-balanced;
+            # outcomes are collected in spec order.  Workers spawn
             # lazily, so a pool larger than the spec list wastes nothing.
-            # Results are consumed lazily so a failing cell fail-fasts
-            # like the serial path would, instead of draining the sweep.
-            for result in pool.map(_execute_for_pool, spec_list, chunksize=1):
+            # A failing cell fail-fasts like the serial path would.
+            futures = [pool.submit(_execute_for_pool, spec) for spec in spec_list]
+            for spec, future in zip(spec_list, futures):
+                try:
+                    result = future.result(timeout=CELL_BUDGET_S)
+                except TimeoutError:
+                    _discard_pool(self.workers, terminate=True)
+                    raise ExperimentError(
+                        f"cell {spec.label or spec.kind!r} ran past its "
+                        f"{CELL_BUDGET_S:g} s budget; its pool's workers "
+                        f"were terminated"
+                    ) from None
                 if isinstance(result, _CellFailure):
                     failure = result
                     break
@@ -201,6 +222,9 @@ class Runner:
             _note_fallback(len(rest), len(spec_list))
             results.extend(execute(spec) for spec in rest)
             return results
+        finally:
+            for future in futures:
+                future.cancel()
         if failure is not None:
             raise failure.error
         return results

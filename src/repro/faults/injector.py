@@ -19,7 +19,7 @@ One :class:`FaultInjector` lives behind the network's fault gate
 
 Only a drop-mode partition or a crash can act when a delivery *fires*;
 :attr:`FaultInjector.gates_delivery` says whether the plan has one, and
-the network dispatches deliveries inline at its fire sites otherwise.
+the network dispatches deliveries inline at its fire site otherwise.
 
 The window index: :meth:`on_transmit` does not scan the plan.  The
 sorted ``start`` / ``end`` instants of the windowed faults cut the time

@@ -24,41 +24,31 @@ injector installed the paths are unchanged.
 Delivery hot path
 -----------------
 
-A message costs what it carries: every scheduled delivery is a queue
-tuple of the scheduler's slab plane — no ``Event``, no object per
-message, no free list — fired through one of two slab items:
-
-* a single-destination delivery *is* its queue entry, ``(instant,
-  DELIVERY, sequence, item, dest, sender, payload, broadcast_id)``,
-  ``item`` being the network's one :class:`_Delivery`: every
-  point-to-point send (all protocol, baseline and migration traffic;
-  ``broadcast_id`` is ``None``), the per-recipient pushes of a fan-out
-  that can tie instants or that passes the fault gate (in recipient
-  order, with consecutive sequence numbers), and the broadcast
-  service's entrant offers (:meth:`Network.deliver_scheduled`);
-* a fault-free broadcast under a continuous delay model pushes ONE
-  self-re-arming :class:`_FanoutSweep` walking its sorted arrival
-  vector — an ``array('d')`` of instants beside the recipient list,
-  16 B per arrival in flight — one queue slot per in-flight broadcast,
-  not n.
-
-These two are the only :class:`~repro.sim.events.SlabEntry` kinds in
-``repro.net``, and nothing is pooled: no per-recipient envelope,
-``Event``, label string or entry object exists on the delivery path,
-and a popped tuple or a finished sweep dies by refcount — nothing is
-retained once a message lands.
+A message costs what it carries: every delivery is a queue tuple,
+``(instant, DELIVERY, sequence, item, dest, sender, payload,
+broadcast_id)``, ``item`` being the network's one :class:`_Delivery`,
+whose ``fire`` is the one delivery fire site.  Point-to-point sends
+(``broadcast_id`` ``None``), entrant offers and the per-recipient arm
+of a fan-out push such tuples; a fault-free fan-out under a uniform
+delay model is one scheduler vector (``_schedule_vector``) — its
+sorted ``array('d')`` of instants beside the recipient list, 16 B per
+arrival in flight — whose tuples the calendar builds an epoch at a
+time, arrival ``k`` under the ``k``-th sequence number of the fan-out's
+block, so ties keep recipient order exactly as per-recipient pushes
+do.  Nothing is pooled and nothing is retained once a message lands.
+No protocol file pushes queue entries or knows the tuple's layout: a
+handler returns its reply or calls ``send_round`` / ``send_payload``.
 
 A send is a reply or a round
 ----------------------------
 
 Every message the paper's figures send answers the message just
 received, or carries one payload to a known set.  A handler *returns*
-its answer to the delivery's sender and the site that fired the
-delivery sends it — after the handler, before the watcher poll, where
-the handler's own send would stand; a round is one
-:meth:`Network.send_round`.  Four places may draw a point-to-point
-delay: :meth:`Network.send_payload`, ``send_round`` and the reply arms
-of the two ``fire`` methods — the last three only while
+its answer to the delivery's sender and the fire site sends it — after
+the handler, before the watcher poll, where the handler's own send
+would stand; a round is one :meth:`Network.send_round`.  Three places
+may draw a point-to-point delay: :meth:`Network.send_payload`,
+``send_round`` and the fire site's reply arm — the last two only while
 ``_p2p_uniform`` is set (a clean, untraced link), where they push the
 queue tuple themselves and skip what they already hold: the replying
 process was just fetched from ``_present``, the sender it answers has a
@@ -79,23 +69,27 @@ Each payload type has one handler body, the recipient's ``on_<type>``
 method, and every delivery ends in it.  A fault plan acts at the
 *transmit* gate (``on_transmit``, in ``send_payload``,
 ``deliver_scheduled`` and the fan-out loop) and otherwise leaves the
-fire sites alone.  The first and last read the injector's loss gate
+fire site alone.  The first and last read the injector's loss gate
 before the call: a class with a gate on the current stretch — no spike
 or partition live, only losses that restrict no link naming it — has
 those losses drawn right there, from the injector's stream in plan
 order, counted in its ``lost_count`` and dropped through ``_drop`` like
-any veto; ``on_transmit`` decides the rest.  At the fire sites, with
+any veto; ``on_transmit`` decides the rest.  At the fire site, with
 ``Network._fast`` — tracing off, and no installed plan that can act
 when a delivery *fires* (a drop-mode partition, a crash:
-``FaultInjector.gates_delivery``) — both ``fire`` methods count the
-delivery and dispatch inline (the per-class ``_dispatch`` cache, the
-handler, its reply, the watcher poll).  Tracing and delivery-gating
-plans take :meth:`Network._fire_checked`, which wraps that same
-dispatch in the delivery-time gates and the trace record.  On a clean
-link the delay model's declared uniform parameters (checked at
-construction) let every send and the sweep draw ``lo + span *
-random()`` inline —
-``sample`` written out; any installed plan withdraws both pairs and
+``FaultInjector.gates_delivery``) — ``_Delivery.fire`` counts the
+delivery and dispatches inline (the per-class ``_dispatch`` cache, the
+handler, its reply, the watcher poll: one pending ``WaitUntil`` polls
+without a snapshot copy).  Tracing and delivery-gating plans take
+:meth:`Network._fire_checked`, which wraps that same dispatch in the
+delivery-time gates and the trace record (fault drop, presence, crash,
+presence, count, DELIVER / RECEIVE record) and ends in
+``SimProcess.deliver_payload`` — the same probe, handler, reply and
+poll, so a subclass that overrides ``on_<type>`` is honoured
+everywhere.  On a clean link the delay model's declared uniform
+parameters (checked at construction) let every send and the fan-out
+vector draw ``lo + span * random()`` inline — ``sample`` written out;
+any installed plan withdraws both pairs and
 tracing the point-to-point one, so traced ≡ untraced parity is also the
 oracle for "inline draw ≡ ``sample``".  Every path reproduces the
 one-message-per-recipient ``(time, priority, sequence)`` order
@@ -187,107 +181,6 @@ class _Delivery(SlabEntry):
         network._fire_checked(entry[5], entry[4], entry[6], entry[7])
 
 
-class _FanoutSweep(SlabEntry):
-    """One queue slot carrying an *entire* broadcast fan-out.
-
-    The fan-out's arrivals are drawn up front (in recipient order, so
-    the RNG stream is untouched), sorted by instant, and then swept:
-    the sweep sits in the queue at the next arrival's instant, delivers
-    that one recipient when it fires, and re-pushes itself at the
-    following instant — one queue slot per in-flight broadcast, not one
-    per in-flight delivery.  A pending arrival costs 16 B and no object:
-    its instant, 8 B in the ``array('d')`` ``times``, and its recipient's
-    slot in the list ``dests`` (the pid strings are the membership's).
-    Built per broadcast (a few hundred a run: no free list), dropped
-    with its last arrival.
-
-    Ordering: arrivals are sorted by ``(instant, recipient index)``, so
-    same-instant recipients deliver in recipient order, exactly like
-    consecutive per-recipient sequence numbers.  Relative to *other*
-    events the re-push draws a fresh (later) sequence number, which can
-    only reorder exact ``(time, priority)`` ties — impossible under the
-    continuous delay models this fast path serves (the determinism
-    digests and the kernel-parity suite pin this).  ``size`` stays the
-    inherited 1: each fire performs exactly one logical delivery, so
-    the scheduler's counters see the same totals as per-recipient
-    entries.
-    """
-
-    __slots__ = ("network", "sender", "payload", "broadcast_id",
-                 "times", "dests", "index")
-
-    def __init__(
-        self,
-        network: "Network",
-        sender: str,
-        payload: Any,
-        broadcast_id: int,
-        times: array,
-        dests: list[str],
-    ) -> None:
-        self.network = network
-        self.sender = sender
-        self.payload = payload
-        self.broadcast_id = broadcast_id
-        self.times = times
-        self.dests = dests
-        self.index = 0
-
-    def fire(self, entry: tuple) -> None:
-        network = self.network
-        index = self.index
-        dest = self.dests[index]
-        index += 1
-        times = self.times
-        if index < len(times):
-            # Re-arm at the next arrival before delivering: the sorted
-            # vector guarantees monotone instants, and a handler that
-            # raises leaves the remaining arrivals queued — exactly
-            # like pre-pushed per-recipient entries.
-            self.index = index
-            engine = network.engine
-            engine._push((times[index], _DELIVERY, engine._sequence, self))
-            engine._sequence += 1
-        if network._fast:
-            payload = self.payload
-            process = network._present.get(dest)
-            if process is None:
-                network.dropped_count += 1
-                return
-            network.delivered_count += 1
-            # Same inlined dispatch as :meth:`_Delivery.fire`.
-            handler = process._dispatch.get(payload.__class__)
-            if handler is None:
-                handler = process._handler_for(payload.__class__)
-            reply = handler(process, self.sender, payload)
-            if reply is not None:
-                # Same reply arm as :meth:`_Delivery.fire`.
-                p2p = network._p2p_uniform
-                if p2p is None:
-                    network.send_payload(dest, self.sender, reply)
-                else:
-                    engine = network.engine
-                    engine._push((
-                        engine._now + (p2p[0] + p2p[1] * network._rng.random()),
-                        _DELIVERY, engine._sequence, network._delivery,
-                        self.sender, dest, reply, None,
-                    ))
-                    engine._sequence += 1
-                    engine._live += 1
-                    network.sent_count += 1
-            watchers = process._watchers
-            if watchers:
-                if len(watchers) == 1:
-                    watchers[0].poll()
-                else:
-                    for watcher in list(watchers):
-                        watcher.poll()
-            return
-        network._fire_checked(
-            self.sender, dest, self.payload, self.broadcast_id
-        )
-
-
 class Network:
     """Point-to-point transport with pluggable delay model."""
 
@@ -311,7 +204,7 @@ class Network:
         # Fault gate: ``None`` means the un-faulted fast path — no extra
         # work per message beyond this attribute test.
         self.faults: FaultInjector | None = None
-        # The fire sites' one flag: tracing off (fixed at construction)
+        # The fire site's one flag: tracing off (fixed at construction)
         # AND no installed plan that gates deliveries.
         self._fast = not trace._enabled
         # Hot-path aliases: the membership dicts are bound once (only
@@ -321,7 +214,7 @@ class Network:
         self._known = membership._processes
         self._sample = delay_model.sample
         # The model's declared uniform draw parameters, which the
-        # inline draws of ``send_payload`` and the sweep run on.
+        # inline draws of ``send_payload`` and the fan-out vector run on.
         # ``None`` — no declaration, a fault plan (``install_faults``)
         # or, point-to-point, tracing — means ``sample`` is called.
         p2p = _declared_uniform(delay_model, "p2p_uniform")
@@ -533,12 +426,10 @@ class Network:
         if count == 0:
             return
         engine = self.engine
-        push = engine._push
         params = self._bcast_uniform
-        if params is not None and params[1] > 0.0:
-            # Sweep arm (never under an injector: its install withdrew
-            # the parameters), reserved for *continuous* draws — see
-            # :class:`_FanoutSweep`.  Every arrival is drawn inline, in
+        if params is not None:
+            # Vector arm (never under an injector: its install withdrew
+            # the parameters).  Every arrival is drawn inline, in
             # recipient order: ``sample_broadcast_many``'s stream
             # exactly, ``now + (lo + span * r)`` keeping the delay one
             # float so the sum rounds like ``now + delay``, positive by
@@ -548,28 +439,30 @@ class Network:
             lo, span = params
             rng_random = rng.random
             times = [now + (lo + span * rng_random()) for _ in range(count)]
-            if not (times[-1] < _INF):
-                engine._reject_instant(times[-1])
             # The key function walks ``times`` in step with ``dests``
             # (``sorted`` computes its keys in list order), so the
             # recipients come out stably sorted on their instants; the
             # instants then sort alone — ties are equal floats.
             ordered = sorted(dests, key=partial(next, iter(times)))
             times.sort()
-            sweep = _FanoutSweep(
-                self, sender, payload, broadcast_id, array("d", times), ordered
+            if not (times[-1] < _INF):
+                engine._reject_instant(times[-1])
+            # Arrival k is the entry ``(times[k], DELIVERY, base + k,
+            # _delivery, ordered[k], sender, payload, broadcast_id)``,
+            # built when the clock reaches its epoch: tied recipients
+            # keep recipient order, exactly like the per-recipient arm.
+            engine._schedule_vector(
+                array("d", times), _DELIVERY, self._delivery, ordered,
+                (sender, payload, broadcast_id),
             )
-            push((times[0], _DELIVERY, engine._sequence, sweep))
-            engine._sequence += 1
-            engine._live += count
             return
-        # Per-recipient arm: arrivals CAN tie here — the eventually-
-        # synchronous GST flush clamps every straggler to exactly
-        # ``gst + delta``, a degenerate ``span == 0`` makes every draw
-        # equal, a defer partition parks every recipient it cuts off on
-        # its ``end`` — and tied deliveries must keep their consecutive-
-        # sequence interleaving, so each recipient the fault gate lets
-        # through gets its own queue tuple, pushed in recipient order.
+        # Per-recipient arm: a model with no declared uniform draw (the
+        # eventually-synchronous GST flush clamps every straggler to
+        # exactly ``gst + delta``) or a fault gate (a defer partition
+        # parks every recipient it cuts off on its ``end``).  Tied
+        # deliveries keep their consecutive-sequence interleaving: each
+        # recipient the fault gate lets through gets its own queue
+        # tuple, pushed in recipient order.
         # ``DELIVERY`` is the lowest priority value: nothing a handler
         # schedules at a tied instant overtakes a later recipient.
         delays = self.delay_model.sample_broadcast_many(
@@ -583,6 +476,7 @@ class Network:
             if gate == ():
                 faults = None  # untouched: no test per recipient
         payload_type = type(payload).__name__
+        push = engine._push
         item = self._delivery
         sequence = first = engine._sequence
         for dest, delay in zip(dests, delays):
@@ -620,10 +514,10 @@ class Network:
         self, sender: str, dest: str, payload: Any, broadcast_id: int | None
     ) -> None:
         """One traced / delivery-gated delivery: what :meth:`_Delivery.fire`
-        and :meth:`_FanoutSweep.fire` do whenever ``_fast`` is off.
+        does whenever ``_fast`` is off.
 
-        It wraps the dispatch the fast arms inline, adding only what
-        they may skip — in this order: fault drop, presence, crash,
+        It wraps the dispatch the fast arm inlines, adding only what
+        it may skip — in this order: fault drop, presence, crash,
         presence again, then count, trace and ``deliver_payload`` (the
         same ``on_<type>`` handler, the same watcher poll).
         """

@@ -274,7 +274,7 @@ class SynchronousRegisterNode(RegisterNode):
 
     # ------------------------------------------------------------------
     # Message handlers (Figures 1 and 2) — the one body per payload
-    # type: the network's fire sites dispatch here inline, its checked
+    # type: the network's fire site dispatches here inline, its checked
     # path (tracing, delivery-gating plans) through ``deliver_payload``.
     # ------------------------------------------------------------------
 

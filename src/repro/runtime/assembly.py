@@ -102,8 +102,9 @@ def make_scheduler(delta: float) -> EventScheduler:
     The bucket width is keyed to the simulation's natural tick —
     ``δ/25``, comfortably under the default delay model's minimum
     message delay, so in-flight arrivals land in future buckets (small
-    sorted chunks) while only broadcast-sweep re-arms ride the tiny
-    overflow heap.  The divisor was picked empirically on an n = 1000
+    sorted chunks) and the overflow heap stays near empty: what a
+    handler schedules into the active epoch (a zero-delay timer) is
+    all it holds.  The divisor was picked empirically on an n = 1000
     churn workload (a retired bench row; ``perf/``'s ``sync_churn_1k``
     is where to re-measure it); width only affects speed — ordering is
     exact at any width.

@@ -15,9 +15,11 @@ The engine is intentionally tiny and fully deterministic:
   entry*: whatever a push appends after the item is that push's own
   data, so one long-lived item serves any number of pushes — a
   message delivery is its queue tuple and nothing else (the network's
-  two items, ``net/network.py``) — and a whole series of timed
-  callbacks (:meth:`schedule_series`: an installed workload plan) is
-  one entry that re-pushes itself;
+  one item, ``net/network.py``);
+* a *vector* (:meth:`_schedule_vector`: a broadcast's arrivals, an
+  installed plan) is a pre-sorted run of such entries kept as columns;
+  each epoch's slice becomes tuples (one C-level ``zip``) only when
+  the clock reaches it, so a pending item holds no queue slot;
 * the queue is an array-backed *calendar*: instants quantize into
   buckets one tick wide, each bucket a flat append-only list sorted
   lazily (one C call) when the clock reaches its epoch.  A push is a
@@ -54,17 +56,20 @@ seeded RNG streams (:mod:`repro.sim.rng`); given the same configuration
 and seed, two runs produce byte-identical traces.  The whole test
 strategy of the library leans on this property.
 
-One caller outside this file inlines its pushes: the network's
-delivery plane (``net/network.py``) validates the instant, calls
-:meth:`EventScheduler._push` and advances ``_sequence`` / ``_live``
-itself.  Everything else schedules through the public methods.
+One module outside this file uses the private primitives: the
+network's delivery plane (``net/network.py``) calls
+:meth:`EventScheduler._push` (validating the instant and advancing
+``_sequence`` / ``_live`` itself) and :meth:`~EventScheduler._schedule_vector`.
+Everything else schedules through the public methods.
 """
 
 from __future__ import annotations
 
 import gc
+from bisect import bisect_left
 from contextlib import contextmanager
 from heapq import heapify, heappop, heappush
+from itertools import repeat
 from math import isfinite
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
@@ -115,16 +120,20 @@ class EventScheduler:
     * ``_buckets``: future epochs (``epoch > _cur_epoch``), unsorted;
     * ``_cur[_pos:]``: the active epoch, sorted, consumed by index;
     * ``_overflow``: a small heap for entries pushed *into* the active
-      epoch or earlier (a zero-delay ``schedule``, a sweep re-arm,
-      same-instant re-scheduling) — anything whose order the
-      already-sorted ``_cur`` cannot absorb.
+      epoch or earlier (a zero-delay ``schedule``, same-instant
+      re-scheduling, a vector's head that falls there) — anything whose
+      order the already-sorted ``_cur`` cannot absorb.
+
+    Filed vectors (``_vectors``) sit beside the buckets: each is
+    expanded into its epoch's bucket when that epoch is activated.
 
     Correctness leans on one invariant: every ``_overflow`` entry has
-    ``epoch <= _cur_epoch`` and every bucket entry ``epoch >
-    _cur_epoch``; since the epoch function is monotone in time, all
-    overflow entries strictly precede all bucket entries, so the global
-    minimum is always ``min(_cur[_pos], _overflow[0])`` — an exact
-    merge on the full tuple order.
+    ``epoch <= _cur_epoch`` and every bucket entry and pending vector
+    instant ``epoch > _cur_epoch``; since the epoch function is
+    monotone in time, all overflow entries strictly precede every
+    bucket and vector entry, so the global minimum is always
+    ``min(_cur[_pos], _overflow[0])`` — an exact merge on the full
+    tuple order.
 
     ``bucket_width`` should sit at or below the delay model's minimum
     message delay (the simulation's natural tick; the runtime derives
@@ -146,7 +155,11 @@ class EventScheduler:
         self._winv = 1.0 / self._width
         self._buckets: dict[int, list[QueueEntry]] = {}
         self._bucket_slots = 0  # entries across every future bucket
-        self._epochs: list[int] = []  # heap of epochs with a bucket
+        # Vectors by the epoch of their next instant, chained through
+        # their first field: ``[following, next position, instants,
+        # fields, base, repeat(priority), repeat(item), *tail repeats]``.
+        self._vectors: dict[int, list[Any]] = {}
+        self._epochs: list[int] = []  # heap of epochs with a bucket or vector
         self._cur: list[QueueEntry] = []
         self._pos = 0
         self._overflow: list[QueueEntry] = []
@@ -172,7 +185,7 @@ class EventScheduler:
 
         O(1): the counter is maintained on schedule, cancel and fire
         instead of scanning the queue.  A slab entry counts as its
-        ``size`` logical events and a series as its unfired items, so
+        ``size`` logical events and a vector as its unfired items, so
         batching never changes the number.
         """
         return self._live
@@ -262,17 +275,16 @@ class EventScheduler:
         priority: int = Priority.TIMER,
     ) -> None:
         """Schedule ``callback(items[k])`` at ``instants[k]`` for every
-        ``k``, never cancellable, in one queue slot.
+        ``k``, never cancellable.
 
         Indistinguishable from ``schedule_at(instants[k], callback,
         items[k], priority=priority)`` called for ``k = 0, 1, ...``: the
         same block of sequence numbers is reserved and ``pending_count``
         grows by ``len(items)`` now, so firing order, counters and the
-        sequence handed to whatever is scheduled next all agree.  Only
-        the next item is queued: entry ``k + 1`` is pushed as entry
-        ``k`` fires, which is why ``instants`` must already be
-        non-decreasing (a stable sort by instant is what the per-item
-        calls' ``(time, priority, sequence)`` order amounts to).
+        sequence handed to whatever is scheduled next all agree.  The
+        series is one vector (:meth:`_schedule_vector`), which is why
+        ``instants`` must already be non-decreasing (a stable sort by
+        instant is what the per-item calls' order amounts to).
         """
         instants = list(map(float, instants))
         count = len(items)
@@ -288,13 +300,54 @@ class EventScheduler:
                     f"decrease, and {previous!r} comes before it"
                 )
             previous = instant
-        if not count:
-            return
-        sequence = self._sequence
-        self._sequence = sequence + count
+        if count:
+            self._schedule_vector(
+                instants, int(priority), _Series(callback), items, ()
+            )
+
+    def _schedule_vector(
+        self,
+        instants: Sequence[Time],
+        priority: int,
+        item: SlabEntry,
+        fields: Sequence[Any],
+        tail: tuple[Any, ...],
+    ) -> None:
+        """Schedule ``(instants[k], priority, base + k, item, fields[k],
+        *tail)`` for every ``k`` under a reserved block of sequence
+        numbers from ``base``: exactly the per-item pushes, ties
+        included.  Callers validate: ``instants`` is non-empty, finite,
+        non-decreasing and not in the past; ``item.size`` is 1.
+
+        Instants in the active epoch or earlier go to the overflow heap
+        now; the rest is filed under the epoch of its next instant, and
+        :meth:`_advance_epoch` builds each epoch's slice."""
+        count = len(instants)
+        base = self._sequence
+        self._sequence = base + count
         self._live += count
-        series = _Series(self, instants, callback, items)
-        self._push((instants[0], int(priority), sequence, series, 0))
+        lo = bisect_left(instants, self._cur_epoch + 1, key=self._winv.__mul__)
+        for k in range(lo):
+            heappush(
+                self._overflow,
+                (instants[k], priority, base + k, item, fields[k], *tail),
+            )
+        if lo < count:
+            self._file(
+                [None, lo, instants, fields, base, repeat(priority),
+                 repeat(item), *map(repeat, tail)],
+                int(instants[lo] * self._winv),
+            )
+
+    def _file(self, vector: list[Any], epoch: int) -> None:
+        """File a vector under ``epoch``, the epoch of its next instant,
+        at the head of that epoch's chain."""
+        vectors = self._vectors
+        following = vectors.get(epoch)
+        vector[0] = following
+        vectors[epoch] = vector
+        if following is None and epoch not in self._buckets:
+            heappush(self._epochs, epoch)
 
     def _reject_instant(self, instant: Time) -> None:
         if isfinite(instant):
@@ -317,7 +370,8 @@ class EventScheduler:
             bucket = buckets.get(epoch)
             if bucket is None:
                 buckets[epoch] = [entry]
-                heappush(self._epochs, epoch)
+                if epoch not in self._vectors:
+                    heappush(self._epochs, epoch)
             else:
                 bucket.append(entry)
             self._bucket_slots += 1
@@ -327,9 +381,10 @@ class EventScheduler:
     # ------------------------------------------------------------------
 
     def _occupied_slots(self) -> int:
-        """Queue slots in use, live and dead alike.  O(1): the active
-        regions know their lengths and ``_bucket_slots`` is kept exact
-        by :meth:`_push`, :meth:`_advance_epoch` and :meth:`_compact`."""
+        """Queue slots in use, live and dead alike (a filed vector's
+        items take none).  O(1): the active regions know their lengths
+        and ``_bucket_slots`` is kept exact by :meth:`_push`,
+        :meth:`_advance_epoch` and :meth:`_compact`."""
         return (
             len(self._cur) - self._pos + len(self._overflow) + self._bucket_slots
         )
@@ -364,7 +419,7 @@ class EventScheduler:
             else:
                 del buckets[epoch]
         self._bucket_slots = slots
-        self._epochs[:] = list(buckets)
+        self._epochs[:] = buckets.keys() | self._vectors.keys()
         heapify(self._epochs)
         self._dead = 0
 
@@ -373,17 +428,40 @@ class EventScheduler:
     # ------------------------------------------------------------------
 
     def _advance_epoch(self) -> bool:
-        """Activate the next non-empty bucket; ``False`` when drained."""
+        """Activate the next non-empty epoch; ``False`` when drained.
+        ``_cur`` is exhausted here: its entries are freed before the
+        epoch's vectors build theirs."""
+        self._cur.clear()
+        self._pos = 0
         epochs = self._epochs
         buckets = self._buckets
+        vectors = self._vectors
+        winv = self._winv
         while epochs:
             epoch = heappop(epochs)
             bucket = buckets.pop(epoch, None)
-            if bucket:
+            if bucket is None:
+                bucket = []
+            else:
                 self._bucket_slots -= len(bucket)
+            vector = vectors.pop(epoch, None)
+            while vector is not None:
+                following, lo, instants, fields, base, priority, item, *tail = (
+                    vector
+                )
+                # ``int(t * winv) <= epoch`` for t >= 0, bisected.
+                hi = bisect_left(instants, epoch + 1, lo, key=winv.__mul__)
+                bucket.extend(zip(
+                    instants[lo:hi], priority, range(base + lo, base + hi),
+                    item, fields[lo:hi], *tail,
+                ))
+                if hi < len(instants):
+                    vector[1] = hi
+                    self._file(vector, int(instants[hi] * winv))
+                vector = following
+            if bucket:
                 bucket.sort()
                 self._cur = bucket
-                self._pos = 0
                 self._cur_epoch = epoch
                 return True
         return False
@@ -478,6 +556,10 @@ class EventScheduler:
         # body carries no None tests (``entry[0] > inf`` is never true).
         horizon = _INF if until is None else until
         limit = _INF if max_events is None else max_events
+        # No epoch past the horizon's is activated, so a parked drive
+        # builds no entries early and keeps the overflow heap empty.
+        last_epoch = _INF if until is None else int(until * self._winv)
+        epochs = self._epochs
         pop = heappop
         event_cls = Event
         # The overflow heap is only ever mutated in place (heappush,
@@ -502,8 +584,9 @@ class EventScheduler:
                     entry = overflow[0]
                     from_overflow = True
                 else:
-                    if not self._advance_epoch():
+                    if not epochs or epochs[0] > last_epoch:
                         break
+                    self._advance_epoch()
                     continue
                 item = entry[3]
                 # Only full events can be cancelled (slab entries never
@@ -558,34 +641,15 @@ class EventScheduler:
 
 class _Series(SlabEntry):
     """The item of :meth:`EventScheduler.schedule_series`: one logical
-    event per push, the position in the series riding the queue tuple.
-    Entry ``k`` pushes entry ``k + 1`` — under the next reserved
-    sequence number — before it calls back, so the queue never lacks
-    the series' next instant while the callback schedules around it."""
+    event per entry, the series' item riding the queue tuple."""
 
-    __slots__ = ("push", "instants", "callback", "items")
+    __slots__ = ("callback",)
 
-    def __init__(
-        self,
-        engine: EventScheduler,
-        instants: list[Time],
-        callback: Callable[[Any], None],
-        items: Sequence[Any],
-    ) -> None:
-        self.push = engine._push
-        self.instants = instants
+    def __init__(self, callback: Callable[[Any], None]) -> None:
         self.callback = callback
-        self.items = items
 
     def fire(self, entry: QueueEntry) -> None:
-        position = entry[4]
-        following = position + 1
-        instants = self.instants
-        if following < len(instants):
-            self.push(
-                (instants[following], entry[1], entry[2] + 1, self, following)
-            )
-        self.callback(self.items[position])
+        self.callback(entry[4])
 
 
 def _drop_cancelled(entries: list[QueueEntry]) -> list[QueueEntry]:

@@ -17,14 +17,14 @@ memory and the attribute-access cost on the scheduler's hot path.
 Message deliveries do not pay for an ``Event`` at all: the scheduler's
 queue holds plain tuples that start ``(time, priority, sequence,
 item)``, and an item may be a :class:`SlabEntry`, which is fired with
-the queue entry it was popped from — so one long-lived entry serves
-every push that carries its own data in the tuple's tail (a network's
-point-to-point deliveries; an installed workload plan, whose one series
-entry re-pushes itself with the next position), and another stands for
-a whole vector of deliveries (a broadcast sweep).  Slab entries are never cancellable (``cancelled`` is a class
-attribute, so the scheduler's lazy-deletion scan pays one shared
-attribute read, no per-entry state), which is exactly why they can skip
-the cancellation bookkeeping full events carry.
+the queue entry it was popped from — so one long-lived item serves
+every entry that carries its own data in the tuple's tail (a network's
+deliveries, point-to-point and broadcast alike; an installed workload
+plan's ops, each entry carrying its op).  Slab entries are never
+cancellable (``cancelled`` is a class attribute, so the scheduler's
+lazy-deletion scan pays one shared attribute read, no per-entry
+state), which is exactly why they can skip the cancellation
+bookkeeping full events carry.
 """
 
 from __future__ import annotations
@@ -56,8 +56,8 @@ class Priority(enum.IntEnum):
 class SlabEntry:
     """Base class for never-cancelled slab queue entries.
 
-    Each push of a slab entry occupies one queue slot and stands for
-    ``size`` logical events.  The scheduler's contract:
+    Each queue entry naming a slab item stands for ``size`` logical
+    events.  The scheduler's contract:
 
     * ``cancelled`` is always ``False`` — slab entries cannot be
       cancelled, which is what lets them skip ``Event``'s owner /
@@ -71,8 +71,11 @@ class SlabEntry:
       an entry whose pushes differ only in data keeps that data in the
       tuple and needs no object per push.
 
-    Schedule via :meth:`EventScheduler.schedule_slab`
-    (:meth:`EventScheduler.schedule_series` builds and pushes its own).
+    Schedule via :meth:`EventScheduler.schedule_slab`, or as a
+    pre-sorted vector of entries that share the item
+    (:meth:`EventScheduler.schedule_series` builds its own item; the
+    network files each fault-free fan-out with
+    ``EventScheduler._schedule_vector``).
     """
 
     __slots__ = ()

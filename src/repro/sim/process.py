@@ -62,8 +62,8 @@ class SimProcess:
     A handler is called, what it returns sent to the delivery's sender
     (a "send … to p_j" line of the figures is a ``return``) and the
     pending ``WaitUntil`` watchers polled after it, by
-    :meth:`deliver_payload` — or by the network's two fire sites, which
-    inline exactly that when nothing has to be checked or traced per
+    :meth:`deliver_payload` — or by the network's one fire site, which
+    inlines exactly that when nothing has to be checked or traced per
     delivery (see :mod:`repro.net.network`).
 
     A process costs what it uses — its objects, not its frames — with

@@ -3,8 +3,9 @@
 A workload is a list of :class:`ReadOp` / :class:`WriteOp` plans.  The
 :class:`WorkloadDriver` checks the plan once (:func:`check_plan`), sorts
 it stably by time and hands it to the engine as *one* series
-(:func:`install_series`): the plan occupies a single queue slot however
-long it is, and fires exactly as scheduling it op by op would.  At each
+(:func:`install_series`): an op takes a queue slot only once the clock
+reaches its epoch, and the plan fires exactly as scheduling it op by op
+would.  At each
 firing time the driver resolves *who* performs the operation:
 
 * a ``WriteOp`` goes to the designated writer (or an explicit pid) and
@@ -136,12 +137,12 @@ def install_series(
     series directly: a planned read enters no frame between the engine
     and the driver.
 
-    The series is one never-cancelled queue slot however long the plan
-    is: it reserves the block of sequence numbers and adds the
-    ``len(plan)`` to ``pending_count`` that per-op ``schedule_at`` calls
-    would, and pushes op ``k + 1`` as op ``k`` fires, so the plan fires
-    in ``(time, position)`` order — what scheduling op by op in list
-    order gives.  ``tests/sim/test_series.py`` holds the two
+    The series is one never-cancelled vector of the engine's: it
+    reserves the block of sequence numbers and adds the ``len(plan)`` to
+    ``pending_count`` that per-op ``schedule_at`` calls would, and the
+    engine builds each epoch's entries when the clock reaches it, so the
+    plan fires in ``(time, position)`` order — what scheduling op by op
+    in list order gives.  ``tests/sim/test_series.py`` holds the two
     indistinguishable."""
     check_plan(plan, engine.now)
     ordered = sorted(plan, key=_PLANNED_AT)

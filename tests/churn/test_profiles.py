@@ -59,6 +59,20 @@ class TestBurstRate:
         measured = sum(profile.rate_at(100.0 + t) for t in range(50 * 20)) / (50 * 20)
         assert measured == pytest.approx(expected, rel=0.05)
 
+    @pytest.mark.parametrize("base", [-0.01, 1.0])
+    def test_a_base_rate_outside_the_unit_interval_is_named(self, base):
+        with pytest.raises(
+            ChurnError, match=rf"base_rate must be in \[0, 1\), got {base!r}"
+        ):
+            BurstRate(base, 0.2, 50.0, 10.0)
+
+    @pytest.mark.parametrize("period", [0.0, -50.0])
+    def test_a_non_positive_period_is_named(self, period):
+        with pytest.raises(
+            ChurnError, match=rf"period must be positive, got {period!r}"
+        ):
+            BurstRate(0.01, 0.2, period, 10.0)
+
     def test_validation(self):
         with pytest.raises(ChurnError):
             BurstRate(0.3, 0.2, 50.0, 10.0)  # burst below base

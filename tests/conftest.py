@@ -35,11 +35,19 @@ def membership() -> Membership:
 
 def pending_entries(engine: EventScheduler) -> list:
     """The live queue entries of ``engine``, whole, in firing order:
-    its three regions (overflow heap, active epoch, future buckets)
-    merged and sorted, cancelled entries left out."""
+    its three regions (overflow heap, active epoch, future buckets) and
+    the entries its filed vectors have yet to build, merged and sorted,
+    cancelled entries left out."""
     entries = [*engine._overflow, *engine._cur[engine._pos :]]
     for bucket in engine._buckets.values():
         entries.extend(bucket)
+    for vector in engine._vectors.values():
+        while vector is not None:
+            vector, lo, instants, fields, base, priority, item, *tail = vector
+            entries.extend(zip(
+                instants[lo:], priority, range(base + lo, base + len(instants)),
+                item, fields[lo:], *tail,
+            ))
     return [entry for entry in sorted(entries) if not entry[3].cancelled]
 
 

@@ -1,13 +1,16 @@
 """Unit tests for the Runner: ordering, worker counts, serial parity."""
 
 import gc
+import multiprocessing
+import time
 import warnings
-from concurrent.futures import BrokenExecutor
+from concurrent.futures import BrokenExecutor, Future
 
 import pytest
 
 from repro.exec import Runner, RunSpec, execute, run_specs
 from repro.exec import runner as runner_module
+from repro.sim.errors import ExperimentError
 from repro.sim.rng import derive_seed
 
 #: A cheap, deterministic, picklable cell: derive_seed itself.
@@ -19,6 +22,11 @@ def _specs(count: int) -> list[RunSpec]:
         RunSpec(kind=_KIND, params={"root_seed": 9, "name": f"cell:{i}"})
         for i in range(count)
     ]
+
+
+def _nap(seconds: float) -> None:
+    """A cell that hangs (for as long as the test cares)."""
+    time.sleep(seconds)
 
 
 class TestRunner:
@@ -101,18 +109,18 @@ class TestRunner:
         """Pools that break only at first submit still fall back."""
         from concurrent.futures.process import BrokenProcessPool
 
-        class BreaksOnMap:
+        class BreaksOnSubmit:
             def __init__(self, max_workers):
                 pass
 
-            def map(self, fn, specs, chunksize=1):
+            def submit(self, fn, spec):
                 raise BrokenProcessPool("workers never started")
 
             def shutdown(self, wait=True, cancel_futures=False):
                 pass
 
         monkeypatch.setattr(runner_module, "_POOLS", {})
-        monkeypatch.setattr(runner_module, "ProcessPoolExecutor", BreaksOnMap)
+        monkeypatch.setattr(runner_module, "ProcessPoolExecutor", BreaksOnSubmit)
         expected = [derive_seed(9, f"cell:{i}") for i in range(6)]
         with pytest.warns(RuntimeWarning, match="6 of 6 cells ran serially"):
             assert Runner(workers=3).map(_specs(6)) == expected
@@ -132,12 +140,16 @@ class TestRunner:
 
         class BreaksAfterThree:
             def __init__(self, max_workers):
-                pass
+                self.submitted = 0
 
-            def map(self, fn, specs, chunksize=1):
-                for spec in specs[:3]:
-                    yield fn(spec)
-                raise BrokenExecutor("a worker died")
+            def submit(self, fn, spec):
+                future = Future()
+                if self.submitted < 3:
+                    future.set_result(fn(spec))
+                else:
+                    future.set_exception(BrokenExecutor("a worker died"))
+                self.submitted += 1
+                return future
 
             def shutdown(self, wait=True, cancel_futures=False):
                 pass
@@ -151,6 +163,27 @@ class TestRunner:
         assert executed == [f"cell:{i}" for i in range(8)]  # each once, in order
         assert len(caught) == 1  # one fallback, one warning
         assert runner_module._POOLS == {}
+
+
+class TestHungCell:
+    def test_a_hung_cell_is_named_and_its_pool_terminated(self, monkeypatch):
+        monkeypatch.setattr(runner_module, "_POOLS", {})
+        monkeypatch.setattr(runner_module, "CELL_BUDGET_S", 0.5)
+        before = set(multiprocessing.active_children())
+        sleeper = RunSpec(
+            kind=f"{__name__}:_nap", params={"seconds": 60.0}, label="the sleeper"
+        )
+        started = time.monotonic()
+        with pytest.raises(
+            ExperimentError,
+            match="cell 'the sleeper' ran past its 0.5 s budget; its pool's "
+            "workers were terminated",
+        ):
+            Runner(workers=2).map([*_specs(2), sleeper, *_specs(1)])
+        assert time.monotonic() - started < 30.0
+        # The pool is gone, and so are its workers — the sleeper's too.
+        assert runner_module._POOLS == {}
+        assert set(multiprocessing.active_children()) <= before
 
 
 class TestCellBoundary:

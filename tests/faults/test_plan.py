@@ -62,6 +62,24 @@ class TestFaultValidation:
         with pytest.raises(ConfigError, match="finite"):
             PartitionFault(group_a=frozenset({"a"}), mode=mode, **bounds)
 
+    def test_partition_end_must_exceed_start(self):
+        with pytest.raises(
+            ConfigError, match=r"partition end 5\.0 must exceed start 5\.0"
+        ):
+            PartitionFault(start=5.0, end=5.0, group_a=frozenset({"a"}))
+
+    def test_an_empty_payload_type_filter_is_refused(self):
+        # ``None`` means every type; an empty set would match none and
+        # make the fault silently inert.
+        with pytest.raises(
+            ConfigError, match="payload_types must be None or non-empty"
+        ):
+            LossFault(probability=0.5, payload_types=())
+
+    def test_a_plan_of_something_else_names_it(self):
+        with pytest.raises(ConfigError, match="unknown fault 'loss'"):
+            FaultPlan.of(LossFault(probability=0.5), "loss")
+
     def test_partition_needs_nonempty_disjoint_groups(self):
         with pytest.raises(ConfigError):
             PartitionFault(start=0.0, end=5.0, group_a=frozenset())

@@ -30,7 +30,7 @@ from repro.faults import (
 )
 from repro.net.broadcast import BroadcastService
 from repro.net.delay import SynchronousDelay
-from repro.net.network import Network, _FanoutSweep
+from repro.net.network import Network
 from repro.protocols.sync_reg import Reply
 from repro.sim.events import Priority
 from repro.sim.process import SimProcess
@@ -85,9 +85,9 @@ class TestPlaneSelection:
         assert gated._p2p_uniform is None and gated._bcast_uniform is None
 
     def test_tracing_withdraws_the_point_to_point_draw(self):
-        # The sweep stays (its fires go through ``_fire_checked``); a
-        # traced send samples the model — the reference the inline draw
-        # is held to.
+        # The fan-out vector arm stays (its arrivals fire through
+        # ``_fire_checked``); a traced send samples the model — the
+        # reference the inline draw is held to.
         traced = make_system(trace=True).network
         assert traced._p2p_uniform is None and traced._bcast_uniform is not None
 
@@ -189,12 +189,12 @@ class TestNoWaveSendsAroundTheGate:
         assert all(node.is_active for node in nodes)
         assert system.faults.lost_count == lost_before + 2
 
-    def test_a_plan_installed_mid_sweep_gates_the_sweeps_replies(self):
+    def test_a_plan_installed_mid_fanout_gates_the_fanouts_replies(self):
         """A plan that gates no delivery, installed while a fault-free
         fan-out is in flight, withdraws ``_p2p_uniform`` but leaves
-        ``_fast`` on: the sweep's remaining arrivals dispatch inline and
-        their replies take the sweep's ``send_payload`` arm, where the
-        gate loses every one of them."""
+        ``_fast`` on: the fan-out's remaining arrivals dispatch inline
+        and their replies take the fire site's ``send_payload`` arm,
+        where the gate loses every one of them."""
         system = make_system(n=50, trace=False)
         network = system.network
         joiner = system.node(system.spawn_joiner())
@@ -207,7 +207,8 @@ class TestNoWaveSendsAroundTheGate:
         joiner._dispatch = {**joiner._dispatch, Reply: on_reply}
         # The inquiry goes out at δ; its arrivals lie in (δ, 2δ].
         system.run_until(1.5 * DELTA)
-        assert isinstance(pending_entries(system.engine)[0][3], _FanoutSweep)
+        inquiry = pending_entries(system.engine)[0]
+        assert inquiry[3] is network._delivery and inquiry[7] is not None
         answered = network.sent_count  # every send so far is a REPLY
         assert 0 < answered < 50
         injector = system.install_faults(

@@ -25,9 +25,10 @@ from repro.net.delay import (
     SynchronousDelay,
     make_delay,
 )
-from repro.net.network import Network, _FanoutSweep
+from repro.net.network import Network
 from repro.sim.engine import EventScheduler
 from repro.sim.errors import ConfigError, NetworkError, UnknownProcessError
+from repro.sim.events import Priority
 from repro.sim.membership import Membership
 from repro.sim.process import SimProcess
 from repro.sim.rng import RngRegistry
@@ -381,6 +382,10 @@ class _Scripted:
 
 
 class TestPairFreeFanoutOrder:
+    """A fault-free fan-out under a continuous model is one vector of
+    ordinary delivery entries: arrival ``k`` of the stably sorted
+    recipients carries sequence ``base + k``."""
+
     @given(
         draws=st.lists(
             # A narrow pool forces exact instant ties.
@@ -389,7 +394,7 @@ class TestPairFreeFanoutOrder:
         now=st.sampled_from((0.0, 3.5)),
     )
     @settings(max_examples=200, deadline=None)
-    def test_the_sweep_order_is_the_instant_index_pair_sort(self, draws, now):
+    def test_the_fanout_order_is_the_instant_index_pair_sort(self, draws, now):
         engine = EventScheduler(start=now)
         model = SynchronousDelay(delta=5.0)
         network = Network(
@@ -398,13 +403,17 @@ class TestPairFreeFanoutOrder:
         lo, span = model.broadcast_uniform()
         dests = [f"p{i}" for i in range(len(draws))]
         network.deliver_fanout("p0", dests, Note("x"), now, 7, _Scripted(draws))
-        (entry,) = pending_entries(engine)
-        sweep = entry[3]
-        assert type(sweep) is _FanoutSweep and engine.pending_count == len(draws)
+        entries = pending_entries(engine)
+        assert engine.pending_count == len(entries) == len(draws)
         pairs = sorted((now + (lo + span * r), i) for i, r in enumerate(draws))
-        assert list(sweep.times) == [instant for instant, _ in pairs]
-        assert list(sweep.dests) == [dests[i] for _, i in pairs]
-        assert entry[0] == pairs[0][0]
+        assert [entry[0] for entry in entries] == [instant for instant, _ in pairs]
+        assert [entry[4] for entry in entries] == [dests[i] for _, i in pairs]
+        assert [entry[2] for entry in entries] == list(range(len(draws)))
+        assert all(
+            entry[1] == Priority.DELIVERY and entry[3] is network._delivery
+            and entry[5:] == ("p0", Note("x"), 7)
+            for entry in entries
+        )
 
     def test_one_gather_is_the_two_sort_result_on_crafted_ties(self):
         """The recipients are sorted once on their instants and the
@@ -421,10 +430,113 @@ class TestPairFreeFanoutOrder:
         lo, span = model.broadcast_uniform()
         dests = [f"p{i}" for i in range(len(draws))]
         network.deliver_fanout("p0", dests, Note("x"), now, 7, _Scripted(draws))
-        sweep = pending_entries(engine)[0][3]
+        entries = pending_entries(engine)
         times = [now + (lo + span * r) for r in draws]
         order = sorted(range(len(times)), key=times.__getitem__)
         times.sort()
-        assert list(sweep.times) == times
-        assert sweep.dests == [dests[i] for i in order]
+        assert [entry[0] for entry in entries] == times
+        assert [entry[4] for entry in entries] == [dests[i] for i in order]
         assert order[:3] == [1, 4, 8] and order[-3:] == [3, 6, 9]  # ties by index
+
+
+class Echo(SimProcess):
+    """Logs each arrival to a shared log and answers a fan-out arrival
+    with a zero-delay timer at its own instant."""
+
+    def __init__(self, pid, engine, log):
+        super().__init__(pid, engine)
+        self.log = log
+
+    def on_note(self, sender, msg):
+        self.log.append((self.pid, msg.text, self.engine.now))
+        if msg.text == "fanout":
+            self.engine.schedule(0.0, self.log.append, ("echo", self.pid))
+
+
+class TestVectorArmIsThePerRecipientArm:
+    """Exact ties: the vector arm fires in the per-recipient arm's order.
+
+    Arrival ``k`` of the vector carries the ``k``-th sequence number of
+    the fan-out's block, so recipients tied on one instant keep
+    recipient order, and a DELIVERY or TIMER entry scheduled before or
+    after the fan-out at that same instant keeps its place — whether the
+    vector is sliced over many epochs (width 0.01), filed whole (1.0),
+    or lands in the active epoch's overflow heap (1000.0)."""
+
+    DRAWS = [0.5, 0.0, 0.5, 0.999, 0.0, 0.25, 0.999, 0.5, 0.0, 0.999]
+
+    def run(self, width, vector_arm, min_delay=None):
+        engine = EventScheduler(bucket_width=width)
+        membership = Membership()
+        model = SynchronousDelay(delta=5.0, min_delay=min_delay)
+        network = Network(
+            engine, membership, model, TraceLog(enabled=False), RngRegistry(seed=1)
+        )
+        if not vector_arm:
+            network._bcast_uniform = None
+        log = []
+        dests = [f"p{i}" for i in range(len(self.DRAWS))]
+        for pid in dests:
+            membership.enter(Echo(pid, engine, log))
+        lo, span = model.broadcast_uniform()
+        start = 1.0
+        tied = start + (lo + span * 0.5)  # three recipients (at least) land here
+
+        def around(tag):
+            engine.schedule_slab(
+                tied, Priority.DELIVERY, network._delivery,
+                "p1", "p0", Note(tag), None,
+            )
+            engine.schedule_at(tied, log.append, ("timer", tag))
+
+        def fan_out():
+            network.deliver_fanout(
+                "p0", dests, Note("fanout"), engine.now, 7, _Scripted(self.DRAWS)
+            )
+            around("after")
+
+        around("before")
+        engine.schedule_at(start, fan_out)
+        pending = engine.pending_count
+        engine.run()
+        counters = (
+            pending, network.delivered_count, engine.fired_count,
+            engine.pending_count, engine.schedule_at(50.0, print).sequence,
+        )
+        return log, counters
+
+    @pytest.mark.parametrize("width", [0.01, 1.0, 1000.0])
+    def test_same_order_and_counters_on_crafted_ties(self, width):
+        per_recipient = self.run(width, vector_arm=False)
+        vector = self.run(width, vector_arm=True)
+        assert vector == per_recipient
+        log, counters = vector
+        assert counters == (3, 12, 25, 0, 25)
+        # The tied instant: the DELIVERY pushed before, the three tied
+        # recipients in recipient order, the DELIVERY pushed after, then
+        # the TIMER tier — the two timers by sequence, then the echoes
+        # their handlers scheduled.
+        assert log[8:18] == [
+            ("p1", "before", 3.75),
+            ("p0", "fanout", 3.75),
+            ("p2", "fanout", 3.75),
+            ("p7", "fanout", 3.75),
+            ("p1", "after", 3.75),
+            ("timer", "before"),
+            ("timer", "after"),
+            ("echo", "p0"),
+            ("echo", "p2"),
+            ("echo", "p7"),
+        ]
+
+    @pytest.mark.parametrize("width", [0.01, 1.0, 1000.0])
+    def test_a_degenerate_span_ties_every_arrival(self, width):
+        """``min_delay == delta``: every arrival lands on one instant,
+        with the DELIVERY and TIMER entries scheduled around them."""
+        per_recipient = self.run(width, vector_arm=False, min_delay=5.0)
+        vector = self.run(width, vector_arm=True, min_delay=5.0)
+        assert vector == per_recipient
+        log, _ = vector
+        assert [record[0] for record in log[:12]] == [
+            "p1", *(f"p{i}" for i in range(10)), "p1",
+        ]

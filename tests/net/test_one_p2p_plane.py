@@ -100,11 +100,12 @@ class TestEntrantOffers:
         network, late, broadcast_id = self._offer(engine, membership, trace, rng)
         sent_before = network.sent_count
         # The pending offer *is* its queue entry: no object of its own.
+        # The fan-out's arrivals are the same kind of entry; the offer is
+        # the one addressed to the entrant.
         (offer,) = [
-            entry
-            for entry in pending_entries(engine)
-            if entry[3] is network._delivery
+            entry for entry in pending_entries(engine) if entry[4] == "late"
         ]
+        assert offer[3] is network._delivery
         assert offer[4:] == ("late", "p0", News("x"), broadcast_id)
         engine.run()
         assert late.heard == ["x"]

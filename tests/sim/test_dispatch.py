@@ -20,7 +20,7 @@ import pytest
 
 from repro.net.broadcast import BroadcastService
 from repro.net.delay import SynchronousDelay
-from repro.net.network import Network, _FanoutSweep
+from repro.net.network import Network
 from repro.sim.engine import EventScheduler
 from repro.sim.errors import ProcessError
 from repro.sim.events import Priority, SlabEntry
@@ -82,18 +82,18 @@ class World:
         return nodes
 
     def pending(self):
-        """What is queued: each point-to-point delivery as the
-        ``(dest, sender, payload, broadcast_id)`` its entry carries,
-        each sweep as the destinations it has yet to reach."""
-        deliveries, sweeps = [], []
+        """What is queued — every entry a ``_Delivery`` one: each
+        point-to-point delivery as the ``(dest, sender, payload,
+        broadcast_id)`` its entry carries, each fan-out as the
+        destinations it has yet to reach."""
+        deliveries, fanouts = [], {}
         for entry in pending_entries(self.engine):
-            item = entry[3]
-            if item is self.network._delivery:
+            assert entry[3] is self.network._delivery and len(entry) == 8
+            if entry[7] is None:
                 deliveries.append(entry[4:])
             else:
-                assert type(item) is _FanoutSweep and len(entry) == 4
-                sweeps.append(sorted(item.dests[item.index:]))
-        return deliveries, sweeps
+                fanouts.setdefault(entry[7], []).append(entry[4])
+        return deliveries, [sorted(dests) for dests in fanouts.values()]
 
 
 @pytest.fixture
@@ -115,7 +115,7 @@ def inline_only(monkeypatch):
 
 @pytest.mark.usefixtures("inline_only")
 class TestFastArms:
-    def test_an_override_runs_on_both_fire_sites(self, world):
+    def test_an_override_runs_on_the_one_fire_site(self, world):
         Node, Override = node_classes()
         (base,) = world.enter(Node, "a")
         (loud,) = world.enter(Override, "o")
@@ -134,7 +134,7 @@ class TestFastArms:
         assert Override.__dict__["_dispatch_cache"] == {Ping: Override.on_ping}
         assert Node.__dict__["_dispatch_cache"] == {Ping: Node.on_ping}
 
-    @pytest.mark.parametrize("site", ["unicast", "sweep"])
+    @pytest.mark.parametrize("site", ["unicast", "fanout"])
     def test_first_delivery_resolves_and_caches(self, world, site):
         Node, _ = node_classes()
         a, b = world.enter(Node, "a", "b")
@@ -155,8 +155,8 @@ class TestFastArms:
         world.service.broadcast("a", Mystery())
         with pytest.raises(ProcessError, match="Node has no handler 'on_mystery'"):
             world.engine.run()
-        # One arrival fired (and raised); the sweep had already re-armed
-        # for the other two.
+        # One arrival fired (and raised); the other two are entries of
+        # their own, still queued.
         deliveries, (remaining,) = world.pending()
         assert deliveries == [] and len(remaining) == 2
         assert world.network.delivered_count == 1
@@ -173,7 +173,7 @@ class TestFastArms:
 
 
 @pytest.mark.parametrize("trace_on", [False, True], ids=["inline", "checked"])
-@pytest.mark.parametrize("site", ["unicast", "sweep"])
+@pytest.mark.parametrize("site", ["unicast", "fanout"])
 class TestWatchersResumeInTheSameFire:
     """The poll after the handler: one watcher takes the shortcut, two
     take the snapshot arm (each ``poll`` removes itself from the list
@@ -190,8 +190,11 @@ class TestWatchersResumeInTheSameFire:
             arrival = world.network.send_payload("a", "b", Ping("x"))
         else:
             world.service.broadcast("a", Ping("x"))
-            sweep = pending_entries(world.engine)[0][3]
-            arrival = sweep.times[list(sweep.dests).index("b")]
+            (arrival,) = [
+                entry[0]
+                for entry in pending_entries(world.engine)
+                if entry[4] == "b"
+            ]
         world.engine.run()
         return node, handles, arrival
 

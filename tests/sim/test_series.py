@@ -1,4 +1,4 @@
-"""``schedule_series`` is per-item ``schedule_at``, in one queue slot.
+"""``schedule_series`` is per-item ``schedule_at``, built an epoch at a time.
 
 The plan install rests on this: a series over the stably sorted plan
 must be indistinguishable — firing order, ``pending_count`` /
@@ -152,22 +152,25 @@ def test_series_is_per_item_scheduling_one_step_at_a_time(
     assert series.log == reference.log
 
 
-def test_a_series_holds_one_queue_slot():
+def test_a_series_holds_no_queue_slot_before_its_epoch():
+    """A series is one vector: an item's entry is built only once the
+    clock reaches its epoch (four items an epoch here)."""
     engine = EventScheduler()
     fired = []
     engine.schedule_series(
-        [float(k) for k in range(1, 1001)], fired.append, range(1000)
+        [0.25 * k for k in range(4, 4004)], fired.append, range(4000)
     )
-    assert engine._occupied_slots() == 1
-    assert engine.pending_count == 1000
+    assert engine._occupied_slots() == 0
+    assert engine.pending_count == 4000
     assert [type(entry[3]).__name__ for entry in pending_entries(engine)] == [
         "_Series"
-    ]
-    assert engine.run_until(500.0) == 500
-    assert engine._occupied_slots() == 1 and engine.pending_count == 500
-    assert engine.run() == 500
-    assert fired == list(range(1000))
-    assert engine._occupied_slots() == 0 and engine.fired_count == 1000
+    ] * 4000
+    assert engine.run_until(500.0) == 1997
+    # The rest of epoch 500 — 500.25, 500.5, 500.75 — and nothing else.
+    assert engine._occupied_slots() == 3 and engine.pending_count == 2003
+    assert engine.run() == 2003
+    assert fired == list(range(4000))
+    assert engine._occupied_slots() == 0 and engine.fired_count == 4000
 
 
 def test_a_series_installed_from_a_running_handler():

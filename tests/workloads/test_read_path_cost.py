@@ -13,14 +13,16 @@ without timing noise.  The run is the one
 ``tests/core/test_checker_cost.py`` judges: the read-heavy synchronous
 run of ``history_check_200k`` on a shorter horizon (n = 50, churn 0.02,
 seed 0, about 10 k local reads, every other event of the drive counted
-too).  It measures 9.2 calls per issued read: 18.2 when the read ran as
-a generator body under ``run_operation`` (``resolve``, the body,
-``value``, ``_position``, ``_complete``), the draw entered
-``Random.choice`` and ``_randbelow`` and a closure dispatched each op;
-28.4 when the driver also copied the active list, re-checked the drawn
-pid's presence, looked its node up through ``system.node`` and asked
-``is_active`` three times, and every completed handle entered
-``_fire_callbacks``.
+too).  It measures 8.06 calls per issued read: 9.2 when the plan's
+series re-pushed itself through ``EventScheduler._push`` before each op
+(the plan is one vector, its entries built an epoch at a time); 18.2
+when the read ran as a generator body under ``run_operation``
+(``resolve``, the body, ``value``, ``_position``, ``_complete``), the
+draw entered ``Random.choice`` and ``_randbelow`` and a closure
+dispatched each op; 28.4 when the driver also copied the active list,
+re-checked the drawn pid's presence, looked its node up through
+``system.node`` and asked ``is_active`` three times, and every
+completed handle entered ``_fire_callbacks``.
 """
 
 from __future__ import annotations
@@ -34,10 +36,10 @@ from tests.conftest import make_system
 DELTA = 5.0
 HORIZON = 65.0
 #: The ratchet: calls over the drive per issued read.
-MAX_CALLS_PER_READ = 11.0
+MAX_CALLS_PER_READ = 8.5
 
 
-def test_a_planned_read_costs_at_most_eleven_calls_of_the_drive():
+def test_a_planned_read_costs_at_most_eight_and_a_half_calls_of_the_drive():
     system = make_system(n=50, delta=DELTA, seed=0, trace=False)
     system.attach_churn(rate=0.02)
     plan = read_heavy_plan(
