@@ -28,16 +28,16 @@ A message costs what it carries: every delivery is a queue tuple,
 ``(instant, DELIVERY, sequence, item, dest, sender, payload,
 broadcast_id)``, ``item`` being the network's one :class:`_Delivery`,
 whose ``fire`` is the one delivery fire site.  Point-to-point sends
-(``broadcast_id`` ``None``), entrant offers and the per-recipient arm
-of a fan-out push such tuples; a fault-free fan-out under a uniform
-delay model is one scheduler vector (``_schedule_vector``) — its
-sorted ``array('d')`` of instants beside the recipient list, 16 B per
-arrival in flight — whose tuples the calendar builds an epoch at a
-time, arrival ``k`` under the ``k``-th sequence number of the fan-out's
-block, so ties keep recipient order exactly as per-recipient pushes
-do.  Nothing is pooled and nothing is retained once a message lands.
-No protocol file pushes queue entries or knows the tuple's layout: a
-handler returns its reply or calls ``send_round`` / ``send_payload``.
+(``broadcast_id`` ``None``), entrant offers and the per-recipient arm of
+a fan-out push such tuples; a dense fault-free fan-out under a uniform
+delay model is one scheduler vector (``_schedule_vector``) — its sorted
+``array('d')`` of instants beside the recipient list, 16 B per arrival
+in flight — whose tuples the calendar builds an epoch at a time, arrival
+``k`` under the ``k``-th sequence number of the fan-out's block, so ties
+keep recipient order exactly as per-recipient pushes do.  Nothing is
+pooled or retained once a message lands.  No protocol file pushes queue
+entries or knows the tuple's layout: a handler returns its reply or
+calls ``send_round`` / ``send_payload``.
 
 A send is a reply or a round
 ----------------------------
@@ -118,6 +118,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (faults -> sim only)
 
 _DELIVERY = int(Priority.DELIVERY)
 _INF = float("inf")
+#: A fan-out is a vector from this many arrivals per epoch of its span.
+_DENSE = 16
 
 
 class _Delivery(SlabEntry):
@@ -418,18 +420,20 @@ class Network:
         """Schedule one broadcast's whole fan-out.
 
         Delays are drawn here, from ``rng`` (the broadcast service's
-        stream), one per recipient in recipient order — so the fault
-        gate sees every delivery at the same point of the RNG stream as
-        a one-send-per-recipient loop would.
+        stream), one per recipient in recipient order — so the fault gate
+        sees every delivery at the same point of the RNG stream as a
+        one-send-per-recipient loop would.  Only a dense fault-free fan-out
+        (``_DENSE``) is a vector; sparse slices cost more than pushes.
         """
         count = len(dests)
         if count == 0:
             return
         engine = self.engine
         params = self._bcast_uniform
-        if params is not None:
-            # Vector arm (never under an injector: its install withdrew
-            # the parameters).  Every arrival is drawn inline, in
+        if params is not None and count >= _DENSE * params[1] * engine._winv:
+            # Vector arm: dense fan-outs only (a zero span always is),
+            # never under an injector (its install withdrew the
+            # parameters).  Every arrival is drawn inline, in
             # recipient order: ``sample_broadcast_many``'s stream
             # exactly, ``now + (lo + span * r)`` keeping the delay one
             # float so the sum rounds like ``now + delay``, positive by
@@ -456,15 +460,15 @@ class Network:
                 (sender, payload, broadcast_id),
             )
             return
-        # Per-recipient arm: a model with no declared uniform draw (the
-        # eventually-synchronous GST flush clamps every straggler to
-        # exactly ``gst + delta``) or a fault gate (a defer partition
-        # parks every recipient it cuts off on its ``end``).  Tied
+        # Per-recipient arm: a sparse fan-out, a model with no declared
+        # uniform draw (the eventually-synchronous GST flush clamps every
+        # straggler to exactly ``gst + delta``) or a fault gate (a defer
+        # partition parks every recipient it cuts off on its ``end``).  Tied
         # deliveries keep their consecutive-sequence interleaving: each
-        # recipient the fault gate lets through gets its own queue
-        # tuple, pushed in recipient order.
-        # ``DELIVERY`` is the lowest priority value: nothing a handler
-        # schedules at a tied instant overtakes a later recipient.
+        # recipient the fault gate lets through gets its own queue tuple,
+        # pushed in recipient order.  ``DELIVERY`` is the lowest priority
+        # value: nothing a handler schedules at a tied instant overtakes a
+        # later recipient.
         delays = self.delay_model.sample_broadcast_many(
             sender, dests, payload, now, rng
         )

@@ -16,13 +16,14 @@ The engine is intentionally tiny and fully deterministic:
   data, so one long-lived item serves any number of pushes — a
   message delivery is its queue tuple and nothing else (the network's
   one item, ``net/network.py``);
-* a *vector* (:meth:`_schedule_vector`: a broadcast's arrivals, an
+* a *vector* (:meth:`_schedule_vector`: a dense fan-out's arrivals, an
   installed plan) is a pre-sorted run of such entries kept as columns;
   each epoch's slice becomes tuples (one C-level ``zip``) only when
   the clock reaches it, so a pending item holds no queue slot;
 * the queue is an array-backed *calendar*: instants quantize into
-  buckets one tick wide, each bucket a flat append-only list sorted
-  lazily (one C call) when the clock reaches its epoch.  A push is a
+  buckets one tick wide, each a flat append-only list sorted on the
+  instant alone, then whole (a near-linear pass over tied runs that
+  alone sets the order) when the clock reaches its epoch.  A push is a
   list append and a pop is an index increment; the total order is
   exactly ``(time, priority, sequence)`` at any bucket width;
 * cancelling an event marks it dead in place (lazy deletion), which
@@ -32,24 +33,26 @@ The engine is intentionally tiny and fully deterministic:
 * the clock only ever moves when an entry is dequeued, so a handler
   always observes ``engine.now`` equal to its own firing time;
 * memory: reference counting is the kernel's memory manager.  A live
-  simulation makes no cyclic garbage
-  (``tests/sim/test_collector.py::TestALiveRunMakesNoCycles``: a full
-  collection after a collector-free run finds 0 unreachable objects),
-  while every automatic collection walks the in-flight queue tuples to
-  find nothing — a quarter of a churn-heavy drive.  So
-  :func:`collector_paused` holds CPython's cyclic collector off inside
-  ``_drain`` and at the bulk-allocation sites (the population build,
-  the plan build — ``read_heavy_plan`` / ``write_heavy_plan`` — the
-  plan install, the checkers), and ``repro.exec.runner.execute``
-  ends each cell with one young collection, which is where a dropped
-  system — one big cycle — is reclaimed.  The switch is process-wide
-  and goes back in ``finally`` exactly as the caller left it; the
-  first allocation after that sets off one young collection over what
-  the phase built (CPython counts allocations while paused).  A
-  handler that *does* drop cycles during a very long drain has them
-  wait for the first collection after the drain returns: drive in
-  slices (``run_until`` per stretch) if that matters.  ``step()`` is
-  not a bulk path and leaves the collector alone.
+  simulation makes no cyclic garbage (``tests/sim/test_collector.py``: 0
+  unreachable objects under ``gc.DEBUG_SAVEALL`` after collector-free
+  runs of every protocol, churned, traced and faulted, and of a
+  cluster's handoffs), while every automatic collection walks the
+  in-flight queue tuples to find nothing — a quarter of a churn-heavy
+  drive, charged by the ``perf/`` fold to whoever allocated (CHANGES.md,
+  PR 15).  So :func:`collector_paused` holds CPython's cyclic collector
+  off in ``_drain``, ``DynamicSystem._build_seeds``, the plan builders,
+  both workload drivers' ``install``, ``RegularityChecker.check`` and
+  ``find_new_old_inversions`` (not ``liveness`` nor ``digest``: no
+  tracked container per operation), and ``repro.exec.runner.execute``
+  ends each paused cell with ``gc.collect(0)``, reclaiming a dropped
+  system (one big cycle) without walking the host's heap.  The switch is
+  process-wide, nests and goes back in ``finally`` as the caller left
+  it; the first allocation after that sets off one young collection over
+  what the phase built (CPython counts allocations while paused).  A
+  handler that *does* drop cycles during a very long drain has them wait
+  for the first collection after the drain returns: drive in slices
+  (``run_until`` per stretch) if that matters.  ``step()`` is not a bulk
+  path and leaves the collector alone.
 
 Every source of nondeterminism in a simulation must flow through the
 seeded RNG streams (:mod:`repro.sim.rng`); given the same configuration
@@ -71,6 +74,7 @@ from contextlib import contextmanager
 from heapq import heapify, heappop, heappush
 from itertools import repeat
 from math import isfinite
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .clock import Time
@@ -460,6 +464,7 @@ class EventScheduler:
                     self._file(vector, int(instants[hi] * winv))
                 vector = following
             if bucket:
+                bucket.sort(key=itemgetter(0))  # floats alone first
                 bucket.sort()
                 self._cur = bucket
                 self._cur_epoch = epoch

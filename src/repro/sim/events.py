@@ -74,7 +74,7 @@ class SlabEntry:
     Schedule via :meth:`EventScheduler.schedule_slab`, or as a
     pre-sorted vector of entries that share the item
     (:meth:`EventScheduler.schedule_series` builds its own item; the
-    network files each fault-free fan-out with
+    network files each dense fault-free fan-out with
     ``EventScheduler._schedule_vector``).
     """
 

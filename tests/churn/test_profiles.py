@@ -96,6 +96,8 @@ class TestDiurnalRate:
             DiurnalRate(1.0, 0.1, 100.0)
         with pytest.raises(ChurnError):
             DiurnalRate(0.1, -0.1, 100.0)
+        with pytest.raises(ChurnError, match="amplitude must be non-negative"):
+            DiurnalRate(0.1, -1.0, 5.0)
 
 
 class TestProfileDrivenController:

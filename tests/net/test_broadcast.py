@@ -7,6 +7,8 @@ import pytest
 from repro.net.broadcast import BroadcastService
 from repro.net.delay import SynchronousDelay
 from repro.net.network import Network
+from repro.runtime.config import SystemConfig
+from repro.runtime.system import DynamicSystem
 from repro.sim.errors import ConfigError, NetworkError
 from repro.sim.process import SimProcess
 from repro.sim.trace import TraceKind
@@ -149,6 +151,12 @@ class TestEntrantPolicies:
             build(engine, membership, trace, rng, entrant_policy="sometimes")
         with pytest.raises(ConfigError):
             build(engine, membership, trace, rng, entrant_policy=1.5)
+
+    def test_a_configured_probability_outside_the_unit_interval_is_refused(self):
+        with pytest.raises(
+            ConfigError, match=r"entrant probability 1\.5 not in \[0, 1\]"
+        ):
+            DynamicSystem(SystemConfig(n=5, entrant_policy=1.5))
 
     def test_entrant_not_offered_twice(self, engine, membership, trace, rng):
         service = build(engine, membership, trace, rng, entrant_policy="all")

@@ -5,6 +5,7 @@ the payload arrives at — also for a send the fault gate vetoed.
 """
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import pytest
@@ -25,6 +26,7 @@ from repro.net.delay import (
     SynchronousDelay,
     make_delay,
 )
+import repro.net.network as network_module
 from repro.net.network import Network
 from repro.sim.engine import EventScheduler
 from repro.sim.errors import ConfigError, NetworkError, UnknownProcessError
@@ -381,10 +383,30 @@ class _Scripted:
         return next(self._draws)
 
 
+@contextmanager
+def every_fanout_a_vector(engine):
+    """Lower the dense-fan-out floor to 0, so a fault-free fan-out of
+    any size takes the vector arm, and yield the ``count`` of every
+    vector ``engine`` is handed meanwhile."""
+    counts = []
+    schedule_vector = engine._schedule_vector
+
+    def spy(instants, *rest):
+        counts.append(len(instants))
+        schedule_vector(instants, *rest)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(network_module, "_DENSE", 0)
+        patch.setattr(engine, "_schedule_vector", spy)
+        yield counts
+
+
 class TestPairFreeFanoutOrder:
-    """A fault-free fan-out under a continuous model is one vector of
-    ordinary delivery entries: arrival ``k`` of the stably sorted
-    recipients carries sequence ``base + k``."""
+    """A dense fault-free fan-out under a continuous model is one vector
+    of ordinary delivery entries: arrival ``k`` of the stably sorted
+    recipients carries sequence ``base + k``.  These fan-outs are sparse
+    (at most 40 recipients), so the floor is lowered to 0 to drive the
+    vector arm."""
 
     @given(
         draws=st.lists(
@@ -402,7 +424,9 @@ class TestPairFreeFanoutOrder:
         )
         lo, span = model.broadcast_uniform()
         dests = [f"p{i}" for i in range(len(draws))]
-        network.deliver_fanout("p0", dests, Note("x"), now, 7, _Scripted(draws))
+        with every_fanout_a_vector(engine) as vectors:
+            network.deliver_fanout("p0", dests, Note("x"), now, 7, _Scripted(draws))
+        assert vectors == [len(draws)]
         entries = pending_entries(engine)
         assert engine.pending_count == len(entries) == len(draws)
         pairs = sorted((now + (lo + span * r), i) for i, r in enumerate(draws))
@@ -429,14 +453,55 @@ class TestPairFreeFanoutOrder:
         )
         lo, span = model.broadcast_uniform()
         dests = [f"p{i}" for i in range(len(draws))]
-        network.deliver_fanout("p0", dests, Note("x"), now, 7, _Scripted(draws))
+        with every_fanout_a_vector(engine) as vectors:
+            network.deliver_fanout("p0", dests, Note("x"), now, 7, _Scripted(draws))
+        assert vectors == [len(draws)]
         entries = pending_entries(engine)
         times = [now + (lo + span * r) for r in draws]
         order = sorted(range(len(times)), key=times.__getitem__)
         times.sort()
         assert [entry[0] for entry in entries] == times
         assert [entry[4] for entry in entries] == [dests[i] for i in order]
+        # Sequence numbers follow the gather, not the recipient index.
+        assert [entry[2] for entry in entries] == list(range(len(draws)))
         assert order[:3] == [1, 4, 8] and order[-3:] == [3, 6, 9]  # ties by index
+
+
+class TestTheDenseFloor:
+    """A fault-free fan-out is a vector from ``_DENSE`` arrivals per
+    calendar epoch of its delay span: 72 recipients at width 1.0 with
+    ``delta`` 5 and the default 0.5 minimum delay (``16 * 4.5 / 1.0``).
+    A vector holds no queue slot before its epoch; below the floor each
+    recipient holds one."""
+
+    @pytest.mark.parametrize(
+        "count, vector", [(71, False), (72, True), (1, False)]
+    )
+    def test_each_side_of_the_floor_takes_its_own_arm(self, count, vector):
+        engine = EventScheduler(bucket_width=1.0)
+        model = SynchronousDelay(delta=5.0)
+        network = Network(
+            engine, Membership(), model, TraceLog(enabled=False), RngRegistry(seed=1)
+        )
+        _, span = model.broadcast_uniform()
+        assert network_module._DENSE * span * engine._winv == 72
+        dests = [f"p{i}" for i in range(count)]
+        rng = RngRegistry(seed=2).stream("b")
+        network.deliver_fanout("p0", dests, Note("x"), 0.0, 7, rng)
+        assert engine.pending_count == count
+        assert engine._occupied_slots() == (0 if vector else count)
+        assert len(engine._vectors) == vector
+
+    def test_a_zero_span_is_always_a_vector(self):
+        engine = EventScheduler(bucket_width=1.0)
+        network = Network(
+            engine, Membership(), SynchronousDelay(delta=5.0, min_delay=5.0),
+            TraceLog(enabled=False), RngRegistry(seed=1),
+        )
+        draws = _Scripted([0.3, 0.6])
+        network.deliver_fanout("p0", ["p1", "p2"], Note("x"), 0.0, 7, draws)
+        assert engine._occupied_slots() == 0
+        assert [entry[4] for entry in pending_entries(engine)] == ["p1", "p2"]
 
 
 class Echo(SimProcess):
@@ -461,7 +526,9 @@ class TestVectorArmIsThePerRecipientArm:
     recipient order, and a DELIVERY or TIMER entry scheduled before or
     after the fan-out at that same instant keeps its place — whether the
     vector is sliced over many epochs (width 0.01), filed whole (1.0),
-    or lands in the active epoch's overflow heap (1000.0)."""
+    or lands in the active epoch's overflow heap (1000.0).  Ten
+    recipients are sparse at the two narrower widths, so the vector arm
+    runs with the floor lowered to 0 and is checked to be the arm taken."""
 
     DRAWS = [0.5, 0.0, 0.5, 0.999, 0.0, 0.25, 0.999, 0.5, 0.0, 0.999]
 
@@ -472,8 +539,15 @@ class TestVectorArmIsThePerRecipientArm:
         network = Network(
             engine, membership, model, TraceLog(enabled=False), RngRegistry(seed=1)
         )
-        if not vector_arm:
-            network._bcast_uniform = None
+        if vector_arm:
+            with every_fanout_a_vector(engine) as vectors:
+                outcome = self.drive(engine, membership, model, network)
+            assert vectors == [len(self.DRAWS)]
+            return outcome
+        network._bcast_uniform = None
+        return self.drive(engine, membership, model, network)
+
+    def drive(self, engine, membership, model, network):
         log = []
         dests = [f"p{i}" for i in range(len(self.DRAWS))]
         for pid in dests:

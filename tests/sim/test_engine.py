@@ -12,9 +12,11 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.engine import EventScheduler
-from repro.sim.errors import SchedulerError
+from repro.sim.errors import ClockError, SchedulerError
 from repro.sim.events import Priority, SlabEntry
 from tests.conftest import pending_entries
 
@@ -75,6 +77,83 @@ class TestSimultaneousEvents:
             engine.schedule(1.0, fired.append, i, priority=Priority.TIMER)
         engine.run()
         assert fired == list(range(10))
+
+
+class _Tagged(SlabEntry):
+    """A slab item that logs the tag its push carried."""
+
+    __slots__ = ("log",)
+
+    def __init__(self, log):
+        self.log = log
+
+    def fire(self, entry):
+        self.log.append(entry[4])
+
+
+#: Instants that share epochs at every width below, so an epoch holds
+#: exact ties.
+_INSTANTS = (0.5, 0.75, 1.0, 1.25, 2.0, 2.5, 3.0)
+_PRIORITIES = (Priority.DELIVERY, Priority.TIMER)
+_PUSHES = st.one_of(
+    st.tuples(
+        st.sampled_from(("at", "slab")), st.sampled_from(_INSTANTS),
+        st.sampled_from(_PRIORITIES),
+    ),
+    st.tuples(
+        st.just("series"),
+        st.lists(st.sampled_from(_INSTANTS), min_size=1, max_size=12).map(sorted),
+        st.sampled_from(_PRIORITIES),
+    ),
+)
+
+
+class TestAnEpochDrainsInSortedOrder:
+    """An activated epoch is sorted twice — on its instants alone, then
+    on whole entries — and the second sort alone sets the order.  An
+    epoch mixing direct pushes (events, slab entries), vector slices
+    (series) and exact ties across the DELIVERY and TIMER tiers drains
+    in ``sorted()`` order of ``(time, priority, sequence)``.  A crafted
+    prefix puts a TIMER before a DELIVERY push and a series on one
+    instant, so a presort left alone fails every example."""
+
+    @given(
+        pushes=st.lists(_PUSHES, max_size=30),
+        width=st.sampled_from((0.25, 1.0, 10.0)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_direct_pushes_slices_and_ties_drain_in_sorted_order(
+        self, pushes, width
+    ):
+        engine = EventScheduler(bucket_width=width)
+        log = []
+        slab = _Tagged(log)
+        expected = []
+        crafted = [
+            ("at", 1.0, Priority.TIMER),
+            ("slab", 1.0, Priority.TIMER),
+            ("at", 1.0, Priority.DELIVERY),
+            ("series", [0.75, 1.0, 1.0], Priority.DELIVERY),
+            ("slab", 1.0, Priority.DELIVERY),
+        ]
+        for kind, instants, priority in crafted + pushes:
+            sequence = engine._sequence
+            if kind == "series":
+                tags = [len(expected) + k for k in range(len(instants))]
+                engine.schedule_series(instants, log.append, tags, priority)
+                expected.extend(
+                    ((t, priority, sequence + k), tag)
+                    for k, (t, tag) in enumerate(zip(instants, tags))
+                )
+                continue
+            tag = len(expected)
+            if kind == "at":
+                engine.schedule_at(instants, log.append, tag, priority=priority)
+            else:
+                engine.schedule_slab(instants, priority, slab, tag)
+            expected.append(((instants, priority, sequence), tag))
+        assert engine.run() == len(expected)
+        assert log == [tag for _, tag in sorted(expected)]
 
 
 class TestCancellation:
@@ -231,8 +310,14 @@ class _CountingSlab(SlabEntry):
 class TestConstruction:
     @pytest.mark.parametrize("width", [0.0, -1.0, math.inf, math.nan])
     def test_rejects_bad_bucket_width(self, width):
-        with pytest.raises(SchedulerError):
+        with pytest.raises(
+            SchedulerError, match="bucket width must be positive and finite"
+        ):
             EventScheduler(bucket_width=width)
+
+    def test_rejects_a_negative_start(self):
+        with pytest.raises(ClockError, match="cannot start the clock"):
+            EventScheduler(start=-1.0)
 
     @pytest.mark.parametrize("width", [0.2, 1.0, 7.5])
     def test_width_never_changes_the_order(self, width):
@@ -420,7 +505,7 @@ class TestDrainReentry:
 
     def test_not_reentrant(self, engine):
         def reenter():
-            with pytest.raises(SchedulerError):
+            with pytest.raises(SchedulerError, match="not reentrant"):
                 engine.run()
 
         engine.schedule_at(1.0, reenter)
