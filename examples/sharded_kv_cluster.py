@@ -27,8 +27,9 @@ Run:  python examples/sharded_kv_cluster.py
 import os
 
 from repro.cluster import ClusterConfig, ClusterSystem, cluster_digest
-from repro.workloads.cluster import ClusterWorkloadDriver, shard_skewed_key_picker
+from repro.workloads.cluster import shard_skewed_key_picker
 from repro.workloads.generators import assign_keys, read_heavy_plan
+from repro.workloads.schedule import WorkloadDriver
 
 #: The examples smoke suite sets REPRO_EXAMPLES_QUICK=1 to shrink the
 #: simulated horizon; the story (and every printed section) is the same.
@@ -55,7 +56,7 @@ cluster.attach_churn(rate=CHURN, min_stay=3 * DELTA)
 # One plan for the whole cluster: periodic writes, Poisson reads, every
 # operation's key drawn shard-first from a Zipf — shard 0 of the
 # populated ranking is the hot shard.
-driver = ClusterWorkloadDriver(cluster)
+driver = WorkloadDriver(cluster)
 plan = read_heavy_plan(
     start=5.0,
     end=HORIZON - 4 * DELTA,
@@ -74,7 +75,7 @@ history = cluster.close()
 # ---------------------------------------------------------------- audit
 safety = cluster.check_safety()
 liveness = cluster.check_liveness(grace=10 * DELTA)
-per_shard = driver.shard_op_counts()
+per_shard = driver.load.per_shard
 print()
 print(f"operations issued    : {driver.stats.reads_issued} reads, "
       f"{driver.stats.writes_issued} writes")
@@ -82,8 +83,9 @@ print(f"per-shard share      : "
       + ", ".join(f"s{i}={ops}" for i, ops in enumerate(per_shard))
       + f"  (hot shard carries {max(per_shard) / (sum(per_shard) or 1):.0%})")
 print(f"joins across shards  : {len(history.operations('join'))} started")
-print(f"messages delivered   : {cluster.delivered_count} total "
-      f"= {cluster.per_node_delivered():.1f} per node of the whole population")
+delivered = sum(shard.network.delivered_count for shard in cluster.shards)
+print(f"messages delivered   : {delivered} total "
+      f"= {delivered / config.n:.1f} per node of the whole population")
 print(f"cluster digest       : {cluster_digest(history)[:16]}… "
       f"(reproducible from seed {config.seed})")
 

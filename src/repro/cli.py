@@ -83,7 +83,6 @@ from .sim.errors import ReproError
 from .viz.message_flow import render_message_flow
 from .viz.timeline import render_timeline
 from .workloads.cluster import (
-    ClusterWorkloadDriver,
     install_shard_scoped,
     schedule_round_robin_migrations,
     shard_skewed_key_picker,
@@ -448,7 +447,7 @@ def _cluster_cell(args: argparse.Namespace) -> ClusterSystem:
 def _drive_and_judge(
     args: argparse.Namespace,
     system: DynamicSystem | ClusterSystem,
-    driver: WorkloadDriver | ClusterWorkloadDriver,
+    driver: WorkloadDriver,
     stream: str,
     pick_key: KeyPicker | None,
 ) -> tuple[SafetyReport, LivenessReport]:
@@ -475,7 +474,7 @@ def _handoff_outcome(record: MigrationRecord) -> str:
 def _cmd_migrate(args: argparse.Namespace) -> int:
     cluster = _cluster_cell(args)
     records = schedule_round_robin_migrations(cluster, args.migrations, args.horizon)
-    driver = ClusterWorkloadDriver(cluster)
+    driver = WorkloadDriver(cluster)
     pick_key = shard_skewed_key_picker(
         cluster, cluster.rng.stream("cli.migrate.keys"), "uniform"
     )
@@ -514,7 +513,7 @@ def _cmd_rebalance(args: argparse.Namespace) -> int:
     from .cluster.rebalance import RebalancePolicy, Rebalancer
 
     cluster = _cluster_cell(args)
-    driver = ClusterWorkloadDriver(cluster)
+    driver = WorkloadDriver(cluster)
     policy = RebalancePolicy(
         period=args.period if args.period is not None else 4.0 * args.delta,
         threshold=args.threshold,
@@ -554,8 +553,8 @@ def _cmd_rebalance(args: argparse.Namespace) -> int:
             f"  {action.key}: shard {action.source} -> {action.dest} "
             f"@{action.time:g} [{action.reason}]  {_handoff_outcome(action.record)}"
         )
-    ops = driver.shard_op_counts()
-    print(f"shard ops      : {tuple(ops)}")
+    ops = tuple(driver.load.per_shard)
+    print(f"shard ops      : {ops}")
     print(f"imbalance      : {Rebalancer.imbalance_of(ops):.3f} (max/mean, cumulative)")
     stats = driver.stats
     print(f"reads issued   : {stats.reads_issued} (skipped {stats.reads_skipped})")

@@ -11,9 +11,9 @@ migration budget.  Storms of *concurrent* cross-key migrations
 (serialized per key, concurrent across keys) are the normal operating
 mode here, not an accident.
 
-Load is the workload driver's issued operations:
-:meth:`~repro.workloads.cluster.ClusterWorkloadDriver.shard_op_counts`
-per shard, and ``key_op_counts`` per key for greedy key selection.
+Load is the workload driver's issued operations, its ``load``
+(:class:`~repro.workloads.schedule.ShardLoad`): ``per_shard`` for the
+imbalance, and ``per_key`` for greedy key selection.
 Each sampling tick computes the **window** load (cumulative minus the
 previous snapshot) and the imbalance metric ``max/mean`` over shards;
 a window with zero load is idle and never acted on.
@@ -52,7 +52,7 @@ from ..sim.events import Priority
 from .migration import MigrationRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..workloads.cluster import ClusterWorkloadDriver
+    from ..workloads.schedule import WorkloadDriver
     from .system import ClusterSystem
 
 
@@ -139,7 +139,7 @@ class Rebalancer:
     driver; the first tick fires one period after construction::
 
         cluster = ClusterSystem(ClusterConfig(shards=4, keys=8, n=40))
-        driver = ClusterWorkloadDriver(cluster)
+        driver = WorkloadDriver(cluster)
         rebal = Rebalancer(cluster, driver=driver,
                            policy=RebalancePolicy(period=15.0, budget=3))
         driver.install(plan)
@@ -153,20 +153,20 @@ class Rebalancer:
     def __init__(
         self,
         cluster: "ClusterSystem",
-        driver: "ClusterWorkloadDriver",
+        driver: "WorkloadDriver",
         policy: RebalancePolicy | None = None,
     ) -> None:
         self.policy = policy or RebalancePolicy()
         self.policy.validate()
         cluster.check_reshardable()
         self.cluster = cluster
-        self.driver = driver
+        self.load = driver.load
         self.samples: list[RebalanceSample] = []
         self.actions: list[RebalanceAction] = []
         self._retired: set[int] = set()
         self._in_flight: dict[Any, MigrationRecord] = {}
-        self._last_loads = driver.shard_op_counts()
-        self._last_key_loads = driver.key_op_counts()
+        self._last_loads = tuple(self.load.per_shard)
+        self._last_key_loads = dict(self.load.per_key)
         self._arm_tick()
 
     @staticmethod
@@ -189,12 +189,12 @@ class Rebalancer:
 
     def _tick(self) -> None:
         now = self.cluster.now
-        cumulative = self.driver.shard_op_counts()
+        cumulative = tuple(self.load.per_shard)
         window = tuple(
             new - old for new, old in zip(cumulative, self._last_loads)
         )
         self._last_loads = cumulative
-        key_cumulative = self.driver.key_op_counts()
+        key_cumulative = dict(self.load.per_key)
         key_window = {
             key: count - self._last_key_loads.get(key, 0)
             for key, count in key_cumulative.items()

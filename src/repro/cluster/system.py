@@ -3,25 +3,62 @@
 A :class:`ClusterSystem` runs ``shards`` independent
 :class:`~repro.runtime.system.DynamicSystem` populations — each with
 its own churn controller, network, broadcast service and protocol
-nodes — on one shared :class:`~repro.sim.engine.EventScheduler`, and
-routes cluster-level ``read(key)`` / ``write(key, value)`` to the
-shard that owns the key when the operation is issued.  Writes pass one
-front door that serializes them per key and draws their values from
-one cluster-wide counter, so a key's history stays checkable when live
-resharding (:mod:`repro.cluster.migration`) moves it between shards.
-The paper's protocols are untouched: a shard does not know it is a
-shard.  What sharding buys is the scale lever the ROADMAP names — a
-broadcast (a write, a joiner's inquiry round) reaches ``n / S``
-processes instead of ``n``, so per-node message load and churn-tick
-join traffic fall as the shard count grows at fixed total population
-(experiment E14 measures exactly this).
+nodes — on one shared :class:`~repro.sim.engine.EventScheduler`, so
+shard interleaving is plain deterministic event ordering.  Writes pass
+one front door that routes each to the shard owning its key, serializes
+them per key and draws their values from one cluster-wide counter, so a
+key's history stays checkable when live resharding
+(:mod:`repro.cluster.migration`) moves it between shards.  The paper's
+protocols are untouched: a shard does not know it is a shard.  What
+sharding buys is the scale lever the ROADMAP names — a broadcast (a
+write, a joiner's inquiry round) reaches ``n / S`` processes instead of
+``n``, so per-node message load and churn-tick join traffic fall as the
+shard count grows at fixed total population (E14 measures exactly
+this)::
 
-Determinism: the shared clock makes shard interleaving plain event
-ordering; every shard draws randomness only from streams derived from
-``derive_seed(cluster_seed, "shard{i}")``, and cluster-level draws
+    from repro.cluster import ClusterConfig, ClusterSystem
+
+    cluster = ClusterSystem(ClusterConfig(shards=4, keys=16, n=48, seed=7))
+    cluster.attach_churn(rate=0.02)       # one adversary per shard
+    cluster.write("hello", key="k3")      # to k3's owner, serialized per key
+    cluster.run_for(100.0)
+    report = cluster.check_safety()       # merged, judged per shard per key
+
+Config surface.  ``ClusterConfig(shards, keys, n, delta, protocol,
+delay, seed, …)``: ``n`` is the *total* population, split
+floor-plus-remainder across shards; keys are placed by seeded hashing
+(``derive_seed(seed, "cluster.keymap:{key}") % shards`` — every client
+derives the same placement, no routing state); shard ``i`` runs under
+pid namespace ``s{i}.p…`` and root seed ``derive_seed(seed,
+"shard{i}")``.  Fault plans install cluster-wide or shard-scoped
+(``install_faults(plan, shards=[2])`` takes down exactly shard 2; bare
+``p0001``-style pids are rewritten into the target shard's namespace).
+A workload runs through the one
+:class:`~repro.workloads.schedule.WorkloadDriver`, which routes each
+operation through :attr:`ClusterSystem.owners` when it fires, so a
+handoff may be scheduled before or during the run alike;
+``shard_skewed_key_picker`` (:mod:`repro.workloads.cluster`) makes
+**hot-shard** traffic (Zipf by shard, then uniform within the shard).
+
+Determinism: every shard draws randomness only from streams derived
+from ``derive_seed(cluster_seed, "shard{i}")``, and cluster-level draws
 (workload shaping) come from the cluster's own registry — one seed
-reproduces the whole cluster byte-for-byte
-(:func:`~repro.cluster.history.cluster_digest` pins it).
+reproduces the whole cluster byte-for-byte.
+:func:`~repro.cluster.history.cluster_digest` fingerprints the merged
+history *including each operation's shard id*; the golden store pins it
+through ``digest/migration_digest`` and ``digest/rebalance_digest``.
+``shards=1`` wraps the standalone system unchanged (a parity test pins
+the 1-shard cluster's history against a standalone ``DynamicSystem``
+built from the same derived config).  Checking delegates: the cluster
+is safe iff every shard's history (reconstructed from the merge) passes
+the unchanged single-system checkers, which
+``tests/properties/test_cluster_checker_properties.py`` proves
+equivalent to checking each shard directly, fast and paranoid.
+
+E14 (:mod:`repro.experiments.e14_sharded_cluster`) reads the columns
+``per_node_load``, ``join_round_msgs`` and ``hot_share`` against
+``shards ∈ {1, 2, 4, 8}``; ``repro explore --shards 1 4`` sweeps the
+same axis under the fault-plan library.
 """
 
 from __future__ import annotations
@@ -52,6 +89,9 @@ from .migration import KeyMigration, MigrationRecord, MigrationSpec
 class ClusterSystem:
     """S independent shard populations behind one keyed front door."""
 
+    #: The RNG stream a workload driver draws random readers from.
+    reader_stream = "workload.cluster.readers"
+
     def __init__(self, config: ClusterConfig) -> None:
         self.config = config
         self.engine = make_scheduler(config.delta)
@@ -61,7 +101,9 @@ class ClusterSystem:
         #: The global key space: ``(None,)`` for a 1-key cluster,
         #: ``k0 … k{K-1}`` otherwise.
         self.keys: tuple[Any, ...] = config.key_tuple()
-        self._owner: dict[Any, int] = {
+        #: The key→shard map: each key's owning shard index, flipped by
+        #: every committed migration (the workload driver routes by it).
+        self.owners: dict[Any, int] = {
             key: config.shard_of(key) for key in self.keys
         }
         self.shards: tuple[DynamicSystem, ...] = tuple(
@@ -92,13 +134,13 @@ class ClusterSystem:
         """Map ``None`` to the default (first) key; validate names."""
         if key is None:
             return self.keys[0]
-        if key not in self._owner:
+        if key not in self.owners:
             raise ConfigError(f"unknown cluster key {key!r}; have {self.keys}")
         return key
 
     def shard_of(self, key: Any = None) -> int:
         """The index of the shard owning ``key``."""
-        return self._owner[self.resolve_key(key)]
+        return self.owners[self.resolve_key(key)]
 
     def shard_for(self, key: Any = None) -> DynamicSystem:
         """The shard system owning ``key``."""
@@ -106,22 +148,11 @@ class ClusterSystem:
 
     def keys_of_shard(self, shard: int) -> tuple[Any, ...]:
         """The keys shard ``shard`` owns (may be empty)."""
-        return tuple(key for key in self.keys if self._owner[key] == shard)
+        return tuple(key for key in self.keys if self.owners[key] == shard)
 
     # ------------------------------------------------------------------
     # Cluster-level register operations
     # ------------------------------------------------------------------
-
-    def read(self, key: Any = None, pid: str | None = None) -> OperationHandle:
-        """Read ``key`` on its owning shard.
-
-        ``pid`` must belong to the owning shard; ``None`` uses that
-        shard's designated writer (always present, so ad-hoc pokes
-        need no pid bookkeeping).
-        """
-        key = self.resolve_key(key)
-        shard = self.shard_for(key)
-        return shard.read(pid if pid is not None else shard.writer_pid, key=key)
 
     def write(
         self, value: Any | None = None, key: Any = None
@@ -209,9 +240,9 @@ class ClusterSystem:
 
     def _commit_flip(self, key: Any, dest: int, record: MigrationRecord) -> None:
         """Atomically flip routing and drain the deferred writes."""
-        source = self._owner[key]
+        source = self.owners[key]
         self.map_version += 1
-        self._owner[key] = dest
+        self.owners[key] = dest
         record.map_version = self.map_version
         self.ownership_log.append((self.now, key, source, dest, self.map_version))
         self._unfreeze(key, record)
@@ -322,6 +353,14 @@ class ClusterSystem:
             injectors.append(self.shards[index].install_faults(scoped))
         return tuple(injectors)
 
+    def fault_counters(self) -> dict[str, int]:
+        """Summed per-cause injector counters over the faulted shards."""
+        totals: dict[str, int] = {}
+        for shard in self.shards:
+            for cause, count in shard.fault_counters().items():
+                totals[cause] = totals.get(cause, 0) + count
+        return totals
+
     # ------------------------------------------------------------------
     # Running and closing
     # ------------------------------------------------------------------
@@ -373,43 +412,6 @@ class ClusterSystem:
         if grace is None:
             grace = 3.0 * self.config.delta
         return check_cluster_liveness(self.close(), grace=grace)
-
-    # ------------------------------------------------------------------
-    # Aggregate accounting (the E14 measurements)
-    # ------------------------------------------------------------------
-
-    @property
-    def sent_count(self) -> int:
-        return sum(shard.network.sent_count for shard in self.shards)
-
-    @property
-    def delivered_count(self) -> int:
-        return sum(shard.network.delivered_count for shard in self.shards)
-
-    @property
-    def dropped_count(self) -> int:
-        return sum(shard.network.dropped_count for shard in self.shards)
-
-    @property
-    def faulted_count(self) -> int:
-        return sum(shard.network.faulted_count for shard in self.shards)
-
-    def per_node_delivered(self) -> float:
-        """Delivered messages per process of the *total* population.
-
-        The E14 scaling metric: at fixed ``n`` this falls as the shard
-        count grows, because each broadcast only reaches one shard.
-        """
-        return self.delivered_count / self.config.n
-
-    def fault_counters(self) -> dict[str, int]:
-        """Summed per-cause injector counters over the faulted shards."""
-        totals: dict[str, int] = {}
-        for shard in self.shards:
-            if shard.faults is not None:
-                for cause, count in shard.faults.counters().items():
-                    totals[cause] = totals.get(cause, 0) + count
-        return totals
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

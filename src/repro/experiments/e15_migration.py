@@ -35,11 +35,11 @@ from ..exec.spec import RunSpec
 from ..faults.plan import FaultPlan, LossFault
 from ..protocols.common import MIGRATION_PAYLOADS
 from ..workloads.cluster import (
-    ClusterWorkloadDriver,
     schedule_round_robin_migrations,
     shard_skewed_key_picker,
 )
 from ..workloads.generators import drive_read_heavy
+from ..workloads.schedule import WorkloadDriver
 from .harness import Experiment, Judgement
 
 N = 18
@@ -80,7 +80,7 @@ def cell(
     if churn_rate > 0:
         cluster.attach_churn(rate=churn_rate, min_stay=3.0 * delta)
     records = schedule_round_robin_migrations(cluster, migrations, horizon)
-    driver = ClusterWorkloadDriver(cluster)
+    driver = WorkloadDriver(cluster)
     pick_key = shard_skewed_key_picker(
         cluster, cluster.rng.stream("e15.skew"), "uniform"
     )

@@ -33,8 +33,9 @@ from ..cluster.rebalance import RebalancePolicy, Rebalancer
 from ..cluster.system import ClusterSystem
 from ..exec.runner import grouped
 from ..exec.spec import RunSpec
-from ..workloads.cluster import ClusterWorkloadDriver, shard_skewed_key_picker
+from ..workloads.cluster import shard_skewed_key_picker
 from ..workloads.generators import drive_read_heavy
+from ..workloads.schedule import WorkloadDriver
 from .harness import Experiment, Judgement
 
 N = 24
@@ -72,7 +73,7 @@ def cell(
     cluster = ClusterSystem(config)
     if churn_rate > 0:
         cluster.attach_churn(rate=churn_rate, min_stay=3.0 * delta)
-    driver = ClusterWorkloadDriver(cluster)
+    driver = WorkloadDriver(cluster)
     if rebalance:
         Rebalancer(
             cluster,
@@ -93,8 +94,8 @@ def cell(
     safety = cluster.check_safety()
     records = cluster.migration_records()
     return {
-        "imbalance": Rebalancer.imbalance_of(driver.shard_op_counts()),
-        "delivered": cluster.delivered_count,
+        "imbalance": Rebalancer.imbalance_of(driver.load.per_shard),
+        "delivered": sum(shard.network.delivered_count for shard in cluster.shards),
         "committed": sum(1 for r in records if r.committed),
         "aborted": sum(1 for r in records if r.aborted),
         "unresolved": sum(1 for r in records if not r.finished),

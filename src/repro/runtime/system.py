@@ -62,6 +62,11 @@ class DynamicSystem:
     partitioned back.
     """
 
+    #: The RNG stream a workload driver draws random readers from.
+    reader_stream = "workload.readers"
+    #: No key→shard map: a workload driver goes through the system itself.
+    owners = None
+
     def __init__(
         self,
         config: SystemConfig,
@@ -156,6 +161,12 @@ class DynamicSystem:
         if not isinstance(process, RegisterNode):  # pragma: no cover - safety net
             raise ProcessError(f"{pid} is not a register node")
         return process
+
+    @property
+    def shards(self) -> tuple[DynamicSystem]:
+        """A population is its own one shard, so a caller that sums over
+        a cluster's ``shards`` takes it unchanged."""
+        return (self,)
 
     def active_pids(self) -> list[str]:
         """Identities currently in the active mode, in entry order."""
@@ -290,6 +301,14 @@ class DynamicSystem:
     @property
     def faults(self) -> FaultInjector | None:
         return self._faults
+
+    def fault_counters(self) -> dict[str, int]:
+        """The injector's per-cause counters (empty without a fault plan)."""
+        return {} if self._faults is None else self._faults.counters()
+
+    def migration_records(self) -> tuple[()]:
+        """A population hands off no key."""
+        return ()
 
     def _fault_crash(self, pid: str) -> None:
         """Crash-fault hook: a silent departure, skipped if already gone."""

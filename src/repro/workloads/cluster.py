@@ -1,13 +1,10 @@
-"""Cluster workloads: one plan, routed at fire time to the owning shard.
+"""Cluster workloads: hot-shard key pickers, shard-scoped fault plans
+and fixed handoff patterns.
 
-The :class:`ClusterWorkloadDriver` takes the same
-:class:`~repro.workloads.schedule.ReadOp` / ``WriteOp`` plans the
-single-system :class:`~repro.workloads.schedule.WorkloadDriver`
-consumes and installs them as one series on the cluster's shared
-engine.  Each operation resolves its key's owning shard when it
-fires, through the cluster front door
-(:meth:`~repro.cluster.system.ClusterSystem.read` / ``write``), so a
-plan installed before a migration flip still lands on the new owner.
+A cluster is driven by the one
+:class:`~repro.workloads.schedule.WorkloadDriver`, which routes each
+planned op to its key's owning shard when it fires;
+:class:`ClusterWorkloadDriver` is that driver under its former name.
 
 :func:`shard_skewed_key_picker` is the hot-shard generator: it draws a
 *shard* first (uniform, or Zipf so one shard takes most of the
@@ -32,17 +29,9 @@ from dataclasses import replace
 from typing import TYPE_CHECKING
 
 from ..runtime.assembly import scope_pid
-from ..sim.engine import collector_paused
 from ..sim.errors import ExperimentError
 from .generators import KeyPicker, uniform_key_picker, zipf_key_picker
-from .schedule import (
-    ReadOp,
-    WorkloadOp,
-    WorkloadStats,
-    WriteOp,
-    install_series,
-    named_process,
-)
+from .schedule import WorkloadDriver
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..cluster.migration import MigrationRecord
@@ -51,109 +40,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim.clock import Time
 
 
-class ClusterWorkloadDriver:
-    """Installs one workload plan across a cluster's shards.
+class ClusterWorkloadDriver(WorkloadDriver):
+    """:class:`WorkloadDriver` under its former name; no ``dynamic=False``."""
 
-    Every operation resolves its owning shard *at firing time*: a write
-    fired after a flip reaches the new owner, and a write fired during
-    a freeze is deferred by the front door (counted in
-    ``stats.writes_deferred``) rather than issued to a stale shard.  A
-    write whose key still has one pending is skipped, as in the
-    single-system driver.  Readers are drawn in place from the *current*
-    owner's active list (``Membership.draw_active``), from the cluster
-    stream ``workload.cluster.readers``, and read there directly; the
-    handle goes to that shard's history.  An explicit reader must be a
-    pid of the owning shard: one that never entered it is refused.
-
-    ``dynamic=True`` is accepted and changes nothing; ``dynamic=False``
-    (install-time routing, which no cluster has) is refused by name
-    rather than silently ignored.
-    """
-
-    def __init__(self, cluster: "ClusterSystem", dynamic: bool = True) -> None:
+    def __init__(self, cluster: ClusterSystem, dynamic: bool = True) -> None:
         if not dynamic:
             raise ExperimentError(
                 "ClusterWorkloadDriver(dynamic=False) is not supported: "
                 "every cluster driver routes each operation at fire time"
             )
-        self.cluster = cluster
-        self.stats = WorkloadStats()
-        self._rng = cluster.rng.stream("workload.cluster.readers")
-        self._pending_writes: dict[object, object] = {}
-        self._shard_ops: dict[int, int] = {}
-        self._key_ops: dict[object, int] = {}
-        self._installed = False
-
-    @collector_paused()
-    def install(self, plan: list[WorkloadOp]) -> None:
-        """Schedule every planned operation (call once).
-
-        ``key=None`` is resolved to the cluster's default key when the
-        operation fires, so it shares that key's write serialization.
-        """
-        if self._installed:
-            raise ExperimentError("cluster workload installed twice")
-        self._installed = True
-        install_series(self.cluster.engine, plan, self._fire)
-
-    def _fire_write(self, op: WriteOp) -> None:
-        key = self.cluster.resolve_key(op.key)
-        pending = self._pending_writes.get(key)
-        if pending is not None and pending.pending:
-            self.stats.writes_skipped += 1
-            return
-        handle = self.cluster.write(op.value, key=key)
-        if handle is None:
-            # Deferred by the front door (frozen or queued); it will
-            # reach the then-current owner on unfreeze.
-            self.stats.writes_deferred += 1
-            return
-        self._pending_writes[key] = handle
-        self.stats.writes_issued += 1
-        self._count_shard_op(self.cluster.shard_of(key), key)
-
-    def _fire(self, op: WorkloadOp) -> None:
-        """Fire one planned op: a write through :meth:`_fire_write`, a
-        read here, inline."""
-        if not isinstance(op, ReadOp):
-            self._fire_write(op)
-            return
-        cluster = self.cluster
-        key = cluster.resolve_key(op.key)
-        index = cluster.shard_of(key)
-        shard = cluster.shards[index]
-        if op.reader is None:
-            node = shard.membership.draw_active(self._rng)
-        else:
-            node = named_process(
-                shard.membership,
-                op.reader,
-                op,
-                "reader",
-                f"shard {index}, which owns key {key!r}",
-            )
-        if node is None:
-            self.stats.reads_skipped += 1
-            return
-        handle = node.read(key)
-        shard.history.record_operation(handle)
-        self.stats.reads_issued += 1
-        self._count_shard_op(index, key)
-
-    def _count_shard_op(self, shard: int, key: object) -> None:
-        self._shard_ops[shard] = self._shard_ops.get(shard, 0) + 1
-        self._key_ops[key] = self._key_ops.get(key, 0) + 1
-
-    def shard_op_counts(self) -> tuple[int, ...]:
-        """Issued operations per shard — the skew made visible."""
-        return tuple(
-            self._shard_ops.get(shard, 0) for shard in range(len(self.cluster.shards))
-        )
-
-    def key_op_counts(self) -> dict[object, int]:
-        """Issued operations per key: the rebalancer's per-key load
-        signal — which keys make a hot shard hot."""
-        return dict(self._key_ops)
+        super().__init__(cluster)
 
 
 def shard_skewed_key_picker(

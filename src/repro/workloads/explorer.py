@@ -72,7 +72,6 @@ from ..runtime.system import DynamicSystem
 from ..sim.clock import Time
 from ..sim.errors import ExperimentError
 from .cluster import (
-    ClusterWorkloadDriver,
     install_shard_scoped,
     schedule_round_robin_migrations,
     shard_skewed_key_picker,
@@ -519,8 +518,8 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioOutcome:
     ``key_dist`` skewing traffic by *shard* (``zipf`` makes a hot
     shard), the cell's handoffs riding the run, and the merged history
     judged by the cluster checkers.  Both schedule in one order —
-    faults, churn, migrations, driver, rebalancer, plan — and share the
-    workload shape and the verdict rule: a regularity violation is a
+    faults, churn, migrations, rebalancer, plan — and share the one
+    driver, the workload shape and the verdict rule: a regularity violation is a
     bug in-model and expected breakage out-of-model; a safe run where
     any fault actually fired is a near-miss; otherwise ok.
     """
@@ -545,9 +544,9 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioOutcome:
         system = DynamicSystem(config)
     if spec.churn_rate:
         system.attach_churn(rate=spec.churn_rate, min_stay=3.0 * spec.delta)
+    driver = WorkloadDriver(system)
     if sharded:
         schedule_round_robin_migrations(system, spec.migrations, spec.horizon)
-        driver = ClusterWorkloadDriver(system)
         if spec.rebalance:
             # A deliberately trigger-happy policy: tick every 3 delta,
             # react to mild skew, plan up to ``spec.rebalance`` handoffs
@@ -563,7 +562,6 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioOutcome:
             system, system.rng.stream("explorer.shards"), distribution=spec.key_dist
         )
     else:
-        driver = WorkloadDriver(system)
         # Key assignment draws from its own stream, so a keys=1 cell
         # stays byte-identical to the pre-RegisterSpace explorer.
         pick_key = (
@@ -578,15 +576,10 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioOutcome:
     safety = system.check_safety()
     atomicity = system.check_atomicity()
     liveness = system.check_liveness(grace=10.0 * spec.delta)
-    if sharded:
-        # Every handoff the run scheduled — the fixed `migrations` axis
-        # plus anything a rebalancer planned from observed load.
-        fault_counters, network = system.fault_counters(), system
-        records = system.migration_records()
-    else:
-        faults = system.faults
-        fault_counters = faults.counters() if faults is not None else {}
-        network, records = system.network, ()
+    fault_counters = system.fault_counters()
+    # Every handoff the run scheduled — the fixed `migrations` axis
+    # plus anything a rebalancer planned from observed load.
+    records = system.migration_records()
     classification = classify_scenario(spec, delay.known_bound)
     if not safety.is_safe:
         verdict = VERDICT_BUG if classification.in_model else VERDICT_BREAKAGE
@@ -608,7 +601,7 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioOutcome:
         digest=digest(history),
         fault_counters=fault_counters,
         network_counters={
-            name: getattr(network, f"{name}_count")
+            name: sum(getattr(s.network, f"{name}_count") for s in system.shards)
             for name in ("sent", "delivered", "dropped", "faulted")
         },
         reads_issued=driver.stats.reads_issued,

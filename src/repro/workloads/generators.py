@@ -43,7 +43,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..cluster.system import ClusterSystem
     from ..core.history import History
     from ..runtime.system import DynamicSystem
-    from .cluster import ClusterWorkloadDriver
     from .schedule import WorkloadDriver
 
 #: A key picker: draws the register key the next operation addresses.
@@ -263,7 +262,7 @@ def write_heavy_plan(
 
 def drive_read_heavy(
     system: DynamicSystem | ClusterSystem,
-    driver: WorkloadDriver | ClusterWorkloadDriver,
+    driver: WorkloadDriver,
     horizon: Time,
     end: Time,
     write_period: Time,

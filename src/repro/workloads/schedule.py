@@ -1,12 +1,13 @@
 """Workload scheduling: turning operation plans into simulated invocations.
 
 A workload is a list of :class:`ReadOp` / :class:`WriteOp` plans.  The
-:class:`WorkloadDriver` checks the plan once (:func:`check_plan`), sorts
-it stably by time and hands it to the engine as *one* series
+one :class:`WorkloadDriver` — for a single population and for a
+cluster alike — checks the plan once (:func:`check_plan`), sorts it
+stably by time and hands it to the engine as *one* series
 (:func:`install_series`): an op takes a queue slot only once the clock
 reaches its epoch, and the plan fires exactly as scheduling it op by op
-would.  At each
-firing time the driver resolves *who* performs the operation:
+would.  At each firing time the driver resolves *who* performs the
+operation:
 
 * a ``WriteOp`` goes to the designated writer (or an explicit pid) and
   is **skipped** if the previous write has not completed — the paper
@@ -15,11 +16,12 @@ firing time the driver resolves *who* performs the operation:
   the skips (a liveness signal in its own right);
 * a ``ReadOp`` goes to an explicit pid or to an *active* process drawn
   uniformly, in place, from the membership's cached active list
-  (:meth:`~repro.sim.membership.Membership.draw_active`, stream
-  ``workload.readers``); if no active process exists at that instant
-  the read is skipped and counted (another breakdown signal).  A drawn
-  reader is present and active by construction, so the driver invokes
-  its ``read`` directly and records the handle in the history.
+  (:meth:`~repro.sim.membership.Membership.draw_active`, from the
+  system's ``reader_stream``: ``workload.readers`` for a population);
+  if no active process exists at that instant the read is skipped and
+  counted (another breakdown signal).  A drawn reader is present and
+  active by construction, so the driver invokes its ``read`` directly
+  and records the handle in the history.
 
 An explicit pid (:func:`named_process`) that has departed or is still
 joining is a counted skip; one that never entered the system is a
@@ -27,14 +29,23 @@ mistyped plan, refused with an :class:`ExperimentError` naming the pid
 and the op's planned time.  The driver records every issued handle, so
 experiments can compute latency distributions without digging through
 the history.
+
+On a cluster each op is routed when it fires, through the cluster's
+key→shard map (``owners``), so a plan installed before a migration flip
+still lands on the new owner.  A read draws from the owning shard
+(stream ``workload.cluster.readers``), which a named reader must be
+in.  A write passes the front door, which writes by the owner's
+designated writer (a plan naming a writer is refused) and defers a
+write to a frozen or busy key (``stats.writes_deferred``).
+:class:`ShardLoad` counts the issued ops per shard and per key.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import inf
 from operator import attrgetter
-from typing import Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from ..runtime.system import DynamicSystem
 from ..sim.clock import Time
@@ -44,6 +55,9 @@ from ..sim.events import Priority
 from ..sim.membership import Membership
 from ..sim.operations import OperationHandle
 from ..sim.process import SimProcess
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..cluster.system import ClusterSystem
 
 
 _PLANNED_AT = attrgetter("time")
@@ -110,7 +124,7 @@ WorkloadOp = ReadOp | WriteOp
 
 
 def check_plan(plan: Sequence[WorkloadOp], now: Time) -> None:
-    """The one validation pass of both drivers: refuse, naming the op's
+    """The driver's one validation pass: refuse, naming the op's
     position in the plan and its time, an op that is not a read or a
     write or whose time is NaN, infinite or before ``now``."""
     for position, op in enumerate(plan):
@@ -132,8 +146,8 @@ def install_series(
     fire: Callable[[WorkloadOp], None],
 ) -> None:
     """Put a checked ``plan`` on ``engine`` as one series that calls
-    ``fire(op)`` at each op's ``time`` — the one install path of both
-    drivers.  ``fire`` is the driver's own dispatch, called by the
+    ``fire(op)`` at each op's ``time`` — the driver's one install
+    path.  ``fire`` is the driver's own dispatch, called by the
     series directly: a planned read enters no frame between the engine
     and the driver.
 
@@ -184,17 +198,41 @@ class WorkloadStats:
     writes_deferred: int = 0  # queued by a migration freeze (cluster only)
 
 
-class WorkloadDriver:
-    """Installs a workload plan into a system and tracks outcomes."""
+@dataclass
+class ShardLoad:
+    """A cluster's issued operations per shard and per key: the load
+    signal a :class:`~repro.cluster.rebalance.Rebalancer` samples
+    (``per_shard`` names the hot shard, ``per_key`` the keys that make
+    it hot).  An operation counts against the shard that owned its key
+    when it was issued."""
 
-    def __init__(self, system: DynamicSystem, exclude_writer: bool = False) -> None:
-        """``exclude_writer`` excludes the designated writer from the
-        random reader pool (useful when measuring reader-side latency
-        in isolation)."""
+    per_shard: list[int]
+    per_key: dict[Any, int] = field(default_factory=dict)
+
+    def count(self, shard: int, key: Any) -> None:
+        self.per_shard[shard] += 1
+        self.per_key[key] = self.per_key.get(key, 0) + 1
+
+
+class WorkloadDriver:
+    """Installs a workload plan into a population or a cluster and
+    tracks outcomes: :attr:`stats`, and on a cluster :attr:`load`
+    (``None`` on a population, which has no key→shard map)."""
+
+    def __init__(
+        self, system: DynamicSystem | ClusterSystem, exclude_writer: bool = False
+    ) -> None:
+        """``exclude_writer`` excludes a population's designated writer
+        from the random reader pool (useful when measuring reader-side
+        latency in isolation)."""
         self.system = system
         self._excluded = system.writer_pid if exclude_writer else None
         self.stats = WorkloadStats()
-        self._rng = system.rng.stream("workload.readers")
+        self._rng = system.rng.stream(system.reader_stream)
+        self._owners = system.owners
+        self.load = (
+            None if self._owners is None else ShardLoad([0] * len(system.shards))
+        )
         # Writes are serialized *per key* (the checkers partition the
         # history by key); the single register is key ``None``, whose
         # serialization is exactly the historical global one.
@@ -217,19 +255,36 @@ class WorkloadDriver:
         # Serialize on the *resolved* key: in a multi-key system a
         # WriteOp with key=None addresses the default key, and must
         # share that key's serialization slot, not a separate None one.
-        # The writer is looked up first, so a mistyped one is refused
-        # even while a write is pending.
         system = self.system
         key = op.key if op.key is not None else system.keys[0]
-        writer = op.writer if op.writer is not None else system.writer_pid
         pending = self._pending_writes.get(key)
-        if (
-            named_process(system.membership, writer, op, "writer") is None
-            or (pending is not None and pending.pending)
-        ):
-            self.stats.writes_skipped += 1
-            return
-        handle = system.write(op.value, pid=writer, key=op.key)
+        if self._owners is None:
+            # A population's writer is looked up first, so a mistyped
+            # one is refused even while a write is pending.
+            writer = op.writer if op.writer is not None else system.writer_pid
+            if (
+                named_process(system.membership, writer, op, "writer") is None
+                or (pending is not None and pending.pending)
+            ):
+                self.stats.writes_skipped += 1
+                return
+            handle = system.write(op.value, pid=writer, key=key)
+        else:
+            if op.writer is not None:
+                raise ExperimentError(
+                    f"WriteOp planned at {op.time!r} names writer {op.writer!r}: "
+                    f"a cluster writes every key by its owner's designated writer"
+                )
+            if pending is not None and pending.pending:
+                self.stats.writes_skipped += 1
+                return
+            handle = system.write(op.value, key=key)
+            if handle is None:
+                # Deferred by the front door (frozen or busy); it will
+                # reach the then-current owner on unfreeze.
+                self.stats.writes_deferred += 1
+                return
+            self.load.count(self._owners[key], key)
         self._pending_writes[key] = handle
         self.stats.writes_issued += 1
 
@@ -240,14 +295,29 @@ class WorkloadDriver:
             self._fire_write(op)
             return
         system = self.system
-        stats = self.stats
+        key = op.key
+        owners = self._owners
+        if owners is not None:
+            if key is None:
+                key = system.keys[0]
+            shard = owners.get(key)
+            if shard is None:
+                system.resolve_key(key)  # an unknown key: the refusal
+            system = system.shards[shard]
         if op.reader is None:
             node = system.membership.draw_active(self._rng, self._excluded)
         else:
-            node = named_process(system.membership, op.reader, op, "reader")
+            where = (
+                "the system"
+                if owners is None
+                else f"shard {shard}, which owns key {key!r}"
+            )
+            node = named_process(system.membership, op.reader, op, "reader", where)
         if node is None:
-            stats.reads_skipped += 1
+            self.stats.reads_skipped += 1
             return
-        handle = node.read(op.key)
+        handle = node.read(key)
         system.history.record_operation(handle)
-        stats.reads_issued += 1
+        self.stats.reads_issued += 1
+        if owners is not None:
+            self.load.count(shard, key)

@@ -16,6 +16,7 @@ from repro.cluster.checker import (
 from repro.cluster.history import ClusterHistory
 from repro.core.history import History
 from repro.sim.errors import HistoryError
+from tests.conftest import read_on_owner
 
 
 class TestEmptyShards:
@@ -77,7 +78,7 @@ class TestSingleHotShard:
             cluster.write(key=key)
         cluster.run_for(25.0)
         for key in hot_keys:
-            cluster.read(key=key)
+            read_on_owner(cluster, key)
         cluster.run_for(25.0)
         history = cluster.close()
         for shard in history.shard_ids():
@@ -95,7 +96,7 @@ class TestMergeSemantics:
             cluster.write(key=key)
         cluster.run_for(20.0)
         for key in cluster.keys:
-            cluster.read(key=key)
+            read_on_owner(cluster, key)
         cluster.run_for(20.0)
         return cluster, cluster.close()
 
@@ -168,7 +169,7 @@ class TestMigrationSeam:
         cluster.run_until(60.0)
         cluster.write("post", key=key)
         cluster.run_for(15.0)
-        cluster.read(key=key)
+        read_on_owner(cluster, key)
         cluster.run_for(5.0)
         return cluster, cluster.close(), key, source, dest
 

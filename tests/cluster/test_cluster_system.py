@@ -2,13 +2,14 @@
 
 import pytest
 
-from repro.bench import cluster_workload, keyed_store_fanout
 from repro.churn.active_set import SAMPLE_PERIOD
 from repro.cluster import ClusterConfig, ClusterSystem, cluster_digest
 from repro.core.history import operation_digest
 from repro.runtime.config import INITIAL_VALUE
 from repro.runtime.system import DynamicSystem
 from repro.sim.errors import ConfigError
+from tests.conftest import read_on_owner
+from tests.digests import cluster_workload, keyed_store_fanout
 
 
 def make_cluster(**overrides) -> ClusterSystem:
@@ -49,8 +50,8 @@ class TestRouting:
 
     def test_unknown_key_rejected(self):
         cluster = make_cluster()
-        with pytest.raises(ConfigError):
-            cluster.read(key="k999")
+        with pytest.raises(ConfigError, match="unknown cluster key 'k999'"):
+            read_on_owner(cluster, "k999")
 
     def test_write_and_read_land_on_owning_shard(self):
         cluster = make_cluster()
@@ -60,7 +61,7 @@ class TestRouting:
         cluster.run_for(20.0)
         assert handle.done
         assert handle.shard == owner
-        read = cluster.read(key=key)
+        read = read_on_owner(cluster, key)
         cluster.run_for(20.0)
         assert read.result == "hello"
         assert read.shard == owner
@@ -97,7 +98,7 @@ class TestDeterminism:
             cluster.write(key=key)
         cluster.run_for(40.0)
         for key in cluster.keys:
-            cluster.read(key=key)
+            read_on_owner(cluster, key)
         cluster.run_for(40.0)
         return cluster_digest(cluster.close())
 
@@ -128,7 +129,7 @@ class TestDeterminism:
 
         cluster = ClusterSystem(config)
         drive(
-            lambda key: cluster.read(key=key),
+            lambda key: read_on_owner(cluster, key),
             lambda key: cluster.write(key=key),
             cluster.run_for,
             cluster.close,
@@ -151,21 +152,6 @@ class TestChurnAndAccounting:
         assert len(controllers) == 3
         for shard, controller in zip(cluster.shards, controllers):
             assert shard.churn is controller
-
-    def test_aggregate_counters_sum_shards(self):
-        cluster = make_cluster()
-        cluster.attach_churn(rate=0.1, min_stay=5.0)
-        cluster.write(key=cluster.keys[0])
-        cluster.run_for(40.0)
-        assert cluster.delivered_count == sum(
-            s.network.delivered_count for s in cluster.shards
-        )
-        assert cluster.sent_count == sum(
-            s.network.sent_count for s in cluster.shards
-        )
-        assert cluster.per_node_delivered() == pytest.approx(
-            cluster.delivered_count / cluster.config.n
-        )
 
     def test_active_counts_probe(self):
         # Every shard starts with its whole population slice active.

@@ -5,6 +5,7 @@ import pytest
 from repro.cluster import ClusterConfig, ClusterSystem
 from repro.faults.plan import FaultPlan, LossFault, PartitionFault
 from repro.sim.errors import ConfigError
+from tests.conftest import read_on_owner
 
 
 def make_cluster(**overrides) -> ClusterSystem:
@@ -18,7 +19,7 @@ def drive(cluster: ClusterSystem, horizon: float = 80.0) -> None:
         cluster.write(key=key)
     cluster.run_for(horizon / 2)
     for key in cluster.keys:
-        cluster.read(key=key)
+        read_on_owner(cluster, key)
     cluster.run_for(horizon / 2)
 
 
@@ -40,8 +41,8 @@ class TestShardScoping:
             else:
                 assert shard.faults is None
                 assert shard.network.faulted_count == 0
-        # The cluster aggregate equals the one faulted shard's count.
-        assert cluster.faulted_count == (
+        # The sum over shards equals the one faulted shard's count.
+        assert sum(s.network.faulted_count for s in cluster.shards) == (
             cluster.shards[target].network.faulted_count
         )
         assert cluster.fault_counters()["lost"] == (
@@ -107,7 +108,7 @@ class TestShardScoping:
 
     def test_bad_shard_index_rejected(self):
         cluster = make_cluster()
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"shard index 5 out of range \[0, 3\)"):
             cluster.install_faults(FaultPlan(name="x"), shards=[5])
 
 

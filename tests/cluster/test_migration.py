@@ -6,8 +6,10 @@ from repro.cluster import ClusterConfig, ClusterSystem
 from repro.faults.plan import CrashFault, FaultPlan, LossFault
 from repro.protocols.common import MIGRATION_PAYLOADS
 from repro.sim.errors import ConfigError
-from repro.workloads.cluster import ClusterWorkloadDriver, shard_skewed_key_picker
+from repro.workloads.cluster import shard_skewed_key_picker
 from repro.workloads.generators import assign_keys, read_heavy_plan
+from repro.workloads.schedule import WorkloadDriver
+from tests.conftest import read_on_owner
 
 
 def make_cluster(**overrides) -> ClusterSystem:
@@ -24,9 +26,13 @@ class TestScheduling:
 
     def test_dest_shard_must_exist(self):
         cluster = make_cluster()
-        with pytest.raises(ConfigError):
+        with pytest.raises(
+            ConfigError, match=r"destination shard 3 out of range \[0, 3\)"
+        ):
             cluster.schedule_migration(cluster.keys[0], 3, at=10.0)
-        with pytest.raises(ConfigError):
+        with pytest.raises(
+            ConfigError, match=r"destination shard -1 out of range \[0, 3\)"
+        ):
             cluster.schedule_migration(cluster.keys[0], -1, at=10.0)
 
     def test_migration_ids_are_deterministic_counters(self):
@@ -73,7 +79,7 @@ class TestCommit:
         cluster.run_for(15.0)
         cluster.schedule_migration(key, dest, at=20.0)
         cluster.run_until(60.0)
-        read = cluster.read(key=key)
+        read = read_on_owner(cluster, key)
         cluster.run_for(1.0)
         assert read.done and read.result == "payload"
         assert read.shard == dest
@@ -90,7 +96,7 @@ class TestCommit:
         cluster.run_until(80.0)
         assert record.committed
         assert record.deferred_writes == 1
-        read = cluster.read(key=key)
+        read = read_on_owner(cluster, key)
         cluster.run_for(1.0)
         assert read.result == "during-freeze"
         assert read.shard == dest
@@ -101,7 +107,7 @@ class TestCommit:
         handoff may be planned while the run is already under way."""
         cluster = make_cluster(seed=seed)
         cluster.attach_churn(rate=0.02, min_stay=15.0)
-        driver = ClusterWorkloadDriver(cluster)
+        driver = WorkloadDriver(cluster)
         plan = read_heavy_plan(
             start=5.0, end=100.0, write_period=10.0, read_rate=1.0,
             rng=cluster.rng.stream("t.midrun.plan"),
@@ -190,7 +196,7 @@ class TestAbort:
         assert cluster.write("queued", key=key) is None
         cluster.run_until(150.0)
         assert record.aborted
-        read = cluster.read(key=key)
+        read = read_on_owner(cluster, key)
         cluster.run_for(1.0)
         assert read.result == "queued"
         assert read.shard == source

@@ -17,9 +17,9 @@ from repro.cluster import (
     Rebalancer,
 )
 from repro.sim.errors import ConfigError
-from repro.workloads.cluster import ClusterWorkloadDriver, shard_skewed_key_picker
+from repro.workloads.cluster import shard_skewed_key_picker
 from repro.workloads.generators import assign_keys, read_heavy_plan
-from repro.workloads.schedule import ReadOp
+from repro.workloads.schedule import ReadOp, WorkloadDriver
 
 
 def make_cluster(**overrides) -> ClusterSystem:
@@ -30,7 +30,7 @@ def make_cluster(**overrides) -> ClusterSystem:
 
 def skewed_setup(cluster, horizon, **policy_knobs):
     """Driver + rebalancer + Zipf hot-shard plan, ready to run."""
-    driver = ClusterWorkloadDriver(cluster)
+    driver = WorkloadDriver(cluster)
     knobs = dict(period=15.0, threshold=1.2, budget=2, max_retries=1,
                  plan_until=horizon - 90.0)
     knobs.update(policy_knobs)
@@ -91,7 +91,7 @@ class TestPolicyValidation:
     def test_a_single_register_cluster_is_refused_up_front(self):
         cluster = ClusterSystem(ClusterConfig(shards=2, keys=1, n=8, seed=1))
         with pytest.raises(ConfigError, match="nothing to reshard"):
-            Rebalancer(cluster, driver=ClusterWorkloadDriver(cluster))
+            Rebalancer(cluster, driver=WorkloadDriver(cluster))
 
     def test_policy_has_five_knobs(self):
         from dataclasses import fields
@@ -102,7 +102,7 @@ class TestPolicyValidation:
 
     def test_construction_arms_the_elastic_front_door(self):
         cluster = make_cluster()
-        driver = ClusterWorkloadDriver(cluster)
+        driver = WorkloadDriver(cluster)
         Rebalancer(cluster, driver=driver)
         # Elastic writes draw the cluster-wide counter (starts at w1).
         assert cluster.next_value() == "w1"
@@ -111,7 +111,7 @@ class TestPolicyValidation:
 class TestTickNotes:
     def test_idle_cluster_never_plans(self):
         cluster = make_cluster()
-        driver = ClusterWorkloadDriver(cluster)
+        driver = WorkloadDriver(cluster)
         rebalancer = Rebalancer(
             cluster, driver=driver, policy=RebalancePolicy(period=10.0)
         )
@@ -123,7 +123,7 @@ class TestTickNotes:
 
     def test_a_window_with_zero_load_is_idle(self):
         cluster = make_cluster()
-        driver = ClusterWorkloadDriver(cluster)
+        driver = WorkloadDriver(cluster)
         rebalancer = Rebalancer(
             cluster, driver=driver,
             policy=RebalancePolicy(period=10.0, threshold=1.2),
@@ -153,7 +153,7 @@ class TestBalancing:
     def test_skewed_load_triggers_moves_that_reduce_imbalance(self):
         horizon = 260.0
         static = make_cluster()
-        static_driver = ClusterWorkloadDriver(static)
+        static_driver = WorkloadDriver(static)
         plan = read_heavy_plan(
             start=5.0, end=horizon - 20.0, write_period=10.0, read_rate=1.0,
             rng=static.rng.stream("t.rebal.plan"),
@@ -171,8 +171,8 @@ class TestBalancing:
         driver, rebalancer = skewed_setup(cluster, horizon)
         cluster.run_until(horizon)
 
-        before = Rebalancer.imbalance_of(static_driver.shard_op_counts())
-        after = Rebalancer.imbalance_of(driver.shard_op_counts())
+        before = Rebalancer.imbalance_of(static_driver.load.per_shard)
+        after = Rebalancer.imbalance_of(driver.load.per_shard)
         assert rebalancer.actions, "no moves planned under Zipf skew"
         assert after < before
         assert cluster.check_safety().is_safe
@@ -225,7 +225,7 @@ class TestRetirement:
         """No operation ever issued: the retiring shard still drains, and
         no key is moved for load nobody measured."""
         cluster = make_cluster()
-        driver = ClusterWorkloadDriver(cluster)
+        driver = WorkloadDriver(cluster)
         rebalancer = Rebalancer(
             cluster, driver=driver,
             policy=RebalancePolicy(period=10.0, max_retries=1),
@@ -241,7 +241,7 @@ class TestRetirement:
 
     def test_retire_validates_the_shard_index(self):
         cluster = make_cluster()
-        driver = ClusterWorkloadDriver(cluster)
+        driver = WorkloadDriver(cluster)
         rebalancer = Rebalancer(cluster, driver=driver)
         with pytest.raises(ConfigError):
             rebalancer.retire_shard(4)
@@ -250,7 +250,7 @@ class TestRetirement:
 
     def test_cannot_retire_every_shard(self):
         cluster = make_cluster(shards=2, keys=4, n=8)
-        driver = ClusterWorkloadDriver(cluster)
+        driver = WorkloadDriver(cluster)
         rebalancer = Rebalancer(cluster, driver=driver)
         rebalancer.retire_shard(0)
         with pytest.raises(ConfigError):
@@ -263,7 +263,7 @@ class TestMidRunConstruction:
         """The front door serializes every write from the start, so the
         rebalancer may join a run already under way."""
         cluster = make_cluster(seed=seed)
-        driver = ClusterWorkloadDriver(cluster)
+        driver = WorkloadDriver(cluster)
         plan = read_heavy_plan(
             start=5.0, end=240.0, write_period=10.0, read_rate=1.0,
             rng=cluster.rng.stream("t.rebal.plan"),
@@ -275,7 +275,7 @@ class TestMidRunConstruction:
             ),
         ))
         cluster.run_until(60.0)
-        before = sum(driver.shard_op_counts())
+        before = sum(driver.load.per_shard)
         rebalancer = Rebalancer(
             cluster, driver=driver,
             policy=RebalancePolicy(

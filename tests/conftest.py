@@ -63,6 +63,14 @@ def make_system(**overrides) -> DynamicSystem:
     return DynamicSystem(SystemConfig(**params))
 
 
+def read_on_owner(cluster, key=None):
+    """Read ``key`` on the shard of ``cluster`` that owns it now, by that
+    shard's designated writer (always present, so a test needs no pid
+    bookkeeping)."""
+    shard = cluster.shard_for(key)
+    return shard.read(shard.writer_pid, key=key)
+
+
 @pytest.fixture
 def sync_system() -> DynamicSystem:
     return make_system()

@@ -1,7 +1,7 @@
 """The five fixed-seed digest workloads.
 
 ``perf/`` (``BENCHMARK.json``) is the repository's one timing
-instrument — every wall-time claim is read there.  This module is
+instrument — every wall-time claim is read there.  This test module is
 :data:`DIGEST_WORKLOADS`, one table of five fixed-seed runs (plain,
 faulted, keyed, migrating, rebalanced) whose SHA-256 digests
 must be byte-identical across changes and interpreters: the golden
@@ -14,21 +14,20 @@ from __future__ import annotations
 import hashlib
 from typing import Callable
 
-from .cluster.config import ClusterConfig
-from .cluster.history import cluster_digest
-from .cluster.rebalance import RebalancePolicy, Rebalancer
-from .cluster.system import ClusterSystem
-from .core.history import operation_digest
-from .faults.plan import FaultPlan, PartitionFault
-from .runtime.config import SystemConfig
-from .runtime.system import DynamicSystem
-from .workloads.cluster import (
-    ClusterWorkloadDriver,
+from repro.cluster.config import ClusterConfig
+from repro.cluster.history import cluster_digest
+from repro.cluster.rebalance import RebalancePolicy, Rebalancer
+from repro.cluster.system import ClusterSystem
+from repro.core.history import operation_digest
+from repro.faults.plan import FaultPlan, PartitionFault
+from repro.runtime.config import SystemConfig
+from repro.runtime.system import DynamicSystem
+from repro.workloads.cluster import (
     schedule_round_robin_migrations,
     shard_skewed_key_picker,
 )
-from .workloads.generators import drive_read_heavy, make_key_picker
-from .workloads.schedule import WorkloadDriver
+from repro.workloads.generators import drive_read_heavy, make_key_picker
+from repro.workloads.schedule import WorkloadDriver
 
 
 # ----------------------------------------------------------------------
@@ -112,7 +111,7 @@ def cluster_workload(kind: str) -> tuple[int, str]:
     cluster.attach_churn(rate=0.04, min_stay=15.0)
     if kind == "migration":
         schedule_round_robin_migrations(cluster, 3, _HORIZON)
-    driver = ClusterWorkloadDriver(cluster)
+    driver = WorkloadDriver(cluster)
     rebalancer = None
     if kind == "rebalance":
         rebalancer = Rebalancer(
@@ -148,7 +147,7 @@ def cluster_workload(kind: str) -> tuple[int, str]:
         digest = hashlib.sha256(
             (digest + rebalancer.digest()).encode("ascii")
         ).hexdigest()
-    return cluster.delivered_count, digest
+    return sum(s.network.delivered_count for s in cluster.shards), digest
 
 
 def history_digest(faults: FaultPlan | None = None) -> str:

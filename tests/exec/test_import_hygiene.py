@@ -25,7 +25,7 @@ PERF_DIR = os.path.join(
 
 PROBE = """
 import sys
-import repro.cli, repro.workloads, repro.bench
+import repro.cli, repro.workloads
 heavy = [m for m in ("multiprocessing", "concurrent.futures.process") if m in sys.modules]
 assert not heavy, f"imported at module level: {heavy}"
 """

@@ -4,7 +4,7 @@
 fixed-seed run produced when the entry was recorded:
 
 ``digest/<field>``
-    The five :data:`repro.bench.DIGEST_WORKLOADS` history digests
+    The five :data:`tests.digests.DIGEST_WORKLOADS` history digests
     (plain, faulted, keyed, migrating, rebalanced runs).
 ``kernel/<cell>``
     The kernel's observable surface — operation digest, every network

@@ -4,17 +4,17 @@ Every stochastic choice flows through seeded named streams, so equal
 configurations must produce byte-identical observable behaviour — ops,
 messages, traces, checker verdicts.  These tests pin that down across
 protocols and delay models, and hold the five
-:data:`~repro.bench.DIGEST_WORKLOADS` to the golden store's ``digest/``
+:data:`~tests.digests.DIGEST_WORKLOADS` to the golden store's ``digest/``
 family (``tests/golden.py``).
 """
 
 import pytest
 
-from repro.bench import DIGEST_WORKLOADS
 from repro.net.delay import AsynchronousDelay, EventuallySynchronousDelay
 from repro.workloads.generators import read_heavy_plan
 from repro.workloads.schedule import WorkloadDriver
 from tests.conftest import make_system
+from tests.digests import DIGEST_WORKLOADS
 from tests.golden import expected
 
 

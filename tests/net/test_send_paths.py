@@ -381,9 +381,10 @@ def _migration_cell(trace: bool):
     assert record.committed
     return {
         "digest": cluster_digest(cluster.close()),
-        "sent": cluster.sent_count,
-        "delivered": cluster.delivered_count,
-        "dropped": cluster.dropped_count,
+        **{
+            name: sum(getattr(s.network, f"{name}_count") for s in cluster.shards)
+            for name in ("sent", "delivered", "dropped")
+        },
     }
 
 

@@ -32,8 +32,9 @@ from repro.core.checker import (
     find_new_old_inversions,
 )
 from repro.faults.plan import FaultPlan, LossFault
-from repro.workloads.cluster import ClusterWorkloadDriver, shard_skewed_key_picker
+from repro.workloads.cluster import shard_skewed_key_picker
 from repro.workloads.generators import assign_keys, read_heavy_plan
+from repro.workloads.schedule import WorkloadDriver
 
 
 def run_cluster(
@@ -64,7 +65,7 @@ def run_cluster(
         )
     if churn > 0:
         cluster.attach_churn(rate=churn, min_stay=15.0)
-    driver = ClusterWorkloadDriver(cluster)
+    driver = WorkloadDriver(cluster)
     plan = read_heavy_plan(
         start=5.0,
         end=horizon - 20.0,

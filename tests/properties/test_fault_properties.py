@@ -31,7 +31,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bench import history_digest
 from repro.core.history import operation_digest
 from repro.faults import (
     CrashFault,
@@ -45,6 +44,7 @@ from repro.faults.injector import REASON_LOSS, REASON_PARTITION
 from repro.runtime.config import SystemConfig
 from repro.runtime.system import DynamicSystem
 from repro.workloads.explorer import ScenarioSpec, build_plan, run_scenario
+from tests.digests import history_digest
 from tests.golden import expected
 
 DELTA = 5.0

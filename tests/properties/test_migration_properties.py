@@ -23,8 +23,9 @@ from repro.cluster.checker import (
 )
 from repro.faults.plan import CrashFault, FaultPlan, LossFault
 from repro.protocols.common import MIGRATION_PAYLOADS
-from repro.workloads.cluster import ClusterWorkloadDriver, shard_skewed_key_picker
+from repro.workloads.cluster import shard_skewed_key_picker
 from repro.workloads.generators import assign_keys, read_heavy_plan
+from repro.workloads.schedule import WorkloadDriver
 
 HORIZON = 150.0
 
@@ -54,7 +55,7 @@ def run_cluster(
                     key, dest, at=30.0 + 25.0 * j, max_retries=1
                 )
             )
-    driver = ClusterWorkloadDriver(cluster)
+    driver = WorkloadDriver(cluster)
     workload = read_heavy_plan(
         start=5.0,
         end=HORIZON - 20.0,

@@ -32,7 +32,6 @@ from repro.runtime.config import SystemConfig
 from repro.runtime.system import DynamicSystem
 from repro.sim.engine import EventScheduler, collector_paused
 from repro.sim.errors import ExperimentError, SchedulerError
-from repro.workloads.cluster import ClusterWorkloadDriver
 from repro.workloads.generators import read_heavy_plan, write_heavy_plan
 from repro.workloads.schedule import ReadOp, WorkloadDriver, WriteOp
 
@@ -119,7 +118,7 @@ def _cluster_with_handoffs() -> ClusterSystem:
     plan = [WriteOp(time=5.0 + 20.0 * i, key=keys[i % 6]) for i in range(10)]
     plan += [ReadOp(time=7.0 + 3.0 * i, key=keys[i % 6]) for i in range(60)]
     plan.sort(key=lambda op: op.time)
-    ClusterWorkloadDriver(cluster).install(plan)
+    WorkloadDriver(cluster).install(plan)
     cluster.run_until(260.0)
     assert committed.committed and aborted.aborted
     cluster.check_safety()

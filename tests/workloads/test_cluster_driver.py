@@ -5,10 +5,10 @@ import random
 import pytest
 
 from repro.cluster import ClusterConfig, ClusterSystem
-from repro.sim.errors import ExperimentError
+from repro.sim.errors import ConfigError, ExperimentError
 from repro.workloads.cluster import ClusterWorkloadDriver, shard_skewed_key_picker
 from repro.workloads.generators import assign_keys, read_heavy_plan
-from repro.workloads.schedule import ReadOp, WriteOp
+from repro.workloads.schedule import ReadOp, WorkloadDriver, WriteOp
 
 
 def make_cluster(**overrides) -> ClusterSystem:
@@ -20,12 +20,12 @@ def make_cluster(**overrides) -> ClusterSystem:
 class TestDriverRouting:
     def test_ops_route_to_owning_shards(self):
         cluster = make_cluster()
-        driver = ClusterWorkloadDriver(cluster)
+        driver = WorkloadDriver(cluster)
         plan = [WriteOp(time=5.0, key=key) for key in cluster.keys]
         plan += [ReadOp(time=30.0, key=key) for key in cluster.keys]
         driver.install(plan)
         cluster.run_until(60.0)
-        per_shard = driver.shard_op_counts()
+        per_shard = tuple(driver.load.per_shard)
         for shard in range(4):
             assert per_shard[shard] == 2 * len(cluster.keys_of_shard(shard))
         assert driver.stats.writes_issued == 8
@@ -33,7 +33,7 @@ class TestDriverRouting:
 
     def test_none_key_goes_to_the_default_keys_shard(self):
         cluster = make_cluster()
-        driver = ClusterWorkloadDriver(cluster)
+        driver = WorkloadDriver(cluster)
         driver.install([WriteOp(time=1.0), ReadOp(time=20.0)])
         cluster.run_until(40.0)
         owner = cluster.shard_of(cluster.keys[0])
@@ -49,7 +49,7 @@ class TestDriverRouting:
         pending, must be skipped — even routed through the cluster."""
         cluster = make_cluster()
         key = cluster.keys[0]
-        driver = ClusterWorkloadDriver(cluster)
+        driver = WorkloadDriver(cluster)
         driver.install([WriteOp(time=1.0, key=key), WriteOp(time=1.5, key=key)])
         cluster.run_until(40.0)
         assert driver.stats.writes_issued == 1
@@ -57,9 +57,9 @@ class TestDriverRouting:
 
     def test_double_install_rejected(self):
         cluster = make_cluster()
-        driver = ClusterWorkloadDriver(cluster)
+        driver = WorkloadDriver(cluster)
         driver.install([])
-        with pytest.raises(ExperimentError):
+        with pytest.raises(ExperimentError, match="^workload installed twice$"):
             driver.install([])
 
     @pytest.mark.parametrize(
@@ -77,7 +77,7 @@ class TestDriverRouting:
         cluster = make_cluster()
         cluster.run_until(5.0)
         pending = cluster.engine.pending_count
-        driver = ClusterWorkloadDriver(cluster)
+        driver = WorkloadDriver(cluster)
         # One op per key first: the refusal names the bad op by its
         # position in the whole plan, across every shard.
         plan = [WriteOp(time=6.0, key=key) for key in cluster.keys]
@@ -90,6 +90,30 @@ class TestDriverRouting:
         assert "the clock, which reads 5.0" in message
         assert cluster.engine.pending_count == pending
 
+    @pytest.mark.parametrize(
+        "op", [ReadOp(time=2.0, key="k99"), WriteOp(time=2.0, key="k99")]
+    )
+    def test_an_unknown_key_is_refused_by_name(self, op):
+        cluster = make_cluster()
+        WorkloadDriver(cluster).install([op])
+        with pytest.raises(ConfigError, match="unknown cluster key 'k99'"):
+            cluster.run_until(5.0)
+
+    @pytest.mark.parametrize("writer", ["no-such-pid", "s1.p0002"])
+    def test_a_named_writer_is_refused_with_its_time(self, writer):
+        """The front door writes every key by its owner's designated
+        writer, so a plan naming any writer is mistyped: refused, not
+        silently written by someone else."""
+        cluster = make_cluster()
+        driver = WorkloadDriver(cluster)
+        driver.install([WriteOp(time=3.0, writer=writer, key=cluster.keys[0])])
+        with pytest.raises(
+            ExperimentError, match=f"WriteOp planned at 3.0 names writer '{writer}'"
+        ):
+            cluster.run_until(5.0)
+        assert driver.stats.writes_issued == 0
+        assert cluster.close().operations("write") == []
+
     def test_static_routing_is_refused_by_name(self):
         with pytest.raises(ExperimentError, match=r"dynamic=False"):
             ClusterWorkloadDriver(make_cluster(), dynamic=False)
@@ -98,7 +122,7 @@ class TestDriverRouting:
 
     def test_stats_aggregate_handles(self):
         cluster = make_cluster()
-        driver = ClusterWorkloadDriver(cluster)
+        driver = WorkloadDriver(cluster)
         plan = [WriteOp(time=2.0, key=key) for key in cluster.keys[:4]]
         driver.install(plan)
         cluster.run_until(40.0)
@@ -117,7 +141,7 @@ class TestNamedReaders:
         key = cluster.keys[0]
         owner = cluster.shard_of(key)
         stranger = cluster.shards[(owner + 1) % 4].seed_pids[0]
-        driver = ClusterWorkloadDriver(cluster)
+        driver = WorkloadDriver(cluster)
         driver.install([ReadOp(time=7.0, reader=stranger, key=key)])
         with pytest.raises(ExperimentError) as refused:
             cluster.run_until(10.0)
@@ -128,7 +152,7 @@ class TestNamedReaders:
 
     def test_a_mistyped_reader_is_refused(self):
         cluster = make_cluster()
-        driver = ClusterWorkloadDriver(cluster)
+        driver = WorkloadDriver(cluster)
         driver.install([ReadOp(time=2.0, reader="p9999x")])
         with pytest.raises(ExperimentError, match="names reader 'p9999x'"):
             cluster.run_until(10.0)
@@ -139,7 +163,7 @@ class TestNamedReaders:
         owner = cluster.shard_of(key)
         shard = cluster.shards[owner]
         reader, gone = shard.seed_pids[1], shard.seed_pids[2]
-        driver = ClusterWorkloadDriver(cluster)
+        driver = WorkloadDriver(cluster)
         driver.install(
             [
                 ReadOp(time=2.0, reader=reader, key=key),
@@ -196,7 +220,9 @@ class TestShardSkewPicker:
 
     def test_unknown_distribution_rejected(self):
         cluster = make_cluster()
-        with pytest.raises(ExperimentError):
+        with pytest.raises(
+            ExperimentError, match="unknown shard distribution 'pareto'"
+        ):
             shard_skewed_key_picker(cluster, random.Random(0), distribution="pareto")
 
 
@@ -204,7 +230,7 @@ class TestEndToEnd:
     def test_skewed_read_heavy_workload_stays_regular(self):
         cluster = make_cluster()
         cluster.attach_churn(rate=0.03, min_stay=15.0)
-        driver = ClusterWorkloadDriver(cluster)
+        driver = WorkloadDriver(cluster)
         plan = read_heavy_plan(
             start=5.0,
             end=100.0,
@@ -335,13 +361,13 @@ class TestFireTimeRoutingWithoutMigrations:
         assert (cluster.keys == (None,)) == (keys == 1)
         plan = self._plan(cluster.keys)
         split, owner = self._install_time_split(cluster, plan)
-        driver = ClusterWorkloadDriver(cluster)
+        driver = WorkloadDriver(cluster)
         driver.install(plan)
         cluster.run_until(160.0)
         stats = driver.stats
         assert stats.reads_skipped == stats.writes_skipped == 0
         assert stats.writes_deferred == 0
-        assert driver.shard_op_counts() == split
+        assert tuple(driver.load.per_shard) == split
         history = cluster.close()
         for handle in history.operations("read") + history.operations("write"):
             assert handle.shard == owner[cluster.resolve_key(handle.key)]
@@ -362,7 +388,7 @@ class TestDriverFollowsFlips:
 
     def test_ops_fired_after_the_flip_reach_the_new_owner(self):
         cluster, key, source, dest = self._migrating_cluster()
-        driver = ClusterWorkloadDriver(cluster)
+        driver = WorkloadDriver(cluster)
         driver.install([
             ReadOp(time=5.0, key=key), WriteOp(time=6.0, key=key),
             ReadOp(time=80.0, key=key), WriteOp(time=81.0, key=key),
@@ -376,12 +402,12 @@ class TestDriverFollowsFlips:
             key=lambda h: h.invoke_time,
         )
         assert [h.shard for h in handles] == [source, source, dest, dest]
-        counts = driver.shard_op_counts()
+        counts = tuple(driver.load.per_shard)
         assert counts[source] == counts[dest] == 2
 
     def test_a_write_fired_during_the_freeze_lands_on_the_new_owner(self):
         cluster, key, source, dest = self._migrating_cluster()
-        driver = ClusterWorkloadDriver(cluster)
+        driver = WorkloadDriver(cluster)
         driver.install([WriteOp(time=21.0, value="frozen", key=key)])
         record = cluster.schedule_migration(key, dest, at=20.0)
         cluster.run_until(120.0)

@@ -178,10 +178,10 @@ class TestDriveReadHeavy:
     def _cluster():
         from repro.cluster.config import ClusterConfig
         from repro.cluster.system import ClusterSystem
-        from repro.workloads.cluster import ClusterWorkloadDriver
+        from repro.workloads.schedule import WorkloadDriver
 
         cluster = ClusterSystem(ClusterConfig(shards=2, keys=4, n=12, seed=3))
-        return cluster, ClusterWorkloadDriver(cluster)
+        return cluster, WorkloadDriver(cluster)
 
     @pytest.mark.parametrize("kind", ["single", "keyed", "cluster"])
     def test_is_the_hand_assembled_run(self, kind):

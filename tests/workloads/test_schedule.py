@@ -141,8 +141,17 @@ class TestInstallRules:
         system = make_system()
         driver = WorkloadDriver(system)
         driver.install([])
-        with pytest.raises(ExperimentError):
+        with pytest.raises(ExperimentError, match="^workload installed twice$"):
             driver.install([])
+
+    @pytest.mark.parametrize(
+        "op", [ReadOp(time=2.0, key="nope"), WriteOp(time=2.0, key="nope")]
+    )
+    def test_an_unknown_key_is_refused_by_name(self, op):
+        system = make_system(keys=2)
+        WorkloadDriver(system).install([op])
+        with pytest.raises(KeyError, match="unknown register key 'nope'"):
+            system.run_until(5.0)
 
     def test_past_operation_rejected(self):
         system = make_system()
