@@ -24,20 +24,47 @@ injector installed the paths are unchanged.
 Delivery hot path
 -----------------
 
-A message costs what it carries: every delivery is a queue tuple,
-``(instant, DELIVERY, sequence, item, dest, sender, payload,
-broadcast_id)``, ``item`` being the network's one :class:`_Delivery`,
-whose ``fire`` is the one delivery fire site.  Point-to-point sends
-(``broadcast_id`` ``None``), entrant offers and the per-recipient arm of
-a fan-out push such tuples; a dense fault-free fan-out under a uniform
-delay model is one scheduler vector (``_schedule_vector``) — its sorted
+A message costs what it carries: every single-destination delivery is
+its queue entry, ``(instant, DELIVERY, sequence, item, dest, sender,
+payload, broadcast_id)``, ``item`` being one of the network's two
+:class:`_Delivery` items, whose ``fire`` is the one delivery fire site.
+:meth:`Network.send_payload` is the one slow path every point-to-point
+message *can* take: the sender-present and destination-known gates,
+the delay draw, the fault gate (a gated class's loss draws, else the
+``on_transmit`` hook), ``sent_count``, the SEND record, the
+finite-instant check, then the queue push; it returns the arrival
+instant.  It is the only place a gate, a SEND record or a fault
+decision lives.  Point-to-point sends (``broadcast_id`` ``None``), the
+broadcast service's entrant offers (``deliver_scheduled``, the same
+tuple carrying their ``broadcast_id``) and the per-recipient arm of a
+sparse fan-out push such tuples.  On a clean, untraced link the draw
+is ``now + (lo + span * random())`` inline — ``DelayModel.sample``
+written out, from the ``(lo, span)`` the model declares
+(``p2p_uniform()``), which :class:`Network` refuses by name at
+construction unless ``lo`` is finite and positive and ``span`` finite
+and non-negative, so no custom model can schedule into the past
+through the fast path.
+
+What many messages in flight at once cost is smaller.  A dense
+fault-free fan-out under a uniform delay model is one scheduler vector
+(``_schedule_vector``) naming the fan-out item ``_fanout`` — its sorted
 ``array('d')`` of instants beside the recipient list, 16 B per arrival
-in flight — whose tuples the calendar builds an epoch at a time, arrival
-``k`` under the ``k``-th sequence number of the fan-out's block, so ties
-keep recipient order exactly as per-recipient pushes do.  Nothing is
-pooled or retained once a message lands.  No protocol file pushes queue
-entries or knows the tuple's layout: a handler returns its reply or
-calls ``send_round`` / ``send_payload``.
+in flight — whose tuples the calendar builds an epoch at a time,
+arrival ``k`` under the ``k``-th sequence number of the fan-out's
+block, so ties keep recipient order exactly as per-recipient pushes
+do.  The answers to those arrivals — a joiner's INQUIRY gets one REPLY
+from every active process, ~10⁵ in flight at once at n = 10⁵ — are
+filed by the fire site's reply arm through ``EventScheduler._fan_in``:
+an instant, a sequence number and four pointers in their epoch's
+columns, 48 B a reply where a tuple, its instant and its sequence cost
+160 (``tests/runtime/test_footprint.py`` holds both figures).  The
+calendar zips each epoch's columns into the same tuples before its
+sort, so the order is the pushes' exactly.  Everything else keeps its
+tuple: columns for every point-to-point send, or for the replies to a
+sparse fan-out, cost small epochs more in slicing than they save.
+Nothing is pooled or retained once a message lands.  No protocol file
+pushes queue entries or knows the tuple's layout: a handler returns its
+reply or calls ``send_round`` / ``send_payload``.
 
 A send is a reply or a round
 ----------------------------
@@ -62,8 +89,9 @@ before; 894 ``send_round`` calls) and on ``sync_churn_1k`` (381,222
 before; 299 rounds), ``net.sent`` unchanged.  A message is a
 ``NamedTuple`` (a reply is one C call, ``protocols.common.new_reply``;
 a round builds its payload once) costing 168 B / 3 allocated blocks in
-flight — the queue tuple, its instant, its sequence number; 208 / 4
-with a pooled entry object — and nothing once it lands.
+flight as a tuple — the queue tuple, its instant, its sequence number;
+208 / 4 with a pooled entry object — 51.5 / 0 in a fan-in's columns,
+and nothing once it lands.
 
 Each payload type has one handler body, the recipient's ``on_<type>``
 method, and every delivery ends in it.  A fault plan acts at the
@@ -123,17 +151,20 @@ _DENSE = 16
 
 
 class _Delivery(SlabEntry):
-    """The queue item of every single-destination delivery — one per
+    """The queue item of every single-destination delivery — two per
     network, none per message: the delivery is the entry naming it,
     ``(instant, DELIVERY, sequence, self, dest, sender, payload,
     broadcast_id)``.  ``broadcast_id`` tells a fan-out delivery (DELIVER
-    trace kind) from a point-to-point receive (``None``).
+    trace kind) from a point-to-point receive (``None``).  The item of a
+    dense fan-out's vector has ``fan_in`` set: the replies to its
+    arrivals go into the calendar's columns (``EventScheduler._fan_in``).
     """
 
-    __slots__ = ("network",)
+    __slots__ = ("network", "fan_in")
 
-    def __init__(self, network: "Network") -> None:
+    def __init__(self, network: "Network", fan_in: bool = False) -> None:
         self.network = network
+        self.fan_in = fan_in
 
     def fire(self, entry: tuple) -> None:
         network = self.network
@@ -161,13 +192,23 @@ class _Delivery(SlabEntry):
                     network.send_payload(entry[4], entry[5], reply)
                 else:
                     engine = network.engine
-                    engine._push((
-                        engine._now + (p2p[0] + p2p[1] * network._rng.random()),
-                        _DELIVERY, engine._sequence, self,
-                        entry[5], entry[4], reply, None,
-                    ))
-                    engine._sequence += 1
-                    engine._live += 1
+                    instant = engine._now + (
+                        p2p[0] + p2p[1] * network._rng.random()
+                    )
+                    if self.fan_in:
+                        # A reply to a dense fan-out's arrival: one of
+                        # many in flight at once, filed in columns.
+                        engine._fan_in(
+                            instant, network._delivery,
+                            entry[5], entry[4], reply,
+                        )
+                    else:
+                        engine._push((
+                            instant, _DELIVERY, engine._sequence, self,
+                            entry[5], entry[4], reply, None,
+                        ))
+                        engine._sequence += 1
+                        engine._live += 1
                     network.sent_count += 1
             watchers = process._watchers
             if watchers:
@@ -222,8 +263,10 @@ class Network:
         p2p = _declared_uniform(delay_model, "p2p_uniform")
         self._p2p_uniform = None if trace._enabled else p2p
         self._bcast_uniform = _declared_uniform(delay_model, "broadcast_uniform")
-        # The item of every single-destination queue entry.
+        # The queue items: a dense fan-out's arrivals name ``_fanout``,
+        # every other delivery ``_delivery``.
         self._delivery = _Delivery(self)
+        self._fanout = _Delivery(self, fan_in=True)
 
     def install_faults(self, injector: FaultInjector) -> None:
         """Install a fault injector (at most one per network)."""
@@ -452,11 +495,11 @@ class Network:
             if not (times[-1] < _INF):
                 engine._reject_instant(times[-1])
             # Arrival k is the entry ``(times[k], DELIVERY, base + k,
-            # _delivery, ordered[k], sender, payload, broadcast_id)``,
+            # _fanout, ordered[k], sender, payload, broadcast_id)``,
             # built when the clock reaches its epoch: tied recipients
             # keep recipient order, exactly like the per-recipient arm.
             engine._schedule_vector(
-                array("d", times), _DELIVERY, self._delivery, ordered,
+                array("d", times), _DELIVERY, self._fanout, ordered,
                 (sender, payload, broadcast_id),
             )
             return

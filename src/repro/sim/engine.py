@@ -20,6 +20,13 @@ The engine is intentionally tiny and fully deterministic:
   installed plan) is a pre-sorted run of such entries kept as columns;
   each epoch's slice becomes tuples (one C-level ``zip``) only when
   the clock reaches it, so a pending item holds no queue slot;
+* a *fan-in* (:meth:`_fan_in`: the replies to a dense fan-out's
+  arrivals) is filed under its epoch in three columns — an
+  ``array('d')`` of instants, an ``array('q')`` of sequence numbers and
+  one flat list of ``item, dest, sender, payload`` pointers, 48 B a
+  reply where its tuple, instant and sequence cost 160 — zipped into
+  ordinary DELIVERY tuples with the epoch's bucket when the clock
+  reaches it;
 * the queue is an array-backed *calendar*: instants quantize into
   buckets one tick wide, each a flat append-only list sorted on the
   instant alone, then whole (a near-linear pass over tied runs that
@@ -62,13 +69,15 @@ strategy of the library leans on this property.
 One module outside this file uses the private primitives: the
 network's delivery plane (``net/network.py``) calls
 :meth:`EventScheduler._push` (validating the instant and advancing
-``_sequence`` / ``_live`` itself) and :meth:`~EventScheduler._schedule_vector`.
+``_sequence`` / ``_live`` itself), :meth:`~EventScheduler._schedule_vector`
+and :meth:`~EventScheduler._fan_in`.
 Everything else schedules through the public methods.
 """
 
 from __future__ import annotations
 
 import gc
+from array import array
 from bisect import bisect_left
 from contextlib import contextmanager
 from heapq import heapify, heappop, heappush
@@ -82,6 +91,7 @@ from .errors import ClockError, SchedulerError
 from .events import Event, Priority, SlabEntry
 
 _INF = float("inf")
+_DELIVERY = int(Priority.DELIVERY)
 
 #: ``(time, priority, sequence, item, *fields)`` — at least four fields;
 #: the rest is the push's own data, read only by the slab item's
@@ -128,14 +138,15 @@ class EventScheduler:
       re-scheduling, a vector's head that falls there) — anything whose
       order the already-sorted ``_cur`` cannot absorb.
 
-    Filed vectors (``_vectors``) sit beside the buckets: each is
-    expanded into its epoch's bucket when that epoch is activated.
+    Filed vectors (``_vectors``) and fan-in columns (``_fan_ins``) sit
+    beside the buckets: each is expanded into its epoch's bucket when
+    that epoch is activated.
 
     Correctness leans on one invariant: every ``_overflow`` entry has
-    ``epoch <= _cur_epoch`` and every bucket entry and pending vector
-    instant ``epoch > _cur_epoch``; since the epoch function is
-    monotone in time, all overflow entries strictly precede every
-    bucket and vector entry, so the global minimum is always
+    ``epoch <= _cur_epoch`` and every bucket entry, column entry and
+    pending vector instant ``epoch > _cur_epoch``; since the epoch
+    function is monotone in time, all overflow entries strictly precede
+    every other entry, so the global minimum is always
     ``min(_cur[_pos], _overflow[0])`` — an exact merge on the full
     tuple order.
 
@@ -158,12 +169,15 @@ class EventScheduler:
         self._width = float(bucket_width)
         self._winv = 1.0 / self._width
         self._buckets: dict[int, list[QueueEntry]] = {}
-        self._bucket_slots = 0  # entries across every future bucket
+        # Replies filed by :meth:`_fan_in`, by epoch: ``(instants,
+        # sequences, pointers)``, four pointers a reply.
+        self._fan_ins: dict[int, tuple[array, array, list[Any]]] = {}
+        self._bucket_slots = 0  # entries across every future bucket and column
         # Vectors by the epoch of their next instant, chained through
         # their first field: ``[following, next position, instants,
         # fields, base, repeat(priority), repeat(item), *tail repeats]``.
         self._vectors: dict[int, list[Any]] = {}
-        self._epochs: list[int] = []  # heap of epochs with a bucket or vector
+        self._epochs: list[int] = []  # heap of epochs with a bucket, vector or fan-in
         self._cur: list[QueueEntry] = []
         self._pos = 0
         self._overflow: list[QueueEntry] = []
@@ -350,8 +364,46 @@ class EventScheduler:
         following = vectors.get(epoch)
         vector[0] = following
         vectors[epoch] = vector
-        if following is None and epoch not in self._buckets:
+        if (
+            following is None
+            and epoch not in self._buckets
+            and epoch not in self._fan_ins
+        ):
             heappush(self._epochs, epoch)
+
+    def _fan_in(
+        self, instant: Time, item: SlabEntry, dest: Any, sender: Any, payload: Any
+    ) -> None:
+        """Schedule ``(instant, DELIVERY, sequence, item, dest, sender,
+        payload, None)`` under the next sequence number, as a push of
+        that tuple would, filed in its epoch's columns.  The caller
+        validates the instant; ``item.size`` is 1.
+
+        An instant in the active epoch or earlier goes to the overflow
+        heap as the tuple; :meth:`_advance_epoch` zips the rest."""
+        sequence = self._sequence
+        self._sequence = sequence + 1
+        self._live += 1
+        epoch = int(instant * self._winv)
+        if epoch <= self._cur_epoch:
+            heappush(
+                self._overflow,
+                (instant, _DELIVERY, sequence, item, dest, sender, payload, None),
+            )
+            return
+        columns = self._fan_ins.get(epoch)
+        if columns is None:
+            columns = self._fan_ins[epoch] = (array("d"), array("q"), [])
+            if epoch not in self._buckets and epoch not in self._vectors:
+                heappush(self._epochs, epoch)
+        instants, sequences, pointers = columns
+        instants.append(instant)
+        sequences.append(sequence)
+        pointers.append(item)
+        pointers.append(dest)
+        pointers.append(sender)
+        pointers.append(payload)
+        self._bucket_slots += 1
 
     def _reject_instant(self, instant: Time) -> None:
         if isfinite(instant):
@@ -374,7 +426,7 @@ class EventScheduler:
             bucket = buckets.get(epoch)
             if bucket is None:
                 buckets[epoch] = [entry]
-                if epoch not in self._vectors:
+                if epoch not in self._vectors and epoch not in self._fan_ins:
                     heappush(self._epochs, epoch)
             else:
                 bucket.append(entry)
@@ -386,9 +438,10 @@ class EventScheduler:
 
     def _occupied_slots(self) -> int:
         """Queue slots in use, live and dead alike (a filed vector's
-        items take none).  O(1): the active regions know their lengths
-        and ``_bucket_slots`` is kept exact by :meth:`_push`,
-        :meth:`_advance_epoch` and :meth:`_compact`."""
+        items take none; a fan-in column entry takes one).  O(1): the
+        active regions know their lengths and ``_bucket_slots`` is kept
+        exact by :meth:`_push`, :meth:`_fan_in`, :meth:`_advance_epoch`
+        and :meth:`_compact`."""
         return (
             len(self._cur) - self._pos + len(self._overflow) + self._bucket_slots
         )
@@ -422,8 +475,13 @@ class EventScheduler:
                 slots += len(bucket)
             else:
                 del buckets[epoch]
+        # Column entries are never cancelled: they only count.
+        for instants, _, _ in self._fan_ins.values():
+            slots += len(instants)
         self._bucket_slots = slots
-        self._epochs[:] = buckets.keys() | self._vectors.keys()
+        self._epochs[:] = (
+            buckets.keys() | self._vectors.keys() | self._fan_ins.keys()
+        )
         heapify(self._epochs)
         self._dead = 0
 
@@ -434,12 +492,13 @@ class EventScheduler:
     def _advance_epoch(self) -> bool:
         """Activate the next non-empty epoch; ``False`` when drained.
         ``_cur`` is exhausted here: its entries are freed before the
-        epoch's vectors build theirs."""
+        epoch's vectors and columns build theirs."""
         self._cur.clear()
         self._pos = 0
         epochs = self._epochs
         buckets = self._buckets
         vectors = self._vectors
+        fan_ins = self._fan_ins
         winv = self._winv
         while epochs:
             epoch = heappop(epochs)
@@ -463,6 +522,17 @@ class EventScheduler:
                     vector[1] = hi
                     self._file(vector, int(instants[hi] * winv))
                 vector = following
+            columns = fan_ins.pop(epoch, None)
+            if columns is not None:
+                instants, sequences, pointers = columns
+                self._bucket_slots -= len(instants)
+                # One iterator four times over: zip takes each reply's
+                # four pointers in turn.
+                fields = iter(pointers)
+                bucket.extend(zip(
+                    instants, repeat(_DELIVERY), sequences,
+                    fields, fields, fields, fields, repeat(None),
+                ))
             if bucket:
                 bucket.sort(key=itemgetter(0))  # floats alone first
                 bucket.sort()

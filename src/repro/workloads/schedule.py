@@ -35,8 +35,9 @@ key→shard map (``owners``), so a plan installed before a migration flip
 still lands on the new owner.  A read draws from the owning shard
 (stream ``workload.cluster.readers``), which a named reader must be
 in.  A write passes the front door, which writes by the owner's
-designated writer (a plan naming a writer is refused) and defers a
-write to a frozen or busy key (``stats.writes_deferred``).
+designated writer (a plan naming a writer is refused), defers a write
+to a frozen or busy key (``stats.writes_deferred``) and drops one whose
+owner's writer is gone (``stats.writes_dropped``).
 :class:`ShardLoad` counts the issued ops per shard and per key.
 """
 
@@ -196,6 +197,7 @@ class WorkloadStats:
     writes_issued: int = 0
     writes_skipped: int = 0  # previous write still pending
     writes_deferred: int = 0  # queued by a migration freeze (cluster only)
+    writes_dropped: int = 0  # the owner's writer was gone (cluster only)
 
 
 @dataclass
@@ -224,12 +226,18 @@ class WorkloadDriver:
     ) -> None:
         """``exclude_writer`` excludes a population's designated writer
         from the random reader pool (useful when measuring reader-side
-        latency in isolation)."""
+        latency in isolation); a cluster, with one writer per shard,
+        refuses it."""
+        self._owners = system.owners
+        if exclude_writer and self._owners is not None:
+            raise ExperimentError(
+                "exclude_writer=True needs a population's designated writer: "
+                "a cluster has one writer per shard"
+            )
         self.system = system
         self._excluded = system.writer_pid if exclude_writer else None
         self.stats = WorkloadStats()
         self._rng = system.rng.stream(system.reader_stream)
-        self._owners = system.owners
         self.load = (
             None if self._owners is None else ShardLoad([0] * len(system.shards))
         )
@@ -278,11 +286,16 @@ class WorkloadDriver:
             if pending is not None and pending.pending:
                 self.stats.writes_skipped += 1
                 return
+            dropped = system.writes_dropped
             handle = system.write(op.value, key=key)
             if handle is None:
-                # Deferred by the front door (frozen or busy); it will
-                # reach the then-current owner on unfreeze.
-                self.stats.writes_deferred += 1
+                if system.writes_dropped > dropped:
+                    # Dropped by the front door: the owner's writer is gone.
+                    self.stats.writes_dropped += 1
+                else:
+                    # Deferred by the front door (frozen or busy); it
+                    # will reach the then-current owner on unfreeze.
+                    self.stats.writes_deferred += 1
                 return
             self.load.count(self._owners[key], key)
         self._pending_writes[key] = handle

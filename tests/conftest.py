@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import pytest
 
+import repro.net.network as network_module
 from repro.net.delay import SynchronousDelay
 from repro.runtime.config import SystemConfig
 from repro.runtime.system import DynamicSystem
 from repro.sim.engine import EventScheduler
+from repro.sim.events import Priority
 from repro.sim.membership import Membership
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import TraceLog
@@ -36,11 +40,18 @@ def membership() -> Membership:
 def pending_entries(engine: EventScheduler) -> list:
     """The live queue entries of ``engine``, whole, in firing order:
     its three regions (overflow heap, active epoch, future buckets) and
-    the entries its filed vectors have yet to build, merged and sorted,
-    cancelled entries left out."""
+    the entries its filed vectors and fan-in columns have yet to build,
+    merged and sorted, cancelled entries left out."""
     entries = [*engine._overflow, *engine._cur[engine._pos :]]
     for bucket in engine._buckets.values():
         entries.extend(bucket)
+    for instants, sequences, pointers in engine._fan_ins.values():
+        for k, instant in enumerate(instants):
+            item, dest, sender, payload = pointers[4 * k : 4 * k + 4]
+            entries.append((
+                instant, int(Priority.DELIVERY), sequences[k],
+                item, dest, sender, payload, None,
+            ))
     for vector in engine._vectors.values():
         while vector is not None:
             vector, lo, instants, fields, base, priority, item, *tail = vector
@@ -49,6 +60,25 @@ def pending_entries(engine: EventScheduler) -> list:
                 item, fields[lo:], *tail,
             ))
     return [entry for entry in sorted(entries) if not entry[3].cancelled]
+
+
+@contextmanager
+def every_fanout_a_vector(engine):
+    """Lower the dense-fan-out floor to 0, so a fault-free fan-out of
+    any size takes the vector arm (and the replies to its arrivals the
+    calendar's columns), and yield the ``count`` of every vector
+    ``engine`` is handed meanwhile."""
+    counts = []
+    schedule_vector = engine._schedule_vector
+
+    def spy(instants, *rest):
+        counts.append(len(instants))
+        schedule_vector(instants, *rest)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(network_module, "_DENSE", 0)
+        patch.setattr(engine, "_schedule_vector", spy)
+        yield counts
 
 
 def make_system(**overrides) -> DynamicSystem:

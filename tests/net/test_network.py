@@ -5,7 +5,6 @@ the payload arrives at — also for a send the fault gate vetoed.
 """
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import pytest
@@ -35,7 +34,7 @@ from repro.sim.membership import Membership
 from repro.sim.process import SimProcess
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import TraceKind, TraceLog
-from tests.conftest import pending_entries
+from tests.conftest import every_fanout_a_vector, pending_entries
 
 
 @dataclass(frozen=True)
@@ -93,11 +92,41 @@ class TestSend:
         engine.run()
         assert membership.process("p1").notes[0][0] == "p1"
 
-    def test_departed_sender_rejected(self, send, membership):
+    @pytest.mark.parametrize("traced", [False, True], ids=["clean", "traced"])
+    @pytest.mark.parametrize("path", ["send_payload", "send_round"])
+    def test_departed_sender_rejected_by_name(
+        self, engine, membership, rng, path, traced
+    ):
+        """Both sends refuse a departed sender by name — on a clean link
+        (``send_round``'s own inline check) and off one (its
+        ``send_payload`` loop) — and queue nothing."""
+        network = Network(
+            engine, membership, SynchronousDelay(delta=5.0),
+            TraceLog(enabled=traced), rng,
+        )
+        for pid in ("p1", "p2"):
+            membership.enter(Sink(pid, engine))
+        assert (network._p2p_uniform is None) == traced
         membership.process("p1").depart()
         membership.leave("p1", 0.0)
-        with pytest.raises(NetworkError):
+        send = (
+            network.send_payload
+            if path == "send_payload"
+            else lambda s, d, m: network.send_round(s, [d], m)
+        )
+        with pytest.raises(NetworkError, match="^departed process 'p1' cannot send$"):
             send("p1", "p2", Note("x"))
+        assert engine.pending_count == network.sent_count == 0
+
+    def test_a_second_injector_is_refused_by_name(self, net, rng):
+        plan = FaultPlan.of(LossFault(probability=0.5))
+        net.install_faults(FaultInjector(plan, rng.stream("test.faults")))
+        first = net.faults
+        with pytest.raises(
+            NetworkError, match="^a fault injector is already installed$"
+        ):
+            net.install_faults(FaultInjector(plan, rng.stream("test.faults.2")))
+        assert net.faults is first
 
     def test_unknown_destination_rejected(self, send):
         with pytest.raises(UnknownProcessError):
@@ -312,9 +341,11 @@ class TestDeclaredUniformParameters:
         kwarg = "p2p" if method == "p2p_uniform" else "broadcast"
         with pytest.raises(ConfigError) as refusal:
             Network(engine, membership, _Declares(**{kwarg: params}), trace, rng)
-        message = str(refusal.value)
-        assert f"_Declares.{method}() declares" in message
-        assert repr(params) in message
+        lo, span = params
+        assert str(refusal.value) == (
+            f"_Declares.{method}() declares (lo, span) = ({lo!r}, {span!r}): "
+            f"lo must be finite and positive, span finite and non-negative"
+        )
 
     def test_a_sound_declaration_draws_inline(self, engine, membership, trace, rng):
         model = _Declares(p2p=(0.5, 0.0), broadcast=(0.5, 2.0))
@@ -383,28 +414,11 @@ class _Scripted:
         return next(self._draws)
 
 
-@contextmanager
-def every_fanout_a_vector(engine):
-    """Lower the dense-fan-out floor to 0, so a fault-free fan-out of
-    any size takes the vector arm, and yield the ``count`` of every
-    vector ``engine`` is handed meanwhile."""
-    counts = []
-    schedule_vector = engine._schedule_vector
-
-    def spy(instants, *rest):
-        counts.append(len(instants))
-        schedule_vector(instants, *rest)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(network_module, "_DENSE", 0)
-        patch.setattr(engine, "_schedule_vector", spy)
-        yield counts
-
-
 class TestPairFreeFanoutOrder:
     """A dense fault-free fan-out under a continuous model is one vector
-    of ordinary delivery entries: arrival ``k`` of the stably sorted
-    recipients carries sequence ``base + k``.  These fan-outs are sparse
+    of ordinary delivery entries naming the network's fan-out item:
+    arrival ``k`` of the stably sorted recipients carries sequence
+    ``base + k``.  These fan-outs are sparse
     (at most 40 recipients), so the floor is lowered to 0 to drive the
     vector arm."""
 
@@ -434,7 +448,7 @@ class TestPairFreeFanoutOrder:
         assert [entry[4] for entry in entries] == [dests[i] for _, i in pairs]
         assert [entry[2] for entry in entries] == list(range(len(draws)))
         assert all(
-            entry[1] == Priority.DELIVERY and entry[3] is network._delivery
+            entry[1] == Priority.DELIVERY and entry[3] is network._fanout
             and entry[5:] == ("p0", Note("x"), 7)
             for entry in entries
         )

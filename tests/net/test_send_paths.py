@@ -12,10 +12,15 @@
 ``send_payload`` stays the one slow path: with tracing on or a fault
 plan installed every message of a run passes through it, and on a clean
 link none does.
+
+A reply to a dense fan-out's arrival is filed in the calendar's columns
+(``EventScheduler._fan_in``) instead of being pushed as its tuple; a
+whole churned run with every fan-out made dense equals the default arms.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from typing import Any, NamedTuple
 
 import pytest
@@ -37,7 +42,7 @@ from repro.sim.operations import WaitUntil
 from repro.sim.process import SimProcess
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import TraceLog
-from tests.conftest import make_system, pending_entries
+from tests.conftest import every_fanout_a_vector, make_system, pending_entries
 
 DELTA = 5.0
 PIDS = tuple(f"p{i}" for i in range(6))
@@ -427,3 +432,57 @@ def test_a_fault_plan_sends_every_message_through_send_payload(
     faulted = _protocol_cell(protocol, False, plan)
     assert len(calls) == faulted["sent"] > 0
     assert faulted == _protocol_cell(protocol, True, plan)
+
+
+# ----------------------------------------------------------------------
+# (d) A reply to a dense fan-out is its tuple, filed in columns
+# ----------------------------------------------------------------------
+
+
+def _churned_join_cell(seed: int, every_fanout_dense: bool):
+    """A churned sync run (joins, writes, reads) at n = 14, where every
+    fan-out is sparse unless the floor is lowered to 0: then each one is
+    a vector and every reply to its arrivals goes into the columns."""
+    system = make_system(n=14, seed=seed, trace=False)
+    engine = system.engine
+    filed = []
+    fan_in = engine._fan_in
+
+    def spy(*reply):
+        filed.append(reply[2])
+        fan_in(*reply)
+
+    dense = every_fanout_a_vector(engine) if every_fanout_dense else nullcontext()
+    with dense as vectors, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "_fan_in", spy)
+        system.attach_churn(rate=0.1, min_stay=12.0)
+        for _ in range(4):
+            system.write()
+            system.run_for(8.0)
+            for pid in system.active_pids()[:3]:
+                system.read(pid)
+            system.run_for(4.0)
+    network = system.network
+    if every_fanout_dense:
+        assert vectors and filed  # the new path ran
+    else:
+        assert not filed
+    return {
+        "digest": operation_digest(system.close()),
+        "counters": (
+            network.sent_count, network.delivered_count,
+            network.dropped_count, network.faulted_count,
+        ),
+        "fired": engine.fired_count,
+        "pending": engine.pending_count,
+    }
+
+
+@given(seed=st.integers(min_value=0, max_value=2**16))
+@settings(max_examples=20, deadline=None)
+def test_a_churned_join_with_every_reply_in_columns_is_the_default_run(seed):
+    """A whole-join parity property: joins whose INQUIRY fan-outs are
+    all vectors, so that every REPLY is filed through ``_fan_in``, give
+    the digest, network counters and fired count of the default arms
+    (per-recipient pushes, each reply its queue tuple)."""
+    assert _churned_join_cell(seed, True) == _churned_join_cell(seed, False)

@@ -52,9 +52,11 @@ tracemalloc ratchet.
 
 And a large-n broadcast costs what differs per recipient: an in-flight
 dense fault-free fan-out holds an 8 B instant and an 8 B recipient slot
-per pending arrival, the seeds a WRITE lands on end up holding one shared
-cell (no cell per adopter), and single-key seeds answer an inquiry
-with one shared REPLY (no payload per replier).  Three more ratchets.
+per pending arrival, a reply to one of its arrivals its calendar columns
+(an 8 B instant, an 8 B sequence number, four pointers), the seeds a
+WRITE lands on end up holding one shared cell (no cell per adopter), and
+single-key seeds answer an inquiry with one shared REPLY (no payload per
+replier).  Four more ratchets.
 CI runs this file as its own step ("per-process, per-message and
 per-operation footprint"), and the two exact-count ratchets again under
 the steps named after what they hold.
@@ -75,6 +77,7 @@ import repro.net
 import repro.protocols
 from repro.faults import FaultPlan, LossFault
 from repro.faults.injector import FaultInjector
+from repro.net.delay import SynchronousDelay
 from repro.net.network import Network
 from repro.protocols.es_reg import EsAck, EsRead, EsReply
 from repro.protocols.sync_reg import Inquiry, Reply, WriteMsg
@@ -674,6 +677,64 @@ def test_an_in_flight_fanout_costs_16_bytes_per_arrival():
     max_bytes, max_blocks = FANOUT_BUDGET
     assert byte_slope <= max_bytes, f"{byte_slope:.2f} B per arrival in flight"
     assert block_slope <= max_blocks, f"{block_slope:.4f} blocks per arrival in flight"
+
+
+#: Bytes and blocks an in-flight reply to a dense fan-out's arrival holds:
+#: the slope between INQUIRY fan-outs to n = 2000 and n = 4000 seeds,
+#: every seed's REPLY in flight at once.  Measured here (3.11): 51.5 /
+#: 0.0 — its 8 B instant and 8 B sequence number in the epoch's
+#: ``array('d')`` / ``array('q')`` columns and four 8 B pointers in its
+#: pointer list, plus the three growing buffers' slack; 168.3 / 3.0 with
+#: a queue tuple, a float and an int per reply.
+REPLY_BUDGET = (56, 0.01)
+
+
+def _in_flight_replies(n):
+    """Bytes and blocks the replies to one INQUIRY fan-out to an n-seed
+    system hold in flight, and how many are pending.  A zero-span delay
+    puts every arrival at ``start + delta`` and every reply at ``start +
+    2 delta``; a timer between them retires the arrivals' epoch."""
+    delta = 5.0
+    system = DynamicSystem(SystemConfig(
+        n=n, trace=False, delta=delta,
+        delay=SynchronousDelay(delta=delta, min_delay=delta),
+    ))
+    engine = system.engine
+    sender = system.seed_pids[0]
+    inquiry = Inquiry("p-joiner")  # every seed answers the broadcaster
+    gc.collect()
+    tracemalloc.start()
+    try:
+        # Warm, and drained, under the tracer: dispatch caches and the
+        # calendar's buckets.
+        system.broadcast.broadcast(sender, inquiry)
+        system.run_for(3 * delta)
+        pending = engine.pending_count
+        start = engine.now
+        before = tracemalloc.take_snapshot()
+        system.broadcast.broadcast(sender, inquiry)
+        engine.schedule_at(start + 1.5 * delta, int)
+        engine.run_until(start + 1.5 * delta)
+        size, blocks = _traced_outside_tracemalloc(before, 1)
+    finally:
+        tracemalloc.stop()
+    assert len(engine._fan_ins) == 1  # the replies are filed, not pushed
+    return size, blocks, engine.pending_count - pending
+
+
+@pytest.mark.skipif(
+    sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
+    reason="the byte budget is CPython 3.11's object layout",
+)
+def test_an_in_flight_reply_to_a_dense_fanout_costs_its_columns():
+    size, blocks, replies = _in_flight_replies(N)
+    size_2n, blocks_2n, replies_2n = _in_flight_replies(2 * N)
+    assert (replies, replies_2n) == (N, 2 * N)
+    byte_slope = (size_2n - size) / N
+    block_slope = (blocks_2n - blocks) / N
+    max_bytes, max_blocks = REPLY_BUDGET
+    assert byte_slope <= max_bytes, f"{byte_slope:.2f} B per reply in flight"
+    assert block_slope <= max_blocks, f"{block_slope:.4f} blocks per reply in flight"
 
 
 #: Bytes and blocks a WRITE landing on n = 2000 seeds leaves behind per

@@ -46,8 +46,11 @@ class TestScheduling:
         assert engine.now == 7.0
 
     def test_negative_delay_rejected(self, engine):
-        with pytest.raises(SchedulerError):
+        with pytest.raises(
+            SchedulerError, match=r"^cannot schedule -0\.1 units in the past$"
+        ):
             engine.schedule(-0.1, lambda: None)
+        assert engine.pending_count == 0
 
     def test_schedule_at_past_rejected(self, engine):
         engine.schedule(5.0, lambda: None)
@@ -105,6 +108,10 @@ _PUSHES = st.one_of(
         st.lists(st.sampled_from(_INSTANTS), min_size=1, max_size=12).map(sorted),
         st.sampled_from(_PRIORITIES),
     ),
+    # A fan-in reply is always a DELIVERY.
+    st.tuples(
+        st.just("fan_in"), st.sampled_from(_INSTANTS), st.just(Priority.DELIVERY)
+    ),
 )
 
 
@@ -112,10 +119,12 @@ class TestAnEpochDrainsInSortedOrder:
     """An activated epoch is sorted twice — on its instants alone, then
     on whole entries — and the second sort alone sets the order.  An
     epoch mixing direct pushes (events, slab entries), vector slices
-    (series) and exact ties across the DELIVERY and TIMER tiers drains
-    in ``sorted()`` order of ``(time, priority, sequence)``.  A crafted
-    prefix puts a TIMER before a DELIVERY push and a series on one
-    instant, so a presort left alone fails every example."""
+    (series), fan-in column entries and exact ties across the DELIVERY
+    and TIMER tiers drains in ``sorted()`` order of ``(time, priority,
+    sequence)``.  A crafted prefix puts a TIMER before a DELIVERY push,
+    a series and two fan-in replies on one instant, so a presort left
+    alone fails every example; ``pending_entries`` reads the same order
+    off the filed regions before the run."""
 
     @given(
         pushes=st.lists(_PUSHES, max_size=30),
@@ -131,10 +140,13 @@ class TestAnEpochDrainsInSortedOrder:
         expected = []
         crafted = [
             ("at", 1.0, Priority.TIMER),
+            ("fan_in", 1.0, Priority.DELIVERY),
             ("slab", 1.0, Priority.TIMER),
             ("at", 1.0, Priority.DELIVERY),
             ("series", [0.75, 1.0, 1.0], Priority.DELIVERY),
+            ("fan_in", 0.75, Priority.DELIVERY),
             ("slab", 1.0, Priority.DELIVERY),
+            ("fan_in", 1.0, Priority.DELIVERY),
         ]
         for kind, instants, priority in crafted + pushes:
             sequence = engine._sequence
@@ -149,11 +161,96 @@ class TestAnEpochDrainsInSortedOrder:
             tag = len(expected)
             if kind == "at":
                 engine.schedule_at(instants, log.append, tag, priority=priority)
+            elif kind == "fan_in":
+                engine._fan_in(instants, slab, tag, "sender", "payload")
             else:
                 engine.schedule_slab(instants, priority, slab, tag)
             expected.append(((instants, priority, sequence), tag))
+        assert engine.pending_count == len(expected)
+        assert [entry[:3] for entry in pending_entries(engine)] == sorted(
+            key for key, _ in expected
+        )
         assert engine.run() == len(expected)
         assert log == [tag for _, tag in sorted(expected)]
+
+
+class TestAFanInIsItsTuple:
+    """``_fan_in`` files a reply in its epoch's columns, and the reply
+    fires exactly as the push of ``(instant, DELIVERY, sequence, item,
+    dest, sender, payload, None)`` would: same entry, same order, same
+    counters — into a future epoch, into the active one (the overflow
+    heap), and across a cancel-storm compaction."""
+
+    @staticmethod
+    def _entries(engine, fan_in):
+        seen = []
+
+        class Seen(SlabEntry):
+            __slots__ = ()
+
+            def fire(self, entry):
+                seen.append(entry)
+
+        item = Seen()
+
+        def reply(instant, tag):
+            if fan_in:
+                engine._fan_in(instant, item, tag, "sender", "payload")
+            else:
+                engine.schedule_slab(
+                    instant, Priority.DELIVERY, item, tag, "sender", "payload", None
+                )
+
+        def answer():
+            # Into the active epoch (overflow) and the next ones.
+            for tag, delay in enumerate((0.0, 0.3, 1.0, 1.0, 2.5, 0.3)):
+                reply(engine.now + delay, ("late", tag))
+
+        # 1.55 and 1.9 share the answer's epoch at widths 0.1 and 1.0:
+        # a reply filed there must still fire before them.
+        for tag, instant in enumerate((3.0, 1.5, 3.0, 0.5, 1.9, 7.25, 1.55, 3.0)):
+            reply(instant, ("early", tag))
+        engine.schedule_at(1.5, answer)
+        engine.schedule_at(3.0, seen.append, "timer")
+        return seen, item
+
+    @pytest.mark.parametrize("width", [0.1, 1.0, 100.0])
+    def test_a_fan_in_fires_its_tuple_in_push_order(self, width):
+        outcomes = []
+        for fan_in in (True, False):
+            engine = EventScheduler(bucket_width=width)
+            seen, item = self._entries(engine, fan_in)
+            pending = engine.pending_count
+            fired = engine.run()
+            outcomes.append((
+                [e if e == "timer" else (e[:3], *e[4:]) for e in seen],
+                pending, fired, engine.fired_count, engine._sequence,
+            ))
+            assert all(e == "timer" or e[3] is item for e in seen)
+        assert outcomes[0] == outcomes[1]
+        assert len(outcomes[0][0]) == 15
+
+    def test_columns_survive_a_compaction_and_keep_their_slot_count(self, engine):
+        fired = []
+
+        class Log(SlabEntry):
+            __slots__ = ()
+
+            def fire(self, entry):
+                fired.append(entry[4])
+
+        item = Log()
+        for k in range(50):
+            engine._fan_in(1.0 + k * 0.5, item, k, None, None)
+        events = [engine.schedule(2.0 + k * 0.25, fired.append, "x") for k in range(60)]
+        assert engine._occupied_slots() == 110
+        for event in events:
+            event.cancel()  # dead outnumber live at the 56th: compacted
+        assert engine._dead < 5
+        assert engine._occupied_slots() == 50 + engine._dead
+        assert engine.run() == 50
+        assert fired == list(range(50))
+        assert engine._occupied_slots() == 0 and not engine._fan_ins
 
 
 class TestCancellation:
@@ -204,10 +301,15 @@ class TestRunUntil:
         engine.run_until(10.0)
         assert fired == ["a", "b"]
 
-    def test_run_until_past_horizon_rejected(self, engine):
+    @pytest.mark.parametrize("horizon", [4.0, math.inf, math.nan])
+    def test_run_until_past_or_non_finite_horizon_rejected(self, engine, horizon):
         engine.run_until(5.0)
-        with pytest.raises(SchedulerError):
-            engine.run_until(4.0)
+        with pytest.raises(SchedulerError) as refusal:
+            engine.run_until(horizon)
+        assert str(refusal.value) == (
+            f"horizon {horizon!r} is before current time 5.0 or not finite"
+        )
+        assert engine.now == 5.0
 
     def test_max_events_limits_execution(self, engine):
         fired = []

@@ -114,6 +114,31 @@ class TestDriverRouting:
         assert driver.stats.writes_issued == 0
         assert cluster.close().operations("write") == []
 
+    def test_excluding_the_writer_is_refused_by_name(self):
+        """A population's reader pool can leave out its one designated
+        writer; a cluster has one writer per shard."""
+        with pytest.raises(
+            ExperimentError,
+            match=r"^exclude_writer=True needs a population's designated "
+            r"writer: a cluster has one writer per shard$",
+        ):
+            WorkloadDriver(make_cluster(), exclude_writer=True)
+
+    def test_a_write_the_front_door_drops_is_counted_dropped(self):
+        """The owner's writer is gone: the front door drops the write,
+        and the driver says so instead of counting it deferred."""
+        cluster = make_cluster()
+        key = cluster.keys[0]
+        shard = cluster.shard_for(key)
+        shard.leave(shard.writer_pid)
+        driver = WorkloadDriver(cluster)
+        driver.install([WriteOp(time=2.0, key=key)])
+        cluster.run_until(10.0)
+        stats = driver.stats
+        assert (stats.writes_deferred, stats.writes_dropped) == (0, 1)
+        assert (cluster.writes_deferred, cluster.writes_dropped) == (0, 1)
+        assert stats.writes_issued == 0
+
     def test_static_routing_is_refused_by_name(self):
         with pytest.raises(ExperimentError, match=r"dynamic=False"):
             ClusterWorkloadDriver(make_cluster(), dynamic=False)
