@@ -20,12 +20,16 @@ shard's own history.
 from __future__ import annotations
 
 import hashlib
+from operator import attrgetter
 from typing import Any, Iterator, Sequence
 
 from ..core.history import History, hash_rows
 from ..sim.clock import Time
 from ..sim.errors import HistoryError
 from ..sim.operations import OperationHandle
+
+
+_INVOCATION_ORDER = attrgetter("invoke_time", "op_id")
 
 
 class ClusterHistory:
@@ -92,7 +96,10 @@ class ClusterHistory:
 
         All shards ride one scheduler, so operation ids are assigned in
         global event order; sorting by ``(invoke_time, op_id)`` is the
-        chronological merge, deterministic for a fixed seed.
+        chronological merge, deterministic for a fixed seed.  A read a
+        shard keeps as a row (:mod:`repro.core.history`) enters the
+        merge as its handle view, so the shard and seam views re-record
+        handles only.
 
         Memoized once every shard history is closed (the checkers call
         this once per shard view); open histories recompute, since
@@ -101,7 +108,7 @@ class ClusterHistory:
         if self._merged_cache is not None:
             return self._merged_cache
         merged = [op for shard in self._shards for op in shard]
-        merged.sort(key=lambda op: (op.invoke_time, op.op_id))
+        merged.sort(key=_INVOCATION_ORDER)
         if self.horizon is not None:
             self._merged_cache = merged
         return merged

@@ -34,33 +34,47 @@ retained behind ``paranoid=True`` (CLI: ``--paranoid``) as reference
 oracles; the property suite asserts verdict parity between the two.
 
 A judged pass keeps its verdicts, not one record per read: both sweeps
-hold O(W + in-flight reads).  The regularity sweep is one loop over the
-history's own per-kind list (:meth:`History.of_kind`, no copy): a read
-is done iff it has a response, and its three bisection cuts key the
-write index's per-cut memo (one ``(last, concurrent, allowed)`` per
-distinct cut).  A valid read leaves nothing behind; only a violation,
-a join or ``paranoid=True`` goes through ``_judge``, the one place an
-explanation is written.  A :class:`SafetyReport` is ``checked_count``
-plus its violations; :attr:`SafetyReport.judgements` rebuilds the full
-list on request from the writes and the reads still pending at check
-time.  The inversion detector walks the same read list in invocation
-order with a heap of the reads still in flight, and liveness is one
-loop over response and invocation times with local counters.  A closed
-history shares its read verdicts, write records, key list and per-key
-sub-histories between the checkers.  ``tests/core/test_checker_cost.py``
-holds the four judged phases (these three checkers and
-:func:`~repro.core.history.operation_digest`) to at most 1 Python call
-per operation, and the two sweeps to at most 32 traced bytes per read.
+hold O(W + in-flight reads).  Both walk the history's reads as C-level
+entries (``_read_entries``): a read handle's response, invocation, op
+id and result through ``attrgetter`` maps over the history's own list,
+and a read *row* — a complete local read kept as columns (see
+:mod:`repro.core.history`) — zipped from its instant, op-id and value
+columns, so no handle view is built.  A read is done iff it has a
+response (a row always has: its invocation instant), and its three
+bisection cuts key the write index's per-cut memo (one ``(last,
+concurrent, allowed)`` per distinct cut).  A valid read leaves nothing
+behind; only a violation, a join or ``paranoid=True`` goes through
+``_judge``, the one place an explanation is written (a violating row
+through its view).  A :class:`SafetyReport` is ``checked_count`` plus
+its violations; :attr:`SafetyReport.judgements` rebuilds the full list
+on request from the writes and the reads still pending at check time.
+The inversion detector walks the same entries in invocation order with
+a heap of the reads still in flight; over rows it keeps each witness
+pair as two row numbers and two write indexes in ``array('q')``
+columns, building the :class:`Inversion` and its views only when the
+report is read.  Liveness is one loop over the handles' response and
+invocation times with local counters, each run of rows between two
+handles counted in one step (complete, zero latency).  Read handles
+among rows (a caller kept a handle of a synchronous read) are judged
+through the views, in recording order.  A closed history shares its read verdicts, write
+records, key list and per-key sub-histories between the checkers.
+``tests/core/test_checker_cost.py`` holds the four judged phases (these
+three checkers and :func:`~repro.core.history.operation_digest`) to at
+most 1 Python call per operation, and the two sweeps to at most 32
+traced bytes per read.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import partial
 from heapq import heappop, heappush
+from itertools import chain, count, islice, repeat
 from operator import attrgetter
-from typing import Any, Callable, Collection, Iterator, NamedTuple, Sequence
+from typing import Any, Callable, Collection, Iterator, NamedTuple
 
 from ..sim.clock import Time
 from ..sim.engine import collector_paused
@@ -289,7 +303,7 @@ class RegularityChecker:
             partial(
                 self._rejudge,
                 writes,
-                len(history.of_kind(OP_READ)),
+                history._read_count(),
                 len(joins),
                 frozenset(pending),
             )
@@ -300,8 +314,8 @@ class RegularityChecker:
         """``(completed reads, their violations, op ids of the reads
         without a response)`` — a pending read is liveness's concern."""
         writes = self.history.write_records()
-        reads = self.history.of_kind(OP_READ)
         if self.paranoid:
+            reads = self.history.of_kind(OP_READ)
             judged = [
                 self._judge(op, op.result, writes, None) for op in reads if op.done
             ]
@@ -321,12 +335,11 @@ class RegularityChecker:
         at_cut = index.at_cut
         violations: list[ReadJudgement] = []
         pending: list[int] = []
-        for op in reads:
-            response = op.response_time
+        history = self.history
+        for response, invoke, _, returned, read in _read_entries(history):
             if response is None:
-                pending.append(op.op_id)
+                pending.append(read.op_id)
                 continue
-            invoke = op.invoke_time
             cut = (
                 bisect_right(completed_resp, invoke),
                 bisect_right(completed_inv, response),
@@ -335,12 +348,11 @@ class RegularityChecker:
             entry = cached(cut)
             if entry is None:
                 entry = at_cut(cut)
-            # A read with a response is done: ``op.result`` is
-            # ``_result``, read here without the property's frame.
-            returned = op._result
             if returned not in entry[2]:
-                violations.append(self._judge(op, returned, writes, index))
-        return len(reads) - len(pending), tuple(violations), tuple(pending)
+                if read.__class__ is int:
+                    read = history._row_view(read)
+                violations.append(self._judge(read, returned, writes, index))
+        return history._read_count() - len(pending), tuple(violations), tuple(pending)
 
     def _rejudge(
         self,
@@ -485,11 +497,13 @@ class AtomicityReport:
     are inverted (and hence every verdict property) is identical in
     both modes; code comparing raw counts across modes, or against
     the paper's pair counts, must use ``paranoid=True`` (as the A1
-    ablation does).
+    ablation does).  Over a history whose reads are rows the fast
+    detector's ``inversions`` is a sequence that builds each witness on
+    access; the merged report of a keyed history is a list.
     """
 
     safety: SafetyReport
-    inversions: list[Inversion] = field(default_factory=list)
+    inversions: Sequence[Inversion] = field(default_factory=list)
 
     @property
     def is_atomic(self) -> bool:
@@ -528,12 +542,13 @@ def find_new_old_inversions(
     A read whose write index falls below that maximum is inverted, and
     is reported paired with the maximal earlier read as its witness
     (the first to finish, among equals) — one witness pair per inverted
-    read.  The history's own read list is walked as it stands when it
-    is in invocation order (a recorded run's is); any other list is
-    sorted first.  ``paranoid=True`` restores the original all-pairs
-    scan, which enumerates *every* inverted pair (worst-case O(R²)
-    output); the two agree exactly on which reads are inverted, hence
-    on every verdict.
+    read.  The history's own reads — its read handles, or its read
+    rows' columns — are walked as they stand when they are in
+    invocation order (a recorded run's are); any other list is sorted
+    first, as handle views.  ``paranoid=True`` restores the original
+    all-pairs scan, which enumerates *every* inverted pair (worst-case
+    O(R²) output); the two agree exactly on which reads are inverted,
+    hence on every verdict.
 
     A multi-key history is judged per key (atomicity of a keyed store
     is per-key atomicity): each key's sub-history runs through the
@@ -550,8 +565,8 @@ def find_new_old_inversions(
     safety = RegularityChecker(history, check_joins=False, paranoid=paranoid).check()
     report = AtomicityReport(safety=safety)
     written = history.value_to_write().get
-    reads = history.of_kind(OP_READ)
     if paranoid:
+        reads = history.of_kind(OP_READ)
         # Decorated ``(invoke_time, op_id, write index, read)`` tuples,
         # one per completed read of a written value: ``op_id`` is
         # unique, so sorting never compares past it.
@@ -569,14 +584,52 @@ def find_new_old_inversions(
                         Inversion(earlier, later, earlier_idx, later_idx)
                     )
         return report
-    inversions = _sweep_inversions(reads, written)
+    inversions: Sequence[Inversion] | None = None
+    if history._times and not history._by_kind.get(OP_READ):  # rows only
+        earlier, later = array("q"), array("q")
+        swept = _sweep(_read_entries(history), written, earlier, later)
+        if swept is not None:
+            inversions = _RowWitnesses(history, earlier, later, *swept)
+    else:
+        inversions = _sweep_inversions(history.of_kind(OP_READ), written)
     if inversions is None:  # not in invocation order: a synthetic list
-        inversions = _sweep_inversions(sorted(reads, key=_INVOCATION_ORDER), written)
+        inversions = _sweep_inversions(
+            sorted(history.of_kind(OP_READ), key=_INVOCATION_ORDER), written
+        )
     report.inversions = inversions
     return report
 
 
 _INVOCATION_ORDER = attrgetter("invoke_time", "op_id")
+_RESPONSE = attrgetter("response_time")
+_INVOKED = attrgetter("invoke_time")
+_OP_ID = attrgetter("op_id")
+_RESULT = attrgetter("_result")
+
+
+def _read_entries(history: History) -> Iterator[tuple[Any, ...]]:
+    """``(response_time, invoke_time, op_id, result, read)`` per read of
+    ``history`` in recording order, through C-level iterators: ``read``
+    is a read handle, or a row's number (a row responded at its
+    invocation instant).  Read handles among rows come as views."""
+    handles = history._by_kind.get(OP_READ, ())
+    times = history._times
+    if times and not handles:
+        values = islice(history._cells, 2, None, 3)
+        return zip(times, times, history._ids, values, count())
+    return _handle_entries(history.of_kind(OP_READ) if times else handles)
+
+
+def _handle_entries(reads: Sequence[OperationHandle]) -> Iterator[tuple[Any, ...]]:
+    """:func:`_read_entries` of a list of read handles.  A pending read
+    has no response (and ``None`` as its result)."""
+    return zip(
+        map(_RESPONSE, reads),
+        map(_INVOKED, reads),
+        map(_OP_ID, reads),
+        map(_RESULT, reads),
+        reads,
+    )
 
 
 def _sweep_inversions(
@@ -586,23 +639,37 @@ def _sweep_inversions(
     """The fast detector's witnesses over ``reads``, or ``None`` as
     soon as a completed read of a written value is out of
     ``(invoke_time, op_id)`` order."""
-    inversions: list[Inversion] = []
+    earlier: list[OperationHandle] = []
+    later: list[OperationHandle] = []
+    swept = _sweep(_handle_entries(reads), written, earlier, later)
+    return None if swept is None else list(map(Inversion, earlier, later, *swept))
+
+
+def _sweep(
+    entries: Iterator[tuple[Any, ...]],
+    written: Callable[[Any], WriteRecord | None],
+    earlier: Any,
+    later: Any,
+) -> tuple[array, array] | None:
+    """The fast detector over :func:`_read_entries`: appends each
+    witness pair's reads to ``earlier`` and ``later`` and returns their
+    write indexes, or ``None`` as soon as a completed read of a written
+    value is out of ``(invoke_time, op_id)`` order."""
+    earlier_indexes = array("q")
+    later_indexes = array("q")
     # ``(response_time, op_id, write index, read)`` of the visited reads
     # not yet known to have finished before the current invocation.
-    in_flight: list[tuple[Time, int, int, OperationHandle]] = []
-    best: OperationHandle | None = None  # the finished read of max write index
+    in_flight: list[tuple[Time, int, int, Any]] = []
+    best: Any = None  # the finished read of max write index
     best_idx = -1
     last_invoked: Time = float("-inf")
     last_id = -1
-    for op in reads:
-        response = op.response_time
+    for response, invoked, op_id, returned, read in entries:
         if response is None:
             continue  # pending or abandoned: not a completed read
-        record = written(op._result)
+        record = written(returned)
         if record is None:
             continue  # not a written value: already a safety violation
-        invoked = op.invoke_time
-        op_id = op.op_id
         if invoked <= last_invoked and (invoked < last_invoked or op_id < last_id):
             return None
         last_invoked = invoked
@@ -617,9 +684,47 @@ def _sweep_inversions(
                 best = candidate
         later_idx = record.index
         if best_idx > later_idx:
-            inversions.append(Inversion(best, op, best_idx, later_idx))
-        heappush(in_flight, (response, op_id, later_idx, op))
-    return inversions
+            earlier.append(best)
+            later.append(read)
+            earlier_indexes.append(best_idx)
+            later_indexes.append(later_idx)
+        heappush(in_flight, (response, op_id, later_idx, read))
+    return earlier_indexes, later_indexes
+
+
+class _RowWitnesses(Sequence):
+    """The witnesses :func:`_sweep` found over rows: each pair's row
+    numbers and write indexes in four ``array('q')`` columns, 32 B a
+    witness and no object.  An :class:`Inversion` — its two reads the rows' handle
+    views — is built on access."""
+
+    __slots__ = ("_history", "_earlier", "_later", "_earlier_indexes", "_later_indexes")
+
+    def __init__(
+        self,
+        history: History,
+        earlier: array,
+        later: array,
+        earlier_indexes: array,
+        later_indexes: array,
+    ) -> None:
+        self._history = history
+        self._earlier = earlier
+        self._later = later
+        self._earlier_indexes = earlier_indexes
+        self._later_indexes = later_indexes
+
+    def __len__(self) -> int:
+        return len(self._later)
+
+    def __getitem__(self, position: int) -> Inversion:
+        view = self._history._row_view
+        return Inversion(
+            view(self._earlier[position]),
+            view(self._later[position]),
+            self._earlier_indexes[position],
+            self._later_indexes[position],
+        )
 
 
 # ----------------------------------------------------------------------
@@ -689,7 +794,23 @@ class LivenessChecker:
         completed = excused = in_grace = 0
         stuck: list[StuckOperation] = []
         latencies: dict[str, list[Time]] = {}
-        for op in self.history:
+        history = self.history
+        cursor = 0
+        # Each handle after the rows recorded before it; a row is a
+        # complete read of zero latency.
+        for op, stop in zip(
+            chain(history._operations, (None,)),
+            chain(history._before, (len(history._times),)),
+        ):
+            if stop != cursor:
+                completed += stop - cursor
+                samples = latencies.get(OP_READ)
+                if samples is None:
+                    samples = latencies[OP_READ] = []
+                samples += repeat(_ZERO, stop - cursor)
+                cursor = stop
+            if op is None:
+                break
             # An operation has a response iff it is done.
             response = op.response_time
             if response is not None:

@@ -1,29 +1,72 @@
 """Operation histories: the observable behaviour of a run.
 
-A :class:`History` collects every operation invocation as an
-:class:`~repro.sim.operations.OperationHandle` (invocation time,
-response time, argument, result) together with the register's initial
-value.  It is the *only* input to the correctness checkers — exactly
-like the register specification, which is stated purely in terms of
-operation intervals and values — so the checkers remain valid for
-protocols that are deliberately broken.
+A :class:`History` collects every operation invocation together with
+the register's initial value: invocation time, response time, argument
+and result.  It is the *only* input to the correctness checkers —
+exactly like the register specification, which is stated purely in
+terms of operation intervals and values — so the checkers remain valid
+for protocols that are deliberately broken.
 
 The history also knows which processes departed and when, so the
 liveness checker can excuse operations abandoned by a leave (the
 specification only promises termination to processes that stay).
+
+Handles and rows
+----------------
+
+An operation something may wait on — a write, a join, an ES or ABD
+read — is recorded as its :class:`~repro.sim.operations.OperationHandle`
+(:meth:`History.record_operation`).  A complete local read — the
+synchronous protocol's planned read, done in the frame that invokes it
+— is recorded as a *row* (:meth:`History.record_read`), in columns as
+the scheduler files a fan-out's replies: its instant in an
+``array('d')`` (invocation and response are the one instant), its op id
+in an ``array('q')`` (drawn where a handle would draw it) and its
+process, key and value as three pointers in one flat list.  A row costs
+40 B and no object; the history holds its rows' shard stamp once.  Each
+handle notes how many rows were recorded before it, so recording order
+is kept exactly across the two.
+
+A consumer that iterates (``for op in history``, :meth:`operations`,
+:meth:`of_kind`, :meth:`sub_history`, the cluster merge, ``viz/``, the
+experiments) sees a row as a handle view built on demand
+(:func:`~repro.sim.operations.completed_read`), in recording order,
+streamed.  The four judged phases — the regularity sweep, the inversion
+sweep, liveness and :func:`hash_rows` — read the columns through C-level
+iterators and build a view only for a violation, an inversion witness
+read on access, or a stuck operation.
+
+The keyed register space
+------------------------
+
+``SystemConfig(keys=K)`` serves ``K`` registers (``k0 … k{K-1}``) from
+one node population, and every layer understands the key dimension:
+protocol state is multiplexed per key over one simulated process per
+node on the shared ``QuorumPhase`` / ``PhaseTracker`` quorum machinery;
+a joiner's entry round is batched (one inquiry broadcast and one reply
+per active node install *every* key, so join traffic is independent of
+``K`` — experiment E13 holds the ratio near 1); :meth:`History.sub_history`
+and the partitioning ``RegularityChecker`` judge each key's sub-history
+independently (regularity of the store is per-key regularity, pinned by
+an equivalence property suite); and workloads spread operations over
+keys with ``uniform`` or ``zipf`` pickers (``repro explore --keys 1 8``
+sweeps key counts as a scenario axis).  With ``keys=1`` (the default)
+the system is byte-identical to the single register: its messages,
+digests and the whole seed corpus.
 """
 
 from __future__ import annotations
 
 import hashlib
+from array import array
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice, repeat
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from ..sim.clock import Time
 from ..sim.errors import HistoryError
-from ..sim.operations import OperationHandle
+from ..sim.operations import OperationHandle, completed_read, draw_op_id
 from .register import OP_JOIN, OP_READ, OP_WRITE
 
 
@@ -71,17 +114,25 @@ class WriteRecord:
 
 
 class History:
-    """Append-only record of a run's operations."""
+    """Append-only record of a run's operations: handles, and the rows
+    of complete local reads (see the module docstring)."""
 
     def __init__(self, initial_value: Any, shard: int | None = None) -> None:
         self.initial_value = initial_value
         #: The cluster shard this history belongs to (``None`` for a
-        #: standalone system).  When set, every recorded operation is
-        #: stamped with it, so a merged cluster view can be partitioned
-        #: back into per-shard histories.
+        #: standalone system).  When set, every recorded handle is
+        #: stamped with it, and its rows carry it, so a merged cluster
+        #: view can be partitioned back into per-shard histories.
         self.shard = shard
         self._operations: list[OperationHandle] = []
         self._by_kind: defaultdict[str, list[OperationHandle]] = defaultdict(list)
+        # Per handle in ``_operations``: the rows recorded before it.
+        self._before = array("q")
+        # The rows: instants, op ids, and (process, key, value) triples.
+        self._times = array("d")
+        self._ids = array("q")
+        self._cells: list[Any] = []
+        self._row_shard = shard
         self._departures: dict[str, Time] = {}
         self._horizon: Time | None = None
         # Derived views of the *closed* history (see :meth:`memoized`).
@@ -96,7 +147,17 @@ class History:
         if self.shard is not None:
             handle.shard = self.shard
         self._operations.append(handle)
+        self._before.append(len(self._times))
         self._by_kind[handle.kind].append(handle)
+        self._derived.clear()
+
+    def record_read(self, instant: Time, process_id: str, key: Any, value: Any) -> None:
+        """Register a read of ``key`` by ``process_id`` that returned
+        ``value`` at ``instant``, complete as it was invoked: one row.
+        Its op id is drawn here, where a handle would draw it."""
+        self._times.append(instant)
+        self._ids.append(draw_op_id())
+        self._cells.extend((process_id, key, value))
         self._derived.clear()
 
     def record_departure(self, pid: str, time: Time) -> None:
@@ -137,10 +198,55 @@ class History:
         return self._horizon
 
     def __len__(self) -> int:
-        return len(self._operations)
+        return len(self._operations) + len(self._times)
 
     def __iter__(self) -> Iterator[OperationHandle]:
-        return iter(self._operations)
+        """Every operation in recording order, a row as its handle view:
+        streamed, never a list of views."""
+        if not self._times:
+            return iter(self._operations)
+        return self._merged(self._operations, self._before)
+
+    def _merged(
+        self, handles: Sequence[OperationHandle], before: Iterable[int]
+    ) -> Iterator[OperationHandle]:
+        """``handles`` with the row views interleaved, each handle after
+        the ``before`` rows recorded ahead of it: one lazy chain, a view
+        built as the chain reaches its row."""
+        cells = self._cells
+        views = map(
+            completed_read,
+            self._ids,
+            islice(cells, 0, None, 3),
+            self._times,
+            islice(cells, 1, None, 3),
+            islice(cells, 2, None, 3),
+            repeat(self._row_shard),
+        )
+        segments: list[Iterable[OperationHandle]] = []
+        cursor = 0
+        for handle, stop in zip(handles, before):
+            segments.append(islice(views, stop - cursor))
+            segments.append((handle,))
+            cursor = stop
+        segments.append(views)
+        return chain.from_iterable(segments)
+
+    def _row_view(self, row: int) -> OperationHandle:
+        """The handle view of row ``row``."""
+        at = 3 * row
+        cells = self._cells
+        return completed_read(
+            self._ids[row],
+            cells[at],
+            self._times[row],
+            cells[at + 1],
+            cells[at + 2],
+            self._row_shard,
+        )
+
+    def _read_count(self) -> int:
+        return len(self._by_kind.get(OP_READ, ())) + len(self._times)
 
     def operations(self, kind: str | None = None) -> list[OperationHandle]:
         """All operations, optionally filtered by kind.
@@ -149,14 +255,20 @@ class History:
         does not rescan the full operation list.
         """
         if kind is None:
-            return list(self._operations)
-        return list(self._by_kind.get(kind, ()))
+            return list(self)
+        return list(self.of_kind(kind))
 
     def of_kind(self, kind: str) -> Sequence[OperationHandle]:
         """The operations of one kind *without* the copy
         :meth:`operations` makes: for callers that only iterate.  It is
-        the history's own list — never mutate it."""
-        return self._by_kind.get(kind, ())
+        the history's own list — never mutate it — unless the kind is
+        the read and the history holds rows: then it is a new list of
+        the handles and row views in recording order."""
+        handles = self._by_kind.get(kind, ())
+        if kind != OP_READ or not self._times:
+            return handles
+        before = [b for op, b in zip(self._operations, self._before) if op.kind == kind]
+        return list(self._merged(handles, before))
 
     def joins(self) -> list[OperationHandle]:
         return self.operations(OP_JOIN)
@@ -187,6 +299,7 @@ class History:
             for kind in (OP_READ, OP_WRITE)
             for op in self._by_kind.get(kind, ())
         }
+        found.update(islice(self._cells, 1, None, 3))
         if not found:
             return [None]
         return sorted(found, key=lambda key: (key is not None, str(key)))
@@ -199,7 +312,8 @@ class History:
         through a per-key view whose result is that key's adoption.
         Each key starts from the same initial value (the seeds install
         it on every key), and departures/horizon carry over, so the
-        single-register checkers judge the sub-history unchanged.
+        single-register checkers judge the sub-history unchanged.  A
+        row stays a row, in the same recording order.
 
         Once the history is closed, every key's sub-history comes from
         one :meth:`memoized` pass and is the same object on every call,
@@ -214,7 +328,21 @@ class History:
     def _partition(self, keys: list[Any]) -> dict[Any, "History"]:
         """The sub-histories of ``keys``, built in one pass."""
         subs = {key: History(self.initial_value) for key in keys}
-        for op in self._operations:
+        times, ids, cells = self._times, self._ids, self._cells
+        cursor = 0
+        for op, stop in zip(
+            chain(self._operations, (None,)), chain(self._before, (len(times),))
+        ):
+            for row in range(cursor, stop):
+                at = 3 * row
+                sub = subs.get(cells[at + 1])
+                if sub is not None:  # the row stays a row
+                    sub._times.append(times[row])
+                    sub._ids.append(ids[row])
+                    sub._cells.extend(cells[at : at + 3])
+            cursor = stop
+            if op is None:
+                break
             if op.kind == OP_JOIN:
                 for key, sub in subs.items():
                     sub.record_operation(_JoinKeyView(op, key))
@@ -223,6 +351,7 @@ class History:
                 if sub is not None:
                     sub.record_operation(op)
         for sub in subs.values():
+            sub._row_shard = self._row_shard
             sub._departures = dict(self._departures)
             if self._horizon is not None:
                 sub.close(self._horizon)
@@ -311,8 +440,8 @@ class History:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"History(ops={len(self._operations)}, "
-            f"writes={len(self.writes())}, reads={len(self.reads())}, "
+            f"History(ops={len(self)}, "
+            f"writes={len(self.writes())}, reads={self._read_count()}, "
             f"joins={len(self.joins())})"
         )
 
@@ -376,11 +505,56 @@ def hash_rows(
     :data:`_DIGEST_ROWS` rows at a time, so the list never exists.  A
     response that *is* the invocation instant (a local read) reuses its
     text: identity, not equality, since ``1 == 1.0`` and
-    ``0.0 == -0.0`` yet each pair has two texts.
+    ``0.0 == -0.0`` yet each pair has two texts.  A :class:`History`'s
+    rows are written from its columns, :data:`_DIGEST_ROWS` at a time
+    by one comprehension over C-level iterators: no view and no Python
+    call per row.
     """
     sha.update(b"[")
-    operations = iter(operations)
     separator = ""
+    for texts in _row_texts(operations, sharded):
+        sha.update((separator + ", ".join(texts)).encode())
+        separator = ", "
+    sha.update(b"]")
+
+
+def _row_texts(
+    operations: Iterable[OperationHandle], sharded: bool
+) -> Iterator[list[str]]:
+    """The texts :func:`hash_rows` writes, in lists of at most
+    :data:`_DIGEST_ROWS`: a history's rows from its columns between its
+    handles, any other operation (and every sharded one) as a handle."""
+    if sharded or not isinstance(operations, History) or not operations._times:
+        yield from _handle_texts(iter(operations), sharded)
+        return
+    history = operations
+    rows = zip(
+        islice(history._cells, 1, None, 3),
+        islice(history._cells, 0, None, 3),
+        map(repr, history._times),
+    )
+    cursor = 0
+    for op, stop in zip(
+        chain(history._operations, (None,)),
+        chain(history._before, (len(history._times),)),
+    ):
+        while cursor < stop:
+            count = min(stop - cursor, _DIGEST_ROWS)
+            yield [
+                f"('read', {process!r}, {instant}, {instant}, 'None')"
+                if key is None
+                else f"('read', {key!r}, {process!r}, {instant}, {instant}, 'None')"
+                for key, process, instant in islice(rows, count)
+            ]
+            cursor += count
+        if op is not None:
+            yield from _handle_texts(iter((op,)), False)
+
+
+def _handle_texts(
+    operations: Iterator[OperationHandle], sharded: bool
+) -> Iterator[list[str]]:
+    """The row texts of handles, :data:`_DIGEST_ROWS` at a time."""
     while True:
         rows: list[str] = []
         append = rows.append
@@ -406,7 +580,5 @@ def hash_rows(
                     f"{responded}, {str(op.argument)!r})"
                 )
         if not rows:
-            break
-        sha.update((separator + ", ".join(rows)).encode())
-        separator = ", "
-    sha.update(b"]")
+            return
+        yield rows

@@ -75,7 +75,7 @@ removed — the broken variant of Figure 3(a) used by experiment E2.
 from __future__ import annotations
 
 from numbers import Real
-from typing import Any, NamedTuple
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 from ..core.register import (
     BOTTOM, OP_READ, NodeContext, RegisterNode, RegisterSpace,
@@ -84,6 +84,9 @@ from ..sim.errors import ProcessError
 from ..sim.operations import OperationBody, OperationHandle, OperationState, Wait
 from ..sim.process import ProcessMode
 from .common import OK, QuorumPhase, make_join_result, new_reply
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..core.history import History
 
 
 # ----------------------------------------------------------------------
@@ -145,6 +148,9 @@ class SynchronousRegisterNode(RegisterNode):
 
     protocol_name = "sync"
     join_wait = True
+    #: The read is local and born complete, so a caller that keeps no
+    #: handle passes the history and the read is recorded as its row.
+    reads_as_rows = True
 
     __slots__ = ("_join_phase", "_reply_to")
 
@@ -218,20 +224,26 @@ class SynchronousRegisterNode(RegisterNode):
         """Line 03: some key still holds ⊥ (nothing adopted in transit)."""
         return any(value is BOTTOM for value, _ in self.space)
 
-    def read(self, key: Any = None) -> OperationHandle:
+    def read(
+        self, key: Any = None, history: History | None = None
+    ) -> OperationHandle | None:
         """Figure 2's ``read()``: ``return(register_i)``.
 
         Local and zero-time, so the read is born complete, in this one
         frame: the mode test (an inactive node is refused as every
         operation is), the key resolved (``None`` is the default key's
-        position 0; an unknown named key is ``resolve``'s ``KeyError``),
-        the handle built at the engine's clock and the cell's value
-        stored as its result.  The response time is the invocation's
-        own float object, so a history row prints the instant once (the
-        digest's ``response is invoke`` test).  No generator, runner or
-        callback is built: the handle is what ``run_operation`` makes of
-        a body that returns before its first effect, the op id drawn at
-        the same point.
+        position 0; an unknown named key is ``resolve``'s ``KeyError``)
+        and the cell's value read at the engine's clock.  Given a
+        ``history`` — a planned read, which nothing waits on — the read
+        is that history's next row (:meth:`History.record_read`) and
+        nothing is returned.  Otherwise it is a handle for the caller
+        to keep, built done with the value as its result.  Either way
+        the response is the invocation's own float object, so a history
+        row prints the instant once (the digest's ``response is
+        invoke`` test), and the op id is drawn at the same point.  No
+        generator, runner or callback is built: the handle is what
+        ``run_operation`` makes of a body that returns before its first
+        effect.
         """
         if self._mode is not _ACTIVE:
             self._refuse_inactive(OP_READ)
@@ -244,6 +256,9 @@ class SynchronousRegisterNode(RegisterNode):
             if position is None:
                 space.resolve(key)  # an unknown named key: the KeyError
         now = self.engine._now
+        if history is not None:
+            history.record_read(now, self.pid, key, space[position][0])
+            return None
         handle = OperationHandle(OP_READ, self.pid, now, None, key)
         handle._result = space[position][0]
         handle.response_time = now

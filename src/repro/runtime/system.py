@@ -321,7 +321,11 @@ class DynamicSystem:
 
     def read(self, pid: str, key: Any = None) -> OperationHandle:
         """Invoke a read of ``key`` at ``pid`` and record it in the
-        history (``key=None`` addresses the default register)."""
+        history (``key=None`` addresses the default register).  The
+        caller keeps the handle, so the history records that handle — a
+        synchronous read's too, which a planned read
+        (:class:`~repro.workloads.schedule.WorkloadDriver`) records as a
+        row instead."""
         handle = self.node(pid).read(key)
         self.history.record_operation(handle)
         return handle

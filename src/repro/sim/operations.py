@@ -17,6 +17,14 @@ operations are written as *generators* that yield effect objects:
 A generator's ``return value`` becomes the operation's result.  Each
 invocation is wrapped in an :class:`OperationHandle` — the future-like
 object recorded in the system history and consumed by the checkers.
+
+A read that nothing waits on needs no handle: the synchronous
+protocol's read is local and complete in the frame that invokes it, so
+a planned read is recorded as a *row* of the history's columns
+(:meth:`~repro.core.history.History.record_read`) — its instant, an op
+id drawn by :func:`draw_op_id` at the point a handle would draw it, and
+its process, key and value.  :func:`completed_read` builds the handle
+view of such a row on demand, for a consumer that wants one.
 """
 
 from __future__ import annotations
@@ -76,6 +84,10 @@ class OperationState(enum.Enum):
 
 _op_counter = itertools.count()
 
+#: Draw the next operation id: one counter for handles and history rows,
+#: so ids follow invocation order across both.
+draw_op_id = _op_counter.__next__
+
 
 class OperationHandle:
     """A future-like record of one register operation invocation.
@@ -83,7 +95,9 @@ class OperationHandle:
     Handles are created by the process framework when an operation is
     invoked and completed (or abandoned) by the operation runner.  They
     double as the *history* entries consumed by the correctness
-    checkers, which is why they carry invocation/response timestamps.
+    checkers, which is why they carry invocation/response timestamps —
+    except a complete local read nobody keeps, which the history holds
+    as a row and shows as a handle view (:func:`completed_read`).
     """
 
     __slots__ = (
@@ -215,3 +229,37 @@ class OperationHandle:
             f"OperationHandle({self.kind} by {self.process_id} "
             f"@{self.invoke_time!r}, {self._state.value})"
         )
+
+
+_new_handle = object.__new__
+#: The read kind (``repro.core.register.OP_READ``; ``sim`` does not
+#: import ``core``).
+_READ = "read"
+
+
+def completed_read(
+    op_id: int,
+    process_id: str,
+    instant: Time,
+    key: Any,
+    value: Any,
+    shard: int | None,
+) -> OperationHandle:
+    """The handle view of a complete local read, as a history row holds
+    it: done at its invocation ``instant`` (the response *is* that float
+    object), its result ``value``, no argument, no callbacks.  No op id
+    is drawn — the row already has ``op_id``."""
+    handle = _new_handle(OperationHandle)
+    handle.op_id = op_id
+    handle.kind = _READ
+    handle.process_id = process_id
+    handle.argument = None
+    handle.key = key
+    handle.shard = shard
+    handle.invoke_time = instant
+    handle.response_time = instant
+    handle._result = value
+    handle._state = OperationState.DONE
+    handle._callbacks = ()
+    return handle
+

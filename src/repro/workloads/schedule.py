@@ -20,15 +20,17 @@ operation:
   system's ``reader_stream``: ``workload.readers`` for a population);
   if no active process exists at that instant the read is skipped and
   counted (another breakdown signal).  A drawn reader is present and
-  active by construction, so the driver invokes its ``read`` directly
-  and records the handle in the history.
+  active by construction, so the driver invokes its ``read`` directly.
+  Nothing waits on a planned read: a node whose read is born complete
+  (``reads_as_rows``, the synchronous protocol's) records it in the
+  history as a row and builds no handle; any other read's handle is
+  recorded.
 
 An explicit pid (:func:`named_process`) that has departed or is still
 joining is a counted skip; one that never entered the system is a
 mistyped plan, refused with an :class:`ExperimentError` naming the pid
-and the op's planned time.  The driver records every issued handle, so
-experiments can compute latency distributions without digging through
-the history.
+and the op's planned time.  Every issued operation is recorded in the
+history, so experiments compute latency distributions from it.
 
 On a cluster each op is routed when it fires, through the cluster's
 key→shard map (``owners``), so a plan installed before a migration flip
@@ -329,8 +331,10 @@ class WorkloadDriver:
         if node is None:
             self.stats.reads_skipped += 1
             return
-        handle = node.read(key)
-        system.history.record_operation(handle)
+        if getattr(node, "reads_as_rows", False):
+            node.read(key, system.history)  # nothing waits on it: a row
+        else:
+            system.history.record_operation(node.read(key))
         self.stats.reads_issued += 1
         if owners is not None:
             self.load.count(shard, key)

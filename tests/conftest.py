@@ -7,12 +7,14 @@ from contextlib import contextmanager
 import pytest
 
 import repro.net.network as network_module
+from repro.core.history import History
 from repro.net.delay import SynchronousDelay
 from repro.runtime.config import SystemConfig
 from repro.runtime.system import DynamicSystem
 from repro.sim.engine import EventScheduler
 from repro.sim.events import Priority
 from repro.sim.membership import Membership
+from repro.sim.operations import completed_read, draw_op_id
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import TraceLog
 
@@ -79,6 +81,24 @@ def every_fanout_a_vector(engine):
         patch.setattr(network_module, "_DENSE", 0)
         patch.setattr(engine, "_schedule_vector", spy)
         yield counts
+
+
+@contextmanager
+def every_read_a_handle():
+    """Record each complete local read as an ``OperationHandle`` through
+    ``History.record_operation``, the op id drawn where its row would
+    draw it, instead of as a row of the history's columns; yield the
+    handles so recorded."""
+    handles = []
+
+    def record_read(history, instant, process_id, key, value):
+        handle = completed_read(draw_op_id(), process_id, instant, key, value, None)
+        handles.append(handle)
+        history.record_operation(handle)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(History, "record_read", record_read)
+        yield handles
 
 
 def make_system(**overrides) -> DynamicSystem:

@@ -212,6 +212,23 @@ class TestNewOldInversions:
             Inversion(earlier, later, 2, 1),
         ]
 
+    def test_rows_recorded_out_of_invocation_order_are_sorted_first(self):
+        history = History("v0")
+        write(history, "v1", 10.0, 20.0)
+        write(history, "v2", 21.0, 40.0)
+        history.record_read(33.0, "p1", None, "v1")
+        history.record_read(11.0, "p2", None, "v1")
+        history.record_read(31.0, "p3", None, "v2")
+        history.record_read(15.0, "p4", None, "v0")
+        report = find_new_old_inversions(history)
+        assert report.is_regular_but_not_atomic
+        pairs = [
+            (inv.earlier.process_id, inv.later.process_id, inv.earlier_write_index,
+             inv.later_write_index)
+            for inv in report.inversions
+        ]
+        assert pairs == [("p2", "p4", 1, 0), ("p3", "p1", 2, 1)]
+
     def test_a_read_ending_as_another_begins_precedes_nothing(self):
         history = History("v0")
         write(history, "v1", 10.0, 20.0)
@@ -466,13 +483,13 @@ class TestLiveness:
 
     def test_unclosed_history_rejected(self):
         history = History("v0")
-        with pytest.raises(CheckerError):
+        with pytest.raises(CheckerError, match="history is not closed"):
             LivenessChecker(history, grace=5.0).check()
 
     def test_negative_grace_rejected(self):
         history = History("v0")
         history.close(1.0)
-        with pytest.raises(CheckerError):
+        with pytest.raises(CheckerError, match="grace must be a non-negative number"):
             LivenessChecker(history, grace=-1.0)
 
     def test_nan_grace_rejected(self):

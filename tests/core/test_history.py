@@ -54,7 +54,7 @@ class TestWriteRecords:
         history = History("v0")
         write(history, "v1", 1.0, 5.0)
         write(history, "v2", 3.0, 7.0)
-        with pytest.raises(HistoryError):
+        with pytest.raises(HistoryError, match="writes overlap"):
             history.write_records()
 
     def test_pending_write_stays_concurrent_forever(self):
@@ -104,13 +104,13 @@ class TestValueMapping:
         history = History("v0")
         write(history, "dup", 1.0, 2.0)
         write(history, "dup", 3.0, 4.0)
-        with pytest.raises(HistoryError):
+        with pytest.raises(HistoryError, match="written twice"):
             history.value_to_write()
 
     def test_initial_value_collision_rejected(self):
         history = History("v0")
         write(history, "v0", 1.0, 2.0)
-        with pytest.raises(HistoryError):
+        with pytest.raises(HistoryError, match="written twice"):
             history.value_to_write()
 
 
@@ -257,3 +257,90 @@ class TestOperationDigest:
         for handle in operations:
             history.record_operation(handle)
         assert operation_digest(history) == self.whole_blob_digest(history)
+
+    @given(
+        entries=st.lists(
+            st.one_of(
+                _digest_operation(),
+                st.tuples(
+                    st.sampled_from([0.0, -0.0, 1.0, 2.5, float("inf")]),
+                    _AWKWARD_TEXT,
+                    st.one_of(st.none(), _AWKWARD_TEXT),
+                ),
+            ),
+            max_size=40,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_rows_hash_as_the_handles_they_view(self, entries):
+        """Rows among handles: each row's text is its handle view's, in
+        recording order."""
+        from repro.core.history import operation_digest
+
+        history = History("v0")
+        for entry in entries:
+            if isinstance(entry, tuple):
+                history.record_read(*entry, "v0")
+            else:
+                history.record_operation(entry)
+        assert len(history) == len(entries)
+        assert operation_digest(history) == self.whole_blob_digest(history)
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_a_run_of_rows_crosses_the_hash_slices(self, extra):
+        from repro.core.history import _DIGEST_ROWS, operation_digest
+
+        history = History("v0")
+        write(history, "w1", 0.0, 0.5)
+        for k in range(2 * _DIGEST_ROWS + extra):
+            history.record_read(1.0 + k, f"p{k % 7}", None if k % 3 else "k", "w1")
+        write(history, "w2", 9e9, None)
+        assert operation_digest(history) == self.whole_blob_digest(history)
+
+
+class TestReadRows:
+    """A complete local read nothing waits on is a row of the history's
+    columns, seen as its handle view in recording order."""
+
+    def test_rows_and_handles_keep_their_recording_order(self):
+        from repro.sim.operations import OperationHandle
+
+        history = History("v0", shard=2)
+        history.record_read(1.0, "p1", None, "v0")
+        first = write(history, "w1", 2.0, None)
+        history.record_read(3.0, "p2", None, "v0")
+        history.record_read(3.0, "p3", None, "w1")
+        kept = read(history, "w1", 4.0, 4.0)
+        history.record_read(5.0, "p1", None, "w1")
+        ops = list(history)
+        assert len(history) == len(ops) == 6
+        assert [op.kind for op in ops] == ["read", "write"] + ["read"] * 4
+        assert ops[1] is first and ops[4] is kept
+        assert [op.op_id for op in ops] == sorted(op.op_id for op in ops)
+        view = ops[3]
+        assert isinstance(view, OperationHandle) and view.done and not view.pending
+        assert (view.process_id, view.key, view.result) == ("p3", None, "w1")
+        assert view.shard == 2
+        assert view.response_time is view.invoke_time == 3.0 and view.latency == 0.0
+        assert view.argument is None and view._callbacks == ()
+        assert [op.process_id for op in history.of_kind("read")] == [
+            "p1", "p2", "p3", "reader", "p1"
+        ]
+        assert history.writes() == [first] and history.of_kind("write") == [first]
+
+    def test_a_sub_history_keeps_its_keys_rows_as_rows(self):
+        history = History("v0", shard=1)
+        write(history, "a1", 0.0, 1.0, key="a")
+        history.record_read(2.0, "p1", "a", "a1")
+        history.record_read(2.5, "p2", "b", "v0")
+        history.record_read(3.0, "p3", "a", "a1")
+        history.close(10.0)
+        assert history.keys() == ["a", "b"]
+        sub = history.sub_history("a")
+        assert len(sub._times) == 2
+        assert [op.kind for op in sub] == ["write", "read", "read"]
+        reads = sub.reads()
+        assert [(op.process_id, op.shard) for op in reads] == [("p1", 1), ("p3", 1)]
+        assert [op.op_id for op in sub.reads()] == [
+            op.op_id for op in history.reads() if op.key == "a"
+        ]

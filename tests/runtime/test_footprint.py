@@ -20,10 +20,12 @@ send or a free list that pins the run's high-water mark.
 
 An operation costs what it records: planned, it is its plan op and the
 instant it fires at (it takes a queue slot only once the clock reaches
-its epoch); completed and judged, it is that plus its handle — a judged
-report keeps its verdicts, not a record per valid read.  The per-operation ratchet fails
-a change that re-adds an ``Event`` per planned op, a callback list per
-handle, a judgement kept per read or a ``__dict__`` on any of them.
+its epoch); completed and judged, a local read is that plus its history
+row — an instant, an op id and three pointers in columns, no object — and
+a judged report keeps its verdicts, not a record per valid read.  The
+per-operation ratchets fail a change that re-adds an ``Event`` per
+planned op, a handle per local read, a callback list per handle, a
+judgement kept per read or a ``__dict__`` on any of them.
 
 And a send is a reply or a round: on a clean link a delivered message
 enters one Python frame of ``repro.net`` — the fire site that dispatches
@@ -98,12 +100,23 @@ OPERATIONS = 20_000
 #: Bytes and allocated blocks per planned local read once installed, and
 #: once completed and judged.  Measured here (3.11): 107 / 2.0 — the
 #: slotted plan op and its instant, plus a list slot each in the plan,
-#: its sorted copy and the series' instants — and 265 / 4.03: those, the
-#: handle and its op id.  One ``Event`` per planned op read 461 / 8.1
-#: installed; a ``__dict__`` per plan op and a callback list per handle,
-#: 470 / 7.2 judged; a judgement tuple kept per valid read, 378 / 5.0.
+#: its sorted copy and the series' instants — and 134 / 2.04: the plan
+#: op and the history row (the sorted copy and the instants released).
+#: With a handle and its op id per read: 256 / 4.03.  One ``Event`` per
+#: planned op read 461 / 8.1 installed; a ``__dict__`` per plan op and a
+#: callback list per handle, 470 / 7.2 judged; a judgement tuple kept per
+#: valid read, 378 / 5.0.
 PLANNED_BUDGET = (118, 2)
-JUDGED_BUDGET = (292, 4)
+JUDGED_BUDGET = (147, 2)
+
+#: Bytes and blocks a complete local read leaves in the history: the
+#: slope between runs of 20,000 and 40,000 planned reads, with the plan
+#: built before the measurement.  Measured here (3.11): 42.4 / 0.002 — an
+#: 8 B instant and an 8 B op id in the row's ``array('d')`` /
+#: ``array('q')`` columns and three 8 B pointers in its flat list, plus
+#: the columns' growth slack; 166.0 / 2.0 with an ``OperationHandle``, its
+#: op id and two list slots per read.
+RETAINED_READ_BUDGET = (48, 0.05)
 
 #: protocol -> (bytes per seed, allocated blocks per seed).  Measured
 #: here (n = 2000, 3.11): 273 / 2.05, 561 / 6.05, 488 / 5.05; with a
@@ -321,7 +334,7 @@ def judged_reads(count, checkpoint=lambda: None):
     sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
     reason="the byte budget is CPython 3.11's object layout",
 )
-def test_a_local_read_costs_its_plan_op_and_its_handle():
+def test_a_local_read_costs_its_plan_op_and_its_row():
     judged_reads(50)  # warm: imports, dispatch caches, the reader stream
     gc.collect()
     planned = []
@@ -362,9 +375,47 @@ def test_no_operation_record_carries_a_dict():
         report.judgements[0],
     ):
         assert not hasattr(record, "__dict__"), type(record).__name__
+    # A planned read is a row: no handle, so no callback tuple, is kept.
+    assert not system.history._operations and len(system.history._times) == 10
     # A handle nobody waits on shares the one empty callback tuple.
-    first, second = system.history.reads()[:2]
+    first = system.write()
+    second = system.read(system.seed_pids[1])
     assert first._callbacks is second._callbacks and len(first._callbacks) == 0
+
+
+def _retained_reads(count):
+    """Bytes and blocks ``count`` planned local reads leave behind once
+    driven: the plan is built before the measurement starts."""
+    system = DynamicSystem(SystemConfig(n=20, trace=False))
+    horizon = 100.0
+    plan = [ReadOp(time=horizon * (k + 1) / count) for k in range(count)]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot()
+        WorkloadDriver(system).install(plan)
+        system.run_until(horizon)
+        size, blocks = traced(before, 1)
+    finally:
+        tracemalloc.stop()
+    assert len(system.history) == len(system.history._times) == count
+    return size, blocks
+
+
+@pytest.mark.skipif(
+    sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
+    reason="the byte budget is CPython 3.11's object layout",
+)
+def test_a_retained_complete_read_costs_its_row():
+    _retained_reads(50)  # warm: imports, dispatch caches, the reader stream
+    size, blocks = _retained_reads(OPERATIONS)
+    size_2n, blocks_2n = _retained_reads(2 * OPERATIONS)
+    # The slope: what the system itself costs cancels.
+    byte_slope = (size_2n - size) / OPERATIONS
+    block_slope = (blocks_2n - blocks) / OPERATIONS
+    max_bytes, max_blocks = RETAINED_READ_BUDGET
+    assert byte_slope <= max_bytes, f"{byte_slope:.2f} B per retained read"
+    assert block_slope <= max_blocks, f"{block_slope:.4f} blocks per retained read"
 
 
 #: ``repro.net`` frames entered per delivered message on a clean link.

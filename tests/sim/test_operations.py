@@ -19,7 +19,7 @@ class TestEffects:
         assert Wait(3.0).duration == 3.0
 
     def test_wait_rejects_negative(self):
-        with pytest.raises(OperationError):
+        with pytest.raises(OperationError, match="cannot wait a negative duration"):
             Wait(-1.0)
 
     def test_wait_zero_is_legal(self):
@@ -40,12 +40,12 @@ class TestOperationHandle:
 
     def test_result_raises_while_pending(self):
         handle = OperationHandle("read", "p1", invoke_time=2.0)
-        with pytest.raises(OperationPendingError):
+        with pytest.raises(OperationPendingError, match="has not completed"):
             handle.result
 
     def test_latency_raises_while_pending(self):
         handle = OperationHandle("read", "p1", invoke_time=2.0)
-        with pytest.raises(OperationPendingError):
+        with pytest.raises(OperationPendingError, match="has no response yet"):
             handle.latency
 
     def test_completion(self):
@@ -60,7 +60,7 @@ class TestOperationHandle:
     def test_double_completion_rejected(self):
         handle = OperationHandle("write", "p1", invoke_time=0.0)
         handle._complete("ok", time=1.0)
-        with pytest.raises(OperationError):
+        with pytest.raises(OperationError, match="completed twice"):
             handle._complete("again", time=2.0)
 
     def test_abandonment(self):
