@@ -37,7 +37,48 @@ ownership unchanged and the deferred writes drain back to the source.
 A crash of either agent, loss of every migration message, or the run
 ending mid-handoff all leave the cluster serviceable and checkable:
 either the flip committed or the source still owns the key, never two
-owners, never none.
+owners, never none.  Each phase times out after ``3δ`` by default.
+Coordination faults are *in-model*: the explorer strips losses that
+touch only migration payloads before it classifies a cell, so a
+violation under ``mig-loss`` is a bug, not excused breakage, and
+``tests/cluster/test_resharding_storm.py`` pins the storm matrix
+(crash-at-copy, crash-at-install, total loss, loss plus crash, × seeds)
+at zero in-model violations with every handoff resolved::
+
+    record = cluster.schedule_migration("k3", dest=2, at=40.0)
+    cluster.run_until(120.0)
+    assert record.committed or record.aborted  # never stuck, never two owners
+
+A ``MigInstall`` is the key-admitting adoption
+(:meth:`~repro.core.register.RegisterSpace.adopt`): a destination node
+whose space lacks the key admits it, and nodes in one register state
+land on one successor, the one their shard's space table holds.
+
+*Checking across the seam.*  A committed handoff splits a key's record
+across two shards; ``ClusterHistory.seam_view(key)`` stitches both
+sides into one judgeable history (freeze and drain keep writes off the
+seam), while per-shard views exclude migrated keys.  Join snapshots on
+the two handoff shards are the one excused judgement — a keyless join's
+default slot stops being a function of the shard's own history once a
+key crosses — and reads stay certified everywhere.
+
+*Storms are plain plans.*  A resharding-storm corpus entry is an
+ordinary ``ScenarioSpec`` whose ``FaultPlan`` is scoped into every shard
+(``install_shard_scoped``); ``ClusterSystem.install_faults(plan,
+shards=[i])`` takes down one shard alone, and
+``CrashFault(phase="MigInstall")`` crashes a node at exactly that step.
+Cluster cells are classified against the per-shard churn cap
+``(1 − 1/n_s)/(3δ)`` of their smallest shard
+(``sharded_synchronous_churn_bound``), not the single-population
+``1/(3δ)``: at ``n_s = 6, δ = 5`` the honest cap is ≈ 0.0556.
+
+*How E15 reads.*  ``repro experiments --ids E15`` schedules three
+handoffs per cell and sweeps churn × coordination loss: without
+``mig-loss`` every handoff commits (latency ≈ the freeze, copy and
+install round trips); with 100 % coordination loss every handoff aborts
+cleanly, deferred writes drain back, and the register stays regular.
+``repro migrate`` runs one such cell ad hoc, and ``repro explore
+--migrations 2 --plans mig-storm`` hunts the boundary.
 
 Determinism: the coordinator draws no randomness — polls walk
 memberships in entry order, timeouts are fixed multiples of δ — so a

@@ -16,24 +16,29 @@ never trusted to self-report correctness.
 
 The paper implements exactly one register; the production
 extrapolation is a *store* of many.  Each node therefore holds a
-:class:`RegisterSpace` — per-key ``⟨value, sequence⟩`` cells, shared by
-the nodes in that state — and every operation addresses a key.  The
-single-register system is the ``keys == 1`` special case whose key is
-the :data:`SINGLE_KEY` sentinel ``None``: its message payloads,
+:class:`RegisterSpace` — per-key ``⟨value, sequence⟩`` cells — and every
+operation addresses a key.  A register state is its content (the paper
+adopts ⟨v, sn⟩ "if newer", and a joiner takes per-key maxima), so each
+system keeps one :class:`SpaceTable` that maps a content to its one
+space: nodes in one state hold one object, and the REPLY derived from
+it.  The single-register system is the ``keys == 1`` special case whose
+key is the :data:`SINGLE_KEY` sentinel ``None``: its message payloads,
 histories and digests are byte-identical to the pre-RegisterSpace
 library, which keeps the trajectory artifacts and the seed corpus
-comparable across the refactor.  Safety of a keyed store is per-key safety: the checkers
-partition histories by key (see :meth:`History.sub_history
-<repro.core.history.History.sub_history>`).
+comparable across the refactor.  Safety of a keyed store is per-key
+safety: the checkers partition histories by key (see
+:meth:`History.sub_history <repro.core.history.History.sub_history>`).
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from functools import cache
+from functools import partial
+from itertools import chain
 from operator import is_
 from typing import Any, NoReturn, TYPE_CHECKING
+from weakref import ref
 
 from ..sim.clock import Time
 from ..sim.engine import EventScheduler
@@ -64,6 +69,9 @@ Cell = tuple[Any, int]
 #: the first real sequence number (0) passes the adoption guard.
 _UNSET: Cell = (BOTTOM, -1)
 
+#: A space's transition memo before its first adoption: matches none.
+_NO_STEP: tuple = (None, object(), None, None)
+
 #: The key of the classic single-register system.  ``None`` (rather
 #: than a named key) keeps every single-register code path — message
 #: payloads, operation records, digests — literally unchanged from the
@@ -85,68 +93,33 @@ def key_names(count: int) -> tuple[Any, ...]:
     return tuple(f"k{i}" for i in range(count))
 
 
-@cache
-def _index_of(keys: tuple[Any, ...]) -> dict[Any, int]:
-    """``keys``' ``key → position`` index, built once per key tuple.
-    Read-only: an ``adopt`` that admits a key copies it first."""
-    if not keys:
-        raise ValueError("a register space needs at least one key")
-    index = {key: position for position, key in enumerate(keys)}
-    if len(index) != len(keys):
-        duplicate = next(key for key in keys if keys.count(key) > 1)
-        raise ValueError(f"register key {duplicate!r} appears twice in {keys}")
-    return index
-
-
-#: The last adoption, ``(prior, key, value, sequence, cell, successor)``:
-#: the recipients of one WRITE hold one prior space and make one adoption,
-#: so each gets this successor.  An install leaves its cell here under no
-#: prior: a write's adopters share the writer's cell (and space, if single-key).
-_last: tuple = (None, None, None, None, None, None)
-
-#: The last join fold's successor (:meth:`RegisterSpace.adopt_all`).
-_joined: RegisterSpace | None = None
-
-
-def _alike(space: RegisterSpace | None, keys: tuple, cells: list) -> bool:
-    """Whether ``space`` holds ``keys`` at ``cells``: cell for cell, the
-    same value object and sequence number."""
-    return space is not None and space._keys == keys and all(
-        a is b or (a[0] is b[0] and a[1] == b[1]) for a, b in zip(space, cells)
-    )
-
-
 class RegisterSpace(list):
-    """Per-key local copies of the keyed register store: an immutable
-    value that every node in the same register state shares.
+    """Per-key local copies of the keyed register store: one register
+    state, held by every node in that state.
 
     The space IS its list of cells, one ``(value, sequence)`` tuple per
     key in key order (``_keys``), so a read of both halves is one
-    C-level subscript.  :meth:`install`, :meth:`adopt` and
-    :meth:`adopt_all` return the successor, which the node rebinds
-    ``space`` to.  The seeds all start on ⟨v0, 0⟩ (footnote 3), the
-    processes a WRITE reaches adopt one ⟨v, sn⟩ (``_last``) and the
-    joiners of a round one set of maxima (``_joined``): a population
-    holds a handful of spaces.  The three protocols share its adoption
-    guard, the paper's "adopt if newer" rule.
+    C-level subscript.  It is never changed once built: :meth:`install`,
+    :meth:`adopt` and :meth:`adopt_all` return the successor, which the
+    node rebinds ``space`` to, and every successor is the one its
+    system's :class:`SpaceTable` (``_table``) holds for that content, so
+    two spaces of equal content are one object.  The three protocols
+    share its adoption guard, the paper's "adopt if newer" rule.
 
-    ``_index`` maps a key to its position: the key tuple's, copied only
-    by an ``adopt`` that admits a key.  A quorum handler probes it with
-    its message's key as it stands and comes here only on a miss.  A
-    key tuple that names a key twice is refused (``ValueError`` naming
-    the key).  ``reply`` is the REPLY a protocol derives from the space,
-    filled on first use (sync's inquiry answer); a successor has none.
+    ``_index`` maps a key to its position: built with the first space of
+    a key tuple, shared by its successors, and copied only by an
+    ``adopt`` that admits a key.  A quorum handler probes it with its
+    message's key as it stands and comes here only on a miss.  ``_next``
+    is the space's last adoption (key, value, sequence and a weak
+    reference to the successor): the recipients of one WRITE hold one
+    prior and make one adoption, so all but the first skip the table.
+    ``reply`` is the REPLY a protocol derives from the state, filled on
+    first use (sync's inquiry answer) and kept while the state lives.
     """
 
-    __slots__ = ("_keys", "_index", "reply")
-
-    def __init__(
-        self, keys: tuple[Any, ...] = (SINGLE_KEY,), cell: Cell = _UNSET
-    ) -> None:
-        self._index = _index_of(keys)
-        self._keys = keys
-        self.extend((cell,) * len(keys))
-        self.reply = None
+    __slots__ = (
+        "_keys", "_index", "_table", "_next", "reply", "__weakref__"
+    )
 
     @property
     def keys(self) -> tuple[Any, ...]:
@@ -188,26 +161,19 @@ class RegisterSpace(list):
         return value, sequence, self.entries()
 
     def _with(self, position: int, cell: Cell, key: Any = None) -> RegisterSpace:
-        """This space with ``cell`` at ``position`` (past the end: ``key``'s)."""
-        successor = list.__new__(RegisterSpace)
-        successor += self
-        successor._keys, successor._index = self._keys, self._index
-        successor.reply = None
+        """The space that is this one with ``cell`` at ``position`` (past
+        the end: ``key``'s, admitted)."""
+        keys, index, cells = self._keys, self._index, self[:]
         if position == len(self):
-            successor.append(cell)
-            successor._keys += (key,)
-            successor._index = {**self._index, key: position}
+            keys, index = (*keys, key), {**index, key: position}
+            cells.append(cell)
         else:
-            successor[position] = cell
-        return successor
+            cells[position] = cell
+        return self._table.intern(keys, index, cells)
 
     def install(self, key: Any, value: Any, sequence: int) -> RegisterSpace:
         """The space with ``key``'s local copy set unconditionally."""
-        global _last
-        cell = (value, sequence)
-        successor = self._with(self._position(key), cell)
-        _last = (None, key, value, sequence, cell, successor)
-        return successor
+        return self._with(self._position(key), (value, sequence))
 
     def adopt(self, key: Any, value: Any, sequence: int) -> RegisterSpace:
         """The paper's adoption rule: the space with ``key`` at ⟨value,
@@ -217,59 +183,36 @@ class RegisterSpace(list):
         an unknown named key at ⟨⊥, −1⟩ (live resharding grows a shard's
         key set; its nodes get the key by ``MigInstall`` or a
         ``WriteMsg``), so the guard applies uniformly (a refused
-        adoption still admits).  ``None`` is the default key.  The last
-        adoption's successor and cell are reused where they are what
-        this one builds (``_last``).
+        adoption still admits).  ``None`` is the default key.  A repeat
+        of the last adoption is answered from ``_next``.
         """
-        global _last
-        last = _last
-        if (
-            last[0] is self
-            and last[2] is value
-            and last[3] == sequence
-            and last[1] == key
-        ):
-            return last[5]
+        step = self._next
+        if step[1] is value and step[2] == sequence and step[0] == key:
+            successor = step[3]()
+            if successor is not None:
+                return successor
         position = 0 if key is None else self._index.get(key)
         if position is None:  # admitted at ⟨⊥, −1⟩, and guarded as any cell
             position = len(self)
-            if sequence <= _UNSET[1]:
-                return self._with(position, _UNSET, key)
+            cell = _UNSET if sequence <= _UNSET[1] else (value, sequence)
         elif sequence <= self[position][1]:
             return self
-        cell, successor = last[4], last[5]
-        if last[2] is not value or last[3] != sequence:
+        else:
             cell = (value, sequence)
-            successor = self._with(position, cell, key)
-        elif (
-            position or len(self) != 1 or successor._index is not self._index
-        ) and not (last[1] == key and _alike(last[0], self._keys, self)):
-            # A single-key successor of the same keys is its cell alone;
-            # a prior alike the last one has its successor.
-            successor = self._with(position, cell, key)
-        _last = (self, key, value, sequence, cell, successor)
+        successor = self._with(position, cell, key)
+        self._next = (key, value, sequence, ref(successor))
         return successor
 
     def adopt_all(self, best: dict[Any, Cell]) -> RegisterSpace:
         """:meth:`adopt` of each key of this space that ``best`` maps to a
-        ``(value, sequence)`` (a join's per-key maxima), as one successor:
-        joiners whose folds end alike, or alike the last adoption, share
-        one space (``_joined``, ``_last``)."""
-        global _joined
+        ``(value, sequence)`` (a join's per-key maxima), as one successor."""
         cells = [
             cell if offer is None or offer[1] <= cell[1] else offer
             for cell, offer in zip(self, map(best.get, self.keys))
         ]
         if all(map(is_, cells, self)):
             return self
-        for space in (_joined, _last[5]):
-            if _alike(space, self._keys, cells):
-                return space
-        successor = _joined = list.__new__(RegisterSpace)
-        successor += cells
-        successor._keys, successor._index = self._keys, self._index
-        successor.reply = None
-        return successor
+        return self._table.intern(self._keys, self._index, cells)
 
     def entries(self) -> tuple[tuple[Any, Any, int], ...]:
         """Every ``(key, value, sequence)`` triple, in key order.
@@ -291,8 +234,52 @@ class RegisterSpace(list):
         return f"RegisterSpace({cells})"
 
 
-#: key tuple → its ⟨⊥, −1⟩ space, built once: every joiner starts on it.
-blank_space = cache(RegisterSpace)
+class SpaceTable(dict):
+    """One system's register states: content → a weak reference to its
+    one :class:`RegisterSpace`.
+
+    A content is the key tuple and, per cell, the value's identity and
+    its sequence number (identity, not equality: ``1`` and ``1.0`` are
+    two writes).  An entry lives exactly as long as its space: the
+    reference's callback drops it when the last holder lets the space
+    go, so an identity in a live key is the identity of a live value,
+    and the table never holds more states than the system's nodes do —
+    its bound, with no cap to choose.  A system owns one (every shard
+    of a cluster its own), reached as :attr:`NodeContext.spaces`.
+    """
+
+    __slots__ = ()
+
+    def space(
+        self, keys: tuple[Any, ...] = (SINGLE_KEY,), cell: Cell = _UNSET
+    ) -> RegisterSpace:
+        """The state holding ``cell`` at every one of ``keys``: a seed
+        population's start (⟨v0, 0⟩, footnote 3) or a joiner's (⟨⊥, −1⟩).
+        A key tuple that is empty or names a key twice is refused
+        (``ValueError`` naming the key)."""
+        if not keys:
+            raise ValueError("a register space needs at least one key")
+        index = {key: position for position, key in enumerate(keys)}
+        if len(index) != len(keys):
+            duplicate = next(key for key in keys if keys.count(key) > 1)
+            raise ValueError(f"register key {duplicate!r} appears twice in {keys}")
+        return self.intern(keys, index, [cell] * len(keys))
+
+    def intern(
+        self, keys: tuple[Any, ...], index: dict[Any, int], cells: list[Cell]
+    ) -> RegisterSpace:
+        """The one space of ``keys`` at ``cells``, built on first sight
+        (with ``index``, ``keys``' positions)."""
+        content = (keys, *chain.from_iterable((id(v), sn) for v, sn in cells))
+        held = self.get(content)
+        if held is not None and (space := held()) is not None:
+            return space
+        space = list.__new__(RegisterSpace)
+        space += cells
+        space._keys, space._index, space._table = keys, index, self
+        space._next, space.reply = _NO_STEP, None
+        self[content] = ref(space, partial(self.pop, content))
+        return space
 
 
 @dataclass
@@ -317,6 +304,9 @@ class NodeContext:
     #: tuple is the paper's one register; multi-key systems pass
     #: :func:`key_names` of their key count.
     keys: tuple[Any, ...] = (SINGLE_KEY,)
+    #: The system's register states, one object per content: every
+    #: node built here starts on a space of this table.
+    spaces: SpaceTable = field(default_factory=SpaceTable)
     #: What the node class derives from ``n``, ``delta`` and ``extra``
     #: (sync's inquiry wait, ES's quorum): checked and resolved once by
     #: :meth:`RegisterNode.bind`, and shared by every node built here.
@@ -333,7 +323,7 @@ class RegisterNode(SimProcess, abc.ABC):
       — the paper's "initially, n processes compose the system" premise
       (footnote 3);
     * a node created as a *joiner* (``seed`` omitted) starts in
-      listening mode on the shared :func:`blank_space` of ``ctx.keys``
+      listening mode on ``ctx.spaces``' ⟨⊥, −1⟩ space of ``ctx.keys``
       and must be driven through :meth:`join` before it may read or
       write.
 
@@ -347,9 +337,9 @@ class RegisterNode(SimProcess, abc.ABC):
     ) -> None:
         SimProcess.__init__(self, pid, ctx.engine, seed is not None)
         self.ctx = ctx
-        #: The node's local copies, one cell per key: a shared value,
-        #: rebound (never changed) by every transition.
-        self.space = blank_space(ctx.keys) if seed is None else seed
+        #: The node's local copies, one cell per key: its state's one
+        #: space, rebound (never changed) by every transition.
+        self.space = ctx.spaces.space(ctx.keys) if seed is None else seed
         #: The coordinator currently using this node as its reply agent
         #: (``None`` when no migration is in flight through this node).
         self.migration_sink: Any = None
@@ -370,7 +360,7 @@ class RegisterNode(SimProcess, abc.ABC):
         register space (the inquiry replies carry batched per-key
         entries).
         """
-        if self.is_active:
+        if self.is_active or self._runners:  # done, or still running
             raise ProcessError(f"{self.pid} invoked join twice")
         return self.run_operation(OP_JOIN, self._join_body())
 

@@ -40,8 +40,6 @@ from .network import Network
 #: Entrant policy type: the two symbolic policies or a probability.
 EntrantPolicy = Union[str, float]
 
-_broadcast_counter = itertools.count()
-
 
 @dataclass(slots=True)
 class _InFlightBroadcast:
@@ -75,6 +73,8 @@ class BroadcastService:
         self.delay_model = delay_model
         self.trace = trace
         self._rng = rng.stream("net.broadcast")
+        #: Broadcast ids, numbered per service (one per shard) from 0.
+        self._ids = itertools.count()
         self.broadcast_count = 0
         self._window = window
         self._entrant_policy = self._validate_policy(entrant_policy)
@@ -110,7 +110,7 @@ class BroadcastService:
         if not self.membership.is_present(sender):
             raise NetworkError(f"departed process {sender!r} cannot broadcast")
         now = self.engine.now
-        broadcast_id = next(_broadcast_counter)
+        broadcast_id = next(self._ids)
         self.broadcast_count += 1
         if self.trace.enabled:
             self.trace.record(

@@ -131,7 +131,7 @@ _DONE = OperationState.DONE
 
 def _reply_of(space: RegisterSpace) -> Reply:
     """The REPLY ``space`` answers with, built on its first use and kept
-    in its ``reply`` slot: nodes in one register state share one space,
+    in its ``reply`` slot: nodes in one register state hold one space,
     so they answer a join's inquiries with one payload, not one each."""
     reply = space.reply
     if reply is None:
@@ -282,10 +282,11 @@ class SynchronousRegisterNode(RegisterNode):
 
     def depart(self) -> None:
         """Leave silently, releasing what a silent process can never use
-        again: its join phase, its parked inquirers and its space's REPLY
-        (built again by a node still on the space, which stays readable)."""
+        again: its join phase and its parked inquirers.  Its space stays
+        readable, and the REPLY stays with the state, which other nodes
+        may hold."""
         super().depart()
-        self._join_phase = self._reply_to = self.space.reply = None
+        self._join_phase = self._reply_to = None
 
     # ------------------------------------------------------------------
     # Message handlers (Figures 1 and 2) — the one body per payload

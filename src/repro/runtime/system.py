@@ -37,7 +37,7 @@ from ..core.checker import (
     find_new_old_inversions,
 )
 from ..core.history import History
-from ..core.register import NodeContext, RegisterNode, RegisterSpace
+from ..core.register import NodeContext, RegisterNode
 from ..faults.injector import FaultInjector
 from ..faults.plan import FaultPlan
 from ..protocols import PROTOCOLS
@@ -137,7 +137,7 @@ class DynamicSystem:
         pids = tuple(
             [f"{prefix}{i:04d}" for i in itertools.islice(self._pid_counter, count)]
         )
-        space = RegisterSpace(self.keys, (INITIAL_VALUE, 0))
+        space = self._ctx.spaces.space(self.keys, (INITIAL_VALUE, 0))
         self.membership.enter(
             *map(node_class, pids, itertools.repeat(self._ctx), itertools.repeat(space))
         )

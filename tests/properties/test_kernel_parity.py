@@ -214,22 +214,12 @@ def _surface(system: DynamicSystem) -> dict:
 
 
 def _trace_surface(system: DynamicSystem) -> dict:
-    """The trace-record sequence, counted and hashed.
-
-    Broadcast ids come from a process-global counter, so they are
-    relabelled by first appearance: the *order* of allocation is part of
-    the contract, the offset is not.
-    """
-    relabel: dict[int, int] = {}
-    lines = []
-    for record in system.trace:
-        details = dict(record.details)
-        raw = details.get("broadcast_id")
-        if raw is not None:
-            details["broadcast_id"] = relabel.setdefault(raw, len(relabel))
-        lines.append(
-            repr((record.time, record.kind.value, record.process, sorted(details.items())))
-        )
+    """The trace-record sequence, counted and hashed (broadcast ids
+    included: a system numbers its own broadcasts from 0)."""
+    lines = [
+        repr((record.time, record.kind.value, record.process, sorted(record.details.items())))
+        for record in system.trace
+    ]
     return {
         "records": len(lines),
         "sha256": hashlib.sha256("\n".join(lines).encode()).hexdigest(),

@@ -1,31 +1,28 @@
-"""Shared immutable spaces ≡ one private cell dict per node.
+"""Interned immutable spaces ≡ one private cell dict per node.
 
 :class:`~repro.core.register.RegisterSpace` IS its list of ``(value,
 sequence)`` cells, in key order, addressed through a ``key → position``
-index that every space built from the same key tuple shares, and it is
-never changed once built: a transition returns the successor space and
-the node rebinds ``space`` to it, so nodes in one register state share
-one space object (and the REPLY derived from it).  Until seeds shared a
-space each node kept ``key → (value, sequence)`` in a dict of its own;
-that layout lives on here as the reference model, one private model per
-node.  A Hypothesis state machine starts a small population on one
-shared space (a seed's or the joiners' blank one), drives random
-installs, adoptions and key admissions on single nodes, random join
-folds (``adopt_all`` of one set of per-key maxima at several nodes in
-turn) and random WRITEs — a writer's install of ``sn + 1``, then an
-adoption at every other node in turn — and after every step holds that:
+index that its successors share, and it is never changed once built: a
+transition returns the successor space and the node rebinds ``space`` to
+it.  Every space comes from its system's
+:class:`~repro.core.register.SpaceTable`, one object per content, so
+nodes in one register state hold one space (and the REPLY derived from
+it).  Until seeds shared a space each node kept ``key → (value,
+sequence)`` in a dict of its own; that layout lives on here as the
+reference model, one private model per node.  A Hypothesis state machine
+starts a small population on one space (a seed's or the joiners' blank
+one), drives random installs, adoptions and key admissions on single
+nodes, random join folds (``adopt_all`` of one set of per-key maxima at
+several nodes in turn) and random WRITEs — a writer's install of
+``sn + 1``, then an adoption at every other node in turn — and after
+every step holds that:
 
 * every node's space equals its private model, observable by observable;
 * no transition changed a space object that any node holds or held, nor
-  the key tuple's shared index, and only a space that admitted a key
-  owns an index of its own;
-* the recipients of one WRITE end on one space object and one REPLY:
-  each lands on the one before it's successor when it held the same
-  space, a space alike it (the same keys, value objects and sequence
-  numbers) or, single-key, whatever it held (the memo is the last
-  adoption's, so a recipient holding an unlike multi-key space between
-  them starts a successor of its own);
-* the joiners whose folds end alike end on one space object.
+  the start space's index, and only a space that admitted a key owns an
+  index of its own;
+* every two spaces held with equal content (the same keys, value objects
+  and sequence numbers) are one object, the one the table holds for it.
 """
 
 from __future__ import annotations
@@ -42,14 +39,8 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.core.register import (
-    BOTTOM,
-    SINGLE_KEY,
-    RegisterSpace,
-    _index_of,
-    blank_space,
-)
-from repro.protocols.sync_reg import Reply, _reply_of
+from repro.core.register import BOTTOM, SINGLE_KEY, SpaceTable
+from repro.protocols.sync_reg import Reply
 
 UNSET = (BOTTOM, -1)
 POPULATION = 4
@@ -135,11 +126,9 @@ offers = st.dictionaries(
 )
 
 
-def alike(space, other):
+def content(space):
     """Same keys, and cell for cell the same value object and sn."""
-    return space.keys == other.keys and all(
-        a[0] is b[0] and a[1] == b[1] for a, b in zip(space, other)
-    )
+    return (space.keys, *((id(value), sequence) for value, sequence in space))
 
 
 def outcome(call):
@@ -159,13 +148,14 @@ class SharedSpacesAreDicts(RuleBasedStateMachine):
     def build(self, keys, seed):
         self.keys = keys
         # One space for the whole population, as the runtime builds it.
-        shared = blank_space(keys) if seed is None else RegisterSpace(keys, seed)
+        self.table = SpaceTable()
+        shared = self.table.space(keys) if seed is None else self.table.space(keys, seed)
         self.spaces = [shared] * POPULATION
         self.models = [
             DictSpace(keys) if seed is None else DictSpace(keys, seed)
             for _ in range(POPULATION)
         ]
-        self.index = dict(shared._index)
+        self.shared, self.index = shared._index, dict(shared._index)
         #: id -> (space, its cells, keys and index as first seen): every
         #: space any node held, kept alive so the ids stay distinct.
         self.seen: dict[int, tuple] = {}
@@ -213,15 +203,10 @@ class SharedSpacesAreDicts(RuleBasedStateMachine):
     def join(self, joiners, best):
         """Lines 07-08 of Figure 1 at each of ``joiners`` in turn: one
         fold of the same per-key maxima, each joiner's own offer tuples."""
-        last = None
         for node in joiners:
             fresh = {key: tuple(offer) for key, offer in best.items()}
             prior, successor, changed = self.step(node, "adopt_all", fresh)
             assert (successor is prior) == (not changed)
-            if changed:
-                if last is not None and alike(successor, last):
-                    assert successor is last
-                last = successor
 
     @rule(writer=nodes, key=st.sampled_from((None, *NAMED)))
     def write(self, writer, key):
@@ -233,22 +218,9 @@ class SharedSpacesAreDicts(RuleBasedStateMachine):
             return
         value, sequence = object(), self.spaces[writer].sequence(key) + 1
         self.step(writer, "install", key, value, sequence)
-        # The memo is the last adoption's: an adopter lands on the last
-        # one's successor (the writer's install first) when it held the
-        # same space or one alike it — or, single-key, whatever it held:
-        # a single-key successor is its one cell.
-        last_prior, last = None, self.spaces[writer]
         for node in range(POPULATION):
-            if node == writer:
-                continue
-            prior, successor, changed = self.step(node, "adopt", key, value, sequence)
-            if not changed:
-                continue
-            single = len(prior) == len(last) == 1 and prior._index is last._index
-            if single or last_prior is not None and alike(prior, last_prior):
-                assert successor is last
-                assert _reply_of(successor) is _reply_of(last)
-            last_prior, last = prior, successor
+            if node != writer:
+                self.step(node, "adopt", key, value, sequence)
 
     @invariant()
     def every_node_equals_its_model(self):
@@ -269,15 +241,22 @@ class SharedSpacesAreDicts(RuleBasedStateMachine):
 
     @invariant()
     def no_transition_changes_a_held_space(self):
-        shared = _index_of(self.keys)
         for space, cells, keys, index in self.seen.values():
             assert list(space) == cells and space.keys == keys
             assert space._index == index
             # Only an admitting space owns its index; every other space
-            # of the key tuple probes the tuple's one index.
-            assert (space._index is shared) == (space.keys == self.keys)
-        # The key tuple's index is never written, whoever admitted.
-        assert shared == self.index
+            # probes the start space's one index.
+            assert (space._index is self.shared) == (space.keys == self.keys)
+        # The start space's index is never written, whoever admitted.
+        assert self.shared == self.index
+
+    @invariant()
+    def one_object_per_content(self):
+        held = {}
+        for space, *_ in self.seen.values():
+            assert held.setdefault(content(space), space) is space
+        # The table holds the held states and nothing else.
+        assert sorted(id(entry()) for entry in self.table.values()) == sorted(self.seen)
 
 
 SharedSpacesAreDicts.TestCase.settings = settings(
@@ -286,13 +265,8 @@ SharedSpacesAreDicts.TestCase.settings = settings(
 TestSharedSpacesAreDicts = SharedSpacesAreDicts.TestCase
 
 
-def test_an_empty_key_tuple_is_still_refused():
-    with pytest.raises(ValueError):
-        RegisterSpace(())
-
-
 def test_a_snapshot_does_not_alias_later_writes():
-    space = RegisterSpace(("k0",)).install("k0", "a", 1)
+    space = SpaceTable().space(("k0",)).install("k0", "a", 1)
     before = space.snapshot("k0")
     later = space.install("k0", "a", 2).adopt("k0", "b", 5)
     assert before == ("a", 1) and space.snapshot("k0") == ("a", 1)

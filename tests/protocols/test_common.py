@@ -18,7 +18,7 @@ from repro.protocols.common import (
     QuorumPhase,
     make_join_result,
 )
-from repro.core.register import RegisterSpace, key_names
+from repro.core.register import SpaceTable, key_names
 
 
 class TestQuorumPhase:
@@ -280,13 +280,13 @@ def test_the_one_dict_tracker_matches_the_two_dict_model(steps):
 
 class TestJoinResults:
     def test_single_key_space_yields_classic_join_result(self):
-        space = RegisterSpace(key_names(1), ("v0", 0))
+        space = SpaceTable().space(key_names(1), ("v0", 0))
         result = make_join_result(space)
         assert isinstance(result, JoinResult)
         assert (result.value, result.sequence) == ("v0", 0)
 
     def test_multi_key_space_yields_keyed_join_result(self):
-        space = RegisterSpace(key_names(3), ("v0", 0)).install("k2", "hot", 7)
+        space = SpaceTable().space(key_names(3), ("v0", 0)).install("k2", "hot", 7)
         result = make_join_result(space)
         assert isinstance(result, KeyedJoinResult)
         assert result.value == "v0"  # default key's adoption, for old tooling

@@ -98,18 +98,18 @@ class TestDepartures:
         node.depart()  # idempotent
         system.run_for(4 * DELTA)
 
-    def test_a_departing_sync_node_releases_its_spaces_reply(self):
-        """A space's REPLY is dropped with a node that leaves it (a
-        departed node's space often has no other holder); a node still
-        on the space answers with an equal one, built again."""
+    def test_a_departing_sync_node_leaves_its_states_reply(self):
+        """A REPLY belongs to the register state, not to a node: a node
+        that leaves keeps it on the state, and a node still in the state
+        answers with that very payload, built once."""
         system = make_system(trace=False)
         victim, neighbour = (system.node(pid) for pid in system.seed_pids[3:5])
         inquiry = Inquiry("p-other")
         answered = neighbour.on_inquiry(inquiry.sender, inquiry)
         assert victim.space is neighbour.space and victim.space.reply is answered
         system.leave(victim.pid)
-        assert neighbour.space.reply is None
-        assert neighbour.on_inquiry(inquiry.sender, inquiry) == answered
+        assert neighbour.space.reply is answered
+        assert neighbour.on_inquiry(inquiry.sender, inquiry) is answered
 
     @both_planes
     def test_a_sync_joiner_mid_inquiry(self, trace):
@@ -123,10 +123,10 @@ class TestDepartures:
         assert handle.abandoned
         assert len(node._runners) == 0 and len(node._watchers) == 0
         # A departed node drops the rounds it can never use again.
-        released = (node._join_phase, node._reply_to, node.space.reply)
-        assert released == (None, None, None)
+        released = (node._join_phase, node._reply_to)
+        assert released == (None, None)
         system.run_for(4 * DELTA)  # late replies drop at the presence gate
-        assert (node._join_phase, node._reply_to, node.space.reply) == released
+        assert (node._join_phase, node._reply_to) == released
         assert not node.is_active and system.network.dropped_count > 0
 
     def test_an_es_joiner_waiting_on_its_quorum(self):

@@ -14,8 +14,9 @@ every Python-level ``call`` event over the build — deterministic, so
 the bound holds without timing noise.  At n = 2000 (CPython 3.11) it
 measures 3.03 / 4.03 / 3.03 calls per seed for sync / es / abd,
 against 4.03 / 5.03 / 4.03 with a ``RegisterSpace.__init__`` per seed
-and 7.03 / 8.03 / 7.03 with a ``_next_pid`` frame, an ``_index_of``
-frame and a ``Membership.enter`` frame per seed as well.
+and 7.03 / 8.03 / 7.03 with a ``_next_pid`` frame, a key-index frame
+and a ``Membership.enter`` frame per seed as well.  The population's
+one space comes from the system's ``SpaceTable`` once per build.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ MAX_CALLS_PER_SEED = {"sync": 3.05, "es": 4.05, "abd": 3.05}
 
 @pytest.mark.parametrize("protocol", sorted(MAX_CALLS_PER_SEED))
 def test_a_seed_costs_its_constructor_chain_and_no_more(protocol):
-    # One throwaway build first: imports, per-class state and the key
-    # index are paid once per process, not once per seed.
+    # One throwaway build first: imports and per-class state are paid
+    # once per process, not once per seed.
     DynamicSystem(SystemConfig(n=20, trace=False, protocol=protocol))
     calls = 0
 

@@ -294,11 +294,15 @@ def test_a_key_costs_one_list_slot():
     assert sibling.space is space and third.space is space
     assert len(space) == 16
     assert all(cell is space[0] for cell in space)
-    # The key -> position index is the key tuple's, not the space's.
+    # The key -> position index is built once, with the seed space.
     shared = space._index
     assert len(shared) == 16
-    # A successor that admits nothing probes the same index.
+    # A successor that admits nothing probes the same index, and a
+    # joiner's blank space of the same keys is built with its own.
     assert space.adopt("k3", "v", 5)._index is shared
+    joiner = system.node(system.spawn_joiner())
+    assert joiner.space._index == shared and joiner.space._index is not shared
+    assert system.node(system.spawn_joiner()).space is joiner.space
     # Admitting a key moves the admitting node to a successor with its
     # own index; the shared space and its index stay as they were.
     node.space = space.adopt("moved", "v", 3)
