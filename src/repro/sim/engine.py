@@ -81,9 +81,9 @@ from array import array
 from bisect import bisect_left
 from contextlib import contextmanager
 from heapq import heapify, heappop, heappush
-from itertools import repeat
+from itertools import islice, repeat
 from math import isfinite
-from operator import itemgetter
+from operator import itemgetter, le
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .clock import Time
@@ -303,21 +303,33 @@ class EventScheduler:
         series is one vector (:meth:`_schedule_vector`), which is why
         ``instants`` must already be non-decreasing (a stable sort by
         instant is what the per-item calls' order amounts to).
+
+        An ``array('d')`` of instants is filed as it is — the series
+        keeps it and ``items`` until the clock passes them, so neither
+        may change — and anything else is read into one first.  The
+        instants are checked in one C-level pass; only a series that
+        fails it is walked, to name the first bad position.
         """
-        instants = list(map(float, instants))
+        if not (isinstance(instants, array) and instants.typecode == "d"):
+            instants = array("d", instants)
         count = len(items)
         if len(instants) != count:
             raise SchedulerError(f"{len(instants)} instants for {count} items")
         previous = self._now
-        for position, instant in enumerate(instants):
-            # NaN fails the first comparison, +inf the second.
-            if not (previous <= instant < _INF):
-                raise SchedulerError(
-                    f"cannot schedule series position {position} at "
-                    f"{instant!r}: instants must be finite and never "
-                    f"decrease, and {previous!r} comes before it"
-                )
-            previous = instant
+        # NaN fails every comparison, +inf the last one's.
+        if count and not (
+            previous <= instants[0]
+            and instants[-1] < _INF
+            and all(map(le, instants, islice(instants, 1, None)))
+        ):
+            for position, instant in enumerate(instants):
+                if not (previous <= instant < _INF):
+                    raise SchedulerError(
+                        f"cannot schedule series position {position} at "
+                        f"{instant!r}: instants must be finite and never "
+                        f"decrease, and {previous!r} comes before it"
+                    )
+                previous = instant
         if count:
             self._schedule_vector(
                 instants, int(priority), _Series(callback), items, ()

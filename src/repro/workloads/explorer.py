@@ -32,6 +32,32 @@ The explorer separates two kinds of violation using
 Everything is derived from the root seed: two invocations with the
 same arguments produce byte-identical reports (no wall-clock values
 appear anywhere in the artifact).
+
+``repro explore`` runs it from the command line: exit 1 on a ``bug``,
+exit 0 when every violation is out-of-model.  Two tables define what it
+sweeps:
+
+* :data:`PLANS` — the fault-plan library: plan name → its faults, built
+  from (δ, horizon, n).  The default sweep (:data:`DEFAULT_PLAN_NAMES`)
+  is the eight plans not prefixed ``mig-`` / ``rebal-``; those two
+  families attack key handoffs and pair with the ``migrations`` /
+  ``rebalance`` axes (``mig-loss`` and ``rebal-loss``, ``mig-storm``
+  and ``rebal-storm`` are one construction each).
+* :data:`AXES` — the sweep table: one row per :class:`ScenarioSpec`
+  field, with its ``repro explore`` flag, default and help.  Swept rows
+  multiply in the order plan, protocol, delay, churn rate, keys,
+  shards, migrations, rebalance, seed (plans slowest); ``n``,
+  ``delta``, ``horizon`` and ``key_dist`` are shared by every cell.
+  :func:`scenario_matrix`, ``explore(**axes)`` and the CLI's flags all
+  read it; a cell asking for handoffs without shards ≥ 2 and keys ≥ 2
+  is skipped.
+
+Every cell — one population or a sharded cluster — runs through the
+one :func:`run_scenario` body.  A bad setting is refused by name, and
+by the CLI with exit 2 before anything is printed: an unknown plan, a
+churn rate outside [0, 1), a non-finite or non-positive δ or horizon,
+a horizon the workload plan does not fit (it ends at max(6, horizon −
+4δ)), a sweep left with no cell.
 """
 
 from __future__ import annotations

@@ -14,20 +14,28 @@ system (a :class:`~repro.runtime.system.DynamicSystem` or a
 it.  Every experiment cell, explorer scenario, digest workload and CLI
 run command that drives this workload calls it.
 
-A plan op costs one Python call: its hand-written ``__init__``
-(:mod:`.schedule`).  :func:`poisson_times` draws each gap inline as
-``-log(1.0 - rng.random()) / rate`` — the body of
-``Random.expovariate``, so the same floats from the same RNG draws —
-and the two plan builders run under
-:func:`~repro.sim.engine.collector_paused`: every op is a slotted
-object the cyclic collector tracks, and an automatic collection during
-the build would only walk the plan to find nothing.
+:func:`read_heavy_plan` returns a :class:`~.schedule.Plan`, two
+columns: a planned read is its 8 B instant in an ``array('d')`` and a
+``None`` slot — 16 B and no Python call, where a ``ReadOp`` object cost
+one call and 104 B with its boxed float and its slots in the plan, the
+sorted copy and the series' instants.  A write keeps its
+:class:`~.schedule.WriteOp`, merged into the read instants ahead of any
+read it ties with (a stable sort of writes-then-reads by time).
+:func:`poisson_times` draws each gap inline as ``-log(1.0 -
+rng.random()) / rate`` — the body of ``Random.expovariate``, so the
+same floats from the same RNG draws — into the array.  The list
+builders (:func:`write_heavy_plan`, :func:`poisson_reads`,
+:func:`assign_keys`) build one slotted op per entry through its
+hand-written ``__init__``; the two plan builders run under
+:func:`~repro.sim.engine.collector_paused`, since an automatic
+collection during a build would only walk the ops to find nothing.
 """
 
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import replace
 from itertools import accumulate
 from math import isfinite, log
@@ -36,7 +44,7 @@ from typing import TYPE_CHECKING, Any, Callable, Sequence
 from ..sim.clock import Time
 from ..sim.engine import collector_paused
 from ..sim.errors import ExperimentError
-from .schedule import _PLANNED_AT, ReadOp, WorkloadOp, WriteOp
+from .schedule import _PLANNED_AT, Plan, ReadOp, WorkloadOp, WriteOp
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..cluster.history import ClusterHistory
@@ -84,8 +92,9 @@ def periodic_times(start: Time, period: Time, count: int) -> list[Time]:
 
 def poisson_times(
     start: Time, end: Time, rate: float, rng: random.Random
-) -> list[Time]:
-    """A Poisson arrival process of intensity ``rate`` on ``[start, end)``.
+) -> array:
+    """A Poisson arrival process of intensity ``rate`` on ``[start, end)``,
+    as an ``array('d')``: 8 B an instant.
 
     Each gap is drawn inline as ``-log(1.0 - rng.random()) / rate``, the
     body of ``Random.expovariate`` on CPython 3.11 and 3.12: the same
@@ -98,7 +107,7 @@ def poisson_times(
         raise ExperimentError(f"rate must be non-negative, got {rate!r}")
     if end < start:
         raise ExperimentError(f"end {end!r} precedes start {start!r}")
-    times: list[Time] = []
+    times = array("d")
     if rate == 0:
         return times
     draw = rng.random
@@ -137,21 +146,36 @@ def read_heavy_plan(
     read_rate: float,
     rng: random.Random,
     writer: str | None = None,
-) -> list[WorkloadOp]:
+) -> Plan:
     """The canonical Section 3.3 workload: many reads, few writes.
 
     Writes start half a period after ``start`` so the first reads
-    exercise the initial value too.
+    exercise the initial value too.  The plan is columns
+    (:class:`~.schedule.Plan`): the Poisson read instants as drawn, with
+    each periodic write merged in ahead of the reads it ties with — the
+    order a stable sort of the writes, then the reads, by time gives.
+    A read is its instant and a ``None`` slot.
     """
     _require_span(start, end, write_period)
     write_count = max(0, int((end - start - write_period / 2) // write_period))
-    plan: list[WorkloadOp] = []
-    plan.extend(
-        periodic_writes(start + write_period / 2, write_period, write_count, writer)
+    reads = poisson_times(start, end, read_rate, rng)
+    writes = periodic_writes(
+        start + write_period / 2, write_period, write_count, writer
     )
-    plan.extend(poisson_reads(start, end, read_rate, rng))
-    plan.sort(key=_PLANNED_AT)
-    return plan
+    # Both columns at their exact size, so a read costs 16 B: the reads
+    # are copied in between the writes, slice by slice.
+    times = array("d", [0.0]) * (len(reads) + write_count)
+    ops: list[WorkloadOp | None] = [None] * len(times)
+    done = 0
+    for index, write in enumerate(writes):
+        ahead = bisect_left(reads, write.time, done)
+        at = ahead + index
+        times[done + index : at] = reads[done:ahead]
+        times[at] = write.time
+        ops[at] = write
+        done = ahead
+    times[done + write_count :] = reads[done:]
+    return Plan(times, ops)
 
 
 # ----------------------------------------------------------------------

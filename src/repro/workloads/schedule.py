@@ -1,21 +1,25 @@
 """Workload scheduling: turning operation plans into simulated invocations.
 
-A workload is a list of :class:`ReadOp` / :class:`WriteOp` plans.  The
-one :class:`WorkloadDriver` — for a single population and for a
-cluster alike — checks the plan once (:func:`check_plan`), sorts it
-stably by time and hands it to the engine as *one* series
-(:func:`install_series`): an op takes a queue slot only once the clock
-reaches its epoch, and the plan fires exactly as scheduling it op by op
-would.  At each firing time the driver resolves *who* performs the
-operation:
+A workload is a plan of :class:`ReadOp` / :class:`WriteOp` ops: a
+:class:`Plan` — two columns, an ``array('d')`` of instants and the op
+filed at each, ``None`` for a default read, so such a read costs 16 B
+(``read_heavy_plan`` builds one) — or a list of op objects.  The one
+:class:`WorkloadDriver` — for a single population and for a cluster
+alike — checks the plan once (:func:`check_plan`), turns a list into a
+:class:`Plan` by a stable sort on time, and hands the plan's columns to
+the engine as *one* series (:func:`install_series`): an op takes a
+queue slot only once the clock reaches its epoch, and the plan fires
+exactly as scheduling it op by op would.  At each firing time the
+driver resolves *who* performs the operation:
 
 * a ``WriteOp`` goes to the designated writer (or an explicit pid) and
   is **skipped** if the previous write has not completed — the paper
   assumes writes are never concurrent, and the checkers require
   serialized writes, so the driver enforces serialization and counts
   the skips (a liveness signal in its own right);
-* a ``ReadOp`` goes to an explicit pid or to an *active* process drawn
-  uniformly, in place, from the membership's cached active list
+* a ``ReadOp`` (``None``: a default read) goes to an explicit pid or
+  to an *active* process drawn uniformly, in place, from the
+  membership's cached active list
   (:meth:`~repro.sim.membership.Membership.draw_active`, from the
   system's ``reader_stream``: ``workload.readers`` for a population);
   if no active process exists at that instant the read is skipped and
@@ -45,10 +49,13 @@ owner's writer is gone (``stats.writes_dropped``).
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import compress, count, islice, repeat
 from math import inf
-from operator import attrgetter
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from operator import attrgetter, is_not, le
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 from ..runtime.system import DynamicSystem
 from ..sim.clock import Time
@@ -124,48 +131,131 @@ _set_write_key = WriteOp.__dict__["key"].__set__
 
 
 WorkloadOp = ReadOp | WriteOp
+_OPS = (ReadOp, WriteOp)
 
 
-def check_plan(plan: Sequence[WorkloadOp], now: Time) -> None:
+class Plan(Sequence):
+    """A plan as two columns: ``times``, an ``array('d')`` of the ops'
+    instants, non-decreasing, and ``ops``, the op filed at each instant
+    — ``None`` for a default read (no reader, no key), the op object
+    for anything else.  A default read is stored as its 8 B instant and
+    a ``None`` slot, and built as ``ReadOp(time)`` only when asked for:
+    iterating or indexing gives exactly the ops of the list plan it
+    stands for, in order.  A plan is never changed once built — the
+    engine files its ``times`` as they are — so it has no mutator; a
+    slice is a new plan."""
+
+    __slots__ = ("times", "ops")
+
+    def __init__(self, times: array, ops: list[WorkloadOp | None]) -> None:
+        if len(times) != len(ops):
+            raise ExperimentError(
+                f"a plan of {len(times)} instants for {len(ops)} ops"
+            )
+        self.times = times
+        self.ops = ops
+
+    @classmethod
+    def of(cls, plan: Iterable[WorkloadOp]) -> Plan:
+        """The plan of a list of ops, sorted stably by time: ties keep
+        their list order.  Every op is kept as it is."""
+        ordered = sorted(plan, key=_PLANNED_AT)
+        return cls(array("d", map(_PLANNED_AT, ordered)), ordered)
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def __getitem__(self, index: int | slice) -> WorkloadOp | Plan:
+        if isinstance(index, slice):
+            return Plan(self.times[index], self.ops[index])
+        op = self.ops[index]
+        return ReadOp(self.times[index]) if op is None else op
+
+    def __iter__(self) -> Iterator[WorkloadOp]:
+        return map(self.__getitem__, range(len(self.times)))
+
+
+def check_plan(plan: Plan | Sequence[WorkloadOp], now: Time) -> None:
     """The driver's one validation pass: refuse, naming the op's
     position in the plan and its time, an op that is not a read or a
-    write or whose time is NaN, infinite or before ``now``."""
-    for position, op in enumerate(plan):
-        if not isinstance(op, (ReadOp, WriteOp)):
+    write or whose time is NaN, infinite or before ``now``.  A
+    :class:`Plan` is also refused an instant below the one before it,
+    and an op filed at an instant other than its own time.
+
+    A :class:`Plan` is checked in columns — one C-level pass over its
+    instants and a look at each op it holds — and walked position by
+    position only when it fails, to name the first bad op."""
+    ordered = isinstance(plan, Plan)
+    if ordered:
+        times, ops = plan.times, plan.ops
+        if not times or (
+            now <= times[0]
+            and times[-1] < inf
+            and all(map(le, times, islice(times, 1, None)))
+        ):
+            for position in compress(count(), map(is_not, ops, repeat(None))):
+                op = ops[position]
+                if not isinstance(op, _OPS) or op.time != times[position]:
+                    break
+            else:
+                return
+        items = zip(times, ops)
+    else:
+        items = zip(map(getattr, plan, repeat("time"), repeat(None)), plan)
+    previous = now
+    for position, (instant, op) in enumerate(items):
+        if not isinstance(op, _OPS) and (op is not None or not ordered):
             raise ExperimentError(
                 f"unknown workload op {op!r} at position {position} of the plan"
             )
-        if not (now <= op.time < inf):
+        if not (now <= instant < inf):
+            raise ExperimentError(
+                f"operation {position} of the plan "
+                f"({'ReadOp' if op is None else type(op).__name__}) is planned "
+                f"at {instant!r}: not a finite instant at or after the clock, "
+                f"which reads {now!r}"
+            )
+        if instant < previous:
+            raise ExperimentError(
+                f"operation {position} of the plan is filed at {instant!r}, "
+                f"before operation {position - 1} at {previous!r}: a plan's "
+                f"instants never decrease"
+            )
+        if op is not None and op.time != instant:
             raise ExperimentError(
                 f"operation {position} of the plan ({type(op).__name__}) is "
-                f"planned at {op.time!r}: not a finite instant at or after "
-                f"the clock, which reads {now!r}"
+                f"planned at {op.time!r} but filed at {instant!r}"
             )
+        if ordered:  # a list is sorted once checked
+            previous = instant
 
 
 def install_series(
     engine: EventScheduler,
-    plan: Sequence[WorkloadOp],
-    fire: Callable[[WorkloadOp], None],
+    plan: Plan | Sequence[WorkloadOp],
+    fire: Callable[[WorkloadOp | None], None],
 ) -> None:
     """Put a checked ``plan`` on ``engine`` as one series that calls
-    ``fire(op)`` at each op's ``time`` — the driver's one install
-    path.  ``fire`` is the driver's own dispatch, called by the
-    series directly: a planned read enters no frame between the engine
-    and the driver.
+    ``fire(op)`` at each op's time — the driver's one install path.
+    ``fire`` is the driver's own dispatch, called by the series
+    directly: a planned read enters no frame between the engine and the
+    driver, and a default read arrives as ``None``.
 
-    The series is one never-cancelled vector of the engine's: it
-    reserves the block of sequence numbers and adds the ``len(plan)`` to
+    A list plan is checked by its list positions, then becomes a
+    :class:`Plan` by a stable sort on time (:meth:`Plan.of`).  The
+    plan's two columns are the series as they are — ``times`` its
+    instants, ``ops`` its items — so the engine copies neither.  The
+    series is one never-cancelled vector of the engine's: it reserves
+    the block of sequence numbers and adds the ``len(plan)`` to
     ``pending_count`` that per-op ``schedule_at`` calls would, and the
-    engine builds each epoch's entries when the clock reaches it, so the
-    plan fires in ``(time, position)`` order — what scheduling op by op
-    in list order gives.  ``tests/sim/test_series.py`` holds the two
-    indistinguishable."""
+    engine builds each epoch's entries when the clock reaches it, so
+    the plan fires in ``(time, position)`` order — what scheduling op
+    by op in list order gives.  ``tests/sim/test_series.py`` holds the
+    two indistinguishable."""
     check_plan(plan, engine.now)
-    ordered = sorted(plan, key=_PLANNED_AT)
-    engine.schedule_series(
-        map(_PLANNED_AT, ordered), fire, ordered, priority=Priority.OPERATION
-    )
+    if not isinstance(plan, Plan):
+        plan = Plan.of(plan)
+    engine.schedule_series(plan.times, fire, plan.ops, priority=Priority.OPERATION)
 
 
 def named_process(
@@ -250,7 +340,7 @@ class WorkloadDriver:
         self._installed = False
 
     @collector_paused()
-    def install(self, plan: list[WorkloadOp]) -> None:
+    def install(self, plan: Plan | list[WorkloadOp]) -> None:
         """Schedule every planned operation (call once, before running)."""
         if self._installed:
             raise ExperimentError("workload installed twice")
@@ -303,14 +393,18 @@ class WorkloadDriver:
         self._pending_writes[key] = handle
         self.stats.writes_issued += 1
 
-    def _fire(self, op: WorkloadOp) -> None:
+    def _fire(self, op: WorkloadOp | None) -> None:
         """Fire one planned op: a write through :meth:`_fire_write`, a
-        read here, inline — the hot path, one frame of the driver."""
-        if not isinstance(op, ReadOp):
+        read here, inline — the hot path, one frame of the driver.
+        ``None`` is a default read: a random reader, the default key."""
+        if op is None:
+            key = reader = None
+        elif isinstance(op, ReadOp):
+            key, reader = op.key, op.reader
+        else:
             self._fire_write(op)
             return
         system = self.system
-        key = op.key
         owners = self._owners
         if owners is not None:
             if key is None:
@@ -319,7 +413,7 @@ class WorkloadDriver:
             if shard is None:
                 system.resolve_key(key)  # an unknown key: the refusal
             system = system.shards[shard]
-        if op.reader is None:
+        if reader is None:
             node = system.membership.draw_active(self._rng, self._excluded)
         else:
             where = (
@@ -327,7 +421,7 @@ class WorkloadDriver:
                 if owners is None
                 else f"shard {shard}, which owns key {key!r}"
             )
-            node = named_process(system.membership, op.reader, op, "reader", where)
+            node = named_process(system.membership, reader, op, "reader", where)
         if node is None:
             self.stats.reads_skipped += 1
             return

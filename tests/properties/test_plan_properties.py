@@ -15,6 +15,15 @@ Two things changed under ``read_heavy_plan`` and nothing may show:
   class with the same fields (``make_dataclass``, below), refusing
   field assignment, positional ≡ keyword construction, and
   ``dataclasses.replace`` / ``pickle`` round trips.
+
+And ``read_heavy_plan`` returns a ``Plan`` — two columns, a default
+read stored as its instant and ``None`` — built by merging the periodic
+writes into the Poisson read instants.  The list builder it replaced,
+kept below as the reference (writes, then reads, stably sorted by
+time), must give the same ops op for op, by iteration and by index,
+and leave its RNG in the same state; a write tied with a read fires
+first.  A ``Plan`` installed and its ``list(plan)`` installed drive
+twin systems to the same history, counters and next sequence number.
 """
 
 from __future__ import annotations
@@ -23,14 +32,24 @@ import pickle
 import random
 import sys
 from dataclasses import FrozenInstanceError, field, fields, make_dataclass, replace
+from math import log
 from typing import Any
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.workloads.generators import poisson_times
-from repro.workloads.schedule import ReadOp, WriteOp
+from repro.core.history import operation_digest
+from repro.sim.engine import EventScheduler
+from repro.workloads.generators import poisson_times, read_heavy_plan
+from repro.workloads.schedule import (
+    Plan,
+    ReadOp,
+    WorkloadDriver,
+    WriteOp,
+    install_series,
+)
+from tests.conftest import make_system
 
 
 def reference_poisson_times(
@@ -156,3 +175,96 @@ def test_the_repr_is_the_dataclass_repr():
         repr(WriteOp(2.0, writer="p0001"))
         == "WriteOp(time=2.0, value=None, writer='p0001', key=None)"
     )
+
+
+# ----------------------------------------------------------------------
+# A plan is columns, and the list it replaced
+# ----------------------------------------------------------------------
+
+
+def reference_read_heavy_plan(
+    start: float,
+    end: float,
+    write_period: float,
+    read_rate: float,
+    rng: random.Random,
+    writer: str | None = None,
+) -> list:
+    """``read_heavy_plan`` as it was: the writes, then the reads, as
+    one list of op objects, sorted stably by time."""
+    write_count = max(0, int((end - start - write_period / 2) // write_period))
+    first = start + write_period / 2
+    plan = [
+        WriteOp(time=first + i * write_period, writer=writer)
+        for i in range(write_count)
+    ]
+    plan.extend(map(ReadOp, reference_poisson_times(start, end, read_rate, rng)))
+    plan.sort(key=lambda op: op.time)
+    return plan
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**64),
+    start=st.floats(-1e4, 1e4, allow_nan=False),
+    span=st.floats(0.01, 50.0, allow_nan=False),
+    rate=st.one_of(st.just(0.0), st.floats(1e-3, 40.0)),
+    write_period=st.floats(0.05, 60.0, allow_nan=False),
+    writer=st.none() | st.just("p0001"),
+)
+def test_the_columns_are_the_list_plan_op_for_op(
+    seed, start, span, rate, write_period, writer
+):
+    end = start + span
+    rng, reference_rng = random.Random(seed), random.Random(seed)
+    plan = read_heavy_plan(start, end, write_period, rate, rng, writer)
+    expected = reference_read_heavy_plan(
+        start, end, write_period, rate, reference_rng, writer
+    )
+    assert isinstance(plan, Plan) and len(plan) == len(expected)
+    assert list(plan) == expected
+    assert list(map(repr, plan)) == list(map(repr, expected))
+    assert [plan[k] for k in range(len(plan))] == expected
+    if expected:
+        assert plan[-1] == expected[-1]
+    assert rng.getstate() == reference_rng.getstate()
+
+
+def test_a_write_tied_with_a_read_fires_first():
+    """The first read lands exactly on the first write's instant: the
+    write period is twice the first Poisson gap, so both sit at that
+    gap."""
+    seed, rate = 7, 2.0
+    gap = -log(1.0 - random.Random(seed).random()) / rate
+    plan = read_heavy_plan(0.0, 4.0 * gap, 2.0 * gap, rate, random.Random(seed))
+    expected = reference_read_heavy_plan(
+        0.0, 4.0 * gap, 2.0 * gap, rate, random.Random(seed)
+    )
+    assert list(plan)[:2] == expected[:2] == [WriteOp(time=gap), ReadOp(time=gap)]
+    engine, fired = EventScheduler(), []
+    install_series(engine, plan, fired.append)
+    engine.run()
+    assert fired[:2] == [WriteOp(time=gap), None]
+    assert len(fired) == len(plan)
+
+
+def _driven(plan_of, seed: int):
+    """A churned sync system driven through ``plan_of(plan)``: its
+    digest, its engine's counters and the sequence of what comes next."""
+    system = make_system(n=12, seed=seed, trace=False)
+    system.attach_churn(rate=0.02)
+    plan = read_heavy_plan(
+        1.0, 40.0, 10.0, 3.0, system.rng.stream("test.plan")
+    )
+    WorkloadDriver(system).install(plan_of(plan))
+    system.run_until(50.0)
+    engine = system.engine
+    counters = (engine.fired_count, engine.pending_count)
+    following = engine.schedule_at(engine.now + 1.0, print).sequence
+    return operation_digest(system.close()), counters, following
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32))
+def test_a_plan_and_its_list_drive_twin_systems_alike(seed):
+    assert _driven(lambda plan: plan, seed) == _driven(list, seed)

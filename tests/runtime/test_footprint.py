@@ -85,6 +85,7 @@ from repro.protocols.es_reg import EsAck, EsRead, EsReply
 from repro.protocols.sync_reg import Inquiry, Reply, WriteMsg
 from repro.runtime.config import SystemConfig
 from repro.runtime.system import DynamicSystem
+from repro.workloads.generators import read_heavy_plan
 from repro.workloads.schedule import ReadOp, WorkloadDriver, WriteOp
 
 N = 2000
@@ -97,10 +98,11 @@ MESSAGE_BUDGET = (176, 3)
 
 OPERATIONS = 20_000
 
-#: Bytes and allocated blocks per planned local read once installed, and
-#: once completed and judged.  Measured here (3.11): 107 / 2.0 — the
-#: slotted plan op and its instant, plus a list slot each in the plan,
-#: its sorted copy and the series' instants — and 134 / 2.04: the plan
+#: Bytes and allocated blocks per planned local read of a hand-built
+#: list plan once installed, and once completed and judged.  Measured
+#: here (3.11): 107 / 2.0 — the slotted plan op and its instant, plus an
+#: 8 B slot each in the plan, its sorted copy (the installed plan's op
+#: column) and the installed plan's ``array('d')`` of instants — and 134 / 2.04: the plan
 #: op and the history row (the sorted copy and the instants released).
 #: With a handle and its op id per read: 256 / 4.03.  One ``Event`` per
 #: planned op read 461 / 8.1 installed; a ``__dict__`` per plan op and a
@@ -108,6 +110,15 @@ OPERATIONS = 20_000
 #: valid read, 378 / 5.0.
 PLANNED_BUDGET = (118, 2)
 JUDGED_BUDGET = (147, 2)
+
+#: Bytes per read of a ``read_heavy_plan`` built and installed: the
+#: slope between plans of ~20,000 and ~40,000 reads on one system.
+#: Measured here (3.11): 15.8 — its 8 B instant in the plan's
+#: ``array('d')``, which the engine's series files as it is, and an 8 B
+#: ``None`` slot in its op column; 104.9 when the plan was a list of
+#: ``ReadOp`` objects (the op's 56 B and its float's 24 B, and a slot each
+#: in the plan, its sorted copy and the series' instants).
+PLANNED_READ_BYTES = 17
 
 #: Bytes and blocks a complete local read leaves in the history: the
 #: slope between runs of 20,000 and 40,000 planned reads, with the plan
@@ -361,6 +372,37 @@ def test_a_local_read_costs_its_plan_op_and_its_row():
     assert size <= max_bytes, f"{size:.0f} B per judged read"
     assert blocks <= max_blocks + 0.05, f"{blocks:.2f} blocks per judged read"
     assert len(kept[1]) == OPERATIONS
+
+
+@pytest.mark.skipif(
+    sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
+    reason="the byte budget is CPython 3.11's object layout",
+)
+def test_a_planned_read_costs_its_instant_and_a_slot():
+    system = DynamicSystem(SystemConfig(n=20, trace=False))
+
+    def planned(read_rate):
+        """Bytes and length of one plan, built and installed."""
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            plan = read_heavy_plan(
+                start=1.0,
+                end=100.0,
+                write_period=10.0,
+                read_rate=read_rate,
+                rng=system.rng.stream(f"plan.{read_rate}"),
+            )
+            WorkloadDriver(system).install(plan)
+            return tracemalloc.get_traced_memory()[0] - base, len(plan)
+        finally:
+            tracemalloc.stop()
+
+    (small, small_ops), (large, large_ops) = planned(200.0), planned(400.0)
+    assert large_ops > 1.9 * small_ops > 35_000
+    per_read = (large - small) / (large_ops - small_ops)
+    assert per_read <= PLANNED_READ_BYTES, f"{per_read:.1f} B per planned read"
 
 
 def test_a_plan_holds_no_queue_slot_before_its_epoch():

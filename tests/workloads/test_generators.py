@@ -39,7 +39,7 @@ class TestPoissonTimes:
     def test_times_within_range(self, rng):
         times = poisson_times(10.0, 50.0, rate=0.5, rng=rng)
         assert all(10.0 < t < 50.0 for t in times)
-        assert times == sorted(times)
+        assert list(times) == sorted(times)
 
     def test_rate_controls_count(self, rng):
         sparse = poisson_times(0.0, 1000.0, 0.05, random.Random(1))
@@ -47,7 +47,7 @@ class TestPoissonTimes:
         assert len(dense) > len(sparse)
 
     def test_zero_rate(self, rng):
-        assert poisson_times(0.0, 100.0, 0.0, rng) == []
+        assert list(poisson_times(0.0, 100.0, 0.0, rng)) == []
 
     def test_validation(self, rng):
         with pytest.raises(ExperimentError):

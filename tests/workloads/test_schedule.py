@@ -1,9 +1,11 @@
 """Unit tests for the workload driver."""
 
+from array import array
+
 import pytest
 
 from repro.sim.errors import ExperimentError
-from repro.workloads.schedule import ReadOp, WorkloadDriver, WriteOp
+from repro.workloads.schedule import Plan, ReadOp, WorkloadDriver, WriteOp
 from tests.conftest import make_system
 
 DELTA = 5.0
@@ -160,6 +162,7 @@ class TestInstallRules:
         with pytest.raises(ExperimentError):
             driver.install([ReadOp(time=5.0)])
 
+    @pytest.mark.parametrize("shape", ["list", "Plan"])
     @pytest.mark.parametrize(
         "time",
         [
@@ -170,13 +173,15 @@ class TestInstallRules:
         ],
     )
     def test_a_bad_time_is_refused_by_position_and_nothing_is_scheduled(
-        self, time
+        self, time, shape
     ):
         system = make_system()
         system.run_until(10.0)
         pending = system.engine.pending_count
         driver = WorkloadDriver(system)
         plan = [ReadOp(time=11.0), WriteOp(time=12.0), WriteOp(time=time)]
+        if shape == "Plan":
+            plan = Plan(array("d", [11.0, 12.0, time]), [None, *plan[1:]])
         with pytest.raises(ExperimentError) as refused:
             driver.install(plan)
         message = str(refused.value)
@@ -185,10 +190,64 @@ class TestInstallRules:
         assert "the clock, which reads 10.0" in message
         assert system.engine.pending_count == pending
 
-    def test_an_unknown_op_is_refused_by_position(self):
-        driver = WorkloadDriver(make_system())
+    @pytest.mark.parametrize("shape", ["list", "Plan"])
+    def test_an_unknown_op_is_refused_by_position(self, shape):
+        system = make_system()
+        pending = system.engine.pending_count
+        driver = WorkloadDriver(system)
+        plan = [ReadOp(time=1.0), ("read", 2.0)]
+        if shape == "Plan":
+            plan = Plan(array("d", [1.0, 2.0]), [None, plan[1]])
         with pytest.raises(ExperimentError, match="position 1 of the plan"):
-            driver.install([ReadOp(time=1.0), ("read", 2.0)])
+            driver.install(plan)
+        assert system.engine.pending_count == pending
+
+    @pytest.mark.parametrize(
+        "times, ops, named",
+        [
+            (
+                [3.0, 2.0, 4.0],
+                [None, None, None],
+                "operation 1 of the plan is filed at 2.0, before operation 0 "
+                "at 3.0: a plan's instants never decrease",
+            ),
+            (
+                [1.0, 2.0],
+                [None, WriteOp(time=2.5)],
+                r"operation 1 of the plan \(WriteOp\) is planned at 2.5 but "
+                "filed at 2.0",
+            ),
+        ],
+    )
+    def test_a_plan_out_of_order_or_misfiled_is_refused_by_position(
+        self, times, ops, named
+    ):
+        system = make_system()
+        pending = system.engine.pending_count
+        with pytest.raises(ExperimentError, match=named):
+            WorkloadDriver(system).install(Plan(array("d", times), ops))
+        assert system.engine.pending_count == pending
+
+    def test_a_plan_needs_one_instant_per_op(self):
+        with pytest.raises(ExperimentError, match="a plan of 2 instants for 1 ops"):
+            Plan(array("d", [1.0, 2.0]), [None])
+
+    def test_a_plan_has_no_mutator_and_is_filed_as_it_is(self):
+        """The engine keeps the plan's own ``times`` until the clock
+        passes them, so a plan offers nothing that changes it."""
+        for mutator in ("append", "extend", "insert", "pop", "sort",
+                        "__setitem__", "__delitem__", "__iadd__"):
+            assert not hasattr(Plan, mutator), mutator
+        system = make_system()
+        plan = Plan(array("d", [1.0, 2.0]), [None, WriteOp(time=2.0)])
+        with pytest.raises(AttributeError):
+            plan.extra = ()
+        WorkloadDriver(system).install(plan)
+        assert any(
+            vector[2] is plan.times for vector in system.engine._vectors.values()
+        )
+        assert list(plan) == [ReadOp(time=1.0), WriteOp(time=2.0)]
+        assert plan[-2:][0] == ReadOp(time=1.0) and len(plan[-2:]) == 2
 
     def test_an_unsorted_plan_fires_in_time_then_list_order(self):
         system = make_system()
