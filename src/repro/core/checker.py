@@ -49,32 +49,39 @@ through its view).  A :class:`SafetyReport` is ``checked_count`` plus
 its violations; :attr:`SafetyReport.judgements` rebuilds the full list
 on request from the writes and the reads still pending at check time.
 The inversion detector walks the same entries in invocation order with
-a heap of the reads still in flight; over rows it keeps each witness
-pair as two row numbers and two write indexes in ``array('q')``
-columns, building the :class:`Inversion` and its views only when the
-report is read.  Liveness is one loop over the handles' response and
-invocation times with local counters, each run of rows between two
-handles counted in one step (complete, zero latency).  Read handles
-among rows (a caller kept a handle of a synchronous read) are judged
-through the views, in recording order.  A closed history shares its read verdicts, write
-records, key list and per-key sub-histories between the checkers.
-``tests/core/test_checker_cost.py`` holds the four judged phases (these
-three checkers and :func:`~repro.core.history.operation_digest`) to at
-most 1 Python call per operation, and the two sweeps to at most 32
-traced bytes per read.
+a heap of the reads still in flight.  Consecutive witnesses share their
+earlier read — the running best, which changes only when a better read
+finishes (37 times for 18,847 witnesses in ``history_check_200k`` at
+seed 0) — so over rows it keeps a witness as its later row number, 8 B
+in an ``array('q')``, and each run's earlier row and write index once;
+the :class:`Inversion`, its views and its later write index (looked up
+from the later row's value) are built only when the report is read.
+Liveness is one loop over the handles' response and invocation times
+with local counters, each run of rows between two handles counted in
+one step (complete, zero latency): a kind's samples are a
+:class:`LatencySamples`, in which such a run is a count, not a slot per
+row.  Read handles among rows (a caller kept a handle of a synchronous
+read) are judged through the views, in recording order.  A closed
+history shares its read verdicts, write records, key list and per-key
+sub-histories between the checkers.  ``tests/core/test_checker_cost.py``
+holds the four judged phases (these three checkers and
+:func:`~repro.core.history.operation_digest`) to at most 1 Python call
+per operation, and the two sweeps and liveness to at most 3.5 traced
+bytes per read.
 """
 
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import partial
 from heapq import heappop, heappush
 from itertools import chain, count, islice, repeat
+from math import isnan
 from operator import attrgetter
-from typing import Any, Callable, Collection, Iterator, NamedTuple
+from typing import Any, Callable, Collection, Iterable, Iterator, NamedTuple
 
 from ..sim.clock import Time
 from ..sim.engine import collector_paused
@@ -587,9 +594,9 @@ def find_new_old_inversions(
     inversions: Sequence[Inversion] | None = None
     if history._times and not history._by_kind.get(OP_READ):  # rows only
         earlier, later = array("q"), array("q")
-        swept = _sweep(_read_entries(history), written, earlier, later)
-        if swept is not None:
-            inversions = _RowWitnesses(history, earlier, later, *swept)
+        runs = _sweep(_read_entries(history), written, earlier, later)
+        if runs is not None:
+            inversions = _RowWitnesses(history, written, earlier, later, *runs)
     else:
         inversions = _sweep_inversions(history.of_kind(OP_READ), written)
     if inversions is None:  # not in invocation order: a synthetic list
@@ -615,8 +622,7 @@ def _read_entries(history: History) -> Iterator[tuple[Any, ...]]:
     handles = history._by_kind.get(OP_READ, ())
     times = history._times
     if times and not handles:
-        values = islice(history._cells, 2, None, 3)
-        return zip(times, times, history._ids, values, count())
+        return zip(times, times, history._ids, history._values, count())
     return _handle_entries(history.of_kind(OP_READ) if times else handles)
 
 
@@ -641,8 +647,16 @@ def _sweep_inversions(
     ``(invoke_time, op_id)`` order."""
     earlier: list[OperationHandle] = []
     later: list[OperationHandle] = []
-    swept = _sweep(_handle_entries(reads), written, earlier, later)
-    return None if swept is None else list(map(Inversion, earlier, later, *swept))
+    runs = _sweep(_handle_entries(reads), written, earlier, later)
+    if runs is None:
+        return None
+    starts, earlier_indexes = runs
+    stops = chain(islice(starts, 1, None), (len(later),))
+    return [
+        Inversion(best, read, best_idx, written(read._result).index)
+        for best, best_idx, start, stop in zip(earlier, earlier_indexes, starts, stops)
+        for read in later[start:stop]
+    ]
 
 
 def _sweep(
@@ -652,11 +666,13 @@ def _sweep(
     later: Any,
 ) -> tuple[array, array] | None:
     """The fast detector over :func:`_read_entries`: appends each
-    witness pair's reads to ``earlier`` and ``later`` and returns their
-    write indexes, or ``None`` as soon as a completed read of a written
-    value is out of ``(invoke_time, op_id)`` order."""
+    witness's later read to ``later`` and, once per run of witnesses
+    that share it, the earlier read — the running best — to
+    ``earlier``.  Returns each run's first position in ``later`` and
+    its best's write index, or ``None`` as soon as a completed read of
+    a written value is out of ``(invoke_time, op_id)`` order."""
+    starts = array("q")
     earlier_indexes = array("q")
-    later_indexes = array("q")
     # ``(response_time, op_id, write index, read)`` of the visited reads
     # not yet known to have finished before the current invocation.
     in_flight: list[tuple[Time, int, int, Any]] = []
@@ -684,46 +700,55 @@ def _sweep(
                 best = candidate
         later_idx = record.index
         if best_idx > later_idx:
-            earlier.append(best)
+            # The best only ever rises, so its write index names its run.
+            if not earlier_indexes or earlier_indexes[-1] != best_idx:
+                starts.append(len(later))
+                earlier.append(best)
+                earlier_indexes.append(best_idx)
             later.append(read)
-            earlier_indexes.append(best_idx)
-            later_indexes.append(later_idx)
         heappush(in_flight, (response, op_id, later_idx, read))
-    return earlier_indexes, later_indexes
+    return starts, earlier_indexes
 
 
 class _RowWitnesses(Sequence):
-    """The witnesses :func:`_sweep` found over rows: each pair's row
-    numbers and write indexes in four ``array('q')`` columns, 32 B a
-    witness and no object.  An :class:`Inversion` — its two reads the rows' handle
-    views — is built on access."""
+    """The witnesses :func:`_sweep` found over rows: each witness's later
+    row number in an ``array('q')`` column, 8 B a witness, and each run's
+    earlier row and write index once.  An :class:`Inversion` — its two
+    reads the rows' handle views, the later write index looked up from
+    the later row's value — is built on access."""
 
-    __slots__ = ("_history", "_earlier", "_later", "_earlier_indexes", "_later_indexes")
+    __slots__ = ("_history", "_written", "_earlier", "_later", "_starts", "_indexes")
 
     def __init__(
         self,
         history: History,
+        written: Callable[[Any], WriteRecord | None],
         earlier: array,
         later: array,
+        starts: array,
         earlier_indexes: array,
-        later_indexes: array,
     ) -> None:
         self._history = history
+        self._written = written
         self._earlier = earlier
         self._later = later
-        self._earlier_indexes = earlier_indexes
-        self._later_indexes = later_indexes
+        self._starts = starts
+        self._indexes = earlier_indexes
 
     def __len__(self) -> int:
         return len(self._later)
 
     def __getitem__(self, position: int) -> Inversion:
         view = self._history._row_view
+        later = view(self._later[position])
+        if position < 0:
+            position += len(self._later)
+        run = bisect_right(self._starts, position) - 1
         return Inversion(
-            view(self._earlier[position]),
-            view(self._later[position]),
-            self._earlier_indexes[position],
-            self._later_indexes[position],
+            view(self._earlier[run]),
+            later,
+            self._indexes[run],
+            self._written(later._result).index,
         )
 
 
@@ -740,6 +765,122 @@ class StuckOperation:
     age: Time  # horizon - invoke_time
 
 
+class LatencySamples(Sequence):
+    """One kind's latency samples in recording order, as a list of them
+    would hold them, less the zeros: each run of born-complete
+    operations is a count of the shared :data:`_ZERO`, every other
+    sample a slot of a list.  It iterates, indexes and compares (``==``,
+    with a list or another sample) exactly as that list would, a run's
+    samples being :data:`_ZERO` itself.
+    :func:`~repro.analysis.stats.percentile` ranks it through
+    :meth:`sorted_samples` and :func:`~repro.analysis.stats.summarize`
+    iterates it, neither building the list."""
+
+    __slots__ = ("_values", "_ends", "_through")
+
+    def __init__(self, samples: Iterable[Time] = ()) -> None:
+        self._values: list[Time] = []
+        # Per run of zeros: the position just past it, and the zeros in
+        # it and in every run before it.
+        self._ends = array("q")
+        self._through = array("q")
+        self.extend(samples)
+
+    def __len__(self) -> int:
+        through = self._through
+        return len(self._values) + (through[-1] if through else 0)
+
+    def append(self, sample: Time) -> None:
+        if sample is _ZERO:
+            self.add_zeros(1)
+        else:
+            self._values.append(sample)
+
+    def add_zeros(self, count: int) -> None:
+        """Append ``count`` samples of :data:`_ZERO`: one run, or the
+        last run grown."""
+        if count <= 0:
+            return
+        ends, through = self._ends, self._through
+        size = len(self)
+        if ends and ends[-1] == size:
+            ends[-1] = size + count
+            through[-1] += count
+        else:
+            ends.append(size + count)
+            through.append((through[-1] if through else 0) + count)
+
+    def extend(self, samples: Iterable[Time]) -> None:
+        if isinstance(samples, LatencySamples):
+            values = iter(samples._values[:] if samples is self else samples._values)
+            for count, zeros in list(samples._segments()):
+                self._values += islice(values, count)
+                self.add_zeros(zeros)
+        else:
+            for sample in samples:
+                self.append(sample)
+
+    def _segments(self) -> Iterator[tuple[int, int]]:
+        """``(count, zeros)`` per run in recording order: how many of
+        ``_values`` come before the run (after the run before it), then
+        the run's length; the values after the last run come with 0."""
+        position = skipped = 0
+        for end, through in zip(self._ends, self._through):
+            zeros = through - skipped
+            yield end - zeros - position, zeros
+            position, skipped = end, through
+        yield len(self) - position, 0
+
+    def __iter__(self) -> Iterator[Time]:
+        values = iter(self._values)
+        return chain.from_iterable(
+            chain(islice(values, count), repeat(_ZERO, zeros))
+            for count, zeros in self._segments()
+        )
+
+    def __getitem__(self, index: Any) -> Any:
+        if isinstance(index, slice):
+            return list(self)[index]
+        size = len(self)
+        if index < 0:
+            index += size
+        if not 0 <= index < size:
+            raise IndexError("latency sample index out of range")
+        ends, through = self._ends, self._through
+        run = bisect_right(ends, index)  # the runs wholly before ``index``
+        skipped = through[run - 1] if run else 0
+        if run < len(ends) and index >= ends[run] - (through[run] - skipped):
+            return _ZERO
+        return self._values[index - skipped]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (list, LatencySamples)):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            mine is theirs or mine == theirs for mine, theirs in zip(self, other)
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def sorted_samples(self) -> Sequence[Time]:
+        """``sorted(self)`` as samples, the runs never expanded: the
+        sorted samples below zero, then those equal to it — each run's
+        zeros among them — in recording order, as a stable sort leaves
+        them, then the sorted samples above.  Without a run, or with a
+        NaN (which orders nothing), it is the list's own sort."""
+        if not self._ends or any(map(isnan, self._values)):
+            return sorted(self)
+        ordered = sorted(self._values)
+        ranked = LatencySamples()
+        ranked._values += ordered[: bisect_left(ordered, _ZERO)]
+        values = iter(self._values)
+        for count, zeros in self._segments():
+            ranked._values += [v for v in islice(values, count) if v == _ZERO]
+            ranked.add_zeros(zeros)
+        ranked._values += ordered[bisect_right(ordered, _ZERO) :]
+        return ranked
+
+
 @dataclass
 class LivenessReport:
     """Outcome of a liveness check."""
@@ -748,7 +889,7 @@ class LivenessReport:
     excused: int = 0  # abandoned because the process left
     in_grace: int = 0  # pending but younger than the grace period
     stuck: list[StuckOperation] = field(default_factory=list)
-    latencies: dict[str, list[Time]] = field(default_factory=dict)
+    latencies: dict[str, LatencySamples] = field(default_factory=dict)
 
     @property
     def is_live(self) -> bool:
@@ -762,7 +903,7 @@ class LivenessReport:
         self.in_grace += other.in_grace
         self.stuck.extend(other.stuck)
         for kind, samples in other.latencies.items():
-            self.latencies.setdefault(kind, []).extend(samples)
+            self.latencies.setdefault(kind, LatencySamples()).extend(samples)
 
     def summary(self) -> str:
         status = "LIVE" if self.is_live else "STUCK"
@@ -793,7 +934,7 @@ class LivenessChecker:
         grace = self.grace
         completed = excused = in_grace = 0
         stuck: list[StuckOperation] = []
-        latencies: dict[str, list[Time]] = {}
+        latencies: dict[str, LatencySamples] = {}
         history = self.history
         cursor = 0
         # Each handle after the rows recorded before it; a row is a
@@ -806,8 +947,8 @@ class LivenessChecker:
                 completed += stop - cursor
                 samples = latencies.get(OP_READ)
                 if samples is None:
-                    samples = latencies[OP_READ] = []
-                samples += repeat(_ZERO, stop - cursor)
+                    samples = latencies[OP_READ] = LatencySamples()
+                samples.add_zeros(stop - cursor)
                 cursor = stop
             if op is None:
                 break
@@ -817,7 +958,7 @@ class LivenessChecker:
                 completed += 1
                 samples = latencies.get(op.kind)
                 if samples is None:
-                    samples = latencies[op.kind] = []
+                    samples = latencies[op.kind] = LatencySamples()
                 invoked = op.invoke_time
                 samples.append(_ZERO if response is invoked else response - invoked)
             elif op.abandoned:

@@ -21,11 +21,14 @@ synchronous protocol's planned read, done in the frame that invokes it
 — is recorded as a *row* (:meth:`History.record_read`), in columns as
 the scheduler files a fan-out's replies: its instant in an
 ``array('d')`` (invocation and response are the one instant), its op id
-in an ``array('q')`` (drawn where a handle would draw it) and its
-process, key and value as three pointers in one flat list.  A row costs
-40 B and no object; the history holds its rows' shard stamp once.  Each
-handle notes how many rows were recorded before it, so recording order
-is kept exactly across the two.
+in an ``array('q')`` (drawn where a handle would draw it), its process
+as a 4 B number in an ``array('I')`` (the history numbers its readers as
+they first read) and its value as a list slot.  Its key has a column of
+its own that only a keyed history fills: the first row with a key fills
+it in, ``None`` for every row before.  An unkeyed row costs 28 B and no
+object, a keyed one 36 B; the history holds its rows' shard stamp
+once.  Each handle notes how many rows were recorded before it, so
+recording order is kept exactly across the two.
 
 A consumer that iterates (``for op in history``, :meth:`operations`,
 :meth:`of_kind`, :meth:`sub_history`, the cluster merge, ``viz/``, the
@@ -128,10 +131,16 @@ class History:
         self._by_kind: defaultdict[str, list[OperationHandle]] = defaultdict(list)
         # Per handle in ``_operations``: the rows recorded before it.
         self._before = array("q")
-        # The rows: instants, op ids, and (process, key, value) triples.
+        # The rows: instants, op ids, reader numbers, values, and the
+        # keys once a row has one (empty while every key is ``None``).
         self._times = array("d")
         self._ids = array("q")
-        self._cells: list[Any] = []
+        self._readers = array("I")
+        self._values: list[Any] = []
+        self._keys: list[Any] = []
+        # The readers' pids by number, and their numbers by pid.
+        self._pids: list[str] = []
+        self._numbers: dict[str, int] = {}
         self._row_shard = shard
         self._departures: dict[str, Time] = {}
         self._horizon: Time | None = None
@@ -157,8 +166,20 @@ class History:
         Its op id is drawn here, where a handle would draw it."""
         self._times.append(instant)
         self._ids.append(draw_op_id())
-        self._cells.extend((process_id, key, value))
-        self._derived.clear()
+        try:
+            number = self._numbers[process_id]
+        except KeyError:
+            number = self._numbers[process_id] = len(self._pids)
+            self._pids.append(process_id)
+        self._readers.append(number)
+        self._values.append(value)
+        keys = self._keys
+        if keys or key is not None:
+            # The first keyed row fills the column in for the rows before it.
+            keys += repeat(None, len(self._ids) - 1 - len(keys))
+            keys.append(key)
+        if self._derived:
+            self._derived.clear()
 
     def record_departure(self, pid: str, time: Time) -> None:
         """Note that ``pid`` left the system at ``time``."""
@@ -213,14 +234,13 @@ class History:
         """``handles`` with the row views interleaved, each handle after
         the ``before`` rows recorded ahead of it: one lazy chain, a view
         built as the chain reaches its row."""
-        cells = self._cells
         views = map(
             completed_read,
             self._ids,
-            islice(cells, 0, None, 3),
+            map(self._pids.__getitem__, self._readers),
             self._times,
-            islice(cells, 1, None, 3),
-            islice(cells, 2, None, 3),
+            self._keys or repeat(None),
+            self._values,
             repeat(self._row_shard),
         )
         segments: list[Iterable[OperationHandle]] = []
@@ -234,14 +254,12 @@ class History:
 
     def _row_view(self, row: int) -> OperationHandle:
         """The handle view of row ``row``."""
-        at = 3 * row
-        cells = self._cells
         return completed_read(
             self._ids[row],
-            cells[at],
+            self._pids[self._readers[row]],
             self._times[row],
-            cells[at + 1],
-            cells[at + 2],
+            self._keys[row] if self._keys else None,
+            self._values[row],
             self._row_shard,
         )
 
@@ -299,7 +317,10 @@ class History:
             for kind in (OP_READ, OP_WRITE)
             for op in self._by_kind.get(kind, ())
         }
-        found.update(islice(self._cells, 1, None, 3))
+        if self._keys:
+            found.update(self._keys)
+        elif self._times:
+            found.add(None)
         if not found:
             return [None]
         return sorted(found, key=lambda key: (key is not None, str(key)))
@@ -328,18 +349,24 @@ class History:
     def _partition(self, keys: list[Any]) -> dict[Any, "History"]:
         """The sub-histories of ``keys``, built in one pass."""
         subs = {key: History(self.initial_value) for key in keys}
-        times, ids, cells = self._times, self._ids, self._cells
+        for sub in subs.values():  # one reader numbering for them all
+            sub._pids, sub._numbers = self._pids, self._numbers
+        times, ids, readers, values = self._times, self._ids, self._readers, self._values
+        row_keys = self._keys
         cursor = 0
         for op, stop in zip(
             chain(self._operations, (None,)), chain(self._before, (len(times),))
         ):
             for row in range(cursor, stop):
-                at = 3 * row
-                sub = subs.get(cells[at + 1])
+                key = row_keys[row] if row_keys else None
+                sub = subs.get(key)
                 if sub is not None:  # the row stays a row
                     sub._times.append(times[row])
                     sub._ids.append(ids[row])
-                    sub._cells.extend(cells[at : at + 3])
+                    sub._readers.append(readers[row])
+                    sub._values.append(values[row])
+                    if key is not None:
+                        sub._keys.append(key)
             cursor = stop
             if op is None:
                 break
@@ -529,8 +556,8 @@ def _row_texts(
         return
     history = operations
     rows = zip(
-        islice(history._cells, 1, None, 3),
-        islice(history._cells, 0, None, 3),
+        history._keys or repeat(None),
+        map(history._pids.__getitem__, history._readers),
         map(repr, history._times),
     )
     cursor = 0

@@ -57,11 +57,10 @@ def cell(
         system, WorkloadDriver(system), horizon, horizon - 5.0 * delta,
         6.0 * delta, 0.5, "e09.plan",
     )
+    samples = system.check_liveness().latencies
     rows = []
     for kind in ("read", "write", "join"):
-        latencies = [
-            op.latency for op in system.history.operations(kind) if op.done
-        ]
+        latencies = samples.get(kind)
         if not latencies:
             continue
         stats = summarize(latencies)

@@ -20,6 +20,110 @@ That logic now lives here, once:
 The sync, ES and ABD nodes all instantiate these instead of keeping
 private reply sets; the timer- vs. quorum-gated difference is just
 whether a phase has a threshold.
+
+A quorum message is one probe
+-----------------------------
+
+A quorum protocol's delivery (ES ×5 handlers, ABD ×6) finds its phase
+and its register cell with one C-level dict probe each.
+``PhaseTracker`` *is* the dict ``key → QuorumPhase`` — one dict per
+tracker where there were two, the request counter (``read_sn``, ABD's
+``request``) riding the phase as ``phase.request``; ``open(key,
+threshold)`` is its one mutator, and ``tracker.get(msg.key)`` for a key
+no round ever opened builds nothing (``None`` reads "request 0, nobody
+is collecting").  A handler reads its cell as ``space[i]``, ``i`` the
+position ``space._index.get(key)`` gives the message's key *as it
+stands* (a ``None`` key is position 0, read without a probe where it
+cannot need resolving: ES ``_reply``, ABD ``on_abdquery`` /
+``on_abdack``): ``RegisterNode.read`` / ``write`` resolved it before the
+round began, so ``resolve`` / ``sequence`` / ``snapshot`` inside
+``on_es*`` / ``on_abd*`` re-derived a fixed fact; they stay as public
+introspection and as the miss path (``None`` on a keyed space — the ack
+of a batched join reply — and the named ``KeyError``).  ``offer`` /
+``offer_ack`` are the assignment they always were
+(``phase._offers[sender] = …``, as sync's ``on_reply`` stores a batched
+reply), ``is_active`` / ``is_replica`` one attribute load (ABD's
+``_is_replica`` turns true where the universe is resolved: a seed exists
+before its universe does, so its first request asks the ``is_replica``
+property once).  On the link, the injector's window index gives a
+payload class a *loss gate* on the current stretch: at the class's first
+``on_transmit`` there, if no spike or partition is live and every live
+loss naming its type restricts no link (``sender`` and ``dest`` both
+``None``), the gate is the tuple of those losses' probabilities in plan
+order — ``()`` for a class nothing touches — and every re-resolve
+forgets them all.  ``send_payload`` and the per-recipient fan-out arm
+(once a fan-out) read the gate table under the very test ``on_transmit``
+opens with (``_from <= now < _until``) and draw a gated class's losses
+themselves: the same ``faults.injector`` stream, the same order, the
+same ``lost_count`` / ``faulted_count`` / DROP record, and no call into
+``repro.faults``.  ``on_transmit`` stays the one general path — spikes,
+partitions, link-filtered losses, each class's first message on a
+stretch; ``_p2p_uniform`` stays ``None`` under any plan and every
+message still goes through ``send_payload``.  Every reply a handler
+builds per delivery (``EsReply``, ``EsAck``, ``EsDlPrev``, the three ABD
+answers, sync's ``Reply``) is ``new_reply(cls, fields)`` —
+``tuple.__new__`` over the full field tuple, skipping the generated
+``__new__``'s argument binding (≈ 0.4 of its ≈ 0.6 µs) — and
+``PhaseTracker.reading_keys`` sorts only when two or more rounds are
+open.  ``EventuallySynchronousDelay.sample_broadcast_many`` draws a
+fan-out in one comprehension on either side of GST (same stream, same
+order, same ``flush_at_gst`` clamp).  Exact counts, seed 0
+(``tests/runtime/test_footprint.py`` ratchets the per-message ones under
+``sys.setprofile``; ``tests/protocols/test_common.py``,
+``tests/properties/test_fault_properties.py``,
+``tests/protocols/test_replies.py`` and ``tests/net/test_delay.py`` hold
+tracker ≡ two-dict model, gate ≡ full scan, ``new_reply`` ≡
+keyword-built twin and fan-out ≡ per-recipient sampling).  The last
+column adds the loss gates and ``new_reply``; rows without a
+first-column figure were first measured on its parent, whose drives read
+5,117,350 / 4,584,628 calls under cProfile — which files every generated
+NamedTuple ``__new__`` under one label and so counts one of them, hence
+the ``sys.setprofile`` frame rows:
+
+| count | before idle classes | idle classes | loss gates |
+|---|---|---|---|
+| Python calls in the ``es_faulted_200`` drive (270,297 events) | 6,304,586 | 5,122,802 (180,993 of them ``idle_for``) | 4,601,928 (no gate call) |
+| Python frames (``sys.setprofile``) in the same drive | | 2,358,315 | 1,651,432 |
+| … of them in ``repro.faults`` | | 578,299 | 57,292 |
+| … of them a generated NamedTuple ``__new__`` | | 181,868 | 1,374 |
+| ``FaultInjector.on_transmit`` entries, same drive | 280,294 | 190,534 | 20,507 |
+| ``DelayModel.sample`` / ``sample_broadcast`` frames, same drive | 280,294 / 99,800 | 180,494 / 0 | 180,494 / 0 |
+| Python calls in the ``abd_static_200`` drive (361,196 events) | 5,661,323 | 4,587,905 | 4,525,326 |
+| Python frames (``sys.setprofile``) in the same drive; generated NamedTuple ``__new__`` | | 1,692,555; 183,588 | 1,513,755; 4,788 |
+| ``repro.protocols`` + ``repro.core`` frames per delivered message, one ES read at n = 20 | 335 / 58 = 5.78 | 105 / 58 = 1.81 | 105 / 58 = 1.81 |
+| … one ABD write + read at n = 20 | 634 / 120 = 5.28 | 288 / 120 = 2.40 | 286 / 120 = 2.38 |
+| gate entries for one ES read under a loss on ``EsAck`` only (``EsRead`` / ``EsReply`` / ``EsAck``) | 20 / 19 / 19 | 0 / 0 / 19 | 0 / 0 / 0 |
+| ``repro.faults`` frames for one send of a gated class | | 3 | 0 |
+| an ES / ABD seed (n = 2000 build, B / blocks) | 1707 / 18, 1283 / 16 | 1051 / 12, 941 / 10 | 841 / 9, 769 / 8 (as its parent) |
+
+Interleaved parent / change pairs (``perf/judged.py``,
+host-speed-corrected seconds; median, parent IQR, change wins):
+
+| workload, seed | metric | parent | IQR | change | ratio | wins |
+|---|---|---|---|---|---|---|
+| ``es_faulted_200``, 0 (**claimed**) | ``drive_s`` | 1.384 | 0.061 | 1.189 | 0.859 | 10/10 |
+| | ``wall_s`` | 1.512 | 0.054 | 1.318 | 0.871 | 10/10 |
+| | ``ns_per_event`` | 5120 | 226 | 4398 | 0.859 | 10/10 |
+| | ``peak_rss_mb`` | 36.25 | 0.07 | 34.47 | 0.951 | 10/10 |
+| ``es_faulted_200``, 11 (unseen) | ``drive_s`` | 1.335 | 0.050 | 1.167 | 0.874 | 10/10 |
+| ``abd_static_200``, 0 (reported) | ``drive_s`` | 0.896 | 0.023 | 0.826 | 0.923 | 10/10 |
+| ``sync_churn_1k``, 0 | ``drive_s`` | 2.380 | 0.089 | 2.390 | 1.005 | 3/4 |
+| ``sync_scale_100k``, 0 | ``drive_s`` | 1.300 | 0.079 | 1.259 | 0.968 | 3/4 |
+| ``history_check_200k``, 0 | ``wall_s`` | 1.371 | 0.029 | 1.362 | 0.994 | 7/10 |
+| ``cluster_rebalance_4x100``, 0 | ``drive_s`` | 1.645 | 0.094 | 1.658 | 1.008 | 1/4 |
+
+The loss gates and ``new_reply``, same instrument and columns:
+
+| workload, seed | metric | parent | IQR | change | ratio | wins |
+|---|---|---|---|---|---|---|
+| ``es_faulted_200``, 0 (**claimed**) | ``drive_s`` | 1.106 | 0.040 | 0.953 | 0.861 | 12/12 |
+| | ``wall_s`` | 1.226 | 0.042 | 1.065 | 0.869 | 12/12 |
+| ``es_faulted_200``, 7 (unseen) | ``drive_s`` | 1.049 | 0.050 | 0.879 | 0.838 | 10/10 |
+| ``abd_static_200``, 0 (reported) | ``drive_s`` | 0.767 | 0.033 | 0.738 | 0.962 | 10/10 |
+| ``sync_churn_1k``, 0 | ``drive_s`` | 2.385 | 0.097 | 2.355 | 0.987 | 2/4 |
+| ``sync_scale_100k``, 0 | ``drive_s`` | 1.116 | 0.025 | 1.120 | 1.003 | 2/4 |
+| ``history_check_200k``, 0 | ``wall_s`` | 0.898 | 0.042 | 0.892 | 0.994 | 2/4 |
+| ``cluster_rebalance_4x100``, 0 | ``drive_s`` | 1.576 | 0.053 | 1.510 | 0.958 | 4/4 |
 """
 
 from __future__ import annotations

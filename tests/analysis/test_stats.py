@@ -3,6 +3,7 @@
 import pytest
 
 from repro.analysis.stats import percentile, summarize
+from repro.core.checker import _ZERO, LatencySamples
 from repro.sim.errors import ExperimentError
 from tests.conftest import make_system
 
@@ -51,6 +52,18 @@ class TestPercentile:
             percentile([], 50.0)
         with pytest.raises(ExperimentError):
             percentile([1.0], 150.0)
+
+    @pytest.mark.parametrize("kind", [list, LatencySamples])
+    def test_refusals_are_named_for_a_list_and_for_samples(self, kind):
+        with pytest.raises(
+            ExperimentError, match="cannot take a percentile of an empty sample"
+        ):
+            percentile(kind([]), 50.0)
+        for q in (150.0, -0.5, float("nan")):
+            with pytest.raises(
+                ExperimentError, match=r"percentile must be in \[0, 100\], got"
+            ):
+                percentile(kind([_ZERO, 1.0]), q)
 
 
 class TestHistoryEdgeCases:

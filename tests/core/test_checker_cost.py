@@ -3,20 +3,25 @@ and in memory per read.
 
 Regularity, atomicity, liveness and the digest each touch an operation
 once, in their own loop, and a valid read leaves no Python frame behind:
-the only frames per operation are the inversion tuples of inverted
-reads.  ``sys.setprofile`` counts every Python-level ``call`` event
-across the four phases — deterministic for a fixed seed, so the bound
-holds without timing noise.  The history is the read-heavy synchronous
-run of ``history_check_200k`` on a shorter horizon (n = 50, churn 0.02,
-seed 0, about 10 k local reads); it measures 0.23 calls per operation,
-against 1.22 with a judgement tuple per read and 10.2 when every read
-was judged through a helper and every phase re-read the handle's
-properties.
+the frames per operation are liveness's latency sample of each handle
+(a row's is a count, grown once per run of rows).  ``sys.setprofile``
+counts every Python-level ``call`` event across the four phases —
+deterministic for a fixed seed, so the bound holds without timing
+noise.  The history is the read-heavy synchronous run of
+``history_check_200k`` on a shorter horizon (n = 50, churn 0.02, seed 0,
+about 10 k local reads); it measures 0.10 calls per operation (0.09
+with the samples a list), against 0.23 with a handle per read, 1.22
+with a judgement tuple per read and 10.2 when every read was judged
+through a helper and every phase re-read the handle's properties.
 
 A judged pass also keeps its verdicts, not a record per read: the
-``tracemalloc`` peak across regularity and atomicity on the same
-history is held to 32 bytes per completed read (17.2 measured, all of
-it the inversion witnesses; 299.6 with a judgement per read shared by
+``tracemalloc`` peak across regularity, atomicity and liveness on the
+same history is held to 3.5 bytes per completed read (3.04 measured:
+each inversion witness its later row number, each run of witnesses
+sharing an earlier read that read once, and the zero-latency rows one
+count; 16.5 with a witness's two row numbers and two write indexes in
+four columns and a latency sample per row, 7.6 of it over the two
+sweeps alone; 299.6 over the sweeps with a judgement per read shared by
 both checkers and two decorated, sorted copies of the reads).
 """
 
@@ -33,9 +38,9 @@ from tests.conftest import make_system
 DELTA = 5.0
 HORIZON = 65.0
 #: The ratchets: calls per operation across the four phases, and traced
-#: bytes per completed read at the peak of the two sweeps.
+#: bytes per completed read at the peak of the two sweeps and liveness.
 MAX_CALLS_PER_OPERATION = 1.0
-MAX_PEAK_BYTES_PER_READ = 32.0
+MAX_PEAK_BYTES_PER_READ = 3.5
 
 
 def closed_read_heavy_run():
@@ -89,10 +94,12 @@ def test_judging_holds_no_per_read_state():
         base = tracemalloc.get_traced_memory()[0]
         safety = system.check_safety()
         atomicity = system.check_atomicity()
+        liveness = system.check_liveness(grace=3.0 * DELTA)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert safety.is_safe and atomicity.inversions
+    assert safety.is_safe and atomicity.inversions and liveness.is_live
+    assert len(liveness.latencies["read"]) == completed
     per_read = (peak - base) / completed
     assert per_read <= MAX_PEAK_BYTES_PER_READ, (
         f"{peak - base} B at the peak over {completed} completed reads = "

@@ -344,3 +344,25 @@ class TestReadRows:
         assert [op.op_id for op in sub.reads()] == [
             op.op_id for op in history.reads() if op.key == "a"
         ]
+
+    def test_the_key_column_fills_in_at_the_first_keyed_row(self):
+        history = History("v0")
+        history.record_read(1.0, "p1", None, "v0")
+        history.record_read(2.0, "p2", None, "v0")
+        assert history._keys == [] and list(history._readers) == [0, 1]
+        history.record_read(3.0, "p1", "k", "v0")
+        history.record_read(4.0, "p3", None, "v0")
+        assert history._keys == [None, None, "k", None]
+        assert list(history._readers) == [0, 1, 0, 2]
+        assert history._pids == ["p1", "p2", "p3"]
+        assert [(op.process_id, op.key) for op in history] == [
+            ("p1", None), ("p2", None), ("p1", "k"), ("p3", None)
+        ]
+        history.close(5.0)
+        assert history.keys() == [None, "k"]
+        unkeyed, keyed = history.sub_history(None), history.sub_history("k")
+        assert unkeyed._keys == [] and keyed._keys == ["k"]
+        assert [op.process_id for op in unkeyed] == ["p1", "p2", "p3"]
+        assert [(op.process_id, op.key, op.invoke_time) for op in keyed] == [
+            ("p1", "k", 3.0)
+        ]

@@ -21,7 +21,8 @@ send or a free list that pins the run's high-water mark.
 An operation costs what it records: planned, it is its plan op and the
 instant it fires at (it takes a queue slot only once the clock reaches
 its epoch); completed and judged, a local read is that plus its history
-row — an instant, an op id and three pointers in columns, no object — and
+row — an instant, an op id, a reader number and a pointer in columns,
+no object — and
 a judged report keeps its verdicts, not a record per valid read.  The
 per-operation ratchets fail a change that re-adds an ``Event`` per
 planned op, a handle per local read, a callback list per handle, a
@@ -102,14 +103,15 @@ OPERATIONS = 20_000
 #: list plan once installed, and once completed and judged.  Measured
 #: here (3.11): 107 / 2.0 — the slotted plan op and its instant, plus an
 #: 8 B slot each in the plan, its sorted copy (the installed plan's op
-#: column) and the installed plan's ``array('d')`` of instants — and 134 / 2.04: the plan
-#: op and the history row (the sorted copy and the instants released).
+#: column) and the installed plan's ``array('d')`` of instants — and 121 / 2.04: the plan
+#: op and the history row (the sorted copy and the instants released);
+#: 134 / 2.04 with the row's process, key and value three list slots.
 #: With a handle and its op id per read: 256 / 4.03.  One ``Event`` per
 #: planned op read 461 / 8.1 installed; a ``__dict__`` per plan op and a
 #: callback list per handle, 470 / 7.2 judged; a judgement tuple kept per
 #: valid read, 378 / 5.0.
 PLANNED_BUDGET = (118, 2)
-JUDGED_BUDGET = (147, 2)
+JUDGED_BUDGET = (133, 2)
 
 #: Bytes per read of a ``read_heavy_plan`` built and installed: the
 #: slope between plans of ~20,000 and ~40,000 reads on one system.
@@ -122,12 +124,14 @@ PLANNED_READ_BYTES = 17
 
 #: Bytes and blocks a complete local read leaves in the history: the
 #: slope between runs of 20,000 and 40,000 planned reads, with the plan
-#: built before the measurement.  Measured here (3.11): 42.4 / 0.002 — an
-#: 8 B instant and an 8 B op id in the row's ``array('d')`` /
-#: ``array('q')`` columns and three 8 B pointers in its flat list, plus
-#: the columns' growth slack; 166.0 / 2.0 with an ``OperationHandle``, its
-#: op id and two list slots per read.
-RETAINED_READ_BUDGET = (48, 0.05)
+#: built before the measurement.  Measured here (3.11): 29.1 / 0.004 — an
+#: 8 B instant, an 8 B op id and a 4 B reader number in the row's
+#: ``array('d')`` / ``array('q')`` / ``array('I')`` columns and its
+#: value's 8 B pointer in a list, plus the columns' growth slack (the
+#: key column stays empty: no key was named); 42.4 / 0.002 with the
+#: process, key and value three pointers in one flat list; 166.0 / 2.0
+#: with an ``OperationHandle``, its op id and two list slots per read.
+RETAINED_READ_BUDGET = (32, 0.05)
 
 #: protocol -> (bytes per seed, allocated blocks per seed).  Measured
 #: here (n = 2000, 3.11): 273 / 2.05, 561 / 6.05, 488 / 5.05; with a
@@ -445,6 +449,7 @@ def _retained_reads(count):
     finally:
         tracemalloc.stop()
     assert len(system.history) == len(system.history._times) == count
+    assert not system.history._keys  # an unkeyed row has no key slot
     return size, blocks
 
 
