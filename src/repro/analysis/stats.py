@@ -35,15 +35,20 @@ class Summary:
 
 
 def summarize(samples: Sequence[float]) -> Summary:
-    """Mean / stdev / min / max of a non-empty sample: any sequence,
-    :class:`~repro.core.checker.LatencySamples` too (read by iteration,
-    never copied)."""
+    """Mean / stdev / min / max of a non-empty sample of finite values:
+    any sequence, :class:`~repro.core.checker.LatencySamples` too (read
+    by iteration, never copied)."""
     # Here, not at the top: ``statistics`` loads ``decimal`` and
     # ``fractions`` (0.4 MB resident), which ``percentile`` never needs.
     import statistics
 
     if not samples:
         raise ExperimentError("cannot summarize an empty sample")
+    if not all(map(math.isfinite, samples)):
+        bad = next(value for value in samples if not math.isfinite(value))
+        raise ExperimentError(
+            f"cannot summarize a sample holding a non-finite value ({bad!r})"
+        )
     if len(samples) == 1:
         only = float(samples[0])
         return Summary(count=1, mean=only, stdev=0.0, minimum=only, maximum=only)

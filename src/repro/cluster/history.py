@@ -23,7 +23,7 @@ import hashlib
 from operator import attrgetter
 from typing import Any, Iterator, Sequence
 
-from ..core.history import History, hash_rows
+from ..core.history import OPERATION_FIELDS, History, hash_rows
 from ..sim.clock import Time
 from ..sim.errors import HistoryError
 from ..sim.operations import OperationHandle
@@ -96,10 +96,10 @@ class ClusterHistory:
 
         All shards ride one scheduler, so operation ids are assigned in
         global event order; sorting by ``(invoke_time, op_id)`` is the
-        chronological merge, deterministic for a fixed seed.  A read a
-        shard keeps as a row (:mod:`repro.core.history`) enters the
-        merge as its handle view, so the shard and seam views re-record
-        handles only.
+        chronological merge, deterministic for a fixed seed.  Every row
+        a shard keeps (:mod:`repro.core.history`) enters the merge as
+        its handle view (its live handle while in flight), and the shard
+        and seam views record those back as rows.
 
         Memoized once every shard history is closed (the checkers call
         this once per shard view); open histories recompute, since
@@ -147,7 +147,7 @@ class ClusterHistory:
         if cached is not None:
             return cached
         source = self._shards[shard]
-        view = History(source.initial_value)
+        view = History(source.initial_value, shard)
         for op in self.merged_operations():
             if self.migrated_keys and op.key in self.migrated_keys:
                 continue  # judged across the seam instead (seam_view)
@@ -209,11 +209,11 @@ def cluster_digest(history: ClusterHistory) -> str:
     argument, in merged (global invocation) order — so a routing or
     shard-interleaving regression changes the digest even when each
     shard's own history still looks plausible.  The rows are written by
-    :func:`~repro.core.history.hash_rows`, each led by its shard and
-    always carrying its key.
+    :func:`~repro.core.history.hash_rows` from the merged views' fields,
+    each led by its shard and always carrying its key.
     """
     sha = hashlib.sha256()
-    hash_rows(sha, history, sharded=True)
+    hash_rows(sha, map(OPERATION_FIELDS, history), sharded=True)
     if history.migrations:
         # Resharding runs additionally pin every handoff outcome, so a
         # migration that commits at a different instant (or aborts for

@@ -34,37 +34,32 @@ retained behind ``paranoid=True`` (CLI: ``--paranoid``) as reference
 oracles; the property suite asserts verdict parity between the two.
 
 A judged pass keeps its verdicts, not one record per read: both sweeps
-hold O(W + in-flight reads).  Both walk the history's reads as C-level
-entries (``_read_entries``): a read handle's response, invocation, op
-id and result through ``attrgetter`` maps over the history's own list,
-and a read *row* — a complete local read kept as columns (see
-:mod:`repro.core.history`) — zipped from its instant, op-id and value
-columns, so no handle view is built.  A read is done iff it has a
-response (a row always has: its invocation instant), and its three
-bisection cuts key the write index's per-cut memo (one ``(last,
-concurrent, allowed)`` per distinct cut).  A valid read leaves nothing
-behind; only a violation, a join or ``paranoid=True`` goes through
-``_judge``, the one place an explanation is written (a violating row
-through its view).  A :class:`SafetyReport` is ``checked_count`` plus
-its violations; :attr:`SafetyReport.judgements` rebuilds the full list
-on request from the writes and the reads still pending at check time.
-The inversion detector walks the same entries in invocation order with
-a heap of the reads still in flight.  Consecutive witnesses share their
-earlier read — the running best, which changes only when a better read
-finishes (37 times for 18,847 witnesses in ``history_check_200k`` at
-seed 0) — so over rows it keeps a witness as its later row number, 8 B
-in an ``array('q')``, and each run's earlier row and write index once;
-the :class:`Inversion`, its views and its later write index (looked up
-from the later row's value) are built only when the report is read.
-Liveness is one loop over the handles' response and invocation times
-with local counters, each run of rows between two handles counted in
-one step (complete, zero latency): a kind's samples are a
-:class:`LatencySamples`, in which such a run is a count, not a slot per
-row.  Read handles among rows (a caller kept a handle of a synchronous
-read) are judged through the views, in recording order.  A closed
-history shares its read verdicts, write records, key list and per-key
-sub-histories between the checkers.  ``tests/core/test_checker_cost.py``
-holds the four judged phases (these three checkers and
+hold O(W + in-flight reads).  Every phase reads the history's rows
+through :class:`~repro.core.history.History` methods, never its record
+layout: the sweeps walk :meth:`~repro.core.history.History.read_entries`
+(each read's response — NaN if none — invocation, op id, result and
+row, zipped from the columns) and liveness walks
+:meth:`~repro.core.history.History.intervals`, each run of born-complete
+reads between two interval rows counted in one step: a kind's samples
+are a :class:`LatencySamples`, in which such a run is a count.  A
+read's three bisection cuts key the write index's per-cut memo (one
+``(last, concurrent, allowed)`` per distinct cut).  A valid read leaves
+nothing behind; only a violation, a join or ``paranoid=True`` goes
+through ``_judge``, the one place an explanation is written.  A :class:`SafetyReport` is
+``checked_count`` plus its violations; :attr:`SafetyReport.judgements`
+rebuilds the full list on request from the writes and the reads still
+pending at check time.  The inversion detector walks the same entries
+in invocation order with a heap of the reads still in flight.
+Consecutive witnesses share their earlier read — the running best,
+which changes only when a better read finishes (37 times for 18,847
+witnesses in ``history_check_200k`` at seed 0) — so it keeps a witness
+as its later row number, 8 B in an ``array('q')``, and each run's
+earlier row and write index once; the :class:`Inversion`, its views and
+its later write index (looked up from the later row's value) are built
+only when the report is read.  A closed history shares its read
+verdicts, write records, key list and per-key sub-histories between the
+checkers.  ``tests/core/test_checker_cost.py`` holds the four judged
+phases (these three checkers and
 :func:`~repro.core.history.operation_digest`) to at most 1 Python call
 per operation, and the two sweeps and liveness to at most 3.5 traced
 bytes per read.
@@ -78,9 +73,9 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import partial
 from heapq import heappop, heappush
-from itertools import chain, count, islice, repeat
+from itertools import chain, islice, repeat
 from math import isnan
-from operator import attrgetter
+from operator import itemgetter
 from typing import Any, Callable, Collection, Iterable, Iterator, NamedTuple
 
 from ..sim.clock import Time
@@ -310,7 +305,7 @@ class RegularityChecker:
             partial(
                 self._rejudge,
                 writes,
-                history._read_count(),
+                history.count(OP_READ),
                 len(joins),
                 frozenset(pending),
             )
@@ -343,9 +338,9 @@ class RegularityChecker:
         violations: list[ReadJudgement] = []
         pending: list[int] = []
         history = self.history
-        for response, invoke, _, returned, read in _read_entries(history):
-            if response is None:
-                pending.append(read.op_id)
+        for response, invoke, op_id, returned, row in history.read_entries():
+            if response != response:  # NaN: no response
+                pending.append(op_id)
                 continue
             cut = (
                 bisect_right(completed_resp, invoke),
@@ -356,10 +351,9 @@ class RegularityChecker:
             if entry is None:
                 entry = at_cut(cut)
             if returned not in entry[2]:
-                if read.__class__ is int:
-                    read = history._row_view(read)
-                violations.append(self._judge(read, returned, writes, index))
-        return history._read_count() - len(pending), tuple(violations), tuple(pending)
+                view = history.row_view(row)
+                violations.append(self._judge(view, returned, writes, index))
+        return history.count(OP_READ) - len(pending), tuple(violations), tuple(pending)
 
     def _rejudge(
         self,
@@ -504,9 +498,9 @@ class AtomicityReport:
     are inverted (and hence every verdict property) is identical in
     both modes; code comparing raw counts across modes, or against
     the paper's pair counts, must use ``paranoid=True`` (as the A1
-    ablation does).  Over a history whose reads are rows the fast
-    detector's ``inversions`` is a sequence that builds each witness on
-    access; the merged report of a keyed history is a list.
+    ablation does).  The fast detector's ``inversions`` is a sequence
+    that builds each witness on access; the merged report of a keyed
+    history is a list.
     """
 
     safety: SafetyReport
@@ -549,10 +543,9 @@ def find_new_old_inversions(
     A read whose write index falls below that maximum is inverted, and
     is reported paired with the maximal earlier read as its witness
     (the first to finish, among equals) — one witness pair per inverted
-    read.  The history's own reads — its read handles, or its read
-    rows' columns — are walked as they stand when they are in
-    invocation order (a recorded run's are); any other list is sorted
-    first, as handle views.  ``paranoid=True`` restores the original
+    read.  The history's read entries are walked as they stand when
+    they are in invocation order (a recorded run's are); otherwise they
+    are sorted first.  ``paranoid=True`` restores the original
     all-pairs scan, which enumerates *every* inverted pair (worst-case
     O(R²) output); the two agree exactly on which reads are inverted,
     hence on every verdict.
@@ -591,83 +584,30 @@ def find_new_old_inversions(
                         Inversion(earlier, later, earlier_idx, later_idx)
                     )
         return report
-    inversions: Sequence[Inversion] | None = None
-    if history._times and not history._by_kind.get(OP_READ):  # rows only
+    earlier, later = array("q"), array("q")
+    runs = _sweep(history.read_entries(), written, earlier, later)
+    if runs is None:  # not in invocation order: a synthetic history
         earlier, later = array("q"), array("q")
-        runs = _sweep(_read_entries(history), written, earlier, later)
-        if runs is not None:
-            inversions = _RowWitnesses(history, written, earlier, later, *runs)
-    else:
-        inversions = _sweep_inversions(history.of_kind(OP_READ), written)
-    if inversions is None:  # not in invocation order: a synthetic list
-        inversions = _sweep_inversions(
-            sorted(history.of_kind(OP_READ), key=_INVOCATION_ORDER), written
-        )
-    report.inversions = inversions
+        ordered = sorted(history.read_entries(), key=_INVOCATION_ORDER)
+        runs = _sweep(iter(ordered), written, earlier, later)
+    report.inversions = _RowWitnesses(history, written, earlier, later, *runs)
     return report
 
 
-_INVOCATION_ORDER = attrgetter("invoke_time", "op_id")
-_RESPONSE = attrgetter("response_time")
-_INVOKED = attrgetter("invoke_time")
-_OP_ID = attrgetter("op_id")
-_RESULT = attrgetter("_result")
-
-
-def _read_entries(history: History) -> Iterator[tuple[Any, ...]]:
-    """``(response_time, invoke_time, op_id, result, read)`` per read of
-    ``history`` in recording order, through C-level iterators: ``read``
-    is a read handle, or a row's number (a row responded at its
-    invocation instant).  Read handles among rows come as views."""
-    handles = history._by_kind.get(OP_READ, ())
-    times = history._times
-    if times and not handles:
-        return zip(times, times, history._ids, history._values, count())
-    return _handle_entries(history.of_kind(OP_READ) if times else handles)
-
-
-def _handle_entries(reads: Sequence[OperationHandle]) -> Iterator[tuple[Any, ...]]:
-    """:func:`_read_entries` of a list of read handles.  A pending read
-    has no response (and ``None`` as its result)."""
-    return zip(
-        map(_RESPONSE, reads),
-        map(_INVOKED, reads),
-        map(_OP_ID, reads),
-        map(_RESULT, reads),
-        reads,
-    )
-
-
-def _sweep_inversions(
-    reads: Sequence[OperationHandle],
-    written: Callable[[Any], WriteRecord | None],
-) -> list[Inversion] | None:
-    """The fast detector's witnesses over ``reads``, or ``None`` as
-    soon as a completed read of a written value is out of
-    ``(invoke_time, op_id)`` order."""
-    earlier: list[OperationHandle] = []
-    later: list[OperationHandle] = []
-    runs = _sweep(_handle_entries(reads), written, earlier, later)
-    if runs is None:
-        return None
-    starts, earlier_indexes = runs
-    stops = chain(islice(starts, 1, None), (len(later),))
-    return [
-        Inversion(best, read, best_idx, written(read._result).index)
-        for best, best_idx, start, stop in zip(earlier, earlier_indexes, starts, stops)
-        for read in later[start:stop]
-    ]
+#: A read entry's ``(invoke_time, op_id)``.
+_INVOCATION_ORDER = itemgetter(1, 2)
 
 
 def _sweep(
     entries: Iterator[tuple[Any, ...]],
     written: Callable[[Any], WriteRecord | None],
-    earlier: Any,
-    later: Any,
+    earlier: array,
+    later: array,
 ) -> tuple[array, array] | None:
-    """The fast detector over :func:`_read_entries`: appends each
-    witness's later read to ``later`` and, once per run of witnesses
-    that share it, the earlier read — the running best — to
+    """The fast detector over read entries
+    (:meth:`~repro.core.history.History.read_entries`): appends each
+    witness's later row to ``later`` and, once per run of witnesses
+    that share it, the earlier row — the running best — to
     ``earlier``.  Returns each run's first position in ``later`` and
     its best's write index, or ``None`` as soon as a completed read of
     a written value is out of ``(invoke_time, op_id)`` order."""
@@ -675,13 +615,13 @@ def _sweep(
     earlier_indexes = array("q")
     # ``(response_time, op_id, write index, read)`` of the visited reads
     # not yet known to have finished before the current invocation.
-    in_flight: list[tuple[Time, int, int, Any]] = []
-    best: Any = None  # the finished read of max write index
+    in_flight: list[tuple[Time, int, int, int]] = []
+    best = -1  # the row of the finished read of max write index
     best_idx = -1
     last_invoked: Time = float("-inf")
     last_id = -1
     for response, invoked, op_id, returned, read in entries:
-        if response is None:
+        if response != response:
             continue  # pending or abandoned: not a completed read
         record = written(returned)
         if record is None:
@@ -711,7 +651,7 @@ def _sweep(
 
 
 class _RowWitnesses(Sequence):
-    """The witnesses :func:`_sweep` found over rows: each witness's later
+    """The witnesses :func:`_sweep` found: each witness's later
     row number in an ``array('q')`` column, 8 B a witness, and each run's
     earlier row and write index once.  An :class:`Inversion` — its two
     reads the rows' handle views, the later write index looked up from
@@ -739,7 +679,7 @@ class _RowWitnesses(Sequence):
         return len(self._later)
 
     def __getitem__(self, position: int) -> Inversion:
-        view = self._history._row_view
+        view = self._history.row_view
         later = view(self._later[position])
         if position < 0:
             position += len(self._later)
@@ -936,39 +876,35 @@ class LivenessChecker:
         stuck: list[StuckOperation] = []
         latencies: dict[str, LatencySamples] = {}
         history = self.history
-        cursor = 0
-        # Each handle after the rows recorded before it; a row is a
-        # complete read of zero latency.
-        for op, stop in zip(
-            chain(history._operations, (None,)),
-            chain(history._before, (len(history._times),)),
+        previous = -1
+        # Each row with an interval after the born-complete reads recorded
+        # since the one before it, each a complete read of zero latency.
+        for row, kind, invoked, response, live in chain(
+            history.intervals(), ((len(history), None, 0.0, 0.0, None),)
         ):
-            if stop != cursor:
-                completed += stop - cursor
+            if row - previous > 1:
+                completed += row - previous - 1
                 samples = latencies.get(OP_READ)
                 if samples is None:
                     samples = latencies[OP_READ] = LatencySamples()
-                samples.add_zeros(stop - cursor)
-                cursor = stop
-            if op is None:
+                samples.add_zeros(row - previous - 1)
+            previous = row
+            if kind is None:
                 break
-            # An operation has a response iff it is done.
-            response = op.response_time
-            if response is not None:
+            if response == response:  # NaN: no response
                 completed += 1
-                samples = latencies.get(op.kind)
+                samples = latencies.get(kind)
                 if samples is None:
-                    samples = latencies[op.kind] = LatencySamples()
-                invoked = op.invoke_time
-                samples.append(_ZERO if response is invoked else response - invoked)
-            elif op.abandoned:
+                    samples = latencies[kind] = LatencySamples()
+                samples.append(response - invoked)
+            elif live is None:
                 excused += 1
             else:
-                age = horizon - op.invoke_time
+                age = horizon - invoked
                 if age <= grace:
                     in_grace += 1
                 else:
-                    stuck.append(StuckOperation(operation=op, age=age))
+                    stuck.append(StuckOperation(operation=live, age=age))
         return LivenessReport(
             completed=completed,
             excused=excused,

@@ -11,33 +11,34 @@ The history also knows which processes departed and when, so the
 liveness checker can excuse operations abandoned by a leave (the
 specification only promises termination to processes that stay).
 
-Handles and rows
-----------------
+Rows
+----
 
-An operation something may wait on — a write, a join, an ES or ABD
-read — is recorded as its :class:`~repro.sim.operations.OperationHandle`
-(:meth:`History.record_operation`).  A complete local read — the
-synchronous protocol's planned read, done in the frame that invokes it
-— is recorded as a *row* (:meth:`History.record_read`), in columns as
-the scheduler files a fan-out's replies: its instant in an
-``array('d')`` (invocation and response are the one instant), its op id
-in an ``array('q')`` (drawn where a handle would draw it), its process
-as a 4 B number in an ``array('I')`` (the history numbers its readers as
-they first read) and its value as a list slot.  Its key has a column of
-its own that only a keyed history fills: the first row with a key fills
-it in, ``None`` for every row before.  An unkeyed row costs 28 B and no
-object, a keyed one 36 B; the history holds its rows' shard stamp
-once.  Each handle notes how many rows were recorded before it, so
-recording order is kept exactly across the two.
+Every operation is a *row* of the history's columns, in recording
+order: its invocation instant (``array('d')``), op id (``array('q')``),
+process as a 4 B number (``array('I')``, numbered as processes first
+appear) and result as a list slot — a read's returned value, a join's
+adoption, a write's argument.  A key column exists once a row has a key
+(``None`` for the rows before).  Times are stored as ``float``.
+
+A born-complete read — one whose response *is* its invocation, as the
+synchronous protocol's planned read (:meth:`History.record_read`) — is
+that and nothing more: 28 B and no object unkeyed, 36 B keyed.  Every
+other operation has an *interval*: its row number, kind and response in
+three sparse columns (a NaN response while it is in flight or once it
+is abandoned).  In flight, the history holds its handle, which fills
+the row in when it settles (:meth:`History.record_operation`); then the
+history drops it.  The history holds its rows' shard stamp once.
 
 A consumer that iterates (``for op in history``, :meth:`operations`,
-:meth:`of_kind`, :meth:`sub_history`, the cluster merge, ``viz/``, the
-experiments) sees a row as a handle view built on demand
-(:func:`~repro.sim.operations.completed_read`), in recording order,
-streamed.  The four judged phases — the regularity sweep, the inversion
-sweep, liveness and :func:`hash_rows` — read the columns through C-level
-iterators and build a view only for a violation, an inversion witness
-read on access, or a stuck operation.
+:meth:`of_kind`, the cluster merge, ``viz/``, the experiments) sees a
+row as a handle view built on demand
+(:func:`~repro.sim.operations.operation_view`), or its live handle in
+flight, in recording order, streamed.  The four judged phases — the
+regularity sweep, the inversion sweep, liveness and :func:`hash_rows` —
+read the columns through C-level iterators (:meth:`History.read_entries`,
+:meth:`History.intervals`) and build a view only for a violation, an
+inversion witness read on access, or a stuck operation.
 
 The keyed register space
 ------------------------
@@ -62,19 +63,38 @@ from __future__ import annotations
 
 import hashlib
 from array import array
-from collections import defaultdict
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from itertools import chain, compress, count, islice, repeat, starmap, tee
+from operator import attrgetter, itemgetter
+from typing import Any, Callable, Collection, Iterable, Iterator
 
 from ..sim.clock import Time
 from ..sim.errors import HistoryError
-from ..sim.operations import OperationHandle, completed_read, draw_op_id
+from ..sim.operations import (
+    OperationHandle,
+    OperationState,
+    draw_op_id,
+    operation_view,
+)
 from .register import OP_JOIN, OP_READ, OP_WRITE
 
 
 #: Rows per hash update in :func:`operation_digest`.
 _DIGEST_ROWS = 1024
+
+#: The response of a row with none: in flight, or abandoned.
+_NONE = float("nan")
+
+_DONE = OperationState.DONE
+_PENDING = OperationState.PENDING
+
+#: An operation's fields in :func:`hash_rows`' (and a history row's)
+#: order; the writer ignores the first and the last.
+OPERATION_FIELDS = attrgetter(
+    "op_id", "kind", "process_id", "invoke_time", "response_time", "key", "argument",
+    "shard", "_row",
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -117,31 +137,33 @@ class WriteRecord:
 
 
 class History:
-    """Append-only record of a run's operations: handles, and the rows
-    of complete local reads (see the module docstring)."""
+    """Append-only record of a run's operations, one row each."""
 
     def __init__(self, initial_value: Any, shard: int | None = None) -> None:
         self.initial_value = initial_value
-        #: The cluster shard this history belongs to (``None`` for a
-        #: standalone system).  When set, every recorded handle is
-        #: stamped with it, and its rows carry it, so a merged cluster
-        #: view can be partitioned back into per-shard histories.
+        #: The cluster shard this history belongs to (``None`` standalone):
+        #: every recorded handle is stamped with it and every row carries
+        #: it, so a merged cluster view partitions back into shards.
         self.shard = shard
-        self._operations: list[OperationHandle] = []
-        self._by_kind: defaultdict[str, list[OperationHandle]] = defaultdict(list)
-        # Per handle in ``_operations``: the rows recorded before it.
-        self._before = array("q")
-        # The rows: instants, op ids, reader numbers, values, and the
-        # keys once a row has one (empty while every key is ``None``).
+        # Every row: instant, op id, process number, result, and the key
+        # once a row has one (empty while every key is ``None``).
         self._times = array("d")
         self._ids = array("q")
-        self._readers = array("I")
+        self._procs = array("I")
         self._values: list[Any] = []
         self._keys: list[Any] = []
-        # The readers' pids by number, and their numbers by pid.
+        # The processes' pids by number, and their numbers by pid.
         self._pids: list[str] = []
         self._numbers: dict[str, int] = {}
-        self._row_shard = shard
+        # The rows with an interval, ascending, and per such row its kind
+        # and response (NaN: in flight, or abandoned).
+        self._spans = array("q")
+        self._kinds: list[str] = []
+        self._responses = array("d")
+        # Rows in flight: their live handles, until they settle.
+        self._pending: dict[int, OperationHandle] = {}
+        # Rows whose shard is not the history's (a cluster seam view's).
+        self._stamps: dict[int, Any] = {}
         self._departures: dict[str, Time] = {}
         self._horizon: Time | None = None
         # Derived views of the *closed* history (see :meth:`memoized`).
@@ -151,27 +173,39 @@ class History:
     # Recording (called by the system runtime)
     # ------------------------------------------------------------------
 
-    def record_operation(self, handle: OperationHandle) -> None:
-        """Register an invoked operation (its completion fills in later)."""
+    def record_operation(self, op: OperationHandle) -> None:
+        """Record an invoked operation as a row (see the module
+        docstring).  While it is in flight the history holds its handle:
+        the handle fills its row in when it completes or is abandoned if
+        this is the first history to record it pending, and any other
+        history settles the row when it is read."""
         if self.shard is not None:
-            handle.shard = self.shard
-        self._operations.append(handle)
-        self._before.append(len(self._times))
-        self._by_kind[handle.kind].append(handle)
-        self._derived.clear()
+            op.shard = self.shard
+        state, kind = op._state, op.kind
+        live = op if state is _PENDING else None
+        if live is not None and op._row is None:
+            op._row = (self, len(self._ids))
+        self._append(
+            op.op_id, kind, op.process_id, op.invoke_time,
+            op.response_time if state is _DONE else _NONE, op.key,
+            op.argument if kind == OP_WRITE else op._result, op.shard, live,
+        )
 
-    def record_read(self, instant: Time, process_id: str, key: Any, value: Any) -> None:
+    def record_read(
+        self, instant: Time, process_id: str, key: Any, value: Any, op_id: int = -1
+    ) -> None:
         """Register a read of ``key`` by ``process_id`` that returned
         ``value`` at ``instant``, complete as it was invoked: one row.
-        Its op id is drawn here, where a handle would draw it."""
+        Its op id is drawn here, where a handle would draw it, unless
+        given (:meth:`_append`'s row of a recorded operation)."""
         self._times.append(instant)
-        self._ids.append(draw_op_id())
+        self._ids.append(draw_op_id() if op_id < 0 else op_id)
         try:
             number = self._numbers[process_id]
         except KeyError:
             number = self._numbers[process_id] = len(self._pids)
             self._pids.append(process_id)
-        self._readers.append(number)
+        self._procs.append(number)
         self._values.append(value)
         keys = self._keys
         if keys or key is not None:
@@ -180,6 +214,55 @@ class History:
             keys.append(key)
         if self._derived:
             self._derived.clear()
+
+    # The one row append, whatever later replaces ``record_read``.
+    _add_row = record_read
+
+    def _append(
+        self, op_id: int, kind: str, process_id: str, invoke: Time, response: Time,
+        key: Any, value: Any, shard: Any, live: OperationHandle | None,
+    ) -> None:
+        """Append the row of one operation, in :meth:`_rows`' field
+        order: a read whose response *is* its invocation is a
+        born-complete read's row, any other operation has an interval.
+        A settled join of a named key keeps that key's adoption."""
+        row = len(self._ids)
+        if kind != OP_READ or response is not invoke:
+            self._spans.append(row)
+            self._kinds.append(kind)
+            self._responses.append(response)
+            if live is not None:
+                self._pending[row] = live
+            elif kind == OP_JOIN and key is not None and response == response:
+                value = _adoption(value, key)
+        if shard != self.shard:
+            self._stamps[row] = shard
+        self._add_row(invoke, process_id, key, value, op_id)
+
+    def _fill(self, row: int, op: OperationHandle) -> None:
+        """Settle row ``row`` from ``op``, which completed or was
+        abandoned: its response and result, and the handle dropped."""
+        pending = self._pending
+        del pending[row]
+        if not pending:  # a dict keeps its peak's table: start afresh
+            self._pending = {}
+        if op._state is _DONE:
+            m = bisect_left(self._spans, row)
+            self._responses[m] = op.response_time
+            kind = self._kinds[m]
+            if kind != OP_WRITE:
+                value = op._result
+                key = self._keys[row] if self._keys else None
+                if kind == OP_JOIN and key is not None:
+                    value = _adoption(value, key)
+                self._values[row] = value
+
+    def _settle(self) -> None:
+        """Fill in the rows whose handles settled since this history
+        recorded them (a handle fills in only its first history)."""
+        for row, op in list(self._pending.items()):
+            if op._state is not _PENDING:
+                self._fill(row, op)
 
     def record_departure(self, pid: str, time: Time) -> None:
         """Note that ``pid`` left the system at ``time``."""
@@ -210,7 +293,7 @@ class History:
         return derived[key]
 
     # ------------------------------------------------------------------
-    # Raw access
+    # Reading the rows
     # ------------------------------------------------------------------
 
     @property
@@ -219,74 +302,27 @@ class History:
         return self._horizon
 
     def __len__(self) -> int:
-        return len(self._operations) + len(self._times)
+        return len(self._ids)
+
+    def count(self, kind: str) -> int:
+        """How many operations of ``kind`` were recorded."""
+        spanned = self._kinds.count(kind)
+        if kind == OP_READ:
+            return spanned + len(self._ids) - len(self._spans)
+        return spanned
 
     def __iter__(self) -> Iterator[OperationHandle]:
-        """Every operation in recording order, a row as its handle view:
-        streamed, never a list of views."""
-        if not self._times:
-            return iter(self._operations)
-        return self._merged(self._operations, self._before)
-
-    def _merged(
-        self, handles: Sequence[OperationHandle], before: Iterable[int]
-    ) -> Iterator[OperationHandle]:
-        """``handles`` with the row views interleaved, each handle after
-        the ``before`` rows recorded ahead of it: one lazy chain, a view
-        built as the chain reaches its row."""
-        views = map(
-            completed_read,
-            self._ids,
-            map(self._pids.__getitem__, self._readers),
-            self._times,
-            self._keys or repeat(None),
-            self._values,
-            repeat(self._row_shard),
-        )
-        segments: list[Iterable[OperationHandle]] = []
-        cursor = 0
-        for handle, stop in zip(handles, before):
-            segments.append(islice(views, stop - cursor))
-            segments.append((handle,))
-            cursor = stop
-        segments.append(views)
-        return chain.from_iterable(segments)
-
-    def _row_view(self, row: int) -> OperationHandle:
-        """The handle view of row ``row``."""
-        return completed_read(
-            self._ids[row],
-            self._pids[self._readers[row]],
-            self._times[row],
-            self._keys[row] if self._keys else None,
-            self._values[row],
-            self._row_shard,
-        )
-
-    def _read_count(self) -> int:
-        return len(self._by_kind.get(OP_READ, ())) + len(self._times)
+        """Every operation in recording order, a settled row as its
+        handle view: streamed, never a list of views."""
+        return starmap(operation_view, self._rows(None))
 
     def operations(self, kind: str | None = None) -> list[OperationHandle]:
-        """All operations, optionally filtered by kind.
+        """All operations, optionally filtered by kind."""
+        return list(self) if kind is None else self.of_kind(kind)
 
-        Per-kind lists are maintained on append, so filtered access
-        does not rescan the full operation list.
-        """
-        if kind is None:
-            return list(self)
-        return list(self.of_kind(kind))
-
-    def of_kind(self, kind: str) -> Sequence[OperationHandle]:
-        """The operations of one kind *without* the copy
-        :meth:`operations` makes: for callers that only iterate.  It is
-        the history's own list — never mutate it — unless the kind is
-        the read and the history holds rows: then it is a new list of
-        the handles and row views in recording order."""
-        handles = self._by_kind.get(kind, ())
-        if kind != OP_READ or not self._times:
-            return handles
-        before = [b for op, b in zip(self._operations, self._before) if op.kind == kind]
-        return list(self._merged(handles, before))
+    def of_kind(self, kind: str) -> list[OperationHandle]:
+        """The operations of one kind, in recording order."""
+        return list(starmap(operation_view, self._rows((kind,))))
 
     def joins(self) -> list[OperationHandle]:
         return self.operations(OP_JOIN)
@@ -296,6 +332,118 @@ class History:
 
     def writes(self) -> list[OperationHandle]:
         return self.operations(OP_WRITE)
+
+    def row_view(self, row: int) -> OperationHandle:
+        """The operation of row ``row``: its live handle while it is in
+        flight, else its view."""
+        if self._pending:
+            self._settle()
+        spans = self._spans
+        m = bisect_left(spans, row)
+        spanned = m < len(spans) and spans[m] == row
+        invoke = self._times[row]
+        return operation_view(
+            self._ids[row],
+            self._kinds[m] if spanned else OP_READ,
+            self._pids[self._procs[row]],
+            invoke,
+            self._responses[m] if spanned else invoke,
+            self._keys[row] if self._keys else None,
+            self._values[row],
+            self._stamps.get(row, self.shard),
+            self._pending.get(row),
+        )
+
+    def read_entries(self) -> Iterator[tuple[Any, ...]]:
+        """``(response, invoke_time, op_id, result, row)`` per read in
+        recording order, through C-level iterators; the response is NaN
+        while a read is in flight or once it is abandoned."""
+        if self._pending:
+            self._settle()
+        times, ids, values = self._times, self._ids, self._values
+        spans, rows = self._spanned((OP_READ,))
+        return self._interleave(
+            zip(times, times, ids, values, count()),
+            zip(map(self._responses.__getitem__, spans), map(times.__getitem__, rows),
+                map(ids.__getitem__, rows), map(values.__getitem__, rows), rows),
+            (OP_READ,),
+        )
+
+    def intervals(self) -> Iterator[tuple[Any, ...]]:
+        """``(row, kind, invoke_time, response, live)`` per row with an
+        interval — every operation but a born-complete read — in
+        recording order: the response NaN while the operation is in
+        flight or once it is abandoned, ``live`` its handle while it is
+        in flight (else ``None``)."""
+        if self._pending:
+            self._settle()
+        spans = self._spans
+        return zip(spans, self._kinds, map(self._times.__getitem__, spans),
+                   self._responses, map(self._pending.get, spans))
+
+    def _rows(self, kinds: Collection[str] | None) -> Iterator[tuple]:
+        """``(op_id, kind, process_id, invoke_time, response, key, value,
+        shard, live)`` per row of ``kinds`` (every kind when ``None``)
+        in recording order — the arguments of
+        :func:`~repro.sim.operations.operation_view` and of
+        :meth:`_append`.  A born-complete read's response *is* its
+        invocation object."""
+        if self._pending:
+            self._settle()
+        times, ids, procs, values, keys = (
+            self._times, self._ids, self._procs, self._values, self._keys)
+        pids, stamps, shard = self._pids.__getitem__, self._stamps, self.shard
+        spans, rows = self._spanned(kinds)
+        same, instants = tee(times)
+        return self._interleave(
+            zip(ids, repeat(OP_READ), map(pids, procs), instants, same,
+                iter(keys) if keys else repeat(None), values,
+                map(stamps.get, count(), repeat(shard)) if stamps else repeat(shard),
+                repeat(None)),
+            zip(map(ids.__getitem__, rows), map(self._kinds.__getitem__, spans),
+                map(pids, map(procs.__getitem__, rows)), map(times.__getitem__, rows),
+                map(self._responses.__getitem__, spans),
+                map(keys.__getitem__, rows) if keys else repeat(None),
+                map(values.__getitem__, rows),
+                map(stamps.get, rows, repeat(shard)) if stamps else repeat(shard),
+                map(self._pending.get, rows)),
+            kinds,
+        )
+
+    def _spanned(self, kinds: Collection[str] | None) -> tuple[Iterable[int], Iterable[int]]:
+        """The positions in the interval columns, and the rows, of the
+        interval rows of ``kinds`` (every kind when ``None``)."""
+        if kinds is None:
+            return range(len(self._spans)), self._spans
+        positions = array("q", compress(count(), map(kinds.__contains__, self._kinds)))
+        return positions, array("q", map(self._spans.__getitem__, positions))
+
+    def _interleave(
+        self, instant: Iterator, interval: Iterator, kinds: Collection[str] | None
+    ) -> Iterator:
+        """One item per row of ``kinds`` (every kind when ``None``) in
+        recording order: a born-complete read's from ``instant``, which
+        yields one item per row (those of interval rows are skipped), and
+        an interval row's from ``interval``, which yields one per
+        interval row of ``kinds``.  Lazy: one slice per run."""
+        if kinds is not None and OP_READ not in kinds:
+            return interval
+        segments: list[Iterator] = []
+        cursor = skip = run = 0
+        for row, kind in zip(self._spans, self._kinds):
+            if row > cursor:  # born-complete reads at rows [cursor, row)
+                if run:
+                    segments.append(islice(interval, run))
+                    run = 0
+                segments.append(islice(instant, skip, skip + row - cursor))
+                skip = 0
+            skip += 1
+            run += kinds is None or kind in kinds
+            cursor = row + 1
+        if run:
+            segments.append(islice(interval, run))
+        segments.append(islice(instant, skip, None))
+        return chain.from_iterable(segments)
 
     # ------------------------------------------------------------------
     # Keyed views (the RegisterSpace dimension)
@@ -312,29 +460,21 @@ class History:
         return self.memoized("keys", self._find_keys)
 
     def _find_keys(self) -> list[Any]:
-        found = {
-            op.key
-            for kind in (OP_READ, OP_WRITE)
-            for op in self._by_kind.get(kind, ())
-        }
-        if self._keys:
-            found.update(self._keys)
-        elif self._times:
-            found.add(None)
-        if not found:
+        if not self._keys:
             return [None]
-        return sorted(found, key=lambda key: (key is not None, str(key)))
+        found = {row[5] for row in self._rows((OP_READ, OP_WRITE))}
+        return sorted(found, key=lambda key: (key is not None, str(key))) or [None]
 
     def sub_history(self, key: Any) -> "History":
         """The single-register history of one key.
 
         Contains every read/write addressing ``key`` plus every join —
-        a join spans all keys, so each key's sub-history sees it
-        through a per-key view whose result is that key's adoption.
-        Each key starts from the same initial value (the seeds install
-        it on every key), and departures/horizon carry over, so the
-        single-register checkers judge the sub-history unchanged.  A
-        row stays a row, in the same recording order.
+        a join spans all keys, so each key's sub-history keeps it as a
+        row of that key whose result is that key's adoption.  Each key
+        starts from the same initial value (the seeds install it on
+        every key), and departures/horizon carry over, so the
+        single-register checkers judge the sub-history unchanged.  Rows
+        keep their recording order.
 
         Once the history is closed, every key's sub-history comes from
         one :meth:`memoized` pass and is the same object on every call,
@@ -348,37 +488,16 @@ class History:
 
     def _partition(self, keys: list[Any]) -> dict[Any, "History"]:
         """The sub-histories of ``keys``, built in one pass."""
-        subs = {key: History(self.initial_value) for key in keys}
-        for sub in subs.values():  # one reader numbering for them all
+        subs = {key: History(self.initial_value, self.shard) for key in keys}
+        for sub in subs.values():  # one process numbering for them all
             sub._pids, sub._numbers = self._pids, self._numbers
-        times, ids, readers, values = self._times, self._ids, self._readers, self._values
-        row_keys = self._keys
-        cursor = 0
-        for op, stop in zip(
-            chain(self._operations, (None,)), chain(self._before, (len(times),))
-        ):
-            for row in range(cursor, stop):
-                key = row_keys[row] if row_keys else None
-                sub = subs.get(key)
-                if sub is not None:  # the row stays a row
-                    sub._times.append(times[row])
-                    sub._ids.append(ids[row])
-                    sub._readers.append(readers[row])
-                    sub._values.append(values[row])
-                    if key is not None:
-                        sub._keys.append(key)
-            cursor = stop
-            if op is None:
-                break
-            if op.kind == OP_JOIN:
-                for key, sub in subs.items():
-                    sub.record_operation(_JoinKeyView(op, key))
-            else:
-                sub = subs.get(op.key)
+        for op_id, kind, pid, invoke, response, key, value, shard, live in self._rows(None):
+            for target in subs if kind == OP_JOIN else (key,):
+                sub = subs.get(target)
                 if sub is not None:
-                    sub.record_operation(op)
+                    sub._append(op_id, kind, pid, invoke, response, target, value,
+                                shard, live)
         for sub in subs.values():
-            sub._row_shard = self._row_shard
             sub._departures = dict(self._departures)
             if self._horizon is not None:
                 sub.close(self._horizon)
@@ -401,9 +520,7 @@ class History:
         return self.memoized("write_records", self._serialize_writes)
 
     def _serialize_writes(self) -> list[WriteRecord]:
-        writes = sorted(
-            self.of_kind(OP_WRITE), key=lambda op: (op.invoke_time, op.op_id)
-        )
+        writes = sorted(self._rows((OP_WRITE,)), key=itemgetter(3, 0))
         records = [
             WriteRecord(
                 index=0,
@@ -414,31 +531,24 @@ class History:
             )
         ]
         previous_end: Time = float("-inf")
-        for position, op in enumerate(writes, start=1):
-            if op.invoke_time < previous_end:
+        for position, row in enumerate(writes, start=1):
+            _, _, pid, invoke, response, _, value, _, live = row
+            if invoke < previous_end:
                 raise HistoryError(
-                    f"writes overlap: {op!r} invoked before the previous "
-                    f"write responded at {previous_end!r}; the checker "
+                    f"writes overlap: {operation_view(*row)!r} invoked before the "
+                    f"previous write responded at {previous_end!r}; the checker "
                     f"requires serialized writes"
                 )
-            if op.done:
-                response: Time | None = op.response_time
-                abandoned = False
-                previous_end = op.response_time  # type: ignore[assignment]
-            elif op.abandoned:
-                response = None
-                abandoned = True
-            else:  # still pending at the horizon
-                response = None
-                abandoned = False
+            if response == response:
+                previous_end = response
             records.append(
                 WriteRecord(
                     index=position,
-                    value=op.argument,
-                    invoke_time=op.invoke_time,
-                    response_time=response,
-                    process_id=op.process_id,
-                    abandoned=abandoned,
+                    value=value,
+                    invoke_time=invoke,
+                    response_time=response if response == response else None,
+                    process_id=pid,
+                    abandoned=response != response and live is None,
                 )
             )
         return records
@@ -467,39 +577,22 @@ class History:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"History(ops={len(self)}, "
-            f"writes={len(self.writes())}, reads={self._read_count()}, "
-            f"joins={len(self.joins())})"
+            f"History(ops={len(self)}, writes={self.count(OP_WRITE)}, "
+            f"reads={self.count(OP_READ)}, joins={self.count(OP_JOIN)})"
         )
 
 
-class _JoinKeyView:
-    """One key's view of a (possibly multi-key) join operation.
-
-    Quacks like the underlying :class:`OperationHandle` — the checkers
-    only touch timing/state attributes and ``result`` — but presents
-    the join result restricted to one key, so a key's sub-history can
-    be judged by the unchanged single-register checkers.
-    """
-
-    __slots__ = ("_op", "key")
-
-    def __init__(self, op: OperationHandle, key: Any) -> None:
-        self._op = op
-        self.key = key
-
-    @property
-    def result(self) -> Any:
-        result = self._op.result
-        if hasattr(result, "for_key"):
-            return result.for_key(self.key)
-        return result  # single-key JoinResult (or a protocol's plain "ok")
-
-    def __getattr__(self, name: str) -> Any:
-        return getattr(self._op, name)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"_JoinKeyView({self._op!r}, key={self.key!r})"
+def _adoption(result: Any, key: Any) -> Any:
+    """A join's ``result`` restricted to ``key``: a multi-key join's
+    adoption of that key (``None`` if it installed no cell of ``key``:
+    nothing to judge), any other result as it is."""
+    for_key = getattr(result, "for_key", None)
+    if for_key is None:
+        return result
+    try:
+        return for_key(key)
+    except KeyError:
+        return None
 
 
 def operation_digest(history: History) -> str:
@@ -515,97 +608,50 @@ def operation_digest(history: History) -> str:
     the RegisterSpace refactor.
     """
     sha = hashlib.sha256()
-    hash_rows(sha, history)
+    hash_rows(sha, history._rows(None))
     return sha.hexdigest()
 
 
-def hash_rows(
-    sha: Any, operations: Iterable[OperationHandle], sharded: bool = False
-) -> None:
-    """Feed ``sha`` the bytes of ``repr(rows)``, one row per operation.
-
+def hash_rows(sha: Any, rows: Iterable[tuple[Any, ...]], sharded: bool = False) -> None:
+    """Feed ``sha`` the bytes of ``repr(rows)``, one row per operation
+    given as its :data:`OPERATION_FIELDS` (a history's, from its columns).
     A row is ``(kind, process_id, invoke_time, response_time,
     str(argument))`` with the key after the kind when it is not
     ``None``; ``sharded`` rows always carry the key and start with the
     operation's shard.  Each row's text is written field by field with
     ``!r`` — what ``repr`` of the tuple writes — and fed to the hash
     :data:`_DIGEST_ROWS` rows at a time, so the list never exists.  A
-    response that *is* the invocation instant (a local read) reuses its
-    text: identity, not equality, since ``1 == 1.0`` and
-    ``0.0 == -0.0`` yet each pair has two texts.  A :class:`History`'s
-    rows are written from its columns, :data:`_DIGEST_ROWS` at a time
-    by one comprehension over C-level iterators: no view and no Python
-    call per row.
+    response that *is* the invocation instant (a born-complete read)
+    reuses its text, and a NaN response (none yet) writes ``None``.  A
+    history stores its times as ``float``, so an ``int`` time hashes as
+    its float: every recorded run's times are floats already.
     """
+    rows = iter(rows)
     sha.update(b"[")
     separator = ""
-    for texts in _row_texts(operations, sharded):
+    while texts := [
+        f"('read', {process!r}, {(instant := repr(invoke))}, {instant}, 'None')"
+        if response is invoke and key is None and kind == OP_READ and not sharded
+        else _text(kind, key, process, invoke, response, value, shard, sharded)
+        for _, kind, process, invoke, response, key, value, shard, _ in islice(
+            rows, _DIGEST_ROWS
+        )
+    ]:
         sha.update((separator + ", ".join(texts)).encode())
         separator = ", "
     sha.update(b"]")
 
 
-def _row_texts(
-    operations: Iterable[OperationHandle], sharded: bool
-) -> Iterator[list[str]]:
-    """The texts :func:`hash_rows` writes, in lists of at most
-    :data:`_DIGEST_ROWS`: a history's rows from its columns between its
-    handles, any other operation (and every sharded one) as a handle."""
-    if sharded or not isinstance(operations, History) or not operations._times:
-        yield from _handle_texts(iter(operations), sharded)
-        return
-    history = operations
-    rows = zip(
-        history._keys or repeat(None),
-        map(history._pids.__getitem__, history._readers),
-        map(repr, history._times),
-    )
-    cursor = 0
-    for op, stop in zip(
-        chain(history._operations, (None,)),
-        chain(history._before, (len(history._times),)),
-    ):
-        while cursor < stop:
-            count = min(stop - cursor, _DIGEST_ROWS)
-            yield [
-                f"('read', {process!r}, {instant}, {instant}, 'None')"
-                if key is None
-                else f"('read', {key!r}, {process!r}, {instant}, {instant}, 'None')"
-                for key, process, instant in islice(rows, count)
-            ]
-            cursor += count
-        if op is not None:
-            yield from _handle_texts(iter((op,)), False)
-
-
-def _handle_texts(
-    operations: Iterator[OperationHandle], sharded: bool
-) -> Iterator[list[str]]:
-    """The row texts of handles, :data:`_DIGEST_ROWS` at a time."""
-    while True:
-        rows: list[str] = []
-        append = rows.append
-        for op in islice(operations, _DIGEST_ROWS):
-            invoke = op.invoke_time
-            response = op.response_time
-            invoked = repr(invoke)
-            responded = invoked if response is invoke else repr(response)
-            key = op.key
-            if sharded:
-                append(
-                    f"({op.shard!r}, {op.kind!r}, {key!r}, {op.process_id!r}, "
-                    f"{invoked}, {responded}, {str(op.argument)!r})"
-                )
-            elif key is None:
-                append(
-                    f"({op.kind!r}, {op.process_id!r}, {invoked}, {responded}, "
-                    f"{str(op.argument)!r})"
-                )
-            else:
-                append(
-                    f"({op.kind!r}, {key!r}, {op.process_id!r}, {invoked}, "
-                    f"{responded}, {str(op.argument)!r})"
-                )
-        if not rows:
-            return
-        yield rows
+def _text(
+    kind: str, key: Any, process: str, invoke: Time, response: Time, value: Any,
+    shard: Any, sharded: bool,
+) -> str:
+    """One row's text for :func:`hash_rows` (an unkeyed born-complete
+    read's is written inline there)."""
+    invoked = repr(invoke)
+    responded = (invoked if response is invoke
+                 else "None" if response != response else repr(response))
+    head = (f"{shard!r}, {kind!r}, {key!r}" if sharded
+            else f"{kind!r}" if key is None else f"{kind!r}, {key!r}")
+    argument = str(value) if kind == OP_WRITE else "None"
+    return f"({head}, {process!r}, {invoked}, {responded}, {argument!r})"

@@ -131,8 +131,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, NamedTuple
 
-#: The control value the paper's operations return on success.
-OK = "ok"
+from ..sim.operations import OK  # the paper's control value ``ok``
 
 #: One batched payload entry: ``(key, value, sequence)``.
 Entry = tuple[Any, Any, int]

@@ -16,15 +16,17 @@ operations are written as *generators* that yield effect objects:
 
 A generator's ``return value`` becomes the operation's result.  Each
 invocation is wrapped in an :class:`OperationHandle` — the future-like
-object recorded in the system history and consumed by the checkers.
+object a waiter holds while the operation is in flight.
 
-A read that nothing waits on needs no handle: the synchronous
-protocol's read is local and complete in the frame that invokes it, so
-a planned read is recorded as a *row* of the history's columns
-(:meth:`~repro.core.history.History.record_read`) — its instant, an op
-id drawn by :func:`draw_op_id` at the point a handle would draw it, and
-its process, key and value.  :func:`completed_read` builds the handle
-view of such a row on demand, for a consumer that wants one.
+The system history records every operation as a *row* of its columns
+(:mod:`repro.core.history`): a handle recorded while pending names its
+row (``_row``) and fills in its response and result there when it
+completes or is abandoned, and the history drops it then.  A read that
+nothing waits on needs no handle at all: the synchronous protocol's
+planned read is complete in the frame that invokes it and is recorded
+as a row directly, its op id drawn by :func:`draw_op_id` at the point a
+handle would draw it.  :func:`operation_view` builds the handle view of
+any settled row on demand, for a consumer that wants one.
 """
 
 from __future__ import annotations
@@ -93,11 +95,10 @@ class OperationHandle:
     """A future-like record of one register operation invocation.
 
     Handles are created by the process framework when an operation is
-    invoked and completed (or abandoned) by the operation runner.  They
-    double as the *history* entries consumed by the correctness
-    checkers, which is why they carry invocation/response timestamps —
-    except a complete local read nobody keeps, which the history holds
-    as a row and shows as a handle view (:func:`completed_read`).
+    invoked and completed (or abandoned) by the operation runner.  The
+    history keeps an operation as a row and holds its handle only while
+    it is in flight; a settled row reads back as a handle view
+    (:func:`operation_view`).
     """
 
     __slots__ = (
@@ -112,6 +113,7 @@ class OperationHandle:
         "_result",
         "_state",
         "_callbacks",
+        "_row",
     )
 
     def __init__(
@@ -140,6 +142,9 @@ class OperationHandle:
         # The shared empty tuple until a callback has to wait: most
         # handles (every workload read) never get one.
         self._callbacks: Sequence[Callable[[OperationHandle], None]] = ()
+        # ``(history, row)``: the row this handle fills in when it
+        # settles, named by the first history that records it pending.
+        self._row: tuple[Any, int] | None = None
 
     # ------------------------------------------------------------------
     # State queries
@@ -208,18 +213,22 @@ class OperationHandle:
         self._result = result
         self.response_time = time
         self._state = OperationState.DONE
-        if self._callbacks:
-            self._fire_callbacks()
+        if self._row is not None or self._callbacks:
+            self._settled()
 
     def _abandon(self, time: Time) -> None:
         if self._state is not OperationState.PENDING:
             return
         self.response_time = None
         self._state = OperationState.ABANDONED
-        if self._callbacks:
-            self._fire_callbacks()
+        if self._row is not None or self._callbacks:
+            self._settled()
 
-    def _fire_callbacks(self) -> None:
+    def _settled(self) -> None:
+        """Fill in the history row it names, then run its callbacks."""
+        row, self._row = self._row, None
+        if row is not None:
+            row[0]._fill(row[1], self)
         callbacks, self._callbacks = self._callbacks, ()
         for callback in callbacks:
             callback(self)
@@ -232,34 +241,42 @@ class OperationHandle:
 
 
 _new_handle = object.__new__
-#: The read kind (``repro.core.register.OP_READ``; ``sim`` does not
-#: import ``core``).
-_READ = "read"
+_DONE, _ABANDONED = OperationState.DONE, OperationState.ABANDONED
+_WRITE = "write"  # ``repro.core.register.OP_WRITE``: ``sim`` does not import it
+#: The paper's control value ``ok``: what a write returns (and its view).
+OK = "ok"
 
 
-def completed_read(
+def operation_view(
     op_id: int,
+    kind: str,
     process_id: str,
-    instant: Time,
+    invoke: Time,
+    response: Time,
     key: Any,
     value: Any,
     shard: int | None,
+    live: OperationHandle | None = None,
 ) -> OperationHandle:
-    """The handle view of a complete local read, as a history row holds
-    it: done at its invocation ``instant`` (the response *is* that float
-    object), its result ``value``, no argument, no callbacks.  No op id
-    is drawn — the row already has ``op_id``."""
+    """The handle view of a history row: ``live`` itself while the
+    operation is in flight, else a handle built done at ``response`` —
+    abandoned if it is NaN (no response) — with no callbacks.  ``value``
+    is the row's result column: a write's argument (the view returns
+    :data:`OK`), any other kind's result.  A born-complete read passes
+    its invocation object as ``response``, so the view's response *is*
+    its invocation.  No op id is drawn — the row already has
+    ``op_id``."""
+    if live is not None:
+        return live
     handle = _new_handle(OperationHandle)
-    handle.op_id = op_id
-    handle.kind = _READ
-    handle.process_id = process_id
-    handle.argument = None
-    handle.key = key
-    handle.shard = shard
-    handle.invoke_time = instant
-    handle.response_time = instant
-    handle._result = value
-    handle._state = OperationState.DONE
-    handle._callbacks = ()
+    handle.op_id, handle.kind, handle.process_id = op_id, kind, process_id
+    handle.key, handle.shard, handle.invoke_time = key, shard, invoke
+    handle._callbacks, handle._row = (), None
+    write = kind == _WRITE
+    handle.argument = value if write else None
+    if response == response:
+        handle.response_time, handle._result, handle._state = (
+            response, OK if write else value, _DONE)
+    else:
+        handle.response_time, handle._result, handle._state = None, None, _ABANDONED
     return handle
-

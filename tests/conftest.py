@@ -14,7 +14,7 @@ from repro.runtime.system import DynamicSystem
 from repro.sim.engine import EventScheduler
 from repro.sim.events import Priority
 from repro.sim.membership import Membership
-from repro.sim.operations import completed_read, draw_op_id
+from repro.sim.operations import draw_op_id, operation_view
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import TraceLog
 
@@ -85,14 +85,16 @@ def every_fanout_a_vector(engine):
 
 @contextmanager
 def every_read_a_handle():
-    """Record each complete local read as an ``OperationHandle`` through
-    ``History.record_operation``, the op id drawn where its row would
-    draw it, instead of as a row of the history's columns; yield the
+    """Record each complete local read as an ``OperationHandle`` view
+    through ``History.record_operation``, the op id drawn where its row
+    would draw it, instead of through ``History.record_read``; yield the
     handles so recorded."""
     handles = []
 
     def record_read(history, instant, process_id, key, value):
-        handle = completed_read(draw_op_id(), process_id, instant, key, value, None)
+        handle = operation_view(
+            draw_op_id(), "read", process_id, instant, instant, key, value, None
+        )
         handles.append(handle)
         history.record_operation(handle)
 

@@ -6,6 +6,7 @@ history with exact timestamps.
 """
 
 import time
+from array import array
 
 import pytest
 
@@ -15,7 +16,7 @@ from repro.core.checker import (
     LivenessChecker,
     RegularityChecker,
     SafetyReport,
-    _sweep_inversions,
+    _sweep,
     find_new_old_inversions,
 )
 from repro.core.history import History
@@ -160,6 +161,14 @@ class TestJoinChecking:
         assert report.checked_count == 0
 
 
+def _pairs(inversions):
+    """Inversions by their reads' op ids: a witness is a view of a row."""
+    return [
+        (i.earlier.op_id, i.later.op_id, i.earlier_write_index, i.later_write_index)
+        for i in inversions
+    ]
+
+
 class TestNewOldInversions:
     def test_inversion_detected(self):
         history = History("v0")
@@ -200,17 +209,18 @@ class TestNewOldInversions:
         first = read(history, "v1", 11.0, 12.0)
         earlier = read(history, "v2", 31.0, 32.0)
         middle = read(history, "v0", 15.0, 16.0)
-        reads = history.of_kind(OP_READ)
-        assert _sweep_inversions(reads, history.value_to_write().get) is None
+        written = history.value_to_write().get
+        entries = history.read_entries()
+        assert _sweep(entries, written, array("q"), array("q")) is None
         report = find_new_old_inversions(history)
         assert report.is_regular_but_not_atomic
-        assert report.inversions == find_new_old_inversions(
-            history, paranoid=True
-        ).inversions
-        assert report.inversions == [
+        assert _pairs(report.inversions) == _pairs(
+            find_new_old_inversions(history, paranoid=True).inversions
+        )
+        assert _pairs(report.inversions) == _pairs([
             Inversion(first, middle, 1, 0),
             Inversion(earlier, later, 2, 1),
-        ]
+        ])
 
     def test_rows_recorded_out_of_invocation_order_are_sorted_first(self):
         history = History("v0")
@@ -244,9 +254,9 @@ class TestNewOldInversions:
         witness = read(history, "v2", 22.0, 23.0)
         read(history, "v2", 24.0, 25.0)  # as new, finished later
         later = read(history, "v1", 26.0, 27.0)
-        assert find_new_old_inversions(history).inversions == [
-            Inversion(witness, later, 2, 1)
-        ]
+        assert _pairs(find_new_old_inversions(history).inversions) == _pairs(
+            [Inversion(witness, later, 2, 1)]
+        )
 
     def test_violating_reads_excluded_from_inversion_scan(self):
         history = History("v0")
@@ -255,7 +265,7 @@ class TestNewOldInversions:
         read(history, "v1", 5.0, 6.0)
         report = find_new_old_inversions(history)
         assert not report.safety.is_safe
-        assert report.inversions == []
+        assert list(report.inversions) == []
         assert not report.is_atomic
         assert "NOT EVEN REGULAR" in report.summary()
 
@@ -323,7 +333,7 @@ class TestSharedReadJudgements:
         assert _fields(atomicity.safety.judgements) == _fields(
             ref_atomicity.safety.judgements
         )
-        assert atomicity.inversions == ref_atomicity.inversions != []
+        assert _pairs(atomicity.inversions) == _pairs(ref_atomicity.inversions) != []
         assert safety.checked_count == 4 and atomicity.safety.checked_count == 3
         assert _fields(safety.violations) == _fields(atomicity.safety.violations)
         assert safety.violation_count == 1
@@ -349,9 +359,9 @@ class TestSharedReadJudgements:
         history.close(40.0)
         first = find_new_old_inversions(history)
         first.safety.violations.clear()
-        first.inversions.clear()
         second = find_new_old_inversions(history)
         assert second.safety.violation_count == 1 and len(second.inversions) == 1
+        assert second.inversions is not first.inversions
         assert RegularityChecker(history).check().violation_count == 1
 
     @pytest.mark.parametrize("paranoid", [False, True])

@@ -3,23 +3,27 @@ and in memory per read.
 
 Regularity, atomicity, liveness and the digest each touch an operation
 once, in their own loop, and a valid read leaves no Python frame behind:
-the frames per operation are liveness's latency sample of each handle
-(a row's is a count, grown once per run of rows).  ``sys.setprofile``
+the frames per operation are liveness's latency sample of each
+operation with an interval (a born-complete read's is a count, grown
+once per run of them).  ``sys.setprofile``
 counts every Python-level ``call`` event across the four phases —
 deterministic for a fixed seed, so the bound holds without timing
 noise.  The history is the read-heavy synchronous run of
 ``history_check_200k`` on a shorter horizon (n = 50, churn 0.02, seed 0,
-about 10 k local reads); it measures 0.10 calls per operation (0.09
-with the samples a list), against 0.23 with a handle per read, 1.22
+about 10 k local reads); it measures 0.08 calls per operation (0.10
+while writes and joins were handles, the sweeps and the digest taking
+them one by one; 0.09 with the samples a list), against 0.23 with a
+handle per read, 1.22
 with a judgement tuple per read and 10.2 when every read was judged
 through a helper and every phase re-read the handle's properties.
 
 A judged pass also keeps its verdicts, not a record per read: the
 ``tracemalloc`` peak across regularity, atomicity and liveness on the
-same history is held to 3.5 bytes per completed read (3.04 measured:
+same history is held to 3.5 bytes per completed read (2.60 measured:
 each inversion witness its later row number, each run of witnesses
-sharing an earlier read that read once, and the zero-latency rows one
-count; 16.5 with a witness's two row numbers and two write indexes in
+sharing an earlier read that read once, the zero-latency rows one
+count, and a slice per run of reads between two interval rows; 2.14
+while writes and joins were handles; 16.5 with a witness's two row numbers and two write indexes in
 four columns and a latency sample per row, 7.6 of it over the two
 sweeps alone; 299.6 over the sweeps with a judgement per read shared by
 both checkers and two decorated, sorted copies of the reads).

@@ -44,7 +44,6 @@ class TestWriteRecords:
     def test_serialized_writes_are_indexed_in_order(self):
         history = History("v0")
         write(history, "v2", 5.0, 6.0)  # recorded first but invoked later
-        history._operations.reverse()  # recording order must not matter
         write(history, "v1", 1.0, 2.0)
         records = history.write_records()
         values = [r.value for r in records]
@@ -129,18 +128,18 @@ class TestOperationFilters:
         history = History("v0")
         w = write(history, "v1", 0.0, 1.0)
         r = read(history, "v1", 2.0, 2.0)
-        assert list(history) == [w, r]
+        assert [op.op_id for op in history] == [w.op_id, r.op_id]
 
-    def test_of_kind_is_the_per_kind_list_not_a_copy(self):
+    def test_of_kind_is_a_list_of_its_own_in_recording_order(self):
         history = History("v0")
         assert len(history.of_kind("read")) == 0
         first = read(history, "v0", 1.0, 1.0)
         view = history.of_kind("read")
-        assert list(view) == [first] and history.of_kind("read") is view
+        assert [op.op_id for op in view] == [first.op_id]
+        assert history.of_kind("read") is not view
         second = read(history, "v0", 2.0, 2.0)
-        assert list(view) == [first, second]
-        # The copying accessors still hand out lists of their own.
-        assert history.reads() == list(view) and history.reads() is not view
+        assert len(view) == 1
+        assert [op.op_id for op in history.reads()] == [first.op_id, second.op_id]
 
 
 class TestKeysAreMemoizedWhileClosed:
@@ -195,11 +194,14 @@ def _digest_operation(draw):
     from repro.sim.operations import OperationHandle
 
     invoke = draw(_INSTANTS)
+    kind = draw(st.sampled_from(["read", "write", "join"]))
+    # The register's read and join take no argument: a row keeps a write's.
+    argument = st.one_of(st.none(), st.integers(-3, 3), _AWKWARD_TEXT)
     handle = OperationHandle(
-        draw(st.sampled_from(["read", "write", "join"])),
+        kind,
         draw(_AWKWARD_TEXT),
         invoke_time=invoke,
-        argument=draw(st.one_of(st.none(), st.integers(-3, 3), _AWKWARD_TEXT)),
+        argument=draw(argument) if kind == "write" else None,
         key=draw(st.one_of(st.none(), _AWKWARD_TEXT)),
     )
     fate = draw(st.sampled_from(["itself", "twin", "other", "pending"]))
@@ -218,13 +220,19 @@ class TestOperationDigest:
 
     @staticmethod
     def whole_blob_digest(history):
+        """One ``repr`` of the row list, times as the history stores
+        them: as ``float`` (a live handle still holds what it was given)."""
         import hashlib
 
+        def stored(time):
+            return None if time is None else float(time)
+
         rows = [
-            (op.kind, op.process_id, op.invoke_time, op.response_time, str(op.argument))
+            (op.kind, op.process_id, stored(op.invoke_time), stored(op.response_time),
+             str(op.argument))
             if op.key is None
-            else (op.kind, op.key, op.process_id, op.invoke_time,
-                  op.response_time, str(op.argument))
+            else (op.kind, op.key, op.process_id, stored(op.invoke_time),
+                  stored(op.response_time), str(op.argument))
             for op in history
         ]
         return hashlib.sha256(repr(rows).encode()).hexdigest()
@@ -315,7 +323,10 @@ class TestReadRows:
         ops = list(history)
         assert len(history) == len(ops) == 6
         assert [op.kind for op in ops] == ["read", "write"] + ["read"] * 4
-        assert ops[1] is first and ops[4] is kept
+        # In flight, the write is its live handle; the read that settled
+        # before it was recorded is a view of its row.
+        assert ops[1] is first and ops[4] is not kept
+        assert (ops[4].op_id, ops[4].result, ops[4].invoke_time) == (kept.op_id, "w1", 4.0)
         assert [op.op_id for op in ops] == sorted(op.op_id for op in ops)
         view = ops[3]
         assert isinstance(view, OperationHandle) and view.done and not view.pending
@@ -327,6 +338,9 @@ class TestReadRows:
             "p1", "p2", "p3", "reader", "p1"
         ]
         assert history.writes() == [first] and history.of_kind("write") == [first]
+        first._complete("ok", time=6.0)  # the row fills in; the handle goes
+        assert history.writes()[0] is not first and not history._pending
+        assert history.writes()[0].response_time == 6.0
 
     def test_a_sub_history_keeps_its_keys_rows_as_rows(self):
         history = History("v0", shard=1)
@@ -337,7 +351,7 @@ class TestReadRows:
         history.close(10.0)
         assert history.keys() == ["a", "b"]
         sub = history.sub_history("a")
-        assert len(sub._times) == 2
+        assert len(sub) == 3 and sub.count("read") == 2
         assert [op.kind for op in sub] == ["write", "read", "read"]
         reads = sub.reads()
         assert [(op.process_id, op.shard) for op in reads] == [("p1", 1), ("p3", 1)]
@@ -349,11 +363,11 @@ class TestReadRows:
         history = History("v0")
         history.record_read(1.0, "p1", None, "v0")
         history.record_read(2.0, "p2", None, "v0")
-        assert history._keys == [] and list(history._readers) == [0, 1]
+        assert history._keys == [] and list(history._procs) == [0, 1]
         history.record_read(3.0, "p1", "k", "v0")
         history.record_read(4.0, "p3", None, "v0")
         assert history._keys == [None, None, "k", None]
-        assert list(history._readers) == [0, 1, 0, 2]
+        assert list(history._procs) == [0, 1, 0, 2]
         assert history._pids == ["p1", "p2", "p3"]
         assert [(op.process_id, op.key) for op in history] == [
             ("p1", None), ("p2", None), ("p1", "k"), ("p3", None)
@@ -366,3 +380,97 @@ class TestReadRows:
         assert [(op.process_id, op.key, op.invoke_time) for op in keyed] == [
             ("p1", "k", 3.0)
         ]
+
+
+class TestInFlight:
+    """A handle is held while its operation is in flight and fills its
+    row in when it settles: a history still open shows the outcome."""
+
+    @staticmethod
+    def shown(history):
+        from repro.core.checker import (
+            LivenessChecker,
+            RegularityChecker,
+            find_new_old_inversions,
+        )
+        from repro.core.history import operation_digest
+
+        safety = RegularityChecker(history).check()
+        atomicity = find_new_old_inversions(history)
+        return (
+            [(op.op_id, op.kind, op.done, op.abandoned, op.response_time,
+              op.result if op.done else None) for op in history],
+            operation_digest(history),
+            (safety.checked_count, safety.violation_count),
+            (atomicity.safety.checked_count, len(atomicity.inversions)),
+            history.write_records()[-1].response_time,
+        )
+
+    def test_an_open_history_shows_what_its_handles_settled_to(self):
+        from repro.core.checker import LivenessChecker
+        from repro.protocols.common import JoinResult
+        from tests.core.helpers import join
+
+        history = History("v0")
+        read(history, "v1", 9.0, 10.0)  # settled before it was recorded
+        writing = write(history, "v1", 1.0, None)
+        reading = read(history, "v1", 3.0, None)
+        joining = join(history, "v1", 0, 3.5, None)
+        leaving = read(history, "v0", 4.0, None)
+        before = self.shown(history)
+        assert before[2] == (1, 0)  # the settled read only; the join is in flight
+        writing._complete("ok", time=2.0)
+        reading._complete("v1", time=5.0)
+        joining._complete(JoinResult("v1", 1), time=6.0)
+        leaving._abandon(time=7.0)
+        assert not history._pending and history.horizon is None
+        # The same handles recorded once settled: the reference rows.
+        settled = History("v0")
+        for op in (list(history)[0], writing, reading, joining, leaving):
+            settled.record_operation(op)
+        after = self.shown(history)
+        assert after == self.shown(settled) != before
+        assert after[2] == (3, 0) and after[-1] == 2.0
+        history.close(20.0)
+        settled.close(20.0)
+        live = LivenessChecker(history, grace=1.0).check()
+        assert (live.completed, live.excused, live.in_grace, live.stuck) == (4, 1, 0, [])
+        assert live == LivenessChecker(settled, grace=1.0).check()
+
+    def test_a_second_history_settles_without_touching_the_first(self):
+        first, second = History("v0"), History("v0")
+        write(first, "v1", 1.0, 2.0)
+        pending = read(first, "v1", 3.0, None)
+        second.record_operation(pending)
+        assert pending._row == (first, 1)  # the first history's row
+        pending._complete("v1", time=4.0)
+        assert not first._pending and len(second._pending) == 1
+        [view] = second.reads()  # read: the second settles its row
+        assert not second._pending and (view.result, view.response_time) == ("v1", 4.0)
+        assert [(op.kind, op.response_time) for op in first] == [
+            ("write", 2.0), ("read", 4.0)
+        ]
+
+    def test_an_open_cluster_view_does_not_corrupt_its_shard(self):
+        from repro.cluster import ClusterConfig, ClusterSystem
+        from repro.cluster.history import ClusterHistory
+        from repro.core.history import operation_digest
+
+        cluster = ClusterSystem(ClusterConfig(shards=2, keys=2, n=8, seed=3))
+        key = cluster.keys[0]
+        cluster.run_for(1.0)
+        handle = cluster.write("x", key=key)
+        shard = handle.shard
+        merged = ClusterHistory([s.history for s in cluster.shards])
+        view = merged.shard_view(shard)
+        seam = merged.seam_view(key)
+        assert handle.pending and any(op is handle for op in view)
+        cluster.run_for(20.0)
+        own = cluster.shards[shard].history
+        assert handle.done and not own._pending
+        for other in (view, seam):
+            [write_op] = other.writes()
+            assert (write_op.op_id, write_op.response_time) == (
+                handle.op_id, handle.response_time)
+        assert operation_digest(view) == operation_digest(own)
+        assert [op.response_time for op in own.writes()] == [handle.response_time]

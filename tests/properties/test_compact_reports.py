@@ -15,12 +15,12 @@ Two compact forms, each held to the plain form it replaced:
   Directly, over any list of floats (the shared zero, ``-0.0``, NaN and
   ints among them), the samples built from it are that list object for
   object, and rank and summarize as it does.
-* *Inversion witnesses.*  Over rows, the sweep keeps each witness's
-  later row and each run's earlier row and write index.  The reference
-  is the sweep it replaced (:func:`reference_inversions`): every witness
-  pair as four columns, two reads and two write indexes.  Both must list
-  the same inversions, over rows in and out of invocation order and
-  over read handles.
+* *Inversion witnesses.*  The sweep keeps each witness's later row and
+  each run's earlier row and write index.  The reference is the sweep
+  it replaced (:func:`reference_inversions`): every witness pair as four
+  columns, two rows and two write indexes.  Both must list the same
+  inversions, over born-complete reads in and out of invocation order
+  and over reads with an interval.
 """
 
 from __future__ import annotations
@@ -42,12 +42,11 @@ from repro.core.checker import (
     LatencySamples,
     LivenessChecker,
     LivenessReport,
-    _handle_entries,
-    _read_entries,
     find_new_old_inversions,
 )
 from repro.core.history import History
 from repro.core.register import OP_READ
+from repro.sim.errors import ExperimentError
 from tests.core.helpers import join, read, write
 from tests.properties.test_checker_equivalence import reference_liveness
 
@@ -64,8 +63,7 @@ def bits(x):
 def outcome(function, *args):
     """``function(*args)`` as a comparable value: its result's bits (a
     :class:`~repro.analysis.stats.Summary` field by field), or the
-    error's type and message (``statistics.stdev`` of an infinity fails
-    inside the standard library; it must fail alike on both)."""
+    error's type and message."""
     try:
         result = function(*args)
     except Exception as error:
@@ -94,6 +92,25 @@ def assert_reads_as(samples, expected: list) -> None:
     for q in QUANTILES:
         assert outcome(percentile, samples, q) == outcome(percentile, expected, q)
     assert outcome(summarize, samples) == outcome(summarize, expected)
+    non_finite = [x for x in expected if not math.isfinite(x)]
+    if non_finite:
+        assert outcome(summarize, expected) == (ExperimentError, NON_FINITE.format(
+            non_finite[0]))
+
+
+#: ``summarize``'s refusal of a sample holding an infinity or a NaN.
+NON_FINITE = "cannot summarize a sample holding a non-finite value ({!r})"
+
+
+@pytest.mark.parametrize("sample", [
+    [0.0, math.inf], [math.nan, 1.0], [-math.inf, 1.0], [math.inf], [_ZERO, math.nan],
+])
+def test_summarize_refuses_a_non_finite_sample(sample):
+    bad = next(x for x in sample if not math.isfinite(x))
+    for samples in (sample, LatencySamples(sample)):
+        with pytest.raises(ExperimentError) as refused:
+            summarize(samples)
+        assert str(refused.value) == NON_FINITE.format(bad)
 
 
 # ----------------------------------------------------------------------
@@ -160,9 +177,9 @@ def test_the_samples_are_the_reference_list(history, grace):
     for kind, samples in fast.latencies.items():
         assert isinstance(samples, LatencySamples)
         assert_reads_as(samples, reference.latencies[kind])
-    # A row and a born-complete handle share the one zero; a row is a
-    # read, so its run is among the read samples.
-    rows = len(history._times)
+    # A born-complete read's sample is the one zero; it is a read, so
+    # its run is among the read samples.
+    rows = len(history) - sum(1 for _ in history.intervals())
     zeros = sum(sample is _ZERO for sample in fast.latencies.get(OP_READ, ()))
     assert zeros >= rows
     assert fast == reference
@@ -237,24 +254,18 @@ def test_a_run_is_a_count_not_a_slot():
 
 
 def reference_inversions(history: History) -> list[Inversion]:
-    """The sweep the runs replaced: every witness pair's two reads and
-    two write indexes in four columns — its rows' views over rows in
-    invocation order, else over the read handles (sorted first if they
-    are out of order)."""
+    """The sweep the runs replaced: every witness pair's two rows and
+    two write indexes in four columns, over the read entries (sorted
+    first if they are out of invocation order)."""
     written = history.value_to_write().get
-    if history._times and not history._by_kind.get(OP_READ):
+    entries = list(history.read_entries())
+    for ordered in (entries, sorted(entries, key=_INVOCATION_ORDER)):
         earlier, later = array("q"), array("q")
-        swept = _four_column_sweep(_read_entries(history), written, earlier, later)
+        swept = _four_column_sweep(iter(ordered), written, earlier, later)
         if swept is not None:
-            view = history._row_view
+            view = history.row_view
             return [Inversion(view(e), view(lt), ei, li)
                     for e, lt, ei, li in zip(earlier, later, *swept)]
-    reads = history.of_kind(OP_READ)
-    for ordered in (reads, sorted(reads, key=_INVOCATION_ORDER)):
-        earlier, later = [], []
-        swept = _four_column_sweep(_handle_entries(ordered), written, earlier, later)
-        if swept is not None:
-            return list(map(Inversion, earlier, later, *swept))
     raise AssertionError("sorted reads are in invocation order")
 
 
@@ -267,7 +278,7 @@ def _four_column_sweep(entries, written, earlier, later):
     last_invoked = float("-inf")
     last_id = -1
     for response, invoked, op_id, returned, read_ in entries:
-        if response is None:
+        if response != response:  # NaN: no response
             continue
         record = written(returned)
         if record is None:
@@ -356,9 +367,9 @@ def test_a_run_keeps_its_earlier_read_once():
         history.record_read(5.0 + k, f"p{k + 1}", None, "v1")
     history.close(30.0)
     found = find_new_old_inversions(history).inversions
-    assert len(found) == 10
-    assert list(found._starts) == [0] and list(found._earlier) == [0]
-    assert list(found._later) == list(range(1, 11))
+    assert len(found) == 10  # rows 0 and 1 are the writes
+    assert list(found._starts) == [0] and list(found._earlier) == [2]
+    assert list(found._later) == list(range(3, 13))
     assert {(inv.earlier.process_id, inv.earlier_write_index, inv.later_write_index)
             for inv in found} == {("p0", 2, 1)}
     assert math.isclose(found[-1].later.invoke_time, 14.0)

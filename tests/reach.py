@@ -7,6 +7,9 @@ is imported, follows forked pool workers, and rewrites
 never entered, sorted.  ``--check`` rewrites nothing and exits 1,
 naming them, if a function would be added — the listing only shrinks.
 A function is matched to its code object by ``(file, qualname)``.
+
+``--lines`` traces nothing: it rewrites ``tests/lines.txt``, the code
+and docstring lines of each ``src/repro`` package (:func:`line_counts`).
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
 LISTING = Path(__file__).with_name("unreached.txt")
+LINES = Path(__file__).with_name("lines.txt")
 _entered: set = set()
 
 
@@ -49,6 +53,37 @@ def defined() -> set[str]:
     for file in sorted(SRC.rglob("*.py")):
         walk(ast.parse(file.read_text()), file.relative_to(ROOT).as_posix(), "")
     return names
+
+
+def line_counts() -> dict[str, tuple[int, int]]:
+    """``(code, docstring)`` lines per ``src/repro`` package, counted
+    with ``ast``: a docstring is the first string statement of a module,
+    class or function; a code line is any other line that is neither
+    blank nor only a comment.  A module directly under ``src/repro``
+    counts to ``src/repro`` itself."""
+    counts: dict[str, list[int]] = {}
+    for file in sorted(SRC.rglob("*.py")):
+        text = file.read_text()
+        docstring: set[int] = set()
+        for node in ast.walk(ast.parse(text)):
+            body = getattr(node, "body", None)
+            if (
+                isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                  ast.AsyncFunctionDef))
+                and body
+                and isinstance(body[0], ast.Expr)
+                and isinstance(body[0].value, ast.Constant)
+                and isinstance(body[0].value.value, str)
+            ):
+                docstring.update(range(body[0].lineno, body[0].end_lineno + 1))
+        package = file.parent.relative_to(ROOT).as_posix()
+        tally = counts.setdefault(package, [0, 0])
+        for number, line in enumerate(text.splitlines(), start=1):
+            if number in docstring:
+                tally[1] += 1
+            elif line.strip() and not line.strip().startswith("#"):
+                tally[0] += 1
+    return {package: (code, doc) for package, (code, doc) in counts.items()}
 
 
 def _drive(tmp: str) -> None:
@@ -129,6 +164,16 @@ def unreached() -> set[str]:
 
 
 def main(argv: list[str]) -> int:
+    if "--lines" in argv:
+        counts = line_counts()
+        code, doc = (sum(column) for column in zip(*counts.values()))
+        LINES.write_text(
+            "# package: code lines, docstring lines (python -m tests.reach --lines)\n"
+            + "".join(f"{p}: {c} code, {d} docstring\n" for p, (c, d) in counts.items())
+            + f"total: {code} code, {doc} docstring\n"
+        )
+        print(f"{LINES.name}: {code} code and {doc} docstring lines")
+        return 0
     names = unreached()
     if "--check" not in argv:
         LISTING.write_text("".join(f"{name}\n" for name in sorted(names)))

@@ -23,10 +23,13 @@ instant it fires at (it takes a queue slot only once the clock reaches
 its epoch); completed and judged, a local read is that plus its history
 row — an instant, an op id, a reader number and a pointer in columns,
 no object — and
-a judged report keeps its verdicts, not a record per valid read.  The
-per-operation ratchets fail a change that re-adds an ``Event`` per
-planned op, a handle per local read, a callback list per handle, a
-judgement kept per read or a ``__dict__`` on any of them.
+a judged report keeps its verdicts, not a record per valid read.  An
+operation that had to wait — an ES or ABD read — costs its row and its
+interval (row number, kind, response) once it completes: the history
+holds its handle only while it is in flight.  The per-operation
+ratchets fail a change that re-adds an ``Event`` per planned op, a
+handle per local read or per completed operation, a callback list per
+handle, a judgement kept per read or a ``__dict__`` on any of them.
 
 And a send is a reply or a round: on a clean link a delivered message
 enters one Python frame of ``repro.net`` — the fire site that dispatches
@@ -425,8 +428,11 @@ def test_no_operation_record_carries_a_dict():
         report.judgements[0],
     ):
         assert not hasattr(record, "__dict__"), type(record).__name__
-    # A planned read is a row: no handle, so no callback tuple, is kept.
-    assert not system.history._operations and len(system.history._times) == 10
+    # A planned read is a born-complete row: no handle, so no callback
+    # tuple, is kept, and no interval either.
+    history = system.history
+    assert not history._pending and len(history) == 10
+    assert not list(history.intervals())
     # A handle nobody waits on shares the one empty callback tuple.
     first = system.write()
     second = system.read(system.seed_pids[1])
@@ -448,7 +454,7 @@ def _retained_reads(count):
         size, blocks = traced(before, 1)
     finally:
         tracemalloc.stop()
-    assert len(system.history) == len(system.history._times) == count
+    assert len(system.history) == count and not list(system.history.intervals())
     assert not system.history._keys  # an unkeyed row has no key slot
     return size, blocks
 
@@ -467,6 +473,81 @@ def test_a_retained_complete_read_costs_its_row():
     max_bytes, max_blocks = RETAINED_READ_BUDGET
     assert byte_slope <= max_bytes, f"{byte_slope:.2f} B per retained read"
     assert block_slope <= max_blocks, f"{block_slope:.4f} blocks per retained read"
+
+
+#: Bytes and blocks a completed ES or ABD read leaves in the history:
+#: the slope between runs of 2,000 and 4,000 planned reads (n = 20,
+#: δ = 5, horizon 100), the plan built before the measurement.  Measured
+#: here (3.11): 55.1 / 0.0 on both — its row's 8 B instant, 8 B op id,
+#: 4 B process number and 8 B value pointer, its interval's 8 B row
+#: number, 8 B kind pointer and 8 B response, plus the columns' growth
+#: slack; 92.0 with the in-flight table kept at its peak size once
+#: empty; 200.1 / 3.1 (es) and 197.4 / 3.0 (abd) when the history kept
+#: every operation's ``OperationHandle``.
+COMPLETED_READ_BUDGET = (100, 0.05)
+
+
+def _retained_quorum_reads(protocol, count):
+    """Bytes and blocks ``count`` planned ES / ABD reads leave behind
+    once driven and completed: the plan is built before the
+    measurement starts."""
+    system = DynamicSystem(
+        SystemConfig(n=20, delta=5.0, trace=False, protocol=protocol)
+    )
+    horizon = 100.0
+    plan = [ReadOp(time=horizon * (k + 1) / count) for k in range(count)]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot()
+        WorkloadDriver(system).install(plan)
+        system.run_until(horizon + 10 * system.config.delta)
+        gc.collect()
+        size, blocks = traced(before, 1)
+    finally:
+        tracemalloc.stop()
+    history = system.history
+    assert history.count("read") == count and not history._pending
+    assert all(op.done for op in history)
+    return size, blocks
+
+
+@pytest.mark.skipif(
+    sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
+    reason="the byte budget is CPython 3.11's object layout",
+)
+@pytest.mark.parametrize("protocol", ["es", "abd"])
+def test_a_completed_quorum_read_costs_its_row_and_its_interval(protocol):
+    _retained_quorum_reads(protocol, 50)  # warm: imports, dispatch caches
+    size, blocks = _retained_quorum_reads(protocol, 2000)
+    size_2n, blocks_2n = _retained_quorum_reads(protocol, 4000)
+    byte_slope = (size_2n - size) / 2000
+    block_slope = (blocks_2n - blocks) / 2000
+    max_bytes, max_blocks = COMPLETED_READ_BUDGET
+    assert byte_slope <= max_bytes, f"{protocol}: {byte_slope:.1f} B per completed read"
+    assert block_slope <= max_blocks, f"{protocol}: {block_slope:.3f} blocks per read"
+
+
+def test_the_history_drops_a_handle_once_it_settles():
+    """Pending, a handle is held by the history it names as its row's;
+    completed or abandoned, by nothing of the history."""
+    from repro.core.history import History
+    from repro.sim.operations import OperationHandle
+
+    history = History("v0")
+    done = OperationHandle("read", "p1", 1.0)
+    gone = OperationHandle("write", "p2", 2.0, argument="v1")
+    for handle in (done, gone):
+        history.record_operation(handle)
+        assert handle._row == (history, len(history) - 1)
+        assert any(r is history._pending for r in gc.get_referrers(handle))
+    done._complete("v0", 3.0)
+    gone._abandon(4.0)
+    for handle in (done, gone):
+        assert handle._row is None and not history._pending
+        held = [vars(history), *vars(history).values()]
+        assert not any(r is h for r in gc.get_referrers(handle) for h in held)
+    assert [(op.done, op.abandoned) for op in history] == [(True, False), (False, True)]
 
 
 #: ``repro.net`` frames entered per delivered message on a clean link.
