@@ -23,13 +23,16 @@ import hashlib
 from operator import attrgetter
 from typing import Any, Iterator, Sequence
 
-from ..core.history import OPERATION_FIELDS, History, hash_rows
+from ..core.history import History, hash_rows
 from ..sim.clock import Time
 from ..sim.errors import HistoryError
 from ..sim.operations import OperationHandle
 
 
 _INVOCATION_ORDER = attrgetter("invoke_time", "op_id")
+#: An operation's fields that :func:`~repro.core.history.hash_rows` reads.
+_HASHED = attrgetter("kind", "process_id", "invoke_time", "response_time", "key",
+                     "argument", "shard")
 
 
 class ClusterHistory:
@@ -213,7 +216,7 @@ def cluster_digest(history: ClusterHistory) -> str:
     each led by its shard and always carrying its key.
     """
     sha = hashlib.sha256()
-    hash_rows(sha, map(OPERATION_FIELDS, history), sharded=True)
+    hash_rows(sha, map(_HASHED, history), sharded=True)
     if history.migrations:
         # Resharding runs additionally pin every handoff outcome, so a
         # migration that commits at a different instant (or aborts for

@@ -32,31 +32,25 @@ history drops it.  The history holds its rows' shard stamp once.
 
 A consumer that iterates (``for op in history``, :meth:`operations`,
 :meth:`of_kind`, the cluster merge, ``viz/``, the experiments) sees a
-row as a handle view built on demand
-(:func:`~repro.sim.operations.operation_view`), or its live handle in
-flight, in recording order, streamed.  The four judged phases — the
-regularity sweep, the inversion sweep, liveness and :func:`hash_rows` —
-read the columns through C-level iterators (:meth:`History.read_entries`,
-:meth:`History.intervals`) and build a view only for a violation, an
-inversion witness read on access, or a stuck operation.
+row as a handle view built on demand (:func:`_view`), or its live
+handle in flight, in recording order, streamed.  The four judged
+phases — the regularity sweep, the inversion sweep, liveness and
+:func:`hash_rows` — read the columns through C-level iterators
+(:meth:`History.read_entries`, :meth:`History.intervals`) and build a
+view only for a violation, an inversion witness read on access, or a
+stuck operation.
 
 The keyed register space
 ------------------------
 
 ``SystemConfig(keys=K)`` serves ``K`` registers (``k0 … k{K-1}``) from
-one node population, and every layer understands the key dimension:
-protocol state is multiplexed per key over one simulated process per
-node on the shared ``QuorumPhase`` / ``PhaseTracker`` quorum machinery;
-a joiner's entry round is batched (one inquiry broadcast and one reply
-per active node install *every* key, so join traffic is independent of
-``K`` — experiment E13 holds the ratio near 1); :meth:`History.sub_history`
-and the partitioning ``RegularityChecker`` judge each key's sub-history
-independently (regularity of the store is per-key regularity, pinned by
-an equivalence property suite); and workloads spread operations over
-keys with ``uniform`` or ``zipf`` pickers (``repro explore --keys 1 8``
-sweeps key counts as a scenario axis).  With ``keys=1`` (the default)
-the system is byte-identical to the single register: its messages,
-digests and the whole seed corpus.
+one node population (:mod:`repro.protocols.sync_reg` describes the
+batched join).  :meth:`History.sub_history` and the partitioning
+``RegularityChecker`` judge each key's sub-history independently:
+regularity of the store is per-key regularity, pinned by an equivalence
+property suite.  With ``keys=1`` (the default) the system is
+byte-identical to the single register: its messages, digests and the
+whole seed corpus.
 """
 
 from __future__ import annotations
@@ -66,7 +60,7 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain, compress, count, islice, repeat, starmap, tee
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import Any, Callable, Collection, Iterable, Iterator
 
 from ..sim.clock import Time
@@ -75,9 +69,9 @@ from ..sim.operations import (
     OperationHandle,
     OperationState,
     draw_op_id,
-    operation_view,
+    settled_handle,
 )
-from .register import OP_JOIN, OP_READ, OP_WRITE
+from .register import OK, OP_JOIN, OP_READ, OP_WRITE
 
 
 #: Rows per hash update in :func:`operation_digest`.
@@ -89,12 +83,8 @@ _NONE = float("nan")
 _DONE = OperationState.DONE
 _PENDING = OperationState.PENDING
 
-#: An operation's fields in :func:`hash_rows`' (and a history row's)
-#: order; the writer ignores the first and the last.
-OPERATION_FIELDS = attrgetter(
-    "op_id", "kind", "process_id", "invoke_time", "response_time", "key", "argument",
-    "shard", "_row",
-)
+#: A :meth:`History._rows` row's fields that :func:`hash_rows` reads.
+_HASHED = itemgetter(1, 2, 3, 4, 5, 6, 7)
 
 
 @dataclass(frozen=True, slots=True)
@@ -168,6 +158,8 @@ class History:
         self._horizon: Time | None = None
         # Derived views of the *closed* history (see :meth:`memoized`).
         self._derived: dict[Any, Any] = {}
+        # A sub-history of a key no read or write addressed (joins only).
+        self._unaddressed = False
 
     # ------------------------------------------------------------------
     # Recording (called by the system runtime)
@@ -197,7 +189,7 @@ class History:
         """Register a read of ``key`` by ``process_id`` that returned
         ``value`` at ``instant``, complete as it was invoked: one row.
         Its op id is drawn here, where a handle would draw it, unless
-        given (:meth:`_append`'s row of a recorded operation)."""
+        given (the row of a recorded operation, from :meth:`_append`)."""
         self._times.append(instant)
         self._ids.append(draw_op_id() if op_id < 0 else op_id)
         try:
@@ -215,9 +207,6 @@ class History:
         if self._derived:
             self._derived.clear()
 
-    # The one row append, whatever later replaces ``record_read``.
-    _add_row = record_read
-
     def _append(
         self, op_id: int, kind: str, process_id: str, invoke: Time, response: Time,
         key: Any, value: Any, shard: Any, live: OperationHandle | None,
@@ -234,10 +223,10 @@ class History:
             if live is not None:
                 self._pending[row] = live
             elif kind == OP_JOIN and key is not None and response == response:
-                value = _adoption(value, key)
+                value = self._adoption(op_id, value, key)
         if shard != self.shard:
             self._stamps[row] = shard
-        self._add_row(invoke, process_id, key, value, op_id)
+        self.record_read(invoke, process_id, key, value, op_id)
 
     def _fill(self, row: int, op: OperationHandle) -> None:
         """Settle row ``row`` from ``op``, which completed or was
@@ -254,8 +243,27 @@ class History:
                 value = op._result
                 key = self._keys[row] if self._keys else None
                 if kind == OP_JOIN and key is not None:
-                    value = _adoption(value, key)
+                    value = self._adoption(op.op_id, value, key)
                 self._values[row] = value
+
+    def _adoption(self, op_id: int, result: Any, key: Any) -> Any:
+        """Join ``op_id``'s ``result`` restricted to ``key``: a multi-key
+        join's adoption of that key, any other result as it is.  A
+        multi-key join that installed no cell of ``key`` is a
+        :class:`HistoryError`, unless no read or write addressed ``key``
+        (nothing to judge it by): then it adopts ``None``."""
+        for_key = getattr(result, "for_key", None)
+        if for_key is None:
+            return result
+        try:
+            return for_key(key)
+        except KeyError:
+            if self._unaddressed:
+                return None
+            raise HistoryError(
+                f"join {op_id} adopted no cell of key {key!r}, which its "
+                f"sub-history judges"
+            ) from None
 
     def _settle(self) -> None:
         """Fill in the rows whose handles settled since this history
@@ -314,7 +322,7 @@ class History:
     def __iter__(self) -> Iterator[OperationHandle]:
         """Every operation in recording order, a settled row as its
         handle view: streamed, never a list of views."""
-        return starmap(operation_view, self._rows(None))
+        return starmap(_view, self._rows(None))
 
     def operations(self, kind: str | None = None) -> list[OperationHandle]:
         """All operations, optionally filtered by kind."""
@@ -322,7 +330,7 @@ class History:
 
     def of_kind(self, kind: str) -> list[OperationHandle]:
         """The operations of one kind, in recording order."""
-        return list(starmap(operation_view, self._rows((kind,))))
+        return list(starmap(_view, self._rows((kind,))))
 
     def joins(self) -> list[OperationHandle]:
         return self.operations(OP_JOIN)
@@ -342,7 +350,7 @@ class History:
         m = bisect_left(spans, row)
         spanned = m < len(spans) and spans[m] == row
         invoke = self._times[row]
-        return operation_view(
+        return _view(
             self._ids[row],
             self._kinds[m] if spanned else OP_READ,
             self._pids[self._procs[row]],
@@ -384,8 +392,7 @@ class History:
     def _rows(self, kinds: Collection[str] | None) -> Iterator[tuple]:
         """``(op_id, kind, process_id, invoke_time, response, key, value,
         shard, live)`` per row of ``kinds`` (every kind when ``None``)
-        in recording order — the arguments of
-        :func:`~repro.sim.operations.operation_view` and of
+        in recording order — the arguments of :func:`_view` and of
         :meth:`_append`.  A born-complete read's response *is* its
         invocation object."""
         if self._pending:
@@ -483,14 +490,15 @@ class History:
         subs = self.memoized("sub_histories", lambda: self._partition(self.keys()))
         sub = subs.get(key)
         if sub is None:  # no read or write addressed ``key``: joins only
-            sub = self._partition([key])[key]
+            sub = self._partition([key], unaddressed=True)[key]
         return sub
 
-    def _partition(self, keys: list[Any]) -> dict[Any, "History"]:
+    def _partition(self, keys: list[Any], unaddressed: bool = False) -> dict[Any, "History"]:
         """The sub-histories of ``keys``, built in one pass."""
         subs = {key: History(self.initial_value, self.shard) for key in keys}
         for sub in subs.values():  # one process numbering for them all
             sub._pids, sub._numbers = self._pids, self._numbers
+            sub._unaddressed = unaddressed
         for op_id, kind, pid, invoke, response, key, value, shard, live in self._rows(None):
             for target in subs if kind == OP_JOIN else (key,):
                 sub = subs.get(target)
@@ -535,7 +543,7 @@ class History:
             _, _, pid, invoke, response, _, value, _, live = row
             if invoke < previous_end:
                 raise HistoryError(
-                    f"writes overlap: {operation_view(*row)!r} invoked before the "
+                    f"writes overlap: {_view(*row)!r} invoked before the "
                     f"previous write responded at {previous_end!r}; the checker "
                     f"requires serialized writes"
                 )
@@ -582,17 +590,22 @@ class History:
         )
 
 
-def _adoption(result: Any, key: Any) -> Any:
-    """A join's ``result`` restricted to ``key``: a multi-key join's
-    adoption of that key (``None`` if it installed no cell of ``key``:
-    nothing to judge), any other result as it is."""
-    for_key = getattr(result, "for_key", None)
-    if for_key is None:
-        return result
-    try:
-        return for_key(key)
-    except KeyError:
-        return None
+def _view(
+    op_id: int, kind: str, process_id: str, invoke: Time, response: Time, key: Any,
+    value: Any, shard: Any, live: OperationHandle | None = None,
+) -> OperationHandle:
+    """The handle view of a row in :meth:`History._rows`' field order:
+    ``live`` itself while in flight, else a settled handle, abandoned if
+    ``response`` is NaN (none).  ``value`` is the row's result column: a
+    write's argument (its view returns :data:`~repro.core.register.OK`),
+    any other kind's result.  A born-complete read's view's response *is*
+    its invocation object."""
+    if live is not None:
+        return live
+    write = kind == OP_WRITE
+    return settled_handle(op_id, kind, process_id, invoke,
+                          response if response == response else None, key,
+                          value if write else None, OK if write else value, shard)
 
 
 def operation_digest(history: History) -> str:
@@ -608,23 +621,25 @@ def operation_digest(history: History) -> str:
     the RegisterSpace refactor.
     """
     sha = hashlib.sha256()
-    hash_rows(sha, history._rows(None))
+    hash_rows(sha, map(_HASHED, history._rows(None)))
     return sha.hexdigest()
 
 
 def hash_rows(sha: Any, rows: Iterable[tuple[Any, ...]], sharded: bool = False) -> None:
     """Feed ``sha`` the bytes of ``repr(rows)``, one row per operation
-    given as its :data:`OPERATION_FIELDS` (a history's, from its columns).
-    A row is ``(kind, process_id, invoke_time, response_time,
-    str(argument))`` with the key after the kind when it is not
-    ``None``; ``sharded`` rows always carry the key and start with the
-    operation's shard.  Each row's text is written field by field with
-    ``!r`` — what ``repr`` of the tuple writes — and fed to the hash
-    :data:`_DIGEST_ROWS` rows at a time, so the list never exists.  A
-    response that *is* the invocation instant (a born-complete read)
-    reuses its text, and a NaN response (none yet) writes ``None``.  A
-    history stores its times as ``float``, so an ``int`` time hashes as
-    its float: every recorded run's times are floats already.
+    given as ``(kind, process_id, invoke_time, response_time, key,
+    argument, shard)`` (a history's from its columns, where a write's
+    argument is its result column).  A row is ``(kind, process_id,
+    invoke_time, response_time, str(argument))`` with the key after the
+    kind when it is not ``None``; ``sharded`` rows always carry the key
+    and start with the operation's shard.  Each row's text is written
+    field by field with ``!r`` — what ``repr`` of the tuple writes — and
+    fed to the hash :data:`_DIGEST_ROWS` rows at a time, so the list
+    never exists.  A response that *is* the invocation instant (a
+    born-complete read) reuses its text, and a NaN or ``None`` response
+    (none) writes ``None``.  A history stores its times as ``float``, so
+    an ``int`` time hashes as its float: every recorded run's times are
+    floats already.
     """
     rows = iter(rows)
     sha.update(b"[")
@@ -633,7 +648,7 @@ def hash_rows(sha: Any, rows: Iterable[tuple[Any, ...]], sharded: bool = False) 
         f"('read', {process!r}, {(instant := repr(invoke))}, {instant}, 'None')"
         if response is invoke and key is None and kind == OP_READ and not sharded
         else _text(kind, key, process, invoke, response, value, shard, sharded)
-        for _, kind, process, invoke, response, key, value, shard, _ in islice(
+        for kind, process, invoke, response, key, value, shard in islice(
             rows, _DIGEST_ROWS
         )
     ]:

@@ -62,6 +62,9 @@ OP_JOIN = "join"
 OP_READ = "read"
 OP_WRITE = "write"
 
+#: The control value the paper's operations return on success.
+OK = "ok"
+
 #: One key's local copy: ``(value, sequence)``.
 Cell = tuple[Any, int]
 

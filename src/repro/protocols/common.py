@@ -131,7 +131,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, NamedTuple
 
-from ..sim.operations import OK  # the paper's control value ``ok``
+from ..core.register import OK
 
 #: One batched payload entry: ``(key, value, sequence)``.
 Entry = tuple[Any, Any, int]

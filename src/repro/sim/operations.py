@@ -25,8 +25,8 @@ completes or is abandoned, and the history drops it then.  A read that
 nothing waits on needs no handle at all: the synchronous protocol's
 planned read is complete in the frame that invokes it and is recorded
 as a row directly, its op id drawn by :func:`draw_op_id` at the point a
-handle would draw it.  :func:`operation_view` builds the handle view of
-any settled row on demand, for a consumer that wants one.
+handle would draw it.  A settled row reads back as a handle built by
+:func:`settled_handle`.
 """
 
 from __future__ import annotations
@@ -98,7 +98,7 @@ class OperationHandle:
     invoked and completed (or abandoned) by the operation runner.  The
     history keeps an operation as a row and holds its handle only while
     it is in flight; a settled row reads back as a handle view
-    (:func:`operation_view`).
+    (:func:`settled_handle`).
     """
 
     __slots__ = (
@@ -241,42 +241,22 @@ class OperationHandle:
 
 
 _new_handle = object.__new__
-_DONE, _ABANDONED = OperationState.DONE, OperationState.ABANDONED
-_WRITE = "write"  # ``repro.core.register.OP_WRITE``: ``sim`` does not import it
-#: The paper's control value ``ok``: what a write returns (and its view).
-OK = "ok"
 
 
-def operation_view(
-    op_id: int,
-    kind: str,
-    process_id: str,
-    invoke: Time,
-    response: Time,
-    key: Any,
-    value: Any,
-    shard: int | None,
-    live: OperationHandle | None = None,
+def settled_handle(
+    op_id: int, kind: str, process_id: str, invoke_time: Time,
+    response_time: Time | None, key: Any, argument: Any, result: Any, shard: int | None,
 ) -> OperationHandle:
-    """The handle view of a history row: ``live`` itself while the
-    operation is in flight, else a handle built done at ``response`` —
-    abandoned if it is NaN (no response) — with no callbacks.  ``value``
-    is the row's result column: a write's argument (the view returns
-    :data:`OK`), any other kind's result.  A born-complete read passes
-    its invocation object as ``response``, so the view's response *is*
-    its invocation.  No op id is drawn — the row already has
-    ``op_id``."""
-    if live is not None:
-        return live
+    """A handle that has already settled, under the given op id (none is
+    drawn): done at ``response_time`` with ``result``, or abandoned if
+    ``response_time`` is ``None``.  It has no callbacks and no row."""
     handle = _new_handle(OperationHandle)
     handle.op_id, handle.kind, handle.process_id = op_id, kind, process_id
-    handle.key, handle.shard, handle.invoke_time = key, shard, invoke
+    handle.argument, handle.key, handle.shard = argument, key, shard
+    handle.invoke_time, handle.response_time = invoke_time, response_time
     handle._callbacks, handle._row = (), None
-    write = kind == _WRITE
-    handle.argument = value if write else None
-    if response == response:
-        handle.response_time, handle._result, handle._state = (
-            response, OK if write else value, _DONE)
+    if response_time is None:
+        handle._result, handle._state = None, OperationState.ABANDONED
     else:
-        handle.response_time, handle._result, handle._state = None, None, _ABANDONED
+        handle._result, handle._state = result, OperationState.DONE
     return handle

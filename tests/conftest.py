@@ -7,14 +7,13 @@ from contextlib import contextmanager
 import pytest
 
 import repro.net.network as network_module
-from repro.core.history import History
 from repro.net.delay import SynchronousDelay
+from repro.protocols.sync_reg import SynchronousRegisterNode
 from repro.runtime.config import SystemConfig
 from repro.runtime.system import DynamicSystem
 from repro.sim.engine import EventScheduler
 from repro.sim.events import Priority
 from repro.sim.membership import Membership
-from repro.sim.operations import draw_op_id, operation_view
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import TraceLog
 
@@ -85,21 +84,22 @@ def every_fanout_a_vector(engine):
 
 @contextmanager
 def every_read_a_handle():
-    """Record each complete local read as an ``OperationHandle`` view
-    through ``History.record_operation``, the op id drawn where its row
-    would draw it, instead of through ``History.record_read``; yield the
-    handles so recorded."""
+    """Record each planned synchronous read as the handle its node
+    returns, through ``History.record_operation`` — the driver's path
+    for a node whose reads are not rows — instead of as a row through
+    ``History.record_read``; yield the handles so recorded.  The op id
+    is drawn where the row would draw it."""
     handles = []
+    read = SynchronousRegisterNode.read
 
-    def record_read(history, instant, process_id, key, value):
-        handle = operation_view(
-            draw_op_id(), "read", process_id, instant, instant, key, value, None
-        )
+    def read_a_handle(node, key=None):
+        handle = read(node, key)
         handles.append(handle)
-        history.record_operation(handle)
+        return handle
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(History, "record_read", record_read)
+        patch.setattr(SynchronousRegisterNode, "reads_as_rows", False)
+        patch.setattr(SynchronousRegisterNode, "read", read_a_handle)
         yield handles
 
 

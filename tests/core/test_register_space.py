@@ -3,10 +3,12 @@
 import pytest
 
 from repro.core.history import History
+from repro.protocols.common import KeyedJoinResult
 from repro.core.register import BOTTOM, SINGLE_KEY, SpaceTable, key_names
 from repro.runtime.config import SystemConfig
 from repro.runtime.system import DynamicSystem
-from repro.sim.errors import ConfigError, ProcessError
+from repro.sim.errors import ConfigError, HistoryError, ProcessError
+from repro.sim.operations import settled_handle
 from repro.workloads.generators import drive_read_heavy
 from repro.workloads.schedule import WorkloadDriver
 from tests.conftest import make_system
@@ -220,6 +222,23 @@ class TestKeyedHistoryViews:
             assert join.done
             assert join.result.value == expected
             assert join.op_id == history.joins()[0].op_id
+
+    def test_a_judged_key_a_join_never_installed_fails_loudly(self):
+        history = self._keyed_system().history
+        (join,) = history.joins()
+        adoptions = dict(join.result.adoptions)
+        del adoptions["k1"]
+        narrow = History(history.initial_value)
+        for op in history:
+            if op.op_id == join.op_id:
+                op = settled_handle(
+                    op.op_id, op.kind, op.process_id, op.invoke_time,
+                    op.response_time, None, None, KeyedJoinResult(adoptions), None,
+                )
+            narrow.record_operation(op)
+        # Partitioning builds every judged key's sub-history at once.
+        with pytest.raises(HistoryError, match=rf"join {join.op_id} .* key 'k1'"):
+            narrow.sub_history("k1")
 
     def test_sub_history_is_one_object_while_closed(self):
         from repro.sim.operations import OperationHandle

@@ -4,9 +4,11 @@ A planned synchronous read is complete as it is invoked and nothing
 waits on it, so the history records it as a row of its columns (its
 instant, its op id, and its process, key and value) directly
 (``record_read``), without an ``OperationHandle``.  The reference is the
-general path: :func:`tests.conftest.every_read_a_handle` records each
-such read as a handle view through ``record_operation`` instead, its op
-id drawn at the same point.  Two runs of one churned, read-heavy workload — over
+general path: :func:`tests.conftest.every_read_a_handle` has the node
+return each such read as a handle, which the driver records through
+``record_operation``, its op id drawn at the same point.  Both arms keep
+one born-complete row per planned read.  Two runs of one churned,
+read-heavy workload — over
 a population or a cluster of 4 shards (with a key handoff when keyed),
 1 or 8 keys — one per arm, must agree on the digest, on every field of the
 regularity, atomicity and liveness reports, and on what iteration,
@@ -22,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import ClusterConfig, ClusterSystem, cluster_digest
-from repro.core.history import operation_digest
+from repro.core.history import History, operation_digest
 from repro.sim.operations import OperationHandle
 from repro.workloads.cluster import schedule_round_robin_migrations
 from repro.workloads.generators import drive_read_heavy, uniform_key_picker
@@ -57,6 +59,12 @@ def operation(op, base: int) -> tuple:
     )
 
 
+def born_complete(history: History) -> int:
+    """The rows of ``history`` without an interval: its born-complete
+    reads."""
+    return len(history) - sum(1 for _ in history.intervals())
+
+
 def operations(history, base: int) -> list[tuple]:
     return [operation(op, base) for op in history]
 
@@ -87,9 +95,10 @@ def safety(report, base: int) -> tuple:
 
 def observe(
     shards: int, keys: int, churn: float, seed: int, rows: bool
-) -> tuple[dict, int]:
+) -> tuple[dict, int, int]:
     """Drive one run in the row arm or the handle arm: what it shows,
-    and the reads recorded as handles."""
+    the born-complete rows its histories keep and the reads recorded as
+    handles."""
     arm = nullcontext([]) if rows else every_read_a_handle()
     with arm as handles:
         base = _first_id()
@@ -155,7 +164,8 @@ def observe(
             [operations(view.sub_history(key), base) for key in view.keys()]
             for view in subs
         ]
-    return seen, len(handles)
+        rows_kept = sum(born_complete(shard.history) for shard in system.shards)
+    return seen, rows_kept, len(handles)
 
 
 @settings(max_examples=40, deadline=None)
@@ -166,7 +176,8 @@ def observe(
     shards=st.sampled_from([1, 4]),
 )
 def test_a_read_row_is_its_handle(seed, churn, keys, shards):
-    as_rows, none = observe(shards, keys, churn, seed, rows=True)
-    as_handles, handles = observe(shards, keys, churn, seed, rows=False)
-    assert none == 0 and handles > 20
+    as_rows, rows, none = observe(shards, keys, churn, seed, rows=True)
+    as_handles, rows_of_handles, handles = observe(shards, keys, churn, seed, rows=False)
+    assert rows == handles > 20 and none == 0
+    assert rows_of_handles == handles
     assert as_rows == as_handles
